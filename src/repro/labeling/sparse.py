@@ -249,6 +249,16 @@ class SparseLabelMatrix:
             )
         return self._csc_cache
 
+    def csc_order(self) -> np.ndarray:
+        """Storage (CSR) position of every entry of the column-major view.
+
+        With ``(col_indptr, rows, values) = csc()``, CSC position ``p`` holds
+        the entry stored at CSR position ``csc_order()[p]`` — the map that
+        carries per-entry quantities computed on column slices back to the
+        storage order.
+        """
+        return self._csc_full()[3]
+
     def entry_cols(self) -> np.ndarray:
         """Column id of every stored entry, in CSC order (cached).
 
@@ -401,8 +411,6 @@ def class_vote_counts(
     Labels must be categorical (``1..cardinality``; ``0`` = abstain) — signed
     binary matrices are rejected rather than silently miscounted.
     """
-    from repro.labeling.matrix import LabelMatrix  # local import: avoid a cycle
-
     if cardinality < 2:
         raise LabelingError(f"cardinality must be >= 2, got {cardinality}")
     sparse = as_sparse_storage(label_matrix)
@@ -410,11 +418,7 @@ def class_vote_counts(
         num_rows = sparse.shape[0]
         rows, cols, vals = sparse.entry_rows(), sparse.indices, sparse.data
     else:
-        values = (
-            label_matrix.values
-            if isinstance(label_matrix, LabelMatrix)
-            else np.asarray(label_matrix, dtype=np.int64)
-        )
+        values = as_dense_array(label_matrix)
         num_rows = values.shape[0]
         rows, cols = np.nonzero(values != ABSTAIN)
         vals = values[rows, cols]
@@ -446,3 +450,17 @@ def as_sparse_storage(label_matrix) -> Optional[SparseLabelMatrix]:
     if HAVE_SCIPY and _scipy_sparse.issparse(label_matrix):
         return SparseLabelMatrix.from_scipy(label_matrix)
     return None
+
+
+def as_dense_array(label_matrix) -> np.ndarray:
+    """The dense integer array behind ``label_matrix``.
+
+    A :class:`repro.labeling.matrix.LabelMatrix` yields its ``values`` (a
+    sparse-backed one materializes a dense copy); anything else is coerced
+    with ``np.asarray(..., dtype=np.int64)``.
+    """
+    from repro.labeling.matrix import LabelMatrix  # local import: avoid a cycle
+
+    if isinstance(label_matrix, LabelMatrix):
+        return label_matrix.values
+    return np.asarray(label_matrix, dtype=np.int64)

@@ -11,8 +11,11 @@ This package is the reproduction of the paper's core technical contribution
   graph-colored :class:`SamplerPlan` compilation (one plan per abstention
   pattern and spec) and :class:`SamplerWorkspace` scratch reuse, which turn
   a sweep's O(n)-column Python loop into O(#colors) fused numpy updates,
-* :mod:`repro.labelmodel.generative` — the generative model trained by SGD
-  interleaved with Gibbs sampling (contrastive-divergence style),
+* :mod:`repro.labelmodel.em` — the one EM kernel (entries of Λ, E-step,
+  damped balance update, M-step) every EM consumer drives,
+* :mod:`repro.labelmodel.generative` — the generative model: EM over that
+  kernel, or SGD interleaved with Gibbs sampling (contrastive-divergence
+  style),
 * :mod:`repro.labelmodel.online` — the online incremental estimator:
   :class:`OnlineGenerativeModel` folds chunks into EM sufficient statistics
   at O(chunk) cost, supports LF add/remove without a full refit, serves
@@ -33,20 +36,21 @@ This package is the reproduction of the paper's core technical contribution
 Every estimator here accepts both dense label matrices and the CSR backend
 (:class:`repro.labeling.sparse.SparseLabelMatrix`, or a sparse-backed
 :class:`repro.labeling.LabelMatrix`), dispatching on the storage
-automatically.  The hot paths — EM in :mod:`generative`, the Gibbs sweeps in
-:mod:`gibbs`, and the node-wise regressions in :mod:`structure` — consume the
-sparse storage without densifying, so fit cost scales with the number of
-emitted labels (O(nnz)) rather than with ``m·n``; both storages produce
-numerically identical results.
+automatically.  EM lowers every input to CSR storage at its boundary and
+runs one kernel over the non-abstain entries (bit-identical results from
+either storage); the Gibbs sweeps in :mod:`gibbs` and the node-wise
+regressions in :mod:`structure` consume the sparse storage without
+densifying — so fit cost scales with the number of emitted labels (O(nnz))
+rather than with ``m·n``.
 
 Two label vocabularies are supported throughout: the paper's signed binary
 encoding (``{-1, 0, +1}``) and categorical labels (``0`` = abstain, classes
 ``1..k``).  :class:`GenerativeModel`, :class:`GibbsSampler`, the factor
-graph, and the structure learner dispatch on the task's cardinality — the
-binary estimators are kept as bit-compatible specializations, and
-categorical inputs run the k-ary generalizations (symmetric per-LF accuracy
-against ``k - 1`` uniform wrong classes, softmax posteriors, a damped
-k-vector class-balance re-estimate) — so multi-class tasks such as the
+graph, and the structure learner take the task's cardinality as a parameter
+— the binary model is the ``k = 2`` case with its signed arithmetic kept
+bit-compatible, categorical inputs run the k-ary form (symmetric per-LF
+accuracy against ``k - 1`` uniform wrong classes, softmax posteriors, a
+damped k-vector class-balance re-estimate) — so multi-class tasks such as the
 crowdsourcing experiment train through the main factor-graph model, with
 :class:`DawidSkeneModel` retained as a cross-check baseline.
 """

@@ -19,19 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import as_sparse_storage
+from repro.labeling.sparse import as_dense_array, as_sparse_storage
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE, validate_ground_truth
 from repro.utils.mathutils import accuracy_to_log_odds, sigmoid
 
 #: Default weight-range assumption of the optimizer: accuracies between 62%
 #: and 82% with an average of 73% (paper Section 3.1.2, footnote 8).
 DEFAULT_WEIGHT_RANGE: tuple[float, float, float] = (0.5, 1.0, 1.5)
-
-
-def _as_array(label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(label_matrix, LabelMatrix):
-        return label_matrix.values
-    return np.asarray(label_matrix, dtype=np.int64)
 
 
 def modeling_advantage(
@@ -49,7 +43,7 @@ def modeling_advantage(
     gold = validate_ground_truth(gold_labels).astype(float)
     weights = np.asarray(weights, dtype=float)
     sparse = as_sparse_storage(label_matrix)
-    shape = sparse.shape if sparse is not None else _as_array(label_matrix).shape
+    shape = sparse.shape if sparse is not None else as_dense_array(label_matrix).shape
     if shape[0] != gold.shape[0]:
         raise ValueError(
             f"label matrix has {shape[0]} rows but {gold.shape[0]} gold labels given"
@@ -62,7 +56,7 @@ def modeling_advantage(
         weighted_scores = sparse.matvec(weights)
         unweighted_scores = sparse.row_sums()
     else:
-        matrix = _as_array(label_matrix).astype(float)
+        matrix = as_dense_array(label_matrix).astype(float)
         weighted_scores = matrix @ weights
         unweighted_scores = matrix.sum(axis=1)
     weighted_correct = gold * weighted_scores > 0
@@ -132,7 +126,7 @@ def estimate_advantage_bound_detail(
         positive_counts = sparse.count_per_row(POSITIVE).astype(float)
         negative_counts = sparse.count_per_row(NEGATIVE).astype(float)
     else:
-        matrix = _as_array(label_matrix)
+        matrix = as_dense_array(label_matrix)
         m = matrix.shape[0]
         if m == 0:
             return AdvantageBoundDetail(0.0, 0.0, 0, 0)

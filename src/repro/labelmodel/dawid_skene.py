@@ -18,13 +18,8 @@ import numpy as np
 
 from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
+from repro.labeling.sparse import as_dense_array
 from repro.utils.rng import SeedLike, ensure_rng
-
-
-def _as_array(label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(label_matrix, LabelMatrix):
-        return label_matrix.values
-    return np.asarray(label_matrix, dtype=np.int64)
 
 
 class DawidSkeneModel:
@@ -76,7 +71,7 @@ class DawidSkeneModel:
     # ------------------------------------------------------------------ fitting
     def fit(self, label_matrix: LabelMatrix | np.ndarray) -> "DawidSkeneModel":
         """Run EM on the label matrix."""
-        matrix = self._recode_fit(_as_array(label_matrix))
+        matrix = self._recode_fit(as_dense_array(label_matrix))
         num_items, num_workers = matrix.shape
         k = self.cardinality
         rng = ensure_rng(self.seed)
@@ -200,7 +195,7 @@ class DawidSkeneModel:
         if label_matrix is None:
             return self._require_fitted().copy()
         self._require_fitted()
-        matrix = self._apply_recode(_as_array(label_matrix))
+        matrix = self._apply_recode(as_dense_array(label_matrix))
         num_items = matrix.shape[0]
         log_posterior = np.log(np.clip(self.class_priors, 1e-12, None))[None, :].repeat(
             num_items, axis=0

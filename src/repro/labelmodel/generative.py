@@ -39,24 +39,26 @@ task's ``cardinality``:
   ``a_j`` with errors uniform over the ``k - 1`` wrong classes, giving
   accuracy weight ``w_j = 0.5·log(a_j (k-1)/(1-a_j))`` and posterior
   ``P(y_i = c | Λ_i) ∝ π_c · exp(2 Σ_{j: Λ_{i,j}=c} w_j)``.  For ``k = 2``
-  this reduces *exactly* to the binary sigmoid, so the binary estimator is
-  kept as the (bit-compatible) specialization and categorical inputs run the
-  k-ary generalization of the same damped EM — including the per-iteration
-  class-balance re-estimation, which becomes a damped k-vector update.
+  this reduces *exactly* to the binary sigmoid: cardinality is a parameter
+  of the one EM kernel, which keeps the signed binary arithmetic as its
+  ``k = 2`` case, and the per-iteration class-balance re-estimation is a
+  damped scalar update there and a damped k-vector update otherwise.
 
-Both storage backends of :class:`repro.labeling.LabelMatrix` are supported:
-dense inputs run the vectorized dense estimator, CSR inputs
-(:class:`repro.labeling.sparse.SparseLabelMatrix`) run the same EM updates as
-sparse matvecs and per-column masked reductions over the non-abstain entries
-— O(nnz) per epoch instead of O(m·n), with numerically identical output.
-This holds for the categorical estimator too: both storages reduce the label
-matrix to its non-abstain ``(row, column, class)`` triples and run identical
-flattened-``bincount`` updates over them.
+**Storage.**  The EM estimator and ``predict_proba`` run on the non-abstain
+``(row, column, value)`` triples of Λ only: every accepted input — dense
+array, dense- or sparse-backed :class:`repro.labeling.LabelMatrix`, raw
+:class:`repro.labeling.sparse.SparseLabelMatrix`, scipy sparse matrix — is
+lowered to CSR storage at the boundary and handed to the kernel in
+:mod:`repro.labelmodel.em` (the same kernel the online model folds chunks
+with), so a dense input and its ``to_sparse()`` twin produce bit-identical
+fits at O(nnz) work per epoch.  Lowering costs one pass over a dense input;
+only a (near-)fully-voted matrix, where nnz ≈ m·n, would be scanned faster
+densely.  The CD estimator keeps dense inputs dense for its samplers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -64,11 +66,17 @@ import numpy as np
 from repro.discriminative.adam import AdamOptimizer
 from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import (
-    SparseLabelMatrix,
-    as_sparse_storage,
-    class_vote_counts,
-    intersect_sorted,
+from repro.labeling.sparse import SparseLabelMatrix, as_dense_array, as_sparse_storage
+from repro.labelmodel.em import (
+    EMParams,
+    TrainingHistory,
+    accuracy_to_weights,
+    build_entries,
+    e_step,
+    initial_prior,
+    lower_to_sparse,
+    run_em,
+    validate_label_values,
 )
 from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.labelmodel.gibbs import GibbsSampler
@@ -79,24 +87,8 @@ from repro.labelmodel.kernels import (
     run_joint_chain,
 )
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE, probs_to_labels
-from repro.utils.mathutils import log_odds_to_accuracy, sigmoid, softmax
+from repro.utils.mathutils import log_odds_to_accuracy, sigmoid
 from repro.utils.rng import SeedLike, ensure_rng
-
-
-@dataclass
-class TrainingHistory:
-    """Diagnostics recorded during training."""
-
-    epochs: int = 0
-    weight_deltas: list[float] = field(default_factory=list)
-    mean_accuracy_weights: list[float] = field(default_factory=list)
-
-
-def _as_array(label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(label_matrix, LabelMatrix):
-        return label_matrix.values
-    return np.asarray(label_matrix, dtype=np.int64)
-
 
 class GenerativeModel:
     """Generative model over labeling functions (accuracies + correlations).
@@ -183,34 +175,8 @@ class GenerativeModel:
     ) -> None:
         if method not in ("em", "cd"):
             raise LabelModelError(f"method must be 'em' or 'cd', got {method!r}")
-        if epochs <= 0:
-            raise LabelModelError(f"epochs must be positive, got {epochs}")
         if step_size <= 0:
             raise LabelModelError(f"step_size must be positive, got {step_size}")
-        if not 0.5 < accuracy_init < 1.0:
-            raise LabelModelError(
-                f"accuracy_init must lie in (0.5, 1.0), got {accuracy_init}"
-            )
-        if smoothing < 0:
-            raise LabelModelError(f"smoothing must be >= 0, got {smoothing}")
-        if not 0.0 <= damping < 1.0:
-            raise LabelModelError(f"damping must lie in [0, 1), got {damping}")
-        if not 0.5 < max_accuracy < 1.0:
-            raise LabelModelError(f"max_accuracy must lie in (0.5, 1), got {max_accuracy}")
-        if class_balance is not None:
-            balance_array = np.asarray(class_balance, dtype=float)
-            if balance_array.ndim == 0:
-                if not 0.0 < float(balance_array) < 1.0:
-                    raise LabelModelError(
-                        f"class_balance must lie in (0, 1) when given, got {class_balance}"
-                    )
-            elif balance_array.ndim != 1 or balance_array.size < 2 or np.any(
-                balance_array <= 0.0
-            ):
-                raise LabelModelError(
-                    "class_balance must be a scalar in (0, 1) or a vector of positive "
-                    f"per-class weights, got {class_balance!r}"
-                )
         if cardinality is not None and cardinality < 2:
             raise LabelModelError(f"cardinality must be >= 2 when given, got {cardinality}")
         self.method = method
@@ -238,6 +204,18 @@ class GenerativeModel:
         #: scalar ``class_prior_weight_`` instead).
         self.class_priors_: Optional[np.ndarray] = None
         self.history = TrainingHistory()
+        self._em_params()  # validates the estimator hyper-parameters
+
+    def _em_params(self) -> EMParams:
+        return EMParams(
+            epochs=self.epochs,
+            accuracy_init=self.accuracy_init,
+            smoothing=self.smoothing,
+            damping=self.damping,
+            max_accuracy=self.max_accuracy,
+            class_balance=self.class_balance,
+            non_adversarial=self.non_adversarial,
+        )
 
     # ------------------------------------------------------------------ fitting
     def fit(
@@ -249,63 +227,43 @@ class GenerativeModel:
 
         Accepts dense arrays, dense- or sparse-backed :class:`LabelMatrix`
         wrappers, raw :class:`SparseLabelMatrix` storage, and scipy sparse
-        matrices.  Sparse inputs are trained through sparse matvecs and
-        masked reductions over the non-abstain entries only — the dense
-        ``(m, n)`` matrix is never materialized.
+        matrices.  EM trains on the non-abstain entries only, whatever the
+        input storage (see the module docstring); CD keeps sparse inputs
+        sparse and dense inputs dense.
 
         The label vocabulary follows the resolved cardinality (see the
         ``cardinality`` parameter): signed ``{-1, 0, +1}`` for binary tasks,
         ``{0, 1, .., k}`` for categorical ones.
         """
         cardinality = self._resolve_cardinality(label_matrix)
-        sparse = as_sparse_storage(label_matrix)
-        if sparse is not None:
-            shape = sparse.shape
-            matrix = None
+        if self.method == "em":
+            storage: np.ndarray | SparseLabelMatrix = lower_to_sparse(label_matrix)
         else:
-            matrix = _as_array(label_matrix)
-            if matrix.ndim != 2:
-                raise LabelModelError(
-                    f"label matrix must be non-empty 2-D, got shape {matrix.shape}"
-                )
-            shape = matrix.shape
-        if shape[0] == 0 or shape[1] == 0:
+            storage = as_sparse_storage(label_matrix)
+            if storage is None:
+                storage = as_dense_array(label_matrix)
+        shape = storage.shape
+        if len(shape) != 2 or shape[0] == 0 or shape[1] == 0:
             raise LabelModelError(f"label matrix must be non-empty 2-D, got shape {shape}")
-        self._validate_label_values(sparse, matrix, cardinality)
+        is_sparse = isinstance(storage, SparseLabelMatrix)
+        validate_label_values(storage.data if is_sparse else storage, cardinality)
         spec = FactorGraphSpec(
             num_lfs=shape[1], correlations=correlations, cardinality=cardinality
         )
-        class_priors: Optional[np.ndarray] = None
-        class_prior = 0.0
         if self.method == "em":
-            if cardinality > 2:
-                weights, class_priors = self._fit_em_categorical(
-                    spec, sparse if sparse is not None else matrix
-                )
-            elif sparse is not None:
-                weights, class_prior = self._fit_em_sparse(spec, sparse)
-            else:
-                weights, class_prior = self._fit_em(spec, matrix)
+            entries = build_entries(storage, spec.correlations, cardinality)
+            accuracies, prior, self.history = run_em(entries, self._em_params())
+            weights, class_prior = self._em_weights(
+                spec, accuracies, prior, entries.pair_agreement
+            )
         else:
-            weights, cd_prior = self._fit_cd(spec, sparse if sparse is not None else matrix)
-            if cardinality > 2:
-                class_priors = np.asarray(cd_prior, dtype=float)
-            else:
-                class_prior = float(cd_prior)
-
-        if self.learn_propensity:
-            if sparse is not None:
-                empirical = sparse.col_nnz() / shape[0]
-            else:
-                empirical = (matrix != ABSTAIN).mean(axis=0)
-            coverage = np.clip(empirical, 1e-6, 1 - 1e-6)
-            weights[spec.layout.propensity_slice] = 0.5 * np.log(coverage / (1.0 - coverage))
-
-        self.spec = spec
-        self.weights = weights
-        self.class_prior_weight_ = float(class_prior)
-        self.class_priors_ = class_priors
-        return self
+            weights, class_prior = self._fit_cd(spec, storage)
+        coverage = None
+        if self.learn_propensity and is_sparse:
+            coverage = storage.col_nnz() / shape[0]
+        elif self.learn_propensity:
+            coverage = (storage != ABSTAIN).mean(axis=0)
+        return self._install(spec, weights, class_prior, coverage)
 
     def _resolve_cardinality(self, label_matrix) -> int:
         """Explicit ``cardinality`` wins; else a ``LabelMatrix``'s; else binary."""
@@ -315,428 +273,85 @@ class GenerativeModel:
             return label_matrix.cardinality
         return 2
 
-    def _validate_label_values(
+    def _install(
         self,
-        sparse: Optional[SparseLabelMatrix],
-        matrix: Optional[np.ndarray],
-        cardinality: int,
-    ) -> None:
-        """Cheap (min/max) vocabulary check so a mismatched matrix fails loudly."""
-        values = sparse.data if sparse is not None else matrix
-        if values.size == 0:
-            return
-        low, high = int(values.min()), int(values.max())
-        if cardinality == 2:
-            if low < NEGATIVE or high > POSITIVE:
-                raise LabelModelError(
-                    f"binary label matrices use values in {{-1, 0, +1}}, got range "
-                    f"[{low}, {high}]; pass cardinality= for categorical tasks"
-                )
-        elif low < 0 or high > cardinality:
-            raise LabelModelError(
-                f"cardinality-{cardinality} label matrices use values in "
-                f"{{0, 1, .., {cardinality}}}, got range [{low}, {high}]"
-            )
+        spec: FactorGraphSpec,
+        weights: np.ndarray,
+        class_prior: float | np.ndarray,
+        coverage: Optional[np.ndarray],
+    ) -> "GenerativeModel":
+        """Publish a fitted state (the shared tail of every estimator).
+
+        ``class_prior`` is the probability vector of a categorical task, the
+        half-log-odds weight of a binary one; ``coverage`` (per-LF vote
+        fraction), when given, fills in the propensity weights.
+        """
+        if coverage is not None:
+            coverage = np.clip(coverage, 1e-6, 1 - 1e-6)
+            weights[spec.layout.propensity_slice] = 0.5 * np.log(coverage / (1.0 - coverage))
+        categorical = spec.cardinality > 2
+        self.spec = spec
+        self.weights = weights
+        self.class_prior_weight_ = 0.0 if categorical else float(class_prior)
+        self.class_priors_ = np.asarray(class_prior, dtype=float) if categorical else None
+        return self
 
     # --------------------------------------------------------------------- EM
-    def _fit_em(self, spec: FactorGraphSpec, matrix: np.ndarray) -> tuple[np.ndarray, float]:
-        """Damped, truncated expectation-maximization with correlation discounting.
-
-        The M-step re-estimates each LF's accuracy from its expected agreement
-        with the posterior label; damping mixes the new estimate with the old
-        one, and accuracies are capped at ``max_accuracy``.  Damping plus the
-        cap act as regularization-by-early-stopping: they keep the estimator
-        anchored near the well-behaved one-step solution and away from the
-        degenerate optimum of the symmetric-accuracy model in which a few
-        broad labeling functions are declared perfect and absorb every
-        disagreement.
-        """
-        history = TrainingHistory()
-        num_rows, num_lfs = matrix.shape
-        voted = matrix != ABSTAIN
-        vote_counts = np.maximum(voted.sum(axis=0), 1)
-        discounts = self._correlation_discounts(spec, matrix)
-        discounted = matrix.astype(float) / discounts
-        covered = voted.any(axis=1)
-
-        accuracies = np.full(num_lfs, self.accuracy_init)
-        prior_weight = self._initial_prior_weight()
-        estimate_balance = self.class_balance is None
-        balance: Optional[float] = None
-
-        for _ in range(self.epochs):
-            weights = 0.5 * np.log(accuracies / (1.0 - accuracies))
-            scores = (discounted * weights).sum(axis=1)
-            if estimate_balance:
-                # Estimate the balance from the prior-free (evidence-only)
-                # posterior over the covered rows: feeding the prior back
-                # into its own estimate is a positive-feedback loop that
-                # collapses to 0 or 1 on imbalanced data, and uncovered rows
-                # (posterior exactly 0.5) would only dilute the estimate.
-                # The M-step keeps the prior-free posteriors for the same
-                # reason.
-                posteriors = sigmoid(2.0 * scores)
-                balance = self._damped_balance(balance, posteriors, covered)
-                prior_weight = 0.5 * float(np.log(balance / (1.0 - balance)))
-            else:
-                posteriors = sigmoid(2.0 * (scores + prior_weight))
-
-            # M-step: expected accuracy of each LF on the rows where it votes,
-            # smoothed toward the prior accuracy.
-            agrees_positive = (matrix == POSITIVE) * posteriors[:, None]
-            agrees_negative = (matrix == NEGATIVE) * (1.0 - posteriors[:, None])
-            expected_correct = (agrees_positive + agrees_negative).sum(axis=0)
-            new_accuracies = self._accuracy_update(accuracies, expected_correct, vote_counts)
-
-            delta = float(np.abs(new_accuracies - accuracies).sum())
-            accuracies = new_accuracies
-            self._record_epoch(history, accuracies, delta)
-            if delta < 1e-10:
-                break
-
-        weights = spec.initial_weights(accuracy_init=self.accuracy_init)
-        weights[spec.layout.accuracy_slice] = 0.5 * np.log(accuracies / (1.0 - accuracies))
-        self._record_correlation_weights(spec, matrix, weights)
-        self.history = history
-        return weights, prior_weight
-
-    def _fit_em_sparse(
-        self, spec: FactorGraphSpec, sparse: SparseLabelMatrix
-    ) -> tuple[np.ndarray, float]:
-        """The EM estimator over CSR storage: identical numerics, O(nnz) work.
-
-        Every reduction of the dense estimator becomes a masked reduction
-        over the stored (non-abstain) entries: the posterior scores are a
-        sparse matvec with the per-entry correlation discounts folded into
-        the entry values, and the M-step agreement sums are per-column
-        ``bincount`` accumulations.
-        """
-        history = TrainingHistory()
-        num_rows, num_lfs = sparse.shape
-        col_indptr, entry_rows, entry_vals = sparse.csc()
-        entry_cols = sparse.entry_cols()
-        vote_counts = np.maximum(np.diff(col_indptr), 1)
-        discounts = self._correlation_discounts_sparse(spec, sparse)
-        discounted_vals = entry_vals.astype(float) / discounts
-        entry_positive = entry_vals == POSITIVE
-        covered = sparse.row_nnz() > 0
-
-        accuracies = np.full(num_lfs, self.accuracy_init)
-        prior_weight = self._initial_prior_weight()
-        estimate_balance = self.class_balance is None
-        balance: Optional[float] = None
-
-        for _ in range(self.epochs):
-            weights = 0.5 * np.log(accuracies / (1.0 - accuracies))
-            scores = np.bincount(
-                entry_rows, weights=discounted_vals * weights[entry_cols], minlength=num_rows
-            )
-            if estimate_balance:
-                posteriors = sigmoid(2.0 * scores)
-                balance = self._damped_balance(balance, posteriors, covered)
-                prior_weight = 0.5 * float(np.log(balance / (1.0 - balance)))
-            else:
-                posteriors = sigmoid(2.0 * (scores + prior_weight))
-
-            row_posteriors = posteriors[entry_rows]
-            agreement = np.where(entry_positive, row_posteriors, 1.0 - row_posteriors)
-            expected_correct = np.bincount(entry_cols, weights=agreement, minlength=num_lfs)
-            new_accuracies = self._accuracy_update(accuracies, expected_correct, vote_counts)
-
-            delta = float(np.abs(new_accuracies - accuracies).sum())
-            accuracies = new_accuracies
-            self._record_epoch(history, accuracies, delta)
-            if delta < 1e-10:
-                break
-
-        weights = spec.initial_weights(accuracy_init=self.accuracy_init)
-        weights[spec.layout.accuracy_slice] = 0.5 * np.log(accuracies / (1.0 - accuracies))
-        self._record_correlation_weights(spec, sparse, weights)
-        self.history = history
-        return weights, prior_weight
-
-    def _fit_em_categorical(
-        self, spec: FactorGraphSpec, storage: np.ndarray | SparseLabelMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The k-ary EM estimator — one implementation for both storages.
-
-        Either storage is reduced to its non-abstain ``(row, column, class)``
-        triples, and every update of the binary estimator becomes a flattened
-        ``bincount`` over them: the E-step accumulates per-row per-class
-        accuracy-weight sums (with the correlation discounts folded into the
-        entry weights) and takes a row softmax, and the M-step gathers each
-        entry's posterior at its voted class.  Work per epoch is O(nnz) for
-        the reductions plus O(m·k) for the softmax — the dense ``(m, n)``
-        matrix is never scanned per class.  The per-iteration class-balance
-        re-estimation is the damped k-vector generalization of the binary
-        fix: estimated from the prior-free posteriors of the covered rows,
-        clipped away from the simplex boundary, and renormalized.
-        """
-        history = TrainingHistory()
-        k = spec.cardinality
-        num_rows, num_lfs = storage.shape
-        entry_rows, entry_cols, entry_vals, inv_discounts = self._categorical_entries(
-            spec, storage
-        )
-        vote_counts = np.maximum(np.bincount(entry_cols, minlength=num_lfs), 1)
-        covered = np.bincount(entry_rows, minlength=num_rows) > 0
-        flat_index = entry_rows * k + (entry_vals - 1)
-
-        accuracies = np.full(num_lfs, self.accuracy_init)
-        log_priors = self._initial_log_priors(k)
-        estimate_balance = self.class_balance is None
-        balance: Optional[np.ndarray] = None
-
-        for _ in range(self.epochs):
-            weights = 0.5 * np.log(accuracies * (k - 1.0) / (1.0 - accuracies))
-            scores = np.bincount(
-                flat_index,
-                weights=weights[entry_cols] * inv_discounts,
-                minlength=num_rows * k,
-            ).reshape(num_rows, k)
-            if estimate_balance:
-                posteriors = softmax(2.0 * scores, axis=1)
-                balance = self._damped_balance_vector(balance, posteriors, covered)
-                log_priors = np.log(balance)
-            else:
-                posteriors = softmax(2.0 * scores + log_priors, axis=1)
-
-            agreement = posteriors[entry_rows, entry_vals - 1]
-            expected_correct = np.bincount(entry_cols, weights=agreement, minlength=num_lfs)
-            new_accuracies = self._accuracy_update(
-                accuracies, expected_correct, vote_counts, chance=1.0 / k
-            )
-            delta = float(np.abs(new_accuracies - accuracies).sum())
-            accuracies = new_accuracies
-            self._record_epoch(history, accuracies, delta)
-            if delta < 1e-10:
-                break
-
-        weights = spec.initial_weights(accuracy_init=self.accuracy_init)
-        weights[spec.layout.accuracy_slice] = 0.5 * np.log(
-            accuracies * (k - 1.0) / (1.0 - accuracies)
-        )
-        self._record_correlation_weights(spec, storage, weights)
-        self.history = history
-        priors = np.exp(log_priors)
-        return weights, priors / priors.sum()
-
-    # ------------------------------------------------------------- EM helpers
-    def _categorical_entries(
-        self, spec: FactorGraphSpec, storage: np.ndarray | SparseLabelMatrix
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Non-abstain triples plus per-entry inverse correlation discounts.
-
-        The single reduction both the k-ary EM estimator and the categorical
-        posterior are built on: either storage yields
-        ``(entry_rows, entry_cols, entry_vals, 1/discounts)`` aligned
-        elementwise (CSC order for sparse storage, row-major for dense —
-        ``bincount`` reductions are order-independent).
-        """
-        if isinstance(storage, SparseLabelMatrix):
-            _, entry_rows, entry_vals = storage.csc()
-            entry_cols = storage.entry_cols()
-            discounts = self._correlation_discounts_sparse(spec, storage)
-        else:
-            entry_rows, entry_cols = np.nonzero(storage != ABSTAIN)
-            entry_vals = storage[entry_rows, entry_cols]
-            discounts = self._correlation_discounts(spec, storage)[entry_rows, entry_cols]
-        return entry_rows, entry_cols, entry_vals, 1.0 / discounts
-
-    def _categorical_class_scores(
+    def _em_weights(
         self,
         spec: FactorGraphSpec,
-        accuracy_weights: np.ndarray,
-        storage: np.ndarray | SparseLabelMatrix,
-    ) -> np.ndarray:
-        """Per-row per-class accuracy-weight sums ``S_{i,c}``, shape ``(m, k)``.
-
-        Without modeled correlations this is one shared
-        :func:`class_vote_counts` pass; with them, the EM double-counting
-        discounts are folded into the entry weights first.
-        """
-        k = spec.cardinality
-        if self.method == "em" and spec.correlations:
-            entry_rows, entry_cols, entry_vals, inv_discounts = self._categorical_entries(
-                spec, storage
-            )
-            return np.bincount(
-                entry_rows * k + (entry_vals - 1),
-                weights=accuracy_weights[entry_cols] * inv_discounts,
-                minlength=storage.shape[0] * k,
-            ).reshape(storage.shape[0], k)
-        return class_vote_counts(storage, k, column_weights=accuracy_weights)
-
-    def _initial_prior_weight(self) -> float:
-        if self.class_balance is not None:
-            balance = np.asarray(self.class_balance, dtype=float)
-            if balance.ndim != 0:
-                raise LabelModelError(
-                    "binary tasks take a scalar class_balance, got a vector "
-                    f"of shape {balance.shape}"
-                )
-            return 0.5 * float(np.log(balance / (1.0 - balance)))
-        return 0.0
-
-    def _initial_log_priors(self, cardinality: int) -> np.ndarray:
-        """Normalized log class prior of a categorical task (zeros when unknown)."""
-        if self.class_balance is None:
-            return np.zeros(cardinality)
-        balance = np.asarray(self.class_balance, dtype=float)
-        if balance.ndim == 0:
-            raise LabelModelError(
-                f"cardinality-{cardinality} tasks need a length-{cardinality} "
-                "class_balance vector, got a scalar"
-            )
-        if balance.shape != (cardinality,):
-            raise LabelModelError(
-                f"class_balance must have length {cardinality}, got shape {balance.shape}"
-            )
-        return np.log(balance / balance.sum())
-
-    def _damped_balance(
-        self, previous: Optional[float], posteriors: np.ndarray, covered: np.ndarray
-    ) -> float:
-        """Damped per-iteration class-balance update, clipped away from 0/1.
-
-        The estimate is the mean posterior over the covered rows — rows with
-        no votes have a prior-free posterior of exactly 0.5 and carry no
-        balance evidence.
-        """
-        if covered.any():
-            estimate = float(np.clip(posteriors[covered].mean(), 1e-3, 1.0 - 1e-3))
-        else:
-            estimate = 0.5
-        if previous is None:
-            return estimate
-        return self.damping * previous + (1.0 - self.damping) * estimate
-
-    def _damped_balance_vector(
-        self,
-        previous: Optional[np.ndarray],
-        posteriors: np.ndarray,
-        covered: np.ndarray,
-    ) -> np.ndarray:
-        """The k-vector analogue of :meth:`_damped_balance`.
-
-        Estimated as the mean posterior over the covered rows, clipped away
-        from the simplex boundary, renormalized, and damped against the
-        previous iteration's estimate.
-        """
-        cardinality = posteriors.shape[1]
-        if covered.any():
-            estimate = posteriors[covered].mean(axis=0)
-        else:
-            estimate = np.full(cardinality, 1.0 / cardinality)
-        estimate = np.clip(estimate, 1e-3, None)
-        estimate /= estimate.sum()
-        if previous is None:
-            return estimate
-        mixed = self.damping * previous + (1.0 - self.damping) * estimate
-        return mixed / mixed.sum()
-
-    def _accuracy_update(
-        self,
         accuracies: np.ndarray,
-        expected_correct: np.ndarray,
-        vote_counts: np.ndarray,
-        chance: float = 0.5,
-    ) -> np.ndarray:
-        """Smoothed, clipped, damped accuracy re-estimate shared by both backends.
+        prior: float | np.ndarray,
+        pair_agreement: Optional[np.ndarray],
+    ) -> tuple[np.ndarray, float | np.ndarray]:
+        """The weight vector and class prior of the given EM parameters.
 
-        ``chance`` is the accuracy of a random guesser (``1/k``); the
-        non-adversarial clamp keeps every LF at or above it.
+        ``prior`` arrives in the kernel's encoding
+        (:func:`repro.labelmodel.em.balance_prior`).  The correlation slots
+        record each modeled pair's empirical agreement log-odds — EM uses
+        the discount correction rather than these weights; they are recorded
+        so the fitted joint model is inspectable.
         """
-        new_accuracies = (expected_correct + self.smoothing * self.accuracy_init) / (
-            vote_counts + self.smoothing
-        )
-        new_accuracies = np.clip(new_accuracies, min(0.05, chance), self.max_accuracy)
-        if self.non_adversarial:
-            new_accuracies = np.maximum(new_accuracies, chance)
-        return self.damping * accuracies + (1.0 - self.damping) * new_accuracies
+        weights = spec.initial_weights(accuracy_init=self.accuracy_init)
+        weights[spec.layout.accuracy_slice] = accuracy_to_weights(accuracies, spec.cardinality)
+        if pair_agreement is not None:
+            agreement = np.clip(pair_agreement, 1e-3, 1 - 1e-3)
+            weights[spec.layout.correlation_slice] = 0.5 * np.log(agreement / (1.0 - agreement))
+        if spec.cardinality > 2:
+            priors = np.exp(prior)
+            prior = priors / priors.sum()
+        return weights, prior
 
-    def _record_correlation_weights(
-        self,
+    @classmethod
+    def from_em(
+        cls,
+        params: EMParams,
         spec: FactorGraphSpec,
-        storage: np.ndarray | SparseLabelMatrix,
-        weights: np.ndarray,
-    ) -> None:
-        """Empirical agreement log-odds of each modeled pair (both storages).
+        accuracies: np.ndarray,
+        prior: float | np.ndarray,
+        coverage: Optional[np.ndarray] = None,
+        pair_agreement: Optional[np.ndarray] = None,
+        history: Optional[TrainingHistory] = None,
+        seed: SeedLike = 0,
+    ) -> "GenerativeModel":
+        """A fitted EM model assembled from kernel outputs (no training).
 
-        The EM estimator uses the discount correction rather than these
-        weights; they are recorded so the fitted joint model is inspectable.
+        How the online model materializes its drained and warm serving
+        models; the arguments are those of :func:`repro.labelmodel.em.run_em`
+        and its results.  ``coverage=None`` leaves the propensity weights
+        unlearned.
         """
-        if not spec.correlations:
-            return
-        if isinstance(storage, SparseLabelMatrix):
-            for index, (j, k) in enumerate(spec.correlations):
-                rows_j, vals_j = storage.column(j)
-                rows_k, vals_k = storage.column(k)
-                in_j, in_k = intersect_sorted(rows_j, rows_k)
-                if in_j.size == 0:
-                    agreement = 0.5
-                else:
-                    agreement = float((vals_j[in_j] == vals_k[in_k]).mean())
-                weights[2 * spec.num_lfs + index] = self._agreement_weight(agreement)
-            return
-        voted = storage != ABSTAIN
-        for index, (j, k) in enumerate(spec.correlations):
-            both = voted[:, j] & voted[:, k]
-            if both.sum() == 0:
-                agreement = 0.5
-            else:
-                agreement = float((storage[both, j] == storage[both, k]).mean())
-            weights[2 * spec.num_lfs + index] = self._agreement_weight(agreement)
-
-    @staticmethod
-    def _record_epoch(history: TrainingHistory, accuracies: np.ndarray, delta: float) -> None:
-        history.epochs += 1
-        history.weight_deltas.append(delta)
-        history.mean_accuracy_weights.append(
-            float(0.5 * np.log(accuracies / (1.0 - accuracies)).mean())
+        model = cls(
+            method="em",
+            learn_propensity=coverage is not None,
+            cardinality=spec.cardinality,
+            seed=seed,
+            **asdict(params),
         )
-
-    @staticmethod
-    def _agreement_weight(agreement: float) -> float:
-        agreement = float(np.clip(agreement, 1e-3, 1 - 1e-3))
-        return 0.5 * float(np.log(agreement / (1.0 - agreement)))
-
-    @staticmethod
-    def _correlation_discounts(spec: FactorGraphSpec, matrix: np.ndarray) -> np.ndarray:
-        """Per-entry double-counting discount ``d_{i,j}``.
-
-        ``d_{i,j}`` is one plus the number of LF ``j``'s modeled correlation
-        partners that cast the same (non-abstaining) vote on row ``i``; the
-        EM posterior divides LF ``j``'s weight by it, so a clique of
-        near-duplicates contributes approximately one effective vote.
-        """
-        discounts = np.ones_like(matrix, dtype=float)
-        if not spec.correlations:
-            return discounts
-        voted = matrix != ABSTAIN
-        for j, k in spec.correlations:
-            same = voted[:, j] & voted[:, k] & (matrix[:, j] == matrix[:, k])
-            discounts[same, j] += 1.0
-            discounts[same, k] += 1.0
-        return discounts
-
-    @staticmethod
-    def _correlation_discounts_sparse(
-        spec: FactorGraphSpec, sparse: SparseLabelMatrix
-    ) -> np.ndarray:
-        """The same discounts ``d_{i,j}``, one value per stored entry (CSC order)."""
-        discounts = np.ones(sparse.nnz)
-        if not spec.correlations:
-            return discounts
-        col_indptr, _, _ = sparse.csc()
-        for j, k in spec.correlations:
-            rows_j, vals_j = sparse.column(j)
-            rows_k, vals_k = sparse.column(k)
-            in_j, in_k = intersect_sorted(rows_j, rows_k)
-            same = vals_j[in_j] == vals_k[in_k]
-            discounts[int(col_indptr[j]) + in_j[same]] += 1.0
-            discounts[int(col_indptr[k]) + in_k[same]] += 1.0
-        return discounts
+        if history is not None:
+            model.history = history
+        weights, class_prior = model._em_weights(spec, accuracies, prior, pair_agreement)
+        return model._install(spec, weights, class_prior, coverage)
 
     # --------------------------------------------------------------------- CD
     def _fit_cd(
@@ -767,14 +382,11 @@ class GenerativeModel:
         num_rows = matrix.shape[0]
         batch_size = min(self.batch_size, num_rows)
         history = TrainingHistory()
+        class_prior = initial_prior(self.class_balance, spec.cardinality)
         if spec.cardinality > 2:
             # Half-log prior per class: the sampler exponentiates 2x, so this
             # reproduces the supplied balance (or stays uniform when unknown).
-            class_prior: float | np.ndarray = 0.5 * self._initial_log_priors(spec.cardinality)
-        elif self.class_balance is not None:
-            class_prior = self._initial_prior_weight()
-        else:
-            class_prior = 0.0
+            class_prior = 0.5 * class_prior
         optimizer = AdamOptimizer(learning_rate=self.step_size)
 
         for _ in range(self.epochs):
@@ -899,96 +511,35 @@ class GenerativeModel:
 
         Binary models return ``Ỹ_i = p_ŵ(y_i = +1 | Λ_i)``, shape ``(m,)``;
         categorical models return the posterior distribution over classes,
-        shape ``(m, k)``.  Sparse inputs are scored with a sparse reduction
-        (correlation discounts folded into the entry values) — no
-        densification.  A user-supplied class balance shifts every row's
-        posterior; an EM-estimated balance shifts only the rows with no
-        votes (see the ``class_balance`` parameter documentation).
+        shape ``(m, k)``.  Any input storage is scored over its non-abstain
+        entries (EM models fold their correlation discounts in).  The class
+        prior is applied per its provenance: a supplied balance is part of
+        the model and shifts every row's posterior; an estimated balance
+        only fills in the rows with no votes, whose posterior would
+        otherwise be uninformative (see the ``class_balance`` parameter
+        documentation).
         """
         spec, weights = self._require_fitted()
-        accuracy_weights = weights[spec.layout.accuracy_slice]
-        if spec.cardinality > 2:
-            return self._predict_proba_categorical(spec, accuracy_weights, label_matrix)
-        sparse = as_sparse_storage(label_matrix)
-        if sparse is not None:
-            if sparse.shape[1] != spec.num_lfs:
-                raise LabelModelError(
-                    f"label matrix has {sparse.shape[1]} LFs, model was fit with {spec.num_lfs}"
-                )
-            if self.method == "em" and spec.correlations:
-                _, entry_rows, entry_vals = sparse.csc()
-                entry_cols = sparse.entry_cols()
-                discounts = self._correlation_discounts_sparse(spec, sparse)
-                scores = np.bincount(
-                    entry_rows,
-                    weights=(entry_vals / discounts) * accuracy_weights[entry_cols],
-                    minlength=sparse.shape[0],
-                )
-            else:
-                scores = sparse.matvec(accuracy_weights)
-            return self._posterior_from_scores(scores, covered=sparse.row_nnz() > 0)
-        matrix = _as_array(label_matrix)
-        if matrix.shape[1] != spec.num_lfs:
-            raise LabelModelError(
-                f"label matrix has {matrix.shape[1]} LFs, model was fit with {spec.num_lfs}"
-            )
-        if self.method == "em" and spec.correlations:
-            discounts = self._correlation_discounts(spec, matrix)
-            scores = ((matrix.astype(float) / discounts) * accuracy_weights).sum(axis=1)
-        else:
-            scores = matrix.astype(float) @ accuracy_weights
-        return self._posterior_from_scores(scores, covered=(matrix != ABSTAIN).any(axis=1))
-
-    def _predict_proba_categorical(
-        self,
-        spec: FactorGraphSpec,
-        accuracy_weights: np.ndarray,
-        label_matrix: LabelMatrix | np.ndarray,
-    ) -> np.ndarray:
-        """The ``(m, k)`` posterior: per-class weight sums, then a softmax."""
-        sparse = as_sparse_storage(label_matrix)
-        if sparse is not None:
-            storage: np.ndarray | SparseLabelMatrix = sparse
-            covered = sparse.row_nnz() > 0
-        else:
-            storage = _as_array(label_matrix)
-            covered = (storage != ABSTAIN).any(axis=1)
+        storage = lower_to_sparse(label_matrix)
         if storage.shape[1] != spec.num_lfs:
             raise LabelModelError(
                 f"label matrix has {storage.shape[1]} LFs, model was fit with {spec.num_lfs}"
             )
-        scores = self._categorical_class_scores(spec, accuracy_weights, storage)
-        return self._posteriors_from_class_scores(scores, covered=covered)
-
-    def _posterior_from_scores(self, scores: np.ndarray, covered: np.ndarray) -> np.ndarray:
-        """Posterior with the class prior applied per its provenance.
-
-        A supplied balance is part of the model and shifts every row; an
-        estimated balance only fills in the no-evidence rows, whose posterior
-        would otherwise be an uninformative 0.5.
-        """
-        if self.class_balance is None:
-            prior = np.where(covered, 0.0, self.class_prior_weight_)
+        entries = build_entries(
+            storage, spec.correlations if self.method == "em" else (), spec.cardinality
+        )
+        lf_weights = weights[spec.layout.accuracy_slice]
+        if spec.cardinality == 2:
+            prior: float | np.ndarray = self.class_prior_weight_
+            uncovered = sigmoid(2.0 * prior)
         else:
-            prior = self.class_prior_weight_
-        return sigmoid(2.0 * (scores + prior))
-
-    def _posteriors_from_class_scores(
-        self, scores: np.ndarray, covered: np.ndarray
-    ) -> np.ndarray:
-        """The categorical analogue of :meth:`_posterior_from_scores`.
-
-        A supplied balance multiplies every row's posterior; an estimated
-        balance replaces only the no-evidence rows, whose posterior would
-        otherwise be the uninformative uniform distribution.
-        """
-        k = scores.shape[1]
-        priors = self.class_priors_ if self.class_priors_ is not None else np.full(k, 1.0 / k)
-        if self.class_balance is None:
-            probabilities = softmax(2.0 * scores, axis=1)
-            probabilities[~covered] = priors
-            return probabilities
-        return softmax(2.0 * scores + np.log(priors), axis=1)
+            uncovered = self.class_priors_
+            prior = np.log(uncovered)
+        if self.class_balance is not None:
+            return e_step(entries, lf_weights, prior)[0]
+        probabilities = e_step(entries, lf_weights)[0]
+        probabilities[~entries.covered] = uncovered
+        return probabilities
 
     def predict(
         self, label_matrix: LabelMatrix | np.ndarray, tie_value: int = NEGATIVE

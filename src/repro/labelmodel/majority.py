@@ -13,15 +13,9 @@ import numpy as np
 
 from repro.exceptions import LabelModelError
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import as_sparse_storage, class_vote_counts
+from repro.labeling.sparse import as_dense_array, as_sparse_storage, class_vote_counts
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 from repro.utils.mathutils import sigmoid
-
-
-def _as_array(label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(label_matrix, LabelMatrix):
-        return label_matrix.values
-    return np.asarray(label_matrix, dtype=np.int64)
 
 
 class MajorityVoter:
@@ -37,7 +31,7 @@ class MajorityVoter:
         sparse = as_sparse_storage(label_matrix)
         if sparse is not None:
             return sparse.row_sums()
-        return _as_array(label_matrix).sum(axis=1).astype(float)
+        return as_dense_array(label_matrix).sum(axis=1).astype(float)
 
     def predict_proba(self, label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
         """Positive-class probabilities.
@@ -52,7 +46,7 @@ class MajorityVoter:
             positive = sparse.count_per_row(POSITIVE).astype(float)
             negative = sparse.count_per_row(NEGATIVE).astype(float)
         else:
-            values = _as_array(label_matrix)
+            values = as_dense_array(label_matrix)
             positive = (values == POSITIVE).sum(axis=1).astype(float)
             negative = (values == NEGATIVE).sum(axis=1).astype(float)
         total = positive + negative
@@ -93,7 +87,7 @@ class WeightedMajorityVoter:
                     f"{self.weights.shape[0]} weights given"
                 )
             return sparse.matvec(self.weights)
-        values = _as_array(label_matrix)
+        values = as_dense_array(label_matrix)
         if values.shape[1] != self.weights.shape[0]:
             raise LabelModelError(
                 f"label matrix has {values.shape[1]} LFs but {self.weights.shape[0]} weights given"

@@ -26,15 +26,20 @@ model versions):
       auto-draining when the staleness bound (updates folded since the
       last exact fit) is exceeded.
     * :meth:`drain` is the exact tier: it rebuilds the accumulated Λ as
-      CSR storage and delegates to a fresh same-config batch
-      :class:`GenerativeModel` fit.  Because :meth:`SparseLabelMatrix.
+      CSR storage, builds its kernel entries once, and runs the batch EM
+      iteration (:func:`repro.labelmodel.em.run_em`) plus the re-anchoring
+      E-pass over those same entries.  Because :meth:`SparseLabelMatrix.
       from_triples` canonicalizes the entry order, a drained model is
       **bit-identical** to ``GenerativeModel.fit`` on the equivalent
-      sparse matrix regardless of how the stream was chunked, and matches
-      the dense batch fit within float round-off (≤1e-8).  The drain is
-      memoized on ``model_version_``, so the zero-update warm case —
-      serving again without new data — returns the cached batch model
-      bitwise.
+      matrix regardless of how the stream was chunked or stored.  The
+      drain is memoized on ``model_version_``, so the zero-update warm
+      case — serving again without new data — returns the cached batch
+      model bitwise.
+
+The folds, the drain and the batch :class:`GenerativeModel` all drive the
+one EM kernel in :mod:`repro.labelmodel.em`: :meth:`update` is a single
+``e_step`` on the chunk's entries added into the accumulators, followed by
+the kernel's balance update and M-step.
 
 Durability: :meth:`save` persists the full state (triples + accumulators)
 as one block in a :class:`repro.labeling.blockstore.BlockStore`, stamped
@@ -52,12 +57,25 @@ import numpy as np
 
 from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import SparseLabelMatrix, as_sparse_storage
+from repro.labeling.sparse import SparseLabelMatrix
+from repro.labelmodel.em import (
+    EMParams,
+    accuracy_to_weights,
+    balance_prior,
+    build_entries,
+    damped_balance,
+    e_step,
+    initial_prior,
+    lower_to_sparse,
+    m_step,
+    run_em,
+    validate_label_values,
+)
 from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.labelmodel.generative import GenerativeModel
 from repro.labelmodel.structure import StructureLearner
-from repro.types import ABSTAIN, NEGATIVE, POSITIVE
-from repro.utils.mathutils import sigmoid, softmax
+from repro.types import ABSTAIN
+from repro.utils.mathutils import sigmoid
 from repro.utils.rng import SeedLike
 
 __all__ = ["OnlineGenerativeModel", "ServedPosteriors"]
@@ -73,19 +91,6 @@ class ServedPosteriors(NamedTuple):
     #: The (monotonically increasing) ``model_version_`` under which this
     #: chunk was scored.
     model_version: int
-
-
-def _chunk_storage(chunk) -> tuple[SparseLabelMatrix, Optional[int]]:
-    """Coerce any accepted chunk type to CSR storage (plus its cardinality)."""
-    declared = chunk.cardinality if isinstance(chunk, LabelMatrix) else None
-    sparse = as_sparse_storage(chunk)
-    if sparse is not None:
-        return sparse, declared
-    values = chunk.values if isinstance(chunk, LabelMatrix) else chunk
-    values = np.asarray(values, dtype=np.int64)
-    if values.ndim != 2:
-        raise LabelModelError(f"chunk must be 2-D, got shape {values.shape}")
-    return SparseLabelMatrix.from_dense(values), declared
 
 
 class OnlineGenerativeModel:
@@ -128,22 +133,19 @@ class OnlineGenerativeModel:
             raise LabelModelError(
                 f"max_staleness must be >= 0 or None, got {max_staleness}"
             )
-        # The template validates the shared EM configuration and provides
-        # the estimator helpers (accuracy update, discounts, priors); it is
-        # never fitted itself.
-        self._template = GenerativeModel(
-            method="em",
+        if cardinality is not None and cardinality < 2:
+            raise LabelModelError(f"cardinality must be >= 2 when given, got {cardinality}")
+        self.params = EMParams(
             epochs=epochs,
             accuracy_init=accuracy_init,
             smoothing=smoothing,
             damping=damping,
             max_accuracy=max_accuracy,
-            learn_propensity=learn_propensity,
             class_balance=class_balance,
             non_adversarial=non_adversarial,
-            cardinality=cardinality,
-            seed=seed,
         )
+        self.learn_propensity = learn_propensity
+        self.seed = seed
         self.cardinality = cardinality
         self.class_balance = class_balance
         self.max_staleness = max_staleness
@@ -188,49 +190,19 @@ class OnlineGenerativeModel:
         self._warm_version = -1
 
     # ------------------------------------------------------------------ state
-    def _pin(self, num_lfs: int, declared: Optional[int]) -> None:
-        """Fix the LF count and cardinality from the first chunk."""
-        if self.num_lfs_ is None:
-            self.num_lfs_ = int(num_lfs)
-            if self.cardinality is not None:
-                self.cardinality_ = int(self.cardinality)
-            elif declared is not None:
-                self.cardinality_ = int(declared)
-            else:
-                self.cardinality_ = 2
-            self.expected_correct_ = np.zeros(self.num_lfs_)
-            self.vote_counts_ = np.zeros(self.num_lfs_, dtype=np.int64)
-            self.accuracies_ = np.full(self.num_lfs_, self._template.accuracy_init)
-            if self.cardinality_ > 2:
-                self.posterior_mass_ = np.zeros(self.cardinality_)
-            else:
-                self.posterior_mass_ = 0.0
-        elif num_lfs != self.num_lfs_:
-            raise LabelModelError(
-                f"chunk has {num_lfs} LFs, model accumulates {self.num_lfs_}"
-            )
+    def _pin(self, num_lfs: int, cardinality: int) -> None:
+        """Fix the LF count and cardinality and create the accumulators."""
+        self.num_lfs_ = int(num_lfs)
+        self.cardinality_ = int(cardinality)
+        self.expected_correct_ = np.zeros(self.num_lfs_)
+        self.vote_counts_ = np.zeros(self.num_lfs_, dtype=np.int64)
+        self.accuracies_ = np.full(self.num_lfs_, self.params.accuracy_init)
+        self.posterior_mass_ = 0.0 if cardinality == 2 else np.zeros(cardinality)
 
     def _require_pinned(self) -> int:
         if self.num_lfs_ is None:
             raise NotFittedError("OnlineGenerativeModel has not seen any chunk yet")
         return self.num_lfs_
-
-    def _validate_values(self, values: np.ndarray) -> None:
-        if values.size == 0:
-            return
-        low, high = int(values.min()), int(values.max())
-        k = self.cardinality_
-        if k == 2:
-            if low < NEGATIVE or high > POSITIVE:
-                raise LabelModelError(
-                    f"binary chunks use values in {{-1, 0, +1}}, got range "
-                    f"[{low}, {high}]; pass cardinality= for categorical tasks"
-                )
-        elif low < 0 or high > k:
-            raise LabelModelError(
-                f"cardinality-{k} chunks use values in {{0, 1, .., {k}}}, "
-                f"got range [{low}, {high}]"
-            )
 
     def _spec(self) -> FactorGraphSpec:
         if self._spec_cache is None:
@@ -284,104 +256,21 @@ class OnlineGenerativeModel:
         )
 
     # ---------------------------------------------------------------- folding
-    def _expected_statistics(
-        self, storage: SparseLabelMatrix, accuracies: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray, int]:
-        """One E-pass over a storage's entries at the given accuracies.
+    def _e_pass(self, entries) -> tuple[np.ndarray, float | np.ndarray]:
+        """One kernel E-step over ``entries`` at the warm accuracies.
 
-        Returns ``(expected_correct, vote_counts, posterior_mass,
-        covered_count)`` — exactly the quantities the batch M-step consumes,
-        restricted to this storage's rows.  O(nnz of the storage + n).
+        Returns the per-LF expected-correct counts and the covered rows'
+        posterior mass — with the vote and covered-row counts ``entries``
+        already carries, exactly what the balance update and the M-step
+        consume.  Posteriors are evidence-only unless a ``class_balance``
+        was supplied, matching the batch iteration.
         """
-        spec = self._spec()
-        num_rows, num_lfs = storage.shape
         k = self.cardinality_
-        covered = storage.row_nnz() > 0
-        vote_counts = storage.col_nnz()
-        template = self._template
-        if k == 2:
-            weights = 0.5 * np.log(accuracies / (1.0 - accuracies))
-            _, entry_rows, entry_vals = storage.csc()
-            entry_cols = storage.entry_cols()
-            discounts = GenerativeModel._correlation_discounts_sparse(spec, storage)
-            scores = np.bincount(
-                entry_rows,
-                weights=(entry_vals / discounts) * weights[entry_cols],
-                minlength=num_rows,
-            )
-            if self.class_balance is None:
-                # Prior-free posteriors, matching the batch E-step (see the
-                # balance-estimation note in the generative module).
-                posteriors = sigmoid(2.0 * scores)
-            else:
-                posteriors = sigmoid(2.0 * (scores + template._initial_prior_weight()))
-            mass: float | np.ndarray = float(posteriors[covered].sum())
-            agreement = np.where(
-                entry_vals == POSITIVE,
-                posteriors[entry_rows],
-                1.0 - posteriors[entry_rows],
-            )
-        else:
-            weights = 0.5 * np.log(accuracies * (k - 1.0) / (1.0 - accuracies))
-            entry_rows, entry_cols, entry_vals, inv_discounts = (
-                template._categorical_entries(spec, storage)
-            )
-            scores = np.bincount(
-                entry_rows * k + (entry_vals - 1),
-                weights=weights[entry_cols] * inv_discounts,
-                minlength=num_rows * k,
-            ).reshape(num_rows, k)
-            if self.class_balance is None:
-                posteriors = softmax(2.0 * scores, axis=1)
-            else:
-                posteriors = softmax(
-                    2.0 * scores + template._initial_log_priors(k), axis=1
-                )
-            mass = posteriors[covered].sum(axis=0)
-            agreement = posteriors[entry_rows, entry_vals - 1]
-        expected_correct = np.bincount(
-            entry_cols, weights=agreement, minlength=num_lfs
+        prior = None if self.class_balance is None else initial_prior(self.class_balance, k)
+        posteriors, expected_correct = e_step(
+            entries, accuracy_to_weights(self.accuracies_, k), prior
         )
-        return expected_correct, vote_counts, mass, int(covered.sum())
-
-    def _fold_balance(self) -> None:
-        """Damped class-balance update from the accumulated posterior mass."""
-        if self.class_balance is not None or self.covered_rows_ == 0:
-            return
-        if self.cardinality_ > 2:
-            estimate = np.clip(
-                np.asarray(self.posterior_mass_) / self.covered_rows_, 1e-3, None
-            )
-            estimate /= estimate.sum()
-            if self.balance_ is None:
-                self.balance_ = estimate
-            else:
-                mixed = (
-                    self._template.damping * self.balance_
-                    + (1.0 - self._template.damping) * estimate
-                )
-                self.balance_ = mixed / mixed.sum()
-        else:
-            estimate = float(
-                np.clip(self.posterior_mass_ / self.covered_rows_, 1e-3, 1.0 - 1e-3)
-            )
-            if self.balance_ is None:
-                self.balance_ = estimate
-            else:
-                self.balance_ = (
-                    self._template.damping * self.balance_
-                    + (1.0 - self._template.damping) * estimate
-                )
-
-    def _m_step(self) -> None:
-        """O(n) accuracy re-estimate from the accumulated statistics."""
-        chance = 0.5 if self.cardinality_ == 2 else 1.0 / self.cardinality_
-        self.accuracies_ = self._template._accuracy_update(
-            self.accuracies_,
-            self.expected_correct_,
-            np.maximum(self.vote_counts_, 1),
-            chance=chance,
-        )
+        return expected_correct, posteriors[entries.covered].sum(axis=0)
 
     def update(self, chunk) -> "OnlineGenerativeModel":
         """Fold a new candidate chunk into the accumulated statistics.
@@ -391,26 +280,44 @@ class OnlineGenerativeModel:
         one E-pass over the chunk's non-abstain entries at the current warm
         parameters plus one O(n) M-step.  An all-abstain chunk only extends
         the row count — the statistics, parameters, and ``model_version_``
-        are untouched.
+        are untouched.  A rejected chunk (wrong width, out-of-vocabulary
+        votes) leaves the model exactly as it was.
         """
-        storage, declared = _chunk_storage(chunk)
-        self._pin(storage.shape[1], declared)
-        self._validate_values(storage.data)
-        _, entry_rows, entry_vals = storage.csc()
-        entry_cols = storage.entry_cols()
-        self._append_triples(entry_rows + self.num_rows_, entry_cols, entry_vals)
+        storage = lower_to_sparse(chunk)
+        if self.num_lfs_ is None:
+            declared = chunk.cardinality if isinstance(chunk, LabelMatrix) else 2
+            cardinality = declared if self.cardinality is None else self.cardinality
+        elif storage.shape[1] != self.num_lfs_:
+            raise LabelModelError(
+                f"chunk has {storage.shape[1]} LFs, model accumulates {self.num_lfs_}"
+            )
+        else:
+            cardinality = self.cardinality_
+        validate_label_values(storage.data, cardinality)
+        if self.num_lfs_ is None:
+            self._pin(storage.shape[1], cardinality)
+        first_row = self.num_rows_
         self.num_rows_ += storage.shape[0]
         if storage.nnz == 0:
             return self
-        expected_correct, vote_counts, mass, covered = self._expected_statistics(
-            storage, self.accuracies_
-        )
+        entries = build_entries(storage, self._spec().correlations, cardinality)
+        self._append_triples(storage.entry_rows() + first_row, storage.indices, storage.data)
+        expected_correct, mass = self._e_pass(entries)
         self.expected_correct_ = self.expected_correct_ + expected_correct
-        self.vote_counts_ = self.vote_counts_ + vote_counts
+        self.vote_counts_ = self.vote_counts_ + entries.vote_counts
         self.posterior_mass_ = self.posterior_mass_ + mass
-        self.covered_rows_ += covered
-        self._fold_balance()
-        self._m_step()
+        self.covered_rows_ += int(entries.covered.sum())
+        if self.class_balance is None:
+            self.balance_ = damped_balance(
+                self.balance_,
+                self.posterior_mass_,
+                self.covered_rows_,
+                cardinality,
+                self.params.damping,
+            )
+        self.accuracies_ = m_step(
+            self.params, self.accuracies_, self.expected_correct_, self.vote_counts_, cardinality
+        )
         self._invalidate()
         return self
 
@@ -431,16 +338,15 @@ class OnlineGenerativeModel:
             raise LabelModelError(
                 f"votes must have shape ({self.num_rows_},), got {votes.shape}"
             )
+        validate_label_values(votes, self.cardinality_)
         column = num_lfs
         self.num_lfs_ = num_lfs + 1
         rows = np.flatnonzero(votes != ABSTAIN)
-        vals = votes[rows]
-        self._validate_values(vals)
-        self._append_triples(rows, np.full(rows.size, column, dtype=np.int64), vals)
-        self.accuracies_ = np.append(self.accuracies_, self._template.accuracy_init)
+        self._append_triples(rows, np.full(rows.size, column, dtype=np.int64), votes[rows])
+        self.accuracies_ = np.append(self.accuracies_, self.params.accuracy_init)
         self.vote_counts_ = np.append(self.vote_counts_, rows.size)
         self.expected_correct_ = np.append(
-            self.expected_correct_, self._template.accuracy_init * rows.size
+            self.expected_correct_, self.params.accuracy_init * rows.size
         )
         # Covered-row mass is unchanged only approximately (newly covered
         # rows existed before with posterior 0.5/uniform); the drain
@@ -510,12 +416,13 @@ class OnlineGenerativeModel:
     def drain(self) -> GenerativeModel:
         """Exact fit over everything accumulated; memoized per version.
 
-        Delegates to a fresh same-config batch :class:`GenerativeModel`
-        over :meth:`accumulated_matrix`, so the result is bit-identical to
+        Runs the batch EM iteration over the entries of
+        :meth:`accumulated_matrix`, so the result is bit-identical to
         fitting that matrix directly.  The warm state is then re-anchored
         at the converged solution: accuracies and balance from the fitted
-        model, sufficient statistics from one E-pass at the converged
-        accuracies — subsequent :meth:`update` folds continue from there.
+        model, sufficient statistics from one E-pass over the same entries
+        at the converged accuracies — subsequent :meth:`update` folds
+        continue from there.
         """
         if self._drained is not None and self._drained_version == self.model_version_:
             return self._drained
@@ -524,37 +431,29 @@ class OnlineGenerativeModel:
             raise NotFittedError(
                 "cannot drain an OnlineGenerativeModel with no votes accumulated"
             )
-        template = self._template
-        model = GenerativeModel(
-            method="em",
-            epochs=template.epochs,
-            accuracy_init=template.accuracy_init,
-            smoothing=template.smoothing,
-            damping=template.damping,
-            max_accuracy=template.max_accuracy,
-            learn_propensity=template.learn_propensity,
-            class_balance=self.class_balance,
-            non_adversarial=template.non_adversarial,
-            cardinality=self.cardinality_,
-            seed=template.seed,
+        spec = self._spec()
+        entries = build_entries(matrix, spec.correlations, spec.cardinality)
+        accuracies, prior, history = run_em(entries, self.params)
+        model = GenerativeModel.from_em(
+            self.params,
+            spec,
+            accuracies,
+            prior,
+            coverage=entries.vote_counts / self.num_rows_ if self.learn_propensity else None,
+            pair_agreement=entries.pair_agreement,
+            history=history,
+            seed=self.seed,
         )
-        model.fit(matrix, correlations=tuple(self.correlations_))
         # Re-anchor the warm state at the converged solution.
         self.accuracies_ = model.learned_accuracies()
         if self.class_balance is None:
-            if self.cardinality_ > 2:
-                self.balance_ = (
-                    None if model.class_priors_ is None else model.class_priors_.copy()
-                )
-            elif model.class_prior_weight_ != 0.0:
+            if spec.cardinality > 2:
+                self.balance_ = model.class_priors_.copy()
+            else:
                 self.balance_ = float(sigmoid(2.0 * model.class_prior_weight_))
-        expected_correct, vote_counts, mass, covered = self._expected_statistics(
-            matrix, self.accuracies_
-        )
-        self.expected_correct_ = expected_correct
-        self.vote_counts_ = vote_counts
-        self.posterior_mass_ = mass
-        self.covered_rows_ = covered
+        self.expected_correct_, self.posterior_mass_ = self._e_pass(entries)
+        self.vote_counts_ = entries.vote_counts
+        self.covered_rows_ = int(entries.covered.sum())
         self.model_version_ += 1
         self.updates_since_drain_ = 0
         self._drained = model
@@ -567,77 +466,32 @@ class OnlineGenerativeModel:
         """The model posteriors are scored with at the current version.
 
         Freshly drained → the exact batch model (bitwise path).  Otherwise
-        a shell :class:`GenerativeModel` assembled from the warm
-        accuracies and balance, cached per version.
+        a :class:`GenerativeModel` assembled from the warm accuracies and
+        balance, cached per version.
         """
         if self._drained is not None and self._drained_version == self.model_version_:
             return self._drained
         if self._warm_model is not None and self._warm_version == self.model_version_:
             return self._warm_model
         self._require_pinned()
-        if self.accuracies_ is None:
-            raise NotFittedError("OnlineGenerativeModel has no statistics to serve from")
-        spec = self._spec()
-        template = self._template
-        model = GenerativeModel(
-            method="em",
-            epochs=template.epochs,
-            accuracy_init=template.accuracy_init,
-            smoothing=template.smoothing,
-            damping=template.damping,
-            max_accuracy=template.max_accuracy,
-            learn_propensity=template.learn_propensity,
-            class_balance=self.class_balance,
-            non_adversarial=template.non_adversarial,
-            cardinality=self.cardinality_,
-            seed=template.seed,
+        if self.class_balance is not None or self.balance_ is None:
+            prior = initial_prior(self.class_balance, self.cardinality_)
+        else:
+            prior = balance_prior(self.balance_)
+        coverage = None
+        if self.learn_propensity and self.num_rows_ > 0:
+            coverage = self.vote_counts_ / self.num_rows_
+        self._warm_model = GenerativeModel.from_em(
+            self.params, self._spec(), self.accuracies_, prior, coverage=coverage, seed=self.seed
         )
-        weights = spec.initial_weights(accuracy_init=template.accuracy_init)
-        k = self.cardinality_
-        if k == 2:
-            weights[spec.layout.accuracy_slice] = 0.5 * np.log(
-                self.accuracies_ / (1.0 - self.accuracies_)
-            )
-        else:
-            weights[spec.layout.accuracy_slice] = 0.5 * np.log(
-                self.accuracies_ * (k - 1.0) / (1.0 - self.accuracies_)
-            )
-        if template.learn_propensity and self.num_rows_ > 0:
-            coverage = np.clip(
-                self.vote_counts_ / self.num_rows_, 1e-6, 1.0 - 1e-6
-            )
-            weights[spec.layout.propensity_slice] = 0.5 * np.log(
-                coverage / (1.0 - coverage)
-            )
-        model.spec = spec
-        model.weights = weights
-        if self.class_balance is None:
-            if k == 2:
-                model.class_prior_weight_ = (
-                    0.0
-                    if self.balance_ is None
-                    else 0.5 * float(np.log(self.balance_ / (1.0 - self.balance_)))
-                )
-            else:
-                model.class_priors_ = (
-                    None if self.balance_ is None else np.asarray(self.balance_)
-                )
-        else:
-            model.class_prior_weight_ = template._initial_prior_weight() if k == 2 else 0.0
-            if k > 2:
-                priors = np.exp(template._initial_log_priors(k))
-                model.class_priors_ = priors / priors.sum()
-        self._warm_model = model
         self._warm_version = self.model_version_
-        return model
+        return self._warm_model
 
     def posteriors(self, chunk) -> np.ndarray:
         """Posteriors for one chunk under the current model (no staleness check).
 
-        The chunk is scored in its own storage (dense chunks through the
-        dense reduction, sparse through the sparse one), so a freshly
-        drained model's output is bit-identical to the batch model's
-        ``predict_proba`` on the same input.
+        A freshly drained model's output is bit-identical to the batch
+        model's ``predict_proba`` on the same input.
         """
         self._require_pinned()
         return self._serving_model().predict_proba(chunk)
@@ -726,6 +580,11 @@ class OnlineGenerativeModel:
                 f"no OnlineGenerativeModel state under {prefix!r} in {store.root}"
             )
         arrays, meta = store.get(f"{head}{max(versions)}")
+        if meta.get("format") != cls._STATE_FORMAT:
+            raise LabelModelError(
+                f"OnlineGenerativeModel state under {prefix!r} has format "
+                f"{meta.get('format')!r}, this version reads format {cls._STATE_FORMAT}"
+            )
         model = cls(cardinality=int(meta["cardinality"]), **kwargs)
         model.correlations_ = [tuple(pair) for pair in meta["correlations"]]
         model.num_lfs_ = int(meta["num_lfs"])

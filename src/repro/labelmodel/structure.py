@@ -50,6 +50,7 @@ from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
 from repro.labeling.sparse import (
     SparseLabelMatrix,
+    as_dense_array,
     as_sparse_storage,
     class_vote_counts,
     intersect_sorted,
@@ -57,12 +58,6 @@ from repro.labeling.sparse import (
 from repro.types import ABSTAIN
 from repro.utils.mathutils import sigmoid
 from repro.utils.rng import SeedLike, ensure_rng
-
-
-def _as_array(label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(label_matrix, LabelMatrix):
-        return label_matrix.values
-    return np.asarray(label_matrix, dtype=np.int64)
 
 
 @dataclass
@@ -135,7 +130,7 @@ class StructureLearner:
             if categorical is None:
                 categorical = bool(sparse.data.size) and int(sparse.data.max()) > 1
             return sparse, None, categorical
-        matrix = _as_array(label_matrix).astype(float)
+        matrix = as_dense_array(label_matrix).astype(float)
         if categorical is None:
             categorical = bool(matrix.size) and matrix.max() > 1
         return None, matrix, categorical

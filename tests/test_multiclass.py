@@ -10,6 +10,7 @@ fallback.
 
 import numpy as np
 import pytest
+from reference_em import assert_matches_reference
 
 import repro.labeling.sparse as sparse_mod
 from repro.datasets import load_task
@@ -80,14 +81,19 @@ def test_em_dense_sparse_equivalence_k3(backend):
     )
     dense = data.label_matrix
     sparse = dense.to_sparse()
-    dense_model = GenerativeModel(epochs=15, seed=0).fit(dense)
-    sparse_model = GenerativeModel(epochs=15, seed=0).fit(sparse)
-    assert np.abs(dense_model.weights - sparse_model.weights).max() < 1e-10
-    dense_probs = dense_model.predict_proba(dense)
-    sparse_probs = sparse_model.predict_proba(sparse)
-    assert dense_probs.shape == (400, 3)
-    assert np.abs(dense_probs - sparse_probs).max() < 1e-10
-    assert np.allclose(dense_model.class_priors_, sparse_model.class_priors_)
+    for balance in (None, [0.2, 0.3, 0.5]):
+        dense_model = GenerativeModel(epochs=15, class_balance=balance, seed=0).fit(dense)
+        sparse_model = GenerativeModel(epochs=15, class_balance=balance, seed=0).fit(sparse)
+        # Both storages are lowered to the same kernel entries: bitwise equal.
+        assert np.array_equal(dense_model.weights, sparse_model.weights)
+        dense_probs = dense_model.predict_proba(dense)
+        assert dense_probs.shape == (400, 3)
+        assert np.array_equal(dense_probs, sparse_model.predict_proba(sparse))
+        assert np.array_equal(dense_model.class_priors_, sparse_model.class_priors_)
+        # ... and the one kernel agrees with the independent naive oracle.
+        assert_matches_reference(
+            sparse_model, dense.values, 3, class_balance=balance, epochs=15
+        )
 
 
 def test_em_dense_sparse_equivalence_with_correlations(backend):
@@ -99,11 +105,11 @@ def test_em_dense_sparse_equivalence_with_correlations(backend):
     pairs = [(0, 1), (2, 3)]
     dense_model = GenerativeModel(epochs=10, seed=0).fit(dense, correlations=pairs)
     sparse_model = GenerativeModel(epochs=10, seed=0).fit(sparse, correlations=pairs)
-    assert np.abs(dense_model.weights - sparse_model.weights).max() < 1e-10
-    assert (
-        np.abs(dense_model.predict_proba(dense) - sparse_model.predict_proba(sparse)).max()
-        < 1e-10
+    assert np.array_equal(dense_model.weights, sparse_model.weights)
+    assert np.array_equal(
+        dense_model.predict_proba(dense), sparse_model.predict_proba(sparse)
     )
+    assert_matches_reference(sparse_model, dense.values, 3, correlations=pairs, epochs=10)
 
 
 def test_binary_bit_compatibility_and_k2_consistency():

@@ -5,8 +5,9 @@ bottom re-checks it under randomized matrices and chunkings):
 
 * **Drain ≡ batch** — folding any chunking of a stream and draining gives a
   model *bit-identical* to ``GenerativeModel.fit`` on the equivalent sparse
-  matrix (canonical CSR makes the drain chunk-order invariant), and within
-  1e-8 of the dense batch fit — for k=2 and k=3 alike.
+  matrix (canonical CSR makes the drain chunk-order invariant) and to the
+  fit on the dense matrix, which runs the same kernel — for k=2 and k=3
+  alike.
 * **Zero-update warm case** — serving again without new data returns the
   memoized batch model's posteriors bitwise, under an unchanged version.
 * **All-abstain chunks are no-ops** — rows grow, statistics and version
@@ -75,7 +76,8 @@ def test_drained_matches_batch_dense_within_tolerance():
     online = fold(dense, [128, 128, 144])
     drained = online.drain()
     batch = GenerativeModel(epochs=10, seed=0).fit(dense)
-    assert np.abs(drained.predict_proba(dense) - batch.predict_proba(dense)).max() <= 1e-8
+    assert np.array_equal(drained.weights, batch.weights)
+    assert np.array_equal(drained.predict_proba(dense), batch.predict_proba(dense))
 
 
 def test_chunk_order_invariance_of_drain():
@@ -108,9 +110,7 @@ def test_categorical_drain_matches_batch():
     assert np.array_equal(drained.weights, batch.weights)
     assert np.array_equal(drained.class_priors_, batch.class_priors_)
     dense_batch = GenerativeModel(epochs=10, seed=0, cardinality=3).fit(dense)
-    assert np.abs(
-        drained.predict_proba(dense) - dense_batch.predict_proba(dense)
-    ).max() <= 1e-8
+    assert np.array_equal(drained.predict_proba(dense), dense_batch.predict_proba(dense))
 
 
 def test_label_matrix_chunks_pin_cardinality():
@@ -247,6 +247,46 @@ def test_online_validation_errors():
         online.remove_lf(8)
 
 
+def _state(online):
+    """Everything a rejected call must leave untouched."""
+    return (
+        online.num_lfs_, online.cardinality_, online.num_rows_, online.model_version_,
+        online.accuracies_, online.vote_counts_, online.expected_correct_,
+        online.accumulated_matrix().to_dense() if online.num_lfs_ is not None else None,
+    )
+
+
+def _same_state(before, after):
+    return all(
+        np.array_equal(old, new) if isinstance(old, np.ndarray) else old == new
+        for old, new in zip(before, after)
+    )
+
+
+def test_rejected_add_lf_leaves_model_unchanged():
+    dense = binary_matrix(num_points=60, num_lfs=5, seed=20)
+    online = fold(dense[:, :4], [60])
+    before = _state(online)
+    with pytest.raises(LabelModelError):
+        online.add_lf(np.full(60, 3))  # out-of-vocabulary votes on a binary task
+    assert _same_state(before, _state(online))
+    # The model still folds 4-LF chunks and accepts a valid LF next.
+    online.update(dense[:10, :4])
+    assert online.add_lf(np.concatenate([dense[:, 4], dense[:10, 4]])) == 4
+
+
+def test_rejected_first_chunk_leaves_model_unpinned():
+    online = OnlineGenerativeModel(epochs=5, seed=0)
+    before = _state(online)
+    with pytest.raises(LabelModelError):
+        online.update(np.full((5, 3), 4))  # categorical values, binary default
+    assert _same_state(before, _state(online))
+    # The corrected chunk — different width, declared cardinality — is accepted.
+    online.update(LabelMatrix(categorical_matrix(num_points=40, num_lfs=6, cardinality=4),
+                              cardinality=4))
+    assert (online.num_lfs_, online.cardinality_, online.num_rows_) == (6, 4, 40)
+
+
 # ---------------------------------------------------------------- durability
 def test_save_load_round_trip(tmp_path):
     dense = binary_matrix(seed=12)
@@ -265,6 +305,13 @@ def test_save_load_round_trip(tmp_path):
     online.update(extra)
     restored.update(extra)
     assert np.array_equal(restored.accuracies_, online.accuracies_)
+    # A snapshot in a format this version does not read is rejected, naming both.
+    with BlockStore(str(tmp_path / "store")) as store:
+        key = online.save(store, prefix="future")
+        arrays, meta = store.get(key)
+        store.put(key, {name: np.array(a) for name, a in arrays.items()}, {**meta, "format": 99})
+        with pytest.raises(LabelModelError, match=r"format 99.*format 1"):
+            OnlineGenerativeModel.load(store, prefix="future", epochs=10, seed=0)
 
 
 def test_save_latest_epoch_keeps_one_snapshot(tmp_path):
@@ -339,9 +386,7 @@ def test_fuzz_drain_equals_batch(params):
     )
     assert np.array_equal(drained.weights, batch.weights)
     dense_batch = GenerativeModel(epochs=5, seed=0, cardinality=cardinality).fit(dense)
-    assert np.abs(
-        drained.predict_proba(dense) - dense_batch.predict_proba(dense)
-    ).max() <= 1e-8
+    assert np.array_equal(drained.predict_proba(dense), dense_batch.predict_proba(dense))
     # One-shot folding matches the two-chunk fold after draining.
     whole = OnlineGenerativeModel(epochs=5, seed=0, cardinality=cardinality)
     whole.update(dense)

@@ -1,15 +1,17 @@
 """Sparse label-matrix backend: storage, dense/sparse equivalence, bugfixes.
 
 The equivalence suite runs every consumer twice — once on dense storage,
-once on CSR — and demands identical results: ``predict_proba`` to 1e-10,
-learned accuracies, structure selections, and every ``LabelMatrix``
-statistic, including all-abstain rows and empty-column edge cases.  The
-whole module is parametrized over the scipy backend and the pure-numpy
-fallback.
+once on CSR — and demands identical results: the EM fit and its
+``predict_proba`` bit for bit (one kernel serves both storages, and is
+itself checked against the naive oracle in ``reference_em.py`` to 1e-10),
+structure selections, and every ``LabelMatrix`` statistic, including
+all-abstain rows and empty-column edge cases.  The whole module is
+parametrized over the scipy backend and the pure-numpy fallback.
 """
 
 import numpy as np
 import pytest
+from reference_em import assert_matches_reference
 
 import repro.labeling.sparse as sparse_mod
 from repro.datasets.synthetic import (
@@ -207,19 +209,23 @@ def test_em_dense_sparse_equivalence(backend, correlated_data):
         sparse_model = GenerativeModel(epochs=15, class_balance=balance, seed=0).fit(
             sparse, correlations=correlations
         )
-        assert np.allclose(
-            dense_model.predict_proba(dense), sparse_model.predict_proba(sparse), atol=1e-10
+        # Both storages are lowered to the same kernel entries: bitwise equal.
+        assert np.array_equal(
+            dense_model.predict_proba(dense), sparse_model.predict_proba(sparse)
         )
-        assert np.allclose(
-            dense_model.learned_accuracies(), sparse_model.learned_accuracies(), atol=1e-10
+        assert np.array_equal(
+            dense_model.learned_accuracies(), sparse_model.learned_accuracies()
         )
-        assert np.allclose(dense_model.weights, sparse_model.weights, atol=1e-10)
-        assert dense_model.class_prior_weight_ == pytest.approx(
-            sparse_model.class_prior_weight_, abs=1e-10
-        )
+        assert np.array_equal(dense_model.weights, sparse_model.weights)
+        assert dense_model.class_prior_weight_ == sparse_model.class_prior_weight_
         # Cross-storage scoring also agrees.
-        assert np.allclose(
-            dense_model.predict_proba(sparse), dense_model.predict_proba(dense), atol=1e-10
+        assert np.array_equal(
+            dense_model.predict_proba(sparse), dense_model.predict_proba(dense)
+        )
+        # ... and the one kernel agrees with the independent naive oracle.
+        assert_matches_reference(
+            sparse_model, dense.values, 2,
+            correlations=correlations, class_balance=balance, epochs=15,
         )
 
 
@@ -229,10 +235,11 @@ def test_em_equivalence_with_edge_rows_and_columns(backend):
     sparse = dense.to_sparse()
     dense_model = GenerativeModel(epochs=10, seed=0).fit(dense)
     sparse_model = GenerativeModel(epochs=10, seed=0).fit(sparse)
-    assert np.allclose(
-        dense_model.predict_proba(dense), sparse_model.predict_proba(sparse), atol=1e-10
+    assert np.array_equal(
+        dense_model.predict_proba(dense), sparse_model.predict_proba(sparse)
     )
-    assert np.allclose(dense_model.weights, sparse_model.weights, atol=1e-10)
+    assert np.array_equal(dense_model.weights, sparse_model.weights)
+    assert_matches_reference(sparse_model, EDGE, 2, epochs=10)
 
 
 def test_cd_method_accepts_sparse(backend):
