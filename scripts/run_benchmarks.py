@@ -23,7 +23,8 @@ snapshot (default ``BENCH_sparse.json`` in the repository root):
   drain vs batch fit time, with drain-equals-batch parity asserted
   (``benchmarks/bench_online_em.py``);
 * ``featurizer_throughput`` — dense vs CSR relation-featurizer batch
-  transforms (``benchmarks/bench_featurizer_throughput.py``);
+  transforms, with exact parity against the per-candidate specification
+  asserted (``benchmarks/bench_featurizer_throughput.py``);
 * ``discriminative_streaming`` — the out-of-core pipeline (fused
   apply+featurize engine pass, CSR-block minibatch end-model training) vs
   the materialized pipeline on a 50k-candidate synthetic text task:
@@ -206,6 +207,11 @@ def measure(quick: bool = False) -> dict:
         num_candidates=150 if quick else featurizer.DEFAULT_NUM_CANDIDATES
     )
     print(featurizer.format_record(featurizer_record))
+    # Asserted on every snapshot and every --compare run: the chunk kernel
+    # emits exactly the per-candidate specification's feature values.
+    assert (
+        featurizer_record["max_value_diff"] == 0
+    ), "featurization kernel diverged from the candidate_entries specification"
     print("\n[discriminative_streaming]")
     streaming_record = streaming.run_discriminative_streaming_benchmark(
         **(

@@ -33,7 +33,7 @@ _FEATURIZER_HINTS = ("featurizer", "vectorizer")
 
 #: Method calls on the payload that are reads with internal validation, not
 #: state writes.
-_ALLOWED_PAYLOAD_CALLS = {"require_fitted", "candidate_entries", "transform", "get", "items"}
+_ALLOWED_PAYLOAD_CALLS = {"require_fitted", "chunk_triples", "transform", "get", "items"}
 
 
 class _TaskContractVisitor(ast.NodeVisitor):

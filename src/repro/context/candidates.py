@@ -11,7 +11,7 @@ live database session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.db.orm import MappedRecord
 from repro.exceptions import ContextError
@@ -173,3 +173,18 @@ class Candidate:
                     f"{name} range [{span.word_start}, {span.word_end}) is invalid for a "
                     f"sentence with {num_words} tokens"
                 )
+
+
+def uses_stock(objects: Iterable, base: type, names: Sequence[str]) -> bool:
+    """Every object's class carries ``base``'s own implementation of ``names``.
+
+    The condition under which a vectorized re-implementation of those
+    accessors (the pushdown tier's derived columns, the featurization
+    kernel's scope ranges) is exact; a subclass overriding any of them — or
+    a duck-typed stand-in — sends the chunk to the per-candidate path.
+    """
+    return all(
+        getattr(kind, name, None) is getattr(base, name)
+        for kind in set(map(type, objects))
+        for name in names
+    )

@@ -9,11 +9,24 @@ window words, argument order and distance), which preserves the property the
 paper relies on: features that co-occur with LF-covered candidates also
 appear on uncovered candidates, letting the end model raise recall.
 
-Both featurizers offer a batch-sparse path (``transform(..., sparse=True)``)
-returning a :class:`repro.discriminative.sparse_features.CSRFeatureMatrix`
-with exactly the same values as the dense output — a candidate touches only
-a few hash buckets, so the dense ``(m, num_features)`` allocation is pure
-waste at scale.
+**One batch kernel.**  Featurization works a chunk at a time:
+``chunk_triples`` (on both featurizers) interns the chunk's tokens to
+integer ids, lower-casing each *distinct* token once, expresses every scope
+(sentence, between, windows, argument texts) as an index range into the flat
+id array, builds the n-gram codes of all ranges with numpy, and computes
+``prefix + " ".join(gram)`` → ``blake2b`` → ``(bucket, sign)`` only for the
+*distinct* codes; one sort then sums duplicate ``(row, bucket)`` entries,
+drops zeros and leaves the triples in canonical row-major, column-ascending
+order.  Every consumer — the engine's ``featurize_chunk`` task (hence the
+fused label+featurize passes and ``featurize_stream``), and both
+``transform`` output modes (dense is the kernel's ``toarray()``) — calls it.
+``RelationFeaturizer.candidate_entries`` / ``HashingVectorizer.
+sequence_entries`` remain the readable per-row specification: the
+differential tests hold the kernel byte-equal to them, and a chunk the
+kernel cannot reproduce by construction (overridden candidate accessors,
+span offsets that are not ints inside the sentence — Python slicing wraps
+and clamps —, non-``str`` tokens, an n-gram code beyond int64) is
+featurized through them instead.
 
 **Fitted-state discipline.**  Hashing featurizers learn nothing from data,
 but their *configuration* (feature-space width, n-gram range, sign mode)
@@ -26,25 +39,83 @@ configuration snapshot, and every batch ``transform`` (and the engine's
 ``require_fitted()`` first, raising :class:`repro.exceptions.NotFittedError`
 on an unfitted featurizer and
 :class:`repro.exceptions.ConfigurationError` on one mutated after fitting.
+The kernel only reads the featurizer, so one fitted instance is shared by
+every worker thread.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from functools import partial
+from itertools import chain
+from numbers import Integral
+from operator import add, attrgetter, methodcaller
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.context.candidates import Candidate
+from repro.context.candidates import Candidate, SpanView, uses_stock
 from repro.discriminative.sparse_features import CSRFeatureMatrix
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.labeling.sparse import ranges_gather
 from repro.utils.textutils import ngrams, normalize
+
+#: ``(row_offsets, cols, values)`` of a chunk, row-major with ascending columns.
+Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Rows per kernel call inside the batch ``transform``s, so the kernel's
+#: temporaries stay proportional to one block however long the input is.
+_BLOCK_ROWS = 1024
+
+_INT64_LIMIT = 2**63
 
 
 def _stable_hash(token: str) -> int:
     """Deterministic 64-bit hash of a string (stable across processes)."""
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def _stable_hashes(keys: Iterable[str]) -> np.ndarray:
+    """:func:`_stable_hash` of every key, as one ``uint64`` array."""
+    hashers = map(partial(hashlib.blake2b, digest_size=8), map(str.encode, keys))
+    return np.frombuffer(b"".join(map(methodcaller("digest"), hashers)), dtype="<u8")
+
+
+def _reduce_triples(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, width: int) -> Triples:
+    """Sum duplicate ``(row, col)`` entries and drop the zero sums.
+
+    One sort leaves the result row-major with ascending columns; the
+    summands are ±1/±2 (or a lone structural value), so every summation
+    order gives the same floats as the specification's dict updates.
+    """
+    keys, inverse = np.unique(rows * width + cols, return_inverse=True)
+    sums = np.bincount(inverse, weights=values, minlength=keys.size)
+    keys, sums = keys[sums != 0.0], sums[sums != 0.0]
+    return keys // width, keys % width, sums.astype(np.float64, copy=False)  # bincount([]) is int
+
+
+def _spec_triples(row_entries: Iterable[Mapping[int, float]]) -> Triples:
+    """Triples of one ``{column: value}`` mapping per row (the fallback path)."""
+    rows = [sorted(entries.items()) for entries in row_entries]
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    items = list(chain.from_iterable(rows))
+    return (
+        np.repeat(np.arange(len(rows)), counts),
+        np.array([column for column, _ in items], dtype=np.int64),
+        np.array([value for _, value in items], dtype=np.float64),
+    )
+
+
+def _kernel_matrix(
+    chunk_triples: Callable[[Sequence], Triples], items: Sequence, width: int
+) -> CSRFeatureMatrix:
+    """Run a chunk kernel over ``items`` block by block and stack the rows."""
+    blocks = []
+    for start in range(0, max(len(items), 1), _BLOCK_ROWS):
+        block = items[start : start + _BLOCK_ROWS]
+        blocks.append(CSRFeatureMatrix.from_triples(*chunk_triples(block), (len(block), width)))
+    return CSRFeatureMatrix.vstack(blocks)
 
 
 class HashingVectorizer:
@@ -117,11 +188,83 @@ class HashingVectorizer:
                 sign = 1.0 if not self.signed or (value >> 63) & 1 == 0 else -1.0
                 yield index, sign
 
+    def sequence_entries(self, tokens: Sequence[str], prefix: str = "") -> dict[int, float]:
+        """One token sequence's sparse feature row as a ``{column: value}`` mapping."""
+        entries: dict[int, float] = {}
+        for index, sign in self.token_entries(tokens, prefix):
+            entries[index] = entries.get(index, 0.0) + sign
+        return {k: v for k, v in entries.items() if v != 0.0}
+
+    def ngram_entries(
+        self, tokens: list, starts: np.ndarray, stops: np.ndarray, prefixes: Sequence[str]
+    ) -> Optional[Triples]:
+        """Hash every n-gram of the ranges ``tokens[starts[r]:stops[r]]`` at once.
+
+        Returns one ``(range index, bucket, sign)`` entry per n-gram occurrence
+        — what :meth:`token_entries` yields for range ``r`` under the key
+        prefix ``prefixes[r * len(prefixes) // len(starts)]`` (ranges come in
+        equal blocks per prefix) — hashing each distinct ``(prefix, n-gram)``
+        once.  ``None`` when a token is not a ``str`` or an n-gram code would
+        not fit int64; callers then fall back to the per-row specification.
+        """
+        ids_of = dict.fromkeys(tokens)
+        if set(map(type, ids_of)) - {str}:
+            return None
+        vocabulary: dict[str, int] = {}
+        for token in ids_of:
+            ids_of[token] = vocabulary.setdefault(normalize(token), len(vocabulary))
+        low, high = self.ngram_range
+        if len(vocabulary) ** high * len(prefixes) >= _INT64_LIMIT:
+            return None
+        ids = np.fromiter(map(ids_of.__getitem__, tokens), np.int64, len(tokens))
+        words = list(vocabulary)
+        block = max(starts.size // len(prefixes), 1)
+        parts = []
+        for n in range(low, high + 1):
+            counts = np.maximum(stops - starts - (n - 1), 0)
+            first = ranges_gather(starts, counts)
+            owner = np.repeat(np.arange(starts.size), counts)
+            codes = owner // block
+            for k in range(n):
+                codes = codes * len(words) + ids[first + k]
+            distinct, inverse = np.unique(codes, return_inverse=True)
+            # One occurrence (here the last) of each distinct (prefix, n-gram) spells its key.
+            sample = np.empty(distinct.size, np.int64)
+            sample[inverse] = np.arange(codes.size)
+            spelled = (map(words.__getitem__, ids[first[sample] + k].tolist()) for k in range(n))
+            scope = map(prefixes.__getitem__, (owner[sample] // block).tolist())
+            hashes = _stable_hashes(map(add, scope, map(" ".join, zip(*spelled))))
+            buckets = (hashes % np.uint64(self.num_features)).astype(np.int64)
+            signs = 1.0 - 2.0 * (hashes >> np.uint64(63)) if self.signed else np.ones(hashes.size)
+            parts.append((owner, buckets[inverse], signs[inverse]))
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    def chunk_triples(self, token_sequences: Sequence[Sequence[str]], prefix: str = "") -> Triples:
+        """The batch kernel: a chunk of token sequences as sparse feature triples.
+
+        Byte-equal to stacking :meth:`sequence_entries` row by row, which is
+        also the fallback for inputs :meth:`ngram_entries` declines.
+        """
+        count = len(token_sequences)
+        entries = None
+        if (
+            not set(map(type, token_sequences)) - {list, tuple}
+            and count * self.num_features < _INT64_LIMIT
+        ):
+            lengths = np.fromiter(map(len, token_sequences), np.int64, count)
+            stops = np.cumsum(lengths)
+            tokens = list(chain.from_iterable(token_sequences))
+            entries = self.ngram_entries(tokens, stops - lengths, stops, (prefix,))
+        if entries is None:
+            rows = (self.sequence_entries(tokens, prefix) for tokens in token_sequences)
+            return _spec_triples(rows)
+        return _reduce_triples(*entries, self.num_features)
+
     def transform_tokens(self, tokens: Sequence[str], prefix: str = "") -> np.ndarray:
         """Featurize a single token sequence into a dense vector."""
+        _, cols, values = self.chunk_triples([tokens], prefix)
         vector = np.zeros(self.num_features)
-        for index, sign in self.token_entries(tokens, prefix):
-            vector[index] += sign
+        vector[cols] = values
         return vector
 
     def transform(
@@ -130,21 +273,28 @@ class HashingVectorizer:
         """Featurize many token sequences into a ``(len, num_features)`` matrix.
 
         With ``sparse=True`` only the touched hash buckets are stored (CSR);
-        the values are identical to the dense output.
+        the dense output is that matrix's ``toarray()``.
         """
         self.require_fitted()
-        if sparse:
-            rows: list[dict[int, float]] = []
-            for tokens in token_sequences:
-                entries: dict[int, float] = {}
-                for index, sign in self.token_entries(tokens):
-                    entries[index] = entries.get(index, 0.0) + sign
-                rows.append({k: v for k, v in entries.items() if v != 0.0})
-            return CSRFeatureMatrix.from_row_entries(rows, self.num_features)
-        dense_rows = [self.transform_tokens(tokens) for tokens in token_sequences]
-        if not dense_rows:
-            return np.zeros((0, self.num_features))
-        return np.vstack(dense_rows)
+        if not isinstance(token_sequences, Sequence):
+            token_sequences = list(token_sequences)
+        matrix = _kernel_matrix(self.chunk_triples, token_sequences, self.num_features)
+        return matrix if sparse else matrix.toarray()
+
+
+#: The hashed scopes of a relation candidate, in :meth:`RelationFeaturizer.
+#: _scopes` order: key prefixes and weights (the between-spans scope counts double).
+_SCOPE_PREFIXES = ("sent:", "btw:", "left:", "right:", "arg1:", "arg2:")
+_SCOPE_WEIGHTS = (1.0, 2.0, 1.0, 1.0, 1.0, 1.0)
+
+#: ``Candidate`` accessors the kernel re-implements as index arithmetic.
+_KERNEL_ACCESSORS = (
+    "words_between", "window_left", "window_right",
+    "ordered_spans", "span1_precedes_span2", "token_distance",
+)
+
+_CANDIDATE_FIELDS = attrgetter("sentence.words", "span1", "span2")
+_SPAN_FIELDS = attrgetter("text", "word_start", "word_end")
 
 
 class RelationFeaturizer:
@@ -162,6 +312,10 @@ class RelationFeaturizer:
         ngram_range: tuple[int, int] = (1, 2),
         window_size: int = 3,
     ) -> None:
+        if not isinstance(window_size, Integral) or window_size < 0:
+            raise ConfigurationError(
+                f"window_size must be a non-negative integer, got {window_size!r}"
+            )
         self.vectorizer = HashingVectorizer(num_features=num_features, ngram_range=ngram_range)
         self.window_size = window_size
         self.num_features = num_features
@@ -202,16 +356,17 @@ class RelationFeaturizer:
                 "would emit misaligned columns — re-fit first"
             )
 
-    def _scopes(self, candidate: Candidate) -> tuple[tuple[float, Sequence[str], str], ...]:
-        """The hashed token scopes with their weights (the btw scope counts double)."""
-        return (
-            (1.0, candidate.sentence.words, "sent:"),
-            (2.0, candidate.words_between(), "btw:"),
-            (1.0, candidate.window_left(self.window_size), "left:"),
-            (1.0, candidate.window_right(self.window_size), "right:"),
-            (1.0, candidate.span1.text.split(), "arg1:"),
-            (1.0, candidate.span2.text.split(), "arg2:"),
+    def _scopes(self, candidate: Candidate) -> Iterator[tuple[float, Sequence[str], str]]:
+        """The hashed token scopes of one candidate with their weights."""
+        token_lists = (
+            candidate.sentence.words,
+            candidate.words_between(),
+            candidate.window_left(self.window_size),
+            candidate.window_right(self.window_size),
+            candidate.span1.text.split(),
+            candidate.span2.text.split(),
         )
+        return zip(_SCOPE_WEIGHTS, token_lists, _SCOPE_PREFIXES)
 
     def _structural(self, candidate: Candidate) -> tuple[float, ...]:
         return (
@@ -222,15 +377,12 @@ class RelationFeaturizer:
             float(len(candidate.sentence.words)),
         )
 
-    def transform_candidate(self, candidate: Candidate) -> np.ndarray:
-        """Featurize one candidate."""
-        hashed = np.zeros(self.num_features)
-        for scale, tokens, prefix in self._scopes(candidate):
-            hashed += scale * self.vectorizer.transform_tokens(tokens, prefix=prefix)
-        return np.concatenate([hashed, np.array(self._structural(candidate))])
-
     def candidate_entries(self, candidate: Candidate) -> dict[int, float]:
-        """One candidate's sparse feature row as a ``{column: value}`` mapping."""
+        """One candidate's sparse feature row as a ``{column: value}`` mapping.
+
+        The per-candidate specification of the feature space:
+        :meth:`chunk_triples` is held byte-equal to it and falls back on it.
+        """
         entries: dict[int, float] = {}
         for scale, tokens, prefix in self._scopes(candidate):
             for index, sign in self.vectorizer.token_entries(tokens, prefix):
@@ -241,6 +393,87 @@ class RelationFeaturizer:
                 entries[self.num_features + offset] = value
         return entries
 
+    def _kernel_entries(self, candidates: Sequence[Candidate]) -> Optional[Triples]:
+        """A chunk's unreduced ``(row, column, value)`` entries, hashed and structural.
+
+        ``None`` when index arithmetic cannot stand in for the accessors:
+        overridden ``Candidate``/``SpanView`` methods, words that are not
+        lists, non-``str`` texts, or offsets that are not ints inside the
+        sentence (Python slices wrap negative bounds and clamp large ones).
+        """
+        if not uses_stock(candidates, Candidate, _KERNEL_ACCESSORS):
+            return None
+        count = len(candidates)
+        words, spans1, spans2 = zip(*map(_CANDIDATE_FIELDS, candidates))
+        if not uses_stock(spans1 + spans2, SpanView, ("length",)):
+            return None
+        texts, span_starts, span_ends = zip(*map(_SPAN_FIELDS, spans1 + spans2))
+        offsets = np.array((span_starts, span_ends))
+        lengths = np.fromiter(map(len, words), np.int64, count)
+        if (
+            set(map(type, words)) - {list, tuple}
+            or set(map(type, texts)) != {str}
+            or offsets.dtype != np.int64
+            or offsets.shape != (2, 2 * count)
+            or offsets.min() < 0
+            or (offsets.reshape(4, count) > lengths).any()
+        ):
+            return None
+        (start1, start2), (end1, end2) = offsets.reshape(2, 2, count)
+        ordered = start1 <= start2  # Candidate.ordered_spans
+        first_start, first_end = np.where(ordered, (start1, end1), (start2, end2))
+        second_start, second_end = np.where(ordered, (start2, end2), (start1, end1))
+        size = min(self.window_size, int(lengths.max()))
+        # Flat token layout: every sentence, then every span1 text, then every span2 text.
+        arguments = list(map(str.split, texts))
+        segment_lengths = np.fromiter(map(len, chain(words, arguments)), np.int64, 3 * count)
+        segment_stops = np.cumsum(segment_lengths)
+        segment_starts = segment_stops - segment_lengths
+        base = segment_starts[:count]
+        # Range p * count + i is scope p (in _SCOPE_PREFIXES order) of candidate i.
+        left, right = np.maximum(first_start - size, 0), np.minimum(second_end + size, lengths)
+        starts = [base, base + first_end, base + left, base + second_end, segment_starts[count:]]
+        stops = [base + lengths, base + second_start, base + first_start, base + right]
+        hashed = self.vectorizer.ngram_entries(
+            list(chain.from_iterable(chain(words, arguments))),
+            np.concatenate(starts),
+            np.concatenate(stops + [segment_stops[count:]]),
+            _SCOPE_PREFIXES,
+        )
+        if hashed is None:
+            return None
+        scope, buckets, signs = hashed
+        precedes, distance = np.where(start1 < start2, 1.0, -1.0), second_start - first_end
+        structural = [precedes, np.maximum(0, distance), end1 - start1, end2 - start2, lengths]
+        structural_cols = np.arange(self.num_features, self.output_dim)
+        return (
+            np.concatenate([scope % count, np.repeat(np.arange(count), structural_cols.size)]),
+            np.concatenate([buckets, np.tile(structural_cols, count)]),
+            np.concatenate(
+                [signs * np.take(_SCOPE_WEIGHTS, scope // count), np.stack(structural, 1).ravel()]
+            ),
+        )
+
+    def chunk_triples(self, candidates: Sequence[Candidate]) -> Triples:
+        """The batch kernel: a chunk of candidates as sparse feature triples.
+
+        Returns ``(row_offsets, cols, values)`` in row-major order with
+        ascending columns, byte-equal to stacking :meth:`candidate_entries`
+        — which is also the fallback for a chunk :meth:`_kernel_entries`
+        declines.  Reads the featurizer only; it does not check fittedness
+        (batch callers do, once per chunk).
+        """
+        entries = None
+        if candidates and len(candidates) * self.output_dim < _INT64_LIMIT:
+            entries = self._kernel_entries(candidates)
+        if entries is None:
+            return _spec_triples(map(self.candidate_entries, candidates))
+        return _reduce_triples(*entries, self.output_dim)
+
+    def transform_candidate(self, candidate: Candidate) -> np.ndarray:
+        """Featurize one candidate into a dense vector."""
+        return _kernel_matrix(self.chunk_triples, [candidate], self.output_dim).toarray()[0]
+
     def transform(
         self, candidates: Iterable[Candidate], sparse: bool = False
     ) -> Union[np.ndarray, CSRFeatureMatrix]:
@@ -250,17 +483,11 @@ class RelationFeaturizer:
         once into a list) without copying sequences the caller already
         materialized.  With ``sparse=True`` the result is a
         :class:`~repro.discriminative.sparse_features.CSRFeatureMatrix`
-        holding only the touched columns — the values are identical to the
-        dense output, and the end models consume it without densifying.
+        holding only the touched columns; the dense output is that matrix's
+        ``toarray()``, and the end models consume either.
         """
         self.require_fitted()
         if not isinstance(candidates, Sequence):
             candidates = list(candidates)
-        if sparse:
-            return CSRFeatureMatrix.from_row_entries(
-                [self.candidate_entries(candidate) for candidate in candidates],
-                self.output_dim,
-            )
-        if not candidates:
-            return np.zeros((0, self.output_dim))
-        return np.vstack([self.transform_candidate(candidate) for candidate in candidates])
+        matrix = _kernel_matrix(self.chunk_triples, candidates, self.output_dim)
+        return matrix if sparse else matrix.toarray()

@@ -18,25 +18,12 @@ sparse features without densifying anything beyond one minibatch's scores.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.labeling.sparse import HAVE_SCIPY, _ranges_gather, _scipy_sparse, _use_scipy
-
-
-def sorted_entry_arrays(entries: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """One sparse row's ``{column: value}`` mapping as sorted parallel arrays.
-
-    The canonical row extraction shared by :meth:`CSRFeatureMatrix.
-    from_row_entries` and the engine's per-candidate featurization task —
-    one sort, one pass, columns strictly ascending.
-    """
-    items = sorted(entries.items())
-    cols = np.fromiter((column for column, _ in items), dtype=np.int64, count=len(items))
-    values = np.fromiter((value for _, value in items), dtype=np.float64, count=len(items))
-    return cols, values
 
 
 class CSRFeatureMatrix:
@@ -75,27 +62,6 @@ class CSRFeatureMatrix:
             raise ConfigurationError(f"column indices out of range for {n} features")
 
     # ------------------------------------------------------------- construction
-    @classmethod
-    def from_row_entries(
-        cls, rows: Sequence[Mapping[int, float]], num_features: int
-    ) -> "CSRFeatureMatrix":
-        """Build from one ``{column: value}`` mapping per example."""
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        indices_blocks: list[np.ndarray] = []
-        data_blocks: list[np.ndarray] = []
-        for i, entries in enumerate(rows):
-            cols, values = sorted_entry_arrays(entries)
-            indices_blocks.append(cols)
-            data_blocks.append(values)
-            indptr[i + 1] = indptr[i] + cols.size
-        empty_i, empty_d = np.empty(0, np.int64), np.empty(0, np.float64)
-        return cls(
-            indptr,
-            np.concatenate(indices_blocks) if indices_blocks else empty_i,
-            np.concatenate(data_blocks) if data_blocks else empty_d,
-            (len(rows), num_features),
-        )
-
     @classmethod
     def from_triples(
         cls,

@@ -5,8 +5,10 @@ The execution engine schedules *chunk tasks* — picklable callables with the
 candidate iterable.  This module adds the discriminative stage's tasks:
 
 * :func:`featurize_chunk` maps one candidate chunk to its sparse feature
-  triples (``payload`` is a fitted
-  :class:`repro.discriminative.featurizers.RelationFeaturizer`), giving
+  triples with one call of the featurizer's batch kernel (``payload`` is a
+  fitted :class:`repro.discriminative.featurizers.RelationFeaturizer`; the
+  kernel hashes each distinct n-gram of the chunk once and emits the
+  triples from numpy — no per-candidate loop runs here), giving
   featurization the same streaming, parallel, deterministically-merged
   execution path LF application has had since PR 2;
 * :func:`label_and_featurize_chunk` runs the LF suite *and* the featurizer
@@ -17,8 +19,9 @@ candidate iterable.  This module adds the discriminative stage's tasks:
   ``transform``.
 
 Feature values are floats; the accumulator concatenates them untouched, and
-because every chunk emits its rows in ascending order with ascending columns
-within each row, the merged triples are already in canonical CSR order.
+because the kernel emits every chunk's rows in ascending order with ascending
+columns within each row, the merged triples are already in canonical CSR
+order.
 
 Under the processes backend these tasks run inside the persistent worker
 runtime (:mod:`repro.labeling.engine.runtime`): the payload is attached to
@@ -37,8 +40,6 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-import numpy as np
-
 from repro.labeling.engine.accumulator import ChunkResult, apply_chunk
 
 
@@ -51,35 +52,25 @@ def featurize_chunk(
 ) -> ChunkResult:
     """Featurize one chunk of candidates into sparse feature triples.
 
-    ``featurizer`` must expose ``candidate_entries(candidate) ->
-    {column: value}`` and be *fitted* (see
+    ``featurizer`` must expose the batch kernel ``chunk_triples(candidates)
+    -> (row_offsets, cols, values)`` and be *fitted* (see
     :meth:`repro.discriminative.featurizers.RelationFeaturizer.fit`) — the
-    fitted check runs worker-side so a stale featurizer shipped to a pool
-    worker fails loudly instead of emitting misaligned columns.
-    ``fault_tolerant`` is accepted for signature compatibility but ignored:
-    featurization failures are library bugs, not user-LF misbehavior, and
-    always propagate.
+    fitted check runs worker-side, once per chunk, so a stale featurizer
+    shipped to a pool worker fails loudly instead of emitting misaligned
+    columns.  ``fault_tolerant`` is accepted for signature compatibility but
+    ignored: featurization failures are library bugs, not user-LF
+    misbehavior, and always propagate.
     """
-    from repro.discriminative.sparse_features import sorted_entry_arrays
-
     start = time.perf_counter()
     featurizer.require_fitted()
-    row_offsets: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    for offset, candidate in enumerate(candidates):
-        columns, row_values = sorted_entry_arrays(featurizer.candidate_entries(candidate))
-        row_offsets.append(np.full(columns.size, offset, dtype=np.int64))
-        cols.append(columns)
-        values.append(row_values)
-    empty_i, empty_f = np.empty(0, np.int64), np.empty(0, np.float64)
+    row_offsets, cols, values = featurizer.chunk_triples(candidates)
     return ChunkResult(
         index=index,
         start_row=start_row,
         num_candidates=len(candidates),
-        row_offsets=np.concatenate(row_offsets) if row_offsets else empty_i,
-        cols=np.concatenate(cols) if cols else empty_i,
-        values=np.concatenate(values) if values else empty_f,
+        row_offsets=row_offsets,
+        cols=cols,
+        values=values,
         seconds=time.perf_counter() - start,
     )
 

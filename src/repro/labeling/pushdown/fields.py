@@ -32,7 +32,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.context.candidates import Candidate
+from repro.context.candidates import Candidate, uses_stock
 
 #: Candidate no-argument accessor methods exposed as fields.
 CANDIDATE_METHODS = ("words_between", "text_between", "token_distance", "span1_precedes_span2")
@@ -183,12 +183,7 @@ class ColumnarChunk:
     def canonical_candidates(self) -> bool:
         """Every candidate uses the stock derivable-accessor implementations."""
         if self._canonical is None:
-            kinds = set(map(type, self.candidates))
-            self._canonical = all(
-                getattr(kind, name, None) is getattr(Candidate, name)
-                for kind in kinds
-                for name in _DERIVABLE_METHODS
-            )
+            self._canonical = uses_stock(self.candidates, Candidate, _DERIVABLE_METHODS)
         return self._canonical
 
     def _derive(self, key: tuple) -> Optional[Column]:

@@ -146,7 +146,7 @@ class PipelineConfig:
     #: With ``checkpoint_dir`` set: resume from compatible existing
     #: checkpoints (the default), or clear the store and start fresh.  A
     #: store written under a different configuration fingerprint (other LF
-    #: suite, chunk size, featurizer width, seed, ...) is cleared
+    #: suite, chunk size, featurizer configuration, seed, ...) is cleared
     #: automatically — stale blocks are never replayed.
     resume: bool = True
     #: Space-reclamation policy of the block store (see
@@ -465,8 +465,10 @@ class SnorkelPipeline:
     def _checkpoint_fingerprint(self, lfs: Sequence[LabelingFunction], task_name: str) -> dict:
         """What a stored checkpoint must have been produced under to be
         replayable: the chunk blocks depend on the LF suite, the chunking,
-        and the featurizer width; the epoch checkpoints additionally on the
-        seed and the end-model schedule length."""
+        and the featurizer's whole frozen configuration (width, n-gram range,
+        window size — any of them changes the stored feature blocks); the
+        epoch checkpoints additionally on the seed and the end-model
+        schedule length."""
         config = self.config
         return {
             "format": 1,
@@ -474,7 +476,7 @@ class SnorkelPipeline:
             "lfs": [lf.name for lf in lfs],
             "chunk_size": config.chunk_size,
             "sparse_labels": config.sparse_labels,
-            "num_features": self.featurizer.num_features,
+            "featurizer": self.featurizer._config(),
             "seed": config.seed,
             "discriminative_epochs": config.discriminative_epochs,
             "online": config.online,

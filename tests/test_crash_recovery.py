@@ -24,6 +24,7 @@ from repro.datasets.synthetic import (
     stream_text_gold,
     text_vote_lfs,
 )
+from repro.discriminative.featurizers import RelationFeaturizer
 from repro.labeling.blockstore import BlockStore, ChunkCheckpointer
 from repro.labeling.engine import runtime
 from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
@@ -33,7 +34,7 @@ TRAIN_POINTS = 200
 TEST_POINTS = 60
 
 
-def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto"):
+def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto", featurizer=None):
     config = PipelineConfig(
         seed=0,
         streaming=True,
@@ -47,7 +48,7 @@ def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto"):
         checkpoint_dir=checkpoint_dir,
     )
     lfs = text_vote_lfs(NUM_LFS)
-    return SnorkelPipeline(lfs=lfs, config=config).run_streams(
+    return SnorkelPipeline(lfs=lfs, config=config, featurizer=featurizer).run_streams(
         stream_text_candidates(num_points=TRAIN_POINTS, num_lfs=NUM_LFS, seed=0),
         stream_text_candidates(num_points=TEST_POINTS, num_lfs=NUM_LFS, seed=1),
         stream_text_gold(TEST_POINTS, seed=1),
@@ -167,3 +168,21 @@ def test_torn_block_reexecuted_on_resume(tmp_path, reference):
         assert 1 not in completed  # ordinal 2 = second chunk put (after fingerprint)
     resumed = run_pipeline(root)
     assert_matches_reference(resumed, reference)
+
+
+def test_resume_with_different_featurizer_recomputes(tmp_path):
+    """Shrunk regression: the fingerprint once recorded only the featurizer's
+    width, so a completed ``ngram_range=(1, 3)`` store resumed with a
+    same-width ``(1, 1)`` featurizer replayed the old feature blocks and
+    returned the old run's weights."""
+    root = str(tmp_path / "ckpt")
+
+    def featurizer(max_n):
+        return RelationFeaturizer(num_features=128, ngram_range=(1, max_n))
+
+    stored = run_pipeline(root, featurizer=featurizer(3))
+    fresh = run_pipeline(featurizer=featurizer(1))
+    assert not np.array_equal(
+        fresh.discriminative_model.weights, stored.discriminative_model.weights
+    )
+    assert_matches_reference(run_pipeline(root, featurizer=featurizer(1)), fresh)
