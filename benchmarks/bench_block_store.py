@@ -76,7 +76,6 @@ def run_block_store_benchmark(
             generative_epochs=generative_epochs,
             discriminative_epochs=discriminative_epochs,
             num_features=num_features,
-            streaming=True,
             seed=seed,
             checkpoint_dir=checkpoint_dir,
         )

@@ -1,23 +1,22 @@
-"""Out-of-core discriminative stage: streaming vs materialized pipeline runs.
+"""Out-of-core discriminative stage: the one pipeline path, fed two ways.
 
 The PR-5 BENCH section.  One synthetic text task (planted vote tokens +
 class-indicative features, :func:`repro.datasets.synthetic.
-stream_text_candidates`) is run end-to-end twice:
+stream_text_candidates`) is run end-to-end twice through the pipeline's
+single execution path (one fused apply+featurize engine pass per split, CSR
+feature blocks, minibatch ``fit_stream`` training):
 
-* **materialized** — the default :class:`repro.pipeline.SnorkelPipeline`
-  path: candidate lists, a dense ``(m, d)`` feature matrix, in-memory
-  end-model training;
-* **streaming** — ``PipelineConfig(streaming=True)`` fed by generators: one
-  fused apply+featurize engine pass per split, CSR feature blocks, minibatch
-  ``fit_stream`` training.  No candidate list, no dense feature matrix.
+* **list-fed** — ``SnorkelPipeline.run(task)`` on a ``TaskDataset`` that
+  holds both splits as candidate lists (charged for building them);
+* **generator-fed** — ``SnorkelPipeline.run_streams`` on generators: no
+  candidate list ever exists.
 
-Besides wall-clock throughput the record carries **peak traced memory** for
-each path (``tracemalloc``, which numpy allocations report into) — the
-number that motivates the whole subsystem: the materialized peak grows with
-``m·d`` while the streaming peak grows with the feature nnz — and the
-value-parity deltas (training probs, end-model weights) that the
-differential suite guarantees at test sizes, re-checked here at benchmark
-scale.
+The two runs must be *equal* — training probabilities and end-model weights
+differ by exactly 0 — which is what let the former materialized pipeline
+body be deleted.  Besides wall-clock throughput the record carries **peak
+traced memory** for each feeding (``tracemalloc``, which numpy allocations
+report into): the generator-fed peak grows with the feature nnz only, the
+list-fed one additionally holds the candidates.
 
 ``run_discriminative_streaming_benchmark`` is importable —
 ``scripts/run_benchmarks.py`` calls it to write the
@@ -32,6 +31,7 @@ import tracemalloc
 
 import numpy as np
 
+from repro.datasets.base import TaskDataset
 from repro.datasets.synthetic import (
     stream_text_candidates,
     stream_text_gold,
@@ -65,9 +65,16 @@ def run_discriminative_streaming_benchmark(
     discriminative_epochs: int = 5,
     seed: int = 0,
 ):
-    """Run the materialized and streaming pipelines on one synthetic task."""
+    """Run the pipeline list-fed and generator-fed on one synthetic task."""
     lfs = text_vote_lfs(num_lfs)
     test_gold = stream_text_gold(num_test, seed=seed + 1)
+    config = PipelineConfig(
+        use_optimizer=False,
+        generative_epochs=generative_epochs,
+        discriminative_epochs=discriminative_epochs,
+        num_features=num_features,
+        seed=seed,
+    )
 
     def train_stream():
         return stream_text_candidates(
@@ -79,46 +86,30 @@ def run_discriminative_streaming_benchmark(
             num_points=num_test, num_lfs=num_lfs, seed=seed + 1
         )
 
-    def make_config(streaming: bool) -> PipelineConfig:
-        return PipelineConfig(
-            use_optimizer=False,
-            generative_epochs=generative_epochs,
-            discriminative_epochs=discriminative_epochs,
-            num_features=num_features,
-            streaming=streaming,
-            seed=seed,
-        )
-
-    def run_materialized():
-        pipeline = SnorkelPipeline(lfs=lfs, config=make_config(streaming=False))
-        # The materialized path needs real lists and TaskDataset plumbing;
-        # run_streams accepts lists too, so both paths share the driver and
-        # differ exactly in config.streaming — but here we hand the
-        # materialized run its lists explicitly to charge it for them.
-        from repro.datasets.base import TaskDataset
-
+    def run_list_fed():
         task = TaskDataset(
             name="stream-bench",
             candidates={"train": list(train_stream()), "test": list(test_stream())},
             gold={"test": test_gold},
             lfs=lfs,
         )
-        return pipeline.run(task)
+        return SnorkelPipeline(config=config).run(task)
 
-    def run_streaming():
-        pipeline = SnorkelPipeline(lfs=lfs, config=make_config(streaming=True))
-        return pipeline.run_streams(train_stream(), test_stream(), test_gold)
+    def run_generator_fed():
+        return SnorkelPipeline(lfs=lfs, config=config).run_streams(
+            train_stream(), test_stream(), test_gold
+        )
 
-    materialized, materialized_seconds, materialized_peak = _measure(run_materialized)
-    streaming, streaming_seconds, streaming_peak = _measure(run_streaming)
+    list_fed, list_seconds, list_peak = _measure(run_list_fed)
+    generator_fed, generator_seconds, generator_peak = _measure(run_generator_fed)
 
     max_prob_diff = float(
-        np.abs(materialized.training_probs - streaming.training_probs).max()
+        np.abs(list_fed.training_probs - generator_fed.training_probs).max()
     )
     max_weight_diff = float(
         np.abs(
-            materialized.discriminative_model.weights
-            - streaming.discriminative_model.weights
+            list_fed.discriminative_model.weights
+            - generator_fed.discriminative_model.weights
         ).max()
     )
     return {
@@ -127,30 +118,28 @@ def run_discriminative_streaming_benchmark(
         "num_lfs": num_lfs,
         "num_features": num_features,
         "discriminative_epochs": discriminative_epochs,
-        "materialized_seconds": materialized_seconds,
-        "streaming_seconds": streaming_seconds,
-        "materialized_peak_mb": materialized_peak / 1e6,
-        "streaming_peak_mb": streaming_peak / 1e6,
-        "peak_memory_ratio": materialized_peak / max(streaming_peak, 1),
-        "materialized_candidates_per_second": num_candidates
-        / max(materialized_seconds, 1e-12),
-        "streaming_candidates_per_second": num_candidates
-        / max(streaming_seconds, 1e-12),
+        "list_fed_seconds": list_seconds,
+        "generator_fed_seconds": generator_seconds,
+        "list_fed_peak_mb": list_peak / 1e6,
+        "generator_fed_peak_mb": generator_peak / 1e6,
+        "list_fed_candidates_per_second": num_candidates / max(list_seconds, 1e-12),
+        "generator_fed_candidates_per_second": num_candidates
+        / max(generator_seconds, 1e-12),
         "max_training_prob_diff": max_prob_diff,
         "max_end_model_weight_diff": max_weight_diff,
-        "materialized_f1": float(materialized.discriminative_f1),
-        "streaming_f1": float(streaming.discriminative_f1),
+        "list_fed_f1": float(list_fed.discriminative_f1),
+        "generator_fed_f1": float(generator_fed.discriminative_f1),
     }
 
 
 def format_record(record) -> str:
     return (
         f"{record['num_candidates']} candidates x {record['num_lfs']} LFs "
-        f"(d={record['num_features']}): materialized "
-        f"{record['materialized_seconds']:.2f}s / {record['materialized_peak_mb']:.0f}MB peak, "
-        f"streaming {record['streaming_seconds']:.2f}s / "
-        f"{record['streaming_peak_mb']:.0f}MB peak "
-        f"({record['peak_memory_ratio']:.1f}x less memory); "
+        f"(d={record['num_features']}): list-fed run(task) "
+        f"{record['list_fed_seconds']:.2f}s / {record['list_fed_peak_mb']:.0f}MB peak, "
+        f"generator-fed run_streams {record['generator_fed_seconds']:.2f}s / "
+        f"{record['generator_fed_peak_mb']:.0f}MB peak "
+        f"({record['generator_fed_candidates_per_second']:.0f} cand/s); "
         f"max Δprobs {record['max_training_prob_diff']:.2e}, "
         f"max Δweights {record['max_end_model_weight_diff']:.2e}"
     )
@@ -164,6 +153,7 @@ def test_discriminative_streaming_parity(run_once):
         discriminative_epochs=4,
     )
     print("\n[Discriminative streaming] " + format_record(record))
-    assert record["max_training_prob_diff"] == 0.0
-    assert record["max_end_model_weight_diff"] < 1e-8
-    assert record["streaming_peak_mb"] < record["materialized_peak_mb"]
+    assert record["max_training_prob_diff"] == 0
+    assert record["max_end_model_weight_diff"] == 0
+    assert record["list_fed_f1"] == record["generator_fed_f1"]
+    assert record["generator_fed_peak_mb"] < record["list_fed_peak_mb"]

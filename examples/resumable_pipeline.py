@@ -1,8 +1,9 @@
 """Resumable pipeline: crash mid-run, restart, get the identical answer.
 
-Demonstrates the PR-9 crash-safe block store.  Giving the streaming
-pipeline a ``checkpoint_dir`` makes every unit of completed work durable
-the moment it finishes:
+Demonstrates the PR-9 crash-safe block store.  Giving the pipeline a
+``checkpoint_dir`` — for ``run(task)`` and ``run_streams`` alike, they are
+one path — makes every unit of completed work durable the moment it
+finishes:
 
 * each labeled+featurized **chunk** lands in the store as an atomic
   write-then-rename block (checksummed, committed by an fsynced index
@@ -61,13 +62,12 @@ def LINT_LFS():
 
 def run_pipeline(checkpoint_dir=None):
     config = PipelineConfig(
-        streaming=True,
         chunk_size=CHUNK_SIZE,
         use_optimizer=False,
         generative_epochs=10,
         discriminative_epochs=10,
         seed=0,
-        # The whole feature: point the streaming run at a directory and
+        # The whole feature: point the run at a directory and
         # every completed chunk/epoch becomes durable; `resume=True` (the
         # default) replays whatever a previous run left there.
         checkpoint_dir=checkpoint_dir,

@@ -1,11 +1,13 @@
 """Streaming pipeline: a generator-fed, out-of-core end-to-end run.
 
-Demonstrates the PR-5 out-of-core mode: candidates are *generated on the
-fly* and handed to the pipeline as plain generators — no candidate list, no
-dense ``(m, d)`` feature matrix, ever.  Per split the execution engine makes
-one fused pass (LF application + featurization on each chunk), the
-generative model fits on the accumulated label matrix, and the noise-aware
-end model trains from CSR feature blocks via minibatch ``fit_stream``.
+The pipeline has one execution path, and it is out-of-core: candidates are
+*generated on the fly* and handed to ``run_streams`` as plain generators —
+no candidate list, no dense ``(m, d)`` feature matrix, ever.  Per split the
+execution engine makes one fused pass (LF application + featurization on
+each chunk), the generative model fits on the accumulated label matrix, and
+the noise-aware end model trains from CSR feature blocks via minibatch
+``fit_stream``.  ``run(task)`` is the same path fed from a task dataset's
+splits.
 
 It also demonstrates the persistent worker runtime behind the
 ``processes`` backend.  The lifecycle is:
@@ -30,10 +32,11 @@ It also demonstrates the persistent worker runtime behind the
 * **close** — ``shutdown_pools()`` (also wired to ``atexit``) reaps the
   workers and unlinks every shared-memory segment.
 
-The run is value-identical to the materialized pipeline on the same
-candidates — this script re-runs materialized (on the default in-process
-sequential backend) to show it — so streaming, the worker pool, and the
-transport are purely memory/throughput decisions, not quality tradeoffs.
+The generator-fed run is bit-identical to ``run(task)`` over a task dataset
+that holds the same candidates as lists — this script re-runs that way (on
+the default in-process sequential backend) to show it — so the feeding
+style, the worker pool, and the transport are purely memory/throughput
+decisions, not quality tradeoffs.
 
 Run with::
 
@@ -67,7 +70,6 @@ def main() -> None:
     test_gold = stream_text_gold(NUM_TEST, seed=1)
 
     config = PipelineConfig(
-        streaming=True,
         chunk_size=512,
         # Persistent worker runtime: one pool of NUM_WORKERS long-lived
         # processes serves every stage; "auto" moves chunk bytes through
@@ -82,14 +84,14 @@ def main() -> None:
     )
     pipeline = SnorkelPipeline(lfs=lfs, config=config)
 
-    # The streaming entry point takes raw iterables: these generators are
-    # consumed exactly once, chunk by chunk, inside the engine.
+    # run_streams takes raw iterables: these generators are consumed
+    # exactly once, chunk by chunk, inside the engine.
     result = pipeline.run_streams(
         stream_text_candidates(num_points=NUM_TRAIN, num_lfs=NUM_LFS, seed=0),
         stream_text_candidates(num_points=NUM_TEST, num_lfs=NUM_LFS, seed=1),
         test_gold,
     )
-    print("streaming run")
+    print("generator-fed run_streams")
     print(f"  generative     F1 = {result.generative_f1:.3f}")
     print(f"  discriminative F1 = {result.discriminative_f1:.3f}")
 
@@ -99,9 +101,9 @@ def main() -> None:
     pool = get_global_pool(NUM_WORKERS)
     print(f"worker processes spawned across all stages = {pool.total_spawned}")
 
-    # Equivalent materialized run (candidate lists + dense features): same
-    # seeds, same config apart from `streaming` — and the same numbers.
-    materialized = SnorkelPipeline(
+    # The same run from a task dataset holding candidate lists, on the
+    # default sequential backend and chunking: same seeds, same numbers.
+    from_task = SnorkelPipeline(
         lfs=lfs,
         config=PipelineConfig(
             use_optimizer=False, generative_epochs=10, discriminative_epochs=10, seed=0
@@ -119,11 +121,15 @@ def main() -> None:
             lfs=lfs,
         )
     )
-    print("materialized run")
-    print(f"  generative     F1 = {materialized.generative_f1:.3f}")
-    print(f"  discriminative F1 = {materialized.discriminative_f1:.3f}")
-    delta = np.abs(result.training_probs - materialized.training_probs).max()
+    print("list-fed run(task)")
+    print(f"  generative     F1 = {from_task.generative_f1:.3f}")
+    print(f"  discriminative F1 = {from_task.discriminative_f1:.3f}")
+    delta = np.abs(result.training_probs - from_task.training_probs).max()
     print(f"max |training prob delta| = {delta:.2e}")
+    weight_delta = np.abs(
+        result.discriminative_model.weights - from_task.discriminative_model.weights
+    ).max()
+    print(f"max |end-model weight delta| = {weight_delta:.2e}")
 
     # Explicit teardown (atexit would also do it): reaps the workers and
     # unlinks every shared-memory segment the transport created.

@@ -89,7 +89,6 @@ def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto"):
 
     config = PipelineConfig(
         seed=0,
-        streaming=True,
         chunk_size=32,
         generative_epochs=3,
         discriminative_epochs=4,

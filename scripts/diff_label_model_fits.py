@@ -1,9 +1,11 @@
 #!/usr/bin/env python
-"""Differential check of label-model fits between two checkouts.
+"""Differential check of label-model fits, end-model fits and whole pipeline
+runs between two checkouts.
 
 The EM kernel's contract is that CSR-input fits (weights, class prior,
-history, ``predict_proba``) stay bit-identical across refactors.  Dump the
-fits of one checkout, dump the other's, and diff::
+history, ``predict_proba``) stay bit-identical across refactors; the
+end-model trainer's is that weights, biases/layers and ``loss_history`` do.
+Dump the fits of one checkout, dump the other's, and diff::
 
     PYTHONPATH=/path/to/parent/src python scripts/diff_label_model_fits.py dump a.pkl
     PYTHONPATH=src                 python scripts/diff_label_model_fits.py dump b.pkl
@@ -11,15 +13,27 @@ fits of one checkout, dump the other's, and diff::
 
 The grid is k ∈ {2, 3, 4} × {no, planted correlations} × {estimated,
 supplied class balance} × {CSR, dense input}, plus CD fits, online
-folds/drains/edits and the all-abstain-row / empty-column edge matrix.  The
-diff prints, per group, how many recorded arrays are bit-identical and the
-largest absolute difference.
+folds/drains/edits and the all-abstain-row / empty-column edge matrix.
+
+The ``end_models`` groups fit logistic (± ``class_balance``, dense and CSR
+input, ± ``sample_weights``), softmax (k=3, hard and soft targets) and the
+MLP (± dropout) through every front door: ``fit`` shuffled,
+``fit(shuffle=False)``, ``fit_stream`` at block sizes {1, 37, batch, all},
+and a checkpointed ``fit_stream`` killed after epoch 2 and resumed (the dump
+itself fails unless that equals the uninterrupted fit bit for bit).
+The ``pipeline`` groups run ``run_streams`` and ``run(task)`` on a k=2 and
+a k=3 task.
+
+The diff prints, per group, how many recorded arrays are bit-identical and
+the largest absolute difference; records only one checkout has (e.g. a
+``loss_history`` the older one did not keep) are counted, not compared.
 """
 
 from __future__ import annotations
 
 import pickle
 import sys
+import tempfile
 
 import numpy as np
 
@@ -108,19 +122,180 @@ def dump(path: str) -> None:
         matrix = LabelMatrix(EDGE).to_sparse() if storage == "csr" else LabelMatrix(EDGE)
         model = GenerativeModel(epochs=10, seed=0).fit(matrix, correlations=[(0, 3)])
         record(f"em {storage}-input fit/edge", model, {f"train {storage}": matrix})
+    dump_end_models(out)
+    dump_pipelines(out)
     with open(path, "wb") as handle:
         pickle.dump(out, handle)
     print(f"{len(out)} records -> {path}")
 
 
+class _Killed(Exception):
+    pass
+
+
+class _DieAfterEpoch:
+    """An epoch checkpoint whose fit dies right after one durable save."""
+
+    def __init__(self, inner, epoch: int) -> None:
+        self.inner, self.epoch = inner, epoch
+
+    def load(self):
+        return self.inner.load()
+
+    def save(self, state: dict) -> None:
+        self.inner.save(state)
+        if state["epoch"] == self.epoch:
+            raise _Killed
+
+
+def dump_end_models(out: dict) -> None:
+    from repro.datasets.synthetic import stream_text_candidates
+    from repro.discriminative import (
+        NoiseAwareLogisticRegression,
+        NoiseAwareMLP,
+        RelationFeaturizer,
+    )
+    from repro.discriminative.softmax import NoiseAwareSoftmaxRegression
+    from repro.labeling.blockstore import BlockStore, EpochCheckpoint
+
+    candidates = list(stream_text_candidates(num_points=300, num_lfs=6, seed=0))
+    csr = RelationFeaturizer(num_features=96).fit().transform(candidates, sparse=True)
+    rng = np.random.default_rng(0)
+    soft = rng.random(300)
+    distributions = rng.random((300, 3))
+    distributions /= distributions.sum(axis=1, keepdims=True)
+    sample_weights = rng.random(300) + 0.5
+    epochs, batch = 5, 32
+
+    def parameters(model) -> dict:
+        if hasattr(model, "_layers"):
+            return {
+                f"layer {index} {part}": np.array(array)
+                for index, layer in enumerate(model._layers)
+                for part, array in zip(("weight", "bias"), layer)
+            }
+        return {"weights": np.array(model.weights), "bias": np.array(model.bias)}
+
+    def record(tag, model):
+        for name, array in parameters(model).items():
+            out[f"{tag}/{name}"] = array
+        if hasattr(model, "loss_history"):
+            out[f"{tag}/loss_history"] = np.array(model.loss_history)
+
+    def blocks_of(features, targets, size):
+        return [
+            (features[np.arange(start, min(start + size, 300))], targets[start : start + size])
+            for start in range(0, 300, size)
+        ]
+
+    def every_front_door(tag, make, features, targets, resumable=True):
+        record(f"{tag} fit shuffled", make().fit(features, targets))
+        record(f"{tag} fit ordered", make(shuffle=False).fit(features, targets))
+        for size in (1, 37, batch, 300):
+            blocks = blocks_of(features, targets, size)
+            record(f"{tag} fit_stream blocks of {size}", make(shuffle=False).fit_stream(blocks))
+        if not resumable:
+            return
+        blocks = blocks_of(features, targets, 37)
+        uninterrupted = make(shuffle=False).fit_stream(blocks)
+        with tempfile.TemporaryDirectory() as root, BlockStore(root) as store:
+            checkpoint = EpochCheckpoint(store, "fit")
+            try:
+                make(shuffle=False).fit_stream(blocks, checkpoint=_DieAfterEpoch(checkpoint, 2))
+            except _Killed:
+                pass
+            resumed = make(shuffle=False).fit_stream(blocks, checkpoint=checkpoint)
+        record(f"{tag} killed after epoch 2 and resumed", resumed)
+        for name, array in parameters(resumed).items():
+            if not np.array_equal(array, parameters(uninterrupted)[name]):
+                raise SystemExit(f"{tag}: resumed fit differs from uninterrupted in {name}")
+
+    for balance in (None, 0.3):
+        for storage, features in (("csr", csr), ("dense", csr.toarray())):
+            every_front_door(
+                f"end_models logistic/balance {balance} {storage}",
+                lambda **kw: NoiseAwareLogisticRegression(
+                    epochs=epochs, batch_size=batch, class_balance=balance, seed=0, **kw
+                ),
+                features,
+                soft,
+            )
+        model = NoiseAwareLogisticRegression(
+            epochs=epochs, batch_size=batch, class_balance=balance, seed=0
+        )
+        record(
+            f"end_models logistic/balance {balance} sample_weights",
+            model.fit(csr, soft, sample_weights=sample_weights),
+        )
+    for name, targets in (("hard", 1 + (np.arange(300) % 3)), ("soft", distributions)):
+        every_front_door(
+            f"end_models softmax/{name} targets",
+            lambda **kw: NoiseAwareSoftmaxRegression(
+                num_classes=3, epochs=epochs, batch_size=batch, seed=0, **kw
+            ),
+            csr,
+            targets,
+        )
+    for dropout in (0.0, 0.2):
+        every_front_door(
+            f"end_models mlp/dropout {dropout}",
+            lambda **kw: NoiseAwareMLP(
+                hidden_sizes=(8, 4), epochs=epochs, batch_size=batch, dropout=dropout, seed=0, **kw
+            ),
+            csr,
+            soft,
+            resumable=dropout == 0.0,
+        )
+    record(
+        "end_models mlp/sample_weights",
+        NoiseAwareMLP(hidden_sizes=(8,), epochs=epochs, batch_size=batch, seed=0).fit(
+            csr, soft, sample_weights=sample_weights
+        ),
+    )
+
+
+def dump_pipelines(out: dict) -> None:
+    from repro.datasets.base import load_task
+    from repro.datasets.synthetic import build_multiclass_task
+    from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
+
+    tasks = {
+        "k2": (load_task("cdr", scale=0.05, seed=0), {}),
+        "k3": (
+            build_multiclass_task(num_points=200, num_lfs=10, cardinality=3, seed=3),
+            dict(use_optimizer=False, generative_epochs=5, discriminative_epochs=8),
+        ),
+    }
+    for name, (task, settings) in tasks.items():
+        for sparse_labels in (False, True):
+            config = PipelineConfig(seed=0, chunk_size=64, sparse_labels=sparse_labels, **settings)
+            runs = {
+                "pipeline run_streams": SnorkelPipeline(config=config).run_streams(
+                    task.stream_candidates("train"),
+                    task.stream_candidates("test"),
+                    task.split_gold("test"),
+                    lfs=task.lfs,
+                ),
+                "pipeline run(task)": SnorkelPipeline(config=config).run(task),
+            }
+            for group, result in runs.items():
+                tag = f"{group}/{name} sparse_labels={sparse_labels}"
+                model = result.discriminative_model
+                out[f"{tag} label matrix"] = result.label_matrix.values
+                out[f"{tag} training_probs"] = result.training_probs
+                out[f"{tag} end-model weights"] = np.array(model.weights)
+                out[f"{tag} end-model bias"] = np.array(model.bias)
+                out[f"{tag} test F1s"] = np.array(
+                    [result.generative_f1, result.discriminative_f1]
+                )
+
+
 def diff(path_a: str, path_b: str) -> int:
     with open(path_a, "rb") as handle_a, open(path_b, "rb") as handle_b:
         a, b = pickle.load(handle_a), pickle.load(handle_b)
-    if a.keys() != b.keys():
-        print("record sets differ:", sorted(set(a) ^ set(b))[:5])
-        return 2
+    one_sided = sorted(set(a) ^ set(b))
     groups: dict[str, list] = {}
-    for key in a:
+    for key in a.keys() & b.keys():
         group = key.partition("/")[0]
         if "/predict " in key:
             group += ", predict " + key.rsplit(" ", 1)[1]
@@ -135,6 +310,8 @@ def diff(path_a: str, path_b: str) -> int:
         stats[2] = max(stats[2], delta)
     for group, (count, exact, worst) in sorted(groups.items()):
         print(f"{group:42s} {exact:3d}/{count:3d} bit-identical, max |diff| = {worst:.3e}")
+    if one_sided:
+        print(f"{len(one_sided)} records in one dump only, e.g. {one_sided[:3]}")
     return 0
 
 

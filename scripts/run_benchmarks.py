@@ -25,10 +25,11 @@ snapshot (default ``BENCH_sparse.json`` in the repository root):
 * ``featurizer_throughput`` — dense vs CSR relation-featurizer batch
   transforms, with exact parity against the per-candidate specification
   asserted (``benchmarks/bench_featurizer_throughput.py``);
-* ``discriminative_streaming`` — the out-of-core pipeline (fused
-  apply+featurize engine pass, CSR-block minibatch end-model training) vs
-  the materialized pipeline on a 50k-candidate synthetic text task:
-  throughput, peak traced memory, and value parity
+* ``discriminative_streaming`` — the pipeline's one out-of-core path (fused
+  apply+featurize engine pass, CSR-block minibatch end-model training) on a
+  50k-candidate synthetic text task, fed from a ``TaskDataset`` holding
+  lists (``run(task)``) and from generators (``run_streams``): throughput,
+  peak traced memory, and outputs asserted equal (difference exactly 0)
   (``benchmarks/bench_discriminative_streaming.py``);
 * ``lf_analysis`` — static-analysis amortization: the analyze-call count is
   per-suite rather than per-candidate (asserted structurally), plus the
@@ -221,6 +222,12 @@ def measure(quick: bool = False) -> dict:
         )
     )
     print(streaming.format_record(streaming_record))
+    # Asserted on every snapshot and every --compare run: the two feedings
+    # are one path, so their outputs are equal, not merely close.
+    assert (
+        streaming_record["max_training_prob_diff"] == 0
+        and streaming_record["max_end_model_weight_diff"] == 0
+    ), "list-fed run(task) and generator-fed run_streams diverged"
     print("\n[lf_analysis]")
     lf_analysis_record = lf_analysis.run_lf_analysis_benchmark(
         **({"small_corpus": 100, "large_corpus": 1_000} if quick else {})

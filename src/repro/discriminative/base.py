@@ -9,32 +9,44 @@ For the logistic loss this expectation is simply the cross-entropy against
 the soft label, so hard labels (0/1) are the special case of confident
 probabilistic labels.
 
-**Streaming minibatch training.**  Besides the materialized ``fit(X, Ỹ)``
-every end model offers ``fit_stream(blocks)``: ``blocks`` is a *re-iterable
-block source* — a sequence of ``(feature block, target block)`` pairs or a
-zero-argument callable returning a fresh iterator over them — and the model
-trains without ever holding the full ``(m, d)`` feature matrix, dense or
-otherwise.  The trainer re-chunks arbitrary incoming block boundaries into
-exact ``batch_size`` minibatches (:func:`iter_rebatched`), so the minibatch
-sequence — and therefore the trained weights — is *identical* to
-``fit(X, Ỹ)`` with ``shuffle=False`` on the concatenated blocks, whatever
-chunk size the producer used.  The per-epoch schedule visits rows in stream
-order; global shuffling is impossible without random access, which is the
-one semantic difference from the shuffled materialized default
-(``shuffle=True`` preserves the historical behavior bit-for-bit).
+**One trainer, two front doors.**  :class:`NoiseAwareClassifier` owns the
+whole optimization: seed → initialization draw → Adam on the packed
+parameter vector → optional epoch-checkpoint restore → epoch loop →
+per-epoch checkpoint save → publish.  The concrete models (logistic,
+softmax, MLP) supply only their parameter packing, one minibatch gradient,
+their target canonicalization and ``predict_proba``.  The trainer is fed by
+
+* ``fit(X, Ỹ)`` — a materialized matrix, visited in a fresh row permutation
+  per epoch (``shuffle`` unset or ``True``) or in contiguous row order
+  (``shuffle=False``);
+* ``fit_stream(blocks)`` — a *re-iterable block source*: a sequence of
+  ``(feature block, target block)`` pairs or a zero-argument callable
+  returning a fresh iterator over them.  The model trains without ever
+  holding the full ``(m, d)`` feature matrix, dense or otherwise.  Arbitrary
+  incoming block boundaries are re-chunked into exact ``batch_size``
+  minibatches (:func:`iter_rebatched`), so the minibatch sequence — and
+  therefore the trained weights — is *identical* to ``fit(X, Ỹ)`` with
+  ``shuffle=False`` on the concatenated blocks, whatever chunk size the
+  producer used.  Global shuffling is impossible without random access,
+  which is the one semantic difference from the shuffled ``fit`` default.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.discriminative.sparse_features import CSRFeatureMatrix
+from repro.discriminative.adam import AdamOptimizer
+from repro.discriminative.sparse_features import CSRFeatureMatrix, as_float_features
 from repro.exceptions import ConfigurationError
 from repro.types import NEGATIVE, POSITIVE
 from repro.utils.mathutils import clip_probabilities
+from repro.utils.rng import SeedLike, ensure_rng
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
+    from repro.labeling.blockstore import EpochCheckpoint
 
 #: One streamed training block: features (dense array or CSR) + targets
 #: (``(b,)`` soft labels or ``(b, k)`` distributions).
@@ -227,45 +239,248 @@ def as_soft_labels(labels: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 class NoiseAwareClassifier(abc.ABC):
-    """Interface of all binary noise-aware end models."""
+    """Base of the noise-aware end models: the one Adam minibatch trainer.
 
-    @abc.abstractmethod
+    :meth:`fit` and :meth:`fit_stream` are the two front doors of
+    :meth:`_train_minibatches`; a concrete model supplies only what differs
+    between models — :meth:`_canonical_targets`, :meth:`_init_params`,
+    :meth:`_gradients`, :meth:`_publish` and :meth:`predict_proba` — and may
+    override the two optional hooks :meth:`_observe_targets` and
+    :meth:`_require_resumable`.
+
+    Parameters
+    ----------
+    epochs:
+        Passes over the training data.
+    batch_size:
+        Minibatch size.
+    learning_rate:
+        Adam learning rate.
+    reg_strength:
+        ℓ2 penalty on the weights (not the biases).
+    shuffle:
+        ``None`` (default) = auto: :meth:`fit` draws a fresh row permutation
+        each epoch (the historical behavior) while :meth:`fit_stream` runs
+        in deterministic stream order (the only schedule a one-pass block
+        stream can realize).  ``False`` forces stream order in both — what
+        the pipeline uses; an explicit ``True`` demands the shuffled
+        schedule and makes :meth:`fit_stream` raise instead of silently
+        ignoring it.
+    seed:
+        RNG seed for initialization, shuffling and dropout.
+    """
+
+    def __init__(
+        self,
+        epochs: int,
+        batch_size: int,
+        learning_rate: float,
+        reg_strength: float,
+        shuffle: Optional[bool],
+        seed: SeedLike,
+    ) -> None:
+        if epochs <= 0:
+            raise ConfigurationError(f"epochs must be positive, got {epochs}")
+        if batch_size <= 0:
+            raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
+        self.epochs = epochs
+        self.batch_size = batch_size
+        self.learning_rate = learning_rate
+        self.reg_strength = reg_strength
+        self.shuffle = shuffle
+        self.seed = seed
+        #: Summed minibatch loss of every completed epoch of the last fit.
+        self.loss_history: list[float] = []
+
+    # ------------------------------------------------------------- front doors
     def fit(
         self,
-        features: np.ndarray,
+        features: FeatureBlock,
         soft_labels: Sequence[float] | np.ndarray,
         sample_weights: Optional[np.ndarray] = None,
     ) -> "NoiseAwareClassifier":
-        """Train on features and probabilistic labels."""
+        """Train on a feature matrix (dense, scipy sparse, or
+        :class:`~repro.discriminative.sparse_features.CSRFeatureMatrix`) and
+        probabilistic labels.
 
-    def fit_stream(self, blocks: BlockSource, checkpoint=None) -> "NoiseAwareClassifier":
-        """Train from a re-iterable stream of ``(features, soft labels)`` blocks.
-
-        ``checkpoint`` (a :class:`repro.labeling.blockstore.EpochCheckpoint`
-        or ``None``) asks the trainer to persist its state after every epoch
-        and resume a previously interrupted fit bit-identically.
-
-        Implemented by the concrete models; the default refuses loudly so a
-        streaming pipeline never silently falls back to materialization.
+        Sparse inputs are never densified as a whole: the linear model
+        trains on CSR minibatches, the others densify one minibatch at a
+        time.  ``sample_weights`` optionally scales each example's loss.
         """
-        raise ConfigurationError(
-            f"{type(self).__name__} does not implement fit_stream(); use a "
-            "model with a streaming trainer or run the materialized pipeline"
+        features = as_float_features(features)
+        targets = self._canonical_targets(soft_labels)
+        if features.ndim != 2 or features.shape[0] != targets.shape[0]:
+            raise ConfigurationError(
+                f"features {features.shape} incompatible with {targets.shape[0]} labels"
+            )
+        weights = (
+            np.ones(targets.shape[0])
+            if sample_weights is None
+            else np.asarray(sample_weights, dtype=float)
         )
+        if weights.shape != targets.shape[:1]:
+            raise ConfigurationError(
+                f"sample_weights shape {weights.shape} does not match "
+                f"{targets.shape[0]} labels"
+            )
+        self._observe_targets([targets])
+
+        def epoch_batches(rng: np.random.Generator):
+            return iter_materialized_batches(
+                rng, self.shuffle is not False, self.batch_size, features, targets, weights
+            )
+
+        return self._train_minibatches(features.shape[1], epoch_batches)
+
+    def fit_stream(
+        self, blocks: BlockSource, checkpoint: Optional["EpochCheckpoint"] = None
+    ) -> "NoiseAwareClassifier":
+        """Train from a re-iterable stream of ``(features, targets)`` blocks.
+
+        Each epoch is one pass over the source in stream order; incoming
+        blocks are re-chunked into exact ``batch_size`` minibatches, so the
+        result equals ``fit(concatenated blocks)`` with ``shuffle=False``
+        for every producer chunking, and no ``(m, d)`` matrix ever exists.
+        Targets per block follow the same conventions as :meth:`fit`.
+
+        ``checkpoint`` (a :class:`repro.labeling.blockstore.EpochCheckpoint`)
+        makes the fit resumable: training state is saved durably after every
+        epoch, and a restarted fit replays only the remaining epochs with
+        bit-identical updates (stream order consumes no RNG after the
+        initialization draw, which a resumed fit repeats before restoring
+        the snapshot).
+        """
+        if self.shuffle:
+            raise ConfigurationError(
+                "shuffle=True cannot be honored by fit_stream (a one-pass "
+                "block stream has no random row access); construct the model "
+                "with shuffle=None or shuffle=False for streaming training"
+            )
+        if checkpoint is not None:
+            self._require_resumable()
+        source = resolve_block_source(blocks)
+
+        def canonical_blocks() -> Iterator[Block]:
+            for block_features, block_targets in source():
+                yield as_float_features(block_features), self._canonical_targets(block_targets)
+
+        num_features = peek_block_width(source)
+        self._observe_targets(targets for _, targets in canonical_blocks())
+
+        def epoch_batches(rng: np.random.Generator):
+            for batch_features, batch_targets in iter_rebatched(
+                canonical_blocks(), self.batch_size
+            ):
+                yield batch_features, batch_targets, np.ones(batch_targets.shape[0])
+
+        return self._train_minibatches(num_features, epoch_batches, checkpoint)
+
+    # ------------------------------------------------------------- the trainer
+    def _train_minibatches(
+        self,
+        num_features: int,
+        epoch_batches: Callable[[np.random.Generator], Iterable[tuple]],
+        checkpoint: Optional["EpochCheckpoint"] = None,
+    ) -> "NoiseAwareClassifier":
+        """The shared Adam loop over the packed parameter vector.
+
+        ``epoch_batches(rng)`` yields one epoch of ``(features, targets,
+        example weights)`` minibatches.
+        """
+        rng = ensure_rng(self.seed)
+        # Always draw the initialization so the RNG stream matches a fresh
+        # fit; a checkpoint then overwrites everything the draw produced.
+        packed = self._init_params(rng, num_features)
+        optimizer = AdamOptimizer(learning_rate=self.learning_rate)
+        self.loss_history = []
+        start_epoch = 0
+        state = checkpoint.load() if checkpoint is not None else None
+        if state is not None:
+            packed = np.array(state["packed"], dtype=float)
+            optimizer.set_state(state["adam"])
+            self.loss_history = list(state["loss_history"])
+            start_epoch = min(int(state["epoch"]), self.epochs)
+
+        for epoch in range(start_epoch, self.epochs):
+            epoch_loss = 0.0
+            for features, targets, weights in require_nonempty_batches(epoch_batches(rng)):
+                gradient, batch_loss = self._gradients(packed, features, targets, weights, rng)
+                packed = optimizer.step(packed, gradient)
+                epoch_loss += batch_loss
+            self.loss_history.append(epoch_loss)
+            if checkpoint is not None:
+                checkpoint.save(
+                    {
+                        "epoch": epoch + 1,
+                        "packed": packed,
+                        "adam": optimizer.get_state(),
+                        "loss_history": list(self.loss_history),
+                    }
+                )
+
+        self._publish(packed, num_features)
+        return self
+
+    # ------------------------------------------------- what a model supplies
+    @abc.abstractmethod
+    def _canonical_targets(self, labels: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Training targets in the model's own form, one row per example."""
 
     @abc.abstractmethod
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Positive-class probabilities."""
+    def _init_params(self, rng: np.random.Generator, num_features: int) -> np.ndarray:
+        """Draw the initial parameters and return them as one packed vector."""
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
+    @abc.abstractmethod
+    def _gradients(
+        self,
+        packed: np.ndarray,
+        features: FeatureBlock,
+        targets: np.ndarray,
+        weights: np.ndarray,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, float]:
+        """Packed gradient and summed loss of one minibatch.
+
+        ``features`` arrives as the front door batched it (dense rows or a
+        CSR row range); a model without sparse math densifies it here, one
+        minibatch at a time.
+        """
+
+    @abc.abstractmethod
+    def _publish(self, packed: np.ndarray, num_features: int) -> None:
+        """Unpack the trained vector into the model's public attributes."""
+
+    def _observe_targets(self, target_blocks: Iterable[np.ndarray]) -> None:
+        """Hook: once per fit, before the first epoch, with the canonical
+        targets (one array from :meth:`fit`, a lazy pass over the stream
+        from :meth:`fit_stream` — consumed only by models that need a
+        whole-dataset statistic)."""
+
+    def _require_resumable(self) -> None:
+        """Hook: raise if this configuration cannot resume from an epoch
+        checkpoint bit-identically."""
+
+    # --------------------------------------------------------------- inference
+    @abc.abstractmethod
+    def predict_proba(self, features: FeatureBlock) -> np.ndarray:
+        """Positive-class probabilities (class distributions for k-ary models)."""
+
+    def predict(self, features: FeatureBlock) -> np.ndarray:
         """Hard labels in {-1, +1} (0.5 threshold)."""
         probs = self.predict_proba(features)
         return np.where(probs > 0.5, POSITIVE, NEGATIVE).astype(np.int64)
 
-    def score(self, features: np.ndarray, gold_labels: Sequence[int] | np.ndarray) -> float:
+    def score(self, features: FeatureBlock, gold_labels: Sequence[int] | np.ndarray) -> float:
         """Accuracy of hard predictions against gold labels."""
         gold = np.asarray(gold_labels)
         return float((self.predict(features) == gold).mean())
+
+
+def weighted_log_loss(probs: np.ndarray, soft: np.ndarray, weights: np.ndarray) -> float:
+    """Summed example-weighted binary cross-entropy of one minibatch."""
+    clipped = np.clip(probs, 1e-9, 1 - 1e-9)
+    losses = -(soft * np.log(clipped) + (1 - soft) * np.log(1 - clipped))
+    return float((losses * weights).sum())
 
 
 def noise_aware_cross_entropy(

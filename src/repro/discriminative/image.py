@@ -12,12 +12,11 @@ the discriminative model on another — is exactly the paper's.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.context.candidates import Candidate
-from repro.discriminative.base import NoiseAwareClassifier
 from repro.discriminative.mlp import NoiseAwareMLP
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike
@@ -42,8 +41,10 @@ def extract_image_features(candidates: Sequence[Candidate]) -> np.ndarray:
     return np.vstack(rows)
 
 
-class ImageFeatureClassifier(NoiseAwareClassifier):
-    """Noise-aware classifier over image feature vectors (ResNet substitute)."""
+class ImageFeatureClassifier(NoiseAwareMLP):
+    """Noise-aware classifier over image feature vectors (ResNet substitute):
+    the MLP end model with image-sized defaults, plus conveniences that read
+    the feature vectors straight off candidate metadata."""
 
     def __init__(
         self,
@@ -52,32 +53,15 @@ class ImageFeatureClassifier(NoiseAwareClassifier):
         learning_rate: float = 0.01,
         seed: SeedLike = 0,
     ) -> None:
-        self._mlp = NoiseAwareMLP(
-            hidden_sizes=hidden_sizes,
-            epochs=epochs,
-            learning_rate=learning_rate,
-            seed=seed,
+        super().__init__(
+            hidden_sizes=hidden_sizes, epochs=epochs, learning_rate=learning_rate, seed=seed
         )
-
-    def fit(
-        self,
-        features: np.ndarray,
-        soft_labels: Sequence[float] | np.ndarray,
-        sample_weights: Optional[np.ndarray] = None,
-    ) -> "ImageFeatureClassifier":
-        """Train on image feature vectors and probabilistic labels."""
-        self._mlp.fit(features, soft_labels, sample_weights)
-        return self
 
     def fit_candidates(
         self, candidates: Sequence[Candidate], soft_labels: Sequence[float] | np.ndarray
     ) -> "ImageFeatureClassifier":
         """Convenience: extract image features from candidates, then fit."""
         return self.fit(extract_image_features(candidates), soft_labels)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Positive-class (abnormality) probabilities."""
-        return self._mlp.predict_proba(features)
 
     def predict_proba_candidates(self, candidates: Sequence[Candidate]) -> np.ndarray:
         """Positive-class probabilities computed from candidate metadata features."""

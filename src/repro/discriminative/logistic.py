@@ -5,43 +5,29 @@ over :class:`repro.discriminative.featurizers.RelationFeaturizer` features,
 trained by minimizing the expected logistic loss against the probabilistic
 labels produced by the generative model.
 
-Training runs through one minibatch core shared by two front doors:
-
-* :meth:`NoiseAwareLogisticRegression.fit` — the materialized path.  By
-  default each epoch visits a fresh random permutation, bit-identical to
-  the historical behavior; with ``shuffle=False`` epochs visit contiguous
-  minibatches in row order.
-* :meth:`NoiseAwareLogisticRegression.fit_stream` — the out-of-core path:
-  a re-iterable source of ``(feature block, soft-label block)`` pairs is
-  re-chunked into exact ``batch_size`` minibatches in stream order, making
-  the trained weights identical to ``fit(X, Ỹ, shuffle=False)`` on the
-  concatenated blocks regardless of the producer's chunking.
+Training — ``fit`` on a materialized matrix, ``fit_stream`` on a block
+stream, epoch checkpointing — is the shared trainer of
+:class:`repro.discriminative.base.NoiseAwareClassifier`; this module supplies
+the linear model's parameters, its minibatch gradient (sparse-capable: a CSR
+minibatch is never densified) and the optional class re-balancing.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
-    from repro.labeling.blockstore import EpochCheckpoint
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.discriminative.adam import AdamOptimizer
 from repro.discriminative.base import (
-    BlockSource,
+    FeatureBlock,
     NoiseAwareClassifier,
     as_soft_labels,
-    iter_materialized_batches,
-    iter_rebatched,
-    peek_block_width,
-    require_nonempty_batches,
-    resolve_block_source,
+    weighted_log_loss,
 )
 from repro.discriminative.sparse_features import as_float_features
-from repro.exceptions import ConfigurationError, NotFittedError
+from repro.exceptions import NotFittedError
 from repro.utils.mathutils import sigmoid
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
 
 
 class NoiseAwareLogisticRegression(NoiseAwareClassifier):
@@ -49,28 +35,15 @@ class NoiseAwareLogisticRegression(NoiseAwareClassifier):
 
     Parameters
     ----------
-    epochs:
-        Passes over the training data.
-    batch_size:
-        Minibatch size.
-    learning_rate:
-        Adam learning rate.
-    reg_strength:
-        ℓ2 penalty on the weights (not the bias).
+    epochs, batch_size, learning_rate, reg_strength, shuffle, seed:
+        The shared trainer's hyperparameters (see
+        :class:`~repro.discriminative.base.NoiseAwareClassifier`).
     class_balance:
         Optional re-weighting: when set, positive-leaning examples are scaled
         so the effective positive mass matches this fraction.  Useful for the
-        heavily imbalanced tasks (e.g. Chem at ~4% positive).
-    shuffle:
-        ``None`` (default) = auto: :meth:`fit` draws a fresh row permutation
-        each epoch (the historical behavior) while :meth:`fit_stream` runs
-        in deterministic stream order (the only schedule a one-pass block
-        stream can realize).  ``False`` forces stream order in both — what
-        the pipeline uses so streaming and materialized runs are
-        value-identical; an explicit ``True`` demands the shuffled schedule
-        and makes :meth:`fit_stream` raise instead of silently ignoring it.
-    seed:
-        RNG seed for shuffling and initialization.
+        heavily imbalanced tasks (e.g. Chem at ~4% positive).  The positive
+        mass is a whole-dataset statistic, so :meth:`fit_stream` spends one
+        extra pass over the stream on it.
     """
 
     def __init__(
@@ -83,195 +56,60 @@ class NoiseAwareLogisticRegression(NoiseAwareClassifier):
         shuffle: Optional[bool] = None,
         seed: SeedLike = 0,
     ) -> None:
-        if epochs <= 0:
-            raise ConfigurationError(f"epochs must be positive, got {epochs}")
-        if batch_size <= 0:
-            raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.reg_strength = reg_strength
+        super().__init__(epochs, batch_size, learning_rate, reg_strength, shuffle, seed)
         self.class_balance = class_balance
-        self.shuffle = shuffle
-        self.seed = seed
         self.weights: Optional[np.ndarray] = None
         self.bias: float = 0.0
-        self.loss_history: list[float] = []
+        self._balance_scales: Optional[tuple[float, float]] = None
 
-    # ----------------------------------------------------------------- fitting
-    def fit(
-        self,
-        features: np.ndarray,
-        soft_labels: Sequence[float] | np.ndarray,
-        sample_weights: Optional[np.ndarray] = None,
-    ) -> "NoiseAwareLogisticRegression":
-        """Train on a feature matrix (dense, scipy sparse, or
-        :class:`~repro.discriminative.sparse_features.CSRFeatureMatrix`) and
-        probabilistic labels; sparse inputs train without densifying."""
-        features = as_float_features(features)
-        soft = as_soft_labels(soft_labels)
-        if features.ndim != 2 or features.shape[0] != soft.shape[0]:
-            raise ConfigurationError(
-                f"features {features.shape} incompatible with labels of length {soft.shape[0]}"
-            )
-        num_features = features.shape[1]
-        example_weights = self._example_weights(soft, sample_weights, float(soft.mean()))
+    def _canonical_targets(self, labels: Sequence[float] | np.ndarray) -> np.ndarray:
+        return as_soft_labels(labels)
 
-        def epoch_batches(rng: np.random.Generator):
-            return iter_materialized_batches(
-                rng, self.shuffle is not False, self.batch_size, features, soft, example_weights
+    def _observe_targets(self, target_blocks: Iterable[np.ndarray]) -> None:
+        """Positive/negative loss scales that move the global positive mass
+        of the targets to ``class_balance``."""
+        self._balance_scales = None
+        if self.class_balance is None:
+            return
+        total, count = 0.0, 0
+        for soft in target_blocks:
+            total += float(soft.sum())
+            count += soft.size
+        positive_mass = total / count if count else 0.0
+        if 0.0 < positive_mass < 1.0:
+            self._balance_scales = (
+                self.class_balance / positive_mass,
+                (1.0 - self.class_balance) / (1.0 - positive_mass),
             )
 
-        return self._train_minibatches(num_features, epoch_batches)
+    def _init_params(self, rng: np.random.Generator, num_features: int) -> np.ndarray:
+        return np.concatenate([rng.normal(scale=0.01, size=num_features), [0.0]])
 
-    def fit_stream(
+    def _gradients(
         self,
-        blocks: BlockSource,
-        checkpoint: Optional["EpochCheckpoint"] = None,
-    ) -> "NoiseAwareLogisticRegression":
-        """Train from a re-iterable stream of ``(features, soft labels)`` blocks.
-
-        Each epoch is one pass over the source in stream order; incoming
-        blocks are re-chunked into exact ``batch_size`` minibatches, so the
-        result equals ``fit(concatenated blocks, shuffle=False)`` for every
-        producer chunking.  With ``class_balance`` set, one extra pass
-        computes the global positive mass first (the same statistic the
-        materialized path reads off the full label vector).
-
-        ``checkpoint`` (a :class:`repro.labeling.blockstore.EpochCheckpoint`)
-        makes the fit resumable: training state is saved durably after every
-        epoch, and a restarted fit replays only the remaining epochs with
-        bit-identical updates (stream order consumes no RNG after the
-        initialization draw, which a resumed fit repeats before restoring
-        the snapshot).
-        """
-        if self.shuffle:
-            raise ConfigurationError(
-                "shuffle=True cannot be honored by fit_stream (a one-pass "
-                "block stream has no random row access); construct the model "
-                "with shuffle=None or shuffle=False for streaming training"
-            )
-        source = resolve_block_source(blocks)
-        positive_mass: Optional[float] = None
-        if self.class_balance is not None:
-            # Fold the width peek into the mass pass: a callable source may
-            # re-featurize per iteration, so don't spend a pass on each.
-            num_features: Optional[int] = None
-            total, count = 0.0, 0
-            for block_features, block_labels in source():
-                if num_features is None:
-                    num_features = int(block_features.shape[1])
-                block_soft = as_soft_labels(block_labels)
-                total += float(block_soft.sum())
-                count += block_soft.size
-            if num_features is None:
-                raise ConfigurationError("streaming fit received an empty block stream")
-            positive_mass = total / count if count else 0.0
-        else:
-            num_features = peek_block_width(source)
-
-        def epoch_batches(rng: np.random.Generator):
-            def canonical_blocks():
-                for block_features, block_labels in source():
-                    yield as_float_features(block_features), as_soft_labels(block_labels)
-
-            for batch_features, batch_soft in iter_rebatched(canonical_blocks(), self.batch_size):
-                yield (
-                    batch_features,
-                    batch_soft,
-                    self._example_weights(batch_soft, None, positive_mass),
-                )
-
-        return self._train_minibatches(num_features, epoch_batches, checkpoint=checkpoint)
-
-    def _train_minibatches(
-        self,
-        num_features: int,
-        epoch_batches: Callable[[np.random.Generator], Iterable[tuple]],
-        checkpoint: Optional["EpochCheckpoint"] = None,
-    ) -> "NoiseAwareLogisticRegression":
-        """The shared Adam loop: one call per fit, one pass per epoch."""
-        rng = ensure_rng(self.seed)
-        # Always draw the initialization so the RNG stream matches a fresh
-        # fit; a checkpoint then overwrites everything the draw produced.
-        weights = rng.normal(scale=0.01, size=num_features)
-        bias = 0.0
-        optimizer = AdamOptimizer(learning_rate=self.learning_rate)
-        self.loss_history = []
-        start_epoch = 0
-        state = checkpoint.load() if checkpoint is not None else None
-        if state is not None:
-            packed = np.asarray(state["packed"], dtype=float)
-            weights, bias = packed[:-1].copy(), float(packed[-1])
-            optimizer.set_state(state["adam"])
-            self.loss_history = list(state["loss_history"])
-            start_epoch = min(int(state["epoch"]), self.epochs)
-
-        for epoch in range(start_epoch, self.epochs):
-            epoch_loss = 0.0
-            for batch_features, batch_soft, batch_weights in require_nonempty_batches(
-                epoch_batches(rng)
-            ):
-                scores = batch_features @ weights + bias
-                probs = sigmoid(scores)
-                errors = (probs - batch_soft) * batch_weights
-                grad_weights = (
-                    batch_features.T @ errors / batch_soft.shape[0]
-                    + self.reg_strength * weights
-                )
-                grad_bias = float(errors.mean())
-                packed = np.concatenate([weights, [bias]])
-                packed_grad = np.concatenate([grad_weights, [grad_bias]])
-                packed = optimizer.step(packed, packed_grad)
-                weights, bias = packed[:-1], float(packed[-1])
-                epoch_loss += self._batch_loss(probs, batch_soft, batch_weights)
-            self.loss_history.append(epoch_loss)
-            if checkpoint is not None:
-                checkpoint.save(
-                    {
-                        "epoch": epoch + 1,
-                        "packed": np.concatenate([weights, [bias]]),
-                        "adam": optimizer.get_state(),
-                        "loss_history": list(self.loss_history),
-                    }
-                )
-
-        self.weights = weights
-        self.bias = bias
-        return self
-
-    def _example_weights(
-        self,
+        packed: np.ndarray,
+        features: FeatureBlock,
         soft: np.ndarray,
-        sample_weights: Optional[np.ndarray],
-        positive_mass: Optional[float],
-    ) -> np.ndarray:
-        weights = (
-            np.ones(soft.shape[0])
-            if sample_weights is None
-            else np.asarray(sample_weights, dtype=float)
+        weights: np.ndarray,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, float]:
+        coefficients, bias = packed[:-1], packed[-1]
+        if self._balance_scales is not None:
+            positive_scale, negative_scale = self._balance_scales
+            weights = weights * (soft * positive_scale + (1.0 - soft) * negative_scale)
+        probs = sigmoid(features @ coefficients + bias)
+        errors = (probs - soft) * weights
+        grad_coefficients = (
+            features.T @ errors / soft.shape[0] + self.reg_strength * coefficients
         )
-        if weights.shape != soft.shape:
-            raise ConfigurationError(
-                f"sample_weights shape {weights.shape} does not match labels {soft.shape}"
-            )
-        if self.class_balance is not None and positive_mass is not None:
-            if 0.0 < positive_mass < 1.0:
-                target = self.class_balance
-                positive_scale = target / positive_mass
-                negative_scale = (1.0 - target) / (1.0 - positive_mass)
-                weights = weights * (
-                    soft * positive_scale + (1.0 - soft) * negative_scale
-                )
-        return weights
+        gradient = np.concatenate([grad_coefficients, [float(errors.mean())]])
+        return gradient, weighted_log_loss(probs, soft, weights)
 
-    @staticmethod
-    def _batch_loss(probs: np.ndarray, soft: np.ndarray, weights: np.ndarray) -> float:
-        clipped = np.clip(probs, 1e-9, 1 - 1e-9)
-        losses = -(soft * np.log(clipped) + (1 - soft) * np.log(1 - clipped))
-        return float((losses * weights).sum())
+    def _publish(self, packed: np.ndarray, num_features: int) -> None:
+        self.weights = packed[:-1]
+        self.bias = float(packed[-1])
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+    def predict_proba(self, features: FeatureBlock) -> np.ndarray:
         """Positive-class probabilities for a feature matrix."""
         if self.weights is None:
             raise NotFittedError("NoiseAwareLogisticRegression must be fit before predicting")

@@ -4,32 +4,31 @@ Serves as the "more expressive end model" option (the paper's LSTM / ResNet
 role): one or two hidden layers of ReLU units trained with Adam on the
 noise-aware cross-entropy.  Implemented directly in numpy with manual
 backpropagation.
+
+Training — ``fit``, ``fit_stream``, epoch checkpointing — is the shared
+trainer of :class:`repro.discriminative.base.NoiseAwareClassifier`; this
+module supplies the layer parameters and their packing, backpropagation over
+one (densified) minibatch, and input dropout.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
-    from repro.labeling.blockstore import EpochCheckpoint
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.discriminative.adam import AdamOptimizer
 from repro.discriminative.base import (
-    BlockSource,
+    FeatureBlock,
     NoiseAwareClassifier,
     as_soft_labels,
-    iter_materialized_batches,
-    iter_rebatched,
-    peek_block_width,
-    require_nonempty_batches,
-    resolve_block_source,
+    weighted_log_loss,
 )
 from repro.discriminative.sparse_features import as_dense_features
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.utils.mathutils import sigmoid
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
+
+Layers = list[tuple[np.ndarray, np.ndarray]]
 
 
 class NoiseAwareMLP(NoiseAwareClassifier):
@@ -39,17 +38,14 @@ class NoiseAwareMLP(NoiseAwareClassifier):
     ----------
     hidden_sizes:
         Sizes of the hidden layers, e.g. ``(64,)`` or ``(128, 32)``.
-    epochs, batch_size, learning_rate, reg_strength:
-        Optimization hyperparameters (Adam + ℓ2).
+    epochs, batch_size, learning_rate, reg_strength, shuffle, seed:
+        The shared trainer's hyperparameters (see
+        :class:`~repro.discriminative.base.NoiseAwareClassifier`).
     dropout:
-        Input dropout probability applied during training only.
-    shuffle:
-        ``None`` (default) = auto: shuffled :meth:`fit`, stream-order
-        :meth:`fit_stream`.  ``False`` forces stream order in both; an
-        explicit ``True`` makes :meth:`fit_stream` raise instead of
-        silently ignoring the request.
-    seed:
-        RNG seed.
+        Input dropout probability applied during training only.  Dropout
+        draws from the RNG every minibatch, so a fit with ``dropout > 0``
+        cannot be epoch-checkpointed: a resumed fit could not replay draws
+        that died with the original process.
     """
 
     def __init__(
@@ -67,138 +63,43 @@ class NoiseAwareMLP(NoiseAwareClassifier):
             raise ConfigurationError(f"hidden_sizes must be positive, got {hidden_sizes}")
         if not 0.0 <= dropout < 1.0:
             raise ConfigurationError(f"dropout must lie in [0, 1), got {dropout}")
+        super().__init__(epochs, batch_size, learning_rate, reg_strength, shuffle, seed)
         self.hidden_sizes = tuple(int(size) for size in hidden_sizes)
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.reg_strength = reg_strength
         self.dropout = dropout
-        self.shuffle = shuffle
-        self.seed = seed
-        self._layers: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
+        self._layers: Optional[Layers] = None
 
-    # --------------------------------------------------------------------- fit
-    def fit(
-        self,
-        features: np.ndarray,
-        soft_labels: Sequence[float] | np.ndarray,
-        sample_weights: Optional[np.ndarray] = None,
-    ) -> "NoiseAwareMLP":
-        """Train the network on features and probabilistic labels."""
-        features = as_dense_features(features)
-        soft = as_soft_labels(soft_labels)
-        if features.ndim != 2 or features.shape[0] != soft.shape[0]:
-            raise ConfigurationError(
-                f"features {features.shape} incompatible with labels of length {soft.shape[0]}"
-            )
-        weights = (
-            np.ones(soft.shape[0])
-            if sample_weights is None
-            else np.asarray(sample_weights, dtype=float)
-        )
-        def epoch_batches(rng: np.random.Generator):
-            return iter_materialized_batches(
-                rng, self.shuffle is not False, self.batch_size, features, soft, weights
-            )
+    def _canonical_targets(self, labels: Sequence[float] | np.ndarray) -> np.ndarray:
+        return as_soft_labels(labels)
 
-        return self._train_minibatches(features.shape[1], epoch_batches)
-
-    def fit_stream(
-        self,
-        blocks: BlockSource,
-        checkpoint: Optional["EpochCheckpoint"] = None,
-    ) -> "NoiseAwareMLP":
-        """Train from a re-iterable stream of ``(features, soft labels)`` blocks.
-
-        Only the current minibatch is densified; the result equals
-        ``fit(concatenated blocks, shuffle=False)`` for every producer
-        chunking.  ``checkpoint`` makes the fit resumable with bit-identical
-        updates, but only with ``dropout=0.0``: dropout draws from the RNG
-        every minibatch, and a resumed fit cannot replay draws that died
-        with the original process.
-        """
-        if checkpoint is not None and self.dropout > 0.0:
+    def _require_resumable(self) -> None:
+        if self.dropout > 0.0:
             raise ConfigurationError(
                 "epoch checkpointing requires dropout=0.0: dropout consumes "
                 "RNG state per minibatch, so a resumed fit cannot reproduce "
                 "the interrupted run's draws"
             )
-        if self.shuffle:
-            raise ConfigurationError(
-                "shuffle=True cannot be honored by fit_stream (a one-pass "
-                "block stream has no random row access); construct the model "
-                "with shuffle=None or shuffle=False for streaming training"
-            )
-        source = resolve_block_source(blocks)
-        num_features = peek_block_width(source)
 
-        def epoch_batches(rng: np.random.Generator):
-            def canonical_blocks():
-                for block_features, block_labels in source():
-                    yield block_features, as_soft_labels(block_labels)
-
-            for batch_features, batch_soft in iter_rebatched(canonical_blocks(), self.batch_size):
-                yield (
-                    as_dense_features(batch_features),
-                    batch_soft,
-                    np.ones(batch_soft.shape[0]),
-                )
-
-        return self._train_minibatches(num_features, epoch_batches, checkpoint=checkpoint)
-
-    def _train_minibatches(
-        self,
-        num_features: int,
-        epoch_batches,
-        checkpoint: Optional["EpochCheckpoint"] = None,
-    ) -> "NoiseAwareMLP":
-        rng = ensure_rng(self.seed)
+    def _init_params(self, rng: np.random.Generator, num_features: int) -> np.ndarray:
         layer_sizes = [num_features, *self.hidden_sizes, 1]
-        # The initialization draws always happen (identical RNG stream to a
-        # fresh fit); a checkpoint then overwrites the drawn state.
         layers = []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             scale = np.sqrt(2.0 / fan_in)
             layers.append((rng.normal(scale=scale, size=(fan_in, fan_out)), np.zeros(fan_out)))
-        optimizer = AdamOptimizer(learning_rate=self.learning_rate)
-        start_epoch = 0
-        state = checkpoint.load() if checkpoint is not None else None
-        if state is not None:
-            layers = self._unpack(np.asarray(state["packed"], dtype=float).copy(), layer_sizes)
-            optimizer.set_state(state["adam"])
-            start_epoch = min(int(state["epoch"]), self.epochs)
-
-        for epoch in range(start_epoch, self.epochs):
-            for batch, batch_soft, batch_weights in require_nonempty_batches(
-                epoch_batches(rng)
-            ):
-                if self.dropout > 0.0:
-                    mask = rng.random(batch.shape) >= self.dropout
-                    batch = batch * mask / (1.0 - self.dropout)
-                gradients = self._gradients(layers, batch, batch_soft, batch_weights)
-                packed = self._pack(layers)
-                packed_grad = self._pack(gradients)
-                packed = optimizer.step(packed, packed_grad)
-                layers = self._unpack(packed, layer_sizes)
-            if checkpoint is not None:
-                checkpoint.save(
-                    {
-                        "epoch": epoch + 1,
-                        "packed": self._pack(layers),
-                        "adam": optimizer.get_state(),
-                    }
-                )
-
-        self._layers = layers
-        return self
+        return self._pack(layers)
 
     def _gradients(
         self,
-        layers: list[tuple[np.ndarray, np.ndarray]],
-        batch: np.ndarray,
+        packed: np.ndarray,
+        features: FeatureBlock,
         soft: np.ndarray,
         weights: np.ndarray,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, float]:
+        batch = as_dense_features(features)
+        if self.dropout > 0.0:
+            mask = rng.random(batch.shape) >= self.dropout
+            batch = batch * mask / (1.0 - self.dropout)
+        layers = self._unpack(packed, batch.shape[1])
         activations = [batch]
         pre_activations = []
         hidden = batch
@@ -209,8 +110,7 @@ class NoiseAwareMLP(NoiseAwareClassifier):
             activations.append(hidden)
         probs = np.asarray(sigmoid(pre_activations[-1][:, 0]))
         delta = ((probs - soft) * weights / batch.shape[0])[:, None]
-        gradients: list[tuple[np.ndarray, np.ndarray]]
-        gradients = [None] * len(layers)  # type: ignore[list-item]
+        gradients: Layers = [None] * len(layers)  # type: ignore[list-item]
         for index in range(len(layers) - 1, -1, -1):
             weight, _ = layers[index]
             grad_weight = activations[index].T @ delta + self.reg_strength * weight
@@ -218,16 +118,16 @@ class NoiseAwareMLP(NoiseAwareClassifier):
             gradients[index] = (grad_weight, grad_bias)
             if index > 0:
                 delta = (delta @ weight.T) * (pre_activations[index - 1] > 0.0)
-        return gradients
+        return self._pack(gradients), weighted_log_loss(probs, soft, weights)
 
     @staticmethod
-    def _pack(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    def _pack(layers: Layers) -> np.ndarray:
         return np.concatenate(
             [np.concatenate([weight.ravel(), bias.ravel()]) for weight, bias in layers]
         )
 
-    @staticmethod
-    def _unpack(packed: np.ndarray, layer_sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _unpack(self, packed: np.ndarray, num_features: int) -> Layers:
+        layer_sizes = [num_features, *self.hidden_sizes, 1]
         layers = []
         offset = 0
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -239,8 +139,11 @@ class NoiseAwareMLP(NoiseAwareClassifier):
             layers.append((weight, bias))
         return layers
 
+    def _publish(self, packed: np.ndarray, num_features: int) -> None:
+        self._layers = self._unpack(packed, num_features)
+
     # --------------------------------------------------------------- inference
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+    def predict_proba(self, features: FeatureBlock) -> np.ndarray:
         """Positive-class probabilities for a feature matrix."""
         if self._layers is None:
             raise NotFittedError("NoiseAwareMLP must be fit before predicting")

@@ -5,53 +5,41 @@ produces a full posterior over classes per tweet, and this model minimizes
 the expected cross-entropy against that posterior — the multi-class analogue
 of the binary noise-aware loss.
 
-Like the binary models, training runs through one minibatch core with two
-front doors: the materialized :meth:`NoiseAwareSoftmaxRegression.fit`
-(shuffled by default, contiguous row order with ``shuffle=False``) and the
-out-of-core :meth:`NoiseAwareSoftmaxRegression.fit_stream`, which re-chunks
-a re-iterable ``(feature block, distribution block)`` source into exact
-``batch_size`` minibatches — only one minibatch is ever densified, so CSR
-block streams train without a dense ``(m, d)`` matrix existing at any point.
+Training — ``fit``, ``fit_stream``, epoch checkpointing — is the shared
+trainer of :class:`repro.discriminative.base.NoiseAwareClassifier`; this
+module supplies the ``(d, k)`` weight matrix, its minibatch gradient and the
+distribution-valued targets.  The gradient densifies the one minibatch it is
+handed, so CSR inputs and block streams train without a dense ``(m, d)``
+matrix existing at any point.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
-    from repro.labeling.blockstore import EpochCheckpoint
+from typing import Optional
 
 import numpy as np
 
-from repro.discriminative.adam import AdamOptimizer
-from repro.discriminative.base import (
-    BlockSource,
-    iter_materialized_batches,
-    iter_rebatched,
-    peek_block_width,
-    require_nonempty_batches,
-    resolve_block_source,
-)
+from repro.discriminative.base import FeatureBlock, NoiseAwareClassifier
 from repro.discriminative.sparse_features import as_dense_features
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.utils.mathutils import softmax
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
 
 
-class NoiseAwareSoftmaxRegression:
+class NoiseAwareSoftmaxRegression(NoiseAwareClassifier):
     """Multi-class linear classifier trained on soft label distributions.
+
+    Training targets may be a ``(m, num_classes)`` distribution matrix or a
+    vector of hard class labels in ``1..num_classes`` (converted to one-hot
+    distributions).
 
     Parameters
     ----------
     num_classes:
         Number of classes; predictions are in ``1..num_classes``.
-    epochs, batch_size, learning_rate, reg_strength:
-        Optimization hyperparameters (Adam + ℓ2).
-    shuffle:
-        ``None`` (default) = auto: shuffled :meth:`fit`, stream-order
-        :meth:`fit_stream`.  ``False`` forces stream order in both; an
-        explicit ``True`` makes :meth:`fit_stream` raise instead of
-        silently ignoring the request.
+    epochs, batch_size, learning_rate, reg_strength, shuffle, seed:
+        The shared trainer's hyperparameters (see
+        :class:`~repro.discriminative.base.NoiseAwareClassifier`).
     """
 
     def __init__(
@@ -66,131 +54,14 @@ class NoiseAwareSoftmaxRegression:
     ) -> None:
         if num_classes < 2:
             raise ConfigurationError(f"num_classes must be >= 2, got {num_classes}")
+        super().__init__(epochs, batch_size, learning_rate, reg_strength, shuffle, seed)
         self.num_classes = num_classes
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.reg_strength = reg_strength
-        self.shuffle = shuffle
-        self.seed = seed
         self.weights: Optional[np.ndarray] = None
         self.bias: Optional[np.ndarray] = None
 
-    # ----------------------------------------------------------------- fitting
-    def fit(
-        self,
-        features: np.ndarray,
-        soft_labels: np.ndarray,
-    ) -> "NoiseAwareSoftmaxRegression":
-        """Train on a feature matrix and per-class probability targets.
-
-        ``soft_labels`` may be a ``(m, num_classes)`` distribution matrix or a
-        vector of hard class labels in ``1..num_classes`` (converted to
-        one-hot distributions).
-        """
-        features = as_dense_features(features)
-        targets = self._as_distributions(soft_labels, features.shape[0])
-
-        def epoch_batches(rng: np.random.Generator):
-            return iter_materialized_batches(
-                rng, self.shuffle is not False, self.batch_size, features, targets
-            )
-
-        return self._train_minibatches(features.shape[1], epoch_batches)
-
-    def fit_stream(
-        self,
-        blocks: BlockSource,
-        checkpoint: Optional["EpochCheckpoint"] = None,
-    ) -> "NoiseAwareSoftmaxRegression":
-        """Train from a re-iterable stream of ``(features, targets)`` blocks.
-
-        Targets per block follow the same conventions as :meth:`fit` (a
-        ``(b, num_classes)`` distribution block or hard labels in
-        ``1..num_classes``).  Only the current minibatch is densified, so a
-        CSR block stream trains without any ``(m, d)`` dense matrix.
-        ``checkpoint`` makes the fit resumable with bit-identical updates
-        (see :class:`repro.labeling.blockstore.EpochCheckpoint`).
-        """
-        if self.shuffle:
-            raise ConfigurationError(
-                "shuffle=True cannot be honored by fit_stream (a one-pass "
-                "block stream has no random row access); construct the model "
-                "with shuffle=None or shuffle=False for streaming training"
-            )
-        source = resolve_block_source(blocks)
-        num_features = peek_block_width(source)
-
-        def epoch_batches(rng: np.random.Generator):
-            def canonical_blocks():
-                for block_features, block_targets in source():
-                    yield (
-                        block_features,
-                        self._as_distributions(block_targets, int(block_features.shape[0])),
-                    )
-
-            batches = iter_rebatched(canonical_blocks(), self.batch_size)
-            for batch_features, batch_targets in batches:
-                yield as_dense_features(batch_features), batch_targets
-
-        return self._train_minibatches(num_features, epoch_batches, checkpoint=checkpoint)
-
-    def _train_minibatches(
-        self,
-        num_features: int,
-        epoch_batches: Callable[[np.random.Generator], Iterable[tuple]],
-        checkpoint: Optional["EpochCheckpoint"] = None,
-    ) -> "NoiseAwareSoftmaxRegression":
-        rng = ensure_rng(self.seed)
-        # The initialization draw always happens (identical RNG stream to a
-        # fresh fit); a checkpoint then overwrites the drawn state.
-        weights = rng.normal(scale=0.01, size=(num_features, self.num_classes))
-        bias = np.zeros(self.num_classes)
-        optimizer = AdamOptimizer(learning_rate=self.learning_rate)
-        start_epoch = 0
-        state = checkpoint.load() if checkpoint is not None else None
-        if state is not None:
-            packed = np.asarray(state["packed"], dtype=float)
-            weights = packed[: num_features * self.num_classes].reshape(
-                num_features, self.num_classes
-            ).copy()
-            bias = packed[num_features * self.num_classes :].copy()
-            optimizer.set_state(state["adam"])
-            start_epoch = min(int(state["epoch"]), self.epochs)
-
-        for epoch in range(start_epoch, self.epochs):
-            for batch, batch_targets in require_nonempty_batches(epoch_batches(rng)):
-                probs = softmax(batch @ weights + bias, axis=1)
-                errors = (probs - batch_targets) / batch.shape[0]
-                grad_weights = batch.T @ errors + self.reg_strength * weights
-                grad_bias = errors.sum(axis=0)
-                packed = np.concatenate([weights.ravel(), bias])
-                packed_grad = np.concatenate([grad_weights.ravel(), grad_bias])
-                packed = optimizer.step(packed, packed_grad)
-                weights = packed[: num_features * self.num_classes].reshape(
-                    num_features, self.num_classes
-                )
-                bias = packed[num_features * self.num_classes :]
-            if checkpoint is not None:
-                checkpoint.save(
-                    {
-                        "epoch": epoch + 1,
-                        "packed": np.concatenate([weights.ravel(), bias]),
-                        "adam": optimizer.get_state(),
-                    }
-                )
-
-        self.weights = weights
-        self.bias = bias
-        return self
-
-    def _as_distributions(self, soft_labels: np.ndarray, num_examples: int) -> np.ndarray:
-        targets = np.asarray(soft_labels, dtype=float)
+    def _canonical_targets(self, labels: np.ndarray) -> np.ndarray:
+        targets = np.asarray(labels, dtype=float)
         if targets.ndim == 1:
-            if targets.shape[0] != num_examples:
-                raise ConfigurationError(
-                    f"got {targets.shape[0]} labels for {num_examples} examples"
-                )
             if targets.size == 0:
                 return np.zeros((0, self.num_classes))
             classes = targets.astype(int)
@@ -199,29 +70,51 @@ class NoiseAwareSoftmaxRegression:
                     f"hard labels must lie in 1..{self.num_classes}, got range "
                     f"[{classes.min()}, {classes.max()}]"
                 )
-            one_hot = np.zeros((num_examples, self.num_classes))
-            one_hot[np.arange(num_examples), classes - 1] = 1.0
+            one_hot = np.zeros((classes.size, self.num_classes))
+            one_hot[np.arange(classes.size), classes - 1] = 1.0
             return one_hot
-        if targets.shape != (num_examples, self.num_classes):
+        if targets.ndim != 2 or targets.shape[1] != self.num_classes:
             raise ConfigurationError(
-                f"soft labels must have shape ({num_examples}, {self.num_classes}), got "
-                f"{targets.shape}"
+                f"soft labels must have shape (m, {self.num_classes}), got {targets.shape}"
             )
         row_sums = targets.sum(axis=1, keepdims=True)
         return targets / np.clip(row_sums, 1e-12, None)
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+    def _init_params(self, rng: np.random.Generator, num_features: int) -> np.ndarray:
+        weights = rng.normal(scale=0.01, size=(num_features, self.num_classes))
+        return np.concatenate([weights.ravel(), np.zeros(self.num_classes)])
+
+    def _unpack(self, packed: np.ndarray, num_features: int) -> tuple[np.ndarray, np.ndarray]:
+        split = num_features * self.num_classes
+        return packed[:split].reshape(num_features, self.num_classes), packed[split:]
+
+    def _gradients(
+        self,
+        packed: np.ndarray,
+        features: FeatureBlock,
+        targets: np.ndarray,
+        weights: np.ndarray,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, float]:
+        batch = as_dense_features(features)
+        coefficients, bias = self._unpack(packed, batch.shape[1])
+        probs = softmax(batch @ coefficients + bias, axis=1)
+        errors = (probs - targets) * weights[:, None] / batch.shape[0]
+        grad_coefficients = batch.T @ errors + self.reg_strength * coefficients
+        gradient = np.concatenate([grad_coefficients.ravel(), errors.sum(axis=0)])
+        losses = -(targets * np.log(np.maximum(probs, 1e-9))).sum(axis=1)
+        return gradient, float((losses * weights).sum())
+
+    def _publish(self, packed: np.ndarray, num_features: int) -> None:
+        self.weights, self.bias = self._unpack(packed, num_features)
+
+    def predict_proba(self, features: FeatureBlock) -> np.ndarray:
         """Per-class probabilities for a feature matrix."""
         if self.weights is None or self.bias is None:
             raise NotFittedError("NoiseAwareSoftmaxRegression must be fit before predicting")
         features = as_dense_features(features)
         return softmax(features @ self.weights + self.bias, axis=1)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
+    def predict(self, features: FeatureBlock) -> np.ndarray:
         """Hard class predictions in ``1..num_classes``."""
         return self.predict_proba(features).argmax(axis=1) + 1
-
-    def score(self, features: np.ndarray, gold_classes: Sequence[int] | np.ndarray) -> float:
-        """Accuracy against hard gold class labels."""
-        gold = np.asarray(gold_classes)
-        return float((self.predict(features) == gold).mean())

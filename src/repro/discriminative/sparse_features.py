@@ -258,8 +258,9 @@ def as_dense_features(features) -> np.ndarray:
     """A dense float feature matrix, densifying sparse inputs.
 
     For end models whose math has no sparse path (the MLP's hidden layers,
-    the softmax classifier): sparse inputs still *work* — they are
-    materialized up front — rather than failing inside ``np.asarray``.
+    the softmax classifier): sparse inputs still *work* — the trainer
+    hands them over one minibatch at a time — rather than failing inside
+    ``np.asarray``.
     """
     if isinstance(features, CSRFeatureMatrix):
         return features.toarray()

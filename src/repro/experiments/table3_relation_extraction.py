@@ -52,7 +52,6 @@ def run(
     discriminative_epochs: int = 30,
     applier_backend: str = "sequential",
     applier_workers: Optional[int] = 1,
-    streaming: bool = False,
     chunk_size: int = 1024,
 ) -> list[Table3Row]:
     """Run the four systems on each task and collect test-split score reports.
@@ -60,10 +59,9 @@ def run(
     ``applier_backend`` / ``applier_workers`` select the labeling execution
     engine's executor (see :mod:`repro.labeling.engine`); the label matrices
     — and therefore every score in the table — are identical across
-    backends.  ``streaming=True`` runs the Snorkel pipeline out-of-core
-    (one fused pass per split over ``task.stream_candidates``; see
-    :class:`repro.pipeline.PipelineConfig`) with scores value-identical to
-    the materialized run; the baselines stay materialized either way.
+    backends.  The Snorkel pipeline runs out-of-core (one fused pass per
+    split over ``task.stream_candidates``, ``chunk_size`` candidates per
+    engine work unit); the baselines are materialized.
     """
     rows = []
     for task_name, scale in tasks:
@@ -74,7 +72,6 @@ def run(
             learn_correlations=False,
             applier_backend=applier_backend,
             applier_workers=applier_workers,
-            streaming=streaming,
             chunk_size=chunk_size,
             seed=seed,
         )

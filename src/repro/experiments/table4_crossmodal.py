@@ -48,19 +48,14 @@ def run(
     crowd_scale: float = 1.0,
     seed: int = 0,
     epochs: int = 40,
-    streaming: bool = False,
 ) -> CrossModalResult:
     """Run both cross-modal pipelines and return the Table-4 numbers.
 
-    ``streaming=True`` routes the crowd pipeline through the out-of-core
-    mode (fused apply+featurize passes, minibatch end-model training from
-    CSR blocks) with value-identical scores; the radiology task trains on
-    pre-extracted image features and stays materialized.
+    The crowd task runs through the main pipeline; the radiology task trains
+    on pre-extracted image features, outside it.
     """
     radiology_snorkel, radiology_hand = _radiology(radiology_scale, seed, epochs)
-    crowd_snorkel, crowd_hand, crowd_agreement = _crowd(
-        crowd_scale, seed, epochs, streaming=streaming
-    )
+    crowd_snorkel, crowd_hand, crowd_agreement = _crowd(crowd_scale, seed, epochs)
     return CrossModalResult(
         radiology_snorkel_auc=radiology_snorkel,
         radiology_hand_auc=radiology_hand,
@@ -92,9 +87,7 @@ def _radiology(scale: float, seed: int, epochs: int) -> tuple[float, float]:
     return snorkel_auc, hand_auc
 
 
-def _crowd(
-    scale: float, seed: int, epochs: int, streaming: bool = False
-) -> tuple[float, float, float]:
+def _crowd(scale: float, seed: int, epochs: int) -> tuple[float, float, float]:
     """The crowd task through the main pipeline, with a Dawid–Skene cross-check.
 
     The workers are (conditionally) independent graders, so the optimizer's
@@ -112,7 +105,6 @@ def _crowd(
         use_optimizer=False,
         generative_epochs=20,
         discriminative_epochs=epochs,
-        streaming=streaming,
         seed=seed,
     )
     result = SnorkelPipeline(config=config, featurizer=featurizer).run(task)

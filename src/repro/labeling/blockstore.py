@@ -537,10 +537,11 @@ class ChunkCheckpointer:
 class EpochCheckpoint:
     """Durable per-epoch training state for one end-model fit.
 
-    The trainers (see ``_train_minibatches`` in the discriminative models)
-    call :meth:`save` after every completed epoch with their full update
-    state — packed parameters, optimizer moments, epoch count — and
-    :meth:`load` on entry.  A resumed fit re-draws its RNG initialization
+    The shared end-model trainer
+    (:meth:`repro.discriminative.base.NoiseAwareClassifier._train_minibatches`)
+    calls :meth:`save` after every completed epoch with its full update
+    state — packed parameters, optimizer moments, loss history, epoch count
+    — and :meth:`load` on entry.  A resumed fit re-draws its RNG initialization
     (keeping the RNG stream identical to the uninterrupted run) and then
     overwrites everything from the snapshot, so the minibatch updates it
     replays from ``state["epoch"]`` onward are bit-identical.

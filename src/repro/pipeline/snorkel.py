@@ -26,16 +26,18 @@
   modeling-advantage decision is binary theory, so Algorithm 1 always
   selects the generative model here (the structure sweep still runs).
 
-**Out-of-core mode.**  With ``PipelineConfig(streaming=True)`` (or via
-:meth:`SnorkelPipeline.run_streams` directly) the run is one pass over a
-candidate generator per split: the fused engine task labels *and* featurizes
-each chunk (:meth:`repro.labeling.applier.LFApplier.apply_with_features`),
-Λ accumulates as triples, features accumulate as chunk-ordered CSR blocks,
-and the end model trains from the block stream via ``fit_stream`` — neither
-the candidate list nor a dense ``(m, d)`` feature matrix ever exists.  Both
-modes train the end model on the deterministic stream-order minibatch
-schedule (``shuffle=False``), so streaming and materialized runs produce
-value-identical end-model probabilities.
+**One out-of-core path.**  Every run — :meth:`SnorkelPipeline.run` on a
+task dataset or :meth:`SnorkelPipeline.run_streams` on raw candidate
+iterables — is one pass over a candidate stream per split: the fused engine
+task labels *and* featurizes each chunk
+(:meth:`repro.labeling.applier.LFApplier.apply_with_features`), Λ
+accumulates as triples, features accumulate as chunk-ordered CSR blocks, and
+the end model trains from the block stream via ``fit_stream`` on the
+deterministic stream-order minibatch schedule — neither a candidate list nor
+a dense ``(m, d)`` feature matrix is ever built by the pipeline.  With
+``PipelineConfig.checkpoint_dir`` set, the same run persists its chunk
+results, label-modeling outcome and per-epoch end-model state, and a
+restarted run resumes bit-identically.
 
 The pipeline never touches training-split gold labels; they exist in the
 task datasets purely so the benchmark harness can report oracle statistics.
@@ -43,9 +45,11 @@ task datasets purely so the benchmark harness can report oracle statistics.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -80,6 +84,23 @@ from repro.labelmodel.online import OnlineGenerativeModel
 from repro.labelmodel.optimizer import ModelingStrategy, ModelingStrategyOptimizer
 
 AnyScoreReport = Union[ScoreReport, MultiClassScoreReport]
+
+#: ``PipelineConfig`` fields that choose *how* a run executes and never what
+#: it computes (the differential suites hold results bit-identical across
+#: them), so a checkpoint store written under one value resumes under another.
+EXECUTION_ONLY_FIELDS = frozenset(
+    {
+        "applier_backend",
+        "applier_workers",
+        "engine_transport",
+        "engine_chunk_timeout",
+        "lf_pushdown",
+        "lf_validate",
+        "checkpoint_dir",
+        "resume",
+        "checkpoint_retention",
+    }
+)
 
 
 @dataclass
@@ -122,32 +143,22 @@ class PipelineConfig:
     #: interpreted fallback, ``"require"`` aborts if any LF cannot be
     #: compiled.  The label matrix is bit-identical in every mode.
     lf_pushdown: str = "off"
-    #: Featurize candidates into CSR feature matrices and train the end model
-    #: sparsely; feature values and trained weights match the dense run.
-    sparse_features: bool = False
-    #: Run the whole pipeline out-of-core: one pass over a candidate
-    #: generator per split, fused LF application + featurization through the
-    #: execution engine, and minibatch end-model training from CSR feature
-    #: blocks.  Neither the candidate list nor a dense ``(m, d)`` feature
-    #: matrix is ever materialized; end-model probabilities are
-    #: value-identical to the materialized run.
-    streaming: bool = False
     #: Candidates per engine work unit, shared by LF application and
-    #: streaming featurization.  Results are independent of this value.
+    #: featurization.  Results are independent of this value.
     chunk_size: int = 1024
     #: Root directory of the crash-safe block store
-    #: (:mod:`repro.labeling.blockstore`).  When set (streaming mode only),
-    #: every fused chunk result, the label-modeling output, and the end
-    #: model's per-epoch training state are persisted durably as the run
-    #: progresses, and a restarted run resumes from the last durable point
-    #: with bit-identical results.  ``None`` (default) keeps everything in
-    #: RAM.
+    #: (:mod:`repro.labeling.blockstore`).  When set, every fused chunk
+    #: result, the label-modeling output, and the end model's per-epoch
+    #: training state are persisted durably as the run progresses, and a
+    #: restarted run resumes from the last durable point with bit-identical
+    #: results.  ``None`` (default) keeps everything in RAM.
     checkpoint_dir: Optional[str] = None
     #: With ``checkpoint_dir`` set: resume from compatible existing
     #: checkpoints (the default), or clear the store and start fresh.  A
     #: store written under a different configuration fingerprint (other LF
-    #: suite, chunk size, featurizer configuration, seed, ...) is cleared
-    #: automatically — stale blocks are never replayed.
+    #: suite, featurizer or end-model configuration, or any result-changing
+    #: field of this config) is cleared automatically — stale blocks are
+    #: never replayed.
     resume: bool = True
     #: Space-reclamation policy of the block store (see
     #: :class:`repro.labeling.blockstore.BlockStore`): ``"keep_all"``
@@ -160,7 +171,7 @@ class PipelineConfig:
     #: Run the label-modeling stage through the online incremental
     #: estimator (:class:`repro.labelmodel.online.OnlineGenerativeModel`):
     #: Λ's rows are folded in chunk by chunk (``chunk_size`` rows at a
-    #: time, matching the engine's chunk tasks in streaming mode), the
+    #: time, matching the engine's chunk tasks), the
     #: model's versioned statistics are persisted durably when a
     #: ``checkpoint_dir`` store is attached, and the served model is the
     #: fully-drained fit — within 1e-8 of the batch run (bit-identical
@@ -171,12 +182,6 @@ class PipelineConfig:
     #: worker is killed and its chunk resubmitted instead of deadlocking
     #: the run.  ``None`` (default) waits indefinitely.
     engine_chunk_timeout: Optional[float] = None
-    #: Restore the historical per-epoch shuffled end-model schedule (the
-    #: pre-streaming default).  Off, both modes train in deterministic
-    #: stream order, which is what makes ``streaming=True`` value-identical
-    #: to the materialized run; a one-pass block stream cannot realize a
-    #: global shuffle, so this flag is incompatible with ``streaming=True``.
-    end_model_shuffle: bool = False
     #: Sampling kernel of the generative stage's Gibbs chains (CD training):
     #: ``"auto"``/``"vectorized"`` for the plan-based fused-color updates of
     #: :mod:`repro.labelmodel.kernels`, ``"reference"`` for the exact
@@ -190,8 +195,11 @@ class PipelineConfig:
     class_balance: Optional[float] = None
     keep_uncovered: bool = False
     seed: int = 0
+    #: Accepted and ignored: every run is out-of-core now, and callers
+    #: written against the former materialized/streaming switch keep working.
+    streaming: InitVar[Optional[bool]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, streaming: Optional[bool]) -> None:
         if self.force_strategy not in (None, "MV", "GM"):
             raise ConfigurationError(
                 f"force_strategy must be None, 'MV' or 'GM', got {self.force_strategy!r}"
@@ -224,11 +232,6 @@ class PipelineConfig:
         if self.chunk_size <= 0:
             raise ConfigurationError(
                 f"chunk_size must be positive, got {self.chunk_size}"
-            )
-        if self.streaming and self.end_model_shuffle:
-            raise ConfigurationError(
-                "end_model_shuffle requires random row access and cannot be "
-                "honored by a streaming run; unset one of the two"
             )
         if self.engine_chunk_timeout is not None and self.engine_chunk_timeout <= 0:
             raise ConfigurationError(
@@ -293,73 +296,17 @@ class SnorkelPipeline:
     def run(self, task: TaskDataset) -> PipelineResult:
         """Run the full pipeline on a task dataset (binary or categorical).
 
-        With ``config.streaming=True`` the run is delegated to
         :meth:`run_streams` over ``task.stream_candidates(...)`` generators —
         the candidate lists the task happens to hold in memory are never
         handed over as lists, so the same code path serves splits backed by
         out-of-core storage.
         """
-        lfs = self.lfs if self.lfs is not None else task.lfs
-        if self.config.streaming:
-            return self.run_streams(
-                task.stream_candidates("train"),
-                task.stream_candidates("test"),
-                task.split_gold("test"),
-                lfs=lfs,
-                task_name=task.name,
-            )
-        if self.config.checkpoint_dir is not None:
-            raise ConfigurationError(
-                "checkpoint_dir requires the streaming pipeline "
-                "(PipelineConfig(streaming=True)): the materialized run has "
-                "no chunked intermediate blocks to persist"
-            )
-        timings: dict[str, float] = {}
-
-        start = time.perf_counter()
-        self.featurizer.fit()
-        applier = LFApplier(
-            lfs,
-            chunk_size=self.config.chunk_size,
-            backend=self.config.applier_backend,
-            num_workers=self.config.applier_workers,
-            validate=self.config.lf_validate,
-            pushdown=self.config.lf_pushdown,
-            transport=self.config.engine_transport,
-        )
-        # The candidate lists are needed later for featurization, so hand the
-        # applier the lists themselves (engaging its dense scatter-on-arrival
-        # path) rather than a stream; out-of-core callers use streaming=True.
-        train_candidates = task.split_candidates("train")
-        test_candidates = task.split_candidates("test")
-        label_matrix = applier.apply(train_candidates, sparse=self.config.sparse_labels)
-        test_matrix = applier.apply(test_candidates, sparse=self.config.sparse_labels)
-        timings["lf_application"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        strategy, generative_model, training_probs = self._label_modeling(label_matrix)
-        timings["label_modeling"] = time.perf_counter() - start
-
-        generative_report = self._generative_report(
-            task.cardinality, generative_model, test_matrix, task.split_gold("test")
-        )
-
-        start = time.perf_counter()
-        discriminative_model, discriminative_report = self._discriminative_stage(
-            task, train_candidates, test_candidates, training_probs, label_matrix
-        )
-        timings["discriminative_training"] = time.perf_counter() - start
-
-        return PipelineResult(
+        return self.run_streams(
+            task.stream_candidates("train"),
+            task.stream_candidates("test"),
+            task.split_gold("test"),
+            lfs=self.lfs if self.lfs is not None else task.lfs,
             task_name=task.name,
-            strategy=strategy,
-            label_matrix=label_matrix,
-            training_probs=training_probs,
-            generative_test_report=generative_report,
-            discriminative_test_report=discriminative_report,
-            generative_model=generative_model,
-            discriminative_model=discriminative_model,
-            timings=timings,
         )
 
     def run_streams(
@@ -372,14 +319,13 @@ class SnorkelPipeline:
     ) -> PipelineResult:
         """Run the pipeline end-to-end from raw candidate iterables.
 
-        The out-of-core entry point: ``train_candidates`` / ``test_candidates``
-        may be generators (each is consumed exactly once, chunk by chunk);
-        only ``test_gold`` must be a materialized vector, for evaluation.
-        Per split the engine makes a single fused pass — LF application and
-        featurization on the same chunk — and the end model then trains from
-        the accumulated CSR feature blocks without a dense ``(m, d)`` matrix
-        or candidate list ever existing.  End-model probabilities are
-        value-identical to the materialized pipeline on the same candidates.
+        ``train_candidates`` / ``test_candidates`` may be generators (each
+        is consumed exactly once, chunk by chunk); only ``test_gold`` must
+        be a materialized vector, for evaluation.  Per split the engine
+        makes a single fused pass — LF application and featurization on the
+        same chunk — and the end model then trains from the accumulated CSR
+        feature blocks without a dense ``(m, d)`` matrix or candidate list
+        ever existing.
         """
         config = self.config
         lfs = list(lfs) if lfs is not None else self.lfs
@@ -392,18 +338,22 @@ class SnorkelPipeline:
 
         start = time.perf_counter()
         self.featurizer.fit()
-        store, train_ckpt, test_ckpt, epoch_ckpt = self._open_checkpoints(lfs, task_name)
+        applier = LFApplier(
+            lfs,
+            chunk_size=config.chunk_size,
+            backend=config.applier_backend,
+            num_workers=config.applier_workers,
+            validate=config.lf_validate,
+            pushdown=config.lf_pushdown,
+            transport=config.engine_transport,
+            chunk_timeout=config.engine_chunk_timeout,
+        )
+        cardinality = applier.cardinality
+        end_model = self._make_end_model(cardinality)
+        store, train_ckpt, test_ckpt, epoch_ckpt = self._open_checkpoints(
+            lfs, task_name, end_model
+        )
         try:
-            applier = LFApplier(
-                lfs,
-                chunk_size=config.chunk_size,
-                backend=config.applier_backend,
-                num_workers=config.applier_workers,
-                validate=config.lf_validate,
-                pushdown=config.lf_pushdown,
-                transport=config.engine_transport,
-                chunk_timeout=config.engine_chunk_timeout,
-            )
             label_matrix, train_blocks = applier.apply_with_features(
                 train_candidates,
                 self.featurizer,
@@ -428,21 +378,23 @@ class SnorkelPipeline:
             )
             timings["label_modeling"] = time.perf_counter() - start
 
-            cardinality = label_matrix.cardinality
             test_gold = np.asarray(test_gold)
             generative_report = self._generative_report(
                 cardinality, generative_model, test_matrix, test_gold
             )
 
             start = time.perf_counter()
-            discriminative_model, discriminative_report = self._discriminative_stage_streaming(
-                cardinality,
-                train_blocks,
-                test_blocks,
-                training_probs,
-                label_matrix,
-                test_gold,
-                epoch_checkpoint=epoch_ckpt,
+            self._train_end_model(
+                end_model, train_blocks, training_probs, label_matrix, epoch_ckpt
+            )
+            if test_blocks:
+                test_probs = np.concatenate(
+                    [end_model.predict_proba(block) for block in test_blocks], axis=0
+                )
+            else:
+                test_probs = np.zeros((0, cardinality) if cardinality > 2 else 0)
+            discriminative_report = self._score_probabilities(
+                cardinality, test_gold, test_probs
             )
             timings["discriminative_training"] = time.perf_counter() - start
         finally:
@@ -457,33 +409,42 @@ class SnorkelPipeline:
             generative_test_report=generative_report,
             discriminative_test_report=discriminative_report,
             generative_model=generative_model,
-            discriminative_model=discriminative_model,
+            discriminative_model=end_model,
             timings=timings,
         )
 
     # ------------------------------------------------------------ checkpoints
-    def _checkpoint_fingerprint(self, lfs: Sequence[LabelingFunction], task_name: str) -> dict:
+    def _checkpoint_fingerprint(
+        self,
+        lfs: Sequence[LabelingFunction],
+        task_name: str,
+        end_model: NoiseAwareClassifier,
+    ) -> dict:
         """What a stored checkpoint must have been produced under to be
-        replayable: the chunk blocks depend on the LF suite, the chunking,
-        and the featurizer's whole frozen configuration (width, n-gram range,
-        window size — any of them changes the stored feature blocks); the
-        epoch checkpoints additionally on the seed and the end-model
-        schedule length."""
-        config = self.config
+        replayable: the LF suite, the featurizer's whole frozen
+        configuration, the end model's class and constructor arguments, and
+        every config field that can change a stored chunk block, the
+        memoized label-modeling outcome or an epoch snapshot — that is, all
+        of them except :data:`EXECUTION_ONLY_FIELDS`."""
+        constructor = inspect.signature(type(end_model).__init__).parameters
         return {
-            "format": 1,
+            "format": 2,
             "task": task_name,
             "lfs": [lf.name for lf in lfs],
-            "chunk_size": config.chunk_size,
-            "sparse_labels": config.sparse_labels,
+            "config": {
+                spec.name: getattr(self.config, spec.name)
+                for spec in dataclasses.fields(self.config)
+                if spec.name not in EXECUTION_ONLY_FIELDS
+            },
             "featurizer": self.featurizer._config(),
-            "seed": config.seed,
-            "discriminative_epochs": config.discriminative_epochs,
-            "online": config.online,
+            "end_model": (
+                type(end_model).__qualname__,
+                {name: getattr(end_model, name, None) for name in constructor if name != "self"},
+            ),
         }
 
     def _open_checkpoints(
-        self, lfs: Sequence[LabelingFunction], task_name: str
+        self, lfs: Sequence[LabelingFunction], task_name: str, end_model: NoiseAwareClassifier
     ) -> tuple[
         Optional[BlockStore],
         Optional[ChunkCheckpointer],
@@ -494,14 +455,15 @@ class SnorkelPipeline:
 
         An existing store is resumed only when ``config.resume`` holds and
         its recorded fingerprint matches this run's configuration; anything
-        else clears it — replaying blocks produced under different LFs or
-        chunking would be silently wrong, never merely slow.
+        else clears it — replaying blocks or memoized stage results produced
+        under a different configuration would be silently wrong, never
+        merely slow.
         """
         config = self.config
         if config.checkpoint_dir is None:
             return None, None, None, None
         store = BlockStore(config.checkpoint_dir, retention=config.checkpoint_retention)
-        fingerprint = self._checkpoint_fingerprint(lfs, task_name)
+        fingerprint = self._checkpoint_fingerprint(lfs, task_name, end_model)
         key = "meta/fingerprint"
         stale = True
         if config.resume and key in store:
@@ -680,16 +642,10 @@ class SnorkelPipeline:
         return keep
 
     def _make_end_model(self, cardinality: int) -> NoiseAwareClassifier:
-        """The default noise-aware end model for one task cardinality.
-
-        By default both pipeline modes train on the deterministic
-        stream-order minibatch schedule (``shuffle=False``): it is the only
-        schedule a one-pass block stream can realize, and using it for the
-        materialized mode too is what makes ``streaming=True``
-        value-identical to the default run.
-        ``PipelineConfig.end_model_shuffle`` restores the historical
-        shuffled schedule (materialized mode only).
-        """
+        """The caller-supplied end model, else the default noise-aware one
+        for the task cardinality — on the deterministic stream-order
+        minibatch schedule (``shuffle=False``), the only one a one-pass
+        block stream can realize."""
         config = self.config
         if self._discriminative_model is not None:
             return self._discriminative_model
@@ -697,7 +653,7 @@ class SnorkelPipeline:
             return NoiseAwareLogisticRegression(
                 epochs=config.discriminative_epochs,
                 class_balance=config.class_balance,
-                shuffle=config.end_model_shuffle,
+                shuffle=False,
                 seed=config.seed,
             )
         if config.class_balance is not None:
@@ -709,7 +665,7 @@ class SnorkelPipeline:
         return NoiseAwareSoftmaxRegression(
             num_classes=cardinality,
             epochs=config.discriminative_epochs,
-            shuffle=config.end_model_shuffle,
+            shuffle=False,
             seed=config.seed,
         )
 
@@ -721,60 +677,27 @@ class SnorkelPipeline:
             return BinaryScorer().score_probabilities(test_gold, probs)
         return MultiClassScorer(cardinality).score_probabilities(test_gold, probs)
 
-    def _discriminative_stage(
+    def _train_end_model(
         self,
-        task: TaskDataset,
-        train_candidates: Sequence[Candidate],
-        test_candidates: Sequence[Candidate],
-        training_probs: np.ndarray,
-        label_matrix: LabelMatrix,
-    ) -> tuple[NoiseAwareClassifier, AnyScoreReport]:
-        """Featurize, train the end model on Ỹ, and evaluate on the test split.
-
-        Binary tasks train the noise-aware logistic model on the ``(m,)``
-        probability vector; categorical tasks train the noise-aware softmax
-        model on the ``(m, k)`` distribution matrix.
-        """
-        config = self.config
-        cardinality = task.cardinality
-        # The candidate sequences were materialized once by run(); transform
-        # accepts any sequence, so hand them over as-is instead of re-listing
-        # them (twice, per storage branch) as earlier revisions did.
-        train_features = self.featurizer.transform(
-            train_candidates, sparse=config.sparse_features
-        )
-        test_features = self.featurizer.transform(
-            test_candidates, sparse=config.sparse_features
-        )
-        keep = self._keep_rows(len(train_candidates), training_probs, label_matrix)
-        model = self._make_end_model(cardinality)
-        model.fit(train_features[keep], training_probs[keep])
-        probs = model.predict_proba(test_features)
-        return model, self._score_probabilities(cardinality, task.split_gold("test"), probs)
-
-    def _discriminative_stage_streaming(
-        self,
-        cardinality: int,
+        model: NoiseAwareClassifier,
         train_blocks: Sequence,
-        test_blocks: Sequence,
         training_probs: np.ndarray,
         label_matrix: LabelMatrix,
-        test_gold: np.ndarray,
-        epoch_checkpoint: Optional[EpochCheckpoint] = None,
-    ) -> tuple[NoiseAwareClassifier, AnyScoreReport]:
-        """Train the end model from CSR feature blocks and evaluate block-wise.
+        epoch_checkpoint: Optional[EpochCheckpoint],
+    ) -> None:
+        """Train the end model on Ỹ from the CSR feature blocks.
 
-        The kept training rows (covered + informative, same rule as the
-        materialized stage) are carved out of each block in place, so the
-        minibatch stream visits exactly the rows ``fit(X[keep], Ỹ[keep])``
-        would — in the same order — and the trained model is value-identical.
-        With ``epoch_checkpoint`` the fit saves its state after every epoch
-        and a resumed run replays only the remaining ones.
+        Binary tasks train on the ``(m,)`` probability vector, categorical
+        ones on the ``(m, k)`` distribution matrix.  The kept training rows
+        (covered + informative, see :meth:`_keep_rows`) are carved out of
+        each block in place, so the minibatch stream visits exactly the rows
+        ``fit(X[keep], Ỹ[keep])`` would, in the same order.  With
+        ``epoch_checkpoint`` the fit saves its state after every epoch and a
+        resumed run replays only the remaining ones.
         """
         num_candidates = training_probs.shape[0]
-        keep = self._keep_rows(num_candidates, training_probs, label_matrix)
         keep_mask = np.zeros(num_candidates, dtype=bool)
-        keep_mask[keep] = True
+        keep_mask[self._keep_rows(num_candidates, training_probs, label_matrix)] = True
 
         def kept_blocks():
             start = 0
@@ -785,16 +708,4 @@ class SnorkelPipeline:
                     yield block[local], training_probs[start + local]
                 start = stop
 
-        model = self._make_end_model(cardinality)
-        if epoch_checkpoint is not None:
-            model.fit_stream(kept_blocks, checkpoint=epoch_checkpoint)
-        else:
-            model.fit_stream(kept_blocks)
-
-        if test_blocks:
-            probs = np.concatenate(
-                [model.predict_proba(block) for block in test_blocks], axis=0
-            )
-        else:
-            probs = np.zeros((0, cardinality) if cardinality > 2 else 0)
-        return model, self._score_probabilities(cardinality, test_gold, probs)
+        model.fit_stream(kept_blocks, checkpoint=epoch_checkpoint)

@@ -19,12 +19,14 @@ import signal
 import numpy as np
 import pytest
 
+from repro.datasets.base import TaskDataset
 from repro.datasets.synthetic import (
     stream_text_candidates,
     stream_text_gold,
     text_vote_lfs,
 )
 from repro.discriminative.featurizers import RelationFeaturizer
+from repro.discriminative.logistic import NoiseAwareLogisticRegression
 from repro.labeling.blockstore import BlockStore, ChunkCheckpointer
 from repro.labeling.engine import runtime
 from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
@@ -34,10 +36,17 @@ TRAIN_POINTS = 200
 TEST_POINTS = 60
 
 
-def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto", featurizer=None):
-    config = PipelineConfig(
+def run_pipeline(
+    checkpoint_dir=None,
+    backend="sequential",
+    transport="auto",
+    featurizer=None,
+    end_model=None,
+    from_task=False,
+    **overrides,
+):
+    settings = dict(
         seed=0,
-        streaming=True,
         chunk_size=32,
         generative_epochs=3,
         discriminative_epochs=4,
@@ -47,12 +56,26 @@ def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto", fe
         engine_transport=transport,
         checkpoint_dir=checkpoint_dir,
     )
+    settings.update(overrides)
     lfs = text_vote_lfs(NUM_LFS)
-    return SnorkelPipeline(lfs=lfs, config=config, featurizer=featurizer).run_streams(
-        stream_text_candidates(num_points=TRAIN_POINTS, num_lfs=NUM_LFS, seed=0),
-        stream_text_candidates(num_points=TEST_POINTS, num_lfs=NUM_LFS, seed=1),
-        stream_text_gold(TEST_POINTS, seed=1),
+    pipeline = SnorkelPipeline(
+        lfs=lfs,
+        config=PipelineConfig(**settings),
+        featurizer=featurizer,
+        discriminative_model=end_model,
     )
+    train = stream_text_candidates(num_points=TRAIN_POINTS, num_lfs=NUM_LFS, seed=0)
+    test = stream_text_candidates(num_points=TEST_POINTS, num_lfs=NUM_LFS, seed=1)
+    test_gold = stream_text_gold(TEST_POINTS, seed=1)
+    if from_task:
+        task = TaskDataset(
+            name="stream",
+            candidates={"train": list(train), "test": list(test)},
+            gold={"test": test_gold},
+            lfs=lfs,
+        )
+        return pipeline.run(task)
+    return pipeline.run_streams(train, test, test_gold)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +84,7 @@ def reference():
     return run_pipeline()
 
 
-def run_and_die(checkpoint_dir, fault_spec, backend, transport):
+def run_and_die(checkpoint_dir, fault_spec, backend, transport, from_task=False):
     """Fork a child that runs the pipeline under ``fault_spec`` until the
     injected SIGKILL; assert it really died that way."""
     pid = os.fork()
@@ -71,7 +94,7 @@ def run_and_die(checkpoint_dir, fault_spec, backend, transport):
         runtime._POOLS.clear()
         os.environ["REPRO_ENGINE_FAULTS"] = fault_spec
         try:
-            run_pipeline(checkpoint_dir, backend, transport)
+            run_pipeline(checkpoint_dir, backend, transport, from_task=from_task)
         finally:
             os._exit(1)  # only reached if the injected kill never fired
     _, status = os.waitpid(pid, 0)
@@ -138,6 +161,17 @@ def test_double_kill_then_resume(tmp_path, reference):
     assert_matches_reference(resumed, reference)
 
 
+@pytest.mark.parametrize("fault", ["die_block@2", "die_epoch@1"])
+def test_run_task_killed_then_resumed(tmp_path, reference, fault):
+    """``run(task)`` is ``run_streams`` over the task's splits, so a
+    checkpointed task run survives a kill exactly like a stream run (it used
+    to refuse ``checkpoint_dir`` outright)."""
+    root = str(tmp_path / "ckpt")
+    run_and_die(root, fault, "sequential", "auto", from_task=True)
+    resumed = run_pipeline(root, from_task=True)
+    assert_matches_reference(resumed, reference)
+
+
 def test_resume_skips_completed_work(tmp_path, reference):
     """A fully completed store resumes without recomputing: every chunk and
     epoch replays from disk, and the result is still identical."""
@@ -186,3 +220,31 @@ def test_resume_with_different_featurizer_recomputes(tmp_path):
         fresh.discriminative_model.weights, stored.discriminative_model.weights
     )
     assert_matches_reference(run_pipeline(root, featurizer=featurizer(1)), fresh)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(generative_epochs=30),
+        dict(generative_step_size=0.2, learn_correlations=False),
+        dict(force_strategy="MV"),
+        dict(use_optimizer=False),
+        dict(class_balance=0.1),
+        dict(keep_uncovered=True),
+        dict(end_model=NoiseAwareLogisticRegression(epochs=4, learning_rate=0.1, seed=0)),
+    ],
+    ids=lambda change: "-".join(change),
+)
+def test_resume_with_different_result_changing_setting_recomputes(tmp_path, change):
+    """Shrunk regression: the fingerprint once listed a handful of config
+    fields, so a completed store re-run under another label-model schedule,
+    strategy, class balance, keep rule or caller-supplied end model matched
+    it and returned the *old* run's memoized label-modeling outcome and
+    end-model epoch state."""
+    root = str(tmp_path / "ckpt")
+    run_pipeline(root)
+    fresh = run_pipeline(**change)
+    rerun = run_pipeline(root, **change)
+    assert rerun.strategy == fresh.strategy
+    assert (rerun.generative_model is None) == (fresh.generative_model is None)
+    assert_matches_reference(rerun, fresh)

@@ -80,6 +80,45 @@ def test_unfitted_models_raise():
         NoiseAwareMLP().predict_proba(np.zeros((1, 2)))
 
 
+def make_softmax(**kw):
+    return NoiseAwareSoftmaxRegression(num_classes=2, **kw)
+
+
+def make_mlp(**kw):
+    return NoiseAwareMLP(hidden_sizes=(4,), **kw)
+
+
+END_MODELS = [NoiseAwareLogisticRegression, make_softmax, make_mlp]
+
+
+@pytest.mark.parametrize("make", END_MODELS)
+def test_end_models_share_hyperparameter_checks(make):
+    """``epochs`` and ``batch_size`` are checked in the one shared constructor
+    (softmax and the MLP used to "fit" zero epochs and return the random
+    initialization)."""
+    with pytest.raises(ConfigurationError):
+        make(epochs=0)
+    with pytest.raises(ConfigurationError):
+        make(batch_size=0)
+
+
+@pytest.mark.parametrize("make", END_MODELS)
+def test_end_models_share_sample_weight_checks(make):
+    """A mis-shaped ``sample_weights`` is a ConfigurationError at the shared
+    front door (the MLP used to die with an IndexError inside the batch
+    iterator), and a well-shaped one is honored by all three models."""
+    X, y = make_linear_data(n=60, d=4)
+    hard = np.where(y == 1, 1, 2) if make is make_softmax else y
+    with pytest.raises(ConfigurationError):
+        make(epochs=2).fit(X, hard, sample_weights=np.ones(3))
+    uniform = make(epochs=3, seed=0).fit(X, hard)
+    weighted = make(epochs=3, seed=0).fit(X, hard, sample_weights=np.ones(60))
+    skewed = make(epochs=3, seed=0).fit(X, hard, sample_weights=np.linspace(0.1, 3.0, 60))
+    assert np.array_equal(uniform.predict_proba(X), weighted.predict_proba(X))
+    assert not np.array_equal(uniform.predict_proba(X), skewed.predict_proba(X))
+    assert len(uniform.loss_history) == 3 and all(np.isfinite(uniform.loss_history))
+
+
 def test_hashing_vectorizer_deterministic_and_shaped():
     vectorizer = HashingVectorizer(num_features=64)
     a = vectorizer.transform_tokens(["the", "drug", "causes", "harm"])

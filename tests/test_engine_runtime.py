@@ -125,7 +125,6 @@ def test_pipeline_run_spawns_workers_exactly_once():
     lfs = text_vote_lfs(6)
     config = PipelineConfig(
         seed=0,
-        streaming=True,
         chunk_size=32,
         applier_backend="processes",
         applier_workers=2,

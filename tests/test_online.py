@@ -335,7 +335,7 @@ def test_pipeline_online_matches_batch():
     lfs = text_vote_lfs(8)
     def run(online):
         config = PipelineConfig(
-            streaming=True, chunk_size=200, online=online, sparse_labels=True,
+            chunk_size=200, online=online, sparse_labels=True,
             generative_epochs=8, discriminative_epochs=3, seed=0,
         )
         pipeline = SnorkelPipeline(lfs=lfs, config=config)

@@ -160,24 +160,3 @@ def test_mlp_densifies_sparse_features(backend):
     assert np.allclose(
         dense_model.predict_proba(dense), sparse_model.predict_proba(sparse), atol=1e-10
     )
-
-
-def test_pipeline_sparse_features_end_to_end():
-    from repro.datasets.base import load_task
-    from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
-
-    task = load_task("cdr", scale=0.05, seed=0)
-    dense_result = SnorkelPipeline(config=PipelineConfig(seed=0)).run(task)
-    sparse_result = SnorkelPipeline(
-        config=PipelineConfig(seed=0, sparse_features=True, applier_backend="threads",
-                              applier_workers=2)
-    ).run(task)
-    assert np.array_equal(
-        dense_result.label_matrix.values, sparse_result.label_matrix.values
-    )
-    assert np.allclose(
-        dense_result.training_probs, sparse_result.training_probs, atol=1e-10
-    )
-    assert np.isclose(
-        dense_result.discriminative_f1, sparse_result.discriminative_f1, atol=1e-8
-    )

@@ -11,12 +11,15 @@ workloads.  Pinned down here:
 * minibatch streaming training (``fit_stream``) against materialized
   ``fit(..., shuffle=False)`` for the logistic, softmax, and MLP end
   models — across block chunkings and storage kinds;
-* the end-to-end ``SnorkelPipeline(streaming=True)`` against the default
-  materialized run, binary (k=2) and categorical (k=3);
+* the end-to-end ``SnorkelPipeline`` — list-fed ``run(task)`` and
+  generator-fed ``run_streams`` — against a stage-by-stage materialized
+  oracle written here, binary (k=2) and categorical (k=3);
 * the featurizer fitted-state regression: ``transform`` before ``fit``
   raises :class:`NotFittedError` instead of silently emitting misaligned
   columns.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from repro.datasets.base import load_task
 from repro.datasets.synthetic import (
     build_multiclass_task,
     stream_text_candidates,
-    stream_text_gold,
     text_vote_lfs,
 )
 from repro.discriminative import (
@@ -38,8 +40,11 @@ from repro.discriminative import (
 from repro.discriminative.base import iter_rebatched
 from repro.discriminative.softmax import NoiseAwareSoftmaxRegression
 from repro.discriminative.streaming import featurize_stream
+from repro.evaluation.scorer import BinaryScorer, MultiClassScorer
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.labeling.applier import LFApplier
+from repro.labelmodel.generative import GenerativeModel
+from repro.labelmodel.optimizer import ModelingStrategyOptimizer
 from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
 
 BACKENDS = [("sequential", 1), ("threads", 2), ("processes", 2)]
@@ -282,114 +287,126 @@ def test_shuffled_fit_unchanged_by_refactor(corpus, featurizer):
 
 
 # ----------------------------------------------------------------- end-to-end
-@pytest.mark.parametrize("backend,workers", BACKENDS)
-def test_pipeline_streaming_identical_binary(backend, workers):
-    task = load_task("cdr", scale=0.05, seed=0)
-    dense = SnorkelPipeline(config=PipelineConfig(seed=0)).run(task)
-    sparse = SnorkelPipeline(config=PipelineConfig(seed=0, sparse_features=True)).run(task)
-    stream = SnorkelPipeline(
-        config=PipelineConfig(
-            seed=0,
-            streaming=True,
-            chunk_size=37,
-            applier_backend=backend,
-            applier_workers=workers,
+def staged_reference(task, config):
+    """The pipeline's stages one by one on materialized lists — the oracle
+    the one execution path must equal.  It shares neither
+    ``apply_with_features`` nor ``fit_stream`` with the pipeline: Λ comes
+    from ``LFApplier.apply``, features from ``transform``, and the end model
+    from ``fit(X[keep], Ỹ[keep])`` on the stream-order schedule."""
+    train, test = task.split_candidates("train"), task.split_candidates("test")
+    applier = LFApplier(task.lfs)
+    label_matrix = applier.apply(train, sparse=config.sparse_labels)
+    test_matrix = applier.apply(test, sparse=config.sparse_labels)
+    correlations = []
+    if config.use_optimizer:
+        strategy = ModelingStrategyOptimizer(
+            advantage_tolerance=config.advantage_tolerance,
+            learn_correlations=config.learn_correlations,
+        ).choose(label_matrix)
+        assert strategy.use_generative_model
+        correlations = strategy.correlations
+    label_model = GenerativeModel(
+        epochs=config.generative_epochs,
+        step_size=config.generative_step_size,
+        cardinality=task.cardinality,
+        seed=config.seed,
+    ).fit(label_matrix, correlations=correlations)
+    training_probs = label_model.predict_proba(label_matrix)
+
+    if task.cardinality == 2:
+        scorer = BinaryScorer()
+        uninformative = np.isclose(training_probs, 0.5)
+        end_model = NoiseAwareLogisticRegression(
+            epochs=config.discriminative_epochs, shuffle=False, seed=config.seed
         )
-    ).run(task)
-    assert np.array_equal(dense.label_matrix.values, stream.label_matrix.values)
-    assert np.array_equal(dense.training_probs, stream.training_probs)
-    # Bit-identical to the CSR-materialized path, ≤1e-8 to the dense one
-    # (the only difference is dense vs sparse matvec summation order).
-    assert np.array_equal(
-        sparse.discriminative_model.weights, stream.discriminative_model.weights
+    else:
+        scorer = MultiClassScorer(task.cardinality)
+        uninformative = np.isclose(training_probs.max(axis=1), 1.0 / task.cardinality)
+        end_model = NoiseAwareSoftmaxRegression(
+            num_classes=task.cardinality,
+            epochs=config.discriminative_epochs,
+            shuffle=False,
+            seed=config.seed,
+        )
+    keep = np.flatnonzero(label_matrix.covered_rows() & ~uninformative)
+    featurizer = RelationFeaturizer(num_features=config.num_features).fit()
+    end_model.fit(featurizer.transform(train, sparse=True)[keep], training_probs[keep])
+    test_gold = task.split_gold("test")
+    return dict(
+        label_values=label_matrix.values,
+        training_probs=training_probs,
+        weights=end_model.weights,
+        bias=np.asarray(end_model.bias),
+        generative_f1=scorer.score_probabilities(
+            test_gold, label_model.predict_proba(test_matrix)
+        ).f1,
+        discriminative_f1=scorer.score_probabilities(
+            test_gold, end_model.predict_proba(featurizer.transform(test, sparse=True))
+        ).f1,
     )
-    assert np.abs(
-        dense.discriminative_model.weights - stream.discriminative_model.weights
-    ).max() < 1e-8
-    featurizer = SnorkelPipeline().featurizer.fit()
-    test_features = featurizer.transform(task.split_candidates("test"))
-    assert np.allclose(
-        dense.discriminative_model.predict_proba(test_features),
-        stream.discriminative_model.predict_proba(test_features),
-        atol=1e-8,
-    )
-    assert dense.generative_f1 == stream.generative_f1
-    assert abs(dense.discriminative_f1 - stream.discriminative_f1) < 1e-8
 
 
-@pytest.mark.parametrize("chunk_size", [23, 256])
-def test_pipeline_streaming_identical_multiclass(chunk_size):
-    task = build_multiclass_task(num_points=200, num_lfs=10, cardinality=3, seed=3)
-    config = dict(seed=0, use_optimizer=False, generative_epochs=5, discriminative_epochs=8)
-    base = SnorkelPipeline(config=PipelineConfig(**config)).run(task)
-    stream = SnorkelPipeline(
-        config=PipelineConfig(**config, streaming=True, chunk_size=chunk_size)
-    ).run(task)
-    assert np.array_equal(base.label_matrix.values, stream.label_matrix.values)
-    assert np.array_equal(base.training_probs, stream.training_probs)
-    # The softmax path densifies per minibatch: bit-identical end model.
-    assert np.array_equal(
-        base.discriminative_model.weights, stream.discriminative_model.weights
-    )
-    assert base.discriminative_f1 == stream.discriminative_f1
-
-
-def test_pipeline_streaming_sparse_labels_end_to_end():
-    task = load_task("cdr", scale=0.05, seed=0)
-    default = SnorkelPipeline(config=PipelineConfig(seed=0, streaming=True)).run(task)
-    sparse_labels = SnorkelPipeline(
-        config=PipelineConfig(seed=0, streaming=True, sparse_labels=True, chunk_size=64)
-    ).run(task)
-    assert np.array_equal(default.label_matrix.values, sparse_labels.label_matrix.values)
-    # Dense and sparse label-model storage agree to 1e-10 (not bitwise), so
-    # the end models trained on those probs agree to the same tolerance.
-    assert np.abs(default.training_probs - sparse_labels.training_probs).max() < 1e-10
-    assert np.abs(
-        default.discriminative_model.weights - sparse_labels.discriminative_model.weights
-    ).max() < 1e-8
-
-
-def test_run_streams_generator_fed():
-    """A pure generator front-end: candidates never exist as a list."""
-    lfs = text_vote_lfs(NUM_LFS)
-    config = PipelineConfig(
-        seed=0, streaming=True, chunk_size=64, generative_epochs=5, discriminative_epochs=6
-    )
-    result = SnorkelPipeline(lfs=lfs, config=config).run_streams(
-        stream_text_candidates(num_points=300, num_lfs=NUM_LFS, seed=0),
-        stream_text_candidates(num_points=90, num_lfs=NUM_LFS, seed=1),
-        stream_text_gold(90, seed=1),
-    )
-    # Same run, materialized by hand for comparison.
-    train = text_candidates(300, seed=0)
-    test = text_candidates(90, seed=1)
-    applier = LFApplier(lfs)
-    reference_labels = applier.apply(train)
-    assert np.array_equal(result.label_matrix.values, reference_labels.values)
-    assert 0.0 <= result.discriminative_f1 <= 1.0
-    assert result.task_name == "stream"
+def assert_equals_reference(result, reference):
+    model = result.discriminative_model
+    assert np.array_equal(result.label_matrix.values, reference["label_values"])
+    assert np.array_equal(result.training_probs, reference["training_probs"])
+    assert np.array_equal(model.weights, reference["weights"])
+    assert np.array_equal(np.asarray(model.bias), reference["bias"])
+    assert result.generative_f1 == reference["generative_f1"]
+    assert result.discriminative_f1 == reference["discriminative_f1"]
     assert set(result.timings) == {"lf_application", "label_modeling", "discriminative_training"}
 
 
-def test_end_model_shuffle_restores_historical_schedule():
-    task = load_task("cdr", scale=0.05, seed=0)
-    shuffled = SnorkelPipeline(
-        config=PipelineConfig(seed=0, end_model_shuffle=True)
-    ).run(task)
-    legacy = SnorkelPipeline(
-        config=PipelineConfig(seed=0),
-        discriminative_model=NoiseAwareLogisticRegression(epochs=40, shuffle=True, seed=0),
-    ).run(task)
-    assert np.array_equal(
-        shuffled.discriminative_model.weights, legacy.discriminative_model.weights
+PIPELINE_TASKS = {
+    2: (lambda: load_task("cdr", scale=0.05, seed=0), dict(seed=0)),
+    3: (
+        lambda: build_multiclass_task(num_points=200, num_lfs=10, cardinality=3, seed=3),
+        dict(seed=0, use_optimizer=False, generative_epochs=5, discriminative_epochs=8),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=[(2, False), (2, True), (3, False), (3, True)])
+def pipeline_case(request):
+    cardinality, sparse_labels = request.param
+    build, settings = PIPELINE_TASKS[cardinality]
+    task = build()
+    settings = dict(settings, sparse_labels=sparse_labels)
+    return task, settings, staged_reference(task, PipelineConfig(**settings))
+
+
+@pytest.mark.parametrize("backend,workers", BACKENDS)
+def test_pipeline_equals_staged_reference(pipeline_case, backend, workers):
+    """List-fed ``run(task)`` and generator-fed ``run_streams`` — k=2 and
+    k=3, dense and sparse Λ, every backend — equal the staged oracle bit for
+    bit."""
+    task, settings, reference = pipeline_case
+    config = PipelineConfig(
+        **settings, chunk_size=37, applier_backend=backend, applier_workers=workers
     )
-    with pytest.raises(ConfigurationError):
-        PipelineConfig(streaming=True, end_model_shuffle=True)
+    from_lists = SnorkelPipeline(config=config).run(task)
+    assert from_lists.task_name == task.name
+    assert_equals_reference(from_lists, reference)
+    from_generators = SnorkelPipeline(lfs=task.lfs, config=config).run_streams(
+        task.stream_candidates("train"),
+        task.stream_candidates("test"),
+        task.split_gold("test"),
+    )
+    assert from_generators.task_name == "stream"
+    assert_equals_reference(from_generators, reference)
+
+
+def test_config_accepts_and_ignores_streaming_keyword():
+    """``streaming=`` is no longer a mode: accepted, not stored."""
+    config = PipelineConfig(streaming=True, sparse_labels=True)
+    names = {spec.name for spec in dataclasses.fields(config)}
+    assert "streaming" not in names and len(names) == 24
+    assert config == PipelineConfig(streaming=False, sparse_labels=True)
 
 
 def test_run_streams_requires_lfs():
     with pytest.raises(ConfigurationError):
-        SnorkelPipeline(config=PipelineConfig(streaming=True)).run_streams(
+        SnorkelPipeline(config=PipelineConfig()).run_streams(
             iter(()), iter(()), np.zeros(0)
         )
 
