@@ -2,9 +2,10 @@
 
 This is the reproduction of Snorkel's data model (paper Section 2, Figure 3):
 input data is stored as a hierarchy of context types connected by
-parent/child relationships, persisted through the ORM layer in
-:mod:`repro.db`, and candidates — the data points to be classified — are
-tuples of contexts (here: pairs of entity-tagged spans in a sentence).
+parent/child relationships — plain records held by a
+:class:`~repro.context.corpus.Corpus`, which keeps each parent's list of
+children — and candidates — the data points to be classified — are tuples
+of contexts (here: pairs of entity-tagged spans in a sentence).
 """
 
 from repro.context.candidates import Candidate

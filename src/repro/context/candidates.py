@@ -4,8 +4,8 @@ A candidate is a tuple of context objects (paper Figure 3).  In this
 reproduction candidates are binary relation mentions: a pair of entity-tagged
 spans within one sentence, plus denormalized convenience attributes (the
 sentence's words, the spans' word ranges, entity types and canonical KB ids)
-so that labeling functions can be written against plain attributes without a
-live database session.
+so that labeling functions can be written against plain attributes without
+reaching back into the corpus.
 """
 
 from __future__ import annotations
@@ -13,26 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
-from repro.db.orm import MappedRecord
 from repro.exceptions import ContextError
 
 
-class CandidateRecord(MappedRecord):
-    """Relational record for a candidate (persisted form).
+@dataclass
+class CandidateRecord:
+    """The stored form of a candidate: ids into the context hierarchy.
 
-    Fields reference the sentence and the two entity spans by id, plus the
-    split and an optional gold label used only for evaluation.
+    References the sentence and the two entity spans by id, plus the split
+    and an optional gold label used only for evaluation.  ``id`` is assigned
+    by the corpus at insert and becomes :attr:`Candidate.uid`.
     """
 
-    __tablename__ = "candidates"
-    __fields__ = (
-        "sentence_id",
-        "span1_id",
-        "span2_id",
-        "relation_type",
-        "split",
-        "gold_label",
-    )
+    sentence_id: int
+    span1_id: int
+    span2_id: int
+    relation_type: str
+    split: str
+    gold_label: Optional[int] = None
+    id: Optional[int] = None
 
 
 @dataclass
@@ -77,7 +76,7 @@ class Candidate:
     Attributes
     ----------
     uid:
-        Stable integer id of the candidate (the primary key of its
+        Stable integer id of the candidate (the ``id`` of its
         :class:`CandidateRecord`).
     span1, span2:
         The two entity spans.

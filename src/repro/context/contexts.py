@@ -1,21 +1,24 @@
 """Context types: Document, Sentence, Span, and EntityMention records.
 
-Each context type is a :class:`repro.db.orm.MappedRecord` subclass so the
-whole hierarchy persists through the relational store, mirroring Snorkel's
-SQLAlchemy-backed context hierarchy.  Convenience accessors (``words``,
-``get_word_range``, text slices) reproduce the object-oriented traversal that
-labeling functions rely on (paper Example 2.3).
+Each context type is a plain flat record: its own fields, the id of its
+parent (``*_id``), and an ``id`` that :class:`repro.context.corpus.Corpus`
+assigns at insert (1-based, in insertion order per type).  Records hold no
+references to each other — the corpus owns the parent→children lists — so a
+hierarchy is acyclic and pickles as plain data.  Convenience accessors
+(``word_slice``, ``get_word_range``) reproduce the object-oriented traversal
+that labeling functions rely on (paper Example 2.3).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
-from repro.db.orm import MappedRecord
 from repro.exceptions import ContextError
 
 
-class Document(MappedRecord):
+@dataclass
+class Document:
     """A source document: the root of the context hierarchy.
 
     Fields
@@ -32,17 +35,21 @@ class Document(MappedRecord):
         radiology reports).
     """
 
-    __tablename__ = "documents"
-    __fields__ = ("name", "text", "split", "metadata")
+    name: str
+    text: str
+    split: str
+    metadata: dict[str, Any]
+    id: Optional[int] = None
 
 
-class Sentence(MappedRecord):
+@dataclass
+class Sentence:
     """A sentence within a document, carrying its tokenization.
 
     Fields
     ------
     document_id:
-        Foreign key to the parent :class:`Document`.
+        Id of the parent :class:`Document`.
     position:
         Zero-based index of the sentence within its document.
     text:
@@ -54,34 +61,42 @@ class Sentence(MappedRecord):
         sentence text.
     """
 
-    __tablename__ = "sentences"
-    __fields__ = ("document_id", "position", "text", "words", "char_offsets")
+    document_id: int
+    position: int
+    text: str
+    words: list[str]
+    char_offsets: list[list[int]]
+    id: Optional[int] = None
 
     def word_slice(self, start: int, end: int) -> list[str]:
         """Return ``words[start:end]`` with bounds checking."""
-        words = self.words or []
-        if start < 0 or end > len(words) or start > end:
+        if start < 0 or end > len(self.words) or start > end:
             raise ContextError(
-                f"word slice [{start}:{end}] out of range for sentence of length {len(words)}"
+                f"word slice [{start}:{end}] out of range for sentence of length "
+                f"{len(self.words)}"
             )
-        return list(words[start:end])
+        return list(self.words[start:end])
 
 
-class Span(MappedRecord):
+@dataclass
+class Span:
     """A contiguous token span within a sentence.
 
     Fields
     ------
     sentence_id:
-        Foreign key to the parent :class:`Sentence`.
+        Id of the parent :class:`Sentence`.
     word_start, word_end:
         Inclusive-start / exclusive-end token indices within the sentence.
     text:
         The surface text of the span.
     """
 
-    __tablename__ = "spans"
-    __fields__ = ("sentence_id", "word_start", "word_end", "text")
+    sentence_id: int
+    word_start: int
+    word_end: int
+    text: str
+    id: Optional[int] = None
 
     def get_word_range(self) -> tuple[int, int]:
         """Return the ``(word_start, word_end)`` token range of this span.
@@ -99,21 +114,21 @@ class Span(MappedRecord):
         return int(self.word_end) - int(self.word_start)
 
 
-class EntityMention(MappedRecord):
+@dataclass
+class EntityMention:
     """A typed entity annotation over a span (e.g. chemical / disease / person).
 
     Fields
     ------
     span_id:
-        Foreign key to the annotated :class:`Span`.
+        Id of the annotated :class:`Span`.
     entity_type:
         Entity type label, e.g. ``"chemical"``.
     canonical_id:
         Optional knowledge-base identifier used by distant-supervision LFs.
     """
 
-    __tablename__ = "entity_mentions"
-    __fields__ = ("span_id", "entity_type", "canonical_id")
-
-
-CONTEXT_RECORD_TYPES = (Document, Sentence, Span, EntityMention)
+    span_id: int
+    entity_type: str
+    canonical_id: Optional[str] = None
+    id: Optional[int] = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.context.candidates import Candidate, CandidateRecord
+from repro.context.candidates import Candidate
 from repro.context.contexts import Document, EntityMention, Span
 from repro.context.corpus import Corpus
 
@@ -69,7 +69,7 @@ class PairedEntityCandidateSpace:
 
 
 class CandidateExtractor:
-    """Extracts and persists candidate records from a corpus.
+    """Extracts candidate records from a corpus and stores them in it.
 
     Parameters
     ----------
@@ -94,7 +94,9 @@ class CandidateExtractor:
     def extract(self, corpus: Corpus, splits: Optional[list[str]] = None) -> int:
         """Extract candidates for every document (optionally restricted to splits).
 
-        Returns the number of candidate records created.
+        Returns the number of candidate records created.  Raises
+        :class:`repro.exceptions.ContextError` for a document this relation
+        type was already extracted from.
         """
         created = 0
         for document in corpus.documents():
@@ -104,7 +106,9 @@ class CandidateExtractor:
         return created
 
     def extract_document(self, corpus: Corpus, document: Document) -> int:
-        """Extract candidates from a single document."""
+        """Extract candidates from a single document (once per relation type)."""
+        relation_type = self.candidate_space.relation_type
+        corpus.begin_extraction(document, relation_type)
         created = 0
         for sentence in corpus.sentences_of(document):
             entities = corpus.entities_of(sentence)
@@ -113,22 +117,12 @@ class CandidateExtractor:
                     sentence=sentence,
                     span1=span1,
                     span2=span2,
-                    relation_type=self.candidate_space.relation_type,
+                    relation_type=relation_type,
                     split=document.split,
                 )
                 if self.gold_labeler is not None:
-                    candidate = corpus.materialize_candidate(record)
-                    gold = self.gold_labeler(candidate)
+                    gold = self.gold_labeler(corpus.materialize_candidate(record))
                     if gold is not None:
-                        self._set_gold(corpus, record, gold)
+                        record.gold_label = int(gold)
                 created += 1
         return created
-
-    @staticmethod
-    def _set_gold(corpus: Corpus, record: CandidateRecord, gold: int) -> None:
-        """Persist a gold label onto an existing candidate record."""
-        record.gold_label = int(gold)
-        # The record object is shared with the session's identity map, but the
-        # stored row must be refreshed too: delete and re-insert with the same id.
-        corpus.database.delete(CandidateRecord.__tablename__, record.id)
-        corpus.database.insert(CandidateRecord.__tablename__, record.to_row())

@@ -58,14 +58,20 @@ class DictionaryEntityTagger:
     """
 
     def __init__(self, dictionaries: Mapping[str, Mapping[str, str]]) -> None:
-        self._entries: list[tuple[tuple[str, ...], str, str]] = []
+        entries: list[tuple[tuple[str, ...], str, str]] = []
         for entity_type, surface_to_id in dictionaries.items():
             for surface, canonical_id in surface_to_id.items():
                 tokens = tuple(normalize(token) for token in surface.split())
                 if tokens:
-                    self._entries.append((tokens, entity_type, canonical_id))
-        # Longest surface forms first so greedy matching prefers them.
-        self._entries.sort(key=lambda entry: len(entry[0]), reverse=True)
+                    entries.append((tokens, entity_type, canonical_id))
+        # Longest surface forms first so greedy matching prefers them; the
+        # sort is stable, so equal lengths keep dictionary order.  Entries are
+        # then grouped by first token in that order: only those can match at a
+        # position, and the first of them that does is the overall winner.
+        entries.sort(key=lambda entry: len(entry[0]), reverse=True)
+        self._entries_by_first_token: dict[str, list[tuple[tuple[str, ...], str, str]]] = {}
+        for entry in entries:
+            self._entries_by_first_token.setdefault(entry[0][0], []).append(entry)
 
     def tag(self, words: Sequence[str]) -> list[TaggedEntity]:
         """Tag entity mentions in a tokenized sentence.
@@ -77,40 +83,33 @@ class DictionaryEntityTagger:
         tagged: list[TaggedEntity] = []
         position = 0
         while position < len(words):
-            match = self._match_at(normalized, position)
-            if match is None:
+            for tokens, entity_type, canonical_id in self._entries_by_first_token.get(
+                normalized[position], ()
+            ):
+                end = position + len(tokens)
+                if end <= len(words) and tuple(normalized[position:end]) == tokens:
+                    tagged.append(
+                        TaggedEntity(
+                            word_start=position,
+                            word_end=end,
+                            text=" ".join(words[position:end]),
+                            entity_type=entity_type,
+                            canonical_id=canonical_id,
+                        )
+                    )
+                    position = end
+                    break
+            else:
                 position += 1
-                continue
-            tokens, entity_type, canonical_id = match
-            end = position + len(tokens)
-            tagged.append(
-                TaggedEntity(
-                    word_start=position,
-                    word_end=end,
-                    text=" ".join(words[position:end]),
-                    entity_type=entity_type,
-                    canonical_id=canonical_id,
-                )
-            )
-            position = end
         return tagged
-
-    def _match_at(
-        self, normalized: Sequence[str], position: int
-    ) -> Optional[tuple[tuple[str, ...], str, str]]:
-        for tokens, entity_type, canonical_id in self._entries:
-            end = position + len(tokens)
-            if end <= len(normalized) and tuple(normalized[position:end]) == tokens:
-                return tokens, entity_type, canonical_id
-        return None
 
 
 class TextPreprocessor:
     """Full preprocessing pipeline: split, tokenize, and (optionally) tag.
 
     Produces plain dictionaries describing sentences and tagged entities so
-    that :class:`repro.context.corpus.Corpus` can persist them through the
-    ORM layer without this module depending on the database.
+    that :class:`repro.context.corpus.Corpus` can store them as records
+    without this module depending on the corpus.
     """
 
     def __init__(

@@ -7,18 +7,6 @@ class ReproError(Exception):
     """Base class for all library-specific errors."""
 
 
-class SchemaError(ReproError):
-    """Raised when a relational schema is malformed or violated."""
-
-
-class IntegrityError(SchemaError):
-    """Raised on primary-key or foreign-key constraint violations."""
-
-
-class QueryError(ReproError):
-    """Raised when a query references unknown tables or columns."""
-
-
 class ContextError(ReproError):
     """Raised when the context hierarchy is used inconsistently."""
 
