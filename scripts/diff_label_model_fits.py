@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Differential check of label-model fits, end-model fits and whole pipeline
-runs between two checkouts.
+"""Differential check of label-model fits, Λ statistics, end-model fits and
+whole pipeline runs between two checkouts.
 
 The EM kernel's contract is that CSR-input fits (weights, class prior,
 history, ``predict_proba``) stay bit-identical across refactors; the
@@ -14,6 +14,16 @@ Dump the fits of one checkout, dump the other's, and diff::
 The grid is k ∈ {2, 3, 4} × {no, planted correlations} × {estimated,
 supplied class balance} × {CSR, dense input}, plus CD fits, online
 folds/drains/edits and the all-abstain-row / empty-column edge matrix.
+
+The ``stats`` groups record everything else that is read off Λ, over the
+same k × {plain, planted} × {CSR, dense} grid plus the edge matrix: the
+``LabelMatrix`` statistics, ``LFAnalysis`` (every method, ``summary`` with
+and without gold), the three voters, ``class_vote_counts``,
+``modeling_advantage`` and the advantage bound, ``StructureLearner`` ``fit``
+/ ``refit_nodes`` / ``select`` and ``ModelingStrategyOptimizer.choose``.
+All of them compute on the CSR entries, so CSR-input records are held
+bit-identical and dense-input ones may move only where a BLAS product
+became a CSR one (``stats dense-input weighted vote``, last digits).
 
 The ``end_models`` groups fit logistic (± ``class_balance``, dense and CSR
 input, ± ``sample_weights``), softmax (k=3, hard and soft targets) and the
@@ -72,7 +82,7 @@ def dump(path: str) -> None:
             data = generate_multiclass_label_matrix(
                 num_points=700, num_lfs=9, cardinality=k, propensity=0.35, seed=k
             )
-        base = data.label_matrix.values
+        base = data.label_matrix.values.copy()
         base[5] = 0  # an all-abstain row
         planted = base.copy()
         for a, b in pairs[:3]:
@@ -82,6 +92,14 @@ def dump(path: str) -> None:
         tests = {"dense": test, "csr": SparseLabelMatrix.from_dense(test)}
         supplied = 0.3 if k == 2 else list(np.arange(1, k + 1) / np.arange(1, k + 1).sum())
         for corr_name, dense, corr in (("plain", base, ()), ("correlated", planted, pairs)):
+            for storage in ("csr", "dense"):
+                matrix = LabelMatrix(dense, cardinality=k)
+                if storage == "csr":
+                    matrix = matrix.to_sparse()
+                dump_stats(
+                    out, f"{storage}-input", f"k{k} {corr_name}", matrix,
+                    data.gold_labels, data.lf_accuracies,
+                )
             for balance_name, balance in (("estimated", None), ("supplied", supplied)):
                 for storage in ("csr", "dense"):
                     matrix = LabelMatrix(dense, cardinality=k)
@@ -122,11 +140,132 @@ def dump(path: str) -> None:
         matrix = LabelMatrix(EDGE).to_sparse() if storage == "csr" else LabelMatrix(EDGE)
         model = GenerativeModel(epochs=10, seed=0).fit(matrix, correlations=[(0, 3)])
         record(f"em {storage}-input fit/edge", model, {f"train {storage}": matrix})
+        dump_stats(
+            out, f"{storage}-input", "edge", matrix,
+            np.array([1, -1, 1, -1, 1]), np.array([0.8, 0.7, 0.6, 0.9]),
+        )
     dump_end_models(out)
     dump_pipelines(out)
     with open(path, "wb") as handle:
         pickle.dump(out, handle)
     print(f"{len(out)} records -> {path}")
+
+
+def dump_stats(out: dict, storage: str, case: str, matrix, gold, lf_accuracies) -> None:
+    """Everything read off one Λ besides the label-model fit."""
+    from repro.labeling import LFAnalysis
+    from repro.labeling.sparse import class_vote_counts
+    from repro.labelmodel import (
+        MajorityVoter,
+        ModelingStrategyOptimizer,
+        MultiClassMajorityVoter,
+        StructureLearner,
+        WeightedMajorityVoter,
+        modeling_advantage,
+    )
+    from repro.labelmodel.advantage import estimate_advantage_bound_detail
+
+    def put(group, name, value):
+        # NaN (an LF with no votes has no accuracy) would never diff as equal.
+        value = np.nan_to_num(np.asarray(value, dtype=float), nan=-1.0)
+        out[f"stats {storage} {group}/{case} {name}"] = value
+
+    def pairs_of(lists):
+        return [[j, value] for j, values in enumerate(lists) for value in values]
+
+    k, num_lfs = matrix.cardinality, matrix.num_lfs
+    labels = (-1, 1) if k == 2 else range(1, k + 1)
+    weights = 0.5 * np.log(lf_accuracies * (k - 1) / (1 - lf_accuracies))
+
+    put("LabelMatrix", "density, coverage", [matrix.label_density(), matrix.coverage()])
+    put("LabelMatrix", "lf_coverage", matrix.lf_coverage())
+    put("LabelMatrix", "lf_polarity", pairs_of(matrix.lf_polarity()))
+    put("LabelMatrix", "class_balance", sorted(matrix.class_balance().items()))
+    put("LabelMatrix", "vote_counts", [matrix.vote_counts(label) for label in labels])
+    put("LabelMatrix", "covered_rows", matrix.covered_rows())
+    put("LabelMatrix", "row_sums", matrix.row_sums())
+
+    analysis = LFAnalysis(matrix)
+    put(
+        "LFAnalysis",
+        "matrix level",
+        [
+            analysis.coverage(),
+            analysis.label_density(),
+            analysis.overlap_fraction(),
+            analysis.conflict_fraction(),
+        ],
+    )
+    put("LFAnalysis", "lf_coverages", analysis.lf_coverages())
+    put("LFAnalysis", "lf_overlaps", analysis.lf_overlaps())
+    put("LFAnalysis", "lf_conflicts", analysis.lf_conflicts())
+    put("LFAnalysis", "lf_empirical_accuracies", analysis.lf_empirical_accuracies(gold))
+    for name, summary in (("no gold", analysis.summary()), ("gold", analysis.summary(gold))):
+        put(
+            "LFAnalysis",
+            f"summary {name}",
+            [
+                [
+                    row.coverage,
+                    row.overlap,
+                    row.conflict,
+                    -1.0 if row.empirical_accuracy is None else row.empirical_accuracy,
+                    row.num_labeled,
+                ]
+                for row in summary
+            ],
+        )
+        put("LFAnalysis", f"summary {name} polarity", pairs_of(row.polarity for row in summary))
+
+    if k == 2:
+        voter = MajorityVoter()
+        put("voters", "MV scores", voter.vote_scores(matrix))
+        put("voters", "MV predict_proba", voter.predict_proba(matrix))
+        put("voters", "MV predict", voter.predict(matrix))
+        weighted = WeightedMajorityVoter(weights)
+        put("weighted vote", "WMV scores", weighted.vote_scores(matrix))
+        put("weighted vote", "WMV predict_proba", weighted.predict_proba(matrix))
+        put("voters", "WMV predict", weighted.predict(matrix))
+        put("advantage", "modeling_advantage", modeling_advantage(matrix, gold, weights))
+        detail = estimate_advantage_bound_detail(matrix)
+        put(
+            "advantage",
+            "bound detail",
+            [
+                detail.bound,
+                detail.label_density,
+                detail.num_candidates,
+                detail.num_disagreement_rows,
+            ],
+        )
+    else:
+        voter = MultiClassMajorityVoter(k)
+        put("voters", "multi-class MV predict_proba", voter.predict_proba(matrix))
+        put("voters", "multi-class MV predict", voter.predict(matrix))
+        put("voters", "class_vote_counts", class_vote_counts(matrix, k))
+        put("voters", "class_vote_counts weighted", class_vote_counts(matrix, k, weights))
+
+    learner = StructureLearner(seed=0).fit(matrix)
+    put("structure", "fit weights", learner.dependency_weights_)
+    for threshold in (0.05, 0.2):
+        put("structure", f"select {threshold}", learner.select(threshold))
+    nodes = [0, num_lfs - 1]
+    learner.dependency_weights_[nodes] = 7.0  # refit_nodes must overwrite exactly these rows
+    put("structure", "refit_nodes weights", learner.refit_nodes(matrix, nodes).dependency_weights_)
+
+    strategy = ModelingStrategyOptimizer().choose(matrix)
+    threshold = strategy.correlation_threshold
+    put(
+        "optimizer",
+        "strategy, bound, threshold",
+        [
+            strategy.use_generative_model,
+            strategy.advantage_bound,
+            -1.0 if threshold is None else threshold,
+        ],
+    )
+    put("optimizer", "pairs", strategy.correlations)
+    put("optimizer", "sweep sizes", [point.num_correlations for point in strategy.sweep])
 
 
 class _Killed(Exception):

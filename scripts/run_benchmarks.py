@@ -129,8 +129,7 @@ def measure(quick: bool = False) -> dict:
     values, not comparable to a full snapshot.
     """
     import numpy as np
-
-    from repro.labeling.sparse import HAVE_SCIPY
+    import scipy
 
     scaling = _load_bench_module("bench_sparse_scaling")
     applier = _load_bench_module("bench_applier_engine")
@@ -288,7 +287,7 @@ def measure(quick: bool = False) -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy_backend": HAVE_SCIPY,
+        "scipy": scipy.__version__,
         "quick": quick,
         "benchmarks": {
             "sparse_scaling": {"records": scaling_records},

@@ -5,9 +5,8 @@ few hundred of the ``num_features`` hash buckets — yet the featurizers
 historically materialized dense ``(m, num_features)`` float arrays.
 :class:`CSRFeatureMatrix` is the float analogue of
 :class:`repro.labeling.sparse.SparseLabelMatrix`: canonical numpy
-``indptr`` / ``indices`` / ``data`` arrays, scipy-routed linear algebra when
-:mod:`scipy.sparse` is importable, and pure-numpy fallbacks otherwise (the
-same ``FORCE_NUMPY_FALLBACK`` switch covers both modules).
+``indptr`` / ``indices`` / ``data`` arrays shared with :mod:`scipy.sparse`
+without a copy (``to_scipy``), whose row selection and products it uses.
 
 The class implements exactly the operations the noise-aware end models use —
 row selection (``X[rows]``), matrix-vector products (``X @ w``), and
@@ -21,9 +20,9 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 import numpy as np
+import scipy.sparse as scipy_sparse
 
 from repro.exceptions import ConfigurationError
-from repro.labeling.sparse import HAVE_SCIPY, _ranges_gather, _scipy_sparse, _use_scipy
 
 
 class CSRFeatureMatrix:
@@ -124,9 +123,7 @@ class CSRFeatureMatrix:
 
     def to_scipy(self):
         """View as ``scipy.sparse.csr_matrix`` (shares the underlying arrays)."""
-        if not HAVE_SCIPY:  # pragma: no cover - only reachable without scipy
-            raise ConfigurationError("scipy is not available in this environment")
-        return _scipy_sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        return scipy_sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
     def toarray(self) -> np.ndarray:
         """Materialize the dense ``(m, num_features)`` float matrix."""
@@ -170,19 +167,8 @@ class CSRFeatureMatrix:
             row_indices = np.flatnonzero(row_indices)
         else:
             row_indices = row_indices.astype(np.int64)
-        if _use_scipy():
-            selected = self.to_scipy()[row_indices]
-            return CSRFeatureMatrix(
-                selected.indptr, selected.indices, selected.data, selected.shape
-            )
-        starts = self.indptr[row_indices]
-        counts = self.indptr[row_indices + 1] - starts
-        gather = _ranges_gather(starts, counts)
-        indptr = np.zeros(row_indices.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return CSRFeatureMatrix(
-            indptr, self.indices[gather], self.data[gather], (row_indices.size, self.shape[1])
-        )
+        selected = self.to_scipy()[row_indices]
+        return CSRFeatureMatrix(selected.indptr, selected.indices, selected.data, selected.shape)
 
     def __matmul__(self, weights: np.ndarray) -> np.ndarray:
         """``X @ w`` — per-example weighted feature sums."""
@@ -191,11 +177,7 @@ class CSRFeatureMatrix:
             raise ConfigurationError(
                 f"expected {self.shape[1]} weights, got shape {weights.shape}"
             )
-        if _use_scipy():
-            return self.to_scipy() @ weights
-        return np.bincount(
-            self._entry_rows(), weights=self.data * weights[self.indices], minlength=self.shape[0]
-        )
+        return self.to_scipy() @ weights
 
     def rmatvec(self, values: np.ndarray) -> np.ndarray:
         """``X.T @ v`` — per-feature sums weighted by per-example values."""
@@ -204,11 +186,7 @@ class CSRFeatureMatrix:
             raise ConfigurationError(
                 f"expected {self.shape[0]} values, got shape {values.shape}"
             )
-        if _use_scipy():
-            return self.to_scipy().T @ values
-        return np.bincount(
-            self.indices, weights=self.data * values[self._entry_rows()], minlength=self.shape[1]
-        )
+        return self.to_scipy().T @ values
 
     @property
     def T(self) -> "_TransposedFeatureMatrix":
@@ -248,7 +226,7 @@ def as_float_features(features) -> FeatureMatrixLike:
     """
     if isinstance(features, CSRFeatureMatrix):
         return features
-    if HAVE_SCIPY and _scipy_sparse is not None and _scipy_sparse.issparse(features):
+    if scipy_sparse.issparse(features):
         csr = features.tocsr().astype(np.float64)
         return CSRFeatureMatrix(csr.indptr, csr.indices, csr.data, csr.shape)
     return np.asarray(features, dtype=float)
@@ -264,6 +242,6 @@ def as_dense_features(features) -> np.ndarray:
     """
     if isinstance(features, CSRFeatureMatrix):
         return features.toarray()
-    if HAVE_SCIPY and _scipy_sparse is not None and _scipy_sparse.issparse(features):
+    if scipy_sparse.issparse(features):
         return np.asarray(features.todense(), dtype=float)
     return np.asarray(features, dtype=float)

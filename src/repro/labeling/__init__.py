@@ -6,12 +6,12 @@ This package reproduces the paper's "flexible interface for sources"
 classifiers), labeling-function generators, an applier producing the label
 matrix Λ, and analysis utilities (coverage / overlap / conflict / accuracy).
 
-Label matrices come with two storage backends.  The default is a dense
-integer array; ``LabelMatrix.to_sparse()`` (or ``LFApplier.apply(...,
-sparse=True)``) switches to :class:`repro.labeling.sparse.SparseLabelMatrix`,
-a CSR-style store of only the non-abstain entries.  Every consumer dispatches
-on the backend automatically — dense call sites keep working unchanged, while
-the label-model hot paths consume the sparse storage without densifying.
+A label matrix can be held as a dense integer array (the default) or, via
+``LabelMatrix.to_sparse()`` / ``LFApplier.apply(..., sparse=True)``, as a
+:class:`repro.labeling.sparse.SparseLabelMatrix` — a CSR store of only the
+non-abstain entries.  That is a memory-layout choice only: every statistic
+and downstream consumer computes on the CSR entries (``LabelMatrix.csr``,
+lowered once per matrix), so both holdings give identical results.
 
 LF application itself runs on the :mod:`repro.labeling.engine` execution
 engine: an execution plan (chunking policy) drives pluggable executors

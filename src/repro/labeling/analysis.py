@@ -4,6 +4,13 @@
 notebook interface reports to users while they iterate: coverage, overlap
 (how often another LF also votes), conflict (how often another LF disagrees),
 and — when a small labeled development set is available — empirical accuracy.
+
+Every statistic is a vectorized reduction over the CSR entries of Λ
+(:attr:`repro.labeling.matrix.LabelMatrix.csr`), O(nnz) whatever the
+matrix's backing: a row overlaps when it holds at least two votes and
+conflicts when its smallest and largest vote differ, and an LF's overlap /
+conflict / accuracy is the share of its entries that sit in such a row (or
+match the gold label).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.labeling.matrix import LabelMatrix
-from repro.types import ABSTAIN, validate_ground_truth
+from repro.types import validate_ground_truth
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,26 @@ class LFAnalysis:
     def __init__(self, label_matrix: LabelMatrix) -> None:
         self.label_matrix = label_matrix
 
+    def _conflict_rows(self) -> np.ndarray:
+        """Mask of rows whose votes disagree (smallest vote ≠ largest vote)."""
+        csr = self.label_matrix.csr
+        voted = np.flatnonzero(csr.row_nnz())
+        # Empty rows own no entries, so the voted rows' start offsets cut
+        # ``data`` into exactly one segment per voted row.
+        starts = csr.indptr[voted]
+        conflicts = np.zeros(csr.shape[0], dtype=bool)
+        conflicts[voted] = np.minimum.reduceat(csr.data, starts) != np.maximum.reduceat(
+            csr.data, starts
+        )
+        return conflicts
+
+    def _lf_share(self, entry_mask: np.ndarray, empty: float) -> np.ndarray:
+        """Per-LF fraction of its entries selected by ``entry_mask`` (``empty`` if none)."""
+        csr = self.label_matrix.csr
+        hits = np.bincount(csr.indices[entry_mask], minlength=csr.shape[1])
+        votes = csr.col_nnz()
+        return np.divide(hits, votes, out=np.full(csr.shape[1], empty), where=votes > 0)
+
     # ------------------------------------------------------------- matrix-level
     def coverage(self) -> float:
         """Fraction of candidates receiving at least one label."""
@@ -47,21 +74,13 @@ class LFAnalysis:
 
     def overlap_fraction(self) -> float:
         """Fraction of candidates labeled by at least two LFs."""
-        counts = self.label_matrix.non_abstain_mask.sum(axis=1)
-        if counts.size == 0:
-            return 0.0
-        return float((counts >= 2).mean())
+        overlaps = self.label_matrix.csr.row_nnz() >= 2
+        return float(overlaps.mean()) if overlaps.size else 0.0
 
     def conflict_fraction(self) -> float:
         """Fraction of candidates where two non-abstaining LFs disagree."""
-        values = self.label_matrix.values
-        conflicts = np.zeros(values.shape[0], dtype=bool)
-        for i in range(values.shape[0]):
-            row = values[i][values[i] != ABSTAIN]
-            conflicts[i] = row.size > 1 and np.unique(row).size > 1
-        if conflicts.size == 0:
-            return 0.0
-        return float(conflicts.mean())
+        conflicts = self._conflict_rows()
+        return float(conflicts.mean()) if conflicts.size else 0.0
 
     # ----------------------------------------------------------------- per-LF
     def lf_coverages(self) -> np.ndarray:
@@ -70,34 +89,13 @@ class LFAnalysis:
 
     def lf_overlaps(self) -> np.ndarray:
         """Per-LF fraction of its labeled candidates also labeled by another LF."""
-        values = self.label_matrix.values
-        non_abstain = values != ABSTAIN
-        row_counts = non_abstain.sum(axis=1)
-        overlaps = np.zeros(values.shape[1])
-        for j in range(values.shape[1]):
-            labeled = non_abstain[:, j]
-            if labeled.sum() == 0:
-                overlaps[j] = 0.0
-            else:
-                overlaps[j] = float((row_counts[labeled] >= 2).mean())
-        return overlaps
+        csr = self.label_matrix.csr
+        return self._lf_share((csr.row_nnz() >= 2)[csr.entry_rows()], empty=0.0)
 
     def lf_conflicts(self) -> np.ndarray:
         """Per-LF fraction of its labeled candidates where some other LF disagrees."""
-        values = self.label_matrix.values
-        non_abstain = values != ABSTAIN
-        conflicts = np.zeros(values.shape[1])
-        for j in range(values.shape[1]):
-            labeled_rows = np.flatnonzero(non_abstain[:, j])
-            if labeled_rows.size == 0:
-                continue
-            disagree = 0
-            for i in labeled_rows:
-                others = values[i][non_abstain[i]]
-                if np.any(others != values[i, j]):
-                    disagree += 1
-            conflicts[j] = disagree / labeled_rows.size
-        return conflicts
+        entry_rows = self.label_matrix.csr.entry_rows()
+        return self._lf_share(self._conflict_rows()[entry_rows], empty=0.0)
 
     def lf_empirical_accuracies(
         self, gold_labels: Sequence[int] | np.ndarray
@@ -112,14 +110,8 @@ class LFAnalysis:
                 f"gold labels have length {gold.shape[0]}, expected "
                 f"{self.label_matrix.num_candidates}"
             )
-        values = self.label_matrix.values
-        accuracies = np.full(values.shape[1], np.nan)
-        for j in range(values.shape[1]):
-            voted = values[:, j] != ABSTAIN
-            if voted.sum() == 0:
-                continue
-            accuracies[j] = float((values[voted, j] == gold[voted]).mean())
-        return accuracies
+        csr = self.label_matrix.csr
+        return self._lf_share(csr.data == gold[csr.entry_rows()], empty=np.nan)
 
     def summary(
         self, gold_labels: Optional[Sequence[int] | np.ndarray] = None

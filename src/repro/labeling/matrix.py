@@ -6,20 +6,18 @@ the summary quantities the paper's analysis and optimizer rely on — most
 importantly the label density ``d_Λ`` (mean number of non-abstaining labels
 per data point).
 
-Two storage backends are supported and dispatched on transparently:
-
-* **dense** — an integer numpy array, the default and the right choice for
-  small or high-coverage matrices;
-* **sparse** — a :class:`repro.labeling.sparse.SparseLabelMatrix` holding only
-  the non-abstain entries in CSR form, the right choice for the low-coverage
-  matrices real LF suites produce.
-
-``to_sparse()`` / ``to_dense()`` convert between the two; every statistic on
-this class (``label_density``, ``coverage``, ``lf_coverage``,
-``class_balance``, ``vote_counts``, …) has a sparse-aware implementation, and
-the label-model hot paths consume the sparse storage without densifying.
-Accessing ``.values`` on a sparse-backed matrix materializes a dense copy —
-it exists for compatibility, not for hot paths.
+A matrix is *held* either as a dense integer array or as a
+:class:`repro.labeling.sparse.SparseLabelMatrix` (CSR, non-abstain entries
+only) — a memory-layout choice, preserved by the slicing methods and
+converted by ``to_sparse()`` / ``to_dense()``.  It is *computed on* in one
+form, :attr:`LabelMatrix.csr`: a dense-backed matrix lowers itself on first
+use and keeps the result, so the statistics here and a whole chain of
+downstream consumers read the same entries and lower once.  The wrapper
+therefore treats its array as immutable — ``.values`` is a read-only view
+(on a sparse-backed matrix a fresh dense copy: compatibility, not hot paths).
+That binds the caller too: an ``int64`` array is wrapped without a copy, and
+a write to it after wrapping is neither re-validated nor seen by the kept
+lowering — wrap ``array.copy()`` to keep editing the original.
 """
 
 from __future__ import annotations
@@ -27,9 +25,10 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as scipy_sparse
 
 from repro.exceptions import LabelingError
-from repro.labeling.sparse import HAVE_SCIPY, SparseLabelMatrix, _scipy_sparse
+from repro.labeling.sparse import SparseLabelMatrix
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE, validate_label_matrix
 
 
@@ -50,7 +49,7 @@ def _validate_sparse_labels(storage: SparseLabelMatrix, cardinality: int) -> Non
 
 
 class LabelMatrix:
-    """A validated label matrix with named labeling-function columns."""
+    """A validated, immutable label matrix with named labeling-function columns."""
 
     def __init__(
         self,
@@ -58,18 +57,18 @@ class LabelMatrix:
         lf_names: Optional[Sequence[str]] = None,
         cardinality: int = 2,
     ) -> None:
+        if scipy_sparse.issparse(values):
+            values = SparseLabelMatrix.from_scipy(values)
+        # ``_csr`` is the form every computation reads; ``_dense`` is set only
+        # for dense-backed matrices, whose ``_csr`` is filled in on first use.
         if isinstance(values, SparseLabelMatrix):
             _validate_sparse_labels(values, cardinality)
-            self._sparse: Optional[SparseLabelMatrix] = values
+            self._csr: Optional[SparseLabelMatrix] = values
             self._dense: Optional[np.ndarray] = None
-        elif HAVE_SCIPY and _scipy_sparse is not None and _scipy_sparse.issparse(values):
-            storage = SparseLabelMatrix.from_scipy(values)
-            _validate_sparse_labels(storage, cardinality)
-            self._sparse = storage
-            self._dense = None
         else:
-            self._dense = validate_label_matrix(values, cardinality=cardinality)
-            self._sparse = None
+            self._dense = validate_label_matrix(values, cardinality=cardinality).view()
+            self._dense.flags.writeable = False
+            self._csr = None
         self.cardinality = cardinality
         if lf_names is None:
             lf_names = [f"lf_{j}" for j in range(self.shape[1])]
@@ -83,41 +82,44 @@ class LabelMatrix:
     @property
     def is_sparse(self) -> bool:
         """Whether this matrix is stored sparsely (non-abstain entries only)."""
-        return self._sparse is not None
+        return self._dense is None
 
     @property
     def storage(self) -> Union[np.ndarray, SparseLabelMatrix]:
         """The backing storage object (ndarray or :class:`SparseLabelMatrix`)."""
-        return self._sparse if self._sparse is not None else self._dense
+        return self._csr if self._dense is None else self._dense
+
+    @property
+    def csr(self) -> SparseLabelMatrix:
+        """Λ as CSR entries, the form every statistic and consumer reads
+        (a dense-backed matrix compresses itself on first use and keeps it)."""
+        if self._csr is None:
+            self._csr = SparseLabelMatrix.from_dense(self._dense)
+        return self._csr
 
     @property
     def values(self) -> np.ndarray:
-        """The dense integer array.
+        """The dense integer array (a read-only view).
 
         For sparse storage this materializes a dense copy on every access;
-        prefer :attr:`storage` (and the sparse-aware statistics on this class)
-        in performance-sensitive code.
+        prefer :attr:`csr` in performance-sensitive code.
         """
         if self._dense is not None:
             return self._dense
-        return self._sparse.to_dense()
+        return self._csr.to_dense()
 
     def to_sparse(self) -> "LabelMatrix":
         """This matrix with sparse (CSR) storage (self if already sparse)."""
         if self.is_sparse:
             return self
-        return LabelMatrix(
-            SparseLabelMatrix.from_dense(self._dense),
-            lf_names=self.lf_names,
-            cardinality=self.cardinality,
-        )
+        return LabelMatrix(self.csr, lf_names=self.lf_names, cardinality=self.cardinality)
 
     def to_dense(self) -> "LabelMatrix":
         """This matrix with dense storage (self if already dense)."""
         if not self.is_sparse:
             return self
         return LabelMatrix(
-            self._sparse.to_dense(), lf_names=self.lf_names, cardinality=self.cardinality
+            self._csr.to_dense(), lf_names=self.lf_names, cardinality=self.cardinality
         )
 
     @classmethod
@@ -128,17 +130,13 @@ class LabelMatrix:
         cardinality: int = 2,
     ) -> "LabelMatrix":
         """Wrap an existing :class:`SparseLabelMatrix` (or scipy sparse matrix)."""
-        if not isinstance(storage, SparseLabelMatrix):
-            storage = SparseLabelMatrix.from_scipy(storage)
         return cls(storage, lf_names=lf_names, cardinality=cardinality)
 
     # ------------------------------------------------------------------ basics
     @property
     def shape(self) -> tuple[int, int]:
         """``(num_candidates, num_lfs)``."""
-        if self._dense is not None:
-            return self._dense.shape  # type: ignore[return-value]
-        return self._sparse.shape
+        return self.storage.shape
 
     @property
     def num_candidates(self) -> int:
@@ -161,7 +159,7 @@ class LabelMatrix:
             raise LabelingError(f"no labeling function named {lf_name!r}") from None
         if self._dense is not None:
             return self._dense[:, index]
-        rows, vals = self._sparse.column(index)
+        rows, vals = self._csr.column(index)
         column = np.full(self.num_candidates, ABSTAIN, dtype=np.int64)
         column[rows] = vals
         return column
@@ -182,7 +180,7 @@ class LabelMatrix:
         if self._dense is not None:
             selected: Union[np.ndarray, SparseLabelMatrix] = self._dense[:, indices]
         else:
-            selected = self._sparse.select_columns(indices)
+            selected = self._csr.select_columns(indices)
         return LabelMatrix(
             selected,
             lf_names=[self.lf_names[i] for i in indices],
@@ -195,91 +193,59 @@ class LabelMatrix:
         if self._dense is not None:
             selected: Union[np.ndarray, SparseLabelMatrix] = self._dense[row_indices]
         else:
-            selected = self._sparse.select_rows(row_indices)
+            selected = self._csr.select_rows(row_indices)
         return LabelMatrix(selected, lf_names=self.lf_names, cardinality=self.cardinality)
 
     # --------------------------------------------------------------- statistics
-    @property
-    def non_abstain_mask(self) -> np.ndarray:
-        """Boolean mask of non-abstaining entries (dense, ``(m, n)``)."""
-        if self._dense is not None:
-            return self._dense != ABSTAIN
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[self._sparse.entry_rows(), self._sparse.indices] = True
-        return mask
-
     def label_density(self) -> float:
         """Mean number of non-abstaining labels per data point (paper's d_Λ)."""
         if self.num_candidates == 0:
             return 0.0
-        if self._sparse is not None:
-            return float(self._sparse.nnz / self.num_candidates)
-        return float(self.non_abstain_mask.sum(axis=1).mean())
+        return float(self.csr.nnz / self.num_candidates)
 
     def coverage(self) -> float:
         """Fraction of data points with at least one non-abstaining label."""
         if self.num_candidates == 0:
             return 0.0
-        if self._sparse is not None:
-            return float((self._sparse.row_nnz() > 0).mean())
-        return float((self.non_abstain_mask.sum(axis=1) > 0).mean())
+        return float(self.covered_rows().mean())
 
     def lf_coverage(self) -> np.ndarray:
         """Per-LF fraction of data points it labels."""
         if self.num_candidates == 0:
             return np.zeros(self.num_lfs)
-        if self._sparse is not None:
-            return self._sparse.col_nnz() / self.num_candidates
-        return self.non_abstain_mask.mean(axis=0)
+        return self.csr.col_nnz() / self.num_candidates
 
     def lf_polarity(self) -> list[list[int]]:
         """Per-LF sorted list of distinct non-abstain labels it emits."""
-        polarities = []
-        for j in range(self.num_lfs):
-            if self._sparse is not None:
-                _, vals = self._sparse.column(j)
-                polarities.append(sorted(int(v) for v in np.unique(vals)))
-            else:
-                column = self._dense[:, j]
-                polarities.append(sorted(int(v) for v in np.unique(column[column != ABSTAIN])))
+        csr = self.csr
+        polarities: list[list[int]] = [[] for _ in range(self.num_lfs)]
+        if csr.nnz:
+            # One sort over (column, label) codes; the loop below visits the
+            # distinct pairs (at most n·k), never the votes.
+            low = int(csr.data.min())
+            span = int(csr.data.max()) - low + 1
+            cols, labels = np.divmod(np.unique(csr.indices * span + (csr.data - low)), span)
+            for col, label in zip(cols.tolist(), (labels + low).tolist()):
+                polarities[col].append(label)
         return polarities
 
     def class_balance(self) -> dict[int, float]:
         """Distribution of emitted (non-abstain) labels across the matrix."""
-        if self._sparse is not None:
-            non_abstain = self._sparse.data
-        else:
-            non_abstain = self._dense[self._dense != ABSTAIN]
-        if non_abstain.size == 0:
-            return {}
-        labels, counts = np.unique(non_abstain, return_counts=True)
+        labels, counts = np.unique(self.csr.data, return_counts=True)
         total = counts.sum()
         return {int(label): float(count) / total for label, count in zip(labels, counts)}
 
     def vote_counts(self, label: int) -> np.ndarray:
         """Per-row counts of LFs voting exactly ``label`` (the paper's c_y(Λ_i))."""
-        if self._sparse is not None:
-            return self._sparse.count_per_row(label)
-        return (self._dense == label).sum(axis=1)
+        return self.csr.count_per_row(label)
 
     def covered_rows(self) -> np.ndarray:
         """Boolean mask of rows with at least one non-abstaining label."""
-        if self._sparse is not None:
-            return self._sparse.row_nnz() > 0
-        return (self._dense != ABSTAIN).any(axis=1)
+        return self.csr.row_nnz() > 0
 
     def row_sums(self) -> np.ndarray:
         """Per-row sum of the entries (the unweighted vote score ``f_1(Λ_i)``)."""
-        if self._sparse is not None:
-            return self._sparse.row_sums()
-        return self._dense.sum(axis=1).astype(float)
-
-    # ----------------------------------------------------------------- exports
-    def to_array(self) -> np.ndarray:
-        """Return a (dense) copy of the underlying integer array."""
-        if self._dense is not None:
-            return self._dense.copy()
-        return self._sparse.to_dense()
+        return self.csr.row_sums()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         backend = "sparse" if self.is_sparse else "dense"

@@ -7,12 +7,16 @@ compressed-sparse-row form — ``indptr`` / ``indices`` / ``data`` exactly as in
 ``scipy.sparse.csr_matrix`` — plus a cached column-major (CSC) view for the
 column-sliced access patterns of the label model and structure learner.
 
-The canonical representation is three numpy arrays, so the backend works
-without SciPy; when :mod:`scipy.sparse` is importable the heavy conversions
-and matvecs are routed through it (``to_scipy`` shares the arrays, no copy).
-All label-model hot paths (:mod:`repro.labelmodel.generative`,
-:mod:`repro.labelmodel.gibbs`, :mod:`repro.labelmodel.structure`) consume this
-storage directly without densifying.
+The representation is three numpy arrays in canonical order (row-major,
+column ids strictly increasing within a row), shared with :mod:`scipy.sparse`
+without a copy (``to_scipy``); row/column selection and the matvec are scipy's.
+
+This is the one form Λ is computed on.  :func:`lower_to_sparse` is the
+boundary: every statistic, voter, bound, structure fit, LF summary and EM
+fit takes whatever the caller holds — dense array, ``LabelMatrix`` of either
+backing, scipy matrix — through it and reads the entries.  Only the Gibbs
+sampler stack and Dawid-Skene still ask for a particular backing
+(:func:`as_sparse_storage` / :func:`as_dense_array`).
 """
 
 from __future__ import annotations
@@ -20,25 +24,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as scipy_sparse
 
-from repro.exceptions import LabelingError
+from repro.exceptions import LabelingError, LabelModelError
 from repro.types import ABSTAIN
-
-try:  # pragma: no cover - exercised implicitly on scipy-equipped machines
-    import scipy.sparse as _scipy_sparse
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - the pure-numpy fallback
-    _scipy_sparse = None
-    HAVE_SCIPY = False
-
-#: Set to True (e.g. by tests) to force the pure-numpy code paths even when
-#: scipy is installed, so both backends stay covered.
-FORCE_NUMPY_FALLBACK = False
-
-
-def _use_scipy() -> bool:
-    return HAVE_SCIPY and not FORCE_NUMPY_FALLBACK
 
 
 def ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -57,10 +46,6 @@ def ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     return np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-
-
-#: Backwards-compatible alias of :func:`ranges_gather` (pre-kernels name).
-_ranges_gather = ranges_gather
 
 
 def intersect_sorted(values_a: np.ndarray, values_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,6 +117,18 @@ class SparseLabelMatrix:
             raise LabelingError(f"column indices out of range for {n} labeling functions")
         if np.any(self.data == ABSTAIN):
             raise LabelingError("sparse label storage must not contain abstain entries")
+        # Canonical order is what the EM bit-identity, the sorted-slice
+        # intersections and the per-row reductions rest on.
+        ascending = np.ones(nnz, dtype=bool)
+        ascending[1:] = np.diff(self.indices) > 0
+        ascending[self.indptr[:-1][self.indptr[:-1] < nnz]] = True  # row starts
+        if not ascending.all():
+            entry = int(np.argmin(ascending))
+            row = int(np.searchsorted(self.indptr, entry, side="right")) - 1
+            raise LabelingError(
+                "column ids must be strictly increasing within each row; row "
+                f"{row} repeats or descends at column {int(self.indices[entry])}"
+            )
 
     # ------------------------------------------------------------- construction
     @classmethod
@@ -154,7 +151,10 @@ class SparseLabelMatrix:
         values: Sequence[int] | np.ndarray,
         shape: tuple[int, int],
     ) -> "SparseLabelMatrix":
-        """Build from ``(row, col, value)`` triples (any order; abstains dropped)."""
+        """Build from ``(row, col, value)`` triples (any order; abstains dropped).
+
+        A repeated ``(row, col)`` is rejected by the constructor's order check.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
@@ -168,13 +168,6 @@ class SparseLabelMatrix:
                 raise LabelingError(f"triples out of range for shape {(m, n)}")
         order = np.lexsort((cols, rows))
         rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size > 1:
-            duplicate = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if np.any(duplicate):
-                where = int(np.flatnonzero(duplicate)[0])
-                raise LabelingError(
-                    f"duplicate entry at (row={int(rows[where])}, col={int(cols[where])})"
-                )
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
         return cls(indptr, cols, values, (m, n))
@@ -182,8 +175,6 @@ class SparseLabelMatrix:
     @classmethod
     def from_scipy(cls, matrix) -> "SparseLabelMatrix":
         """Convert any scipy sparse matrix (zeros pruned away)."""
-        if not HAVE_SCIPY:  # pragma: no cover - only reachable without scipy
-            raise LabelingError("scipy is not available in this environment")
         csr = matrix.tocsr().astype(np.int64)
         csr.sum_duplicates()
         csr.eliminate_zeros()
@@ -192,11 +183,7 @@ class SparseLabelMatrix:
 
     def to_scipy(self):
         """View as a ``scipy.sparse.csr_matrix`` (shares the underlying arrays)."""
-        if not HAVE_SCIPY:  # pragma: no cover - only reachable without scipy
-            raise LabelingError("scipy is not available in this environment")
-        return _scipy_sparse.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=self.shape
-        )
+        return scipy_sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the dense ``(m, n)`` integer matrix (abstains as 0)."""
@@ -316,13 +303,7 @@ class SparseLabelMatrix:
             raise LabelingError(
                 f"expected {self.shape[1]} weights, got shape {column_weights.shape}"
             )
-        if _use_scipy():
-            return self.to_scipy() @ column_weights
-        return np.bincount(
-            self.entry_rows(),
-            weights=self.data * column_weights[self.indices],
-            minlength=self.shape[0],
-        )
+        return self.to_scipy() @ column_weights
 
     def row_sums(self) -> np.ndarray:
         """Per-row sum of the stored entries (the unweighted vote ``f_1``)."""
@@ -334,11 +315,6 @@ class SparseLabelMatrix:
         """Per-row count of entries equal to ``value``."""
         mask = self.data == value
         return np.bincount(self.entry_rows()[mask], minlength=self.shape[0])
-
-    def count_per_col(self, value: int) -> np.ndarray:
-        """Per-column count of entries equal to ``value``."""
-        mask = self.data == value
-        return np.bincount(self.indices[mask], minlength=self.shape[1])
 
     # ------------------------------------------------------------------ slicing
     @staticmethod
@@ -356,36 +332,12 @@ class SparseLabelMatrix:
     def select_rows(self, row_indices: Sequence[int] | np.ndarray) -> "SparseLabelMatrix":
         """Restrict (and reorder) to the given rows (indices or boolean mask)."""
         row_indices = self._normalize_indices(row_indices, self.shape[0])
-        if _use_scipy():
-            return SparseLabelMatrix.from_scipy(self.to_scipy()[row_indices])
-        starts = self.indptr[row_indices]
-        counts = self.indptr[row_indices + 1] - starts
-        gather = _ranges_gather(starts, counts)
-        indptr = np.zeros(row_indices.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return SparseLabelMatrix(
-            indptr, self.indices[gather], self.data[gather], (row_indices.size, self.shape[1])
-        )
+        return SparseLabelMatrix.from_scipy(self.to_scipy()[row_indices])
 
     def select_columns(self, col_indices: Sequence[int] | np.ndarray) -> "SparseLabelMatrix":
         """Restrict (and reorder) to the given columns (indices or boolean mask)."""
         col_indices = self._normalize_indices(col_indices, self.shape[1])
-        if _use_scipy():
-            return SparseLabelMatrix.from_scipy(self.to_scipy()[:, col_indices])
-        keep_positions = []
-        new_cols = []
-        for new_j, old_j in enumerate(col_indices):
-            positions = np.flatnonzero(self.indices == old_j)
-            keep_positions.append(positions)
-            new_cols.append(np.full(positions.size, new_j, dtype=np.int64))
-        positions = np.concatenate(keep_positions) if keep_positions else np.empty(0, np.int64)
-        cols = np.concatenate(new_cols) if new_cols else np.empty(0, np.int64)
-        return SparseLabelMatrix.from_triples(
-            self.entry_rows()[positions],
-            cols,
-            self.data[positions],
-            (self.shape[0], col_indices.size),
-        )
+        return SparseLabelMatrix.from_scipy(self.to_scipy()[:, col_indices])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         m, n = self.shape
@@ -403,25 +355,18 @@ def class_vote_counts(
     Returns an ``(m, cardinality)`` float array whose ``[i, c - 1]`` entry is
     the number of labeling functions voting class ``c`` on row ``i`` — or,
     with ``column_weights`` given, the sum of their weights.  The reduction is
-    one flattened ``bincount`` over the non-abstain entries for both storages
-    (sparse inputs are never densified), instead of one pass per class.
-    Shared by :class:`repro.labelmodel.majority.MultiClassMajorityVoter` and
-    the multi-class generative posterior.
+    one flattened ``bincount`` over the non-abstain entries instead of one
+    pass per class.  Shared by the multi-class majority voter and the
+    structure learner's anchor-class recoding.
 
     Labels must be categorical (``1..cardinality``; ``0`` = abstain) — signed
     binary matrices are rejected rather than silently miscounted.
     """
     if cardinality < 2:
         raise LabelingError(f"cardinality must be >= 2, got {cardinality}")
-    sparse = as_sparse_storage(label_matrix)
-    if sparse is not None:
-        num_rows = sparse.shape[0]
-        rows, cols, vals = sparse.entry_rows(), sparse.indices, sparse.data
-    else:
-        values = as_dense_array(label_matrix)
-        num_rows = values.shape[0]
-        rows, cols = np.nonzero(values != ABSTAIN)
-        vals = values[rows, cols]
+    sparse = lower_to_sparse(label_matrix)
+    num_rows = sparse.shape[0]
+    rows, cols, vals = sparse.entry_rows(), sparse.indices, sparse.data
     if vals.size and (vals.min() < 1 or vals.max() > cardinality):
         raise LabelingError(
             f"class_vote_counts expects categorical labels in 1..{cardinality} "
@@ -434,12 +379,35 @@ def class_vote_counts(
     return flat.reshape(num_rows, cardinality).astype(float)
 
 
+def lower_to_sparse(label_matrix) -> SparseLabelMatrix:
+    """Lower any accepted label-matrix input to CSR storage.
+
+    A :class:`repro.labeling.matrix.LabelMatrix` hands out its own lowering
+    (a dense-backed one compresses on first use and keeps the result, so a
+    chain of consumers lowers once); raw sparse inputs pass through; raw
+    dense arrays are compressed to their non-abstain entries (a non-2-D one
+    raises the :class:`LabelModelError` of the consumers this is the entry of).
+    """
+    from repro.labeling.matrix import LabelMatrix  # local import: avoid a cycle
+
+    if isinstance(label_matrix, LabelMatrix):
+        return label_matrix.csr
+    sparse = as_sparse_storage(label_matrix)
+    if sparse is not None:
+        return sparse
+    values = as_dense_array(label_matrix)
+    if values.ndim != 2:
+        raise LabelModelError(f"label matrix must be 2-D, got shape {values.shape}")
+    return SparseLabelMatrix.from_dense(values)
+
+
 def as_sparse_storage(label_matrix) -> Optional[SparseLabelMatrix]:
     """Return the :class:`SparseLabelMatrix` behind ``label_matrix``, if any.
 
     Accepts a sparse-backed :class:`repro.labeling.matrix.LabelMatrix`, a raw
     :class:`SparseLabelMatrix`, or a scipy sparse matrix; returns ``None`` for
-    dense inputs so callers can fall through to their dense implementation.
+    dense inputs.  For the samplers, which keep dense inputs dense; every
+    other consumer uses :func:`lower_to_sparse`.
     """
     from repro.labeling.matrix import LabelMatrix  # local import: avoid a cycle
 
@@ -447,7 +415,7 @@ def as_sparse_storage(label_matrix) -> Optional[SparseLabelMatrix]:
         return label_matrix
     if isinstance(label_matrix, LabelMatrix):
         return label_matrix.storage if label_matrix.is_sparse else None
-    if HAVE_SCIPY and _scipy_sparse.issparse(label_matrix):
+    if scipy_sparse.issparse(label_matrix):
         return SparseLabelMatrix.from_scipy(label_matrix)
     return None
 

@@ -33,15 +33,14 @@ This package is the reproduction of the paper's core technical contribution
   optimizer,
 * :mod:`repro.labelmodel.theory` — the low/high-density bounds of Section 3.1.
 
-Every estimator here accepts both dense label matrices and the CSR backend
-(:class:`repro.labeling.sparse.SparseLabelMatrix`, or a sparse-backed
-:class:`repro.labeling.LabelMatrix`), dispatching on the storage
-automatically.  EM lowers every input to CSR storage at its boundary and
-runs one kernel over the non-abstain entries (bit-identical results from
-either storage); the Gibbs sweeps in :mod:`gibbs` and the node-wise
-regressions in :mod:`structure` consume the sparse storage without
-densifying — so fit cost scales with the number of emitted labels (O(nnz))
-rather than with ``m·n``.
+Every estimator here accepts dense label matrices, CSR storage
+(:class:`repro.labeling.sparse.SparseLabelMatrix`) and a
+:class:`repro.labeling.LabelMatrix` of either backing.  EM, the voters, the
+advantage bound, the optimizer and the structure learner lower their input
+to CSR at the boundary (:func:`repro.labeling.sparse.lower_to_sparse`) and
+have one implementation over the non-abstain entries, so results do not
+depend on the backing and cost scales with the number of emitted labels;
+only the Gibbs sampler stack and Dawid-Skene still dispatch on it.
 
 Two label vocabularies are supported throughout: the paper's signed binary
 encoding (``{-1, 0, +1}``) and categorical labels (``0`` = abstain, classes

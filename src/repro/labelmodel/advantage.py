@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import as_dense_array, as_sparse_storage
-from repro.types import ABSTAIN, NEGATIVE, POSITIVE, validate_ground_truth
+from repro.labelmodel.majority import binary_storage
+from repro.types import NEGATIVE, POSITIVE, validate_ground_truth
 from repro.utils.mathutils import accuracy_to_log_odds, sigmoid
 
 #: Default weight-range assumption of the optimizer: accuracies between 62%
@@ -42,25 +42,18 @@ def modeling_advantage(
     """
     gold = validate_ground_truth(gold_labels).astype(float)
     weights = np.asarray(weights, dtype=float)
-    sparse = as_sparse_storage(label_matrix)
-    shape = sparse.shape if sparse is not None else as_dense_array(label_matrix).shape
-    if shape[0] != gold.shape[0]:
+    sparse = binary_storage(label_matrix)
+    num_rows, num_lfs = sparse.shape
+    if num_rows != gold.shape[0]:
         raise ValueError(
-            f"label matrix has {shape[0]} rows but {gold.shape[0]} gold labels given"
+            f"label matrix has {num_rows} rows but {gold.shape[0]} gold labels given"
         )
-    if shape[1] != weights.shape[0]:
+    if num_lfs != weights.shape[0]:
         raise ValueError(
-            f"label matrix has {shape[1]} LFs but {weights.shape[0]} weights given"
+            f"label matrix has {num_lfs} LFs but {weights.shape[0]} weights given"
         )
-    if sparse is not None:
-        weighted_scores = sparse.matvec(weights)
-        unweighted_scores = sparse.row_sums()
-    else:
-        matrix = as_dense_array(label_matrix).astype(float)
-        weighted_scores = matrix @ weights
-        unweighted_scores = matrix.sum(axis=1)
-    weighted_correct = gold * weighted_scores > 0
-    unweighted_correct = gold * unweighted_scores > 0
+    weighted_correct = gold * sparse.matvec(weights) > 0
+    unweighted_correct = gold * sparse.row_sums() > 0
     gains = np.logical_and(weighted_correct, ~unweighted_correct)
     losses = np.logical_and(~weighted_correct, unweighted_correct)
     return float(gains.mean() - losses.mean())
@@ -118,20 +111,12 @@ def estimate_advantage_bound_detail(
         raise ValueError(
             f"weight range must satisfy 0 < w_min <= w_mean <= w_max, got {weight_range}"
         )
-    sparse = as_sparse_storage(label_matrix)
-    if sparse is not None:
-        m = sparse.shape[0]
-        if m == 0:
-            return AdvantageBoundDetail(0.0, 0.0, 0, 0)
-        positive_counts = sparse.count_per_row(POSITIVE).astype(float)
-        negative_counts = sparse.count_per_row(NEGATIVE).astype(float)
-    else:
-        matrix = as_dense_array(label_matrix)
-        m = matrix.shape[0]
-        if m == 0:
-            return AdvantageBoundDetail(0.0, 0.0, 0, 0)
-        positive_counts = (matrix == POSITIVE).sum(axis=1).astype(float)
-        negative_counts = (matrix == NEGATIVE).sum(axis=1).astype(float)
+    sparse = binary_storage(label_matrix)
+    m = sparse.shape[0]
+    if m == 0:
+        return AdvantageBoundDetail(0.0, 0.0, 0, 0)
+    positive_counts = sparse.count_per_row(POSITIVE).astype(float)
+    negative_counts = sparse.count_per_row(NEGATIVE).astype(float)
     unweighted = positive_counts - negative_counts
     mean_weighted = w_mean * unweighted
 
@@ -147,13 +132,9 @@ def estimate_advantage_bound_detail(
         disagreement_rows += int(eligible.sum())
         total += float(np.sum(eligible * sigmoid(2.0 * mean_weighted * y)))
 
-    if sparse is not None:
-        label_density = float(sparse.nnz / m)
-    else:
-        label_density = float((matrix != ABSTAIN).sum(axis=1).mean())
     return AdvantageBoundDetail(
         bound=total / m,
-        label_density=label_density,
+        label_density=float(sparse.nnz / m),
         num_candidates=m,
         num_disagreement_rows=disagreement_rows,
     )

@@ -6,8 +6,9 @@ model's ``update`` / ``drain``.  The kernel sees a label matrix only as its
 non-abstain ``(row, col, value)`` triples in canonical CSR order
 (:class:`Entries`, built once per matrix by :func:`build_entries`); any
 other input — dense array, dense-backed ``LabelMatrix``, scipy matrix — is
-lowered to CSR storage at the boundary (:func:`lower_to_sparse`), so work
-per epoch is O(nnz) plus O(m·k) for the row posteriors.
+lowered to CSR storage at the boundary
+(:func:`repro.labeling.sparse.lower_to_sparse`), so work per epoch is
+O(nnz) plus O(m·k) for the row posteriors.
 
 Cardinality is a parameter.  Each labeling function has one accuracy
 ``a_j`` with errors uniform over the ``k - 1`` wrong classes, i.e. accuracy
@@ -31,12 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import LabelModelError
-from repro.labeling.sparse import (
-    SparseLabelMatrix,
-    as_dense_array,
-    as_sparse_storage,
-    intersect_sorted,
-)
+from repro.labeling.sparse import SparseLabelMatrix, intersect_sorted
 from repro.types import NEGATIVE, POSITIVE
 from repro.utils.mathutils import sigmoid, softmax
 
@@ -130,21 +126,6 @@ class Entries(NamedTuple):
     pair_agreement: np.ndarray
 
 
-def lower_to_sparse(label_matrix) -> SparseLabelMatrix:
-    """Lower any accepted label-matrix input to CSR storage.
-
-    Sparse-backed inputs (``LabelMatrix``, :class:`SparseLabelMatrix`, scipy)
-    pass through; dense ones are compressed to their non-abstain entries.
-    """
-    sparse = as_sparse_storage(label_matrix)
-    if sparse is not None:
-        return sparse
-    values = as_dense_array(label_matrix)
-    if values.ndim != 2:
-        raise LabelModelError(f"label matrix must be 2-D, got shape {values.shape}")
-    return SparseLabelMatrix.from_dense(values)
-
-
 def validate_label_values(values: np.ndarray, cardinality: int) -> None:
     """Cheap (min/max) vocabulary check so a mismatched matrix fails loudly."""
     if values.size == 0:
@@ -154,7 +135,9 @@ def validate_label_values(values: np.ndarray, cardinality: int) -> None:
         if low < NEGATIVE or high > POSITIVE:
             raise LabelModelError(
                 f"binary label matrices use values in {{-1, 0, +1}}, got range "
-                f"[{low}, {high}]; pass cardinality= for categorical tasks"
+                f"[{low}, {high}]; a categorical task declares its cardinality "
+                "(LabelMatrix(values, cardinality=k), cardinality= on the label "
+                "model) and votes with MultiClassMajorityVoter"
             )
     elif low < 0 or high > cardinality:
         raise LabelModelError(

@@ -66,7 +66,12 @@ import numpy as np
 from repro.discriminative.adam import AdamOptimizer
 from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import SparseLabelMatrix, as_dense_array, as_sparse_storage
+from repro.labeling.sparse import (
+    SparseLabelMatrix,
+    as_dense_array,
+    as_sparse_storage,
+    lower_to_sparse,
+)
 from repro.labelmodel.em import (
     EMParams,
     TrainingHistory,
@@ -74,7 +79,6 @@ from repro.labelmodel.em import (
     build_entries,
     e_step,
     initial_prior,
-    lower_to_sparse,
     run_em,
     validate_label_values,
 )

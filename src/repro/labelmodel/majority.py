@@ -3,6 +3,9 @@
 The unweighted majority vote is both the baseline the generative model is
 compared against (Definition 1's ``f_1``) and the strategy the Algorithm-1
 optimizer falls back to when the predicted modeling advantage is small.
+
+Every voter reads the CSR entries of Λ; the binary-only ones enter through
+:func:`binary_storage`, which refuses categorical labels.
 """
 
 from __future__ import annotations
@@ -13,9 +16,38 @@ import numpy as np
 
 from repro.exceptions import LabelModelError
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import as_dense_array, as_sparse_storage, class_vote_counts
+from repro.labeling.sparse import SparseLabelMatrix, class_vote_counts, lower_to_sparse
+from repro.labelmodel.em import validate_label_values
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 from repro.utils.mathutils import sigmoid
+
+
+def binary_storage(label_matrix: LabelMatrix | np.ndarray) -> SparseLabelMatrix:
+    """The CSR entries of a signed binary Λ, refusing any other label.
+
+    The shared entry of the binary-only consumers: the two signed voters,
+    the modeling advantage and its bound.  A :class:`LabelMatrix` is held to
+    its declared cardinality, whatever votes it happens to store.
+    """
+    if isinstance(label_matrix, LabelMatrix) and label_matrix.cardinality != 2:
+        raise LabelModelError(
+            f"binary labels {{-1, 0, +1}} required, got a LabelMatrix of cardinality "
+            f"{label_matrix.cardinality}: vote with MultiClassMajorityVoter"
+        )
+    storage = lower_to_sparse(label_matrix)
+    validate_label_values(storage.data, 2)
+    return storage
+
+
+def majority_vote_proba(label_matrix: LabelMatrix) -> np.ndarray:
+    """Unweighted-vote training labels by the matrix's declared cardinality.
+
+    ``(m,)`` positive-class probabilities for binary tasks, ``(m, k)`` class
+    distributions for categorical ones.
+    """
+    if label_matrix.cardinality == 2:
+        return MajorityVoter().predict_proba(label_matrix)
+    return MultiClassMajorityVoter(label_matrix.cardinality).predict_proba(label_matrix)
 
 
 class MajorityVoter:
@@ -27,11 +59,8 @@ class MajorityVoter:
     """
 
     def vote_scores(self, label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
-        """The raw vote sums ``f_1(Λ_i)`` (sparse inputs stay sparse)."""
-        sparse = as_sparse_storage(label_matrix)
-        if sparse is not None:
-            return sparse.row_sums()
-        return as_dense_array(label_matrix).sum(axis=1).astype(float)
+        """The raw vote sums ``f_1(Λ_i)``."""
+        return binary_storage(label_matrix).row_sums()
 
     def predict_proba(self, label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
         """Positive-class probabilities.
@@ -41,14 +70,9 @@ class MajorityVoter:
         which reproduces the "unweighted average of LF outputs" the paper's
         Table 5 baseline trains on.
         """
-        sparse = as_sparse_storage(label_matrix)
-        if sparse is not None:
-            positive = sparse.count_per_row(POSITIVE).astype(float)
-            negative = sparse.count_per_row(NEGATIVE).astype(float)
-        else:
-            values = as_dense_array(label_matrix)
-            positive = (values == POSITIVE).sum(axis=1).astype(float)
-            negative = (values == NEGATIVE).sum(axis=1).astype(float)
+        sparse = binary_storage(label_matrix)
+        positive = sparse.count_per_row(POSITIVE).astype(float)
+        negative = sparse.count_per_row(NEGATIVE).astype(float)
         total = positive + negative
         probs = np.full(positive.shape[0], 0.5)
         voted = total > 0
@@ -78,21 +102,13 @@ class WeightedMajorityVoter:
             raise LabelModelError(f"weights must be 1-dimensional, got shape {self.weights.shape}")
 
     def vote_scores(self, label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
-        """The weighted vote sums ``f_w(Λ_i)`` (sparse matvec for sparse inputs)."""
-        sparse = as_sparse_storage(label_matrix)
-        if sparse is not None:
-            if sparse.shape[1] != self.weights.shape[0]:
-                raise LabelModelError(
-                    f"label matrix has {sparse.shape[1]} LFs but "
-                    f"{self.weights.shape[0]} weights given"
-                )
-            return sparse.matvec(self.weights)
-        values = as_dense_array(label_matrix)
-        if values.shape[1] != self.weights.shape[0]:
+        """The weighted vote sums ``f_w(Λ_i)`` (one sparse matvec)."""
+        sparse = binary_storage(label_matrix)
+        if sparse.shape[1] != self.weights.shape[0]:
             raise LabelModelError(
-                f"label matrix has {values.shape[1]} LFs but {self.weights.shape[0]} weights given"
+                f"label matrix has {sparse.shape[1]} LFs but {self.weights.shape[0]} weights given"
             )
-        return values @ self.weights
+        return sparse.matvec(self.weights)
 
     def predict_proba(self, label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
         """Posterior positive-class probabilities ``σ(2 f_w(Λ_i))``.

@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import SparseLabelMatrix
+from repro.labeling.sparse import SparseLabelMatrix, lower_to_sparse
 from repro.labelmodel.em import (
     EMParams,
     accuracy_to_weights,
@@ -66,7 +66,6 @@ from repro.labelmodel.em import (
     damped_balance,
     e_step,
     initial_prior,
-    lower_to_sparse,
     m_step,
     run_em,
     validate_label_values,
@@ -159,11 +158,12 @@ class OnlineGenerativeModel:
         self.num_lfs_: Optional[int] = None
 
         # Accumulated non-abstain triples of Λ (global row ids), kept as
-        # appended parts and concatenated lazily.
+        # appended parts; their canonical CSR form is built lazily and kept
+        # until the parts change.
         self._rows_parts: list[np.ndarray] = []
         self._cols_parts: list[np.ndarray] = []
         self._vals_parts: list[np.ndarray] = []
-        self._triples_cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._matrix_cache: Optional[SparseLabelMatrix] = None
 
         # The EM sufficient statistics (created at the first pinning chunk).
         self.expected_correct_: Optional[np.ndarray] = None
@@ -222,16 +222,9 @@ class OnlineGenerativeModel:
             self._spec_cache = None
 
     def _triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._triples_cache is None:
-            self._triples_cache = (
-                np.concatenate(self._rows_parts) if self._rows_parts
-                else np.empty(0, dtype=np.int64),
-                np.concatenate(self._cols_parts) if self._cols_parts
-                else np.empty(0, dtype=np.int64),
-                np.concatenate(self._vals_parts) if self._vals_parts
-                else np.empty(0, dtype=np.int64),
-            )
-        return self._triples_cache
+        """The accumulated ``(rows, cols, vals)`` in canonical CSR order."""
+        matrix = self.accumulated_matrix()
+        return matrix.entry_rows(), matrix.indices, matrix.data
 
     def _append_triples(
         self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
@@ -240,20 +233,26 @@ class OnlineGenerativeModel:
             self._rows_parts.append(np.asarray(rows, dtype=np.int64))
             self._cols_parts.append(np.asarray(cols, dtype=np.int64))
             self._vals_parts.append(np.asarray(vals, dtype=np.int64))
-            self._triples_cache = None
+            self._matrix_cache = None
 
     def accumulated_matrix(self) -> SparseLabelMatrix:
-        """The accumulated Λ as canonical CSR storage.
+        """The accumulated Λ as canonical CSR storage (kept until Λ changes).
 
         ``from_triples`` sorts by ``(row, col)``, so the result is
         independent of the order chunks arrived in (given the same row
         ids) — the property the drain's bit-equivalence rests on.
         """
-        num_lfs = self._require_pinned()
-        rows, cols, vals = self._triples()
-        return SparseLabelMatrix.from_triples(
-            rows, cols, vals, (self.num_rows_, num_lfs)
-        )
+        shape = (self.num_rows_, self._require_pinned())
+        # All-abstain chunks and vote-less LFs grow the shape without
+        # touching the parts, so the shape is part of the cache's validity.
+        if self._matrix_cache is None or self._matrix_cache.shape != shape:
+            empty = np.empty(0, dtype=np.int64)
+            rows, cols, vals = (
+                np.concatenate([empty, *parts])
+                for parts in (self._rows_parts, self._cols_parts, self._vals_parts)
+            )
+            self._matrix_cache = SparseLabelMatrix.from_triples(rows, cols, vals, shape)
+        return self._matrix_cache
 
     # ---------------------------------------------------------------- folding
     def _e_pass(self, entries) -> tuple[np.ndarray, float | np.ndarray]:
@@ -370,7 +369,7 @@ class OnlineGenerativeModel:
         self._rows_parts = [rows[keep]]
         self._cols_parts = [new_cols]
         self._vals_parts = [vals[keep]]
-        self._triples_cache = None
+        self._matrix_cache = None
         self.num_lfs_ = num_lfs - 1
         self.accuracies_ = np.delete(self.accuracies_, index)
         self.vote_counts_ = np.delete(self.vote_counts_, index)

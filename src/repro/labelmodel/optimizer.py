@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import as_sparse_storage
+from repro.labeling.sparse import lower_to_sparse
 from repro.labelmodel.advantage import DEFAULT_WEIGHT_RANGE, estimate_advantage_bound
 from repro.labelmodel.elbow import select_elbow_point
 from repro.labelmodel.structure import StructureLearner, StructureSweepPoint
@@ -114,15 +114,9 @@ class ModelingStrategyOptimizer:
         if isinstance(label_matrix, LabelMatrix):
             cardinality = label_matrix.cardinality
         else:
-            cardinality = 2
-            storage = as_sparse_storage(label_matrix)
-            values = storage.data if storage is not None else np.asarray(label_matrix)
-            if values.size and int(values.max()) > 1:
-                raise ConfigurationError(
-                    "choose() received a raw matrix with categorical labels; wrap it "
-                    "in LabelMatrix(values, cardinality=k) so the advantage bound "
-                    "(binary-only theory) is skipped rather than fed class ids"
-                )
+            # A raw input is binary (the bound refuses class ids) and is
+            # lowered here, once, for the bound and the sweep.
+            cardinality, label_matrix = 2, lower_to_sparse(label_matrix)
         if cardinality > 2:
             advantage_bound = float("nan")
         else:

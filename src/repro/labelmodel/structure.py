@@ -19,10 +19,10 @@ the standard consistent estimator for Ising/Markov-network structure
 (Ravikumar et al.), so this is a faithful, pure-numpy substitute for the
 pseudolikelihood SGD in the original system.
 
-Sparse-backed label matrices are fitted from CSC column slices: each node's
-design matrix is assembled from the non-abstain entries of the other columns
-restricted to the rows where the node votes, so memory stays O(votes_j · n)
-per node and the full dense Λ is never materialized.
+Every input is lowered to CSR storage and fitted from its CSC column slices:
+each node's design matrix is assembled from the non-abstain entries of the
+other columns restricted to the rows where the node votes, so memory stays
+O(votes_j · n) per node and a dense Λ is never needed.
 
 The selection threshold ε plays the paper's role exactly: a pair ``(j, k)``
 is selected when ``max(|w_{j←k}|, |w_{k←j}|) ≥ ε``, and sweeping ε produces
@@ -50,12 +50,10 @@ from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
 from repro.labeling.sparse import (
     SparseLabelMatrix,
-    as_dense_array,
-    as_sparse_storage,
     class_vote_counts,
     intersect_sorted,
+    lower_to_sparse,
 )
-from repro.types import ABSTAIN
 from repro.utils.mathutils import sigmoid
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -114,34 +112,27 @@ class StructureLearner:
     # ------------------------------------------------------------------ fitting
     def _resolve_storage(
         self, label_matrix: LabelMatrix | np.ndarray
-    ) -> tuple[Optional[SparseLabelMatrix], Optional[np.ndarray], bool]:
-        """``(sparse, dense, categorical)`` for either storage backend.
+    ) -> tuple[SparseLabelMatrix, bool]:
+        """``(storage, categorical)``: the CSR entries and which recoding applies.
 
         A :class:`LabelMatrix` selects the estimator by its declared
         ``cardinality``; raw arrays/storages fall back to sniffing the values
         (any label above 1 means categorical).
         """
+        sparse = lower_to_sparse(label_matrix)
         if isinstance(label_matrix, LabelMatrix):
-            categorical: Optional[bool] = label_matrix.cardinality > 2
+            categorical = label_matrix.cardinality > 2
         else:
-            categorical = None
-        sparse = as_sparse_storage(label_matrix)
-        if sparse is not None:
-            if categorical is None:
-                categorical = bool(sparse.data.size) and int(sparse.data.max()) > 1
-            return sparse, None, categorical
-        matrix = as_dense_array(label_matrix).astype(float)
-        if categorical is None:
-            categorical = bool(matrix.size) and matrix.max() > 1
-        return None, matrix, categorical
+            categorical = bool(sparse.nnz) and int(sparse.data.max()) > 1
+        return sparse, categorical
 
     def fit(self, label_matrix: LabelMatrix | np.ndarray) -> "StructureLearner":
         """Estimate the (n, n) matrix of absolute dependency weights."""
-        sparse, matrix, categorical = self._resolve_storage(label_matrix)
-        n = (sparse if sparse is not None else matrix).shape[1]
+        sparse, categorical = self._resolve_storage(label_matrix)
+        n = sparse.shape[1]
         self.dependency_weights_ = np.zeros((n, n))
         if n >= 2:
-            self._solve_nodes(sparse, matrix, categorical, range(n))
+            self._solve_nodes(sparse, categorical, range(n))
         return self
 
     def refit_nodes(
@@ -166,8 +157,8 @@ class StructureLearner:
         caller must realign ``dependency_weights_`` first (e.g. with
         ``np.delete`` on both axes).
         """
-        sparse, matrix, categorical = self._resolve_storage(label_matrix)
-        n = (sparse if sparse is not None else matrix).shape[1]
+        sparse, categorical = self._resolve_storage(label_matrix)
+        n = sparse.shape[1]
         nodes = sorted({int(j) for j in nodes})
         if nodes and (nodes[0] < 0 or nodes[-1] >= n):
             raise LabelModelError(
@@ -189,71 +180,8 @@ class StructureLearner:
             )
         self.dependency_weights_[nodes, :] = 0.0
         if n >= 2 and nodes:
-            self._solve_nodes(sparse, matrix, categorical, nodes)
+            self._solve_nodes(sparse, categorical, nodes)
         return self
-
-    def _solve_nodes(
-        self,
-        sparse: Optional[SparseLabelMatrix],
-        matrix: Optional[np.ndarray],
-        categorical: bool,
-        nodes: Sequence[int],
-    ) -> None:
-        """Dispatch the per-node regressions to the storage's assembly path."""
-        if sparse is not None:
-            self._solve_sparse_nodes(sparse, categorical, nodes)
-        elif categorical:
-            self._solve_dense_categorical_nodes(matrix, nodes)
-        else:
-            self._solve_dense_nodes(matrix, nodes)
-
-    def _solve_dense_nodes(self, matrix: np.ndarray, nodes: Sequence[int]) -> None:
-        m, n = matrix.shape
-        row_totals = matrix.sum(axis=1)
-        weights = self.dependency_weights_
-        for j in nodes:
-            voted = matrix[:, j] != ABSTAIN
-            if voted.sum() < self.min_votes:
-                continue
-            target = (matrix[voted, j] > 0).astype(float)
-            others = [k for k in range(n) if k != j]
-            # The label proxy excludes LF j's own vote; otherwise the target
-            # leaks into the features and distorts the dependency scores.
-            mv_proxy = np.sign(row_totals[voted] - matrix[voted, j])
-            # Feature order: other LFs, then the label proxy, then the bias.
-            features = np.column_stack(
-                [matrix[voted][:, others], mv_proxy, np.ones(int(voted.sum()))]
-            )
-            coefficients = self._l1_logistic(features, target, num_penalized=len(others))
-            weights[j, others] = np.abs(coefficients[: len(others)])
-
-    def _solve_dense_categorical_nodes(
-        self, matrix: np.ndarray, nodes: Sequence[int]
-    ) -> None:
-        """Node-wise regressions over the anchor-class recoding (see module doc).
-
-        Each node's design matrix is the whole row block recoded against that
-        node's anchor class — O(votes_j · n) per node, the same as the binary
-        assembly.
-        """
-        m, n = matrix.shape
-        weights = self.dependency_weights_
-        for j in nodes:
-            voted = matrix[:, j] != ABSTAIN
-            if voted.sum() < self.min_votes:
-                continue
-            votes_j = matrix[voted, j]
-            anchor = self._anchor_class(votes_j)
-            block = matrix[voted]
-            signed = np.where(block == ABSTAIN, 0.0, np.where(block == anchor, 1.0, -1.0))
-            target = (votes_j == anchor).astype(float)
-            others = [k for k in range(n) if k != j]
-            mv_proxy = np.sign(signed.sum(axis=1) - signed[:, j])
-            features = np.column_stack(
-                [signed[:, others], mv_proxy, np.ones(int(voted.sum()))]
-            )
-            coefficients = self._l1_logistic(features, target, num_penalized=len(others))
-            weights[j, others] = np.abs(coefficients[: len(others)])
 
     @staticmethod
     def _anchor_class(votes: np.ndarray) -> int:
@@ -261,14 +189,13 @@ class StructureLearner:
         values, counts = np.unique(votes, return_counts=True)
         return int(values[np.argmax(counts)])
 
-    def _solve_sparse_nodes(
+    def _solve_nodes(
         self, sparse: SparseLabelMatrix, categorical: bool, nodes: Sequence[int]
     ) -> None:
         """Node-wise regressions assembled from CSC column slices.
 
-        Produces the same dependency weights as the dense path: each node's
-        design matrix holds the same values, merely gathered from the stored
-        entries instead of sliced out of a dense array.
+        Node ``j``'s design matrix is the block of rows where LF ``j`` votes,
+        gathered column by column from the stored entries.
         """
         m, n = sparse.shape
         col_indptr, entry_rows, entry_vals = sparse.csc()

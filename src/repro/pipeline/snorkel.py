@@ -79,7 +79,7 @@ from repro.labeling.lf import LabelingFunction
 from repro.labeling.matrix import LabelMatrix
 from repro.labelmodel.generative import GenerativeModel
 from repro.labelmodel.kernels import KERNELS
-from repro.labelmodel.majority import MajorityVoter, MultiClassMajorityVoter
+from repro.labelmodel.majority import majority_vote_proba
 from repro.labelmodel.online import OnlineGenerativeModel
 from repro.labelmodel.optimizer import ModelingStrategy, ModelingStrategyOptimizer
 
@@ -537,13 +537,7 @@ class SnorkelPipeline:
             correlations = []
 
         if not use_generative:
-            if cardinality == 2:
-                return strategy, None, MajorityVoter().predict_proba(label_matrix)
-            return (
-                strategy,
-                None,
-                MultiClassMajorityVoter(cardinality).predict_proba(label_matrix),
-            )
+            return strategy, None, majority_vote_proba(label_matrix)
 
         if config.online:
             return strategy, *self._label_modeling_online(
@@ -611,10 +605,8 @@ class SnorkelPipeline:
         """Evaluate the label-model stage on the test split."""
         if generative_model is not None:
             test_probs = generative_model.predict_proba(test_matrix)
-        elif cardinality == 2:
-            test_probs = MajorityVoter().predict_proba(test_matrix)
         else:
-            test_probs = MultiClassMajorityVoter(cardinality).predict_proba(test_matrix)
+            test_probs = majority_vote_proba(test_matrix)
         return self._score_probabilities(cardinality, test_gold, test_probs)
 
     def _keep_rows(

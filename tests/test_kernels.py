@@ -23,7 +23,6 @@ Four guarantees are pinned down here:
 import numpy as np
 import pytest
 
-import repro.labeling.sparse as sparse_mod
 from repro.datasets.synthetic import (
     generate_label_matrix,
     generate_multiclass_label_matrix,
@@ -40,16 +39,6 @@ from repro.labelmodel.kernels import (
     resolve_kernel,
     run_joint_chain,
 )
-
-
-@pytest.fixture(params=["scipy", "numpy-fallback"])
-def backend(request, monkeypatch):
-    """Run each test under both the scipy backend and the numpy fallback."""
-    if request.param == "numpy-fallback":
-        monkeypatch.setattr(sparse_mod, "FORCE_NUMPY_FALLBACK", True)
-    elif not sparse_mod.HAVE_SCIPY:
-        pytest.skip("scipy not installed")
-    return request.param
 
 
 def _binary_task(num_points=200, num_lfs=8, propensity=0.4, seed=0):

