@@ -57,7 +57,7 @@ def main() -> None:
         print(f"  fallback {name}: {reason}")
 
     # 3. Off vs auto: same matrix, different clock.
-    interpreted = LFApplier(suite, fault_tolerant=True)
+    interpreted = LFApplier(suite, fault_tolerant=True, pushdown="off")
     start = time.perf_counter()
     base = interpreted.apply(candidates)
     interpreted_seconds = time.perf_counter() - start

@@ -127,7 +127,8 @@ class PushdownVerdict:
     declarative subset (see :mod:`repro.analysis.pushdown`), in which case
     ``shape`` names the matched shape (``"regex_match"``,
     ``"membership"``, ``"threshold_compare"``, ``"field_equality"``,
-    ``"field_projection"``, or ``"constant"``) and ``predicates`` carries
+    ``"field_projection"``, ``"constant"``, or ``"token_scan"``) and
+    ``predicates`` carries
     one :class:`PredicatePayload` per predicate site, with the resolved
     constants a compiler backend evaluates against; otherwise ``status``
     is ``"OPAQUE"`` and ``detail`` says which construct broke

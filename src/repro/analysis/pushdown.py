@@ -15,7 +15,9 @@ execution — and if so, which shape it matched.  The contract:
   text), ``membership`` (keyword / dictionary / phrase containment against a
   closure container), ``threshold_compare`` (candidate-derived number vs. a
   constant), ``field_equality`` (candidate field vs. constant),
-  ``field_projection`` (the label *is* a candidate field), or ``constant``.
+  ``field_projection`` (the label *is* a candidate field), ``constant``, or
+  ``token_scan`` (a loop over a candidate sequence returning something
+  decoded from the first element that passes a test).
   Each predicate site additionally contributes a
   :class:`~repro.analysis.diagnostics.PredicatePayload` (the source
   expression plus the resolved pattern / container / bound constant), so
@@ -94,6 +96,7 @@ _ALLOWED_STATEMENTS = (
 
 #: Shape priority when several predicates appear in one body.
 _SHAPE_ORDER = [
+    "token_scan",
     "regex_match",
     "membership",
     "threshold_compare",
@@ -162,6 +165,33 @@ class _PushdownVisitor(ast.NodeVisitor):
             return
         for statement in node.body:
             self.visit(statement)
+
+    def visit_For(self, node: ast.For) -> None:
+        """``for t in seq: if pred(t): [name = ...]* return f(t, names)`` is
+        the first-match scan the compiler lowers to one token kernel."""
+        match = node.body[0]
+        if (
+            not node.orelse
+            and isinstance(node.target, ast.Name)
+            and len(node.body) == 1
+            and isinstance(match, ast.If)
+            and not match.orelse
+        ):
+            arm = [child for stmt in match.body for child in ast.walk(stmt)]
+            bound = {node.target.id} | {
+                child.id
+                for child in arm
+                if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store)
+            }
+            returned = [
+                name
+                for child in arm
+                if isinstance(child, ast.Return) and child.value is not None
+                for name in ast.walk(child.value)
+            ]
+            if any(isinstance(name, ast.Name) and name.id in bound for name in returned):
+                self._signal("token_scan", match.test)
+        self.generic_visit(node)
 
     # ------------------------------------------------------------------ calls
     def visit_Call(self, node: ast.Call) -> None:

@@ -15,6 +15,7 @@ import ast
 import functools
 import inspect
 import textwrap
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -121,6 +122,29 @@ def _find_function_node(module: ast.Module) -> Optional[ast.AST]:
     return None
 
 
+#: Memoized ``(source, tree, failure)`` per code object (weakly, in the
+#: discipline of ``repro.analysis._ANALYSIS_CACHE``): ``inspect.getsource``
+#: re-scans the defining module and ``ast.parse`` re-parses the body on every
+#: call, and every closure a factory stamps out shares one code object.  No
+#: analysis or compiler pass mutates the tree.
+_PARSED: "weakref.WeakKeyDictionary[Any, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _parse(function: Callable) -> tuple:
+    try:
+        source = textwrap.dedent(inspect.getsource(function))
+    except (OSError, TypeError):
+        return None, None, "unavailable"
+    try:
+        module = ast.parse(source)
+    except SyntaxError:
+        # A lambda inside a larger expression (e.g. a call argument) does
+        # not dedent into valid standalone source.
+        return source, None, "unparsable"
+    tree = _find_function_node(module)
+    return source, tree, None if tree is not None else "unparsable"
+
+
 def extract_source(fn: Any) -> SourceInfo:
     """Build the :class:`SourceInfo` for any callable the analyzer accepts."""
     function = resolve_function(fn)
@@ -139,22 +163,9 @@ def extract_source(fn: Any) -> SourceInfo:
     if not (inspect.isfunction(function) or inspect.ismethod(function)):
         info.failure = "unavailable"
         return info
-    try:
-        source = textwrap.dedent(inspect.getsource(function))
-    except (OSError, TypeError):
-        info.failure = "unavailable"
-        return info
-    info.source = source
-    try:
-        module = ast.parse(source)
-    except SyntaxError:
-        # A lambda inside a larger expression (e.g. a call argument) does
-        # not dedent into valid standalone source.
-        info.failure = "unparsable"
-        return info
-    tree = _find_function_node(module)
-    if tree is None:
-        info.failure = "unparsable"
-        return info
-    info.tree = tree
+    code = function.__code__
+    parsed = _PARSED.get(code)
+    if parsed is None:
+        parsed = _PARSED[code] = _parse(function)
+    info.source, info.tree, info.failure = parsed
     return info

@@ -52,9 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 VALIDATE_MODES = ("off", "warn", "error")
 
 #: Accepted values for ``LFApplier(pushdown=...)`` / ``PipelineConfig.lf_pushdown``.
-#: ``"off"`` interprets every LF; ``"auto"`` compiles what the analyzer and
-#: compiler admit and falls back per-LF; ``"require"`` raises if any LF in
-#: the suite cannot be compiled, naming each offender and why.
+#: ``"auto"`` (the default) compiles what the analyzer and compiler admit and
+#: interprets the rest per LF; ``"off"`` interprets every LF — the reference
+#: path the compiled tier is held bit-identical to; ``"require"`` raises if
+#: any LF in the suite cannot be compiled, naming each offender and why.
 PUSHDOWN_MODES = ("off", "auto", "require")
 
 
@@ -184,15 +185,19 @@ class LFApplier:
         found (out-of-range labels, unseeded randomness, global mutation).
     pushdown:
         Columnar-kernel execution of the suite (see
-        :mod:`repro.labeling.pushdown`).  ``"off"`` (default) interprets
-        every LF per candidate; ``"auto"`` compiles every LF the analyzer
-        classifies ``COMPILABLE`` and the compiler accepts into vectorized
-        kernels — the rest run interpreted, per LF, inside the same chunk
-        task; ``"require"`` raises :class:`LabelingError` before labeling
+        :mod:`repro.labeling.pushdown`).  ``"auto"`` (default) compiles
+        every LF the analyzer classifies ``COMPILABLE`` and the compiler
+        accepts into vectorized kernels — the rest run interpreted, per LF,
+        inside the same chunk task, so a suite nothing compiles in costs
+        what ``"off"`` costs; ``"off"`` interprets every LF per candidate
+        and is the reference path: labels, error counts, error breakdowns
+        and the exception a non-fault-tolerant run raises are bit-identical
+        to it in every mode, for every backend and chunk size;
+        ``"require"`` raises :class:`LabelingError` before labeling
         anything if any LF cannot be compiled, naming each offender with
-        the analyzer's or compiler's reason.  Labels, error counts, and
-        error breakdowns are bit-identical to ``"off"`` in every mode, for
-        every backend and chunk size.
+        the analyzer's or compiler's reason.  A compiled plan is kept per
+        suite and rebuilt when a global, closure cell, default or instance
+        attribute it folded in as a constant has been rebound.
     transport:
         Chunk transport of the processes backend (see
         :data:`repro.labeling.engine.plan.TRANSPORTS`): ``"pickle"`` moves
@@ -216,7 +221,7 @@ class LFApplier:
         backend: str = "sequential",
         num_workers: Optional[int] = 1,
         validate: str = "off",
-        pushdown: str = "off",
+        pushdown: str = "auto",
         transport: str = "auto",
         chunk_timeout: Optional[float] = None,
     ) -> None:
@@ -263,7 +268,8 @@ class LFApplier:
         self.last_report: Optional[ApplyReport] = None
         # Compiled plans keyed by the identity of the LF suite (the public
         # ``lfs`` attribute is mutable); hit again on every apply call with
-        # an unchanged suite, so compilation cost is paid once per suite.
+        # an unchanged suite whose folded-in constants are still bound to
+        # the same objects, so compilation cost is paid once per suite.
         self._pushdown_plans: dict[tuple, "PushdownPlan"] = {}
         # Worker-spec payloads cached by suite/featurizer identity: the
         # persistent pool dedups attaches on payload *identity*, so repeat
@@ -306,6 +312,12 @@ class LFApplier:
 
         key = (tuple(id(lf) for lf in self.lfs), self.cardinality, self.backend)
         plan = self._pushdown_plans.get(key)
+        if plan is not None and plan.constants_changed():
+            # A global, closure cell or instance attribute a program folded
+            # in was rebound.  Workers compile their own plan from the spec
+            # payload, and only a new payload object makes them re-attach.
+            plan = None
+            self._spec_payloads.clear()
         if plan is None:
             plan = build_plan(
                 self.lfs, cardinality=self.cardinality, backend=self.backend

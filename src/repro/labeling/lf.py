@@ -18,6 +18,40 @@ from repro.exceptions import LabelingError
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 
 
+def canonical_label(raw: Any, name: str, cardinality: int) -> int:
+    """The integer label a raw LF return value stands for.
+
+    ``True`` / ``False`` / ``None`` map to +1 / -1 / 0; an ``int`` must lie in
+    ``{-1, 0, 1}`` (binary) or ``0..cardinality``; anything else raises
+    :class:`LabelingError` naming the LF.  Compiled programs
+    (:mod:`repro.labeling.pushdown`) canonicalize through this same function.
+    """
+    if raw is None:
+        return ABSTAIN
+    if raw is True:
+        return POSITIVE
+    if raw is False:
+        return NEGATIVE
+    if isinstance(raw, (int,)) and not isinstance(raw, bool):
+        value = int(raw)
+        if cardinality == 2:
+            if value in (NEGATIVE, ABSTAIN, POSITIVE):
+                return value
+            raise LabelingError(
+                f"labeling function {name!r} returned {value}, expected one of "
+                f"{{-1, 0, 1}} (binary task)"
+            )
+        if 0 <= value <= cardinality:
+            return value
+        raise LabelingError(
+            f"labeling function {name!r} returned {value}, expected 0..{cardinality}"
+        )
+    raise LabelingError(
+        f"labeling function {name!r} returned {raw!r} of type {type(raw).__name__}; "
+        "expected True/False/None or an integer label"
+    )
+
+
 class LabelingFunction:
     """A named, typed wrapper around a user labeling heuristic.
 
@@ -62,33 +96,7 @@ class LabelingFunction:
             raise LabelingError(
                 f"labeling function {self.name!r} raised {type(exc).__name__}: {exc}"
             ) from exc
-        return self._canonicalize(raw)
-
-    def _canonicalize(self, raw: Any) -> int:
-        if raw is None:
-            return ABSTAIN
-        if raw is True:
-            return POSITIVE
-        if raw is False:
-            return NEGATIVE
-        if isinstance(raw, (int,)) and not isinstance(raw, bool):
-            value = int(raw)
-            if self.cardinality == 2:
-                if value in (NEGATIVE, ABSTAIN, POSITIVE):
-                    return value
-                raise LabelingError(
-                    f"labeling function {self.name!r} returned {value}, expected one of "
-                    f"{{-1, 0, 1}} (binary task)"
-                )
-            if 0 <= value <= self.cardinality:
-                return value
-            raise LabelingError(
-                f"labeling function {self.name!r} returned {value}, expected 0..{self.cardinality}"
-            )
-        raise LabelingError(
-            f"labeling function {self.name!r} returned {raw!r} of type {type(raw).__name__}; "
-            "expected True/False/None or an integer label"
-        )
+        return canonical_label(raw, self.name, self.cardinality)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"LabelingFunction(name={self.name!r}, source_type={self.source_type!r})"

@@ -10,7 +10,8 @@ This package removes both costs for the declarative majority of a suite:
   body the analyzer classified ``COMPILABLE`` into a
   :class:`~repro.labeling.pushdown.program.CompiledProgram` — vectorized
   comparisons for threshold/equality shapes, precompiled regex sweeps,
-  frozenset membership kernels, shared per-row normalization;
+  frozenset membership kernels, first-match token scans, shared per-row
+  normalization;
 * :mod:`~repro.labeling.pushdown.task` packages the compiled/fallback
   partition as a :class:`~repro.labeling.pushdown.task.PushdownPlan` and
   exposes :func:`~repro.labeling.pushdown.task.label_chunk_pushdown`, a
@@ -21,7 +22,9 @@ The cardinal rule: compiled output is **bit-identical** to interpreted
 output — same triples in the same order, same suppressed-error accounting,
 same exception out of a non-fault-tolerant run.  The compiler refuses
 anything it cannot reproduce exactly, and refused LFs transparently fall
-back to the interpreted loop (``LFApplier(pushdown="auto")``).
+back to the interpreted loop.  This is the default path
+(``LFApplier(pushdown="auto")``); ``pushdown="off"`` is the interpreted
+reference it is tested against.
 """
 
 from repro.labeling.pushdown.compiler import CompileError, compile_lf

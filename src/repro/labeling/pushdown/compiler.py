@@ -16,11 +16,33 @@ constant tests fold (dead arms — like the ``raise ValueError`` else-arm of
 the declarative factories' scope dispatch — are never visited), ``if`` s with
 column tests fork the environment and either terminate per arm (emitting
 :class:`~repro.labeling.pushdown.program.Branch` es guarded by the path
-condition) or φ-merge divergent bindings through ``IfExpCol``.  A ``for``
-loop is accepted only as the ``any()`` idiom (``for t in seq: if pred(t):
-return CONST``).  Every ``return`` site becomes one branch; branches are
-emitted in source order, and the evaluator's undecided-row masking
-reproduces first-return-wins control flow exactly.
+condition) or φ-merge divergent bindings through ``IfExpCol``.  Every
+``return`` site becomes one branch; branches are emitted in source order,
+and the evaluator's undecided-row masking reproduces first-return-wins
+control flow exactly.
+
+A ``for`` loop is accepted in one shape, the first-match scan, with no
+``else`` on either statement::
+
+    for t in <candidate sequence column>:
+        if <pred(t, constants)>:
+            [name = <expr(t, constants, earlier names)>]*
+            return <expr>
+
+``pred`` and every ``expr`` are *scalar* expressions (:meth:`_Compiler.
+_scalar`): comparisons, ``and``/``or``/``not``, arithmetic, conditional
+expressions, subscripts and constant-bound slices, allowlisted string
+methods and builtins, and reads of constants — names, and attributes of a
+constant such as ``self.prefix`` on a callable instance.  They become
+genuine Python closures, so each evaluates, and raises, exactly as the
+body's expression does.  An ``if`` inside the match arm is accepted only
+when its test folds to a constant (``if self.cardinality == 2:``), and every
+surviving path through the arm must ``return``.  A loop that returns a
+*constant* keeps the boolean kernels — ``TokenMatch`` when the test is a
+vocabulary membership, else ``AnyElem`` — and one whose return is computed
+from the matched element lowers to
+:class:`~repro.labeling.pushdown.program.TokenScan`, which runs the closures
+once per distinct token of the chunk.
 
 Anything outside the subset raises :class:`CompileError`, and the caller
 falls back to the interpreted LF — the compiler is *sound, not complete*:
@@ -31,9 +53,11 @@ from __future__ import annotations
 
 import ast
 import re
+from operator import methodcaller
 from typing import Any, Callable, Optional
 
 from repro.analysis.source import SourceInfo, extract_source, is_unresolved
+from repro.labeling.lf import canonical_label
 from repro.labeling.pushdown import program as prog
 from repro.labeling.pushdown.fields import (
     CANDIDATE_ATTRS,
@@ -66,6 +90,7 @@ from repro.labeling.pushdown.program import (
     RegexSearch,
     StrLower,
     TokenMatch,
+    TokenScan,
     Truthy,
     TupleCol,
     const_key,
@@ -77,6 +102,16 @@ __all__ = ["CompileError", "compile_lf"]
 
 class CompileError(Exception):
     """The LF body fell outside the compilable subset; use the fallback."""
+
+
+class _Scalar:
+    """A loop match arm's local: an elementwise closure and its key."""
+
+    __slots__ = ("fn", "key")
+
+    def __init__(self, fn: Callable, key: tuple) -> None:
+        self.fn = fn
+        self.key = key
 
 
 class _Obj:
@@ -162,6 +197,16 @@ _CONST_BOUND = 2**61
 
 def _fqn(fn: Any) -> tuple:
     return (getattr(fn, "__module__", None), getattr(fn, "__qualname__", None))
+
+
+def _scalar_const(value: Any) -> tuple:
+    """The ``_scalar`` pair of a constant: a closure ignoring its argument."""
+    return (lambda t, v=value: v), ("k", const_key(value))
+
+
+def _is_const_key(key: tuple) -> bool:
+    """The ``_scalar`` key is :func:`_scalar_const`'s: the closure reads no element."""
+    return key[:1] == ("k",)
 
 
 def _is_atomic_int(sym: Any) -> bool:
@@ -318,30 +363,92 @@ class _Compiler:
         return merged
 
     def _compile_any_loop(self, stmt: ast.For, env: dict, path: Optional[ColExpr]) -> None:
-        """``for t in seq: if pred(t): return CONST`` → an AnyElem branch."""
-        if stmt.orelse or not isinstance(stmt.target, ast.Name):
-            raise CompileError("loop outside the any() idiom")
+        """The one loop shape (see the module docstring) → one branch."""
         body = stmt.body
         if (
-            len(body) != 1
+            stmt.orelse
+            or not isinstance(stmt.target, ast.Name)
+            or len(body) != 1
             or not isinstance(body[0], ast.If)
             or body[0].orelse
-            or len(body[0].body) != 1
-            or not isinstance(body[0].body[0], ast.Return)
         ):
-            raise CompileError("loop outside the any() idiom")
+            raise CompileError("loop outside the first-match idiom")
         sequence = self._value_sym(stmt.iter, env)
         if not isinstance(sequence, ColExpr):
             raise CompileError("loop iterable is not a candidate column")
         var = stmt.target.id
-        value = self._const_label(body[0].body[0].value, env)
-        cond = self._specialize_membership(body[0].test, var, env, sequence)
-        if cond is None:
-            pred, pred_key = self._scalar(body[0].test, var, env)
-            cond = AnyElem(sequence, pred, pred_key)
-        guard = self._and(path, cond)
-        self.branches.append(Branch(guard, value=value))
+        test = body[0].test
+        steps: list = []
+        scalars = dict(env)  # arm-local bindings die with the return
+        returned = self._match_arm(body[0].body, var, env, scalars, steps)
+        if returned is None:
+            raise CompileError("loop match arm can fall through")
+        constant = None
+        if not steps:
+            try:
+                constant = self._value_sym(returned, env)
+            except CompileError:
+                pass  # reads the matched element: the scan kernel's case
+        if constant is not None:
+            if not isinstance(constant, K):
+                raise CompileError("loop return value is not a constant")
+            value = self._canonical_const(constant.value)
+            cond = self._specialize_membership(test, var, env, sequence)
+            if cond is None:
+                pred, pred_key = self._scalar(test, var, env)
+                cond = AnyElem(sequence, pred, pred_key)
+            self.branches.append(Branch(self._and(path, cond), value=value))
+        else:
+            pred, pred_key = self._scalar(test, var, env)
+            value_fn, value_key = self._scalar(returned, var, scalars)
+            step_fns = tuple(fn for fn, _key in steps)
+            lf_name, cardinality = self.lf_name, self.cardinality
+
+            def arm(t):
+                # Later expressions inline the assigned names; running each
+                # assignment in order is what raises where the body would.
+                for step in step_fns:
+                    step(t)
+                return canonical_label(value_fn(t), lf_name, cardinality)
+
+            scan_key = (
+                pred_key, tuple(key for _fn, key in steps), value_key, lf_name, cardinality,
+            )
+            scan = TokenScan(sequence, pred, arm, scan_key)
+            self.branches.append(Branch(self._and(path, scan), column=scan.labels))
         env.pop(var, None)  # the loop variable leaks a data-dependent value
+
+    def _match_arm(self, stmts: list, var: str, env: dict, scalars: dict, steps: list):
+        """Walk a loop's match arm: bind its assignments in ``scalars`` (and
+        list them in ``steps``), fold its constant ``if`` s, and return the
+        expression of the ``return`` reached — ``None`` if none is."""
+        for stmt in stmts:
+            if isinstance(stmt, ast.Return):
+                return stmt.value or ast.Constant(value=None)
+            if isinstance(stmt, ast.Pass):
+                continue
+            if (
+                isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and stmt.targets[0].id != var
+            ):
+                pair = self._scalar(stmt.value, var, scalars)
+                steps.append(pair)
+                scalars[stmt.targets[0].id] = _Scalar(*pair)
+                continue
+            if isinstance(stmt, ast.If):
+                cond = self._condition(stmt.test, env)
+                if not isinstance(cond, K):
+                    raise CompileError("if in a loop match arm is not constant")
+                returned = self._match_arm(
+                    stmt.body if cond.value else stmt.orelse, var, env, scalars, steps
+                )
+                if returned is not None:
+                    return returned
+                continue
+            raise CompileError(f"{type(stmt).__name__} in a loop match arm")
+        return None
 
     # --------------------------------------------------------------- returns
     def _emit_return(self, node: Optional[ast.AST], env: dict, path: Optional[ColExpr]) -> None:
@@ -365,14 +472,6 @@ class _Compiler:
         if sym.cond_only:
             raise CompileError("returning a truthiness proxy value")
         self.branches.append(Branch(path, column=sym))
-
-    def _const_label(self, node: Optional[ast.AST], env: dict) -> int:
-        if node is None:
-            return 0
-        sym = self._value_sym(node, env)
-        if not isinstance(sym, K):
-            raise CompileError("loop return value is not a constant")
-        return self._canonical_const(sym.value)
 
     def _canonical_const(self, raw: Any) -> int:
         if raw is None:
@@ -453,13 +552,10 @@ class _Compiler:
         elif not (isinstance(left, ast.Name) and left.id == var):
             return None
         try:
-            container_fn, container_key = self._scalar(elt.comparators[0], var, env)
+            container = self._scalar_value(elt.comparators[0], var, env, "container")
             pred, _ = self._scalar(elt, var, env)
         except CompileError:
             return None
-        if container_key[:1] != ("k",):
-            return None
-        container = container_fn(None)  # a constant closure; the arg is unused
         if not isinstance(container, (set, frozenset, tuple, list, dict)):
             return None
         # The fallback short-circuits exactly like the interpreted any().
@@ -906,10 +1002,11 @@ class _Compiler:
         if isinstance(node, ast.Name) and node.id == var:
             return (lambda t: t), ("var",)
         if isinstance(node, ast.Constant):
-            value = node.value
-            return (lambda t, v=value: v), ("k", const_key(value))
+            return _scalar_const(node.value)
         if isinstance(node, ast.Name):
             sym = env.get(node.id)
+            if isinstance(sym, _Scalar):
+                return sym.fn, sym.key
             if sym is None:
                 resolved = self.info.resolve_name(node.id)
                 if is_unresolved(resolved) or node.id in self.assigned:
@@ -917,8 +1014,19 @@ class _Compiler:
                 sym = K(resolved)
             if not isinstance(sym, K):
                 raise CompileError(f"non-constant name {node.id!r} in scalar expression")
-            value = sym.value
-            return (lambda t, v=value: v), ("k", const_key(value))
+            return _scalar_const(sym.value)
+        if isinstance(node, ast.Attribute):
+            receiver = self._scalar_value(node.value, var, env, "attribute receiver")
+            try:
+                return _scalar_const(getattr(receiver, node.attr))
+            except Exception as exc:
+                raise CompileError(f"constant attribute {node.attr!r}: {exc}") from exc
+        if isinstance(node, ast.IfExp):
+            test_fn, test_key = self._scalar(node.test, var, env)
+            then_fn, then_key = self._scalar(node.body, var, env)
+            else_fn, else_key = self._scalar(node.orelse, var, env)
+            fn = lambda t, c=test_fn, a=then_fn, b=else_fn: a(t) if c(t) else b(t)  # noqa: E731
+            return fn, ("ifexp", test_key, then_key, else_key)
         if isinstance(node, ast.Compare):
             if len(node.ops) != 1:
                 raise CompileError("chained comparison in scalar expression")
@@ -985,12 +1093,27 @@ class _Compiler:
             return (lambda t, fs=fns: tuple(f(t) for f in fs)), ("tuple",) + keys
         if isinstance(node, ast.Call):
             return self._scalar_call(node, var, env)
-        if isinstance(node, ast.Subscript) and not isinstance(node.slice, ast.Slice):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+            base_fn, base_key = self._scalar(node.value, var, env)
+            bounds = tuple(
+                None if bound is None else self._scalar_value(bound, var, env, "slice bound")
+                for bound in (node.slice.lower, node.slice.upper, node.slice.step)
+            )
+            fn = lambda t, bf=base_fn, s=slice(*bounds): bf(t)[s]  # noqa: E731
+            return fn, ("getslice", base_key) + tuple(const_key(b) for b in bounds)
+        if isinstance(node, ast.Subscript):
             base_fn, base_key = self._scalar(node.value, var, env)
             index_fn, index_key = self._scalar(node.slice, var, env)
             fn = lambda t, bf=base_fn, xf=index_fn: bf(t)[xf(t)]  # noqa: E731
             return fn, ("getitem", base_key, index_key)
         raise CompileError(f"unsupported scalar expression {type(node).__name__}")
+
+    def _scalar_value(self, node: ast.AST, var: str, env: dict, what: str) -> Any:
+        """The value of a scalar expression that must not read the element."""
+        fn, key = self._scalar(node, var, env)
+        if not _is_const_key(key):
+            raise CompileError(f"non-constant {what} in scalar expression")
+        return fn(None)  # a constant closure; the arg is unused
 
     def _scalar_call(self, node: ast.Call, var: str, env: dict):
         if node.keywords:
@@ -1004,11 +1127,19 @@ class _Compiler:
             arg_fns = tuple(pair[0] for pair in arg_pairs)
             arg_keys = tuple(pair[1] for pair in arg_pairs)
             method = func.attr
+            key = ("meth", method, recv_key) + arg_keys
+            if all(map(_is_const_key, arg_keys)):
+                # Constant arguments: one C-level call per element, raising
+                # what the getattr below would on a receiver without it.
+                call = methodcaller(method, *(af(None) for af in arg_fns))
+                if recv_key == ("var",):
+                    return call, key
+                return (lambda t, rf=recv_fn, c=call: c(rf(t))), key
 
             def fn(t, rf=recv_fn, m=method, afs=arg_fns):
                 return getattr(rf(t), m)(*(af(t) for af in afs))
 
-            return fn, ("meth", method, recv_key) + arg_keys
+            return fn, key
         if not isinstance(func, ast.Name):
             raise CompileError("unsupported scalar callee")
         callee = env.get(func.id)
@@ -1028,6 +1159,9 @@ class _Compiler:
         if not allowed:
             raise CompileError(f"scalar call to {fqn[1] or fn_obj!r}")
         arg_pairs = [self._scalar(arg, var, env) for arg in node.args]
+        if all(_is_const_key(key) for _fn, key in arg_pairs):
+            folded = self._eager_call(fn_obj, [arg_fn(None) for arg_fn, _key in arg_pairs])
+            return _scalar_const(folded.value)
         if len(arg_pairs) == 1:
             arg_fn, arg_key = arg_pairs[0]
             if arg_key == ("var",):

@@ -25,7 +25,7 @@ Two disciplines keep compiled output bit-identical to the interpreted path:
   condition selected that branch — so a compiled LF errors on exactly the
   rows where the interpreted LF would have raised, with the same exception.
 * **Canonicalization fidelity.** Leaf values replicate
-  :meth:`LabelingFunction._canonicalize` exactly, including its strict
+  :func:`repro.labeling.lf.canonical_label` exactly, including its strict
   ``isinstance(raw, int)`` / ``raw is True`` semantics: int64/bool-typed
   columns (built only from values that were exact Python ints/bools, see
   :func:`~repro.labeling.pushdown.fields.make_column`) take the vectorized
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import chain, count
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -67,6 +68,7 @@ else:  # pragma: no cover - table moved/renamed: disable ignore-case prefilter
     _EXOTIC_CASE_RE = None
 
 from repro.exceptions import LabelingError
+from repro.labeling.lf import canonical_label
 from repro.labeling.pushdown.fields import Column, ColumnarChunk, make_column
 from repro.types import NEGATIVE, POSITIVE
 
@@ -557,15 +559,16 @@ class AnyElem(ColExpr):
 class _TokenIndex:
     """Flattened view of a token-sequence column, built once per chunk.
 
-    The flat tokens are deduplicated lazily (``np.unique`` with inverse
+    The flat tokens are deduplicated lazily (distinct tokens plus inverse
     codes), so every kernel over the same source column — lowercasing,
-    equality, vocabulary membership — runs over the small unique-token
-    array and gathers the result back through the codes instead of
-    sweeping every token again.  Non-string tokens are replaced by ``""``
-    in the flat list; the rows the vectorized kernels cannot vouch for —
-    rows that are not ``list``/``tuple``, or rows containing a non-string
-    token — are collected in ``fallback_rows`` and :class:`TokenMatch`
-    recomputes those with its exact per-row Python fallback.
+    equality, vocabulary membership, first-match scans — runs over the small
+    unique-token array and gathers the result back through the codes instead
+    of sweeping every token again.  Tokens that are not exactly ``str`` are
+    replaced by ``""`` in the flat list; the rows the vectorized kernels
+    cannot vouch for — rows that are not ``list``/``tuple``, or rows
+    containing such a token — are collected in ``fallback_rows`` and
+    :class:`TokenMatch` / :class:`TokenScan` recompute those with their
+    exact per-row Python fallback.
     """
 
     __slots__ = ("rows", "offsets", "lengths", "flat", "fallback_rows",
@@ -573,24 +576,24 @@ class _TokenIndex:
 
     def __init__(self, column: Column, n: int) -> None:
         rows = column.values.tolist()
+        sequences = rows
+        fallback: set[int] = set()
+        if not set(map(type, rows)) <= {list, tuple}:
+            sequences = list(rows)
+            for i, row in enumerate(rows):
+                if type(row) not in (list, tuple):
+                    sequences[i] = ()
+                    fallback.add(i)
+        flat = list(chain.from_iterable(sequences))
+        total = len(flat)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        flat: list = []
-        extend = flat.extend
-        odd: list[int] = []
-        total = 0
-        for i, row in enumerate(rows):
-            if type(row) in (list, tuple):
-                extend(row)
-                total += len(row)
-            else:
-                odd.append(i)
-            offsets[i + 1] = total
-        fallback = set(odd)
-        try:
-            # One C pass proving every flat token is a string; join accepts
-            # nothing else.  The per-token type scan only runs on failure.
+        np.cumsum(np.fromiter(map(len, sequences), dtype=np.int64, count=n), out=offsets[1:])
+        # One C pass proving every flat token is exactly a ``str`` (a
+        # subclass may override what the kernels assume); the per-token
+        # scan only runs when one is not.
+        if set(map(type, flat)) <= {str}:
             joined = "".join(flat)
-        except TypeError:
+        else:
             str_flags = np.fromiter(
                 (type(t) is str for t in flat), dtype=bool, count=total
             )
@@ -613,12 +616,17 @@ class _TokenIndex:
         self._lowered = None
 
     def _unique(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct flat tokens (first-seen order) and each token's code."""
         if self._uniques is None:
-            if self.flat:
-                u = np.asarray(self.flat, dtype=str)
-            else:
-                u = np.empty(0, dtype="<U1")
-            self._uniques, self._inverse = np.unique(u, return_inverse=True)
+            # A dict dedups at C speed without sorting, and only the few
+            # distinct tokens are ever copied into a fixed-width array.
+            codes = dict(zip(dict.fromkeys(self.flat), count()))
+            self._uniques = (
+                np.asarray(list(codes), dtype=str) if codes else np.empty(0, dtype="<U1")
+            )
+            self._inverse = np.fromiter(
+                map(codes.__getitem__, self.flat), dtype=np.int64, count=len(self.flat)
+            )
         return self._uniques, self._inverse
 
     def _unique_needles(self, lower: bool) -> np.ndarray:
@@ -648,6 +656,20 @@ class _TokenIndex:
         counts = np.zeros(len(token_mask) + 1, dtype=np.int64)
         np.cumsum(token_mask, out=counts[1:])
         return (counts[self.offsets[1:]] - counts[self.offsets[:-1]]) > 0
+
+
+    def row_first(self, token_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row: did a token match, and the flat position of the first
+        that did (meaningless where none did)."""
+        positions = np.flatnonzero(token_mask)
+        if not positions.size:
+            empty = np.zeros(len(self.lengths), dtype=np.int64)
+            return empty.astype(bool), empty
+        # The first matching position at or after the row's start is the
+        # row's own only if it still lies before the row's end.
+        nearest = np.searchsorted(positions, self.offsets[:-1])
+        first = positions[np.minimum(nearest, positions.size - 1)]
+        return (nearest < positions.size) & (first < self.offsets[1:]), first
 
 
 def _token_index(chunk: ColumnarChunk, child: ColExpr, column: Column) -> _TokenIndex:
@@ -719,6 +741,94 @@ class TokenMatch(ColExpr):
         if errors:
             values[np.fromiter(errors, dtype=np.int64)] = False
         return Column(values, errors or None)
+
+
+class TokenScan(ColExpr):
+    """First-match scan of a token-sequence column: the loop
+
+    ``for t in row: if pred(t): return arm(t)``
+
+    per row, where ``arm`` runs the match arm and canonicalizes what it
+    returns.  The node is the loop's guard — true where some token matched —
+    and :attr:`labels` is the leaf holding the canonical label that match
+    returned.  ``pred`` and ``arm`` are the exact Python closures, but they
+    run once per *unique* token of the chunk (the :class:`_TokenIndex` is
+    shared with every other token kernel over the same column); each row's
+    first matching token is then resolved vectorized.  Rows the index cannot
+    vouch for, and rows holding a token on which either closure raised, take
+    the exact per-row loop, so labels, error rows and exceptions are those
+    of the interpreted loop.
+    """
+
+    __slots__ = ("child", "pred", "arm", "labels")
+    is_bool = True
+    cond_only = True
+
+    def __init__(
+        self, child: ColExpr, pred: Callable, arm: Callable, scan_key: tuple
+    ) -> None:
+        self.child = child
+        self.pred = pred
+        self.arm = arm
+        self.key = ("tokscan", scan_key, child.key)
+        self.labels = _ScanLabels(self)
+
+    def _scan_row(self, row) -> tuple[bool, int]:
+        pred = self.pred
+        for token in row:
+            if pred(token):
+                return True, self.arm(token)
+        return False, 0
+
+    def _compute(self, chunk: ColumnarChunk) -> Column:
+        column = self.child.eval(chunk)
+        index = _token_index(chunk, self.child, column)
+        uniques, inverse = index._unique()
+        pred, arm = self.pred, self.arm
+        match_u = np.zeros(len(uniques), dtype=bool)
+        label_u = np.zeros(len(uniques), dtype=np.int64)
+        raised_u: list[int] = []
+        for j, token in enumerate(uniques.tolist()):
+            try:
+                if pred(token):
+                    label_u[j] = arm(token)
+                    match_u[j] = True
+            except Exception:  # noqa: BLE001 - its rows rerun the exact loop
+                raised_u.append(j)
+        hit, first = index.row_first(match_u[inverse])
+        labels = np.zeros(chunk.num_rows, dtype=np.int64)
+        labels[hit] = label_u[inverse[first[hit]]]
+        slow = set(index.fallback_rows)
+        if raised_u:
+            raised = np.zeros(len(uniques), dtype=bool)
+            raised[raised_u] = True
+            slow.update(np.flatnonzero(index.row_any(raised[inverse])).tolist())
+        errors = dict(column.errors) if column.errors else {}
+        for i in sorted(slow):
+            if i in errors:
+                continue
+            try:
+                hit[i], labels[i] = self._scan_row(index.rows[i])
+            except Exception as exc:  # noqa: BLE001 - faithful capture
+                errors[i] = exc
+        if errors:
+            hit[np.fromiter(errors, dtype=np.int64)] = False
+        chunk.put(self.labels.key, Column(labels, None))
+        return Column(hit, errors or None)
+
+
+class _ScanLabels(ColExpr):
+    """The canonical labels a :class:`TokenScan` leaves beside its hits."""
+
+    __slots__ = ("scan",)
+
+    def __init__(self, scan: TokenScan) -> None:
+        self.scan = scan
+        self.key = ("scanlabels", scan.key)
+
+    def _compute(self, chunk: ColumnarChunk) -> Column:
+        self.scan.eval(chunk)
+        return chunk.get(self.key)  # type: ignore[return-value]
 
 
 class Contains(ColExpr):
@@ -1146,7 +1256,7 @@ class CompiledProgram:
         errors: dict[int, BaseException],
     ) -> None:
         """Scatter canonical labels for ``take`` rows, mirroring
-        :meth:`LabelingFunction._canonicalize` (including its error text)."""
+        :func:`~repro.labeling.lf.canonical_label` (including its error text)."""
         values = column.values
         if isinstance(values, np.ndarray) and values.dtype == np.bool_:
             # Exact Python bools only (see make_column): True → +1, False → -1
@@ -1159,47 +1269,18 @@ class CompiledProgram:
                 bad = take & ((values < -1) | (values > 1))
             else:
                 bad = take & ((values < 0) | (values > self.cardinality))
-            for row in np.nonzero(bad)[0]:
-                errors[int(row)] = self._range_error(int(values[row]))
+            for row in np.nonzero(bad)[0].tolist():
+                try:
+                    canonical_label(int(values[row]), self.lf_name, self.cardinality)
+                except LabelingError as exc:  # always: the value is out of range
+                    errors[row] = exc
                 take[row] = False
             labels[take] = values[take]
             return
         rows = values.tolist()
         for row in np.nonzero(take)[0]:
             try:
-                labels[row] = self._canonicalize_raw(rows[row])
+                labels[row] = canonical_label(rows[row], self.lf_name, self.cardinality)
             except LabelingError as exc:
                 errors[int(row)] = exc
                 take[row] = False
-
-    def _canonicalize_raw(self, raw: Any) -> int:
-        if raw is None:
-            return 0
-        if raw is True:
-            return POSITIVE
-        if raw is False:
-            return NEGATIVE
-        if isinstance(raw, (int,)) and not isinstance(raw, bool):
-            value = int(raw)
-            if self.cardinality == 2:
-                if value in (-1, 0, 1):
-                    return value
-                raise self._range_error(value)
-            if 0 <= value <= self.cardinality:
-                return value
-            raise self._range_error(value)
-        raise LabelingError(
-            f"labeling function {self.lf_name!r} returned {raw!r} of type "
-            f"{type(raw).__name__}; expected True/False/None or an integer label"
-        )
-
-    def _range_error(self, value: int) -> LabelingError:
-        if self.cardinality == 2:
-            return LabelingError(
-                f"labeling function {self.lf_name!r} returned {value}, expected one of "
-                f"{{-1, 0, 1}} (binary task)"
-            )
-        return LabelingError(
-            f"labeling function {self.lf_name!r} returned {value}, "
-            f"expected 0..{self.cardinality}"
-        )

@@ -23,16 +23,21 @@ first.
 
 from __future__ import annotations
 
+import inspect
+import operator
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.source import resolve_function
 from repro.exceptions import LabelingError
 from repro.labeling.engine.accumulator import ChunkResult, LFErrorDetail
 from repro.labeling.engine.tasks import featurize_chunk
+from repro.labeling.lf import LabelingFunction
 from repro.labeling.pushdown.compiler import CompileError, compile_lf
 from repro.labeling.pushdown.fields import ColumnarChunk
 from repro.labeling.pushdown.program import CompiledProgram
@@ -59,6 +64,57 @@ class CompiledLF:
     program: CompiledProgram
 
 
+_UNBOUND = object()
+
+
+def _code_names(code) -> list[str]:
+    """Every name ``code`` and the code objects nested in it may load."""
+    names = list(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names += _code_names(const)
+    return names
+
+
+class _ConstantRefs:
+    """The objects compiling one LF may have read as constants.
+
+    Compilation folds closure cells, module globals, parameter defaults and
+    a callable instance's attributes into the program, so a plan compiled
+    before one of them was rebound labels with the old value.  The objects
+    themselves are held (an ``id()`` is reused once its object is freed) and
+    :meth:`changed` re-reads the same places and compares by identity.
+    """
+
+    __slots__ = ("lf", "function", "names", "seen")
+
+    def __init__(self, lf: Any) -> None:
+        self.lf = lf
+        function = resolve_function(lf)
+        self.function = function if inspect.isfunction(function) else None
+        self.names = _code_names(function.__code__) if self.function else []
+        self.seen = self._read()
+
+    def _read(self) -> list:
+        inner = getattr(self.lf, "function", self.lf)
+        attributes = getattr(inner, "__dict__", {})
+        refs = [inner, *attributes, *attributes.values()]
+        function = self.function
+        if function is not None:
+            refs.append(function.__defaults__)
+            for cell in function.__closure__ or ():
+                try:
+                    refs.append(cell.cell_contents)
+                except ValueError:
+                    refs.append(_UNBOUND)
+            refs.extend(map(function.__globals__.get, self.names, repeat(_UNBOUND)))
+        return refs
+
+    def changed(self) -> bool:
+        now = self._read()
+        return len(now) != len(self.seen) or any(map(operator.is_not, now, self.seen))
+
+
 @dataclass
 class PushdownPlan:
     """The compiled/fallback partition of one LF suite.
@@ -77,6 +133,12 @@ class PushdownPlan:
     fallback_reasons: dict[str, str] = field(default_factory=dict)
     compile_seconds: float = 0.0
     cardinality: int = 2
+    #: Per compiled LF, what its program folded in (see :class:`_ConstantRefs`).
+    constants: list = field(default_factory=list)
+
+    def constants_changed(self) -> bool:
+        """A constant some compiled program folded in has been rebound."""
+        return any(refs.changed() for refs in self.constants)
 
     @property
     def compiled_names(self) -> list[str]:
@@ -141,6 +203,12 @@ def build_plan(
     start = time.perf_counter()
     plan = PushdownPlan(num_lfs=len(lfs), cardinality=cardinality if cardinality else 2)
     for column, lf in enumerate(lfs):
+        if type(lf).__call__ is not LabelingFunction.__call__:
+            # Programs replicate LabelingFunction's canonicalization and error
+            # wrapping; a duck-typed LF's own __call__ decides both.
+            plan.fallback.append((column, lf))
+            plan.fallback_reasons[lf.name] = "not a LabelingFunction: its own __call__ runs"
+            continue
         result = analyze_lf(lf, cardinality=cardinality, backend=backend)
         if not result.pushdown.compilable:
             plan.fallback.append((column, lf))
@@ -155,6 +223,7 @@ def build_plan(
             plan.fallback_reasons[lf.name] = f"compiler refused: {exc}"
             continue
         plan.compiled.append(CompiledLF(name=lf.name, column=column, program=program))
+        plan.constants.append(_ConstantRefs(lf))
         if cardinality is None:
             plan.cardinality = program.cardinality
     plan.compile_seconds = time.perf_counter() - start
@@ -247,7 +316,11 @@ def label_chunk_pushdown(
                     first = (row, column)
         if first is not None:
             row, column = first
-            raise _wrap_error(names[column], column_errors[column][row])
+            exc = column_errors[column][row]
+            if column in {clf.column for clf in plan.compiled}:
+                exc = _wrap_error(names[column], exc)
+            # A fallback LF already raised what its own __call__ decided.
+            raise exc
 
     error_counts: dict[str, int] = {}
     error_details: dict[str, LFErrorDetail] = {}

@@ -138,11 +138,12 @@ class PipelineConfig:
     #: report, or ``"error"`` to abort the run on ERROR-severity findings.
     lf_validate: str = "off"
     #: Columnar-kernel LF execution (see :mod:`repro.labeling.pushdown`):
-    #: ``"off"`` (default) interprets every LF per candidate, ``"auto"``
-    #: compiles the compilable subset into vectorized kernels with per-LF
-    #: interpreted fallback, ``"require"`` aborts if any LF cannot be
-    #: compiled.  The label matrix is bit-identical in every mode.
-    lf_pushdown: str = "off"
+    #: ``"auto"`` (default) compiles the compilable subset into vectorized
+    #: kernels with per-LF interpreted fallback, ``"off"`` interprets every
+    #: LF per candidate (the reference path), ``"require"`` aborts if any
+    #: LF cannot be compiled.  The label matrix is bit-identical in every
+    #: mode.
+    lf_pushdown: str = "auto"
     #: Candidates per engine work unit, shared by LF application and
     #: featurization.  Results are independent of this value.
     chunk_size: int = 1024

@@ -225,7 +225,7 @@ class TestLibraryCoverage:
             assert result.picklable is True
             assert result.pushdown.compilable
         shapes = {r.pushdown.shape for r in report}
-        assert shapes == {"field_projection", "field_equality"}
+        assert shapes == {"field_projection", "token_scan"}
 
     def test_diagnostic_codes_are_registered(self):
         for lf, code in EXPECTED_VIOLATIONS:

@@ -80,7 +80,7 @@ def corpus(n=400, seed=0, error_rate=0.0):
 
 def assert_identical_runs(lfs, candidates, **applier_kwargs):
     """Apply with pushdown off and auto; assert the full contract matches."""
-    base = LFApplier(lfs, fault_tolerant=True, **applier_kwargs)
+    base = LFApplier(lfs, fault_tolerant=True, pushdown="off", **applier_kwargs)
     base_matrix = base.apply(candidates)
     push = LFApplier(lfs, fault_tolerant=True, pushdown="auto", **applier_kwargs)
     push_matrix = push.apply(candidates)
@@ -172,7 +172,7 @@ class TestBackendsAndChunking:
         lfs = full_suite()
         candidates = corpus(200, seed=7)
         featurizer = RelationFeaturizer(num_features=64).fit()
-        base = LFApplier(lfs, fault_tolerant=True, chunk_size=48)
+        base = LFApplier(lfs, fault_tolerant=True, chunk_size=48, pushdown="off")
         base_matrix, base_blocks = base.apply_with_features(
             iter(candidates), featurizer, sparse=True
         )
@@ -199,7 +199,7 @@ class TestErrorFidelity:
         lfs = LINT_LFS()
         candidates = corpus(200, seed=8, error_rate=0.1)
         with pytest.raises(Exception) as base_exc:
-            LFApplier(lfs).apply(candidates)
+            LFApplier(lfs, pushdown="off").apply(candidates)
         with pytest.raises(Exception) as push_exc:
             LFApplier(lfs, pushdown="auto").apply(candidates)
         assert type(base_exc.value) is type(push_exc.value)
@@ -228,9 +228,123 @@ class TestErrorFidelity:
         assert_identical_runs(LINT_LFS(), candidates)
         # And the override must actually matter: the interpreted labels on
         # the subclass differ from the stock candidates'.
-        stock = LFApplier(LINT_LFS(), fault_tolerant=True).apply(originals)
-        loud = LFApplier(LINT_LFS(), fault_tolerant=True).apply(candidates)
+        stock = LFApplier(LINT_LFS(), fault_tolerant=True, pushdown="off").apply(originals)
+        loud = LFApplier(LINT_LFS(), fault_tolerant=True, pushdown="off").apply(candidates)
         assert not np.array_equal(stock.values, loud.values)
+
+
+class _RawKeyErrorLF:
+    """A duck-typed LF: its own ``__call__`` wraps nothing."""
+
+    name = "raw_keyerror"
+    cardinality = 2
+
+    def __call__(self, candidate):
+        return {}["missing"]
+
+
+class _DuckFalseLF:
+    """Duck-typed and inside the compilable subset.  ``LFApplier`` stores what
+    such an LF returns as is (``False == ABSTAIN``); a compiled program would
+    canonicalize it to ``NEGATIVE`` like :class:`LabelingFunction` does."""
+
+    name = "duck_false"
+    cardinality = 2
+
+    def __call__(self, candidate):
+        return False if candidate.sentence.position >= 0 else None
+
+
+class TestFallbackTier:
+    def test_fallback_exception_propagates_unwrapped(self):
+        # Regression: every column's first error was re-wrapped in
+        # LabelingError, also a fallback LF's, whose own __call__ had already
+        # raised exactly what the interpreted path lets through.
+        candidates = corpus(3, seed=16)
+        for mode in ("off", "auto"):
+            applier = LFApplier([_RawKeyErrorLF()], fault_tolerant=False, pushdown=mode)
+            with pytest.raises(KeyError):
+                applier.apply(candidates)
+
+    def test_duck_typed_lf_is_never_compiled(self):
+        plan = build_plan([_DuckFalseLF()])
+        assert not plan.compiled
+        assert "not a LabelingFunction" in plan.fallback_reasons["duck_false"]
+        assert_identical_runs([_DuckFalseLF()], corpus(20, seed=17))
+
+
+# ---------------------------------------------------------------------------
+# A cached plan must not outlive the constants it folded in
+# ---------------------------------------------------------------------------
+
+THRESH = 2
+
+
+def _near_body(candidate):
+    return POSITIVE if candidate.token_distance() < THRESH else ABSTAIN
+
+
+class _WordReader:
+    def __init__(self, word):
+        self.word = word
+
+    def __call__(self, candidate):
+        return POSITIVE if self.word in candidate.words_between() else ABSTAIN
+
+
+class TestStaleConstants:
+    def test_rebinding_a_global_or_an_attribute_rebuilds_the_plan(self, monkeypatch):
+        # Regression: the plan was cached on the suite's identity alone, so a
+        # second apply on the same applier kept labeling with the constants
+        # the first one compiled in.
+        reader = _WordReader("causes")
+        lfs = [
+            LabelingFunction("lf_near", _near_body),
+            LabelingFunction("lf_word", reader),
+        ]
+        candidates = corpus(200, seed=18)
+        applier = LFApplier(lfs, pushdown="require")
+        first = applier.apply(candidates)
+        plan = applier._pushdown_plan()
+        assert applier._pushdown_plan() is plan  # nothing rebound: one plan
+
+        monkeypatch.setitem(globals(), "THRESH", 6)
+        reader.word = "treats"
+        second = applier.apply(candidates)
+        assert applier._pushdown_plan() is not plan
+        interpreted = LFApplier(lfs, pushdown="off").apply(candidates)
+        np.testing.assert_array_equal(second.values, interpreted.values)
+        for column in range(2):
+            assert not np.array_equal(first.values[:, column], second.values[:, column])
+
+
+# ---------------------------------------------------------------------------
+# The classifier's verdict and the compiler's agree
+# ---------------------------------------------------------------------------
+
+
+def _registered_suites():
+    from repro.datasets import load_task
+    from repro.datasets.synthetic import text_vote_lfs
+
+    yield "text_vote_lfs(k=2)", text_vote_lfs(4)
+    yield "text_vote_lfs(k=4)", text_vote_lfs(4, cardinality=4)
+    yield "LINT_LFS", LINT_LFS()
+    for name in ("cdr", "spouses", "chem", "ehr", "radiology"):
+        yield name, load_task(name, scale=0.05, seed=0).lfs
+
+
+def test_compilable_verdict_implies_compiled():
+    from repro.analysis import analyze_lf
+
+    refused = {}
+    for suite, lfs in _registered_suites():
+        compiled = set(build_plan(lfs).compiled_names)
+        for lf in lfs:
+            if analyze_lf(lf).pushdown.compilable and lf.name not in compiled:
+                refused.setdefault(suite, []).append(lf.name)
+    # Known: the compiler has no column for ``sentence.document_metadata``.
+    assert refused == {"radiology": ["lf_mesh_abnormal", "lf_mesh_normal", "lf_short_report"]}
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +393,7 @@ class TestReporting:
         assert summary.fallback["lf_opaque_random"]
 
     def test_off_mode_reports_lf_seconds_without_summary(self):
-        applier = LFApplier(LINT_LFS(), fault_tolerant=True)
+        applier = LFApplier(LINT_LFS(), fault_tolerant=True, pushdown="off")
         applier.apply(corpus(100, seed=13))
         report = applier.last_report
         assert set(report.lf_seconds) == {lf.name for lf in LINT_LFS()}
