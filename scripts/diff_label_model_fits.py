@@ -19,11 +19,21 @@ The ``stats`` groups record everything else that is read off Λ, over the
 same k × {plain, planted} × {CSR, dense} grid plus the edge matrix: the
 ``LabelMatrix`` statistics, ``LFAnalysis`` (every method, ``summary`` with
 and without gold), the three voters, ``class_vote_counts``,
-``modeling_advantage`` and the advantage bound, ``StructureLearner`` ``fit``
-/ ``refit_nodes`` / ``select`` and ``ModelingStrategyOptimizer.choose``.
-All of them compute on the CSR entries, so CSR-input records are held
-bit-identical and dense-input ones may move only where a BLAS product
-became a CSR one (``stats dense-input weighted vote``, last digits).
+``modeling_advantage`` and the advantage bound, ``StructureLearner`` and
+``ModelingStrategyOptimizer.choose``.  All of them compute on the CSR
+entries, so CSR-input records are held bit-identical and dense-input ones
+may move only where a BLAS product became a CSR one (``stats dense-input
+weighted vote``, last digits).
+
+The structure learner is recorded under two groups so the table shows the
+one that may move: ``structure weights`` (``fit`` / ``refit_nodes``
+dependency weights — summation order inside the node-wise solver may change
+them in the last digits, bound 1e-12) and ``structure select`` (``select``
+at all ten ε the optimizer sweeps — held identical, like ``optimizer``).
+Besides the grid above they cover a matrix whose every node is below the
+solver's group-of-one size and one whose nodes straddle it, and the dump
+itself fails unless ``refit_nodes`` on a subset is bitwise the rows of
+``fit``.
 
 The ``end_models`` groups fit logistic (± ``class_balance``, dense and CSR
 input, ± ``sample_weights``), softmax (k=3, hard and soft targets) and the
@@ -144,6 +154,23 @@ def dump(path: str) -> None:
             out, f"{storage}-input", "edge", matrix,
             np.array([1, -1, 1, -1, 1]), np.array([0.8, 0.7, 0.6, 0.9]),
         )
+    # Node sizes on either side of the structure solver's group-of-one rule
+    # (4096 design elements: 315 voted rows at 12 LFs, 455 at 8).
+    for case, settings in (
+        ("small nodes", dict(num_points=600, num_lfs=12, propensity=0.1, seed=5)),
+        (
+            "straddling nodes",
+            dict(
+                num_points=2500,
+                num_lfs=8,
+                propensity=[0.04, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0],
+                seed=6,
+            ),
+        ),
+    ):
+        matrix = generate_label_matrix(**settings).label_matrix
+        dump_structure(out, "csr-input", case, matrix.to_sparse())
+        dump_structure(out, "dense-input", case, matrix)
     dump_end_models(out)
     dump_pipelines(out)
     with open(path, "wb") as handle:
@@ -159,7 +186,6 @@ def dump_stats(out: dict, storage: str, case: str, matrix, gold, lf_accuracies) 
         MajorityVoter,
         ModelingStrategyOptimizer,
         MultiClassMajorityVoter,
-        StructureLearner,
         WeightedMajorityVoter,
         modeling_advantage,
     )
@@ -173,7 +199,7 @@ def dump_stats(out: dict, storage: str, case: str, matrix, gold, lf_accuracies) 
     def pairs_of(lists):
         return [[j, value] for j, values in enumerate(lists) for value in values]
 
-    k, num_lfs = matrix.cardinality, matrix.num_lfs
+    k = matrix.cardinality
     labels = (-1, 1) if k == 2 else range(1, k + 1)
     weights = 0.5 * np.log(lf_accuracies * (k - 1) / (1 - lf_accuracies))
 
@@ -245,13 +271,7 @@ def dump_stats(out: dict, storage: str, case: str, matrix, gold, lf_accuracies) 
         put("voters", "class_vote_counts", class_vote_counts(matrix, k))
         put("voters", "class_vote_counts weighted", class_vote_counts(matrix, k, weights))
 
-    learner = StructureLearner(seed=0).fit(matrix)
-    put("structure", "fit weights", learner.dependency_weights_)
-    for threshold in (0.05, 0.2):
-        put("structure", f"select {threshold}", learner.select(threshold))
-    nodes = [0, num_lfs - 1]
-    learner.dependency_weights_[nodes] = 7.0  # refit_nodes must overwrite exactly these rows
-    put("structure", "refit_nodes weights", learner.refit_nodes(matrix, nodes).dependency_weights_)
+    dump_structure(out, storage, case, matrix)
 
     strategy = ModelingStrategyOptimizer().choose(matrix)
     threshold = strategy.correlation_threshold
@@ -266,6 +286,26 @@ def dump_stats(out: dict, storage: str, case: str, matrix, gold, lf_accuracies) 
     )
     put("optimizer", "pairs", strategy.correlations)
     put("optimizer", "sweep sizes", [point.num_correlations for point in strategy.sweep])
+
+
+def dump_structure(out: dict, storage: str, case: str, matrix) -> None:
+    """Structure weights and selections of one Λ, under separate groups."""
+    from repro.labelmodel import ModelingStrategyOptimizer, StructureLearner
+
+    def put(group, name, value):
+        out[f"stats {storage} structure {group}/{case} {name}"] = np.asarray(value, dtype=float)
+
+    learner = StructureLearner(seed=0).fit(matrix)
+    fitted = learner.dependency_weights_.copy()
+    put("weights", "fit", fitted)
+    for threshold in ModelingStrategyOptimizer()._sweep_thresholds():
+        put("select", f"{threshold}", learner.select(threshold))
+    nodes = [0, matrix.num_lfs - 1]
+    learner.dependency_weights_[nodes] = 7.0  # refit_nodes must overwrite exactly these rows
+    refitted = learner.refit_nodes(matrix, nodes).dependency_weights_
+    put("weights", "refit_nodes", refitted)
+    if not np.array_equal(refitted, fitted):
+        raise SystemExit(f"structure {storage} {case}: refit_nodes differs from the rows of fit")
 
 
 class _Killed(Exception):

@@ -6,18 +6,30 @@ historically materialized dense ``(m, num_features)`` float arrays.
 :class:`CSRFeatureMatrix` is the float analogue of
 :class:`repro.labeling.sparse.SparseLabelMatrix`: canonical numpy
 ``indptr`` / ``indices`` / ``data`` arrays shared with :mod:`scipy.sparse`
-without a copy (``to_scipy``), whose row selection and products it uses.
+without a copy (``to_scipy``, the public conversion and the tests' oracle).
 
 The class implements exactly the operations the noise-aware end models use —
 row selection (``X[rows]``), matrix-vector products (``X @ w``), and
 transposed products (``X.T @ v``) — so
 :class:`repro.discriminative.logistic.NoiseAwareLogisticRegression` trains on
 sparse features without densifying anything beyond one minibatch's scores.
+All three run on the stored arrays: a minibatch is ~64 rows, where building
+a scipy wrapper per product cost more than the product.  Both products are
+one ``np.bincount`` over the entries (``X @ w`` bins ``data * w[indices]``
+by entry row, ``X.T @ v`` bins ``data * v[entry row]`` by column), which
+accumulates in stored-entry order exactly as scipy's ``csr_matvec`` /
+``csc_matvec`` loops do, so results are bitwise scipy's; row selection is a
+numpy gather of the selected rows' entry ranges.
+
+The constructor is the validation boundary: it rejects arrays that are not
+well-formed CSR.  ``row_range`` / ``X[rows]`` / ``vstack`` carve their
+results out of matrices that already passed it and skip the re-check
+(:meth:`CSRFeatureMatrix._carved`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as scipy_sparse
@@ -52,6 +64,8 @@ class CSRFeatureMatrix:
             raise ConfigurationError(
                 f"indptr must have length {m + 1} for {m} rows, got {self.indptr.shape}"
             )
+        if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
+            raise ConfigurationError("indptr must start at 0 and be non-decreasing")
         nnz = int(self.indptr[-1])
         if self.indices.shape != (nnz,) or self.data.shape != (nnz,):
             raise ConfigurationError(
@@ -59,8 +73,30 @@ class CSRFeatureMatrix:
             )
         if nnz and (self.indices.min() < 0 or self.indices.max() >= n):
             raise ConfigurationError(f"column indices out of range for {n} features")
+        self._entry_rows: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------- construction
+    @classmethod
+    def _carved(
+        cls,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
+        shape: tuple[int, int],
+        entry_rows: Optional[np.ndarray] = None,
+    ) -> "CSRFeatureMatrix":
+        """Wrap arrays carved from an already validated matrix, unchecked.
+
+        For internal results only (row ranges, row gathers, stacks): their
+        arrays are well-formed by construction and typed like their source's,
+        and the per-minibatch callers cannot afford the O(nnz) re-check.
+        """
+        matrix = object.__new__(cls)
+        matrix.indptr, matrix.indices, matrix.data = indptr, indices, data
+        matrix.shape = shape
+        matrix._entry_rows = entry_rows
+        return matrix
+
     @classmethod
     def from_triples(
         cls,
@@ -78,6 +114,8 @@ class CSRFeatureMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and np.any(np.diff(rows) < 0):
             raise ConfigurationError("triple rows must be non-decreasing (row-major order)")
+        if rows.size and (rows[0] < 0 or rows[-1] >= shape[0]):
+            raise ConfigurationError(f"triple rows out of range for {shape[0]} rows")
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
         return cls(
@@ -103,7 +141,7 @@ class CSRFeatureMatrix:
             indptr[offset_row + 1 : offset_row + m + 1] = block.indptr[1:] + offset_nnz
             offset_row += m
             offset_nnz += block.nnz
-        return cls(
+        return cls._carved(
             indptr,
             np.concatenate([block.indices for block in blocks]),
             np.concatenate([block.data for block in blocks]),
@@ -128,7 +166,7 @@ class CSRFeatureMatrix:
     def toarray(self) -> np.ndarray:
         """Materialize the dense ``(m, num_features)`` float matrix."""
         dense = np.zeros(self.shape)
-        dense[self._entry_rows(), self.indices] = self.data
+        dense[self.entry_rows(), self.indices] = self.data
         return dense
 
     # ------------------------------------------------------------------- basics
@@ -139,8 +177,13 @@ class CSRFeatureMatrix:
         """Number of stored entries."""
         return int(self.indptr[-1])
 
-    def _entry_rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+    def entry_rows(self) -> np.ndarray:
+        """Row id of every stored entry, in storage order (computed once)."""
+        if self._entry_rows is None:
+            self._entry_rows = np.repeat(
+                np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr)
+            )
+        return self._entry_rows
 
     def row_range(self, start: int, stop: int) -> "CSRFeatureMatrix":
         """Contiguous row slice ``[start, stop)`` — pure array slicing, O(rows).
@@ -152,11 +195,12 @@ class CSRFeatureMatrix:
         if not (0 <= start <= stop <= m):
             raise ConfigurationError(f"row range [{start}, {stop}) invalid for {m} rows")
         lo, hi = int(self.indptr[start]), int(self.indptr[stop])
-        return CSRFeatureMatrix(
+        return self._carved(
             self.indptr[start : stop + 1] - lo,
             self.indices[lo:hi],
             self.data[lo:hi],
             (stop - start, self.shape[1]),
+            self.entry_rows()[lo:hi] - start,
         )
 
     # ------------------------------------------------------------------ algebra
@@ -167,8 +211,34 @@ class CSRFeatureMatrix:
             row_indices = np.flatnonzero(row_indices)
         else:
             row_indices = row_indices.astype(np.int64)
-        selected = self.to_scipy()[row_indices]
-        return CSRFeatureMatrix(selected.indptr, selected.indices, selected.data, selected.shape)
+        if row_indices.ndim > 1:
+            raise IndexError("row selection takes a 1-D index array or boolean mask")
+        row_indices = row_indices.reshape(-1)  # a scalar selects one row
+        m = self.shape[0]
+        if row_indices.size:
+            lowest, highest = int(row_indices.min()), int(row_indices.max())
+            if lowest < -m or highest >= m:
+                raise IndexError(
+                    f"index ({lowest if lowest < -m else highest}) out of range for {m} rows"
+                )
+            if lowest < 0:
+                row_indices = np.where(row_indices < 0, row_indices + m, row_indices)
+        starts = self.indptr[row_indices]
+        counts = self.indptr[row_indices + 1] - starts
+        indptr = np.zeros(row_indices.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        # Entry t of the result, in row `entry_rows[t]`, is the source's entry
+        # at the same offset into that row's range.
+        entry_rows = np.repeat(np.arange(row_indices.size, dtype=np.int64), counts)
+        positions = (starts - indptr[:-1])[entry_rows]
+        positions += np.arange(indptr[-1], dtype=np.int64)
+        return self._carved(
+            indptr,
+            self.indices[positions],
+            self.data[positions],
+            (row_indices.size, self.shape[1]),
+            entry_rows,
+        )
 
     def __matmul__(self, weights: np.ndarray) -> np.ndarray:
         """``X @ w`` — per-example weighted feature sums."""
@@ -177,7 +247,9 @@ class CSRFeatureMatrix:
             raise ConfigurationError(
                 f"expected {self.shape[1]} weights, got shape {weights.shape}"
             )
-        return self.to_scipy() @ weights
+        return np.bincount(
+            self.entry_rows(), self.data * weights[self.indices], minlength=self.shape[0]
+        )
 
     def rmatvec(self, values: np.ndarray) -> np.ndarray:
         """``X.T @ v`` — per-feature sums weighted by per-example values."""
@@ -186,7 +258,9 @@ class CSRFeatureMatrix:
             raise ConfigurationError(
                 f"expected {self.shape[0]} values, got shape {values.shape}"
             )
-        return self.to_scipy().T @ values
+        return np.bincount(
+            self.indices, self.data * values[self.entry_rows()], minlength=self.shape[1]
+        )
 
     @property
     def T(self) -> "_TransposedFeatureMatrix":

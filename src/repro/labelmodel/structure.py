@@ -19,10 +19,45 @@ the standard consistent estimator for Ising/Markov-network structure
 (Ravikumar et al.), so this is a faithful, pure-numpy substitute for the
 pseudolikelihood SGD in the original system.
 
-Every input is lowered to CSR storage and fitted from its CSC column slices:
-each node's design matrix is assembled from the non-abstain entries of the
-other columns restricted to the rows where the node votes, so memory stays
+Every input is lowered to CSR storage: a node's design matrix is the stored
+entries of the rows where the node votes (its CSC column slice names the
+rows, one gather of their CSR ranges fills the design), so memory stays
 O(votes_j · n) per node and a dense Λ is never needed.
+
+**Nodes are solved in groups.**  Every node's regression has the same width
+``d = n + 1``, so the coefficients of a group of ``N`` nodes are one
+``(N, d)`` block and the power iteration, the gradient step, the
+soft-threshold and the ``tol`` test are row-wise operations on it — one
+numpy call per step for the whole group instead of one per node, which is
+what the many small regressions of a sparse suite were paying for (23 nodes
+of 10–114 rows spent 5 937 iterations at ≈ 16 µs each on call overhead).  A
+node that meets ``tol`` takes that last update and freezes; the loop ends
+when every node of the group has.  Only the two products see the node
+boundaries:
+
+* a node whose design holds fewer than ``_GEMV_MIN_ELEMENTS`` elements
+  (rows × ``d``) is stacked with other such nodes into one tall design:
+  forward is each design row dotted with its own node's coefficient row,
+  backward is ``np.add.reduceat(X * r[:, None], node_starts, axis=0)``.
+  Groups close at ``_GROUP_BYTES`` so the working set stays bounded.
+* a node at or above it is a group of one whose products are the BLAS gemv
+  ``X @ w`` / ``X.T @ r``.
+
+**A node's result does not depend on its group.**  Which products a node
+gets is decided by its own size alone, and in the stacked form every
+reduction runs either over ``d`` within one design row or sequentially over
+one node's own rows, never across nodes — so :meth:`StructureLearner.refit_nodes`
+on any subset is bitwise the corresponding rows of :meth:`StructureLearner.fit`
+(zero-padding nodes to a common height and batching ``np.matmul`` is faster
+still but breaks exactly this: BLAS results depend on the padded height).
+
+The size constant is measured, not tuned per run: per node and iteration the
+stacked products cost ≈ 3.6 ns per design element and a group of one ≈ 16–20
+µs of numpy call overhead before any arithmetic, and the two lines cross at
+≈ 4.2k–4.6k elements at every width tried (11, 23, 33, 65, 101 columns: 384,
+≈ 200, ≈ 140, 64 and ≈ 40 rows).  4 096 keeps every node on the side that
+wins; a row count alone would not, because the crossover row count moves
+with the number of LFs.
 
 The selection threshold ε plays the paper's role exactly: a pair ``(j, k)``
 is selected when ``max(|w_{j←k}|, |w_{k←j}|) ≥ ε``, and sweeping ε produces
@@ -51,11 +86,21 @@ from repro.labeling.matrix import LabelMatrix
 from repro.labeling.sparse import (
     SparseLabelMatrix,
     class_vote_counts,
-    intersect_sorted,
     lower_to_sparse,
+    ranges_gather,
 )
-from repro.utils.mathutils import sigmoid
 from repro.utils.rng import SeedLike, ensure_rng
+
+#: A node whose design (voted rows × columns) holds fewer elements than this
+#: is solved together with other such nodes on one tall design with segmented
+#: products; a node at or above it is a group of one on BLAS gemv.  See the
+#: module docstring for the measured crossover.
+_GEMV_MIN_ELEMENTS = 4096
+
+#: A group of small nodes closes once its tall design would exceed this many
+#: bytes, so the solver's working set — and peak RSS — stays where the
+#: one-node-at-a-time loop had it.
+_GROUP_BYTES = 1 << 20
 
 
 @dataclass
@@ -69,6 +114,186 @@ class StructureSweepPoint:
     def num_correlations(self) -> int:
         """Number of selected pairs at this threshold."""
         return len(self.correlations)
+
+
+class _NodeDesigns:
+    """Node-wise regression designs, read off the CSR rows where a node votes.
+
+    Node ``j``'s design has one row per candidate LF ``j`` votes on and
+    ``n + 1`` columns: the other ``n - 1`` LFs' (recoded) votes in column
+    order, the majority-vote proxy that excludes ``j``'s own vote, and the
+    bias column of ones.
+    """
+
+    def __init__(self, sparse: SparseLabelMatrix, categorical: bool) -> None:
+        self.sparse = sparse
+        self.categorical = categorical
+        if categorical:
+            # One O(nnz) pass: per-row counts of every class, so each node's
+            # anchor-class totals are a column lookup rather than a rescan.
+            cardinality = max(2, int(sparse.data.max())) if sparse.nnz else 2
+            self.per_class_counts = class_vote_counts(sparse, cardinality)
+            self.row_nnz = sparse.row_nnz()
+        else:
+            self.row_totals = sparse.row_sums()
+
+    def fill(self, j: int, design: np.ndarray, target: np.ndarray) -> None:
+        """Write node ``j``'s design and 0/1 target into zero-initialized buffers."""
+        sparse = self.sparse
+        n = sparse.shape[1]
+        rows_j, vals_j = sparse.column(j)
+        if self.categorical:
+            # Anchor-class recoding (see module doc): the node's own votes,
+            # every partner column, and the label proxy are all mapped to
+            # +-1 against the node's most frequent class.
+            values, counts = np.unique(vals_j, return_counts=True)
+            anchor = int(values[np.argmax(counts)])  # lowest id on ties
+            target[:] = vals_j == anchor
+            own_signed = np.where(vals_j == anchor, 1.0, -1.0)
+            signed_totals = 2.0 * self.per_class_counts[rows_j, anchor - 1] - self.row_nnz[rows_j]
+        else:
+            target[:] = vals_j > 0
+            own_signed = vals_j
+            signed_totals = self.row_totals[rows_j]
+        # Every stored entry of the rows where j votes, in one take; j's own
+        # entries are dropped and the later columns shift down by one.
+        starts = sparse.indptr[rows_j]
+        counts = sparse.indptr[rows_j + 1] - starts
+        positions = ranges_gather(starts, counts)
+        local_rows = np.repeat(np.arange(rows_j.size), counts)
+        cols, values = sparse.indices[positions], sparse.data[positions]
+        partners = cols != j
+        cols, values = cols[partners], values[partners]
+        if self.categorical:
+            values = np.where(values == anchor, 1.0, -1.0)
+        design[local_rows[partners], cols - (cols > j)] = values
+        design[:, n - 1] = np.sign(signed_totals - own_signed)
+        design[:, n] = 1.0
+
+
+def _solved_alone(rows: int, width: int) -> bool:
+    """The size rule: does a node with this design get gemv products?"""
+    return rows * width >= _GEMV_MIN_ELEMENTS
+
+
+def _node_groups(nodes: Sequence[int], votes: np.ndarray, width: int) -> list[list[int]]:
+    """Partition the nodes to solve into solver groups, by each node's own size."""
+    groups: list[list[int]] = []
+    small: list[int] = []
+    small_bytes = 0
+    for j in nodes:
+        if _solved_alone(votes[j], width):
+            groups.append([j])
+            continue
+        node_bytes = int(votes[j]) * width * 8
+        if small and small_bytes + node_bytes > _GROUP_BYTES:
+            groups.append(small)
+            small, small_bytes = [], 0
+        small.append(j)
+        small_bytes += node_bytes
+    if small:
+        groups.append(small)
+    return groups
+
+
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce(block * block, axis=1))
+
+
+def _group_products(design: np.ndarray, sizes: np.ndarray):
+    """``(forward, backward)`` products of a group's stacked ``design``.
+
+    ``forward`` maps the ``(N, width)`` coefficient block to one score per
+    design row (each row dotted with its own node's coefficients);
+    ``backward`` maps one residual per design row to the ``(N, width)``
+    block of per-node ``Xᵀr``.
+    """
+    if _solved_alone(sizes[0], design.shape[1]):  # and then it is the whole group
+
+        def forward(block: np.ndarray) -> np.ndarray:
+            return design @ block[0]
+
+        def backward(residual: np.ndarray) -> np.ndarray:
+            return (design.T @ residual)[None, :]
+
+    else:
+        offsets = np.cumsum(sizes) - sizes
+        owner = np.repeat(np.arange(sizes.size), sizes)
+
+        def forward(block: np.ndarray) -> np.ndarray:
+            return np.einsum("ij,ij->i", design, block[owner])
+
+        def backward(residual: np.ndarray) -> np.ndarray:
+            return np.add.reduceat(design * residual[:, None], offsets, axis=0)
+
+    return forward, backward
+
+
+def _spectral_norms_squared(
+    forward, backward, start_vectors: np.ndarray, iterations: int = 20
+) -> np.ndarray:
+    """Estimate each node's ``λ_max(XᵀX)`` with a few power iterations.
+
+    One row of ``start_vectors`` per node; a node whose iterate vanishes
+    reports 1.0.
+    """
+    vectors = start_vectors / (_row_norms(start_vectors) + 1e-12)[:, None]
+    degenerate = np.zeros(vectors.shape[0], dtype=bool)
+    for _ in range(iterations):
+        vectors = backward(forward(vectors))
+        norms = _row_norms(vectors)
+        degenerate |= norms < 1e-12
+        norms[degenerate] = 1.0
+        vectors /= norms[:, None]
+    estimates = np.add.reduce(vectors * backward(forward(vectors)), axis=1)
+    estimates[degenerate] = 1.0
+    return estimates
+
+
+def _ista_group(
+    design: np.ndarray,
+    targets: np.ndarray,
+    sizes: np.ndarray,
+    start_vectors: np.ndarray,
+    penalty: np.ndarray,
+    max_iter: int,
+    tol: float,
+) -> np.ndarray:
+    """ISTA for the ℓ1-regularized logistic regressions of one group of nodes.
+
+    ``design`` stacks the nodes' designs (``sizes[g]`` rows each, same
+    width), ``targets`` their 0/1 targets; returns the ``(len(sizes), width)``
+    coefficient block.  Everything but the two products is row-wise on that
+    block, and each product reduces only within one row or sequentially over
+    one node's own rows, so a node's row is the same whatever else is in the
+    group.  Only coefficients with a nonzero ``penalty`` entry are shrunk.
+    """
+    forward, backward = _group_products(design, sizes)
+    num_rows = sizes[:, None].astype(float)
+    lipschitz = 0.25 * _spectral_norms_squared(forward, backward, start_vectors)[:, None] / num_rows
+    step = 1.0 / np.maximum(lipschitz, 1e-8)
+    shrink = step * penalty
+
+    coefficients = np.zeros(start_vectors.shape)
+    active = np.ones((sizes.size, 1), dtype=bool)
+    for _ in range(max_iter):
+        scores = forward(coefficients)
+        # The stable sigmoid (exp of a non-positive argument only), in ufuncs.
+        decay = np.exp(-np.abs(scores))
+        denominator = 1.0 + decay
+        predictions = decay / denominator
+        np.divide(1.0, denominator, out=predictions, where=scores >= 0)
+        gradient = backward(predictions - targets) / num_rows
+        updated = coefficients - step * gradient
+        updated = np.sign(updated) * np.maximum(np.abs(updated) - shrink, 0.0)
+        moved = updated - coefficients
+        converged = np.sqrt(np.add.reduce(moved * moved, axis=1, keepdims=True)) < tol
+        # A converged node takes this last update and freezes.
+        np.copyto(coefficients, updated, where=active)
+        active &= ~converged
+        if not np.count_nonzero(active):
+            break
+    return coefficients
 
 
 class StructureLearner:
@@ -183,113 +408,50 @@ class StructureLearner:
             self._solve_nodes(sparse, categorical, nodes)
         return self
 
-    @staticmethod
-    def _anchor_class(votes: np.ndarray) -> int:
-        """The node's most frequent emitted class (lowest id on ties)."""
-        values, counts = np.unique(votes, return_counts=True)
-        return int(values[np.argmax(counts)])
-
     def _solve_nodes(
         self, sparse: SparseLabelMatrix, categorical: bool, nodes: Sequence[int]
     ) -> None:
-        """Node-wise regressions assembled from CSC column slices.
+        """Solve the given nodes (ascending) group by group into their weight rows."""
+        n = sparse.shape[1]
+        votes = np.diff(sparse.csc()[0])
+        # A node nobody voted on has no regression (and no 1/m), whatever
+        # ``min_votes`` says.
+        solved = [j for j in nodes if votes[j] >= max(self.min_votes, 1)]
+        if not solved:
+            return
+        width = n + 1
+        start_vectors = self._start_vectors(len(solved), width)
+        designs = _NodeDesigns(sparse, categorical)
+        penalty = np.zeros(width)
+        penalty[: n - 1] = self.l1_strength
+        for group in _node_groups(solved, votes, width):
+            sizes = votes[group]
+            offsets = np.cumsum(sizes) - sizes
+            design = np.zeros((int(sizes.sum()), width))
+            targets = np.empty(design.shape[0])
+            for j, offset, size in zip(group, offsets, sizes):
+                designs.fill(j, design[offset : offset + size], targets[offset : offset + size])
+            coefficients = _ista_group(
+                design,
+                targets,
+                sizes,
+                start_vectors[np.searchsorted(solved, group)],
+                penalty,
+                self.max_iter,
+                self.tol,
+            )
+            for j, row in zip(group, np.abs(coefficients)):
+                self.dependency_weights_[j, :j] = row[:j]
+                self.dependency_weights_[j, j + 1 :] = row[j : n - 1]
 
-        Node ``j``'s design matrix is the block of rows where LF ``j`` votes,
-        gathered column by column from the stored entries.
+    def _start_vectors(self, count: int, width: int) -> np.ndarray:
+        """One power-iteration start per solved node, in ascending node order.
+
+        Each is a fresh draw of the configured ``seed``: an integer seed gives
+        every node the same start on every call (repeated fits stay
+        deterministic), a ``Generator`` is consumed one node at a time.
         """
-        m, n = sparse.shape
-        col_indptr, entry_rows, entry_vals = sparse.csc()
-        if categorical:
-            # One O(nnz) pass: per-row counts of every class, so each node's
-            # anchor-class totals are a column lookup rather than a rescan.
-            cardinality = max(2, int(entry_vals.max())) if entry_vals.size else 2
-            per_class_counts = class_vote_counts(sparse, cardinality)
-            row_nnz = sparse.row_nnz()
-            row_totals = None
-        else:
-            row_totals = sparse.row_sums()
-        weights = self.dependency_weights_
-        for j in nodes:
-            rows_j = entry_rows[col_indptr[j] : col_indptr[j + 1]]
-            vals_j = entry_vals[col_indptr[j] : col_indptr[j + 1]]
-            if rows_j.size < self.min_votes:
-                continue
-            if categorical:
-                # Anchor-class recoding (see module doc): the node's own
-                # votes, every partner column, and the label proxy are all
-                # mapped to +-1 against the node's most frequent class.
-                anchor = self._anchor_class(vals_j)
-                target = (vals_j == anchor).astype(float)
-                own_signed = np.where(vals_j == anchor, 1.0, -1.0)
-                signed_totals = 2.0 * per_class_counts[:, anchor - 1] - row_nnz
-            else:
-                anchor = None
-                target = (vals_j > 0).astype(float)
-                own_signed = vals_j
-                signed_totals = row_totals
-            others = [k for k in range(n) if k != j]
-            design = np.zeros((rows_j.size, n))
-            for k in others:
-                rows_k = entry_rows[col_indptr[k] : col_indptr[k + 1]]
-                vals_k = entry_vals[col_indptr[k] : col_indptr[k + 1]]
-                # The shared alignment primitive of the kernel layer: both
-                # slices are sorted and unique, so one searchsorted replaces
-                # the concatenated sort of np.intersect1d in this O(n²)-pair
-                # loop.
-                in_j, in_k = intersect_sorted(rows_j, rows_k)
-                if categorical:
-                    design[in_j, k] = np.where(vals_k[in_k] == anchor, 1.0, -1.0)
-                else:
-                    design[in_j, k] = vals_k[in_k]
-            mv_proxy = np.sign(signed_totals[rows_j] - own_signed)
-            features = np.column_stack([design[:, others], mv_proxy, np.ones(rows_j.size)])
-            coefficients = self._l1_logistic(features, target, num_penalized=len(others))
-            weights[j, others] = np.abs(coefficients[: len(others)])
-
-    def _l1_logistic(
-        self, features: np.ndarray, target: np.ndarray, num_penalized: int
-    ) -> np.ndarray:
-        """ISTA for ℓ1-regularized logistic regression.
-
-        Only the first ``num_penalized`` coefficients receive the ℓ1 penalty.
-        """
-        m, d = features.shape
-        coefficients = np.zeros(d)
-        lipschitz = 0.25 * self._spectral_norm_squared(features, seed=self.seed) / m
-        step = 1.0 / max(lipschitz, 1e-8)
-        penalty = np.zeros(d)
-        penalty[:num_penalized] = self.l1_strength
-        for _ in range(self.max_iter):
-            predictions = sigmoid(features @ coefficients)
-            gradient = features.T @ (predictions - target) / m
-            updated = coefficients - step * gradient
-            updated = np.sign(updated) * np.maximum(np.abs(updated) - step * penalty, 0.0)
-            if np.linalg.norm(updated - coefficients) < self.tol:
-                coefficients = updated
-                break
-            coefficients = updated
-        return coefficients
-
-    @staticmethod
-    def _spectral_norm_squared(
-        features: np.ndarray, iterations: int = 20, seed: SeedLike = 0
-    ) -> float:
-        """Estimate ``λ_max(XᵀX)`` with a few power iterations.
-
-        The starting vector comes from the learner's configured ``seed`` (an
-        integer seed yields the same start on every call, keeping repeated
-        fits deterministic).
-        """
-        rng = ensure_rng(seed)
-        vector = rng.standard_normal(features.shape[1])
-        vector /= np.linalg.norm(vector) + 1e-12
-        for _ in range(iterations):
-            vector = features.T @ (features @ vector)
-            norm = np.linalg.norm(vector)
-            if norm < 1e-12:
-                return 1.0
-            vector /= norm
-        return float(vector @ (features.T @ (features @ vector)))
+        return np.stack([ensure_rng(self.seed).standard_normal(width) for _ in range(count)])
 
     # ---------------------------------------------------------------- selection
     def _require_fitted(self) -> np.ndarray:
@@ -297,28 +459,33 @@ class StructureLearner:
             raise NotFittedError("StructureLearner must be fit before selecting correlations")
         return self.dependency_weights_
 
+    def _scores(self) -> np.ndarray:
+        """Symmetric ``(n, n)`` dependency scores ``max(|w_{j←k}|, |w_{k←j}|)``."""
+        weights = self._require_fitted()
+        return np.maximum(weights, weights.T)
+
+    @staticmethod
+    def _select(scores: np.ndarray, threshold: float) -> list[tuple[int, int]]:
+        if threshold < 0:
+            raise LabelModelError(f"threshold must be >= 0, got {threshold}")
+        pairs = np.argwhere(np.triu(scores >= threshold, 1))  # row-major: sorted
+        return list(map(tuple, pairs.tolist()))
+
     def pair_scores(self) -> dict[tuple[int, int], float]:
         """Symmetric dependency score per pair: ``max(|w_{j←k}|, |w_{k←j}|)``."""
-        weights = self._require_fitted()
-        n = weights.shape[0]
-        scores = {}
-        for j in range(n):
-            for k in range(j + 1, n):
-                scores[(j, k)] = float(max(weights[j, k], weights[k, j]))
-        return scores
+        scores = self._scores()
+        n = scores.shape[0]
+        return {(j, k): float(scores[j, k]) for j in range(n) for k in range(j + 1, n)}
 
     def select(self, threshold: float) -> list[tuple[int, int]]:
         """Pairs whose dependency score reaches ``threshold`` (the paper's ε)."""
-        if threshold < 0:
-            raise LabelModelError(f"threshold must be >= 0, got {threshold}")
-        return sorted(
-            pair for pair, score in self.pair_scores().items() if score >= threshold
-        )
+        return self._select(self._scores(), threshold)
 
     def sweep(self, thresholds: Sequence[float]) -> list[StructureSweepPoint]:
         """Evaluate :meth:`select` at several thresholds (one structure-learning fit)."""
+        scores = self._scores()
         return [
-            StructureSweepPoint(threshold=float(t), correlations=self.select(float(t)))
+            StructureSweepPoint(threshold=float(t), correlations=self._select(scores, float(t)))
             for t in thresholds
         ]
 

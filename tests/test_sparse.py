@@ -30,6 +30,7 @@ from repro.labelmodel import (
 from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.labelmodel.gibbs import GibbsSampler
 from repro.labelmodel.majority import MultiClassMajorityVoter
+from repro.labelmodel.structure import _group_products, _spectral_norms_squared
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 
 
@@ -383,11 +384,15 @@ def test_em_estimated_balance_does_not_collapse_on_imbalanced_data():
 
 def test_structure_learner_seed_is_threaded():
     features = np.random.default_rng(3).standard_normal((40, 6))
-    one = StructureLearner._spectral_norm_squared(features, iterations=1, seed=1)
-    two = StructureLearner._spectral_norm_squared(features, iterations=1, seed=2)
+    products = _group_products(features, np.array([40]))
+
+    def estimate(seed):
+        start = StructureLearner(seed=seed)._start_vectors(1, 6)
+        return float(_spectral_norms_squared(*products, start, iterations=1)[0])
+
+    one, two = estimate(1), estimate(2)
     assert one != two  # different starting vectors actually reach the estimate
-    again = StructureLearner._spectral_norm_squared(features, iterations=1, seed=1)
-    assert one == pytest.approx(again)
+    assert one == pytest.approx(estimate(1))
     data = generate_correlated_label_matrix(num_points=300, seed=1)
     first = StructureLearner(seed=7).fit(data.label_matrix).dependency_weights_
     second = StructureLearner(seed=7).fit(data.label_matrix).dependency_weights_
