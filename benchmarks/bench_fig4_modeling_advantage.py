@@ -13,9 +13,13 @@ def test_fig4_modeling_advantage(run_once):
     print("\n[Figure 4] modeling advantage vs label density")
     print(fig4_advantage.format_table(points))
     densities = [p.label_density for p in points]
-    advantages = [p.optimal_advantage for p in points]
-    # Shape check: the advantage peaks in the mid-density regime (not at the extremes).
+    advantages = [p.learned_advantage for p in points]
+    # Shape check: the learned advantage peaks in the mid-density regime (not
+    # at the extremes).
     peak = advantages.index(max(advantages))
-    assert 0 < densities[peak] < max(densities)
+    assert min(densities) < densities[peak] < max(densities)
+    # Equal accuracies make the optimal weights equal, so A* is 0 in exact
+    # arithmetic (see the driver's docstring): only rounding-tie rows move it.
+    assert all(abs(p.optimal_advantage) <= 0.01 for p in points)
     # The optimizer bound upper-bounds the learned advantage at every point.
     assert all(p.optimizer_bound >= p.learned_advantage - 0.05 for p in points)

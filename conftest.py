@@ -17,7 +17,7 @@ if _SRC not in sys.path:
 
 @pytest.fixture(params=["scipy", "numpy-fallback"])
 def backend(request):
-    """Test-id pin, not a switch: both params run the one (scipy) path.
+    """Test-id pin, not a switch: both params run the one (numpy) path.
 
     The numpy-without-scipy variant this fixture used to force is deleted,
     but ~100 ids of the form ``test_x[scipy]`` / ``test_x[numpy-fallback]``

@@ -27,7 +27,7 @@ from pathlib import Path
 LINE_LIMIT = 100
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 FIRST_PARTY = {"repro"}
-THIRD_PARTY = {"numpy", "scipy", "networkx", "pytest", "hypothesis", "np"}
+THIRD_PARTY = {"numpy", "scipy", "pytest", "hypothesis", "np"}
 
 REPO = Path(__file__).resolve().parent.parent
 TARGETS = ["src", "tests", "benchmarks", "examples", "scripts", "conftest.py", "setup.py"]

@@ -12,8 +12,11 @@ Dump the fits of one checkout, dump the other's, and diff::
     python scripts/diff_label_model_fits.py diff a.pkl b.pkl
 
 The grid is k ∈ {2, 3, 4} × {no, planted correlations} × {estimated,
-supplied class balance} × {CSR, dense input}, plus CD fits, online
-folds/drains/edits and the all-abstain-row / empty-column edge matrix.
+supplied class balance} × {CSR, dense input}, plus CD fits under both Gibbs
+kernels, Dawid–Skene fits (full and symmetric, signed-binary recode at
+k = 2), online folds/drains/edits and the all-abstain-row / empty-column
+edge matrix.  CD and Dawid–Skene read the CSR entries like everything else,
+so their dense-input records must equal their CSR-input twins.
 
 The ``stats`` groups record everything else that is read off Λ, over the
 same k × {plain, planted} × {CSR, dense} grid plus the edge matrix: the
@@ -47,6 +50,8 @@ a k=3 task.
 The diff prints, per group, how many recorded arrays are bit-identical and
 the largest absolute difference; records only one checkout has (e.g. a
 ``loss_history`` the older one did not keep) are counted, not compared.
+It ends with one line per dump comparing every dense-input record with its
+CSR-input twin inside that dump.
 """
 
 from __future__ import annotations
@@ -130,6 +135,10 @@ def dump(path: str) -> None:
                 model = GenerativeModel(method="cd", epochs=3, seed=0)
                 model.fit(matrix, correlations=corr)
                 record(f"cd {storage}-input fit/k{k} {len(corr)} pairs", model, tests)
+            model = GenerativeModel(method="cd", epochs=2, seed=0, gibbs_kernel="reference")
+            model.fit(matrix, correlations=[(0, 1)])
+            record(f"cd {storage}-input fit/k{k} reference kernel", model, tests)
+            dump_dawid_skene(out, storage, f"k{k}", k, matrix, tests)
         for corr in ((), pairs[:2]):
             tag = f"k{k} {len(corr)} pairs"
             online = OnlineGenerativeModel(cardinality=k, correlations=corr, epochs=9, seed=0)
@@ -286,6 +295,25 @@ def dump_stats(out: dict, storage: str, case: str, matrix, gold, lf_accuracies) 
     )
     put("optimizer", "pairs", strategy.correlations)
     put("optimizer", "sweep sizes", [point.num_correlations for point in strategy.sweep])
+
+
+def dump_dawid_skene(out: dict, storage: str, case: str, k: int, matrix, tests) -> None:
+    """Dawid–Skene fits (full and symmetric) and held-out posteriors of one Λ."""
+    from repro.labeling import LabelMatrix
+    from repro.labelmodel import DawidSkeneModel
+
+    for symmetric in (False, True):
+        model = DawidSkeneModel(k, max_iter=25, symmetric=symmetric).fit(matrix)
+        tag = f"dawid-skene {storage}-input/{case} {'symmetric' if symmetric else 'full'}"
+        out[f"{tag} confusion"] = model.confusion.copy()
+        out[f"{tag} class_priors"] = model.class_priors.copy()
+        out[f"{tag} posteriors"] = model.posteriors_.copy()
+        out[f"{tag} predict"] = model.predict(matrix)
+        for name, held_out in tests.items():
+            # Wrapped: before it read the CSR entries the model took raw arrays
+            # and ``LabelMatrix`` only, and the dump must run on that parent too.
+            held_out = LabelMatrix(held_out, cardinality=k)
+            out[f"{tag} predict_proba {name}"] = model.predict_proba(held_out)
 
 
 def dump_structure(out: dict, storage: str, case: str, matrix) -> None:
@@ -491,6 +519,21 @@ def diff(path_a: str, path_b: str) -> int:
         print(f"{group:42s} {exact:3d}/{count:3d} bit-identical, max |diff| = {worst:.3e}")
     if one_sided:
         print(f"{len(one_sided)} records in one dump only, e.g. {one_sided[:3]}")
+    # Within each dump: a dense-input record against its CSR-input twin.
+    for path, records in ((path_a, a), (path_b, b)):
+        count, exact, worst = 0, 0, 0.0
+        for key, value in records.items():
+            twin_key = key.replace("dense-input", "csr-input").replace("train dense", "train csr")
+            twin = records.get(twin_key)
+            if twin_key == key or value is None or twin is None:
+                continue
+            x, y = np.asarray(value, dtype=float), np.asarray(twin, dtype=float)
+            delta = float(np.abs(x - y).max(initial=0.0))
+            count, exact, worst = count + 1, exact + (delta == 0.0), max(worst, delta)
+        print(
+            f"{path}: dense-input vs CSR-input twins {exact}/{count} bit-identical, "
+            f"max |diff| = {worst:.3e}"
+        )
     return 0
 
 

@@ -1,4 +1,9 @@
-"""Setuptools entry point (kept alongside pyproject.toml for offline editable installs)."""
+"""Setuptools entry point (the repo's only packaging file).
+
+numpy is the one runtime dependency.  scipy is optional: nothing in ``src/``
+imports it unless a caller asks for ``to_scipy()`` or hands in a scipy matrix,
+and the test-suite uses it as the oracle the CSR kernels are checked against.
+"""
 
 from setuptools import find_packages, setup
 
@@ -12,5 +17,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
+    install_requires=["numpy>=1.24"],
+    extras_require={
+        "scipy": ["scipy>=1.10"],
+        "test": ["scipy>=1.10", "pytest", "hypothesis"],
+    },
 )

@@ -6,6 +6,13 @@ with n swept over a log-spaced grid.  For each n we report the empirical
 advantage of the learned generative model (A_w), the optimal advantage using
 the true weights (A*), the optimizer's upper bound (Ã*), and the low-density
 theoretical bound of Proposition 1.
+
+The paper's mid-density peak is read off the *learned* advantage A_w here.
+With one accuracy for every LF the optimal weights are all equal, weighted
+majority vote is majority vote, and A* is 0 in exact arithmetic: the few
+10⁻³ it shows are rows whose weighted score cancels to ±2·10⁻¹⁶ and whose
+verdict ``gold · score > 0`` then depends on summation order.  A* is
+reported for completeness and bounded, not used for the shape.
 """
 
 from __future__ import annotations

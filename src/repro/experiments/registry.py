@@ -23,7 +23,8 @@ EXPERIMENTS: list[ExperimentSpec] = [
     ),
     ExperimentSpec(
         "fig5", "Figure 5", "Performance and correlation count vs threshold epsilon",
-        "repro.experiments.fig5_structure.run", "benchmarks/bench_fig5_structure_tradeoff.py",
+        "repro.experiments.fig5_structure.run_simulation_panel",
+        "benchmarks/bench_fig5_structure_tradeoff.py",
     ),
     ExperimentSpec(
         "fig6", "Figure 6", "Advantage and optimizer bound vs number of CDR LFs",

@@ -12,7 +12,9 @@ only) — a memory-layout choice, preserved by the slicing methods and
 converted by ``to_sparse()`` / ``to_dense()``.  It is *computed on* in one
 form, :attr:`LabelMatrix.csr`: a dense-backed matrix lowers itself on first
 use and keeps the result, so the statistics here and a whole chain of
-downstream consumers read the same entries and lower once.  The wrapper
+downstream consumers — every label model included — read the same entries
+and lower once.  A scipy sparse matrix is accepted by duck type (``tocsr``)
+and converted on the way in; this module never imports scipy.  The wrapper
 therefore treats its array as immutable — ``.values`` is a read-only view
 (on a sparse-backed matrix a fresh dense copy: compatibility, not hot paths).
 That binds the caller too: an ``int64`` array is wrapped without a copy, and
@@ -25,7 +27,6 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as scipy_sparse
 
 from repro.exceptions import LabelingError
 from repro.labeling.sparse import SparseLabelMatrix
@@ -57,7 +58,7 @@ class LabelMatrix:
         lf_names: Optional[Sequence[str]] = None,
         cardinality: int = 2,
     ) -> None:
-        if scipy_sparse.issparse(values):
+        if hasattr(values, "tocsr"):  # a foreign sparse matrix (scipy's), by duck type
             values = SparseLabelMatrix.from_scipy(values)
         # ``_csr`` is the form every computation reads; ``_dense`` is set only
         # for dense-backed matrices, whose ``_csr`` is filled in on first use.

@@ -8,15 +8,18 @@ compressed-sparse-row form — ``indptr`` / ``indices`` / ``data`` exactly as in
 column-sliced access patterns of the label model and structure learner.
 
 The representation is three numpy arrays in canonical order (row-major,
-column ids strictly increasing within a row), shared with :mod:`scipy.sparse`
-without a copy (``to_scipy``); row/column selection and the matvec are scipy's.
+column ids strictly increasing within a row).  The container itself —
+validating constructor, conversions, row gather, ``Λ @ w`` — is
+:class:`repro.utils.csr.CSRMatrix`, shared with the feature matrix; this
+module adds what is Λ's own: no stored abstains, the canonical order check,
+the CSC view and column selection.  Nothing here imports scipy:
+``to_scipy`` / ``from_scipy`` convert for callers who hold scipy matrices.
 
 This is the one form Λ is computed on.  :func:`lower_to_sparse` is the
-boundary: every statistic, voter, bound, structure fit, LF summary and EM
-fit takes whatever the caller holds — dense array, ``LabelMatrix`` of either
-backing, scipy matrix — through it and reads the entries.  Only the Gibbs
-sampler stack and Dawid-Skene still ask for a particular backing
-(:func:`as_sparse_storage` / :func:`as_dense_array`).
+boundary: every statistic, voter, bound, structure fit, LF summary, EM fit,
+Gibbs chain and Dawid–Skene fit takes whatever the caller holds — dense
+array, ``LabelMatrix`` of either backing, scipy matrix — through it and
+reads the entries.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as scipy_sparse
 
 from repro.exceptions import LabelingError, LabelModelError
 from repro.types import ABSTAIN
+from repro.utils.csr import CSRMatrix
 
 
 def ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -70,7 +73,7 @@ def intersect_sorted(values_a: np.ndarray, values_b: np.ndarray) -> tuple[np.nda
     return in_a, positions[in_a]
 
 
-class SparseLabelMatrix:
+class SparseLabelMatrix(CSRMatrix):
     """CSR storage of the non-abstain entries of a label matrix Λ.
 
     Parameters
@@ -84,37 +87,19 @@ class SparseLabelMatrix:
         ``(num_candidates, num_lfs)``.
     """
 
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        data: np.ndarray,
-        shape: tuple[int, int],
-    ) -> None:
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.int64)
-        self.shape = (int(shape[0]), int(shape[1]))
-        self._validate()
-        self._csc_cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
-        self._entry_rows: Optional[np.ndarray] = None
-        self._entry_cols_csc: Optional[np.ndarray] = None
+    _dtype = np.int64
+    _error = LabelingError
+    _matrix_noun = "label matrix"
+    _column_noun = "labeling functions"
 
-    def _validate(self) -> None:
-        m, n = self.shape
-        if self.indptr.shape != (m + 1,):
-            raise LabelingError(
-                f"indptr must have length {m + 1} for {m} rows, got {self.indptr.shape}"
-            )
-        if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
-            raise LabelingError("indptr must start at 0 and be non-decreasing")
-        nnz = int(self.indptr[-1])
-        if self.indices.shape != (nnz,) or self.data.shape != (nnz,):
-            raise LabelingError(
-                f"indices/data must have length {nnz}, got {self.indices.shape}/{self.data.shape}"
-            )
-        if nnz and (self.indices.min() < 0 or self.indices.max() >= n):
-            raise LabelingError(f"column indices out of range for {n} labeling functions")
+    #: The cached column-major view and its per-entry column ids; class-level
+    #: defaults so results carved by the shared core start without one.
+    _csc_cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
+    _entry_cols_csc: Optional[np.ndarray] = None
+
+    def __init__(self, indptr, indices, data, shape: tuple[int, int]) -> None:
+        CSRMatrix.__init__(self, indptr, indices, data, shape)
+        nnz = self.indices.size
         if np.any(self.data == ABSTAIN):
             raise LabelingError("sparse label storage must not contain abstain entries")
         # Canonical order is what the EM bit-identity, the sorted-slice
@@ -131,18 +116,6 @@ class SparseLabelMatrix:
             )
 
     # ------------------------------------------------------------- construction
-    @classmethod
-    def from_dense(cls, values: np.ndarray) -> "SparseLabelMatrix":
-        """Compress a dense label matrix (abstains dropped)."""
-        values = np.asarray(values)
-        if values.ndim != 2:
-            raise LabelingError(f"label matrix must be 2-dimensional, got shape {values.shape}")
-        rows, cols = np.nonzero(values != ABSTAIN)
-        data = values[rows, cols].astype(np.int64)
-        indptr = np.zeros(values.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=values.shape[0]), out=indptr[1:])
-        return cls(indptr, cols.astype(np.int64), data, values.shape)
-
     @classmethod
     def from_triples(
         cls,
@@ -181,30 +154,7 @@ class SparseLabelMatrix:
         csr.sort_indices()
         return cls(csr.indptr, csr.indices, csr.data, csr.shape)
 
-    def to_scipy(self):
-        """View as a ``scipy.sparse.csr_matrix`` (shares the underlying arrays)."""
-        return scipy_sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the dense ``(m, n)`` integer matrix (abstains as 0)."""
-        dense = np.full(self.shape, ABSTAIN, dtype=np.int64)
-        dense[self.entry_rows(), self.indices] = self.data
-        return dense
-
     # ------------------------------------------------------------------- basics
-    @property
-    def nnz(self) -> int:
-        """Number of stored (non-abstain) entries."""
-        return int(self.indptr[-1])
-
-    def entry_rows(self) -> np.ndarray:
-        """Row id of every stored entry, in CSR order (cached)."""
-        if self._entry_rows is None:
-            self._entry_rows = np.repeat(
-                np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr)
-            )
-        return self._entry_rows
-
     def row_nnz(self) -> np.ndarray:
         """Per-row count of non-abstain entries."""
         return np.diff(self.indptr)
@@ -283,28 +233,14 @@ class SparseLabelMatrix:
         # The pattern arrays are this matrix's own (already validated), and
         # the values were just checked, so skip the full constructor scan —
         # the samplers call this once per chain.
-        result = SparseLabelMatrix.__new__(SparseLabelMatrix)
-        result.indptr = self.indptr
-        result.indices = self.indices
-        result.data = csr_data
-        result.shape = self.shape
+        result = self._carved(self.indptr, self.indices, csr_data, self.shape, self._entry_rows)
         # The pattern is unchanged, so the CSC view carries over — pre-seed
         # the cache to spare the next consumer the O(nnz log nnz) argsort.
         result._csc_cache = (col_indptr, rows, new_values, order)
-        result._entry_rows = self._entry_rows
         result._entry_cols_csc = self._entry_cols_csc
         return result
 
     # ------------------------------------------------------------- linear algebra
-    def matvec(self, column_weights: np.ndarray) -> np.ndarray:
-        """Per-row sums ``Σ_j data_{i,j} · w_j`` (the sparse ``Λ @ w``)."""
-        column_weights = np.asarray(column_weights, dtype=float)
-        if column_weights.shape != (self.shape[1],):
-            raise LabelingError(
-                f"expected {self.shape[1]} weights, got shape {column_weights.shape}"
-            )
-        return self.to_scipy() @ column_weights
-
     def row_sums(self) -> np.ndarray:
         """Per-row sum of the stored entries (the unweighted vote ``f_1``)."""
         return np.bincount(
@@ -317,32 +253,31 @@ class SparseLabelMatrix:
         return np.bincount(self.entry_rows()[mask], minlength=self.shape[0])
 
     # ------------------------------------------------------------------ slicing
-    @staticmethod
-    def _normalize_indices(indices, length: int) -> np.ndarray:
-        """Index list from either integer indices or a boolean mask."""
-        indices = np.asarray(indices)
-        if indices.dtype == bool:
-            if indices.shape != (length,):
-                raise LabelingError(
-                    f"boolean index mask must have length {length}, got shape {indices.shape}"
-                )
-            return np.flatnonzero(indices)
-        return indices.astype(np.int64)
-
-    def select_rows(self, row_indices: Sequence[int] | np.ndarray) -> "SparseLabelMatrix":
-        """Restrict (and reorder) to the given rows (indices or boolean mask)."""
-        row_indices = self._normalize_indices(row_indices, self.shape[0])
-        return SparseLabelMatrix.from_scipy(self.to_scipy()[row_indices])
-
     def select_columns(self, col_indices: Sequence[int] | np.ndarray) -> "SparseLabelMatrix":
-        """Restrict (and reorder) to the given columns (indices or boolean mask)."""
-        col_indices = self._normalize_indices(col_indices, self.shape[1])
-        return SparseLabelMatrix.from_scipy(self.to_scipy()[:, col_indices])
+        """Restrict (and reorder) to the given columns (indices or boolean mask).
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
+        Column ``p`` of the result is this matrix's column ``col_indices[p]``
+        (repeats allowed), gathered from the column-major view.
+        """
         m, n = self.shape
-        density = self.nnz / (m * n) if m and n else 0.0
-        return f"SparseLabelMatrix(shape={self.shape}, nnz={self.nnz}, density={density:.4f})"
+        col_indices = np.asarray(col_indices)
+        if col_indices.dtype != bool:
+            col_indices = col_indices.astype(np.int64)  # an empty list arrives as floats
+        elif col_indices.shape != (n,):
+            raise LabelingError(
+                f"boolean index mask must have length {n}, got shape {col_indices.shape}"
+            )
+        # Indexing an arange resolves masks and negative ids and raises
+        # numpy's IndexError out of range.
+        chosen = np.arange(n, dtype=np.int64)[col_indices].reshape(-1)
+        col_indptr, rows, values = self.csc()
+        starts = col_indptr[chosen]
+        counts = col_indptr[chosen + 1] - starts
+        positions = ranges_gather(starts, counts)
+        new_cols = np.repeat(np.arange(chosen.size, dtype=np.int64), counts)
+        return SparseLabelMatrix.from_triples(
+            rows[positions], new_cols, values[positions], (m, chosen.size)
+        )
 
 
 def class_vote_counts(
@@ -384,51 +319,21 @@ def lower_to_sparse(label_matrix) -> SparseLabelMatrix:
 
     A :class:`repro.labeling.matrix.LabelMatrix` hands out its own lowering
     (a dense-backed one compresses on first use and keeps the result, so a
-    chain of consumers lowers once); raw sparse inputs pass through; raw
-    dense arrays are compressed to their non-abstain entries (a non-2-D one
-    raises the :class:`LabelModelError` of the consumers this is the entry of).
+    chain of consumers lowers once); a :class:`SparseLabelMatrix` passes
+    through; a foreign sparse matrix (anything with ``tocsr``, i.e. scipy's)
+    is converted; anything else is read as a dense integer array and
+    compressed to its non-abstain entries (a non-2-D one raises the
+    :class:`LabelModelError` of the consumers this is the entry of).
     """
     from repro.labeling.matrix import LabelMatrix  # local import: avoid a cycle
 
     if isinstance(label_matrix, LabelMatrix):
         return label_matrix.csr
-    sparse = as_sparse_storage(label_matrix)
-    if sparse is not None:
-        return sparse
-    values = as_dense_array(label_matrix)
+    if isinstance(label_matrix, SparseLabelMatrix):
+        return label_matrix
+    if hasattr(label_matrix, "tocsr"):
+        return SparseLabelMatrix.from_scipy(label_matrix)
+    values = np.asarray(label_matrix, dtype=np.int64)
     if values.ndim != 2:
         raise LabelModelError(f"label matrix must be 2-D, got shape {values.shape}")
     return SparseLabelMatrix.from_dense(values)
-
-
-def as_sparse_storage(label_matrix) -> Optional[SparseLabelMatrix]:
-    """Return the :class:`SparseLabelMatrix` behind ``label_matrix``, if any.
-
-    Accepts a sparse-backed :class:`repro.labeling.matrix.LabelMatrix`, a raw
-    :class:`SparseLabelMatrix`, or a scipy sparse matrix; returns ``None`` for
-    dense inputs.  For the samplers, which keep dense inputs dense; every
-    other consumer uses :func:`lower_to_sparse`.
-    """
-    from repro.labeling.matrix import LabelMatrix  # local import: avoid a cycle
-
-    if isinstance(label_matrix, SparseLabelMatrix):
-        return label_matrix
-    if isinstance(label_matrix, LabelMatrix):
-        return label_matrix.storage if label_matrix.is_sparse else None
-    if scipy_sparse.issparse(label_matrix):
-        return SparseLabelMatrix.from_scipy(label_matrix)
-    return None
-
-
-def as_dense_array(label_matrix) -> np.ndarray:
-    """The dense integer array behind ``label_matrix``.
-
-    A :class:`repro.labeling.matrix.LabelMatrix` yields its ``values`` (a
-    sparse-backed one materializes a dense copy); anything else is coerced
-    with ``np.asarray(..., dtype=np.int64)``.
-    """
-    from repro.labeling.matrix import LabelMatrix  # local import: avoid a cycle
-
-    if isinstance(label_matrix, LabelMatrix):
-        return label_matrix.values
-    return np.asarray(label_matrix, dtype=np.int64)

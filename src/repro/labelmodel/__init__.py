@@ -21,8 +21,9 @@ This package is the reproduction of the paper's core technical contribution
   at O(chunk) cost, supports LF add/remove without a full refit, serves
   versioned posteriors under a staleness bound, and drains to a
   bit-identical batch fit,
-* :mod:`repro.labelmodel.dawid_skene` — a Dawid–Skene EM estimator used for
-  the multi-class crowdsourcing task and as a related-work baseline,
+* :mod:`repro.labelmodel.dawid_skene` — a Dawid–Skene EM estimator (over the
+  per-worker column entries) used for the multi-class crowdsourcing task and
+  as a related-work baseline,
 * :mod:`repro.labelmodel.advantage` — the modeling advantage A_w, optimal
   advantage A*, and the optimizer's upper bound Ã*,
 * :mod:`repro.labelmodel.structure` — pseudolikelihood-style structure
@@ -34,13 +35,15 @@ This package is the reproduction of the paper's core technical contribution
 * :mod:`repro.labelmodel.theory` — the low/high-density bounds of Section 3.1.
 
 Every estimator here accepts dense label matrices, CSR storage
-(:class:`repro.labeling.sparse.SparseLabelMatrix`) and a
-:class:`repro.labeling.LabelMatrix` of either backing.  EM, the voters, the
-advantage bound, the optimizer and the structure learner lower their input
-to CSR at the boundary (:func:`repro.labeling.sparse.lower_to_sparse`) and
-have one implementation over the non-abstain entries, so results do not
-depend on the backing and cost scales with the number of emitted labels;
-only the Gibbs sampler stack and Dawid-Skene still dispatch on it.
+(:class:`repro.labeling.sparse.SparseLabelMatrix`), a
+:class:`repro.labeling.LabelMatrix` of either backing and scipy sparse
+matrices.  All of them — EM, the Gibbs sampler stack and CD, Dawid–Skene,
+the voters, the advantage bound, the optimizer and the structure learner —
+lower their input to CSR at the boundary
+(:func:`repro.labeling.sparse.lower_to_sparse`) and have one implementation
+over the non-abstain entries, so results do not depend on the backing and
+cost scales with the number of emitted labels.  The samplers alone look at
+what the caller held once more, to hand a dense caller a dense sample back.
 
 Two label vocabularies are supported throughout: the paper's signed binary
 encoding (``{-1, 0, +1}``) and categorical labels (``0`` = abstain, classes

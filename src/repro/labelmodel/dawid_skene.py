@@ -8,6 +8,11 @@ estimator for multi-class tasks with abstentions, with an optional symmetric
 
 * the label model for the multi-class crowdsourcing task (Section 4.1.2),
 * a related-work baseline for comparing against the factor-graph model.
+
+Like every other label model it lowers its input through
+:func:`repro.labeling.sparse.lower_to_sparse` and reads each worker's
+``(items, votes)`` from the column-major view of the non-abstain entries, so
+dense and CSR inputs give identical fits at O(votes) per EM iteration.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import numpy as np
 
 from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import as_dense_array
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.labeling.sparse import lower_to_sparse
+from repro.utils.rng import SeedLike
 
 
 class DawidSkeneModel:
@@ -70,16 +75,16 @@ class DawidSkeneModel:
 
     # ------------------------------------------------------------------ fitting
     def fit(self, label_matrix: LabelMatrix | np.ndarray) -> "DawidSkeneModel":
-        """Run EM on the label matrix."""
-        matrix = self._recode_fit(as_dense_array(label_matrix))
-        num_items, num_workers = matrix.shape
+        """Run EM on the label matrix (any form :func:`lower_to_sparse` takes)."""
+        num_items, workers = self._worker_votes(label_matrix, fitting=True)
+        num_workers = len(workers)
         k = self.cardinality
-        rng = ensure_rng(self.seed)
 
         # Initialize posteriors from per-item vote fractions (majority vote soft start).
-        posteriors = np.full((num_items, k), 1.0 / k)
-        for klass in range(1, k + 1):
-            posteriors[:, klass - 1] += (matrix == klass).sum(axis=1)
+        vote_counts = np.zeros((num_items, k))
+        for rows, votes in workers:
+            vote_counts[rows, votes] += 1.0  # a worker votes at most once per item
+        posteriors = 1.0 / k + vote_counts
         posteriors /= posteriors.sum(axis=1, keepdims=True)
 
         confusion = np.zeros((num_workers, k, k))
@@ -89,29 +94,16 @@ class DawidSkeneModel:
             class_priors = posteriors.mean(axis=0)
             class_priors = np.clip(class_priors, 1e-12, None)
             class_priors /= class_priors.sum()
-            for worker in range(num_workers):
+            for worker, (rows, votes) in enumerate(workers):
                 counts = np.full((k, k), self.smoothing)
-                voted = matrix[:, worker] != 0
-                votes = matrix[voted, worker] - 1
                 counts_update = np.zeros((k, k))
-                np.add.at(counts_update, (slice(None), votes), posteriors[voted].T)
+                np.add.at(counts_update, (slice(None), votes), posteriors[rows].T)
                 counts += counts_update
                 confusion[worker] = counts / counts.sum(axis=1, keepdims=True)
             if self.symmetric:
                 confusion = self._symmetrize(confusion)
 
-            # E-step: posterior over the true class per item.
-            log_posterior = np.log(class_priors)[None, :].repeat(num_items, axis=0)
-            for worker in range(num_workers):
-                voted = matrix[:, worker] != 0
-                votes = matrix[voted, worker] - 1
-                log_posterior[voted] += np.log(
-                    np.clip(confusion[worker][:, votes].T, 1e-12, None)
-                )
-            shifted = log_posterior - log_posterior.max(axis=1, keepdims=True)
-            new_posteriors = np.exp(shifted)
-            new_posteriors /= new_posteriors.sum(axis=1, keepdims=True)
-
+            new_posteriors = self._e_step(num_items, workers, np.log(class_priors), confusion)
             delta = float(np.abs(new_posteriors - posteriors).mean())
             posteriors = new_posteriors
             if delta < self.tol:
@@ -121,6 +113,22 @@ class DawidSkeneModel:
         self.confusion = confusion
         self.posteriors_ = posteriors
         return self
+
+    @staticmethod
+    def _e_step(
+        num_items: int,
+        workers: list[tuple[np.ndarray, np.ndarray]],
+        log_priors: np.ndarray,
+        confusion: np.ndarray,
+    ) -> np.ndarray:
+        """Posterior over the true class per item, given every worker's votes."""
+        log_posterior = log_priors[None, :].repeat(num_items, axis=0)
+        for worker, (rows, votes) in enumerate(workers):
+            log_posterior[rows] += np.log(np.clip(confusion[worker][:, votes].T, 1e-12, None))
+        shifted = log_posterior - log_posterior.max(axis=1, keepdims=True)
+        posteriors = np.exp(shifted)
+        posteriors /= posteriors.sum(axis=1, keepdims=True)
+        return posteriors
 
     def _symmetrize(self, confusion: np.ndarray) -> np.ndarray:
         """Collapse each worker's confusion matrix to a single accuracy."""
@@ -133,26 +141,16 @@ class DawidSkeneModel:
             np.fill_diagonal(symmetric[worker], accuracy)
         return symmetric
 
-    def _recode_fit(self, matrix: np.ndarray) -> np.ndarray:
-        """Decide the label encoding at fit time and recode accordingly.
+    def _worker_votes(
+        self, label_matrix, fitting: bool
+    ) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+        """``(num_items, [(item rows, 0-based class votes) per worker])``.
 
-        Signed binary ``{-1, 0, +1}`` matrices set ``_binary_recode`` and are
-        mapped to ``{0, 1, 2}``; categorical matrices pass through.  The
-        decision is remembered so held-out matrices are recoded the same way
-        (see :meth:`_apply_recode`).
-        """
-        if matrix.min() < 0:
-            if self.cardinality != 2:
-                raise LabelModelError(
-                    "negative labels are only supported for binary (cardinality=2) tasks"
-                )
-            self._binary_recode = True
-        else:
-            self._binary_recode = False
-        return self._apply_recode(matrix)
-
-    def _apply_recode(self, matrix: np.ndarray) -> np.ndarray:
-        """Recode a matrix under the encoding fixed at fit time.
+        Read off the column-major view of Λ's non-abstain entries, so a
+        worker costs its own votes, not a scan of every item.  The label
+        encoding is decided at fit time and remembered: a signed binary
+        ``{-1, +1}`` matrix sets ``_binary_recode`` and votes map to classes
+        ``{0, 1}``; categorical votes ``1..k`` map to ``0..k-1``.
 
         Regression guard: re-deciding the encoding per matrix misindexes
         classes — a held-out signed matrix with no negative entries (e.g.
@@ -160,22 +158,33 @@ class DawidSkeneModel:
         the ``+1`` votes to class 1 (which the fitted confusion matrices
         learned as the *negative* class).
         """
+        storage = lower_to_sparse(label_matrix)
+        col_indptr, rows, values = storage.csc()
+        low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+        if fitting:
+            self._binary_recode = low < 0
+            if self._binary_recode and self.cardinality != 2:
+                raise LabelModelError(
+                    "negative labels are only supported for binary (cardinality=2) tasks"
+                )
         if self._binary_recode:
-            if matrix.size and (matrix.min() < -1 or matrix.max() > 1):
+            if low < -1 or high > 1:
                 raise LabelModelError(
                     "model was fit on signed binary labels; expected values in "
-                    f"{{-1, 0, +1}}, got range [{int(matrix.min())}, {int(matrix.max())}]"
+                    f"{{-1, 0, +1}}, got range [{low}, {high}]"
                 )
-            recoded = np.zeros_like(matrix)
-            recoded[matrix == -1] = 1
-            recoded[matrix == 1] = 2
-            return recoded
-        if matrix.size and (matrix.min() < 0 or matrix.max() > self.cardinality):
-            raise LabelModelError(
-                f"model was fit on categorical labels in 0..{self.cardinality}, got "
-                f"range [{int(matrix.min())}, {int(matrix.max())}]"
-            )
-        return matrix
+            votes = (values + 1) // 2
+        else:
+            if low < 0 or high > self.cardinality:
+                raise LabelModelError(
+                    f"model was fit on categorical labels in 0..{self.cardinality}, got "
+                    f"range [{low}, {high}]"
+                )
+            votes = values - 1
+        bounds = col_indptr.tolist()
+        return storage.shape[0], [
+            (rows[lo:hi], votes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        ]
 
     # ---------------------------------------------------------------- inference
     def _require_fitted(self) -> np.ndarray:
@@ -195,20 +204,9 @@ class DawidSkeneModel:
         if label_matrix is None:
             return self._require_fitted().copy()
         self._require_fitted()
-        matrix = self._apply_recode(as_dense_array(label_matrix))
-        num_items = matrix.shape[0]
-        log_posterior = np.log(np.clip(self.class_priors, 1e-12, None))[None, :].repeat(
-            num_items, axis=0
-        )
-        for worker in range(matrix.shape[1]):
-            voted = matrix[:, worker] != 0
-            votes = matrix[voted, worker] - 1
-            log_posterior[voted] += np.log(
-                np.clip(self.confusion[worker][:, votes].T, 1e-12, None)
-            )
-        shifted = log_posterior - log_posterior.max(axis=1, keepdims=True)
-        posterior = np.exp(shifted)
-        return posterior / posterior.sum(axis=1, keepdims=True)
+        num_items, workers = self._worker_votes(label_matrix, fitting=False)
+        log_priors = np.log(np.clip(self.class_priors, 1e-12, None))
+        return self._e_step(num_items, workers, log_priors, self.confusion)
 
     def predict(self, label_matrix: Optional[LabelMatrix | np.ndarray] = None) -> np.ndarray:
         """Hard class predictions.

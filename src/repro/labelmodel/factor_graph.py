@@ -21,7 +21,7 @@ weight (``1/k`` rather than ``1/2``).
 
 :class:`FactorGraphSpec` owns the bookkeeping: which correlation pairs are
 modeled, how the weight vector is laid out, and how to evaluate the factor
-vector and the row-wise energy for observed or sampled assignments.
+vectors of observed or sampled assignments.
 """
 
 from __future__ import annotations
@@ -145,16 +145,6 @@ class FactorGraphSpec:
         )
 
     # ------------------------------------------------------------------ factors
-    def factor_vector(self, lf_row: np.ndarray, y: int) -> np.ndarray:
-        """Evaluate ``φ_i(Λ_i, y_i)`` for one data point."""
-        lf_row = np.asarray(lf_row)
-        phi = np.zeros(self.layout.size)
-        phi[self.layout.propensity_slice] = (lf_row != ABSTAIN).astype(float)
-        phi[self.layout.accuracy_slice] = (lf_row == y).astype(float)
-        for index, (j, k) in enumerate(self.correlations):
-            phi[2 * self.num_lfs + index] = float(lf_row[j] == lf_row[k])
-        return phi
-
     def factor_matrix(self, label_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Evaluate factor vectors for every row; returns shape ``(m, 2n+|C|)``."""
         label_matrix = np.asarray(label_matrix)
@@ -169,20 +159,7 @@ class FactorGraphSpec:
             ).astype(float)
         return phi
 
-    def energy(self, weights: np.ndarray, label_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Row-wise unnormalized log-probability ``wᵀ φ_i(Λ_i, y_i)``."""
-        return self.factor_matrix(label_matrix, y) @ np.asarray(weights, dtype=float)
-
     # ----------------------------------------------------------------- topology
-    def correlation_index(self, j: int, k: int) -> int:
-        """Position of the (j, k) correlation weight within the weight vector."""
-        pair = (min(j, k), max(j, k))
-        try:
-            offset = self.correlations.index(pair)
-        except ValueError:
-            raise LabelModelError(f"pair {pair} is not modeled as correlated") from None
-        return 2 * self.num_lfs + offset
-
     def neighbors(self, j: int) -> list[tuple[int, int]]:
         """Correlation partners of LF ``j`` as ``(partner_index, weight_index)``.
 

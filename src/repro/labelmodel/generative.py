@@ -44,7 +44,7 @@ task's ``cardinality``:
   ``k = 2`` case, and the per-iteration class-balance re-estimation is a
   damped scalar update there and a damped k-vector update otherwise.
 
-**Storage.**  The EM estimator and ``predict_proba`` run on the non-abstain
+**Storage.**  Both estimators and ``predict_proba`` run on the non-abstain
 ``(row, column, value)`` triples of Λ only: every accepted input — dense
 array, dense- or sparse-backed :class:`repro.labeling.LabelMatrix`, raw
 :class:`repro.labeling.sparse.SparseLabelMatrix`, scipy sparse matrix — is
@@ -53,7 +53,9 @@ lowered to CSR storage at the boundary and handed to the kernel in
 with), so a dense input and its ``to_sparse()`` twin produce bit-identical
 fits at O(nnz) work per epoch.  Lowering costs one pass over a dense input;
 only a (near-)fully-voted matrix, where nnz ≈ m·n, would be scanned faster
-densely.  The CD estimator keeps dense inputs dense for its samplers.
+densely.  The CD estimator lowers its input the same way: its minibatches
+are CSR row gathers and its Gibbs chains run on their entries, so CD fits
+do not depend on the input's form either.
 """
 
 from __future__ import annotations
@@ -66,12 +68,7 @@ import numpy as np
 from repro.discriminative.adam import AdamOptimizer
 from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import (
-    SparseLabelMatrix,
-    as_dense_array,
-    as_sparse_storage,
-    lower_to_sparse,
-)
+from repro.labeling.sparse import SparseLabelMatrix, lower_to_sparse
 from repro.labelmodel.em import (
     EMParams,
     TrainingHistory,
@@ -90,7 +87,7 @@ from repro.labelmodel.kernels import (
     resolve_kernel,
     run_joint_chain,
 )
-from repro.types import ABSTAIN, NEGATIVE, POSITIVE, probs_to_labels
+from repro.types import NEGATIVE, POSITIVE, probs_to_labels
 from repro.utils.mathutils import log_odds_to_accuracy, sigmoid
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -231,26 +228,19 @@ class GenerativeModel:
 
         Accepts dense arrays, dense- or sparse-backed :class:`LabelMatrix`
         wrappers, raw :class:`SparseLabelMatrix` storage, and scipy sparse
-        matrices.  EM trains on the non-abstain entries only, whatever the
-        input storage (see the module docstring); CD keeps sparse inputs
-        sparse and dense inputs dense.
+        matrices.  Both estimators train on the non-abstain entries only,
+        whatever the input storage (see the module docstring).
 
         The label vocabulary follows the resolved cardinality (see the
         ``cardinality`` parameter): signed ``{-1, 0, +1}`` for binary tasks,
         ``{0, 1, .., k}`` for categorical ones.
         """
         cardinality = self._resolve_cardinality(label_matrix)
-        if self.method == "em":
-            storage: np.ndarray | SparseLabelMatrix = lower_to_sparse(label_matrix)
-        else:
-            storage = as_sparse_storage(label_matrix)
-            if storage is None:
-                storage = as_dense_array(label_matrix)
+        storage = lower_to_sparse(label_matrix)
         shape = storage.shape
-        if len(shape) != 2 or shape[0] == 0 or shape[1] == 0:
+        if shape[0] == 0 or shape[1] == 0:
             raise LabelModelError(f"label matrix must be non-empty 2-D, got shape {shape}")
-        is_sparse = isinstance(storage, SparseLabelMatrix)
-        validate_label_values(storage.data if is_sparse else storage, cardinality)
+        validate_label_values(storage.data, cardinality)
         spec = FactorGraphSpec(
             num_lfs=shape[1], correlations=correlations, cardinality=cardinality
         )
@@ -262,11 +252,7 @@ class GenerativeModel:
             )
         else:
             weights, class_prior = self._fit_cd(spec, storage)
-        coverage = None
-        if self.learn_propensity and is_sparse:
-            coverage = storage.col_nnz() / shape[0]
-        elif self.learn_propensity:
-            coverage = (storage != ABSTAIN).mean(axis=0)
+        coverage = storage.col_nnz() / shape[0] if self.learn_propensity else None
         return self._install(spec, weights, class_prior, coverage)
 
     def _resolve_cardinality(self, label_matrix) -> int:
@@ -359,12 +345,12 @@ class GenerativeModel:
 
     # --------------------------------------------------------------------- CD
     def _fit_cd(
-        self, spec: FactorGraphSpec, matrix: np.ndarray | SparseLabelMatrix
+        self, spec: FactorGraphSpec, matrix: SparseLabelMatrix
     ) -> tuple[np.ndarray, float]:
         """The paper's SGD + Gibbs (contrastive divergence) estimator.
 
-        Sparse inputs stay sparse: each minibatch is a CSR row slice, and the
-        Gibbs sampler operates on its non-abstain entries only.  Categorical
+        Each minibatch is a CSR row gather, and the Gibbs sampler operates
+        on its non-abstain entries only.  Categorical
         specs run the same ascent with the k-ary sampler and return the class
         prior as a probability vector instead of a half-log-odds scalar.
 
@@ -398,10 +384,7 @@ class GenerativeModel:
             epoch_delta = 0.0
             for start in range(0, num_rows, batch_size):
                 batch_rows = permutation[start : start + batch_size]
-                if isinstance(matrix, SparseLabelMatrix):
-                    batch: np.ndarray | SparseLabelMatrix = matrix.select_rows(batch_rows)
-                else:
-                    batch = matrix[batch_rows]
+                batch = matrix.select_rows(batch_rows)
                 batch_plan = plan.select_rows(batch_rows) if plan is not None else None
                 gradient = self._cd_batch_gradient(
                     spec, sampler, weights, batch, class_prior, batch_plan, workspace
@@ -432,7 +415,7 @@ class GenerativeModel:
         spec: FactorGraphSpec,
         sampler: GibbsSampler,
         weights: np.ndarray,
-        batch: np.ndarray | SparseLabelMatrix,
+        batch: SparseLabelMatrix,
         class_prior: float | np.ndarray,
         batch_plan: Optional[SamplerPlan] = None,
         workspace: Optional[SamplerWorkspace] = None,
@@ -447,7 +430,7 @@ class GenerativeModel:
         posteriors = sampler.label_posteriors(weights, batch, class_prior)
         # Factor vectors are inherently dense in the batch dimension; a
         # minibatch-sized densification is bounded by the batch size.
-        batch_dense = batch.to_dense() if isinstance(batch, SparseLabelMatrix) else batch
+        batch_dense = batch.to_dense()
         if posteriors.ndim == 2:
             data_phase = np.zeros(spec.layout.size)
             for klass in range(1, spec.cardinality + 1):
@@ -470,13 +453,15 @@ class GenerativeModel:
                 sweeps=self.cd_sweeps,
                 class_prior_weight=class_prior,
             )
-            sampled_matrix: np.ndarray = batch_plan.scatter_dense(sampled_values)
+            # In the plan's own entry order: a derived plan keeps the fit-level
+            # CSC order, not the (permuted) batch's.
+            sampled_matrix = np.zeros(batch.shape, dtype=np.int64)
+            sampled_matrix[batch_plan.entry_rows, batch_plan.entry_cols] = sampled_values
         else:
-            sampled_matrix, sampled_y = sampler.sample_joint(
+            sampled, sampled_y = sampler.sample_joint(
                 weights, batch, sweeps=self.cd_sweeps, class_prior_weight=class_prior
             )
-            if isinstance(sampled_matrix, SparseLabelMatrix):
-                sampled_matrix = sampled_matrix.to_dense()
+            sampled_matrix = sampled.to_dense()
         model_phase = spec.factor_matrix(sampled_matrix, sampled_y).mean(axis=0)
         return data_phase - model_phase
 

@@ -7,11 +7,16 @@ pure-numpy equivalent: block-Gibbs updates over the latent labels ``y_i``
 and, for the model-expectation (negative) phase of the gradient, over the
 labeling-function outputs ``Λ_{i,j}`` themselves.
 
-Both dense arrays and :class:`repro.labeling.sparse.SparseLabelMatrix`
-storage are supported.  The LF-output resampling operates only on the
-non-abstain entries of each column (their positions are precomputed once per
-call), so a sweep costs O(nnz) rather than O(m·n); sparse inputs are never
-densified, and ``label_posteriors`` reduces to a sparse matvec.
+Every method lowers its input through
+:func:`repro.labeling.sparse.lower_to_sparse` and runs on the non-abstain
+entries only: the LF-output resampling walks the column-major view (entry
+positions are fixed once per call), so a sweep costs O(nnz) rather than
+O(m·n), and ``label_posteriors`` is the CSR ``Λ @ w``.  What the caller
+holds decides only the *return* type, once, at the public method: a plain
+array in gives a plain array out, anything else a
+:class:`~repro.labeling.sparse.SparseLabelMatrix` with the input's pattern.
+Dense and CSR inputs therefore consume the same RNG stream and produce
+identical draws under either kernel.
 
 Both label vocabularies are supported, dispatched on the specification's
 ``cardinality``: the signed binary encoding ``{-1, 0, +1}`` runs the
@@ -27,11 +32,10 @@ Two sampling kernels are available, selected by the ``kernel`` argument:
   updates of :mod:`repro.labelmodel.kernels`: a :class:`SamplerPlan` is
   compiled once per chain (or passed in, e.g. by the contrastive-divergence
   loop, which compiles one per fit) and every sweep resamples whole color
-  classes of columns in a handful of numpy calls.  Dense and sparse storage
-  compile to the identical plan, so the two consume the same RNG stream and
-  produce the same draws.
-* ``"reference"`` — the original exact per-column loop, kept as the
-  plainly-auditable fallback the vectorized kernel is validated against.
+  classes of columns in a handful of numpy calls.
+* ``"reference"`` — the exact per-column loop over the column-major view,
+  kept as the plainly-auditable oracle the vectorized kernel is validated
+  against.
 
 Both kernels sample from the same conditionals; ``label_posteriors`` (no
 sampling involved) is kernel-independent and bit-identical.
@@ -43,11 +47,12 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.labeling.matrix import LabelMatrix
 from repro.labeling.sparse import (
     SparseLabelMatrix,
-    as_sparse_storage,
     class_vote_counts,
     intersect_sorted,
+    lower_to_sparse,
 )
 from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.labelmodel.kernels import (
@@ -62,6 +67,13 @@ from repro.utils.mathutils import sigmoid, softmax
 from repro.utils.rng import SeedLike, ensure_rng
 
 MatrixLike = Union[np.ndarray, SparseLabelMatrix]
+
+
+def _like_input(sample: SparseLabelMatrix, label_matrix) -> MatrixLike:
+    """Dense in → dense out: the one place the input's form is looked at."""
+    if isinstance(label_matrix, (SparseLabelMatrix, LabelMatrix)) or hasattr(label_matrix, "tocsr"):
+        return sample
+    return sample.to_dense()
 
 
 def _signed_indicator(values: np.ndarray) -> np.ndarray:
@@ -107,7 +119,7 @@ class GibbsSampler:
         class-prior weight ``w_0``):
         ``P(y_i = +1 | Λ_i) = σ(2 (w_0 + Σ_j w_acc_j Λ_{i,j}))`` (paper
         Appendix A.4; the prior term is an extension for imbalanced tasks).
-        For sparse storage the score is a sparse matvec.
+        The score is the CSR ``Λ @ w_acc`` over the non-abstain entries.
 
         Binary specs return the positive-class probability, shape ``(m,)``.
         Categorical specs (``cardinality = k > 2``) return the full
@@ -122,11 +134,7 @@ class GibbsSampler:
                 label_matrix, self.spec.cardinality, column_weights=accuracy_weights
             )
             return softmax(2.0 * (scores + np.asarray(class_prior_weight, dtype=float)), axis=1)
-        sparse = as_sparse_storage(label_matrix)
-        if sparse is not None:
-            scores = sparse.matvec(accuracy_weights)
-        else:
-            scores = np.asarray(label_matrix, dtype=float) @ accuracy_weights
+        scores = lower_to_sparse(label_matrix).matvec(accuracy_weights)
         return sigmoid(2.0 * (scores + class_prior_weight))
 
     def sample_labels(
@@ -153,7 +161,6 @@ class GibbsSampler:
         label_matrix: MatrixLike,
         y: np.ndarray,
         sweeps: int = 1,
-        pattern_mask: Optional[np.ndarray] = None,
         plan: Optional[SamplerPlan] = None,
         workspace: Optional[SamplerWorkspace] = None,
     ) -> MatrixLike:
@@ -175,75 +182,22 @@ class GibbsSampler:
         Each column update touches only the rows where that column votes (for
         binary specs the two-value conditional reduces to a sigmoid of the
         logit difference; categorical specs draw from the softmax over the
-        ``k`` candidate votes' energies), so a sweep is O(nnz).  Sparse
-        inputs return sparse outputs with the same sparsity pattern.
+        ``k`` candidate votes' energies), so a sweep is O(nnz).  The result
+        has the input's sparsity pattern and, per the module docstring, its
+        form.
 
         Under the vectorized kernel a :class:`SamplerPlan` is compiled for
         the matrix (or reused when passed in — it must have been compiled
-        from this matrix) and the sweep runs as fused per-color updates.  A
-        ``pattern_mask`` narrower than the matrix's own abstention pattern
-        falls back to the reference loop, which honors arbitrary masks.
+        from this matrix) and the sweep runs as fused per-color updates.
         """
-        sparse = as_sparse_storage(label_matrix)
-        if self.kernel == "vectorized" and self._mask_matches_pattern(
-            pattern_mask, sparse, label_matrix
-        ):
+        sparse = lower_to_sparse(label_matrix)
+        if self.kernel == "vectorized":
             if plan is None:
-                plan = SamplerPlan.compile(self.spec, label_matrix)
+                plan = SamplerPlan.compile(self.spec, sparse)
             values = resample_lf_entries(plan, workspace, self.rng, weights, y, sweeps)
-            if sparse is not None:
-                return sparse.with_csc_data(values)
-            return plan.scatter_dense(values)
-        if sparse is not None:
-            return self._sample_lf_outputs_sparse(weights, sparse, y, sweeps)
-        _, accuracy, _ = self.spec.split_weights(weights)
-        weights = np.asarray(weights, dtype=float)
-        sampled = np.array(label_matrix, dtype=np.int64, copy=True)
-        if pattern_mask is None:
-            pattern_mask = sampled != ABSTAIN
-        y = np.asarray(y)
-        vote_rows = [np.flatnonzero(pattern_mask[:, j]) for j in range(self.spec.num_lfs)]
-        categorical = self.spec.cardinality > 2
-        for _ in range(sweeps):
-            for j in range(self.spec.num_lfs):
-                rows = vote_rows[j]
-                if rows.size == 0:
-                    continue
-                if categorical:
-                    partner_terms = [
-                        (weights[weight_index], sampled[rows, partner])
-                        for partner, weight_index in self.spec.neighbors(j)
-                    ]
-                    draws = self._column_class_draws(accuracy[j], y[rows], partner_terms)
-                else:
-                    logit_diff = accuracy[j] * _signed_indicator(y[rows])
-                    for partner, weight_index in self.spec.neighbors(j):
-                        logit_diff += weights[weight_index] * _signed_indicator(
-                            sampled[rows, partner]
-                        )
-                    probability_positive = sigmoid(logit_diff)
-                    draws = np.where(
-                        self.rng.random(rows.size) < probability_positive, POSITIVE, NEGATIVE
-                    ).astype(np.int64)
-                sampled[rows, j] = draws
-        return sampled
-
-    @staticmethod
-    def _mask_matches_pattern(
-        pattern_mask: Optional[np.ndarray],
-        sparse: Optional[SparseLabelMatrix],
-        label_matrix: MatrixLike,
-    ) -> bool:
-        """Whether a supplied pattern mask is just the matrix's own pattern."""
-        if pattern_mask is None:
-            return True
-        if sparse is not None:
-            # O(nnz): the mask equals the pattern iff it is true on every
-            # stored entry and nowhere else — never densify the matrix.
-            if pattern_mask.shape != sparse.shape or int(pattern_mask.sum()) != sparse.nnz:
-                return False
-            return bool(pattern_mask[sparse.entry_rows(), sparse.indices].all())
-        return bool(np.array_equal(pattern_mask, np.asarray(label_matrix) != ABSTAIN))
+        else:
+            values, _ = self._reference_chain(weights, sparse, sweeps, y, None)
+        return _like_input(sparse.with_csc_data(values), label_matrix)
 
     def _column_class_draws(
         self,
@@ -288,7 +242,7 @@ class GibbsSampler:
             alignments.append(per_column)
         return alignments
 
-    def _resample_columns_sparse(
+    def _resample_columns(
         self,
         accuracy: np.ndarray,
         weights: np.ndarray,
@@ -322,26 +276,6 @@ class GibbsSampler:
                 ).astype(np.int64)
             data[start:stop] = draws
 
-    def _sample_lf_outputs_sparse(
-        self,
-        weights: np.ndarray,
-        sparse: SparseLabelMatrix,
-        y: np.ndarray,
-        sweeps: int,
-    ) -> SparseLabelMatrix:
-        """Column-wise resampling over CSC entries; the pattern never changes."""
-        _, accuracy, _ = self.spec.split_weights(weights)
-        weights = np.asarray(weights, dtype=float)
-        y = np.asarray(y)
-        col_indptr, entry_rows, entry_vals = sparse.csc()
-        data = entry_vals.copy()
-        alignments = self._column_alignments(col_indptr, entry_rows)
-        for _ in range(sweeps):
-            self._resample_columns_sparse(
-                accuracy, weights, col_indptr, entry_rows, data, y, alignments
-            )
-        return sparse.with_csc_data(data)
-
     def sample_joint(
         self,
         weights: np.ndarray,
@@ -356,18 +290,19 @@ class GibbsSampler:
 
         The abstention pattern of the observed matrix is held fixed (see
         :meth:`sample_lf_outputs`).  Returns the final ``(Λ_sample, y_sample)``
-        pair; sparse inputs yield a sparse sample with the same pattern.
+        pair; the sample has the input's pattern and form.
 
         Under the vectorized kernel the chain runs on a compiled
         :class:`SamplerPlan` — pass ``plan``/``workspace`` to amortize the
-        compile and the scratch buffers across calls (the plan must have been
-        compiled from this matrix, e.g. via ``SamplerPlan.compile`` or
-        ``select_rows``); otherwise one is compiled for the call.
+        compile and the scratch buffers across calls (the plan's entries must
+        be this matrix's column-major view: ``SamplerPlan.compile`` of it, or
+        ``select_rows`` over ascending rows); otherwise one is compiled for
+        the call.
         """
-        sparse = as_sparse_storage(label_matrix)
+        sparse = lower_to_sparse(label_matrix)
         if self.kernel == "vectorized":
             if plan is None:
-                plan = SamplerPlan.compile(self.spec, label_matrix)
+                plan = SamplerPlan.compile(self.spec, sparse)
             values, y = run_joint_chain(
                 plan,
                 workspace,
@@ -377,77 +312,40 @@ class GibbsSampler:
                 initial_y=initial_y,
                 class_prior_weight=class_prior_weight,
             )
-            if sparse is not None:
-                return sparse.with_csc_data(values), y
-            return plan.scatter_dense(values), y
-        if sparse is not None:
-            return self._sample_joint_sparse(
+        else:
+            values, y = self._reference_chain(
                 weights, sparse, sweeps, initial_y, class_prior_weight
             )
-        observed = np.asarray(label_matrix, dtype=np.int64)
-        pattern_mask = observed != ABSTAIN
-        current = observed.copy()
-        if initial_y is None:
-            y = self.sample_labels(weights, current, class_prior_weight)
-        else:
-            y = np.array(initial_y, dtype=np.int64, copy=True)
-        for _ in range(sweeps):
-            current = self.sample_lf_outputs(
-                weights, current, y, sweeps=1, pattern_mask=pattern_mask
-            )
-            y = self.sample_labels(weights, current, class_prior_weight)
-        return current, y
+        return _like_input(sparse.with_csc_data(values), label_matrix), y
 
-    def _sample_joint_sparse(
+    def _reference_chain(
         self,
         weights: np.ndarray,
         sparse: SparseLabelMatrix,
         sweeps: int,
-        initial_y: Optional[np.ndarray],
-        class_prior_weight: float | np.ndarray,
-    ) -> tuple[SparseLabelMatrix, np.ndarray]:
-        """The block-Gibbs chain over CSC entries, with one-time setup.
+        y: Optional[np.ndarray],
+        class_prior_weight: Optional[float | np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The reference chain: per-column resampling over the CSC entries.
 
-        The CSC view, per-entry column ids, and correlated-pair alignments
-        depend only on the (fixed) abstention pattern, so they are computed
-        once for the whole chain rather than per sweep.
+        Returns the final entry values (CSC order) and ``y``.  With a
+        ``class_prior_weight`` the labels are redrawn after every sweep (and
+        drawn from the observed matrix first when ``y`` is ``None``); with
+        ``None`` the given ``y`` is held fixed.  The CSC view and the
+        correlated-pair alignments depend only on the (fixed) abstention
+        pattern, so they are computed once for the whole chain rather than
+        per sweep.
         """
         _, accuracy, _ = self.spec.split_weights(weights)
         weights = np.asarray(weights, dtype=float)
         col_indptr, entry_rows, entry_vals = sparse.csc()
-        entry_cols = sparse.entry_cols()
         data = entry_vals.copy()
         alignments = self._column_alignments(col_indptr, entry_rows)
-        num_rows = sparse.shape[0]
-
-        cardinality = self.spec.cardinality
-
-        def draw_labels() -> np.ndarray:
-            if cardinality > 2:
-                scores = np.bincount(
-                    entry_rows * cardinality + (data - 1),
-                    weights=accuracy[entry_cols],
-                    minlength=num_rows * cardinality,
-                ).reshape(num_rows, cardinality)
-                posteriors = softmax(
-                    2.0 * (scores + np.asarray(class_prior_weight, dtype=float)), axis=1
-                )
-                return _categorical_draw(self.rng, posteriors)
-            scores = np.bincount(
-                entry_rows, weights=data * accuracy[entry_cols], minlength=num_rows
-            )
-            posteriors = sigmoid(2.0 * (scores + class_prior_weight))
-            return np.where(
-                self.rng.random(num_rows) < posteriors, POSITIVE, NEGATIVE
-            ).astype(np.int64)
-
-        if initial_y is None:
-            y = draw_labels()
-        else:
-            y = np.array(initial_y, dtype=np.int64, copy=True)
+        if y is None:
+            y = self.sample_labels(weights, sparse, class_prior_weight)
+        y = np.array(y, dtype=np.int64)
         for _ in range(sweeps):
-            self._resample_columns_sparse(
-                accuracy, weights, col_indptr, entry_rows, data, y, alignments
-            )
-            y = draw_labels()
-        return sparse.with_csc_data(data), y
+            self._resample_columns(accuracy, weights, col_indptr, entry_rows, data, y, alignments)
+            if class_prior_weight is not None:
+                y = self.sample_labels(weights, sparse.with_csc_data(data), class_prior_weight)
+        return data, y

@@ -52,7 +52,9 @@ The label-step categorical draws use the same in-place inverse-CDF, replacing
 the reference sampler's softmax/cumsum/argmax churn.  The kernels draw from
 exactly the same conditionals as the reference implementation — bit-identical
 where no sampling is involved (``label_posteriors``, EM), and equal in
-distribution for the chains (verified by ``tests/test_kernels.py``).
+distribution for the chains (verified by ``tests/test_kernels.py``).  Like
+the reference loop they see Λ only as its column-major entries: no kernel
+knows whether the caller held the matrix densely.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.exceptions import LabelModelError
-from repro.labeling.sparse import as_sparse_storage, intersect_sorted, ranges_gather
+from repro.labeling.sparse import intersect_sorted, lower_to_sparse, ranges_gather
 from repro.labelmodel.factor_graph import FactorGraphSpec
-from repro.types import ABSTAIN, NEGATIVE, POSITIVE
+from repro.types import NEGATIVE, POSITIVE
 from repro.utils.mathutils import sigmoid
 
 #: Accepted values of the ``kernel`` selector exposed by the samplers, the
@@ -138,12 +140,12 @@ class SamplerPlan:
     runs: the CSC-ordered entry layout (rows, columns, observed values), the
     graph coloring, the per-color gather indices, and the correlated-pair
     alignments.  Chains mutate only a flat value array laid out in plan
-    order; :meth:`scatter_dense` and the storage's ``with_csc_data`` turn
-    that array back into a matrix.
+    order; the storage's ``with_csc_data`` turns that array back into a
+    matrix.
 
-    Use :meth:`compile` to build one from a label matrix (dense or sparse —
-    both produce the identical plan, so the kernels consume the same RNG
-    stream for either storage), and :meth:`select_rows` to derive the plan of
+    Use :meth:`compile` to build one from a label matrix (lowered to its CSR
+    entries first, so every input form yields the same plan and the kernels
+    consume the same RNG stream), and :meth:`select_rows` to derive the plan of
     a row minibatch without recompiling (no re-coloring, no re-alignment —
     the contrastive-divergence loop builds one plan per fit and derives the
     per-batch views from it).
@@ -197,33 +199,16 @@ class SamplerPlan:
 
     # ----------------------------------------------------------------- compile
     @classmethod
-    def compile(
-        cls, spec: FactorGraphSpec, label_matrix
-    ) -> "SamplerPlan":
-        """Compile the plan for a label matrix (dense array or CSR storage).
+    def compile(cls, spec: FactorGraphSpec, label_matrix) -> "SamplerPlan":
+        """Compile the plan for a label matrix (any form ``lower_to_sparse`` takes).
 
-        Dense matrices and their sparse counterparts compile to the same
-        plan: entries in column-major order with rows ascending within each
-        column, exactly the storage's CSC view.
+        The plan's entries are the storage's CSC view: column-major order
+        with rows ascending within each column.
         """
-        sparse = as_sparse_storage(label_matrix)
-        if sparse is not None:
-            num_rows, num_cols = sparse.shape
-            col_indptr, entry_rows, entry_values = sparse.csc()
-            entry_cols = sparse.entry_cols()
-        else:
-            matrix = np.asarray(label_matrix, dtype=np.int64)
-            if matrix.ndim != 2:
-                raise LabelModelError(
-                    f"label matrix must be 2-D, got shape {matrix.shape}"
-                )
-            num_rows, num_cols = matrix.shape
-            entry_cols, entry_rows = np.nonzero(matrix.T != ABSTAIN)
-            entry_cols = entry_cols.astype(np.int64)
-            entry_rows = entry_rows.astype(np.int64)
-            entry_values = matrix[entry_rows, entry_cols]
-            col_indptr = np.zeros(num_cols + 1, dtype=np.int64)
-            np.cumsum(np.bincount(entry_cols, minlength=num_cols), out=col_indptr[1:])
+        sparse = lower_to_sparse(label_matrix)
+        num_rows, num_cols = sparse.shape
+        col_indptr, entry_rows, entry_values = sparse.csc()
+        entry_cols = sparse.entry_cols()
         if num_cols != spec.num_lfs:
             raise LabelModelError(
                 f"label matrix has {num_cols} LFs, spec expects {spec.num_lfs}"
@@ -268,24 +253,16 @@ class SamplerPlan:
             positions = ranges_gather(col_indptr[color_cols], counts[color_cols])
             if positions.size == 0:
                 continue
-            if color in per_color_self:
-                self_abs = np.concatenate(per_color_self[color])
-                partner_abs = np.concatenate(per_color_partner[color])
-                weight_idx = np.concatenate(per_color_weight[color])
-                local = np.searchsorted(positions, self_abs)
-            else:  # pragma: no cover - every color >= 1 has correlated columns
-                self_abs = np.empty(0, dtype=np.int64)
-                partner_abs = np.empty(0, dtype=np.int64)
-                weight_idx = np.empty(0, dtype=np.int64)
-                local = np.empty(0, dtype=np.int64)
+            # Every color >= 1 holds correlated columns, so it has alignments.
+            self_abs = np.concatenate(per_color_self[color])
             color_updates.append(
                 _ColorUpdate(
                     color=color,
                     positions=positions,
                     rows=entry_rows[positions],
-                    local=local,
-                    partners=partner_abs,
-                    weight_indices=weight_idx,
+                    local=np.searchsorted(positions, self_abs),
+                    partners=np.concatenate(per_color_partner[color]),
+                    weight_indices=np.concatenate(per_color_weight[color]),
                 )
             )
         return cls(
@@ -354,13 +331,6 @@ class SamplerPlan:
             independent,
             color_updates,
         )
-
-    # ---------------------------------------------------------- materialization
-    def scatter_dense(self, entry_values: np.ndarray) -> np.ndarray:
-        """Scatter plan-ordered entry values into a dense ``(m, n)`` matrix."""
-        dense = np.full((self.num_rows, self.spec.num_lfs), ABSTAIN, dtype=np.int64)
-        dense[self.entry_rows, self.entry_cols] = entry_values
-        return dense
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

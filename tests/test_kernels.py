@@ -11,8 +11,9 @@ Four guarantees are pinned down here:
   bit-identical posteriors, weights, and probabilistic labels.
 * **Seed stability** — each kernel is deterministic under a fixed seed, the
   reference kernel in particular (it is the auditable baseline the
-  vectorized kernel is validated against), and the vectorized kernel draws
-  identically for dense and sparse storage (both compile the same plan).
+  vectorized kernel is validated against), and both kernels draw
+  identically for dense and sparse input (both are lowered to the same
+  entries, so CD fits are equal too).
 * **Distributional equivalence** — the vectorized fused updates sample from
   the same conditionals as the reference loop: exact closed-form marginals
   on independent suites, and reference-matched empirical marginals (within
@@ -117,7 +118,10 @@ def test_plan_select_rows_matches_fresh_compile(backend):
     rows = np.random.default_rng(3).permutation(300)[:77]
     derived = plan.select_rows(rows)
     batch = matrix.storage.select_rows(rows)
-    assert np.array_equal(derived.scatter_dense(derived.entry_values), batch.to_dense())
+    scattered = SparseLabelMatrix.from_triples(
+        derived.entry_rows, derived.entry_cols, derived.entry_values, batch.shape
+    )
+    assert np.array_equal(scattered.to_dense(), batch.to_dense())
     fresh = SamplerPlan.compile(spec, batch)
 
     def canonical_entries(p):
@@ -258,25 +262,58 @@ def test_reference_kernel_seed_stable(backend):
 
 
 def test_vectorized_kernel_dense_sparse_identical_draws(backend):
+    # Every input form is lowered to the same entries, so under either kernel
+    # — binary and k = 3, with and without correlations — a dense input and
+    # its CSR twin consume one RNG stream: draws, labels, posteriors and CD
+    # fits are equal, not close.
     for matrix, pairs in (
         (_binary_task(), [(0, 1), (2, 3)]),
+        (_binary_task(), []),
         (_categorical_task(), [(0, 1)]),
+        (_categorical_task(), []),
     ):
         spec = FactorGraphSpec(
             matrix.num_lfs, pairs, cardinality=matrix.cardinality
         )
         weights = spec.initial_weights()
+        # Unequal accuracy weights: a BLAS row sum and the CSR one round apart.
+        weights[spec.layout.accuracy_slice] = np.linspace(0.1, 1.3, matrix.num_lfs) ** 3
         weights[spec.layout.correlation_slice] = 0.5
-        dense_sample, dense_y = GibbsSampler(spec, seed=5).sample_joint(
-            weights, matrix.values, sweeps=3
-        )
-        sparse_sample, sparse_y = GibbsSampler(spec, seed=5).sample_joint(
-            weights, matrix.to_sparse().storage, sweeps=3
-        )
-        assert np.array_equal(dense_sample, sparse_sample.to_dense())
-        assert np.array_equal(dense_y, sparse_y)
-        # The abstention pattern is held fixed.
-        assert np.array_equal(dense_sample != 0, matrix.values != 0)
+        sparse = matrix.to_sparse()
+        fixed_y = GibbsSampler(spec, seed=1).sample_labels(weights, sparse)
+        for kernel in ("vectorized", "reference"):
+            dense_sampler = GibbsSampler(spec, seed=5, kernel=kernel)
+            sparse_sampler = GibbsSampler(spec, seed=5, kernel=kernel)
+            assert np.array_equal(
+                dense_sampler.label_posteriors(weights, matrix.values),
+                sparse_sampler.label_posteriors(weights, sparse.storage),
+            )
+            dense_sample, dense_y = dense_sampler.sample_joint(
+                weights, matrix.values, sweeps=3
+            )
+            sparse_sample, sparse_y = sparse_sampler.sample_joint(
+                weights, sparse.storage, sweeps=3
+            )
+            assert isinstance(dense_sample, np.ndarray)
+            assert isinstance(sparse_sample, SparseLabelMatrix)
+            assert np.array_equal(dense_sample, sparse_sample.to_dense())
+            assert np.array_equal(dense_y, sparse_y)
+            # The abstention pattern is held fixed.
+            assert np.array_equal(dense_sample != 0, matrix.values != 0)
+            assert np.array_equal(
+                dense_sampler.sample_lf_outputs(weights, matrix.values, fixed_y, sweeps=2),
+                sparse_sampler.sample_lf_outputs(weights, sparse, fixed_y, sweeps=2).to_dense(),
+            )
+            fits = [
+                GenerativeModel(
+                    method="cd", epochs=2, seed=3, gibbs_kernel=kernel,
+                    cardinality=matrix.cardinality,
+                ).fit(storage, correlations=pairs)
+                for storage in (matrix, sparse, matrix.values, sparse.storage)
+            ]
+            for fit in fits[1:]:
+                assert np.array_equal(fit.weights, fits[0].weights)
+                assert np.array_equal(fit.predict_proba(matrix), fits[0].predict_proba(sparse))
 
 
 # ------------------------------------------------------- distributional checks
@@ -326,8 +363,8 @@ def test_vectorized_matches_exact_independent_conditionals(
 def test_vectorized_matches_reference_with_correlations(backend, cardinality):
     """Correlated suites: both kernels are valid Gibbs samplers of the same
     conditional, so their long-run per-entry marginals must agree within
-    Monte-Carlo tolerance (dense storage drives the dense fused path; the
-    dense/sparse draw identity is covered above)."""
+    Monte-Carlo tolerance (the reference side is the one per-column CSC
+    loop; the dense/sparse draw identity is covered above)."""
     if cardinality == 2:
         matrix = _binary_task(num_points=40, num_lfs=4, propensity=0.7)
         y = np.where(np.random.default_rng(1).random(40) < 0.5, 1, -1)

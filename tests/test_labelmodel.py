@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+import reference_dawid_skene
 
-from repro.datasets.synthetic import generate_label_matrix, generate_misspecification_example
+from repro.datasets.synthetic import (
+    generate_label_matrix,
+    generate_misspecification_example,
+    generate_multiclass_label_matrix,
+)
 from repro.exceptions import LabelModelError, NotFittedError
-from repro.labeling import LabelMatrix
+from repro.labeling import LabelMatrix, SparseLabelMatrix
 from repro.labelmodel import (
     GenerativeModel,
     MajorityVoter,
@@ -229,6 +234,43 @@ def test_dawid_skene_binary_recode():
     model = DawidSkeneModel(cardinality=2).fit(matrix)
     assert set(np.unique(model.predict())) <= {-1, 1}
     assert float((model.predict() == truth).mean()) > 0.8
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["full", "symmetric"])
+@pytest.mark.parametrize("cardinality", [2, 3])
+def test_dawid_skene_reads_entries_and_equals_the_dense_reference(cardinality, symmetric):
+    # Dense input ≡ CSR input ≡ the dense loop the model ran before it read
+    # the CSC view, bit for bit — signed-binary recode included (k = 2).
+    if cardinality == 2:
+        matrix = generate_label_matrix(num_points=260, num_lfs=6, propensity=0.4, seed=4)
+    else:
+        matrix = generate_multiclass_label_matrix(
+            num_points=260, num_lfs=6, cardinality=3, propensity=0.4, seed=4
+        )
+    values = matrix.label_matrix.values.copy()
+    values[7] = 0  # an item nobody voted on
+    values[:, 3] = 0  # a worker who never voted
+    train, held_out = values[:200], values[200:]
+    settings = dict(max_iter=30, symmetric=symmetric)
+    expected = reference_dawid_skene.fit(
+        reference_dawid_skene.recode(train, signed=cardinality == 2), cardinality, **settings
+    )
+    expected_held_out = reference_dawid_skene.predict_proba(
+        reference_dawid_skene.recode(held_out, signed=cardinality == 2), *expected[:2]
+    )
+    wrapped = LabelMatrix(train, cardinality=cardinality)
+    for train_form, held_out_form in (
+        (train, held_out),
+        (wrapped, LabelMatrix(held_out, cardinality=cardinality)),
+        (wrapped.to_sparse(), SparseLabelMatrix.from_dense(held_out)),
+        (SparseLabelMatrix.from_dense(train), held_out.tolist()),
+    ):
+        model = DawidSkeneModel(cardinality, **settings).fit(train_form)
+        for ours, theirs in zip(
+            (model.confusion, model.class_priors, model.posteriors_), expected
+        ):
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(model.predict_proba(held_out_form), expected_held_out)
 
 
 def test_modeling_advantage_definition():

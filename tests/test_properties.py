@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.labeling.matrix import LabelMatrix
+from repro.labeling.sparse import SparseLabelMatrix
 from repro.labelmodel.advantage import estimate_advantage_bound, modeling_advantage
 from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.labelmodel.kernels import SamplerPlan, color_columns, run_joint_chain
@@ -248,6 +249,7 @@ def test_fuzz_select_rows_permuted_is_canonically_equal(workload, subset_seed):
     assert derived.num_colors == fresh.num_colors
     assert _canonical_entries(derived) == _canonical_entries(fresh)
     assert _canonical_alignments(derived) == _canonical_alignments(fresh)
-    assert np.array_equal(
-        derived.scatter_dense(derived.entry_values), matrix[rows]
+    scattered = SparseLabelMatrix.from_triples(
+        derived.entry_rows, derived.entry_cols, derived.entry_values, matrix[rows].shape
     )
+    assert np.array_equal(scattered.to_dense(), matrix[rows])

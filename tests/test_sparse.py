@@ -118,7 +118,7 @@ def test_select_accepts_boolean_masks(backend):
 
 
 def test_scipy_interop():
-    import scipy.sparse as sp
+    sp = pytest.importorskip("scipy.sparse")
 
     storage = SparseLabelMatrix.from_scipy(sp.csr_matrix(EDGE))
     assert np.array_equal(storage.to_dense(), EDGE)

@@ -9,8 +9,6 @@ the same weights from either storage.
 
 import numpy as np
 import pytest
-import scipy.sparse as scipy_sparse
-from hypothesis import given, settings, strategies as st
 
 from repro.context.candidates import Candidate, SentenceView, SpanView
 from repro.discriminative import (
@@ -99,88 +97,43 @@ def test_row_selection(backend):
 
 
 def test_shape_validation():
-    with pytest.raises(ConfigurationError):
-        CSRFeatureMatrix(np.array([0, 1]), np.array([5]), np.array([1.0]), (1, 3))
-    with pytest.raises(ConfigurationError):
-        CSRFeatureMatrix(np.array([0, 1, 1]), np.array([0]), np.array([1.0]), (1, 3))
+    # The malformed-CSR table both containers share is tests/test_csr_core.py;
+    # here, that the operator spellings raise this class's error too.
     dense, sparse = reference_matrix()
     with pytest.raises(ConfigurationError):
         sparse @ np.zeros(3)
     with pytest.raises(ConfigurationError):
-        sparse.rmatvec(np.zeros(3))
+        sparse.T @ np.zeros(3)
 
 
 def test_constructor_rejects_malformed_csr():
-    # Nothing downstream re-checks: the products and the row gather index
-    # straight into the stored arrays.  Each of these constructed before.
-    with pytest.raises(ConfigurationError, match="start at 0"):
-        CSRFeatureMatrix([1, 2, 3], [0, 1, 0], [1.0, 2.0, 3.0], (2, 2))
-    with pytest.raises(ConfigurationError, match="non-decreasing"):
-        CSRFeatureMatrix([0, 2, 1, 3], [0, 1, 0], [1.0, 2.0, 3.0], (3, 2))
+    # from_triples is this class's own front door (row-major triples).
     for rows in ([0, 5], [-1, 0]):
         with pytest.raises(ConfigurationError, match="out of range"):
             CSRFeatureMatrix.from_triples(rows, [0, 1], [1.0, 2.0], (2, 2))
+    with pytest.raises(ConfigurationError, match="non-decreasing"):
+        CSRFeatureMatrix.from_triples([1, 0], [0, 1], [1.0, 2.0], (2, 2))
 
 
-# ------------------------------------------- stored-array kernels vs scipy
-@st.composite
-def csr_cases(draw):
-    """A CSR matrix with empty rows and explicit zeros, maybe 0 rows or 0 nnz."""
-    m, d = draw(st.integers(0, 9)), draw(st.integers(1, 7))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    stored = rng.random((m, d)) < draw(st.sampled_from([0.0, 0.3, 0.8]))
-    stored[rng.random(m) < 0.3] = False  # empty rows
-    rows, cols = np.nonzero(stored)
-    values = np.where(rng.random(rows.size) < 0.2, 0.0, rng.standard_normal(rows.size))
-    return CSRFeatureMatrix.from_triples(rows, cols, values, (m, d)), rng
-
-
-def assert_same_csr(ours, theirs):
-    theirs = theirs.tocsr()
-    assert ours.shape == theirs.shape
-    assert np.array_equal(ours.indptr, theirs.indptr)
-    assert np.array_equal(ours.indices, theirs.indices)
-    assert np.array_equal(ours.data, theirs.data)
-    entry_rows = np.repeat(np.arange(ours.shape[0]), np.diff(ours.indptr))
-    assert np.array_equal(ours.entry_rows(), entry_rows)
-
-
-@given(case=csr_cases(), data=st.data())
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_kernels_are_bitwise_scipys(case, data):
-    matrix, rng = case
-    oracle = matrix.to_scipy()
-    m, d = matrix.shape
-    w, v = rng.standard_normal(d), rng.standard_normal(m)
-    assert np.array_equal(matrix @ w, oracle @ w)
-    assert np.array_equal(matrix.T @ v, oracle.T @ v)
-    assert np.array_equal(matrix.toarray(), oracle.toarray())
-
-    picks = data.draw(st.lists(st.integers(-m, m - 1), max_size=12) if m else st.just([]))
-    mask = rng.random(m) < 0.5
-    for selector in (picks, np.array(picks, dtype=np.int32), mask, mask.tolist(), []):
-        index = np.asarray(selector, dtype=bool if selector is mask else None)
-        expected = oracle[np.flatnonzero(index) if index.dtype == bool else index.astype(int)]
-        assert_same_csr(matrix[selector], expected)
-        # A gathered block feeds the same kernels.
-        assert np.array_equal(matrix[selector] @ w, expected @ w)
-    if m:
-        assert_same_csr(matrix[m - 1], oracle[[m - 1]])
-        for bad in (m, -m - 1, [0, m]):
-            with pytest.raises(IndexError):
-                matrix[bad]
-
-    start = data.draw(st.integers(0, m))
-    stop = data.draw(st.integers(start, m))
-    block = matrix.row_range(start, stop)
-    assert_same_csr(block, oracle[start:stop])
-    assert np.array_equal(block @ w, oracle[start:stop] @ w)
-    assert np.array_equal(block.T @ v[start:stop], oracle[start:stop].T @ v[start:stop])
-
-    parts = [matrix.row_range(0, start), block, matrix.row_range(stop, m), matrix[picks]]
-    stacked = CSRFeatureMatrix.vstack(parts)
-    assert_same_csr(stacked, scipy_sparse.vstack([part.to_scipy() for part in parts]))
-    assert np.array_equal(stacked @ w, stacked.to_scipy() @ w)
+def test_kernels_are_bitwise_scipys():
+    # The kernels are held to scipy's answers on generated matrices, for this
+    # class and SparseLabelMatrix at once, in tests/test_csr_core.py; what is
+    # this class's own is their operator spelling.
+    pytest.importorskip("scipy.sparse")
+    dense, sparse = reference_matrix()
+    oracle = sparse.to_scipy()
+    rng = np.random.default_rng(0)
+    w, v = rng.standard_normal(dense.shape[1]), rng.standard_normal(dense.shape[0])
+    assert sparse.ndim == 2
+    assert np.array_equal(sparse @ w, oracle @ w)
+    assert np.array_equal(sparse.T @ v, oracle.T @ v)
+    assert np.array_equal(sparse.toarray(), oracle.toarray())
+    picked = sparse[[2, 0, -1, 2]]
+    assert isinstance(picked, CSRFeatureMatrix)
+    assert np.array_equal(picked.toarray(), oracle[[2, 0, -1, 2]].toarray())
+    assert np.array_equal(sparse[1].toarray(), dense[[1]])
+    with pytest.raises(IndexError):
+        sparse[len(dense)]
 
 
 def test_from_dense_round_trip(backend):
@@ -193,6 +146,7 @@ def test_as_float_features_dispatch(backend):
     assert as_float_features(sparse) is sparse
     out = as_float_features(dense.astype(np.float32))
     assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    pytest.importorskip("scipy.sparse")
     converted = as_float_features(sparse.to_scipy())
     assert isinstance(converted, CSRFeatureMatrix)
     assert np.array_equal(converted.toarray(), dense)
