@@ -21,10 +21,10 @@ vote-count accumulators, the damped class-balance state — so that:
 
 This script walks the whole service lifecycle: stream → update → serve →
 drain → edit an LF → serve again, verifying the exactness claims along the
-way.  The same machinery rides the full pipeline via
-``PipelineConfig(online=True)``, with durable statistics in the block
-store (``checkpoint_retention="latest_epoch"`` keeps only the newest
-snapshot on disk).
+way.  ``save`` / ``load`` keep the statistics durable in a block store
+(opened with ``retention="latest_epoch"`` it keeps only the newest snapshot
+on disk).  ``SnorkelPipeline`` itself fits in batch: its Λ is complete
+before label modeling starts, and the drained model is that fit.
 
 Run with::
 

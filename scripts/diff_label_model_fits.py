@@ -47,6 +47,13 @@ itself fails unless that equals the uninterrupted fit bit for bit).
 The ``pipeline`` groups run ``run_streams`` and ``run(task)`` on a k=2 and
 a k=3 task.
 
+The ``labeling`` groups hold what one labeling pass hands back: Λ (CSR
+``indptr/indices/data`` or the dense array, as held), the chunk-ordered
+feature blocks and the deterministic ``ApplyReport`` fields, for ``apply``
+and ``apply_with_features`` × ``pushdown`` ∈ {off, auto} × ``sparse`` ×
+list / generator / empty input × {a clean suite, a fault-tolerant run with
+a planted raising LF under the sequential and the processes backend}.
+
 The diff prints, per group, how many recorded arrays are bit-identical and
 the largest absolute difference; records only one checkout has (e.g. a
 ``loss_history`` the older one did not keep) are counted, not compared.
@@ -56,6 +63,7 @@ CSR-input twin inside that dump.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import sys
 import tempfile
@@ -182,6 +190,7 @@ def dump(path: str) -> None:
         dump_structure(out, "dense-input", case, matrix)
     dump_end_models(out)
     dump_pipelines(out)
+    dump_labeling(out)
     with open(path, "wb") as handle:
         pickle.dump(out, handle)
     print(f"{len(out)} records -> {path}")
@@ -495,6 +504,79 @@ def dump_pipelines(out: dict) -> None:
                 out[f"{tag} test F1s"] = np.array(
                     [result.generative_f1, result.discriminative_f1]
                 )
+
+
+def raises_on_thirds(candidate) -> int:
+    """The planted faulty LF of the ``labeling`` groups (module level: it
+    has to reach pool workers)."""
+    if candidate.uid % 3 == 0:
+        raise KeyError(f"boom on {candidate.uid}")
+    return 1 if candidate.uid % 2 else -1
+
+
+def dump_labeling(out: dict) -> None:
+    from repro.datasets.synthetic import stream_text_candidates, text_vote_lfs
+    from repro.discriminative import RelationFeaturizer
+    from repro.labeling import LabelingFunction, LFApplier
+    from repro.labeling.engine import shutdown_pools
+
+    def text(value) -> np.ndarray:
+        # Names and nested dicts, as bytes: the diff compares numeric arrays.
+        return np.frombuffer(repr(value).encode(), dtype=np.uint8)
+
+    candidates = list(stream_text_candidates(num_points=150, num_lfs=6, seed=0))
+    inputs = {"list": lambda: candidates, "generator": lambda: iter(candidates), "empty": list}
+    featurizer = RelationFeaturizer(num_features=64).fit()
+    clean = text_vote_lfs(6)
+    faulty = clean + [LabelingFunction("raises_on_thirds", raises_on_thirds)]
+    suites = {
+        "clean sequential": (clean, dict()),
+        "faulty sequential": (faulty, dict(fault_tolerant=True)),
+        "faulty processes": (
+            faulty, dict(fault_tolerant=True, backend="processes", num_workers=2)
+        ),
+    }
+    def record(tag, matrix, blocks, report):
+        out[f"{tag} held"] = np.array([matrix.is_sparse, *matrix.shape])
+        if matrix.is_sparse:
+            for part in ("indptr", "indices", "data"):
+                out[f"{tag} Λ {part}"] = getattr(matrix.storage, part)
+        else:
+            out[f"{tag} Λ dense"] = matrix.values
+        out[f"{tag} blocks"] = np.array([block.shape for block in blocks]).reshape(-1, 2)
+        for index, block in enumerate(blocks):
+            for part in ("indptr", "indices", "data"):
+                out[f"{tag} block {index} {part}"] = getattr(block, part)
+        pushdown = report.pushdown
+        out[f"{tag} report"] = text(
+            (
+                report.num_candidates,
+                report.num_lfs,
+                report.num_chunks,
+                report.errors,
+                {name: detail.type_counts for name, detail in report.error_details.items()},
+                pushdown and (pushdown.compiled, sorted(pushdown.fallback)),
+                report.transport.mode,
+            )
+        )
+
+    try:
+        for (suite, (lfs, settings)), pushdown in itertools.product(
+            suites.items(), ("off", "auto")
+        ):
+            # One applier per suite and tier, as a caller would hold it: the
+            # repeat applies below also run on its cached plan and payloads.
+            applier = LFApplier(lfs, chunk_size=32, pushdown=pushdown, **settings)
+            for sparse, (source, make) in itertools.product((True, False), inputs.items()):
+                case = f"{suite} pushdown={pushdown} sparse={sparse} {source}"
+                matrix = applier.apply(make(), sparse=sparse)
+                record(f"labeling apply/{case}", matrix, [], applier.last_report)
+                matrix, blocks = applier.apply_with_features(make(), featurizer, sparse=sparse)
+                record(
+                    f"labeling apply_with_features/{case}", matrix, blocks, applier.last_report
+                )
+    finally:
+        shutdown_pools()
 
 
 def diff(path_a: str, path_b: str) -> int:

@@ -1,12 +1,13 @@
 """Purity contracts for engine chunk tasks.
 
 A chunk task (:data:`repro.labeling.engine.executors.ChunkTask`) runs on
-worker threads/processes with a shared ``payload`` — the LF suite, a fitted
-featurizer, or a tuple of both.  The engine's determinism guarantee ("results
-are bit-identical across backends") rests on tasks being *pure in the
+worker threads/processes with a shared ``payload`` — the LF suite or its
+compiled plan, a fitted featurizer, or the fused wrapper's tuple of a label
+task, its payload and the featurizer.  The engine's determinism guarantee
+("results are bit-identical across backends") rests on tasks being *pure in the
 payload*: a task may read the payload and the candidate chunk but must not
-write to either, because under the threads executor those writes race and
-under the processes executor each worker mutates its own copy and results
+write to either, because under the threads backend those writes race and
+under the processes backend each worker mutates its own copy and results
 silently diverge from the sequential backend.
 
 :func:`check_task` verifies that contract statically over a task function's
@@ -151,6 +152,9 @@ def check_task(task: Callable) -> LFAnalysisResult:
 def check_engine_tasks() -> AnalysisReport:
     """Check every built-in engine chunk task; used by CI's self-lint.
 
+    That is the two label tasks (interpreted ``apply_chunk`` and the compiled
+    tier's ``label_chunk_pushdown``, the default), ``featurize_chunk`` and
+    the fused wrapper that runs a label task plus the featurizer.
     :func:`~repro.labeling.engine.runtime.run_attached_chunk` is included
     because it is the persistent worker pool's dispatch kernel: every task
     a worker executes flows through it with the attached spec as payload,
@@ -159,10 +163,12 @@ def check_engine_tasks() -> AnalysisReport:
     from repro.labeling.engine.accumulator import apply_chunk
     from repro.labeling.engine.runtime import run_attached_chunk
     from repro.labeling.engine.tasks import featurize_chunk, label_and_featurize_chunk
+    from repro.labeling.pushdown.task import label_chunk_pushdown
 
     report = AnalysisReport()
     for task in (
         apply_chunk,
+        label_chunk_pushdown,
         featurize_chunk,
         label_and_featurize_chunk,
         run_attached_chunk,

@@ -208,15 +208,6 @@ class AnalysisReport:
     def has_errors(self) -> bool:
         return bool(self.errors)
 
-    def by_code(self, code: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
-    def result_for(self, lf_name: str) -> LFAnalysisResult:
-        for result in self.results:
-            if result.lf_name == lf_name:
-                return result
-        raise KeyError(f"no analysis result for LF {lf_name!r}")
-
     @property
     def compilable_count(self) -> int:
         return sum(1 for result in self.results if result.pushdown.compilable)

@@ -35,11 +35,6 @@ class KnowledgeBase:
                 f"available: {sorted(self.subsets)}"
             ) from None
 
-    @property
-    def subset_names(self) -> list[str]:
-        """Names of all subsets."""
-        return sorted(self.subsets)
-
     def size(self) -> int:
         """Total number of asserted pairs across subsets."""
         return sum(len(pairs) for pairs in self.subsets.values())

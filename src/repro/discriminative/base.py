@@ -42,7 +42,6 @@ from repro.discriminative.adam import AdamOptimizer
 from repro.discriminative.sparse_features import CSRFeatureMatrix, as_float_features
 from repro.exceptions import ConfigurationError
 from repro.types import NEGATIVE, POSITIVE
-from repro.utils.mathutils import clip_probabilities
 from repro.utils.rng import SeedLike, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
@@ -481,13 +480,3 @@ def weighted_log_loss(probs: np.ndarray, soft: np.ndarray, weights: np.ndarray) 
     clipped = np.clip(probs, 1e-9, 1 - 1e-9)
     losses = -(soft * np.log(clipped) + (1 - soft) * np.log(1 - clipped))
     return float((losses * weights).sum())
-
-
-def noise_aware_cross_entropy(
-    predicted_probs: np.ndarray, soft_labels: np.ndarray
-) -> float:
-    """Mean noise-aware cross-entropy ``E_{y~Ỹ}[ℓ_log(p, y)]``."""
-    predicted = clip_probabilities(predicted_probs)
-    soft = np.asarray(soft_labels, dtype=float)
-    losses = -(soft * np.log(predicted) + (1.0 - soft) * np.log(1.0 - predicted))
-    return float(losses.mean())

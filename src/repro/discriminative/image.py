@@ -57,12 +57,6 @@ class ImageFeatureClassifier(NoiseAwareMLP):
             hidden_sizes=hidden_sizes, epochs=epochs, learning_rate=learning_rate, seed=seed
         )
 
-    def fit_candidates(
-        self, candidates: Sequence[Candidate], soft_labels: Sequence[float] | np.ndarray
-    ) -> "ImageFeatureClassifier":
-        """Convenience: extract image features from candidates, then fit."""
-        return self.fit(extract_image_features(candidates), soft_labels)
-
     def predict_proba_candidates(self, candidates: Sequence[Candidate]) -> np.ndarray:
         """Positive-class probabilities computed from candidate metadata features."""
         return self.predict_proba(extract_image_features(candidates))

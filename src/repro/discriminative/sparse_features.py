@@ -75,6 +75,14 @@ class CSRFeatureMatrix(CSRMatrix):
             indptr, np.asarray(cols, dtype=np.int64), np.asarray(values, dtype=np.float64), shape
         )
 
+    @classmethod
+    def from_chunk(cls, block, num_features: int) -> "CSRFeatureMatrix":
+        """One chunk's feature triples (a ``featurize_chunk`` result, fresh
+        or loaded back from the block store) as that chunk's CSR block."""
+        return cls.from_triples(
+            block.row_offsets, block.cols, block.values, (block.num_candidates, num_features)
+        )
+
     @property
     def T(self) -> "_TransposedFeatureMatrix":
         """Transposed view supporting ``X.T @ v`` (no data movement)."""

@@ -1,6 +1,6 @@
 """Engine-routed streaming featurization.
 
-LF application has run on the :mod:`repro.labeling.engine` executors since
+LF application has run on the :mod:`repro.labeling.engine` backends since
 PR 2; this module gives featurization the same treatment.
 :func:`featurize_stream` maps candidate chunks to CSR feature blocks via
 :func:`repro.labeling.engine.tasks.featurize_chunk` — sequential, threaded,
@@ -40,7 +40,7 @@ def featurize_stream(
 
     Parameters mirror :class:`repro.labeling.applier.LFApplier`: the
     candidate iterable may be a list, generator, or cursor (consumed chunk
-    by chunk); ``backend`` selects the executor; ``max_pending`` bounds the
+    by chunk); ``backend`` selects how chunks are scheduled; ``max_pending`` bounds the
     in-flight window; ``transport`` picks the processes backend's chunk
     transport (pickled pipe bytes or shared-memory slots — results are
     bit-identical).  The process backend runs on the persistent worker pool

@@ -34,16 +34,6 @@ class Table3Row:
     snorkel_discriminative: ScoreReport
     hand_supervision: Optional[ScoreReport]
 
-    @property
-    def generative_lift(self) -> float:
-        """F1 lift of the generative stage over distant supervision."""
-        return self.snorkel_generative.f1 - self.distant_supervision.f1
-
-    @property
-    def discriminative_lift(self) -> float:
-        """F1 lift of the discriminative stage over distant supervision."""
-        return self.snorkel_discriminative.f1 - self.distant_supervision.f1
-
 
 def run(
     tasks: tuple[tuple[str, float], ...] = DEFAULT_TASKS,

@@ -14,10 +14,10 @@ and downstream consumer computes on the CSR entries (``LabelMatrix.csr``,
 lowered once per matrix), so both holdings give identical results.
 
 LF application itself runs on the :mod:`repro.labeling.engine` execution
-engine: an execution plan (chunking policy) drives pluggable executors
-(``sequential`` / ``threads`` / ``processes``) whose per-chunk CSR triple
-blocks are merged deterministically, so ``LFApplier.apply`` streams over any
-candidate iterable without materializing it.
+engine: an execution plan (chunking policy, ``sequential`` / ``threads`` /
+``processes`` backend) drives one pass whose per-chunk CSR triple blocks are
+merged deterministically and become Λ, so ``LFApplier.apply`` streams over
+any candidate iterable without materializing it.
 """
 
 from repro.labeling.analysis import LFAnalysis

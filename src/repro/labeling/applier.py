@@ -2,28 +2,34 @@
 
 Snorkel's execution model applies LFs in an embarrassingly parallel fashion:
 the master process hands candidate partitions to workers, each worker runs
-the LF suite over its partition, and the emitted labels are merged back at
-the master.  This module is the thin facade over the real implementation,
-the :mod:`repro.labeling.engine` package, which factors that model into
-three pieces:
+the LF suite over its partition, and the non-abstain outputs are merged into
+a sparse Λ at the master.  This module is the thin facade over the real
+implementation, the :mod:`repro.labeling.engine` package, and it makes that
+sentence one pass (:meth:`LFApplier._run`):
 
-* an **execution plan** (:class:`repro.labeling.engine.ExecutionPlan`) fixing
-  the chunking policy, the executor backend, the worker count, and the fault
-  policy;
-* pluggable **executors** — ``sequential`` (in-process loop), ``threads``
-  (``concurrent.futures``), and ``processes`` (the persistent worker runtime
-  of :mod:`repro.labeling.engine.runtime`: long-lived workers shared across
-  applies, with chunks moving over a pickle or shared-memory ``transport``)
-  — that schedule chunks with a bounded in-flight window;
-* a per-chunk **accumulator** that collects each worker's non-abstain labels
-  as CSR triple blocks and merges them deterministically at the end.
+* an **execution plan** (:class:`repro.labeling.engine.ExecutionPlan`) fixes
+  the chunking policy, the backend — ``sequential`` (in-process loop),
+  ``threads`` (``concurrent.futures``) or ``processes`` (the persistent
+  worker runtime of :mod:`repro.labeling.engine.runtime`: long-lived workers
+  shared across applies, with chunks moving over a pickle or shared-memory
+  ``transport``) — the worker count, and the fault policy;
+* one **label task** runs on every chunk — the compiled
+  ``label_chunk_pushdown`` or the interpreted reference ``apply_chunk`` —
+  wrapped by ``label_and_featurize_chunk`` when a featurizer came along;
+* a per-chunk **accumulator** collects each worker's non-abstain labels as
+  CSR triple blocks and merges them deterministically at the end, and Λ is
+  built from those triples — its only sink.  A caller who wants the matrix
+  held dense gets the dense view of that CSR, which keeps the entries it
+  came from, so nothing downstream lowers it a second time.
 
-Because chunks are drawn lazily from the input, ``apply`` accepts *any*
-iterable of candidates — a list, a generator, a database cursor — and never
-materializes the full candidate list; with ``sparse=True`` the dense
-``(m, n)`` array is never materialized either, so memory is bounded by the
-emitted labels plus the in-flight window.  Results are bit-identical across
-backends and input types: same labels, same error counts, same matrix.
+:meth:`LFApplier.apply` is that pass without a featurizer;
+:meth:`LFApplier.apply_with_features` is the same pass with one.  Because
+chunks are drawn lazily from the input, both accept *any* iterable of
+candidates — a list, a generator, a database cursor — and never materialize
+the full candidate list; with ``sparse=True`` the dense ``(m, n)`` array is
+never materialized either, so memory is bounded by the emitted labels plus
+the in-flight window.  Results are bit-identical across backends and input
+types: same labels, same error counts, same matrix.
 """
 
 from __future__ import annotations
@@ -31,15 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.exceptions import LabelingError
-from repro.labeling.engine import ExecutionPlan, label_and_featurize_chunk, run_plan
+from repro.labeling.engine import (
+    ExecutionPlan,
+    TaskSpec,
+    label_and_featurize_chunk,
+    run_plan,
+)
 from repro.labeling.engine.accumulator import LFErrorDetail, apply_chunk
 from repro.labeling.lf import LabelingFunction
 from repro.labeling.matrix import LabelMatrix
 from repro.labeling.sparse import SparseLabelMatrix
-from repro.types import ABSTAIN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.analysis.diagnostics import AnalysisReport
@@ -77,9 +85,9 @@ class ApplyReport:
         class plus the first retained traceback, in chunk order (see
         :class:`repro.labeling.engine.accumulator.LFErrorDetail`).
     backend:
-        Executor backend that ran the chunks.
+        Backend that ran the chunks.
     num_workers:
-        Worker count the executor used (1 for the sequential backend).
+        Worker count the backend used (1 for the sequential backend).
     chunk_seconds:
         Per-chunk wall-clock seconds, in chunk order (not completion order).
     lf_seconds:
@@ -245,16 +253,6 @@ class LFApplier:
             raise LabelingError(
                 f"unknown pushdown mode {pushdown!r}; expected one of {PUSHDOWN_MODES}"
             )
-        # Eager validation of chunk_size / backend / num_workers; the plan is
-        # rebuilt from the (public, mutable) attributes on every apply.
-        ExecutionPlan(
-            chunk_size=chunk_size,
-            backend=backend,
-            num_workers=num_workers,
-            fault_tolerant=fault_tolerant,
-            transport=transport,
-            chunk_timeout=chunk_timeout,
-        )
         self.lfs = list(lfs)
         self.cardinality = cardinalities[0]
         self.fault_tolerant = fault_tolerant
@@ -266,16 +264,45 @@ class LFApplier:
         self.transport = transport
         self.chunk_timeout = chunk_timeout
         self.last_report: Optional[ApplyReport] = None
-        # Compiled plans keyed by the identity of the LF suite (the public
-        # ``lfs`` attribute is mutable); hit again on every apply call with
-        # an unchanged suite whose folded-in constants are still bound to
-        # the same objects, so compilation cost is paid once per suite.
+        # Eager validation of chunk_size / backend / num_workers; the plan is
+        # rebuilt from the attributes on every apply.
+        self._execution_plan()
+        # Both caches are keyed by the identity of the LF suite and hold
+        # entries for the current one only (see _suite_key).  The compiled
+        # plan is hit again on every apply whose folded-in constants are
+        # still bound to the same objects, so compilation is paid once per
+        # suite.
         self._pushdown_plans: dict[tuple, "PushdownPlan"] = {}
-        # Worker-spec payloads cached by suite/featurizer identity: the
+        # Worker-spec payloads, per (suite, featurizer, tier): the
         # persistent pool dedups attaches on payload *identity*, so repeat
         # applies must present the same payload object to stay warm (no
         # re-ship, no worker-side rebuild).
         self._spec_payloads: dict[tuple, object] = {}
+        self._cached_suite: Optional[tuple] = None
+
+    def _execution_plan(self) -> ExecutionPlan:
+        """The plan the (public, mutable) attributes describe right now."""
+        return ExecutionPlan(
+            chunk_size=self.chunk_size,
+            backend=self.backend,
+            num_workers=self.num_workers,
+            fault_tolerant=self.fault_tolerant,
+            transport=self.transport,
+            chunk_timeout=self.chunk_timeout,
+        )
+
+    def _suite_key(self) -> tuple:
+        """Identity of the suite as it is now (the public ``lfs`` attribute
+        is mutable, in place too).  Plans and payloads hold their LFs, so
+        what was cached for a superseded suite is dropped here rather than
+        kept alive for the life of the applier — an edit loop replaces one
+        LF per apply."""
+        key = (tuple(id(lf) for lf in self.lfs), self.cardinality, self.backend)
+        if key != self._cached_suite:
+            self._cached_suite = key
+            self._pushdown_plans.clear()
+            self._spec_payloads.clear()
+        return key
 
     def _validate_suite(self) -> Optional["AnalysisReport"]:
         """Run the static-analysis pass the ``validate`` mode asks for.
@@ -310,7 +337,7 @@ class LFApplier:
             return None
         from repro.labeling.pushdown import build_plan
 
-        key = (tuple(id(lf) for lf in self.lfs), self.cardinality, self.backend)
+        key = self._suite_key()
         plan = self._pushdown_plans.get(key)
         if plan is not None and plan.constants_changed():
             # A global, closure cell or instance attribute a program folded
@@ -337,76 +364,43 @@ class LFApplier:
     def _engine_task(
         self,
         pushdown_plan: Optional["PushdownPlan"],
-        featurizer: Optional["RelationFeaturizer"] = None,
+        featurizer: Optional["RelationFeaturizer"],
     ) -> tuple:
-        """Select the chunk task, master payload, and worker ``TaskSpec``.
+        """Pick the label task, wrap it if a featurizer came along; returns
+        the master payload, the chunk task, and the worker ``TaskSpec``.
 
         The master payload runs in-process (sequential/threads); the
         :class:`~repro.labeling.engine.runtime.TaskSpec` describes the same
         work for the persistent worker pool.  For pushdown runs the spec
         ships *configuration, not the plan*: a compiled
         :class:`PushdownPlan` holds kernel closures that cannot cross a
-        pipe, so workers receive ``(lfs, cardinality, backend)`` and compile
-        their own (deterministically identical) plan once at attach time.
-        Spec payloads are cached per suite/featurizer identity so repeat
-        applies hit the pool's attach dedup and never re-ship.
+        pipe, so workers receive ``(lfs, cardinality, backend, featurizer)``
+        and compile their own (deterministically identical) plan once at
+        attach time.  What is shipped is cached per featurizer and tier (for
+        the current suite) so repeat applies hit the pool's attach dedup and
+        never re-ship.
         """
-        from repro.labeling.engine import TaskSpec
+        if pushdown_plan is None:
+            # A copy, not ``self.lfs`` itself: the pool dedups attaches on
+            # payload id, and in-place suite mutation (``applier.lfs[0] =
+            # other``) keeps the list's id — a copy cached under the suite's
+            # per-LF identity makes mutation yield a new payload and a fresh
+            # worker-side attach instead of a stale suite.
+            task, payload, builder = apply_chunk, list(self.lfs), None
+        else:
+            from repro.labeling.pushdown import build_worker_payload, label_chunk_pushdown
 
-        key = (
-            tuple(id(lf) for lf in self.lfs),
-            self.cardinality,
-            self.backend,
-            None if featurizer is None else id(featurizer),
-            pushdown_plan is not None,
-        )
-        if pushdown_plan is not None:
-            from repro.labeling.pushdown import (
-                build_fused_worker_payload,
-                build_worker_payload,
-                label_chunk_pushdown,
-                label_pushdown_and_featurize_chunk,
-            )
-
-            if featurizer is None:
-                cfg = self._spec_payloads.setdefault(
-                    key, (tuple(self.lfs), self.cardinality, self.backend)
-                )
-                return (
-                    pushdown_plan,
-                    label_chunk_pushdown,
-                    TaskSpec(
-                        task=label_chunk_pushdown,
-                        payload=cfg,
-                        builder=build_worker_payload,
-                    ),
-                )
-            cfg = self._spec_payloads.setdefault(
-                key, (tuple(self.lfs), self.cardinality, self.backend, featurizer)
-            )
-            return (
-                (pushdown_plan, featurizer),
-                label_pushdown_and_featurize_chunk,
-                TaskSpec(
-                    task=label_pushdown_and_featurize_chunk,
-                    payload=cfg,
-                    builder=build_fused_worker_payload,
-                ),
-            )
-        if featurizer is None:
-            # A fresh copy keyed on per-LF identity, not ``self.lfs`` itself:
-            # the pool dedups attaches on payload id, and in-place suite
-            # mutation (``applier.lfs[0] = other``) keeps the list's id — a
-            # copy per LF-identity key makes mutation yield a new payload and
-            # a fresh worker-side attach instead of a stale suite.
-            payload = self._spec_payloads.setdefault(key, list(self.lfs))
-            return self.lfs, apply_chunk, TaskSpec(task=apply_chunk, payload=payload)
-        payload = self._spec_payloads.setdefault(key, (self.lfs, featurizer))
-        return (
-            payload,
-            label_and_featurize_chunk,
-            TaskSpec(task=label_and_featurize_chunk, payload=payload),
-        )
+            task, payload, builder = label_chunk_pushdown, pushdown_plan, build_worker_payload
+        if featurizer is not None:
+            task, payload = label_and_featurize_chunk, (task, payload, featurizer)
+        key = (self._suite_key(), None if featurizer is None else id(featurizer), builder)
+        shipped = self._spec_payloads.get(key)
+        if shipped is None:
+            shipped = payload
+            if builder is not None:
+                shipped = (tuple(self.lfs), self.cardinality, self.backend, featurizer)
+            self._spec_payloads[key] = shipped
+        return payload, task, TaskSpec(task=task, payload=shipped, builder=builder)
 
     @property
     def lf_names(self) -> list[str]:
@@ -444,59 +438,80 @@ class LFApplier:
             transport=transport_summary,
         )
 
+    def _run(
+        self,
+        candidates: Iterable,
+        featurizer: Optional["RelationFeaturizer"],
+        sparse: bool,
+        checkpoint: Optional["ChunkCheckpointer"],
+    ) -> tuple[LabelMatrix, Sequence["CSRFeatureMatrix"]]:
+        """The one labeling pass: validate, plan, pick the chunk task, run it
+        over the stream, report, and build Λ from the merged triples."""
+        analysis = self._validate_suite()
+        plan = self._execution_plan()
+        pushdown_plan = self._pushdown_plan()
+        payload, task, spec = self._engine_task(pushdown_plan, featurizer)
+        transform = None
+        feature_blocks: dict[int, "CSRFeatureMatrix"] = {}
+        if featurizer is not None:
+            from repro.discriminative.sparse_features import CSRFeatureMatrix
+
+            output_dim = featurizer.output_dim
+
+            # Runs in the master thread for every backend, after the
+            # checkpointer (if any) made the chunk durable.
+            def transform(result):
+                # Chunks the checkpointer holds durably are served from disk
+                # later (mmap) — retaining them in RAM would defeat the
+                # spill.  Everything else (no checkpointer, or a write that
+                # failed and disabled it) stays in RAM.
+                if checkpoint is None or result.index not in checkpoint.completed:
+                    feature_blocks[result.index] = CSRFeatureMatrix.from_chunk(
+                        result.features, output_dim
+                    )
+                result.features = None
+                return result
+
+        result = run_plan(
+            payload,
+            candidates,
+            plan,
+            transform=transform,
+            task=task,
+            spec=spec,
+            checkpoint=checkpoint,
+        )
+        self.last_report = self._build_report(result, analysis, pushdown_plan)
+        storage = SparseLabelMatrix.from_triples(
+            result.rows, result.cols, result.values, (result.num_candidates, len(self.lfs))
+        )
+        matrix = LabelMatrix(storage, lf_names=self.lf_names, cardinality=self.cardinality)
+        if not sparse:
+            matrix = matrix.to_dense()
+        if checkpoint is not None:
+            from repro.labeling.blockstore import StoredFeatureBlocks
+
+            return matrix, StoredFeatureBlocks(
+                checkpoint, result.num_chunks, output_dim, overrides=feature_blocks
+            )
+        return matrix, [feature_blocks[index] for index in sorted(feature_blocks)]
+
     def apply(self, candidates: Iterable, sparse: bool = False) -> LabelMatrix:
         """Apply every LF to every candidate and return the label matrix Λ.
 
-        ``candidates`` may be any iterable; generators are consumed chunk by
-        chunk and the full candidate list is never materialized.  With
-        ``sparse=True`` the non-abstain outputs are accumulated as CSR triple
-        blocks and the returned matrix uses the CSR storage backend — the
-        dense ``(m, n)`` array is never materialized, so memory scales with
-        the number of emitted labels rather than with ``m·n``.  The labels
-        themselves are identical in both modes and across all backends.
+        The labeling pass without a featurizer.  ``candidates`` may be any
+        iterable; generators are consumed chunk by chunk and the full
+        candidate list is never materialized.  The non-abstain outputs are
+        accumulated as CSR triple blocks and Λ is built from them: with
+        ``sparse=True`` the returned matrix is held as that CSR — the dense
+        ``(m, n)`` array is never materialized, so memory scales with the
+        number of emitted labels rather than with ``m·n``; with
+        ``sparse=False`` it is the dense view of the same entries
+        (:meth:`LabelMatrix.to_dense`), which keeps them, so downstream
+        consumers read the entries the engine emitted.  The labels are
+        identical in both modes and across all backends.
         """
-        analysis = self._validate_suite()
-        dense_sink: Optional[np.ndarray] = None
-        transform = None
-        if not sparse and isinstance(candidates, Sequence):
-            # Dense output with a known row count: scatter each chunk's
-            # triples into the result as it arrives and release them, so the
-            # run never holds the full triple set next to the dense matrix
-            # (at high coverage the triples are 3x the matrix itself).
-            dense_sink = np.full(
-                (len(candidates), len(self.lfs)), ABSTAIN, dtype=np.int64
-            )
-
-            def transform(result):
-                dense_sink[result.row_offsets + result.start_row, result.cols] = result.values
-                return result.stripped()
-
-        plan = ExecutionPlan(
-            chunk_size=self.chunk_size,
-            backend=self.backend,
-            num_workers=self.num_workers,
-            fault_tolerant=self.fault_tolerant,
-            transport=self.transport,
-            chunk_timeout=self.chunk_timeout,
-        )
-        pushdown_plan = self._pushdown_plan()
-        payload, task, spec = self._engine_task(pushdown_plan)
-        result = run_plan(
-            payload, candidates, plan, transform=transform, task=task, spec=spec
-        )
-        self.last_report = self._build_report(result, analysis, pushdown_plan)
-        shape = (result.num_candidates, len(self.lfs))
-        if sparse:
-            storage = SparseLabelMatrix.from_triples(
-                result.rows, result.cols, result.values, shape
-            )
-            return LabelMatrix(storage, lf_names=self.lf_names, cardinality=self.cardinality)
-        if dense_sink is not None:
-            matrix = dense_sink
-        else:
-            matrix = np.full(shape, ABSTAIN, dtype=np.int64)
-            matrix[result.rows, result.cols] = result.values
-        return LabelMatrix(matrix, lf_names=self.lf_names, cardinality=self.cardinality)
+        return self._run(candidates, None, sparse, None)[0]
 
     def apply_with_features(
         self,
@@ -507,8 +522,9 @@ class LFApplier:
     ) -> tuple[LabelMatrix, Sequence["CSRFeatureMatrix"]]:
         """Label *and* featurize every candidate in one streaming pass.
 
-        The fused engine task (:func:`repro.labeling.engine.tasks.
-        label_and_featurize_chunk`) runs the LF suite and the fitted
+        The same pass as :meth:`apply`, with the label task wrapped by the
+        fused engine task (:func:`repro.labeling.engine.tasks.
+        label_and_featurize_chunk`), which also runs the fitted
         ``featurizer`` over each chunk; the label triples merge into Λ
         exactly as in :meth:`apply`, while each chunk's feature triples are
         claimed on arrival (master-side, via the accumulator ``transform``)
@@ -526,92 +542,5 @@ class LFApplier:
         view — mmap-backed, so epoch replay holds one block at a time
         instead of the whole feature set.
         """
-        from repro.discriminative.sparse_features import CSRFeatureMatrix
-
-        analysis = self._validate_suite()
         featurizer.require_fitted()
-        output_dim = featurizer.output_dim
-        num_lfs = len(self.lfs)
-        feature_blocks: dict[int, CSRFeatureMatrix] = {}
-        # Dense-label runs scatter each chunk on arrival into a growing sink
-        # (the generator's total row count is unknown upfront), mirroring
-        # apply()'s scatter-on-arrival path: label triples are released per
-        # chunk instead of accumulating next to the dense matrix until the
-        # merge.  The transform runs in the master thread for every backend.
-        dense_sink: Optional[np.ndarray] = None if sparse else np.full(
-            (0, num_lfs), ABSTAIN, dtype=np.int64
-        )
-
-        def transform(result):
-            nonlocal dense_sink
-            block = result.features
-            # Chunks the checkpointer holds durably are served from disk
-            # later (mmap) — retaining them in RAM would defeat the spill.
-            # Everything else (no checkpointer, or a write that failed and
-            # disabled it) stays in RAM as before.
-            if checkpoint is None or result.index not in checkpoint.completed:
-                feature_blocks[result.index] = CSRFeatureMatrix.from_triples(
-                    block.row_offsets,
-                    block.cols,
-                    block.values,
-                    (block.num_candidates, output_dim),
-                )
-            if dense_sink is None:
-                result.features = None
-                return result
-            needed = result.start_row + result.num_candidates
-            if dense_sink.shape[0] < needed:
-                grown = np.full(
-                    (max(needed, 2 * dense_sink.shape[0]), num_lfs),
-                    ABSTAIN,
-                    dtype=np.int64,
-                )
-                grown[: dense_sink.shape[0]] = dense_sink
-                dense_sink = grown
-            dense_sink[result.row_offsets + result.start_row, result.cols] = result.values
-            return result.stripped()
-
-        plan = ExecutionPlan(
-            chunk_size=self.chunk_size,
-            backend=self.backend,
-            num_workers=self.num_workers,
-            fault_tolerant=self.fault_tolerant,
-            transport=self.transport,
-            chunk_timeout=self.chunk_timeout,
-        )
-        pushdown_plan = self._pushdown_plan()
-        payload, task, spec = self._engine_task(pushdown_plan, featurizer)
-        result = run_plan(
-            payload,
-            candidates,
-            plan,
-            transform=transform,
-            task=task,
-            spec=spec,
-            checkpoint=checkpoint,
-        )
-        self.last_report = self._build_report(result, analysis, pushdown_plan)
-        shape = (result.num_candidates, num_lfs)
-        if sparse:
-            storage = SparseLabelMatrix.from_triples(
-                result.rows, result.cols, result.values, shape
-            )
-            label_matrix = LabelMatrix(
-                storage, lf_names=self.lf_names, cardinality=self.cardinality
-            )
-        else:
-            matrix = dense_sink
-            if matrix.shape[0] != result.num_candidates:
-                matrix = matrix[: result.num_candidates].copy()
-            label_matrix = LabelMatrix(
-                matrix, lf_names=self.lf_names, cardinality=self.cardinality
-            )
-        if checkpoint is not None:
-            from repro.labeling.blockstore import StoredFeatureBlocks
-
-            blocks: Sequence[CSRFeatureMatrix] = StoredFeatureBlocks(
-                checkpoint, result.num_chunks, output_dim, overrides=feature_blocks
-            )
-        else:
-            blocks = [feature_blocks[index] for index in sorted(feature_blocks)]
-        return label_matrix, blocks
+        return self._run(candidates, featurizer, sparse, checkpoint)

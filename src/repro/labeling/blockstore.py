@@ -472,7 +472,7 @@ class ChunkCheckpointer:
     accumulator transform consumes it; ``load`` reconstructs a durably
     recorded one (triple arrays as memmap views) so a resumed run can feed
     it through the identical transform chain.  ``completed`` is the set of
-    chunk indices the store holds — the executor skips exactly these.
+    chunk indices the store holds — ``run_plan`` skips exactly these.
 
     A failed write (disk full, permissions) disables the checkpointer with
     a single warning instead of aborting the labeling run: durability
@@ -635,12 +635,7 @@ class StoredFeatureBlocks(Sequence):
             raise LabelingError(
                 f"stored chunk {index} has no feature block (was the pass fused?)"
             )
-        return CSRFeatureMatrix.from_triples(
-            block.row_offsets,
-            block.cols,
-            block.values,
-            (block.num_candidates, self._output_dim),
-        )
+        return CSRFeatureMatrix.from_chunk(block, self._output_dim)
 
     def __iter__(self) -> Iterator:
         for index in range(self._num_blocks):

@@ -4,28 +4,27 @@ The engine splits LF application into three orthogonal pieces:
 
 * a **plan** (:class:`ExecutionPlan`) — chunking/partitioning policy, backend
   choice, worker count, and fault policy;
-* an **executor** (``sequential`` / ``threads`` / ``processes``, see
-  :mod:`repro.labeling.engine.executors`) — how chunks are scheduled, with
-  windowed submission bounding in-flight memory;
+* a **chunk task** (:func:`apply_chunk`, the compiled
+  ``label_chunk_pushdown``, :func:`featurize_chunk`, or a label task wrapped
+  by :func:`label_and_featurize_chunk`) — what runs on each work unit;
 * an **accumulator** (:class:`CSRAccumulator`) — per-chunk CSR triple blocks
-  merged deterministically into one global triple set.
+  merged deterministically into one :class:`EngineResult`.
 
-:func:`run_plan` wires them together: candidates stream in (any iterable —
-lists, generators, database cursors), chunks fan out to workers, triple
-blocks fan back in, and the result is identical for every backend.  The
+:func:`run_plan` is the one pass that wires them together: candidates stream
+in (any iterable — lists, generators, database cursors), chunks go to
+``plan.backend`` (the in-process loop, a thread pool, or the persistent
+worker runtime, each with a bounded in-flight window), triple blocks fan
+back in, and the result is identical for every backend.  The
 :class:`repro.labeling.applier.LFApplier` facade is the main consumer.
 """
 
-from repro.labeling.engine.accumulator import ChunkResult, CSRAccumulator, apply_chunk
-from repro.labeling.engine.executors import (
-    ChunkTask,
+from repro.labeling.engine.accumulator import (
+    ChunkResult,
+    CSRAccumulator,
     EngineResult,
-    ProcessPoolChunkExecutor,
-    SequentialExecutor,
-    ThreadPoolChunkExecutor,
-    get_executor,
-    run_plan,
+    apply_chunk,
 )
+from repro.labeling.engine.executors import ChunkTask, run_plan
 from repro.labeling.engine.plan import (
     BACKENDS,
     TRANSPORTS,
@@ -57,11 +56,8 @@ __all__ = [
     "EngineResult",
     "ExecutionPlan",
     "HAVE_SHM",
-    "ProcessPoolChunkExecutor",
-    "SequentialExecutor",
     "TRANSPORTS",
     "TaskSpec",
-    "ThreadPoolChunkExecutor",
     "TransportCorruptionError",
     "WorkerCrashError",
     "WorkerPool",
@@ -69,7 +65,6 @@ __all__ = [
     "apply_chunk",
     "available_workers",
     "featurize_chunk",
-    "get_executor",
     "get_global_pool",
     "iter_chunks",
     "label_and_featurize_chunk",

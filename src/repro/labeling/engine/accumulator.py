@@ -4,11 +4,13 @@ Workers never touch the global label matrix: :func:`apply_chunk` runs the LF
 suite over one chunk and returns a :class:`ChunkResult` holding the chunk's
 non-abstain entries as *local* ``(row_offset, col, value)`` triple arrays plus
 its suppressed-error counts and wall-clock time.  The master feeds every
-result (in whatever completion order the executor produces) into a
+result (in whatever completion order the backend produces) into a
 :class:`CSRAccumulator`, which re-sorts by chunk index and concatenates the
 triple blocks with their global row offsets applied — a merge that is O(nnz)
-and independent of executor scheduling, so the final matrix and error report
-are deterministic for every backend.
+and independent of scheduling, so the :class:`EngineResult` it returns (the
+one record of a run: merged triples plus statistics) is deterministic for
+every backend.  Λ has no other sink: the applier builds the label matrix
+from these triples, whatever storage the caller asked for.
 """
 
 from __future__ import annotations
@@ -88,17 +90,6 @@ class ChunkResult:
     #: feature block riding along with the labels); consumed master-side by
     #: a :class:`CSRAccumulator` ``transform`` and never merged here.
     features: "ChunkResult | None" = None
-
-    def stripped(self) -> "ChunkResult":
-        """Copy without the triple arrays (statistics only).
-
-        For :class:`CSRAccumulator` ``transform`` consumers that scatter the
-        triples elsewhere on arrival and only need the merge's bookkeeping.
-        Any attached ``features`` block is dropped too — the consumer has
-        already claimed it.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        return replace(self, row_offsets=empty, cols=empty, values=empty, features=None)
 
 
 def detach_arrays(result: ChunkResult) -> tuple[ChunkResult, list[np.ndarray]]:
@@ -191,8 +182,13 @@ def apply_chunk(
 
 
 @dataclass
-class MergedTriples:
-    """The accumulator's output: global CSR triples plus run statistics."""
+class EngineResult:
+    """Everything one engine run produced: global CSR triples + statistics.
+
+    :meth:`CSRAccumulator.merge` fills in what the chunks determine;
+    :func:`repro.labeling.engine.executors.run_plan` adds how they were run
+    (``backend``, ``num_workers``, the resolved ``transport``).
+    """
 
     num_candidates: int
     num_chunks: int
@@ -203,29 +199,34 @@ class MergedTriples:
     error_details: dict[str, LFErrorDetail]
     chunk_seconds: list[float]
     #: Per-LF wall-clock totals summed over chunks (empty when the task did
-    #: not report per-LF timings).
+    #: not report per-LF timings, e.g. pure featurization).
     lf_seconds: dict[str, float] = field(default_factory=dict)
-    #: Per-chunk transport seconds, in chunk order (all zeros for in-process
-    #: execution; see :attr:`ChunkResult.transport_seconds`).
+    #: Per-chunk serialization/copy seconds, in chunk order — disjoint from
+    #: ``chunk_seconds`` (pure compute), so transport overhead is
+    #: attributable per run (all zeros for in-process execution; see
+    #: :attr:`ChunkResult.transport_seconds`).
     transport_seconds: list[float] = field(default_factory=list)
+    backend: str = "sequential"
+    num_workers: int = 1
+    #: Resolved chunk transport: ``"inline"`` for in-process backends,
+    #: ``"pickle"`` or ``"shm"`` for the processes backend.
+    transport: str = "inline"
 
 
 class CSRAccumulator:
     """Collects :class:`ChunkResult` blocks and merges them deterministically.
 
-    Blocks may arrive in any order (pool executors complete out of order);
-    the merge sorts by chunk index, applies each block's global row offset,
-    and sums error counts in chunk order, so every backend produces the same
-    triples, the same error totals, and the same per-chunk timing sequence.
-    Memory is O(nnz) — the candidate chunks themselves are released as soon
-    as their triples are extracted.
+    Blocks may arrive in any order (the pool backends complete out of
+    order); the merge sorts by chunk index, applies each block's global row
+    offset, and sums error counts in chunk order, so every backend produces
+    the same triples, the same error totals, and the same per-chunk timing
+    sequence.  Memory is O(nnz) — the candidate chunks themselves are
+    released as soon as their triples are extracted.
 
     ``transform``, when given, is applied to every block on arrival (always
     in the master thread/process) and its return value is stored instead —
-    consumers that scatter a block's triples into their own structure can
-    return a stripped block to release the triple arrays immediately, e.g.
-    the applier's dense path, which would otherwise hold triples *and* the
-    dense matrix at full coverage.
+    how the fused pass claims each chunk's ``features`` block, and where a
+    checkpointer makes the chunk durable first.
     """
 
     def __init__(self, transform: Optional[Callable[[ChunkResult], ChunkResult]] = None) -> None:
@@ -240,7 +241,7 @@ class CSRAccumulator:
             result = self._transform(result)
         self._results[result.index] = result
 
-    def merge(self) -> MergedTriples:
+    def merge(self) -> EngineResult:
         """Combine all blocks into globally indexed CSR triples."""
         ordered = [self._results[index] for index in sorted(self._results)]
         expected_row = 0
@@ -266,7 +267,7 @@ class CSRAccumulator:
                 for name, spent in result.lf_seconds.items():
                     lf_seconds[name] = lf_seconds.get(name, 0.0) + spent
         empty = np.empty(0, dtype=np.int64)
-        return MergedTriples(
+        return EngineResult(
             num_candidates=expected_row,
             num_chunks=len(ordered),
             rows=np.concatenate(rows) if rows else empty,

@@ -61,8 +61,10 @@ class ExecutionPlan:
         ``"sequential"`` (in-process loop), ``"threads"``
         (``concurrent.futures.ThreadPoolExecutor`` — effective for
         latency-bound LFs that release the GIL or wait on I/O), or
-        ``"processes"`` (``ProcessPoolExecutor`` — effective for CPU-bound
-        LFs; candidates must be picklable).
+        ``"processes"`` (the persistent worker pool of
+        :mod:`repro.labeling.engine.runtime`, shared by every run of this
+        process — effective for CPU-bound LFs; candidates must be
+        picklable).
     num_workers:
         Worker count for the pool backends; ``None`` means one worker per
         available CPU.  Ignored by the sequential backend.
@@ -117,7 +119,7 @@ class ExecutionPlan:
             )
 
     def effective_workers(self) -> int:
-        """Worker count the executor will actually use."""
+        """Worker count the backend will actually use."""
         if self.backend == "sequential":
             return 1
         if self.num_workers is None:

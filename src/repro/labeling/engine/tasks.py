@@ -11,10 +11,12 @@ candidate iterable.  This module adds the discriminative stage's tasks:
   triples from numpy — no per-candidate loop runs here), giving
   featurization the same streaming, parallel, deterministically-merged
   execution path LF application has had since PR 2;
-* :func:`label_and_featurize_chunk` runs the LF suite *and* the featurizer
-  over each chunk in one pass (``payload`` is ``(lfs, featurizer)``), so an
-  out-of-core pipeline run touches every candidate exactly once — the label
-  triples are the primary block and the feature triples ride along as
+* :func:`label_and_featurize_chunk` is the one fused wrapper: it runs a
+  label task *and* the featurizer over each chunk in one pass (``payload``
+  is ``(label_task, label_payload, featurizer)`` — :func:`apply_chunk` with
+  the LF list, or the compiled ``label_chunk_pushdown`` with its plan), so
+  an out-of-core pipeline run touches every candidate exactly once — the
+  label triples are the primary block and the feature triples ride along as
   ``ChunkResult.features``, to be claimed master-side by an accumulator
   ``transform``.
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from repro.labeling.engine.accumulator import ChunkResult, apply_chunk
+from repro.labeling.engine.accumulator import ChunkResult
 
 
 def featurize_chunk(
@@ -82,14 +84,17 @@ def label_and_featurize_chunk(
     start_row: int,
     candidates: Sequence,
 ) -> ChunkResult:
-    """Run the LF suite and the featurizer over one chunk in a single pass.
+    """Run a label task and the featurizer over one chunk in a single pass.
 
-    ``payload`` is ``(lfs, featurizer)``.  Returns the label
-    :class:`ChunkResult` with the feature block attached as ``features`` —
-    the streaming pipeline's one-pass work unit.
+    ``payload`` is ``(label_task, label_payload, featurizer)``: the label
+    task (interpreted :func:`~repro.labeling.engine.accumulator.apply_chunk`
+    or compiled :func:`~repro.labeling.pushdown.task.label_chunk_pushdown`)
+    is called with its own payload.  Returns its :class:`ChunkResult` with
+    the feature block attached as ``features`` — the streaming pipeline's
+    one-pass work unit.
     """
-    lfs, featurizer = payload
-    result = apply_chunk(lfs, fault_tolerant, index, start_row, candidates)
+    label_task, label_payload, featurizer = payload
+    result = label_task(label_payload, fault_tolerant, index, start_row, candidates)
     result.features = featurize_chunk(
         featurizer, fault_tolerant, index, start_row, candidates
     )

@@ -13,7 +13,10 @@ converted by ``to_sparse()`` / ``to_dense()``.  It is *computed on* in one
 form, :attr:`LabelMatrix.csr`: a dense-backed matrix lowers itself on first
 use and keeps the result, so the statistics here and a whole chain of
 downstream consumers — every label model included — read the same entries
-and lower once.  A scipy sparse matrix is accepted by duck type (``tocsr``)
+and lower once.  A dense view keeps the entries it came from: ``to_dense()``
+of a CSR-held matrix (what ``LFApplier.apply(sparse=False)`` returns) hands
+its CSR to the dense-held wrapper and is never lowered at all.  A scipy
+sparse matrix is accepted by duck type (``tocsr``)
 and converted on the way in; this module never imports scipy.  The wrapper
 therefore treats its array as immutable — ``.values`` is a read-only view
 (on a sparse-backed matrix a fresh dense copy: compatibility, not hot paths).
@@ -116,22 +119,18 @@ class LabelMatrix:
         return LabelMatrix(self.csr, lf_names=self.lf_names, cardinality=self.cardinality)
 
     def to_dense(self) -> "LabelMatrix":
-        """This matrix with dense storage (self if already dense)."""
+        """This matrix with dense storage (self if already dense).
+
+        The dense view keeps the CSR entries it came from as its
+        :attr:`csr`, so it is never lowered again.
+        """
         if not self.is_sparse:
             return self
-        return LabelMatrix(
+        dense = LabelMatrix(
             self._csr.to_dense(), lf_names=self.lf_names, cardinality=self.cardinality
         )
-
-    @classmethod
-    def from_sparse(
-        cls,
-        storage: SparseLabelMatrix,
-        lf_names: Optional[Sequence[str]] = None,
-        cardinality: int = 2,
-    ) -> "LabelMatrix":
-        """Wrap an existing :class:`SparseLabelMatrix` (or scipy sparse matrix)."""
-        return cls(storage, lf_names=lf_names, cardinality=cardinality)
+        dense._csr = self._csr
+        return dense
 
     # ------------------------------------------------------------------ basics
     @property

@@ -15,8 +15,8 @@ This package removes both costs for the declarative majority of a suite:
 * :mod:`~repro.labeling.pushdown.task` packages the compiled/fallback
   partition as a :class:`~repro.labeling.pushdown.task.PushdownPlan` and
   exposes :func:`~repro.labeling.pushdown.task.label_chunk_pushdown`, a
-  drop-in engine chunk task composing with every executor backend and the
-  fused label+featurize path.
+  drop-in engine chunk task composing with every backend and the fused
+  label+featurize wrapper.
 
 The cardinal rule: compiled output is **bit-identical** to interpreted
 output — same triples in the same order, same suppressed-error accounting,
@@ -34,11 +34,9 @@ from repro.labeling.pushdown.task import (
     CompiledLF,
     PushdownPlan,
     PushdownSummary,
-    build_fused_worker_payload,
     build_plan,
     build_worker_payload,
     label_chunk_pushdown,
-    label_pushdown_and_featurize_chunk,
 )
 
 __all__ = [
@@ -51,10 +49,8 @@ __all__ = [
     "CompiledProgram",
     "PushdownPlan",
     "PushdownSummary",
-    "build_fused_worker_payload",
     "build_plan",
     "build_worker_payload",
     "compile_lf",
     "label_chunk_pushdown",
-    "label_pushdown_and_featurize_chunk",
 ]

@@ -7,10 +7,10 @@ payload of :func:`label_chunk_pushdown`, a drop-in
 :data:`~repro.labeling.engine.executors.ChunkTask`: same signature, same
 :class:`~repro.labeling.engine.accumulator.ChunkResult` contract, same
 deterministic CSR triples — so it composes unchanged with the sequential /
-threads / processes executors, windowed submission, and the accumulator
-merge.  :func:`label_pushdown_and_featurize_chunk` is the fused variant
-(labels + features in one pass), mirroring
-:func:`~repro.labeling.engine.tasks.label_and_featurize_chunk`.
+threads / processes backends, windowed submission, the accumulator merge,
+and the fused wrapper
+:func:`~repro.labeling.engine.tasks.label_and_featurize_chunk`, which takes
+it as its label task (labels + features in one pass).
 
 Equivalence contract (enforced by ``tests/test_pushdown.py``): for any
 suite, chunking, and backend, the triples, error counts, and error type
@@ -36,7 +36,6 @@ import numpy as np
 from repro.analysis.source import resolve_function
 from repro.exceptions import LabelingError
 from repro.labeling.engine.accumulator import ChunkResult, LFErrorDetail
-from repro.labeling.engine.tasks import featurize_chunk
 from repro.labeling.lf import LabelingFunction
 from repro.labeling.pushdown.compiler import CompileError, compile_lf
 from repro.labeling.pushdown.fields import ColumnarChunk
@@ -47,11 +46,9 @@ __all__ = [
     "CompiledLF",
     "PushdownPlan",
     "PushdownSummary",
-    "build_fused_worker_payload",
     "build_plan",
     "build_worker_payload",
     "label_chunk_pushdown",
-    "label_pushdown_and_featurize_chunk",
 ]
 
 
@@ -230,25 +227,22 @@ def build_plan(
     return plan
 
 
-def build_worker_payload(config: tuple) -> PushdownPlan:
+def build_worker_payload(config: tuple):
     """Worker-side :class:`~repro.labeling.engine.runtime.TaskSpec` builder.
 
     A compiled :class:`PushdownPlan` holds kernel closures and cannot cross
     a pipe, so the persistent worker runtime ships the *configuration*
-    instead — ``(lfs, cardinality, backend)`` — and each worker compiles its
-    own plan once at attach time.  Compilation is deterministic, so every
-    worker's plan (and therefore every emitted triple) matches the
-    master-side plan bit for bit.
+    instead — ``(lfs, cardinality, backend, featurizer)`` — and each worker
+    compiles its own plan once at attach time.  Compilation is
+    deterministic, so every worker's plan (and therefore every emitted
+    triple) matches the master-side plan bit for bit.  Returns the plan
+    (:func:`label_chunk_pushdown`'s payload) when ``featurizer`` is
+    ``None``, else the fused wrapper's ``(label_chunk_pushdown, plan,
+    featurizer)``.
     """
-    lfs, cardinality, backend = config
-    return build_plan(list(lfs), cardinality=cardinality, backend=backend)
-
-
-def build_fused_worker_payload(config: tuple) -> tuple:
-    """Like :func:`build_worker_payload` for the fused label+featurize task:
-    ``(lfs, cardinality, backend, featurizer)`` → ``(plan, featurizer)``."""
     lfs, cardinality, backend, featurizer = config
-    return (build_plan(list(lfs), cardinality=cardinality, backend=backend), featurizer)
+    plan = build_plan(list(lfs), cardinality=cardinality, backend=backend)
+    return plan if featurizer is None else (label_chunk_pushdown, plan, featurizer)
 
 
 def _wrap_error(lf_name: str, exc: BaseException) -> BaseException:
@@ -376,20 +370,3 @@ def label_chunk_pushdown(
         seconds=time.perf_counter() - start,
         lf_seconds=lf_seconds,
     )
-
-
-def label_pushdown_and_featurize_chunk(
-    payload: tuple,
-    fault_tolerant: bool,
-    index: int,
-    start_row: int,
-    candidates: Sequence,
-) -> ChunkResult:
-    """Fused pushdown labeling + featurization (``payload`` is
-    ``(plan, featurizer)``), mirroring
-    :func:`~repro.labeling.engine.tasks.label_and_featurize_chunk`."""
-    plan, featurizer = payload
-    result = label_chunk_pushdown(plan, fault_tolerant, index, start_row, candidates)
-    result.features = featurize_chunk(featurizer, fault_tolerant, index, start_row, candidates)
-    result.seconds += result.features.seconds
-    return result

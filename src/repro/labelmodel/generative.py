@@ -477,12 +477,6 @@ class GenerativeModel:
         spec, weights = self._require_fitted()
         return weights[spec.layout.accuracy_slice].copy()
 
-    @property
-    def correlation_weights(self) -> np.ndarray:
-        """Learned correlation weights, aligned with ``spec.correlations``."""
-        spec, weights = self._require_fitted()
-        return weights[spec.layout.correlation_slice].copy()
-
     def learned_accuracies(self) -> np.ndarray:
         """Implied labeling-function accuracies.
 

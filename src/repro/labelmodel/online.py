@@ -45,8 +45,8 @@ Durability: :meth:`save` persists the full state (triples + accumulators)
 as one block in a :class:`repro.labeling.blockstore.BlockStore`, stamped
 with ``epoch=model_version_`` so a store opened with
 ``retention="latest_epoch"`` keeps only the newest snapshot; :meth:`load`
-restores the newest one.  The pipeline wires this through
-``PipelineConfig(online=True)``.
+restores the newest one.  The pipeline fits in batch — its Λ is complete
+before label modeling starts, and a drained model is that fit bit for bit.
 """
 
 from __future__ import annotations

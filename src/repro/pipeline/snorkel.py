@@ -80,7 +80,6 @@ from repro.labeling.matrix import LabelMatrix
 from repro.labelmodel.generative import GenerativeModel
 from repro.labelmodel.kernels import KERNELS
 from repro.labelmodel.majority import majority_vote_proba
-from repro.labelmodel.online import OnlineGenerativeModel
 from repro.labelmodel.optimizer import ModelingStrategy, ModelingStrategyOptimizer
 
 AnyScoreReport = Union[ScoreReport, MultiClassScoreReport]
@@ -169,15 +168,6 @@ class PipelineConfig:
     #: shorter re-run left dead, so a long-lived checkpoint dir stops
     #: growing without bound.
     checkpoint_retention: str = "keep_all"
-    #: Run the label-modeling stage through the online incremental
-    #: estimator (:class:`repro.labelmodel.online.OnlineGenerativeModel`):
-    #: Λ's rows are folded in chunk by chunk (``chunk_size`` rows at a
-    #: time, matching the engine's chunk tasks), the
-    #: model's versioned statistics are persisted durably when a
-    #: ``checkpoint_dir`` store is attached, and the served model is the
-    #: fully-drained fit — within 1e-8 of the batch run (bit-identical
-    #: with ``sparse_labels=True``).
-    online: bool = False
     #: Soft per-chunk deadline in seconds for the ``"processes"`` backend
     #: (see :class:`repro.labeling.engine.plan.ExecutionPlan`): a hung
     #: worker is killed and its chunk resubmitted instead of deadlocking
@@ -492,7 +482,7 @@ class SnorkelPipeline:
         key = "phase/label_modeling"
         if store is not None and key in store:
             return store.get_pickle(key)
-        outcome = self._label_modeling(label_matrix, store=store)
+        outcome = self._label_modeling(label_matrix)
         if store is not None:
             try:
                 store.put_pickle(key, outcome)
@@ -507,7 +497,7 @@ class SnorkelPipeline:
 
     # ----------------------------------------------------------------- stages
     def _label_modeling(
-        self, label_matrix: LabelMatrix, store: Optional[BlockStore] = None
+        self, label_matrix: LabelMatrix
     ) -> tuple[Optional[ModelingStrategy], Optional[GenerativeModel], np.ndarray]:
         """Choose a strategy and produce probabilistic training labels.
 
@@ -515,9 +505,6 @@ class SnorkelPipeline:
         always selects the generative model for them (the MV-vs-GM advantage
         bound is binary theory) and the model trains its k-ary estimator,
         returning ``(m, k)`` distributions.
-
-        With ``config.online`` the generative stage runs through the online
-        incremental estimator instead (see :meth:`_label_modeling_online`).
         """
         config = self.config
         cardinality = label_matrix.cardinality
@@ -540,11 +527,6 @@ class SnorkelPipeline:
         if not use_generative:
             return strategy, None, majority_vote_proba(label_matrix)
 
-        if config.online:
-            return strategy, *self._label_modeling_online(
-                label_matrix, cardinality, correlations, store
-            )
-
         model = GenerativeModel(
             epochs=config.generative_epochs,
             step_size=config.generative_step_size,
@@ -554,47 +536,6 @@ class SnorkelPipeline:
         )
         model.fit(label_matrix, correlations=correlations)
         return strategy, model, model.predict_proba(label_matrix)
-
-    def _label_modeling_online(
-        self,
-        label_matrix: LabelMatrix,
-        cardinality: int,
-        correlations: Sequence[tuple[int, int]],
-        store: Optional[BlockStore],
-    ) -> tuple[GenerativeModel, np.ndarray]:
-        """The generative stage through the online incremental estimator.
-
-        Λ's rows are folded into an :class:`OnlineGenerativeModel` in
-        ``chunk_size`` slices — the same row blocks the streaming engine's
-        chunk tasks produced — then the model is drained and the exact
-        batch-equivalent fit serves the training posteriors.  With a block
-        store attached, the model's versioned statistics are persisted
-        durably (and superseded snapshots are reclaimed under the
-        ``latest_epoch`` retention policy).
-        """
-        config = self.config
-        online = OnlineGenerativeModel(
-            cardinality=cardinality,
-            correlations=correlations,
-            epochs=config.generative_epochs,
-            seed=config.seed,
-        )
-        num_rows = label_matrix.shape[0]
-        for start in range(0, num_rows, config.chunk_size):
-            stop = min(start + config.chunk_size, num_rows)
-            online.update(label_matrix.select_rows(np.arange(start, stop)))
-        if store is not None:
-            try:
-                online.save(store, prefix="online/label_model")
-            except OSError as exc:
-                warnings.warn(
-                    f"online-model statistics checkpoint skipped after write "
-                    f"failure ({exc}); the run continues without it",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        model = online.drain()
-        return model, model.predict_proba(label_matrix)
 
     def _generative_report(
         self,

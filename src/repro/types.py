@@ -39,22 +39,6 @@ class Label(enum.IntEnum):
     POSITIVE = 1
 
 
-def is_valid_binary_label(value: int, allow_abstain: bool = True) -> bool:
-    """Return ``True`` if ``value`` is a legal binary label.
-
-    Parameters
-    ----------
-    value:
-        Candidate label value.
-    allow_abstain:
-        Whether ``ABSTAIN`` (0) counts as valid.  Ground-truth vectors must
-        not contain abstentions, while label-matrix entries may.
-    """
-    if value == ABSTAIN:
-        return allow_abstain
-    return value in (NEGATIVE, POSITIVE)
-
-
 def validate_label_matrix(label_matrix: np.ndarray, cardinality: int = 2) -> np.ndarray:
     """Validate and canonicalize a label matrix.
 

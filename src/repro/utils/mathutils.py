@@ -54,18 +54,3 @@ def accuracy_to_log_odds(alpha: np.ndarray | float, eps: float = 1e-12) -> np.nd
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def log_sum_exp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Stable ``log(sum(exp(values)))``."""
-    values = np.asarray(values, dtype=float)
-    maximum = np.max(values, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(values - maximum), axis=axis, keepdims=True)) + maximum
-    if axis is None:
-        return float(out)
-    return np.squeeze(out, axis=axis)
-
-
-def clip_probabilities(probs: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-    """Clip probabilities away from exactly 0 and 1 for safe log-loss use."""
-    return np.clip(np.asarray(probs, dtype=float), eps, 1.0 - eps)

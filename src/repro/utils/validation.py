@@ -2,25 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
-import numpy as np
-
 from repro.exceptions import ConfigurationError
-
-
-def require_positive(name: str, value: float) -> float:
-    """Raise :class:`ConfigurationError` unless ``value`` is strictly positive."""
-    if not value > 0:
-        raise ConfigurationError(f"{name} must be > 0, got {value!r}")
-    return value
-
-
-def require_non_negative(name: str, value: float) -> float:
-    """Raise :class:`ConfigurationError` unless ``value`` >= 0."""
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
-    return value
 
 
 def require_probability(name: str, value: float) -> float:
@@ -28,28 +10,3 @@ def require_probability(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
     return float(value)
-
-
-def require_in(name: str, value: Any, options: Sequence[Any]) -> Any:
-    """Raise :class:`ConfigurationError` unless ``value`` is one of ``options``."""
-    if value not in options:
-        raise ConfigurationError(f"{name} must be one of {list(options)!r}, got {value!r}")
-    return value
-
-
-def require_same_length(name_a: str, a: Sequence, name_b: str, b: Sequence) -> None:
-    """Raise :class:`ConfigurationError` unless the two sequences have equal length."""
-    if len(a) != len(b):
-        raise ConfigurationError(
-            f"{name_a} and {name_b} must have the same length, got {len(a)} and {len(b)}"
-        )
-
-
-def as_float_array(
-    name: str, values: Sequence[float] | np.ndarray, ndim: int | None = None
-) -> np.ndarray:
-    """Convert to a float array, optionally checking dimensionality."""
-    array = np.asarray(values, dtype=float)
-    if ndim is not None and array.ndim != ndim:
-        raise ConfigurationError(f"{name} must be {ndim}-dimensional, got shape {array.shape}")
-    return array

@@ -47,6 +47,7 @@ from repro.analysis.source import SourceInfo, extract_source
 from repro.datasets.lf_library import LINT_LFS
 from repro.datasets.synthetic import (
     stream_synthetic_candidates,
+    stream_text_candidates,
     synthetic_vote_lfs,
     text_vote_lfs,
 )
@@ -379,10 +380,12 @@ class TestProcessDivergence:
 class TestEngineContracts:
     def test_builtin_engine_tasks_are_pure(self):
         report = check_engine_tasks()
-        # apply / featurize / fused + the worker pool's dispatch kernel.
-        assert len(report) == 4
+        # Both label tasks / featurize / the fused wrapper + the worker
+        # pool's dispatch kernel.
+        assert len(report) == 5
         assert {result.lf_name for result in report} == {
             "apply_chunk",
+            "label_chunk_pushdown",
             "featurize_chunk",
             "label_and_featurize_chunk",
             "run_attached_chunk",
@@ -426,6 +429,21 @@ class TestEngineContracts:
             stream_synthetic_candidates(num_points=20, num_lfs=3, propensity=0.5, seed=1)
         )
         assert observe_task_purity(apply_chunk, lfs, [candidates[:10], candidates[10:]])
+
+    def test_fused_task_is_dynamically_pure_over_both_label_tasks(self):
+        from repro.discriminative.featurizers import RelationFeaturizer
+        from repro.labeling.engine import apply_chunk, label_and_featurize_chunk
+        from repro.labeling.pushdown import build_plan, label_chunk_pushdown
+
+        lfs = text_vote_lfs(4)
+        candidates = list(stream_text_candidates(num_points=30, num_lfs=4, seed=2))
+        chunks = [candidates[:17], candidates[17:]]
+        featurizer = RelationFeaturizer(num_features=64).fit()
+        plan = build_plan(lfs, cardinality=2)
+        assert plan.compiled
+        for label_task, label_payload in ((apply_chunk, lfs), (label_chunk_pushdown, plan)):
+            payload = (label_task, label_payload, featurizer)
+            assert observe_task_purity(label_and_featurize_chunk, payload, chunks)
 
 
 # ==========================================================================

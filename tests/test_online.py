@@ -354,20 +354,28 @@ def test_save_latest_epoch_keeps_one_snapshot(tmp_path):
 
 # ------------------------------------------------------------------ pipeline
 def test_pipeline_online_matches_batch():
-    lfs = text_vote_lfs(8)
-    def run(online):
-        config = PipelineConfig(
-            chunk_size=200, online=online, sparse_labels=True,
-            generative_epochs=8, discriminative_epochs=3, seed=0,
-        )
-        pipeline = SnorkelPipeline(lfs=lfs, config=config)
-        return pipeline.run_streams(
-            stream_text_candidates(1000, num_lfs=8, seed=1),
-            stream_text_candidates(200, num_lfs=8, seed=2),
-            np.ones(200, dtype=int),
-        )
-    batch, online = run(False), run(True)
-    assert np.array_equal(online.training_probs, batch.training_probs)
+    """Folding the pipeline's Λ chunk by chunk and draining is the
+    pipeline's own (batch) label-model fit, bit for bit."""
+    config = PipelineConfig(
+        chunk_size=200, sparse_labels=True,
+        generative_epochs=8, discriminative_epochs=3, seed=0,
+    )
+    result = SnorkelPipeline(lfs=text_vote_lfs(8), config=config).run_streams(
+        stream_text_candidates(1000, num_lfs=8, seed=1),
+        stream_text_candidates(200, num_lfs=8, seed=2),
+        np.ones(200, dtype=int),
+    )
+    matrix = result.label_matrix
+    correlations = result.strategy.correlations if result.strategy else []
+    online = OnlineGenerativeModel(
+        cardinality=matrix.cardinality, correlations=correlations,
+        epochs=config.generative_epochs, seed=config.seed,
+    )
+    for start in range(0, matrix.num_candidates, config.chunk_size):
+        stop = min(start + config.chunk_size, matrix.num_candidates)
+        online.update(matrix.select_rows(np.arange(start, stop)))
+    assert result.generative_model is not None
+    assert np.array_equal(online.drain().predict_proba(matrix), result.training_probs)
 
 
 def test_pipeline_rejects_bad_retention():

@@ -12,6 +12,8 @@ non-fault-tolerant run.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.context.candidates import Candidate, SentenceView, SpanView
 from repro.datasets.lf_library import LINT_LFS
 from repro.datasets.synthetic import stream_relation_candidates
+from repro.discriminative.featurizers import RelationFeaturizer
 from repro.exceptions import LabelingError
 from repro.labeling import LFApplier, PushdownPlan, build_plan
 from repro.labeling.engine.accumulator import apply_chunk
@@ -404,6 +407,29 @@ class TestReporting:
         applier.apply(corpus(30, seed=14))
         applier.apply(corpus(30, seed=15))
         assert len(applier._pushdown_plans) == 1
+
+    @pytest.mark.parametrize("mode", ["auto", "off"])
+    def test_edit_loop_does_not_keep_superseded_suites_alive(self, mode):
+        """``applier.lfs[0] = new_lf; applier.apply(...)`` N times: plans and
+        worker payloads hold their LFs, so the caches must follow the suite."""
+        candidates = corpus(30, seed=16)
+        applier = LFApplier(LINT_LFS(), fault_tolerant=True, pushdown=mode)
+        featurizer = RelationFeaturizer(num_features=32).fit()
+        superseded = []
+        for edit in range(6):
+            superseded.append(weakref.ref(applier.lfs[0]))
+            applier.lfs[0] = LabelingFunction(f"edit_{edit}", lambda c: 0)
+            applier.apply(candidates)
+            applier.apply_with_features(candidates, featurizer)
+        gc.collect()
+        assert [ref() for ref in superseded] == [None] * 6
+        assert len(applier._pushdown_plans) == (mode == "auto")
+        # One suite, two passes (with / without a featurizer): both stay warm.
+        assert len(applier._spec_payloads) == 2
+        payloads = list(applier._spec_payloads.values())
+        applier.apply(candidates)
+        applier.apply_with_features(candidates, featurizer)
+        assert [a is b for a, b in zip(payloads, applier._spec_payloads.values())] == [True] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ from repro.datasets.synthetic import (
     generate_correlated_label_matrix,
     generate_label_matrix,
     generate_misspecification_example,
+    stream_synthetic_candidates,
+    synthetic_vote_lfs,
 )
 from repro.exceptions import LabelingError
-from repro.labeling import LabelMatrix, SparseLabelMatrix
+from repro.labeling import LabelMatrix, LFAnalysis, LFApplier, SparseLabelMatrix
 from repro.labelmodel import (
     GenerativeModel,
     MajorityVoter,
@@ -135,6 +137,7 @@ def test_label_matrix_statistics_match(backend):
     sparse = dense.to_sparse()
     assert sparse.is_sparse and not dense.is_sparse
     assert sparse.to_dense().is_sparse is False
+    assert sparse.to_dense().csr is sparse.csr  # a dense view keeps its entries
     assert sparse.shape == dense.shape
     assert sparse.label_density() == pytest.approx(dense.label_density())
     assert sparse.coverage() == pytest.approx(dense.coverage())
@@ -147,6 +150,28 @@ def test_label_matrix_statistics_match(backend):
     assert np.array_equal(sparse.values, dense.values)
     assert np.array_equal(sparse.column("lf_1"), dense.column("lf_1"))
     assert np.array_equal(sparse[1], dense[1])
+
+
+def test_dense_held_applier_output_is_never_lowered(monkeypatch):
+    """Λ is built from the engine's triples; the dense-held matrix the applier
+    (and so the pipeline default) returns carries them to every consumer."""
+    lowered = []
+    from_dense = SparseLabelMatrix.from_dense.__func__
+    monkeypatch.setattr(
+        SparseLabelMatrix,
+        "from_dense",
+        classmethod(lambda cls, dense: lowered.append(1) or from_dense(cls, dense)),
+    )
+    candidates = list(stream_synthetic_candidates(num_points=80, num_lfs=4, propensity=0.5, seed=3))
+    for source in (candidates, iter(candidates)):
+        matrix = LFApplier(synthetic_vote_lfs(4), chunk_size=32).apply(source)
+        assert not matrix.is_sparse and not matrix.values.flags.writeable
+        GenerativeModel(epochs=3, seed=0).fit(matrix).predict_proba(matrix)
+        LFAnalysis(matrix).summary()
+        assert np.array_equal(matrix.csr.to_dense(), matrix.values)
+    assert lowered == []
+    LabelMatrix(matrix.values).csr  # the counter does see a lowering
+    assert lowered == [1]
 
 
 def test_label_matrix_slicing_preserves_storage(backend):
@@ -197,7 +222,7 @@ def test_non_canonical_csr_rows_are_rejected(indices):
 
 def test_from_sparse_classmethod(backend):
     storage = SparseLabelMatrix.from_dense(EDGE)
-    wrapped = LabelMatrix.from_sparse(storage, lf_names=list("abcd"))
+    wrapped = LabelMatrix(storage, lf_names=list("abcd"))
     assert wrapped.is_sparse
     assert wrapped.lf_names == list("abcd")
 

@@ -108,6 +108,32 @@ def test_apply_with_features_fused_pass(corpus, featurizer, backend, workers):
     # Block boundaries follow the chunking: all but the last are chunk-sized.
     assert [b.shape[0] for b in blocks[:-1]] == [29] * (len(blocks) - 1)
 
+    # ``apply`` is the same pass without the featurizer: same Λ (held the way
+    # the caller asked), same report, in both tiers.
+    def deterministic(report):
+        pushdown = report.pushdown
+        return (
+            report.num_candidates, report.num_lfs, report.num_chunks, report.errors,
+            report.backend, report.num_workers, report.transport.mode,
+            pushdown and (pushdown.compiled, sorted(pushdown.fallback)),
+        )
+
+    for pushdown in ("off", "auto"):
+        tier = LFApplier(
+            lfs, chunk_size=29, backend=backend, num_workers=workers, pushdown=pushdown
+        )
+        for sparse in (False, True):
+            plain = tier.apply(iter(corpus), sparse=sparse)
+            plain_report = deterministic(tier.last_report)
+            fused, fused_blocks = tier.apply_with_features(iter(corpus), featurizer, sparse=sparse)
+            assert deterministic(tier.last_report) == plain_report
+            assert plain.is_sparse == fused.is_sparse == sparse
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(plain.csr, name), getattr(fused.csr, name))
+                assert np.array_equal(getattr(plain.csr, name), getattr(label_matrix.csr, name))
+            fused_features = CSRFeatureMatrix.vstack(fused_blocks)
+            assert np.array_equal(fused_features.toarray(), stacked.toarray())
+
 
 def test_featurize_stream_requires_fitted(corpus):
     unfitted = RelationFeaturizer(num_features=64)
@@ -400,7 +426,7 @@ def test_config_accepts_and_ignores_streaming_keyword():
     """``streaming=`` is no longer a mode: accepted, not stored."""
     config = PipelineConfig(streaming=True, sparse_labels=True)
     names = {spec.name for spec in dataclasses.fields(config)}
-    assert "streaming" not in names and len(names) == 24
+    assert "streaming" not in names and len(names) == 23
     assert config == PipelineConfig(streaming=False, sparse_labels=True)
 
 
