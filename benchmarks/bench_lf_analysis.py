@@ -20,6 +20,7 @@ import time
 import repro.analysis as analysis_module
 from repro.analysis import analyze_suite
 from repro.datasets.synthetic import stream_synthetic_candidates, synthetic_vote_lfs
+from repro.labeling import build_plan
 from repro.labeling.applier import LFApplier
 
 DEFAULT_NUM_LFS = 16
@@ -72,8 +73,7 @@ def run_lf_analysis_benchmark(
     # Structural amortization: the analyze-call count depends on the suite,
     # not the corpus.  This is the assertion that matters; the timings below
     # are trend-tracking.
-    # pushdown="off": plan building analyzes the suite too (memoized, but it
-    # is a call); this bench counts and times the validation pass alone.
+    # pushdown="off": this bench counts and times the validation pass alone.
     calls_small = _count_analyze_calls(
         LFApplier(lfs, validate="warn", pushdown="off"), small
     )
@@ -100,6 +100,7 @@ def run_lf_analysis_benchmark(
         "analyze_calls_small_corpus": calls_small,
         "analyze_calls_large_corpus": calls_large,
         "compilable_count": report.compilable_count,
+        "compiled_count": len(build_plan(lfs).compiled),
         "analyze_suite_seconds": analyze_suite_seconds,
         "apply_plain_seconds": apply_plain_seconds,
         "apply_validated_seconds": apply_validated_seconds,
@@ -128,4 +129,6 @@ def test_lf_analysis_amortized(run_once):
     # One analyze_lf call per LF per apply, regardless of corpus size.
     assert record["analyze_calls_small_corpus"] == record["num_lfs"]
     assert record["analyze_calls_large_corpus"] == record["num_lfs"]
-    assert record["compilable_count"] == record["num_lfs"]
+    # The verdict validation reports is the plan's: these vote readers index
+    # a ``votes`` array the compiler has no column for, so both are 0.
+    assert record["compilable_count"] == record["compiled_count"]

@@ -8,8 +8,10 @@ and deliberately broken LFs:
 
 1. ``analyze_lf`` / ``analyze_suite`` — coded diagnostics (``LF1xx`` label
    range, ``LF2xx`` nondeterminism, ``LF3xx`` shared-state mutation,
-   ``LF4xx`` I/O, ``LF5xx`` picklability) plus a pushdown-compilability
-   verdict per LF,
+   ``LF4xx`` I/O, ``LF5xx`` picklability) plus the pushdown verdict per LF:
+   COMPILABLE when the LF runs in the compiled tier, else OPAQUE with the
+   reason (a hazard code, or the compiler's refusal and its line) — the
+   answer of the same decider ``LFApplier`` partitions the suite with,
 2. ``LFApplier(validate="error")`` — the apply-time gate that refuses to run
    a suite with ERROR-severity findings,
 3. ``observe_lf`` + ``crosscheck`` — the dynamic differential check that
@@ -22,13 +24,14 @@ command line as ``python -m repro.analysis examples/lf_linting.py``.
 import random
 
 from repro.analysis import analyze_suite, crosscheck, observe_lf
+from repro.datasets.synthetic import stream_relation_candidates
 from repro.exceptions import LabelingError
 from repro.labeling import LFApplier, labeling_function
 from repro.labeling.declarative import keyword_lf, pattern_lf
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 
 
-# --- a clean, declarative suite: every one of these is pushdown-compilable --
+# --- a clean, declarative suite: every one of these runs compiled -----------
 lf_causes = pattern_lf("causes", label=POSITIVE, name="lf_causes")
 lf_drugs = keyword_lf(["aspirin", "ibuprofen"], label=NEGATIVE, name="lf_drugs")
 
@@ -71,17 +74,27 @@ LINT_LFS = list(CLEAN)
 
 
 def main() -> None:
-    # 1. Static analysis: the clean suite produces no diagnostics and every
-    # declarative LF compiles to a pushdown shape.
-    report = analyze_suite(CLEAN)
+    # 1. Static analysis: the clean suite draws nothing worse than the LF501
+    # picklability warning, and every LF's verdict is COMPILABLE.  The verdict
+    # is what the applier does, not a forecast of it: over real candidates,
+    # the LFs it counts are the ones the run reports in the compiled tier.
+    candidates = list(stream_relation_candidates(num_points=200, seed=0))
+    applier = LFApplier(CLEAN, validate="warn")
+    applier.apply(candidates)
+    report = applier.last_report.analysis
     print("clean suite:")
     print(report.format(verbose=True))
+    compiled = applier.last_report.pushdown.compiled
+    assert report.compilable_count == len(compiled) == len(CLEAN)
+    print(f"ran compiled: {', '.join(compiled)}")
 
     # 2. The broken suite: every planted violation is caught before a single
-    # candidate is labeled.
+    # candidate is labeled, and each verdict is OPAQUE with its reason — the
+    # hazard codes, or for lf_wrong_range (an ERROR, but no hazard to replay)
+    # the compiler refusing a constant label outside the declared range.
     report = analyze_suite(BROKEN)
     print("\nbroken suite:")
-    print(report.format())
+    print(report.format(verbose=True))
 
     # 3. The apply-time gate refuses to run the broken suite.
     applier = LFApplier(BROKEN, validate="error")
@@ -94,7 +107,6 @@ def main() -> None:
     # 4. Dynamic cross-check: observed behavior agrees with the static
     # verdicts (the coin-flip LF really is nondeterministic; the clean LFs
     # really are pure).
-    candidates = ["aspirin causes headaches", "ibuprofen", "nothing here"]
     for lf in (lf_coin_flip, lf_causes):
         observed = observe_lf(lf, candidates)
         static = analyze_suite([lf]).results[0]

@@ -6,9 +6,10 @@ token distance, an entity-type equality.  Interpreted, each one costs a
 Python frame per candidate; the pushdown layer instead **compiles** every
 such LF into a vectorized kernel over columnar chunks — candidate fields
 extracted into numpy arrays once per chunk, shared by every compiled LF —
-while anything the analyzer cannot prove safe falls back, per LF, to the
-interpreted loop.  Labels are bit-identical either way; only the clock
-changes.
+while anything the compiler cannot reproduce exactly (or the lint pass flags
+as nondeterministic, mutating or doing I/O) falls back, per LF, to the
+interpreted loop, with the reason and the source line recorded.  Labels are
+bit-identical either way; only the clock changes.
 
 The walkthrough below:
 
@@ -36,8 +37,9 @@ from repro.types import ABSTAIN, POSITIVE
 
 @labeling_function()
 def lf_opaque_vote(x):
-    """Opaque to the compiler (RNG machinery), by design — but seeded per
-    candidate, so repeated applies still agree and identity can be checked."""
+    """Refused by the compiler (a method of the ``random`` module is outside
+    its subset), by design — but seeded per candidate, so repeated applies still
+    agree and identity can be checked."""
     return POSITIVE if random.Random(x.uid).random() > 0.95 else ABSTAIN
 
 
@@ -50,7 +52,11 @@ def main() -> None:
     suite = library_suite() + [lf_opaque_vote]
     candidates = list(stream_relation_candidates(num_points=8_000, seed=0))
 
-    # 1-2. The plan: which LFs compiled, and why the rest did not.
+    # 1-2. The plan: which LFs compiled, and why the rest did not, e.g.
+    #   plan: 11 compiled, 1 fallback
+    #     fallback lf_opaque_vote: compiler refused: method 'Random' on
+    #       constant module (line 6)
+    # ``analyze_lf(lf).pushdown`` is the same answer (OPAQUE, same reason).
     plan = build_plan(suite)
     print(f"plan: {len(plan.compiled)} compiled, {len(plan.fallback)} fallback")
     for name, reason in plan.fallback_reasons.items():

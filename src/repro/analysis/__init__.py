@@ -10,7 +10,9 @@ labeled:
   :class:`~repro.analysis.diagnostics.LFAnalysisResult` out: coded
   diagnostics (``LF001``+, see :mod:`repro.analysis.diagnostics`) from the
   AST lint passes (:mod:`repro.analysis.lint`), a picklability probe, and
-  the pushdown-compilability verdict (:mod:`repro.analysis.pushdown`).
+  the pushdown verdict — whether the LF runs in the compiled tier, which is
+  the answer of the decider ``build_plan`` itself partitions suites with
+  (:func:`repro.labeling.pushdown.task.decide`), not a second opinion.
 * :func:`analyze_suite` — a whole LF suite into one
   :class:`~repro.analysis.diagnostics.AnalysisReport`; this is what
   ``LFApplier(validate="warn"|"error")`` runs before applying.
@@ -36,17 +38,16 @@ from typing import Any, Iterable, Optional
 from repro.analysis.contracts import check_engine_tasks, check_task
 from repro.analysis.diagnostics import (
     CODES,
+    UNDECIDED,
     AnalysisReport,
     Diagnostic,
     LFAnalysisResult,
-    PredicatePayload,
     PushdownVerdict,
     Severity,
     make_diagnostic,
     merge_reports,
 )
 from repro.analysis.lint import FunctionScope, lint_function
-from repro.analysis.pushdown import classify_pushdown
 from repro.analysis.runtime import (
     ObservedBehavior,
     PurityCheckedTask,
@@ -63,7 +64,6 @@ __all__ = [
     "FunctionScope",
     "LFAnalysisResult",
     "ObservedBehavior",
-    "PredicatePayload",
     "PurityCheckedTask",
     "PushdownVerdict",
     "Severity",
@@ -71,11 +71,11 @@ __all__ = [
     "analyze_suite",
     "check_engine_tasks",
     "check_task",
-    "classify_pushdown",
     "clear_analysis_cache",
     "crosscheck",
     "extract_source",
     "lint_function",
+    "lint_lf",
     "make_diagnostic",
     "merge_reports",
     "observe_lf",
@@ -83,12 +83,7 @@ __all__ = [
     "resolve_function",
 ]
 
-#: Hazard code prefixes that disqualify an LF from pushdown compilation even
-#: when its predicate shape matched: a nondeterministic, state-mutating, or
-#: I/O-performing body cannot be replayed as a columnar expression.
-_PUSHDOWN_HAZARD_PREFIXES = ("LF2", "LF3", "LF4")
-
-#: Memoized :func:`analyze_lf` results keyed on the LF object itself (weakly,
+#: Memoized :func:`lint_lf` results keyed on the LF object itself (weakly,
 #: so cached reports never keep dead suites alive) and, per object, on the
 #: ``(cardinality, backend, probe_pickle)`` arguments.  Source resolution and
 #: the AST passes are pure functions of the LF object, so apply→apply and
@@ -97,7 +92,7 @@ _ANALYSIS_CACHE: "weakref.WeakKeyDictionary[Any, dict]" = weakref.WeakKeyDiction
 
 
 def clear_analysis_cache() -> None:
-    """Drop every memoized :func:`analyze_lf` result (test isolation hook)."""
+    """Drop every memoized :func:`lint_lf` result (test isolation hook)."""
     _ANALYSIS_CACHE.clear()
 
 
@@ -114,7 +109,29 @@ def analyze_lf(
     backend: Optional[str] = None,
     probe_pickle: bool = True,
 ) -> LFAnalysisResult:
-    """Run every static check over one LF callable.
+    """:func:`lint_lf` plus the pushdown verdict: every static check of one LF.
+
+    The verdict is asked of the decider once per memoized result and kept
+    with it; a folded constant rebound since may make it lag the next plan.
+    """
+    result = lint_lf(fn, cardinality, backend, probe_pickle)
+    if result.pushdown is UNDECIDED:
+        # Imported here: that module imports this package.
+        from repro.labeling.pushdown.task import decide, verdict_of
+
+        result.pushdown = verdict_of(*decide(fn, cardinality, result))
+    return result
+
+
+def lint_lf(
+    fn: Any,
+    cardinality: Optional[int] = None,
+    backend: Optional[str] = None,
+    probe_pickle: bool = True,
+) -> LFAnalysisResult:
+    """Lint one LF callable: everything of :func:`analyze_lf` but the verdict.
+
+    This half is what the pushdown decider itself reads (its hazard gate).
 
     Parameters
     ----------
@@ -132,7 +149,7 @@ def analyze_lf(
         source-level linting of already-imported suites).
 
     Results are memoized per LF *object* (see :data:`_ANALYSIS_CACHE`): the
-    second analysis of the same suite under the same arguments returns the
+    second lint of the same suite under the same arguments returns the
     cached :class:`LFAnalysisResult` without touching source or AST again.
     """
     if cardinality is None:
@@ -154,14 +171,6 @@ def analyze_lf(
         inferred_labels=inferred,
         source_available=info.tree is not None,
     )
-    result.pushdown = classify_pushdown(info)
-    hazards = sorted(
-        code for code in result.codes() if code.startswith(_PUSHDOWN_HAZARD_PREFIXES)
-    )
-    if hazards and result.pushdown.compilable:
-        result.pushdown = PushdownVerdict(
-            "OPAQUE", detail=f"predicate shape matched but hazards remain: {', '.join(hazards)}"
-        )
     if probe_pickle:
         try:
             pickle.dumps(fn)

@@ -25,7 +25,6 @@ from typing import Callable
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, LFAnalysisResult, make_diagnostic
 from repro.analysis.lint import MUTATING_METHODS, FunctionScope, root_name
-from repro.analysis.pushdown import PushdownVerdict
 from repro.analysis.source import extract_source, is_unresolved
 
 #: Parameter-name fragments identifying the fitted-featurizer part of a
@@ -128,11 +127,7 @@ def check_task(task: Callable) -> LFAnalysisResult:
     """Statically verify one chunk task against the purity contract."""
     info = extract_source(task)
     name = getattr(task, "__name__", repr(task))
-    result = LFAnalysisResult(
-        lf_name=name,
-        pushdown=PushdownVerdict("OPAQUE", detail="chunk tasks are not pushdown candidates"),
-        source_available=info.tree is not None,
-    )
+    result = LFAnalysisResult(lf_name=name, source_available=info.tree is not None)
     if info.tree is None:
         result.diagnostics.append(
             make_diagnostic(

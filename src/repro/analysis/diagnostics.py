@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class Severity(enum.IntEnum):
@@ -99,50 +99,33 @@ def make_diagnostic(
 
 
 @dataclass(frozen=True)
-class PredicatePayload:
-    """One predicate site the pushdown classifier extracted from an LF body.
-
-    The structured half of a ``COMPILABLE`` verdict: ``shape`` names the
-    predicate shape the site matched, ``description`` is the source
-    expression involved (best effort), and ``constant`` is the resolved
-    closure/global value the site compares against when the classifier
-    could bind one — a compiled ``re.Pattern`` for ``regex_match``, the
-    keyword/pair container for ``membership``, the numeric bound for
-    ``threshold_compare``, and so on.  Payloads are what the compiler
-    backend (:mod:`repro.labeling.pushdown`) reports and plans from;
-    control flow is still recovered from the AST itself.
-    """
-
-    shape: str
-    description: str = ""
-    constant: Any = None
-    lineno: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class PushdownVerdict:
-    """Outcome of the pushdown-compilability classification of one LF.
+    """Whether one LF runs in the compiled tier, and why not if it does not.
 
-    ``status`` is ``"COMPILABLE"`` when the LF's body falls inside the
-    declarative subset (see :mod:`repro.analysis.pushdown`), in which case
-    ``shape`` names the matched shape (``"regex_match"``,
+    The verdict is :func:`repro.labeling.pushdown.task.decide`'s answer, the
+    same call :func:`~repro.labeling.pushdown.task.build_plan` partitions a
+    suite with — not a prediction of it.  ``status`` is ``"COMPILABLE"``
+    when the LF compiled, in which case ``shape`` names the dominant
+    predicate of its program (``"token_scan"``, ``"regex_match"``,
     ``"membership"``, ``"threshold_compare"``, ``"field_equality"``,
-    ``"field_projection"``, ``"constant"``, or ``"token_scan"``) and
-    ``predicates`` carries
-    one :class:`PredicatePayload` per predicate site, with the resolved
-    constants a compiler backend evaluates against; otherwise ``status``
-    is ``"OPAQUE"`` and ``detail`` says which construct broke
-    compilability.
+    ``"field_projection"`` or ``"constant"``); otherwise ``status`` is
+    ``"OPAQUE"`` and ``detail`` is the reason: the LF is duck-typed, the
+    lint pass found a nondeterminism / mutation / I/O hazard, or the
+    compiler refused the body (with the source line).
     """
 
     status: str
     shape: Optional[str] = None
     detail: str = ""
-    predicates: tuple = ()
 
     @property
     def compilable(self) -> bool:
         return self.status == "COMPILABLE"
+
+
+#: ``LFAnalysisResult.pushdown`` until the decider has been asked (it never is
+#: about an engine chunk task).
+UNDECIDED = PushdownVerdict("OPAQUE", detail="not a pushdown candidate, or not asked yet")
 
 
 @dataclass
@@ -151,9 +134,7 @@ class LFAnalysisResult:
 
     lf_name: str
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    pushdown: PushdownVerdict = field(
-        default_factory=lambda: PushdownVerdict("OPAQUE", detail="not analyzed")
-    )
+    pushdown: PushdownVerdict = UNDECIDED
     #: Labels provably emittable by the LF, when return-value constant
     #: propagation covered *every* return path; ``None`` when at least one
     #: return expression could not be resolved statically (range checks are
@@ -217,9 +198,9 @@ class AnalysisReport:
         lines: list[str] = []
         for result in self.results:
             verdict = result.pushdown
-            shape = f" [{verdict.shape}]" if verdict.shape else ""
+            why = f" [{verdict.shape}]" if verdict.shape else f" ({verdict.detail})"
             if verbose or result.diagnostics:
-                lines.append(f"{result.lf_name}: {verdict.status}{shape}")
+                lines.append(f"{result.lf_name}: {verdict.status}{why}")
             for diagnostic in result.diagnostics:
                 lines.append(f"  {diagnostic.format()}")
         lines.append(

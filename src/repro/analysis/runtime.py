@@ -147,8 +147,8 @@ def crosscheck(static: LFAnalysisResult, observed: ObservedBehavior) -> list[str
       observed runs is legal, e.g. the random branch was never reached);
     * a complete inferred label set the LF escaped at runtime;
     * a ``COMPILABLE`` pushdown verdict for an LF that was observed to be
-      nondeterministic or to mutate reachable state (compilable implies
-      pure);
+      nondeterministic or to mutate reachable state (the compiler's subset
+      and the hazard gate in front of it admit only pure bodies);
     * static mutation findings vs. observed state fingerprints: if the
       analyzer found *no* mutation hazard but the fingerprint changed, the
       analyzer missed a write.
@@ -176,7 +176,7 @@ def crosscheck(static: LFAnalysisResult, observed: ObservedBehavior) -> list[str
             )
     if static.pushdown.compilable and (not observed.deterministic or observed.mutated_state):
         disagreements.append(
-            f"{static.lf_name}: classified COMPILABLE but observed "
+            f"{static.lf_name}: verdict COMPILABLE but observed "
             f"{'nondeterminism' if not observed.deterministic else 'state mutation'}"
         )
     return disagreements

@@ -61,10 +61,8 @@ class SourceInfo:
     #: when source was unavailable or unparsable.
     tree: Optional[ast.AST] = None
     source: Optional[str] = None
-    #: First source line of the function in its file (diagnostics add the
-    #: node's ``lineno - 1`` to this to report absolute positions when known).
-    firstlineno: int = 0
-    #: Why ``tree`` is ``None``: ``"unavailable"`` or ``"unparsable"``.
+    #: Why ``tree`` is ``None``: ``"unavailable"``, ``"unparsable"`` or
+    #: ``"ambiguous"`` (the fragment is not provably this function's body).
     failure: Optional[str] = None
     #: Closure environment: free-variable name -> cell contents.
     closure: dict[str, Any] = field(default_factory=dict)
@@ -108,17 +106,23 @@ def is_unresolved(value: Any) -> bool:
     return value is _UNRESOLVED
 
 
-def _find_function_node(module: ast.Module) -> Optional[ast.AST]:
-    """First function-like node in a parsed source fragment.
+def _find_function_node(module: ast.Module, name: str) -> Optional[ast.AST]:
+    """The node of the code object named ``name`` in a parsed source fragment.
 
     ``inspect.getsource`` of a decorated function returns the decorated
-    definition; of a lambda, the whole assignment statement.  Either way the
-    target is the first ``FunctionDef``/``AsyncFunctionDef``/``Lambda`` in
-    the fragment.
+    definition; of a lambda, the whole statement.  Either way the target is
+    the first ``FunctionDef``/``AsyncFunctionDef``/``Lambda`` in the fragment
+    — if it is the function asked about: ``getsource`` of a
+    ``functools.wraps`` wrapper is the *wrapped* definition, and of one of
+    several lambdas on a line is all of them.  The compiler replays this
+    tree in place of the function, so what is not provably its body is none.
     """
     for node in ast.walk(module):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            return node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node if node.name == name else None
+        if isinstance(node, ast.Lambda):
+            lambdas = sum(isinstance(other, ast.Lambda) for other in ast.walk(module))
+            return node if name == "<lambda>" and lambdas == 1 else None
     return None
 
 
@@ -141,8 +145,8 @@ def _parse(function: Callable) -> tuple:
         # A lambda inside a larger expression (e.g. a call argument) does
         # not dedent into valid standalone source.
         return source, None, "unparsable"
-    tree = _find_function_node(module)
-    return source, tree, None if tree is not None else "unparsable"
+    tree = _find_function_node(module, function.__code__.co_name)
+    return source, tree, None if tree is not None else "ambiguous"
 
 
 def extract_source(fn: Any) -> SourceInfo:
@@ -150,16 +154,12 @@ def extract_source(fn: Any) -> SourceInfo:
     function = resolve_function(fn)
     info = SourceInfo(function=function)
     if inspect.isfunction(function):
-        code = function.__code__
-        freevars = code.co_freevars
-        cells = function.__closure__ or ()
-        for name, cell in zip(freevars, cells):
+        for name, cell in zip(function.__code__.co_freevars, function.__closure__ or ()):
             try:
                 info.closure[name] = cell.cell_contents
             except ValueError:  # pragma: no cover - unfilled cell
                 continue
         info.globals = function.__globals__
-        info.firstlineno = code.co_firstlineno
     if not (inspect.isfunction(function) or inspect.ismethod(function)):
         info.failure = "unavailable"
         return info

@@ -60,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 VALIDATE_MODES = ("off", "warn", "error")
 
 #: Accepted values for ``LFApplier(pushdown=...)`` / ``PipelineConfig.lf_pushdown``.
-#: ``"auto"`` (the default) compiles what the analyzer and compiler admit and
+#: ``"auto"`` (the default) compiles what the pushdown decider admits and
 #: interprets the rest per LF; ``"off"`` interprets every LF — the reference
 #: path the compiled tier is held bit-identical to; ``"require"`` raises if
 #: any LF in the suite cannot be compiled, naming each offender and why.
@@ -194,8 +194,8 @@ class LFApplier:
     pushdown:
         Columnar-kernel execution of the suite (see
         :mod:`repro.labeling.pushdown`).  ``"auto"`` (default) compiles
-        every LF the analyzer classifies ``COMPILABLE`` and the compiler
-        accepts into vectorized kernels — the rest run interpreted, per LF,
+        every LF the compiler accepts (and the lint pass finds no hazard
+        in) into vectorized kernels — the rest run interpreted, per LF,
         inside the same chunk task, so a suite nothing compiles in costs
         what ``"off"`` costs; ``"off"`` interprets every LF per candidate
         and is the reference path: labels, error counts, error breakdowns
@@ -203,7 +203,7 @@ class LFApplier:
         to it in every mode, for every backend and chunk size;
         ``"require"`` raises :class:`LabelingError` before labeling
         anything if any LF cannot be compiled, naming each offender with
-        the analyzer's or compiler's reason.  A compiled plan is kept per
+        the decider's reason.  A compiled plan is kept per
         suite and rebuilt when a global, closure cell, default or instance
         attribute it folded in as a constant has been rebound.
     transport:
@@ -329,9 +329,9 @@ class LFApplier:
         """Build (or fetch) the compiled plan the ``pushdown`` mode asks for.
 
         ``"require"`` turns an incomplete partition into an error listing
-        every non-compiled LF with the analyzer's OPAQUE detail or the
-        compiler's refusal, so the offender can be rewritten or the mode
-        relaxed to ``"auto"``.
+        every non-compiled LF with the decider's reason (a lint hazard, or
+        the compiler's refusal and its line), so the offender can be
+        rewritten or the mode relaxed to ``"auto"``.
         """
         if self.pushdown == "off":
             return None

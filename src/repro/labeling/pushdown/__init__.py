@@ -7,12 +7,13 @@ This package removes both costs for the declarative majority of a suite:
 * :mod:`~repro.labeling.pushdown.fields` extracts each candidate field a
   suite reads into a numpy column **once per chunk**;
 * :mod:`~repro.labeling.pushdown.compiler` symbolically executes each LF
-  body the analyzer classified ``COMPILABLE`` into a
+  body inside its subset (its docstring is the one statement of it) into a
   :class:`~repro.labeling.pushdown.program.CompiledProgram` — vectorized
   comparisons for threshold/equality shapes, precompiled regex sweeps,
   frozenset membership kernels, first-match token scans, shared per-row
   normalization;
-* :mod:`~repro.labeling.pushdown.task` packages the compiled/fallback
+* :mod:`~repro.labeling.pushdown.task` decides per LF (duck-typed? lint
+  hazard? compiler refusal?), packages the compiled/fallback
   partition as a :class:`~repro.labeling.pushdown.task.PushdownPlan` and
   exposes :func:`~repro.labeling.pushdown.task.label_chunk_pushdown`, a
   drop-in engine chunk task composing with every backend and the fused

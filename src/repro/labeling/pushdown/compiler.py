@@ -44,14 +44,26 @@ from the matched element lowers to
 :class:`~repro.labeling.pushdown.program.TokenScan`, which runs the closures
 once per distinct token of the chunk.
 
-Anything outside the subset raises :class:`CompileError`, and the caller
-falls back to the interpreted LF — the compiler is *sound, not complete*:
-it may refuse, it must never produce different labels or errors.
+Anything outside the subset raises :class:`CompileError` — naming the
+source line of the statement it was executing — and the caller falls back to
+the interpreted LF: the compiler is *sound, not complete*; it may refuse, it
+must never produce different labels or errors.  This module is the one
+statement of the compilable subset: :func:`repro.labeling.pushdown.task.decide`
+asks it, and ``analyze_lf``'s ``COMPILABLE`` / ``OPAQUE`` verdict is its
+answer.
+
+The walk follows execution paths, so statements in folded-dead arms and
+after a ``return`` are never seen.  What such code changes without running
+is read off the code object instead: a ``yield`` or ``await`` anywhere makes
+the function a generator or coroutine (``co_flags``), and a ``del``,
+``import``, ``except ... as`` or nested ``def`` binding a name anywhere makes
+every read of it local (``co_varnames``).
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 from operator import methodcaller
 from typing import Any, Callable, Optional
@@ -135,8 +147,7 @@ _SPAN_ALIASES = {
 _SENTENCE_ALIASES = {"sentence": "sentence", "parent": "sentence"}
 
 #: Pure helper functions the compiler may push into per-row kernels,
-#: identified by ``(module, qualname)`` — the same registry discipline as
-#: :data:`repro.analysis.pushdown._PURE_HELPERS`.
+#: identified by ``(module, qualname)``.
 _HELPER_NORMALIZE = ("repro.utils.textutils", "normalize")
 _HELPER_CONTAINS_PHRASE = ("repro.labeling.declarative", "_contains_phrase")
 _HELPER_CONTAINS_ANY = ("repro.utils.textutils", "contains_any")
@@ -190,6 +201,9 @@ _BIN_AST = {
     ast.BitAnd: "and_", ast.BitOr: "or_", ast.BitXor: "xor",
 }
 
+#: ``co_flags`` of a function whose call does not run its body to a ``return``.
+_NOT_A_PLAIN_CALL = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+
 #: Constants safe to vectorize alongside int64 field columns without any
 #: risk of int64 overflow (fields themselves are bounded by make_column).
 _CONST_BOUND = 2**61
@@ -228,7 +242,10 @@ def compile_lf(lf: Any, cardinality: Optional[int] = None) -> CompiledProgram:
     if info.tree is None:
         raise CompileError(f"source {info.failure or 'unavailable'}")
     compiler = _Compiler(info, name, cardinality, instance=inner)
-    return compiler.compile()
+    try:
+        return compiler.compile()
+    except CompileError as exc:
+        raise CompileError(f"{exc} (line {compiler.lineno})") from exc
 
 
 class _Compiler:
@@ -239,22 +256,28 @@ class _Compiler:
         self.instance = instance
         self.branches: list[Branch] = []
         self.assigned: set[str] = set()
+        #: Source line of the statement being executed; a refusal names it.
+        self.lineno: int = info.tree.lineno
 
     # ------------------------------------------------------------- top level
     def compile(self) -> CompiledProgram:
         tree = self.info.tree
+        code = self.info.function.__code__
+        if code.co_flags & _NOT_A_PLAIN_CALL:
+            # Calling it returns a generator / coroutine object, whatever
+            # the path the walk below would follow returns.
+            raise CompileError("generator or coroutine function")
         env = self._initial_env(tree)
+        self.assigned.update(code.co_varnames, code.co_cellvars)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 self.assigned.add(node.id)
         if isinstance(tree, ast.Lambda):
             self._emit_return(tree.body, env, None)
         else:
-            terminated = self._block(tree.body, env, None)
-            if not terminated:
-                # Falling off the end returns None → abstain; rows reaching
-                # here are exactly the still-undecided ones, already 0.
-                pass
+            # Falling off the end returns None → abstain; rows reaching
+            # there are exactly the still-undecided ones, already 0.
+            self._block(tree.body, env, None)
         if not self.branches:
             raise CompileError("no return sites compiled")
         return CompiledProgram(self.branches, self.lf_name, self.cardinality)
@@ -286,7 +309,8 @@ class _Compiler:
     def _block(self, stmts: list, env: dict, path: Optional[ColExpr]) -> bool:
         """Symbolically execute a statement list; True when every row on
         this path has returned."""
-        for position, stmt in enumerate(stmts):
+        for stmt in stmts:
+            self.lineno = stmt.lineno
             if isinstance(stmt, ast.Return):
                 self._emit_return(stmt.value, env, path)
                 return True
@@ -423,6 +447,7 @@ class _Compiler:
         list them in ``steps``), fold its constant ``if`` s, and return the
         expression of the ``return`` reached — ``None`` if none is."""
         for stmt in stmts:
+            self.lineno = stmt.lineno
             if isinstance(stmt, ast.Return):
                 return stmt.value or ast.Constant(value=None)
             if isinstance(stmt, ast.Pass):

@@ -1,8 +1,10 @@
 """The pushdown chunk task: compiled-kernel LF application over the engine.
 
-:func:`build_plan` partitions an LF suite into compiled programs (every LF
-the analyzer classifies ``COMPILABLE`` *and* the compiler accepts) and
-interpreted fallbacks, producing a :class:`PushdownPlan`.  The plan is the
+:func:`decide` is the one answer to "is this LF compiled, and if not why";
+:func:`build_plan` partitions an LF suite with it into compiled programs and
+interpreted fallbacks, producing a :class:`PushdownPlan`, and
+``analyze_lf``'s ``COMPILABLE`` / ``OPAQUE`` verdict is the same answer
+(:func:`verdict_of`).  The plan is the
 payload of :func:`label_chunk_pushdown`, a drop-in
 :data:`~repro.labeling.engine.executors.ChunkTask`: same signature, same
 :class:`~repro.labeling.engine.accumulator.ChunkResult` contract, same
@@ -33,6 +35,8 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis import lint_lf
+from repro.analysis.diagnostics import LFAnalysisResult, PushdownVerdict
 from repro.analysis.source import resolve_function
 from repro.exceptions import LabelingError
 from repro.labeling.engine.accumulator import ChunkResult, LFErrorDetail
@@ -48,7 +52,9 @@ __all__ = [
     "PushdownSummary",
     "build_plan",
     "build_worker_payload",
+    "decide",
     "label_chunk_pushdown",
+    "verdict_of",
 ]
 
 
@@ -118,8 +124,8 @@ class PushdownPlan:
 
     ``compiled`` and ``fallback`` together cover every column exactly once;
     ``fallback_reasons`` records, per fallback LF name, why it was not
-    compiled (the analyzer's OPAQUE detail or the compiler's refusal) —
-    surfaced by ``LFApplier(pushdown="require")`` diagnostics and the
+    compiled (:func:`decide`'s reason) — surfaced by
+    ``LFApplier(pushdown="require")`` diagnostics and the
     ``ApplyReport.pushdown`` summary.
     """
 
@@ -152,9 +158,8 @@ class PushdownSummary:
 
     ``compiled`` / ``fallback`` partition the suite by execution tier;
     ``fallback`` maps each interpreted LF to the reason it was not compiled
-    (the analyzer's OPAQUE detail or the compiler's refusal).  The
-    per-tier second totals come from the engine's per-LF wall-clock
-    accounting, summed over chunks; note that shared per-chunk work (field
+    (:func:`decide`'s).  The per-tier second totals come from the engine's
+    per-LF wall-clock accounting, summed over chunks; shared per-chunk work (field
     extraction, token indexes) is attributed to the first LF that triggers
     it, so per-tier seconds describe where time was spent, not marginal
     per-LF costs.
@@ -183,41 +188,87 @@ class PushdownSummary:
         )
 
 
+#: Lint codes that keep an LF out of the compiled tier whatever its body
+#: compiles to: a nondeterministic (``LF2xx``), state-mutating (``LF3xx``) or
+#: I/O-performing (``LF4xx``) body cannot be replayed as a columnar expression.
+_HAZARD_PREFIXES = ("LF2", "LF3", "LF4")
+
+
+def decide(
+    lf: Any, cardinality: Optional[int], lint: LFAnalysisResult
+) -> tuple[Optional[CompiledProgram], str]:
+    """Is ``lf`` compiled, and if not why: ``(program, "")`` or ``(None, reason)``.
+
+    Three refusals, in order: a duck-typed LF runs its own ``__call__``; the
+    lint pass (``lint``, :func:`repro.analysis.lint_lf`'s result for ``lf``)
+    found a hazard; the compiler refused the body.
+    """
+    if type(lf).__call__ is not LabelingFunction.__call__:
+        # Programs replicate LabelingFunction's canonicalization and error
+        # wrapping; a duck-typed LF's own __call__ decides both.
+        return None, "not a LabelingFunction: its own __call__ runs"
+    hazards = {d.code for d in lint.diagnostics if d.code.startswith(_HAZARD_PREFIXES)}
+    if hazards:
+        return None, f"hazards remain: {', '.join(sorted(hazards))}"
+    try:
+        return compile_lf(lf, cardinality=cardinality), ""
+    except CompileError as exc:
+        return None, f"compiler refused: {exc}"
+
+
+#: Program node tags → the predicate shape a verdict reports, dominant first.
+_SHAPES = {
+    "token_scan": ("tokscan",),
+    "regex_match": ("regex",),
+    "membership": ("tokmatch", "phrase", "in", "anyelem", "In", "NotIn"),
+    "threshold_compare": ("lt", "le", "gt", "ge"),
+    "field_equality": ("eq", "ne", "is", "is_not"),
+    "field_projection": ("field",),
+}
+
+
+def _key_tags(key: tuple, tags: set) -> None:
+    """Collect the node tags of a structural key: a comparison's is its
+    operator, and a constant's key is not a node."""
+    tag = key[0]
+    if tag == "k":
+        return
+    tags.add(key[1] if tag == "cmp" else tag)
+    for part in key[1:]:
+        if isinstance(part, tuple) and part and isinstance(part[0], str):
+            _key_tags(part, tags)
+
+
+def verdict_of(program: Optional[CompiledProgram], reason: str) -> PushdownVerdict:
+    """:func:`decide`'s answer as the verdict ``analyze_lf`` reports."""
+    if program is None:
+        return PushdownVerdict("OPAQUE", detail=reason)
+    tags: set = set()
+    for branch in program.branches:
+        for node in (branch.guard, branch.column):
+            if node is not None:
+                _key_tags(node.key, tags)
+    shapes = (shape for shape, nodes in _SHAPES.items() if tags.intersection(nodes))
+    return PushdownVerdict("COMPILABLE", shape=next(shapes, "constant"))
+
+
 def build_plan(
     lfs: Sequence,
     cardinality: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> PushdownPlan:
-    """Compile what the analyzer admits; everything else falls back.
+    """Compile what :func:`decide` admits; everything else falls back.
 
-    The ``COMPILABLE`` verdict gates compilation (the classifier's hazard
-    demotion — randomness, mutation, I/O — applies before any kernel is
-    built), and the memoized :func:`repro.analysis.analyze_lf` pass is shared
-    with ``validate=`` so one suite is analyzed once per process.
+    One compile per LF per plan; the memoized lint pass is shared with
+    ``validate=``, so one suite is linted once per process.
     """
-    from repro.analysis import analyze_lf
-
     start = time.perf_counter()
     plan = PushdownPlan(num_lfs=len(lfs), cardinality=cardinality if cardinality else 2)
     for column, lf in enumerate(lfs):
-        if type(lf).__call__ is not LabelingFunction.__call__:
-            # Programs replicate LabelingFunction's canonicalization and error
-            # wrapping; a duck-typed LF's own __call__ decides both.
+        program, reason = decide(lf, cardinality, lint_lf(lf, cardinality, backend))
+        if program is None:
             plan.fallback.append((column, lf))
-            plan.fallback_reasons[lf.name] = "not a LabelingFunction: its own __call__ runs"
-            continue
-        result = analyze_lf(lf, cardinality=cardinality, backend=backend)
-        if not result.pushdown.compilable:
-            plan.fallback.append((column, lf))
-            plan.fallback_reasons[lf.name] = (
-                result.pushdown.detail or "classified OPAQUE"
-            )
-            continue
-        try:
-            program = compile_lf(lf, cardinality=cardinality)
-        except CompileError as exc:
-            plan.fallback.append((column, lf))
-            plan.fallback_reasons[lf.name] = f"compiler refused: {exc}"
+            plan.fallback_reasons[lf.name] = reason
             continue
         plan.compiled.append(CompiledLF(name=lf.name, column=column, program=program))
         plan.constants.append(_ConstantRefs(lf))

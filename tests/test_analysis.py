@@ -2,10 +2,10 @@
 
 Four layers are covered:
 
-* **Library coverage** — ``analyze_lf`` classifies every LF the library
-  ships (the ``lf_library`` representative suite and the synthetic vote
-  suites): no ERROR diagnostics, and every declarative LF is
-  pushdown-COMPILABLE with the expected shape.
+* **Library coverage** — ``analyze_lf`` over every LF the library ships
+  (the ``lf_library`` representative suite and the synthetic vote suites):
+  no ERROR diagnostics, and every declarative LF compiles (verdict
+  COMPILABLE, which is the pushdown decider's answer) with the expected shape.
 * **Planted violations** — one module-level LF per diagnostic class
   (``LF101``–``LF501``), each asserted to produce exactly its code; plus the
   processes-backend divergence proof: the ``LF301`` LF really does produce
@@ -14,11 +14,15 @@ Four layers are covered:
 * **Engine contracts** — the built-in chunk tasks pass ``check_task``;
   planted impure tasks are caught statically (``EN001``/``EN002``/``EN003``)
   and dynamically (:class:`PurityCheckedTask`).
-* **Fuzzing** — hypothesis-generated small LF bodies: the analyzer never
-  crashes, and planted hazards are never missed (no false negatives).
+* **Fuzzing** — hypothesis-generated small LF bodies: the lint pass and the
+  compiler never crash (the compiler only ever refuses with ``CompileError``),
+  planted hazards are never missed or compiled, and an accepted body labels
+  as the interpreted one does.
 """
 
 import ast
+import itertools
+import linecache
 import multiprocessing
 import os
 import random
@@ -37,7 +41,6 @@ from repro.analysis import (
     analyze_suite,
     check_engine_tasks,
     check_task,
-    classify_pushdown,
     crosscheck,
     observe_lf,
     observe_task_purity,
@@ -46,6 +49,7 @@ from repro.analysis.lint import lint_function
 from repro.analysis.source import SourceInfo, extract_source
 from repro.datasets.lf_library import LINT_LFS
 from repro.datasets.synthetic import (
+    stream_relation_candidates,
     stream_synthetic_candidates,
     stream_text_candidates,
     synthetic_vote_lfs,
@@ -53,6 +57,7 @@ from repro.datasets.synthetic import (
 )
 from repro.exceptions import ConfigurationError, LabelingError
 from repro.labeling import LabelingFunction, LFApplier, labeling_function
+from repro.labeling.pushdown.compiler import CompileError, _Compiler
 from repro.pipeline.snorkel import PipelineConfig
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 
@@ -224,9 +229,15 @@ class TestLibraryCoverage:
         for result in report:
             assert result.clean, result.lf_name
             assert result.picklable is True
+        # The text readers scan real candidates' tokens and compile; the
+        # synthetic readers index a ``votes`` array the compiler has no
+        # column for, and the verdict says so.
+        for result in report.results[:4]:
+            assert result.pushdown.status == "OPAQUE"
+            assert "compiler refused: candidate attribute 'votes'" in result.pushdown.detail
+        for result in report.results[4:]:
             assert result.pushdown.compilable
-        shapes = {r.pushdown.shape for r in report}
-        assert shapes == {"field_projection", "token_scan"}
+            assert result.pushdown.shape == "token_scan"
 
     def test_diagnostic_codes_are_registered(self):
         for lf, code in EXPECTED_VIOLATIONS:
@@ -475,7 +486,8 @@ class TestApplyWiring:
         analysis = applier.last_report.analysis
         assert analysis is not None and len(analysis) == 2
         assert not analysis.has_errors
-        assert analysis.compilable_count == 2
+        # The verdict is the plan: what validate= counts is what ran compiled.
+        assert analysis.compilable_count == len(applier.last_report.pushdown.compiled)
 
     def test_validate_warn_does_not_block_warnings(self):
         # lf_clock carries only a WARNING (LF202): warn mode annotates, error
@@ -513,7 +525,10 @@ _FUZZ_HAZARDS = {
     "LF401": "_ = open('/dev/null')",
 }
 
-_FUZZ_RETURNS = ["-1", "0", "1", "None", "True", "False", "2", "7", "x", "x.field"]
+_FUZZ_RETURNS = [
+    "-1", "0", "1", "None", "True", "False", "2", "7", "x", "x.field",
+    "x.token_distance()", "1 if len(x.words_between()[0]) > 2 else 0",
+]
 
 _FILLERS = [
     "pass",
@@ -524,19 +539,26 @@ _FILLERS = [
     "try:\n        y = 1\n    except Exception:\n        pass",
     "z = [k for k in range(3)]",
     "def inner():\n        return 99",
+    "w = lambda: 99",
+    "async def later():\n        return 99",
+    "if False:\n        yield 99",
+    "if (n := 3) > 4:\n        pass",
+    "first = x.sentence.text.lower().split()[0]",
 ]
 
+_fuzz_serial = itertools.count()
 
-def _build_lf_source(hazard_codes, returns, fillers):
+
+def _build_lf_source(hazard_codes, returns, fillers, guard="x"):
     lines = ["def lf(x):"]
     for code in hazard_codes:
         lines.append(f"    {_FUZZ_HAZARDS[code]}")
     for filler in fillers:
         lines.append(f"    {filler}")
     if len(returns) > 1:
-        lines.append(f"    if x:\n        return {returns[0]}")
+        lines.append(f"    if {guard}:\n        return {returns[0]}")
         for value in returns[1:-1]:
-            lines.append(f"    if not x:\n        return {value}")
+            lines.append(f"    if not {guard}:\n        return {value}")
         lines.append(f"    return {returns[-1]}")
     else:
         lines.append(f"    return {returns[0]}")
@@ -545,7 +567,11 @@ def _build_lf_source(hazard_codes, returns, fillers):
 
 def _info_from_source(source):
     namespace = {"random": random, "time": time, "os": os, "_FUZZ_STATE": {}}
-    exec(compile(source, "<fuzz>", "exec"), namespace)
+    # Registered where ``inspect`` finds it, so the function has the source
+    # the decider (``extract_source``) reads, not only this SourceInfo.
+    filename = f"<fuzz-{next(_fuzz_serial)}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
     module = ast.parse(source)
     tree = next(
         node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)
@@ -557,26 +583,50 @@ def _info_from_source(source):
 
 @st.composite
 def lf_sources(draw):
+    # Half the bodies are hazard-free, so some reach the compiler's verdict.
     hazards = draw(
-        st.lists(st.sampled_from(sorted(_FUZZ_HAZARDS)), max_size=3, unique=True)
+        st.booleans().flatmap(
+            lambda some: st.lists(
+                st.sampled_from(sorted(_FUZZ_HAZARDS)), max_size=3 * some, unique=True
+            )
+        )
     )
     returns = draw(st.lists(st.sampled_from(_FUZZ_RETURNS), min_size=1, max_size=4))
     fillers = draw(st.lists(st.sampled_from(_FILLERS), max_size=3))
-    return _build_lf_source(hazards, returns, fillers), hazards, returns
+    # A candidate's truth value is outside the compiler's subset; a field test is in.
+    guard = draw(st.sampled_from(["x", "x.token_distance() > 3"]))
+    return _build_lf_source(hazards, returns, fillers, guard), hazards, returns
 
 
 class TestFuzzing:
     @settings(max_examples=120, deadline=None)
     @given(lf_sources())
     def test_analyzer_never_crashes_and_codes_are_registered(self, case):
-        source, _hazards, _returns = case
+        source, hazards, _returns = case
         info = _info_from_source(source)
         diagnostics, inferred = lint_function(info, "lf", cardinality=2)
         for diagnostic in diagnostics:
             assert diagnostic.code in CODES
         assert inferred is None or isinstance(inferred, frozenset)
-        verdict = classify_pushdown(info)
-        assert verdict.status in ("COMPILABLE", "OPAQUE")
+        # The decider, not a prediction of it: the compiler either refuses
+        # with CompileError (anything else escaping fails this test) ...
+        try:
+            _Compiler(info, "lf", 2, instance=info.function).compile()
+            accepted = True
+        except CompileError:
+            accepted = False
+        # ... and its verdict is that answer behind the hazard gate,
+        lf = LabelingFunction("lf", info.function)
+        verdict = analyze_lf(lf, probe_pickle=False).pushdown
+        assert verdict.compilable == (accepted and not hazards), source
+        if not verdict.compilable:
+            return
+        # and what it accepts labels, and fails, as the function itself does.
+        candidates = list(stream_relation_candidates(num_points=12, seed=3, error_rate=0.5))
+        base = LFApplier([lf], fault_tolerant=True, pushdown="off")
+        push = LFApplier([lf], fault_tolerant=True, pushdown="require")
+        assert np.array_equal(base.apply(candidates).values, push.apply(candidates).values)
+        assert base.last_report.errors == push.last_report.errors
 
     @settings(max_examples=120, deadline=None)
     @given(lf_sources())

@@ -1,7 +1,7 @@
 """The pushdown layer: compiled kernels must be bit-identical to interpreted.
 
 Every test here enforces the package's cardinal rule from a different angle:
-per predicate shape (all six the classifier names), per executor backend,
+per predicate shape (all six a verdict names), per executor backend,
 per chunk size, with mixed compiled/OPAQUE suites, with planted per-row
 failures, and under hypothesis-driven randomized corpora (including
 adversarial token text — NULs, case-exotic characters — aimed at the
@@ -9,9 +9,16 @@ vectorized string kernels' fallback guards).  "Identical" always means the
 full contract: same label matrix, same suppressed-error counts, same
 per-exception-type breakdowns, and the same exception out of a
 non-fault-tolerant run.
+
+The compiler is the only decider of what compiles (``analyze_lf``'s verdict
+is its answer), so this file also holds what keeps it sound on its own:
+the generator / coroutine refusals, and one case per veto of the AST
+classifier that used to gate it — each exemplar is refused by ``compile_lf``
+or compiles and matches the interpreted run.
 """
 
 import dataclasses
+import functools
 import gc
 import weakref
 
@@ -27,12 +34,12 @@ from repro.exceptions import LabelingError
 from repro.labeling import LFApplier, PushdownPlan, build_plan
 from repro.labeling.engine.accumulator import apply_chunk
 from repro.labeling.lf import LabelingFunction
-from repro.labeling.pushdown import label_chunk_pushdown
-from repro.types import ABSTAIN, POSITIVE
+from repro.labeling.pushdown import CompileError, compile_lf, label_chunk_pushdown
+from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 from repro.utils.textutils import contains_any
 
 # ---------------------------------------------------------------------------
-# Planted LFs covering the classifier shapes the library suite misses.
+# Planted LFs covering the shapes the library suite misses.
 # ---------------------------------------------------------------------------
 
 
@@ -54,12 +61,35 @@ def _entity_eq_body(candidate):
     return POSITIVE if candidate.span1.entity_type == "chemical" else ABSTAIN
 
 
+_FIRST_WORDS = frozenset({"w0", "w1", "w2", "aspirin", "ibuprofen"})
+
+
+def _chained_body(candidate):
+    return POSITIVE if candidate.sentence.text.lower().split()[0] in _FIRST_WORDS else ABSTAIN
+
+
+class _VocabReader:
+    """A callable-instance body: its constants are attributes of ``self``."""
+
+    def __init__(self, vocab):
+        self.vocab = vocab
+
+    def __call__(self, candidate):
+        return NEGATIVE if any(w in self.vocab for w in candidate.words_between()) else ABSTAIN
+
+
 def planted_lfs():
     return [
         LabelingFunction("lf_planted_constant", _constant_body),
         LabelingFunction("lf_planted_projection", _projection_body),
         LabelingFunction("lf_planted_clamped", _clamped_projection_body),
         LabelingFunction("lf_planted_entity_eq", _entity_eq_body),
+        # Bodies the deleted classifier vetoed and the compiler always handled.
+        LabelingFunction(
+            "lf_planted_lambda", lambda c: POSITIVE if c.token_distance() > 15 else ABSTAIN
+        ),
+        LabelingFunction("lf_planted_chained", _chained_body),
+        LabelingFunction("lf_planted_vocab_reader", _VocabReader(frozenset({"treats", "w3"}))),
     ]
 
 
@@ -213,9 +243,13 @@ class TestErrorFidelity:
         # error_rate plants non-string tokens: the token kernels must hand
         # exactly those rows to the per-row fallback and report the same
         # exception types the interpreted path sees.
+        from repro.datasets.cdr import build_cdr_task
+
         candidates = corpus(300, seed=9, error_rate=0.25)
-        report = assert_identical_runs(LINT_LFS(), candidates, chunk_size=50)
-        assert report.num_errors > 0
+        for lfs in (LINT_LFS(), build_cdr_task().lfs):
+            report = assert_identical_runs(lfs, candidates, chunk_size=50)
+            assert report.num_errors > 0
+            assert not report.pushdown.fallback
 
     def test_derived_field_override_disables_derivation(self):
         class LoudCandidate(Candidate):
@@ -322,32 +356,263 @@ class TestStaleConstants:
 
 
 # ---------------------------------------------------------------------------
-# The classifier's verdict and the compiler's agree
+# The verdict is the plan: one decider, asked by both
 # ---------------------------------------------------------------------------
 
 
-def _registered_suites():
-    from repro.datasets import load_task
-    from repro.datasets.synthetic import text_vote_lfs
+def _served_suites():
+    """``(name, lfs, number compiled or None)`` for every suite the library
+    serves; the declarative ones must never drift into the fallback tier."""
+    from repro.datasets import load_task, registered_tasks
+    from repro.datasets.synthetic import synthetic_vote_lfs, text_vote_lfs
 
-    yield "text_vote_lfs(k=2)", text_vote_lfs(4)
-    yield "text_vote_lfs(k=4)", text_vote_lfs(4, cardinality=4)
-    yield "LINT_LFS", LINT_LFS()
-    for name in ("cdr", "spouses", "chem", "ehr", "radiology"):
-        yield name, load_task(name, scale=0.05, seed=0).lfs
+    yield "text_vote_lfs(k=2)", text_vote_lfs(6), 6
+    yield "text_vote_lfs(k=4)", text_vote_lfs(6, cardinality=4), 6
+    yield "synthetic_vote_lfs", synthetic_vote_lfs(4), 0
+    yield "LINT_LFS", LINT_LFS(), 11
+    yield "full_suite", full_suite() + [opaque_lf(), _DuckFalseLF()], len(full_suite())
+    for name in sorted(registered_tasks()):
+        yield name, load_task(name, scale=0.05, seed=0).lfs, {"cdr": 32}.get(name)
 
 
 def test_compilable_verdict_implies_compiled():
+    """Verdict ≡ plan membership, reason included, with no exception list."""
     from repro.analysis import analyze_lf
 
-    refused = {}
-    for suite, lfs in _registered_suites():
-        compiled = set(build_plan(lfs).compiled_names)
+    for suite, lfs, num_compiled in _served_suites():
+        plan = build_plan(lfs)
         for lf in lfs:
-            if analyze_lf(lf).pushdown.compilable and lf.name not in compiled:
-                refused.setdefault(suite, []).append(lf.name)
-    # Known: the compiler has no column for ``sentence.document_metadata``.
-    assert refused == {"radiology": ["lf_mesh_abnormal", "lf_mesh_normal", "lf_short_report"]}
+            verdict = analyze_lf(lf).pushdown
+            assert verdict.compilable == (lf.name in plan.compiled_names), (suite, lf.name)
+            assert verdict.compilable or verdict.detail == plan.fallback_reasons[lf.name]
+        if num_compiled is not None:
+            assert len(plan.compiled) == num_compiled, (suite, plan.fallback_reasons)
+
+
+# ---------------------------------------------------------------------------
+# The compiler is sound on its own: what the path-following walk cannot see
+# ---------------------------------------------------------------------------
+
+_DEAD_FLAG = False
+
+
+async def _async_body(candidate):
+    return 1
+
+
+def _dead_yield_body(candidate):
+    if False:
+        yield
+    return 1
+
+
+def _flagged_yield_body(candidate):
+    if _DEAD_FLAG:
+        yield
+    return 1
+
+
+def _yield_after_return_body(candidate):
+    return 1
+    yield
+
+
+def _yield_from_after_return_body(candidate):
+    return 1
+    yield from ()
+
+
+_NOT_PLAIN_CALLS = [
+    _async_body,
+    _dead_yield_body,
+    _flagged_yield_body,
+    _yield_after_return_body,
+    _yield_from_after_return_body,
+]
+
+
+def _dead_del_body(candidate):
+    # The dead ``del`` makes THRESH a local: every call is an UnboundLocalError.
+    if False:
+        del THRESH
+    return POSITIVE if candidate.token_distance() < THRESH else ABSTAIN
+
+
+def _dead_import_body(candidate):
+    if False:
+        import THRESH
+    return POSITIVE if candidate.token_distance() < THRESH else ABSTAIN
+
+
+def _flaky(function):
+    @functools.wraps(function)
+    def wrapper(candidate):
+        return NEGATIVE  # getsource(wrapper) is the wrapped definition, not this
+
+    return wrapper
+
+
+@_flaky
+def _wrapped_body(candidate):
+    return POSITIVE
+
+
+class TestCompilerIsSoundAlone:
+    @pytest.mark.parametrize("body", _NOT_PLAIN_CALLS, ids=lambda body: body.__name__)
+    def test_generators_and_coroutines_are_refused(self, body):
+        # Regression: each compiled to the constant 1, while calling it returns
+        # a generator / coroutine object canonical_label rejects on every row.
+        with pytest.raises(CompileError, match="generator or coroutine"):
+            compile_lf(LabelingFunction(body.__name__, body))
+
+    @pytest.mark.parametrize(
+        "body,why",
+        [
+            (_dead_del_body, "unassigned local 'THRESH'"),
+            (_dead_import_body, "unassigned local 'THRESH'"),
+            # Regression: compiled to POSITIVE (the wrapped definition's body)
+            # with the classifier's blessing, while the wrapper returns NEGATIVE.
+            (_wrapped_body, "source ambiguous"),
+        ],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_dead_bindings_and_wrappers_are_refused(self, body, why):
+        with pytest.raises(CompileError, match=why):
+            compile_lf(LabelingFunction(body.__name__, body))
+
+    @pytest.mark.filterwarnings("ignore:coroutine .* was never awaited")
+    def test_refused_bodies_match_interpreted(self):
+        bodies = _NOT_PLAIN_CALLS + [_dead_del_body, _dead_import_body, _wrapped_body]
+        lfs = [LabelingFunction(body.__name__, body) for body in bodies]
+        report = assert_identical_runs(lfs, corpus(50, seed=19))
+        assert not report.pushdown.compiled
+        for body in _NOT_PLAIN_CALLS + [_dead_del_body, _dead_import_body]:
+            assert report.errors[body.__name__] == 50
+        gc.collect()  # the unawaited coroutines warn when freed: here, not later
+
+    def test_ambiguous_lambda_source_is_no_source(self):
+        # Both lambdas' source is this one line; neither is provably its body.
+        bodies = (lambda c: POSITIVE, lambda c: NEGATIVE)
+        pair = [LabelingFunction(f"lf_{i}", body) for i, body in enumerate(bodies)]
+        assert not build_plan(pair).compiled
+        assert_identical_runs(pair, corpus(10, seed=20))
+
+
+# ---------------------------------------------------------------------------
+# Every veto of the deleted AST classifier: refused by compile_lf, or compiled
+# and identical on planted per-row failures
+# ---------------------------------------------------------------------------
+
+_PICK = {"size": len}
+_CHAIN_VOCAB = frozenset({"w", "c", "tre"})
+
+
+def _opaque_helper(text):
+    return len(text) % 2
+
+
+def _veto_statement(candidate):  # "statement While is outside the subset"
+    count = 0
+    while count < candidate.token_distance():
+        count += 2
+    return POSITIVE if count % 4 else ABSTAIN
+
+
+def _veto_dead_statement(candidate):  # the same veto, on code that never runs
+    if _DEAD_FLAG:
+        try:
+            return int(candidate.sentence.text)
+        except ValueError:
+            raise
+    return POSITIVE if len(candidate.words_between()[0]) > 2 else ABSTAIN
+
+
+def _veto_expression(candidate):  # "expression NamedExpr is outside the subset"
+    if (distance := candidate.token_distance()) > 10:
+        return POSITIVE
+    return NEGATIVE if distance < 2 else ABSTAIN
+
+
+def _veto_nested_def(candidate):  # "nested function definition"
+    def far(limit):
+        return candidate.token_distance() > limit
+
+    return POSITIVE if far(10) else ABSTAIN
+
+
+def _veto_computed_callable(candidate):  # "call through a computed callable"
+    return POSITIVE if _PICK["size"](candidate.words_between()[0]) > 2 else ABSTAIN
+
+
+def _veto_local_callable(candidate):  # "calls locally-bound callable"
+    measure = len
+    return NEGATIVE if measure(candidate.words_between()[0]) > 5 else ABSTAIN
+
+
+def _veto_unresolvable_callable(candidate):  # "calls unresolvable callable"
+    return POSITIVE if no_such_helper(candidate) else ABSTAIN  # noqa: F821
+
+
+def _veto_opaque_callable(candidate):  # "calls opaque callable"
+    return POSITIVE if _opaque_helper(candidate.sentence.text) else ABSTAIN
+
+
+def _veto_computed_receiver(candidate):  # "method call on a computed object"
+    first = candidate.words_between()[0].lower().split("a")[0]
+    return POSITIVE if first in _CHAIN_VOCAB else ABSTAIN
+
+
+def _veto_unresolvable_chain(candidate):  # "calls unresolvable a.b"
+    return POSITIVE if no_such_module.check(candidate) else ABSTAIN  # noqa: F821
+
+
+def _veto_opaque_chain(candidate):  # "calls opaque callable a.b"
+    return POSITIVE if dataclasses.is_dataclass(candidate.sentence) else ABSTAIN
+
+
+def _veto_no_shape(candidate):  # "no recognizable predicate shape"
+    pass
+
+
+def _sourceless_body():  # "source unavailable"
+    namespace = {}
+    exec("def body(candidate):\n    return 1\n", namespace)
+    return namespace["body"]
+
+
+_REFUSED, _IDENTICAL = "compile_lf refuses", "compiles, identical"
+
+_VETOES = [
+    ("statement", _veto_statement, _REFUSED),
+    ("statement-in-dead-arm", _veto_dead_statement, _IDENTICAL),
+    ("expression", _veto_expression, _REFUSED),
+    ("nested-def", _veto_nested_def, _REFUSED),
+    ("computed-callable", _veto_computed_callable, _IDENTICAL),
+    ("local-callable", _veto_local_callable, _IDENTICAL),
+    ("unresolvable-callable", _veto_unresolvable_callable, _REFUSED),
+    ("opaque-callable", _veto_opaque_callable, _REFUSED),
+    ("computed-receiver", _veto_computed_receiver, _IDENTICAL),
+    ("unresolvable-chain", _veto_unresolvable_chain, _REFUSED),
+    ("opaque-chain", _veto_opaque_chain, _REFUSED),
+    ("source-unavailable", _sourceless_body(), _REFUSED),
+    ("lambda", lambda c: POSITIVE if len(c.words_between()[0]) > 2 else ABSTAIN, _IDENTICAL),
+    ("no-shape", _veto_no_shape, _REFUSED),
+]
+
+
+@pytest.mark.parametrize("body,expected", [v[1:] for v in _VETOES], ids=[v[0] for v in _VETOES])
+def test_every_classifier_veto_is_refused_or_reproduced(body, expected):
+    lf = LabelingFunction("lf_veto", body)
+    candidates = corpus(200, seed=21, error_rate=0.3)
+    if expected == _REFUSED:
+        with pytest.raises(CompileError):
+            compile_lf(lf)
+    else:
+        compile_lf(lf)
+    report = assert_identical_runs([lf], candidates, chunk_size=64)
+    assert report.pushdown.compiled == ["lf_veto"] * (expected == _IDENTICAL)
+    if expected == _IDENTICAL:
+        assert report.num_errors > 0  # IndexError on adjacent spans, the planted 7s
 
 
 # ---------------------------------------------------------------------------

@@ -254,10 +254,22 @@ def test_text_vote_suite_compiles_and_matches(k):
     plan = build_plan(lfs)
     assert len(plan.compiled) == 20 and not plan.fallback, plan.fallback_reasons
     candidates = list(stream_text_candidates(num_points=300, num_lfs=20, cardinality=k, seed=5))
-    base = LFApplier(lfs, pushdown="off").apply(candidates)
-    push = LFApplier(lfs, pushdown="require", chunk_size=64).apply(candidates)
-    assert np.array_equal(base.values, push.values)
-    assert np.count_nonzero(base.values)
+    # A few rows of the real stream that the scan kernel must hand back.
+    planted = {
+        3: ["lf0vx", "lf1v9"],  # undecodable at k=4 / out of range
+        57: [None, "lf2vp"],  # a hit after a token with no .startswith
+        211: ["lf3v1\x00"],  # NUL: numpy U-dtype would drop it
+        250: ["lf4v", "lf4v2"],  # empty suffix first
+    }
+    for row, tokens in planted.items():
+        candidates[row].sentence.words[:0] = tokens
+    candidates[100].sentence.words = 7  # not iterable at all
+    base = LFApplier(lfs, pushdown="off", fault_tolerant=True)
+    push = LFApplier(lfs, pushdown="require", fault_tolerant=True, chunk_size=64)
+    assert np.array_equal(base.apply(candidates).values, push.apply(candidates).values)
+    assert np.count_nonzero(base.apply(candidates).values)
+    assert base.last_report.errors == push.last_report.errors
+    assert sum(base.last_report.errors.values()) >= 20  # row 100 fails every LF
 
 
 def test_loops_outside_the_shape_are_refused_not_miscompiled():
