@@ -11,7 +11,8 @@ started:
 
 * plain runs over both transports (pickle and shm), list- and
   generator-fed, including the shm ring's growth path (a chunk far larger
-  than the initial slot size);
+  than the initial slot size), and the fused label+featurize pass twice, so
+  the second runs on the workers' warm featurizer tables;
 * a worker crash mid-run (the master must reclaim the dead worker's
   segments and its replacement's, not just the happy path's);
 * a fault-tolerant crash-with-resubmission run;
@@ -60,8 +61,11 @@ def main() -> int:
 
     from repro.datasets.synthetic import (
         stream_synthetic_candidates,
+        stream_text_candidates,
         synthetic_vote_lfs,
+        text_vote_lfs,
     )
+    from repro.discriminative import RelationFeaturizer
     from repro.labeling import LFApplier
     from repro.labeling.engine import (
         CSRAccumulator,
@@ -97,6 +101,23 @@ def main() -> int:
             assert np.array_equal(matrix.values, reference.values), transport
             matrix = applier.apply(iter(candidates), sparse=True)
             assert np.array_equal(matrix.to_dense().values, reference.values)
+
+    # The fused label+featurize pass: each worker grows its own featurizer
+    # tables (plain heap, nothing the master must reclaim) and the second
+    # pass runs on them warm; blocks must equal the sequential pass's.
+    text_lfs = text_vote_lfs(4)
+    text = list(stream_text_candidates(num_points=400, num_lfs=4, seed=0))
+    featurizer = RelationFeaturizer(num_features=64).fit()
+    _, expected = LFApplier(text_lfs, chunk_size=64).apply_with_features(text, featurizer)
+    for transport in ("pickle", "shm"):
+        applier = LFApplier(
+            text_lfs, chunk_size=64, backend="processes", num_workers=2, transport=transport
+        )
+        for _ in range(2):
+            _, blocks = applier.apply_with_features(iter(text), featurizer)
+            for block, reference_block in zip(blocks, expected, strict=True):
+                assert block.data.tobytes() == reference_block.data.tobytes(), transport
+                assert block.indices.tobytes() == reference_block.indices.tobytes(), transport
 
     # A worker crash mid-run: the pool must reclaim the dead worker's
     # resources and stay serviceable.

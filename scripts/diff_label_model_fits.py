@@ -52,7 +52,9 @@ The ``labeling`` groups hold what one labeling pass hands back: Λ (CSR
 feature blocks and the deterministic ``ApplyReport`` fields, for ``apply``
 and ``apply_with_features`` × ``pushdown`` ∈ {off, auto} × ``sparse`` ×
 list / generator / empty input × {a clean suite, a fault-tolerant run with
-a planted raising LF under the sequential and the processes backend}.
+a planted raising LF under the sequential and the processes backend}, plus
+``warm_featurizer``: the same pass with a featurizer that has already been
+through a different corpus (its run tables must not show in any block).
 
 The diff prints, per group, how many recorded arrays are bit-identical and
 the largest absolute difference; records only one checkout has (e.g. a
@@ -575,6 +577,16 @@ def dump_labeling(out: dict) -> None:
                 record(
                     f"labeling apply_with_features/{case}", matrix, blocks, applier.last_report
                 )
+        # A featurizer keeps what it interned and hashed from chunk to chunk;
+        # no block may depend on it.  This one has been through another
+        # corpus (other tokens, k = 3) before it meets the recorded one.
+        warm = RelationFeaturizer(num_features=64).fit()
+        warm.transform(list(stream_text_candidates(200, num_lfs=9, cardinality=3, seed=7)))
+        for suite in ("clean sequential", "faulty processes"):
+            lfs, settings = suites[suite]
+            applier = LFApplier(lfs, chunk_size=32, **settings)
+            matrix, blocks = applier.apply_with_features(candidates, warm, sparse=True)
+            record(f"labeling warm_featurizer/{suite}", matrix, blocks, applier.last_report)
     finally:
         shutdown_pools()
 

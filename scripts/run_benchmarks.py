@@ -23,8 +23,10 @@ snapshot (default ``BENCH_sparse.json`` in the repository root):
   drain vs batch fit time, with drain-equals-batch parity asserted
   (``benchmarks/bench_online_em.py``);
 * ``featurizer_throughput`` — dense vs CSR relation-featurizer batch
-  transforms, with exact parity against the per-candidate specification
-  asserted (``benchmarks/bench_featurizer_throughput.py``);
+  transforms, and fourteen chunks through one fitted featurizer on three
+  corpora (high, Zipf and zero key repeats between chunks), with exact
+  parity against the per-candidate specification asserted
+  (``benchmarks/bench_featurizer_throughput.py``);
 * ``discriminative_streaming`` — the pipeline's one out-of-core path (fused
   apply+featurize engine pass, CSR-block minibatch end-model training) on a
   50k-candidate synthetic text task, fed from a ``TaskDataset`` holding
@@ -204,13 +206,16 @@ def measure(quick: bool = False) -> dict:
     ), "per-chunk update cost grew with accumulated rows"
     print("\n[featurizer_throughput]")
     featurizer_record = featurizer.run_featurizer_benchmark(
-        num_candidates=150 if quick else featurizer.DEFAULT_NUM_CANDIDATES
+        num_candidates=150 if quick else featurizer.DEFAULT_NUM_CANDIDATES,
+        chunk_rows=64 if quick else featurizer.DEFAULT_CHUNK_ROWS,
     )
     print(featurizer.format_record(featurizer_record))
     # Asserted on every snapshot and every --compare run: the chunk kernel
-    # emits exactly the per-candidate specification's feature values.
+    # emits exactly the per-candidate specification's feature values — from
+    # a cold featurizer and from one that has featurized thirteen chunks.
     assert (
         featurizer_record["max_value_diff"] == 0
+        and not any(part["max_value_diff"] for part in featurizer_record["chunked"].values())
     ), "featurization kernel diverged from the candidate_entries specification"
     print("\n[discriminative_streaming]")
     streaming_record = streaming.run_discriminative_streaming_benchmark(

@@ -187,7 +187,10 @@ class PurityCheckedTask:
 
     Fingerprints the payload before and after every chunk; a changed
     fingerprint means the task wrote to shared state and raises
-    :class:`~repro.exceptions.LabelingError` naming the task.  Instances are
+    :class:`~repro.exceptions.LabelingError` naming the task.  The
+    fingerprint is the payload's *pickled* state — what a worker would
+    receive — so derived state an object leaves out of ``__getstate__`` (the
+    featurizer's run tables) is not in it.  Instances are
     picklable whenever the wrapped task is (both are typically module-level
     functions), so the shim rides every executor backend.
     """

@@ -11,22 +11,30 @@ appear on uncovered candidates, letting the end model raise recall.
 
 **One batch kernel.**  Featurization works a chunk at a time:
 ``chunk_triples`` (on both featurizers) interns the chunk's tokens to
-integer ids, lower-casing each *distinct* token once, expresses every scope
-(sentence, between, windows, argument texts) as an index range into the flat
-id array, builds the n-gram codes of all ranges with numpy, and computes
-``prefix + " ".join(gram)`` → ``blake2b`` → ``(bucket, sign)`` only for the
-*distinct* codes; one sort then sums duplicate ``(row, bucket)`` entries,
-drops zeros and leaves the triples in canonical row-major, column-ascending
-order.  Every consumer — the engine's ``featurize_chunk`` task (hence the
-fused label+featurize passes and ``featurize_stream``), and both
+integer ids, expresses every scope (sentence, between, windows, argument
+texts) as an index range into the flat id array, builds the n-gram codes of
+all ranges with numpy, and computes ``prefix + " ".join(gram)`` →
+``blake2b`` → ``(bucket, sign)`` only for the *distinct* codes; one sort
+then sums duplicate ``(row, bucket)`` entries, drops zeros and leaves the
+triples in canonical row-major, column-ascending order.  Interning and
+hashing are per *run*, not per chunk: a fitted vectorizer keeps one token
+table for the life of the run (a token is lower-cased the first time the
+run sees it) and, per n-gram size, one sorted table from code to raw
+64-bit hash, so each distinct ``(scope, n-gram)`` is spelled and hashed
+once per run — up to ``_TABLE_CAP`` entries, past which the rest are
+hashed once per chunk as before.  The gain exists where chunks of one run
+share keys; fourteen chunks with pairwise disjoint vocabularies pay for the
+merges and get nothing back (``benchmarks/bench_featurizer_throughput.py``
+records both ends).  Every consumer — the engine's ``featurize_chunk`` task
+(hence the fused label+featurize passes and ``featurize_stream``), and both
 ``transform`` output modes (dense is the kernel's ``toarray()``) — calls it.
 ``RelationFeaturizer.candidate_entries`` / ``HashingVectorizer.
 sequence_entries`` remain the readable per-row specification: the
 differential tests hold the kernel byte-equal to them, and a chunk the
 kernel cannot reproduce by construction (overridden candidate accessors,
 span offsets that are not ints inside the sentence — Python slicing wraps
-and clamps —, non-``str`` tokens, an n-gram code beyond int64) is
-featurized through them instead.
+and clamps —, non-``str`` tokens, a vocabulary beyond the radix that keeps
+an n-gram code inside int64) is featurized through them instead.
 
 **Fitted-state discipline.**  Hashing featurizers learn nothing from data,
 but their *configuration* (feature-space width, n-gram range, sign mode)
@@ -39,15 +47,29 @@ configuration snapshot, and every batch ``transform`` (and the engine's
 ``require_fitted()`` first, raising :class:`repro.exceptions.NotFittedError`
 on an unfitted featurizer and
 :class:`repro.exceptions.ConfigurationError` on one mutated after fitting.
-The kernel only reads the featurizer, so one fitted instance is shared by
-every worker thread.
+One fitted instance is shared by every worker thread, and the kernel writes
+to exactly one thing on it: the vectorizer's run tables
+(:class:`_RunTables`).  Ids are assigned and code tables swapped under the
+run's lock, on the miss path only; a chunk that brings nothing new takes no
+lock, a call works on one snapshot of the tables from start to end, and a
+restarted run is published by one attribute store, so a lost update costs a
+re-hash, never a wrong row.  No output can depend on the tables: ids and codes are
+history-dependent, but all that leaves the kernel is the hash of a *spelled
+key*, which is a constant — ``chunk_triples`` of a chunk is byte-equal
+whatever the run has seen before (the history-independence differentials in
+``tests/test_featurizer_kernel.py`` carry that).  That is what makes it
+legitimate to leave the tables out of the pickled and deep-copied state: the
+purity fingerprint, a worker's payload and the checkpoint fingerprint are
+those of a cold featurizer, each process grows its own tables, and ``fit()``
+— the start of a run — drops them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from functools import partial
-from itertools import chain
+from itertools import chain, count, filterfalse
 from numbers import Integral
 from operator import add, attrgetter, methodcaller
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -69,6 +91,27 @@ _BLOCK_ROWS = 1024
 
 _INT64_LIMIT = 2**63
 
+#: Entries a vectorizer's run tables admit: interned words, and hashed codes
+#: over all n-gram sizes (16 bytes each: 512 kB of code tables at most).  Swept
+#: on the chunked corpora of ``benchmarks/bench_featurizer_throughput.py``
+#: (kernel CPU seconds for 14 x 1 024 candidates, best of 15 alternated in one
+#: process on a noisy 2-vCPU host) at 2**13 / 2**14 / 2**15 / 2**16 / 2**17:
+#: ``text_stream`` (5 852 keys) .121 / .129 / .114 / .117 / .125, Zipf(1.3)
+#: over 50k tokens (115 557 keys) .282 / .273 / .268 / .273 / .258, disjoint
+#: vocabularies (471 473 keys, none repeats) .465 / .543 / .504 / .542 / .569.
+#: Tables a stream cannot reuse cost it cache, so the worst case wants a small
+#: cap and a Zipf stream gains little from a large one (the keys that repeat
+#: most arrive first): 2**15 is the smallest power of two that holds every
+#: e2e corpus (``kary_crash_resume`` 18 262 keys); against the per-chunk
+#: kernel it replaced, the disjoint corpus then pays +0 to +12 % (median of 11
+#: alternations, three runs: +12, +0, +4 %) where 2**17 cost it 14-20 %.
+_TABLE_CAP = 2**15
+
+
+def _is_int(value) -> bool:
+    """A real integer: ``bool`` and integral floats are configuration mistakes."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
 
 def _stable_hash(token: str) -> int:
     """Deterministic 64-bit hash of a string (stable across processes)."""
@@ -80,6 +123,76 @@ def _stable_hashes(keys: Iterable[str]) -> np.ndarray:
     """:func:`_stable_hash` of every key, as one ``uint64`` array."""
     hashers = map(partial(hashlib.blake2b, digest_size=8), map(str.encode, keys))
     return np.frombuffer(b"".join(map(methodcaller("digest"), hashers)), dtype="<u8")
+
+
+def _find(known: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each code's slot in the sorted ``known`` and whether it is there."""
+    slots = np.searchsorted(known, codes)
+    found = slots < known.size
+    found[found] = known[slots[found]] == codes[found]
+    return slots, found
+
+
+class _RunTables:
+    """What one run of a fitted vectorizer has interned and hashed so far.
+
+    ``token_ids`` gives every raw token the run has seen an id, ``scope_ids``
+    every scope prefix, and ``words[id]`` is how that id is spelled in a key
+    (the token normalized, the prefix as given; raw tokens that normalize
+    alike keep separate ids and spell the same word).  An n-gram code is
+    ``n + 1`` digits base ``radix`` — the scope, then the tokens — so it means
+    the same key in every chunk of the run, and ``hashed[n]`` holds the sorted
+    codes seen so far beside the raw 64-bit hash of the key each spells.  Ids
+    and codes depend on the order chunks arrived in; a key's hash does not,
+    and only hashes leave the kernel.  Every write happens under ``lock`` and
+    only appends (a spelling before the id that points at it) or swaps in a
+    whole new ``hashed[n]`` pair, so readers take no lock.
+    """
+
+    def __init__(self, ngram_range: tuple[int, int]) -> None:
+        low, high = self.ngram_range = tuple(ngram_range)
+        self.radix = int((_INT64_LIMIT - 1) ** (1.0 / (high + 1)))
+        while self.radix ** (high + 1) >= _INT64_LIMIT:  # the float root may round up
+            self.radix -= 1
+        self.token_ids: dict[str, int] = {}
+        self.scope_ids: dict[str, int] = {}
+        self.words: list[str] = []
+        empty = (np.empty(0, np.int64), np.empty(0, np.uint64))
+        self.hashed = dict.fromkeys(range(low, high + 1), empty)
+        self.lock = threading.Lock()
+
+    def ids_of(self, tokens: list, prefixes: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the prefixes and of the tokens; ``KeyError`` when one is not interned yet."""
+        scopes = np.fromiter(map(self.scope_ids.__getitem__, prefixes), np.int64, len(prefixes))
+        return scopes, np.fromiter(map(self.token_ids.__getitem__, tokens), np.int64, len(tokens))
+
+    def intern(self, tokens: list, prefixes: Sequence[str], limit: int) -> bool:
+        """Give every prefix and token an id below ``limit``; ``False`` if they do not all fit."""
+        with self.lock:
+            scopes = list(filterfalse(self.scope_ids.__contains__, dict.fromkeys(prefixes)))
+            fresh = list(filterfalse(self.token_ids.__contains__, dict.fromkeys(tokens)))
+            first = len(self.words)
+            if first + len(scopes) + len(fresh) > limit:
+                return False
+            self.words.extend(scopes)
+            self.words.extend(map(normalize, fresh))
+            self.scope_ids.update(zip(scopes, count(first)))
+            self.token_ids.update(zip(fresh, count(first + len(scopes))))
+        return True
+
+    def admit(self, n: int, codes: np.ndarray, hashes: np.ndarray) -> None:
+        """Merge newly hashed codes into ``hashed[n]`` while the cap leaves room."""
+        with self.lock:
+            room = _TABLE_CAP - sum(table.size for table, _ in self.hashed.values())
+            if room <= 0:
+                return
+            known, known_hashes = self.hashed[n]  # the pair now, not the caller's snapshot
+            slots, found = _find(known, codes)
+            new = np.flatnonzero(~found)[:room]
+            self.hashed[n] = (
+                np.insert(known, slots[new], codes[new]),
+                np.insert(known_hashes, slots[new], hashes[new]),
+            )
 
 
 def _reduce_triples(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, width: int) -> Triples:
@@ -131,21 +244,34 @@ class HashingVectorizer:
         Use the hash parity as the feature sign (reduces collision bias).
     """
 
+    #: The run's tables (see :class:`_RunTables`): derived, content-addressed
+    #: state that no output depends on, so it is not part of the pickled or
+    #: copied state — a copy, a worker's payload and the purity fingerprint are
+    #: those of a cold vectorizer, and each process grows its own.
+    _run: Optional[_RunTables] = None
+
     def __init__(
         self,
         num_features: int = 2048,
         ngram_range: tuple[int, int] = (1, 2),
         signed: bool = True,
     ) -> None:
-        if num_features <= 0:
-            raise ConfigurationError(f"num_features must be positive, got {num_features}")
+        if not _is_int(num_features) or num_features <= 0:
+            raise ConfigurationError(
+                f"num_features must be a positive integer, got {num_features!r}"
+            )
         low, high = ngram_range
-        if low < 1 or high < low:
+        if not (_is_int(low) and _is_int(high)) or low < 1 or high < low:
             raise ConfigurationError(f"invalid ngram_range {ngram_range}")
         self.num_features = num_features
         self.ngram_range = ngram_range
         self.signed = signed
         self._fitted_config: Optional[tuple] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_run", None)
+        return state
 
     def _config(self) -> tuple:
         return (self.num_features, tuple(self.ngram_range), self.signed)
@@ -156,9 +282,11 @@ class HashingVectorizer:
         ``token_sequences`` is accepted for API symmetry with learned
         vectorizers and ignored — in particular, a generator argument is
         *not* consumed, so streaming callers can fit before the single pass
-        over their data.
+        over their data.  Fitting starts a new run: whatever the previous
+        one interned and hashed is dropped.
         """
         self._fitted_config = self._config()
+        self._run = None
         return self
 
     def require_fitted(self) -> None:
@@ -195,6 +323,31 @@ class HashingVectorizer:
             entries[index] = entries.get(index, 0.0) + sign
         return {k: v for k, v in entries.items() if v != 0.0}
 
+    def _interned(
+        self, tokens: list, prefixes: Sequence[str]
+    ) -> Optional[tuple[_RunTables, np.ndarray, np.ndarray]]:
+        """This call's snapshot of the run's tables with the ids of ``prefixes`` and ``tokens``.
+
+        A chunk of known words is looked up without a lock.  Otherwise its new
+        words are interned under the run's lock; a table that would reach the radix or
+        ``_TABLE_CAP`` is dropped and restarted from this chunk alone, so what
+        earlier chunks interned never declines (``None``) a chunk that fits.
+        """
+        run = published = self._run
+        if run is None or run.ngram_range != tuple(self.ngram_range):  # sizes the radix
+            run = _RunTables(self.ngram_range)
+        try:
+            return run, *run.ids_of(tokens, prefixes)
+        except KeyError:
+            pass
+        if not run.intern(tokens, prefixes, min(run.radix, _TABLE_CAP)):
+            run = _RunTables(self.ngram_range)
+            if not run.intern(tokens, prefixes, run.radix):
+                return None
+        if run is not published:  # a call still on a replaced run must not bring it back
+            self._run = run if len(run.words) <= _TABLE_CAP else None
+        return run, *run.ids_of(tokens, prefixes)
+
     def ngram_entries(
         self, tokens: list, starts: np.ndarray, stops: np.ndarray, prefixes: Sequence[str]
     ) -> Optional[Triples]:
@@ -203,37 +356,45 @@ class HashingVectorizer:
         Returns one ``(range index, bucket, sign)`` entry per n-gram occurrence
         — what :meth:`token_entries` yields for range ``r`` under the key
         prefix ``prefixes[r * len(prefixes) // len(starts)]`` (ranges come in
-        equal blocks per prefix) — hashing each distinct ``(prefix, n-gram)``
-        once.  ``None`` when a token is not a ``str`` or an n-gram code would
-        not fit int64; callers then fall back to the per-row specification.
+        equal blocks per prefix).  Tokens are interned in the run's table and
+        each distinct ``(prefix, n-gram)`` is spelled and hashed once per run
+        (:class:`_RunTables`; once per chunk past ``_TABLE_CAP``), buckets and
+        signs being derived per chunk from the stored hash — so what is
+        returned depends on the arguments alone, whatever the run has seen.
+        ``None`` when a token or prefix is not exactly a ``str`` or the
+        chunk's own vocabulary does not fit the radix that keeps a code inside
+        int64; callers then fall back to the per-row specification.
         """
-        ids_of = dict.fromkeys(tokens)
-        if set(map(type, ids_of)) - {str}:
+        if set(map(type, chain(prefixes, tokens))) - {str}:
             return None
-        vocabulary: dict[str, int] = {}
-        for token in ids_of:
-            ids_of[token] = vocabulary.setdefault(normalize(token), len(vocabulary))
-        low, high = self.ngram_range
-        if len(vocabulary) ** high * len(prefixes) >= _INT64_LIMIT:
+        interned = self._interned(tokens, prefixes)
+        if interned is None:
             return None
-        ids = np.fromiter(map(ids_of.__getitem__, tokens), np.int64, len(tokens))
-        words = list(vocabulary)
+        run, scopes, ids = interned
+        words, radix, (low, high) = run.words, run.radix, run.ngram_range
         block = max(starts.size // len(prefixes), 1)
         parts = []
         for n in range(low, high + 1):
             counts = np.maximum(stops - starts - (n - 1), 0)
             first = ranges_gather(starts, counts)
             owner = np.repeat(np.arange(starts.size), counts)
-            codes = owner // block
+            codes = scopes[owner // block]
             for k in range(n):
-                codes = codes * len(words) + ids[first + k]
+                codes = codes * radix + ids[first + k]
             distinct, inverse = np.unique(codes, return_inverse=True)
-            # One occurrence (here the last) of each distinct (prefix, n-gram) spells its key.
-            sample = np.empty(distinct.size, np.int64)
-            sample[inverse] = np.arange(codes.size)
-            spelled = (map(words.__getitem__, ids[first[sample] + k].tolist()) for k in range(n))
-            scope = map(prefixes.__getitem__, (owner[sample] // block).tolist())
-            hashes = _stable_hashes(map(add, scope, map(" ".join, zip(*spelled))))
+            known, known_hashes = run.hashed[n]
+            slots, found = _find(known, distinct)
+            hashes = np.empty(distinct.size, np.uint64)
+            hashes[found] = known_hashes[slots[found]]
+            if not found.all():
+                missed = distinct[~found]
+                # A code's digits spell its key: the scope prefix, then the n words.
+                digits = ((missed // radix**k % radix).tolist() for k in range(n, -1, -1))
+                scope, *gram = (map(words.__getitem__, digit) for digit in digits)
+                hashes[~found] = fresh = _stable_hashes(
+                    map(add, scope, map(" ".join, zip(*gram)))
+                )
+                run.admit(n, missed, fresh)
             buckets = (hashes % np.uint64(self.num_features)).astype(np.int64)
             signs = 1.0 - 2.0 * (hashes >> np.uint64(63)) if self.signed else np.ones(hashes.size)
             parts.append((owner, buckets[inverse], signs[inverse]))
@@ -312,7 +473,7 @@ class RelationFeaturizer:
         ngram_range: tuple[int, int] = (1, 2),
         window_size: int = 3,
     ) -> None:
-        if not isinstance(window_size, Integral) or window_size < 0:
+        if not _is_int(window_size) or window_size < 0:
             raise ConfigurationError(
                 f"window_size must be a non-negative integer, got {window_size!r}"
             )
@@ -327,6 +488,12 @@ class RelationFeaturizer:
         return self.num_features + 5
 
     def _config(self) -> tuple:
+        if self.num_features != self.vectorizer.num_features:
+            raise ConfigurationError(
+                f"RelationFeaturizer.num_features is {self.num_features} but its vectorizer "
+                f"hashes into {self.vectorizer.num_features} buckets; a bucket beyond the "
+                "narrower width would land in a neighbouring row — set both"
+            )
         return (self.num_features, self.window_size, self.vectorizer._config())
 
     def fit(self, candidates: Optional[Iterable[Candidate]] = None) -> "RelationFeaturizer":
@@ -460,8 +627,8 @@ class RelationFeaturizer:
         Returns ``(row_offsets, cols, values)`` in row-major order with
         ascending columns, byte-equal to stacking :meth:`candidate_entries`
         — which is also the fallback for a chunk :meth:`_kernel_entries`
-        declines.  Reads the featurizer only; it does not check fittedness
-        (batch callers do, once per chunk).
+        declines.  Writes nothing on the featurizer but the vectorizer's run
+        tables; it does not check fittedness (batch callers do, once per chunk).
         """
         entries = None
         if candidates and len(candidates) * self.output_dim < _INT64_LIMIT:

@@ -8,6 +8,10 @@ kernel's index arithmetic could part from Python's slicing and string
 semantics, and on the inputs that must take the per-candidate fallback.
 """
 
+import copy
+import pickle
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,8 @@ from hypothesis import strategies as st
 from repro.analysis import observe_task_purity
 from repro.context.candidates import Candidate, SentenceView, SpanView
 from repro.datasets.synthetic import stream_text_candidates
-from repro.discriminative import HashingVectorizer, RelationFeaturizer
+from repro.discriminative import HashingVectorizer, RelationFeaturizer, featurizers
+from repro.discriminative.streaming import featurize_stream
 from repro.exceptions import ConfigurationError
 from repro.labeling.engine.tasks import featurize_chunk
 
@@ -44,6 +49,10 @@ def assert_same_triples(actual, expected):
     for got, want in zip(actual, expected):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+def assert_same_csr(actual, expected):
+    assert_same_triples(*([m.indptr, m.indices, m.data] for m in (actual, expected)))
 
 
 @st.composite
@@ -188,3 +197,207 @@ def test_featurize_chunk_leaves_the_featurizer_untouched():
 def test_window_size_is_validated(window_size):
     with pytest.raises(ConfigurationError, match="window_size"):
         RelationFeaturizer(window_size=window_size)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(num_features=8.5),  # the kernel took buckets mod 8, the specification % 8.5
+        dict(num_features=True),
+        dict(num_features="8"),
+        dict(ngram_range=(1, 2.0)),
+        dict(ngram_range=(True, 2)),
+        dict(window_size=True),
+    ],
+    ids=repr,
+)
+def test_widths_and_sizes_are_real_integers(kwargs):
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        RelationFeaturizer(**kwargs)
+    kwargs.pop("window_size", None)
+    if kwargs:
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            HashingVectorizer(**kwargs)
+    RelationFeaturizer(np.int64(8), (np.int32(1), 2), np.int64(2))  # numpy integers are integers
+
+
+def test_one_width_for_featurizer_and_vectorizer():
+    """A vectorizer widened behind the featurizer's back wrote bucket 14 of a
+    width-8 row 0 into row 1 (``rows * width + cols`` wraps)."""
+    featurizer = RelationFeaturizer(8)
+    featurizer.vectorizer.num_features = 16
+    with pytest.raises(ConfigurationError, match="num_features"):
+        featurizer.fit()
+    fitted = RelationFeaturizer(8).fit()
+    fitted.vectorizer.num_features = 16
+    with pytest.raises(ConfigurationError, match="num_features"):
+        fitted.transform(list(stream_text_candidates(1, num_lfs=2, seed=0)))
+
+
+# --------------------------------------------------------- run-scoped tables
+# The vectorizer keeps what it interned and hashed from chunk to chunk.  What
+# makes that cache safe is that ``chunk_triples`` stays a function of the chunk
+# alone; these differentials carry that contract (and with it the legitimacy
+# of leaving the tables out of the pickled state — see ``engine/tasks.py``).
+
+CHUNK_LISTS = st.lists(st.lists(candidates(), max_size=4), max_size=5)
+
+
+def run_entries(vectorizer):
+    """How many (words, hashed codes) the vectorizer's run tables hold."""
+    run = vectorizer._run
+    if run is None:
+        return 0, 0
+    ids = sorted([*run.token_ids.values(), *run.scope_ids.values()])
+    assert ids == list(range(len(run.words)))  # no two words share an id
+    for codes, hashes in run.hashed.values():
+        assert codes.size == hashes.size and (np.diff(codes) > 0).all()
+    return len(run.words), sum(codes.size for codes, _ in run.hashed.values())
+
+
+@given(
+    chunks=CHUNK_LISTS,
+    unrelated=CHUNK_LISTS,
+    order=st.randoms(use_true_random=False),
+    ngram_range=st.sampled_from(NGRAM_RANGES),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_relation_triples_do_not_depend_on_what_the_run_has_seen(
+    chunks, unrelated, order, ngram_range
+):
+    make = lambda: RelationFeaturizer(16, ngram_range, 2).fit()  # noqa: E731
+    specification = make()
+    expected = [stack_rows(map(specification.candidate_entries, chunk)) for chunk in chunks]
+    shuffled = list(range(len(chunks)))
+    order.shuffle(shuffled)
+    prefilled = make()
+    for chunk in unrelated:
+        prefilled.chunk_triples(chunk)
+    runs = ((make(), range(len(chunks))), (make(), shuffled), (prefilled, shuffled))
+    for featurizer, sequence in runs:
+        for index in sequence:
+            assert not chunks[index] or featurizer._kernel_entries(chunks[index]) is not None
+            assert_same_triples(featurizer.chunk_triples(chunks[index]), expected[index])
+            assert_same_triples(make().chunk_triples(chunks[index]), expected[index])
+
+
+@given(
+    chunks=st.lists(st.lists(st.lists(TOKENS, max_size=8), max_size=4), max_size=6),
+    ngram_range=st.sampled_from(NGRAM_RANGES),
+    signed=st.booleans(),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_vectorizer_triples_do_not_depend_on_what_the_run_has_seen(
+    chunks, ngram_range, signed, order
+):
+    """Two prefixes alternate through one run: a scope is part of the key."""
+    vectorizer = HashingVectorizer(7, ngram_range, signed).fit()
+    calls = [(chunk, ("", "btw:")[i % 2]) for i, chunk in enumerate(chunks)]
+    order.shuffle(calls)
+    for chunk, prefix in calls + calls[::-1]:
+        expected = stack_rows(vectorizer.sequence_entries(tokens, prefix) for tokens in chunk)
+        assert_same_triples(vectorizer.chunk_triples(chunk, prefix), expected)
+
+
+@given(chunks=CHUNK_LISTS)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_refit_with_another_ngram_range_starts_a_new_run(chunks):
+    featurizer = RelationFeaturizer(16)
+    for index, chunk in enumerate(chunks):
+        featurizer.vectorizer.ngram_range = NGRAM_RANGES[index % 3]  # another radix
+        featurizer.fit()
+        assert featurizer.vectorizer._run is None
+        expected = stack_rows(map(featurizer.candidate_entries, chunk))
+        assert_same_triples(featurizer.chunk_triples(chunk), expected)
+        featurizer.vectorizer.ngram_range = NGRAM_RANGES[(index + 1) % 3]  # and without fit()
+        expected = stack_rows(map(featurizer.candidate_entries, chunk))
+        assert_same_triples(featurizer.chunk_triples(chunk), expected)
+
+
+def _word_chunk(words, size=3):
+    """Candidates over ``words``, ``size`` words to a sentence."""
+    sentences = [words[i : i + size] for i in range(0, len(words), size)]
+    return [
+        Candidate(0, SpanView(s[0], 0, 1), SpanView(s[-1], len(s) - 1, len(s)), SentenceView(s, ""))
+        for s in sentences
+    ]
+
+
+@pytest.mark.parametrize("cap", [0, 5, 20, 40])
+def test_tables_stop_at_the_cap(monkeypatch, cap):
+    monkeypatch.setattr(featurizers, "_TABLE_CAP", cap)
+    featurizer = RelationFeaturizer(32).fit()
+    chunks = [
+        _word_chunk([f"w{i % 50}" for i in range(start, start + 12)]) for start in range(0, 90, 5)
+    ]
+    chunks.insert(3, _word_chunk([f"big{i}" for i in range(90)]))  # more words than any cap here
+    for chunk in chunks * 2:
+        assert featurizer._kernel_entries(chunk) is not None  # a full table never declines a chunk
+        expected = stack_rows(map(featurizer.candidate_entries, chunk))
+        assert_same_triples(featurizer.chunk_triples(chunk), expected)
+        words, codes = run_entries(featurizer.vectorizer)
+        assert words <= cap and codes <= cap
+    # Six prefixes and twelve words a chunk: from 18 entries up a chunk's words are kept
+    # and the code tables fill to the brim; below, nothing is ever published.
+    assert (words, codes) == (0, 0) if cap < 18 else (words >= 18 and codes == cap)
+
+
+def test_a_vocabulary_beyond_the_radix_declines_only_its_own_chunk():
+    featurizer = RelationFeaturizer(32, ngram_range=(1, 12)).fit()
+    radix = 28  # 28 ** 13 < 2 ** 63 <= 29 ** 13: six scope prefixes and 22 words
+    small = [_word_chunk([f"{part}{i}" for i in range(9)]) for part in "abcd"]
+    oversized = _word_chunk([f"t{i}" for i in range(30)])
+    for chunk in small + [oversized] + small[::-1]:
+        assert (featurizer._kernel_entries(chunk) is None) == (chunk is oversized)
+        expected = stack_rows(map(featurizer.candidate_entries, chunk))
+        assert_same_triples(featurizer.chunk_triples(chunk), expected)
+        assert featurizer.vectorizer._run.radix == radix >= run_entries(featurizer.vectorizer)[0]
+
+
+def test_tables_are_not_part_of_the_pickled_or_copied_state():
+    candidates = list(stream_text_candidates(14 * 20, num_lfs=6, seed=3))
+    featurizer = RelationFeaturizer(64).fit()
+    cold = pickle.dumps(featurizer)
+    for start in range(0, len(candidates), 20):
+        featurizer.chunk_triples(candidates[start : start + 20])
+    assert run_entries(featurizer.vectorizer) > (6, 6)  # warm
+    assert pickle.dumps(featurizer) == cold
+    for clone in (copy.deepcopy(featurizer), pickle.loads(cold)):
+        assert clone.vectorizer._run is None  # a copy starts its own run
+        assert_same_triples(clone.chunk_triples(candidates), featurizer.chunk_triples(candidates))
+
+
+def test_concurrent_misses_on_one_shared_featurizer():
+    """``backend="threads"`` shares one featurizer: chunks whose vocabularies are
+    mostly disjoint all miss at once, and two words must never share an id."""
+    chunks = [[f"c{i}w{j}" for j in range(18)] + ["shared", "Shared", "words"] for i in range(210)]
+    candidates = [candidate for words in chunks for candidate in _word_chunk(words)]
+    featurizer = RelationFeaturizer(64).fit()
+    expected = featurize_stream(featurizer, candidates, chunk_size=7)
+    assert expected.nnz == stack_rows(map(featurizer.candidate_entries, candidates))[0].size
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            featurizer.fit()
+            actual = featurize_stream(
+                featurizer, candidates, chunk_size=7, backend="threads", num_workers=4
+            )
+            assert_same_csr(actual, expected)
+            # Every word has one id; the four cold starts race and three may lose their chunk.
+            assert 207 * 18 + 9 <= run_entries(featurizer.vectorizer)[0] <= 210 * 18 + 9
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_processes_start_cold_and_agree():
+    candidates = list(stream_text_candidates(300, num_lfs=6, seed=5))
+    featurizer = RelationFeaturizer(64).fit()
+    expected = featurize_stream(featurizer, candidates, chunk_size=50)
+    warm = run_entries(featurizer.vectorizer)
+    actual = featurize_stream(
+        featurizer, candidates, chunk_size=50, backend="processes", num_workers=2
+    )
+    assert_same_csr(actual, expected)
+    assert run_entries(featurizer.vectorizer) == warm  # nothing came back either
