@@ -34,9 +34,14 @@ dependency weights — summation order inside the node-wise solver may change
 them in the last digits, bound 1e-12) and ``structure select`` (``select``
 at all ten ε the optimizer sweeps — held identical, like ``optimizer``).
 Besides the grid above they cover a matrix whose every node is below the
-solver's group-of-one size and one whose nodes straddle it, and the dump
-itself fails unless ``refit_nodes`` on a subset is bitwise the rows of
-``fit``.
+solver's gemv size, one whose nodes straddle it, one with no stacked node
+(``GEMV_ONLY``), and the served node-size profiles (a cdr-shaped Λ, every
+node stacked; an edit-loop-shaped one, 21 gemv nodes and one stacked); the
+dump itself fails unless ``refit_nodes`` on a subset is bitwise the rows of
+``fit``.  The diff's last line is ``structure contract: PASS|FAIL`` (exit
+status 1 on FAIL): PASS means every ``structure select`` and ``optimizer``
+group is bit-identical, every ``structure weights`` group is within
+``STRUCTURE_WEIGHTS_BOUND`` and the ``GEMV_ONLY`` weights are bit-identical.
 
 The ``end_models`` groups fit logistic (± ``class_balance``, dense and CSR
 input, ± ``sample_weights``), softmax (k=3, hard and soft targets) and the
@@ -59,8 +64,8 @@ through a different corpus (its run tables must not show in any block).
 The diff prints, per group, how many recorded arrays are bit-identical and
 the largest absolute difference; records only one checkout has (e.g. a
 ``loss_history`` the older one did not keep) are counted, not compared.
-It ends with one line per dump comparing every dense-input record with its
-CSR-input twin inside that dump.
+It then prints one line per dump comparing every dense-input record with its
+CSR-input twin inside that dump, and the structure contract line.
 """
 
 from __future__ import annotations
@@ -75,6 +80,13 @@ import numpy as np
 EDGE = np.array(
     [[1, -1, 0, 1], [0, 1, 0, -1], [0, 0, 0, 0], [-1, 0, 0, 0], [1, 1, 0, 1]]
 )
+
+#: The structure case with no stacked node: its weights are BLAS products
+#: only, so the contract holds them bit-identical.
+GEMV_ONLY = "gemv-only nodes"
+
+#: The bound the ``structure weights`` groups may move by.
+STRUCTURE_WEIGHTS_BOUND = 1e-12
 
 
 def dump(path: str) -> None:
@@ -173,8 +185,10 @@ def dump(path: str) -> None:
             out, f"{storage}-input", "edge", matrix,
             np.array([1, -1, 1, -1, 1]), np.array([0.8, 0.7, 0.6, 0.9]),
         )
-    # Node sizes on either side of the structure solver's group-of-one rule
-    # (4096 design elements: 315 voted rows at 12 LFs, 455 at 8).
+    # Node sizes on either side of the structure solver's gemv rule (4096
+    # design elements: 315 voted rows at 12 LFs, 455 at 8, 178 at 22, 512 at
+    # 7), plus the served node-size profiles: a cdr-shaped Λ (every node
+    # stacked) and an edit-loop-shaped one (21 gemv nodes, one stacked).
     for case, settings in (
         ("small nodes", dict(num_points=600, num_lfs=12, propensity=0.1, seed=5)),
         (
@@ -185,6 +199,28 @@ def dump(path: str) -> None:
                 propensity=[0.04, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0],
                 seed=6,
             ),
+        ),
+        (
+            "cdr-shaped nodes",
+            dict(
+                num_points=485,
+                num_lfs=32,
+                propensity=[*np.linspace(10 / 485, 114 / 485, 20), *[0.01] * 12],
+                seed=7,
+            ),
+        ),
+        (
+            "edit-loop-shaped nodes",
+            dict(
+                num_points=5000,
+                num_lfs=22,
+                propensity=[*np.linspace(0.05, 0.54, 21), 0.027],
+                seed=8,
+            ),
+        ),
+        (
+            GEMV_ONLY,
+            dict(num_points=3000, num_lfs=7, propensity=np.linspace(0.3, 0.9, 7), seed=9),
         ),
     ):
         matrix = generate_label_matrix(**settings).label_matrix
@@ -628,7 +664,25 @@ def diff(path_a: str, path_b: str) -> int:
             f"{path}: dense-input vs CSR-input twins {exact}/{count} bit-identical, "
             f"max |diff| = {worst:.3e}"
         )
-    return 0
+    passed = structure_contract(groups, a, b)
+    print(f"structure contract: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
+
+
+def structure_contract(groups: dict, a: dict, b: dict) -> bool:
+    """``structure select`` / ``optimizer`` groups bit-identical, ``structure
+    weights`` within ``STRUCTURE_WEIGHTS_BOUND`` and bit-identical where no
+    node is stacked."""
+    for group, (count, exact, worst) in groups.items():
+        if group.endswith((" structure select", " optimizer")) and exact != count:
+            return False
+        if group.endswith(" structure weights") and worst > STRUCTURE_WEIGHTS_BOUND:
+            return False
+    return all(
+        np.array_equal(a[key], b[key])
+        for key in a.keys() & b.keys()
+        if f" structure weights/{GEMV_ONLY} " in key
+    )
 
 
 if __name__ == "__main__":

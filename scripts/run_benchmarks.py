@@ -15,7 +15,9 @@ snapshot (default ``BENCH_sparse.json`` in the repository root):
   kernels, binary and cardinality-4, on the 20k x 200-LF crowd-style suite
   (``benchmarks/bench_gibbs_kernels.py``);
 * ``structure_learning`` — structure-learning plus correlation-count fit
-  costs (``benchmarks/bench_structure_timing.py``);
+  costs, and the structure fit alone on a cdr-shaped (all nodes stacked)
+  and an edit-loop-shaped (gemv nodes) Λ with its ISTA loop count and
+  stacked nonzero share (``benchmarks/bench_structure_timing.py``);
 * ``em_epoch`` — per-epoch EM time, binary and cardinality-4, dense vs
   sparse (``benchmarks/bench_em_epoch.py``);
 * ``online_em`` — the online incremental label model: per-chunk ``update``
@@ -177,6 +179,10 @@ def measure(quick: bool = False) -> dict:
         **({"num_points": 150, "num_groups": 3, "epochs": 4} if quick else {})
     )
     print(structure.format_record(structure_record))
+    structure_shapes = structure.run_solver_shapes(
+        **({"repeats": 1, "edit_points": 1_000} if quick else {})
+    )
+    print(structure.format_shapes(structure_shapes))
     print("\n[em_epoch]")
     em_epoch_records = em_epoch.run_em_epoch_benchmark(
         configs=(
@@ -299,7 +305,7 @@ def measure(quick: bool = False) -> dict:
             "applier_throughput": {"records": applier_records},
             "gibbs": {"record": gibbs_record},
             "gibbs_kernels": {"records": gibbs_kernel_records},
-            "structure_learning": {"record": structure_record},
+            "structure_learning": {"record": structure_record, "shapes": structure_shapes},
             "em_epoch": {"records": em_epoch_records},
             "online_em": {"record": online_em_record},
             "featurizer_throughput": {"record": featurizer_record},

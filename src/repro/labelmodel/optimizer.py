@@ -87,9 +87,9 @@ class ModelingStrategyOptimizer:
         weight_range: tuple[float, float, float] = DEFAULT_WEIGHT_RANGE,
         structure_learner: Optional[StructureLearner] = None,
     ) -> None:
-        if advantage_tolerance < 0:
+        if not 0 <= advantage_tolerance < np.inf:  # NaN too
             raise ConfigurationError(
-                f"advantage_tolerance must be >= 0, got {advantage_tolerance}"
+                f"advantage_tolerance must be finite and >= 0, got {advantage_tolerance}"
             )
         if not 0 < search_resolution <= 0.5:
             raise ConfigurationError(

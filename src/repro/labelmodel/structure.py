@@ -24,39 +24,73 @@ entries of the rows where the node votes (its CSC column slice names the
 rows, one gather of their CSR ranges fills the design), so memory stays
 O(votes_j · n) per node and a dense Λ is never needed.
 
-**Nodes are solved in groups.**  Every node's regression has the same width
-``d = n + 1``, so the coefficients of a group of ``N`` nodes are one
-``(N, d)`` block and the power iteration, the gradient step, the
-soft-threshold and the ``tol`` test are row-wise operations on it — one
-numpy call per step for the whole group instead of one per node, which is
-what the many small regressions of a sparse suite were paying for (23 nodes
-of 10–114 rows spent 5 937 iterations at ≈ 16 µs each on call overhead).  A
-node that meets ``tol`` takes that last update and freezes; the loop ends
-when every node of the group has.  Only the two products see the node
-boundaries:
+**Nodes are solved in batches of product groups.**  Every node's regression
+has the same width ``d = n + 1``, so the coefficients of ``N`` nodes are one
+``(N, d)`` block, and the power iteration, the sigmoid, the gradient step,
+the soft-threshold and the ``tol`` test are row-wise on it or elementwise on
+the concatenated scores and residuals — one numpy call per step for a whole
+batch instead of one per node, which is what the many small regressions of
+a sparse suite were paying for.  A node that meets ``tol`` takes that last
+update and freezes; the loop ends when every node of the batch has.  Only
+the two products see node boundaries, and which products a node gets is
+decided by its own size alone (``_node_groups``):
 
 * a node whose design holds fewer than ``_GEMV_MIN_ELEMENTS`` elements
-  (rows × ``d``) is stacked with other such nodes into one tall design:
-  forward is each design row dotted with its own node's coefficient row,
-  backward is ``np.add.reduceat(X * r[:, None], node_starts, axis=0)``.
-  Groups close at ``_GROUP_BYTES`` so the working set stays bounded.
-* a node at or above it is a group of one whose products are the BLAS gemv
-  ``X @ w`` / ``X.T @ r``.
+  (rows × ``d``) is stacked with other such nodes into one *product group*
+  (closed at ``_GROUP_BYTES`` of design), and the group keeps only its
+  design's stored nonzeros in row-major order: ``rows_e``, ``cols_e``,
+  ``data_e`` and the flat cell ``flat_e = owner[rows_e] · d + cols_e``.
+  Forward is ``bincount(rows_e, data_e · W.ravel()[flat_e])``, backward
+  ``bincount(flat_e, data_e · r[rows_e]).reshape(N, d)`` — on the cdr
+  suite ≈ 3.1 nonzeros of 33 per row, a tenth of the dense elements.
+* a node at or above it is a product group of one on its own design, whose
+  products are the BLAS gemv ``X @ w`` / ``X.T @ r``.
 
-**A node's result does not depend on its group.**  Which products a node
-gets is decided by its own size alone, and in the stacked form every
-reduction runs either over ``d`` within one design row or sequentially over
-one node's own rows, never across nodes — so :meth:`StructureLearner.refit_nodes`
-on any subset is bitwise the corresponding rows of :meth:`StructureLearner.fit`
-(zero-padding nodes to a common height and batching ``np.matmul`` is faster
-still but breaks exactly this: BLAS results depend on the padded height).
+Consecutive product groups are solved in one ISTA loop, a *batch*, until
+their designs reach ``_GROUP_BYTES``, so a loop holds at most that much
+design or one larger node on its own.  In a batch every gemv node makes its
+own two BLAS calls into its slice of the scores and its row of the
+gradient until it freezes (then the slice and row read 0, as nothing reads
+them), the stacked entries are one ``bincount`` each way, and a batch of one
+product group uses that group's products directly.  Skipping frozen gemv
+nodes matters where convergence spreads: on a synthetic 22-LF × 5 000-row
+edit-loop shape whose nodes freeze after 62–216 iterations, a batch that
+kept computing them read 0.119 s against 0.108 s for one loop per node, and
+0.102 s skipping them.
 
-The size constant is measured, not tuned per run: per node and iteration the
-stacked products cost ≈ 3.6 ns per design element and a group of one ≈ 16–20
-µs of numpy call overhead before any arithmetic, and the two lines cross at
-≈ 4.2k–4.6k elements at every width tried (11, 23, 33, 65, 101 columns: 384,
-≈ 200, ≈ 140, 64 and ≈ 40 rows).  4 096 keeps every node on the side that
-wins; a row count alone would not, because the crossover row count moves
+**A node's result does not depend on its batch.**  ``bincount`` accumulates
+sequentially in input order.  A design row's entries are contiguous with
+ascending columns, so a forward value is a fixed-order sum over that row's
+nonzeros (explicit zeros are skipped; every row holds the bias, so no row's
+sum is empty), and backward cell ``(k, c)`` sums node ``k``'s own rows in
+order.  A gemv node's BLAS calls see only its own design, coefficient row
+and residual slice (bitwise what a node solved alone gets, whatever the
+slice's offset).  Every other step is row-wise or elementwise.  So
+:meth:`StructureLearner.refit_nodes` on any subset is bitwise the
+corresponding rows of :meth:`StructureLearner.fit` under any grouping and
+batching (zero-padding nodes to a common height and batching ``np.matmul``
+is faster still but breaks exactly this: BLAS results depend on the padded
+height).
+
+The size constant is measured, not tuned per run.  With sparse stacked
+products the crossover depends on the design's density as well as its
+size.  Cost per node and ISTA iteration in µs, stacked / gemv, for designs
+of ≈ 15 % nonzeros (synthetic Λ with every node the same size, all nodes of
+a fit on one side; 2-vCPU x86-64, numpy 2.4.6, OpenBLAS 0.3.31):
+
+    ``d``   rows × d: stacked / gemv          crossover
+    11      1 408: 6.1 / 7.1    2 816: 9.4 / 9.0     ≈ 2.6k
+    23      2 944: 6.6 / 7.0    5 888: 11.5 / 10.4   ≈ 3.4k
+    33      4 224: 7.5 / 7.7    8 448: 13.9 / 11.6   ≈ 4.4k
+    65      4 160: 6.3 / 6.9    8 320: 11.6 / 9.6    ≈ 5.0k
+
+At ≈ 35 % nonzeros (the edit loop's density) the lines cross at ≈ 1.1k–1.3k
+elements at every width.  Whole fits, best of 9, by rule: the cdr Λ takes
+0.0166 s at 2 048, 0.0145 at 4 096, 0.0146 at 6 300 and 0.0144 at 16 384;
+the edit-loop Λ 0.187 s at 4 096, 0.185 at 6 300, 0.205 at 16 384 and
+0.563 at 65 536, where its dense gemv nodes go stacked.  So 4 096 stays: it
+is on the winning side for the sparse suites the stacked path exists for,
+and a row count alone would not be, because the crossover row count moves
 with the number of LFs.
 
 The selection threshold ε plays the paper's role exactly: a pair ``(j, k)``
@@ -77,6 +111,7 @@ agrees with LF ``j`` beyond what the shared label explains".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -92,14 +127,14 @@ from repro.labeling.sparse import (
 from repro.utils.rng import SeedLike, ensure_rng
 
 #: A node whose design (voted rows × columns) holds fewer elements than this
-#: is solved together with other such nodes on one tall design with segmented
-#: products; a node at or above it is a group of one on BLAS gemv.  See the
-#: module docstring for the measured crossover.
+#: is stacked with other such nodes into one group on sparse products; a node
+#: at or above it is a group of one on BLAS gemv.  See the module docstring
+#: for the measured crossover.
 _GEMV_MIN_ELEMENTS = 4096
 
-#: A group of small nodes closes once its tall design would exceed this many
-#: bytes, so the solver's working set — and peak RSS — stays where the
-#: one-node-at-a-time loop had it.
+#: A group of small nodes, and a batch of groups sharing one ISTA loop, closes
+#: once its designs would exceed this many bytes, so the solver's working set
+#: — and peak RSS — stays where the one-node-at-a-time loop had it.
 _GROUP_BYTES = 1 << 20
 
 
@@ -196,35 +231,94 @@ def _node_groups(nodes: Sequence[int], votes: np.ndarray, width: int) -> list[li
     return groups
 
 
+def _batches(groups: list[list[int]], votes: np.ndarray, width: int) -> list[list[list[int]]]:
+    """Consecutive product groups solved in one loop, closed at ``_GROUP_BYTES`` of designs."""
+    batches, batch_bytes = [], 0
+    for group in groups:
+        group_bytes = int(votes[group].sum()) * width * 8
+        if not batches or batch_bytes + group_bytes > _GROUP_BYTES:
+            batches.append([])
+            batch_bytes = 0
+        batches[-1].append(group)
+        batch_bytes += group_bytes
+    return batches
+
+
 def _row_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(block * block, axis=1))
 
 
 def _group_products(design: np.ndarray, sizes: np.ndarray):
-    """``(forward, backward)`` products of a group's stacked ``design``.
+    """``(forward, backward)`` products of one product group's stacked ``design``.
 
     ``forward`` maps the ``(N, width)`` coefficient block to one score per
     design row (each row dotted with its own node's coefficients);
     ``backward`` maps one residual per design row to the ``(N, width)``
-    block of per-node ``Xᵀr``.
+    block of per-node ``Xᵀr``.  A gemv node (then the whole group) is two
+    BLAS calls; stacked small nodes are the sparse products of
+    :func:`_batch_products`.
     """
-    if _solved_alone(sizes[0], design.shape[1]):  # and then it is the whole group
+    if not _solved_alone(sizes[0], design.shape[1]):
+        return _batch_products([(design, sizes)], np.ones(sizes.size, dtype=bool))
 
-        def forward(block: np.ndarray) -> np.ndarray:
-            return design @ block[0]
+    def forward(block: np.ndarray) -> np.ndarray:
+        return design @ block[0]
 
-        def backward(residual: np.ndarray) -> np.ndarray:
-            return (design.T @ residual)[None, :]
+    def backward(residual: np.ndarray) -> np.ndarray:
+        return (design.T @ residual)[None, :]
 
-    else:
-        offsets = np.cumsum(sizes) - sizes
-        owner = np.repeat(np.arange(sizes.size), sizes)
+    return forward, backward
 
-        def forward(block: np.ndarray) -> np.ndarray:
-            return np.einsum("ij,ij->i", design, block[owner])
 
-        def backward(residual: np.ndarray) -> np.ndarray:
-            return np.add.reduceat(design * residual[:, None], offsets, axis=0)
+def _batch_products(parts: list[tuple[np.ndarray, np.ndarray]], active: np.ndarray):
+    """``(forward, backward)`` over the ``(design, sizes)`` product groups of one batch.
+
+    Nodes and design rows are numbered in the groups' order.  A stacked
+    group keeps only its design's stored nonzeros, in row-major order: the
+    batch row ``rows_e``, the coefficient cell ``flat_e = owner · width +
+    column`` and the value ``data_e``, so forward and backward are one
+    ``bincount`` each over all stacked entries of the batch.  A gemv node
+    writes its own two BLAS products into its slice of the result while its
+    flag in ``active`` (one per node, read at every product) is set; a frozen
+    gemv node's slice reads 0, as its result no longer needs it.
+    """
+    width = parts[0][0].shape[1]
+    rows, flat, data, gemv = [], [], [], []
+    height = count = 0
+    for design, sizes in parts:
+        if _solved_alone(sizes[0], width):
+            gemv.append((count, design, design.T, height, height + design.shape[0]))
+        else:
+            local_rows, cols = np.nonzero(design)
+            owner = np.repeat(np.arange(count, count + sizes.size), sizes)
+            rows.append(height + local_rows)
+            flat.append(owner[local_rows] * width + cols)
+            data.append(design[local_rows, cols])
+        height, count = height + design.shape[0], count + sizes.size
+    stacked = bool(rows)
+    if stacked:
+        rows_e, flat_e, data_e = map(np.concatenate, (rows, flat, data))
+
+    def forward(block: np.ndarray) -> np.ndarray:
+        if stacked:
+            scores = np.bincount(rows_e, data_e * block.ravel()[flat_e], minlength=height)
+        else:
+            scores = np.zeros(height)
+        for k, design, _, start, stop in gemv:
+            if active[k]:
+                np.matmul(design, block[k], out=scores[start:stop])
+        return scores
+
+    def backward(residual: np.ndarray) -> np.ndarray:
+        if stacked:
+            gradient = np.bincount(flat_e, data_e * residual[rows_e], minlength=count * width)
+            gradient = gradient.reshape(count, width)
+        else:
+            gradient = np.zeros((count, width))
+        for k, _, transposed, start, stop in gemv:
+            if active[k]:
+                np.matmul(transposed, residual[start:stop], out=gradient[k])
+        return gradient
 
     return forward, backward
 
@@ -250,8 +344,8 @@ def _spectral_norms_squared(
     return estimates
 
 
-def _ista_group(
-    design: np.ndarray,
+def _ista_batch(
+    parts: list[tuple[np.ndarray, np.ndarray]],
     targets: np.ndarray,
     sizes: np.ndarray,
     start_vectors: np.ndarray,
@@ -259,23 +353,28 @@ def _ista_group(
     max_iter: int,
     tol: float,
 ) -> np.ndarray:
-    """ISTA for the ℓ1-regularized logistic regressions of one group of nodes.
+    """ISTA for the ℓ1-regularized logistic regressions of one batch of nodes.
 
-    ``design`` stacks the nodes' designs (``sizes[g]`` rows each, same
-    width), ``targets`` their 0/1 targets; returns the ``(len(sizes), width)``
-    coefficient block.  Everything but the two products is row-wise on that
-    block, and each product reduces only within one row or sequentially over
-    one node's own rows, so a node's row is the same whatever else is in the
-    group.  Only coefficients with a nonzero ``penalty`` entry are shrunk.
+    ``parts`` holds the batch's product groups as ``(design, sizes)``,
+    ``targets`` the nodes' 0/1 targets (``sizes[g]`` rows each, in node
+    order); returns the ``(len(sizes), width)`` coefficient block.
+    Everything but the two products is row-wise on that block or elementwise
+    on the residual, and each product reduces only within one row or
+    sequentially over one node's own rows, so a node's row is the same
+    whatever else is in the batch.  Only coefficients with a nonzero
+    ``penalty`` entry are shrunk.
     """
-    forward, backward = _group_products(design, sizes)
+    active = np.ones((sizes.size, 1), dtype=bool)
+    if len(parts) == 1:
+        forward, backward = _group_products(*parts[0])
+    else:
+        forward, backward = _batch_products(parts, active[:, 0])
     num_rows = sizes[:, None].astype(float)
     lipschitz = 0.25 * _spectral_norms_squared(forward, backward, start_vectors)[:, None] / num_rows
     step = 1.0 / np.maximum(lipschitz, 1e-8)
     shrink = step * penalty
 
     coefficients = np.zeros(start_vectors.shape)
-    active = np.ones((sizes.size, 1), dtype=bool)
     for _ in range(max_iter):
         scores = forward(coefficients)
         # The stable sigmoid (exp of a non-positive argument only), in ufuncs.
@@ -325,8 +424,12 @@ class StructureLearner:
         min_votes: int = 10,
         seed: SeedLike = 0,
     ) -> None:
-        if l1_strength < 0:
-            raise LabelModelError(f"l1_strength must be >= 0, got {l1_strength}")
+        for name, value in (("l1_strength", l1_strength), ("tol", tol)):
+            if not (np.isfinite(value) and value >= 0):
+                raise LabelModelError(f"{name} must be finite and >= 0, got {value!r}")
+        for name, value, low in (("max_iter", max_iter, 1), ("min_votes", min_votes, 0)):
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise LabelModelError(f"{name} must be an integer >= {low}, got {value!r}")
         self.l1_strength = l1_strength
         self.max_iter = max_iter
         self.tol = tol
@@ -411,7 +514,7 @@ class StructureLearner:
     def _solve_nodes(
         self, sparse: SparseLabelMatrix, categorical: bool, nodes: Sequence[int]
     ) -> None:
-        """Solve the given nodes (ascending) group by group into their weight rows."""
+        """Solve the given nodes (ascending) batch by batch into their weight rows."""
         n = sparse.shape[1]
         votes = np.diff(sparse.csc()[0])
         # A node nobody voted on has no regression (and no 1/m), whatever
@@ -424,23 +527,26 @@ class StructureLearner:
         designs = _NodeDesigns(sparse, categorical)
         penalty = np.zeros(width)
         penalty[: n - 1] = self.l1_strength
-        for group in _node_groups(solved, votes, width):
-            sizes = votes[group]
-            offsets = np.cumsum(sizes) - sizes
-            design = np.zeros((int(sizes.sum()), width))
-            targets = np.empty(design.shape[0])
-            for j, offset, size in zip(group, offsets, sizes):
-                designs.fill(j, design[offset : offset + size], targets[offset : offset + size])
-            coefficients = _ista_group(
-                design,
-                targets,
-                sizes,
-                start_vectors[np.searchsorted(solved, group)],
+        for batch in _batches(_node_groups(solved, votes, width), votes, width):
+            parts, targets = [], []
+            for group in batch:
+                sizes = votes[group]
+                design, target = np.zeros((int(sizes.sum()), width)), np.empty(int(sizes.sum()))
+                for j, stop, size in zip(group, np.cumsum(sizes), sizes):
+                    designs.fill(j, design[stop - size : stop], target[stop - size : stop])
+                parts.append((design, sizes))
+                targets.append(target)
+            members = [j for group in batch for j in group]
+            coefficients = _ista_batch(
+                parts,
+                np.concatenate(targets),
+                votes[members],
+                start_vectors[np.searchsorted(solved, members)],
                 penalty,
                 self.max_iter,
                 self.tol,
             )
-            for j, row in zip(group, np.abs(coefficients)):
+            for j, row in zip(members, np.abs(coefficients)):
                 self.dependency_weights_[j, :j] = row[:j]
                 self.dependency_weights_[j, j + 1 :] = row[j : n - 1]
 
@@ -466,7 +572,7 @@ class StructureLearner:
 
     @staticmethod
     def _select(scores: np.ndarray, threshold: float) -> list[tuple[int, int]]:
-        if threshold < 0:
+        if not threshold >= 0:  # NaN too
             raise LabelModelError(f"threshold must be >= 0, got {threshold}")
         pairs = np.argwhere(np.triu(scores >= threshold, 1))  # row-major: sorted
         return list(map(tuple, pairs.tolist()))

@@ -81,6 +81,13 @@ def test_optimizer_picks_gm_on_conflicting_matrix():
     assert strategy.sweep
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_optimizer_refuses_non_finite_advantage_tolerance(tolerance):
+    # A NaN γ never chose MV (``bound < nan`` is false); an infinite one always did.
+    with pytest.raises(ConfigurationError):
+        ModelingStrategyOptimizer(advantage_tolerance=tolerance)
+
+
 def test_optimizer_without_correlation_learning():
     data = generate_label_matrix(num_points=300, num_lfs=8, propensity=0.5, seed=2)
     strategy = ModelingStrategyOptimizer(learn_correlations=False).choose(data.label_matrix)

@@ -12,9 +12,15 @@ composition.  Two contracts:
 * against the oracle: designs ``array_equal``, weights within 1e-12,
   ``select`` identical at every ε the optimizer sweeps;
 * against itself, bitwise: ``refit_nodes(Λ, S)`` is rows ``S`` of
-  ``fit(Λ)``, whatever else shared a group with them.
+  ``fit(Λ)``, whatever else shared a group or an ISTA loop (batch) with them.
+
+``_GROUP_BYTES`` also closes the batches that put stacked groups and gemv
+nodes in one loop, so drawing it draws the batching too; the stacked
+products themselves are checked directly against dense ``X_k @ w_k`` /
+``X_kᵀ r_k`` and against the same nodes in other company.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -24,8 +30,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import LabelModelError
 from repro.labeling import LabelMatrix, SparseLabelMatrix
-from repro.labelmodel import ModelingStrategyOptimizer, StructureLearner, structure
-from repro.labelmodel.structure import _node_groups, _NodeDesigns
+from repro.labelmodel import (
+    ModelingStrategyOptimizer,
+    StructureLearner,
+    learn_structure,
+    structure,
+)
+from repro.labelmodel.structure import (
+    _batch_products,
+    _batches,
+    _group_products,
+    _node_groups,
+    _NodeDesigns,
+)
 
 SWEPT = ModelingStrategyOptimizer()._sweep_thresholds()
 
@@ -199,3 +216,153 @@ def test_select_orders_pairs_and_keeps_the_dict_view():
         learner.select(-0.1)
     with pytest.raises(LabelModelError):
         learner.sweep([0.1, -0.1])
+
+
+@st.composite
+def batched_cases(draw):
+    """Nodes on both sides of the size rule, and a cap from one node per loop
+    to every node in one loop — so loops mix stacked groups and gemv nodes."""
+    k, dense, settings_, _ = draw(structure_cases())
+    size_rule = (
+        draw(st.sampled_from([64, 150, 500])),
+        draw(st.sampled_from([1, 2000, 6000, 20000, 1 << 20])),
+    )
+    return k, dense, settings_, size_rule
+
+
+@given(case=batched_cases(), data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_batched_loops_match_the_oracle_and_refit_bitwise(case, data):
+    k, dense, settings_, (gemv_min_elements, cap) = case
+    n = dense.shape[1]
+    matrix = LabelMatrix(SparseLabelMatrix.from_dense(dense), cardinality=k)
+    with sized(gemv_min_elements, cap):
+        learner = StructureLearner(**settings_).fit(matrix)
+    assert_matches_oracle(learner, dense, k > 2, settings_)
+    subset = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    with sized(gemv_min_elements, data.draw(st.sampled_from([1, 2000, 6000, 1 << 20]))):
+        partial = StructureLearner(**settings_).refit_nodes(matrix, subset)
+    assert np.array_equal(
+        partial.dependency_weights_[subset], learner.dependency_weights_[subset]
+    )
+
+
+def test_refit_in_another_batch_is_bitwise_the_fit():
+    dense = straddling_matrix()
+    votes = np.count_nonzero(dense, axis=0)
+    groups = _node_groups(range(6), votes, 7)
+    assert groups == [[3], [4], [5], [0, 1, 2]]
+    assert _batches(groups, votes, 7) == [groups]  # three gemv nodes and a stacked group
+    matrix = LabelMatrix(SparseLabelMatrix.from_dense(dense), cardinality=2)
+    seen = []
+
+    def recorded(*args):
+        seen.append(_batches(*args))
+        return seen[-1]
+
+    with mock.patch.object(structure, "_batches", recorded):
+        full = StructureLearner(seed=0).fit(matrix).dependency_weights_
+        for subset, cap in (([1], 1 << 20), ([0, 5], 1 << 20), ([2, 3, 4], 1)):
+            with sized(4096, cap):
+                refit = StructureLearner(seed=0).refit_nodes(matrix, subset)
+            assert seen[-1] != seen[0]
+            assert np.array_equal(refit.dependency_weights_[subset], full[subset])
+    assert seen[1:] == [[[[1]]], [[[5], [0]]], [[[3]], [[4]], [[2]]]]
+
+
+@pytest.mark.parametrize("gemv_min_elements", [4096, 0])
+def test_bias_only_rows_and_silent_partner_columns(gemv_min_elements):
+    rng = np.random.default_rng(4)
+    dense = np.zeros((90, 5), dtype=np.int64)
+    dense[:30, 0] = rng.choice([-1, 1], 30)  # LF 0 alone: those rows hold only the bias
+    dense[30:60, :3] = rng.choice([-1, 1], (30, 3))
+    dense[60:, 4] = rng.choice([-1, 1], 30)  # every row of node 4 is bias-only
+    # LF 3 never votes: an all-zero partner column in every design.
+    sparse = SparseLabelMatrix.from_dense(dense)
+    designs = _NodeDesigns(sparse, False)
+    design, target = np.zeros((30, 6)), np.empty(30)
+    designs.fill(4, design, target)
+    assert np.count_nonzero(design) == 30 and design[:, 5].all()
+    with sized(gemv_min_elements, 1 << 20):
+        learner = StructureLearner(seed=1).fit(sparse)
+        refit = StructureLearner(seed=1).refit_nodes(sparse, [4, 0])
+    assert_matches_oracle(learner, dense, False, dict(seed=1))
+    weights = learner.dependency_weights_
+    assert not weights[3].any() and not weights[:, 3].any() and not weights[4].any()
+    assert np.array_equal(refit.dependency_weights_[[0, 4]], weights[[0, 4]])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_stacked_products_do_not_see_their_company(k):
+    dense = draw_matrix(
+        seed=11 + k, k=k, num_rows=60,
+        propensities=[0.3, 0.5, 0.8, 0.6, 0.2, 0.9], copy_probability=0.5,
+    )
+    designs = _NodeDesigns(SparseLabelMatrix.from_dense(dense), k > 2)
+    rng = np.random.default_rng(k)
+    X, W, R = {}, {}, {}
+    for j in range(6):
+        rows = np.count_nonzero(dense[:, j])
+        X[j] = np.zeros((rows, 7))
+        designs.fill(j, X[j], np.empty(rows))
+        W[j], R[j] = rng.standard_normal(7), rng.random(rows) - 0.5
+
+    def products_of(nodes):
+        sizes = np.array([X[j].shape[0] for j in nodes])
+        forward, backward = _group_products(np.vstack([X[j] for j in nodes]), sizes)
+        scores = np.split(forward(np.stack([W[j] for j in nodes])), np.cumsum(sizes)[:-1])
+        gradient = backward(np.concatenate([R[j] for j in nodes]))
+        return {j: (scores[g], gradient[g]) for g, j in enumerate(nodes)}
+
+    every = products_of(list(range(6)))
+    for nodes in ([0, 1, 2], [5, 3], [4, 0, 5, 2, 1, 3], [2]):
+        for j, (scores, gradient) in products_of(nodes).items():
+            assert np.array_equal(scores, every[j][0])
+            assert np.array_equal(gradient, every[j][1])
+    # Within 1e-15 of the dense BLAS products, on the scale of each sum's terms.
+    for j, (scores, gradient) in every.items():
+        assert np.all(np.abs(scores - X[j] @ W[j]) <= 1e-15 * (np.abs(X[j]) @ np.abs(W[j])))
+        assert np.all(
+            np.abs(gradient - X[j].T @ R[j]) <= 1e-15 * (np.abs(X[j]).T @ np.abs(R[j]))
+        )
+    # Beside a gemv node in one batch, the stacked products do not change either.
+    gemv = np.ones((4096, 7))
+    parts = [(gemv, np.array([4096])), (X[1], np.array([len(X[1])]))]
+    block, residual = np.stack([W[0], W[1]]), np.concatenate([np.ones(4096), R[1]])
+    for active in ([True, True], [False, True]):  # a frozen gemv node's products read 0
+        forward, backward = _batch_products(parts, np.array(active))
+        scores, gradient = forward(block), backward(residual)
+        assert np.array_equal(scores[4096:], every[1][0])
+        assert np.array_equal(gradient[1], every[1][1])
+        assert np.array_equal(scores[:4096], gemv @ W[0] if active[0] else np.zeros(4096))
+
+
+def weighted_learner():
+    learner = StructureLearner()
+    learner.dependency_weights_ = np.array([[0.0, 0.3], [0.1, 0.0]])
+    return learner
+
+
+ALL_ONES = np.ones((20, 2), dtype=np.int64)
+REFUSED = {
+    "max_iter=-5": lambda: StructureLearner(max_iter=-5),
+    "max_iter=0": lambda: StructureLearner(max_iter=0),
+    "max_iter=2.5": lambda: StructureLearner(max_iter=2.5),
+    "max_iter=True": lambda: StructureLearner(max_iter=True),
+    "l1_strength=nan": lambda: StructureLearner(l1_strength=math.nan),
+    "l1_strength=inf": lambda: StructureLearner(l1_strength=math.inf),
+    "tol=nan": lambda: StructureLearner(tol=math.nan),
+    "tol=-1e-6": lambda: StructureLearner(tol=-1e-6),
+    "min_votes=-1": lambda: StructureLearner(min_votes=-1),
+    "min_votes=2.5": lambda: StructureLearner(min_votes=2.5),
+    "select(nan)": lambda: weighted_learner().select(math.nan),
+    "sweep([0.1, nan])": lambda: weighted_learner().sweep([0.1, math.nan]),
+    "learn_structure max_iter=-5": lambda: learn_structure(ALL_ONES, 0.1, max_iter=-5),
+    "learn_structure threshold=nan": lambda: learn_structure(ALL_ONES, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
+def test_configurations_that_fit_nothing_or_nan_are_refused(call):
+    with pytest.raises(LabelModelError):
+        call()
