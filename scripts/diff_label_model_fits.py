@@ -48,9 +48,14 @@ input, ± ``sample_weights``), softmax (k=3, hard and soft targets) and the
 MLP (± dropout) through every front door: ``fit`` shuffled,
 ``fit(shuffle=False)``, ``fit_stream`` at block sizes {1, 37, batch, all},
 and a checkpointed ``fit_stream`` killed after epoch 2 and resumed (the dump
-itself fails unless that equals the uninterrupted fit bit for bit).
-The ``pipeline`` groups run ``run_streams`` and ``run(task)`` on a k=2 and
-a k=3 task.
+itself fails unless that equals the uninterrupted fit bit for bit).  Each
+also gets three pipeline-shaped records: blocks of ``PIPELINE_BLOCKS`` rows
+(none a multiple of the batch) carved to a partial kept mask, fed once as
+a sequence carved in place (``CSRMatrix.keep_rows``, as the pipeline does
+with the blocks it owns) and once as a callable that carves copies per
+epoch (as it does with disk-backed ones), plus ``fit(X[keep],
+shuffle=False)``.  The ``pipeline`` groups run ``run_streams`` and
+``run(task)`` on a k=2 and a k=3 task.
 
 The ``labeling`` groups hold what one labeling pass hands back: Λ (CSR
 ``indptr/indices/data`` or the dense array, as held), the chunk-ordered
@@ -65,7 +70,14 @@ The diff prints, per group, how many recorded arrays are bit-identical and
 the largest absolute difference; records only one checkout has (e.g. a
 ``loss_history`` the older one did not keep) are counted, not compared.
 It then prints one line per dump comparing every dense-input record with its
-CSR-input twin inside that dump, and the structure contract line.
+CSR-input twin inside that dump, the structure contract line, and last
+``end-model contract: PASS|FAIL``: PASS means every ``end_models`` and
+``pipeline`` group is bit-identical and, inside each dump, every
+pipeline-shaped sequence fit equals its callable twin bit for bit and its
+``fit(X[keep])`` twin bit for bit too, except under ``class_balance``:
+there that twin is held within ``CLASS_BALANCE_FIT_RTOL`` relative, because
+a stream sums the positive mass block by block and ``fit`` in one pass.
+The exit status is 1 when either verdict is FAIL.
 """
 
 from __future__ import annotations
@@ -87,6 +99,15 @@ GEMV_ONLY = "gemv-only nodes"
 
 #: The bound the ``structure weights`` groups may move by.
 STRUCTURE_WEIGHTS_BOUND = 1e-12
+
+#: How far a ``class_balance`` pipeline-shaped stream fit may sit from its
+#: ``fit(X[keep])`` twin, relatively: a stream sums the positive mass block
+#: by block and ``fit`` in one pass, so the two agree only to rounding.
+CLASS_BALANCE_FIT_RTOL = 1e-12
+
+#: Block sizes of the pipeline-shaped end-model records: engine-chunk-like
+#: blocks, none a multiple of the batch size (32), one a single row.
+PIPELINE_BLOCKS = (37, 70, 1, 95, 97)
 
 
 def dump(path: str) -> None:
@@ -419,6 +440,10 @@ def dump_end_models(out: dict) -> None:
     distributions = rng.random((300, 3))
     distributions /= distributions.sum(axis=1, keepdims=True)
     sample_weights = rng.random(300) + 0.5
+    # The kept-row mask of the pipeline-shaped records: the first block kept
+    # whole, the one-row block dropped, the other three carved.
+    kept = rng.random(300) < 0.8
+    kept[:37], kept[107] = True, False
     epochs, batch = 5, 32
 
     def parameters(model) -> dict:
@@ -442,12 +467,38 @@ def dump_end_models(out: dict) -> None:
             for start in range(0, 300, size)
         ]
 
+    def pipeline_shaped(features, targets, in_place):
+        # Chunk-sized blocks that do not divide the batch, each carved to its
+        # kept rows as the pipeline does: in its own arrays for the sequence
+        # it owns, as a copy per epoch for the callable it hands over.  (A
+        # checkout without `keep_rows` carves copies for both.)
+        start = 0
+        for size in PIPELINE_BLOCKS:
+            block = features[np.arange(start, start + size)]
+            local = np.flatnonzero(kept[start : start + size])
+            if 0 < local.size < size:
+                owned = in_place and hasattr(block, "keep_rows")
+                block = block.keep_rows(local) if owned else block[local]
+            if local.size:
+                yield block, targets[start + local]
+            start += size
+
     def every_front_door(tag, make, features, targets, resumable=True):
         record(f"{tag} fit shuffled", make().fit(features, targets))
         record(f"{tag} fit ordered", make(shuffle=False).fit(features, targets))
         for size in (1, 37, batch, 300):
             blocks = blocks_of(features, targets, size)
             record(f"{tag} fit_stream blocks of {size}", make(shuffle=False).fit_stream(blocks))
+        sequence = list(pipeline_shaped(features, targets, in_place=True))
+        record(f"{tag} pipeline-shaped sequence", make(shuffle=False).fit_stream(sequence))
+        record(
+            f"{tag} pipeline-shaped callable",
+            make(shuffle=False).fit_stream(lambda: pipeline_shaped(features, targets, False)),
+        )
+        record(
+            f"{tag} pipeline-shaped fit(X[keep])",
+            make(shuffle=False).fit(features[np.flatnonzero(kept)], targets[kept]),
+        )
         if not resumable:
             return
         blocks = blocks_of(features, targets, 37)
@@ -664,9 +715,36 @@ def diff(path_a: str, path_b: str) -> int:
             f"{path}: dense-input vs CSR-input twins {exact}/{count} bit-identical, "
             f"max |diff| = {worst:.3e}"
         )
-    passed = structure_contract(groups, a, b)
-    print(f"structure contract: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    structure = structure_contract(groups, a, b)
+    print(f"structure contract: {'PASS' if structure else 'FAIL'}")
+    end_model = end_model_contract(groups, (a, b))
+    print(f"end-model contract: {'PASS' if end_model else 'FAIL'}")
+    return 0 if structure and end_model else 1
+
+
+def end_model_contract(groups: dict, dumps: tuple) -> bool:
+    """Every ``end_models`` / ``pipeline`` group bit-identical, and inside
+    each dump every pipeline-shaped sequence fit bitwise its callable twin
+    and ``fit(X[keep], shuffle=False)`` — the latter only within
+    ``CLASS_BALANCE_FIT_RTOL`` for a ``class_balance`` fit."""
+    for group, (count, exact, _) in groups.items():
+        if group.startswith(("end_models", "pipeline")) and exact != count:
+            return False
+    for records in dumps:
+        for key, value in records.items():
+            if " pipeline-shaped sequence/" not in key:
+                continue
+            twin = records[key.replace(" sequence/", " callable/")]
+            fitted = records[key.replace(" sequence/", " fit(X[keep])/")]
+            balanced = "/balance " in key and "/balance None " not in key
+            same_fit = (
+                np.allclose(value, fitted, rtol=CLASS_BALANCE_FIT_RTOL, atol=0)
+                if balanced
+                else np.array_equal(value, fitted)
+            )
+            if not (np.array_equal(value, twin) and same_fit):
+                return False
+    return True
 
 
 def structure_contract(groups: dict, a: dict, b: dict) -> bool:

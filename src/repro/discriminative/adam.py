@@ -33,10 +33,12 @@ class AdamOptimizer:
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ) -> None:
-        if learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be > 0, got {learning_rate}")
+        if not (np.isfinite(learning_rate) and learning_rate > 0):
+            raise ConfigurationError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
         if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
             raise ConfigurationError("beta1 and beta2 must lie in [0, 1)")
+        if not (np.isfinite(epsilon) and epsilon >= 0):
+            raise ConfigurationError(f"epsilon must be finite and >= 0, got {epsilon!r}")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
@@ -74,7 +76,12 @@ class AdamOptimizer:
         self._step_count = int(state["step_count"])
 
     def step(self, parameters: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-        """Return updated parameters after one Adam step along ``-gradient``."""
+        """Return updated parameters after one Adam step along ``-gradient``.
+
+        The moments are updated in place and the temporaries reused; every
+        element still sees the textbook operations in the textbook order, so
+        the result is bitwise that of the allocating formulation.
+        """
         parameters = np.asarray(parameters, dtype=float)
         gradient = np.asarray(gradient, dtype=float)
         if parameters.shape != gradient.shape:
@@ -82,15 +89,20 @@ class AdamOptimizer:
                 f"parameter shape {parameters.shape} does not match gradient shape "
                 f"{gradient.shape}"
             )
-        if self._first_moment is None or self._first_moment.shape != parameters.shape:
-            self._first_moment = np.zeros_like(parameters)
-            self._second_moment = np.zeros_like(parameters)
+        first, second = self._first_moment, self._second_moment
+        if first is None or first.shape != parameters.shape:
+            first = self._first_moment = np.zeros_like(parameters)
+            second = self._second_moment = np.zeros_like(parameters)
             self._step_count = 0
         self._step_count += 1
-        self._first_moment = self.beta1 * self._first_moment + (1 - self.beta1) * gradient
-        self._second_moment = self.beta2 * self._second_moment + (1 - self.beta2) * gradient**2
-        first_unbiased = self._first_moment / (1 - self.beta1**self._step_count)
-        second_unbiased = self._second_moment / (1 - self.beta2**self._step_count)
-        return parameters - self.learning_rate * first_unbiased / (
-            np.sqrt(second_unbiased) + self.epsilon
-        )
+        first *= self.beta1
+        first += (1 - self.beta1) * gradient
+        second *= self.beta2
+        second += (1 - self.beta2) * np.square(gradient)
+        step = first / (1 - self.beta1**self._step_count)
+        step *= self.learning_rate
+        scale = second / (1 - self.beta2**self._step_count)
+        np.sqrt(scale, out=scale)
+        scale += self.epsilon
+        step /= scale
+        return parameters - step

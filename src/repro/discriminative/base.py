@@ -29,11 +29,26 @@ their target canonicalization and ``predict_proba``.  The trainer is fed by
   ``shuffle=False`` on the concatenated blocks, whatever chunk size the
   producer used.  Global shuffling is impossible without random access,
   which is the one semantic difference from the shuffled ``fit`` default.
+
+**What is paid per fit and what per epoch.**  A block *sequence* (any
+re-iterable that is not a callable) visits the same minibatches every
+epoch, so its minibatch list is planned once per fit and replayed:
+row-range views of the caller's arrays, a small merged copy only where a
+minibatch spans two blocks, targets canonicalized once, the complement
+``1 − Ỹ`` of binary targets and each minibatch's row count.  A callable
+source promises a fresh pass every epoch, so it re-batches per epoch;
+``fit`` does too, shuffled (a new permutation each epoch) or not.  The
+pipeline hands its in-RAM blocks over as a sequence and its disk-backed,
+checkpointed ones (:class:`~repro.labeling.blockstore.StoredFeatureBlocks`)
+as a callable: a plan over those would keep every block's bytes resident
+for the whole fit, where a pass loads one block at a time.  Neither door
+writes to the blocks it is handed.
 """
 
 from __future__ import annotations
 
 import abc
+from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -55,76 +70,50 @@ Block = tuple[FeatureBlock, np.ndarray]
 #: a zero-argument callable returning a fresh iterator (e.g. one that
 #: re-featurizes a candidate stream per epoch).
 BlockSource = Union[Callable[[], Iterable[Block]], Iterable[Block]]
+#: One minibatch as a model's step consumes it: ``(features, targets,
+#: complement, weights, rows)`` — ``complement`` is ``1 − targets`` for
+#: binary targets (``None`` for distributions), ``weights`` is ``None`` when
+#: every example weighs 1, and ``rows`` is the minibatch's row count.
+Batch = tuple[FeatureBlock, np.ndarray, Optional[np.ndarray], Optional[np.ndarray], int]
 
 
-def resolve_block_source(blocks: BlockSource) -> Callable[[], Iterator[Block]]:
-    """Normalize a block source into a fresh-iterator factory.
-
-    One-shot iterators are rejected up front: multi-epoch training replays
-    the source once per epoch, and silently training every epoch after the
-    first on zero blocks is exactly the kind of bug this layer exists to
-    rule out.
-    """
-    if callable(blocks):
-        return blocks
-    iterator = iter(blocks)
-    if iterator is blocks:
-        raise ConfigurationError(
-            "streaming fit needs a re-iterable block source (a sequence of "
-            "(features, targets) blocks, or a zero-argument callable returning "
-            "a fresh iterator); a one-shot generator cannot be replayed across "
-            "epochs"
-        )
-    return lambda: iter(blocks)
-
-
-def peek_block_width(source: Callable[[], Iterator[Block]]) -> int:
-    """Feature dimensionality of the first block (weights are initialized
-    before the first epoch, exactly as in the materialized path)."""
-    iterator = source()
-    try:
-        first_features, _ = next(iter(iterator))
-    except StopIteration:
-        raise ConfigurationError("streaming fit received an empty block stream") from None
-    return int(first_features.shape[1])
+def _batch(features: FeatureBlock, targets: np.ndarray, weights: Optional[np.ndarray]) -> Batch:
+    complement = 1.0 - targets if targets.ndim == 1 else None
+    return features, targets, complement, weights, targets.shape[0]
 
 
 def iter_materialized_batches(
-    rng: np.random.Generator,
-    shuffle: bool,
+    rng: Optional[np.random.Generator],
     batch_size: int,
     features: FeatureBlock,
-    *arrays: np.ndarray,
-) -> Iterator[tuple]:
-    """One epoch of materialized minibatches over ``features`` (+ aligned arrays).
+    targets: np.ndarray,
+    weights: Optional[np.ndarray],
+) -> Iterator[Batch]:
+    """One epoch of materialized minibatches over ``features`` and its rows'
+    ``targets`` / ``weights``.
 
-    The single batching schedule all three end models share: with
-    ``shuffle`` a fresh row permutation (drawn lazily, so the RNG stream
+    The single batching schedule all three end models share: given an
+    ``rng``, a fresh row permutation (drawn lazily, so the RNG stream
     matches the historical per-epoch ``rng.permutation`` call order), else
     contiguous row-order slices — exactly the sequence
     :func:`iter_rebatched` reproduces from a block stream.
     """
-    if batch_size <= 0:
-        raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
     num_examples = int(features.shape[0])
-    if num_examples == 0:
-        return
-    batch_size = min(batch_size, num_examples)
-    if shuffle:
-        order = rng.permutation(num_examples)
-        for start in range(0, num_examples, batch_size):
-            rows = order[start : start + batch_size]
-            yield (features[rows], *(array[rows] for array in arrays))
-    else:
-        for start in range(0, num_examples, batch_size):
-            stop = min(start + batch_size, num_examples)
-            yield (
+    order = None if rng is None else rng.permutation(num_examples)
+    for start in range(0, num_examples, batch_size):
+        stop = min(start + batch_size, num_examples)
+        if order is None:
+            yield _batch(
                 _slice_feature_rows(features, start, stop),
-                *(array[start:stop] for array in arrays),
+                targets[start:stop],
+                None if weights is None else weights[start:stop],
             )
+        else:
+            rows = order[start:stop]
+            yield _batch(features[rows], targets[rows], None if weights is None else weights[rows])
 
 
-def require_nonempty_batches(batches: Iterable[tuple]) -> Iterator[tuple]:
+def require_nonempty_batches(batches: Iterable[Batch]) -> Iterator[Batch]:
     """Pass batches through; raise if an epoch produced none.
 
     Guards every trainer's epoch loop: a silently empty stream would
@@ -136,6 +125,12 @@ def require_nonempty_batches(batches: Iterable[tuple]) -> Iterator[tuple]:
         yield batch
     if empty:
         raise ConfigurationError("training produced no examples")
+
+
+def _planned(batches: Iterable[Batch]) -> Callable[[np.random.Generator], list[Batch]]:
+    """A minibatch list built once and replayed by every epoch."""
+    plan = list(require_nonempty_batches(batches))
+    return lambda rng: plan
 
 
 def _merge_feature_parts(parts: Sequence[FeatureBlock]) -> FeatureBlock:
@@ -160,11 +155,13 @@ def _slice_feature_rows(block: FeatureBlock, start: int, stop: int) -> FeatureBl
 def iter_rebatched(blocks: Iterable[Block], batch_size: int) -> Iterator[Block]:
     """Re-chunk incoming blocks into exact ``batch_size`` minibatches.
 
-    Rows keep their stream order; block boundaries are stitched with a
-    carry buffer smaller than one batch, so memory stays O(batch) beyond
-    the incoming block and the produced minibatch sequence is independent
-    of the producer's chunking — the invariant the streaming-vs-materialized
-    differential tests pin down.  The final minibatch may be ragged.
+    Rows keep their stream order, so the produced minibatch sequence is
+    independent of the producer's chunking — the invariant the
+    streaming-vs-materialized differential tests pin down.  A minibatch that
+    lies inside one block is a row-range view of it; only one that spans a
+    block boundary is merged, from the carried-over tail (less than one
+    batch) and the next block's head, so memory stays O(batch) beyond the
+    incoming block.  The final minibatch may be ragged.
     """
     if batch_size <= 0:
         raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
@@ -174,10 +171,10 @@ def iter_rebatched(blocks: Iterable[Block], batch_size: int) -> Iterator[Block]:
     buffered = 0
     for features, targets in blocks:
         targets = np.asarray(targets, dtype=float)
-        if targets.shape[0] != features.shape[0]:
+        num_rows = int(features.shape[0])
+        if targets.shape[0] != num_rows:
             raise ConfigurationError(
-                f"block features have {features.shape[0]} rows but targets "
-                f"{targets.shape[0]}"
+                f"block features have {num_rows} rows but targets {targets.shape[0]}"
             )
         if width is None:
             width = int(features.shape[1])
@@ -186,51 +183,41 @@ def iter_rebatched(blocks: Iterable[Block], batch_size: int) -> Iterator[Block]:
                 f"streaming blocks disagree on feature width: {width} vs "
                 f"{features.shape[1]} (unfitted or misconfigured featurizer?)"
             )
-        if features.shape[0] == 0:
-            continue
-        feature_parts.append(features)
-        target_parts.append(targets)
-        buffered += int(features.shape[0])
-        if buffered < batch_size:
-            continue
-        merged_features = _merge_feature_parts(feature_parts)
-        merged_targets = (
-            target_parts[0]
-            if len(target_parts) == 1
-            else np.concatenate(target_parts, axis=0)
-        )
-        start = 0
-        while buffered - start >= batch_size:
+        start = min(batch_size - buffered, num_rows) if buffered else 0
+        if start:
+            feature_parts.append(_slice_feature_rows(features, 0, start))
+            target_parts.append(targets[:start])
+            buffered += start
+            if buffered < batch_size:
+                continue
+            yield _merge_feature_parts(feature_parts), np.concatenate(target_parts)
+            feature_parts, target_parts, buffered = [], [], 0
+        while num_rows - start >= batch_size:
             yield (
-                _slice_feature_rows(merged_features, start, start + batch_size),
-                merged_targets[start : start + batch_size],
+                _slice_feature_rows(features, start, start + batch_size),
+                targets[start : start + batch_size],
             )
             start += batch_size
-        if buffered - start > 0:
-            feature_parts = [_slice_feature_rows(merged_features, start, buffered)]
-            target_parts = [merged_targets[start:]]
-        else:
-            feature_parts, target_parts = [], []
-        buffered -= start
-    if buffered > 0:
-        yield (
-            _merge_feature_parts(feature_parts),
-            target_parts[0] if len(target_parts) == 1 else np.concatenate(target_parts, axis=0),
-        )
+        if start < num_rows:
+            feature_parts = [_slice_feature_rows(features, start, num_rows)]
+            target_parts = [targets[start:]]
+            buffered = num_rows - start
+    if buffered:
+        yield _merge_feature_parts(feature_parts), np.concatenate(target_parts)
 
 
 def as_soft_labels(labels: Sequence[float] | np.ndarray) -> np.ndarray:
     """Canonicalize training labels into soft positive-class probabilities.
 
-    Accepts probabilities in [0, 1] or hard labels in {-1, +1}.
+    Accepts probabilities in [0, 1] or hard labels in {-1, +1}; NaN is
+    neither.
     """
     array = np.asarray(labels, dtype=float)
     if array.ndim != 1:
         raise ConfigurationError(f"labels must be 1-dimensional, got shape {array.shape}")
-    values = set(np.unique(array).tolist())
-    if values <= {-1.0, 1.0}:
+    if (np.abs(array) == 1.0).all():
         return (array == 1.0).astype(float)
-    if array.min() < 0.0 or array.max() > 1.0:
+    if not (array.min() >= 0.0 and array.max() <= 1.0):
         raise ConfigurationError(
             "labels must be probabilities in [0, 1] or hard labels in {-1, +1}"
         )
@@ -250,13 +237,13 @@ class NoiseAwareClassifier(abc.ABC):
     Parameters
     ----------
     epochs:
-        Passes over the training data.
+        Passes over the training data (a positive integer).
     batch_size:
-        Minibatch size.
+        Minibatch size (a positive integer).
     learning_rate:
-        Adam learning rate.
+        Adam learning rate (finite, > 0).
     reg_strength:
-        ℓ2 penalty on the weights (not the biases).
+        ℓ2 penalty on the weights, not the biases (finite, >= 0).
     shuffle:
         ``None`` (default) = auto: :meth:`fit` draws a fresh row permutation
         each epoch (the historical behavior) while :meth:`fit_stream` runs
@@ -278,10 +265,12 @@ class NoiseAwareClassifier(abc.ABC):
         shuffle: Optional[bool],
         seed: SeedLike,
     ) -> None:
-        if epochs <= 0:
-            raise ConfigurationError(f"epochs must be positive, got {epochs}")
-        if batch_size <= 0:
-            raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
+        for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+            if isinstance(value, bool) or not isinstance(value, Integral) or value <= 0:
+                raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+        if not (np.isfinite(reg_strength) and reg_strength >= 0):
+            raise ConfigurationError(f"reg_strength must be finite and >= 0, got {reg_strength!r}")
+        AdamOptimizer(learning_rate=learning_rate)  # rejects a bad rate now, not at fit
         self.epochs = epochs
         self.batch_size = batch_size
         self.learning_rate = learning_rate
@@ -312,21 +301,18 @@ class NoiseAwareClassifier(abc.ABC):
             raise ConfigurationError(
                 f"features {features.shape} incompatible with {targets.shape[0]} labels"
             )
-        weights = (
-            np.ones(targets.shape[0])
-            if sample_weights is None
-            else np.asarray(sample_weights, dtype=float)
-        )
-        if weights.shape != targets.shape[:1]:
+        weights = None if sample_weights is None else np.asarray(sample_weights, dtype=float)
+        if weights is not None and weights.shape != targets.shape[:1]:
             raise ConfigurationError(
                 f"sample_weights shape {weights.shape} does not match "
                 f"{targets.shape[0]} labels"
             )
         self._observe_targets([targets])
 
-        def epoch_batches(rng: np.random.Generator):
-            return iter_materialized_batches(
-                rng, self.shuffle is not False, self.batch_size, features, targets, weights
+        def epoch_batches(rng: np.random.Generator) -> Iterator[Batch]:
+            order = None if self.shuffle is False else rng
+            return require_nonempty_batches(
+                iter_materialized_batches(order, self.batch_size, features, targets, weights)
             )
 
         return self._train_minibatches(features.shape[1], epoch_batches)
@@ -340,7 +326,11 @@ class NoiseAwareClassifier(abc.ABC):
         blocks are re-chunked into exact ``batch_size`` minibatches, so the
         result equals ``fit(concatenated blocks)`` with ``shuffle=False``
         for every producer chunking, and no ``(m, d)`` matrix ever exists.
-        Targets per block follow the same conventions as :meth:`fit`.
+        Targets per block follow the same conventions as :meth:`fit`.  A
+        callable source is called once per epoch (plus once for the feature
+        width, and once more for a model whose :meth:`_observe_targets`
+        reads the targets); any other source is iterated once per fit and
+        its minibatches planned (see the module docstring).
 
         ``checkpoint`` (a :class:`repro.labeling.blockstore.EpochCheckpoint`)
         makes the fit resumable: training state is saved durably after every
@@ -357,34 +347,52 @@ class NoiseAwareClassifier(abc.ABC):
             )
         if checkpoint is not None:
             self._require_resumable()
-        source = resolve_block_source(blocks)
 
-        def canonical_blocks() -> Iterator[Block]:
-            for block_features, block_targets in source():
+        def canonical(source: Iterable[Block]) -> Iterator[Block]:
+            for block_features, block_targets in source:
                 yield as_float_features(block_features), self._canonical_targets(block_targets)
 
-        num_features = peek_block_width(source)
-        self._observe_targets(targets for _, targets in canonical_blocks())
+        if callable(blocks):
+            first = next(iter(blocks()), None)
+            source = lambda: canonical(blocks())  # noqa: E731
+        elif iter(blocks) is blocks:
+            raise ConfigurationError(
+                "streaming fit needs a re-iterable block source (a sequence of "
+                "(features, targets) blocks, or a zero-argument callable returning "
+                "a fresh iterator); a one-shot generator cannot be replayed across "
+                "epochs"
+            )
+        else:
+            canonical_blocks = list(canonical(blocks))
+            first = canonical_blocks[0] if canonical_blocks else None
+            source = lambda: canonical_blocks  # noqa: E731
+        if first is None:
+            raise ConfigurationError("streaming fit received an empty block stream")
+        self._observe_targets(targets for _, targets in source())
 
-        def epoch_batches(rng: np.random.Generator):
-            for batch_features, batch_targets in iter_rebatched(
-                canonical_blocks(), self.batch_size
-            ):
-                yield batch_features, batch_targets, np.ones(batch_targets.shape[0])
+        def rebatched() -> Iterator[Batch]:
+            for features, targets in iter_rebatched(source(), self.batch_size):
+                yield _batch(features, targets, None)
 
-        return self._train_minibatches(num_features, epoch_batches, checkpoint)
+        epoch_batches = (
+            (lambda rng: require_nonempty_batches(rebatched()))
+            if callable(blocks)
+            else _planned(rebatched())
+        )
+        return self._train_minibatches(int(first[0].shape[1]), epoch_batches, checkpoint)
 
     # ------------------------------------------------------------- the trainer
     def _train_minibatches(
         self,
         num_features: int,
-        epoch_batches: Callable[[np.random.Generator], Iterable[tuple]],
+        epoch_batches: Callable[[np.random.Generator], Iterable[Batch]],
         checkpoint: Optional["EpochCheckpoint"] = None,
     ) -> "NoiseAwareClassifier":
         """The shared Adam loop over the packed parameter vector.
 
-        ``epoch_batches(rng)`` yields one epoch of ``(features, targets,
-        example weights)`` minibatches.
+        ``epoch_batches(rng)`` yields one epoch of minibatches (see
+        :data:`Batch`); each step writes its gradient into one vector
+        allocated per fit.
         """
         rng = ensure_rng(self.seed)
         # Always draw the initialization so the RNG stream matches a fresh
@@ -400,10 +408,11 @@ class NoiseAwareClassifier(abc.ABC):
             self.loss_history = list(state["loss_history"])
             start_epoch = min(int(state["epoch"]), self.epochs)
 
+        gradient = np.empty_like(packed)
         for epoch in range(start_epoch, self.epochs):
             epoch_loss = 0.0
-            for features, targets, weights in require_nonempty_batches(epoch_batches(rng)):
-                gradient, batch_loss = self._gradients(packed, features, targets, weights, rng)
+            for batch in epoch_batches(rng):
+                batch_loss = self._gradients(packed, batch, gradient, rng)
                 packed = optimizer.step(packed, gradient)
                 epoch_loss += batch_loss
             self.loss_history.append(epoch_loss)
@@ -433,15 +442,15 @@ class NoiseAwareClassifier(abc.ABC):
     def _gradients(
         self,
         packed: np.ndarray,
-        features: FeatureBlock,
-        targets: np.ndarray,
-        weights: np.ndarray,
+        batch: Batch,
+        gradient: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[np.ndarray, float]:
-        """Packed gradient and summed loss of one minibatch.
+    ) -> float:
+        """Write one minibatch's packed gradient into ``gradient``; return
+        the minibatch's summed loss.
 
-        ``features`` arrives as the front door batched it (dense rows or a
-        CSR row range); a model without sparse math densifies it here, one
+        The features arrive as the front door batched them (dense rows or a
+        CSR row range); a model without sparse math densifies them here, one
         minibatch at a time.
         """
 
@@ -475,8 +484,11 @@ class NoiseAwareClassifier(abc.ABC):
         return float((self.predict(features) == gold).mean())
 
 
-def weighted_log_loss(probs: np.ndarray, soft: np.ndarray, weights: np.ndarray) -> float:
-    """Summed example-weighted binary cross-entropy of one minibatch."""
+def weighted_log_loss(
+    probs: np.ndarray, soft: np.ndarray, complement: np.ndarray, weights: Optional[np.ndarray]
+) -> float:
+    """Summed example-weighted binary cross-entropy of one minibatch
+    (``complement`` is ``1 − soft``; ``weights=None`` weighs every example 1)."""
     clipped = np.clip(probs, 1e-9, 1 - 1e-9)
-    losses = -(soft * np.log(clipped) + (1 - soft) * np.log(1 - clipped))
-    return float((losses * weights).sum())
+    losses = -(soft * np.log(clipped) + complement * np.log(1 - clipped))
+    return float(losses.sum() if weights is None else (losses * weights).sum())

@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.discriminative.base import (
+    Batch,
     FeatureBlock,
     NoiseAwareClassifier,
     as_soft_labels,
@@ -88,22 +89,25 @@ class NoiseAwareLogisticRegression(NoiseAwareClassifier):
     def _gradients(
         self,
         packed: np.ndarray,
-        features: FeatureBlock,
-        soft: np.ndarray,
-        weights: np.ndarray,
+        batch: Batch,
+        gradient: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[np.ndarray, float]:
-        coefficients, bias = packed[:-1], packed[-1]
+    ) -> float:
+        features, soft, complement, weights, rows = batch
+        coefficients = packed[:-1]
         if self._balance_scales is not None:
             positive_scale, negative_scale = self._balance_scales
-            weights = weights * (soft * positive_scale + (1.0 - soft) * negative_scale)
-        probs = sigmoid(features @ coefficients + bias)
-        errors = (probs - soft) * weights
-        grad_coefficients = (
-            features.T @ errors / soft.shape[0] + self.reg_strength * coefficients
-        )
-        gradient = np.concatenate([grad_coefficients, [float(errors.mean())]])
-        return gradient, weighted_log_loss(probs, soft, weights)
+            scales = soft * positive_scale + complement * negative_scale
+            weights = scales if weights is None else weights * scales
+        probs = sigmoid(features @ coefficients + packed[-1])
+        errors = probs - soft
+        if weights is not None:
+            errors *= weights
+        grad_coefficients = gradient[:-1]
+        np.divide(features.T @ errors, rows, out=grad_coefficients)
+        grad_coefficients += self.reg_strength * coefficients
+        gradient[-1] = errors.sum() / rows
+        return weighted_log_loss(probs, soft, complement, weights)
 
     def _publish(self, packed: np.ndarray, num_features: int) -> None:
         self.weights = packed[:-1]

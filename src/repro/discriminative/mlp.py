@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.discriminative.base import (
+    Batch,
     FeatureBlock,
     NoiseAwareClassifier,
     as_soft_labels,
@@ -90,35 +91,38 @@ class NoiseAwareMLP(NoiseAwareClassifier):
     def _gradients(
         self,
         packed: np.ndarray,
-        features: FeatureBlock,
-        soft: np.ndarray,
-        weights: np.ndarray,
+        batch: Batch,
+        gradient: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[np.ndarray, float]:
-        batch = as_dense_features(features)
+    ) -> float:
+        features, soft, complement, weights, rows = batch
+        dense = as_dense_features(features)
         if self.dropout > 0.0:
-            mask = rng.random(batch.shape) >= self.dropout
-            batch = batch * mask / (1.0 - self.dropout)
-        layers = self._unpack(packed, batch.shape[1])
-        activations = [batch]
+            mask = rng.random(dense.shape) >= self.dropout
+            dense = dense * mask / (1.0 - self.dropout)
+        layers = self._unpack(packed, dense.shape[1])
+        activations = [dense]
         pre_activations = []
-        hidden = batch
+        hidden = dense
         for index, (weight, bias) in enumerate(layers):
             linear = hidden @ weight + bias
             pre_activations.append(linear)
             hidden = linear if index == len(layers) - 1 else np.maximum(linear, 0.0)
             activations.append(hidden)
         probs = np.asarray(sigmoid(pre_activations[-1][:, 0]))
-        delta = ((probs - soft) * weights / batch.shape[0])[:, None]
-        gradients: Layers = [None] * len(layers)  # type: ignore[list-item]
+        delta = probs - soft
+        if weights is not None:
+            delta *= weights
+        delta = (delta / rows)[:, None]
+        gradients = self._unpack(gradient, dense.shape[1])  # views into ``gradient``
         for index in range(len(layers) - 1, -1, -1):
             weight, _ = layers[index]
-            grad_weight = activations[index].T @ delta + self.reg_strength * weight
-            grad_bias = delta.sum(axis=0)
-            gradients[index] = (grad_weight, grad_bias)
+            grad_weight, grad_bias = gradients[index]
+            np.add(activations[index].T @ delta, self.reg_strength * weight, out=grad_weight)
+            delta.sum(axis=0, out=grad_bias)
             if index > 0:
                 delta = (delta @ weight.T) * (pre_activations[index - 1] > 0.0)
-        return self._pack(gradients), weighted_log_loss(probs, soft, weights)
+        return weighted_log_loss(probs, soft, complement, weights)
 
     @staticmethod
     def _pack(layers: Layers) -> np.ndarray:

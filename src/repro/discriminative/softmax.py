@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.discriminative.base import FeatureBlock, NoiseAwareClassifier
+from repro.discriminative.base import Batch, FeatureBlock, NoiseAwareClassifier
 from repro.discriminative.sparse_features import as_dense_features
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.utils.mathutils import softmax
@@ -77,6 +77,8 @@ class NoiseAwareSoftmaxRegression(NoiseAwareClassifier):
             raise ConfigurationError(
                 f"soft labels must have shape (m, {self.num_classes}), got {targets.shape}"
             )
+        if targets.size and not (targets.min() >= 0.0 and targets.max() < np.inf):
+            raise ConfigurationError("soft label distributions must be finite and >= 0")
         row_sums = targets.sum(axis=1, keepdims=True)
         return targets / np.clip(row_sums, 1e-12, None)
 
@@ -91,19 +93,23 @@ class NoiseAwareSoftmaxRegression(NoiseAwareClassifier):
     def _gradients(
         self,
         packed: np.ndarray,
-        features: FeatureBlock,
-        targets: np.ndarray,
-        weights: np.ndarray,
+        batch: Batch,
+        gradient: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[np.ndarray, float]:
-        batch = as_dense_features(features)
-        coefficients, bias = self._unpack(packed, batch.shape[1])
-        probs = softmax(batch @ coefficients + bias, axis=1)
-        errors = (probs - targets) * weights[:, None] / batch.shape[0]
-        grad_coefficients = batch.T @ errors + self.reg_strength * coefficients
-        gradient = np.concatenate([grad_coefficients.ravel(), errors.sum(axis=0)])
+    ) -> float:
+        features, targets, _, weights, rows = batch
+        dense = as_dense_features(features)
+        coefficients, bias = self._unpack(packed, dense.shape[1])
+        grad_coefficients, grad_bias = self._unpack(gradient, dense.shape[1])
+        probs = softmax(dense @ coefficients + bias, axis=1)
+        errors = probs - targets
+        if weights is not None:
+            errors *= weights[:, None]
+        errors /= rows
+        np.add(dense.T @ errors, self.reg_strength * coefficients, out=grad_coefficients)
+        errors.sum(axis=0, out=grad_bias)
         losses = -(targets * np.log(np.maximum(probs, 1e-9))).sum(axis=1)
-        return gradient, float((losses * weights).sum())
+        return float(losses.sum() if weights is None else (losses * weights).sum())
 
     def _publish(self, packed: np.ndarray, num_features: int) -> None:
         self.weights, self.bias = self._unpack(packed, num_features)

@@ -73,6 +73,7 @@ from repro.labeling.blockstore import (
     BlockStore,
     ChunkCheckpointer,
     EpochCheckpoint,
+    StoredFeatureBlocks,
 )
 from repro.labeling.engine import BACKENDS, TRANSPORTS
 from repro.labeling.lf import LabelingFunction
@@ -558,12 +559,16 @@ class SnorkelPipeline:
         if self.config.keep_uncovered:
             return np.arange(num_candidates)
         # Drop candidates no LF covered, plus covered rows whose
-        # probability is uninformative (exactly 0.5 for binary tasks,
-        # exactly uniform for categorical ones — ties carry no
-        # supervision signal); the paper's end models similarly train on
-        # the covered set.  Coverage is taken from Λ itself — an
-        # estimated class balance gives uncovered rows a non-uniform
-        # prior probability, which is not supervision signal either.
+        # probability is uninformative: within np.isclose's default
+        # tolerance (rtol 1e-5, atol 1e-8) of 0.5 for binary tasks, or a
+        # largest class probability that close to uniform for categorical
+        # ones — near-ties carry no supervision signal; the paper's end
+        # models similarly train on the covered set.  (The tolerance is
+        # the rule the pipeline's outputs were built with; tightening it
+        # to exact ties would change them.)  Coverage is taken from Λ
+        # itself — an estimated class balance gives uncovered rows a
+        # non-uniform prior probability, which is not supervision signal
+        # either.
         if training_probs.ndim == 2:
             uninformative = np.isclose(
                 training_probs.max(axis=1), 1.0 / training_probs.shape[1]
@@ -622,24 +627,36 @@ class SnorkelPipeline:
         """Train the end model on Ỹ from the CSR feature blocks.
 
         Binary tasks train on the ``(m,)`` probability vector, categorical
-        ones on the ``(m, k)`` distribution matrix.  The kept training rows
-        (covered + informative, see :meth:`_keep_rows`) are carved out of
-        each block in place, so the minibatch stream visits exactly the rows
-        ``fit(X[keep], Ỹ[keep])`` would, in the same order.  With
-        ``epoch_checkpoint`` the fit saves its state after every epoch and a
-        resumed run replays only the remaining ones.
+        ones on the ``(m, k)`` distribution matrix.  Only the kept training
+        rows (covered + informative, see :meth:`_keep_rows`) reach the
+        model, block by block in stream order, so the minibatches are
+        exactly those of ``fit(X[keep], Ỹ[keep])``.
+
+        The in-RAM blocks belong to this run, so each is shrunk to its kept
+        rows once, in its own arrays (:meth:`CSRMatrix.keep_rows
+        <repro.utils.csr.CSRMatrix.keep_rows>`), and handed over as a
+        sequence: the model plans its minibatches once per fit and X is
+        never copied.  Disk-backed blocks
+        (:class:`~repro.labeling.blockstore.StoredFeatureBlocks`, a
+        checkpointed run) are never written to: they go over as a callable
+        that carves a copy of one block at a time, every epoch, so memory
+        stays one block.  With ``epoch_checkpoint`` the fit saves its state
+        after every epoch and a resumed run replays only the remaining ones.
         """
         num_candidates = training_probs.shape[0]
         keep_mask = np.zeros(num_candidates, dtype=bool)
         keep_mask[self._keep_rows(num_candidates, training_probs, label_matrix)] = True
+        owned = not isinstance(train_blocks, StoredFeatureBlocks)
 
         def kept_blocks():
             start = 0
             for block in train_blocks:
                 stop = start + block.shape[0]
                 local = np.flatnonzero(keep_mask[start:stop])
+                if 0 < local.size < block.shape[0]:
+                    block = block.keep_rows(local) if owned else block[local]
                 if local.size:
-                    yield block[local], training_probs[start + local]
+                    yield block, training_probs[start + local]
                 start = stop
 
-        model.fit_stream(kept_blocks, checkpoint=epoch_checkpoint)
+        model.fit_stream(list(kept_blocks()) if owned else kept_blocks, checkpoint=epoch_checkpoint)

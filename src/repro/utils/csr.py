@@ -18,6 +18,8 @@ The constructor is the validation boundary.  ``row_range`` / ``select_rows``
 / ``vstack`` carve their results out of matrices that already passed it and
 skip the re-check (:meth:`CSRMatrix._carved`); the end-model trainer reaches
 them per minibatch by inheritance, with no helper frame in between.
+``keep_rows`` is ``select_rows`` done inside the matrix's own arrays, for an
+owner that is done with the other rows (the pipeline's in-RAM train blocks).
 """
 
 from __future__ import annotations
@@ -168,12 +170,13 @@ class CSRMatrix:
         if not (0 <= start <= stop <= m):
             raise self._error(f"row range [{start}, {stop}) invalid for {m} rows")
         lo, hi = int(self.indptr[start]), int(self.indptr[stop])
+        entry_rows = self._entry_rows
         return self._carved(
             self.indptr[start : stop + 1] - lo,
             self.indices[lo:hi],
             self.data[lo:hi],
             (stop - start, self.shape[1]),
-            self.entry_rows()[lo:hi] - start,
+            None if entry_rows is None else entry_rows[lo:hi] - start,
         )
 
     def select_rows(self, row_indices):
@@ -204,15 +207,7 @@ class CSRMatrix:
                 )
             if lowest < 0:
                 row_indices = np.where(row_indices < 0, row_indices + m, row_indices)
-        starts = self.indptr[row_indices]
-        counts = self.indptr[row_indices + 1] - starts
-        indptr = np.zeros(row_indices.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        # Entry t of the result, in row `entry_rows[t]`, is the source's entry
-        # at the same offset into that row's range.
-        entry_rows = np.repeat(np.arange(row_indices.size, dtype=np.int64), counts)
-        positions = (starts - indptr[:-1])[entry_rows]
-        positions += np.arange(indptr[-1], dtype=np.int64)
+        indptr, positions, entry_rows = self._row_positions(row_indices)
         return self._carved(
             indptr,
             self.indices[positions],
@@ -220,6 +215,37 @@ class CSRMatrix:
             (row_indices.size, self.shape[1]),
             entry_rows,
         )
+
+    def keep_rows(self, rows: np.ndarray):
+        """Shrink this matrix, in place, to the ascending row ids ``rows``;
+        returns it.
+
+        :meth:`select_rows` without the copy: the kept entries move to the
+        front of this matrix's own ``indices`` / ``data`` (the one temporary
+        is their gather), which the matrix then views.  For the owner of the
+        matrix only — any other view of its arrays is spoiled.
+        """
+        indptr, positions, _ = self._row_positions(rows)
+        nnz = int(indptr[-1])
+        self.indices[:nnz] = self.indices[positions]
+        self.data[:nnz] = self.data[positions]
+        self.indptr, self.indices, self.data = indptr, self.indices[:nnz], self.data[:nnz]
+        self.shape, self._entry_rows = (rows.size, self.shape[1]), None
+        return self
+
+    def _row_positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``indptr`` of the selection of ``rows``, the source position of
+        each of its entries, and each entry's row in the selection."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        # Entry t of the result, in row `entry_rows[t]`, is the source's entry
+        # at the same offset into that row's range.
+        entry_rows = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+        positions = (starts - indptr[:-1])[entry_rows]
+        positions += np.arange(indptr[-1], dtype=np.int64)
+        return indptr, positions, entry_rows
 
     # ------------------------------------------------------------------ algebra
     def matvec(self, weights: np.ndarray) -> np.ndarray:

@@ -6,13 +6,16 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    """Numerically stable logistic sigmoid ``1 / (1 + exp(-x))``."""
+    """Numerically stable logistic sigmoid ``1 / (1 + exp(-x))``.
+
+    ``e = exp(-|x|)`` never overflows; the result is ``1 / (1 + e)`` where
+    ``x >= 0`` and ``e / (1 + e)`` elsewhere (NaN included).  ``-|x|`` is
+    taken as ``minimum(x, -x)``, which hands a NaN through with its sign
+    bit, where ``-abs(x)`` would flip it.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
+    exp_x = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, exp_x) / (1.0 + exp_x)
     if out.ndim == 0:
         return float(out)
     return out

@@ -197,3 +197,72 @@ def test_assign_document_splits_and_sizes():
 def test_split_fraction_validation():
     with pytest.raises(ConfigurationError):
         split_indices(10, 0.6, 0.6)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0.2, np.nan, 0.7],  # NaN fails both range comparisons
+        [0.2, -0.1, 0.7],
+        [0.2, 1.5, 0.7],
+        [1.0, -1.0, np.nan],  # no longer all ±1, and NaN is not a probability
+    ],
+)
+def test_soft_labels_reject_nan_and_out_of_range(bad):
+    X = np.ones((3, 2))
+    for model in (NoiseAwareLogisticRegression(epochs=1), NoiseAwareMLP((2,), epochs=1)):
+        with pytest.raises(ConfigurationError):
+            model.fit(X, bad)
+
+
+def test_hard_labels_still_map_to_zero_one():
+    X, y = make_linear_data(n=64, seed=3)
+    hard = NoiseAwareLogisticRegression(epochs=2, shuffle=False).fit(X, y)
+    soft = NoiseAwareLogisticRegression(epochs=2, shuffle=False).fit(X, (y == 1).astype(float))
+    assert np.array_equal(hard.weights, soft.weights)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[[-1.0, 2.0, 0.0]], [[np.nan, 0.5, 0.5]], [[np.inf, 0.0, 1.0]], [[0.2, -0.0001, 0.8]]],
+)
+def test_softmax_distributions_reject_nan_and_negative_entries(bad):
+    with pytest.raises(ConfigurationError):
+        NoiseAwareSoftmaxRegression(num_classes=3, epochs=1).fit(np.ones((1, 2)), np.array(bad))
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(epochs=2.5),
+        dict(epochs=True),
+        dict(batch_size=True),
+        dict(batch_size=16.0),
+        dict(reg_strength=-1e-4),
+        dict(reg_strength=float("nan")),
+        dict(reg_strength=float("inf")),
+        dict(learning_rate=float("nan")),
+    ],
+)
+def test_trainer_hyperparameters_are_validated_at_construction(settings):
+    for model in (
+        NoiseAwareLogisticRegression,
+        lambda **kw: NoiseAwareSoftmaxRegression(num_classes=3, **kw),
+        NoiseAwareMLP,
+    ):
+        with pytest.raises(ConfigurationError):
+            model(**settings)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(epsilon=-1e-8),
+        dict(epsilon=float("nan")),
+    ],
+)
+def test_adam_rejects_nan_and_negative_settings(settings):
+    with pytest.raises(ConfigurationError):
+        AdamOptimizer(**settings)

@@ -20,9 +20,11 @@ workloads.  Pinned down here:
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets.base import load_task
 from repro.datasets.synthetic import (
@@ -46,6 +48,7 @@ from repro.labeling.applier import LFApplier
 from repro.labelmodel.generative import GenerativeModel
 from repro.labelmodel.optimizer import ModelingStrategyOptimizer
 from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
+from repro.utils.mathutils import sigmoid
 
 BACKENDS = [("sequential", 1), ("threads", 2), ("processes", 2)]
 
@@ -269,6 +272,148 @@ def test_fit_stream_from_callable_source(corpus, featurizer):
     assert np.array_equal(reference.weights, streamed.weights)
 
 
+@functools.lru_cache(maxsize=None)
+def trainer_inputs():
+    """Features (CSR) and every target kind of the generated differential."""
+    candidates = text_candidates(48, seed=9, cardinality=3)
+    features = RelationFeaturizer(num_features=40).fit().transform(candidates, sparse=True)
+    rng = np.random.default_rng(9)
+    distributions = rng.random((48, 3))
+    distributions /= distributions.sum(axis=1, keepdims=True)
+    targets = {
+        "soft": rng.random(48),
+        "hard classes": 1.0 + rng.integers(0, 3, 48),
+        "distributions": distributions,
+    }
+    return features, targets
+
+
+TRAINERS = {
+    "logistic": ("soft", lambda **kw: NoiseAwareLogisticRegression(**kw)),
+    "logistic balanced": (
+        "soft",
+        lambda **kw: NoiseAwareLogisticRegression(class_balance=0.3, **kw),
+    ),
+    "softmax hard": ("hard classes", lambda **kw: NoiseAwareSoftmaxRegression(3, **kw)),
+    "softmax soft": ("distributions", lambda **kw: NoiseAwareSoftmaxRegression(3, **kw)),
+    "mlp": ("soft", lambda **kw: NoiseAwareMLP(hidden_sizes=(4,), dropout=0.0, **kw)),
+}
+
+
+def pipeline_carved(features, targets, sizes, keep, in_place):
+    """Blocks of ``sizes`` rows carved to ``keep`` the way the pipeline
+    does it: CSR blocks it owns shrink in their own arrays (a sequence),
+    anything else is copied (what its per-epoch callable does)."""
+    start = 0
+    for size in sizes:
+        block = features[np.arange(start, start + size)]
+        local = np.flatnonzero(keep[start : start + size])
+        if 0 < local.size < size:
+            owned = in_place and isinstance(block, CSRFeatureMatrix)
+            block = block.keep_rows(local) if owned else block[local]
+        if local.size:
+            yield block, targets[start + local]
+        start += size
+
+
+@st.composite
+def trainer_cases(draw):
+    num_rows = draw(st.integers(1, 48))
+    if draw(st.booleans()):
+        sizes = [1] * num_rows
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, max(num_rows - 1, 1)), max_size=6)))
+        cuts = [cut for cut in cuts if cut < num_rows]
+        sizes = list(np.diff([0, *cuts, num_rows]))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=num_rows, max_size=num_rows)))
+    keep[draw(st.integers(0, num_rows - 1))] = True
+    return dict(
+        trainer=draw(st.sampled_from(sorted(TRAINERS))),
+        dense=draw(st.booleans()),
+        num_rows=num_rows,
+        sizes=sizes,
+        keep=keep,
+        batch_size=draw(st.one_of(st.just(1), st.integers(2, 20), st.just(1000))),
+    )
+
+
+def fitted_state(model):
+    parts = (
+        [array for layer in model._layers for array in layer]
+        if isinstance(model, NoiseAwareMLP)
+        else [model.weights, np.asarray(model.bias)]
+    )
+    return [np.asarray(part).tobytes() for part in parts], np.array(model.loss_history).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=trainer_cases())
+def test_three_doors_train_bit_identically(case):
+    """``fit_stream`` over a pipeline-carved sequence (planned once per fit),
+    the same blocks as a callable (re-batched every epoch) and ``fit(X[keep],
+    shuffle=False)`` give the same weights, bias and loss history bit for
+    bit — any chunking, kept mask and batch size, including 1, one-row blocks
+    and a batch larger than the data.  One exception, as in
+    ``test_logistic_fit_stream_class_balance``: ``class_balance``'s positive
+    mass is summed block by block by a stream and in one pass by ``fit``, so
+    there ``fit`` agrees to rounding and the two streams bit for bit."""
+    features, all_targets = trainer_inputs()
+    target_kind, make = TRAINERS[case["trainer"]]
+    rows = np.arange(case["num_rows"])
+    features = features[rows]
+    if case["dense"]:
+        features = features.toarray()
+    targets = all_targets[target_kind][rows]
+    sizes, keep = case["sizes"], case["keep"]
+
+    def model():
+        return make(epochs=2, batch_size=case["batch_size"], shuffle=False, seed=0)
+
+    sequence = model().fit_stream(list(pipeline_carved(features, targets, sizes, keep, True)))
+    callable_source = model().fit_stream(
+        lambda: pipeline_carved(features, targets, sizes, keep, False)
+    )
+    materialized = model().fit(features[np.flatnonzero(keep)], targets[keep])
+    assert fitted_state(sequence) == fitted_state(callable_source)
+    if case["trainer"] != "logistic balanced":
+        assert fitted_state(sequence) == fitted_state(materialized)
+    else:
+        assert np.allclose(sequence.weights, materialized.weights, rtol=1e-12, atol=0)
+        assert np.allclose(sequence.bias, materialized.bias, rtol=1e-12, atol=0)
+        assert np.allclose(sequence.loss_history, materialized.loss_history, rtol=1e-12, atol=0)
+
+
+def masked_sigmoid(x):
+    """The sigmoid as it was written before it went mask-free: the oracle."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_masked_formula():
+    finfo = np.finfo(float)
+    payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
+    special = [
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, payload_nan, -payload_nan,
+        finfo.tiny, -finfo.tiny, 5e-324, -5e-324, finfo.max, -finfo.max,
+        1.0, -1.0, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2,
+    ]
+    values = np.concatenate(
+        [special, np.random.default_rng(0).normal(scale=40.0, size=500)]
+    )
+    assert sigmoid(values).view(np.uint64).tolist() == (
+        masked_sigmoid(values).view(np.uint64).tolist()
+    )
+    for value in special:
+        got = sigmoid(np.float64(value))
+        assert isinstance(got, float)
+        assert np.float64(got).view(np.uint64) == masked_sigmoid(value).view(np.uint64)
+
+
 def test_fit_stream_rejects_one_shot_iterators(corpus, featurizer):
     features = featurizer.transform(corpus, sparse=True)
     soft = np.zeros(features.shape[0])
@@ -301,6 +446,77 @@ def test_fit_stream_rejects_width_mismatch(corpus):
     soft = np.zeros(50)
     with pytest.raises(ConfigurationError):
         NoiseAwareLogisticRegression(epochs=1).fit_stream([(a, soft), (b, soft)])
+
+
+def test_fit_stream_never_writes_to_the_callers_blocks(corpus, featurizer):
+    """A sequence is planned once per fit from views of the caller's blocks;
+    neither door may write to them."""
+    features = featurizer.transform(corpus, sparse=True)
+    soft = np.random.default_rng(8).random(features.shape[0])
+    hard = 1 + np.arange(features.shape[0]) % 3
+    for blocks, make in (
+        (feature_blocks(features, soft, 50), lambda: NoiseAwareLogisticRegression(epochs=2)),
+        (feature_blocks(features, hard, 37), lambda: NoiseAwareSoftmaxRegression(3, epochs=2)),
+        (feature_blocks(features, soft, 64), lambda: NoiseAwareMLP((4,), epochs=2)),
+        (
+            [(block.toarray(), targets) for block, targets in feature_blocks(features, soft, 40)],
+            lambda: NoiseAwareLogisticRegression(epochs=2, class_balance=0.3),
+        ),
+    ):
+        before = block_bytes(blocks)
+        make().fit_stream(blocks)
+        make().fit_stream(lambda: iter(blocks))
+        assert block_bytes(blocks) == before
+
+
+def block_bytes(blocks):
+    """Every array of every ``(features, targets)`` block, as bytes."""
+    return [
+        [
+            np.asarray(part).tobytes()
+            for part in (
+                (block.indptr, block.indices, block.data)
+                if isinstance(block, CSRFeatureMatrix)
+                else (block,)
+            )
+        ]
+        + [np.asarray(targets).tobytes()]
+        for block, targets in blocks
+    ]
+
+
+def test_checkpointed_pipeline_never_writes_to_its_stored_blocks(tmp_path, monkeypatch):
+    """Disk-backed train blocks are carved by copy, one block per epoch pass:
+    ``keep_rows`` never runs on them and what they serve stays byte-equal."""
+    from repro.labeling.blockstore import StoredFeatureBlocks
+    from repro.utils.csr import CSRMatrix
+
+    served = []
+    serve = StoredFeatureBlocks.__getitem__
+
+    def recording_getitem(self, index):
+        block = serve(self, index)
+        served.append((block, [np.array(a, copy=True) for a in (block.indices, block.data)]))
+        return block
+
+    def refusing_keep_rows(self, rows):
+        raise AssertionError("keep_rows ran in a checkpointed run")
+
+    monkeypatch.setattr(StoredFeatureBlocks, "__getitem__", recording_getitem)
+    monkeypatch.setattr(CSRMatrix, "keep_rows", refusing_keep_rows)
+    task = load_task("cdr", scale=0.05, seed=0)
+    checkpointed = SnorkelPipeline(
+        config=PipelineConfig(seed=0, chunk_size=37, checkpoint_dir=str(tmp_path))
+    ).run(task)
+    assert served
+    for block, (indices, data) in served:
+        assert block.indices.tobytes() == indices.tobytes()
+        assert block.data.tobytes() == data.tobytes()
+    monkeypatch.undo()
+    in_ram = SnorkelPipeline(config=PipelineConfig(seed=0, chunk_size=37)).run(task)
+    disk, ram = checkpointed.discriminative_model, in_ram.discriminative_model
+    assert np.array_equal(disk.weights, ram.weights)
+    assert disk.loss_history == ram.loss_history
 
 
 def test_shuffled_fit_unchanged_by_refactor(corpus, featurizer):
