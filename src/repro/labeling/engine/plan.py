@@ -13,6 +13,8 @@ copying the whole list, and a generator is consumed incrementally via
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -71,11 +73,6 @@ class ExecutionPlan:
     fault_tolerant:
         When ``True``, LF exceptions are counted per LF name and converted
         to abstentions; when ``False`` the first exception aborts the run.
-    max_pending:
-        Upper bound on chunks in flight at once (submitted but not yet
-        merged).  Defaults to ``2 × workers`` — the backpressure that keeps
-        a generator-fed run out-of-core instead of draining the stream into
-        the pool's queue.
     transport:
         Chunk transport of the processes backend (see :data:`TRANSPORTS`);
         ignored by the in-process backends.  Results are bit-identical
@@ -94,13 +91,25 @@ class ExecutionPlan:
     backend: str = "sequential"
     num_workers: Optional[int] = 1
     fault_tolerant: bool = False
-    max_pending: Optional[int] = None
     transport: str = "auto"
     chunk_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.chunk_size <= 0:
-            raise LabelingError(f"chunk_size must be positive, got {self.chunk_size}")
+        # Validated here, once per plan, because the schedulers trust these
+        # values: a NaN deadline would make the pool poll with timeout 0.
+        workers = 1 if self.num_workers is None else self.num_workers
+        for name, value in (("chunk_size", self.chunk_size), ("num_workers", workers)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise LabelingError(f"{name} must be an integer >= 1, got {value!r}")
+        timeout = self.chunk_timeout
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, numbers.Real)
+            or not 0 < timeout < math.inf
+        ):
+            raise LabelingError(
+                f"chunk_timeout must be a finite number > 0 or None, got {timeout!r}"
+            )
         if self.backend not in BACKENDS:
             raise LabelingError(
                 f"unknown executor backend {self.backend!r}; expected one of {BACKENDS}"
@@ -108,14 +117,6 @@ class ExecutionPlan:
         if self.transport not in TRANSPORTS:
             raise LabelingError(
                 f"unknown transport {self.transport!r}; expected one of {TRANSPORTS}"
-            )
-        if self.num_workers is not None and self.num_workers < 1:
-            raise LabelingError(f"num_workers must be >= 1, got {self.num_workers}")
-        if self.max_pending is not None and self.max_pending < 1:
-            raise LabelingError(f"max_pending must be >= 1, got {self.max_pending}")
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
-            raise LabelingError(
-                f"chunk_timeout must be positive, got {self.chunk_timeout}"
             )
 
     def effective_workers(self) -> int:
@@ -127,9 +128,8 @@ class ExecutionPlan:
         return self.num_workers
 
     def pending_limit(self) -> int:
-        """Maximum number of chunks in flight (the backpressure window)."""
-        if self.max_pending is not None:
-            return self.max_pending
+        """Maximum number of chunks in flight (the backpressure window that
+        keeps a generator-fed run out-of-core)."""
         return 2 * self.effective_workers()
 
 

@@ -27,6 +27,7 @@ positive class for binary tasks, the log-prior vector for categorical ones
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -65,8 +66,9 @@ class EMParams:
     non_adversarial: bool = True
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise LabelModelError(f"epochs must be positive, got {self.epochs}")
+        epochs = self.epochs
+        if isinstance(epochs, bool) or not isinstance(epochs, Integral) or epochs <= 0:
+            raise LabelModelError(f"epochs must be a positive integer, got {epochs!r}")
         if not 0.5 < self.accuracy_init < 1.0:
             raise LabelModelError(
                 f"accuracy_init must lie in (0.5, 1.0), got {self.accuracy_init}"

@@ -66,7 +66,7 @@ from repro.evaluation.scorer import (
     MultiClassScoreReport,
     ScoreReport,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, LabelingError, LabelModelError
 from repro.labeling.applier import PUSHDOWN_MODES, VALIDATE_MODES, LFApplier
 from repro.labeling.blockstore import (
     RETENTION_POLICIES,
@@ -75,11 +75,10 @@ from repro.labeling.blockstore import (
     EpochCheckpoint,
     StoredFeatureBlocks,
 )
-from repro.labeling.engine import BACKENDS, TRANSPORTS
+from repro.labeling.engine import ExecutionPlan
 from repro.labeling.lf import LabelingFunction
 from repro.labeling.matrix import LabelMatrix
 from repro.labelmodel.generative import GenerativeModel
-from repro.labelmodel.kernels import KERNELS
 from repro.labelmodel.majority import majority_vote_proba
 from repro.labelmodel.optimizer import ModelingStrategy, ModelingStrategyOptimizer
 
@@ -196,14 +195,6 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"force_strategy must be None, 'MV' or 'GM', got {self.force_strategy!r}"
             )
-        if self.applier_backend not in BACKENDS:
-            raise ConfigurationError(
-                f"applier_backend must be one of {BACKENDS}, got {self.applier_backend!r}"
-            )
-        if self.applier_workers is not None and self.applier_workers < 1:
-            raise ConfigurationError(
-                f"applier_workers must be >= 1 or None, got {self.applier_workers}"
-            )
         if self.lf_validate not in VALIDATE_MODES:
             raise ConfigurationError(
                 f"lf_validate must be one of {VALIDATE_MODES}, got {self.lf_validate!r}"
@@ -212,23 +203,26 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"lf_pushdown must be one of {PUSHDOWN_MODES}, got {self.lf_pushdown!r}"
             )
-        if self.engine_transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"engine_transport must be one of {TRANSPORTS}, "
-                f"got {self.engine_transport!r}"
+        # The engine's and the models' own validators, run now: a bad value
+        # must not surface only after the labeling pass (or never, when the
+        # optimizer picks MV).
+        try:
+            ExecutionPlan(
+                chunk_size=self.chunk_size,
+                backend=self.applier_backend,
+                num_workers=self.applier_workers,
+                transport=self.engine_transport,
+                chunk_timeout=self.engine_chunk_timeout,
             )
-        if self.gibbs_kernel not in KERNELS:
-            raise ConfigurationError(
-                f"gibbs_kernel must be one of {KERNELS}, got {self.gibbs_kernel!r}"
+            ModelingStrategyOptimizer(advantage_tolerance=self.advantage_tolerance)
+            GenerativeModel(
+                epochs=self.generative_epochs,
+                step_size=self.generative_step_size,
+                gibbs_kernel=self.gibbs_kernel,
             )
-        if self.chunk_size <= 0:
-            raise ConfigurationError(
-                f"chunk_size must be positive, got {self.chunk_size}"
-            )
-        if self.engine_chunk_timeout is not None and self.engine_chunk_timeout <= 0:
-            raise ConfigurationError(
-                f"engine_chunk_timeout must be positive, got {self.engine_chunk_timeout}"
-            )
+            NoiseAwareLogisticRegression(epochs=self.discriminative_epochs)
+        except (LabelingError, LabelModelError) as error:
+            raise ConfigurationError(f"PipelineConfig: {error}") from error
         if self.checkpoint_retention not in RETENTION_POLICIES:
             raise ConfigurationError(
                 f"checkpoint_retention must be one of {RETENTION_POLICIES}, "

@@ -204,6 +204,13 @@ def test_invalid_plan_parameters_rejected():
         LFApplier(synthetic_vote_lfs(2), backend="fleet")
     with pytest.raises(LabelingError):
         LFApplier(synthetic_vote_lfs(2), num_workers=-1)
+    # One rule, at the plan: a NaN deadline made the pool poll with timeout
+    # 0, ``inf`` overflowed, and a fractional or boolean size failed mid-run.
+    for name, value in [("chunk_size", 2.5), ("chunk_size", True), ("num_workers", 2.5),
+                        ("num_workers", True), ("chunk_timeout", float("nan")),
+                        ("chunk_timeout", float("inf")), ("chunk_timeout", True)]:
+        with pytest.raises(LabelingError, match=name):
+            ExecutionPlan(**{name: value})
 
 
 def test_applier_attributes_stay_live_after_construction():
@@ -225,6 +232,14 @@ def test_pipeline_config_validates_applier_knobs():
         PipelineConfig(applier_backend="gpu")
     with pytest.raises(ConfigurationError):
         PipelineConfig(applier_workers=0)
+    # The plan's rule and the models' own validators, at construction rather
+    # than after the labeling pass (or never, when the optimizer picks MV).
+    for settings in [dict(chunk_size=2.5), dict(applier_workers=True),
+                     dict(engine_chunk_timeout=float("nan")), dict(generative_epochs=-1),
+                     dict(generative_epochs=2.5), dict(discriminative_epochs=2.5),
+                     dict(discriminative_epochs=True), dict(advantage_tolerance=float("nan"))]:
+        with pytest.raises(ConfigurationError):
+            PipelineConfig(**settings)
     config = PipelineConfig(applier_backend="threads", applier_workers=None)
     assert config.applier_backend == "threads"
 

@@ -149,6 +149,11 @@ def test_generative_model_cd_method_runs():
 def test_generative_model_validation_errors():
     with pytest.raises(LabelModelError):
         GenerativeModel(epochs=0)
+    for epochs in (2.5, True):  # failed inside fit, and ran one epoch
+        with pytest.raises(LabelModelError, match="epochs"):
+            GenerativeModel(epochs=epochs)
+        with pytest.raises(LabelModelError, match="epochs"):
+            OnlineGenerativeModel(epochs=epochs)
     with pytest.raises(LabelModelError):
         GenerativeModel(method="bogus")
     with pytest.raises(NotFittedError):

@@ -13,7 +13,8 @@ workloads.  Pinned down here:
   models — across block chunkings and storage kinds;
 * the end-to-end ``SnorkelPipeline`` — list-fed ``run(task)`` and
   generator-fed ``run_streams`` — against a stage-by-stage materialized
-  oracle written here, binary (k=2) and categorical (k=3);
+  oracle (``contracts.staged_reference``), binary (k=2) and categorical
+  (k=3);
 * the featurizer fitted-state regression: ``transform`` before ``fit``
   raises :class:`NotFittedError` instead of silently emitting misaligned
   columns.
@@ -24,6 +25,7 @@ import functools
 
 import numpy as np
 import pytest
+from contracts import pipeline_carved, staged_reference
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets.base import load_task
@@ -42,11 +44,8 @@ from repro.discriminative import (
 from repro.discriminative.base import iter_rebatched
 from repro.discriminative.softmax import NoiseAwareSoftmaxRegression
 from repro.discriminative.streaming import featurize_stream
-from repro.evaluation.scorer import BinaryScorer, MultiClassScorer
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.labeling.applier import LFApplier
-from repro.labelmodel.generative import GenerativeModel
-from repro.labelmodel.optimizer import ModelingStrategyOptimizer
 from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
 from repro.utils.mathutils import sigmoid
 
@@ -300,22 +299,6 @@ TRAINERS = {
 }
 
 
-def pipeline_carved(features, targets, sizes, keep, in_place):
-    """Blocks of ``sizes`` rows carved to ``keep`` the way the pipeline
-    does it: CSR blocks it owns shrink in their own arrays (a sequence),
-    anything else is copied (what its per-epoch callable does)."""
-    start = 0
-    for size in sizes:
-        block = features[np.arange(start, start + size)]
-        local = np.flatnonzero(keep[start : start + size])
-        if 0 < local.size < size:
-            owned = in_place and isinstance(block, CSRFeatureMatrix)
-            block = block.keep_rows(local) if owned else block[local]
-        if local.size:
-            yield block, targets[start + local]
-        start += size
-
-
 @st.composite
 def trainer_cases(draw):
     num_rows = draw(st.integers(1, 48))
@@ -529,65 +512,6 @@ def test_shuffled_fit_unchanged_by_refactor(corpus, featurizer):
 
 
 # ----------------------------------------------------------------- end-to-end
-def staged_reference(task, config):
-    """The pipeline's stages one by one on materialized lists — the oracle
-    the one execution path must equal.  It shares neither
-    ``apply_with_features`` nor ``fit_stream`` with the pipeline: Λ comes
-    from ``LFApplier.apply``, features from ``transform``, and the end model
-    from ``fit(X[keep], Ỹ[keep])`` on the stream-order schedule."""
-    train, test = task.split_candidates("train"), task.split_candidates("test")
-    applier = LFApplier(task.lfs)
-    label_matrix = applier.apply(train, sparse=config.sparse_labels)
-    test_matrix = applier.apply(test, sparse=config.sparse_labels)
-    correlations = []
-    if config.use_optimizer:
-        strategy = ModelingStrategyOptimizer(
-            advantage_tolerance=config.advantage_tolerance,
-            learn_correlations=config.learn_correlations,
-        ).choose(label_matrix)
-        assert strategy.use_generative_model
-        correlations = strategy.correlations
-    label_model = GenerativeModel(
-        epochs=config.generative_epochs,
-        step_size=config.generative_step_size,
-        cardinality=task.cardinality,
-        seed=config.seed,
-    ).fit(label_matrix, correlations=correlations)
-    training_probs = label_model.predict_proba(label_matrix)
-
-    if task.cardinality == 2:
-        scorer = BinaryScorer()
-        uninformative = np.isclose(training_probs, 0.5)
-        end_model = NoiseAwareLogisticRegression(
-            epochs=config.discriminative_epochs, shuffle=False, seed=config.seed
-        )
-    else:
-        scorer = MultiClassScorer(task.cardinality)
-        uninformative = np.isclose(training_probs.max(axis=1), 1.0 / task.cardinality)
-        end_model = NoiseAwareSoftmaxRegression(
-            num_classes=task.cardinality,
-            epochs=config.discriminative_epochs,
-            shuffle=False,
-            seed=config.seed,
-        )
-    keep = np.flatnonzero(label_matrix.covered_rows() & ~uninformative)
-    featurizer = RelationFeaturizer(num_features=config.num_features).fit()
-    end_model.fit(featurizer.transform(train, sparse=True)[keep], training_probs[keep])
-    test_gold = task.split_gold("test")
-    return dict(
-        label_values=label_matrix.values,
-        training_probs=training_probs,
-        weights=end_model.weights,
-        bias=np.asarray(end_model.bias),
-        generative_f1=scorer.score_probabilities(
-            test_gold, label_model.predict_proba(test_matrix)
-        ).f1,
-        discriminative_f1=scorer.score_probabilities(
-            test_gold, end_model.predict_proba(featurizer.transform(test, sparse=True))
-        ).f1,
-    )
-
-
 def assert_equals_reference(result, reference):
     model = result.discriminative_model
     assert np.array_equal(result.label_matrix.values, reference["label_values"])
