@@ -8,6 +8,8 @@ drives the full fault matrix the fault-injection layer
 (:mod:`repro.labeling.engine.faults`) can express —
 
 * master SIGKILLed after N durable chunk blocks, then resumed;
+* the same kill, resumed under an LF edited but kept under its name (the
+  old body's blocks must not be replayed);
 * master SIGKILLed mid end-model training (after N epochs), then resumed;
 * a block torn *after* its durable rename (crc catches it on reopen, the
   chunk re-executes);
@@ -79,7 +81,12 @@ def _reparented_clones() -> list[int]:
     return clones
 
 
-def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto"):
+def edited_vote(candidate):
+    """The suite's last LF after an edit: same name, another body."""
+    return -1 if candidate.uid % 2 else 0
+
+
+def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto", edited=False):
     from repro.datasets.synthetic import (
         stream_text_candidates,
         stream_text_gold,
@@ -98,7 +105,11 @@ def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto"):
         engine_transport=transport,
         checkpoint_dir=checkpoint_dir,
     )
+    from repro.labeling import LabelingFunction
+
     lfs = text_vote_lfs(NUM_LFS)
+    if edited:
+        lfs[-1] = LabelingFunction(lfs[-1].name, edited_vote)
     return SnorkelPipeline(lfs=lfs, config=config).run_streams(
         stream_text_candidates(num_points=TRAIN_POINTS, num_lfs=NUM_LFS, seed=0),
         stream_text_candidates(num_points=TEST_POINTS, num_lfs=NUM_LFS, seed=1),
@@ -172,6 +183,16 @@ def main() -> int:
             assert len(completed) < -(-TRAIN_POINTS // 32), "kill fired too late"
         assert_matches(run_pipeline(root), reference, "die_block resume")
         print("SIGKILL after 2 durable blocks: resumed bit-identically")
+
+        # --- the same kill, resumed under an LF edited under its old name:
+        # the store holds the old body's blocks, which must not be replayed.
+        edited = run_pipeline(edited=True)
+        assert not np.array_equal(edited.label_matrix.values, reference.label_matrix.values)
+        root = os.path.join(tmp, "kill-edited")
+        stores.append(root)
+        run_and_die(root, "die_block@2")
+        assert_matches(run_pipeline(root, edited=True), edited, "edited-LF resume")
+        print("SIGKILL, resumed under an edited LF of the same name: equals the edited suite's run")
 
         # --- master SIGKILLed mid end-model training, workers + shm active.
         backend, transport = (

@@ -38,7 +38,6 @@ from typing import Any, Iterable, Optional
 from repro.analysis.contracts import check_engine_tasks, check_task
 from repro.analysis.diagnostics import (
     CODES,
-    UNDECIDED,
     AnalysisReport,
     Diagnostic,
     LFAnalysisResult,
@@ -111,15 +110,16 @@ def analyze_lf(
 ) -> LFAnalysisResult:
     """:func:`lint_lf` plus the pushdown verdict: every static check of one LF.
 
-    The verdict is asked of the decider once per memoized result and kept
-    with it; a folded constant rebound since may make it lag the next plan.
+    The verdict is read off the memo entry ``build_plan`` partitions suites
+    with (``repro.labeling.pushdown.task.decision``), revalidated on every
+    call, so it is the plan's answer as things stand now.
     """
     result = lint_lf(fn, cardinality, backend, probe_pickle)
-    if result.pushdown is UNDECIDED:
-        # Imported here: that module imports this package.
-        from repro.labeling.pushdown.task import decide, verdict_of
+    # Imported here: that module imports this package.
+    from repro.labeling.pushdown.task import decision, verdict_of
 
-        result.pushdown = verdict_of(*decide(fn, cardinality, result))
+    entry = decision(fn, cardinality, backend)[0]
+    result.pushdown = verdict_of(entry.program, entry.reason)
     return result
 
 

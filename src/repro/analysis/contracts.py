@@ -9,9 +9,9 @@ payload*: a task may read the payload and the candidate chunk but must not
 write to either, because under the threads backend those writes race and
 under the processes backend each worker mutates its own copy and results
 silently diverge from the sequential backend.  (A write that no output can
-depend on and that is not part of the payload's pickled state — the fitted
-featurizer's run tables, see :mod:`repro.labeling.engine.tasks` — is outside
-that contract, and outside what either check below can see.)
+depend on and that does not touch the payload — the featurizer kernel's
+process-wide hash tables, see :mod:`repro.labeling.engine.tasks` — is
+outside that contract, and outside what either check below can see.)
 
 :func:`check_task` verifies that contract statically over a task function's
 AST (``EN001`` payload mutation, ``EN002`` fitted-featurizer writes,

@@ -189,8 +189,9 @@ class PurityCheckedTask:
     fingerprint means the task wrote to shared state and raises
     :class:`~repro.exceptions.LabelingError` naming the task.  The
     fingerprint is the payload's *pickled* state — what a worker would
-    receive — so derived state an object leaves out of ``__getstate__`` (the
-    featurizer's run tables) is not in it.  Instances are
+    receive — so derived state an object leaves out of ``__getstate__``, or
+    keeps outside itself (the featurizer kernel's process-wide hash tables),
+    is not in it.  Instances are
     picklable whenever the wrapped task is (both are typically module-level
     functions), so the shim rides every executor backend.
     """

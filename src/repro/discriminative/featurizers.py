@@ -17,13 +17,14 @@ all ranges with numpy, and computes ``prefix + " ".join(gram)`` →
 ``blake2b`` → ``(bucket, sign)`` only for the *distinct* codes; one sort
 then sums duplicate ``(row, bucket)`` entries, drops zeros and leaves the
 triples in canonical row-major, column-ascending order.  Interning and
-hashing are per *run*, not per chunk: a fitted vectorizer keeps one token
-table for the life of the run (a token is lower-cased the first time the
-run sees it) and, per n-gram size, one sorted table from code to raw
-64-bit hash, so each distinct ``(scope, n-gram)`` is spelled and hashed
-once per run — up to ``_TABLE_CAP`` entries, past which the rest are
-hashed once per chunk as before.  The gain exists where chunks of one run
-share keys; fourteen chunks with pairwise disjoint vocabularies pay for the
+hashing are per *process*, not per chunk or per run: every vectorizer of
+one ``ngram_range`` shares one token table (a token is lower-cased the
+first time the process sees it) and, per n-gram size, one sorted table from
+code to raw 64-bit hash, so each distinct ``(scope, n-gram)`` is spelled
+and hashed once per process — a re-run, or a new featurizer, re-hashes
+nothing it has seen — up to ``_TABLE_CAP`` entries, past which the rest are
+hashed once per chunk as before.  The gain exists where chunks share keys;
+fourteen chunks with pairwise disjoint vocabularies pay for the
 merges and get nothing back (``benchmarks/bench_featurizer_throughput.py``
 records both ends).  Every consumer — the engine's ``featurize_chunk`` task
 (hence the fused label+featurize passes and ``featurize_stream``), and both
@@ -48,20 +49,21 @@ configuration snapshot, and every batch ``transform`` (and the engine's
 on an unfitted featurizer and
 :class:`repro.exceptions.ConfigurationError` on one mutated after fitting.
 One fitted instance is shared by every worker thread, and the kernel writes
-to exactly one thing on it: the vectorizer's run tables
-(:class:`_RunTables`).  Ids are assigned and code tables swapped under the
-run's lock, on the miss path only; a chunk that brings nothing new takes no
-lock, a call works on one snapshot of the tables from start to end, and a
-restarted run is published by one attribute store, so a lost update costs a
-re-hash, never a wrong row.  No output can depend on the tables: ids and codes are
-history-dependent, but all that leaves the kernel is the hash of a *spelled
-key*, which is a constant — ``chunk_triples`` of a chunk is byte-equal
-whatever the run has seen before (the history-independence differentials in
+to exactly one thing: the process's tables (:class:`_RunTables`), which
+live in the module, not on the featurizer.  Ids are assigned and code tables
+swapped under the tables' lock, on the miss path only; a chunk that brings
+nothing new takes no lock, a call works on one snapshot of the tables from
+start to end, and restarted tables are published by one dict store, so a
+lost update costs a re-hash, never a wrong row.  No output can depend on
+the tables: ids and codes are history-dependent, but all that leaves the
+kernel is the hash of a *spelled key*, which is a constant —
+``chunk_triples`` of a chunk is byte-equal whatever the process has seen
+before (the history-independence differentials in
 ``tests/test_featurizer_kernel.py`` carry that).  That is what makes it
-legitimate to leave the tables out of the pickled and deep-copied state: the
-purity fingerprint, a worker's payload and the checkpoint fingerprint are
-those of a cold featurizer, each process grows its own tables, and ``fit()``
-— the start of a run — drops them.
+legitimate that no featurizer carries them: the purity fingerprint, a
+worker's payload and the checkpoint fingerprint are those of a featurizer's
+configuration alone, each process grows its own tables, and ``fit()``
+leaves them as they are.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ _BLOCK_ROWS = 1024
 
 _INT64_LIMIT = 2**63
 
-#: Entries a vectorizer's run tables admit: interned words, and hashed codes
-#: over all n-gram sizes (16 bytes each: 512 kB of code tables at most).  Swept
+#: Entries one ``ngram_range``'s tables admit per process: interned words, and
+#: hashed codes over all n-gram sizes (16 bytes each: 512 kB of code tables
+#: at most).  Swept
 #: on the chunked corpora of ``benchmarks/bench_featurizer_throughput.py``
 #: (kernel CPU seconds for 14 x 1 024 candidates, best of 15 alternated in one
 #: process on a noisy 2-vCPU host) at 2**13 / 2**14 / 2**15 / 2**16 / 2**17:
@@ -106,6 +109,10 @@ _INT64_LIMIT = 2**63
 #: kernel it replaced, the disjoint corpus then pays +0 to +12 % (median of 11
 #: alternations, three runs: +12, +0, +4 %) where 2**17 cost it 14-20 %.
 _TABLE_CAP = 2**15
+
+#: The process's tables, one per ``ngram_range`` (its largest n sizes the
+#: radix), shared by every vectorizer; ``None`` after tables outgrew the cap.
+_TABLES: dict[tuple, Optional["_RunTables"]] = {}
 
 
 def _is_int(value) -> bool:
@@ -134,14 +141,14 @@ def _find(known: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 class _RunTables:
-    """What one run of a fitted vectorizer has interned and hashed so far.
+    """What this process has interned and hashed so far for one ``ngram_range``.
 
-    ``token_ids`` gives every raw token the run has seen an id, ``scope_ids``
+    ``token_ids`` gives every raw token the process has seen an id, ``scope_ids``
     every scope prefix, and ``words[id]`` is how that id is spelled in a key
     (the token normalized, the prefix as given; raw tokens that normalize
     alike keep separate ids and spell the same word).  An n-gram code is
     ``n + 1`` digits base ``radix`` — the scope, then the tokens — so it means
-    the same key in every chunk of the run, and ``hashed[n]`` holds the sorted
+    the same key in every chunk, and ``hashed[n]`` holds the sorted
     codes seen so far beside the raw 64-bit hash of the key each spells.  Ids
     and codes depend on the order chunks arrived in; a key's hash does not,
     and only hashes leave the kernel.  Every write happens under ``lock`` and
@@ -244,12 +251,6 @@ class HashingVectorizer:
         Use the hash parity as the feature sign (reduces collision bias).
     """
 
-    #: The run's tables (see :class:`_RunTables`): derived, content-addressed
-    #: state that no output depends on, so it is not part of the pickled or
-    #: copied state — a copy, a worker's payload and the purity fingerprint are
-    #: those of a cold vectorizer, and each process grows its own.
-    _run: Optional[_RunTables] = None
-
     def __init__(
         self,
         num_features: int = 2048,
@@ -268,11 +269,6 @@ class HashingVectorizer:
         self.signed = signed
         self._fitted_config: Optional[tuple] = None
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_run", None)
-        return state
-
     def _config(self) -> tuple:
         return (self.num_features, tuple(self.ngram_range), self.signed)
 
@@ -282,11 +278,10 @@ class HashingVectorizer:
         ``token_sequences`` is accepted for API symmetry with learned
         vectorizers and ignored — in particular, a generator argument is
         *not* consumed, so streaming callers can fit before the single pass
-        over their data.  Fitting starts a new run: whatever the previous
-        one interned and hashed is dropped.
+        over their data.  What the process has interned and hashed is kept
+        (:data:`_TABLES`): no output depends on it.
         """
         self._fitted_config = self._config()
-        self._run = None
         return self
 
     def require_fitted(self) -> None:
@@ -326,16 +321,17 @@ class HashingVectorizer:
     def _interned(
         self, tokens: list, prefixes: Sequence[str]
     ) -> Optional[tuple[_RunTables, np.ndarray, np.ndarray]]:
-        """This call's snapshot of the run's tables with the ids of ``prefixes`` and ``tokens``.
+        """This call's snapshot of the process's tables with the ids of ``prefixes`` and ``tokens``.
 
         A chunk of known words is looked up without a lock.  Otherwise its new
-        words are interned under the run's lock; a table that would reach the radix or
-        ``_TABLE_CAP`` is dropped and restarted from this chunk alone, so what
+        words are interned under the tables' lock; tables that would reach the radix or
+        ``_TABLE_CAP`` are dropped and restarted from this chunk alone, so what
         earlier chunks interned never declines (``None``) a chunk that fits.
         """
-        run = published = self._run
-        if run is None or run.ngram_range != tuple(self.ngram_range):  # sizes the radix
-            run = _RunTables(self.ngram_range)
+        key = tuple(self.ngram_range)
+        run = published = _TABLES.get(key)
+        if run is None:
+            run = _RunTables(key)
         try:
             return run, *run.ids_of(tokens, prefixes)
         except KeyError:
@@ -344,8 +340,8 @@ class HashingVectorizer:
             run = _RunTables(self.ngram_range)
             if not run.intern(tokens, prefixes, run.radix):
                 return None
-        if run is not published:  # a call still on a replaced run must not bring it back
-            self._run = run if len(run.words) <= _TABLE_CAP else None
+        if run is not published:  # a call still on replaced tables must not bring them back
+            _TABLES[key] = run if len(run.words) <= _TABLE_CAP else None
         return run, *run.ids_of(tokens, prefixes)
 
     def ngram_entries(
@@ -356,11 +352,11 @@ class HashingVectorizer:
         Returns one ``(range index, bucket, sign)`` entry per n-gram occurrence
         — what :meth:`token_entries` yields for range ``r`` under the key
         prefix ``prefixes[r * len(prefixes) // len(starts)]`` (ranges come in
-        equal blocks per prefix).  Tokens are interned in the run's table and
-        each distinct ``(prefix, n-gram)`` is spelled and hashed once per run
+        equal blocks per prefix).  Tokens are interned in the process's table and
+        each distinct ``(prefix, n-gram)`` is spelled and hashed once per process
         (:class:`_RunTables`; once per chunk past ``_TABLE_CAP``), buckets and
         signs being derived per chunk from the stored hash — so what is
-        returned depends on the arguments alone, whatever the run has seen.
+        returned depends on the arguments alone, whatever the process has seen.
         ``None`` when a token or prefix is not exactly a ``str`` or the
         chunk's own vocabulary does not fit the radix that keeps a code inside
         int64; callers then fall back to the per-row specification.
@@ -627,7 +623,7 @@ class RelationFeaturizer:
         Returns ``(row_offsets, cols, values)`` in row-major order with
         ascending columns, byte-equal to stacking :meth:`candidate_entries`
         — which is also the fallback for a chunk :meth:`_kernel_entries`
-        declines.  Writes nothing on the featurizer but the vectorizer's run
+        declines.  Writes nothing on the featurizer, only the process's
         tables; it does not check fittedness (batch callers do, once per chunk).
         """
         entries = None

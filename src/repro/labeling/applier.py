@@ -203,9 +203,11 @@ class LFApplier:
         to it in every mode, for every backend and chunk size;
         ``"require"`` raises :class:`LabelingError` before labeling
         anything if any LF cannot be compiled, naming each offender with
-        the decider's reason.  A compiled plan is kept per
-        suite and rebuilt when a global, closure cell, default or instance
-        attribute it folded in as a constant has been rebound.
+        the decider's reason.  Each LF is compiled once per process
+        (``pushdown.task.decision``) and compiled again only when a global,
+        closure cell, default or attribute its program folded in has been
+        rebound, or a list, dict, set or bytearray whose contents a fold read
+        has changed.
     transport:
         Chunk transport of the processes backend (see
         :data:`repro.labeling.engine.plan.TRANSPORTS`): ``"pickle"`` moves
@@ -267,16 +269,10 @@ class LFApplier:
         # Eager validation of chunk_size / backend / num_workers; the plan is
         # rebuilt from the attributes on every apply.
         self._execution_plan()
-        # Both caches are keyed by the identity of the LF suite and hold
-        # entries for the current one only (see _suite_key).  The compiled
-        # plan is hit again on every apply whose folded-in constants are
-        # still bound to the same objects, so compilation is paid once per
-        # suite.
-        self._pushdown_plans: dict[tuple, "PushdownPlan"] = {}
-        # Worker-spec payloads, per (suite, featurizer, tier): the
-        # persistent pool dedups attaches on payload *identity*, so repeat
-        # applies must present the same payload object to stay warm (no
-        # re-ship, no worker-side rebuild).
+        # Worker-spec payloads, per (suite, featurizer, tier), for the current
+        # suite only (see _suite_key): the persistent pool dedups attaches on
+        # payload *identity*, so repeat applies must present the same payload
+        # object to stay warm (no re-ship, no worker-side rebuild).
         self._spec_payloads: dict[tuple, object] = {}
         self._cached_suite: Optional[tuple] = None
 
@@ -291,16 +287,18 @@ class LFApplier:
             chunk_timeout=self.chunk_timeout,
         )
 
-    def _suite_key(self) -> tuple:
+    def _suite_key(self, pushdown_plan: Optional["PushdownPlan"]) -> tuple:
         """Identity of the suite as it is now (the public ``lfs`` attribute
-        is mutable, in place too).  Plans and payloads hold their LFs, so
-        what was cached for a superseded suite is dropped here rather than
-        kept alive for the life of the applier — an edit loop replaces one
-        LF per apply."""
-        key = (tuple(id(lf) for lf in self.lfs), self.cardinality, self.backend)
+        is mutable, in place too) and of the compile decisions it runs
+        under.  Payloads hold their LFs, so what was shipped for a
+        superseded suite is dropped here rather than kept alive for the life
+        of the applier — an edit loop replaces one LF per apply — and a
+        decision made again (a folded-in constant changed) yields a new
+        payload, on which workers re-attach and compile again."""
+        decisions = () if pushdown_plan is None else tuple(pushdown_plan.decisions)
+        key = (tuple(map(id, self.lfs)), self.cardinality, self.backend, decisions)
         if key != self._cached_suite:
             self._cached_suite = key
-            self._pushdown_plans.clear()
             self._spec_payloads.clear()
         return key
 
@@ -326,7 +324,8 @@ class LFApplier:
         return report
 
     def _pushdown_plan(self) -> Optional["PushdownPlan"]:
-        """Build (or fetch) the compiled plan the ``pushdown`` mode asks for.
+        """The compiled plan the ``pushdown`` mode asks for, from the
+        per-process compile memo.
 
         ``"require"`` turns an incomplete partition into an error listing
         every non-compiled LF with the decider's reason (a lint hazard, or
@@ -337,19 +336,7 @@ class LFApplier:
             return None
         from repro.labeling.pushdown import build_plan
 
-        key = self._suite_key()
-        plan = self._pushdown_plans.get(key)
-        if plan is not None and plan.constants_changed():
-            # A global, closure cell or instance attribute a program folded
-            # in was rebound.  Workers compile their own plan from the spec
-            # payload, and only a new payload object makes them re-attach.
-            plan = None
-            self._spec_payloads.clear()
-        if plan is None:
-            plan = build_plan(
-                self.lfs, cardinality=self.cardinality, backend=self.backend
-            )
-            self._pushdown_plans[key] = plan
+        plan = build_plan(self.lfs, cardinality=self.cardinality, backend=self.backend)
         if self.pushdown == "require" and plan.fallback:
             reasons = "\n".join(
                 f"  - {name}: {plan.fallback_reasons[name]}"
@@ -393,7 +380,8 @@ class LFApplier:
             task, payload, builder = label_chunk_pushdown, pushdown_plan, build_worker_payload
         if featurizer is not None:
             task, payload = label_and_featurize_chunk, (task, payload, featurizer)
-        key = (self._suite_key(), None if featurizer is None else id(featurizer), builder)
+        suite = self._suite_key(pushdown_plan)
+        key = (suite, None if featurizer is None else id(featurizer), builder)
         shipped = self._spec_payloads.get(key)
         if shipped is None:
             shipped = payload

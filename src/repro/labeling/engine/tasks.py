@@ -7,9 +7,9 @@ candidate iterable.  This module adds the discriminative stage's tasks:
 * :func:`featurize_chunk` maps one candidate chunk to its sparse feature
   triples with one call of the featurizer's batch kernel (``payload`` is a
   fitted :class:`repro.discriminative.featurizers.RelationFeaturizer`; the
-  kernel hashes each distinct n-gram once per *run* — the vectorizer keeps
-  what it has interned and hashed from chunk to chunk — and emits the
-  triples from numpy; no per-candidate loop runs here), giving
+  kernel hashes each distinct n-gram once per *process* — one table per
+  ``ngram_range``, shared by every vectorizer and kept across runs — and
+  emits the triples from numpy; no per-candidate loop runs here), giving
   featurization the same streaming, parallel, deterministically-merged
   execution path LF application has had since PR 2;
 * :func:`label_and_featurize_chunk` is the one fused wrapper: it runs a
@@ -38,15 +38,15 @@ payload as read-only (worker-side payload mutations would persist across
 chunks *and* runs; see :mod:`repro.analysis.contracts`).
 
 "Read-only" means: no write that can change an output or travel to another
-process.  The featurizer's run tables are the one write a task makes to its
-payload, and they are neither — a memo of constants (the hash of a spelled
-key) that no emitted value depends on, left out of the featurizer's pickled
-state, so the purity fingerprint and the ``TaskSpec`` a worker receives are
-those of a cold featurizer and every worker grows its own tables.  That
-exclusion is legitimate only because a chunk's triples are the same
-whatever the featurizer has seen before; the history-independence
-differentials in ``tests/test_featurizer_kernel.py`` are the tests that
-carry the contract.
+process.  The featurizer's kernel writes only the process's hash tables
+(one per ``ngram_range``, in ``repro.discriminative.featurizers``, not on the
+payload), and they are neither — a memo of constants (the hash of a spelled
+key) that no emitted value depends on, so the purity fingerprint and the
+``TaskSpec`` a worker receives are those of the featurizer's configuration
+and every worker process grows its own tables.  That is legitimate only
+because a chunk's triples are the same whatever the process has seen
+before; the history-independence differentials in
+``tests/test_featurizer_kernel.py`` are the tests that carry the contract.
 """
 
 from __future__ import annotations

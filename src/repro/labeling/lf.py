@@ -12,6 +12,12 @@ loudly during application.
 from __future__ import annotations
 
 import functools
+import hashlib
+import inspect
+import re
+import types
+import weakref
+from itertools import repeat
 from typing import Any, Callable, Optional
 
 from repro.exceptions import LabelingError
@@ -128,3 +134,96 @@ def labeling_function(
         return wrapped
 
     return decorate
+
+
+def code_names(code: types.CodeType) -> list[str]:
+    """Every name ``code`` and the code objects nested in it may load."""
+    names = list(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names += code_names(const)
+    return names
+
+
+class _Undigestable(Exception):
+    """A value with no encoding that is the same in every process."""
+
+
+#: Values encoded by their qualified name alone.
+_NAMED = (type, types.BuiltinFunctionType, types.MethodDescriptorType, types.WrapperDescriptorType)
+
+#: ``type.__flags__`` bit of a class created at run time (``Py_TPFLAGS_HEAPTYPE``).
+_HEAPTYPE = 1 << 9
+
+#: Encoded code objects (immutable, so encoded once; weakly, like ``_PARSED``).
+_CODES: "weakref.WeakKeyDictionary[types.CodeType, tuple]" = weakref.WeakKeyDictionary()
+
+
+def lf_digest(lf: Any) -> Optional[str]:
+    """A digest of what ``lf`` computes, equal in every process and under every
+    hash seed; ``None`` when something it reads has no such encoding.
+
+    It covers the LF's code — bytecode, constants and names, nested code
+    included — and the values that code reads: the globals it names, its
+    closure cells and defaults, and the attributes of the LF and of a
+    callable instance (whose class's ``__call__`` is code it runs), down
+    through every function, bound method and object among them.  Sets and dict
+    items are encoded in sorted order, so no hash seed reorders them;
+    modules, classes and builtins stand for themselves by name.
+    """
+    try:
+        encoded = repr(_encode(lf, set()))
+    except (_Undigestable, RecursionError):
+        return None
+    return hashlib.blake2b(encoded.encode(), digest_size=16).hexdigest()
+
+
+def _encode(value: Any, active: set) -> Any:
+    """A nested tuple of plain values standing for ``value`` (see :func:`lf_digest`)."""
+    kind = type(value)
+    if kind in (type(None), bool, int, float, complex, str, bytes):
+        return value
+    if kind in (tuple, list):
+        return (kind.__name__, *map(_encode, value, repeat(active)))
+    if kind in (set, frozenset, dict):
+        items = value.items() if kind is dict else value
+        return (kind.__name__, *sorted(map(repr, map(_encode, items, repeat(active)))))
+    if kind is re.Pattern:
+        return ("re", value.pattern, value.flags)
+    if kind is types.ModuleType:
+        return ("module", value.__name__)
+    if isinstance(value, _NAMED):
+        return ("named", getattr(value, "__module__", None), value.__qualname__)
+    if kind is types.CodeType:
+        encoded = _CODES.get(value)
+        if encoded is None:
+            names = (value.co_names, value.co_varnames, value.co_freevars)
+            encoded = ("code", value.co_code, names, _encode(value.co_consts, active))
+            _CODES[value] = encoded
+        return encoded
+    if id(value) in active:  # a function or object already being encoded, higher up
+        return ("cycle", kind.__qualname__)
+    active.add(id(value))
+    try:
+        if kind is types.FunctionType:
+            cells = []
+            for cell in value.__closure__ or ():
+                try:
+                    cells.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    cells.append(("empty cell",))
+            names = sorted(set(code_names(value.__code__)) & value.__globals__.keys())
+            reads = [(name, value.__globals__[name]) for name in names]
+            parts = (value.__code__, value.__defaults__, value.__kwdefaults__, cells, reads)
+            return ("function", value.__module__, value.__qualname__, _encode(parts, active))
+        if kind is types.MethodType:
+            return ("method", _encode((value.__func__, value.__self__), active))
+        state = getattr(value, "__dict__", None)
+        python_defined = all(base is object or base.__flags__ & _HEAPTYPE for base in kind.__mro__)
+        if not (python_defined and isinstance(state, dict)):  # state beyond its __dict__
+            raise _Undigestable(kind.__qualname__)
+        call = getattr(kind, "__call__", None)
+        call = call if inspect.isfunction(call) else None
+        return ("object", kind.__module__, kind.__qualname__, _encode((call, state), active))
+    finally:
+        active.discard(id(value))

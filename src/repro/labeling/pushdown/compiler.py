@@ -63,6 +63,7 @@ every read of it local (``co_varnames``).
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
 import re
 from operator import methodcaller
@@ -208,6 +209,9 @@ _NOT_A_PLAIN_CALL = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASY
 #: risk of int64 overflow (fields themselves are bounded by make_column).
 _CONST_BOUND = 2**61
 
+#: Builtin containers whose contents can change under a compiled program.
+_MUTABLE = (list, dict, set, bytearray)
+
 
 def _fqn(fn: Any) -> tuple:
     return (getattr(fn, "__module__", None), getattr(fn, "__qualname__", None))
@@ -256,6 +260,11 @@ class _Compiler:
         self.instance = instance
         self.branches: list[Branch] = []
         self.assigned: set[str] = set()
+        #: What folds read off constants (see ``CompiledProgram.reads``):
+        #: ``(owner, attribute, value)`` per attribute read, and a shallow
+        #: copy per mutable container whose contents were read.
+        self.attributes: list[tuple] = []
+        self.contents: dict[int, tuple] = {}
         #: Source line of the statement being executed; a refusal names it.
         self.lineno: int = info.tree.lineno
 
@@ -280,7 +289,21 @@ class _Compiler:
             self._block(tree.body, env, None)
         if not self.branches:
             raise CompileError("no return sites compiled")
-        return CompiledProgram(self.branches, self.lf_name, self.cardinality)
+        values, copies = zip(*self.contents.values()) if self.contents else ((), ())
+        reads = (tuple(self.attributes), values, copies)
+        return CompiledProgram(self.branches, self.lf_name, self.cardinality, reads)
+
+    def _read(self, *values: Any) -> None:
+        """A fold read the contents of ``values``: keep a copy of each that can change."""
+        for value in values:
+            if isinstance(value, _MUTABLE):
+                self.contents.setdefault(id(value), (value, copy.copy(value)))
+
+    def _getattr(self, owner: Any, attr: str) -> Any:
+        """``getattr`` on a constant, recorded so a rebinding invalidates the program."""
+        value = getattr(owner, attr)
+        self.attributes.append((owner, attr, value))
+        return value
 
     def _initial_env(self, tree: ast.AST) -> dict:
         args = tree.args
@@ -651,6 +674,7 @@ class _Compiler:
             return NotCol(sym)
         sym = self._value_sym(node, env)
         if isinstance(sym, K):
+            self._read(sym.value)  # the caller takes its truth
             return sym
         if isinstance(sym, _Obj):
             raise CompileError("candidate object in condition position")
@@ -733,7 +757,7 @@ class _Compiler:
             raise CompileError(f"object attribute {attr!r}")
         if isinstance(base, K):
             try:
-                return K(getattr(base.value, attr))
+                return K(self._getattr(base.value, attr))
             except Exception as exc:
                 raise CompileError(f"constant attribute {attr!r}: {exc}") from exc
         raise CompileError(f"attribute {attr!r} on a column value")
@@ -747,6 +771,7 @@ class _Compiler:
         if isinstance(op, (ast.In, ast.NotIn)):
             negate = isinstance(op, ast.NotIn)
             if isinstance(left, K) and isinstance(right, K):
+                self._read(left.value, right.value)
                 try:
                     result = left.value in right.value
                 except Exception as exc:
@@ -757,6 +782,8 @@ class _Compiler:
             raise CompileError(f"comparison {type(op).__name__}")
         op_name = _CMP_AST[type(op)]
         if isinstance(left, K) and isinstance(right, K):
+            if op_name not in ("is", "is_not"):
+                self._read(left.value, right.value)
             try:
                 result = prog._CMP_OPS[op_name](left.value, right.value)
             except Exception as exc:
@@ -805,6 +832,7 @@ class _Compiler:
             raise CompileError(f"operator {type(node.op).__name__}")
         op_name = _BIN_AST[type(node.op)]
         if isinstance(left, K) and isinstance(right, K):
+            self._read(left.value, right.value)
             try:
                 return K(prog._BIN_OPS[op_name](left.value, right.value))
             except Exception as exc:
@@ -830,6 +858,7 @@ class _Compiler:
         else:
             index = self._operand(node.slice, env)
         if isinstance(base, K) and isinstance(index, K):
+            self._read(base.value)
             try:
                 return K(base.value[index.value])
             except Exception as exc:
@@ -874,6 +903,7 @@ class _Compiler:
             tokens = self._operand(args[0], env)
             phrase = self._operand(args[1], env)
             if isinstance(tokens, ColExpr) and isinstance(phrase, K):
+                self._read(phrase.value)
                 try:
                     phrase_tuple = tuple(phrase.value)
                 except TypeError as exc:
@@ -887,6 +917,7 @@ class _Compiler:
             vocab = self._operand(args[1], env)
             if isinstance(tokens, ColExpr) and isinstance(vocab, K):
                 helper, vocabulary = fn, vocab.value
+                self._read(vocabulary)  # normalized into the kernel's needle below
                 fallback = lambda row: helper(row, vocabulary)  # noqa: E731
                 try:
                     # contains_any normalizes its (constant) vocabulary per
@@ -953,6 +984,7 @@ class _Compiler:
         raise CompileError(f"unsupported builtin call {name}()")
 
     def _eager_call(self, fn: Callable, values: list):
+        self._read(*values)
         try:
             return K(fn(*values))
         except Exception as exc:
@@ -1043,7 +1075,7 @@ class _Compiler:
         if isinstance(node, ast.Attribute):
             receiver = self._scalar_value(node.value, var, env, "attribute receiver")
             try:
-                return _scalar_const(getattr(receiver, node.attr))
+                return _scalar_const(self._getattr(receiver, node.attr))
             except Exception as exc:
                 raise CompileError(f"constant attribute {node.attr!r}: {exc}") from exc
         if isinstance(node, ast.IfExp):

@@ -1206,12 +1206,19 @@ class CompiledProgram:
     :class:`LabelingFunction` on every candidate.
     """
 
-    __slots__ = ("branches", "lf_name", "cardinality")
+    __slots__ = ("branches", "lf_name", "cardinality", "reads")
 
-    def __init__(self, branches: Sequence[Branch], lf_name: str, cardinality: int) -> None:
+    def __init__(
+        self, branches: Sequence[Branch], lf_name: str, cardinality: int, reads=((), (), ())
+    ) -> None:
         self.branches = list(branches)
         self.lf_name = lf_name
         self.cardinality = cardinality
+        #: What compiling read off constants: ``(owner, attribute, value)``
+        #: per attribute read, then the mutable containers whose contents a
+        #: fold read beside a shallow copy of each, taken then (see
+        #: ``repro.labeling.pushdown.task._ConstantRefs``).
+        self.reads = reads
 
     def evaluate(self, chunk: ColumnarChunk) -> tuple[np.ndarray, dict[int, BaseException]]:
         n = chunk.num_rows

@@ -1,8 +1,9 @@
 """The pushdown chunk task: compiled-kernel LF application over the engine.
 
-:func:`decide` is the one answer to "is this LF compiled, and if not why";
-:func:`build_plan` partitions an LF suite with it into compiled programs and
-interpreted fallbacks, producing a :class:`PushdownPlan`, and
+:func:`decide` is the one answer to "is this LF compiled, and if not why",
+asked once per LF object per process (:func:`decision`, revalidated on every
+use); :func:`build_plan` partitions an LF suite with it into compiled
+programs and interpreted fallbacks, producing a :class:`PushdownPlan`, and
 ``analyze_lf``'s ``COMPILABLE`` / ``OPAQUE`` verdict is the same answer
 (:func:`verdict_of`).  The plan is the
 payload of :func:`label_chunk_pushdown`, a drop-in
@@ -29,9 +30,10 @@ import inspect
 import operator
 import time
 import traceback
+import weakref
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from repro.analysis.diagnostics import LFAnalysisResult, PushdownVerdict
 from repro.analysis.source import resolve_function
 from repro.exceptions import LabelingError
 from repro.labeling.engine.accumulator import ChunkResult, LFErrorDetail
-from repro.labeling.lf import LabelingFunction
+from repro.labeling.lf import LabelingFunction, code_names
 from repro.labeling.pushdown.compiler import CompileError, compile_lf
 from repro.labeling.pushdown.fields import ColumnarChunk
 from repro.labeling.pushdown.program import CompiledProgram
@@ -53,6 +55,7 @@ __all__ = [
     "build_plan",
     "build_worker_payload",
     "decide",
+    "decision",
     "label_chunk_pushdown",
     "verdict_of",
 ]
@@ -70,41 +73,43 @@ class CompiledLF:
 _UNBOUND = object()
 
 
-def _code_names(code) -> list[str]:
-    """Every name ``code`` and the code objects nested in it may load."""
-    names = list(code.co_names)
-    for const in code.co_consts:
-        if inspect.iscode(const):
-            names += _code_names(const)
-    return names
-
-
 class _ConstantRefs:
-    """The objects compiling one LF may have read as constants.
+    """What deciding one LF read, so a later use can tell whether it still holds.
 
     Compilation folds closure cells, module globals, parameter defaults and
-    a callable instance's attributes into the program, so a plan compiled
-    before one of them was rebound labels with the old value.  The objects
-    themselves are held (an ``id()`` is reused once its object is freed) and
-    :meth:`changed` re-reads the same places and compares by identity.
+    a callable instance's attributes into the program, and a fold may read
+    into a constant: an attribute, a subscript, ``len``, truthiness,
+    membership, an eager call.  :meth:`changed` re-reads every one of those
+    places.  A rebinding is caught by identity (the objects are held: an
+    ``id()`` is reused once its object is freed); a list, dict, set or
+    bytearray whose contents a fold read is compared with the shallow copy
+    taken then (``CompiledProgram.reads``).  A constant the kernels read
+    only when they evaluate (``TokenMatch``'s vocabulary, ``Contains``'
+    container) needs no copy.  Nothing here refers to the LF itself — the
+    memo holding it is keyed weakly on the LF — so :meth:`changed` is
+    handed the LF.
     """
 
-    __slots__ = ("lf", "function", "names", "seen")
+    __slots__ = ("function", "names", "seen", "reads")
 
-    def __init__(self, lf: Any) -> None:
-        self.lf = lf
+    def __init__(self, lf: Any, program: Optional[CompiledProgram]) -> None:
         function = resolve_function(lf)
-        self.function = function if inspect.isfunction(function) else None
-        self.names = _code_names(function.__code__) if self.function else []
-        self.seen = self._read()
+        function = function if inspect.isfunction(function) else None
+        # A plain function analyzed as an LF is its own body: it is read, not held.
+        self.function = _UNBOUND if function is lf else function
+        self.names = code_names(function.__code__) if function else []
+        self.seen = self._read(lf)
+        self.reads = program.reads if program is not None else ((), (), ())
 
-    def _read(self) -> list:
-        inner = getattr(self.lf, "function", self.lf)
+    def _read(self, lf: Any) -> list:
+        inner = getattr(lf, "function", lf)
         attributes = getattr(inner, "__dict__", {})
-        refs = [inner, *attributes, *attributes.values()]
-        function = self.function
+        # A duck-typed LF is its own body: its attributes are read, not it.
+        refs = [inner if inner is not lf else None, getattr(lf, "name", None)]
+        refs += [*attributes, *attributes.values()]
+        function = lf if self.function is _UNBOUND else self.function
         if function is not None:
-            refs.append(function.__defaults__)
+            refs += [function.__code__, function.__defaults__]
             for cell in function.__closure__ or ():
                 try:
                     refs.append(cell.cell_contents)
@@ -113,9 +118,58 @@ class _ConstantRefs:
             refs.extend(map(function.__globals__.get, self.names, repeat(_UNBOUND)))
         return refs
 
-    def changed(self) -> bool:
-        now = self._read()
-        return len(now) != len(self.seen) or any(map(operator.is_not, now, self.seen))
+    def changed(self, lf: Any) -> bool:
+        now = self._read(lf)
+        if len(now) != len(self.seen) or any(map(operator.is_not, now, self.seen)):
+            return True
+        attributes, values, copies = self.reads
+        for owner, name, value in attributes:
+            if getattr(owner, name, _UNBOUND) is not value:
+                return True
+        try:
+            return any(map(operator.ne, values, copies))
+        except Exception:  # noqa: BLE001 - an element without a truth value changed
+            return True
+
+
+class _Decision(NamedTuple):
+    """One memoized :func:`decide` answer, what it read and what it cost."""
+
+    program: Optional[CompiledProgram]
+    reason: str
+    refs: _ConstantRefs
+    seconds: float
+
+
+#: The one plan cache: :func:`decide`'s answer per LF object (weakly, in the
+#: discipline of ``repro.analysis._ANALYSIS_CACHE``: an entry holds nothing
+#: that keeps its LF alive) and per ``(cardinality, backend)``.  Every
+#: process keeps its own, so an LF compiles once per process until something
+#: its program folded in changes.
+_DECISIONS: "weakref.WeakKeyDictionary[Any, dict]" = weakref.WeakKeyDictionary()
+
+
+def decision(lf: Any, cardinality: Optional[int], backend: Optional[str]) -> tuple[_Decision, bool]:
+    """:func:`decide`'s memoized answer for ``lf``, and whether it was made just now.
+
+    The entry is revalidated on every use (:meth:`_ConstantRefs.changed`)
+    and decided again when what it read has changed.
+    """
+    if cardinality is None:
+        declared = getattr(lf, "cardinality", None)
+        cardinality = int(declared) if isinstance(declared, int) else 2
+    try:
+        memo = _DECISIONS.setdefault(lf, {})
+    except TypeError:  # not weakly referenceable: decided afresh every time
+        memo = {}
+    entry = memo.get((cardinality, backend))
+    if entry is not None and not entry.refs.changed(lf):
+        return entry, False
+    start = time.perf_counter()
+    program, reason = decide(lf, cardinality, lint_lf(lf, cardinality, backend))
+    entry = _Decision(program, reason, _ConstantRefs(lf, program), time.perf_counter() - start)
+    memo[cardinality, backend] = entry
+    return entry, True
 
 
 @dataclass
@@ -136,12 +190,8 @@ class PushdownPlan:
     fallback_reasons: dict[str, str] = field(default_factory=dict)
     compile_seconds: float = 0.0
     cardinality: int = 2
-    #: Per compiled LF, what its program folded in (see :class:`_ConstantRefs`).
-    constants: list = field(default_factory=list)
-
-    def constants_changed(self) -> bool:
-        """A constant some compiled program folded in has been rebound."""
-        return any(refs.changed() for refs in self.constants)
+    #: Every LF's memo entry (:func:`decision`), in column order.
+    decisions: list = field(default_factory=list)
 
     @property
     def compiled_names(self) -> list[str]:
@@ -259,22 +309,24 @@ def build_plan(
 ) -> PushdownPlan:
     """Compile what :func:`decide` admits; everything else falls back.
 
-    One compile per LF per plan; the memoized lint pass is shared with
-    ``validate=``, so one suite is linted once per process.
+    Each LF's answer comes from the per-process memo (:func:`decision`), so
+    only a new LF, or one whose folded-in constants changed, is compiled
+    (and linted: the lint pass is memoized with ``validate=``'s);
+    ``compile_seconds`` is what those cost, 0 on a fully warm re-run.
     """
-    start = time.perf_counter()
     plan = PushdownPlan(num_lfs=len(lfs), cardinality=cardinality if cardinality else 2)
     for column, lf in enumerate(lfs):
-        program, reason = decide(lf, cardinality, lint_lf(lf, cardinality, backend))
-        if program is None:
+        entry, fresh = decision(lf, cardinality, backend)
+        plan.decisions.append(entry)
+        if fresh:
+            plan.compile_seconds += entry.seconds
+        if entry.program is None:
             plan.fallback.append((column, lf))
-            plan.fallback_reasons[lf.name] = reason
+            plan.fallback_reasons[lf.name] = entry.reason
             continue
-        plan.compiled.append(CompiledLF(name=lf.name, column=column, program=program))
-        plan.constants.append(_ConstantRefs(lf))
+        plan.compiled.append(CompiledLF(name=lf.name, column=column, program=entry.program))
         if cardinality is None:
-            plan.cardinality = program.cardinality
-    plan.compile_seconds = time.perf_counter() - start
+            plan.cardinality = entry.program.cardinality
     return plan
 
 

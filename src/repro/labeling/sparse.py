@@ -126,7 +126,10 @@ class SparseLabelMatrix(CSRMatrix):
     ) -> "SparseLabelMatrix":
         """Build from ``(row, col, value)`` triples (any order; abstains dropped).
 
-        A repeated ``(row, col)`` is rejected by the constructor's order check.
+        Triples already in strict ``(row, col)`` order — the engine's merged
+        ones always are — are taken as they come; anything else is sorted
+        first.  A repeated ``(row, col)`` is rejected by the constructor's
+        order check.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -139,8 +142,10 @@ class SparseLabelMatrix(CSRMatrix):
         if rows.size:
             if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
                 raise LabelingError(f"triples out of range for shape {(m, n)}")
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
+        step = np.diff(rows)
+        if (step < 0).any() or ((step == 0) & (np.diff(cols) <= 0)).any():
+            order = np.lexsort((cols, rows))
+            rows, cols, values = rows[order], cols[order], values[order]
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
         return cls(indptr, cols, values, (m, n))

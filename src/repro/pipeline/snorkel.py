@@ -76,7 +76,7 @@ from repro.labeling.blockstore import (
     StoredFeatureBlocks,
 )
 from repro.labeling.engine import ExecutionPlan
-from repro.labeling.lf import LabelingFunction
+from repro.labeling.lf import LabelingFunction, lf_digest
 from repro.labeling.matrix import LabelMatrix
 from repro.labelmodel.generative import GenerativeModel
 from repro.labelmodel.majority import majority_vote_proba
@@ -407,16 +407,18 @@ class SnorkelPipeline:
         end_model: NoiseAwareClassifier,
     ) -> dict:
         """What a stored checkpoint must have been produced under to be
-        replayable: the LF suite, the featurizer's whole frozen
+        replayable: the LF suite — each LF's name and :func:`lf_digest`, so
+        an LF edited under its old name is a different suite — the
+        featurizer's whole frozen
         configuration, the end model's class and constructor arguments, and
         every config field that can change a stored chunk block, the
         memoized label-modeling outcome or an epoch snapshot — that is, all
         of them except :data:`EXECUTION_ONLY_FIELDS`."""
         constructor = inspect.signature(type(end_model).__init__).parameters
         return {
-            "format": 2,
+            "format": 3,
             "task": task_name,
-            "lfs": [lf.name for lf in lfs],
+            "lfs": [(lf.name, lf_digest(lf)) for lf in lfs],
             "config": {
                 spec.name: getattr(self.config, spec.name)
                 for spec in dataclasses.fields(self.config)
@@ -443,7 +445,8 @@ class SnorkelPipeline:
         its recorded fingerprint matches this run's configuration; anything
         else clears it — replaying blocks or memoized stage results produced
         under a different configuration would be silently wrong, never
-        merely slow.
+        merely slow.  So does an LF with no digest: what it reads could have
+        changed unseen.
         """
         config = self.config
         if config.checkpoint_dir is None:
@@ -452,7 +455,8 @@ class SnorkelPipeline:
         fingerprint = self._checkpoint_fingerprint(lfs, task_name, end_model)
         key = "meta/fingerprint"
         stale = True
-        if config.resume and key in store:
+        digested = all(digest is not None for _name, digest in fingerprint["lfs"])
+        if config.resume and digested and key in store:
             stale = store.get_pickle(key) != fingerprint
         if stale:
             store.clear()

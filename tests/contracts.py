@@ -51,6 +51,9 @@ The rows, their relation inside one tree, and why:
   epoch 2 resumes from its checkpoint to the same bits.
 - ``pipeline == staged_reference`` (bitwise): ``run(task)`` and
   ``run_streams``, dense and CSR Λ, equal the stages run one by one.
+- ``warm re-run == cold run`` (bitwise): a pipeline run again in the same
+  process, after a run over another vocabulary, reuses the compiled LFs and
+  the featurizer's hash tables and returns the first run's bits.
 
 Rows call only public API (the MLP's parameters excepted: ``_layers`` is
 their one store), so the table runs against an older checkout as well.
@@ -76,6 +79,7 @@ from repro.datasets.synthetic import (
     generate_label_matrix,
     generate_multiclass_label_matrix,
     stream_text_candidates,
+    stream_text_gold,
     text_vote_lfs,
 )
 from repro.discriminative import NoiseAwareLogisticRegression, NoiseAwareMLP, RelationFeaturizer
@@ -824,6 +828,67 @@ def pipeline(how: str, sparse_labels: bool = True) -> Callable:
     return side
 
 
+def rerun_cases(full: bool) -> dict:
+    """Text-shaped k = 2 and k = 4 streams and the compiled cdr suite, as
+    ``(make LFs, make streams, config)``: every call builds new LF objects."""
+    n = 400 if full else 160
+
+    def text(k):
+        def streams():
+            test = stream_text_candidates(n // 4, num_lfs=6, cardinality=k, seed=2 * k + 1)
+            train = stream_text_candidates(n, num_lfs=6, cardinality=k, seed=2 * k)
+            return train, test, stream_text_gold(n // 4, cardinality=k, seed=2 * k + 1)
+
+        return lambda: text_vote_lfs(6, cardinality=k), streams, dict(seed=0, chunk_size=64)
+
+    def cdr():
+        return load_task("cdr", scale=0.05 if full else 0.03, seed=0)
+
+    def cdr_streams():
+        task = cdr()
+        splits = map(task.stream_candidates, ("train", "test"))
+        return (*splits, task.split_gold("test"))
+
+    return {
+        "text k2": text(2),
+        "text k4": text(4),
+        "cdr": (lambda: cdr().lfs, cdr_streams, dict(seed=0, chunk_size=64)),
+    }
+
+
+def unrelated_run() -> None:
+    """A run over another vocabulary (k = 3, other LFs and tokens)."""
+    SnorkelPipeline(lfs=text_vote_lfs(9, cardinality=3), config=PipelineConfig(seed=0)).run_streams(
+        stream_text_candidates(200, num_lfs=9, cardinality=3, seed=7),
+        stream_text_candidates(50, num_lfs=9, cardinality=3, seed=8),
+        stream_text_gold(50, cardinality=3, seed=8),
+    )
+
+
+def rerun(warm: bool) -> Callable:
+    """Each case's first run in a pipeline over new LF objects; or, warm, the
+    same pipeline's second run, with an unrelated run in between."""
+
+    def side(cases: dict) -> dict:
+        out = {}
+        for name, (make_lfs, streams, settings) in cases.items():
+            runner = SnorkelPipeline(lfs=make_lfs(), config=PipelineConfig(**settings))
+            run = runner.run_streams(*streams())
+            if warm:
+                unrelated_run()
+                run = runner.run_streams(*streams())
+            model = run.discriminative_model
+            result = dict(
+                label_values=run.label_matrix.values, training_probs=run.training_probs,
+                weights=model.weights, bias=model.bias,
+                generative_f1=run.generative_f1, discriminative_f1=run.discriminative_f1,
+            )
+            out.update({f"{name} {part}": np.asarray(value) for part, value in result.items()})
+        return out
+
+    return side
+
+
 # ------------------------------------------------------------------ labeling
 def raises_on_thirds(candidate) -> int:
     """The planted faulty LF (module level: it has to reach pool workers)."""
@@ -871,8 +936,8 @@ def labeling_records(tag: str, applier: LFApplier, matrix, blocks) -> dict:
 
 def labeling(suites: tuple, tiers: tuple = ("off", "auto"), **settings) -> Callable:
     """``apply`` and ``apply_with_features`` over holding × input kind, one
-    fault-tolerant applier per suite and tier, so repeat applies run on its
-    cached plan (the tier is in the case name when the side varies it)."""
+    fault-tolerant applier per suite and tier, so repeat applies run on the
+    memoized programs (the tier is in the case name when the side varies it)."""
 
     def side(inputs: dict) -> dict:
         featurizer, out = RelationFeaturizer(num_features=64).fit(), {}
@@ -1041,5 +1106,10 @@ CONTRACTS = (
             **{f"{how} dense": pipeline(how, False) for how in ("run(task)", "run_streams")},
         },
         profiles=("k2", "k3"),
+    ),
+    Contract(
+        "warm re-run == cold run", rerun_cases,
+        {"cold": rerun(warm=False), "warm": rerun(warm=True)},
+        profiles=("text k2", "text k4", "cdr"),
     ),
 )

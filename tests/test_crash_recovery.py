@@ -13,11 +13,17 @@ transports, because resume replays blocks produced under any of them into
 the same accumulator path.
 """
 
+import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.datasets.base import TaskDataset
 from repro.datasets.synthetic import (
@@ -29,6 +35,7 @@ from repro.discriminative.featurizers import RelationFeaturizer
 from repro.discriminative.logistic import NoiseAwareLogisticRegression
 from repro.labeling.blockstore import BlockStore, ChunkCheckpointer
 from repro.labeling.engine import runtime
+from repro.labeling.lf import LabelingFunction, lf_digest
 from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
 
 NUM_LFS = 5
@@ -248,3 +255,139 @@ def test_resume_with_different_result_changing_setting_recomputes(tmp_path, chan
     assert rerun.strategy == fresh.strategy
     assert (rerun.generative_model is None) == (fresh.generative_model is None)
     assert_matches_reference(rerun, fresh)
+
+
+# ----------------------------------------------------- the suite's identity
+class _Crash(Exception):
+    """Raised by a train stream mid-pass."""
+
+
+def _crashing(candidates, after):
+    for index, candidate in enumerate(candidates):
+        if index == after:
+            raise _Crash
+        yield candidate
+
+
+def _votes_positive(candidate):
+    return 1
+
+
+def _votes_negative(candidate):
+    return -1
+
+
+def _edited_suite_run(root, body, crash_after=None):
+    config = PipelineConfig(seed=0, chunk_size=64, generative_epochs=3, discriminative_epochs=2,
+                            num_features=64, checkpoint_dir=root)
+    lfs = text_vote_lfs(NUM_LFS) + [LabelingFunction("edited", body)]
+    train = stream_text_candidates(num_points=300, num_lfs=NUM_LFS, seed=0)
+    if crash_after is not None:
+        train = _crashing(train, crash_after)
+    test = stream_text_candidates(num_points=TEST_POINTS, num_lfs=NUM_LFS, seed=1)
+    pipeline = SnorkelPipeline(lfs=lfs, config=config)
+    return pipeline.run_streams(train, test, stream_text_gold(TEST_POINTS, seed=1))
+
+
+def test_resume_under_an_edited_lf_that_kept_its_name_recomputes(tmp_path):
+    """Regression: the fingerprint recorded LF names only, so a run crashed
+    under ``edited`` voting +1 resumed under an ``edited`` voting −1 replayed
+    the durable chunks of the old body (+1 rows beside −1 rows)."""
+    root = str(tmp_path / "ckpt")
+    with pytest.raises(_Crash):
+        _edited_suite_run(root, _votes_positive, crash_after=210)
+    with BlockStore(root) as store:
+        assert ChunkCheckpointer(store, "train").completed  # durable chunks of the old body
+    resumed = _edited_suite_run(root, _votes_negative)
+    assert set(resumed.label_matrix.values[:, -1].tolist()) == {-1}
+    assert_matches_reference(resumed, _edited_suite_run(None, _votes_negative))
+
+
+def test_lf_digest_follows_the_code_and_what_it_reads():
+    lf = text_vote_lfs(3)[2]
+    before = lf_digest(lf)
+    assert before == lf_digest(text_vote_lfs(3)[2]) != lf_digest(text_vote_lfs(3)[1])
+    lf.function.prefix = "lf9v"  # an instance attribute the body reads
+    assert lf_digest(lf) != before
+    edited = LabelingFunction("edited", _votes_positive)
+    before, code = lf_digest(edited), _votes_positive.__code__
+    try:
+        _votes_positive.__code__ = _votes_negative.__code__  # the body edited in place
+        assert lf_digest(edited) != before
+    finally:
+        _votes_positive.__code__ = code
+    assert lf_digest(LabelingFunction("opaque", np.frompyfunc(abs, 1, 1))) is None
+
+
+_DIGESTS = textwrap.dedent(
+    """
+    import json
+    from repro.datasets.cdr import build_cdr_task
+    from repro.datasets.synthetic import text_vote_lfs
+    from repro.labeling.lf import lf_digest
+
+    suites = dict(k2=text_vote_lfs(20), k4=text_vote_lfs(20, cardinality=4),
+                  cdr=build_cdr_task(scale=0.05).lfs)
+    print(json.dumps({name: list(map(lf_digest, lfs)) for name, lfs in suites.items()}))
+    """
+)
+
+_RESUME = textwrap.dedent(
+    """
+    import sys
+    from repro.datasets.synthetic import stream_text_candidates, stream_text_gold, text_vote_lfs
+    from repro.labeling.blockstore import BlockStore
+    from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
+
+    class Crash(Exception):
+        pass
+
+    root, crash = sys.argv[1], sys.argv[2] == "crash"
+    cleared = []
+    clear = BlockStore.clear
+    BlockStore.clear = lambda store: cleared.append(1) or clear(store)
+
+    def train():
+        for index, candidate in enumerate(stream_text_candidates(200, num_lfs=5, seed=0)):
+            if crash and index == 150:
+                raise Crash
+            yield candidate
+
+    config = PipelineConfig(seed=0, chunk_size=32, generative_epochs=3, discriminative_epochs=4,
+                            num_features=128, checkpoint_dir=root)
+    try:
+        result = SnorkelPipeline(lfs=text_vote_lfs(5), config=config).run_streams(
+            train(), stream_text_candidates(60, num_lfs=5, seed=1), stream_text_gold(60, seed=1))
+    except Crash:
+        sys.exit(3)
+    print(len(cleared), result.label_matrix.values.tobytes().hex())
+    """
+)
+
+
+def _python(script, *args, hash_seed):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_served_suites_digest_alike_under_any_hash_seed():
+    """``text_vote_lfs`` (callable instances) and the cdr suite (closures over
+    patterns, sets and tuples) digest — so a checkpointed run of them resumes
+    — and to the same value under two hash seeds."""
+    first, second = (json.loads(_python(_DIGESTS, hash_seed=seed).stdout) for seed in (1, 2))
+    assert first == second
+    distinct = {name: len(set(digests)) for name, digests in first.items()}
+    assert distinct == dict(k2=20, k4=20, cdr=32)
+    assert None not in sum(first.values(), [])
+
+
+def test_resume_under_another_hash_seed_replays(tmp_path, reference):
+    root = str(tmp_path / "ckpt")
+    assert _python(_RESUME, root, "crash", hash_seed=1).returncode == 3
+    resumed = _python(_RESUME, root, "resume", hash_seed=2)
+    cleared, labels = resumed.stdout.split()
+    assert cleared == "0"  # the store was replayed, not cleared
+    assert labels == reference.label_matrix.values.tobytes().hex()

@@ -234,18 +234,26 @@ def test_one_width_for_featurizer_and_vectorizer():
         fitted.transform(list(stream_text_candidates(1, num_lfs=2, seed=0)))
 
 
-# --------------------------------------------------------- run-scoped tables
-# The vectorizer keeps what it interned and hashed from chunk to chunk.  What
-# makes that cache safe is that ``chunk_triples`` stays a function of the chunk
-# alone; these differentials carry that contract (and with it the legitimacy
-# of leaving the tables out of the pickled state — see ``engine/tasks.py``).
+# ------------------------------------------------------ process-wide tables
+# The process keeps what its vectorizers interned and hashed, one table per
+# ``ngram_range``, from chunk to chunk and run to run.  What makes that cache
+# safe is that ``chunk_triples`` stays a function of the chunk alone; these
+# differentials carry that contract (and with it the legitimacy of keeping
+# the tables off the featurizer and its pickled state — see
+# ``engine/tasks.py``).
 
 CHUNK_LISTS = st.lists(st.lists(candidates(), max_size=4), max_size=5)
 
 
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """Start a test from empty process tables (and leave the real ones be)."""
+    monkeypatch.setattr(featurizers, "_TABLES", {})
+
+
 def run_entries(vectorizer):
-    """How many (words, hashed codes) the vectorizer's run tables hold."""
-    run = vectorizer._run
+    """How many (words, hashed codes) the tables ``vectorizer`` uses hold."""
+    run = featurizers._TABLES.get(tuple(vectorizer.ngram_range))
     if run is None:
         return 0, 0
     ids = sorted([*run.token_ids.values(), *run.scope_ids.values()])
@@ -303,13 +311,18 @@ def test_vectorizer_triples_do_not_depend_on_what_the_run_has_seen(
 @given(chunks=CHUNK_LISTS)
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_refit_with_another_ngram_range_starts_a_new_run(chunks):
+    """Another ``ngram_range`` (another radix) reads its own tables, with or
+    without a re-fit, and a re-fit leaves the tables as they were."""
     featurizer = RelationFeaturizer(16)
     for index, chunk in enumerate(chunks):
         featurizer.vectorizer.ngram_range = NGRAM_RANGES[index % 3]  # another radix
+        before = run_entries(featurizer.vectorizer)
         featurizer.fit()
-        assert featurizer.vectorizer._run is None
+        assert run_entries(featurizer.vectorizer) == before
         expected = stack_rows(map(featurizer.candidate_entries, chunk))
         assert_same_triples(featurizer.chunk_triples(chunk), expected)
+        for ngram_range, run in featurizers._TABLES.items():
+            assert run is None or run.ngram_range == ngram_range
         featurizer.vectorizer.ngram_range = NGRAM_RANGES[(index + 1) % 3]  # and without fit()
         expected = stack_rows(map(featurizer.candidate_entries, chunk))
         assert_same_triples(featurizer.chunk_triples(chunk), expected)
@@ -325,7 +338,7 @@ def _word_chunk(words, size=3):
 
 
 @pytest.mark.parametrize("cap", [0, 5, 20, 40])
-def test_tables_stop_at_the_cap(monkeypatch, cap):
+def test_tables_stop_at_the_cap(monkeypatch, empty_tables, cap):
     monkeypatch.setattr(featurizers, "_TABLE_CAP", cap)
     featurizer = RelationFeaturizer(32).fit()
     chunks = [
@@ -341,9 +354,15 @@ def test_tables_stop_at_the_cap(monkeypatch, cap):
     # Six prefixes and twelve words a chunk: from 18 entries up a chunk's words are kept
     # and the code tables fill to the brim; below, nothing is ever published.
     assert (words, codes) == (0, 0) if cap < 18 else (words >= 18 and codes == cap)
+    # Another featurizer (a re-run) shares the tables, which stay inside the cap.
+    other = RelationFeaturizer(32).fit()
+    for chunk in chunks:
+        assert_same_triples(other.chunk_triples(chunk), featurizer.chunk_triples(chunk))
+        words, codes = run_entries(other.vectorizer)
+        assert words <= cap and codes <= cap
 
 
-def test_a_vocabulary_beyond_the_radix_declines_only_its_own_chunk():
+def test_a_vocabulary_beyond_the_radix_declines_only_its_own_chunk(empty_tables):
     featurizer = RelationFeaturizer(32, ngram_range=(1, 12)).fit()
     radix = 28  # 28 ** 13 < 2 ** 63 <= 29 ** 13: six scope prefixes and 22 words
     small = [_word_chunk([f"{part}{i}" for i in range(9)]) for part in "abcd"]
@@ -352,23 +371,26 @@ def test_a_vocabulary_beyond_the_radix_declines_only_its_own_chunk():
         assert (featurizer._kernel_entries(chunk) is None) == (chunk is oversized)
         expected = stack_rows(map(featurizer.candidate_entries, chunk))
         assert_same_triples(featurizer.chunk_triples(chunk), expected)
-        assert featurizer.vectorizer._run.radix == radix >= run_entries(featurizer.vectorizer)[0]
+        run = featurizers._TABLES[(1, 12)]
+        assert run.radix == radix >= run_entries(featurizer.vectorizer)[0]
 
 
-def test_tables_are_not_part_of_the_pickled_or_copied_state():
+def test_tables_are_not_part_of_the_pickled_or_copied_state(empty_tables):
     candidates = list(stream_text_candidates(14 * 20, num_lfs=6, seed=3))
     featurizer = RelationFeaturizer(64).fit()
     cold = pickle.dumps(featurizer)
     for start in range(0, len(candidates), 20):
         featurizer.chunk_triples(candidates[start : start + 20])
-    assert run_entries(featurizer.vectorizer) > (6, 6)  # warm
+    warm = run_entries(featurizer.vectorizer)
+    assert warm > (6, 6)
     assert pickle.dumps(featurizer) == cold
     for clone in (copy.deepcopy(featurizer), pickle.loads(cold)):
-        assert clone.vectorizer._run is None  # a copy starts its own run
+        assert "_run" not in vars(clone.vectorizer)  # no featurizer carries tables
         assert_same_triples(clone.chunk_triples(candidates), featurizer.chunk_triples(candidates))
+        assert run_entries(clone.vectorizer) == warm  # a copy reads the process's tables
 
 
-def test_concurrent_misses_on_one_shared_featurizer():
+def test_concurrent_misses_on_one_shared_featurizer(empty_tables):
     """``backend="threads"`` shares one featurizer: chunks whose vocabularies are
     mostly disjoint all miss at once, and two words must never share an id."""
     chunks = [[f"c{i}w{j}" for j in range(18)] + ["shared", "Shared", "words"] for i in range(210)]
@@ -380,7 +402,7 @@ def test_concurrent_misses_on_one_shared_featurizer():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            featurizer.fit()
+            featurizers._TABLES.clear()  # every round races from empty tables
             actual = featurize_stream(
                 featurizer, candidates, chunk_size=7, backend="threads", num_workers=4
             )
@@ -391,7 +413,7 @@ def test_concurrent_misses_on_one_shared_featurizer():
         sys.setswitchinterval(interval)
 
 
-def test_worker_processes_start_cold_and_agree():
+def test_worker_processes_start_cold_and_agree(empty_tables):
     candidates = list(stream_text_candidates(300, num_lfs=6, seed=5))
     featurizer = RelationFeaturizer(64).fit()
     expected = featurize_stream(featurizer, candidates, chunk_size=50)

@@ -20,6 +20,7 @@ or compiles and matches the interpreted run.
 import dataclasses
 import functools
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.labeling import LFApplier, PushdownPlan, build_plan
 from repro.labeling.engine.accumulator import apply_chunk
 from repro.labeling.lf import LabelingFunction
 from repro.labeling.pushdown import CompileError, compile_lf, label_chunk_pushdown
+from repro.labeling.pushdown import task as pushdown_task
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 from repro.utils.textutils import contains_any
 
@@ -311,7 +313,7 @@ class TestFallbackTier:
 
 
 # ---------------------------------------------------------------------------
-# A cached plan must not outlive the constants it folded in
+# A memoized program must not outlive the constants it folded in
 # ---------------------------------------------------------------------------
 
 THRESH = 2
@@ -329,6 +331,44 @@ class _WordReader:
         return POSITIVE if self.word in candidate.words_between() else ABSTAIN
 
 
+SETTINGS: dict = {}
+WORDS: list = []
+CONFIG = None
+FLAGS: set = set()
+
+
+def _subscript_body(candidate):
+    if SETTINGS["on"]:
+        return POSITIVE
+    return NEGATIVE
+
+
+def _len_body(candidate):
+    return POSITIVE if len(WORDS) > 1 else NEGATIVE
+
+
+def _attribute_body(candidate):
+    return POSITIVE if candidate.token_distance() < CONFIG.limit else NEGATIVE
+
+
+def _membership_body(candidate):
+    return POSITIVE if "x" in FLAGS else NEGATIVE
+
+
+_MUTATED_BODIES = {
+    "subscript": _subscript_body,
+    "len": _len_body,
+    "attribute": _attribute_body,
+    "membership": _membership_body,
+}
+
+
+def _gated_body(candidate):
+    if SETTINGS["on"]:
+        return opaque_helper(candidate)  # noqa: F821 - never resolved: the compiler refuses
+    return POSITIVE
+
+
 class TestStaleConstants:
     def test_rebinding_a_global_or_an_attribute_rebuilds_the_plan(self, monkeypatch):
         # Regression: the plan was cached on the suite's identity alone, so a
@@ -342,17 +382,88 @@ class TestStaleConstants:
         candidates = corpus(200, seed=18)
         applier = LFApplier(lfs, pushdown="require")
         first = applier.apply(candidates)
-        plan = applier._pushdown_plan()
-        assert applier._pushdown_plan() is plan  # nothing rebound: one plan
+
+        def programs():
+            return [clf.program for clf in applier._pushdown_plan().compiled]
+
+        before, shipped = programs(), list(applier._spec_payloads.values())
+        assert programs() == before  # nothing rebound: nothing recompiled
 
         monkeypatch.setitem(globals(), "THRESH", 6)
         reader.word = "treats"
         second = applier.apply(candidates)
-        assert applier._pushdown_plan() is not plan
+        assert [a is b for a, b in zip(programs(), before)] == [False, False]
+        # A recompiled LF ships a new worker payload (workers re-attach).
+        assert not any(p is q for p in applier._spec_payloads.values() for q in shipped)
         interpreted = LFApplier(lfs, pushdown="off").apply(candidates)
         np.testing.assert_array_equal(second.values, interpreted.values)
+        fresh = LFApplier(lfs, pushdown="require").apply(candidates)
+        np.testing.assert_array_equal(fresh.values, interpreted.values)
         for column in range(2):
             assert not np.array_equal(first.values[:, column], second.values[:, column])
+
+    @pytest.mark.parametrize("mutate", ["subscript", "len", "attribute", "membership"])
+    def test_a_constant_mutated_in_place_recompiles(self, monkeypatch, mutate):
+        """Regression: a fold read into a constant (``SETTINGS["on"]``,
+        ``len(WORDS)``, ``CONFIG.limit``, ``"x" in FLAGS``), and mutating it in
+        place left the same applier labeling with what the fold saw."""
+        settings, words = {"on": True}, ["causes"]
+        config, flags = types.SimpleNamespace(limit=2), {"x"}
+        for name, value in dict(SETTINGS=settings, WORDS=words, CONFIG=config, FLAGS=flags).items():
+            monkeypatch.setitem(globals(), name, value)
+        lf = LabelingFunction(f"lf_{mutate}", _MUTATED_BODIES[mutate])
+        candidates = corpus(120, seed=19)
+        applier = LFApplier([lf], pushdown="require")
+        first = applier.apply(candidates).values
+        {
+            "subscript": lambda: settings.update(on=False),
+            "len": lambda: words.append("treats"),
+            "attribute": lambda: setattr(config, "limit", 9),
+            "membership": lambda: flags.discard("x"),
+        }[mutate]()
+        interpreted = LFApplier([lf], pushdown="off").apply(candidates).values
+        assert not np.array_equal(first, interpreted)  # the mutation matters
+        np.testing.assert_array_equal(applier.apply(candidates).values, interpreted)
+        fresh = LFApplier([lf], pushdown="require").apply(candidates).values
+        np.testing.assert_array_equal(fresh, interpreted)
+
+    def test_verdict_follows_the_plan_after_a_mutation(self, monkeypatch):
+        """``analyze_lf`` reads the plan's own memo entry: no lag between them."""
+        from repro.analysis import analyze_lf
+
+        settings = {"on": False}
+        monkeypatch.setitem(globals(), "SETTINGS", settings)
+        lf = LabelingFunction("lf_gated", _gated_body)
+        assert analyze_lf(lf).pushdown.compilable
+        assert build_plan([lf]).compiled_names == ["lf_gated"]
+        settings["on"] = True  # the folded-dead arm is live now, and opaque
+        assert not analyze_lf(lf).pushdown.compilable
+        assert build_plan([lf]).fallback_names == ["lf_gated"]
+
+    def test_memo_entries_do_not_keep_their_lfs_alive(self):
+        """Entries are keyed weakly on their LF, so one that referenced it
+        would never die: wrapped bodies, a callable instance, a duck-typed
+        LF and a bare function handed to ``analyze_lf``."""
+
+        def bare(candidate):
+            return POSITIVE
+
+        lfs = [
+            LabelingFunction("lf_near", _near_body),
+            LabelingFunction("lf_word", _WordReader("causes")),
+            _DuckFalseLF(),
+            opaque_lf(),
+            bare,
+        ]
+        from repro.analysis import analyze_lf
+
+        build_plan(lfs[:-1])
+        for lf in lfs:
+            analyze_lf(lf)
+        refs = [weakref.ref(lf) for lf in lfs]
+        del lfs, lf, bare
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +779,19 @@ class TestReporting:
         assert report.pushdown is None
 
     def test_plan_is_cached_per_suite(self):
-        applier = LFApplier(LINT_LFS(), fault_tolerant=True, pushdown="auto")
+        """Each LF compiles once per process: a second apply, and a new
+        applier over the same LF objects, compile nothing."""
+        lfs = LINT_LFS()
+        applier = LFApplier(lfs, fault_tolerant=True, pushdown="auto")
         applier.apply(corpus(30, seed=14))
+        assert applier.last_report.pushdown.compile_seconds > 0.0
+        programs = [clf.program for clf in applier._pushdown_plan().compiled]
         applier.apply(corpus(30, seed=15))
-        assert len(applier._pushdown_plans) == 1
+        assert applier.last_report.pushdown.compile_seconds == 0.0
+        fresh = LFApplier(lfs, fault_tolerant=True, pushdown="auto")
+        fresh.apply(corpus(30, seed=15))
+        assert fresh.last_report.pushdown.compile_seconds == 0.0
+        assert [clf.program for clf in fresh._pushdown_plan().compiled] == programs
 
     @pytest.mark.parametrize("mode", ["auto", "off"])
     def test_edit_loop_does_not_keep_superseded_suites_alive(self, mode):
@@ -688,7 +808,8 @@ class TestReporting:
             applier.apply_with_features(candidates, featurizer)
         gc.collect()
         assert [ref() for ref in superseded] == [None] * 6
-        assert len(applier._pushdown_plans) == (mode == "auto")
+        # The compile memo holds the live suite (under "auto") and no dead LF.
+        assert (applier.lfs[0] in pushdown_task._DECISIONS) == (mode == "auto")
         # One suite, two passes (with / without a featurizer): both stay warm.
         assert len(applier._spec_payloads) == 2
         payloads = list(applier._spec_payloads.values())

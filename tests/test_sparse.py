@@ -77,6 +77,28 @@ def test_from_triples_any_order_and_errors(backend):
         SparseLabelMatrix.from_triples([5], [0], [1], (2, 2))  # out of range
 
 
+def test_canonical_triples_skip_the_sort_and_equal_their_shuffle():
+    """The applier's merged triples arrive in strict (row, col) order and are
+    not re-sorted; that path and the sorted one give identical arrays, and a
+    repeat or a descent anywhere still takes the sort and its errors."""
+    values = generate_label_matrix(num_points=300, num_lfs=7, propensity=0.4, seed=3)
+    dense = values.label_matrix.values
+    rows, cols = np.nonzero(dense)
+    shuffle = np.random.default_rng(1).permutation(rows.size)
+    canonical = SparseLabelMatrix.from_triples(rows, cols, dense[rows, cols], dense.shape)
+    shuffled = SparseLabelMatrix.from_triples(
+        rows[shuffle], cols[shuffle], dense[rows, cols][shuffle], dense.shape
+    )
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(canonical, part), getattr(shuffled, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert np.array_equal(canonical.to_dense(), dense)
+    swapped = SparseLabelMatrix.from_triples([0, 0, 1], [2, 1, 0], [1, -1, 1], (2, 3))
+    assert swapped.indices.tolist() == [1, 2, 0]
+    with pytest.raises(LabelingError, match="strictly increasing"):
+        SparseLabelMatrix.from_triples([0, 1, 1], [0, 2, 2], [1, 1, -1], (2, 3))
+
+
 def test_matvec_row_sums_and_csc(backend):
     storage = SparseLabelMatrix.from_dense(EDGE)
     weights = np.array([0.5, -1.5, 2.0, 0.25])
