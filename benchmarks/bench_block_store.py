@@ -10,9 +10,9 @@ ways:
   block and end-model epoch is durably persisted as it completes (the
   write-amplification price of crash safety);
 * **resume** — a second run over the now-complete store: every chunk
-  replays as read-only ``np.memmap`` views and the end model restores from
-  the last epoch snapshot, so the pipeline re-derives its result with zero
-  LF executions and zero training epochs.
+  replays from one read-only mapping of its block and the end model
+  restores from the last epoch snapshot, so the pipeline re-derives its
+  result with zero LF executions and zero training epochs.
 
 Besides wall-clock the record carries **peak traced memory** for the
 recompute and resume paths (``tracemalloc``, which numpy allocations

@@ -13,6 +13,10 @@ drives the full fault matrix the fault-injection layer
 * master SIGKILLed mid end-model training (after N epochs), then resumed;
 * a block torn *after* its durable rename (crc catches it on reopen, the
   chunk re-executes);
+* a store whose blocks carry the previous format's magic (it reopens
+  empty, and the resumed run recomputes everything);
+* an index line naming a path outside ``blocks/`` (recovery drops the
+  record and leaves the path untouched);
 * a worker hung past the chunk deadline (warned, killed, resubmitted —
   EN101);
 * a shared-memory chunk slot corrupted in flight (checksum mismatch,
@@ -33,12 +37,14 @@ processes (including workers orphaned by the SIGKILLed masters), zero
 from __future__ import annotations
 
 import glob
+import json
 import os
 import signal
 import sys
 import tempfile
 import time
 import warnings
+import zlib
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -138,6 +144,23 @@ def run_and_die(checkpoint_dir, fault_spec, backend="sequential", transport="aut
     )
 
 
+def relabel_magic(root: str, magic: bytes) -> None:
+    """Give every block of the store at ``root`` another format's magic and
+    re-commit it with a matching index record (size and crc)."""
+    index_path = os.path.join(root, "index.jsonl")
+    with open(index_path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    for record in records:
+        path = os.path.join(root, "blocks", record["file"])
+        with open(path, "rb") as handle:
+            body = magic + handle.read()[len(magic):]
+        with open(path, "wb") as handle:
+            handle.write(body)
+        record.update(size=len(body), crc=zlib.crc32(body))
+    with open(index_path, "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps(record) + "\n" for record in records)
+
+
 def assert_matches(result, reference, scenario: str) -> None:
     import numpy as np
 
@@ -219,6 +242,34 @@ def main() -> int:
             )
         assert_matches(run_pipeline(root), reference, "torn block resume")
         print("torn block: dropped on reopen, chunk re-executed, bit-identical")
+
+        # --- a store written in the previous block format: every block
+        # carries the old magic under a matching index record.  It must
+        # reopen empty, and the run recomputes everything.
+        root = os.path.join(tmp, "old-format")
+        stores.append(root)
+        run_pipeline(root)
+        relabel_magic(root, b"RBLK1\n")
+        with BlockStore(root) as store:
+            assert store.keys() == [], f"old-format blocks survived: {store.keys()}"
+        assert_matches(run_pipeline(root), reference, "old-format resume")
+        print("previous-format store: reopened empty, run recomputed bit-identically")
+
+        # --- an index line naming a file outside blocks/: recovery drops
+        # the record (the chunk re-executes) and never touches the path.
+        root = os.path.join(tmp, "escape", "store")
+        stores.append(root)
+        run_and_die(root, "die_block@2")
+        victim = os.path.join(tmp, "victim.txt")
+        with open(victim, "w") as handle:
+            handle.write("keep me")
+        with open(os.path.join(root, "index.jsonl"), "a", encoding="utf-8") as handle:
+            record = {"key": "chunk/train/0", "file": "../../victim.txt", "size": 1, "crc": 0}
+            handle.write(json.dumps(record) + "\n")
+        assert_matches(run_pipeline(root), reference, "escaping index line resume")
+        with open(victim) as handle:
+            assert handle.read() == "keep me", "recovery wrote to a path outside blocks/"
+        print("index line naming a path outside blocks/: dropped, path untouched, bit-identical")
 
         # The engine-level faults drive LFApplier directly: a reference
         # matrix, then a hung worker and a torn shm slot, both resubmitted.

@@ -41,8 +41,11 @@ source promises a fresh pass every epoch, so it re-batches per epoch;
 pipeline hands its in-RAM blocks over as a sequence and its disk-backed,
 checkpointed ones (:class:`~repro.labeling.blockstore.StoredFeatureBlocks`)
 as a callable: a plan over those would keep every block's bytes resident
-for the whole fit, where a pass loads one block at a time.  Neither door
-writes to the blocks it is handed.
+for the whole fit, where a pass loads one block at a time.  What such a
+block keeps between epochs is its ``indptr`` (O(rows)); each epoch maps the
+block file once and widens its narrow-stored column ids and values, and
+the pipeline carves the kept rows of that one block.  Neither door writes
+to the blocks it is handed.
 """
 
 from __future__ import annotations

@@ -525,10 +525,12 @@ class LFApplier:
         With ``checkpoint`` (a :class:`repro.labeling.blockstore.
         ChunkCheckpointer`), every chunk's result is made durable before
         being consumed, already-durable chunks are replayed from disk
-        instead of recomputed (crash resume), and the returned blocks are a
-        re-iterable :class:`~repro.labeling.blockstore.StoredFeatureBlocks`
-        view — mmap-backed, so epoch replay holds one block at a time
-        instead of the whole feature set.
+        instead of recomputed (crash resume; only their label triples are
+        decoded), and the returned blocks are a re-iterable
+        :class:`~repro.labeling.blockstore.StoredFeatureBlocks` view — each
+        block read through one mapping of its file, its narrow-stored arrays
+        widened back, so epoch replay holds one block at a time instead of
+        the whole feature set.
         """
         featurizer.require_fitted()
         return self._run(candidates, featurizer, sparse, checkpoint)

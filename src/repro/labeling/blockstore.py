@@ -17,9 +17,19 @@ layers:
     either a durable block or recoverable garbage, never a trusted torn
     block.  Opening a store replays the index, drops the torn tail a
     mid-append crash can leave, verifies every referenced file against its
-    recorded size and crc32, deletes corrupt/orphaned/temp files, and
-    compacts the index.  Reads are ``np.memmap`` views: replaying a block is
-    page-cache traffic, not recompute.
+    recorded size and crc32 and checks its magic and header, deletes
+    corrupt/orphaned/temp files and blocks of another format, and compacts
+    the index.  Each record's file name is derived from its key, so no
+    index line can point recovery at a path outside ``blocks/``.
+
+    Block format 2 stores every int or float array in the narrowest signed
+    int dtype that holds it bit-exactly (votes, column ids, row offsets and
+    count-valued features are small integers; ``-0.0``, NaN, ∞ and
+    fractions stay wide), and the header records the original dtype.  A
+    read maps the block file once and serves each array as a read-only
+    ``np.frombuffer`` view of the mapping, widened back to its original
+    dtype where it was narrowed: replaying a block is page-cache traffic,
+    not recompute.
 
 :class:`ChunkCheckpointer`
     The engine-facing wrapper: records each :class:`ChunkResult` (via
@@ -34,9 +44,10 @@ layers:
 
 :class:`StoredFeatureBlocks`
     A re-iterable sequence view over the stored feature blocks, building
-    each chunk's :class:`CSRFeatureMatrix` from the mmapped triples on
-    access.  ``fit_stream`` iterates it once per epoch with constant
-    memory — the unlock for corpora whose sparse features outgrow RAM.
+    each chunk's :class:`CSRFeatureMatrix` from the mapped triples on
+    access (keeping only its ``indptr`` between epochs).  ``fit_stream``
+    iterates it once per epoch with constant memory — the unlock for
+    corpora whose sparse features outgrow RAM.
 
 Fault-injection hooks (:mod:`repro.labeling.engine.faults`) are threaded
 through the write path so the crash-recovery gate can deterministically
@@ -45,8 +56,9 @@ produce torn blocks, full disks, and mid-pass master deaths.
 
 from __future__ import annotations
 
-import io
 import json
+import math
+import mmap
 import os
 import pickle
 import re
@@ -74,12 +86,16 @@ __all__ = [
 ]
 
 #: First bytes of every block file; bumping the trailing digit invalidates
-#: all existing stores (they recover as empty, chunks re-execute).
-MAGIC = b"RBLK1\n"
+#: all existing stores (recovery checks it, so they recover as empty and
+#: their chunks re-execute).
+MAGIC = b"RBLK2\n"
 
 #: Array payloads are aligned to this many bytes within the block file so a
-#: memmap view of any standard dtype is well-aligned.
+#: view of any standard dtype is well-aligned.
 ALIGN = 64
+
+#: The dtypes an array may be narrowed to, narrowest first.
+_NARROW = tuple(np.dtype(f"<i{size}") for size in (1, 2, 4, 8))
 
 #: Keys are path-like identifiers; ``/`` separates namespaces and maps to a
 #: filename-safe character on disk.
@@ -120,6 +136,68 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _narrowed(array: np.ndarray) -> np.ndarray:
+    """``array`` in the narrowest signed int dtype that holds it bit-exactly,
+    or ``array`` itself when no narrower dtype does.
+
+    Ints need only their range.  Floats must also come back bit-equal from
+    the round trip, which keeps ``-0.0``, NaN, ∞ and fractions wide.
+    """
+    kind, itemsize = array.dtype.kind, array.dtype.itemsize
+    if kind not in "iuf" or itemsize == 1 or not array.size:
+        return array
+    low, high = array.min().item(), array.max().item()  # exact Python numbers
+    if kind == "f" and not (-(2.0**63) <= low and high < 2.0**63):
+        return array  # NaN, ±∞ or beyond int64
+    for dtype in _NARROW:
+        if dtype.itemsize >= itemsize:
+            return array
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            break
+    narrow = array.astype(dtype)
+    if kind == "f":
+        back = narrow.astype(array.dtype)
+        bits = np.dtype(f"u{itemsize}")
+        if not np.array_equal(back.reshape(-1).view(bits), array.reshape(-1).view(bits)):
+            return array
+    return narrow
+
+
+def _layout(mapped) -> tuple[dict, int]:
+    """The header of a mapped block file and the offset its payloads are
+    relative to; raises ``ValueError`` (or ``KeyError`` / ``TypeError`` for a
+    malformed header) unless it is a block of this format whose arrays all
+    lie inside the file."""
+    if mapped[: len(MAGIC)] != MAGIC:
+        raise ValueError("bad magic")
+    start = len(MAGIC) + 8
+    base = start + int.from_bytes(mapped[len(MAGIC) : start], "little")
+    header = json.loads(mapped[start:base])
+    for spec in header["arrays"]:
+        count = math.prod(spec["shape"])
+        end = base + spec["offset"] + spec["nbytes"]
+        nbytes = count * np.dtype(spec["stored"]).itemsize
+        negative = min(0, spec["offset"], *spec["shape"]) < 0
+        if negative or spec["nbytes"] != nbytes or end > len(mapped):
+            raise ValueError(f"array {spec['name']!r} overruns the file")
+    return header, base
+
+
+def _decode(mapped, base: int, spec: dict) -> np.ndarray:
+    """One array of a mapped block: a read-only view, widened back to its
+    original dtype if it was stored narrowed."""
+    stored, dtype = np.dtype(spec["stored"]), np.dtype(spec["dtype"])
+    shape = tuple(spec["shape"])
+    array = np.frombuffer(
+        mapped, stored, count=math.prod(shape), offset=base + spec["offset"]
+    ).reshape(shape)
+    if stored != dtype:
+        array = array.astype(dtype)
+        array.flags.writeable = False
+    return array
+
+
 class BlockStore:
     """Atomic, checksummed, mmap-readable storage of named-array blocks.
 
@@ -133,7 +211,9 @@ class BlockStore:
 
     An index record ``{"key", "file", "size", "crc"}`` is the commit point:
     it is appended only after the block file is durably in place, and a
-    block file is trusted only when its size and crc32 match a record.
+    block file is trusted only when it is the file of the record's key, its
+    size and crc32 match the record, and its magic and header are this
+    format's.
     Re-``put`` of an existing key atomically replaces the file and appends
     a superseding record (last record wins on replay).  :meth:`delete`
     reclaims a key durably: the block file is unlinked and a tombstone
@@ -189,19 +269,23 @@ class BlockStore:
                         record = json.loads(line)
                     except ValueError:
                         break
-                    if not isinstance(record, dict) or "key" not in record:
+                    if not isinstance(record, dict) or not isinstance(record.get("key"), str):
                         break
                     if record.get("deleted"):
                         records.pop(record["key"], None)
                     else:
                         records[record["key"]] = record
-        for key in list(records):
-            record = records[key]
-            path = os.path.join(self.blocks_dir, record["file"])
-            if not self._verify(path, record):
-                del records[key]
-                if os.path.exists(path):
-                    os.unlink(path)
+        # A record names its file only through its key: one whose key is not
+        # a valid key, or whose ``file`` is not its key's file, is dropped
+        # unread, so recovery never touches a path outside ``blocks/``.  The
+        # sweep below deletes every file no surviving record references.
+        records = {
+            key: record
+            for key, record in records.items()
+            if _KEY_RE.match(key)
+            and record.get("file") == _key_filename(key)
+            and self._verify(key, record)
+        }
         referenced = {record["file"] for record in records.values()}
         for name in os.listdir(self.blocks_dir):
             if name not in referenced:
@@ -209,20 +293,19 @@ class BlockStore:
         self._records = records
         self._compact()
 
-    @staticmethod
-    def _verify(path: str, record: dict) -> bool:
+    def _verify(self, key: str, record: dict) -> bool:
+        """Whether ``key``'s block file matches its record's size and crc32
+        and is a well-formed block of this format written under ``key``."""
         try:
-            if os.path.getsize(path) != record["size"]:
-                return False
-            crc = 0
-            with open(path, "rb") as handle:
-                while True:
-                    piece = handle.read(1 << 20)
-                    if not piece:
-                        break
-                    crc = zlib.crc32(piece, crc)
-            return crc == record["crc"]
-        except OSError:
+            with open(os.path.join(self.blocks_dir, record["file"]), "rb") as handle:
+                if os.fstat(handle.fileno()).st_size != record["size"]:
+                    return False
+                with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+                    if zlib.crc32(mapped) != record["crc"]:
+                        return False
+                    header, _base = _layout(mapped)
+            return header["key"] == key
+        except (OSError, ValueError, KeyError, TypeError):
             return False
 
     def _compact(self) -> None:
@@ -314,23 +397,24 @@ class BlockStore:
 
     @staticmethod
     def _encode(key: str, arrays: dict[str, np.ndarray], meta: dict) -> bytes:
-        specs = []
-        buffer = io.BytesIO()
         # Header length depends on the offsets, which depend on the header
         # length — resolve with payload offsets relative to the payload
-        # section, whose absolute start is recorded once in the header.
+        # section, which starts right after the header.
+        specs = []
         offset = 0
         chunks: list[bytes] = []
         for name, array in arrays.items():
-            array = np.ascontiguousarray(array)
+            array = np.asarray(array, order="C")
+            stored = _narrowed(array)
             pad = (-offset) % ALIGN
             chunks.append(b"\x00" * pad)
             offset += pad
-            raw = array.tobytes()
+            raw = stored.tobytes()
             specs.append(
                 {
                     "name": name,
                     "dtype": array.dtype.str,
+                    "stored": stored.dtype.str,
                     "shape": list(array.shape),
                     "offset": offset,
                     "nbytes": len(raw),
@@ -339,12 +423,7 @@ class BlockStore:
             chunks.append(raw)
             offset += len(raw)
         header = json.dumps({"key": key, "meta": meta, "arrays": specs}).encode()
-        buffer.write(MAGIC)
-        buffer.write(len(header).to_bytes(8, "little"))
-        buffer.write(header)
-        for chunk in chunks:
-            buffer.write(chunk)
-        return buffer.getvalue()
+        return b"".join([MAGIC, len(header).to_bytes(8, "little"), header, *chunks])
 
     def delete(self, key: str) -> bool:
         """Durably remove a key: tombstone the index record, unlink the file.
@@ -406,28 +485,31 @@ class BlockStore:
 
     # ---------------------------------------------------------------- reads
     def get(self, key: str) -> tuple[dict[str, np.ndarray], dict]:
-        """Load ``key``'s arrays as read-only ``np.memmap`` views, plus meta."""
+        """Load ``key``'s arrays, read-only and in their original dtypes,
+        plus meta."""
+        return self._read(key, None)
+
+    def _read(
+        self, key: str, names: Optional[tuple[str, ...]]
+    ) -> tuple[dict[str, np.ndarray], dict]:
+        """:meth:`get`, decoding only the arrays in ``names`` (all for
+        ``None``): the block file is mapped once, and each array is a view
+        of the mapping or, if it was stored narrowed, its widened copy."""
         record = self._records.get(key)
         if record is None:
             raise LabelingError(f"block {key!r} not in store {self.root}")
         path = os.path.join(self.blocks_dir, record["file"])
         with open(path, "rb") as handle:
-            magic = handle.read(len(MAGIC))
-            if magic != MAGIC:
-                raise LabelingError(f"block file {path} has bad magic")
-            header_len = int.from_bytes(handle.read(8), "little")
-            header = json.loads(handle.read(header_len))
-        base = len(MAGIC) + 8 + header_len
-        arrays: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(spec["shape"])
-            if spec["nbytes"]:
-                arrays[spec["name"]] = np.memmap(
-                    path, dtype=dtype, mode="r", offset=base + spec["offset"], shape=shape
-                )
-            else:
-                arrays[spec["name"]] = np.empty(shape, dtype=dtype)
+            try:
+                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+                header, base = _layout(mapped)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise LabelingError(f"block file {path} is not a readable block ({exc})") from exc
+        arrays = {
+            spec["name"]: _decode(mapped, base, spec)
+            for spec in header["arrays"]
+            if names is None or spec["name"] in names
+        }
         return arrays, header["meta"]
 
     def __contains__(self, key: str) -> bool:
@@ -470,9 +552,10 @@ class ChunkCheckpointer:
 
     ``record`` persists a freshly computed :class:`ChunkResult` before the
     accumulator transform consumes it; ``load`` reconstructs a durably
-    recorded one (triple arrays as memmap views) so a resumed run can feed
-    it through the identical transform chain.  ``completed`` is the set of
-    chunk indices the store holds — ``run_plan`` skips exactly these.
+    recorded one (triple arrays read from the mapped block) and ``replay``
+    its label half, which a resumed run feeds through the identical
+    transform chain.  ``completed`` is the set of chunk indices the store
+    holds — ``run_plan`` skips exactly these.
 
     A failed write (disk full, permissions) disables the checkpointer with
     a single warning instead of aborting the labeling run: durability
@@ -518,6 +601,18 @@ class ChunkCheckpointer:
         chunk_meta = pickle.loads(arrays["meta"].tobytes())
         ordered = [arrays[f"a{position}"] for position in range(meta["arrays"])]
         return attach_arrays(chunk_meta, ordered)
+
+    def replay(self, index: int) -> ChunkResult:
+        """:meth:`load` without the feature block, which is not decoded: the
+        accumulator transform drops a replayed chunk's features, and
+        :class:`StoredFeatureBlocks` serves them from the store."""
+        arrays = self._arrays(index, ("meta", "a0", "a1", "a2"))
+        meta = pickle.loads(arrays["meta"].tobytes())
+        meta.features = None
+        return attach_arrays(meta, [arrays["a0"], arrays["a1"], arrays["a2"]])
+
+    def _arrays(self, index: int, names: Optional[tuple[str, ...]]) -> dict:
+        return self.store._read(self._key(index), names)[0]
 
     def prune_beyond(self, num_chunks: int) -> int:
         """Delete stored chunks at index >= ``num_chunks``.
@@ -592,9 +687,11 @@ class StoredFeatureBlocks(Sequence):
     """Re-iterable, mmap-backed view of a split's stored feature blocks.
 
     Each access rebuilds chunk ``i``'s :class:`CSRFeatureMatrix` from the
-    store — the triple arrays are memmap views, so an epoch over the whole
-    sequence touches the page cache instead of recomputing the fused pass,
-    and holds at most one block's CSR structure at a time.
+    store — the triples are read from the mapped block, so an epoch over
+    the whole sequence touches the page cache instead of recomputing the
+    fused pass, and holds at most one block's CSR structure at a time.  The
+    first build of a block keeps its ``indptr`` (O(rows)); later ones read
+    only the block's column ids and values.
     """
 
     def __init__(
@@ -619,6 +716,7 @@ class StoredFeatureBlocks(Sequence):
         self._checkpointer = checkpointer
         self._num_blocks = num_blocks
         self._output_dim = output_dim
+        self._indptrs: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self._num_blocks
@@ -630,12 +728,20 @@ class StoredFeatureBlocks(Sequence):
             raise IndexError(index)
         if index in self._overrides:
             return self._overrides[index]
+        indptr = self._indptrs.get(index)
+        if indptr is not None:
+            arrays = self._checkpointer._arrays(index, ("a4", "a5"))
+            shape = (indptr.size - 1, self._output_dim)
+            return CSRFeatureMatrix(indptr, arrays["a4"], arrays["a5"], shape)
         block = self._checkpointer.load(index).features
         if block is None:
             raise LabelingError(
                 f"stored chunk {index} has no feature block (was the pass fused?)"
             )
-        return CSRFeatureMatrix.from_chunk(block, self._output_dim)
+        matrix = CSRFeatureMatrix.from_chunk(block, self._output_dim)
+        matrix.indptr.flags.writeable = False
+        self._indptrs[index] = matrix.indptr
+        return matrix
 
     def __iter__(self) -> Iterator:
         for index in range(self._num_blocks):

@@ -111,11 +111,12 @@ def run_plan(
     ``checkpoint`` (a :class:`repro.labeling.blockstore.ChunkCheckpointer`)
     makes the run crash-safe and resumable: every fresh result is recorded
     durably *before* ``transform`` consumes it, and chunks the store already
-    holds are never handed to a worker — they are replayed from disk
-    into the accumulator, through the same ``transform``, which is what
-    makes a resumed run bit-identical to an uninterrupted one.  Chunking is
-    deterministic (fixed ``chunk_size`` over the same stream), so chunk
-    indices are stable identities across runs.
+    holds are never handed to a worker — their label triples are replayed
+    from disk into the accumulator, through the same ``transform``, which
+    is what makes a resumed run bit-identical to an uninterrupted one (a
+    replayed chunk carries no feature block: the store serves those).
+    Chunking is deterministic (fixed ``chunk_size`` over the same stream),
+    so chunk indices are stable identities across runs.
     """
     if checkpoint is not None:
         inner = transform
@@ -134,7 +135,7 @@ def run_plan(
             # no-op for indices already durable).
             for chunk in stream:
                 if chunk.index in checkpoint.completed:
-                    accumulator.add(checkpoint.load(chunk.index))
+                    accumulator.add(checkpoint.replay(chunk.index))
                 else:
                     yield chunk
 

@@ -638,8 +638,12 @@ class SnorkelPipeline:
         (:class:`~repro.labeling.blockstore.StoredFeatureBlocks`, a
         checkpointed run) are never written to: they go over as a callable
         that carves a copy of one block at a time, every epoch, so memory
-        stays one block.  With ``epoch_checkpoint`` the fit saves its state
-        after every epoch and a resumed run replays only the remaining ones.
+        stays one block.  Each such block is read through one mapping of its
+        file, its narrow-stored columns and values widened back, and its
+        ``indptr`` is kept from the first epoch, so later epochs skip the
+        triples-to-CSR passes.  With ``epoch_checkpoint`` the fit saves its
+        state after every epoch and a resumed run replays only the remaining
+        ones.
         """
         num_candidates = training_probs.shape[0]
         keep_mask = np.zeros(num_candidates, dtype=bool)

@@ -54,6 +54,10 @@ The rows, their relation inside one tree, and why:
 - ``warm re-run == cold run`` (bitwise): a pipeline run again in the same
   process, after a run over another vocabulary, reuses the compiled LFs and
   the featurizer's hash tables and returns the first run's bits.
+- ``checkpointed pipeline == in RAM`` (bitwise): a run into a fresh
+  ``checkpoint_dir`` (every chunk block stored narrowed and read back, the
+  end model trained from the stored blocks) and a run killed mid train
+  stream then resumed from it both equal the checkpoint-free run.
 
 Rows call only public API (the MLP's parameters excepted: ``_layers`` is
 their one store), so the table runs against an older checkout as well.
@@ -889,6 +893,64 @@ def rerun(warm: bool) -> Callable:
     return side
 
 
+class PlannedCrash(Exception):
+    """Raised by a train stream mid-pass: the run dies there."""
+
+
+def crashing(candidates, after: int):
+    for index, candidate in enumerate(candidates):
+        if index == after:
+            raise PlannedCrash(after)
+        yield candidate
+
+
+def checkpoint_cases(full: bool) -> dict:
+    """The text-shaped k = 2 and k = 4 cases of :func:`rerun_cases`."""
+    return {name: case for name, case in rerun_cases(full).items() if name.startswith("text")}
+
+
+def checkpointed(how: str) -> Callable:
+    """Each case run in RAM, into a fresh ``checkpoint_dir``, or killed half
+    way through its train stream and resumed from the same directory (by a
+    new pipeline over new LF objects, as a restarted process would)."""
+
+    def side(cases: dict) -> dict:
+        out = {}
+        for name, (make_lfs, streams, settings) in cases.items():
+            with tempfile.TemporaryDirectory() as root:
+                directory = None if how == "in RAM" else root
+                config = PipelineConfig(checkpoint_dir=directory, **settings)
+
+                def run(train, test, gold):
+                    return SnorkelPipeline(lfs=make_lfs(), config=config).run_streams(
+                        train, test, gold
+                    )
+
+                if how == "killed and resumed":
+                    train, test, gold = streams()
+                    train = list(train)
+                    try:
+                        run(crashing(train, len(train) // 2), test, gold)
+                    except PlannedCrash:
+                        pass
+                    else:
+                        raise AssertionError("the crashing stream did not raise")
+                result = run(*streams())
+            model = result.discriminative_model
+            featurizer = RelationFeaturizer(num_features=config.num_features).fit()
+            test_features = featurizer.transform(list(streams()[1]), sparse=True)
+            records = dict(
+                label_values=result.label_matrix.values, training_probs=result.training_probs,
+                weights=model.weights, bias=model.bias,
+                test_probs=model.predict_proba(test_features),
+                discriminative_f1=result.discriminative_f1,
+            )
+            out.update({f"{name} {part}": np.asarray(value) for part, value in records.items()})
+        return out
+
+    return side
+
+
 # ------------------------------------------------------------------ labeling
 def raises_on_thirds(candidate) -> int:
     """The planted faulty LF (module level: it has to reach pool workers)."""
@@ -1111,5 +1173,10 @@ CONTRACTS = (
         "warm re-run == cold run", rerun_cases,
         {"cold": rerun(warm=False), "warm": rerun(warm=True)},
         profiles=("text k2", "text k4", "cdr"),
+    ),
+    Contract(
+        "checkpointed pipeline == in RAM", checkpoint_cases,
+        {how: checkpointed(how) for how in ("in RAM", "checkpointed", "killed and resumed")},
+        profiles=("k2", "k4"),
     ),
 )

@@ -2,12 +2,18 @@
 
 What this suite pins down:
 
-* **Round trips** — named arrays (any dtype, including empty) and pickled
-  objects come back value-identical, as read-only memmap views.
+* **Round trips** — named arrays (any dtype, byte order, layout or shape,
+  including empty and 0-d) and pickled objects come back byte-identical
+  and read-only, in their original dtype, though the block holds each
+  int or float array in the narrowest signed int dtype that keeps it
+  bit-exact (a fused chunk block is at most a quarter of its arrays'
+  bytes).
 * **Recovery** — opening a store drops a torn index tail, detects
-  corrupted block files by size/crc and deletes them, and sweeps orphaned
-  and temp files; what survives recovery is exactly what was durably
-  committed.
+  corrupted block files by size/crc and deletes them, drops blocks of
+  another format (magic, header) and index records whose file is not
+  their key's, never touching a path outside ``blocks/``, and sweeps
+  orphaned and temp files; what survives recovery is exactly what was
+  durably committed.
 * **Reclamation** — ``delete`` tombstones durably, ``prune`` clears a
   namespace, ``retention="latest_epoch"`` drops superseded epoch-stamped
   blocks (at put time and at open), and the index compacts inline under
@@ -20,17 +26,28 @@ What this suite pins down:
   overrides for chunks a degraded run never persisted.
 """
 
+import json
 import os
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.datasets.synthetic import stream_text_candidates, text_vote_lfs
+from repro.discriminative import RelationFeaturizer
 from repro.exceptions import LabelingError
+from repro.labeling import LFApplier
 from repro.labeling.blockstore import (
+    MAGIC,
     BlockStore,
     ChunkCheckpointer,
     EpochCheckpoint,
     StoredFeatureBlocks,
+    _narrowed,
 )
 from repro.labeling.engine import faults
 from repro.labeling.engine.accumulator import ChunkResult
@@ -80,6 +97,115 @@ def test_put_get_round_trip(tmp_path):
         assert "block/two" not in store
         with pytest.raises(LabelingError):
             store.get("block/two")
+
+
+def nan_with_payload(dtype: str, bits: int) -> np.ndarray:
+    return np.array([bits], dtype=f"u{np.dtype(dtype).itemsize}").view(dtype)
+
+
+#: Stored dtypes the encoding must round-trip, byte orders included.
+DTYPES = (
+    "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "f2", "f4", "f8",
+    "?", ">i2", ">i8", ">u8", ">f4", ">f8",
+)
+#: The values a narrowing decision turns on.
+EDGES = (
+    0, 1, -1, 127, -128, 128, -129, 32767, -32768, 32768, -32769,
+    2**31 - 1, -(2**31), 2**31, -(2**31) - 1, 2**53, 2**53 + 1, 2**63 - 1, -(2**63),
+    2**63, 2**64 - 1, 0.5, -0.0, 2.0**-1074, 2.0**-149, float("inf"), -float("inf"),
+)
+
+
+@st.composite
+def stored_arrays(draw):
+    dtype = np.dtype(draw(st.sampled_from(DTYPES)))
+    if dtype.kind == "b":
+        edges = [False, True]
+    elif dtype.kind == "f":
+        largest = float(np.finfo(dtype).max)
+        edges = [float(v) for v in EDGES if abs(v) <= largest or abs(v) == float("inf")]
+    else:
+        info = np.iinfo(dtype)
+        edges = [v for v in EDGES if isinstance(v, int) and info.min <= v <= info.max]
+    elements = st.sampled_from(edges)
+    if draw(st.booleans()):
+        elements = elements | hnp.from_dtype(dtype)
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6))
+    array = draw(hnp.arrays(dtype, shape, elements=elements))
+    layout = draw(st.sampled_from(("contiguous", "strided", "transposed")))
+    if layout == "strided" and array.ndim:
+        array = array[::2]
+    elif layout == "transposed":
+        array = array.T
+    return array
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(stored_arrays(), min_size=1, max_size=4))
+@example([np.array([-128, 127, 0]), np.array([128, -129]), np.array([2**53 + 1, -(2**31)])])
+@example([np.array([-0.0, 1.0]), np.array([0.5, 2.0]), np.array([1e300, 3.0])])
+@example([nan_with_payload("f8", 0x7FF8_0000_0000_0123), nan_with_payload("f4", 0x7FC0_0042)])
+@example([np.array([2**63, 1], dtype=np.uint64), np.array([-np.inf, 4.0], dtype=">f8")])
+@example([np.array(3.0), np.array(7, dtype=np.int64), np.empty((0, 3)), np.empty(0, "u8")])
+@example([np.arange(12, dtype=">i8").reshape(3, 4).T, np.arange(10.0)[::3]])
+def test_narrow_encoding_round_trips_bytes(arrays):
+    """Whatever a block holds narrowed, ``get`` returns each array in its
+    original dtype and shape, byte for byte, read-only."""
+    with tempfile.TemporaryDirectory() as root, BlockStore(root) as store:
+        named = {f"x{position}": array for position, array in enumerate(arrays)}
+        store.put("block", named)
+        loaded, _ = store.get("block")
+        for name, array in named.items():
+            assert loaded[name].dtype == array.dtype, name
+            assert loaded[name].shape == array.shape, name
+            assert loaded[name].tobytes() == array.tobytes(), name
+            assert not loaded[name].flags.writeable, name
+
+
+@pytest.mark.parametrize(
+    "values, dtype, stored",
+    [
+        ([-128, 127], "i8", "i1"),
+        ([128], "i8", "i2"),
+        ([-32769, 5], "i8", "i4"),
+        ([2**31], "i8", "i8"),
+        ([2**63], "u8", "u8"),
+        ([300], ">u4", "i2"),
+        ([1, 2], "i2", "i1"),
+        ([7], "i1", "i1"),
+        ([1.0, -3.0, 0.0], "f8", "i1"),
+        ([2.0**20], "f8", "i4"),
+        ([2.0**40], "f8", "f8"),
+        ([2.0**20], "f4", "f4"),
+        ([-0.0], "f8", "f8"),
+        ([0.5], "f8", "f8"),
+        ([np.nan], "f8", "f8"),
+        ([np.inf], "f4", "f4"),
+        ([2.0**63], "f8", "f8"),
+        ([True], "?", "?"),
+        ([], "i8", "i8"),
+    ],
+)
+def test_narrowed_picks_the_narrowest_exact_signed_dtype(values, dtype, stored):
+    assert _narrowed(np.array(values, dtype=dtype)).dtype == np.dtype(stored)
+
+
+def test_fused_chunk_block_is_at_most_a_quarter_of_its_bytes(tmp_path):
+    """Votes, LF ids, row offsets, feature buckets and count features are
+    small integers: a chunk block of the fused pass stores each narrowed."""
+    lfs = text_vote_lfs(10, cardinality=4)
+    candidates = stream_text_candidates(600, num_lfs=10, cardinality=4, seed=0)
+    with BlockStore(str(tmp_path / "store")) as store:
+        checkpoint = ChunkCheckpointer(store, "train")
+        LFApplier(lfs, chunk_size=256).apply_with_features(
+            candidates, RelationFeaturizer(num_features=512).fit(), checkpoint=checkpoint
+        )
+        assert checkpoint.completed == {0, 1, 2}
+        for index in sorted(checkpoint.completed):
+            arrays, _ = store.get(f"chunk/train/{index}")
+            logical = sum(array.nbytes for array in arrays.values())
+            on_disk = os.path.getsize(os.path.join(store.blocks_dir, f"chunk~train~{index}.blk"))
+            assert on_disk <= logical / 4, (index, on_disk, logical)
 
 
 def test_reput_last_wins_across_reopen(tmp_path):
@@ -140,6 +266,73 @@ def test_corrupt_block_file_detected_and_deleted(tmp_path):
     with BlockStore(root) as store:
         assert store.keys() == ["survivor"]
         assert not os.path.exists(path)
+
+
+def test_recovery_never_touches_paths_outside_blocks(tmp_path):
+    """An index record names its file through its key only: a ``file``
+    field pointing out of ``blocks/`` (or a key that is no key) is dropped,
+    and what it pointed at is left alone."""
+    root = str(tmp_path / "store")
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep me")
+    outside = tmp_path / "store" / "outside.blk"
+    with BlockStore(root) as store:
+        store.put("good", {"a": np.arange(3)})
+        index_path = store.index_path
+    outside.write_bytes(b"x")
+    with open(index_path, "a", encoding="utf-8") as handle:
+        for record in (
+            {"key": "chunk/train/0", "file": "../../victim.txt", "size": 1, "crc": 0},
+            {"key": "chunk/train/1", "file": "../outside.blk", "size": 1, "crc": zlib.crc32(b"x")},
+            {"key": "../outside", "file": "..~outside.blk", "size": 1, "crc": 0},
+        ):
+            handle.write(json.dumps(record) + "\n")
+    with BlockStore(root) as store:
+        keys = store.keys()
+    assert victim.read_text() == "keep me"
+    assert outside.read_bytes() == b"x"
+    assert keys == ["good"]
+
+
+@pytest.mark.parametrize("magic", [b"RBLK1\n", b"RBLK9\n"])
+def test_block_of_another_format_recovers_as_empty(tmp_path, magic):
+    """A block whose magic is not this format's is dropped on reopen like a
+    corrupt one — even with a matching index record — so an old store
+    resumes empty instead of failing at the first read."""
+    assert magic != MAGIC
+    root = str(tmp_path / "store")
+    with BlockStore(root) as store:
+        store.put("chunk/train/0", {"a": np.arange(5)})
+        store.put("survivor", {"a": np.arange(2)})
+        path = os.path.join(store.blocks_dir, "chunk~train~0.blk")
+        index_path = store.index_path
+    with open(path, "r+b") as handle:
+        handle.write(magic)
+    with open(path, "rb") as handle:
+        body = handle.read()
+    with open(index_path, "a", encoding="utf-8") as handle:
+        record = {"key": "chunk/train/0", "file": "chunk~train~0.blk"}
+        handle.write(json.dumps({**record, "size": len(body), "crc": zlib.crc32(body)}) + "\n")
+    with BlockStore(root) as store:
+        assert store.keys() == ["survivor"]
+        assert ChunkCheckpointer(store, "train").completed == set()
+    assert not os.path.exists(path)
+
+
+def test_block_with_an_unreadable_header_is_dropped(tmp_path):
+    root = str(tmp_path / "store")
+    with BlockStore(root) as store:
+        store.put("k", {"a": np.arange(5)})
+        path = os.path.join(store.blocks_dir, "k.blk")
+        index_path = store.index_path
+    body = MAGIC + (10**6).to_bytes(8, "little") + b'{"key": "k"'
+    with open(path, "wb") as handle:
+        handle.write(body)
+    with open(index_path, "a", encoding="utf-8") as handle:
+        record = {"key": "k", "file": "k.blk", "size": len(body), "crc": zlib.crc32(body)}
+        handle.write(json.dumps(record) + "\n")
+    with BlockStore(root) as store:
+        assert store.keys() == []
 
 
 def test_orphan_and_tmp_files_swept(tmp_path):
