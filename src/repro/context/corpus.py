@@ -2,17 +2,31 @@
 
 A :class:`Corpus` owns the records of the hierarchy directly — one list per
 record type in insertion order (a record's ``id`` is its 1-based position)
-and, for each parent id, the list of its children, appended at insert — so
-every traversal is a list or dict lookup and ingest, extraction and
-materialization are linear in corpus size.  It materializes
-:class:`repro.context.candidates.Candidate` views — the denormalized objects
-labeling functions receive.
+and, for each parent id, the list of its children — so every traversal is a
+list or dict lookup and ingest, extraction and materialization are linear in
+corpus size.  It materializes :class:`repro.context.candidates.Candidate`
+views — the denormalized objects labeling functions receive.
+
+Records are stored a document (or an extraction) at a time: every record is
+built and checked first, with its id taken from its position, and then the
+whole batch is appended, so an error on the way leaves the corpus as it was.
+Per sentence, ingest reads the preprocessed words, offsets and entities once
+and builds the sentence's spans and mentions in one comprehension each —
+no Python call per token or per record beyond the record's own constructor.
+Children lists are put in their query order at that moment (a document's
+sentences by ``position``, a sentence's spans by ``word_start``, both
+stable), so :meth:`Corpus.sentences_of` and :meth:`Corpus.entities_of` read
+them without sorting; the order, and so every candidate, is the one of
+sorting on each query.  Each entity stores one span and one mention, so a
+span and its mention share an id.  :meth:`Corpus.candidates` checks the ids
+of a batch of records once, then reads the records by index.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import attrgetter
-from typing import Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 from repro.context.candidates import Candidate, CandidateRecord, SentenceView, SpanView
 from repro.context.contexts import Document, EntityMention, Sentence, Span
@@ -40,12 +54,11 @@ class Corpus:
         self._documents: list[Document] = []
         self._sentences: list[Sentence] = []
         self._spans: list[Span] = []
-        self._mentions: list[EntityMention] = []
+        self._mentions: list[EntityMention] = []  # the mention of span id i is at i - 1
         self._candidate_records: list[CandidateRecord] = []
-        # Parent id -> children in insertion order.
+        # Parent id -> children in query order.
         self._document_sentences: dict[int, list[Sentence]] = {}
         self._sentence_spans: dict[int, list[Span]] = {}
-        self._span_mentions: dict[int, list[EntityMention]] = {}
         self._extracted: set[tuple[int, str]] = set()
 
     # ------------------------------------------------------------------ ingest
@@ -78,67 +91,73 @@ class Corpus:
         Each sentence dict must have keys ``text``, ``words``, ``position``;
         optional keys are ``char_offsets`` and ``entities`` (a list of
         :class:`TaggedEntity` or equivalent dicts).  Entity spans must lie
-        inside their sentence.
+        inside their sentence; otherwise nothing of the document is stored.
         """
-        document = _append(
-            self._documents,
-            Document(name=name, text=text, split=split, metadata=dict(metadata or {})),
-        )
-        self._document_sentences[document.id] = []
-        for sentence_dict in sentences:
-            sentence = _append(
-                self._sentences,
+        document = Document(name, text, split, dict(metadata or {}), len(self._documents) + 1)
+        stored: list[Sentence] = []
+        spans: list[Span] = []
+        mentions: list[EntityMention] = []
+        sentence_spans: dict[int, list[Span]] = {}
+        next_span = len(self._spans) + 1
+        for sentence_id, sentence_dict in enumerate(sentences, len(self._sentences) + 1):
+            words = list(sentence_dict["words"])
+            offsets = sentence_dict["char_offsets"] if "char_offsets" in sentence_dict else ()
+            position = sentence_dict["position"]
+            stored.append(
                 Sentence(
-                    document_id=document.id,
-                    position=sentence_dict["position"],
-                    text=sentence_dict["text"],
-                    words=list(sentence_dict["words"]),
-                    char_offsets=[list(pair) for pair in sentence_dict.get("char_offsets", [])],
-                ),
+                    document.id, position, sentence_dict["text"], words,
+                    list(map(list, offsets)), sentence_id,
+                )
             )
-            self._document_sentences[document.id].append(sentence)
-            self._sentence_spans[sentence.id] = []
-            for entity in sentence_dict.get("entities", []):
-                self._add_entity(document, sentence, entity)
+            entities = list(sentence_dict["entities"] if "entities" in sentence_dict else ())
+            if not entities:
+                continue
+            if any(map(isinstance, entities, repeat(dict))):
+                entities = [TaggedEntity(**e) if isinstance(e, dict) else e for e in entities]
+            num_words = len(words)
+            for entity in entities:
+                if not 0 <= entity.word_start < entity.word_end <= num_words:
+                    raise ContextError(
+                        f"document {name!r}, sentence {position}: entity span "
+                        f"{entity.text!r} [{entity.word_start}, {entity.word_end}) lies "
+                        f"outside a sentence of {num_words} tokens"
+                    )
+            new_spans = [
+                Span(sentence_id, entity.word_start, entity.word_end, entity.text, span_id)
+                for span_id, entity in enumerate(entities, next_span)
+            ]
+            mentions += [
+                EntityMention(span_id, entity.entity_type, entity.canonical_id, span_id)
+                for span_id, entity in enumerate(entities, next_span)
+            ]
+            next_span += len(new_spans)
+            spans += new_spans
+            sentence_spans[sentence_id] = sorted(new_spans, key=_WORD_START)
+        self._documents.append(document)
+        self._sentences += stored
+        self._spans += spans
+        self._mentions += mentions
+        self._document_sentences[document.id] = sorted(stored, key=_POSITION)
+        self._sentence_spans.update(sentence_spans)
         return document
 
-    def _add_entity(
-        self, document: Document, sentence: Sentence, entity: TaggedEntity | dict
-    ) -> EntityMention:
-        if isinstance(entity, dict):
-            entity = TaggedEntity(**entity)
-        if not 0 <= entity.word_start < entity.word_end <= len(sentence.words):
-            raise ContextError(
-                f"document {document.name!r}, sentence {sentence.position}: entity span "
-                f"{entity.text!r} [{entity.word_start}, {entity.word_end}) lies outside a "
-                f"sentence of {len(sentence.words)} tokens"
-            )
-        span = _append(
-            self._spans,
-            Span(
-                sentence_id=sentence.id,
-                word_start=entity.word_start,
-                word_end=entity.word_end,
-                text=entity.text,
-            ),
-        )
-        self._sentence_spans[sentence.id].append(span)
-        mention = _append(
-            self._mentions,
-            EntityMention(
-                span_id=span.id,
-                entity_type=entity.entity_type,
-                canonical_id=entity.canonical_id,
-            ),
-        )
-        self._span_mentions[span.id] = [mention]
-        return mention
+    def add_candidate_records(
+        self,
+        document: Document,
+        relation_type: str,
+        records: Sequence[CandidateRecord],
+        gold_labeler: Optional[Callable[[Candidate], Optional[int]]] = None,
+    ) -> None:
+        """Store one extraction of ``relation_type`` from ``document``.
 
-    def begin_extraction(self, document: Document, relation_type: str) -> None:
-        """Claim ``document`` for one extraction of ``relation_type``.
-
-        A second extraction of the same pair would store every candidate
-        again under new ids, so it raises :class:`ContextError` instead.
+        ``records`` get the next ids in order; ``gold_labeler``, if given,
+        sees each record's :class:`Candidate`, and a non-``None`` answer
+        becomes the record's ``gold_label``.  Nothing is stored until every
+        label is in, and then the records and the claim on the pair are
+        stored together, so a labeler that raises leaves the corpus unchanged
+        and the document free to extract again.  A second extraction of the
+        pair (it would store every candidate again under new ids) raises
+        :class:`ContextError`.
         """
         key = (document.id, relation_type)
         if key in self._extracted:
@@ -146,29 +165,15 @@ class Corpus:
                 f"candidates of relation type {relation_type!r} were already extracted "
                 f"from document {document.name!r}"
             )
+        for record_id, record in enumerate(records, len(self._candidate_records) + 1):
+            record.id = record_id
+        if gold_labeler is not None:
+            for record, candidate in zip(records, self._views(records)):
+                gold = gold_labeler(candidate)
+                if gold is not None:
+                    record.gold_label = int(gold)
+        self._candidate_records += records
         self._extracted.add(key)
-
-    def add_candidate_record(
-        self,
-        sentence: Sentence,
-        span1: Span,
-        span2: Span,
-        relation_type: str,
-        split: str,
-        gold_label: Optional[int] = None,
-    ) -> CandidateRecord:
-        """Store a candidate record linking a sentence and two spans."""
-        return _append(
-            self._candidate_records,
-            CandidateRecord(
-                sentence_id=sentence.id,
-                span1_id=span1.id,
-                span2_id=span2.id,
-                relation_type=relation_type,
-                split=split,
-                gold_label=gold_label,
-            ),
-        )
 
     # ----------------------------------------------------------------- queries
     @property
@@ -192,7 +197,7 @@ class Corpus:
 
     def sentences_of(self, document: Document) -> list[Sentence]:
         """Sentences of ``document`` ordered by position."""
-        return sorted(self._document_sentences.get(document.id, ()), key=_POSITION)
+        return list(self._document_sentences.get(document.id, ()))
 
     def entities_of(self, sentence: Sentence) -> list[tuple[Span, EntityMention]]:
         """All ``(span, entity_mention)`` pairs tagged in ``sentence``.
@@ -200,12 +205,8 @@ class Corpus:
         Ordered by ``word_start``; spans starting at the same token keep
         their insertion order.
         """
-        spans = sorted(self._sentence_spans.get(sentence.id, ()), key=_WORD_START)
-        return [
-            (span, mention)
-            for span in spans
-            for mention in self._span_mentions.get(span.id, ())
-        ]
+        mentions = self._mentions
+        return [(span, mentions[span.id - 1]) for span in self._sentence_spans.get(sentence.id, ())]
 
     def candidate_records(self, split: Optional[str] = None) -> list[CandidateRecord]:
         """Stored candidate records in id order, optionally filtered by split."""
@@ -214,57 +215,60 @@ class Corpus:
     # ----------------------------------------------------------- materialization
     def materialize_candidate(self, record: CandidateRecord) -> Candidate:
         """Build the denormalized :class:`Candidate` view for ``record``."""
-        sentence = _by_id(self._sentences, record.sentence_id, "sentence")
-        document = _by_id(self._documents, sentence.document_id, "document")
-        candidate = Candidate(
-            uid=record.id,
-            span1=self._span_view(_by_id(self._spans, record.span1_id, "span")),
-            span2=self._span_view(_by_id(self._spans, record.span2_id, "span")),
-            sentence=SentenceView(
-                words=list(sentence.words),
-                text=sentence.text,
-                position=sentence.position,
-                document_name=document.name,
-                document_metadata=dict(document.metadata),
-            ),
-            relation_type=record.relation_type,
-            split=record.split,
-            gold_label=record.gold_label,
-        )
-        candidate.validate()
-        return candidate
+        return self._views([record])[0]
 
     def candidates(self, split: Optional[str] = None) -> list[Candidate]:
         """Materialize all candidates, optionally restricted to one split."""
-        return [self.materialize_candidate(record) for record in self.candidate_records(split)]
+        return self._views(self.candidate_records(split))
 
-    def _span_view(self, span: Span) -> SpanView:
-        mentions = self._span_mentions.get(span.id)
-        mention = mentions[0] if mentions else None
-        return SpanView(
-            text=span.text,
-            word_start=span.word_start,
-            word_end=span.word_end,
-            entity_type=mention.entity_type if mention else None,
-            canonical_id=mention.canonical_id if mention else None,
-        )
+    def _views(self, records: Sequence[CandidateRecord]) -> list[Candidate]:
+        """The :class:`Candidate` of each record: ids checked for the batch, then indexed."""
+        sentences, spans, mentions = self._sentences, self._spans, self._mentions
+        _check_ids(records, "sentence_id", sentences, "sentence")
+        _check_ids(records, "span1_id", spans, "span")
+        _check_ids(records, "span2_id", spans, "span")
+        views = []
+        for record in records:
+            sentence = sentences[record.sentence_id - 1]
+            document = self._documents[sentence.document_id - 1]
+            span1, mention1 = spans[record.span1_id - 1], mentions[record.span1_id - 1]
+            span2, mention2 = spans[record.span2_id - 1], mentions[record.span2_id - 1]
+            candidate = Candidate(
+                uid=record.id,
+                span1=SpanView(
+                    span1.text, span1.word_start, span1.word_end,
+                    mention1.entity_type, mention1.canonical_id,
+                ),
+                span2=SpanView(
+                    span2.text, span2.word_start, span2.word_end,
+                    mention2.entity_type, mention2.canonical_id,
+                ),
+                sentence=SentenceView(
+                    words=list(sentence.words),
+                    text=sentence.text,
+                    position=sentence.position,
+                    document_name=document.name,
+                    document_metadata=dict(document.metadata),
+                ),
+                relation_type=record.relation_type,
+                split=record.split,
+                gold_label=record.gold_label,
+            )
+            candidate.validate()
+            views.append(candidate)
+        return views
 
 
 _POSITION = attrgetter("position")
 _WORD_START = attrgetter("word_start")
 
 
-def _append(records: list[R], record: R) -> R:
-    """Store ``record`` and give it the next 1-based id of its type."""
-    records.append(record)
-    record.id = len(records)
-    return record
-
-
-def _by_id(records: list[R], record_id: int, kind: str) -> R:
-    if not 1 <= record_id <= len(records):
-        raise ContextError(f"corpus has no {kind} with id {record_id!r}")
-    return records[record_id - 1]
+def _check_ids(records: Sequence[CandidateRecord], field: str, table: list, kind: str) -> None:
+    """Raise unless every record's ``field`` is the id of a record in ``table``."""
+    ids = list(map(attrgetter(field), records))
+    if ids and not (1 <= min(ids) and max(ids) <= len(table)):
+        bad = next(i for i in ids if not 1 <= i <= len(table))
+        raise ContextError(f"corpus has no {kind} with id {bad!r}")
 
 
 def _in_split(records: list[R], split: Optional[str]) -> list[R]:

@@ -4,16 +4,26 @@ The paper's running example defines candidates as all co-occurring
 (chemical, disease) mention pairs within a sentence.  The
 :class:`PairedEntityCandidateSpace` generalizes this: given two entity types,
 every ordered pair of mentions of those types in a sentence is a candidate.
+
+Per sentence, extraction reads the sentence's entities in ``word_start``
+order and pairs them with ``itertools`` (``combinations`` for one type,
+``product`` for two), which yields the pairs in the order of the nested loops
+they replace.  Extraction is atomic per document: its records and gold labels
+are built first and stored together with the document's claim, so a gold
+labeler that raises stores nothing and leaves the document to extract again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
+from numbers import Integral
 from typing import Callable, Optional
 
-from repro.context.candidates import Candidate
+from repro.context.candidates import Candidate, CandidateRecord
 from repro.context.contexts import Document, EntityMention, Span
 from repro.context.corpus import Corpus
+from repro.exceptions import ContextError
 
 
 @dataclass(frozen=True)
@@ -30,8 +40,9 @@ class PairedEntityCandidateSpace:
         Spouses task), unordered pairs are produced once, with the leftmost
         mention as the first argument.
     max_token_distance:
-        Optional cap on the number of tokens between the two mentions;
-        ``None`` allows any distance within a sentence.
+        Optional cap on the number of tokens between the two mentions: an
+        integer ≥ 0 (not a bool); ``None`` allows any distance within a
+        sentence.  Anything else raises :class:`ContextError`.
     """
 
     relation_type: str
@@ -39,30 +50,30 @@ class PairedEntityCandidateSpace:
     type2: str
     max_token_distance: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        distance = self.max_token_distance
+        if distance is not None and (
+            isinstance(distance, bool) or not isinstance(distance, Integral) or distance < 0
+        ):
+            raise ContextError(
+                f"max_token_distance must be None or an integer >= 0, got {distance!r}"
+            )
+
     def pairs(
         self, entities: list[tuple[Span, EntityMention]]
     ) -> list[tuple[Span, Span]]:
         """Enumerate candidate span pairs for one sentence's tagged entities."""
-        first = [(span, mention) for span, mention in entities if mention.entity_type == self.type1]
-        second = [
-            (span, mention) for span, mention in entities if mention.entity_type == self.type2
-        ]
-        pairs: list[tuple[Span, Span]] = []
+        first = [span for span, mention in entities if mention.entity_type == self.type1]
         if self.type1 == self.type2:
-            for i in range(len(first)):
-                for j in range(i + 1, len(first)):
-                    pairs.append((first[i][0], first[j][0]))
+            pairs = list(combinations(first, 2))
         else:
-            for span1, _ in first:
-                for span2, _ in second:
-                    if span1.id == span2.id:
-                        continue
-                    pairs.append((span1, span2))
+            second = [span for span, mention in entities if mention.entity_type == self.type2]
+            pairs = [pair for pair in product(first, second) if pair[0].id != pair[1].id]
         if self.max_token_distance is None:
             return pairs
         kept = []
         for span1, span2 in pairs:
-            left, right = sorted((span1, span2), key=lambda s: s.word_start)
+            left, right = (span2, span1) if span2.word_start < span1.word_start else (span1, span2)
             if right.word_start - left.word_end <= self.max_token_distance:
                 kept.append((span1, span2))
         return kept
@@ -106,23 +117,17 @@ class CandidateExtractor:
         return created
 
     def extract_document(self, corpus: Corpus, document: Document) -> int:
-        """Extract candidates from a single document (once per relation type)."""
+        """Extract candidates from a single document (once per relation type).
+
+        All or nothing: the records and their gold labels are built first,
+        then stored with the document's claim (see
+        :meth:`Corpus.add_candidate_records`).
+        """
         relation_type = self.candidate_space.relation_type
-        corpus.begin_extraction(document, relation_type)
-        created = 0
-        for sentence in corpus.sentences_of(document):
-            entities = corpus.entities_of(sentence)
-            for span1, span2 in self.candidate_space.pairs(entities):
-                record = corpus.add_candidate_record(
-                    sentence=sentence,
-                    span1=span1,
-                    span2=span2,
-                    relation_type=relation_type,
-                    split=document.split,
-                )
-                if self.gold_labeler is not None:
-                    gold = self.gold_labeler(corpus.materialize_candidate(record))
-                    if gold is not None:
-                        record.gold_label = int(gold)
-                created += 1
-        return created
+        records = [
+            CandidateRecord(sentence.id, span1.id, span2.id, relation_type, document.split)
+            for sentence in corpus.sentences_of(document)
+            for span1, span2 in self.candidate_space.pairs(corpus.entities_of(sentence))
+        ]
+        corpus.add_candidate_records(document, relation_type, records, self.gold_labeler)
+        return len(records)

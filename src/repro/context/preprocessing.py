@@ -6,6 +6,15 @@ punctuation-based sentence splitter, and a dictionary (gazetteer) entity
 tagger exercise the same pipeline stages: documents are split into sentences,
 sentences into tokens with character offsets, and entity mentions are tagged
 as typed spans that candidate extraction consumes.
+
+Per sentence the stock components make a fixed number of Python calls, not
+one per token: the tokenizer is one ``finditer`` whose words and offsets are
+read off the matches by ``map`` in C, and the tagger lowercases the words by
+``map``, finds the positions whose token starts a dictionary entry in one
+comprehension and runs the greedy longest-first match only there.  The
+other positions cannot start an entry, so the tags are those of trying every
+entry at every position (``tests/test_context.py`` holds the tagger to that
+loop, and ``tests/reference_context.py`` the whole ingest).
 """
 
 from __future__ import annotations
@@ -13,26 +22,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.utils.textutils import normalize, split_sentences, tokenize_with_offsets
+from repro.utils.textutils import split_sentences, tokenize, tokenize_with_offsets
 
 
 class SimpleTokenizer:
-    """Regex word/punctuation tokenizer that records character offsets."""
+    """Regex word/punctuation tokenizer that records character offsets.
 
-    def tokenize(self, text: str) -> tuple[list[str], list[tuple[int, int]]]:
-        """Return ``(words, char_offsets)`` for ``text``."""
-        triples = tokenize_with_offsets(text)
-        words = [token for token, _, _ in triples]
-        offsets = [(start, end) for _, start, end in triples]
-        return words, offsets
+    ``tokenize(text)`` returns ``(words, char_offsets)``; it is the text
+    utility itself, aliased at class level so a call is one frame.
+    """
+
+    tokenize = staticmethod(tokenize_with_offsets)
 
 
 class SimpleSentenceSplitter:
-    """Sentence splitter on terminal punctuation followed by whitespace."""
+    """Sentence splitter on terminal punctuation followed by whitespace.
 
-    def split(self, text: str) -> list[str]:
-        """Split ``text`` into sentence strings."""
-        return split_sentences(text)
+    ``split(text)`` returns the sentence strings (aliased like
+    :meth:`SimpleTokenizer.tokenize`).
+    """
+
+    split = staticmethod(split_sentences)
 
 
 @dataclass(frozen=True)
@@ -53,23 +63,25 @@ class DictionaryEntityTagger:
     ----------
     dictionaries:
         Mapping from entity type (e.g. ``"chemical"``) to a mapping from
-        surface form to canonical id.  Multi-word surface forms are matched
-        greedily, longest-first, case-insensitively.
+        surface form to canonical id.  A surface form is split into tokens by
+        the sentence tokenizer's pattern (so ``"5-fluorouracil"`` is the three
+        tokens ``5``, ``-``, ``fluorouracil``), and multi-token forms are
+        matched greedily, longest-first, case-insensitively.
     """
 
     def __init__(self, dictionaries: Mapping[str, Mapping[str, str]]) -> None:
-        entries: list[tuple[tuple[str, ...], str, str]] = []
+        entries: list[tuple[list[str], int, str, str]] = []
         for entity_type, surface_to_id in dictionaries.items():
             for surface, canonical_id in surface_to_id.items():
-                tokens = tuple(normalize(token) for token in surface.split())
+                tokens = list(map(str.lower, tokenize(surface)))
                 if tokens:
-                    entries.append((tokens, entity_type, canonical_id))
+                    entries.append((tokens, len(tokens), entity_type, canonical_id))
         # Longest surface forms first so greedy matching prefers them; the
         # sort is stable, so equal lengths keep dictionary order.  Entries are
         # then grouped by first token in that order: only those can match at a
         # position, and the first of them that does is the overall winner.
-        entries.sort(key=lambda entry: len(entry[0]), reverse=True)
-        self._entries_by_first_token: dict[str, list[tuple[tuple[str, ...], str, str]]] = {}
+        entries.sort(key=lambda entry: entry[1], reverse=True)
+        self._entries_by_first_token: dict[str, list[tuple[list[str], int, str, str]]] = {}
         for entry in entries:
             self._entries_by_first_token.setdefault(entry[0][0], []).append(entry)
 
@@ -79,28 +91,21 @@ class DictionaryEntityTagger:
         Matches are non-overlapping; when two dictionary entries could match
         at the same position the longer one wins.
         """
-        normalized = [normalize(word) for word in words]
+        entries = self._entries_by_first_token
+        normalized = list(map(str.lower, words))
         tagged: list[TaggedEntity] = []
-        position = 0
-        while position < len(words):
-            for tokens, entity_type, canonical_id in self._entries_by_first_token.get(
-                normalized[position], ()
-            ):
-                end = position + len(tokens)
-                if end <= len(words) and tuple(normalized[position:end]) == tokens:
-                    tagged.append(
-                        TaggedEntity(
-                            word_start=position,
-                            word_end=end,
-                            text=" ".join(words[position:end]),
-                            entity_type=entity_type,
-                            canonical_id=canonical_id,
-                        )
-                    )
-                    position = end
+        covered = 0  # positions before this lie inside an earlier match
+        for start in [i for i, token in enumerate(normalized) if token in entries]:
+            if start < covered:
+                continue
+            for tokens, length, entity_type, canonical_id in entries[normalized[start]]:
+                end = start + length
+                # A slice running past the sentence is shorter, so unequal.
+                if normalized[start:end] == tokens:
+                    text = " ".join(words[start:end])
+                    tagged.append(TaggedEntity(start, end, text, entity_type, canonical_id))
+                    covered = end
                     break
-            else:
-                position += 1
         return tagged
 
 

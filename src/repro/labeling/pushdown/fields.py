@@ -78,12 +78,12 @@ def make_column(values: list, errors: Optional[dict[int, BaseException]]) -> Col
         probe = [v for i, v in enumerate(values) if i not in errors]
     else:
         probe = values
-    types = {type(v) for v in probe}
+    types = set(map(type, probe))
     if probe and types == {bool}:
-        filled = [False if errors and i in errors else v for i, v in enumerate(values)]
+        filled = [False if i in errors else v for i, v in enumerate(values)] if errors else values
         return Column(np.asarray(filled, dtype=bool), errors)
     if probe and types == {int}:
-        filled = [0 if errors and i in errors else v for i, v in enumerate(values)]
+        filled = [0 if i in errors else v for i, v in enumerate(values)] if errors else values
         try:
             array = np.asarray(filled, dtype=np.int64)
         except OverflowError:

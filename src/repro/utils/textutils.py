@@ -21,15 +21,19 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_PATTERN.findall(text)
 
 
-def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
-    """Tokenize and return ``(token, char_start, char_end)`` triples."""
-    return [(m.group(0), m.start(), m.end()) for m in _TOKEN_PATTERN.finditer(text)]
+def tokenize_with_offsets(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """Tokenize ``text``: the tokens and their ``(char_start, char_end)`` offsets.
+
+    One ``finditer`` pass; the words and offsets are read off the matches by
+    ``map`` in C, with no Python frame per token.
+    """
+    matches = list(_TOKEN_PATTERN.finditer(text))
+    return list(map(re.Match.group, matches)), list(map(re.Match.span, matches))
 
 
 def split_sentences(text: str) -> list[str]:
-    """Split ``text`` into sentences on terminal punctuation."""
-    parts = [part.strip() for part in _SENTENCE_BOUNDARY.split(text)]
-    return [part for part in parts if part]
+    """Split ``text`` into stripped, non-empty sentences on terminal punctuation."""
+    return list(filter(None, map(str.strip, _SENTENCE_BOUNDARY.split(text))))
 
 
 def normalize(token: str) -> str:

@@ -54,6 +54,11 @@ The rows, their relation inside one tree, and why:
 - ``warm re-run == cold run`` (bitwise): a pipeline run again in the same
   process, after a run over another vocabulary, reuses the compiled LFs and
   the featurizer's hash tables and returns the first run's bits.
+- ``documents → candidates == reference`` (bitwise): ``Corpus`` ingest,
+  extraction and materialization store the records and candidates that
+  ``tests/reference_context.py`` states sentence by sentence — cdr- and
+  radiology-shaped corpora and adversarial text (Unicode whitespace, runs of
+  ``.!?``, blank documents, NUL, apostrophes, mixed case).
 - ``checkpointed pipeline == in RAM`` (bitwise): a run into a fresh
   ``checkpoint_dir`` (every chunk block stored narrowed and read back, the
   end model trained from the stored blocks) and a run killed mid train
@@ -72,12 +77,15 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+import reference_context as ref_context
 import reference_dawid_skene as ref_ds
 import reference_stats as ref
 import reference_structure as ref_structure
 from reference_em import reference_em
 
+from repro.datasets import cdr, radiology
 from repro.datasets.base import load_task
+from repro.datasets.synth_text import build_relation_task
 from repro.datasets.synthetic import (
     build_multiclass_task,
     generate_label_matrix,
@@ -1050,6 +1058,72 @@ def featurizing(warm: bool) -> Callable:
     return side
 
 
+# ------------------------------------------------------------------ context
+ODD_WORDS = ("magnesium", "MAGNESIUM", "renal", "Failure", "don't", "'s", "\x00", "-", "fever")
+# Spaces thrice: most gaps fall inside a sentence.
+ODD_GAPS = (" ", " ", " ", "\u00a0", "\u2003", "\x1c", "\n", ". ", "!?. ", "...\u2003", ".")
+
+
+@functools.lru_cache(maxsize=None)
+def context_inputs(full: bool) -> dict:
+    """``profile: (dictionaries, documents, relation)``.  Surfaces are plain
+    words, which every tokenizer of a surface splits alike."""
+    rng, scale = np.random.default_rng(0), 3 if full else 1
+    spec = cdr.build_spec(scale=12 * scale / 900)
+    data = build_relation_task(spec, seed=0)
+    cdr_docs = [(d.name, d.text, d.split, d.metadata) for d in data.corpus.documents()]
+    reports = []
+    templates = radiology.ABNORMAL_TEMPLATES + radiology.NORMAL_TEMPLATES
+    findings, regions = sorted(radiology.RADIOLOGY_FINDINGS), sorted(radiology.RADIOLOGY_REGIONS)
+    for index in range(20 * scale):
+        first = templates[rng.integers(len(templates))].format(
+            e1=findings[rng.integers(len(findings))], e2=regions[rng.integers(len(regions))]
+        )
+        closers = list(rng.choice(radiology.CLOSING_TEMPLATES, rng.integers(1, 4)))
+        metadata = {"mesh_codes": ["opacity"] * (index % 2), "num_sentences": 1 + len(closers)}
+        reports.append((f"report-{index}", " ".join([first, *closers]), "test", metadata))
+    odd = [("blank", "", "train", {}), ("spaces", " \u2003\x1c\n", "train", {})]
+    for index in range(12 * scale):
+        words = rng.choice(ODD_WORDS, rng.integers(3, 25))
+        gaps = rng.choice(ODD_GAPS, len(words))
+        text = rng.choice(["", " ", "\u2003"]) + "".join(map(str.__add__, words, gaps))
+        odd.append((f"odd-{index}", text, ("train", "dev")[index % 2], {"i": index}))
+    return {
+        "cdr-shaped": (
+            {"chemical": dict(spec.entities1), "disease": dict(spec.entities2)},
+            cdr_docs, ("causes", "chemical", "disease", None),
+        ),
+        "radiology-shaped": (
+            {"finding": dict(radiology.RADIOLOGY_FINDINGS),
+             "region": dict(radiology.RADIOLOGY_REGIONS)},
+            reports, ("abnormality", "finding", "region", None),
+        ),
+        "adversarial": (
+            {"chemical": {"Magnesium": "c1", "fever": "c2"},
+             "disease": {"renal failure": "d1", "renal": "d2", "DON'T": "d3",
+                         "failure\u2003renal": "d4"}},
+            odd, ("r", "chemical", "disease", 2),
+        ),
+        "adversarial same type": (
+            {"x": {"magnesium": "m", "renal failure": "r", "fever": "f"}},
+            odd, ("s", "x", "x", None),
+        ),
+    }
+
+
+def documents_to_candidates(run: Callable) -> Callable:
+    def side(inputs: dict) -> dict:
+        return {
+            f"{profile} {kind}": text(records)
+            for profile, (dictionaries, documents, relation) in inputs.items()
+            for kind, records in run(
+                dictionaries, documents, relation, ref_context.gold_rule
+            ).items()
+        }
+
+    return side
+
+
 # ------------------------------------------------------------------ the table
 def sized(full: bool) -> bool:
     """The input of the structure rows, whose sides share one cached fit."""
@@ -1173,6 +1247,12 @@ CONTRACTS = (
         "warm re-run == cold run", rerun_cases,
         {"cold": rerun(warm=False), "warm": rerun(warm=True)},
         profiles=("text k2", "text k4", "cdr"),
+    ),
+    Contract(
+        "documents → candidates == reference", context_inputs,
+        {"corpus": documents_to_candidates(ref_context.library),
+         "reference": documents_to_candidates(ref_context.reference)},
+        profiles=("cdr-shaped", "radiology-shaped", "adversarial"),
     ),
     Contract(
         "checkpointed pipeline == in RAM", checkpoint_cases,

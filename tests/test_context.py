@@ -9,6 +9,7 @@ import pstats
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_context import gold_rule, library, records_of, reference
 
 from repro.context import (
     CandidateExtractor,
@@ -25,7 +26,7 @@ from repro.datasets.cdr import build_cdr_task
 from repro.datasets.radiology import build_radiology_task
 from repro.datasets.spouses import build_spouses_task
 from repro.exceptions import ContextError
-from repro.utils.textutils import normalize
+from repro.utils.textutils import normalize, tokenize
 
 
 def make_corpus():
@@ -122,6 +123,66 @@ def test_max_token_distance_filter():
         "d", "Magnesium was given long before preeclampsia developed.", split="train"
     )
     assert CandidateExtractor(space).extract(corpus) == 0
+
+
+@pytest.mark.parametrize(
+    "distance,created",
+    [(None, 1), (0, 0), (3, 0), (4, 1), (-1, None), (2.5, None), (float("nan"), None),
+     (True, None), (False, None), ("3", None)],
+)
+def test_max_token_distance_is_none_or_a_nonnegative_int(distance, created):
+    corpus = make_corpus()
+    corpus.add_document("d", "Magnesium was given long before preeclampsia.", split="train")
+    if created is None:
+        with pytest.raises(ContextError, match="max_token_distance"):
+            PairedEntityCandidateSpace("r", "chemical", "disease", max_token_distance=distance)
+        return
+    space = PairedEntityCandidateSpace("r", "chemical", "disease", max_token_distance=distance)
+    assert CandidateExtractor(space).extract(corpus) == created
+
+
+def test_punctuated_dictionary_surface_is_tagged():
+    tagger = DictionaryEntityTagger(
+        {"chemical": {"5-fluorouracil": "chem:5fu"}, "disease": {"mucositis": "dis:1"}}
+    )
+    corpus = Corpus("p", preprocessor=TextPreprocessor(entity_tagger=tagger))
+    corpus.add_document("d", "Mucositis followed when given 5-Fluorouracil.", split="train")
+    CandidateExtractor(PairedEntityCandidateSpace("causes", "chemical", "disease")).extract(corpus)
+    (candidate,) = corpus.candidates()
+    span = candidate.span1
+    assert (span.text, span.word_start, span.word_end) == ("5 - Fluorouracil", 4, 7)
+    assert span.canonical_id == "chem:5fu"
+
+
+def test_failing_gold_labeler_leaves_the_corpus_unchanged_and_retry_is_clean():
+    text = "Magnesium causes preeclampsia. Magnesium and renal failure. Preeclampsia again."
+
+    def fresh():
+        corpus = make_corpus()
+        corpus.add_document("d1", text, split="train")
+        return corpus
+
+    calls = []
+
+    def flaky(candidate):
+        calls.append(candidate.uid)
+        if len(calls) == 2:
+            raise RuntimeError("labeler down")
+        return 1
+
+    space = PairedEntityCandidateSpace("causes", "chemical", "disease")
+    corpus = fresh()
+    before = pickle.dumps(corpus)
+    with pytest.raises(RuntimeError, match="labeler down"):
+        CandidateExtractor(space, gold_labeler=flaky).extract(corpus)
+    assert calls == [1, 2]
+    assert pickle.dumps(corpus) == before
+    assert corpus.num_candidates == 0 and corpus.candidates() == []
+    assert CandidateExtractor(space, gold_labeler=flaky).extract(corpus) == 2
+    clean = fresh()
+    assert CandidateExtractor(space, gold_labeler=lambda c: 1).extract(clean) == 2
+    assert records_of(corpus) == records_of(clean)
+    assert [c.gold_label for c in corpus.candidates()] == [1, 1]
 
 
 # ------------------------------------------------ extraction / ingest regressions
@@ -275,13 +336,20 @@ def test_documents_to_candidates_is_linear_in_corpus_size():
     assert _context_calls(200) <= 4.5 * _context_calls(50)
 
 
+def test_documents_to_candidates_call_budget():
+    # No Python frame per token or per stored record: a fixed number of
+    # calls per sentence, entity and candidate.  A frame per token, record
+    # and id lookup made 137.6 calls per candidate here.
+    assert _context_calls(50) / (5 * 50) <= 70
+
+
 # ----------------------------------------------------------- tagger differential
 def scan_all_entries_tag(dictionaries, words):
     """The tagger's specification: try every entry, longest first, at every position."""
     entries = []
     for entity_type, surface_to_id in dictionaries.items():
         for surface, canonical_id in surface_to_id.items():
-            tokens = tuple(normalize(token) for token in surface.split())
+            tokens = tuple(normalize(token) for token in tokenize(surface))
             if tokens:
                 entries.append((tokens, entity_type, canonical_id))
     entries.sort(key=lambda entry: len(entry[0]), reverse=True)
@@ -323,9 +391,77 @@ _DICTIONARIES = st.dictionaries(
 @example({"x": {"a": "1"}}, [])
 @example({}, ["a"])
 @example({"x": {" ": "1"}}, ["a"])
+# A punctuated surface is the sentence tokenizer's tokens, not one token.
+@example({"x": {"a-b": "1", "A": "2"}}, ["a", "-", "B", "a-b", "a"])
 def test_indexed_tagger_equals_scan_all_entries(dictionaries, words):
     assert DictionaryEntityTagger(dictionaries).tag(words) == scan_all_entries_tag(
         dictionaries, words
+    )
+
+
+# ------------------------------------------------ ingest differential (reference)
+_DOC_WORDS = st.sampled_from(
+    ["magnesium", "MagNesium", "renal", "FAILURE", "failure", "preeclampsia", "5", "-",
+     "fluorouracil", "don't", "'s", "\x00", ",", "café", "given", "ada", "Ada"]
+)
+_SPACES = [" ", "  ", "\u00a0", "\u2003", "\x1c", "\n", "\t"]
+_ENDS = [". ", "! ", "?! ", "... ", ".\u2003", ".\x1c", ".", "!?.", " .!? "]
+_GAPS = st.sampled_from(_SPACES * 3 + _ENDS)  # mostly inside a sentence
+_BLANKS = st.sampled_from(["", " ", "\u2003\n", "\x1c", ". "])
+_DOC_TEXTS = st.one_of(
+    st.sampled_from(["", " \u2003\x1c"]),
+    st.builds(
+        lambda lead, parts, trail: lead + "".join(word + gap for word, gap in parts) + trail,
+        _BLANKS, st.lists(st.tuples(_DOC_WORDS, _GAPS), min_size=4, max_size=30), _BLANKS,
+    ),
+)
+_SURFACE_SEPARATORS = st.sampled_from([" ", "-", "\u2003", " - "])
+_DOC_SURFACES = st.one_of(
+    st.sampled_from(["magnesium", "5-fluorouracil", "renal failure", "Renal", "ada", "don't",
+                     "pre\u2003eclampsia", "café", "failure -", "preeclampsia"]),
+    st.builds(
+        lambda words, separator: separator.join(words),
+        st.lists(_DOC_WORDS, min_size=1, max_size=3), _SURFACE_SEPARATORS,
+    ),
+)
+_DOC_DICTIONARIES = st.fixed_dictionaries(
+    {
+        "chemical": st.dictionaries(_DOC_SURFACES, st.sampled_from(["c1", "c2"]), max_size=5),
+        "disease": st.dictionaries(_DOC_SURFACES, st.sampled_from(["d1", "d2"]), max_size=5),
+    }
+)
+_RELATIONS = st.sampled_from(
+    [("r", "chemical", "disease", None), ("r", "chemical", "disease", 1),
+     ("r", "disease", "chemical", 0), ("s", "chemical", "chemical", None)]
+)
+_ADVERSARIAL = {
+    "chemical": {"Magnesium": "c1", "5-fluorouracil": "c2", "ada": "c3"},
+    "disease": {"renal failure": "d1", "renal": "d2", "pre\u2003eclampsia": "d3",
+                "preeclampsia": "d4", "don't": "d5"},
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    dictionaries=st.one_of(st.just(_ADVERSARIAL), _DOC_DICTIONARIES),
+    texts=st.lists(_DOC_TEXTS, min_size=1, max_size=4),
+    relation=_RELATIONS,
+)
+# Unicode whitespace, runs of terminal punctuation, a multi-word entity that
+# ends a sentence, NUL and apostrophes, an empty and a blank document.
+@example(
+    _ADVERSARIAL,
+    ["\u2003Ada gave 5-Fluorouracil!?. Then renal\u00a0failure.\x1cMagnesium\x00don't renal "
+     "FAILURE", "", " \u2003 ", "magnesium 's... preeclampsia ada renal failure."],
+    ("r", "chemical", "disease", None),
+)
+def test_ingest_equals_the_reference_on_adversarial_documents(dictionaries, texts, relation):
+    documents = [
+        (f"doc{index}", text, ("train", "test")[index % 2], {"index": index})
+        for index, text in enumerate(texts)
+    ]
+    assert library(dictionaries, documents, relation, gold_rule) == reference(
+        dictionaries, documents, relation, gold_rule
     )
 
 
