@@ -33,6 +33,7 @@ from repro.context.candidates import Candidate, SentenceView, SpanView
 from repro.datasets.synthetic import stream_text_candidates
 from repro.discriminative import featurizers
 from repro.discriminative.featurizers import RelationFeaturizer
+from repro.utils import tokens
 from repro.utils.rng import ensure_rng
 
 DEFAULT_NUM_CANDIDATES = 1500
@@ -113,6 +114,7 @@ def run_chunked_benchmark(chunk_rows: int = DEFAULT_CHUNK_ROWS, seed: int = 0, r
         seconds = []
         for _ in range(repeats):  # each repeat starts from empty process tables
             featurizers._TABLES.clear()
+            tokens._TABLE = tokens.TokenTable()
             featurizer = RelationFeaturizer(num_features=512).fit()
             start = time.perf_counter()
             triples = [featurizer.chunk_triples(chunk) for chunk in chunks]
@@ -130,6 +132,7 @@ def run_chunked_benchmark(chunk_rows: int = DEFAULT_CHUNK_ROWS, seed: int = 0, r
         stable_hashes, featurizers._stable_hashes = featurizers._stable_hashes, recording
         try:
             featurizers._TABLES.clear()
+            tokens._TABLE = tokens.TokenTable()
             counted = RelationFeaturizer(num_features=512).fit()
             recounted = [counted.chunk_triples(chunk) for chunk in chunks]
         finally:
@@ -143,7 +146,7 @@ def run_chunked_benchmark(chunk_rows: int = DEFAULT_CHUNK_ROWS, seed: int = 0, r
             "keys_hashed": len(hashed_keys),
             "keys_distinct": len(set(hashed_keys)),
             "table_entries": sum(codes.size for codes, _ in tables),
-            "table_cap": featurizers._TABLE_CAP,
+            "table_cap": tokens.TABLE_CAP,
             "max_value_diff": max(
                 max(_max_triples_diff(first, spec), _max_triples_diff(second, spec))
                 for first, second, spec in zip(triples, recounted, specification)

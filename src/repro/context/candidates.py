@@ -6,6 +6,14 @@ spans within one sentence, plus denormalized convenience attributes (the
 sentence's words, the spans' word ranges, entity types and canonical KB ids)
 so that labeling functions can be written against plain attributes without
 reaching back into the corpus.
+
+The views (:class:`Candidate`, :class:`SpanView`, :class:`SentenceView`) are
+slotted dataclasses: an attribute read is a slot read, and no view carries a
+``__dict__``.  Setting an attribute a view does not declare therefore raises
+``AttributeError`` — per-candidate state belongs in ``metadata`` (lint rule
+LF303 already flags an LF that writes to its candidate).  A subclass without
+``__slots__`` of its own gets a ``__dict__`` back, and with it free
+attributes.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ class CandidateRecord:
     id: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanView:
     """A denormalized, read-only view of an entity span inside a candidate."""
 
@@ -54,7 +62,7 @@ class SpanView:
         return self.word_end - self.word_start
 
 
-@dataclass
+@dataclass(slots=True)
 class SentenceView:
     """A denormalized, read-only view of the sentence containing a candidate."""
 
@@ -65,7 +73,7 @@ class SentenceView:
     document_metadata: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """A relation-mention candidate: two entity spans in one sentence.
 

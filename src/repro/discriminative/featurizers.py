@@ -16,14 +16,16 @@ texts) as an index range into the flat id array, builds the n-gram codes of
 all ranges with numpy, and computes ``prefix + " ".join(gram)`` →
 ``blake2b`` → ``(bucket, sign)`` only for the *distinct* codes; one sort
 then sums duplicate ``(row, bucket)`` entries, drops zeros and leaves the
-triples in canonical row-major, column-ascending order.  Interning and
-hashing are per *process*, not per chunk or per run: every vectorizer of
-one ``ngram_range`` shares one token table (a token is lower-cased the
-first time the process sees it) and, per n-gram size, one sorted table from
-code to raw 64-bit hash, so each distinct ``(scope, n-gram)`` is spelled
-and hashed once per process — a re-run, or a new featurizer, re-hashes
-nothing it has seen — up to ``_TABLE_CAP`` entries, past which the rest are
-hashed once per chunk as before.  The gain exists where chunks share keys;
+triples in canonical row-major, column-ascending order.  Token ids and
+hashes are per *process*, not per chunk or per run: tokens take their ids
+from the process's token table (:mod:`repro.utils.tokens`, which the
+compiled LF tier reads too — a chunk's block looks its words up once for
+both), every vectorizer of one ``ngram_range`` shares, per n-gram size, one
+sorted table from code to raw 64-bit hash (a token is lower-cased only to
+spell a key those tables miss), so each distinct ``(scope, n-gram)`` is
+spelled and hashed once per process — a re-run, or a new featurizer,
+re-hashes nothing it has seen — up to ``TABLE_CAP`` entries, past which the
+rest are hashed once per chunk as before.  The gain exists where chunks share keys;
 fourteen chunks with pairwise disjoint vocabularies pay for the
 merges and get nothing back (``benchmarks/bench_featurizer_throughput.py``
 records both ends).  Every consumer — the engine's ``featurize_chunk`` task
@@ -51,7 +53,7 @@ on an unfitted featurizer and
 One fitted instance is shared by every worker thread, and the kernel writes
 to exactly one thing: the process's tables (:class:`_RunTables`), which
 live in the module, not on the featurizer.  Ids are assigned and code tables
-swapped under the tables' lock, on the miss path only; a chunk that brings
+swapped under the tables' locks, on the miss path only; a chunk that brings
 nothing new takes no lock, a call works on one snapshot of the tables from
 start to end, and restarted tables are published by one dict store, so a
 lost update costs a re-hash, never a wrong row.  No output can depend on
@@ -73,7 +75,7 @@ import threading
 from functools import partial
 from itertools import chain, count, filterfalse
 from numbers import Integral
-from operator import add, attrgetter, methodcaller
+from operator import add, methodcaller
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -81,8 +83,11 @@ import numpy as np
 from repro.context.candidates import Candidate, SpanView, uses_stock
 from repro.discriminative.sparse_features import CSRFeatureMatrix
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.labeling.pushdown.fields import ColumnarChunk
 from repro.labeling.sparse import ranges_gather
+from repro.utils import tokens
 from repro.utils.textutils import ngrams, normalize
+from repro.utils.tokens import TokenTable, own_ids, token_rows
 
 #: ``(row_offsets, cols, values)`` of a chunk, row-major with ascending columns.
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -93,26 +98,9 @@ _BLOCK_ROWS = 1024
 
 _INT64_LIMIT = 2**63
 
-#: Entries one ``ngram_range``'s tables admit per process: interned words, and
-#: hashed codes over all n-gram sizes (16 bytes each: 512 kB of code tables
-#: at most).  Swept
-#: on the chunked corpora of ``benchmarks/bench_featurizer_throughput.py``
-#: (kernel CPU seconds for 14 x 1 024 candidates, best of 15 alternated in one
-#: process on a noisy 2-vCPU host) at 2**13 / 2**14 / 2**15 / 2**16 / 2**17:
-#: ``text_stream`` (5 852 keys) .121 / .129 / .114 / .117 / .125, Zipf(1.3)
-#: over 50k tokens (115 557 keys) .282 / .273 / .268 / .273 / .258, disjoint
-#: vocabularies (471 473 keys, none repeats) .465 / .543 / .504 / .542 / .569.
-#: Tables a stream cannot reuse cost it cache, so the worst case wants a small
-#: cap and a Zipf stream gains little from a large one (the keys that repeat
-#: most arrive first): 2**15 is the smallest power of two that holds every
-#: e2e corpus (``kary_crash_resume`` 18 262 keys); against the per-chunk
-#: kernel it replaced, the disjoint corpus then pays +0 to +12 % (median of 11
-#: alternations, three runs: +12, +0, +4 %) where 2**17 cost it 14-20 %.
-_TABLE_CAP = 2**15
-
-#: The process's tables, one per ``ngram_range`` (its largest n sizes the
-#: radix), shared by every vectorizer; ``None`` after tables outgrew the cap.
-_TABLES: dict[tuple, Optional["_RunTables"]] = {}
+#: The process's code tables, one per ``ngram_range`` (its largest n sizes the
+#: radix), shared by every vectorizer.
+_TABLES: dict[tuple, "_RunTables"] = {}
 
 
 def _is_int(value) -> bool:
@@ -141,56 +129,48 @@ def _find(known: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 class _RunTables:
-    """What this process has interned and hashed so far for one ``ngram_range``.
+    """What this process has hashed so far for one ``ngram_range`` over one token table.
 
-    ``token_ids`` gives every raw token the process has seen an id, ``scope_ids``
-    every scope prefix, and ``words[id]`` is how that id is spelled in a key
-    (the token normalized, the prefix as given; raw tokens that normalize
-    alike keep separate ids and spell the same word).  An n-gram code is
-    ``n + 1`` digits base ``radix`` — the scope, then the tokens — so it means
-    the same key in every chunk, and ``hashed[n]`` holds the sorted
-    codes seen so far beside the raw 64-bit hash of the key each spells.  Ids
-    and codes depend on the order chunks arrived in; a key's hash does not,
-    and only hashes leave the kernel.  Every write happens under ``lock`` and
-    only appends (a spelling before the id that points at it) or swaps in a
-    whole new ``hashed[n]`` pair, so readers take no lock.
+    Token ids are those of ``table`` (:mod:`repro.utils.tokens`);
+    ``scope_ids`` gives every scope prefix a digit of its own and
+    ``scopes[d]`` spells scope ``d`` as given; a token spells as its
+    ``str.lower()`` (``normalize``: raw tokens that normalize alike keep
+    separate ids and spell the same word).  An n-gram code is ``n + 1`` digits base ``radix``
+    — the scope, then the token ids — so it means the same key in every
+    chunk over ``table``, and ``hashed[n]`` holds the sorted codes seen so
+    far beside the raw 64-bit hash of the key each spells.  Ids and codes
+    depend on the order chunks arrived in; a key's hash does not, and only
+    hashes leave the kernel.  Every write happens under ``lock`` and only
+    appends or swaps in a whole new ``hashed[n]`` pair, so readers of the
+    code tables take no lock.
     """
 
-    def __init__(self, ngram_range: tuple[int, int]) -> None:
+    def __init__(self, ngram_range: tuple[int, int], table: TokenTable) -> None:
         low, high = self.ngram_range = tuple(ngram_range)
         self.radix = int((_INT64_LIMIT - 1) ** (1.0 / (high + 1)))
         while self.radix ** (high + 1) >= _INT64_LIMIT:  # the float root may round up
             self.radix -= 1
-        self.token_ids: dict[str, int] = {}
+        self.table = table
         self.scope_ids: dict[str, int] = {}
-        self.words: list[str] = []
+        self.scopes: list[str] = []
         empty = (np.empty(0, np.int64), np.empty(0, np.uint64))
         self.hashed = dict.fromkeys(range(low, high + 1), empty)
         self.lock = threading.Lock()
 
-    def ids_of(self, tokens: list, prefixes: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Ids of the prefixes and of the tokens; ``KeyError`` when one is not interned yet."""
-        scopes = np.fromiter(map(self.scope_ids.__getitem__, prefixes), np.int64, len(prefixes))
-        return scopes, np.fromiter(map(self.token_ids.__getitem__, tokens), np.int64, len(tokens))
-
-    def intern(self, tokens: list, prefixes: Sequence[str], limit: int) -> bool:
-        """Give every prefix and token an id below ``limit``; ``False`` if they do not all fit."""
+    def scope_digits(self, prefixes: Sequence[str]) -> Optional[np.ndarray]:
+        """Each prefix's digit; ``None`` when the new ones would reach the radix."""
         with self.lock:
-            scopes = list(filterfalse(self.scope_ids.__contains__, dict.fromkeys(prefixes)))
-            fresh = list(filterfalse(self.token_ids.__contains__, dict.fromkeys(tokens)))
-            first = len(self.words)
-            if first + len(scopes) + len(fresh) > limit:
-                return False
-            self.words.extend(scopes)
-            self.words.extend(map(normalize, fresh))
-            self.scope_ids.update(zip(scopes, count(first)))
-            self.token_ids.update(zip(fresh, count(first + len(scopes))))
-        return True
+            fresh = list(filterfalse(self.scope_ids.__contains__, dict.fromkeys(prefixes)))
+            if len(self.scopes) + len(fresh) > self.radix:
+                return None
+            self.scope_ids.update(zip(fresh, count(len(self.scopes))))
+            self.scopes.extend(fresh)
+        return np.fromiter(map(self.scope_ids.__getitem__, prefixes), np.int64, len(prefixes))
 
     def admit(self, n: int, codes: np.ndarray, hashes: np.ndarray) -> None:
         """Merge newly hashed codes into ``hashed[n]`` while the cap leaves room."""
         with self.lock:
-            room = _TABLE_CAP - sum(table.size for table, _ in self.hashed.values())
+            room = tokens.TABLE_CAP - sum(table.size for table, _ in self.hashed.values())
             if room <= 0:
                 return
             known, known_hashes = self.hashed[n]  # the pair now, not the caller's snapshot
@@ -318,56 +298,61 @@ class HashingVectorizer:
             entries[index] = entries.get(index, 0.0) + sign
         return {k: v for k, v in entries.items() if v != 0.0}
 
-    def _interned(
-        self, tokens: list, prefixes: Sequence[str]
+    def _run_tables(
+        self, table: TokenTable, ids: np.ndarray, prefixes: Sequence[str]
     ) -> Optional[tuple[_RunTables, np.ndarray, np.ndarray]]:
-        """This call's snapshot of the process's tables with the ids of ``prefixes`` and ``tokens``.
+        """The tables to hash ``ids`` of ``table`` under ``prefixes`` with, and
+        the scope and token digits.
 
-        A chunk of known words is looked up without a lock.  Otherwise its new
-        words are interned under the tables' lock; tables that would reach the radix or
-        ``_TABLE_CAP`` are dropped and restarted from this chunk alone, so what
-        earlier chunks interned never declines (``None``) a chunk that fits.
+        The process's tables for this ``ngram_range`` when they are over
+        ``table`` (started afresh when ``table`` is new and within the cap).
+        A chunk whose ids or prefixes do not fit their radix is renumbered
+        by itself over tables of its own, so what earlier chunks interned
+        never declines a chunk that fits; ``None`` when even that does not
+        fit.
         """
         key = tuple(self.ngram_range)
-        run = published = _TABLES.get(key)
-        if run is None:
-            run = _RunTables(key)
-        try:
-            return run, *run.ids_of(tokens, prefixes)
-        except KeyError:
-            pass
-        if not run.intern(tokens, prefixes, min(run.radix, _TABLE_CAP)):
-            run = _RunTables(self.ngram_range)
-            if not run.intern(tokens, prefixes, run.radix):
-                return None
-        if run is not published:  # a call still on replaced tables must not bring them back
-            _TABLES[key] = run if len(run.words) <= _TABLE_CAP else None
-        return run, *run.ids_of(tokens, prefixes)
+        run = _TABLES.get(key)
+        if run is None or run.table is not table:
+            run = _RunTables(key, table)
+            if len(table.tokens) <= tokens.TABLE_CAP:
+                _TABLES[key] = run
+        scopes = run.scope_digits(prefixes)
+        if scopes is not None and (not ids.size or ids.max() < run.radix):
+            return run, scopes, ids
+        distinct = np.unique(ids)
+        run = _RunTables(key, own_ids(list(map(table.tokens.__getitem__, distinct.tolist())))[0])
+        scopes = run.scope_digits(prefixes)
+        if scopes is None or distinct.size > run.radix:
+            return None
+        return run, scopes, np.searchsorted(distinct, ids)
 
     def ngram_entries(
-        self, tokens: list, starts: np.ndarray, stops: np.ndarray, prefixes: Sequence[str]
+        self, table: TokenTable, ids: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+        prefixes: Sequence[str],
     ) -> Optional[Triples]:
-        """Hash every n-gram of the ranges ``tokens[starts[r]:stops[r]]`` at once.
+        """Hash every n-gram of the ranges ``ids[starts[r]:stops[r]]`` at once.
 
-        Returns one ``(range index, bucket, sign)`` entry per n-gram occurrence
-        — what :meth:`token_entries` yields for range ``r`` under the key
-        prefix ``prefixes[r * len(prefixes) // len(starts)]`` (ranges come in
-        equal blocks per prefix).  Tokens are interned in the process's table and
-        each distinct ``(prefix, n-gram)`` is spelled and hashed once per process
-        (:class:`_RunTables`; once per chunk past ``_TABLE_CAP``), buckets and
-        signs being derived per chunk from the stored hash — so what is
-        returned depends on the arguments alone, whatever the process has seen.
-        ``None`` when a token or prefix is not exactly a ``str`` or the
-        chunk's own vocabulary does not fit the radix that keeps a code inside
-        int64; callers then fall back to the per-row specification.
+        ``ids`` are token ids of ``table`` (:func:`repro.utils.tokens.
+        token_ids`).  Returns one ``(range index, bucket, sign)`` entry per
+        n-gram occurrence — what :meth:`token_entries` yields for range ``r``
+        of the tokens under the key prefix ``prefixes[r * len(prefixes) //
+        len(starts)]`` (ranges come in equal blocks per prefix).  Each
+        distinct ``(prefix, n-gram)`` is spelled and hashed once per process
+        (:class:`_RunTables`; once per chunk past the cap), buckets and signs
+        being derived per chunk from the stored hash — so what is returned
+        depends on the tokens alone, whatever the process has seen.
+        ``None`` when a prefix is not exactly a ``str`` or the chunk's own
+        vocabulary does not fit the radix that keeps a code inside int64;
+        callers then fall back to the per-row specification.
         """
-        if set(map(type, chain(prefixes, tokens))) - {str}:
+        if set(map(type, prefixes)) - {str}:
             return None
-        interned = self._interned(tokens, prefixes)
+        interned = self._run_tables(table, ids, prefixes)
         if interned is None:
             return None
         run, scopes, ids = interned
-        words, radix, (low, high) = run.words, run.radix, run.ngram_range
+        radix, (low, high) = run.radix, run.ngram_range
         block = max(starts.size // len(prefixes), 1)
         parts = []
         for n in range(low, high + 1):
@@ -385,11 +370,11 @@ class HashingVectorizer:
             if not found.all():
                 missed = distinct[~found]
                 # A code's digits spell its key: the scope prefix, then the n words.
-                digits = ((missed // radix**k % radix).tolist() for k in range(n, -1, -1))
-                scope, *gram = (map(words.__getitem__, digit) for digit in digits)
-                hashes[~found] = fresh = _stable_hashes(
-                    map(add, scope, map(" ".join, zip(*gram)))
-                )
+                digits = [(missed // radix**k % radix).tolist() for k in range(n, -1, -1)]
+                scope = map(run.scopes.__getitem__, digits[0])
+                spell = run.table.tokens.__getitem__
+                gram = (map(str.lower, map(spell, digit)) for digit in digits[1:])
+                hashes[~found] = fresh = _stable_hashes(map(add, scope, map(" ".join, zip(*gram))))
                 run.admit(n, missed, fresh)
             buckets = (hashes % np.uint64(self.num_features)).astype(np.int64)
             signs = 1.0 - 2.0 * (hashes >> np.uint64(63)) if self.signed else np.ones(hashes.size)
@@ -402,18 +387,14 @@ class HashingVectorizer:
         Byte-equal to stacking :meth:`sequence_entries` row by row, which is
         also the fallback for inputs :meth:`ngram_entries` declines.
         """
-        count = len(token_sequences)
         entries = None
-        if (
-            not set(map(type, token_sequences)) - {list, tuple}
-            and count * self.num_features < _INT64_LIMIT
-        ):
-            lengths = np.fromiter(map(len, token_sequences), np.int64, count)
+        if len(token_sequences) * self.num_features < _INT64_LIMIT:
+            table, ids, lengths, skipped = token_rows(token_sequences)
             stops = np.cumsum(lengths)
-            tokens = list(chain.from_iterable(token_sequences))
-            entries = self.ngram_entries(tokens, stops - lengths, stops, (prefix,))
+            if not skipped:
+                entries = self.ngram_entries(table, ids, stops - lengths, stops, (prefix,))
         if entries is None:
-            rows = (self.sequence_entries(tokens, prefix) for tokens in token_sequences)
+            rows = (self.sequence_entries(sequence, prefix) for sequence in token_sequences)
             return _spec_triples(rows)
         return _reduce_triples(*entries, self.num_features)
 
@@ -449,10 +430,6 @@ _KERNEL_ACCESSORS = (
     "words_between", "window_left", "window_right",
     "ordered_spans", "span1_precedes_span2", "token_distance",
 )
-
-_CANDIDATE_FIELDS = attrgetter("sentence.words", "span1", "span2")
-_SPAN_FIELDS = attrgetter("text", "word_start", "word_end")
-
 
 class RelationFeaturizer:
     """Featurizer for relation candidates (pairs of spans in a sentence).
@@ -559,37 +536,43 @@ class RelationFeaturizer:
     def _kernel_entries(self, candidates: Sequence[Candidate]) -> Optional[Triples]:
         """A chunk's unreduced ``(row, column, value)`` entries, hashed and structural.
 
+        ``candidates`` may be the chunk's :class:`~repro.labeling.pushdown.
+        fields.ColumnarChunk`, whose one read and token ids this shares.
         ``None`` when index arithmetic cannot stand in for the accessors:
         overridden ``Candidate``/``SpanView`` methods, words that are not
-        lists, non-``str`` texts, or offsets that are not ints inside the
-        sentence (Python slices wrap negative bounds and clamp large ones).
+        lists, non-``str`` tokens or texts, or offsets that are not ints
+        inside the sentence (Python slices wrap negative bounds and clamp
+        large ones).
         """
-        if not uses_stock(candidates, Candidate, _KERNEL_ACCESSORS):
+        block = ColumnarChunk.of(candidates)
+        count = block.num_rows
+        if not uses_stock(block.candidates, Candidate, _KERNEL_ACCESSORS):
             return None
-        count = len(candidates)
-        words, spans1, spans2 = zip(*map(_CANDIDATE_FIELDS, candidates))
-        if not uses_stock(spans1 + spans2, SpanView, ("length",)):
+        rows = block.rows()
+        if rows is None or not uses_stock(rows["spans"], SpanView, ("length",)):
             return None
-        texts, span_starts, span_ends = zip(*map(_SPAN_FIELDS, spans1 + spans2))
-        offsets = np.array((span_starts, span_ends))
-        lengths = np.fromiter(map(len, words), np.int64, count)
-        if (
-            set(map(type, words)) - {list, tuple}
-            or set(map(type, texts)) != {str}
-            or offsets.dtype != np.int64
-            or offsets.shape != (2, 2 * count)
-            or offsets.min() < 0
-            or (offsets.reshape(4, count) > lengths).any()
-        ):
+        table, word_ids, lengths, skipped = block.word_ids()
+        texts = rows[("span1", "text")] + rows[("span2", "text")]
+        offsets = block.span_offsets()
+        if skipped or offsets is None or set(map(type, texts)) != {str}:
             return None
-        (start1, start2), (end1, end2) = offsets.reshape(2, 2, count)
-        ordered = start1 <= start2  # Candidate.ordered_spans
-        first_start, first_end = np.where(ordered, (start1, end1), (start2, end2))
-        second_start, second_end = np.where(ordered, (start2, end2), (start1, end1))
+        if offsets.min() < 0 or (offsets > lengths).any():
+            return None
+        (start1, start2), (end1, end2), ordered_starts, ordered_ends = offsets
+        (first_start, second_start), (first_end, second_end) = ordered_starts, ordered_ends
         size = min(self.window_size, int(lengths.max()))
         # Flat token layout: every sentence, then every span1 text, then every span2 text.
-        arguments = list(map(str.split, texts))
-        segment_lengths = np.fromiter(map(len, chain(words, arguments)), np.int64, 3 * count)
+        distinct = dict.fromkeys(texts)
+        split = dict(zip(distinct, map(str.split, distinct)))
+        arguments = list(map(split.__getitem__, texts))
+        argument_flat = list(chain.from_iterable(arguments))
+        argument_ids = table.ids_of(argument_flat, tokens.TABLE_CAP)
+        if argument_ids is None:  # they overflow the process's table: the chunk gets its own
+            words = list(chain.from_iterable(rows[("sentence", "words")]))
+            table, ids = own_ids(words + argument_flat)
+        else:
+            ids = np.concatenate([word_ids, argument_ids])
+        segment_lengths = np.concatenate([lengths, np.fromiter(map(len, arguments), np.int64)])
         segment_stops = np.cumsum(segment_lengths)
         segment_starts = segment_stops - segment_lengths
         base = segment_starts[:count]
@@ -597,11 +580,9 @@ class RelationFeaturizer:
         left, right = np.maximum(first_start - size, 0), np.minimum(second_end + size, lengths)
         starts = [base, base + first_end, base + left, base + second_end, segment_starts[count:]]
         stops = [base + lengths, base + second_start, base + first_start, base + right]
+        stops.append(segment_stops[count:])
         hashed = self.vectorizer.ngram_entries(
-            list(chain.from_iterable(chain(words, arguments))),
-            np.concatenate(starts),
-            np.concatenate(stops + [segment_stops[count:]]),
-            _SCOPE_PREFIXES,
+            table, ids, np.concatenate(starts), np.concatenate(stops), _SCOPE_PREFIXES
         )
         if hashed is None:
             return None
@@ -620,17 +601,22 @@ class RelationFeaturizer:
     def chunk_triples(self, candidates: Sequence[Candidate]) -> Triples:
         """The batch kernel: a chunk of candidates as sparse feature triples.
 
+        ``candidates`` is a sequence of candidates or the chunk's
+        :class:`~repro.labeling.pushdown.fields.ColumnarChunk` — the fused
+        label+featurize task hands over the block the LF programs read, so
+        each candidate is read, and each word looked up, once per chunk.
         Returns ``(row_offsets, cols, values)`` in row-major order with
         ascending columns, byte-equal to stacking :meth:`candidate_entries`
         — which is also the fallback for a chunk :meth:`_kernel_entries`
         declines.  Writes nothing on the featurizer, only the process's
         tables; it does not check fittedness (batch callers do, once per chunk).
         """
+        block = ColumnarChunk.of(candidates)
         entries = None
-        if candidates and len(candidates) * self.output_dim < _INT64_LIMIT:
-            entries = self._kernel_entries(candidates)
+        if block.num_rows and block.num_rows * self.output_dim < _INT64_LIMIT:
+            entries = self._kernel_entries(block)
         if entries is None:
-            return _spec_triples(map(self.candidate_entries, candidates))
+            return _spec_triples(map(self.candidate_entries, block.candidates))
         return _reduce_triples(*entries, self.output_dim)
 
     def transform_candidate(self, candidate: Candidate) -> np.ndarray:

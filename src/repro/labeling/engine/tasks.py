@@ -55,6 +55,7 @@ import time
 from typing import Sequence
 
 from repro.labeling.engine.accumulator import ChunkResult
+from repro.labeling.pushdown.fields import ColumnarChunk
 
 
 def featurize_chunk(
@@ -101,14 +102,17 @@ def label_and_featurize_chunk(
     ``payload`` is ``(label_task, label_payload, featurizer)``: the label
     task (interpreted :func:`~repro.labeling.engine.accumulator.apply_chunk`
     or compiled :func:`~repro.labeling.pushdown.task.label_chunk_pushdown`)
-    is called with its own payload.  Returns its :class:`ChunkResult` with
-    the feature block attached as ``features`` — the streaming pipeline's
-    one-pass work unit.
+    is called with its own payload.  Both are handed one
+    :class:`~repro.labeling.pushdown.fields.ColumnarChunk` over the chunk,
+    so a candidate is read, and its words looked up, once: the compiled
+    programs and the featurizer's kernel take their fields from it (the
+    interpreted task iterates it as the candidates it is).  Returns the
+    label task's :class:`ChunkResult` with the feature block attached as
+    ``features`` — the streaming pipeline's one-pass work unit.
     """
     label_task, label_payload, featurizer = payload
-    result = label_task(label_payload, fault_tolerant, index, start_row, candidates)
-    result.features = featurize_chunk(
-        featurizer, fault_tolerant, index, start_row, candidates
-    )
+    block = ColumnarChunk(candidates)
+    result = label_task(label_payload, fault_tolerant, index, start_row, block)
+    result.features = featurize_chunk(featurizer, fault_tolerant, index, start_row, block)
     result.seconds += result.features.seconds
     return result

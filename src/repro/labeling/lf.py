@@ -167,7 +167,8 @@ def lf_digest(lf: Any) -> Optional[str]:
     included — and the values that code reads: the globals it names, its
     closure cells and defaults, and the attributes of the LF and of a
     callable instance (whose class's ``__call__`` is code it runs), down
-    through every function, bound method and object among them.  Sets and dict
+    through every function, bound method and object among them — an
+    object's ``__dict__`` and every slot along its MRO.  Sets and dict
     items are encoded in sorted order, so no hash seed reorders them;
     modules, classes and builtins stand for themselves by name.
     """
@@ -176,6 +177,20 @@ def lf_digest(lf: Any) -> Optional[str]:
     except (_Undigestable, RecursionError):
         return None
     return hashlib.blake2b(encoded.encode(), digest_size=16).hexdigest()
+
+
+def _slot_state(kind: type, value: Any) -> list:
+    """``(class, slot, value)`` for every slot along ``kind``'s MRO, read
+    through the slot itself; ``(class, slot)`` for an unset one."""
+    state = []
+    for base in kind.__mro__:
+        for name, slot in sorted(vars(base).items()):
+            if type(slot) is types.MemberDescriptorType:
+                try:
+                    state.append((base.__qualname__, name, slot.__get__(value, base)))
+                except AttributeError:
+                    state.append((base.__qualname__, name))
+    return state
 
 
 def _encode(value: Any, active: set) -> Any:
@@ -220,8 +235,11 @@ def _encode(value: Any, active: set) -> Any:
             return ("method", _encode((value.__func__, value.__self__), active))
         state = getattr(value, "__dict__", None)
         python_defined = all(base is object or base.__flags__ & _HEAPTYPE for base in kind.__mro__)
-        if not (python_defined and isinstance(state, dict)):  # state beyond its __dict__
-            raise _Undigestable(kind.__qualname__)
+        slotted = any("__slots__" in vars(base) for base in kind.__mro__)
+        if not (python_defined and (isinstance(state, dict) or (slotted and state is None))):
+            raise _Undigestable(kind.__qualname__)  # state beyond its __dict__ and slots
+        if slotted:
+            state = (_slot_state(kind, value), state)
         call = getattr(kind, "__call__", None)
         call = call if inspect.isfunction(call) else None
         return ("object", kind.__module__, kind.__qualname__, _encode((call, state), active))

@@ -27,12 +27,14 @@ reject/accept each raw value).
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.context.candidates import Candidate, uses_stock
+from repro.utils.tokens import token_rows
 
 #: Candidate no-argument accessor methods exposed as fields.
 CANDIDATE_METHODS = ("words_between", "text_between", "token_distance", "span1_precedes_span2")
@@ -48,6 +50,16 @@ SPAN_ATTRS = ("text", "canonical_id", "entity_type", "word_start", "word_end", "
 
 #: Sentence attributes exposed as fields (``("sentence", attr)``).
 SENTENCE_ATTRS = ("words", "text", "position", "document_name")
+
+#: The field columns :meth:`ColumnarChunk.rows` reads.
+_SPAN_FIELDS = ("text", "word_start", "word_end")
+BLOCK_FIELDS = (("sentence", "words"), *(("span1", f) for f in _SPAN_FIELDS),
+                *(("span2", f) for f in _SPAN_FIELDS))
+
+_PARTS = tuple(map(attrgetter, ("sentence", "span1", "span2")))
+_WORDS = attrgetter("words")
+_SPAN = tuple(map(attrgetter, _SPAN_FIELDS))
+_UNREAD = object()
 
 # int64 can hold anything LF fields realistically produce; values at the
 # extremes fall back to the object path so numpy never silently wraps.
@@ -93,6 +105,11 @@ def make_column(values: list, errors: Optional[dict[int, BaseException]]) -> Col
             # does not fit int64, so min/max are exact.
             if -_INT64_SAFE < array.min() and array.max() < _INT64_SAFE:
                 return Column(array, errors)
+    return object_column(values, errors)
+
+
+def object_column(values: list, errors: Optional[dict] = None) -> Column:
+    """An ``object`` column holding each value as one row."""
     # np.asarray would try to broadcast list-valued rows into a 2-D array;
     # empty + slice assignment keeps each row as one object.
     array = np.empty(len(values), dtype=object)
@@ -138,12 +155,28 @@ def field_reader(key: tuple) -> Callable[[Any], Any]:
 
 
 class ColumnarChunk:
-    """One chunk of candidates plus the cache of every evaluated column.
+    """One chunk of candidates, read once, and the cache of every column over it.
 
-    Both raw fields and derived expression columns live in one cache keyed
-    by structural expression keys (see :mod:`repro.labeling.pushdown.
-    program`), so any two compiled LFs whose programs contain the same
-    subexpression share its evaluation within the chunk.
+    **The block.**  Both readers of a chunk — the compiled LF programs and
+    :meth:`repro.discriminative.featurizers.RelationFeaturizer.chunk_triples`
+    — take their candidate fields from here, and the fused
+    :func:`~repro.labeling.engine.tasks.label_and_featurize_chunk` hands one
+    block to both.  :meth:`rows` is one C-level attribute pass: every
+    candidate's ``sentence``, ``span1`` and ``span2`` are read once, then each
+    sentence's ``words`` and each span's ``text``, ``word_start`` and
+    ``word_end``; the seven field columns over them (:data:`BLOCK_FIELDS`)
+    are built from it, not by a pass of their own.  :meth:`word_ids`
+    flattens the words once, proves every token exactly a ``str`` once, and
+    looks each up once (:func:`~repro.utils.tokens.token_rows`) in the process's token table
+    (:mod:`repro.utils.tokens`): the token index of the words column and
+    the featurizer's n-gram codes both start from those ids.  A read that
+    raises anywhere leaves :meth:`rows` ``None``, and every field is then
+    read per row, its errors recorded per row, as before.
+
+    **The cache.**  Raw fields and derived expression columns live in one
+    cache keyed by structural expression keys (see :mod:`repro.labeling.
+    pushdown.program`), so any two compiled LFs whose programs contain the
+    same subexpression share its evaluation within the chunk.
 
     Fields whose stock implementations are pure arithmetic over the span
     offsets (``token_distance``, ``span1_precedes_span2``) or a slice of the
@@ -154,15 +187,34 @@ class ColumnarChunk:
     implementations (an override anywhere disables it) and the source
     columns are clean; anything else falls back to per-candidate extraction,
     so results and errors are always exactly the accessor's.
+
+    ``memo`` is the per-apply memo of the compiled plan evaluating over the
+    block (``None`` outside one; see :class:`~repro.labeling.pushdown.
+    program.TokenScan`).  A block is also the sequence of its candidates, so
+    the interpreted chunk task takes one as it is.
     """
 
-    __slots__ = ("candidates", "num_rows", "_cache", "_canonical")
+    __slots__ = ("candidates", "num_rows", "memo", "_cache", "_canonical", "_rows", "_ids")
 
     def __init__(self, candidates: Sequence) -> None:
         self.candidates = candidates
         self.num_rows = len(candidates)
+        self.memo: Optional[dict] = None
         self._cache: dict[tuple, Column] = {}
         self._canonical: Optional[bool] = None
+        self._rows: Any = _UNREAD
+        self._ids: Any = _UNREAD
+
+    def __len__(self) -> int:
+        return self.num_rows
+
+    def __iter__(self):
+        return iter(self.candidates)
+
+    @classmethod
+    def of(cls, candidates: Sequence) -> "ColumnarChunk":
+        """``candidates`` if it is a block already, else a new block over them."""
+        return candidates if isinstance(candidates, ColumnarChunk) else cls(candidates)
 
     def get(self, key: tuple) -> Optional[Column]:
         return self._cache.get(key)
@@ -174,11 +226,36 @@ class ColumnarChunk:
     def field(self, key: tuple) -> Column:
         cached = self._cache.get(("field", key))
         if cached is None:
-            column = self._derive(key)
+            rows = self.rows() if key in BLOCK_FIELDS else None
+            column = make_column(list(rows[key]), None) if rows else self._derive(key)
             if column is None:
                 column = extract_column(self.candidates, field_reader(key))
             cached = self.put(("field", key), column)
         return cached
+
+    def rows(self) -> Optional[dict]:
+        """The one read: each :data:`BLOCK_FIELDS` key's per-row values, and
+        under ``"spans"`` every ``span1``, then every ``span2``; ``None`` when
+        a read raised."""
+        if self._rows is _UNREAD:
+            self._rows = None
+            try:
+                # One attribute per pass: no tuple per candidate to build and transpose.
+                sentences, spans1, spans2 = map(tuple, map(map, _PARTS, repeat(self.candidates)))
+                rows = {"spans": spans1 + spans2, BLOCK_FIELDS[0]: tuple(map(_WORDS, sentences))}
+                for keys, spans in ((BLOCK_FIELDS[1:4], spans1), (BLOCK_FIELDS[4:], spans2)):
+                    rows.update(zip(keys, map(tuple, map(map, _SPAN, repeat(spans)))))
+                self._rows = rows
+            except Exception:  # noqa: BLE001 - each field is then read per row
+                pass
+        return self._rows
+
+    def word_ids(self) -> Optional[tuple]:
+        """:func:`token_rows` of the sentence words; ``None`` when :meth:`rows` is."""
+        if self._ids is _UNREAD:
+            rows = self.rows()
+            self._ids = None if rows is None else token_rows(rows[BLOCK_FIELDS[0]])
+        return self._ids
 
     def canonical_candidates(self) -> bool:
         """Every candidate uses the stock derivable-accessor implementations."""
@@ -196,62 +273,51 @@ class ColumnarChunk:
             # Any surprise falls back to the exact per-candidate accessor.
             return None
 
-    def _span_offsets(self):
-        """``(first_end, second_start, s1_start, s2_start)`` int64 arrays, or
-        ``None`` when any offset column is dirty (errors / non-int)."""
-        cols = [
-            self.field(("span1", "word_start")),
-            self.field(("span1", "word_end")),
-            self.field(("span2", "word_start")),
-            self.field(("span2", "word_end")),
-        ]
+    def span_offsets(self) -> Optional[np.ndarray]:
+        """``[[start1, start2], [end1, end2], [first_start, second_start],
+        [first_end, second_end]]`` as one ``(4, 2, n)`` int64 array — the
+        last two with the spans in sentence order (``Candidate.ordered_spans``)
+        — or ``None`` when any offset column is dirty (errors / non-int)."""
+        ends = ("word_start", "word_end")
+        cols = [self.field((span, end)) for end in ends for span in ("span1", "span2")]
         if any(col.errors is not None or col.values.dtype != np.int64 for col in cols):
             return None
-        s1s, s1e, s2s, s2e = (col.values for col in cols)
-        ordered = s1s <= s2s  # Candidate.ordered_spans
-        return np.where(ordered, s1e, s2e), np.where(ordered, s2s, s1s), s1s, s2s
+        offsets = np.stack([col.values for col in cols]).reshape(2, 2, self.num_rows)
+        ordered = np.where(offsets[0, 0] <= offsets[0, 1], offsets, offsets[:, ::-1])
+        return np.concatenate([offsets, ordered])
 
 
 def _derive_token_distance(chunk: ColumnarChunk) -> Optional[Column]:
-    offsets = chunk._span_offsets()
+    offsets = chunk.span_offsets()
     if offsets is None:
         return None
-    first_end, second_start = offsets[0], offsets[1]
-    return Column(np.maximum(0, second_start - first_end))
+    return Column(np.maximum(0, offsets[2, 1] - offsets[3, 0]))
 
 
 def _derive_precedes(chunk: ColumnarChunk) -> Optional[Column]:
-    offsets = chunk._span_offsets()
+    offsets = chunk.span_offsets()
     if offsets is None:
         return None
-    return Column(offsets[2] < offsets[3])
+    return Column(offsets[0, 0] < offsets[0, 1])
 
 
 def _derive_words_between(chunk: ColumnarChunk) -> Optional[Column]:
-    offsets = chunk._span_offsets()
+    offsets = chunk.span_offsets()
     if offsets is None:
         return None
     words_col = chunk.field(("sentence", "words"))
     if words_col.errors is not None:
         return None
     rows = words_col.values.tolist()
-    values = [
-        list(w[a:b])
-        for w, a, b in zip(rows, offsets[0].tolist(), offsets[1].tolist())
-    ]
-    array = np.empty(len(values), dtype=object)
-    array[:] = values
-    return Column(array, None)
+    bounds = zip(rows, offsets[3, 0].tolist(), offsets[2, 1].tolist())
+    return object_column([list(w[a:b]) for w, a, b in bounds])
 
 
 def _derive_text_between(chunk: ColumnarChunk) -> Optional[Column]:
     words_col = chunk.field(("words_between",))
     if words_col.errors is not None:
         return None
-    values = list(map(" ".join, words_col.values.tolist()))
-    array = np.empty(len(values), dtype=object)
-    array[:] = values
-    return Column(array, None)
+    return object_column(list(map(" ".join, words_col.values.tolist())))
 
 
 #: Accessors the derivations above re-implement; overriding any of them on a

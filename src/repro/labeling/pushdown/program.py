@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import operator
 import re
-from itertools import chain, count
+from itertools import repeat
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -69,7 +69,8 @@ else:  # pragma: no cover - table moved/renamed: disable ignore-case prefilter
 
 from repro.exceptions import LabelingError
 from repro.labeling.lf import canonical_label
-from repro.labeling.pushdown.fields import Column, ColumnarChunk, make_column
+from repro.labeling.pushdown.fields import Column, ColumnarChunk, make_column, object_column
+from repro.utils import tokens as token_table
 from repro.types import NEGATIVE, POSITIVE
 
 
@@ -172,12 +173,6 @@ def _map2(n: int, a_rows, a_errors, b_rows, b_errors, fn: Callable):
     return out, collected or None
 
 
-def _object_column(values: list, errors: Optional[dict]) -> Column:
-    array = np.empty(len(values), dtype=object)
-    array[:] = values
-    return Column(array, errors)
-
-
 def _bool_column(values: list, errors: Optional[dict]) -> Column:
     """Bool array from per-row real booleans (error rows filled ``False``)."""
     if errors:
@@ -272,10 +267,9 @@ class MapRow(ColExpr):
 class StrLower(ColExpr):
     """``normalize(value)`` (i.e. ``str.lower``) over a scalar string column.
 
-    All-string columns lower in one ``np.char.lower`` sweep (the result is a
-    unicode-dtype column; ``tolist`` hands exact Python strings downstream);
-    anything else falls back to the per-row helper, raising exactly where
-    the interpreted call would.
+    An all-``str`` column lowers in one C-level ``map(str.lower)``; anything
+    else runs the per-row helper, raising exactly where the interpreted call
+    would.
     """
 
     __slots__ = ("child", "fn")
@@ -287,37 +281,9 @@ class StrLower(ColExpr):
 
     def _compute(self, chunk: ColumnarChunk) -> Column:
         column = self.child.eval(chunk)
-        values = column.values
-        if column.errors is None and values.dtype.kind == "U":
-            return Column(np.char.lower(values), None)
-        rows = values.tolist()
-        if column.errors is None:
-            flags = None
-            try:
-                joined = "".join(rows)  # all-string probe, one C pass
-                good = rows
-            except TypeError:
-                flags = np.fromiter(
-                    (type(v) is str for v in rows), dtype=bool, count=len(rows)
-                )
-                good = [v if f else "" for v, f in zip(rows, flags.tolist())]
-                joined = "".join(good)
-            # numpy U-dtype round-trips drop trailing NULs, so NUL-bearing
-            # text takes the exact per-row path instead.
-            if "\x00" not in joined:
-                lowered = np.char.lower(np.asarray(good, dtype=str))
-                if flags is None:
-                    return Column(lowered, None)
-                out = lowered.tolist()
-                errors: dict[int, BaseException] = {}
-                fn = self.fn
-                for i in np.nonzero(~flags)[0].tolist():
-                    try:
-                        out[i] = fn(rows[i])
-                    except Exception as exc:  # noqa: BLE001 - faithful capture
-                        errors[i] = exc
-                        out[i] = None
-                return make_column(out, errors or None)
+        rows = column.values.tolist()
+        if column.errors is None and not set(map(type, rows)) - {str}:
+            return object_column(list(map(str.lower, rows)), None)
         out, map_errors = _map1(chunk.num_rows, rows, column.errors, self.fn)
         return make_column(out, map_errors)
 
@@ -373,7 +339,7 @@ class MapElems(ColExpr):
             row_fn = lambda row: build(elem_fn(t) for t in row if filter_fn(t))  # noqa: E731
         column = self.child.eval(chunk)
         values, errors = _map1(chunk.num_rows, column.values.tolist(), column.errors, row_fn)
-        return _object_column(values, errors)
+        return object_column(values, errors)
 
 
 def _mandatory_literal(pattern) -> Optional[str]:
@@ -559,104 +525,69 @@ class AnyElem(ColExpr):
 class _TokenIndex:
     """Flattened view of a token-sequence column, built once per chunk.
 
-    The flat tokens are deduplicated lazily (distinct tokens plus inverse
-    codes), so every kernel over the same source column — lowercasing,
-    equality, vocabulary membership, first-match scans — runs over the small
-    unique-token array and gathers the result back through the codes instead
-    of sweeping every token again.  Tokens that are not exactly ``str`` are
-    replaced by ``""`` in the flat list; the rows the vectorized kernels
-    cannot vouch for — rows that are not ``list``/``tuple``, or rows
-    containing such a token — are collected in ``fallback_rows`` and
-    :class:`TokenMatch` / :class:`TokenScan` recompute those with their
-    exact per-row Python fallback.
+    Every flat token has an id in the process's token table
+    (:mod:`repro.utils.tokens`): for the sentence words these are the ids
+    the block looked up for both of its readers (:meth:`~repro.labeling.
+    pushdown.fields.ColumnarChunk.word_ids`), for any other column they are
+    looked up here.  The distinct ids of the chunk (``ids``), their tokens
+    as Python ``str`` (``tokens``) and each flat token's position among them
+    (``inverse``) follow by array ops, so every kernel over the same source
+    column — lowercasing, equality, vocabulary membership, first-match
+    scans — runs over the few distinct tokens and gathers the result back
+    through ``inverse`` instead of sweeping every token again.  The rows the
+    kernels cannot vouch for — rows that are not ``list``/``tuple``, or rows
+    holding a token that is not exactly a ``str`` — count as empty, are
+    collected in ``fallback_rows``, and :class:`TokenMatch` /
+    :class:`TokenScan` recompute those with their exact per-row Python
+    fallback.
     """
 
-    __slots__ = ("rows", "offsets", "lengths", "flat", "fallback_rows",
-                 "_uniques", "_inverse", "_lowered")
+    __slots__ = ("rows", "offsets", "lengths", "fallback_rows", "table", "ids", "tokens",
+                 "inverse", "_lowered")
 
-    def __init__(self, column: Column, n: int) -> None:
+    def __init__(self, column: Column, n: int, words: Optional[tuple] = None) -> None:
         rows = column.values.tolist()
-        sequences = rows
-        fallback: set[int] = set()
-        if not set(map(type, rows)) <= {list, tuple}:
-            sequences = list(rows)
-            for i, row in enumerate(rows):
-                if type(row) not in (list, tuple):
-                    sequences[i] = ()
-                    fallback.add(i)
-        flat = list(chain.from_iterable(sequences))
-        total = len(flat)
+        table, flat_ids, lengths, fallback = words or token_table.token_rows(rows)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, sequences), dtype=np.int64, count=n), out=offsets[1:])
-        # One C pass proving every flat token is exactly a ``str`` (a
-        # subclass may override what the kernels assume); the per-token
-        # scan only runs when one is not.
-        if set(map(type, flat)) <= {str}:
-            joined = "".join(flat)
-        else:
-            str_flags = np.fromiter(
-                (type(t) is str for t in flat), dtype=bool, count=total
-            )
-            flat = [t if type(t) is str else "" for t in flat]
-            bad = np.zeros(total + 1, dtype=np.int64)
-            np.cumsum(~str_flags, out=bad[1:])
-            fallback.update(np.nonzero(bad[offsets[1:]] - bad[offsets[:-1]])[0].tolist())
-            joined = "".join(flat)
-        if "\x00" in joined:
-            # numpy U-dtype round-trips drop trailing NULs; hand every row
-            # to the exact per-row fallback rather than risk a mismatch.
-            fallback = set(range(n))
+        np.cumsum(lengths, out=offsets[1:])
+        present = np.zeros(len(table.tokens), dtype=bool)
+        present[flat_ids] = True
+        ids = np.flatnonzero(present)
+        position = np.zeros(present.size, dtype=np.int64)
+        position[ids] = np.arange(ids.size)
         self.rows = rows
         self.offsets = offsets
-        self.lengths = np.diff(offsets)
-        self.flat = flat
+        self.lengths = lengths
         self.fallback_rows = fallback
-        self._uniques = None
-        self._inverse = None
+        self.table = table
+        self.ids = ids
+        self.tokens = list(map(table.tokens.__getitem__, ids.tolist()))
+        self.inverse = position[flat_ids]
         self._lowered = None
 
-    def _unique(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct flat tokens (first-seen order) and each token's code."""
-        if self._uniques is None:
-            # A dict dedups at C speed without sorting, and only the few
-            # distinct tokens are ever copied into a fixed-width array.
-            codes = dict(zip(dict.fromkeys(self.flat), count()))
-            self._uniques = (
-                np.asarray(list(codes), dtype=str) if codes else np.empty(0, dtype="<U1")
-            )
-            self._inverse = np.fromiter(
-                map(codes.__getitem__, self.flat), dtype=np.int64, count=len(self.flat)
-            )
-        return self._uniques, self._inverse
-
-    def _unique_needles(self, lower: bool) -> np.ndarray:
-        uniques, _ = self._unique()
+    def lowered(self, lower: bool) -> list:
+        """The distinct tokens, ``str.lower``-ed when ``lower`` (as ``normalize`` does)."""
         if not lower:
-            return uniques
+            return self.tokens
         if self._lowered is None:
-            # np.char.lower applies str.lower element-wise over the (small)
-            # unique array, so values match the interpreted normalize().
-            self._lowered = np.char.lower(uniques)
+            self._lowered = list(map(str.lower, self.tokens))
         return self._lowered
 
-    def match_eq(self, needle: str, lower: bool) -> np.ndarray:
-        mask_u = self._unique_needles(lower) == needle
-        return self.row_any(mask_u[self._inverse])
+    def match_eq(self, needle: Any, lower: bool) -> np.ndarray:
+        tokens = self.lowered(lower)
+        mask_u = np.fromiter(map(operator.eq, tokens, repeat(needle)), bool, len(tokens))
+        return self.row_any(mask_u[self.inverse])
 
-    def match_isin(self, members: list, lower: bool) -> np.ndarray:
-        uniques = self._unique_needles(lower)
-        if members:
-            mask_u = np.isin(uniques, np.asarray(members, dtype=str))
-        else:
-            mask_u = np.zeros(len(uniques), dtype=bool)
-        return self.row_any(mask_u[self._inverse])
+    def match_isin(self, members: set, lower: bool) -> np.ndarray:
+        tokens = self.lowered(lower)
+        mask_u = np.fromiter(map(members.__contains__, tokens), bool, len(tokens))
+        return self.row_any(mask_u[self.inverse])
 
     def row_any(self, token_mask: np.ndarray) -> np.ndarray:
         """Per-row ``any(token matched)`` via a cumulative-sum difference."""
         counts = np.zeros(len(token_mask) + 1, dtype=np.int64)
         np.cumsum(token_mask, out=counts[1:])
         return (counts[self.offsets[1:]] - counts[self.offsets[:-1]]) > 0
-
 
     def row_first(self, token_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row: did a token match, and the flat position of the first
@@ -676,7 +607,8 @@ def _token_index(chunk: ColumnarChunk, child: ColExpr, column: Column) -> _Token
     key = ("tokidx", child.key)
     index = chunk.get(key)
     if index is None:
-        index = chunk.put(key, _TokenIndex(column, chunk.num_rows))  # type: ignore[arg-type]
+        words = chunk.word_ids() if child.key == _WORDS_KEY and column.errors is None else None
+        index = chunk.put(key, _TokenIndex(column, chunk.num_rows, words))  # type: ignore[arg-type]
     return index  # type: ignore[return-value]
 
 
@@ -688,9 +620,10 @@ class TokenMatch(ColExpr):
     keyword membership (and the equivalent set-intersection truthiness),
     and non-emptiness of a derived container — replacing their per-row
     Python loops with one flattened sweep per chunk: tokens are flattened
-    once per source column (cached), lowercased with ``np.char.lower`` when
-    the idiom normalizes, and the per-row ``any`` is a cumsum difference
-    over row offsets.  Rows the index cannot vouch for are recomputed with
+    once per source column (cached), each distinct token is lowercased
+    (``str.lower``) when the idiom normalizes and compared as the Python
+    ``str`` it is, and the per-row ``any`` is a cumsum difference over row
+    offsets.  Rows the index cannot vouch for are recomputed with
     ``row_fallback`` — the exact per-row Python equivalent — so values and
     errors stay bit-identical to the interpreted path.
     """
@@ -722,10 +655,9 @@ class TokenMatch(ColExpr):
             values = index.match_eq(self.needle, self.lower)
         else:
             # Non-string members can never equal a string token, so the
-            # vector sweep only checks the string members; rows with
-            # non-string tokens are in fallback_rows and recomputed.
-            members = [m for m in self.needle if type(m) is str]
-            values = index.match_isin(members, self.lower)
+            # sweep only checks the string members; rows with non-string
+            # tokens are in fallback_rows and recomputed.
+            values = index.match_isin({m for m in self.needle if type(m) is str}, self.lower)
         errors = dict(column.errors) if column.errors else {}
         if index.fallback_rows:
             fallback = self.row_fallback
@@ -752,12 +684,15 @@ class TokenScan(ColExpr):
     returns.  The node is the loop's guard — true where some token matched —
     and :attr:`labels` is the leaf holding the canonical label that match
     returned.  ``pred`` and ``arm`` are the exact Python closures, but they
-    run once per *unique* token of the chunk (the :class:`_TokenIndex` is
-    shared with every other token kernel over the same column); each row's
-    first matching token is then resolved vectorized.  Rows the index cannot
-    vouch for, and rows holding a token on which either closure raised, take
-    the exact per-row loop, so labels, error rows and exceptions are those
-    of the interpreted loop.
+    run once per *distinct* token of the chunk (the :class:`_TokenIndex` is
+    shared with every other token kernel over the same column), and a
+    token's outcome is kept, by its id in the process's token table, for
+    the rest of the apply call (:meth:`_outcomes`) — not longer, since a
+    constant a closure reads when it runs may change between calls; each
+    row's first matching token is then resolved vectorized.  Rows the index
+    cannot vouch for, and rows holding a token on which either closure
+    raised, take the exact per-row loop, so labels, error rows and
+    exceptions are those of the interpreted loop.
     """
 
     __slots__ = ("child", "pred", "arm", "labels")
@@ -780,29 +715,46 @@ class TokenScan(ColExpr):
                 return True, self.arm(token)
         return False, 0
 
+    def _outcomes(self, chunk: ColumnarChunk, index: _TokenIndex) -> np.ndarray:
+        """Each distinct token's outcome: ``_NO_MATCH``, ``_RAISED``, or
+        ``label << 2 | _MATCH`` for a match whose arm returned ``label``.
+
+        Outcomes are kept in the chunk's ``memo`` (the plan's, one apply
+        call long) by token id of ``index.table``, so the closures run once
+        per distinct token per apply call, not once per chunk.
+        """
+        memo, table, ids = chunk.memo, index.table, index.ids
+        state = memo.get(self.key) if memo is not None else None
+        known = state[1] if state is not None and state[0] is table else np.zeros(0, np.int64)
+        outcomes = np.zeros(ids.size, np.int64)
+        seen = ids < known.size
+        outcomes[seen] = known[ids[seen]]
+        todo = np.flatnonzero(outcomes == 0)
+        pred, arm, tokens = self.pred, self.arm, index.tokens
+        for j in todo.tolist():
+            token = tokens[j]
+            try:
+                outcomes[j] = arm(token) << 2 | _MATCH if pred(token) else _NO_MATCH
+            except Exception:  # noqa: BLE001 - its rows rerun the exact loop
+                outcomes[j] = _RAISED
+        if todo.size and memo is not None and len(table.tokens) <= token_table.TABLE_CAP:
+            if known.size <= ids[-1]:
+                known = np.concatenate([known, np.zeros(len(table.tokens) - known.size, np.int64)])
+            known[ids[todo]] = outcomes[todo]
+            memo[self.key] = (table, known)
+        return outcomes
+
     def _compute(self, chunk: ColumnarChunk) -> Column:
         column = self.child.eval(chunk)
         index = _token_index(chunk, self.child, column)
-        uniques, inverse = index._unique()
-        pred, arm = self.pred, self.arm
-        match_u = np.zeros(len(uniques), dtype=bool)
-        label_u = np.zeros(len(uniques), dtype=np.int64)
-        raised_u: list[int] = []
-        for j, token in enumerate(uniques.tolist()):
-            try:
-                if pred(token):
-                    label_u[j] = arm(token)
-                    match_u[j] = True
-            except Exception:  # noqa: BLE001 - its rows rerun the exact loop
-                raised_u.append(j)
-        hit, first = index.row_first(match_u[inverse])
+        outcomes = self._outcomes(chunk, index)
+        kind, inverse = outcomes & 3, index.inverse
+        hit, first = index.row_first((kind == _MATCH)[inverse])
         labels = np.zeros(chunk.num_rows, dtype=np.int64)
-        labels[hit] = label_u[inverse[first[hit]]]
+        labels[hit] = (outcomes >> 2)[inverse[first[hit]]]
         slow = set(index.fallback_rows)
-        if raised_u:
-            raised = np.zeros(len(uniques), dtype=bool)
-            raised[raised_u] = True
-            slow.update(np.flatnonzero(index.row_any(raised[inverse])).tolist())
+        if (kind == _RAISED).any():
+            slow.update(np.flatnonzero(index.row_any((kind == _RAISED)[inverse])).tolist())
         errors = dict(column.errors) if column.errors else {}
         for i in sorted(slow):
             if i in errors:
@@ -815,6 +767,12 @@ class TokenScan(ColExpr):
             hit[np.fromiter(errors, dtype=np.int64)] = False
         chunk.put(self.labels.key, Column(labels, None))
         return Column(hit, errors or None)
+
+
+#: :meth:`TokenScan._outcomes` codes (the low two bits; 0 is "not yet known").
+_NO_MATCH, _RAISED, _MATCH = 1, 2, 3
+
+_WORDS_KEY = ("field", ("sentence", "words"))
 
 
 class _ScanLabels(ColExpr):
@@ -1020,9 +978,6 @@ class Truthy(ColExpr):
         values = column.values
         if isinstance(values, np.ndarray) and values.dtype == np.bool_:
             return column
-        if isinstance(values, np.ndarray) and values.dtype.kind == "U":
-            # String truthiness is non-emptiness.
-            return Column(values != "", column.errors)
         if isinstance(values, np.ndarray) and values.dtype != object:
             return Column(values != 0, column.errors)
         rows, errors = _map1(chunk.num_rows, values.tolist(), column.errors, bool)
@@ -1088,7 +1043,7 @@ class TupleCol(ColExpr):
             values = list(zip(*rows_per_item))
         else:
             values = [build(t) for t in zip(*rows_per_item)]
-        return _object_column(values, errors or None)
+        return object_column(values, errors or None)
 
 
 _BIN_OPS = {

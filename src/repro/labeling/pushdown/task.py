@@ -172,7 +172,7 @@ def decision(lf: Any, cardinality: Optional[int], backend: Optional[str]) -> tup
     return entry, True
 
 
-@dataclass
+@dataclass(eq=False)
 class PushdownPlan:
     """The compiled/fallback partition of one LF suite.
 
@@ -348,6 +348,14 @@ def build_worker_payload(config: tuple):
     return plan if featurizer is None else (label_chunk_pushdown, plan, featurizer)
 
 
+#: What each live plan's programs keep from chunk to chunk
+#: (``ColumnarChunk.memo``), held off the plan so the payload stays
+#: read-only.  One apply call long in the process that built the plan, as a
+#: plan is built per call; a worker's plan lives as long as its attached
+#: copy of the suite, which nothing outside the worker can change.
+_MEMOS: "weakref.WeakKeyDictionary[PushdownPlan, dict]" = weakref.WeakKeyDictionary()
+
+
 def _wrap_error(lf_name: str, exc: BaseException) -> BaseException:
     """The exception a non-fault-tolerant interpreted run would propagate.
 
@@ -371,10 +379,15 @@ def label_chunk_pushdown(
     start_row: int,
     candidates: Sequence,
 ) -> ChunkResult:
-    """Apply a :class:`PushdownPlan` to one chunk (the pushdown worker kernel)."""
+    """Apply a :class:`PushdownPlan` to one chunk (the pushdown worker kernel).
+
+    ``candidates`` may be the chunk's :class:`ColumnarChunk` already (the
+    fused task shares it with the featurizer).
+    """
     start = time.perf_counter()
-    chunk = ColumnarChunk(candidates)
-    n = chunk.num_rows
+    chunk = ColumnarChunk.of(candidates)
+    chunk.memo = _MEMOS.setdefault(plan, {})
+    candidates, n = chunk.candidates, chunk.num_rows
     names: dict[int, str] = {}
     column_labels: dict[int, np.ndarray] = {}
     column_errors: dict[int, dict[int, BaseException]] = {}

@@ -21,11 +21,14 @@ float64, NaN equal to NaN only at the same position, elsewhere
 The rows, their relation inside one tree, and why:
 
 - ``compiled == interpreted`` (bitwise): ``pushdown="auto"`` and ``"off"``
-  hand back the same Λ, feature blocks and report, planted LF errors too.
+  hand back the same Λ, feature blocks and report, planted LF errors too,
+  also over chunks mixing stock and subclassed candidates.
 - ``shm == pickle == sequential`` (bitwise): the sequential, threads and
   processes backends, over both transports, are one result.
 - ``warm == cold featurizer`` (bitwise): what a featurizer interned and
-  hashed for earlier chunks never shows in a block.
+  hashed for earlier chunks never shows in a block — the warm side runs
+  after another corpus and after chunks that fill the process's token table
+  past its cap, the cold side in a fresh process.
 - ``label matrix readers dense == csr`` (bitwise): EM, CD under both Gibbs kernels,
   Dawid–Skene, every statistic, voter and bound and the optimizer compute
   on the CSR entries, so a dense-held Λ and its ``to_sparse()`` agree.
@@ -72,6 +75,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -83,6 +90,7 @@ import reference_stats as ref
 import reference_structure as ref_structure
 from reference_em import reference_em
 
+from repro.context.candidates import Candidate, SentenceView, SpanView
 from repro.datasets import cdr, radiology
 from repro.datasets.base import load_task
 from repro.datasets.synth_text import build_relation_task
@@ -967,6 +975,27 @@ def raises_on_thirds(candidate) -> int:
     return 1 if candidate.uid % 2 else -1
 
 
+class Subclassed(Candidate):
+    """A candidate class that overrides an accessor: chunks mixing it with
+    stock candidates take the per-row paths the block stands in for."""
+
+    def words_between(self):
+        return Candidate.words_between(self)[::-1]
+
+
+@functools.lru_cache(maxsize=None)
+def mixed_labeling_inputs(full: bool) -> dict:
+    """:func:`labeling_inputs` plus a ``mixed`` source: every third candidate
+    :class:`Subclassed`."""
+    inputs = labeling_inputs(full)
+    mixed = tuple(
+        Subclassed(c.uid, c.span1, c.span2, c.sentence, c.relation_type, c.split, c.gold_label)
+        if c.uid % 3 == 0 else c
+        for c in inputs["candidates"]
+    )
+    return {**inputs, "sources": {**inputs["sources"], "mixed": lambda: list(mixed)}}
+
+
 @functools.lru_cache(maxsize=None)
 def labeling_inputs(full: bool) -> dict:
     candidates = tuple(stream_text_candidates(num_points=150 if full else 60, num_lfs=6, seed=0))
@@ -1034,26 +1063,64 @@ def labeling(suites: tuple, tiers: tuple = ("off", "auto"), **settings) -> Calla
     return side
 
 
+def featurized(inputs: dict) -> dict:
+    """The clean suite in process and the faulty one on workers, each through
+    ``apply_with_features`` with a fresh featurizer."""
+    featurizer, out = RelationFeaturizer(num_features=64).fit(), {}
+    try:
+        for suite, settings in (("clean", {}), ("faulty", PROCESSES)):
+            lfs = inputs["suites"][suite]
+            applier = LFApplier(lfs, chunk_size=32, fault_tolerant=True, **settings)
+            candidates = list(inputs["candidates"])
+            matrix, blocks = applier.apply_with_features(candidates, featurizer, sparse=True)
+            out.update(labeling_records(suite, applier, matrix, blocks))
+    finally:
+        shutdown_pools()
+    return out
+
+
+def in_fresh_process(function: Callable, argument) -> dict:
+    """``function(argument)`` run by a new interpreter on this ``sys.path``
+    (``function`` a module-level name of this module)."""
+    script = (
+        "import pickle, sys, contracts\n"
+        f"out = contracts.{function.__name__}(pickle.load(sys.stdin.buffer))\n"
+        "sys.stdout.buffer.write(pickle.dumps(out))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(argument), env=env,
+        capture_output=True, check=True, timeout=600,
+    )
+    return pickle.loads(done.stdout)
+
+
+def overflowing_runs() -> None:
+    """Two chunks of 20 000 new words each through both the compiled LF tier
+    and the featurizer: together they fill the process's token table past
+    its cap (2**15 tokens)."""
+    featurizer = RelationFeaturizer(num_features=64).fit()
+    applier = LFApplier(text_vote_lfs(3), chunk_size=1)
+    for batch in range(2):
+        words = [f"fill{batch}w{i}" for i in range(20_000)]
+        span = SpanView(words[0], 0, 1)
+        applier.apply_with_features([Candidate(0, span, span, SentenceView(words, ""))], featurizer)
+
+
 def featurizing(warm: bool) -> Callable:
-    """The clean suite in process and the faulty one on workers, through a
-    fresh featurizer or one that has been through another corpus (other
-    tokens, k = 3) first."""
+    """:func:`featurized` in a fresh process; or, warm, in this one after a
+    run over another corpus (other tokens, k = 3) and runs that fill the
+    token table past its cap."""
 
     def side(inputs: dict) -> dict:
-        featurizer, out = RelationFeaturizer(num_features=64).fit(), {}
-        if warm:
-            other = stream_text_candidates(200, num_lfs=9, cardinality=3, seed=7)
-            featurizer.transform(list(other))
-        try:
-            for suite, settings in (("clean", {}), ("faulty", PROCESSES)):
-                lfs = inputs["suites"][suite]
-                applier = LFApplier(lfs, chunk_size=32, fault_tolerant=True, **settings)
-                candidates = list(inputs["candidates"])
-                matrix, blocks = applier.apply_with_features(candidates, featurizer, sparse=True)
-                out.update(labeling_records(suite, applier, matrix, blocks))
-        finally:
-            shutdown_pools()
-        return out
+        if not warm:
+            return in_fresh_process(
+                featurized, {key: inputs[key] for key in ("candidates", "suites")}
+            )
+        featurizer = RelationFeaturizer(num_features=64).fit()
+        featurizer.transform(list(stream_text_candidates(200, num_lfs=9, cardinality=3, seed=7)))
+        overflowing_runs()
+        return featurized(inputs)
 
     return side
 
@@ -1142,9 +1209,9 @@ FAULTY = ("faulty",)
 
 CONTRACTS = (
     Contract(
-        "compiled == interpreted", labeling_inputs,
+        "compiled == interpreted", mixed_labeling_inputs,
         {tier: labeling(("clean", "faulty"), (tier,)) for tier in ("off", "auto")},
-        profiles=("faulty", "sparse=False", "generator", "empty", "apply_with_features"),
+        profiles=("faulty", "sparse=False", "generator", "empty", "mixed", "apply_with_features"),
     ),
     Contract(
         "shm == pickle == sequential", labeling_inputs,

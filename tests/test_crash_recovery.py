@@ -319,6 +319,85 @@ def test_lf_digest_follows_the_code_and_what_it_reads():
     assert lf_digest(LabelingFunction("opaque", np.frompyfunc(abs, 1, 1))) is None
 
 
+class _SlottedVoter:
+    """A callable LF body without a ``__dict__``: its state is a slot."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+
+    def __call__(self, candidate):
+        for word in candidate.sentence.words:
+            if word.startswith(self.prefix):
+                return 1
+        return 0
+
+
+class _SlottedSubclass(_SlottedVoter):
+    """Slots along the MRO plus a ``__dict__``."""
+
+
+def test_lf_digest_encodes_slot_state():
+    """Regression: ``_encode`` read ``__dict__`` alone, so any slotted object
+    an LF read digested to ``None`` and a checkpointed run never resumed."""
+    voter = _SlottedVoter("lf1v")
+    lf = LabelingFunction("slotted", voter)
+    before = lf_digest(lf)
+    assert before is not None
+    assert lf_digest(LabelingFunction("slotted", _SlottedVoter("lf1v"))) == before
+    voter.prefix = "lf2v"  # a slot rebound
+    assert lf_digest(lf) not in (None, before)
+    del voter.prefix  # an unset slot is state too
+    assert lf_digest(lf) not in (None, before)
+    sub = _SlottedSubclass("lf1v")
+    plain = lf_digest(LabelingFunction("slotted", sub))
+    sub.extra = 1  # the __dict__ beside the slots
+    assert None not in (plain, lf_digest(LabelingFunction("slotted", sub))) != plain
+    candidate = next(iter(stream_text_candidates(num_points=1, num_lfs=NUM_LFS, seed=0)))
+    assert lf_digest(LabelingFunction("reads_a_view", lambda c: c is candidate)) is not None
+
+
+_SLOTTED_DIGEST = textwrap.dedent(
+    """
+    from repro.labeling.lf import LabelingFunction, lf_digest
+
+    class Voter:
+        __slots__ = ("prefix", "votes")
+
+        def __init__(self):
+            self.prefix, self.votes = "lf1v", {"p": 1, "n": -1, "x": 0}
+
+        def __call__(self, candidate):
+            return 0
+
+    print(lf_digest(LabelingFunction("slotted", Voter())))
+    """
+)
+
+
+def test_slotted_lf_digests_alike_under_any_hash_seed():
+    first, second = (_python(_SLOTTED_DIGEST, hash_seed=seed).stdout for seed in (1, 2))
+    assert first == second and first.strip() not in ("", "None")
+
+
+def test_resume_with_a_slotted_lf_body_replays(tmp_path, monkeypatch):
+    """A checkpointed run whose LF body is slotted, killed mid-stream, replays
+    its durable blocks on resume instead of clearing the store."""
+    root = str(tmp_path / "ckpt")
+    with pytest.raises(_Crash):
+        _edited_suite_run(root, _SlottedVoter("lf1v"), crash_after=210)
+    with BlockStore(root) as store:
+        durable = set(ChunkCheckpointer(store, "train").completed)
+    assert durable
+    cleared = []
+    clear = BlockStore.clear
+    monkeypatch.setattr(BlockStore, "clear", lambda store: cleared.append(1) or clear(store))
+    resumed = _edited_suite_run(root, _SlottedVoter("lf1v"))
+    assert not cleared
+    assert_matches_reference(resumed, _edited_suite_run(None, _SlottedVoter("lf1v")))
+
+
 _DIGESTS = textwrap.dedent(
     """
     import json

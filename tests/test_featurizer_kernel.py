@@ -24,6 +24,7 @@ from repro.discriminative import HashingVectorizer, RelationFeaturizer, featuriz
 from repro.discriminative.streaming import featurize_stream
 from repro.exceptions import ConfigurationError
 from repro.labeling.engine.tasks import featurize_chunk
+from repro.utils import tokens
 
 #: Mixed case, tokens whose ``lower()`` changes length ("İ" → "i̇"), tokens
 #: that collide after lower-casing, tokens containing spaces (the 1-gram
@@ -132,9 +133,10 @@ def test_other_declined_inputs_still_match():
     odd.span1 = LongSpan("w1", 1, 2)
     big_vocabulary = [make([f"t{i}" for i in range(60_000)])]  # 60k ** 4 * 6 scopes > 2 ** 63
     beyond_the_end = [make(words[:6])]  # span2 ends at 7: Python slices clamp
-    int_like = [make(words, start=True), make(words, start=np.int64(1))]  # exact in the kernel
+    # Offsets that are not exactly ints leave the block's offset columns untyped.
+    int_like = [make(words, start=True), make(words, start=np.int64(1))]
     for chunk in ([odd], big_vocabulary, beyond_the_end, int_like):
-        assert (featurizer._kernel_entries(chunk) is None) == (chunk is not int_like)
+        assert featurizer._kernel_entries(chunk) is None
         assert_same_triples(
             featurizer.chunk_triples(chunk), stack_rows(map(featurizer.candidate_entries, chunk))
         )
@@ -249,18 +251,20 @@ CHUNK_LISTS = st.lists(st.lists(candidates(), max_size=4), max_size=5)
 def empty_tables(monkeypatch):
     """Start a test from empty process tables (and leave the real ones be)."""
     monkeypatch.setattr(featurizers, "_TABLES", {})
+    monkeypatch.setattr(tokens, "_TABLE", tokens.TokenTable())
 
 
 def run_entries(vectorizer):
-    """How many (words, hashed codes) the tables ``vectorizer`` uses hold."""
+    """How many (tokens, hashed codes) the tables ``vectorizer`` uses hold."""
     run = featurizers._TABLES.get(tuple(vectorizer.ngram_range))
     if run is None:
         return 0, 0
-    ids = sorted([*run.token_ids.values(), *run.scope_ids.values()])
-    assert ids == list(range(len(run.words)))  # no two words share an id
+    table = run.table
+    assert sorted(table.ids.values()) == list(range(len(table.tokens)))  # no two share an id
+    assert sorted(run.scope_ids.values()) == list(range(len(run.scopes)))
     for codes, hashes in run.hashed.values():
         assert codes.size == hashes.size and (np.diff(codes) > 0).all()
-    return len(run.words), sum(codes.size for codes, _ in run.hashed.values())
+    return len(table.tokens), sum(codes.size for codes, _ in run.hashed.values())
 
 
 @given(
@@ -339,7 +343,7 @@ def _word_chunk(words, size=3):
 
 @pytest.mark.parametrize("cap", [0, 5, 20, 40])
 def test_tables_stop_at_the_cap(monkeypatch, empty_tables, cap):
-    monkeypatch.setattr(featurizers, "_TABLE_CAP", cap)
+    monkeypatch.setattr(tokens, "TABLE_CAP", cap)
     featurizer = RelationFeaturizer(32).fit()
     chunks = [
         _word_chunk([f"w{i % 50}" for i in range(start, start + 12)]) for start in range(0, 90, 5)
@@ -351,9 +355,9 @@ def test_tables_stop_at_the_cap(monkeypatch, empty_tables, cap):
         assert_same_triples(featurizer.chunk_triples(chunk), expected)
         words, codes = run_entries(featurizer.vectorizer)
         assert words <= cap and codes <= cap
-    # Six prefixes and twelve words a chunk: from 18 entries up a chunk's words are kept
-    # and the code tables fill to the brim; below, nothing is ever published.
-    assert (words, codes) == (0, 0) if cap < 18 else (words >= 18 and codes == cap)
+    # Twelve words a chunk: from 12 entries up a chunk's words are kept and the
+    # code tables fill to the brim; below, nothing is ever published.
+    assert (words, codes) == (0, 0) if cap < 12 else (words >= 12 and codes == cap)
     # Another featurizer (a re-run) shares the tables, which stay inside the cap.
     other = RelationFeaturizer(32).fit()
     for chunk in chunks:
@@ -364,15 +368,16 @@ def test_tables_stop_at_the_cap(monkeypatch, empty_tables, cap):
 
 def test_a_vocabulary_beyond_the_radix_declines_only_its_own_chunk(empty_tables):
     featurizer = RelationFeaturizer(32, ngram_range=(1, 12)).fit()
-    radix = 28  # 28 ** 13 < 2 ** 63 <= 29 ** 13: six scope prefixes and 22 words
+    radix = 28  # 28 ** 13 < 2 ** 63 <= 29 ** 13: 28 words to a chunk
     small = [_word_chunk([f"{part}{i}" for i in range(9)]) for part in "abcd"]
     oversized = _word_chunk([f"t{i}" for i in range(30)])
     for chunk in small + [oversized] + small[::-1]:
+        # The process's table outgrows the radix after three small chunks; the
+        # fourth is renumbered by itself and still fits.
         assert (featurizer._kernel_entries(chunk) is None) == (chunk is oversized)
         expected = stack_rows(map(featurizer.candidate_entries, chunk))
         assert_same_triples(featurizer.chunk_triples(chunk), expected)
-        run = featurizers._TABLES[(1, 12)]
-        assert run.radix == radix >= run_entries(featurizer.vectorizer)[0]
+        assert featurizers._TABLES[(1, 12)].radix == radix
 
 
 def test_tables_are_not_part_of_the_pickled_or_copied_state(empty_tables):
@@ -403,6 +408,7 @@ def test_concurrent_misses_on_one_shared_featurizer(empty_tables):
     try:
         for _ in range(20):
             featurizers._TABLES.clear()  # every round races from empty tables
+            tokens._TABLE = tokens.TokenTable()
             actual = featurize_stream(
                 featurizer, candidates, chunk_size=7, backend="threads", num_workers=4
             )
