@@ -172,11 +172,20 @@ def lf_digest(lf: Any) -> Optional[str]:
     items are encoded in sorted order, so no hash seed reorders them;
     modules, classes and builtins stand for themselves by name.
     """
+    encoded = encoding(lf)
+    if encoded is None:
+        return None
+    return hashlib.blake2b(repr(encoded).encode(), digest_size=16).hexdigest()
+
+
+def encoding(value: Any) -> Optional[tuple]:
+    """The nested tuple of plain values :func:`lf_digest` encodes a container
+    or object as, everything it holds included; ``None`` when something in
+    it has no such encoding."""
     try:
-        encoded = repr(_encode(lf, set()))
+        return _encode(value, set())
     except (_Undigestable, RecursionError):
         return None
-    return hashlib.blake2b(encoded.encode(), digest_size=16).hexdigest()
 
 
 def _slot_state(kind: type, value: Any) -> list:

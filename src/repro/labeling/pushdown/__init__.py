@@ -7,11 +7,15 @@ This package removes both costs for the declarative majority of a suite:
 * :mod:`~repro.labeling.pushdown.fields` extracts each candidate field a
   suite reads into a numpy column **once per chunk**;
 * :mod:`~repro.labeling.pushdown.compiler` symbolically executes each LF
-  body inside its subset (its docstring is the one statement of it) into a
+  body inside its subset into a
   :class:`~repro.labeling.pushdown.program.CompiledProgram` — vectorized
   comparisons for threshold/equality shapes, precompiled regex sweeps,
-  frozenset membership kernels, first-match token scans, shared per-row
-  normalization;
+  vocabulary membership and first-match scans over each distinct token,
+  shared per-row normalization.  Its docstring is the one statement of
+  the subset, which is sized to the suites the library serves (the
+  paper's pattern, keyword and distant-supervision LFs, the structure
+  heuristics, the synthetic vote readers): a shape no served LF uses is
+  refused, not lowered;
 * :mod:`~repro.labeling.pushdown.task` decides per LF (duck-typed? lint
   hazard? compiler refusal?), packages the compiled/fallback
   partition as a :class:`~repro.labeling.pushdown.task.PushdownPlan` and

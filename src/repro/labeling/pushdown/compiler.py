@@ -11,15 +11,37 @@
   sub-objects, whose attribute and method reads become
   :class:`~repro.labeling.pushdown.program.FieldCol` s.
 
-Statements are executed symbolically: assignments bind names, ``if`` s with
-constant tests fold (dead arms — like the ``raise ValueError`` else-arm of
-the declarative factories' scope dispatch — are never visited), ``if`` s with
-column tests fork the environment and either terminate per arm (emitting
-:class:`~repro.labeling.pushdown.program.Branch` es guarded by the path
-condition) or φ-merge divergent bindings through ``IfExpCol``.  Every
-``return`` site becomes one branch; branches are emitted in source order,
-and the evaluator's undecided-row masking reproduces first-return-wins
-control flow exactly.
+This module is the one statement of the compilable subset, and the subset
+is sized to the LFs the library serves: the paper's pattern, keyword and
+distant-supervision operators, the structure heuristics, and the vote
+readers of the synthetic text stream.
+:func:`repro.labeling.pushdown.task.decide` asks it, and ``analyze_lf``'s
+``COMPILABLE`` / ``OPAQUE`` verdict is its answer.
+
+Statements are executed symbolically: assignments to a name bind it, ``if``
+s with constant tests fold (dead arms — like the ``raise ValueError``
+else-arm of the declarative factories' scope dispatch — are never visited),
+``if`` s with column tests fork the environment and either terminate per
+arm (emitting :class:`~repro.labeling.pushdown.program.Branch` es guarded
+by the path condition) or φ-merge divergent bindings through ``IfExpCol``.
+Every ``return`` site becomes one branch; branches are emitted in source
+order, and the evaluator's undecided-row masking reproduces
+first-return-wins control flow exactly.
+
+Expressions over the candidate compile to columns: candidate, span and
+sentence attributes and the no-argument candidate accessors
+(:data:`~repro.labeling.pushdown.fields.CANDIDATE_METHODS`); one comparison
+or membership test; ``and`` / ``or`` / ``not`` and conditional
+expressions; tuple, list and set displays; one-generator list and set
+comprehensions over a column; ``normalize`` and the one-argument builtins
+of :data:`_ROW_BUILTINS` per row; ``search`` / ``match`` / ``fullmatch`` of
+a constant compiled pattern.  Two container idioms lower to the vectorized
+:class:`~repro.labeling.pushdown.program.TokenMatch`: ``_contains_phrase``
+of a one-token phrase in a normalized token list, and
+``bool({f(t) for t in <column>} & VOCAB)`` in condition position.  An
+expression over constants alone is folded at compile time: names,
+attributes, comparisons, membership, operators, and calls of ``normalize``,
+the builtins of :data:`_FOLDED_BUILTINS` and a regex method.
 
 A ``for`` loop is accepted in one shape, the first-match scan, with no
 ``else`` on either statement::
@@ -30,27 +52,28 @@ A ``for`` loop is accepted in one shape, the first-match scan, with no
             return <expr>
 
 ``pred`` and every ``expr`` are *scalar* expressions (:meth:`_Compiler.
-_scalar`): comparisons, ``and``/``or``/``not``, arithmetic, conditional
-expressions, subscripts and constant-bound slices, allowlisted string
-methods and builtins, and reads of constants — names, and attributes of a
-constant such as ``self.prefix`` on a callable instance.  They become
+_scalar`): the element, constants (names, attributes of a constant such
+as ``self.prefix`` on a callable instance, a signed literal), one comparison,
+a conditional expression, a subscript or constant-bound slice, a string
+method of :data:`_ROW_METHODS` with constant arguments, and a
+one-argument call of ``normalize`` or an allowlisted builtin.  They become
 genuine Python closures, so each evaluates, and raises, exactly as the
 body's expression does.  An ``if`` inside the match arm is accepted only
 when its test folds to a constant (``if self.cardinality == 2:``), and every
-surviving path through the arm must ``return``.  A loop that returns a
-*constant* keeps the boolean kernels — ``TokenMatch`` when the test is a
-vocabulary membership, else ``AnyElem`` — and one whose return is computed
-from the matched element lowers to
-:class:`~repro.labeling.pushdown.program.TokenScan`, which runs the closures
-once per distinct token of the chunk.
+surviving path through the arm must ``return``.  A loop whose test is a
+vocabulary membership and whose return is a constant lowers to
+``TokenMatch``; every other loop lowers to
+:class:`~repro.labeling.pushdown.program.TokenScan`, which runs the
+closures once per distinct token of the chunk.
 
-Anything outside the subset raises :class:`CompileError` — naming the
-source line of the statement it was executing — and the caller falls back to
+Anything outside the subset — subscripts, arithmetic, unary operators and
+``len`` / ``min`` / ``max`` over columns, methods of column values and
+non-regex methods of constants, generator expressions, window accessors,
+``while`` / ``try`` / ``with`` — raises :class:`CompileError`, naming the
+source line of the statement it was executing, and the caller falls back to
 the interpreted LF: the compiler is *sound, not complete*; it may refuse, it
-must never produce different labels or errors.  This module is the one
-statement of the compilable subset: :func:`repro.labeling.pushdown.task.decide`
-asks it, and ``analyze_lf``'s ``COMPILABLE`` / ``OPAQUE`` verdict is its
-answer.
+must never produce different labels or errors.  A shape comes back only
+with a served suite that needs it.
 
 The walk follows execution paths, so statements in folded-dead arms and
 after a ``return`` are never seen.  What such code changes without running
@@ -63,42 +86,33 @@ every read of it local (``co_varnames``).
 from __future__ import annotations
 
 import ast
-import copy
 import inspect
+import operator
 import re
-from operator import methodcaller
 from typing import Any, Callable, Optional
 
 from repro.analysis.source import SourceInfo, extract_source, is_unresolved
-from repro.labeling.lf import canonical_label
+from repro.labeling.lf import canonical_label, encoding
 from repro.labeling.pushdown import program as prog
 from repro.labeling.pushdown.fields import (
     CANDIDATE_ATTRS,
     CANDIDATE_METHODS,
     SENTENCE_ATTRS,
     SPAN_ATTRS,
-    WINDOW_METHODS,
 )
 from repro.labeling.pushdown.program import (
     K,
-    AnyElem,
-    BinCol,
     BoolAnd,
     BoolOr,
     Branch,
     ColExpr,
     Compare,
     CompiledProgram,
-    ConstBool,
     Contains,
-    ContainsPhrase,
     FieldCol,
     IfExpCol,
-    LenCol,
-    Map2,
     MapElems,
     MapRow,
-    NegCol,
     NotCol,
     RegexSearch,
     StrLower,
@@ -108,7 +122,6 @@ from repro.labeling.pushdown.program import (
     TupleCol,
     const_key,
 )
-from repro.utils.textutils import normalize as _normalize
 
 __all__ = ["CompileError", "compile_lf"]
 
@@ -151,8 +164,6 @@ _SENTENCE_ALIASES = {"sentence": "sentence", "parent": "sentence"}
 #: identified by ``(module, qualname)``.
 _HELPER_NORMALIZE = ("repro.utils.textutils", "normalize")
 _HELPER_CONTAINS_PHRASE = ("repro.labeling.declarative", "_contains_phrase")
-_HELPER_CONTAINS_ANY = ("repro.utils.textutils", "contains_any")
-_SCALAR_HELPERS = {_HELPER_NORMALIZE}
 
 _REGEX_METHODS = {"search", "match", "fullmatch"}
 
@@ -161,56 +172,39 @@ _REGEX_METHODS = {"search", "match", "fullmatch"}
 _NORMALIZE_ELEM_KEY = ("call", _HELPER_NORMALIZE, ("var",))
 _IDENTITY_ELEM_KEY = ("var",)
 
-
-def _phrase_check(phrase: tuple):
-    """The exact single-token row check :class:`ContainsPhrase` applies."""
-    first = phrase[0]
-
-    def check(row):
-        if type(row) in (list, tuple):
-            return first in row
-        return any(tuple(row[i : i + 1]) == phrase for i in range(len(row)))
-
-    return check
-
 #: Builtins allowed as single-column per-row transforms.
 _ROW_BUILTINS = {
-    "len", "str", "int", "float", "abs", "bool", "tuple", "list", "set",
-    "frozenset", "sorted", "sum", "min", "max", "any", "all",
+    "str", "int", "float", "abs", "bool", "tuple", "list", "set", "frozenset", "sorted", "sum",
+    "any", "all",
 }
 _BOOL_BUILTINS = {"bool", "any", "all"}
+#: Builtins folded when every argument is a constant.
+_FOLDED_BUILTINS = _ROW_BUILTINS | {"len", "min", "max"}
 
-#: String-ish methods allowed per row on a column receiver (called through
-#: ``getattr`` at runtime, so non-string rows raise exactly as interpreted).
+#: String methods a loop's scalar expressions may call on a value (through
+#: ``methodcaller``, so a non-string raises exactly as interpreted).
 _ROW_METHODS = {
     "lower", "upper", "strip", "lstrip", "rstrip", "title", "casefold",
     "startswith", "endswith", "find", "rfind", "count", "index",
     "split", "rsplit", "replace", "join",
     "isdigit", "isalpha", "isalnum", "islower", "isupper",
 }
-_BOOL_METHODS = {
-    "startswith", "endswith", "isdigit", "isalpha", "isalnum", "islower", "isupper",
-}
 
 _CMP_AST = {
     ast.Lt: "lt", ast.LtE: "le", ast.Gt: "gt", ast.GtE: "ge",
     ast.Eq: "eq", ast.NotEq: "ne", ast.Is: "is", ast.IsNot: "is_not",
 }
-_BIN_AST = {
-    ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "truediv",
-    ast.FloorDiv: "floordiv", ast.Mod: "mod", ast.Pow: "pow",
-    ast.BitAnd: "and_", ast.BitOr: "or_", ast.BitXor: "xor",
+#: Operators folded over two constants.
+_BIN_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
+    ast.Pow: operator.pow, ast.BitAnd: operator.and_, ast.BitOr: operator.or_,
+    ast.BitXor: operator.xor,
 }
+_UNARY_OPS = {ast.USub: operator.neg, ast.UAdd: operator.pos, ast.Invert: operator.invert}
 
 #: ``co_flags`` of a function whose call does not run its body to a ``return``.
 _NOT_A_PLAIN_CALL = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
-
-#: Constants safe to vectorize alongside int64 field columns without any
-#: risk of int64 overflow (fields themselves are bounded by make_column).
-_CONST_BOUND = 2**61
-
-#: Builtin containers whose contents can change under a compiled program.
-_MUTABLE = (list, dict, set, bytearray)
 
 
 def _fqn(fn: Any) -> tuple:
@@ -225,13 +219,6 @@ def _scalar_const(value: Any) -> tuple:
 def _is_const_key(key: tuple) -> bool:
     """The ``_scalar`` key is :func:`_scalar_const`'s: the closure reads no element."""
     return key[:1] == ("k",)
-
-
-def _is_atomic_int(sym: Any) -> bool:
-    """Operand whose int64 magnitude is bounded (safe to vector add/sub)."""
-    if isinstance(sym, K):
-        return type(sym.value) is int and -_CONST_BOUND < sym.value < _CONST_BOUND
-    return isinstance(sym, (FieldCol, LenCol))
 
 
 def compile_lf(lf: Any, cardinality: Optional[int] = None) -> CompiledProgram:
@@ -261,8 +248,8 @@ class _Compiler:
         self.branches: list[Branch] = []
         self.assigned: set[str] = set()
         #: What folds read off constants (see ``CompiledProgram.reads``):
-        #: ``(owner, attribute, value)`` per attribute read, and a shallow
-        #: copy per mutable container whose contents were read.
+        #: ``(owner, attribute, value)`` per attribute read, and
+        #: ``(value, encoding)`` per unhashable constant whose contents were read.
         self.attributes: list[tuple] = []
         self.contents: dict[int, tuple] = {}
         #: Source line of the statement being executed; a refusal names it.
@@ -289,15 +276,21 @@ class _Compiler:
             self._block(tree.body, env, None)
         if not self.branches:
             raise CompileError("no return sites compiled")
-        values, copies = zip(*self.contents.values()) if self.contents else ((), ())
-        reads = (tuple(self.attributes), values, copies)
+        reads = (tuple(self.attributes), tuple(self.contents.values()))
         return CompiledProgram(self.branches, self.lf_name, self.cardinality, reads)
 
     def _read(self, *values: Any) -> None:
-        """A fold read the contents of ``values``: keep a copy of each that can change."""
+        """A fold read the contents of ``values``: keep the encoding of each
+        that can change (an unhashable one: a list, dict or set, or a tuple
+        holding one), everything it holds included."""
         for value in values:
-            if isinstance(value, _MUTABLE):
-                self.contents.setdefault(id(value), (value, copy.copy(value)))
+            try:
+                hash(value)
+            except TypeError:  # unhashable: its contents can change
+                encoded = encoding(value)
+                if encoded is None:
+                    raise CompileError(f"folded {type(value).__name__} has no encoding") from None
+                self.contents.setdefault(id(value), (value, encoded))
 
     def _getattr(self, owner: Any, attr: str) -> Any:
         """``getattr`` on a constant, recorded so a rebinding invalidates the program."""
@@ -424,6 +417,9 @@ class _Compiler:
         if not isinstance(sequence, ColExpr):
             raise CompileError("loop iterable is not a candidate column")
         var = stmt.target.id
+        # The loop variable is the element inside the loop, and holds a
+        # data-dependent value after it: no binding from before survives.
+        env.pop(var, None)
         test = body[0].test
         steps: list = []
         scalars = dict(env)  # arm-local bindings die with the return
@@ -435,35 +431,30 @@ class _Compiler:
             try:
                 constant = self._value_sym(returned, env)
             except CompileError:
-                pass  # reads the matched element: the scan kernel's case
-        if constant is not None:
-            if not isinstance(constant, K):
-                raise CompileError("loop return value is not a constant")
+                pass  # reads the matched element
+        if isinstance(constant, K):
             value = self._canonical_const(constant.value)
             cond = self._specialize_membership(test, var, env, sequence)
-            if cond is None:
-                pred, pred_key = self._scalar(test, var, env)
-                cond = AnyElem(sequence, pred, pred_key)
-            self.branches.append(Branch(self._and(path, cond), value=value))
+            if cond is not None:
+                self.branches.append(Branch(self._and(path, cond), value=value))
+                return
+            value_fn, value_key = _scalar_const(value)
         else:
-            pred, pred_key = self._scalar(test, var, env)
             value_fn, value_key = self._scalar(returned, var, scalars)
-            step_fns = tuple(fn for fn, _key in steps)
-            lf_name, cardinality = self.lf_name, self.cardinality
+        pred, pred_key = self._scalar(test, var, env)
+        step_fns = tuple(fn for fn, _key in steps)
+        lf_name, cardinality = self.lf_name, self.cardinality
 
-            def arm(t):
-                # Later expressions inline the assigned names; running each
-                # assignment in order is what raises where the body would.
-                for step in step_fns:
-                    step(t)
-                return canonical_label(value_fn(t), lf_name, cardinality)
+        def arm(t):
+            # Later expressions inline the assigned names; running each
+            # assignment in order is what raises where the body would.
+            for step in step_fns:
+                step(t)
+            return canonical_label(value_fn(t), lf_name, cardinality)
 
-            scan_key = (
-                pred_key, tuple(key for _fn, key in steps), value_key, lf_name, cardinality,
-            )
-            scan = TokenScan(sequence, pred, arm, scan_key)
-            self.branches.append(Branch(self._and(path, scan), column=scan.labels))
-        env.pop(var, None)  # the loop variable leaks a data-dependent value
+        scan_key = (pred_key, tuple(key for _fn, key in steps), value_key, lf_name, cardinality)
+        scan = TokenScan(sequence, pred, arm, scan_key)
+        self.branches.append(Branch(self._and(path, scan), column=scan.labels))
 
     def _match_arm(self, stmts: list, var: str, env: dict, scalars: dict, steps: list):
         """Walk a loop's match arm: bind its assignments in ``scalars`` (and
@@ -554,24 +545,21 @@ class _Compiler:
             return sym.child, sym.elem_fn, False, kind
         return None
 
-    def _specialize_phrase(self, tokens: ColExpr, phrase: tuple):
-        """Single-token phrase containment → vectorized :class:`TokenMatch`."""
-        if len(phrase) != 1 or type(phrase[0]) is not str:
-            return None
-        check = _phrase_check(phrase)
+    def _specialize_phrase(self, tokens: ColExpr, phrase: tuple) -> ColExpr:
+        """One-token phrase containment in a normalized (or copied) token
+        list → vectorized :class:`TokenMatch`; any other phrase is refused."""
         source = self._token_source(tokens)
-        if source is not None:
-            child, elem_fn, lower, kind = source
-            if kind not in ("list", "tuple"):
-                return None
-            build = MapElems._BUILDERS[kind]
-            fallback = lambda row, f=elem_fn, b=build, c=check: c(b(map(f, row)))  # noqa: E731
-            return TokenMatch(child, "eq", phrase[0], lower, fallback)
-        return TokenMatch(tokens, "eq", phrase[0], False, check)
+        if len(phrase) != 1 or type(phrase[0]) is not str or source is None or source[3] != "list":
+            raise CompileError("phrase containment other than one token in a token list")
+        child, elem_fn, lower, _ = source
+        word = phrase[0]
+        # _contains_phrase(tokens, (word,)) over a list is ``word in tokens``.
+        fallback = lambda row, f=elem_fn, w=word: w in list(map(f, row))  # noqa: E731
+        return TokenMatch(child, "eq", word, lower, fallback)
 
     def _specialize_membership(self, elt: ast.AST, var: str, env: dict, sequence: ColExpr):
-        """``any(t in VOCAB ...)`` / ``any(normalize(t) in VOCAB ...)`` →
-        vectorized :class:`TokenMatch` membership."""
+        """A loop test ``t in VOCAB`` / ``normalize(t) in VOCAB`` →
+        vectorized :class:`TokenMatch` membership of the loop's column."""
         if (
             not isinstance(elt, ast.Compare)
             or len(elt.ops) != 1
@@ -606,7 +594,7 @@ class _Compiler:
             return None
         if not isinstance(container, (set, frozenset, tuple, list, dict)):
             return None
-        # The fallback short-circuits exactly like the interpreted any().
+        # The fallback stops at the first match, exactly like the interpreted loop.
         fallback = lambda row, p=pred: any(map(p, row))  # noqa: E731
         return TokenMatch(sequence, "isin", container, lower, fallback)
 
@@ -618,25 +606,27 @@ class _Compiler:
             build = MapElems._BUILDERS[kind]
             fallback = lambda row, f=elem_fn, b=build: bool(b(map(f, row)))  # noqa: E731
             return TokenMatch(child, "nonempty", None, lower, fallback)
-        if isinstance(sym, BinCol) and sym.op == "and_":
-            for mapped, const in ((sym.left, sym.right), (sym.right, sym.left)):
-                if not isinstance(const, K) or not isinstance(
-                    const.value, (set, frozenset)
-                ):
-                    continue
-                source = self._token_source(mapped)
-                if source is None or source[3] != "set":
-                    continue
-                child, elem_fn, lower, _ = source
-                vocab = const.value
-                # bool({f(t) for t in row} & vocab) ≡ any token's image in
-                # vocab; the comprehension (not the &) is what can raise, so
-                # the fallback rebuilds the set exactly as interpreted.
-                fallback = (  # noqa: E731
-                    lambda row, f=elem_fn, v=vocab: bool({f(t) for t in row} & v)
-                )
-                return TokenMatch(child, "isin", vocab, lower, fallback)
         return Truthy(sym)
+
+    def _vocab_overlap(self, op: ast.operator, left: Any, right: Any) -> Optional[ColExpr]:
+        """``{f(t) for t in <column>} & VOCAB`` in condition position →
+        vectorized :class:`TokenMatch` membership, else ``None``."""
+        if not isinstance(op, ast.BitAnd):
+            return None
+        for mapped, const in ((left, right), (right, left)):
+            if not isinstance(const, K) or not isinstance(const.value, (set, frozenset)):
+                continue
+            source = self._token_source(mapped)
+            if source is None or source[3] != "set":
+                continue
+            child, elem_fn, lower, _ = source
+            vocab = const.value
+            # bool({f(t) for t in row} & vocab) ≡ any token's image in
+            # vocab; the comprehension (not the &) is what can raise, so
+            # the fallback rebuilds the set exactly as interpreted.
+            fallback = lambda row, f=elem_fn, v=vocab: bool({f(t) for t in row} & v)  # noqa: E731
+            return TokenMatch(child, "isin", vocab, lower, fallback)
+        return None
 
     # ------------------------------------------------------------ conditions
     def _and(self, path: Optional[ColExpr], cond: ColExpr) -> ColExpr:
@@ -655,12 +645,10 @@ class _Compiler:
                 if isinstance(sym, K):
                     if bool(sym.value) == is_and:
                         continue  # identity element: skip
-                    # Absorbing element: evaluation short-circuits here, but
-                    # errors from the columns already in the chain survive.
+                    # Absorbing element: evaluation short-circuits here.
                     if chain is None:
                         return K(bool(sym.value))
-                    terminal = ConstBool(not is_and)
-                    return BoolAnd(chain, terminal) if is_and else BoolOr(chain, terminal)
+                    raise CompileError("constant operand absorbing a column condition")
                 chain = (
                     sym
                     if chain is None
@@ -672,7 +660,12 @@ class _Compiler:
             if isinstance(sym, K):
                 return K(not sym.value)
             return NotCol(sym)
-        sym = self._value_sym(node, env)
+        if isinstance(node, ast.BinOp):
+            left, right = self._operand(node.left, env), self._operand(node.right, env)
+            overlap = self._vocab_overlap(node.op, left, right)
+            sym = overlap if overlap is not None else self._fold_binop(node.op, left, right)
+        else:
+            sym = self._value_sym(node, env)
         if isinstance(sym, K):
             self._read(sym.value)  # the caller takes its truth
             return sym
@@ -707,7 +700,9 @@ class _Compiler:
         if isinstance(node, ast.UnaryOp):
             return self._unaryop(node, env)
         if isinstance(node, ast.BinOp):
-            return self._binop(node, env)
+            return self._fold_binop(
+                node.op, self._operand(node.left, env), self._operand(node.right, env)
+            )
         if isinstance(node, ast.IfExp):
             cond = self._condition(node.test, env)
             if isinstance(cond, K):
@@ -715,8 +710,6 @@ class _Compiler:
             then_sym = self._operand(node.body, env)
             else_sym = self._operand(node.orelse, env)
             return IfExpCol(cond, then_sym, else_sym)
-        if isinstance(node, ast.Subscript):
-            return self._subscript(node, env)
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
             kind = {ast.Tuple: "tuple", ast.List: "list", ast.Set: "set"}[type(node)]
             items = [self._operand(item, env) for item in node.elts]
@@ -811,64 +804,27 @@ class _Compiler:
                 return K(not sym.value)
             return NotCol(sym)
         operand = self._operand(node.operand, env)
-        if isinstance(operand, K):
-            try:
-                if isinstance(node.op, ast.USub):
-                    return K(-operand.value)
-                if isinstance(node.op, ast.UAdd):
-                    return K(+operand.value)
-                if isinstance(node.op, ast.Invert):
-                    return K(~operand.value)
-            except Exception as exc:
-                raise CompileError(f"constant unary op failed: {exc}") from exc
-        if isinstance(node.op, ast.USub):
-            return NegCol(operand)
-        raise CompileError(f"unary {type(node.op).__name__} on a column")
+        if not isinstance(operand, K):
+            raise CompileError(f"unary {type(node.op).__name__} on a column")
+        try:
+            return K(_UNARY_OPS[type(node.op)](operand.value))
+        except Exception as exc:
+            raise CompileError(f"constant unary op failed: {exc}") from exc
 
-    def _binop(self, node: ast.BinOp, env: dict):
-        left = self._operand(node.left, env)
-        right = self._operand(node.right, env)
-        if type(node.op) not in _BIN_AST:
-            raise CompileError(f"operator {type(node.op).__name__}")
-        op_name = _BIN_AST[type(node.op)]
-        if isinstance(left, K) and isinstance(right, K):
-            self._read(left.value, right.value)
-            try:
-                return K(prog._BIN_OPS[op_name](left.value, right.value))
-            except Exception as exc:
-                raise CompileError(f"constant arithmetic failed: {exc}") from exc
-        vectorize = (
-            op_name in ("add", "sub") and _is_atomic_int(left) and _is_atomic_int(right)
-        )
-        return BinCol(op_name, left, right, vectorize=vectorize)
+    def _fold_binop(self, op: ast.operator, left: Any, right: Any) -> K:
+        """An operator over two constants, folded; over a column it is refused."""
+        if type(op) not in _BIN_OPS:
+            raise CompileError(f"operator {type(op).__name__}")
+        if not (isinstance(left, K) and isinstance(right, K)):
+            raise CompileError(f"operator {type(op).__name__} on a column")
+        self._read(left.value, right.value)
+        try:
+            return K(_BIN_OPS[type(op)](left.value, right.value))
+        except Exception as exc:
+            raise CompileError(f"constant arithmetic failed: {exc}") from exc
 
-    def _subscript(self, node: ast.Subscript, env: dict):
-        base = self._operand(node.value, env)
-        if isinstance(node.slice, ast.Slice):
-            parts = []
-            for bound in (node.slice.lower, node.slice.upper, node.slice.step):
-                if bound is None:
-                    parts.append(None)
-                else:
-                    bound_sym = self._operand(bound, env)
-                    if not isinstance(bound_sym, K):
-                        raise CompileError("non-constant slice bound")
-                    parts.append(bound_sym.value)
-            index: Any = K(slice(*parts))
-        else:
-            index = self._operand(node.slice, env)
-        if isinstance(base, K) and isinstance(index, K):
-            self._read(base.value)
-            try:
-                return K(base.value[index.value])
-            except Exception as exc:
-                raise CompileError(f"constant subscript failed: {exc}") from exc
-        getter = lambda container, key: container[key]  # noqa: E731
-        return Map2(base, index, getter, ("getitem",))
-
-    def _comprehension(self, node, env: dict, kind: Optional[str] = None):
-        if kind is None:
-            kind = "list" if isinstance(node, ast.ListComp) else "set"
+    def _comprehension(self, node, env: dict):
+        kind = "list" if isinstance(node, ast.ListComp) else "set"
         if len(node.generators) != 1:
             raise CompileError("nested comprehension")
         gen = node.generators[0]
@@ -908,80 +864,20 @@ class _Compiler:
                     phrase_tuple = tuple(phrase.value)
                 except TypeError as exc:
                     raise CompileError("non-sequence phrase constant") from exc
-                special = self._specialize_phrase(tokens, phrase_tuple)
-                if special is not None:
-                    return special
-                return ContainsPhrase(tokens, phrase_tuple)
-        if fqn == _HELPER_CONTAINS_ANY and len(args) == 2:
-            tokens = self._operand(args[0], env)
-            vocab = self._operand(args[1], env)
-            if isinstance(tokens, ColExpr) and isinstance(vocab, K):
-                helper, vocabulary = fn, vocab.value
-                self._read(vocabulary)  # normalized into the kernel's needle below
-                fallback = lambda row: helper(row, vocabulary)  # noqa: E731
-                try:
-                    # contains_any normalizes its (constant) vocabulary per
-                    # call; hoist that to compile time for the vector kernel.
-                    vocab_norm = frozenset(_normalize(word) for word in vocabulary)
-                except Exception:
-                    vocab_norm = None  # a bad vocab raises per row; keep generic
-                if vocab_norm is not None:
-                    return TokenMatch(tokens, "isin", vocab_norm, True, fallback)
-                return MapRow(
-                    tokens,
-                    fallback,
-                    ("helper", "contains_any", const_key(vocabulary)),
-                    is_bool=True,
-                )
-        if fqn in _SCALAR_HELPERS and len(args) == 1:
+                return self._specialize_phrase(tokens, phrase_tuple)
+        if fqn == _HELPER_NORMALIZE and len(args) == 1:
             argument = self._operand(args[0], env)
             if isinstance(argument, K):
                 return self._eager_call(fn, [argument.value])
-            if fqn == _HELPER_NORMALIZE:
-                return StrLower(argument, fn)
-            return MapRow(argument, fn, ("helper",) + fqn)
-        if fqn[0] == "builtins" and fqn[1] in _ROW_BUILTINS:
-            return self._builtin_call(fqn[1], fn, node, env)
+            return StrLower(argument, fn)
+        if fqn[0] == "builtins" and fqn[1] in _FOLDED_BUILTINS:
+            syms = [self._operand(arg, env) for arg in args]
+            if all(isinstance(sym, K) for sym in syms):
+                return self._eager_call(fn, [sym.value for sym in syms])
+            if len(syms) == 1 and fqn[1] in _ROW_BUILTINS:
+                return MapRow(syms[0], fn, ("builtin", fqn[1]), is_bool=fqn[1] in _BOOL_BUILTINS)
+            raise CompileError(f"{fqn[1]}() over a column")
         raise CompileError(f"call to {fqn[1] or fn!r}")
-
-    def _builtin_call(self, name: str, fn: Callable, node: ast.Call, env: dict):
-        args = node.args
-        if name in ("any", "all") and len(args) == 1 and isinstance(args[0], ast.GeneratorExp):
-            gen_node = args[0]
-            if len(gen_node.generators) != 1:
-                raise CompileError("nested generator in any()/all()")
-            gen = gen_node.generators[0]
-            if gen.is_async or not isinstance(gen.target, ast.Name) or gen.ifs:
-                raise CompileError("unsupported generator in any()/all()")
-            sequence = self._value_sym(gen.iter, env)
-            if not isinstance(sequence, ColExpr):
-                raise CompileError("any()/all() over a non-column iterable")
-            if name == "any":
-                special = self._specialize_membership(
-                    gen_node.elt, gen.target.id, env, sequence
-                )
-                if special is not None:
-                    return special
-            pred, pred_key = self._scalar(gen_node.elt, gen.target.id, env)
-            return AnyElem(sequence, pred, pred_key, want_all=(name == "all"))
-        if name in ("tuple", "list", "set", "frozenset") and len(args) == 1 and isinstance(
-            args[0], ast.GeneratorExp
-        ):
-            kind = {"tuple": "tuple", "list": "list", "set": "set", "frozenset": "set"}[name]
-            result = self._comprehension(args[0], env, kind=kind)
-            if name == "frozenset":
-                return MapRow(result, frozenset, ("cast", "frozenset"))
-            return result
-        syms = [self._operand(arg, env) for arg in args]
-        if all(isinstance(sym, K) for sym in syms):
-            return self._eager_call(fn, [sym.value for sym in syms])
-        if len(syms) == 1 and isinstance(syms[0], ColExpr):
-            if name == "len":
-                return LenCol(syms[0])
-            return MapRow(syms[0], fn, ("builtin", name), is_bool=name in _BOOL_BUILTINS)
-        if len(syms) == 2 and name in ("min", "max"):
-            return Map2(syms[0], syms[1], fn, ("builtin", name))
-        raise CompileError(f"unsupported builtin call {name}()")
 
     def _eager_call(self, fn: Callable, values: list):
         self._read(*values)
@@ -994,63 +890,22 @@ class _Compiler:
         base = self._value_sym(func.value, env)
         method = func.attr
         if isinstance(base, _Obj):
-            return self._object_method(base, method, args, env)
-        if isinstance(base, K):
-            receiver = base.value
-            if isinstance(receiver, re.Pattern) and method in _REGEX_METHODS:
-                if len(args) != 1:
-                    raise CompileError("regex method arity")
-                argument = self._operand(args[0], env)
-                if isinstance(argument, K):
-                    return self._eager_call(getattr(receiver, method), [argument.value])
-                return RegexSearch(receiver, method, argument)
-            if isinstance(receiver, (str, int, float, tuple, frozenset, bytes)):
-                syms = [self._operand(arg, env) for arg in args]
-                if all(isinstance(sym, K) for sym in syms):
-                    return self._eager_call(
-                        getattr(receiver, method), [sym.value for sym in syms]
-                    )
-                if method in _ROW_METHODS and len(syms) == 1:
-                    bound = getattr(receiver, method)
-                    return MapRow(
-                        syms[0],
-                        bound,
-                        ("constmeth", const_key(receiver), method),
-                        is_bool=method in _BOOL_METHODS,
-                    )
-            raise CompileError(f"method {method!r} on constant {type(receiver).__name__}")
-        # Column receiver: per-row method dispatch through getattr keeps the
-        # exact AttributeError/TypeError a non-conforming row would raise.
-        if method not in _ROW_METHODS:
-            raise CompileError(f"method {method!r} on a column value")
-        syms = [self._operand(arg, env) for arg in args]
-        if not all(isinstance(sym, K) for sym in syms):
-            raise CompileError("non-constant method arguments")
-        arg_values = tuple(sym.value for sym in syms)
-        fn = lambda row, m=method, a=arg_values: getattr(row, m)(*a)  # noqa: E731
-        key = ("rowmeth", method) + tuple(const_key(v) for v in arg_values)
-        return MapRow(base, fn, key, is_bool=method in _BOOL_METHODS)
-
-    def _object_method(self, base: _Obj, method: str, args: list, env: dict):
-        if base.kind == "candidate":
-            if method in CANDIDATE_METHODS:
+            if base.kind == "candidate" and method in CANDIDATE_METHODS:
                 if args:
                     raise CompileError(f"{method}() takes no arguments")
                 return FieldCol((method,))
-            if method in WINDOW_METHODS:
-                if len(args) != 1:
-                    raise CompileError(f"{method}() arity")
-                size = self._operand(args[0], env)
-                if not isinstance(size, K) or type(size.value) is not int:
-                    raise CompileError(f"{method}() size is not a constant int")
-                return FieldCol((method, size.value))
-            raise CompileError(f"candidate method {method!r}")
-        if base.kind in ("span1", "span2") and method == "get_word_range" and not args:
-            return TupleCol(
-                (FieldCol((base.kind, "word_start")), FieldCol((base.kind, "word_end"))),
-                "tuple",
-            )
-        raise CompileError(f"method {method!r} on {base.kind}")
+            raise CompileError(f"method {method!r} on {base.kind}")
+        if not isinstance(base, K):
+            raise CompileError(f"method {method!r} on a column value")
+        receiver = base.value
+        if not (isinstance(receiver, re.Pattern) and method in _REGEX_METHODS):
+            raise CompileError(f"method {method!r} on constant {type(receiver).__name__}")
+        if len(args) != 1:
+            raise CompileError("regex method arity")
+        argument = self._operand(args[0], env)
+        if isinstance(argument, K):
+            return self._eager_call(getattr(receiver, method), [argument.value])
+        return RegexSearch(receiver, method, argument)
 
     # ------------------------------------------------------- scalar kernels
     def _scalar(self, node: ast.AST, var: str, env: dict):
@@ -1101,53 +956,12 @@ class _Compiler:
             op_fn = prog._CMP_OPS[_CMP_AST[type(op)]]
             fn = lambda t, lf=left_fn, rf=right_fn, o=op_fn: o(lf(t), rf(t))  # noqa: E731
             return fn, ("cmp", _CMP_AST[type(op)], left_key, right_key)
-        if isinstance(node, ast.BoolOp):
-            part_fns = []
-            part_keys = []
-            for part in node.values:
-                part_fn, part_key = self._scalar(part, var, env)
-                part_fns.append(part_fn)
-                part_keys.append(part_key)
-            if isinstance(node.op, ast.And):
-                def fn(t, fns=tuple(part_fns)):
-                    result = True
-                    for part in fns:
-                        result = part(t)
-                        if not result:
-                            return result
-                    return result
-
-                return fn, ("and",) + tuple(part_keys)
-
-            def fn(t, fns=tuple(part_fns)):
-                result = False
-                for part in fns:
-                    result = part(t)
-                    if result:
-                        return result
-                return result
-
-            return fn, ("or",) + tuple(part_keys)
-        if isinstance(node, ast.UnaryOp):
-            child_fn, child_key = self._scalar(node.operand, var, env)
-            if isinstance(node.op, ast.Not):
-                return (lambda t, cf=child_fn: not cf(t)), ("not", child_key)
-            if isinstance(node.op, ast.USub):
-                return (lambda t, cf=child_fn: -cf(t)), ("neg", child_key)
-            raise CompileError(f"scalar unary {type(node.op).__name__}")
-        if isinstance(node, ast.BinOp):
-            if type(node.op) not in _BIN_AST:
-                raise CompileError(f"scalar operator {type(node.op).__name__}")
-            left_fn, left_key = self._scalar(node.left, var, env)
-            right_fn, right_key = self._scalar(node.right, var, env)
-            op_fn = prog._BIN_OPS[_BIN_AST[type(node.op)]]
-            fn = lambda t, lf=left_fn, rf=right_fn, o=op_fn: o(lf(t), rf(t))  # noqa: E731
-            return fn, ("bin", _BIN_AST[type(node.op)], left_key, right_key)
-        if isinstance(node, ast.Tuple):
-            item_pairs = [self._scalar(item, var, env) for item in node.elts]
-            fns = tuple(pair[0] for pair in item_pairs)
-            keys = tuple(pair[1] for pair in item_pairs)
-            return (lambda t, fs=fns: tuple(f(t) for f in fs)), ("tuple",) + keys
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+            operand = self._scalar_value(node.operand, var, env, "unary operand")
+            try:
+                return _scalar_const(_UNARY_OPS[type(node.op)](operand))
+            except Exception as exc:
+                raise CompileError(f"constant unary op failed: {exc}") from exc
         if isinstance(node, ast.Call):
             return self._scalar_call(node, var, env)
         if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
@@ -1176,27 +990,22 @@ class _Compiler:
         if node.keywords:
             raise CompileError("keyword arguments in scalar call")
         func = node.func
+        arg_pairs = [self._scalar(arg, var, env) for arg in node.args]
+        arg_keys = tuple(key for _fn, key in arg_pairs)
+        constant_args = all(map(_is_const_key, arg_keys))
         if isinstance(func, ast.Attribute):
             recv_fn, recv_key = self._scalar(func.value, var, env)
             if func.attr not in _ROW_METHODS:
                 raise CompileError(f"scalar method {func.attr!r}")
-            arg_pairs = [self._scalar(arg, var, env) for arg in node.args]
-            arg_fns = tuple(pair[0] for pair in arg_pairs)
-            arg_keys = tuple(pair[1] for pair in arg_pairs)
-            method = func.attr
-            key = ("meth", method, recv_key) + arg_keys
-            if all(map(_is_const_key, arg_keys)):
-                # Constant arguments: one C-level call per element, raising
-                # what the getattr below would on a receiver without it.
-                call = methodcaller(method, *(af(None) for af in arg_fns))
-                if recv_key == ("var",):
-                    return call, key
-                return (lambda t, rf=recv_fn, c=call: c(rf(t))), key
-
-            def fn(t, rf=recv_fn, m=method, afs=arg_fns):
-                return getattr(rf(t), m)(*(af(t) for af in afs))
-
-            return fn, key
+            if not constant_args:
+                raise CompileError(f"scalar method {func.attr!r} with non-constant arguments")
+            key = ("meth", func.attr, recv_key) + arg_keys
+            # One C-level call per element, raising what ``getattr`` would on
+            # a receiver without the method.
+            call = operator.methodcaller(func.attr, *(arg_fn(None) for arg_fn, _key in arg_pairs))
+            if recv_key == ("var",):
+                return call, key
+            return (lambda t, rf=recv_fn, c=call: c(rf(t))), key
         if not isinstance(func, ast.Name):
             raise CompileError("unsupported scalar callee")
         callee = env.get(func.id)
@@ -1209,27 +1018,18 @@ class _Compiler:
             raise CompileError("non-constant scalar callee")
         fn_obj = callee.value
         fqn = _fqn(fn_obj)
-        allowed = fqn in _SCALAR_HELPERS or (
+        allowed = fqn == _HELPER_NORMALIZE or (
             fqn[0] == "builtins"
             and fqn[1] in ("len", "str", "int", "float", "abs", "bool", "tuple")
         )
         if not allowed:
             raise CompileError(f"scalar call to {fqn[1] or fn_obj!r}")
-        arg_pairs = [self._scalar(arg, var, env) for arg in node.args]
-        if all(_is_const_key(key) for _fn, key in arg_pairs):
+        if constant_args:
             folded = self._eager_call(fn_obj, [arg_fn(None) for arg_fn, _key in arg_pairs])
             return _scalar_const(folded.value)
-        if len(arg_pairs) == 1:
-            arg_fn, arg_key = arg_pairs[0]
-            if arg_key == ("var",):
-                return fn_obj, ("call", fqn, arg_key)
-            return (
-                lambda t, f=fn_obj, af=arg_fn: f(af(t))
-            ), ("call", fqn, arg_key)
-        arg_fns = tuple(pair[0] for pair in arg_pairs)
-        arg_keys = tuple(pair[1] for pair in arg_pairs)
-
-        def fn(t, f=fn_obj, afs=arg_fns):
-            return f(*(af(t) for af in afs))
-
-        return fn, ("call", fqn) + arg_keys
+        if len(arg_pairs) != 1:
+            raise CompileError(f"scalar call to {fqn[1]} with {len(arg_pairs)} arguments")
+        arg_fn, arg_key = arg_pairs[0]
+        if arg_key == ("var",):
+            return fn_obj, ("call", fqn, arg_key)
+        return (lambda t, f=fn_obj, af=arg_fn: f(af(t))), ("call", fqn, arg_key)

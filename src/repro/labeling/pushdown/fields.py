@@ -1,13 +1,13 @@
 """Columnar candidate fields: per-chunk extraction of the values LFs read.
 
 The pushdown execution model hoists every candidate field a compiled suite
-reads — ``words_between()``, span attributes, sentence attributes, window
-slices — out of the per-candidate×per-LF inner loop and into **one
-extraction pass per chunk**.  A field is identified by a structural key
-(``("words_between",)``, ``("span1", "text")``, ``("window_left", 3)``,
-...); :class:`ColumnarChunk` caches the extracted :class:`Column` under
-that key, so ten LFs reading ``words_between()`` share one pass over the
-chunk instead of calling the accessor ten times per candidate.
+reads — ``words_between()``, span attributes, sentence attributes — out of
+the per-candidate×per-LF inner loop and into **one extraction pass per
+chunk**.  A field is identified by a structural key (``("words_between",)``,
+``("span1", "text")``, ...); :class:`ColumnarChunk` caches the extracted
+:class:`Column` under that key, so ten LFs reading ``words_between()``
+share one pass over the chunk instead of calling the accessor ten times per
+candidate.
 
 Extraction is *error-faithful*: a candidate whose accessor raises does not
 poison the chunk — the exception is recorded per row in
@@ -38,9 +38,6 @@ from repro.utils.tokens import token_rows
 
 #: Candidate no-argument accessor methods exposed as fields.
 CANDIDATE_METHODS = ("words_between", "text_between", "token_distance", "span1_precedes_span2")
-
-#: Candidate window methods; the key carries the (constant) window size.
-WINDOW_METHODS = ("window_left", "window_right")
 
 #: Plain candidate attributes exposed as fields.
 CANDIDATE_ATTRS = ("uid", "relation_type", "split")
@@ -141,8 +138,6 @@ def field_reader(key: tuple) -> Callable[[Any], Any]:
     the same ``AttributeError`` a ``getattr`` chain would.
     """
     head = key[0]
-    if head in WINDOW_METHODS and len(key) == 2:
-        return methodcaller(head, key[1])
     if head in CANDIDATE_METHODS and len(key) == 1:
         return methodcaller(head)
     if head in ("span1", "span2") and len(key) == 2 and key[1] in SPAN_ATTRS:

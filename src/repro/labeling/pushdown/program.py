@@ -288,30 +288,12 @@ class StrLower(ColExpr):
         return make_column(out, map_errors)
 
 
-class Map2(ColExpr):
-    """Per-row binary transform ``fn(a, b)`` (subscript by column, min/max)."""
-
-    __slots__ = ("left", "right", "fn")
-
-    def __init__(self, left: Operand, right: Operand, fn: Callable, fn_key: tuple):
-        self.left = left
-        self.right = right
-        self.fn = fn
-        self.key = ("map2", fn_key, left.key, right.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        a_rows, a_errors = _rowlist(self.left, chunk)
-        b_rows, b_errors = _rowlist(self.right, chunk)
-        values, errors = _map2(chunk.num_rows, a_rows, a_errors, b_rows, b_errors, self.fn)
-        return make_column(values, errors)
-
-
 class MapElems(ColExpr):
     """A comprehension over a sequence column: one container per row."""
 
     __slots__ = ("child", "elem_fn", "kind", "filter_fn")
 
-    _BUILDERS = {"list": list, "set": set, "tuple": tuple}
+    _BUILDERS = {"list": list, "set": set}
 
     def __init__(
         self,
@@ -465,63 +447,6 @@ class RegexSearch(ColExpr):
         return _bool_column(values, errors)
 
 
-class ContainsPhrase(ColExpr):
-    """Contiguous-phrase containment (``declarative._contains_phrase``)."""
-
-    __slots__ = ("child", "phrase")
-    is_bool = True
-
-    def __init__(self, child: ColExpr, phrase: Sequence[str]) -> None:
-        self.child = child
-        self.phrase = tuple(phrase)
-        self.key = ("phrase", self.phrase, child.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        phrase = self.phrase
-        n_phrase = len(phrase)
-        if n_phrase == 0:
-            row_fn = lambda row: False  # noqa: E731
-        elif n_phrase == 1:
-            first = phrase[0]
-
-            def row_fn(row):
-                if type(row) in (list, tuple):
-                    return first in row
-                return any(tuple(row[i : i + 1]) == phrase for i in range(len(row)))
-
-        else:
-
-            def row_fn(row):
-                return any(
-                    tuple(row[i : i + n_phrase]) == phrase for i in range(len(row) - n_phrase + 1)
-                )
-
-        column = self.child.eval(chunk)
-        values, errors = _map1(chunk.num_rows, column.values.tolist(), column.errors, row_fn)
-        return _bool_column(values, errors)
-
-
-class AnyElem(ColExpr):
-    """``any(pred(t) for t in seq)`` per row (the keyword-LF loop idiom)."""
-
-    __slots__ = ("child", "pred", "want_all")
-    is_bool = True
-
-    def __init__(self, child: ColExpr, pred: Callable, pred_key: tuple, want_all: bool = False):
-        self.child = child
-        self.pred = pred
-        self.want_all = want_all
-        self.key = ("allelem" if want_all else "anyelem", pred_key, child.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        pred = self.pred
-        fold = all if self.want_all else any
-        row_fn = lambda row: fold(map(pred, row))  # noqa: E731 - lazy, short-circuits
-        column = self.child.eval(chunk)
-        values, errors = _map1(chunk.num_rows, column.values.tolist(), column.errors, row_fn)
-        return _bool_column(values, errors)
-
-
 class _TokenIndex:
     """Flattened view of a token-sequence column, built once per chunk.
 
@@ -615,12 +540,13 @@ def _token_index(chunk: ColumnarChunk, child: ColExpr, column: Column) -> _Token
 class TokenMatch(ColExpr):
     """Vectorized any-token predicate over a token-sequence column.
 
-    The compiler lowers three hot idioms to this node — single-token phrase
-    containment over a normalized list, ``any(normalize(t) in VOCAB ...)``
-    keyword membership (and the equivalent set-intersection truthiness),
-    and non-emptiness of a derived container — replacing their per-row
-    Python loops with one flattened sweep per chunk: tokens are flattened
-    once per source column (cached), each distinct token is lowercased
+    The compiler lowers three idioms to this node: keyword membership — the
+    first-match loop ``for t in seq: if normalize(t) in VOCAB: return K``
+    and ``bool({normalize(t) for t in seq} & VOCAB)`` (mode ``"isin"``) —
+    single-token phrase containment over a normalized list (``"eq"``), and
+    non-emptiness of a derived container (``"nonempty"``).  Each runs as one
+    flattened sweep per chunk instead of a per-row Python loop: each
+    distinct token of the shared :class:`_TokenIndex` is lowercased
     (``str.lower``) when the idiom normalizes and compared as the Python
     ``str`` it is, and the per-row ``any`` is a cumsum difference over row
     offsets.  Rows the index cannot vouch for are recomputed with
@@ -681,7 +607,9 @@ class TokenScan(ColExpr):
     ``for t in row: if pred(t): return arm(t)``
 
     per row, where ``arm`` runs the match arm and canonicalizes what it
-    returns.  The node is the loop's guard — true where some token matched —
+    returns (a constant return is an arm that ignores ``t``; only a
+    membership test with a constant return lowers to :class:`TokenMatch`
+    instead).  The node is the loop's guard — true where some token matched —
     and :attr:`labels` is the leaf holding the canonical label that match
     returned.  ``pred`` and ``arm`` are the exact Python closures, but they
     run once per *distinct* token of the chunk (the :class:`_TokenIndex` is
@@ -872,20 +800,6 @@ class Compare(ColExpr):
         return _bool_column(values, errors)
 
 
-class ConstBool(ColExpr):
-    """A boolean constant broadcast over the chunk (folded conditions)."""
-
-    __slots__ = ("value",)
-    is_bool = True
-
-    def __init__(self, value: bool) -> None:
-        self.value = bool(value)
-        self.key = ("boolconst", self.value)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        return Column(np.full(chunk.num_rows, self.value, dtype=bool), None)
-
-
 class BoolAnd(ColExpr):
     """Short-circuit ``and`` of two boolean columns with error masking."""
 
@@ -1046,96 +960,6 @@ class TupleCol(ColExpr):
         return object_column(values, errors or None)
 
 
-_BIN_OPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "truediv": operator.truediv,
-    "floordiv": operator.floordiv,
-    "mod": operator.mod,
-    "pow": operator.pow,
-    "and_": operator.and_,
-    "or_": operator.or_,
-    "xor": operator.xor,
-}
-
-class BinCol(ColExpr):
-    """Binary operator (arithmetic, set algebra) over two operands.
-
-    ``vectorize`` is granted by the *compiler* only for add/sub over
-    magnitude-bounded integer operands — a blanket int64 fast path could
-    silently wrap where Python promotes to big ints.
-    """
-
-    __slots__ = ("op", "left", "right", "vectorize")
-
-    def __init__(self, op: str, left: Operand, right: Operand, vectorize: bool = False):
-        self.op = op
-        self.left = left
-        self.right = right
-        self.vectorize = vectorize
-        self.key = ("bin", op, left.key, right.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        left_col = self.left.eval(chunk) if isinstance(self.left, ColExpr) else None
-        right_col = self.right.eval(chunk) if isinstance(self.right, ColExpr) else None
-        if (
-            self.vectorize
-            and _is_int_operand(self.left, left_col)
-            and _is_int_operand(self.right, right_col)
-        ):
-            values = _BIN_OPS[self.op](
-                _numeric_value(self.left, left_col), _numeric_value(self.right, right_col)
-            )
-            errors = _merge_errors(
-                left_col.errors if left_col is not None else None,
-                right_col.errors if right_col is not None else None,
-            )
-            return Column(values, errors or None)
-        a_rows, a_errors = _rowlist(self.left, chunk)
-        b_rows, b_errors = _rowlist(self.right, chunk)
-        values, errors = _map2(
-            chunk.num_rows, a_rows, a_errors, b_rows, b_errors, _BIN_OPS[self.op]
-        )
-        return make_column(values, errors)
-
-
-class NegCol(ColExpr):
-    """Unary minus."""
-
-    __slots__ = ("child",)
-
-    def __init__(self, child: ColExpr) -> None:
-        self.child = child
-        self.key = ("neg", child.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        column = self.child.eval(chunk)
-        if isinstance(column.values, np.ndarray) and column.values.dtype == np.int64:
-            return Column(-column.values, column.errors)
-        values, errors = _map1(
-            chunk.num_rows, column.values.tolist(), column.errors, operator.neg
-        )
-        return make_column(values, errors)
-
-
-class LenCol(ColExpr):
-    """``len(value)`` per row as an int64 column."""
-
-    __slots__ = ("child",)
-
-    def __init__(self, child: ColExpr) -> None:
-        self.child = child
-        self.key = ("len", child.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        column = self.child.eval(chunk)
-        values, errors = _map1(chunk.num_rows, column.values.tolist(), column.errors, len)
-        if errors:
-            values = [0 if i in errors else v for i, v in enumerate(values)]
-        return Column(np.asarray(values, dtype=np.int64), errors)
-
-
 class Branch:
     """One compiled return site: guard (path condition) and leaf."""
 
@@ -1164,14 +988,15 @@ class CompiledProgram:
     __slots__ = ("branches", "lf_name", "cardinality", "reads")
 
     def __init__(
-        self, branches: Sequence[Branch], lf_name: str, cardinality: int, reads=((), (), ())
+        self, branches: Sequence[Branch], lf_name: str, cardinality: int, reads=((), ())
     ) -> None:
         self.branches = list(branches)
         self.lf_name = lf_name
         self.cardinality = cardinality
         #: What compiling read off constants: ``(owner, attribute, value)``
-        #: per attribute read, then the mutable containers whose contents a
-        #: fold read beside a shallow copy of each, taken then (see
+        #: per attribute read, then ``(value, encoding)`` per unhashable
+        #: constant whose contents a fold read, its
+        #: :func:`repro.labeling.lf.encoding` taken then (see
         #: ``repro.labeling.pushdown.task._ConstantRefs``).
         self.reads = reads
 

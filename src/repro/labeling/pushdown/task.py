@@ -42,7 +42,7 @@ from repro.analysis.diagnostics import LFAnalysisResult, PushdownVerdict
 from repro.analysis.source import resolve_function
 from repro.exceptions import LabelingError
 from repro.labeling.engine.accumulator import ChunkResult, LFErrorDetail
-from repro.labeling.lf import LabelingFunction, code_names
+from repro.labeling.lf import LabelingFunction, code_names, encoding
 from repro.labeling.pushdown.compiler import CompileError, compile_lf
 from repro.labeling.pushdown.fields import ColumnarChunk
 from repro.labeling.pushdown.program import CompiledProgram
@@ -81,11 +81,13 @@ class _ConstantRefs:
     into a constant: an attribute, a subscript, ``len``, truthiness,
     membership, an eager call.  :meth:`changed` re-reads every one of those
     places.  A rebinding is caught by identity (the objects are held: an
-    ``id()`` is reused once its object is freed); a list, dict, set or
-    bytearray whose contents a fold read is compared with the shallow copy
-    taken then (``CompiledProgram.reads``).  A constant the kernels read
-    only when they evaluate (``TokenMatch``'s vocabulary, ``Contains``'
-    container) needs no copy.  Nothing here refers to the LF itself — the
+    ``id()`` is reused once its object is freed); an unhashable constant
+    whose contents a fold read — a list, dict or set, or a tuple holding one
+    — is re-encoded, everything it holds included
+    (:func:`repro.labeling.lf.encoding`), and compared with its encoding
+    then (``CompiledProgram.reads``).  A constant the kernels read only when
+    they evaluate (``TokenMatch``'s vocabulary, ``Contains``' container)
+    needs no encoding.  Nothing here refers to the LF itself — the
     memo holding it is keyed weakly on the LF — so :meth:`changed` is
     handed the LF.
     """
@@ -99,7 +101,7 @@ class _ConstantRefs:
         self.function = _UNBOUND if function is lf else function
         self.names = code_names(function.__code__) if function else []
         self.seen = self._read(lf)
-        self.reads = program.reads if program is not None else ((), (), ())
+        self.reads = program.reads if program is not None else ((), ())
 
     def _read(self, lf: Any) -> list:
         inner = getattr(lf, "function", lf)
@@ -122,14 +124,14 @@ class _ConstantRefs:
         now = self._read(lf)
         if len(now) != len(self.seen) or any(map(operator.is_not, now, self.seen)):
             return True
-        attributes, values, copies = self.reads
+        attributes, contents = self.reads
         for owner, name, value in attributes:
             if getattr(owner, name, _UNBOUND) is not value:
                 return True
-        try:
-            return any(map(operator.ne, values, copies))
-        except Exception:  # noqa: BLE001 - an element without a truth value changed
-            return True
+        for value, encoded in contents:
+            if encoding(value) != encoded:
+                return True
+        return False
 
 
 class _Decision(NamedTuple):
@@ -270,7 +272,7 @@ def decide(
 _SHAPES = {
     "token_scan": ("tokscan",),
     "regex_match": ("regex",),
-    "membership": ("tokmatch", "phrase", "in", "anyelem", "In", "NotIn"),
+    "membership": ("tokmatch", "in", "In", "NotIn"),
     "threshold_compare": ("lt", "le", "gt", "ge"),
     "field_equality": ("eq", "ne", "is", "is_not"),
     "field_projection": ("field",),

@@ -230,11 +230,11 @@ class TestLibraryCoverage:
             assert result.clean, result.lf_name
             assert result.picklable is True
         # The text readers scan real candidates' tokens and compile; the
-        # synthetic readers index a ``votes`` array the compiler has no
-        # column for, and the verdict says so.
+        # synthetic readers subscript a ``votes`` array, a shape outside the
+        # compilable subset, and the verdict says so.
         for result in report.results[:4]:
             assert result.pushdown.status == "OPAQUE"
-            assert "compiler refused: candidate attribute 'votes'" in result.pushdown.detail
+            assert "compiler refused: unsupported expression Subscript" in result.pushdown.detail
         for result in report.results[4:]:
             assert result.pushdown.compilable
             assert result.pushdown.shape == "token_scan"

@@ -134,6 +134,7 @@ def test_block_readers_match_the_accessors(chunk, chunk_size):
     assert same(*((m.indptr, m.indices, m.data) for m in matrices))
     assert reports[0].errors == reports[1].errors
     assert reports[1].pushdown.compiled  # the compiled tier really ran
+    assert list(reports[1].pushdown.fallback) == ["offsets"]  # column arithmetic: interpreted
     featurizer = RelationFeaturizer(32, window_size=2).fit()
     expected = outcome(lambda: stacked_entries(featurizer, chunk))
     assert same(outcome(lambda: featurizer.chunk_triples(chunk)), expected)

@@ -12,9 +12,10 @@ non-fault-tolerant run.
 
 The compiler is the only decider of what compiles (``analyze_lf``'s verdict
 is its answer), so this file also holds what keeps it sound on its own:
-the generator / coroutine refusals, and one case per veto of the AST
-classifier that used to gate it — each exemplar is refused by ``compile_lf``
-or compiles and matches the interpreted run.
+the generator / coroutine refusals, one case per veto of the AST classifier
+that used to gate it and one per lowering that left with the shapes no
+served suite uses — each refused by ``compile_lf`` and run interpreted —
+and the census of the served suites the compiled tier is sized to.
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ from repro.datasets.synthetic import stream_relation_candidates
 from repro.discriminative.featurizers import RelationFeaturizer
 from repro.exceptions import LabelingError
 from repro.labeling import LFApplier, PushdownPlan, build_plan
+from repro.labeling.declarative import pattern_lf
 from repro.labeling.engine.accumulator import apply_chunk
 from repro.labeling.lf import LabelingFunction
 from repro.labeling.pushdown import CompileError, compile_lf, label_chunk_pushdown
@@ -84,14 +86,11 @@ def planted_lfs():
     return [
         LabelingFunction("lf_planted_constant", _constant_body),
         LabelingFunction("lf_planted_projection", _projection_body),
-        LabelingFunction("lf_planted_clamped", _clamped_projection_body),
         LabelingFunction("lf_planted_entity_eq", _entity_eq_body),
-        # Bodies the deleted classifier vetoed and the compiler always handled.
+        # A body the deleted classifier vetoed and the compiler always handled.
         LabelingFunction(
             "lf_planted_lambda", lambda c: POSITIVE if c.token_distance() > 15 else ABSTAIN
         ),
-        LabelingFunction("lf_planted_chained", _chained_body),
-        LabelingFunction("lf_planted_vocab_reader", _VocabReader(frozenset({"treats", "w3"}))),
     ]
 
 
@@ -337,8 +336,8 @@ CONFIG = None
 FLAGS: set = set()
 
 
-def _subscript_body(candidate):
-    if SETTINGS["on"]:
+def _truthiness_body(candidate):
+    if SETTINGS:
         return POSITIVE
     return NEGATIVE
 
@@ -356,15 +355,42 @@ def _membership_body(candidate):
 
 
 _MUTATED_BODIES = {
-    "subscript": _subscript_body,
+    "truthiness": _truthiness_body,
     "len": _len_body,
     "attribute": _attribute_body,
     "membership": _membership_body,
 }
 
 
+NESTED: list = []
+TABLE: dict = {}
+
+
+def _nested_list_body(candidate):
+    if NESTED == [[1]]:
+        return POSITIVE
+    return NEGATIVE
+
+
+_TABLE_AS_BUILT = {"on": [1]}
+
+
+def _dict_of_lists_body(candidate):
+    return POSITIVE if TABLE == _TABLE_AS_BUILT else NEGATIVE
+
+
+class _PairReader:
+    """A callable instance whose attribute holds a list inside a tuple."""
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def __call__(self, candidate):
+        return POSITIVE if self.pair == ("on", [1]) else NEGATIVE
+
+
 def _gated_body(candidate):
-    if SETTINGS["on"]:
+    if SETTINGS:
         return opaque_helper(candidate)  # noqa: F821 - never resolved: the compiler refuses
     return POSITIVE
 
@@ -402,9 +428,9 @@ class TestStaleConstants:
         for column in range(2):
             assert not np.array_equal(first.values[:, column], second.values[:, column])
 
-    @pytest.mark.parametrize("mutate", ["subscript", "len", "attribute", "membership"])
+    @pytest.mark.parametrize("mutate", ["truthiness", "len", "attribute", "membership"])
     def test_a_constant_mutated_in_place_recompiles(self, monkeypatch, mutate):
-        """Regression: a fold read into a constant (``SETTINGS["on"]``,
+        """Regression: a fold read into a constant (``if SETTINGS``,
         ``len(WORDS)``, ``CONFIG.limit``, ``"x" in FLAGS``), and mutating it in
         place left the same applier labeling with what the fold saw."""
         settings, words = {"on": True}, ["causes"]
@@ -416,7 +442,7 @@ class TestStaleConstants:
         applier = LFApplier([lf], pushdown="require")
         first = applier.apply(candidates).values
         {
-            "subscript": lambda: settings.update(on=False),
+            "truthiness": settings.clear,
             "len": lambda: words.append("treats"),
             "attribute": lambda: setattr(config, "limit", 9),
             "membership": lambda: flags.discard("x"),
@@ -431,7 +457,7 @@ class TestStaleConstants:
         """``analyze_lf`` reads the plan's own memo entry: no lag between them."""
         from repro.analysis import analyze_lf
 
-        settings = {"on": False}
+        settings: dict = {}
         monkeypatch.setitem(globals(), "SETTINGS", settings)
         lf = LabelingFunction("lf_gated", _gated_body)
         assert analyze_lf(lf).pushdown.compilable
@@ -439,6 +465,37 @@ class TestStaleConstants:
         settings["on"] = True  # the folded-dead arm is live now, and opaque
         assert not analyze_lf(lf).pushdown.compilable
         assert build_plan([lf]).fallback_names == ["lf_gated"]
+
+    @pytest.mark.parametrize("case", ["nested-list", "dict-of-lists", "instance-attribute"])
+    def test_a_nested_container_mutated_in_place_recompiles(self, monkeypatch, case):
+        """Regression: a fold kept a shallow copy of what it read (and
+        nothing of a tuple), so an edit one level down — ``NESTED[0].append``
+        — left compiled labeling with what the fold saw."""
+        nested, table, pair = [[1]], {"on": [1]}, ("on", [1])
+        monkeypatch.setitem(globals(), "NESTED", nested)
+        monkeypatch.setitem(globals(), "TABLE", table)
+        body, inner = {
+            "nested-list": (_nested_list_body, nested[0]),
+            "dict-of-lists": (_dict_of_lists_body, table["on"]),
+            "instance-attribute": (_PairReader(pair), pair[1]),
+        }[case]
+        lf = LabelingFunction(f"lf_{case}", body)
+        candidates = corpus(20, seed=22)
+        applier = LFApplier([lf], pushdown="auto")
+        assert applier.apply(candidates).values.ravel().tolist() == [POSITIVE] * 20
+        assert applier.last_report.pushdown.compiled == [lf.name]
+        inner.append(3)
+        interpreted = LFApplier([lf], pushdown="off").apply(candidates).values
+        assert interpreted.ravel().tolist() == [NEGATIVE] * 20
+        np.testing.assert_array_equal(applier.apply(candidates).values, interpreted)
+
+    def test_a_fold_read_with_no_encoding_is_refused(self, monkeypatch):
+        # An object() holds state no encoding sees: nothing could revalidate it.
+        monkeypatch.setitem(globals(), "WORDS", [object(), object()])
+        lf = LabelingFunction("lf_len", _len_body)
+        with pytest.raises(CompileError, match="no encoding"):
+            compile_lf(lf)
+        assert_identical_runs([lf], corpus(20, seed=23))
 
     def test_memo_entries_do_not_keep_their_lfs_alive(self):
         """Entries are keyed weakly on their LF, so one that referenced it
@@ -498,6 +555,67 @@ def test_compilable_verdict_implies_compiled():
             assert verdict.compilable or verdict.detail == plan.fallback_reasons[lf.name]
         if num_compiled is not None:
             assert len(plan.compiled) == num_compiled, (suite, plan.fallback_reasons)
+
+
+def _census():
+    """``(name, lfs, number compiled)`` for every suite the library serves, at seed 0."""
+    from repro.datasets import load_task
+    from repro.datasets.synthetic import text_vote_lfs
+    from repro.userstudy.simulate import generate_participants, participant_lfs
+    from repro.utils.rng import ensure_rng
+
+    tasks = {"cdr": 32, "chem": 16, "ehr": 24, "spouses": 16, "radiology": 14}
+    for name, compiled in tasks.items():
+        yield name, load_task(name, scale=0.05, seed=0).lfs, compiled
+    yield "text_vote_lfs(20, 2)", text_vote_lfs(20, 2), 20
+    yield "text_vote_lfs(20, 4)", text_vote_lfs(20, 4), 20
+    yield "LINT_LFS", LINT_LFS(), 11
+    rng = ensure_rng(0)
+    profiles = generate_participants(14, seed=rng)
+    participants = [lf for profile in profiles for lf in participant_lfs(profile, rng)]
+    yield "participants", participants, len(participants)
+
+
+def _reachable_node_classes(nodes) -> set:
+    """The ``ColExpr`` classes reachable from ``nodes`` through their slots."""
+    from repro.labeling.pushdown.program import ColExpr
+
+    classes, stack, seen = set(), list(nodes), set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (tuple, list)):
+            stack.extend(node)
+        elif isinstance(node, ColExpr) and id(node) not in seen:
+            seen.add(id(node))
+            classes.add(type(node))
+            for cls in type(node).__mro__:
+                stack.extend(getattr(node, slot, None) for slot in getattr(cls, "__slots__", ()))
+    return classes
+
+
+def test_served_suite_census():
+    """Every served suite compiles as counted, and the node kinds its
+    programs reach are exactly the kinds ``program.py`` defines: a kind no
+    served program builds is deleted, and comes back only with a suite that
+    needs it."""
+    from repro.labeling.pushdown import program
+
+    reached = set()
+    for name, lfs, num_compiled in _census():
+        plan = build_plan(lfs)
+        assert len(plan.compiled) == num_compiled, (name, plan.fallback_reasons)
+        for clf in plan.compiled:
+            reached |= _reachable_node_classes(
+                node for branch in clf.program.branches for node in (branch.guard, branch.column)
+            )
+        if name == "radiology":  # the three LFs reading sentence.document_metadata
+            assert plan.fallback_names == ["lf_mesh_abnormal", "lf_mesh_normal", "lf_short_report"]
+    defined = {
+        value for value in vars(program).values()
+        if isinstance(value, type) and issubclass(value, program.ColExpr)
+        and value is not program.ColExpr
+    }
+    assert {cls.__name__ for cls in reached} == {cls.__name__ for cls in defined}
 
 
 # ---------------------------------------------------------------------------
@@ -691,39 +809,216 @@ def _sourceless_body():  # "source unavailable"
     return namespace["body"]
 
 
-_REFUSED, _IDENTICAL = "compile_lf refuses", "compiles, identical"
-
 _VETOES = [
-    ("statement", _veto_statement, _REFUSED),
-    ("statement-in-dead-arm", _veto_dead_statement, _IDENTICAL),
-    ("expression", _veto_expression, _REFUSED),
-    ("nested-def", _veto_nested_def, _REFUSED),
-    ("computed-callable", _veto_computed_callable, _IDENTICAL),
-    ("local-callable", _veto_local_callable, _IDENTICAL),
-    ("unresolvable-callable", _veto_unresolvable_callable, _REFUSED),
-    ("opaque-callable", _veto_opaque_callable, _REFUSED),
-    ("computed-receiver", _veto_computed_receiver, _IDENTICAL),
-    ("unresolvable-chain", _veto_unresolvable_chain, _REFUSED),
-    ("opaque-chain", _veto_opaque_chain, _REFUSED),
-    ("source-unavailable", _sourceless_body(), _REFUSED),
-    ("lambda", lambda c: POSITIVE if len(c.words_between()[0]) > 2 else ABSTAIN, _IDENTICAL),
-    ("no-shape", _veto_no_shape, _REFUSED),
+    ("statement", _veto_statement),
+    ("statement-in-dead-arm", _veto_dead_statement),
+    ("expression", _veto_expression),
+    ("nested-def", _veto_nested_def),
+    ("computed-callable", _veto_computed_callable),
+    ("local-callable", _veto_local_callable),
+    ("unresolvable-callable", _veto_unresolvable_callable),
+    ("opaque-callable", _veto_opaque_callable),
+    ("computed-receiver", _veto_computed_receiver),
+    ("unresolvable-chain", _veto_unresolvable_chain),
+    ("opaque-chain", _veto_opaque_chain),
+    ("source-unavailable", _sourceless_body()),
+    ("lambda", lambda c: POSITIVE if len(c.words_between()[0]) > 2 else ABSTAIN),
+    ("no-shape", _veto_no_shape),
 ]
 
 
-@pytest.mark.parametrize("body,expected", [v[1:] for v in _VETOES], ids=[v[0] for v in _VETOES])
-def test_every_classifier_veto_is_refused_or_reproduced(body, expected):
+@pytest.mark.parametrize("body", [v[1] for v in _VETOES], ids=[v[0] for v in _VETOES])
+def test_every_classifier_veto_is_refused_or_reproduced(body):
     lf = LabelingFunction("lf_veto", body)
-    candidates = corpus(200, seed=21, error_rate=0.3)
-    if expected == _REFUSED:
-        with pytest.raises(CompileError):
-            compile_lf(lf)
-    else:
+    with pytest.raises(CompileError):
         compile_lf(lf)
-    report = assert_identical_runs([lf], candidates, chunk_size=64)
-    assert report.pushdown.compiled == ["lf_veto"] * (expected == _IDENTICAL)
-    if expected == _IDENTICAL:
-        assert report.num_errors > 0  # IndexError on adjacent spans, the planted 7s
+    report = assert_identical_runs([lf], corpus(200, seed=21, error_rate=0.3), chunk_size=64)
+    assert report.pushdown.compiled == []
+
+
+# ---------------------------------------------------------------------------
+# Shapes no served suite uses: refused, and interpreted as before
+# ---------------------------------------------------------------------------
+
+_LABELS = {"near": POSITIVE}
+_ALWAYS = True
+_VOCAB = frozenset({"causes", "treats", "w3"})
+_PAIRS = frozenset({("causes", 1)})
+
+
+def _column_subscript(candidate):
+    return POSITIVE if candidate.sentence.words[0] == "w0" else ABSTAIN
+
+
+def _constant_subscript(candidate):
+    return _LABELS["near"] if candidate.token_distance() < 3 else ABSTAIN
+
+
+def _column_len(candidate):
+    return POSITIVE if len(candidate.words_between()) > 2 else ABSTAIN
+
+
+def _column_min(candidate):
+    return min(candidate.token_distance(), 1)
+
+
+def _column_neg(candidate):
+    return -candidate.span1_precedes_span2()
+
+
+def _column_arithmetic(candidate):
+    return NEGATIVE if candidate.span2.word_end - candidate.span1.word_start > 2 else ABSTAIN
+
+
+def _any_generator(candidate):
+    return POSITIVE if any(w in _VOCAB for w in candidate.words_between()) else ABSTAIN
+
+
+def _all_generator(candidate):
+    return NEGATIVE if all(w.startswith("w") for w in candidate.words_between()) else ABSTAIN
+
+
+def _container_generator(candidate):
+    return POSITIVE if frozenset(w for w in candidate.words_between()) & _VOCAB else ABSTAIN
+
+
+def _contains_any(candidate):
+    return POSITIVE if contains_any(candidate.words_between(), _VOCAB) else ABSTAIN
+
+
+def _column_method(candidate):
+    return POSITIVE if candidate.sentence.text.startswith("w0") else ABSTAIN
+
+
+def _constant_method(candidate):
+    return POSITIVE if "causes w3".startswith(candidate.span1.text) else ABSTAIN
+
+
+def _span_word_range(candidate):
+    return POSITIVE if candidate.span1.get_word_range() < (3, 4) else ABSTAIN
+
+
+def _absorbing_constant(candidate):
+    return POSITIVE if candidate.token_distance() > 2 or _ALWAYS else ABSTAIN
+
+
+def _scalar_and(candidate):
+    for w in candidate.words_between():
+        if w.startswith("c") and w.endswith("s"):
+            return POSITIVE
+    return ABSTAIN
+
+
+def _scalar_not(candidate):
+    for w in candidate.words_between():
+        if not w.startswith("w"):
+            return POSITIVE
+    return ABSTAIN
+
+
+def _scalar_arithmetic(candidate):
+    for w in candidate.words_between():
+        if w + "!" == "causes!":
+            return POSITIVE
+    return ABSTAIN
+
+
+def _scalar_tuple(candidate):
+    for w in candidate.words_between():
+        if (w, 1) in _PAIRS:
+            return POSITIVE
+    return ABSTAIN
+
+
+def _scalar_two_argument_call(candidate):
+    for w in candidate.words_between():
+        if int(w, 36) > 0:
+            return POSITIVE
+    return ABSTAIN
+
+
+def _scalar_element_argument(candidate):
+    for w in candidate.words_between():
+        if w.endswith(w[:1]):
+            return NEGATIVE
+    return ABSTAIN
+
+
+_REMOVED_SHAPES = {
+    "planted-clamped": _clamped_projection_body,
+    "planted-chained": _chained_body,
+    "planted-vocab-reader": _VocabReader(frozenset({"treats", "w3"})),
+    "column-subscript": _column_subscript,
+    "constant-subscript": _constant_subscript,
+    "len-of-column": _column_len,
+    "min-max-of-column": _column_min,
+    "unary-minus-of-column": _column_neg,
+    "column-arithmetic": _column_arithmetic,
+    "any-over-generator": _any_generator,
+    "all-over-generator": _all_generator,
+    "container-over-generator": _container_generator,
+    "contains-any": _contains_any,
+    "method-of-column": _column_method,
+    "non-regex-method-of-constant": _constant_method,
+    "window": pattern_lf("causes", where="left", window_size=2).function,
+    "get-word-range": _span_word_range,
+    "multi-token-phrase": pattern_lf("w3 w4", where="sentence").function,
+    "absorbing-constant": _absorbing_constant,
+    "scalar-and-or": _scalar_and,
+    "scalar-unary": _scalar_not,
+    "scalar-arithmetic": _scalar_arithmetic,
+    "scalar-tuple": _scalar_tuple,
+    "scalar-multi-argument-call": _scalar_two_argument_call,
+    "scalar-method-reading-the-element": _scalar_element_argument,
+}
+
+
+@pytest.mark.parametrize("body", _REMOVED_SHAPES.values(), ids=_REMOVED_SHAPES.keys())
+def test_removed_shapes_refuse_and_match_interpreted(body):
+    """One case per lowering deleted with the node kinds no served suite
+    built (``Map2``, ``ContainsPhrase``, ``AnyElem``, ``ConstBool``,
+    ``NegCol``, ``LenCol``, ``BinCol``): each body is refused, and runs
+    interpreted with the labels and errors it always had."""
+    lf = LabelingFunction("lf_removed", body)
+    with pytest.raises(CompileError):
+        compile_lf(lf)
+    report = assert_identical_runs([lf], corpus(200, seed=24, error_rate=0.3), chunk_size=64)
+    assert report.pushdown.compiled == [] and report.pushdown.fallback
+
+
+def test_constant_loop_with_a_predicate_lowers_to_token_scan():
+    """The first-match loop with a constant return and a test that is not a
+    vocabulary membership is a ``TokenScan`` whose arm returns the constant."""
+    from repro.labeling.pushdown.program import TokenScan
+
+    def first_w(candidate):
+        for w in candidate.sentence.words:
+            if w.startswith("w3"):
+                return NEGATIVE
+        return ABSTAIN
+
+    lf = LabelingFunction("lf_first_w", first_w)
+    (branch, _abstain) = compile_lf(lf).branches
+    assert isinstance(branch.guard, TokenScan)
+    report = assert_identical_runs([lf], corpus(200, seed=25, error_rate=0.3), chunk_size=64)
+    assert report.pushdown.compiled == ["lf_first_w"] and report.num_errors > 0
+
+
+def test_a_loop_variable_bound_before_the_loop_is_the_element_inside():
+    """Regression: a name bound before ``for t in ...`` kept its old binding
+    inside the loop, so ``return t`` compiled to the constant 1 while the
+    interpreted LF returns the token and raises on it."""
+
+    def shadowed(candidate):
+        t = 1
+        for t in candidate.sentence.words:
+            if t.startswith("w3"):
+                return t
+        return 0
+
+    lf = LabelingFunction("lf_shadowed", shadowed)
+    report = assert_identical_runs([lf], corpus(60, seed=26), chunk_size=16)
+    assert report.pushdown.compiled == ["lf_shadowed"] and report.num_errors > 0
 
 
 # ---------------------------------------------------------------------------
@@ -890,9 +1185,3 @@ def test_fuzz_adversarial_token_text_identical(rows):
     np.testing.assert_array_equal(base.cols, push.cols)
     np.testing.assert_array_equal(base.values, push.values)
     assert base.errors == push.errors
-
-
-def test_contains_any_guard_stays_callable():
-    # The compiler's membership specialization precomputes the normalized
-    # vocabulary at compile time; the helper must stay usable directly.
-    assert contains_any(["CAUSES"], {"causes"})

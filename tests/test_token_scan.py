@@ -7,8 +7,8 @@ The loop compiler accepts one shape,
             [name = <expr>]*
             return <expr>
 
-and lowers it to the ``TokenScan`` kernel (constant returns keep their
-``TokenMatch`` / ``AnyElem`` branch).  Instead of hand-picking LFs, this file
+and lowers it to the ``TokenScan`` kernel (a membership test with a
+constant return lowers to ``TokenMatch`` instead).  Instead of hand-picking LFs, this file
 *writes* them: hypothesis draws a predicate (prefix / suffix / equality /
 membership), a return (constant / table decode / ``int(...)`` / ``IfExp``),
 the way constants reach the body (module globals of a plain function, closure
