@@ -1,20 +1,18 @@
-"""Engine chunk transports: threads vs persistent processes (pickle vs shm).
+"""Engine parallel backends: threads vs the persistent worker processes.
 
 Times LF application of the CDR ``lf_library`` suite (32 real labeling
 functions: keyword patterns, regex variants, distant-supervision banks) —
-a CPU-bound, GIL-bound workload — under three execution modes at several
+a CPU-bound, GIL-bound workload — under two execution modes at several
 chunk sizes:
 
 * ``threads`` — the ``concurrent.futures`` thread pool (the pre-runtime
   parallel baseline; the GIL serializes the LF work);
-* ``pickle`` — the persistent worker pool moving chunks/results as pickled
-  bytes over each worker's pipe;
-* ``shm`` — the same pool moving the bulk bytes through reusable
-  ``multiprocessing.shared_memory`` slots, descriptors-only on the pipe.
+* ``processes`` — the persistent worker pool moving chunks/results as
+  pickled bytes over each worker's pipe.
 
 Every mode must emit a label matrix bit-identical to the sequential
 reference — asserted on every measurement, quick or full — and the pool
-modes must leave no worker processes or ``/dev/shm`` segments behind after
+must leave no worker processes (and create no ``/dev/shm`` segments) by
 shutdown.  The records feed the ``engine_transport`` section of the
 ``BENCH_*.json`` snapshot written by ``scripts/run_benchmarks.py``; the
 speedup assertions in the pytest entry point are gated on actually having
@@ -31,7 +29,7 @@ import numpy as np
 from repro.datasets.cdr import build_cdr_task
 from repro.datasets.synthetic import stream_relation_candidates
 from repro.labeling.applier import LFApplier
-from repro.labeling.engine import HAVE_SHM, available_workers
+from repro.labeling.engine import available_workers
 from repro.labeling.engine.runtime import shutdown_pools
 
 DEFAULT_NUM_CANDIDATES = 8_000
@@ -55,14 +53,10 @@ def run_engine_transport_benchmark(
     candidates = list(stream_relation_candidates(num_points=num_candidates, seed=seed))
     reference = LFApplier(lfs).apply(candidates)
 
-    modes = {"threads": LFApplier(lfs, backend="threads", num_workers=workers)}
-    modes["pickle"] = LFApplier(
-        lfs, backend="processes", num_workers=workers, transport="pickle"
-    )
-    if HAVE_SHM:
-        modes["shm"] = LFApplier(
-            lfs, backend="processes", num_workers=workers, transport="shm"
-        )
+    modes = {
+        backend: LFApplier(lfs, backend=backend, num_workers=workers)
+        for backend in ("threads", "processes")
+    }
 
     records = []
     for chunk_size in chunk_sizes:
@@ -85,35 +79,27 @@ def run_engine_transport_benchmark(
             record["identical"] &= bool(
                 np.array_equal(matrix.to_dense().values, reference.values)
             )
-        record["shm_vs_threads_speedup"] = record["threads_seconds"] / max(
-            record.get("shm_seconds", record["pickle_seconds"]), 1e-12
-        )
-        record["shm_vs_pickle_speedup"] = record["pickle_seconds"] / max(
-            record.get("shm_seconds", record["pickle_seconds"]), 1e-12
+        record["processes_vs_threads_speedup"] = record["threads_seconds"] / max(
+            record["processes_seconds"], 1e-12
         )
         records.append(record)
     return records
 
 
 def leftover_segments() -> list[str]:
-    """Engine shared-memory segments still present in ``/dev/shm``."""
+    """Engine shared-memory segments present in ``/dev/shm`` (none expected:
+    the pool creates none)."""
     return glob.glob("/dev/shm/repro-eng-*")
 
 
 def format_records(records) -> str:
-    header = (
-        f"{'chunk':>6} {'thr s':>8} {'pkl s':>8} {'shm s':>8} "
-        f"{'shm/thr x':>9} {'shm/pkl x':>9} {'shm tx%':>8}"
-    )
+    header = f"{'chunk':>6} {'thr s':>8} {'proc s':>8} {'proc/thr x':>10} {'proc tx%':>8}"
     lines = [header, "-" * len(header)]
     for r in records:
-        shm_seconds = r.get("shm_seconds", float("nan"))
-        share = r.get("shm_transport_share", float("nan"))
         lines.append(
             f"{r['chunk_size']:>6} {r['threads_seconds']:>8.3f} "
-            f"{r['pickle_seconds']:>8.3f} {shm_seconds:>8.3f} "
-            f"{r['shm_vs_threads_speedup']:>9.2f} {r['shm_vs_pickle_speedup']:>9.2f} "
-            f"{100 * share:>7.1f}%"
+            f"{r['processes_seconds']:>8.3f} {r['processes_vs_threads_speedup']:>10.2f} "
+            f"{100 * r['processes_transport_share']:>7.1f}%"
         )
     return "\n".join(lines)
 
@@ -124,8 +110,8 @@ def test_engine_transport(run_once):
     for record in records:
         # Hard invariant: every mode emits the same label matrix.
         assert record["identical"], record
-    # Hard invariant: shutting the pools down leaks nothing — no orphaned
-    # shared-memory segments, no surviving worker processes.
+    # Hard invariant: shutting the pools down leaves nothing — no surviving
+    # worker processes, no shared-memory segments.
     shutdown_pools()
     assert leftover_segments() == []
     import multiprocessing
@@ -136,9 +122,9 @@ def test_engine_transport(run_once):
     assert workers_alive == []
     if os.environ.get("REPRO_BENCH_SKIP_SPEEDUP") == "1":
         return
-    if not HAVE_SHM or records[0]["available_cpus"] < 2:
+    if records[0]["available_cpus"] < 2:
         return
-    # The acceptance claim: on a CPU-bound suite, persistent processes with
-    # the shm transport beat the GIL-bound thread pool at every chunk size.
+    # The acceptance claim: on a CPU-bound suite, persistent processes beat
+    # the GIL-bound thread pool at every chunk size.
     for record in records:
-        assert record["shm_vs_threads_speedup"] > 1.0, record
+        assert record["processes_vs_threads_speedup"] > 1.0, record

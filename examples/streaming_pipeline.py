@@ -22,21 +22,19 @@ It also demonstrates the persistent worker runtime behind the
   (*configuration*, e.g. the LF suite and featurizer — never compiled
   plans or open handles); workers build their own suite once per spec
   and then only chunk bytes move.
-* **transport** — ``engine_transport`` picks how those bytes move:
-  ``"pickle"`` streams them over each worker's pipe; ``"shm"`` moves
-  them through reusable shared-memory slots and sends descriptors only.
-  ``"auto"`` uses shm when the platform has it.  shm wins when chunks
-  are large or many (the pipe stops being the bottleneck); for tiny
-  chunks the two are within noise — see the ``engine_transport`` BENCH
-  section.  Results are bit-identical either way.
-* **close** — ``shutdown_pools()`` (also wired to ``atexit``) reaps the
-  workers and unlinks every shared-memory segment.
+* **transport** — those bytes are pickled chunks going out and pickled
+  results coming back over each worker's pipe, one chunk in flight per
+  worker.  Pickling the candidates is most of what a parallel run pays
+  (see ``transport_share`` in the ``engine_transport`` BENCH section), so
+  larger chunks amortize it and cheap compiled LFs often run faster in
+  process.  Results are bit-identical to the sequential run.
+* **close** — ``shutdown_pools()`` (also wired to ``atexit``) asks the
+  workers to exit and reaps them.
 
 The generator-fed run is bit-identical to ``run(task)`` over a task dataset
 that holds the same candidates as lists — this script re-runs that way (on
 the default in-process sequential backend) to show it — so the feeding
-style, the worker pool, and the transport are purely memory/throughput
-decisions, not quality tradeoffs.
+style and the worker pool are purely memory/throughput decisions, not quality tradeoffs.
 
 Run with::
 
@@ -72,11 +70,9 @@ def main() -> None:
     config = PipelineConfig(
         chunk_size=512,
         # Persistent worker runtime: one pool of NUM_WORKERS long-lived
-        # processes serves every stage; "auto" moves chunk bytes through
-        # shared memory when the platform supports it, pickle otherwise.
+        # processes serves every stage, fed pickled chunks over its pipes.
         applier_backend="processes",
         applier_workers=NUM_WORKERS,
-        engine_transport="auto",
         use_optimizer=False,
         generative_epochs=10,
         discriminative_epochs=10,
@@ -131,8 +127,7 @@ def main() -> None:
     ).max()
     print(f"max |end-model weight delta| = {weight_delta:.2e}")
 
-    # Explicit teardown (atexit would also do it): reaps the workers and
-    # unlinks every shared-memory segment the transport created.
+    # Explicit teardown (atexit would also do it): reaps the workers.
     shutdown_pools()
 
 

@@ -2,8 +2,8 @@
 """Crash-recovery gate: kill it every way we know, then prove resume.
 
 The block store claims a SIGKILLed pipeline resumes bit-identically, and
-the worker runtime claims hung workers and torn transport slots are
-detected and survived.  This script is the CI gate on those claims: it
+the worker runtime claims crashed and hung workers are detected and
+survived.  This script is the CI gate on those claims: it
 drives the full fault matrix the fault-injection layer
 (:mod:`repro.labeling.engine.faults`) can express —
 
@@ -19,17 +19,16 @@ drives the full fault matrix the fault-injection layer
   record and leaves the path untouched);
 * a worker hung past the chunk deadline (warned, killed, resubmitted —
   EN101);
-* a shared-memory chunk slot corrupted in flight (checksum mismatch,
-  resubmitted — EN102);
 * the disk filling mid-run (checkpointing degrades with one warning, the
   run completes).
 
 Every resumed or degraded run must match an uninterrupted reference run
 bit-for-bit (labels) and to 1e-12 (probabilities, weights).  After all of
-it, the operating system must be back where it started: zero
-``repro-eng-*`` segments in ``/dev/shm``, zero surviving worker
-processes (including workers orphaned by the SIGKILLed masters), zero
-``*.tmp`` residue in any block store.  Exit status 1 on any violation.
+it, the operating system must be back where it started: zero surviving
+worker processes (including workers orphaned by the SIGKILLed masters),
+zero ``*.tmp`` residue in any block store, and zero ``repro-eng-*``
+segments in ``/dev/shm`` (nothing should create one).  Exit status 1 on
+any violation.
 
     PYTHONPATH=src python scripts/check_crash_recovery.py
 """
@@ -92,7 +91,7 @@ def edited_vote(candidate):
     return -1 if candidate.uid % 2 else 0
 
 
-def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto", edited=False):
+def run_pipeline(checkpoint_dir=None, backend="sequential", edited=False):
     from repro.datasets.synthetic import (
         stream_text_candidates,
         stream_text_gold,
@@ -108,7 +107,6 @@ def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto", ed
         num_features=128,
         applier_backend=backend,
         applier_workers=2,
-        engine_transport=transport,
         checkpoint_dir=checkpoint_dir,
     )
     from repro.labeling import LabelingFunction
@@ -123,7 +121,7 @@ def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto", ed
     )
 
 
-def run_and_die(checkpoint_dir, fault_spec, backend="sequential", transport="auto"):
+def run_and_die(checkpoint_dir, fault_spec, backend="sequential"):
     """Fork a child that runs the pipeline under ``fault_spec`` until the
     injected SIGKILL; assert it really died that way."""
     from repro.labeling.engine import runtime
@@ -134,7 +132,7 @@ def run_and_die(checkpoint_dir, fault_spec, backend="sequential", transport="aut
         runtime._POOLS.clear()
         os.environ["REPRO_ENGINE_FAULTS"] = fault_spec
         try:
-            run_pipeline(checkpoint_dir, backend, transport)
+            run_pipeline(checkpoint_dir, backend)
         finally:
             os._exit(1)  # only reached if the injected kill never fired
     _, status = os.waitpid(pid, 0)
@@ -184,7 +182,7 @@ def main() -> int:
 
     from repro.labeling import LFApplier
     from repro.labeling.blockstore import BlockStore, ChunkCheckpointer
-    from repro.labeling.engine import faults, runtime
+    from repro.labeling.engine import faults
     from repro.labeling.engine.runtime import shutdown_pools
 
     preexisting = _segments()
@@ -217,19 +215,14 @@ def main() -> int:
         assert_matches(run_pipeline(root, edited=True), edited, "edited-LF resume")
         print("SIGKILL, resumed under an edited LF of the same name: equals the edited suite's run")
 
-        # --- master SIGKILLed mid end-model training, workers + shm active.
-        backend, transport = (
-            ("processes", "shm") if runtime.HAVE_SHM else ("processes", "pickle")
-        )
+        # --- master SIGKILLed mid end-model training, pool workers active.
         root = os.path.join(tmp, "kill-epoch")
         stores.append(root)
-        run_and_die(root, "die_epoch@1", backend, transport)
+        run_and_die(root, "die_epoch@1", "processes")
         with BlockStore(root) as store:
             assert store.get_pickle("epoch/end_model")["epoch"] >= 1
-        assert_matches(
-            run_pipeline(root, backend, transport), reference, "die_epoch resume"
-        )
-        print(f"SIGKILL mid end-model ({backend}/{transport}): resumed bit-identically")
+        assert_matches(run_pipeline(root, "processes"), reference, "die_epoch resume")
+        print("SIGKILL mid end-model (processes): resumed bit-identically")
 
         # --- a block torn after its durable rename: crc catches it on
         # reopen and its chunk re-executes.
@@ -272,7 +265,7 @@ def main() -> int:
         print("index line naming a path outside blocks/: dropped, path untouched, bit-identical")
 
         # The engine-level faults drive LFApplier directly: a reference
-        # matrix, then a hung worker and a torn shm slot, both resubmitted.
+        # matrix, then a hung worker, resubmitted.
         from repro.datasets.synthetic import stream_text_candidates, text_vote_lfs
 
         lfs = text_vote_lfs(NUM_LFS)
@@ -305,30 +298,6 @@ def main() -> int:
             faults.install(None)
         print("hung worker: warned, killed, resubmitted (EN101), result correct")
 
-        # --- a shared-memory chunk slot corrupted in flight: checksum
-        # mismatch (EN102), chunk resubmitted over a fresh worker.
-        if runtime.HAVE_SHM:
-            shutdown_pools()
-            faults.install(
-                f"corrupt_shm@1:flag={os.path.join(tmp, 'corrupted-once')}"
-            )
-            try:
-                applier = LFApplier(
-                    lfs,
-                    chunk_size=32,
-                    backend="processes",
-                    num_workers=2,
-                    transport="shm",
-                    fault_tolerant=True,
-                )
-                matrix = applier.apply(candidates)
-                assert np.array_equal(matrix.values, matrix_ref.values)
-            finally:
-                faults.install(None)
-            print("torn shm slot: detected (EN102), resubmitted, result correct")
-        else:
-            print("torn shm slot: skipped (no shared memory)")
-
         # --- the disk fills mid-run: checkpointing degrades with one
         # warning, the run completes and still matches.
         root = os.path.join(tmp, "disk-full")
@@ -358,10 +327,10 @@ def main() -> int:
         problems: list[str] = []
         if residue:
             problems.append(f"orphaned temp block files: {residue}")
-        # ...no leaked shared-memory segments...
+        # ...no shared-memory segments...
         leftovers = [name for name in _segments() if name not in preexisting]
         if leftovers:
-            problems.append(f"leaked shared-memory segments: {leftovers}")
+            problems.append(f"shared-memory segments appeared: {leftovers}")
         # ...and no surviving workers, including ones orphaned by the
         # SIGKILLed masters (they detect the master's death and exit; give
         # them a moment).
@@ -380,7 +349,7 @@ def main() -> int:
         return 1
     print(
         "crash recovery check passed: kill/hang/corruption/disk-full matrix, "
-        "resumes bit-identical, 0 leaked segments, 0 surviving workers, "
+        "resumes bit-identical, 0 segments, 0 surviving workers, "
         "0 temp residue"
     )
     return 0

@@ -1,25 +1,24 @@
 #!/usr/bin/env python
-"""Engine runtime leak gate: no orphaned segments, no surviving workers.
+"""Engine runtime leak gate: no surviving workers, no segments.
 
 The persistent worker runtime owns real operating-system resources — child
-processes and ``/dev/shm`` shared-memory segments — whose leaks a test
-suite can mask (each test cleans up after itself) but a long-lived process
-cannot.  This script is the CI gate on the runtime's ownership discipline:
-it drives the pool through every lifecycle edge that has ever leaked in a
-process-pool design, then asserts the operating system is back to where it
-started:
+processes and their pipes — whose leaks a test suite can mask (each test
+cleans up after itself) but a long-lived process cannot.  This script is the
+CI gate on the runtime's ownership discipline: it drives the pool through
+every lifecycle edge that has ever leaked in a process-pool design, then
+asserts the operating system is back to where it started:
 
-* plain runs over both transports (pickle and shm), list- and
-  generator-fed, including the shm ring's growth path (a chunk far larger
-  than the initial slot size), and the fused label+featurize pass twice, so
-  the second runs on the workers' warm featurizer tables;
-* a worker crash mid-run (the master must reclaim the dead worker's
-  segments and its replacement's, not just the happy path's);
+* plain runs, list- and generator-fed, at a small chunk size and at one
+  chunk holding the whole stream, and the fused label+featurize pass twice,
+  so the second runs on the workers' warm featurizer tables;
+* a worker crash mid-run (the master must reap the dead worker and its
+  replacement, not just the happy path's);
 * a fault-tolerant crash-with-resubmission run;
 * pool shutdown via :func:`repro.labeling.engine.runtime.shutdown_pools`.
 
-After all of that: zero ``repro-eng-*`` entries in ``/dev/shm``, zero
-worker processes among this interpreter's children.  Exit status 1 on any
+After all of that: zero worker processes among this interpreter's children,
+and zero ``repro-eng-*`` entries in ``/dev/shm`` (chunks travel over the
+workers' pipes, so nothing should create one).  Exit status 1 on any
 leftover, with the leftovers named.
 
     PYTHONPATH=src python scripts/check_engine_leaks.py
@@ -85,22 +84,14 @@ def main() -> int:
     )
     reference = LFApplier(lfs).apply(candidates)
 
-    # Plain runs over both transports, list- and generator-fed; chunk size 7
-    # exercises many small slots, 4096 exercises ring growth (whole stream
-    # in one slot reservation).
-    for transport in ("pickle", "shm"):
-        for chunk_size in (7, 4096):
-            applier = LFApplier(
-                lfs,
-                chunk_size=chunk_size,
-                backend="processes",
-                num_workers=2,
-                transport=transport,
-            )
-            matrix = applier.apply(candidates)
-            assert np.array_equal(matrix.values, reference.values), transport
-            matrix = applier.apply(iter(candidates), sparse=True)
-            assert np.array_equal(matrix.to_dense().values, reference.values)
+    # Plain runs, list- and generator-fed; chunk size 7 sends many small
+    # messages, 4096 the whole stream in one.
+    for chunk_size in (7, 4096):
+        applier = LFApplier(lfs, chunk_size=chunk_size, backend="processes", num_workers=2)
+        matrix = applier.apply(candidates)
+        assert np.array_equal(matrix.values, reference.values), chunk_size
+        matrix = applier.apply(iter(candidates), sparse=True)
+        assert np.array_equal(matrix.to_dense().values, reference.values), chunk_size
 
     # The fused label+featurize pass: each worker grows its own featurizer
     # tables (plain heap, nothing the master must reclaim) and the second
@@ -109,18 +100,15 @@ def main() -> int:
     text = list(stream_text_candidates(num_points=400, num_lfs=4, seed=0))
     featurizer = RelationFeaturizer(num_features=64).fit()
     _, expected = LFApplier(text_lfs, chunk_size=64).apply_with_features(text, featurizer)
-    for transport in ("pickle", "shm"):
-        applier = LFApplier(
-            text_lfs, chunk_size=64, backend="processes", num_workers=2, transport=transport
-        )
-        for _ in range(2):
-            _, blocks = applier.apply_with_features(iter(text), featurizer)
-            for block, reference_block in zip(blocks, expected, strict=True):
-                assert block.data.tobytes() == reference_block.data.tobytes(), transport
-                assert block.indices.tobytes() == reference_block.indices.tobytes(), transport
+    applier = LFApplier(text_lfs, chunk_size=64, backend="processes", num_workers=2)
+    for _ in range(2):
+        _, blocks = applier.apply_with_features(iter(text), featurizer)
+        for block, reference_block in zip(blocks, expected, strict=True):
+            assert block.data.tobytes() == reference_block.data.tobytes()
+            assert block.indices.tobytes() == reference_block.indices.tobytes()
 
-    # A worker crash mid-run: the pool must reclaim the dead worker's
-    # resources and stay serviceable.
+    # A worker crash mid-run: the pool must reap the dead worker and stay
+    # serviceable.
     pool = get_global_pool(2)
     accumulator = CSRAccumulator()
     try:
@@ -128,7 +116,6 @@ def main() -> int:
             spec=TaskSpec(task=_crash_task, payload=(None, lfs, 2)),
             chunks=iter_chunks(candidates, 50),
             accumulator=accumulator,
-            transport="auto",
         )
         raise AssertionError("crash run unexpectedly succeeded")
     except WorkerCrashError as exc:
@@ -144,7 +131,6 @@ def main() -> int:
             ),
             chunks=iter_chunks(candidates, 50),
             accumulator=accumulator,
-            transport="auto",
         )
         merged = accumulator.merge()
         matrix = np.zeros((len(candidates), len(lfs)), dtype=np.int64)
@@ -156,7 +142,7 @@ def main() -> int:
     problems: list[str] = []
     leftovers = [name for name in _segments() if name not in preexisting]
     if leftovers:
-        problems.append(f"leaked shared-memory segments: {leftovers}")
+        problems.append(f"shared-memory segments appeared: {leftovers}")
     workers = [
         f"{child.name} (pid {child.pid})"
         for child in multiprocessing.active_children()
@@ -171,8 +157,8 @@ def main() -> int:
             print(f"  - {problem}")
         return 1
     print(
-        "engine leak check passed: transports + crash + resubmission runs, "
-        "0 leaked segments, 0 surviving workers"
+        "engine leak check passed: plain + fused + crash + resubmission runs, "
+        "0 segments, 0 surviving workers"
     )
     return 0
 

@@ -43,11 +43,11 @@ snapshot (default ``BENCH_sparse.json`` in the repository root):
   per-candidate loop on the CDR ``lf_library`` suite, with bit-identity
   asserted on every measurement, including a mixed compiled/fallback suite
   (``benchmarks/bench_lf_pushdown.py``);
-* ``engine_transport`` — threads vs the persistent worker pool's pickle and
-  shared-memory chunk transports on the CDR ``lf_library`` suite at chunk
-  sizes 64/512/4096, with bit-identity and a zero-leak shutdown (no
-  orphaned ``/dev/shm`` segments, no surviving worker processes) asserted
-  on every measurement (``benchmarks/bench_engine_transport.py``);
+* ``engine_transport`` — threads vs the persistent worker processes (chunks
+  pickled over each worker's pipe) on the CDR ``lf_library`` suite at chunk
+  sizes 64/512/4096, with bit-identity and a clean shutdown (no surviving
+  worker processes, no ``/dev/shm`` segments) asserted on every
+  measurement (``benchmarks/bench_engine_transport.py``);
 * ``block_store`` — the crash-safe block store's mmap replay vs recompute:
   a plain streaming run, the same run paying the checkpoint write
   amplification, and a resume over the complete store (zero LF executions,
@@ -268,17 +268,17 @@ def measure(quick: bool = False) -> dict:
     )
     print(engine_transport.format_records(engine_transport_records))
     # The runtime's cardinal rules, asserted on every snapshot (quick or
-    # full): every transport emits the sequential label matrix bit for bit,
-    # and shutting the pools down leaks no segments or worker processes.
+    # full): every backend emits the sequential label matrix bit for bit,
+    # and shutting the pools down leaves no segments or worker processes.
     assert all(
         record["identical"] for record in engine_transport_records
-    ), "transport labels diverged"
+    ), "parallel labels diverged"
     from repro.labeling.engine.runtime import shutdown_pools
 
     shutdown_pools()
     assert (
         engine_transport.leftover_segments() == []
-    ), "engine shared-memory segments leaked"
+    ), "engine shared-memory segments appeared"
     print("\n[block_store]")
     block_store_record = block_store.run_block_store_benchmark(
         **(

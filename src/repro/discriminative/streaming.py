@@ -33,16 +33,13 @@ def featurize_stream(
     chunk_size: int = 1024,
     backend: str = "sequential",
     num_workers: Optional[int] = 1,
-    transport: str = "auto",
 ) -> CSRFeatureMatrix:
     """Featurize a candidate iterable through the execution engine.
 
     Parameters mirror :class:`repro.labeling.applier.LFApplier`: the
     candidate iterable may be a list, generator, or cursor (consumed chunk
-    by chunk); ``backend`` selects how chunks are scheduled; ``transport``
-    picks the processes backend's chunk transport (pickled pipe bytes or
-    shared-memory slots — results are bit-identical).  The process backend
-    runs on the persistent worker pool
+    by chunk); ``backend`` selects how chunks are scheduled.  The process
+    backend runs on the persistent worker pool
     (:mod:`repro.labeling.engine.runtime`), so a featurize stream following
     an LF apply in the same process reuses the already-spawned workers.
     ``featurizer`` must be fitted — the fitted check also runs worker-side
@@ -50,12 +47,7 @@ def featurize_stream(
     loudly instead of emitting misaligned columns.
     """
     featurizer.require_fitted()
-    plan = ExecutionPlan(
-        chunk_size=chunk_size,
-        backend=backend,
-        num_workers=num_workers,
-        transport=transport,
-    )
+    plan = ExecutionPlan(chunk_size=chunk_size, backend=backend, num_workers=num_workers)
     result = run_plan(featurizer, candidates, plan, task=featurize_chunk)
     return CSRFeatureMatrix.from_triples(
         result.rows,

@@ -11,8 +11,8 @@ sentence one pass (:meth:`LFApplier._run`):
   the chunking policy, the backend — ``sequential`` (in-process loop),
   ``threads`` (``concurrent.futures``) or ``processes`` (the persistent
   worker runtime of :mod:`repro.labeling.engine.runtime`: long-lived workers
-  shared across applies, with chunks moving over a pickle or shared-memory
-  ``transport``) — the worker count, and the fault policy;
+  shared across applies, with chunks moving as pickled bytes over each
+  worker's pipe) — the worker count, and the fault policy;
 * one **label task** runs on every chunk — the compiled
   ``label_chunk_pushdown`` or the interpreted reference ``apply_chunk`` —
   wrapped by ``label_and_featurize_chunk`` when a featurizer came along;
@@ -103,7 +103,7 @@ class ApplyReport:
         (see :class:`repro.labeling.pushdown.PushdownSummary`), or ``None``
         when ``pushdown="off"``.
     transport_seconds:
-        Per-chunk serialization/copy seconds, in chunk order — disjoint from
+        Per-chunk serialization seconds, in chunk order — disjoint from
         ``chunk_seconds`` (pure compute).  All zeros for the in-process
         backends, where chunks never cross a process boundary.
     transport:
@@ -140,15 +140,15 @@ class TransportSummary:
     """How one apply run split its time between moving bytes and computing
     (``ApplyReport.transport``), in the style of ``ApplyReport.pushdown``.
 
-    ``mode`` is the resolved chunk transport: ``"inline"`` for the
-    in-process backends (nothing crosses a process boundary, so
-    ``transport_seconds`` is 0), ``"pickle"`` or ``"shm"`` for the
-    processes backend.  ``transport_seconds`` sums the per-chunk
-    serialization/copy time (master-side pickling of candidates, worker
-    decode/encode, master-side result claim); ``compute_seconds`` sums the
-    per-chunk task time.  The two are disjoint, so their ratio says whether
-    a run is transport-bound — the signal for switching ``transport`` or
-    growing ``chunk_size``.
+    ``mode`` is the chunk transport: ``"inline"`` for the in-process
+    backends (nothing crosses a process boundary, so ``transport_seconds``
+    is 0), ``"pickle"`` for the processes backend (pickled bytes over each
+    worker's pipe).  ``transport_seconds`` sums the per-chunk serialization
+    time (master-side pickling of candidates, worker decode/encode,
+    master-side result unpickling); ``compute_seconds`` sums the per-chunk
+    task time.  The two are disjoint, so their ratio says whether a run is
+    transport-bound — the signal for growing ``chunk_size`` or running
+    in process.
     """
 
     mode: str = "inline"
@@ -208,13 +208,6 @@ class LFApplier:
         closure cell, default or attribute its program folded in has been
         rebound, or a list, dict, set or bytearray whose contents a fold read
         has changed.
-    transport:
-        Chunk transport of the processes backend (see
-        :data:`repro.labeling.engine.plan.TRANSPORTS`): ``"pickle"`` moves
-        chunks/results as pickled bytes over each worker's pipe, ``"shm"``
-        moves the bulk bytes through reusable shared-memory slots, and
-        ``"auto"`` (default) picks ``shm`` when available.  Results are
-        bit-identical across transports; in-process backends ignore it.
     chunk_timeout:
         Soft per-chunk deadline in seconds for the processes backend: past
         it the worker draws a warning, past the escalation point it is
@@ -232,7 +225,6 @@ class LFApplier:
         num_workers: Optional[int] = 1,
         validate: str = "off",
         pushdown: str = "auto",
-        transport: str = "auto",
         chunk_timeout: Optional[float] = None,
     ) -> None:
         if not lfs:
@@ -263,7 +255,6 @@ class LFApplier:
         self.num_workers = num_workers
         self.validate = validate
         self.pushdown = pushdown
-        self.transport = transport
         self.chunk_timeout = chunk_timeout
         self.last_report: Optional[ApplyReport] = None
         # Eager validation of chunk_size / backend / num_workers; the plan is
@@ -283,7 +274,6 @@ class LFApplier:
             backend=self.backend,
             num_workers=self.num_workers,
             fault_tolerant=self.fault_tolerant,
-            transport=self.transport,
             chunk_timeout=self.chunk_timeout,
         )
 

@@ -33,7 +33,7 @@ layers:
 
 :class:`ChunkCheckpointer`
     The engine-facing wrapper: records each :class:`ChunkResult` (via
-    :func:`detach_arrays`, so the exact transported arrays are what's
+    :func:`detach_arrays`, so the exact arrays the engine merges are what's
     stored) under ``chunk/<split>/<index>``, knows which chunk indices are
     durably complete, and reloads them as results indistinguishable from
     freshly computed ones — the replayed result flows through the same

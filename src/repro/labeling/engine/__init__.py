@@ -27,21 +27,17 @@ from repro.labeling.engine.accumulator import (
 from repro.labeling.engine.executors import ChunkTask, run_plan
 from repro.labeling.engine.plan import (
     BACKENDS,
-    TRANSPORTS,
     Chunk,
     ExecutionPlan,
     available_workers,
     iter_chunks,
 )
 from repro.labeling.engine.runtime import (
-    HAVE_SHM,
     TaskSpec,
-    TransportCorruptionError,
     WorkerCrashError,
     WorkerPool,
     WorkerTimeoutError,
     get_global_pool,
-    resolve_transport,
     run_attached_chunk,
     shutdown_pools,
 )
@@ -55,10 +51,7 @@ __all__ = [
     "CSRAccumulator",
     "EngineResult",
     "ExecutionPlan",
-    "HAVE_SHM",
-    "TRANSPORTS",
     "TaskSpec",
-    "TransportCorruptionError",
     "WorkerCrashError",
     "WorkerPool",
     "WorkerTimeoutError",
@@ -68,7 +61,6 @@ __all__ = [
     "get_global_pool",
     "iter_chunks",
     "label_and_featurize_chunk",
-    "resolve_transport",
     "run_attached_chunk",
     "run_plan",
     "shutdown_pools",

@@ -82,8 +82,8 @@ class ChunkResult:
     #: (``None`` for tasks that don't track it, e.g. featurization).
     lf_seconds: Optional[dict[str, float]] = None
     #: Wall-clock seconds spent moving this chunk between processes —
-    #: serialization, shared-memory copies, and descriptor claims, summed
-    #: over both directions.  ``0.0`` for in-process execution, where no
+    #: pickling and unpickling candidates and result, summed over both
+    #: directions.  ``0.0`` for in-process execution, where no
     #: transport happens; disjoint from ``seconds`` (pure compute).
     transport_seconds: float = 0.0
     #: Secondary triple block produced by a fused chunk task (e.g. the CSR
@@ -95,12 +95,11 @@ class ChunkResult:
 def detach_arrays(result: ChunkResult) -> tuple[ChunkResult, list[np.ndarray]]:
     """Split a result into (array-free metadata, its triple arrays).
 
-    The shared-memory transport ships the returned arrays as raw blocks in a
-    worker's inbound ring and only pickles the metadata through the pipe; the
-    array order is fixed (primary ``row_offsets, cols, values``, then the
-    same three for an attached ``features`` block) so
-    :func:`attach_arrays` can reassemble the result from positional
-    descriptors.  The original result is not mutated.
+    The block store writes the returned arrays as the blocks of a checkpoint
+    record and pickles only the metadata; the array order is fixed (primary
+    ``row_offsets, cols, values``, then the same three for an attached
+    ``features`` block) so :func:`attach_arrays` can reassemble the result
+    from positional arrays.  The original result is not mutated.
     """
     arrays = [result.row_offsets, result.cols, result.values]
     features = result.features
@@ -114,7 +113,7 @@ def detach_arrays(result: ChunkResult) -> tuple[ChunkResult, list[np.ndarray]]:
 
 
 def attach_arrays(meta: ChunkResult, arrays: list[np.ndarray]) -> ChunkResult:
-    """Inverse of :func:`detach_arrays`: claim transported arrays back."""
+    """Inverse of :func:`detach_arrays`: claim stored arrays back."""
     result = replace(
         meta, row_offsets=arrays[0], cols=arrays[1], values=arrays[2]
     )
@@ -187,7 +186,7 @@ class EngineResult:
 
     :meth:`CSRAccumulator.merge` fills in what the chunks determine;
     :func:`repro.labeling.engine.executors.run_plan` adds how they were run
-    (``backend``, ``num_workers``, the resolved ``transport``).
+    (``backend``, ``num_workers``, the chunk ``transport``).
     """
 
     num_candidates: int
@@ -208,8 +207,8 @@ class EngineResult:
     transport_seconds: list[float] = field(default_factory=list)
     backend: str = "sequential"
     num_workers: int = 1
-    #: Resolved chunk transport: ``"inline"`` for in-process backends,
-    #: ``"pickle"`` or ``"shm"`` for the processes backend.
+    #: Chunk transport: ``"inline"`` for in-process backends, ``"pickle"``
+    #: (pickled bytes over each worker's pipe) for the processes backend.
     transport: str = "inline"
 
 

@@ -19,14 +19,13 @@ label+featurize task.  How the chunks are scheduled is ``plan.backend``:
   featurizer, ...) is attached once as a
   :class:`~repro.labeling.engine.runtime.TaskSpec` (pickled when possible,
   inherited via ``fork`` respawn otherwise, so closures still work); the
-  candidate chunks then travel over the plan's ``transport`` — pickled
-  bytes on the pipe, or zero-copy-claimed ``multiprocessing.shared_memory``
-  slots — and must be picklable.
+  candidate chunks then travel as pickled bytes over each worker's pipe
+  and must be picklable.
 
-The pool backends submit through a window: at most ``plan.pending_limit()``
-chunks are in flight, so a generator-fed run keeps bounded memory no matter
-how large the stream is — chunks are drawn from the iterator only as workers
-free up.
+The pool backends submit through a window — at most ``plan.pending_limit()``
+chunks on the thread pool, one per worker on the process pool — so a
+generator-fed run keeps bounded memory no matter how large the stream is:
+chunks are drawn from the iterator only as workers free up.
 """
 
 from __future__ import annotations
@@ -62,24 +61,38 @@ def _windowed_submit(
 ) -> None:
     """Submit chunks with a bounded in-flight window; merge as they complete.
 
-    On the first chunk failure the remaining stream is abandoned and queued
-    work is cancelled, so a non-fault-tolerant run aborts promptly.
+    On a chunk failure no further chunk is drawn; the chunks in flight
+    finish, and the failure of the lowest chunk index is raised — the one
+    the sequential loop raises, as the process pool does.
     """
-    pending: set[Future] = set()
+    pending: dict[Future, int] = {}
+    failure: Optional[tuple[int, BaseException]] = None
+
+    def collect() -> None:
+        nonlocal failure
+        done, _ = wait(pending, return_when=FIRST_COMPLETED)
+        for future in done:
+            index = pending.pop(future)
+            try:
+                accumulator.add(future.result())
+            except Exception as exc:
+                if failure is None or index < failure[0]:
+                    failure = (index, exc)
+
     try:
         for chunk in chunks:
             while len(pending) >= limit:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    accumulator.add(future.result())
-            pending.add(submit(chunk))
+                collect()
+            if failure is not None:
+                break
+            pending[submit(chunk)] = chunk.index
         while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                accumulator.add(future.result())
+            collect()
     finally:
         for future in pending:
             future.cancel()
+    if failure is not None:
+        raise failure[1]
 
 
 def run_plan(
@@ -140,7 +153,6 @@ def run_plan(
                     yield chunk
 
         chunks = replay_or_yield(chunks)
-    transport = "inline"
     if plan.backend == "sequential":
         for chunk in chunks:
             accumulator.add(
@@ -175,13 +187,10 @@ def run_plan(
             replace(spec, fault_tolerant=plan.fault_tolerant),
             chunks,
             accumulator,
-            transport=plan.transport,
-            pending_limit=plan.pending_limit(),
             chunk_timeout=plan.chunk_timeout,
         )
-        transport = runtime.resolve_transport(plan.transport)
     result = accumulator.merge()
     result.backend = plan.backend
     result.num_workers = plan.effective_workers()
-    result.transport = transport
+    result.transport = "pickle" if plan.backend == "processes" else "inline"
     return result

@@ -1,9 +1,9 @@
 """Deterministic fault injection for the engine runtime and block store.
 
 The runtime claims to survive worker crashes, hung workers, torn
-shared-memory slots, torn block-store writes, and full disks — claims that
-are worthless untested, and untestable without a way to *cause* each
-failure at an exact, reproducible point.  This module is that way: a fault
+block-store writes, and full disks — claims that are worthless untested,
+and untestable without a way to *cause* each failure at an exact,
+reproducible point.  This module is that way: a fault
 plan is a tiny spec string naming (action, trigger ordinal) pairs, parsed
 from the ``REPRO_ENGINE_FAULTS`` environment variable so it crosses the
 ``fork`` boundary into pool workers for free, and every injection site in
@@ -15,29 +15,32 @@ optional ``:key=value`` options::
 
     kill@3                    SIGKILL the worker handed chunk 3
     hang@5:seconds=600        sleep inside chunk 5 (EN101 timeout fodder)
-    corrupt_shm@2             flip a byte of chunk 2's shm slot after write
-    corrupt_result@2          flip a byte of chunk 2's result ring blocks
     disk_full@4               the 5th block-store write raises ENOSPC
     corrupt_block@1           flip a byte of the 2nd durably written block
     die_block@6               SIGKILL the *master* after 7 durable blocks
     die_epoch@1               SIGKILL the master after 2 end-model epochs
 
-Any rule takes ``:flag=/path`` — the fault then fires only while the flag
-file does not exist, and creates it when it fires, so a fault-tolerant
-resubmission (or a resumed run) sees the failure exactly once even across
-processes.  ``install(spec)`` activates a plan process-wide (and, via the
-environment, in workers forked afterwards); ``install(None)`` clears it.
+Ordinals are integers ``>= 0``; ``seconds`` (``hang`` only) is a finite
+number of seconds in ``[0, MAX_HANG_SECONDS]``.  Any rule takes
+``:flag=/path`` — the fault then fires only while the flag file does not
+exist, and creates it when it fires, so a fault-tolerant resubmission (or a
+resumed run) sees the failure exactly once even across processes.  A spec
+outside this grammar raises :class:`FaultSpecError` (EN103) when it is
+installed or parsed, never later inside a worker.  ``install(spec)``
+activates a plan process-wide (and, via the environment, in workers forked
+afterwards); ``install(None)`` clears it.
 
 The hooks are deliberately dumb: they decide *whether* to fire from the
-plan and leave *what firing means* to one obvious line (``os.kill``, a byte
-flip, ``OSError(ENOSPC)``) at the call site or here.  Determinism comes
-from triggering on the engine's own ordinals (chunk index, block ordinal,
-epoch number), never on wall clock or randomness.
+plan and leave *what firing means* to one obvious line (``os.kill``,
+``time.sleep``, a byte flip, ``OSError(ENOSPC)``) at the call site or here.
+Determinism comes from triggering on the engine's own ordinals (chunk
+index, block ordinal, epoch number), never on wall clock or randomness.
 """
 
 from __future__ import annotations
 
 import errno
+import math
 import os
 import signal
 import time
@@ -50,9 +53,9 @@ __all__ = [
     "ENV_VAR",
     "FaultPlan",
     "FaultRule",
+    "FaultSpecError",
     "active_plan",
     "corrupt_block_file",
-    "corrupt_shm_slot",
     "install",
     "maybe_die_at_block",
     "maybe_die_at_epoch",
@@ -70,8 +73,6 @@ ENV_VAR = "REPRO_ENGINE_FAULTS"
 ACTIONS = (
     "kill",  # maybe_fail_chunk (worker side)
     "hang",  # maybe_fail_chunk (worker side)
-    "corrupt_shm",  # corrupt_shm_slot (master side, outbound chunk bytes)
-    "corrupt_result",  # corrupt_shm_slot (worker side, inbound result bytes)
     "disk_full",  # maybe_disk_full (block-store writes)
     "corrupt_block",  # corrupt_block_file (block-store durable files)
     "die_block",  # maybe_die_at_block (master SIGKILL after N durable blocks)
@@ -81,6 +82,19 @@ ACTIONS = (
 #: Default sleep of a ``hang`` rule — long enough that only the timeout
 #: machinery (never the test suite outwaiting it) can end the run.
 DEFAULT_HANG_SECONDS = 3600.0
+
+#: Longest ``hang`` a rule may ask for (one day); ``time.sleep`` overflows
+#: far above it, and no test needs to outwait it.
+MAX_HANG_SECONDS = 86_400.0
+
+
+class FaultSpecError(LabelingError):
+    """A fault spec outside the grammar (engine error EN103)."""
+
+    code = "EN103"
+
+    def __init__(self, token: str, reason: str) -> None:
+        super().__init__(f"[{self.code}] bad fault rule {token!r}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -136,23 +150,30 @@ def parse_plan(spec: str) -> FaultPlan:
         head, _, options = token.partition(":")
         action, sep, ordinal = head.partition("@")
         if not sep or action not in ACTIONS:
-            raise LabelingError(
-                f"bad fault rule {token!r}: expected action@ordinal with action "
-                f"in {ACTIONS}"
-            )
+            raise FaultSpecError(token, f"expected action@ordinal with action in {ACTIONS}")
         try:
             at = int(ordinal)
         except ValueError:
-            raise LabelingError(f"bad fault ordinal in {token!r}") from None
+            at = -1
+        if at < 0:
+            raise FaultSpecError(token, f"ordinal {ordinal!r} is not an integer >= 0")
         kwargs: dict = {}
         for option in filter(None, options.split(":")):
             key, sep, value = option.partition("=")
-            if key == "seconds" and sep:
-                kwargs["seconds"] = float(value)
-            elif key == "flag" and sep:
+            if key == "seconds" and sep and action == "hang":
+                try:
+                    seconds = float(value)
+                except ValueError:
+                    seconds = math.nan
+                if not 0 <= seconds <= MAX_HANG_SECONDS:
+                    raise FaultSpecError(
+                        token, f"seconds={value!r} is not a number in [0, {MAX_HANG_SECONDS:g}]"
+                    )
+                kwargs["seconds"] = seconds
+            elif key == "flag" and value:
                 kwargs["flag"] = value
             else:
-                raise LabelingError(f"bad fault option {option!r} in {token!r}")
+                raise FaultSpecError(token, f"option {option!r} does not apply to {action!r}")
         rules.append(FaultRule(action=action, at=at, **kwargs))
     return FaultPlan(rules=tuple(rules))
 
@@ -197,24 +218,6 @@ def maybe_fail_chunk(index: int) -> None:
     rule = plan.matching("hang", index)
     if rule is not None:
         time.sleep(rule.seconds)
-
-
-def corrupt_shm_slot(action: str, index: int, buf, offset: int, length: int) -> bool:
-    """Flip one byte of ``buf[offset:offset+length]`` on a matching chunk.
-
-    ``action`` is ``"corrupt_shm"`` (master corrupting the outbound chunk
-    slot) or ``"corrupt_result"`` (worker corrupting its inbound result
-    blocks).  Returns whether a byte was flipped — callers must *not* refresh
-    their checksum afterwards; the mismatch is the point.
-    """
-    plan = active_plan()
-    if plan is None or length == 0:
-        return False
-    if plan.matching(action, index) is None:
-        return False
-    position = offset + length // 2
-    buf[position] = buf[position] ^ 0xFF
-    return True
 
 
 def maybe_disk_full(ordinal: int) -> None:

@@ -24,15 +24,6 @@ from repro.exceptions import LabelingError
 #: Executor backends understood by the engine.
 BACKENDS = ("sequential", "threads", "processes")
 
-#: Chunk transports of the processes backend (see
-#: :mod:`repro.labeling.engine.runtime`).  ``"pickle"`` moves chunks and
-#: results as pickled bytes over each worker's pipe; ``"shm"`` moves the
-#: bulk bytes/arrays through reusable ``multiprocessing.shared_memory``
-#: slots with only descriptors on the pipe; ``"auto"`` picks ``shm`` when
-#: the interpreter supports it.  Results are bit-identical across
-#: transports; in-process backends ignore the setting.
-TRANSPORTS = ("auto", "pickle", "shm")
-
 
 class Chunk(NamedTuple):
     """One work unit: a contiguous run of candidates with its global offset."""
@@ -73,10 +64,6 @@ class ExecutionPlan:
     fault_tolerant:
         When ``True``, LF exceptions are counted per LF name and converted
         to abstentions; when ``False`` the first exception aborts the run.
-    transport:
-        Chunk transport of the processes backend (see :data:`TRANSPORTS`);
-        ignored by the in-process backends.  Results are bit-identical
-        across transports.
     chunk_timeout:
         Soft per-chunk deadline in seconds for the processes backend: a
         chunk in flight past the deadline draws a warning, and past the
@@ -91,7 +78,6 @@ class ExecutionPlan:
     backend: str = "sequential"
     num_workers: Optional[int] = 1
     fault_tolerant: bool = False
-    transport: str = "auto"
     chunk_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -114,10 +100,6 @@ class ExecutionPlan:
             raise LabelingError(
                 f"unknown executor backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.transport not in TRANSPORTS:
-            raise LabelingError(
-                f"unknown transport {self.transport!r}; expected one of {TRANSPORTS}"
-            )
 
     def effective_workers(self) -> int:
         """Worker count the backend will actually use."""
@@ -128,8 +110,9 @@ class ExecutionPlan:
         return self.num_workers
 
     def pending_limit(self) -> int:
-        """Maximum number of chunks in flight (the backpressure window that
-        keeps a generator-fed run out-of-core)."""
+        """Maximum number of chunks in flight on the thread pool (the
+        backpressure window that keeps a generator-fed run out-of-core; the
+        process pool holds one chunk per worker)."""
         return 2 * self.effective_workers()
 
 

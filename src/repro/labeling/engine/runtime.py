@@ -1,4 +1,4 @@
-"""The persistent worker runtime: long-lived processes + shared-memory transport.
+"""The persistent worker runtime: long-lived processes fed over their pipes.
 
 Before this module, the ``processes`` backend built a fresh
 ``ProcessPoolExecutor`` inside every ``apply`` call — even back-to-back
@@ -19,32 +19,19 @@ closures under the ``fork`` start method), the pool respawns its workers so
 the spec is inherited by memory — the same trick the old executor played
 with initializer args, but amortized across every subsequent run.
 
-Two transports move the bulk data (``transport="pickle"|"shm"|"auto"``):
-
-* ``pickle`` — chunk candidates and results travel as pickled bytes over
-  each worker's duplex pipe.  Always available; the fallback.
-* ``shm`` — pickled candidate bytes go out through a per-worker ring of
-  reusable ``multiprocessing.shared_memory`` slots, and result triple/
-  feature arrays come back as raw array blocks in a worker-owned inbound
-  ring, described by ``(name, offset, dtype, count)`` descriptors; only the
-  small result metadata crosses the pipe.  Results are bit-identical to the
-  ``pickle`` transport — the differential suite in
-  ``tests/test_engine_transport.py`` pins this down.
-
-Segment ownership is asymmetric by design: workers create and write their
-inbound rings but only the *master* ever unlinks a segment (exactly once),
-which keeps the shared resource tracker's bookkeeping balanced under the
-``fork`` start method.  Ring slots are reused under a per-worker in-flight
-cap (2 for ``shm``, 1 for ``pickle`` — the pipe transport must never let the
-master block on a large send while a worker blocks sending a result, which
-would deadlock), results are claimed (copied out) immediately on receipt,
-and retired segments are unlinked only after a result proves the worker has
-moved to the replacement — so no slot is overwritten before it is drained.
+Chunks travel over each worker's duplex pipe: the master pickles a chunk's
+candidates and sends the bytes, the worker sends back its pickled
+:class:`ChunkResult`.  Each worker has at most one chunk in flight — with
+two, a large candidate send could fill the pipe while the worker blocks
+sending a large result the master is not reading, a deadlock.  A message
+on the pipe is length-framed and arrives whole or not at all (the worker is
+then dead), so nothing can be torn in transit; results are bit-identical to
+the sequential run (``tests/test_engine_transport.py``).
 
 Crash handling: the master waits on each worker's pipe *and* process
 sentinel.  A worker that dies mid-run surfaces as :class:`WorkerCrashError`
 (coded ``EN100``) naming the in-flight chunk; in fault-tolerant mode the
-pool respawns a replacement and resubmits the lost chunks (bounded by
+pool respawns a replacement and resubmits the lost chunk (bounded by
 :data:`MAX_CHUNK_ATTEMPTS`).  The accumulator's duplicate-index guard means
 a resubmitted chunk can never be merged twice, so the deterministic merge
 survives crashes unchanged.
@@ -59,43 +46,23 @@ import signal
 import time
 import traceback
 import warnings
-import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection, get_context
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
 from repro.exceptions import LabelingError
 from repro.labeling.engine import faults
-from repro.labeling.engine.accumulator import (
-    ChunkResult,
-    CSRAccumulator,
-    attach_arrays,
-    detach_arrays,
-)
-from repro.labeling.engine.plan import TRANSPORTS, Chunk
-
-try:  # pragma: no cover - import guard exercised only on exotic builds
-    from multiprocessing import shared_memory as _shm
-
-    HAVE_SHM = True
-except ImportError:  # pragma: no cover
-    _shm = None
-    HAVE_SHM = False
+from repro.labeling.engine.accumulator import ChunkResult, CSRAccumulator
+from repro.labeling.engine.plan import Chunk
 
 __all__ = [
-    "HAVE_SHM",
     "MAX_CHUNK_ATTEMPTS",
-    "TRANSPORTS",
     "TaskSpec",
-    "TransportCorruptionError",
     "WorkerCrashError",
     "WorkerPool",
     "WorkerTimeoutError",
     "get_global_pool",
-    "resolve_transport",
     "run_attached_chunk",
     "shutdown_pools",
 ]
@@ -114,32 +81,6 @@ TIMEOUT_ESCALATION = 2.0
 #: Specs kept attached per pool before the least-recently-attached one is
 #: detached (workers drop the built payload; the master forgets the spec id).
 MAX_ATTACHED_SPECS = 8
-
-#: Per-worker in-flight chunk cap by transport.  ``shm`` pipelines two chunks
-#: per worker (ring slots alternate, control messages are tiny so the master
-#: never blocks on a send).  ``pickle`` must stay at one: with a chunk in
-#: flight, a large candidate send can fill the pipe while the worker blocks
-#: sending a large result the master is not reading — a deadlock.
-_TRANSPORT_DEPTH = {"shm": 2, "pickle": 1}
-
-_RING_MIN_SLOT = 1 << 16
-
-
-def resolve_transport(transport: str) -> str:
-    """Resolve an ``ExecutionPlan.transport`` value to a concrete transport."""
-    if transport not in TRANSPORTS:
-        raise LabelingError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
-    if transport == "auto":
-        return "shm" if HAVE_SHM else "pickle"
-    if transport == "shm" and not HAVE_SHM:  # pragma: no cover - exotic builds
-        raise LabelingError(
-            'transport="shm" requires multiprocessing.shared_memory, which '
-            'this interpreter lacks; use transport="pickle"'
-        )
-    return transport
-
 
 class WorkerCrashError(LabelingError):
     """A pool worker died while chunks were in flight (engine error EN100).
@@ -188,34 +129,6 @@ class WorkerTimeoutError(WorkerCrashError):
             f"{timeout:g}s chunk deadline on chunk {chunk_index} and was "
             f"killed (attempt {attempts}/{MAX_CHUNK_ATTEMPTS})",
         )
-
-
-class TransportCorruptionError(LabelingError):
-    """A transported payload failed its checksum (engine error EN102).
-
-    Every shm-transport payload (the pickled candidate bytes going out, each
-    result array block coming back) carries a crc32; a mismatch means the
-    ring slot was torn or overwritten.  Fault-tolerant runs resubmit the
-    chunk (bounded by :data:`MAX_CHUNK_ATTEMPTS`) — the data is still
-    upstream, so corruption in transit is retryable, unlike a task error.
-    """
-
-    code = "EN102"
-
-    def __init__(self, chunk_index: int, direction: str, expected: int, actual: int) -> None:
-        self.chunk_index = chunk_index
-        self._init_args = (chunk_index, direction, expected, actual)
-        super().__init__(
-            f"[{self.code}] {direction} payload of chunk {chunk_index} failed "
-            f"its checksum (expected {expected:#010x}, got {actual:#010x}); "
-            "the shared-memory slot was torn or overwritten"
-        )
-
-    def __reduce__(self):
-        # The worker pickles this through the pipe; default exception
-        # reduction would replay ``args`` (the message) into the four-field
-        # constructor, so spell the constructor call out.
-        return (type(self), self._init_args)
 
 
 @dataclass(frozen=True)
@@ -298,67 +211,12 @@ def _rebuild_exc(payload: tuple) -> BaseException:
     return exc
 
 
-def _align(nbytes: int) -> int:
-    return (nbytes + 63) & ~63
-
-
-class _SlotRing:
-    """A shared-memory segment split into ``depth`` reusable slots.
-
-    Slot ``seq % depth`` carries the payload of task/result ``seq``; the
-    submission protocol guarantees a slot is never rewritten before its
-    previous occupant was claimed.  A payload larger than the current slot
-    size retires the whole segment and allocates a bigger one (geometric
-    growth) — the retired segment is returned to the caller, because only
-    the caller knows when the peer has stopped reading it.
-    """
-
-    def __init__(self, base_name: str, depth: int) -> None:
-        self.base_name = base_name
-        self.depth = depth
-        self.segment = None
-        self.slot_bytes = 0
-        self._generation = 0
-
-    def reserve(self, seq: int, nbytes: int) -> tuple[str, int, object]:
-        """Return ``(segment_name, offset, retired_segment_or_None)``."""
-        needed = max(_align(nbytes), 64)
-        retired = None
-        if self.segment is None or needed > self.slot_bytes:
-            retired = self.segment
-            self.slot_bytes = max(needed, 2 * self.slot_bytes, _RING_MIN_SLOT)
-            name = f"{self.base_name}g{self._generation}"
-            self._generation += 1
-            self.segment = _shm.SharedMemory(
-                name=name, create=True, size=self.slot_bytes * self.depth
-            )
-        return self.segment.name, (seq % self.depth) * self.slot_bytes, retired
-
-    def release(self, unlink: bool) -> None:
-        if self.segment is not None:
-            _release_segment(self.segment, unlink=unlink)
-            self.segment = None
-            self.slot_bytes = 0
-
-
-def _release_segment(segment, unlink: bool) -> None:
-    try:
-        segment.close()
-    except BufferError:  # pragma: no cover - an un-released view; leak mapping
-        return
-    if unlink:
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already swept
-            pass
-
-
 # --------------------------------------------------------------------------
 # Worker side
 # --------------------------------------------------------------------------
 
 
-def _worker_main(conn, inherited_specs: dict, inbound_base: str) -> None:
+def _worker_main(conn, inherited_specs: dict) -> None:
     """The worker loop: attach specs, run chunks, ship results back.
 
     ``inherited_specs`` arrived through the ``fork`` start method (by
@@ -369,8 +227,6 @@ def _worker_main(conn, inherited_specs: dict, inbound_base: str) -> None:
     master_pid = os.getppid()
     attached: dict[int, _AttachedSpec] = {}
     broken: dict[int, tuple] = {}
-    outbound: dict[str, object] = {}
-    ring = _SlotRing(inbound_base, depth=max(_TRANSPORT_DEPTH.values())) if HAVE_SHM else None
 
     def build(sid, spec) -> None:
         try:
@@ -410,52 +266,25 @@ def _worker_main(conn, inherited_specs: dict, inbound_base: str) -> None:
                 attached.pop(msg[1], None)
                 broken.pop(msg[1], None)
             elif kind == "task":
-                _, sid, seq, index, start_row, meta = msg
-                _worker_run_task(
-                    conn, attached, broken, outbound, ring, sid, seq, index, start_row, meta
-                )
+                _, sid, index, start_row, blob = msg
+                conn.send(_worker_run_task(attached, broken, sid, index, start_row, blob))
     finally:
-        for segment in outbound.values():
-            _release_segment(segment, unlink=False)
-        if ring is not None:
-            # The master unlinks inbound segments it attached; segments it
-            # never saw are swept by name prefix at pool close.
-            ring.release(unlink=False)
         conn.close()
 
 
-def _worker_run_task(
-    conn, attached, broken, outbound, ring, sid, seq, index, start_row, meta
-) -> None:
+def _worker_run_task(attached, broken, sid, index, start_row, blob) -> tuple:
+    """One chunk, decoded, run and encoded: the message to send back.
+
+    Every failure on the way — candidates that do not unpickle, the task
+    raising, a result that does not pickle — is a per-chunk ``error``
+    naming the cause.  Raised here, it would kill the worker and surface as
+    an opaque EN100 crash (and a doomed fault-tolerant resubmission).
+    """
     decode_start = time.perf_counter()
     try:
-        if meta[0] == "shm":
-            _, name, offset, length, crc = meta
-            segment = outbound.get(name)
-            if segment is None:
-                # The master grew its outbound ring: every older segment is
-                # retired (tasks arrive in order) — drop them before attaching.
-                for old in outbound.values():
-                    _release_segment(old, unlink=False)
-                outbound.clear()
-                segment = _shm.SharedMemory(name=name)
-                outbound[name] = segment
-            blob = bytes(segment.buf[offset : offset + length])
-            actual = zlib.crc32(blob)
-            if actual != crc:
-                # The slot no longer holds what the master wrote — torn or
-                # overwritten.  A coded, retryable error: the candidates are
-                # still master-side, so a resubmission rewrites the slot.
-                raise TransportCorruptionError(index, "chunk", crc, actual)
-            candidates = pickle.loads(blob)
-        else:
-            candidates = pickle.loads(meta[1])
+        candidates = pickle.loads(blob)
     except Exception as exc:
-        # A decode failure is a per-chunk task error, not a worker death: a
-        # raw raise here would kill the process and surface as an opaque
-        # EN100 crash (and a doomed FT resubmit) instead of naming the cause.
-        conn.send(("error", seq, index, _exc_payload(exc)))
-        return
+        return ("error", index, _exc_payload(exc))
     transport_seconds = time.perf_counter() - decode_start
 
     # Deterministic fault injection (no-op without an installed plan):
@@ -464,53 +293,16 @@ def _worker_run_task(
 
     spec = attached.get(sid)
     if spec is None:
-        payload = broken.get(sid) or _exc_payload(
-            LabelingError(f"task spec {sid} is not attached to this worker")
-        )
-        conn.send(("error", seq, index, payload))
-        return
+        missing = LabelingError(f"task spec {sid} is not attached to this worker")
+        return ("error", index, broken.get(sid) or _exc_payload(missing))
     try:
         result = run_attached_chunk(spec, spec.fault_tolerant, index, start_row, candidates)
-    except Exception as exc:
-        conn.send(("error", seq, index, _exc_payload(exc)))
-        return
-
-    encode_start = time.perf_counter()
-    if ring is not None and meta[0] == "shm":
-        meta_result, arrays = detach_arrays(result)
-        name, base, retired = ring.reserve(seq, sum(_align(a.nbytes) for a in arrays))
-        if retired is not None:
-            # Master still claims older results from the retired segment (it
-            # unlinks it on seeing the new name); this side just unmaps.
-            _release_segment(retired, unlink=False)
-        blocks = []
-        offset = base
-        for array in arrays:
-            if array.nbytes:
-                view = np.frombuffer(
-                    ring.segment.buf, dtype=array.dtype, count=array.size, offset=offset
-                )
-                view[:] = array
-                del view
-            # Each block descriptor carries the crc of the slot bytes so the
-            # master can detect a torn/overwritten ring slot (EN102) instead
-            # of merging garbage triples.
-            crc = zlib.crc32(ring.segment.buf[offset : offset + array.nbytes])
-            blocks.append((offset, array.dtype.str, array.size, crc))
-            offset += _align(array.nbytes)
-        for block_offset, dtype_str, count, _crc in blocks:
-            nbytes = count * np.dtype(dtype_str).itemsize
-            if nbytes:
-                faults.corrupt_shm_slot(
-                    "corrupt_result", index, ring.segment.buf, block_offset, nbytes
-                )
-                break
-        transport_seconds += time.perf_counter() - encode_start
-        conn.send(("result", seq, index, ("shm", name, blocks, meta_result, transport_seconds)))
-    else:
+        encode_start = time.perf_counter()
         blob = pickle.dumps(result, _PICKLE_PROTOCOL)
-        transport_seconds += time.perf_counter() - encode_start
-        conn.send(("result", seq, index, ("pipe", blob, transport_seconds)))
+    except Exception as exc:
+        return ("error", index, _exc_payload(exc))
+    transport_seconds += time.perf_counter() - encode_start
+    return ("result", index, blob, transport_seconds)
 
 
 # --------------------------------------------------------------------------
@@ -520,7 +312,6 @@ def _worker_run_task(
 
 @dataclass
 class _InFlight:
-    seq: int
     chunk: Chunk
     attempts: int
     submit_seconds: float
@@ -536,14 +327,8 @@ class _Worker:
 
     process: object
     conn: object
-    out_ring: Optional[_SlotRing]
-    pending: deque = field(default_factory=deque)
-    #: ``(confirm_seq, segment)``: retired outbound segments, unlinked once a
-    #: result for a task ``seq >= confirm_seq`` proves the worker moved on.
-    retired_out: deque = field(default_factory=deque)
-    #: Inbound segments (worker-created) this master has attached, by name.
-    inbound: dict = field(default_factory=dict)
-    next_seq: int = 0
+    #: The one chunk this worker is running, if any.
+    pending: Optional[_InFlight] = None
 
 
 class WorkerPool:
@@ -566,7 +351,6 @@ class WorkerPool:
         #: regression probe (one pipeline run must not exceed num_workers).
         self.total_spawned = 0
         self._owner_pid = os.getpid()
-        self._name = f"repro-eng-{os.getpid()}-{os.urandom(3).hex()}"
         if "fork" in __import__("multiprocessing").get_all_start_methods():
             self._ctx = get_context("fork")
         else:  # pragma: no cover - non-fork platforms
@@ -582,34 +366,19 @@ class WorkerPool:
 
     # ------------------------------------------------------------- lifecycle
     def _spawn_worker(self) -> _Worker:
-        if HAVE_SHM:
-            # Start the resource tracker *before* forking so workers inherit
-            # it: every segment registration then lands in one shared
-            # tracker whose bookkeeping the master's single unlink per
-            # segment balances.  Workers left to start their own trackers
-            # would warn about (and try to re-unlink) segments the master
-            # already cleaned up.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
         serial = self._spawn_serial
         self._spawn_serial += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, dict(self._specs), f"{self._name}-w{serial}-in-"),
+            args=(child_conn, dict(self._specs)),
             daemon=True,
             name=f"repro-engine-worker-{serial}",
         )
         process.start()
         child_conn.close()
         self.total_spawned += 1
-        out_ring = (
-            _SlotRing(f"{self._name}-w{serial}-out-", depth=max(_TRANSPORT_DEPTH.values()))
-            if HAVE_SHM
-            else None
-        )
-        return _Worker(process=process, conn=parent_conn, out_ring=out_ring)
+        return _Worker(process=process, conn=parent_conn)
 
     def _ensure_workers(self) -> None:
         while len(self._workers) < self.num_workers:
@@ -628,54 +397,34 @@ class WorkerPool:
         if worker.process.is_alive():  # pragma: no cover - stuck worker
             worker.process.terminate()
             worker.process.join(timeout=1.0)
-        if worker.out_ring is not None:
-            worker.out_ring.release(unlink=True)
-        for _seq, segment in worker.retired_out:
-            _release_segment(segment, unlink=True)
-        worker.retired_out.clear()
-        for segment in worker.inbound.values():
-            _release_segment(segment, unlink=True)
-        worker.inbound.clear()
 
-    def close(self) -> None:
-        """Stop all workers and release every shared-memory segment.
-
-        Idempotent: the atexit hook and an explicit user ``close`` may both
-        run (in either order); the second invocation returns without
-        touching ``/dev/shm`` again.  Not terminal — a later attach/run
-        respawns workers (and re-arms the close).
-        """
-        if os.getpid() != self._owner_pid:  # pragma: no cover - forked child
-            return
-        if self._closed and not self._workers:
-            return
-        self._closed = True
+    def _retire_workers(self, join_timeout: float = 1.0) -> None:
+        """Ask every worker to exit, then reap them all."""
         for worker in self._workers:
             try:
                 worker.conn.send(("close",))
             except (OSError, BrokenPipeError):
                 pass
         for worker in list(self._workers):
-            self._destroy_worker(worker, join_timeout=5.0)
+            self._destroy_worker(worker, join_timeout=join_timeout)
+
+    def close(self) -> None:
+        """Stop all workers and forget every attached spec.
+
+        Idempotent: the atexit hook and an explicit user ``close`` may both
+        run (in either order); the second invocation returns at once.  Not
+        terminal — a later attach/run respawns workers (and re-arms the
+        close).
+        """
+        if os.getpid() != self._owner_pid:  # pragma: no cover - forked child
+            return
+        if self._closed and not self._workers:
+            return
+        self._closed = True
+        self._retire_workers(join_timeout=5.0)
         self._specs.clear()
         self._spec_ids.clear()
         self._broken_specs.clear()
-        self._sweep_segments()
-
-    def _sweep_segments(self) -> None:
-        """Unlink any segment with this pool's name prefix (crash leftovers)."""
-        if not HAVE_SHM:  # pragma: no cover
-            return
-        shm_dir = "/dev/shm"
-        if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
-            return
-        for fname in os.listdir(shm_dir):
-            if fname.startswith(self._name):
-                try:
-                    segment = _shm.SharedMemory(name=fname)
-                except FileNotFoundError:
-                    continue
-                _release_segment(segment, unlink=True)
 
     # ---------------------------------------------------------------- attach
     def _spec_key(self, spec: TaskSpec) -> tuple:
@@ -726,13 +475,7 @@ class WorkerPool:
                     pass
 
     def _respawn_generation(self) -> None:
-        for worker in self._workers:
-            try:
-                worker.conn.send(("close",))
-            except (OSError, BrokenPipeError):
-                pass
-        for worker in list(self._workers):
-            self._destroy_worker(worker, join_timeout=5.0)
+        self._retire_workers(join_timeout=5.0)
         self._broken_specs.clear()
         self._ensure_workers()
 
@@ -742,17 +485,15 @@ class WorkerPool:
         spec: TaskSpec,
         chunks: Iterator[Chunk],
         accumulator: CSRAccumulator,
-        transport: str = "auto",
-        pending_limit: Optional[int] = None,
         chunk_timeout: Optional[float] = None,
     ) -> None:
         """Run a chunk stream against ``spec``, feeding the accumulator.
 
-        Submission is backpressure-aware: at most ``pending_limit`` chunks
-        (and per worker, the transport's depth) are in flight, so generator
-        inputs stay out-of-core.  Results are claimed and accumulated on
-        arrival; the accumulator's chunk-index merge keeps the output
-        independent of completion order, crashes and resubmissions included.
+        Submission is backpressure-aware: each worker holds at most one
+        chunk, so generator inputs stay out-of-core.  Results are claimed
+        and accumulated on arrival; the accumulator's chunk-index merge
+        keeps the output independent of completion order, crashes and
+        resubmissions included.
 
         ``chunk_timeout`` bounds how long any chunk may stay in flight: past
         the deadline its worker draws a warning, and past ``chunk_timeout ×``
@@ -761,19 +502,18 @@ class WorkerPool:
         EN101) — a hung worker can no longer stall the run forever.  ``None``
         (default) waits indefinitely, as before.
         """
-        transport = resolve_transport(transport)
         if self._running:
             raise LabelingError("WorkerPool.run is not reentrant")
         sid = self.attach(spec)
         self._ensure_workers()
-        depth = _TRANSPORT_DEPTH[transport]
-        limit = max(1, min(pending_limit or depth * self.num_workers,
-                           depth * self.num_workers))
         chunk_iter = iter(chunks)
         resubmit: deque = deque()
         state = {"exhausted": False, "failure": None, "respawn": None, "respawned": False}
         fault_tolerant = spec.fault_tolerant
         self._running = True
+
+        def in_flight() -> list[_Worker]:
+            return [worker for worker in self._workers if worker.pending is not None]
 
         def note_failure(order_key: int, exc: BaseException) -> None:
             failure = state["failure"]
@@ -781,35 +521,19 @@ class WorkerPool:
                 state["failure"] = (order_key, exc)
 
         def submit(worker: _Worker, chunk: Chunk, attempts: int) -> None:
-            seq = worker.next_seq
-            worker.next_seq += 1
             start = time.perf_counter()
             blob = pickle.dumps(chunk.candidates, _PICKLE_PROTOCOL)
-            if transport == "shm":
-                name, offset, retired = worker.out_ring.reserve(seq, len(blob))
-                if retired is not None:
-                    worker.retired_out.append((seq, retired))
-                worker.out_ring.segment.buf[offset : offset + len(blob)] = blob
-                faults.corrupt_shm_slot(
-                    "corrupt_shm", chunk.index, worker.out_ring.segment.buf,
-                    offset, len(blob),
-                )
-                meta = ("shm", name, offset, len(blob), zlib.crc32(blob))
-            else:
-                meta = ("pipe", blob)
-            worker.conn.send(("task", sid, seq, chunk.index, chunk.start_row, meta))
-            worker.pending.append(
-                _InFlight(
-                    seq, chunk, attempts, time.perf_counter() - start,
-                    started=time.monotonic(),
-                )
+            worker.conn.send(("task", sid, chunk.index, chunk.start_row, blob))
+            worker.pending = _InFlight(
+                chunk, attempts, time.perf_counter() - start, started=time.monotonic()
             )
 
         def fill() -> None:
-            while state["failure"] is None:
-                free = [w for w in self._workers if len(w.pending) < depth]
-                if not free or sum(len(w.pending) for w in self._workers) >= limit:
+            for worker in self._workers:
+                if state["failure"] is not None:
                     return
+                if worker.pending is not None:
+                    continue
                 if resubmit:
                     chunk, attempts = resubmit.popleft()
                 elif not state["exhausted"]:
@@ -820,88 +544,30 @@ class WorkerPool:
                         return
                 else:
                     return
-                submit(min(free, key=lambda w: len(w.pending)), chunk, attempts)
-
-        def claim(worker: _Worker, entry: _InFlight, meta) -> ChunkResult:
-            start = time.perf_counter()
-            if meta[0] == "pipe":
-                _, blob, worker_seconds = meta
-                result = pickle.loads(blob)
-            else:
-                _, name, blocks, meta_result, worker_seconds = meta
-                segment = worker.inbound.get(name)
-                if segment is None:
-                    # New inbound generation: older segments hold no
-                    # unclaimed results (claims are in seq order), unlink.
-                    for old in worker.inbound.values():
-                        _release_segment(old, unlink=True)
-                    worker.inbound.clear()
-                    segment = _shm.SharedMemory(name=name)
-                    worker.inbound[name] = segment
-                arrays = []
-                for offset, dtype_str, count, crc in blocks:
-                    dtype = np.dtype(dtype_str)
-                    actual = zlib.crc32(
-                        segment.buf[offset : offset + count * dtype.itemsize]
-                    )
-                    if actual != crc:
-                        # The ring slot no longer holds what the worker
-                        # wrote; the chunk is retryable (EN102), garbage
-                        # triples must never reach the accumulator.
-                        raise TransportCorruptionError(
-                            entry.chunk.index, "result", crc, actual
-                        )
-                    view = np.frombuffer(
-                        segment.buf, dtype=dtype, count=count, offset=offset
-                    )
-                    arrays.append(view.copy())
-                    del view
-                result = attach_arrays(meta_result, arrays)
-            result.transport_seconds = (
-                worker_seconds + entry.submit_seconds + time.perf_counter() - start
-            )
-            return result
-
-        def retry_corruption(entry: _InFlight, exc: TransportCorruptionError) -> None:
-            # EN102 is retryable under FT: the chunk's source data is intact
-            # master-side (unlike a task error, which would fail again), so a
-            # torn slot costs one resubmission, bounded like a crash.
-            if fault_tolerant and entry.attempts < MAX_CHUNK_ATTEMPTS:
-                resubmit.append((entry.chunk, entry.attempts + 1))
-            else:
-                note_failure(entry.chunk.index, exc)
+                submit(worker, chunk, attempts)
 
         def handle_message(worker: _Worker, msg) -> None:
             kind = msg[0]
             if kind == "result":
-                _, seq, _index, meta = msg
-                entry = worker.pending.popleft()
-                try:
-                    result = claim(worker, entry, meta)
-                except TransportCorruptionError as exc:
-                    result = None
-                    retry_corruption(entry, exc)
-                # A result for ``seq`` proves the worker moved past every
-                # segment retired at or before it — claimed or torn alike.
-                while worker.retired_out and worker.retired_out[0][0] <= seq:
-                    _, segment = worker.retired_out.popleft()
-                    _release_segment(segment, unlink=True)
-                if result is not None and state["failure"] is None:
+                _, _index, blob, worker_seconds = msg
+                entry, worker.pending = worker.pending, None
+                start = time.perf_counter()
+                result = pickle.loads(blob)
+                result.transport_seconds = (
+                    worker_seconds + entry.submit_seconds + time.perf_counter() - start
+                )
+                if state["failure"] is None:
                     accumulator.add(result)
             elif kind == "error":
-                _, _seq, index, payload = msg
-                entry = worker.pending.popleft()
+                _, index, payload = msg
+                entry, worker.pending = worker.pending, None
                 if state["respawn"] is not None:
                     # The worker could not attach the spec; its per-task
                     # errors are attach fallout, not task failures — the
                     # chunk reruns on the respawned generation.
                     resubmit.append((entry.chunk, entry.attempts))
                     return
-                exc = _rebuild_exc(payload)
-                if isinstance(exc, TransportCorruptionError):
-                    retry_corruption(entry, exc)
-                else:
-                    note_failure(index, exc)
+                note_failure(index, _rebuild_exc(payload))
             elif kind == "attach_error":
                 _, bad_sid, payload = msg
                 exc = _rebuild_exc(payload)
@@ -917,64 +583,53 @@ class WorkerPool:
                     # spec travels by memory — so self-heal once per run.
                     state["respawn"] = exc
 
-        def handle_death(worker: _Worker, timeout_entry: Optional[_InFlight] = None) -> None:
-            lost = list(worker.pending)
+        def handle_death(worker: _Worker, timed_out: bool = False) -> None:
+            entry = worker.pending
             pid = worker.process.pid
             self._destroy_worker(worker)
-            exit_code = worker.process.exitcode
             if state["failure"] is not None:
                 return
-            for entry in lost:
-                if not fault_tolerant or entry.attempts >= MAX_CHUNK_ATTEMPTS:
-                    if entry is timeout_entry:
-                        exc: WorkerCrashError = WorkerTimeoutError(
-                            entry.chunk.index, pid, chunk_timeout, entry.attempts
-                        )
-                    else:
-                        exc = WorkerCrashError(
-                            entry.chunk.index, pid, exit_code, entry.attempts
-                        )
-                    note_failure(entry.chunk.index, exc)
-            if state["failure"] is not None:
-                return
-            resubmit.extend((entry.chunk, entry.attempts + 1) for entry in lost)
+            if entry is not None:
+                if fault_tolerant and entry.attempts < MAX_CHUNK_ATTEMPTS:
+                    resubmit.append((entry.chunk, entry.attempts + 1))
+                elif timed_out:
+                    note_failure(entry.chunk.index, WorkerTimeoutError(
+                        entry.chunk.index, pid, chunk_timeout, entry.attempts
+                    ))
+                    return
+                else:
+                    note_failure(entry.chunk.index, WorkerCrashError(
+                        entry.chunk.index, pid, worker.process.exitcode, entry.attempts
+                    ))
+                    return
             if not state["exhausted"] or resubmit:
                 self._workers.append(self._spawn_worker())
 
         def next_deadline() -> Optional[float]:
             """Earliest pending warn/kill deadline, as a ``wait`` timeout."""
-            if chunk_timeout is None:
+            if chunk_timeout is None or not in_flight():
                 return None
-            soonest = None
-            for worker in self._workers:
-                for entry in worker.pending:
-                    at = entry.started + chunk_timeout * (
-                        TIMEOUT_ESCALATION if entry.warned else 1.0
-                    )
-                    if soonest is None or at < soonest:
-                        soonest = at
-            if soonest is None:
-                return None
+            soonest = min(
+                worker.pending.started
+                + chunk_timeout * (TIMEOUT_ESCALATION if worker.pending.warned else 1.0)
+                for worker in in_flight()
+            )
             return max(0.0, soonest - time.monotonic())
 
         def enforce_deadlines() -> None:
-            """Warn on, then kill, workers whose oldest chunk overstayed.
+            """Warn on, then kill, workers whose chunk overstayed.
 
-            Only the head of each worker's pending queue is judged — workers
-            process in submission order, so younger entries are queued, not
-            hung.  A kill flows through :func:`handle_death` (resubmission,
-            respawn, attempt cap) with the head chunk coded EN101.
+            A kill flows through :func:`handle_death` (resubmission, respawn,
+            attempt cap) with the chunk coded EN101.
             """
             now = time.monotonic()
-            for worker in list(self._workers):
-                if not worker.pending:
-                    continue
-                entry = worker.pending[0]
+            for worker in in_flight():
+                entry = worker.pending
                 age = now - entry.started
                 if age >= chunk_timeout * TIMEOUT_ESCALATION:
                     worker.process.kill()
                     worker.process.join()
-                    handle_death(worker, timeout_entry=entry)
+                    handle_death(worker, timed_out=True)
                 elif age >= chunk_timeout and not entry.warned:
                     entry.warned = True
                     warnings.warn(
@@ -989,7 +644,7 @@ class WorkerPool:
         try:
             while True:
                 fill()
-                if sum(len(w.pending) for w in self._workers) == 0:
+                if not in_flight():
                     failure = state["failure"]
                     if failure is not None:
                         raise failure[1]
@@ -998,14 +653,11 @@ class WorkerPool:
                     if not self._workers:
                         self._ensure_workers()
                     continue
-                waitables = []
                 by_waitable = {}
                 for worker in self._workers:
-                    waitables.append(worker.conn)
                     by_waitable[worker.conn] = worker
-                    waitables.append(worker.process.sentinel)
                     by_waitable[worker.process.sentinel] = worker
-                ready = connection.wait(waitables, timeout=next_deadline())
+                ready = connection.wait(list(by_waitable), timeout=next_deadline())
                 for worker in {by_waitable[obj] for obj in ready}:
                     dead = False
                     while True:
@@ -1024,30 +676,24 @@ class WorkerPool:
                 if state["respawn"] is not None and state["failure"] is None:
                     state["respawned"] = True
                     state["respawn"] = None
-                    for worker in list(self._workers):
-                        resubmit.extend(
-                            (entry.chunk, entry.attempts) for entry in worker.pending
-                        )
+                    resubmit.extend(
+                        (worker.pending.chunk, worker.pending.attempts)
+                        for worker in in_flight()
+                    )
                     self._respawn_generation()
         finally:
             self._running = False
-            if any(worker.pending for worker in self._workers):
+            if in_flight():
                 # Controlled exits (normal return, the failure raise above)
-                # only happen with zero chunks in flight, so pending entries
-                # here mean an unexpected exception escaped the loop — e.g.
+                # only happen with zero chunks in flight, so a pending entry
+                # here means an unexpected exception escaped the loop — e.g.
                 # unpicklable candidates in submit(), or an accumulator
-                # transform raising in handle_message.  Leaving them would
+                # transform raising in handle_message.  Leaving it would
                 # poison the shared global pool: the next run would pop this
-                # run's late-arriving results against its own entries.
+                # run's late-arriving result against its own entry.
                 # Quarantine by retiring the whole worker generation; the
                 # next attach/run respawns a clean one.
-                for worker in self._workers:
-                    try:
-                        worker.conn.send(("close",))
-                    except (OSError, BrokenPipeError):
-                        pass
-                for worker in list(self._workers):
-                    self._destroy_worker(worker)
+                self._retire_workers()
 
 
 # --------------------------------------------------------------------------
@@ -1081,11 +727,11 @@ def shutdown_pools() -> None:
 
 
 # Ordering matters: atexit hooks run LIFO, and multiprocessing registers its
-# own teardown (which reaps the shared-memory resource tracker) when
+# own teardown (which terminates daemonic children) when
 # ``multiprocessing.util`` is first imported.  Importing it explicitly *before*
-# registering shutdown_pools guarantees the pools — whose close() unlinks
-# segments through that tracker — are reaped first, not after the tracker
-# infrastructure is already torn down.
+# registering shutdown_pools guarantees the pools close their workers
+# first — each is asked to exit and reaped — rather than finding them
+# already terminated.
 import multiprocessing.util  # noqa: E402  (ordering-sensitive, see above)
 
 atexit.register(shutdown_pools)

@@ -29,13 +29,13 @@ order.
 Under the processes backend these tasks run inside the persistent worker
 runtime (:mod:`repro.labeling.engine.runtime`): the payload is attached to
 each long-lived worker once as a :class:`~repro.labeling.engine.runtime.
-TaskSpec` and only candidate chunks travel per call, over the plan's
-``transport`` (pickled pipe bytes or shared-memory slots).  Tasks notice
-none of this — the dispatch kernel hands them the same
-``(payload, fault_tolerant, index, start_row, candidates)`` call either way
-— but it is why a task must be a module-level callable and must treat the
-payload as read-only (worker-side payload mutations would persist across
-chunks *and* runs; see :mod:`repro.analysis.contracts`).
+TaskSpec` and only candidate chunks travel per call, as pickled bytes over
+the worker's pipe.  Tasks notice none of this — the dispatch kernel hands
+them the same ``(payload, fault_tolerant, index, start_row, candidates)``
+call in process or in a worker — but it is why a task must be a
+module-level callable and must treat the payload as read-only (worker-side
+payload mutations would persist across chunks *and* runs; see
+:mod:`repro.analysis.contracts`).
 
 "Read-only" means: no write that can change an output or travel to another
 process.  The featurizer's kernel writes only the process's hash tables

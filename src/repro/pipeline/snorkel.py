@@ -91,7 +91,6 @@ EXECUTION_ONLY_FIELDS = frozenset(
     {
         "applier_backend",
         "applier_workers",
-        "engine_transport",
         "engine_chunk_timeout",
         "lf_pushdown",
         "lf_validate",
@@ -116,21 +115,14 @@ class PipelineConfig:
     sparse_labels: bool = False
     #: Executor backend for LF application (``"sequential"``, ``"threads"``,
     #: or ``"processes"`` — see :mod:`repro.labeling.engine`).  The label
-    #: matrix is identical for every backend.
+    #: matrix is identical for every backend.  One persistent worker pool
+    #: serves every stage of a ``"processes"`` run — apply, fused
+    #: apply+featurize — so workers are spawned exactly once however many
+    #: splits are processed.
     applier_backend: str = "sequential"
     #: Worker count for the pool backends (``None`` = one per available CPU);
     #: ignored by the sequential backend.
     applier_workers: Optional[int] = 1
-    #: Chunk transport of the ``"processes"`` backend (see
-    #: :data:`repro.labeling.engine.plan.TRANSPORTS`): ``"pickle"`` ships
-    #: chunks/results as pickled bytes over each worker's pipe, ``"shm"``
-    #: moves the bulk bytes through reusable shared-memory slots, ``"auto"``
-    #: (default) picks ``shm`` when available.  One persistent worker pool
-    #: serves every stage of a run — apply, fused apply+featurize — so
-    #: workers are spawned exactly once however many splits are processed.
-    #: Results are bit-identical across transports; the in-process backends
-    #: ignore the setting.
-    engine_transport: str = "auto"
     #: Static-analysis gate over the LF suite before application (see
     #: :mod:`repro.analysis`): ``"off"`` (default), ``"warn"`` to attach an
     #: :class:`~repro.analysis.diagnostics.AnalysisReport` to the apply
@@ -211,7 +203,6 @@ class PipelineConfig:
                 chunk_size=self.chunk_size,
                 backend=self.applier_backend,
                 num_workers=self.applier_workers,
-                transport=self.engine_transport,
                 chunk_timeout=self.engine_chunk_timeout,
             )
             ModelingStrategyOptimizer(advantage_tolerance=self.advantage_tolerance)
@@ -331,7 +322,6 @@ class SnorkelPipeline:
             num_workers=config.applier_workers,
             validate=config.lf_validate,
             pushdown=config.lf_pushdown,
-            transport=config.engine_transport,
             chunk_timeout=config.engine_chunk_timeout,
         )
         cardinality = applier.cardinality

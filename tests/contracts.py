@@ -23,8 +23,8 @@ The rows, their relation inside one tree, and why:
 - ``compiled == interpreted`` (bitwise): ``pushdown="auto"`` and ``"off"``
   hand back the same Λ, feature blocks and report, planted LF errors too,
   also over chunks mixing stock and subclassed candidates.
-- ``shm == pickle == sequential`` (bitwise): the sequential, threads and
-  processes backends, over both transports, are one result.
+- ``processes == threads == sequential`` (bitwise): the sequential, threads
+  and processes backends are one result.
 - ``warm == cold featurizer`` (bitwise): what a featurizer interned and
   hashed for earlier chunks never shows in a block — the warm side runs
   after another corpus and after chunks that fill the process's token table
@@ -1073,7 +1073,7 @@ def featurized(inputs: dict) -> dict:
             applier = LFApplier(lfs, chunk_size=32, fault_tolerant=True, **settings)
             candidates = list(inputs["candidates"])
             matrix, blocks = applier.apply_with_features(candidates, featurizer, sparse=True)
-            out.update(labeling_records(suite, applier, matrix, blocks))
+            out.update(labeling_records(f"{suite} {applier.backend}", applier, matrix, blocks))
     finally:
         shutdown_pools()
     return out
@@ -1214,18 +1214,17 @@ CONTRACTS = (
         profiles=("faulty", "sparse=False", "generator", "empty", "mixed", "apply_with_features"),
     ),
     Contract(
-        "shm == pickle == sequential", labeling_inputs,
+        "processes == threads == sequential", labeling_inputs,
         {
             "sequential": labeling(FAULTY),
             "threads": labeling(FAULTY, backend="threads", num_workers=2),
-            "processes shm": labeling(FAULTY, transport="shm", **PROCESSES),
-            "processes pickle": labeling(FAULTY, transport="pickle", **PROCESSES),
+            "processes": labeling(FAULTY, **PROCESSES),
         },
-        profiles=("transport=shm", "transport=pickle", "pushdown=auto", "pushdown=off"),
+        profiles=("pushdown=auto", "pushdown=off"),
     ),
     Contract(
         "warm == cold featurizer", labeling_inputs,
-        {"cold": featurizing(False), "warm": featurizing(True)}, profiles=("transport=shm",),
+        {"cold": featurizing(False), "warm": featurizing(True)}, profiles=("faulty processes",),
     ),
     Contract(
         "label matrix readers dense == csr", label_matrices, {s: read_off(s) for s in STORAGES},

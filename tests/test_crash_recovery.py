@@ -8,9 +8,8 @@ SIGKILL with durable partial progress on disk, then resumes the run in the
 parent over the same store and compares everything against an
 uninterrupted reference run: Λ must be bitwise identical, and the
 probabilistic labels and end-model weights within 1e-12 (bitwise in
-practice).  The matrix covers all three executors and both process
-transports, because resume replays blocks produced under any of them into
-the same accumulator path.
+practice).  The matrix covers all three executors, because resume replays
+blocks produced under any of them into the same accumulator path.
 """
 
 import json
@@ -46,7 +45,6 @@ TEST_POINTS = 60
 def run_pipeline(
     checkpoint_dir=None,
     backend="sequential",
-    transport="auto",
     featurizer=None,
     end_model=None,
     from_task=False,
@@ -60,7 +58,6 @@ def run_pipeline(
         num_features=128,
         applier_backend=backend,
         applier_workers=2,
-        engine_transport=transport,
         checkpoint_dir=checkpoint_dir,
     )
     settings.update(overrides)
@@ -91,7 +88,7 @@ def reference():
     return run_pipeline()
 
 
-def run_and_die(checkpoint_dir, fault_spec, backend, transport, from_task=False):
+def run_and_die(checkpoint_dir, fault_spec, backend, from_task=False):
     """Fork a child that runs the pipeline under ``fault_spec`` until the
     injected SIGKILL; assert it really died that way."""
     pid = os.fork()
@@ -101,7 +98,7 @@ def run_and_die(checkpoint_dir, fault_spec, backend, transport, from_task=False)
         runtime._POOLS.clear()
         os.environ["REPRO_ENGINE_FAULTS"] = fault_spec
         try:
-            run_pipeline(checkpoint_dir, backend, transport, from_task=from_task)
+            run_pipeline(checkpoint_dir, backend, from_task=from_task)
         finally:
             os._exit(1)  # only reached if the injected kill never fired
     _, status = os.waitpid(pid, 0)
@@ -125,24 +122,19 @@ def assert_matches_reference(result, reference):
 
 
 SCENARIOS = [
-    # (backend, transport, fault, durable progress the kill must leave)
-    ("sequential", "auto", "die_block@2", "chunks"),
-    ("sequential", "auto", "die_epoch@1", "epochs"),
-    ("threads", "auto", "die_block@2", "chunks"),
-    ("processes", "pickle", "die_block@2", "chunks"),
-    ("processes", "shm", "die_block@2", "chunks"),
-    ("processes", "shm", "die_epoch@1", "epochs"),
+    # (backend, fault, durable progress the kill must leave)
+    ("sequential", "die_block@2", "chunks"),
+    ("sequential", "die_epoch@1", "epochs"),
+    ("threads", "die_block@2", "chunks"),
+    ("processes", "die_block@2", "chunks"),
+    ("processes", "die_epoch@1", "epochs"),
 ]
 
 
-@pytest.mark.parametrize("backend,transport,fault,progress", SCENARIOS)
-def test_sigkilled_run_resumes_bit_identically(
-    tmp_path, reference, backend, transport, fault, progress
-):
-    if transport == "shm" and not runtime.HAVE_SHM:
-        pytest.skip("no shared memory")
+@pytest.mark.parametrize("backend,fault,progress", SCENARIOS)
+def test_sigkilled_run_resumes_bit_identically(tmp_path, reference, backend, fault, progress):
     root = str(tmp_path / "ckpt")
-    run_and_die(root, fault, backend, transport)
+    run_and_die(root, fault, backend)
 
     # The kill left real durable partial progress — the resume below is a
     # genuine mid-run restart, not a fresh run.
@@ -155,16 +147,16 @@ def test_sigkilled_run_resumes_bit_identically(
             assert "epoch/end_model" in store  # died mid end-model training
             assert store.get_pickle("epoch/end_model")["epoch"] >= 1
 
-    resumed = run_pipeline(root, backend, transport)
+    resumed = run_pipeline(root, backend)
     assert_matches_reference(resumed, reference)
 
 
 def test_double_kill_then_resume(tmp_path, reference):
     """Two consecutive crashes at different points, then a clean resume."""
     root = str(tmp_path / "ckpt")
-    run_and_die(root, "die_block@1", "sequential", "auto")
-    run_and_die(root, "die_epoch@0", "sequential", "auto")
-    resumed = run_pipeline(root, "sequential", "auto")
+    run_and_die(root, "die_block@1", "sequential")
+    run_and_die(root, "die_epoch@0", "sequential")
+    resumed = run_pipeline(root, "sequential")
     assert_matches_reference(resumed, reference)
 
 
@@ -174,7 +166,7 @@ def test_run_task_killed_then_resumed(tmp_path, reference, fault):
     checkpointed task run survives a kill exactly like a stream run (it used
     to refuse ``checkpoint_dir`` outright)."""
     root = str(tmp_path / "ckpt")
-    run_and_die(root, fault, "sequential", "auto", from_task=True)
+    run_and_die(root, fault, "sequential", from_task=True)
     resumed = run_pipeline(root, from_task=True)
     assert_matches_reference(resumed, reference)
 
@@ -203,7 +195,7 @@ def test_torn_block_reexecuted_on_resume(tmp_path, reference):
     """A block corrupted after its durable rename (torn write) is detected
     by checksum at open and its chunk re-executes — never replayed wrong."""
     root = str(tmp_path / "ckpt")
-    run_and_die(root, "corrupt_block@2;die_block@4", "sequential", "auto")
+    run_and_die(root, "corrupt_block@2;die_block@4", "sequential")
     with BlockStore(root) as store:
         completed = ChunkCheckpointer(store, "train").completed
         assert 1 not in completed  # ordinal 2 = second chunk put (after fingerprint)

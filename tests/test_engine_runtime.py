@@ -12,13 +12,16 @@ What this suite pins down:
   resubmits the lost chunk and the merged triples match the sequential
   reference; a chunk that kills its worker on every attempt fails after
   ``MAX_CHUNK_ATTEMPTS``.
-* **Clean shutdown** — ``close()`` reaps every worker process and leaves no
-  shared-memory segments behind.
+* **Clean shutdown** — ``close()`` reaps every worker process and creates
+  no shared-memory segments.
+* **Coded errors** — a chunk result that cannot be pickled is a task error,
+  not a worker crash; a malformed fault spec is refused at install (EN103).
 """
 
 import glob
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -31,11 +34,11 @@ from repro.datasets.synthetic import (
     synthetic_vote_lfs,
     text_vote_lfs,
 )
+from repro.exceptions import LabelingError
 from repro.labeling import LabelingFunction, LFApplier
 from repro.labeling.engine import (
     CSRAccumulator,
     TaskSpec,
-    TransportCorruptionError,
     WorkerCrashError,
     WorkerPool,
     WorkerTimeoutError,
@@ -83,10 +86,10 @@ def _crash_once_task(payload, fault_tolerant, index, start_row, candidates):
     return apply_chunk(lfs, fault_tolerant, index, start_row, candidates)
 
 
-def _probe_pids(pool, candidates, transport="auto", chunk_size=25):
+def _probe_pids(pool, candidates, chunk_size=25):
     accumulator = CSRAccumulator()
     spec = TaskSpec(task=_pid_probe_task)
-    pool.run(spec, iter_chunks(candidates, chunk_size), accumulator, transport=transport)
+    pool.run(spec, iter_chunks(candidates, chunk_size), accumulator)
     return set(accumulator.merge().values.tolist())
 
 
@@ -98,9 +101,9 @@ def test_pool_spawns_workers_exactly_once():
         first = _probe_pids(pool, candidates)
         assert len(first) == 2  # both workers took chunks
         assert pool.total_spawned == 2
-        # Repeat runs — including a transport switch — reuse the same pids.
+        # Repeat runs — at another chunk size too — reuse the same pids.
         assert _probe_pids(pool, candidates) == first
-        assert _probe_pids(pool, candidates, transport="pickle") == first
+        assert _probe_pids(pool, candidates, chunk_size=10) == first
         assert pool.total_spawned == 2
     finally:
         pool.close()
@@ -167,7 +170,6 @@ def test_worker_crash_raises_coded_error_naming_chunk():
                 spec=TaskSpec(task=_crash_task, payload=2),
                 chunks=iter_chunks(candidates, 20),
                 accumulator=accumulator,
-                transport="pickle",
             )
         assert err.value.code == "EN100"
         assert err.value.chunk_index == 2
@@ -195,7 +197,6 @@ def test_fault_tolerant_run_resubmits_after_crash(tmp_path):
             ),
             chunks=iter_chunks(candidates, 25),
             accumulator=accumulator,
-            transport="auto",
         )
         assert os.path.exists(flag)  # the crash really happened
         merged = accumulator.merge()
@@ -215,7 +216,6 @@ def test_fault_tolerant_gives_up_after_max_attempts():
                 spec=TaskSpec(task=_crash_task, payload=0, fault_tolerant=True),
                 chunks=iter_chunks(make_candidates(num_points=60), 20),
                 accumulator=accumulator,
-                transport="pickle",
             )
         assert err.value.attempts == runtime.MAX_CHUNK_ATTEMPTS
     finally:
@@ -250,7 +250,6 @@ def test_hung_worker_raises_coded_timeout_error():
                     spec=TaskSpec(task=_hang_task, payload=1),
                     chunks=iter_chunks(make_candidates(num_points=100), 20),
                     accumulator=CSRAccumulator(),
-                    transport="pickle",
                     chunk_timeout=0.3,
                 )
         assert err.value.code == "EN101"
@@ -276,7 +275,6 @@ def test_hung_worker_resubmitted_when_fault_tolerant(tmp_path):
                 ),
                 chunks=iter_chunks(make_candidates(num_points=160), 20),
                 accumulator=accumulator,
-                transport="pickle",
                 chunk_timeout=0.3,
             )
         assert os.path.exists(flag)  # the hang really happened
@@ -296,7 +294,6 @@ def test_hang_forever_gives_up_after_max_attempts():
                     spec=TaskSpec(task=_hang_task, payload=0, fault_tolerant=True),
                     chunks=iter_chunks(make_candidates(num_points=60), 20),
                     accumulator=CSRAccumulator(),
-                    transport="pickle",
                     chunk_timeout=0.3,
                 )
         assert err.value.attempts == runtime.MAX_CHUNK_ATTEMPTS
@@ -304,90 +301,14 @@ def test_hang_forever_gives_up_after_max_attempts():
         pool.close()
 
 
-# ------------------------------------------------------- transport checksums
-needs_shm = pytest.mark.skipif(not runtime.HAVE_SHM, reason="no shared memory")
-
-
-@needs_shm
-def test_corrupt_chunk_slot_raises_coded_error():
-    """A torn outbound shm slot surfaces as EN102 naming the chunk, not as a
-    pickle decode crash deep inside the worker."""
-    faults.install("corrupt_shm@1")
-    pool = WorkerPool(num_workers=2)
-    try:
-        with pytest.raises(TransportCorruptionError) as err:
-            pool.run(
-                spec=TaskSpec(task=_pid_probe_task),
-                chunks=iter_chunks(make_candidates(num_points=100), 20),
-                accumulator=CSRAccumulator(),
-                transport="shm",
-            )
-        assert err.value.code == "EN102"
-        assert err.value.chunk_index == 1
-    finally:
-        pool.close()
-        faults.install(None)
-
-
-@needs_shm
-def test_corrupt_chunk_slot_resubmitted_when_fault_tolerant(tmp_path):
-    flag = str(tmp_path / "corrupted-once")
-    faults.install(f"corrupt_shm@1:flag={flag}")
-    pool = WorkerPool(num_workers=2)
-    try:
-        accumulator = CSRAccumulator()
-        pool.run(
-            spec=TaskSpec(task=_pid_probe_task, fault_tolerant=True),
-            chunks=iter_chunks(make_candidates(num_points=160), 20),
-            accumulator=accumulator,
-            transport="shm",
-        )
-        assert os.path.exists(flag)  # the corruption really happened
-        merged = accumulator.merge()
-        assert merged.num_chunks == 8
-        assert merged.num_candidates == 160
-    finally:
-        pool.close()
-        faults.install(None)
-
-
-@needs_shm
-def test_corrupt_result_blocks_resubmitted_when_fault_tolerant(tmp_path):
-    """Result-direction corruption (worker-side ring blocks) is detected by
-    the master's per-block crc check and resubmitted the same way."""
-    flag = str(tmp_path / "result-corrupted-once")
-    faults.install(f"corrupt_result@2:flag={flag}")
-    pool = WorkerPool(num_workers=2)  # workers fork after install: plan inherited
-    try:
-        lfs = synthetic_vote_lfs(4)
-        candidates = make_candidates()
-        reference = LFApplier(lfs).apply(candidates)
-        accumulator = CSRAccumulator()
-        pool.run(
-            spec=TaskSpec(task=apply_chunk, payload=lfs, fault_tolerant=True),
-            chunks=iter_chunks(candidates, 25),
-            accumulator=accumulator,
-            transport="shm",
-        )
-        assert os.path.exists(flag)
-        merged = accumulator.merge()
-        matrix = np.zeros((len(candidates), 4), dtype=np.int64)
-        matrix[merged.rows, merged.cols] = merged.values
-        assert np.array_equal(matrix, reference.values)
-    finally:
-        pool.close()
-        faults.install(None)
-
-
 # ---------------------------------------------------------------- clean shutdown
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to inspect")
 def test_close_reaps_processes_and_segments():
     candidates = make_candidates()
     pool = WorkerPool(num_workers=2)
-    pids = _probe_pids(pool, candidates, transport="shm" if runtime.HAVE_SHM else "pickle")
-    prefix = pool._name
+    pids = _probe_pids(pool, candidates)
     pool.close()
-    assert glob.glob(f"/dev/shm/{prefix}*") == []
+    assert glob.glob(f"/dev/shm/repro-eng-{os.getpid()}-*") == []
     for pid in pids:
         with pytest.raises(OSError):
             os.kill(pid, 0)
@@ -462,7 +383,6 @@ def test_candidate_decode_failure_is_a_task_error_not_a_crash():
                 spec=TaskSpec(task=_pid_probe_task),
                 chunks=iter_chunks([_ExplodesOnLoad()] * 40, 20),
                 accumulator=CSRAccumulator(),
-                transport="pickle",
             )
         # The workers survived the failed decode: same generation serves on.
         assert pool.total_spawned == 2
@@ -470,6 +390,73 @@ def test_candidate_decode_failure_is_a_task_error_not_a_crash():
         assert pool.total_spawned == 2
     finally:
         pool.close()
+
+
+def _unpicklable_result_task(payload, fault_tolerant, index, start_row, candidates):
+    """A pid probe whose result carries a lock, which no pickle encodes."""
+    result = _pid_probe_task(payload, fault_tolerant, index, start_row, candidates)
+    result.errors = {"lock": threading.Lock()}
+    return result
+
+
+@pytest.mark.parametrize("fault_tolerant", [False, True])
+def test_result_encode_failure_is_a_task_error_not_a_crash(fault_tolerant):
+    """A chunk result that fails to pickle worker-side surfaces as the
+    original TypeError, not an EN100 crash with a doomed resubmission."""
+    pool = WorkerPool(num_workers=2)
+    try:
+        with pytest.raises(TypeError, match="pickle"):
+            pool.run(
+                spec=TaskSpec(task=_unpicklable_result_task, fault_tolerant=fault_tolerant),
+                chunks=iter_chunks(make_candidates(num_points=40), 20),
+                accumulator=CSRAccumulator(),
+            )
+        # The workers survived the failed encode: same generation serves on.
+        assert len(_probe_pids(pool, make_candidates())) == 2
+        assert pool.total_spawned == 2
+    finally:
+        pool.close()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "hang@0:seconds=-1",
+        "hang@0:seconds=nan",
+        "hang@0:seconds=inf",
+        "hang@0:seconds=1e9",
+        "hang@0:seconds=abc",
+        "hang@0:seconds=",
+        "kill@-2",
+        "kill@x",
+        "kill@1:seconds=5",
+        "die_block@1:seconds=5",
+        "kill@1:flag=",
+        "kill@1:color=red",
+        "corrupt_shm@1",
+        "kill",
+    ],
+)
+def test_malformed_fault_spec_is_refused_at_install(spec):
+    """Every spec outside the grammar fails at install with a coded error,
+    never later as a crash inside a worker (or as a rule that cannot fire)."""
+    with pytest.raises(faults.FaultSpecError) as err:
+        faults.install(spec)
+    assert isinstance(err.value, LabelingError)
+    assert err.value.code == "EN103"
+    assert str(err.value).startswith("[EN103]")
+    assert os.environ.get(faults.ENV_VAR) is None
+    with pytest.raises(faults.FaultSpecError):
+        faults.parse_plan(spec)
+
+
+def test_well_formed_fault_specs_parse():
+    plan = faults.parse_plan("hang@0:seconds=0;hang@3:seconds=2.5:flag=/x;die_epoch@0")
+    assert [(rule.action, rule.at, rule.seconds) for rule in plan.rules] == [
+        ("hang", 0, 0.0),
+        ("hang", 3, 2.5),
+        ("die_epoch", 0, faults.DEFAULT_HANG_SECONDS),
+    ]
 
 
 def test_attach_heals_silently_dead_worker():
@@ -488,7 +475,6 @@ def test_attach_heals_silently_dead_worker():
             TaskSpec(task=_pid_probe_task, payload=("fresh",)),
             iter_chunks(candidates, 10),
             accumulator,
-            transport="pickle",
         )
         assert len(set(accumulator.merge().values.tolist())) == 2
     finally:
@@ -507,7 +493,6 @@ def test_escaped_run_exception_quarantines_in_flight_state():
                 spec=TaskSpec(task=_sleep_probe_task),
                 chunks=iter_chunks(bad, 20),
                 accumulator=CSRAccumulator(),
-                transport="pickle",
             )
         # The quarantined generation is gone; the next runs start clean and
         # agree with each other (no duplicate-chunk or stale-result errors).

@@ -566,7 +566,7 @@ def test_config_accepts_and_ignores_streaming_keyword():
     """``streaming=`` is no longer a mode: accepted, not stored."""
     config = PipelineConfig(streaming=True, sparse_labels=True)
     names = {spec.name for spec in dataclasses.fields(config)}
-    assert "streaming" not in names and len(names) == 23
+    assert "streaming" not in names and len(names) == 22
     assert config == PipelineConfig(streaming=False, sparse_labels=True)
 
 
