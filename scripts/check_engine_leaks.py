@@ -11,6 +11,8 @@ asserts the operating system is back to where it started:
 * plain runs, list- and generator-fed, at a small chunk size and at one
   chunk holding the whole stream, and the fused label+featurize pass twice,
   so the second runs on the workers' warm featurizer tables;
+* a chunk raising mid-stream while others are in flight (the run drains
+  them and raises; the same workers must serve the next run);
 * a worker crash mid-run (the master must reap the dead worker and its
   replacement, not just the happy path's);
 * a fault-tolerant crash-with-resubmission run;
@@ -50,6 +52,27 @@ def _crash_task(payload, fault_tolerant, index, start_row, candidates):
             open(flag, "w").close()
         os._exit(3)
     return apply_chunk(lfs, fault_tolerant, index, start_row, candidates)
+
+
+def _pid_task(payload, fault_tolerant, index, start_row, candidates):
+    """One triple per chunk, valued with the pid of the worker that ran it."""
+    import numpy as np
+
+    from repro.labeling.engine.accumulator import ChunkResult
+
+    zero = np.zeros(1, dtype=np.int64)
+    pid = np.array([os.getpid()], dtype=np.int64)
+    return ChunkResult(index, start_row, len(candidates), zero, zero, pid)
+
+
+def _raise_task(payload, fault_tolerant, index, start_row, candidates):
+    """Chunk ``payload`` raises at once; every other chunk sleeps first."""
+    import time
+
+    if index == payload:
+        raise ValueError(f"chunk {index} raised")
+    time.sleep(0.02)
+    return _pid_task(payload, fault_tolerant, index, start_row, candidates)
 
 
 def main() -> int:
@@ -107,9 +130,30 @@ def main() -> int:
             assert block.data.tobytes() == reference_block.data.tobytes()
             assert block.indices.tobytes() == reference_block.indices.tobytes()
 
+    # A chunk raising mid-stream with others in flight, not fault tolerant:
+    # the run drains and raises, and the same workers serve the next run.
+    pool = get_global_pool(2)
+
+    def worker_pids() -> set:
+        accumulator = CSRAccumulator()
+        pool.run(TaskSpec(task=_pid_task), iter_chunks(candidates, 50), accumulator)
+        return set(accumulator.merge().values.tolist())
+
+    pids, spawned = worker_pids(), pool.total_spawned
+    try:
+        pool.run(
+            spec=TaskSpec(task=_raise_task, payload=5),
+            chunks=iter_chunks(candidates, 50),
+            accumulator=CSRAccumulator(),
+        )
+        raise AssertionError("failing run unexpectedly succeeded")
+    except ValueError as exc:
+        assert str(exc) == "chunk 5 raised", exc
+    assert worker_pids() == pids and len(pids) == 2, pids
+    assert pool.total_spawned == spawned, (pool.total_spawned, spawned)
+
     # A worker crash mid-run: the pool must reap the dead worker and stay
     # serviceable.
-    pool = get_global_pool(2)
     accumulator = CSRAccumulator()
     try:
         pool.run(
@@ -157,8 +201,8 @@ def main() -> int:
             print(f"  - {problem}")
         return 1
     print(
-        "engine leak check passed: plain + fused + crash + resubmission runs, "
-        "0 segments, 0 surviving workers"
+        "engine leak check passed: plain + fused + mid-stream failure + crash + "
+        "resubmission runs, 0 segments, 0 surviving workers"
     )
     return 0
 

@@ -4,8 +4,9 @@ LF application has run on the :mod:`repro.labeling.engine` backends since
 PR 2; this module gives featurization the same treatment.
 :func:`featurize_stream` maps candidate chunks to CSR feature blocks via
 :func:`repro.labeling.engine.tasks.featurize_chunk` — sequential, threaded,
-or process-parallel, with the engine's windowed submission bounding in-flight
-memory — and merges them through the existing accumulator machinery into one
+or process-parallel, with the engine's one scheduler keeping at most a
+window of chunks in flight (bounded memory) — and merges them through the
+existing accumulator machinery into one
 :class:`~repro.discriminative.sparse_features.CSRFeatureMatrix`.  The
 produced matrix is bit-identical to ``featurizer.transform(candidates,
 sparse=True)`` for every backend and chunk size (the differential suite in

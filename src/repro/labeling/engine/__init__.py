@@ -12,9 +12,9 @@ The engine splits LF application into three orthogonal pieces:
 
 :func:`run_plan` is the one pass that wires them together: candidates stream
 in (any iterable — lists, generators, database cursors), chunks go to
-``plan.backend`` (the in-process loop, a thread pool, or the persistent
-worker runtime, each with a bounded in-flight window), triple blocks fan
-back in, and the result is identical for every backend.  The
+``plan.backend`` (the in-process loop, or a thread pool or the persistent
+worker runtime under one scheduler with a bounded in-flight window), triple
+blocks fan back in, and the result is identical for every backend.  The
 :class:`repro.labeling.applier.LFApplier` facade is the main consumer.
 """
 

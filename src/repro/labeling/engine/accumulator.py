@@ -3,11 +3,11 @@
 Workers never touch the global label matrix: :func:`apply_chunk` runs the LF
 suite over one chunk and returns a :class:`ChunkResult` holding the chunk's
 non-abstain entries as *local* ``(row_offset, col, value)`` triple arrays plus
-its suppressed-error counts and wall-clock time.  The master feeds every
-result (in whatever completion order the backend produces) into a
-:class:`CSRAccumulator`, which re-sorts by chunk index and concatenates the
-triple blocks with their global row offsets applied — a merge that is O(nnz)
-and independent of scheduling, so the :class:`EngineResult` it returns (the
+its suppressed-error counts and wall-clock time.  The engine's scheduler
+feeds every result into a :class:`CSRAccumulator` as it arrives, which
+re-sorts by chunk index and concatenates the triple blocks with their
+global row offsets applied — a merge that is O(nnz) and independent of
+scheduling, so the :class:`EngineResult` it returns (the
 one record of a run: merged triples plus statistics) is deterministic for
 every backend.  Λ has no other sink: the applier builds the label matrix
 from these triples, whatever storage the caller asked for.
@@ -215,9 +215,11 @@ class EngineResult:
 class CSRAccumulator:
     """Collects :class:`ChunkResult` blocks and merges them deterministically.
 
-    Blocks may arrive in any order (the pool backends complete out of
-    order); the merge sorts by chunk index, applies each block's global row
-    offset, and sums error counts in chunk order, so every backend produces
+    Blocks are added as :func:`repro.labeling.engine.executors.schedule`
+    sees them complete — on the pool backends that is not chunk order — and
+    replayed checkpoint blocks as they are drawn.  The merge sorts by chunk
+    index, applies each block's global row offset, and sums error counts in
+    chunk order, so every backend produces
     the same triples, the same error totals, and the same per-chunk timing
     sequence.  Memory is O(nnz) — the candidate chunks themselves are
     released as soon as their triples are extracted.

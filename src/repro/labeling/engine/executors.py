@@ -1,4 +1,4 @@
-"""The engine's top-level ``run_plan``: one pass of a chunk task over a stream.
+"""The engine's top-level ``run_plan`` and its one scheduler.
 
 :func:`run_plan` consumes a lazy chunk stream, runs a **chunk task** on each
 unit, and feeds every result into a :class:`CSRAccumulator`.  A chunk task is
@@ -7,7 +7,7 @@ any picklable callable with the
 ``task(payload, fault_tolerant, index, start_row, candidates) ->
 ChunkResult``; ``apply_chunk`` (the LF suite) is the default, and
 :mod:`repro.labeling.engine.tasks` adds featurization and the fused
-label+featurize task.  How the chunks are scheduled is ``plan.backend``:
+label+featurize task.  Where the chunks run is ``plan.backend``:
 
 * ``"sequential"`` — the in-process loop (no pool overhead);
 * ``"threads"`` — a ``concurrent.futures.ThreadPoolExecutor``, the right
@@ -22,17 +22,23 @@ label+featurize task.  How the chunks are scheduled is ``plan.backend``:
   candidate chunks then travel as pickled bytes over each worker's pipe
   and must be picklable.
 
-The pool backends submit through a window — at most ``plan.pending_limit()``
-chunks on the thread pool, one per worker on the process pool — so a
-generator-fed run keeps bounded memory no matter how large the stream is:
-chunks are drawn from the iterator only as workers free up.
+Both pool backends run under one scheduler, :func:`schedule`.  It draws
+chunks lazily, keeps at most the backend's window in flight
+(``plan.pending_limit()``: two chunks per thread, one per worker process),
+and merges each result as it completes, so a generator-fed run holds
+bounded memory however long the stream is.  On a chunk failure it draws
+nothing more, lets the chunks in flight finish, and raises the failure of
+the lowest chunk index — the one the sequential loop raises.  A backend
+supplies only ``submit(chunk)`` and ``completed()``; retries, deadlines and
+worker health stay inside the process pool.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from queue import SimpleQueue
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
     from repro.labeling.blockstore import ChunkCheckpointer
@@ -53,46 +59,54 @@ from repro.labeling.engine.plan import Chunk, ExecutionPlan, iter_chunks
 ChunkTask = Callable[[object, bool, int, int, list], ChunkResult]
 
 
-def _windowed_submit(
-    submit: Callable[[Chunk], Future],
-    chunks: Iterator[Chunk],
+def schedule(
+    submit: Callable[[Chunk], None],
+    completed: Callable[[], Iterable[tuple[int, object]]],
+    window: int,
+    chunks: Iterable[Chunk],
     accumulator: CSRAccumulator,
-    limit: int,
 ) -> None:
-    """Submit chunks with a bounded in-flight window; merge as they complete.
+    """Run ``chunks`` on a backend, at most ``window`` of them in flight.
 
-    On a chunk failure no further chunk is drawn; the chunks in flight
-    finish, and the failure of the lowest chunk index is raised — the one
-    the sequential loop raises, as the process pool does.
+    ``submit`` starts one chunk; ``completed`` blocks until at least one
+    has finished and returns ``(index, result or exception)`` for each.
+    Results are merged on arrival; after a failure nothing more is drawn,
+    the chunks in flight finish (their results still merge), and the
+    failure of the lowest chunk index is raised.
     """
-    pending: dict[Future, int] = {}
+    chunks = iter(chunks)
+    in_flight = 0
+    drawing = True
     failure: Optional[tuple[int, BaseException]] = None
-
-    def collect() -> None:
-        nonlocal failure
-        done, _ = wait(pending, return_when=FIRST_COMPLETED)
-        for future in done:
-            index = pending.pop(future)
-            try:
-                accumulator.add(future.result())
-            except Exception as exc:
-                if failure is None or index < failure[0]:
-                    failure = (index, exc)
-
-    try:
-        for chunk in chunks:
-            while len(pending) >= limit:
-                collect()
-            if failure is not None:
-                break
-            pending[submit(chunk)] = chunk.index
-        while pending:
-            collect()
-    finally:
-        for future in pending:
-            future.cancel()
+    while True:
+        while drawing and in_flight < window:
+            chunk = next(chunks, None)
+            if chunk is None:
+                drawing = False
+            else:
+                submit(chunk)
+                in_flight += 1
+        if not in_flight:
+            break
+        for index, outcome in completed():
+            in_flight -= 1
+            if not isinstance(outcome, BaseException):
+                accumulator.add(outcome)
+            elif failure is None or index < failure[0]:
+                failure, drawing = (index, outcome), False
     if failure is not None:
         raise failure[1]
+
+
+def _run_on_thread(done: SimpleQueue, task: ChunkTask, payload, fault_tolerant, chunk) -> None:
+    """A pool thread's job: one chunk, posted to ``done`` as it completes."""
+    try:
+        outcome = task(payload, fault_tolerant, chunk.index, chunk.start_row, chunk.candidates)
+    except BaseException as exc:
+        # Posted, never swallowed: the scheduler raises it in the master,
+        # which would otherwise wait forever for this chunk.
+        outcome = exc
+    done.put((chunk.index, outcome))
 
 
 def run_plan(
@@ -159,20 +173,21 @@ def run_plan(
                 task(payload, plan.fault_tolerant, chunk.index, chunk.start_row, chunk.candidates)
             )
     elif plan.backend == "threads":
-        with ThreadPoolExecutor(max_workers=plan.effective_workers()) as pool:
-            _windowed_submit(
+        done: SimpleQueue = SimpleQueue()
+        pool = ThreadPoolExecutor(max_workers=plan.effective_workers())
+        try:
+            schedule(
                 lambda chunk: pool.submit(
-                    task,
-                    payload,
-                    plan.fault_tolerant,
-                    chunk.index,
-                    chunk.start_row,
-                    chunk.candidates,
+                    _run_on_thread, done, task, payload, plan.fault_tolerant, chunk
                 ),
+                lambda: (done.get(),),
+                plan.pending_limit(),
                 chunks,
                 accumulator,
-                plan.pending_limit(),
             )
+        finally:
+            # Only an escaping exception leaves chunks queued here.
+            pool.shutdown(cancel_futures=True)
     else:
         # Workers are not created per call: the per-process pool is borrowed
         # and the spec attached (a no-op when the same payload object was

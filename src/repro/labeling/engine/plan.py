@@ -33,6 +33,12 @@ class Chunk(NamedTuple):
     candidates: list
 
 
+def check_count(name: str, value) -> None:
+    """Refuse anything but an integer >= 1 (``True`` included) for ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise LabelingError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def available_workers() -> int:
     """Number of CPUs this process may use (affinity-aware)."""
     try:
@@ -81,12 +87,10 @@ class ExecutionPlan:
     chunk_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # Validated here, once per plan, because the schedulers trust these
+        # Validated here, once per plan, because the scheduler trusts these
         # values: a NaN deadline would make the pool poll with timeout 0.
-        workers = 1 if self.num_workers is None else self.num_workers
-        for name, value in (("chunk_size", self.chunk_size), ("num_workers", workers)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise LabelingError(f"{name} must be an integer >= 1, got {value!r}")
+        check_count("chunk_size", self.chunk_size)
+        check_count("num_workers", 1 if self.num_workers is None else self.num_workers)
         timeout = self.chunk_timeout
         if timeout is not None and (
             isinstance(timeout, bool)
@@ -110,10 +114,16 @@ class ExecutionPlan:
         return self.num_workers
 
     def pending_limit(self) -> int:
-        """Maximum number of chunks in flight on the thread pool (the
-        backpressure window that keeps a generator-fed run out-of-core; the
-        process pool holds one chunk per worker)."""
-        return 2 * self.effective_workers()
+        """The scheduler's window: the most chunks this plan has in flight.
+
+        Drawn but not yet merged chunks are all a generator-fed run holds,
+        so the window keeps it out-of-core.  Two per thread, so no thread
+        waits on the master; one per worker process, because a second
+        chunk on a busy worker could deadlock its pipe
+        (:mod:`repro.labeling.engine.runtime`); one for the sequential loop.
+        """
+        workers = self.effective_workers()
+        return 2 * workers if self.backend == "threads" else workers
 
 
 def iter_chunks(candidates: Iterable, chunk_size: int) -> Iterator[Chunk]:
@@ -122,7 +132,9 @@ def iter_chunks(candidates: Iterable, chunk_size: int) -> Iterator[Chunk]:
     Sequences are sliced (no full copy of the container beyond the slice
     views); other iterables — generators, database cursors — are consumed
     chunk by chunk, so memory holds at most the chunks currently in flight.
+    ``chunk_size`` must be an integer >= 1 (:class:`LabelingError`).
     """
+    check_count("chunk_size", chunk_size)
     if isinstance(candidates, Sequence):
         for index, start in enumerate(range(0, len(candidates), chunk_size)):
             yield Chunk(index, start, list(candidates[start : start + chunk_size]))

@@ -28,12 +28,18 @@ on the pipe is length-framed and arrives whole or not at all (the worker is
 then dead), so nothing can be torn in transit; results are bit-identical to
 the sequential run (``tests/test_engine_transport.py``).
 
-Crash handling: the master waits on each worker's pipe *and* process
-sentinel.  A worker that dies mid-run surfaces as :class:`WorkerCrashError`
-(coded ``EN100``) naming the in-flight chunk; in fault-tolerant mode the
-pool respawns a replacement and resubmits the lost chunk (bounded by
-:data:`MAX_CHUNK_ATTEMPTS`).  The accumulator's duplicate-index guard means
-a resubmitted chunk can never be merged twice, so the deterministic merge
+The pool does not schedule: :meth:`WorkerPool.run` hands two hooks — submit
+a chunk to an idle worker, report the chunks that finished — to the
+engine's one scheduler (:func:`repro.labeling.engine.executors.schedule`),
+the loop that also drives the thread backend and decides the window, the
+draw order and which failure is raised.  What only a pool of processes has
+stays behind the completion hook: the master waits on each worker's pipe
+*and* process sentinel.  A worker that dies mid-run surfaces as
+:class:`WorkerCrashError` (coded ``EN100``) naming the in-flight chunk; in
+fault-tolerant mode the pool respawns a replacement and resubmits the lost
+chunk (bounded by :data:`MAX_CHUNK_ATTEMPTS`), so to the scheduler the chunk
+simply stays in flight.  The accumulator's duplicate-index guard means a
+resubmitted chunk can never be merged twice, so the deterministic merge
 survives crashes unchanged.
 """
 
@@ -46,15 +52,15 @@ import signal
 import time
 import traceback
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection, get_context
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.exceptions import LabelingError
 from repro.labeling.engine import faults
 from repro.labeling.engine.accumulator import ChunkResult, CSRAccumulator
-from repro.labeling.engine.plan import Chunk
+from repro.labeling.engine.executors import schedule
+from repro.labeling.engine.plan import Chunk, check_count
 
 __all__ = [
     "MAX_CHUNK_ATTEMPTS",
@@ -344,8 +350,7 @@ class WorkerPool:
     """
 
     def __init__(self, num_workers: int) -> None:
-        if num_workers < 1:
-            raise LabelingError(f"num_workers must be >= 1, got {num_workers}")
+        check_count("num_workers", num_workers)
         self.num_workers = num_workers
         #: Processes spawned over the pool's lifetime — the single-spawn
         #: regression probe (one pipeline run must not exceed num_workers).
@@ -358,7 +363,6 @@ class WorkerPool:
         self._workers: list[_Worker] = []
         self._specs: dict[int, TaskSpec] = {}
         self._spec_ids: dict[tuple, int] = {}
-        self._broken_specs: dict[int, BaseException] = {}
         self._next_spec_id = 0
         self._spawn_serial = 0
         self._running = False
@@ -424,7 +428,6 @@ class WorkerPool:
         self._retire_workers(join_timeout=5.0)
         self._specs.clear()
         self._spec_ids.clear()
-        self._broken_specs.clear()
 
     # ---------------------------------------------------------------- attach
     def _spec_key(self, spec: TaskSpec) -> tuple:
@@ -465,7 +468,6 @@ class WorkerPool:
 
     def _detach(self, sid: int) -> None:
         spec = self._specs.pop(sid, None)
-        self._broken_specs.pop(sid, None)
         if spec is not None:
             self._spec_ids.pop(self._spec_key(spec), None)
             for worker in self._workers:
@@ -476,224 +478,181 @@ class WorkerPool:
 
     def _respawn_generation(self) -> None:
         self._retire_workers(join_timeout=5.0)
-        self._broken_specs.clear()
         self._ensure_workers()
 
     # ------------------------------------------------------------------- run
     def run(
         self,
         spec: TaskSpec,
-        chunks: Iterator[Chunk],
+        chunks: Iterable[Chunk],
         accumulator: CSRAccumulator,
         chunk_timeout: Optional[float] = None,
     ) -> None:
         """Run a chunk stream against ``spec``, feeding the accumulator.
 
-        Submission is backpressure-aware: each worker holds at most one
-        chunk, so generator inputs stay out-of-core.  Results are claimed
-        and accumulated on arrival; the accumulator's chunk-index merge
-        keeps the output independent of completion order, crashes and
-        resubmissions included.
+        The pool attaches ``spec``, then hands :meth:`_submit` and
+        :meth:`_completed` to the engine's one scheduler
+        (:func:`repro.labeling.engine.executors.schedule`) with a window of
+        one chunk per worker, so generator inputs stay out-of-core.
 
         ``chunk_timeout`` bounds how long any chunk may stay in flight: past
         the deadline its worker draws a warning, and past ``chunk_timeout ×``
         :data:`TIMEOUT_ESCALATION` the worker is killed and the chunk
         resubmitted under the crash machinery (:class:`WorkerTimeoutError`,
         EN101) — a hung worker can no longer stall the run forever.  ``None``
-        (default) waits indefinitely, as before.
+        (default) waits indefinitely.  An exception that escapes with chunks
+        still in flight (unpicklable candidates, a raising accumulator
+        transform) retires the whole worker generation: a late result must
+        not reach the next run on this shared pool.
         """
         if self._running:
             raise LabelingError("WorkerPool.run is not reentrant")
-        sid = self.attach(spec)
+        self._sid = self.attach(spec)
         self._ensure_workers()
-        chunk_iter = iter(chunks)
-        resubmit: deque = deque()
-        state = {"exhausted": False, "failure": None, "respawn": None, "respawned": False}
-        fault_tolerant = spec.fault_tolerant
+        self._fault_tolerant = spec.fault_tolerant
+        self._chunk_timeout = chunk_timeout
+        self._heal_pending = self._healed = False
         self._running = True
-
-        def in_flight() -> list[_Worker]:
-            return [worker for worker in self._workers if worker.pending is not None]
-
-        def note_failure(order_key: int, exc: BaseException) -> None:
-            failure = state["failure"]
-            if failure is None or order_key < failure[0]:
-                state["failure"] = (order_key, exc)
-
-        def submit(worker: _Worker, chunk: Chunk, attempts: int) -> None:
-            start = time.perf_counter()
-            blob = pickle.dumps(chunk.candidates, _PICKLE_PROTOCOL)
-            worker.conn.send(("task", sid, chunk.index, chunk.start_row, blob))
-            worker.pending = _InFlight(
-                chunk, attempts, time.perf_counter() - start, started=time.monotonic()
-            )
-
-        def fill() -> None:
-            for worker in self._workers:
-                if state["failure"] is not None:
-                    return
-                if worker.pending is not None:
-                    continue
-                if resubmit:
-                    chunk, attempts = resubmit.popleft()
-                elif not state["exhausted"]:
-                    try:
-                        chunk, attempts = next(chunk_iter), 1
-                    except StopIteration:
-                        state["exhausted"] = True
-                        return
-                else:
-                    return
-                submit(worker, chunk, attempts)
-
-        def handle_message(worker: _Worker, msg) -> None:
-            kind = msg[0]
-            if kind == "result":
-                _, _index, blob, worker_seconds = msg
-                entry, worker.pending = worker.pending, None
-                start = time.perf_counter()
-                result = pickle.loads(blob)
-                result.transport_seconds = (
-                    worker_seconds + entry.submit_seconds + time.perf_counter() - start
-                )
-                if state["failure"] is None:
-                    accumulator.add(result)
-            elif kind == "error":
-                _, index, payload = msg
-                entry, worker.pending = worker.pending, None
-                if state["respawn"] is not None:
-                    # The worker could not attach the spec; its per-task
-                    # errors are attach fallout, not task failures — the
-                    # chunk reruns on the respawned generation.
-                    resubmit.append((entry.chunk, entry.attempts))
-                    return
-                note_failure(index, _rebuild_exc(payload))
-            elif kind == "attach_error":
-                _, bad_sid, payload = msg
-                exc = _rebuild_exc(payload)
-                if bad_sid != sid:
-                    self._broken_specs[bad_sid] = exc
-                elif state["respawned"]:
-                    note_failure(-1, exc)
-                else:
-                    # A spec that pickled master-side can still fail to load
-                    # in a worker forked before its definitions existed
-                    # (e.g. suites built in __main__ after the pool warmed
-                    # up).  Fork-respawning is guaranteed to attach — the
-                    # spec travels by memory — so self-heal once per run.
-                    state["respawn"] = exc
-
-        def handle_death(worker: _Worker, timed_out: bool = False) -> None:
-            entry = worker.pending
-            pid = worker.process.pid
-            self._destroy_worker(worker)
-            if state["failure"] is not None:
-                return
-            if entry is not None:
-                if fault_tolerant and entry.attempts < MAX_CHUNK_ATTEMPTS:
-                    resubmit.append((entry.chunk, entry.attempts + 1))
-                elif timed_out:
-                    note_failure(entry.chunk.index, WorkerTimeoutError(
-                        entry.chunk.index, pid, chunk_timeout, entry.attempts
-                    ))
-                    return
-                else:
-                    note_failure(entry.chunk.index, WorkerCrashError(
-                        entry.chunk.index, pid, worker.process.exitcode, entry.attempts
-                    ))
-                    return
-            if not state["exhausted"] or resubmit:
-                self._workers.append(self._spawn_worker())
-
-        def next_deadline() -> Optional[float]:
-            """Earliest pending warn/kill deadline, as a ``wait`` timeout."""
-            if chunk_timeout is None or not in_flight():
-                return None
-            soonest = min(
-                worker.pending.started
-                + chunk_timeout * (TIMEOUT_ESCALATION if worker.pending.warned else 1.0)
-                for worker in in_flight()
-            )
-            return max(0.0, soonest - time.monotonic())
-
-        def enforce_deadlines() -> None:
-            """Warn on, then kill, workers whose chunk overstayed.
-
-            A kill flows through :func:`handle_death` (resubmission, respawn,
-            attempt cap) with the chunk coded EN101.
-            """
-            now = time.monotonic()
-            for worker in in_flight():
-                entry = worker.pending
-                age = now - entry.started
-                if age >= chunk_timeout * TIMEOUT_ESCALATION:
-                    worker.process.kill()
-                    worker.process.join()
-                    handle_death(worker, timed_out=True)
-                elif age >= chunk_timeout and not entry.warned:
-                    entry.warned = True
-                    warnings.warn(
-                        f"chunk {entry.chunk.index} has been in flight "
-                        f"{age:.1f}s on worker {worker.process.pid} (deadline "
-                        f"{chunk_timeout:g}s); the worker will be killed at "
-                        f"{chunk_timeout * TIMEOUT_ESCALATION:g}s",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-
         try:
-            while True:
-                fill()
-                if not in_flight():
-                    failure = state["failure"]
-                    if failure is not None:
-                        raise failure[1]
-                    if state["exhausted"] and not resubmit:
-                        return
-                    if not self._workers:
-                        self._ensure_workers()
-                    continue
-                by_waitable = {}
-                for worker in self._workers:
-                    by_waitable[worker.conn] = worker
-                    by_waitable[worker.process.sentinel] = worker
-                ready = connection.wait(list(by_waitable), timeout=next_deadline())
-                for worker in {by_waitable[obj] for obj in ready}:
-                    dead = False
-                    while True:
-                        try:
-                            if not worker.conn.poll():
-                                break
-                            msg = worker.conn.recv()
-                        except (EOFError, OSError):
-                            dead = True
-                            break
-                        handle_message(worker, msg)
-                    if dead or not worker.process.is_alive():
-                        handle_death(worker)
-                if chunk_timeout is not None:
-                    enforce_deadlines()
-                if state["respawn"] is not None and state["failure"] is None:
-                    state["respawned"] = True
-                    state["respawn"] = None
-                    resubmit.extend(
-                        (worker.pending.chunk, worker.pending.attempts)
-                        for worker in in_flight()
-                    )
-                    self._respawn_generation()
+            schedule(self._submit, self._completed, self.num_workers, chunks, accumulator)
         finally:
             self._running = False
-            if in_flight():
-                # Controlled exits (normal return, the failure raise above)
-                # only happen with zero chunks in flight, so a pending entry
-                # here means an unexpected exception escaped the loop — e.g.
-                # unpicklable candidates in submit(), or an accumulator
-                # transform raising in handle_message.  Leaving it would
-                # poison the shared global pool: the next run would pop this
-                # run's late-arriving result against its own entry.
-                # Quarantine by retiring the whole worker generation; the
-                # next attach/run respawns a clean one.
+            if self._busy():
                 self._retire_workers()
+
+    def _busy(self) -> list[_Worker]:
+        return [worker for worker in self._workers if worker.pending is not None]
+
+    def _submit(self, chunk: Chunk, attempts: int = 1) -> None:
+        """Send one chunk to an idle worker, spawning one if none is left."""
+        self._ensure_workers()
+        worker = next(worker for worker in self._workers if worker.pending is None)
+        start = time.perf_counter()
+        blob = pickle.dumps(chunk.candidates, _PICKLE_PROTOCOL)
+        worker.conn.send(("task", self._sid, chunk.index, chunk.start_row, blob))
+        worker.pending = _InFlight(
+            chunk, attempts, time.perf_counter() - start, started=time.monotonic()
+        )
+
+    def _completed(self) -> list[tuple[int, object]]:
+        """Wait for chunks to finish; ``(index, result or exception)`` each.
+
+        The pool's pump: it waits on every worker's pipe and process
+        sentinel.  A dead or deadline-killed worker is reaped, and its chunk
+        either resubmitted (fault-tolerant, under :data:`MAX_CHUNK_ATTEMPTS`)
+        or reported as EN100 / EN101.  A spec that fails to attach respawns
+        the generation once and reruns the chunks in flight on it.
+        """
+        outcomes: list[tuple[int, object]] = []
+        while not outcomes:
+            by_waitable = {}
+            for worker in self._workers:
+                by_waitable[worker.conn] = worker
+                by_waitable[worker.process.sentinel] = worker
+            ready = connection.wait(list(by_waitable), timeout=self._next_deadline())
+            for worker in {by_waitable[obj] for obj in ready}:
+                dead = False
+                while not dead:
+                    try:
+                        if not worker.conn.poll():
+                            break
+                        msg = worker.conn.recv()
+                    except (EOFError, OSError):
+                        dead = True
+                    else:
+                        self._receive(worker, msg, outcomes)
+                if dead or not worker.process.is_alive():
+                    self._bury(worker, outcomes)
+            if self._chunk_timeout is not None:
+                self._enforce_deadlines(outcomes)
+            if self._heal_pending:
+                self._heal_pending, self._healed = False, True
+                lost = [worker.pending for worker in self._busy()]
+                self._respawn_generation()
+                for entry in lost:
+                    self._submit(entry.chunk, entry.attempts)
+        return outcomes
+
+    def _receive(self, worker: _Worker, msg, outcomes: list) -> None:
+        kind = msg[0]
+        if kind == "attach_error":
+            # A spec that pickled master-side can still fail to load in a
+            # worker forked before its definitions existed (e.g. suites built
+            # in __main__ after the pool warmed up).  Fork-respawning is
+            # guaranteed to attach — the spec travels by memory — so heal
+            # once per run.  A second failure reaches the scheduler as each
+            # chunk's error, which carries the attach exception.
+            if msg[1] == self._sid and not self._healed:
+                self._heal_pending = True
+        elif kind == "result":
+            _, index, blob, worker_seconds = msg
+            entry, worker.pending = worker.pending, None
+            start = time.perf_counter()
+            result = pickle.loads(blob)
+            result.transport_seconds = (
+                worker_seconds + entry.submit_seconds + time.perf_counter() - start
+            )
+            outcomes.append((index, result))
+        elif not self._heal_pending:
+            # With a heal pending, a task error is attach fallout: the entry
+            # stays pending and reruns on the respawned generation.
+            _, index, payload = msg
+            worker.pending = None
+            outcomes.append((index, _rebuild_exc(payload)))
+
+    def _bury(self, worker: _Worker, outcomes: list, timed_out: bool = False) -> None:
+        """Reap a dead worker; resubmit or report the chunk it held."""
+        entry = worker.pending
+        pid = worker.process.pid
+        self._destroy_worker(worker)
+        if entry is None:
+            return
+        index = entry.chunk.index
+        if self._fault_tolerant and entry.attempts < MAX_CHUNK_ATTEMPTS:
+            self._submit(entry.chunk, entry.attempts + 1)
+        elif timed_out:
+            outcomes.append(
+                (index, WorkerTimeoutError(index, pid, self._chunk_timeout, entry.attempts))
+            )
+        else:
+            outcomes.append(
+                (index, WorkerCrashError(index, pid, worker.process.exitcode, entry.attempts))
+            )
+
+    def _next_deadline(self) -> Optional[float]:
+        """Earliest pending warn/kill deadline, as a ``wait`` timeout."""
+        busy = self._busy()
+        if self._chunk_timeout is None or not busy:
+            return None
+        soonest = min(
+            worker.pending.started
+            + self._chunk_timeout * (TIMEOUT_ESCALATION if worker.pending.warned else 1.0)
+            for worker in busy
+        )
+        return max(0.0, soonest - time.monotonic())
+
+    def _enforce_deadlines(self, outcomes: list) -> None:
+        """Warn on, then kill, workers whose chunk overstayed; a kill is
+        buried like a crash, with the chunk coded EN101."""
+        timeout = self._chunk_timeout
+        now = time.monotonic()
+        for worker in self._busy():
+            entry = worker.pending
+            age = now - entry.started
+            if age >= timeout * TIMEOUT_ESCALATION:
+                worker.process.kill()
+                worker.process.join()
+                self._bury(worker, outcomes, timed_out=True)
+            elif age >= timeout and not entry.warned:
+                entry.warned = True
+                warnings.warn(
+                    f"chunk {entry.chunk.index} has been in flight "
+                    f"{age:.1f}s on worker {worker.process.pid} (deadline "
+                    f"{timeout:g}s); the worker will be killed at "
+                    f"{timeout * TIMEOUT_ESCALATION:g}s",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
 
 
 # --------------------------------------------------------------------------

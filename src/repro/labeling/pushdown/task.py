@@ -10,8 +10,8 @@ payload of :func:`label_chunk_pushdown`, a drop-in
 :data:`~repro.labeling.engine.executors.ChunkTask`: same signature, same
 :class:`~repro.labeling.engine.accumulator.ChunkResult` contract, same
 deterministic CSR triples — so it composes unchanged with the sequential /
-threads / processes backends, windowed submission, the accumulator merge,
-and the fused wrapper
+threads / processes backends, the engine's one scheduler, the accumulator
+merge, and the fused wrapper
 :func:`~repro.labeling.engine.tasks.label_and_featurize_chunk`, which takes
 it as its label task (labels + features in one pass).
 

@@ -8,6 +8,8 @@ report shape.  Process workers receive candidate chunks by pickling, so the
 suite uses the picklable synthetic streaming candidates.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from repro.datasets.synthetic import (
 )
 from repro.exceptions import ConfigurationError, LabelingError
 from repro.labeling import LabelingFunction, LFApplier
-from repro.labeling.engine import ExecutionPlan, iter_chunks, run_plan
+from repro.labeling.blockstore import BlockStore, ChunkCheckpointer
+from repro.labeling.engine import ExecutionPlan, apply_chunk, iter_chunks, run_plan, runtime
 from repro.pipeline.snorkel import PipelineConfig
 
 BACKENDS = ("sequential", "threads", "processes")
@@ -164,6 +167,84 @@ def test_iter_chunks_draws_lazily():
     second = next(chunks)
     assert second.start_row == 10
     assert len(drawn) == 20
+
+
+@pytest.mark.parametrize("chunk_size", [0, -3, 2.5, True, None])
+def test_iter_chunks_refuses_what_the_plan_refuses(chunk_size):
+    # A generator with chunk size 0 used to yield no chunk at all, silently
+    # dropping the stream; a list raised range's bare ValueError instead.
+    for candidates in (make_candidates(num_points=5), iter(make_candidates(num_points=5))):
+        with pytest.raises(LabelingError, match="chunk_size must be an integer >= 1"):
+            list(iter_chunks(candidates, chunk_size))
+
+
+# ------------------------------------------------------------------ scheduling
+def _slow_apply(lfs, fault_tolerant, index, start_row, candidates):
+    """``apply_chunk`` after a pause, so the scheduler's window fills."""
+    time.sleep(0.005)
+    return apply_chunk(lfs, fault_tolerant, index, start_row, candidates)
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_window_bounds_drawn_but_unmerged_chunks(backend, tmp_path):
+    """Drawn − merged never exceeds the backend's window: not on a fresh
+    run, and not on one that replays checkpointed chunks as it draws."""
+    lfs = synthetic_vote_lfs(5)
+    candidates = make_candidates(num_points=200)
+    plan = ExecutionPlan(chunk_size=8, backend=backend, num_workers=2)
+    window = plan.pending_limit()
+    assert window == (4 if backend == "threads" else 2)
+    reference = LFApplier(lfs).apply(candidates).values
+    with BlockStore(str(tmp_path / "store")) as store:
+        checkpoint = ChunkCheckpointer(store, "train")
+        run_plan(lfs, candidates[:48], plan, checkpoint=checkpoint)
+        assert checkpoint.completed == set(range(6))
+        for replaying in (None, checkpoint):
+            pulled, gaps = [], []
+
+            def stream():
+                for candidate in candidates:
+                    pulled.append(candidate)
+                    yield candidate
+
+            def transform(result):
+                drawn = -(-len(pulled) // plan.chunk_size)
+                gaps.append(drawn - len(gaps))
+                return result
+
+            result = run_plan(
+                lfs, stream(), plan, transform, _slow_apply, checkpoint=replaying
+            )
+            dense = np.zeros_like(reference)
+            dense[result.rows, result.cols] = result.values
+            assert np.array_equal(dense, reference)
+            assert len(gaps) == 25
+            assert 1 <= max(gaps) <= window, gaps
+
+
+def _lowest_fails_last_task(lfs, fault_tolerant, index, start_row, candidates):
+    """Chunk 0 raises after a pause, chunk 1 at once, the others succeed."""
+    if index == 0:
+        time.sleep(0.3)
+    if index < 2:
+        raise ValueError(f"chunk {index} failed")
+    return apply_chunk(lfs, fault_tolerant, index, start_row, candidates)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_lowest_chunk_failure_is_raised_whatever_fails_first(backend):
+    """Chunk 1 fails first in time; every backend still raises chunk 0's
+    failure, after draining what is in flight — so the process pool is not
+    quarantined and its warm workers serve the next run."""
+    lfs = synthetic_vote_lfs(5)
+    candidates = make_candidates(num_points=60)
+    plan = ExecutionPlan(chunk_size=10, backend=backend, num_workers=2)
+    run_plan(lfs, candidates, plan)
+    spawned = runtime.get_global_pool(2).total_spawned
+    with pytest.raises(ValueError, match="^chunk 0 failed$"):
+        run_plan(lfs, candidates, plan, task=_lowest_fails_last_task)
+    assert run_plan(lfs, candidates, plan).num_candidates == 60
+    assert runtime.get_global_pool(2).total_spawned == spawned
 
 
 def test_stream_gold_matches_candidates():

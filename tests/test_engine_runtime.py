@@ -109,6 +109,13 @@ def test_pool_spawns_workers_exactly_once():
         pool.close()
 
 
+@pytest.mark.parametrize("num_workers", [0, -1, 2.5, True, "2"])
+def test_pool_refuses_what_the_plan_refuses(num_workers):
+    # WorkerPool(2.5) used to be kept and then spawned three processes.
+    with pytest.raises(LabelingError, match="num_workers must be an integer >= 1"):
+        WorkerPool(num_workers)
+
+
 def test_applier_reuses_global_pool_across_applies():
     runtime.shutdown_pools()
     lfs = synthetic_vote_lfs(4)
@@ -477,6 +484,56 @@ def test_attach_heals_silently_dead_worker():
             accumulator,
         )
         assert len(set(accumulator.merge().values.tolist())) == 2
+    finally:
+        pool.close()
+
+
+_FORKED_AFTER_WARMUP = False
+
+
+def _load_only_in_late_forks(value):
+    if not _FORKED_AFTER_WARMUP:
+        raise RuntimeError("defined after this worker was forked")
+    return value
+
+
+class _LateDefinition:
+    """Pickles master-side; loads only in workers forked after the flag."""
+
+    def __reduce__(self):
+        return (_load_only_in_late_forks, ("late",))
+
+
+def _refuse_to_build(payload):
+    raise KeyError("the builder always fails")
+
+
+def test_attach_failure_heals_once_by_respawn(monkeypatch):
+    """A spec the warm workers cannot load respawns the generation once,
+    which inherits it by memory and runs every chunk; a spec that no worker
+    can build raises its builder's exception after that one respawn."""
+    candidates = make_candidates(num_points=100)
+    pool = WorkerPool(num_workers=2)
+    try:
+        pids = _probe_pids(pool, candidates)
+        monkeypatch.setattr(f"{__name__}._FORKED_AFTER_WARMUP", True)
+        accumulator = CSRAccumulator()
+        pool.run(
+            TaskSpec(task=_pid_probe_task, payload=_LateDefinition()),
+            iter_chunks(candidates, 10),
+            accumulator,
+        )
+        merged = accumulator.merge()
+        assert merged.num_chunks == 10
+        assert pool.total_spawned == 4
+        assert pids.isdisjoint(merged.values.tolist())
+        with pytest.raises(KeyError, match="builder always fails"):
+            pool.run(
+                TaskSpec(task=_pid_probe_task, payload=("x",), builder=_refuse_to_build),
+                iter_chunks(candidates, 10),
+                CSRAccumulator(),
+            )
+        assert pool.total_spawned == 6
     finally:
         pool.close()
 
