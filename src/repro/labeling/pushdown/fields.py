@@ -184,17 +184,20 @@ class ColumnarChunk:
     so results and errors are always exactly the accessor's.
 
     ``memo`` is the per-apply memo of the compiled plan evaluating over the
-    block (``None`` outside one; see :class:`~repro.labeling.pushdown.
-    program.TokenScan`).  A block is also the sequence of its candidates, so
+    block and ``token_groups`` that plan's token kernels by source column
+    (both ``None`` outside one; see :func:`~repro.labeling.pushdown.
+    program.token_groups`).  A block is also the sequence of its candidates, so
     the interpreted chunk task takes one as it is.
     """
 
-    __slots__ = ("candidates", "num_rows", "memo", "_cache", "_canonical", "_rows", "_ids")
+    __slots__ = ("candidates", "num_rows", "memo", "token_groups", "_cache", "_canonical", "_rows",
+                 "_ids")
 
     def __init__(self, candidates: Sequence) -> None:
         self.candidates = candidates
         self.num_rows = len(candidates)
         self.memo: Optional[dict] = None
+        self.token_groups: Optional[dict] = None
         self._cache: dict[tuple, Column] = {}
         self._canonical: Optional[bool] = None
         self._rows: Any = _UNREAD

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import operator
 import re
-from itertools import repeat
+from functools import partial
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -454,78 +454,33 @@ class _TokenIndex:
     (:mod:`repro.utils.tokens`): for the sentence words these are the ids
     the block looked up for both of its readers (:meth:`~repro.labeling.
     pushdown.fields.ColumnarChunk.word_ids`), for any other column they are
-    looked up here.  The distinct ids of the chunk (``ids``), their tokens
-    as Python ``str`` (``tokens``) and each flat token's position among them
-    (``inverse``) follow by array ops, so every kernel over the same source
-    column — lowercasing, equality, vocabulary membership, first-match
-    scans — runs over the few distinct tokens and gathers the result back
-    through ``inverse`` instead of sweeping every token again.  The rows the
-    kernels cannot vouch for — rows that are not ``list``/``tuple``, or rows
-    holding a token that is not exactly a ``str`` — count as empty, are
-    collected in ``fallback_rows``, and :class:`TokenMatch` /
-    :class:`TokenScan` recompute those with their exact per-row Python
-    fallback.
+    looked up here.  The distinct ids of the chunk (``ids``), each flat
+    token's position among them (``inverse``) and its row (``row_of``)
+    follow by array ops, so the token kernels over the column
+    (:func:`_resolve`) run over the few distinct tokens and gather their
+    outcomes back through ``inverse`` instead of sweeping every token again.
+    The rows the kernels cannot vouch for — rows that are not
+    ``list``/``tuple``, or rows holding a token that is not exactly a
+    ``str`` — count as empty, are collected in ``fallback_rows``, and take
+    each kernel's exact per-row Python path.
     """
 
-    __slots__ = ("rows", "offsets", "lengths", "fallback_rows", "table", "ids", "tokens",
-                 "inverse", "_lowered")
+    __slots__ = ("rows", "row_of", "fallback_rows", "table", "ids", "inverse")
 
     def __init__(self, column: Column, n: int, words: Optional[tuple] = None) -> None:
         rows = column.values.tolist()
         table, flat_ids, lengths, fallback = words or token_table.token_rows(rows)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
         present = np.zeros(len(table.tokens), dtype=bool)
         present[flat_ids] = True
-        ids = np.flatnonzero(present)
+        ids = present.nonzero()[0]
         position = np.zeros(present.size, dtype=np.int64)
         position[ids] = np.arange(ids.size)
         self.rows = rows
-        self.offsets = offsets
-        self.lengths = lengths
+        self.row_of = np.arange(n).repeat(lengths)
         self.fallback_rows = fallback
         self.table = table
         self.ids = ids
-        self.tokens = list(map(table.tokens.__getitem__, ids.tolist()))
         self.inverse = position[flat_ids]
-        self._lowered = None
-
-    def lowered(self, lower: bool) -> list:
-        """The distinct tokens, ``str.lower``-ed when ``lower`` (as ``normalize`` does)."""
-        if not lower:
-            return self.tokens
-        if self._lowered is None:
-            self._lowered = list(map(str.lower, self.tokens))
-        return self._lowered
-
-    def match_eq(self, needle: Any, lower: bool) -> np.ndarray:
-        tokens = self.lowered(lower)
-        mask_u = np.fromiter(map(operator.eq, tokens, repeat(needle)), bool, len(tokens))
-        return self.row_any(mask_u[self.inverse])
-
-    def match_isin(self, members: set, lower: bool) -> np.ndarray:
-        tokens = self.lowered(lower)
-        mask_u = np.fromiter(map(members.__contains__, tokens), bool, len(tokens))
-        return self.row_any(mask_u[self.inverse])
-
-    def row_any(self, token_mask: np.ndarray) -> np.ndarray:
-        """Per-row ``any(token matched)`` via a cumulative-sum difference."""
-        counts = np.zeros(len(token_mask) + 1, dtype=np.int64)
-        np.cumsum(token_mask, out=counts[1:])
-        return (counts[self.offsets[1:]] - counts[self.offsets[:-1]]) > 0
-
-    def row_first(self, token_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row: did a token match, and the flat position of the first
-        that did (meaningless where none did)."""
-        positions = np.flatnonzero(token_mask)
-        if not positions.size:
-            empty = np.zeros(len(self.lengths), dtype=np.int64)
-            return empty.astype(bool), empty
-        # The first matching position at or after the row's start is the
-        # row's own only if it still lies before the row's end.
-        nearest = np.searchsorted(positions, self.offsets[:-1])
-        first = positions[np.minimum(nearest, positions.size - 1)]
-        return (nearest < positions.size) & (first < self.offsets[1:]), first
 
 
 def _token_index(chunk: ColumnarChunk, child: ColExpr, column: Column) -> _TokenIndex:
@@ -535,70 +490,6 @@ def _token_index(chunk: ColumnarChunk, child: ColExpr, column: Column) -> _Token
         words = chunk.word_ids() if child.key == _WORDS_KEY and column.errors is None else None
         index = chunk.put(key, _TokenIndex(column, chunk.num_rows, words))  # type: ignore[arg-type]
     return index  # type: ignore[return-value]
-
-
-class TokenMatch(ColExpr):
-    """Vectorized any-token predicate over a token-sequence column.
-
-    The compiler lowers three idioms to this node: keyword membership — the
-    first-match loop ``for t in seq: if normalize(t) in VOCAB: return K``
-    and ``bool({normalize(t) for t in seq} & VOCAB)`` (mode ``"isin"``) —
-    single-token phrase containment over a normalized list (``"eq"``), and
-    non-emptiness of a derived container (``"nonempty"``).  Each runs as one
-    flattened sweep per chunk instead of a per-row Python loop: each
-    distinct token of the shared :class:`_TokenIndex` is lowercased
-    (``str.lower``) when the idiom normalizes and compared as the Python
-    ``str`` it is, and the per-row ``any`` is a cumsum difference over row
-    offsets.  Rows the index cannot vouch for are recomputed with
-    ``row_fallback`` — the exact per-row Python equivalent — so values and
-    errors stay bit-identical to the interpreted path.
-    """
-
-    __slots__ = ("child", "mode", "needle", "lower", "row_fallback")
-    is_bool = True
-
-    def __init__(
-        self,
-        child: ColExpr,
-        mode: str,
-        needle: Any,
-        lower: bool,
-        row_fallback: Callable,
-    ) -> None:
-        self.child = child
-        self.mode = mode  # "eq" | "isin" | "nonempty"
-        self.needle = needle
-        self.lower = lower
-        self.row_fallback = row_fallback
-        self.key = ("tokmatch", mode, bool(lower), const_key(needle), child.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        column = self.child.eval(chunk)
-        index = _token_index(chunk, self.child, column)
-        if self.mode == "nonempty":
-            values = index.lengths > 0
-        elif self.mode == "eq":
-            values = index.match_eq(self.needle, self.lower)
-        else:
-            # Non-string members can never equal a string token, so the
-            # sweep only checks the string members; rows with non-string
-            # tokens are in fallback_rows and recomputed.
-            values = index.match_isin({m for m in self.needle if type(m) is str}, self.lower)
-        errors = dict(column.errors) if column.errors else {}
-        if index.fallback_rows:
-            fallback = self.row_fallback
-            rows = index.rows
-            for i in sorted(index.fallback_rows):
-                if i in errors:
-                    continue
-                try:
-                    values[i] = bool(fallback(rows[i]))
-                except Exception as exc:  # noqa: BLE001 - faithful capture
-                    values[i] = False
-                    errors[i] = exc
-        if errors:
-            values[np.fromiter(errors, dtype=np.int64)] = False
-        return Column(values, errors or None)
 
 
 class TokenScan(ColExpr):
@@ -611,16 +502,10 @@ class TokenScan(ColExpr):
     membership test with a constant return lowers to :class:`TokenMatch`
     instead).  The node is the loop's guard — true where some token matched —
     and :attr:`labels` is the leaf holding the canonical label that match
-    returned.  ``pred`` and ``arm`` are the exact Python closures, but they
-    run once per *distinct* token of the chunk (the :class:`_TokenIndex` is
-    shared with every other token kernel over the same column), and a
-    token's outcome is kept, by its id in the process's token table, for
-    the rest of the apply call (:meth:`_outcomes`) — not longer, since a
-    constant a closure reads when it runs may change between calls; each
-    row's first matching token is then resolved vectorized.  Rows the index
-    cannot vouch for, and rows holding a token on which either closure
-    raised, take the exact per-row loop, so labels, error rows and
-    exceptions are those of the interpreted loop.
+    returned.  ``pred`` and ``arm`` are the exact Python closures, run once
+    per distinct token (:meth:`_sweep`); the node itself is resolved with
+    every other token kernel of its plan over the same source column
+    (:func:`_resolve`).
     """
 
     __slots__ = ("child", "pred", "arm", "labels")
@@ -636,71 +521,185 @@ class TokenScan(ColExpr):
         self.key = ("tokscan", scan_key, child.key)
         self.labels = _ScanLabels(self)
 
+    def _compute(self, chunk: ColumnarChunk) -> Column:
+        groups = chunk.token_groups
+        _resolve(chunk, groups.get(self.key, (self,)) if groups else (self,))
+        return chunk.get(self.key)  # type: ignore[return-value]
+
     def _scan_row(self, row) -> tuple[bool, int]:
+        """The exact per-row loop: ``(matched, label)``."""
         pred = self.pred
         for token in row:
             if pred(token):
                 return True, self.arm(token)
         return False, 0
 
-    def _outcomes(self, chunk: ColumnarChunk, index: _TokenIndex) -> np.ndarray:
-        """Each distinct token's outcome: ``_NO_MATCH``, ``_RAISED``, or
-        ``label << 2 | _MATCH`` for a match whose arm returned ``label``.
-
-        Outcomes are kept in the chunk's ``memo`` (the plan's, one apply
-        call long) by token id of ``index.table``, so the closures run once
-        per distinct token per apply call, not once per chunk.
-        """
-        memo, table, ids = chunk.memo, index.table, index.ids
-        state = memo.get(self.key) if memo is not None else None
-        known = state[1] if state is not None and state[0] is table else np.zeros(0, np.int64)
-        outcomes = np.zeros(ids.size, np.int64)
-        seen = ids < known.size
-        outcomes[seen] = known[ids[seen]]
-        todo = np.flatnonzero(outcomes == 0)
-        pred, arm, tokens = self.pred, self.arm, index.tokens
-        for j in todo.tolist():
-            token = tokens[j]
+    def _sweep(self, tokens: list) -> list:
+        """Each token's outcome: ``_NO_MATCH``, ``_RAISED``, or
+        ``label << 2 | _MATCH`` for a match whose arm returned ``label``."""
+        pred, arm, outcomes = self.pred, self.arm, []
+        for token in tokens:
             try:
-                outcomes[j] = arm(token) << 2 | _MATCH if pred(token) else _NO_MATCH
+                outcomes.append(arm(token) << 2 | _MATCH if pred(token) else _NO_MATCH)
             except Exception:  # noqa: BLE001 - its rows rerun the exact loop
-                outcomes[j] = _RAISED
-        if todo.size and memo is not None and len(table.tokens) <= token_table.TABLE_CAP:
-            if known.size <= ids[-1]:
-                known = np.concatenate([known, np.zeros(len(table.tokens) - known.size, np.int64)])
-            known[ids[todo]] = outcomes[todo]
-            memo[self.key] = (table, known)
+                outcomes.append(_RAISED)
         return outcomes
 
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        column = self.child.eval(chunk)
-        index = _token_index(chunk, self.child, column)
-        outcomes = self._outcomes(chunk, index)
-        kind, inverse = outcomes & 3, index.inverse
-        hit, first = index.row_first((kind == _MATCH)[inverse])
-        labels = np.zeros(chunk.num_rows, dtype=np.int64)
-        labels[hit] = (outcomes >> 2)[inverse[first[hit]]]
-        slow = set(index.fallback_rows)
-        if (kind == _RAISED).any():
-            slow.update(np.flatnonzero(index.row_any((kind == _RAISED)[inverse])).tolist())
-        errors = dict(column.errors) if column.errors else {}
-        for i in sorted(slow):
+
+def _no_label(token: str) -> int:
+    return 0
+
+
+class TokenMatch(TokenScan):
+    """Any-token predicate over a token-sequence column: a :class:`TokenScan`
+    whose test is a C-level callable and whose match carries no label.
+
+    The compiler lowers three idioms to this node: keyword membership — the
+    first-match loop ``for t in seq: if normalize(t) in VOCAB: return K``
+    and ``bool({normalize(t) for t in seq} & VOCAB)`` (mode ``"isin"``) —
+    single-token phrase containment over a normalized list (``"eq"``), and
+    non-emptiness of a derived container (``"nonempty"``).  Each distinct
+    token is lowercased (``str.lower``) when the idiom normalizes and tested
+    as the Python ``str`` it is — by the vocabulary's own ``__contains__``,
+    or ``==`` with the phrase token — in one ``map`` with no Python frame
+    per token.  Rows the index cannot vouch for, and rows holding a token
+    whose test raised, take ``row_fallback``, the exact per-row Python
+    equivalent, so values and errors stay those of the interpreted path.
+    """
+
+    __slots__ = ("mode", "needle", "lower", "row_fallback")
+    cond_only = False
+
+    def __init__(
+        self,
+        child: ColExpr,
+        mode: str,
+        needle: Any,
+        lower: bool,
+        row_fallback: Callable,
+    ) -> None:
+        self.child = child
+        self.pred = partial(operator.eq if mode == "eq" else operator.contains, needle)
+        self.arm = _no_label
+        self.mode = mode  # "eq" | "isin" | "nonempty"
+        self.needle = needle
+        self.lower = lower
+        self.row_fallback = row_fallback
+        self.key = ("tokmatch", mode, bool(lower), const_key(needle), child.key)
+        self.labels = None
+
+    def _scan_row(self, row) -> tuple[bool, int]:
+        return bool(self.row_fallback(row)), 0
+
+    def _sweep(self, tokens: list) -> list:
+        if self.mode == "nonempty":
+            return [_MATCH] * len(tokens)
+        tokens = list(map(str.lower, tokens)) if self.lower else tokens
+        try:
+            return np.fromiter(map(self.pred, tokens), bool, len(tokens)) * 2 + _NO_MATCH
+        except Exception:  # noqa: BLE001 - find the tokens whose test raised
+            return TokenScan._sweep(self, tokens)
+
+
+#: Token outcome codes (the low two bits; 0 is "not yet known"); a match
+#: is ``_NO_MATCH + 2``.
+_NO_MATCH, _RAISED, _MATCH = 1, 2, 3
+
+_WORDS_KEY = ("field", ("sentence", "words"))
+
+
+def _outcomes(chunk: ColumnarChunk, index: _TokenIndex, kernels: tuple) -> np.ndarray:
+    """Each kernel's outcome (:meth:`TokenScan._sweep`) per distinct token
+    of ``index``: a ``kernels`` × ``index.ids`` matrix.
+
+    Outcomes are kept in the chunk's ``memo`` (the plan's, one apply call
+    long, and never longer: a constant a kernel reads when it runs may
+    change between calls) by token id of ``index.table``, so each kernel
+    tests a token once per apply call, not once per chunk.  A token is
+    swept again unless every kernel's outcome for it is known (another
+    thread may be half way through storing them).
+    """
+    memo, table, ids = chunk.memo, index.table, index.ids
+    state = memo.get(kernels) if memo is not None else None
+    fresh = state is None or state[0] is not table
+    known = np.zeros((len(kernels), 0), np.int64) if fresh else state[1]
+    outcomes = np.zeros((len(kernels), ids.size), np.int64)
+    seen = ids < known.shape[1]
+    outcomes[:, seen] = known[:, ids[seen]]
+    todo = (outcomes == 0).any(axis=0).nonzero()[0]
+    if todo.size:
+        tokens = list(map(table.tokens.__getitem__, ids[todo].tolist()))
+        for row, kernel in enumerate(kernels):
+            outcomes[row, todo] = kernel._sweep(tokens)
+        if memo is not None and len(table.tokens) <= token_table.TABLE_CAP:
+            if known.shape[1] <= ids[-1]:
+                grown = np.zeros((len(kernels), len(table.tokens)), np.int64)
+                grown[:, : known.shape[1]] = known
+                known = grown
+            known[:, ids[todo]] = outcomes[:, todo]
+            memo[kernels] = (table, known)
+    return outcomes
+
+
+def _resolve(chunk: ColumnarChunk, kernels: tuple) -> None:
+    """Evaluate ``kernels`` — token kernels over one source column — at once,
+    leaving each one's hit column (and a scan's labels) in the chunk cache.
+
+    The kernels' per-token outcomes (:func:`_outcomes`) go through
+    ``inverse`` in one gather, and one ``nonzero`` lists every (kernel,
+    position) that matched, ordered, so the first pair of each (kernel,
+    row) is that row's first match.  Rows the index cannot vouch for, rows
+    holding a token on which a kernel raised, and nothing else, take the
+    kernel's exact per-row path (:meth:`TokenScan._scan_row`); rows whose
+    column read raised keep that error.
+    """
+    child = kernels[0].child
+    column = child.eval(chunk)
+    index = _token_index(chunk, child, column)
+    outcomes = _outcomes(chunk, index, kernels)
+    kinds, inverse, n = outcomes & 3, index.inverse, chunk.num_rows
+    found, position = (kinds == _MATCH)[:, inverse].nonzero()
+    cell = found * n + index.row_of[position]
+    first = np.empty(cell.size, dtype=bool)
+    first[:1] = True
+    first[1:] = cell[1:] != cell[:-1]
+    hits = np.zeros((len(kernels), n), dtype=bool)
+    hits.flat[cell[first]] = True
+    labels = np.zeros((len(kernels), n), dtype=np.int64)
+    labels.flat[cell[first]] = (outcomes >> 2)[found[first], inverse[position[first]]]
+    raised: dict[int, set] = {}
+    if (kinds == _RAISED).any():
+        found, position = (kinds == _RAISED)[:, inverse].nonzero()
+        for k, row in zip(found.tolist(), index.row_of[position].tolist()):
+            raised.setdefault(k, set()).add(row)
+    for k, kernel in enumerate(kernels):
+        hit, label, errors = hits[k], labels[k], dict(column.errors or ())
+        slow = index.fallback_rows.union(raised.get(k, ())) if raised else index.fallback_rows
+        for i in sorted(slow) if slow else ():
             if i in errors:
                 continue
             try:
-                hit[i], labels[i] = self._scan_row(index.rows[i])
+                hit[i], label[i] = kernel._scan_row(index.rows[i])
             except Exception as exc:  # noqa: BLE001 - faithful capture
                 errors[i] = exc
         if errors:
             hit[np.fromiter(errors, dtype=np.int64)] = False
-        chunk.put(self.labels.key, Column(labels, None))
-        return Column(hit, errors or None)
+        chunk.put(kernel.key, Column(hit, errors))
+        if kernel.labels is not None:
+            chunk.put(kernel.labels.key, Column(label))
 
 
-#: :meth:`TokenScan._outcomes` codes (the low two bits; 0 is "not yet known").
-_NO_MATCH, _RAISED, _MATCH = 1, 2, 3
-
-_WORDS_KEY = ("field", ("sentence", "words"))
+def token_groups(programs) -> dict:
+    """Each token kernel's key → the kernels of ``programs`` over its source
+    column, one per key: what :func:`_resolve` evaluates together."""
+    columns: dict = {}
+    for program in programs:
+        for kernel in program.kernels:
+            columns.setdefault(kernel.child.key, {}).setdefault(kernel.key, kernel)
+    groups: dict = {}
+    for kernels in columns.values():
+        groups.update(dict.fromkeys(kernels, tuple(kernels.values())))
+    return groups
 
 
 class _ScanLabels(ColExpr):
@@ -985,7 +984,7 @@ class CompiledProgram:
     :class:`LabelingFunction` on every candidate.
     """
 
-    __slots__ = ("branches", "lf_name", "cardinality", "reads")
+    __slots__ = ("branches", "lf_name", "cardinality", "reads", "kernels")
 
     def __init__(
         self, branches: Sequence[Branch], lf_name: str, cardinality: int, reads=((), ())
@@ -999,6 +998,20 @@ class CompiledProgram:
         #: :func:`repro.labeling.lf.encoding` taken then (see
         #: ``repro.labeling.pushdown.task._ConstantRefs``).
         self.reads = reads
+        #: The token kernels the branches reach, one per key (see :func:`token_groups`).
+        self.kernels: list[TokenScan] = []
+        stack: list = [node for branch in self.branches for node in (branch.guard, branch.column)]
+        seen: set = set()
+        while stack:
+            node = stack.pop()
+            if isinstance(node, tuple):  # a container literal's items
+                stack.extend(node)
+            elif isinstance(node, ColExpr) and node.key not in seen:
+                seen.add(node.key)
+                if isinstance(node, TokenScan):
+                    self.kernels.append(node)
+                for cls in type(node).__mro__[:-2]:  # ColExpr's one slot is the key
+                    stack.extend(getattr(node, slot) for slot in cls.__slots__)
 
     def evaluate(self, chunk: ColumnarChunk) -> tuple[np.ndarray, dict[int, BaseException]]:
         n = chunk.num_rows

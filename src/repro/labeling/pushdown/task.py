@@ -17,11 +17,13 @@ it as its label task (labels + features in one pass).
 
 Equivalence contract (enforced by ``tests/test_pushdown.py``): for any
 suite, chunking, and backend, the triples, error counts, and error type
-breakdowns are **bit-identical** to :func:`apply_chunk` — compiled kernels
-emit entries in the same row-major (row, col) order, fault-tolerant error
-accounting matches per LF and per exception type, and a non-fault-tolerant
-run raises the same exception the interpreted row-major scan would have hit
-first.
+breakdowns are **bit-identical** to :func:`apply_chunk`.  The chunk's labels
+go into one row-major ``(rows, LFs)`` matrix, each LF's column written
+whole, and one ``nonzero`` reads the triples off it in the (row, col) order
+the interpreted candidate-major scan emits them.  Errors are reported in the
+order that scan meets them — each LF at its first failing row, ties by
+column — per LF and per exception type, and a non-fault-tolerant run raises
+the first of them, as the interpreted scan would.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.labeling.engine.accumulator import ChunkResult, LFErrorDetail
 from repro.labeling.lf import LabelingFunction, code_names, encoding
 from repro.labeling.pushdown.compiler import CompileError, compile_lf
 from repro.labeling.pushdown.fields import ColumnarChunk
-from repro.labeling.pushdown.program import CompiledProgram
+from repro.labeling.pushdown.program import CompiledProgram, token_groups
 from repro.types import ABSTAIN
 
 __all__ = [
@@ -194,6 +196,9 @@ class PushdownPlan:
     cardinality: int = 2
     #: Every LF's memo entry (:func:`decision`), in column order.
     decisions: list = field(default_factory=list)
+    #: The compiled programs' token kernels by source column
+    #: (:func:`~repro.labeling.pushdown.program.token_groups`).
+    token_groups: dict = field(default_factory=dict)
 
     @property
     def compiled_names(self) -> list[str]:
@@ -211,10 +216,12 @@ class PushdownSummary:
     ``compiled`` / ``fallback`` partition the suite by execution tier;
     ``fallback`` maps each interpreted LF to the reason it was not compiled
     (:func:`decide`'s).  The per-tier second totals come from the engine's
-    per-LF wall-clock accounting, summed over chunks; shared per-chunk work (field
-    extraction, token indexes) is attributed to the first LF that triggers
-    it, so per-tier seconds describe where time was spent, not marginal
-    per-LF costs.
+    per-LF wall-clock accounting, summed over chunks.  Shared per-chunk work
+    — field extraction, token indexes, and a whole token-kernel group, which
+    resolves when the first of its LFs evaluates a kernel of it — is charged
+    to the first LF that triggers it, so ``compiled_seconds`` still covers
+    the whole tier, and per-LF seconds describe where time was spent, not
+    marginal per-LF costs.
     """
 
     compiled: list[str] = field(default_factory=list)
@@ -329,6 +336,7 @@ def build_plan(
         plan.compiled.append(CompiledLF(name=lf.name, column=column, program=entry.program))
         if cardinality is None:
             plan.cardinality = entry.program.cardinality
+    plan.token_groups = token_groups(clf.program for clf in plan.compiled)
     return plan
 
 
@@ -389,23 +397,22 @@ def label_chunk_pushdown(
     start = time.perf_counter()
     chunk = ColumnarChunk.of(candidates)
     chunk.memo = _MEMOS.setdefault(plan, {})
+    chunk.token_groups = plan.token_groups
     candidates, n = chunk.candidates, chunk.num_rows
+    # Λ row-major: the chunk's labels, one column per LF.
+    matrix = np.zeros((n, plan.num_lfs), dtype=np.int64)
     names: dict[int, str] = {}
-    column_labels: dict[int, np.ndarray] = {}
     column_errors: dict[int, dict[int, BaseException]] = {}
     lf_seconds: dict[str, float] = {}
 
     for clf in plan.compiled:
         lf_start = time.perf_counter()
-        labels, errors = clf.program.evaluate(chunk)
+        matrix[:, clf.column], column_errors[clf.column] = clf.program.evaluate(chunk)
         lf_seconds[clf.name] = time.perf_counter() - lf_start
         names[clf.column] = clf.name
-        column_labels[clf.column] = labels
-        column_errors[clf.column] = errors
 
     for column, lf in plan.fallback:
         lf_start = time.perf_counter()
-        labels = np.zeros(n, dtype=np.int64)
         errors: dict[int, BaseException] = {}
         for offset, candidate in enumerate(candidates):
             try:
@@ -414,32 +421,26 @@ def label_chunk_pushdown(
                 errors[offset] = exc
                 continue
             if label != ABSTAIN:
-                labels[offset] = label
+                matrix[offset, column] = label
         lf_seconds[lf.name] = time.perf_counter() - lf_start
         names[column] = lf.name
-        column_labels[column] = labels
         column_errors[column] = errors
 
-    if not fault_tolerant:
-        first: Optional[tuple[int, int]] = None
-        for column, errors in column_errors.items():
-            for row in errors:
-                if first is None or (row, column) < first:
-                    first = (row, column)
-        if first is not None:
-            row, column = first
-            exc = column_errors[column][row]
-            if column in {clf.column for clf in plan.compiled}:
-                exc = _wrap_error(names[column], exc)
-            # A fallback LF already raised what its own __call__ decided.
-            raise exc
+    # The interpreted scan meets errors row-major: each LF's first error
+    # orders the report, and the first of all is what a strict run raises.
+    failed = sorted((min(errors), column) for column, errors in column_errors.items() if errors)
+    if failed and not fault_tolerant:
+        row, column = failed[0]
+        exc = column_errors[column][row]
+        if column in {clf.column for clf in plan.compiled}:
+            exc = _wrap_error(names[column], exc)
+        # A fallback LF already raised what its own __call__ decided.
+        raise exc
 
     error_counts: dict[str, int] = {}
     error_details: dict[str, LFErrorDetail] = {}
-    for column in sorted(column_errors):
+    for _row, column in failed:
         errors = column_errors[column]
-        if not errors:
-            continue
         name = names[column]
         error_counts[name] = error_counts.get(name, 0) + len(errors)
         detail = error_details.setdefault(name, LFErrorDetail())
@@ -455,34 +456,15 @@ def label_chunk_pushdown(
             )
             detail.record(type(cause).__name__, formatted)
 
-    row_blocks: list[np.ndarray] = []
-    col_blocks: list[np.ndarray] = []
-    value_blocks: list[np.ndarray] = []
-    for column in sorted(column_labels):
-        labels = column_labels[column]
-        nonzero = np.nonzero(labels)[0]
-        if nonzero.size == 0:
-            continue
-        row_blocks.append(nonzero)
-        col_blocks.append(np.full(nonzero.size, column, dtype=np.int64))
-        value_blocks.append(labels[nonzero])
-    empty = np.empty(0, dtype=np.int64)
-    if row_blocks:
-        rows = np.concatenate(row_blocks)
-        cols = np.concatenate(col_blocks)
-        values = np.concatenate(value_blocks)
-        # apply_chunk emits candidate-major: ascending row, then column.
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-    else:
-        rows = cols = values = empty
+    # apply_chunk emits candidate-major: ascending row, then column.
+    rows, cols = matrix.nonzero()
     return ChunkResult(
         index=index,
         start_row=start_row,
         num_candidates=n,
         row_offsets=rows,
         cols=cols,
-        values=values,
+        values=matrix[rows, cols],
         errors=error_counts,
         error_details=error_details,
         seconds=time.perf_counter() - start,

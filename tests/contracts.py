@@ -22,7 +22,10 @@ The rows, their relation inside one tree, and why:
 
 - ``compiled == interpreted`` (bitwise): ``pushdown="auto"`` and ``"off"``
   hand back the same Λ, feature blocks and report, planted LF errors too,
-  also over chunks mixing stock and subclassed candidates.
+  also over chunks mixing stock and subclassed candidates, and for a suite
+  of token kernels (scans, phrase, vocabulary and non-emptiness tests over
+  two token columns, a predicate that raises, a ``numpy.str_`` vocabulary)
+  also over a row holding a non-``str`` token.
 - ``processes == threads == sequential`` (bitwise): the sequential, threads
   and processes backends are one result.
 - ``warm == cold featurizer`` (bitwise): what a featurizer interned and
@@ -68,7 +71,9 @@ The rows, their relation inside one tree, and why:
   stream then resumed from it both equal the checkpoint-free run.
 
 Rows call only public API (the MLP's parameters excepted: ``_layers`` is
-their one store), so the table runs against an older checkout as well.
+their one store; and two token-kernel LFs call ``_contains_phrase``, the
+phrase helper the compiler lowers), so the table runs against an older
+checkout as well.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -107,6 +112,7 @@ from repro.discriminative.softmax import NoiseAwareSoftmaxRegression
 from repro.evaluation.scorer import BinaryScorer, MultiClassScorer
 from repro.labeling import LabelingFunction, LabelMatrix, LFAnalysis, LFApplier
 from repro.labeling.blockstore import BlockStore, EpochCheckpoint
+from repro.labeling.declarative import _contains_phrase
 from repro.labeling.engine import shutdown_pools
 from repro.labeling.sparse import class_vote_counts
 from repro.labelmodel import (
@@ -122,6 +128,7 @@ from repro.labelmodel import (
 )
 from repro.labelmodel.advantage import estimate_advantage_bound_detail
 from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
+from repro.utils.textutils import normalize
 
 
 # ------------------------------------------------------------------ relations
@@ -983,17 +990,97 @@ class Subclassed(Candidate):
         return Candidate.words_between(self)[::-1]
 
 
+#: A vocabulary of ``numpy.str_`` (what ``np.loadtxt(..., dtype=str)`` yields).
+NUMPY_VOCABULARY = tuple(np.array(["lf1vp", "lf1vn", "filler3"]))
+KEYWORDS = frozenset({"class1tok0", "lf2vp", "filler5"})
+
+
+def vote_scan(candidate) -> int:
+    for word in candidate.sentence.words:
+        if word.startswith("lf3v"):
+            return 1 if word.endswith("p") else -1
+    return 0
+
+
+def digit_scan(candidate) -> int:
+    """Its predicate raises on every token that does not end in a digit."""
+    for word in candidate.sentence.words:
+        if int(word[-1]) > 5:
+            return 1
+    return 0
+
+
+def numpy_vocabulary_scan(candidate) -> int:
+    for word in candidate.words_between():
+        if word in NUMPY_VOCABULARY:
+            return -1 if word.endswith("n") else 1
+    return 0
+
+
+def keyword_loop(candidate) -> int:
+    for word in candidate.sentence.words:
+        if normalize(word) in KEYWORDS:
+            return -1
+    return 0
+
+
+def keyword_overlap(candidate) -> int:
+    return 1 if {normalize(word) for word in candidate.words_between()} & KEYWORDS else 0
+
+
+def phrase_between(candidate) -> int:
+    words = [normalize(word) for word in candidate.words_between()]
+    return -1 if _contains_phrase(words, ("filler0",)) else 0
+
+
+def phrase_in_sentence(candidate) -> int:
+    words = [normalize(word) for word in candidate.sentence.words]
+    return 1 if _contains_phrase(words, ("lf0vp",)) else 0
+
+
+def anything_between(candidate) -> int:
+    return 1 if [normalize(word) for word in candidate.words_between()] else -1
+
+
+def any_word(candidate) -> int:
+    return 1 if {normalize(word) for word in candidate.sentence.words} else 0
+
+
+#: Scans, ``eq``, ``isin`` and ``nonempty`` kernels over the sentence words
+#: and ``words_between()``: the compiled tier resolves each column's kernels
+#: together.
+TOKEN_KERNEL_LFS = (
+    vote_scan, digit_scan, numpy_vocabulary_scan, keyword_loop, keyword_overlap, phrase_between,
+    phrase_in_sentence, anything_between, any_word,
+)
+
+
+def with_a_non_str_token(candidate: Candidate) -> Candidate:
+    """``candidate`` with the first word after its first span a ``numpy.str_``."""
+    words = list(candidate.sentence.words)
+    words[candidate.span1.word_end] = np.str_(words[candidate.span1.word_end])
+    return replace(candidate, sentence=replace(candidate.sentence, words=words))
+
+
 @functools.lru_cache(maxsize=None)
 def mixed_labeling_inputs(full: bool) -> dict:
-    """:func:`labeling_inputs` plus a ``mixed`` source: every third candidate
-    :class:`Subclassed`."""
+    """:func:`labeling_inputs` plus the ``token kernels`` suite and two
+    sources: ``mixed``, every third candidate :class:`Subclassed`, and
+    ``non-str token``, one row holding a ``numpy.str_`` token (not exactly a
+    ``str``: every token kernel takes that row's per-row path)."""
     inputs = labeling_inputs(full)
+    candidates = inputs["candidates"]
     mixed = tuple(
         Subclassed(c.uid, c.span1, c.span2, c.sentence, c.relation_type, c.split, c.gold_label)
         if c.uid % 3 == 0 else c
-        for c in inputs["candidates"]
+        for c in candidates
     )
-    return {**inputs, "sources": {**inputs["sources"], "mixed": lambda: list(mixed)}}
+    odd = (*candidates[:5], with_a_non_str_token(candidates[5]), *candidates[6:])
+    sources = {
+        **inputs["sources"], "mixed": lambda: list(mixed), "non-str token": lambda: list(odd),
+    }
+    kernels = [LabelingFunction(body.__name__, body) for body in TOKEN_KERNEL_LFS]
+    return {**inputs, "sources": sources, "suites": {**inputs["suites"], "token kernels": kernels}}
 
 
 @functools.lru_cache(maxsize=None)
@@ -1210,8 +1297,11 @@ FAULTY = ("faulty",)
 CONTRACTS = (
     Contract(
         "compiled == interpreted", mixed_labeling_inputs,
-        {tier: labeling(("clean", "faulty"), (tier,)) for tier in ("off", "auto")},
-        profiles=("faulty", "sparse=False", "generator", "empty", "mixed", "apply_with_features"),
+        {tier: labeling(("clean", "faulty", "token kernels"), (tier,)) for tier in ("off", "auto")},
+        profiles=(
+            "faulty", "token kernels", "sparse=False", "generator", "empty", "mixed",
+            "non-str token", "apply_with_features",
+        ),
     ),
     Contract(
         "processes == threads == sequential", labeling_inputs,
