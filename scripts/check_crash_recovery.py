@@ -20,7 +20,11 @@ drives the full fault matrix the fault-injection layer
 * a worker hung past the chunk deadline (warned, killed, resubmitted —
   EN101);
 * the disk filling mid-run (checkpointing degrades with one warning, the
-  run completes).
+  run completes);
+* the disk filling at a mid-pass chunk block, so the end model trains on
+  stored blocks read back in their narrow dtypes mixed with the blocks the
+  degraded run kept in RAM (the result must equal the in-RAM run bit for
+  bit, and the store must hold no temp residue).
 
 Every resumed or degraded run must match an uninterrupted reference run
 bit-for-bit (labels) and to 1e-12 (probabilities, weights).  After all of
@@ -177,6 +181,20 @@ def assert_matches(result, reference, scenario: str) -> None:
     ), scenario
 
 
+def assert_bitwise(result, reference, scenario: str) -> None:
+    import numpy as np
+
+    model, expected = result.discriminative_model, reference.discriminative_model
+    for ours, theirs in (
+        (result.label_matrix.values, reference.label_matrix.values),
+        (result.training_probs, reference.training_probs),
+        (model.weights, expected.weights),
+        (np.asarray(model.bias), np.asarray(expected.bias)),
+        (np.asarray(model.loss_history), np.asarray(expected.loss_history)),
+    ):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), scenario
+
+
 def main() -> int:
     import numpy as np
 
@@ -314,6 +332,27 @@ def main() -> int:
         finally:
             faults.install(None)
         print("disk full: checkpointing degraded with a warning, result correct")
+
+        # --- the disk fills at train chunk 3 (write 0 is the fingerprint):
+        # chunks 0-2 come back from the store narrow, 3-6 stay in RAM, and
+        # the end model trains on the mix bit for bit like the in-RAM run.
+        root = os.path.join(tmp, "disk-full-mixed")
+        stores.append(root)
+        faults.install("disk_full@4")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                result = run_pipeline(root)
+        finally:
+            faults.install(None)
+        with BlockStore(root) as store:
+            assert ChunkCheckpointer(store, "train").completed == {0, 1, 2}, (
+                "the disk-full write did not split the pass into stored and RAM blocks"
+            )
+        assert_bitwise(result, reference, "disk-full mixed blocks")
+        leftover = glob.glob(os.path.join(root, "**", "*.tmp"), recursive=True)
+        assert not leftover, f"disk-full write left temp residue: {leftover}"
+        print("disk full mid-pass: stored + in-RAM blocks train bit-identically, no residue")
 
         # --- nothing left behind: no temp residue in any block store...
         residue = [

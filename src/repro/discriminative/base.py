@@ -38,14 +38,14 @@ minibatch spans two blocks, targets canonicalized once, the complement
 ``1 − Ỹ`` of binary targets and each minibatch's row count.  A callable
 source promises a fresh pass every epoch, so it re-batches per epoch;
 ``fit`` does too, shuffled (a new permutation each epoch) or not.  The
-pipeline hands its in-RAM blocks over as a sequence and its disk-backed,
-checkpointed ones (:class:`~repro.labeling.blockstore.StoredFeatureBlocks`)
-as a callable: a plan over those would keep every block's bytes resident
-for the whole fit, where a pass loads one block at a time.  What such a
-block keeps between epochs is its ``indptr`` (O(rows)); each epoch maps the
-block file once and widens its narrow-stored column ids and values, and
-the pipeline carves the kept rows of that one block.  Neither door writes
-to the blocks it is handed.
+pipeline hands its blocks over as a sequence in both of its runs: built in
+RAM, or read back once from a checkpointed run's store
+(:meth:`~repro.labeling.blockstore.ChunkCheckpointer.feature_blocks`) with
+their column ids and values in the narrow dtypes they were stored in.  The
+trainer carries those as they are — every product and carve of a CSR block
+gathers, multiplies or assigns into float64, which holds any stored integer
+exactly — so a checkpointed fit is bit-identical to an in-RAM one and holds
+X at about 3 B per entry.  Neither door writes to the blocks it is handed.
 """
 
 from __future__ import annotations

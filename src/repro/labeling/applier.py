@@ -439,10 +439,10 @@ class LFApplier:
             # Runs in the master thread for every backend, after the
             # checkpointer (if any) made the chunk durable.
             def transform(result):
-                # Chunks the checkpointer holds durably are served from disk
-                # later (mmap) — retaining them in RAM would defeat the
-                # spill.  Everything else (no checkpointer, or a write that
-                # failed and disabled it) stays in RAM.
+                # Chunks the checkpointer holds durably are read back from
+                # disk once the pass is over, in their narrow stored dtypes.
+                # Everything else (no checkpointer, or a write that failed
+                # and disabled it) stays in RAM.
                 if checkpoint is None or result.index not in checkpoint.completed:
                     feature_blocks[result.index] = CSRFeatureMatrix.from_chunk(
                         result.features, output_dim
@@ -467,11 +467,7 @@ class LFApplier:
         if not sparse:
             matrix = matrix.to_dense()
         if checkpoint is not None:
-            from repro.labeling.blockstore import StoredFeatureBlocks
-
-            return matrix, StoredFeatureBlocks(
-                checkpoint, result.num_chunks, output_dim, overrides=feature_blocks
-            )
+            return matrix, checkpoint.feature_blocks(result.num_chunks, output_dim, feature_blocks)
         return matrix, [feature_blocks[index] for index in sorted(feature_blocks)]
 
     def apply(self, candidates: Iterable, sparse: bool = False) -> LabelMatrix:
@@ -516,11 +512,11 @@ class LFApplier:
         ChunkCheckpointer`), every chunk's result is made durable before
         being consumed, already-durable chunks are replayed from disk
         instead of recomputed (crash resume; only their label triples are
-        decoded), and the returned blocks are a re-iterable
-        :class:`~repro.labeling.blockstore.StoredFeatureBlocks` view — each
-        block read through one mapping of its file, its narrow-stored arrays
-        widened back, so epoch replay holds one block at a time instead of
-        the whole feature set.
+        decoded), and the returned blocks are read back from the store once
+        the pass is over (:meth:`~repro.labeling.blockstore.ChunkCheckpointer.
+        feature_blocks`): each through one mapping of its file, its column
+        ids and values kept in their narrow stored dtypes, so the feature set
+        is resident at about 3 B per entry instead of 16.
         """
         featurizer.require_fitted()
         return self._run(candidates, featurizer, sparse, checkpoint)

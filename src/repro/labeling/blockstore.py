@@ -2,10 +2,9 @@
 
 The fused labeling pass produces one :class:`ChunkResult` per chunk — label
 triples, and for ``apply_with_features`` a CSR feature block riding along.
-Keeping those in RAM (the pre-block-store design) means a killed run loses
-everything and the feature-block list bounds the corpus size.  This module
-makes the blocks durable the moment they arrive at the master, with three
-layers:
+Keeping those in RAM only (the pre-block-store design) means a killed run
+loses everything.  This module makes the blocks durable the moment they
+arrive at the master, with three layers:
 
 :class:`BlockStore`
     A directory of immutable block files plus a JSON-lines index.  Each
@@ -42,12 +41,16 @@ layers:
     than kills: the first failed write warns and disables further
     checkpointing, and the labeling run continues in RAM.
 
-:class:`StoredFeatureBlocks`
-    A re-iterable sequence view over the stored feature blocks, building
-    each chunk's :class:`CSRFeatureMatrix` from the mapped triples on
-    access (keeping only its ``indptr`` between epochs).  ``fit_stream``
-    iterates it once per epoch with constant memory — the unlock for
-    corpora whose sparse features outgrow RAM.
+:meth:`ChunkCheckpointer.feature_blocks`
+    Reads each chunk's stored feature block once, at the end of the pass,
+    through one mapping of its file, and keeps its column ids and values in
+    the narrow dtypes they were stored in (int16 columns and int8 counts for
+    hashed n-grams: 3 B per entry against the 16 B of int64 + float64),
+    copied out of the mapping into arrays the run owns.  The end model then
+    trains on them exactly as on an in-RAM run's blocks: shrunk in place to
+    the kept rows and planned once per fit.  X is resident, narrow — the
+    "Λ + X CSR bytes" of the memory target — and the store's files are
+    never written through.
 
 Fault-injection hooks (:mod:`repro.labeling.engine.faults`) are threaded
 through the write path so the crash-recovery gate can deterministically
@@ -64,8 +67,7 @@ import pickle
 import re
 import warnings
 import zlib
-from collections.abc import Sequence
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -82,7 +84,6 @@ __all__ = [
     "ChunkCheckpointer",
     "EpochCheckpoint",
     "RETENTION_POLICIES",
-    "StoredFeatureBlocks",
 ]
 
 #: First bytes of every block file; bumping the trailing digit invalidates
@@ -184,14 +185,17 @@ def _layout(mapped) -> tuple[dict, int]:
     return header, base
 
 
-def _decode(mapped, base: int, spec: dict) -> np.ndarray:
+def _decode(mapped, base: int, spec: dict, widen: bool) -> np.ndarray:
     """One array of a mapped block: a read-only view, widened back to its
-    original dtype if it was stored narrowed."""
+    original dtype if it was stored narrowed — or, without ``widen``, an
+    owned, writable copy in the dtype it was stored in."""
     stored, dtype = np.dtype(spec["stored"]), np.dtype(spec["dtype"])
     shape = tuple(spec["shape"])
     array = np.frombuffer(
         mapped, stored, count=math.prod(shape), offset=base + spec["offset"]
     ).reshape(shape)
+    if not widen:
+        return array.copy()
     if stored != dtype:
         array = array.astype(dtype)
         array.flags.writeable = False
@@ -490,11 +494,12 @@ class BlockStore:
         return self._read(key, None)
 
     def _read(
-        self, key: str, names: Optional[tuple[str, ...]]
+        self, key: str, names: Optional[tuple[str, ...]], widen: bool = True
     ) -> tuple[dict[str, np.ndarray], dict]:
         """:meth:`get`, decoding only the arrays in ``names`` (all for
         ``None``): the block file is mapped once, and each array is a view
-        of the mapping or, if it was stored narrowed, its widened copy."""
+        of the mapping or, if it was stored narrowed, its widened copy —
+        or, without ``widen``, its owned copy in the stored dtype."""
         record = self._records.get(key)
         if record is None:
             raise LabelingError(f"block {key!r} not in store {self.root}")
@@ -506,7 +511,7 @@ class BlockStore:
             except (ValueError, KeyError, TypeError) as exc:
                 raise LabelingError(f"block file {path} is not a readable block ({exc})") from exc
         arrays = {
-            spec["name"]: _decode(mapped, base, spec)
+            spec["name"]: _decode(mapped, base, spec, widen)
             for spec in header["arrays"]
             if names is None or spec["name"] in names
         }
@@ -566,12 +571,15 @@ class ChunkCheckpointer:
         self.store = store
         self.split = split
         self.disabled = False
+        # Only a canonical key names a chunk: ``chunk/train/01`` is not
+        # chunk 1, whose block ``replay`` would look for under
+        # ``chunk/train/1``.
         prefix = f"chunk/{split}/"
-        self.completed = {
-            int(key[len(prefix):])
-            for key in store.keys()
-            if key.startswith(prefix) and key[len(prefix):].isdigit()
-        }
+        self.completed = set()
+        for key in store.keys():
+            tail = key[len(prefix):]
+            if key.startswith(prefix) and tail.isdigit() and self._key(int(tail)) == key:
+                self.completed.add(int(tail))
 
     def _key(self, index: int) -> str:
         return f"chunk/{self.split}/{index}"
@@ -605,14 +613,49 @@ class ChunkCheckpointer:
     def replay(self, index: int) -> ChunkResult:
         """:meth:`load` without the feature block, which is not decoded: the
         accumulator transform drops a replayed chunk's features, and
-        :class:`StoredFeatureBlocks` serves them from the store."""
-        arrays = self._arrays(index, ("meta", "a0", "a1", "a2"))
+        :meth:`feature_blocks` reads them once the pass is over."""
+        arrays = self.store._read(self._key(index), ("meta", "a0", "a1", "a2"))[0]
         meta = pickle.loads(arrays["meta"].tobytes())
         meta.features = None
         return attach_arrays(meta, [arrays["a0"], arrays["a1"], arrays["a2"]])
 
-    def _arrays(self, index: int, names: Optional[tuple[str, ...]]) -> dict:
-        return self.store._read(self._key(index), names)[0]
+    def feature_blocks(self, num_blocks: int, output_dim: int, overrides: dict) -> list:
+        """Every chunk's feature block of a finished pass, in chunk order.
+
+        A stored block is read once, through one mapping of its file: its
+        column ids and values stay in the dtypes they were stored in, copied
+        out of the mapping into arrays the caller owns (so it may shrink
+        them in place), and its ``indptr`` is built from its row ids.  The
+        CSR container carries narrow arrays as they are, since every product
+        and carve of it gathers, multiplies or assigns into float64, which
+        holds any stored integer exactly.  ``overrides`` are the blocks a
+        degraded run (disk full) kept in RAM because the store missed them.
+        """
+        from repro.discriminative.sparse_features import CSRFeatureMatrix
+
+        missing = sorted(set(range(num_blocks)) - self.completed - set(overrides))
+        if missing:
+            raise LabelingError(
+                f"stored feature blocks incomplete: missing chunks {missing[:5]}"
+                f"{'...' if len(missing) > 5 else ''}"
+            )
+        blocks = []
+        for index in range(num_blocks):
+            if index in overrides:
+                blocks.append(overrides[index])
+                continue
+            arrays, _ = self.store._read(self._key(index), ("meta", "a3", "a4", "a5"), False)
+            features = pickle.loads(arrays["meta"].tobytes()).features
+            if features is None:
+                raise LabelingError(
+                    f"stored chunk {index} has no feature block (was the pass fused?)"
+                )
+            rows = features.num_candidates
+            indptr = np.zeros(rows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(arrays["a3"], minlength=rows), out=indptr[1:])
+            shape = (rows, output_dim)
+            blocks.append(CSRFeatureMatrix._carved(indptr, arrays["a4"], arrays["a5"], shape))
+        return blocks
 
     def prune_beyond(self, num_chunks: int) -> int:
         """Delete stored chunks at index >= ``num_chunks``.
@@ -681,68 +724,3 @@ class EpochCheckpoint:
         # epoch.  The hook ordinal is the 0-based index of the epoch that
         # just completed.
         faults.maybe_die_at_epoch(int(state["epoch"]) - 1)
-
-
-class StoredFeatureBlocks(Sequence):
-    """Re-iterable, mmap-backed view of a split's stored feature blocks.
-
-    Each access rebuilds chunk ``i``'s :class:`CSRFeatureMatrix` from the
-    store — the triples are read from the mapped block, so an epoch over
-    the whole sequence touches the page cache instead of recomputing the
-    fused pass, and holds at most one block's CSR structure at a time.  The
-    first build of a block keeps its ``indptr`` (O(rows)); later ones read
-    only the block's column ids and values.
-    """
-
-    def __init__(
-        self,
-        checkpointer: ChunkCheckpointer,
-        num_blocks: int,
-        output_dim: int,
-        overrides: Optional[dict] = None,
-    ) -> None:
-        # ``overrides`` covers the degraded case where checkpointing was
-        # disabled mid-run (disk full): chunks the store missed stay in RAM
-        # as already-built matrices and are served from here instead.
-        self._overrides = dict(overrides or {})
-        missing = sorted(
-            set(range(num_blocks)) - checkpointer.completed - set(self._overrides)
-        )
-        if missing:
-            raise LabelingError(
-                f"stored feature blocks incomplete: missing chunks {missing[:5]}"
-                f"{'...' if len(missing) > 5 else ''}"
-            )
-        self._checkpointer = checkpointer
-        self._num_blocks = num_blocks
-        self._output_dim = output_dim
-        self._indptrs: dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return self._num_blocks
-
-    def __getitem__(self, index: int):
-        from repro.discriminative.sparse_features import CSRFeatureMatrix
-
-        if not 0 <= index < self._num_blocks:
-            raise IndexError(index)
-        if index in self._overrides:
-            return self._overrides[index]
-        indptr = self._indptrs.get(index)
-        if indptr is not None:
-            arrays = self._checkpointer._arrays(index, ("a4", "a5"))
-            shape = (indptr.size - 1, self._output_dim)
-            return CSRFeatureMatrix(indptr, arrays["a4"], arrays["a5"], shape)
-        block = self._checkpointer.load(index).features
-        if block is None:
-            raise LabelingError(
-                f"stored chunk {index} has no feature block (was the pass fused?)"
-            )
-        matrix = CSRFeatureMatrix.from_chunk(block, self._output_dim)
-        matrix.indptr.flags.writeable = False
-        self._indptrs[index] = matrix.indptr
-        return matrix
-
-    def __iter__(self) -> Iterator:
-        for index in range(self._num_blocks):
-            yield self[index]

@@ -73,7 +73,6 @@ from repro.labeling.blockstore import (
     BlockStore,
     ChunkCheckpointer,
     EpochCheckpoint,
-    StoredFeatureBlocks,
 )
 from repro.labeling.engine import ExecutionPlan
 from repro.labeling.lf import LabelingFunction, lf_digest
@@ -620,35 +619,26 @@ class SnorkelPipeline:
         model, block by block in stream order, so the minibatches are
         exactly those of ``fit(X[keep], Ỹ[keep])``.
 
-        The in-RAM blocks belong to this run, so each is shrunk to its kept
-        rows once, in its own arrays (:meth:`CSRMatrix.keep_rows
-        <repro.utils.csr.CSRMatrix.keep_rows>`), and handed over as a
-        sequence: the model plans its minibatches once per fit and X is
-        never copied.  Disk-backed blocks
-        (:class:`~repro.labeling.blockstore.StoredFeatureBlocks`, a
-        checkpointed run) are never written to: they go over as a callable
-        that carves a copy of one block at a time, every epoch, so memory
-        stays one block.  Each such block is read through one mapping of its
-        file, its narrow-stored columns and values widened back, and its
-        ``indptr`` is kept from the first epoch, so later epochs skip the
-        triples-to-CSR passes.  With ``epoch_checkpoint`` the fit saves its
-        state after every epoch and a resumed run replays only the remaining
-        ones.
+        The blocks belong to this run — built in RAM, or, in a checkpointed
+        run, read back from the store once in their narrow stored dtypes
+        (:meth:`ChunkCheckpointer.feature_blocks
+        <repro.labeling.blockstore.ChunkCheckpointer.feature_blocks>`) — so
+        each is shrunk to its kept rows once, in its own arrays
+        (:meth:`CSRMatrix.keep_rows <repro.utils.csr.CSRMatrix.keep_rows>`),
+        and handed over as a sequence: the model plans its minibatches once
+        per fit and X is never copied.  With ``epoch_checkpoint`` the fit
+        saves its state after every epoch and a resumed run replays only the
+        remaining ones.
         """
         num_candidates = training_probs.shape[0]
         keep_mask = np.zeros(num_candidates, dtype=bool)
         keep_mask[self._keep_rows(num_candidates, training_probs, label_matrix)] = True
-        owned = not isinstance(train_blocks, StoredFeatureBlocks)
-
-        def kept_blocks():
-            start = 0
-            for block in train_blocks:
-                stop = start + block.shape[0]
-                local = np.flatnonzero(keep_mask[start:stop])
-                if 0 < local.size < block.shape[0]:
-                    block = block.keep_rows(local) if owned else block[local]
-                if local.size:
-                    yield block, training_probs[start + local]
-                start = stop
-
-        model.fit_stream(list(kept_blocks()) if owned else kept_blocks, checkpoint=epoch_checkpoint)
+        kept, start = [], 0
+        for block in train_blocks:
+            stop = start + block.shape[0]
+            local = np.flatnonzero(keep_mask[start:stop])
+            if local.size:
+                block = block.keep_rows(local) if local.size < block.shape[0] else block
+                kept.append((block, training_probs[start + local]))
+            start = stop
+        model.fit_stream(kept, checkpoint=epoch_checkpoint)

@@ -19,7 +19,11 @@ The constructor is the validation boundary.  ``row_range`` / ``select_rows``
 skip the re-check (:meth:`CSRMatrix._carved`); the end-model trainer reaches
 them per minibatch by inheritance, with no helper frame in between.
 ``keep_rows`` is ``select_rows`` done inside the matrix's own arrays, for an
-owner that is done with the other rows (the pipeline's in-RAM train blocks).
+owner that is done with the other rows (the pipeline's train blocks, built in
+RAM or read back from a checkpointed run's store).  The arrays need not be
+int64 / float64: a stored block's narrow column ids and values are carried
+as they are — carves gather them unchanged, and products and ``to_dense``
+widen them into float64, which holds any stored integer exactly.
 """
 
 from __future__ import annotations

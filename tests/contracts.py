@@ -699,9 +699,10 @@ def blocks_of(case: EndModelCase, size: int) -> list:
 
 
 def pipeline_carved(features, targets, sizes, keep, in_place: bool):
-    """Blocks of ``sizes`` rows carved to ``keep`` as the pipeline carves
-    them: in the block's own arrays for a sequence it owns (``keep_rows``),
-    as a copy per epoch for the callable it hands over (disk-backed blocks)."""
+    """Blocks of ``sizes`` rows carved to ``keep``: in the block's own arrays
+    (``keep_rows``, as the pipeline carves the sequence it hands over), or
+    as a copy per epoch for a callable source, whose blocks every epoch
+    must find whole."""
     start = 0
     for size in sizes:
         block = features[np.arange(start, start + size)]

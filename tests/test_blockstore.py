@@ -22,8 +22,10 @@ What this suite pins down:
   :class:`ChunkResult` blocks (fused feature block included) losslessly and
   degrades with one warning on a full disk; ``EpochCheckpoint`` snapshots
   end-model training state the same way.
-* **StoredFeatureBlocks** — refuses incomplete stores, serves RAM
-  overrides for chunks a degraded run never persisted.
+* **Stored feature blocks** — ``ChunkCheckpointer.feature_blocks``
+  refuses incomplete stores, serves RAM overrides for chunks a degraded run
+  never persisted, and loads each stored block in its narrow stored dtypes
+  as arrays the caller owns; ``completed`` trusts only canonical keys.
 """
 
 import json
@@ -46,7 +48,6 @@ from repro.labeling.blockstore import (
     BlockStore,
     ChunkCheckpointer,
     EpochCheckpoint,
-    StoredFeatureBlocks,
     _narrowed,
 )
 from repro.labeling.engine import faults
@@ -543,20 +544,63 @@ def test_stored_feature_blocks_require_completeness(tmp_path):
         ckpt = ChunkCheckpointer(store, "train")
         ckpt.record(make_result(0))
         with pytest.raises(LabelingError, match="missing chunks"):
-            StoredFeatureBlocks(ckpt, num_blocks=3, output_dim=16)
+            ckpt.feature_blocks(3, 16, {})
+
+
+def row_major_result(index, num_candidates=10):
+    """A fused chunk result whose feature triples are row-major counts, as
+    the featurizer emits them."""
+    result = make_result(index, num_candidates)
+    features = result.features
+    features.row_offsets = np.sort(features.row_offsets)
+    features.values = np.floor(features.values * 4) + 1
+    return result
 
 
 def test_stored_feature_blocks_serve_overrides(tmp_path):
+    """Stored blocks come back once, in their narrow stored dtypes, as owned
+    writable copies equal to the in-RAM build after widening; overrides are
+    served as given."""
+    from repro.discriminative.sparse_features import CSRFeatureMatrix
+
     with BlockStore(str(tmp_path / "store")) as store:
         ckpt = ChunkCheckpointer(store, "train")
-        ckpt.record(make_result(0))
+        ckpt.record(row_major_result(0))
         sentinel = object()
-        blocks = StoredFeatureBlocks(
-            ckpt, num_blocks=2, output_dim=16, overrides={1: sentinel}
-        )
+        blocks = ckpt.feature_blocks(2, 16, {1: sentinel})
         assert len(blocks) == 2
         assert blocks[1] is sentinel
         built = blocks[0]
         assert built.shape == (10, 16)
-        with pytest.raises(IndexError):
-            blocks[2]
+        assert (built.indices.dtype, built.data.dtype) == (np.int8, np.int8)
+        for array in (built.indices, built.data):
+            assert array.flags.writeable and array.flags.owndata
+        in_ram = CSRFeatureMatrix.from_chunk(row_major_result(0).features, 16)
+        assert np.array_equal(built.indptr, in_ram.indptr)
+        assert built.indices.astype(np.int64).tobytes() == in_ram.indices.tobytes()
+        assert built.data.astype(np.float64).tobytes() == in_ram.data.tobytes()
+
+
+def test_completed_trusts_only_canonical_keys(tmp_path):
+    """A block under ``chunk/train/01`` is not chunk 1: a run over such a
+    store recomputes chunk 1 rather than failing to replay
+    ``chunk/train/1``."""
+    featurizer = RelationFeaturizer(num_features=64).fit()
+    lfs = text_vote_lfs(4)
+
+    def candidates():
+        return stream_text_candidates(num_points=60, num_lfs=4, seed=3)
+
+    applier = LFApplier(lfs, chunk_size=16)
+    matrix, blocks = applier.apply_with_features(candidates(), featurizer)
+    with BlockStore(str(tmp_path / "store")) as store:
+        ckpt = ChunkCheckpointer(store, "train")
+        ckpt.record(make_result(1))
+        store.put("chunk/train/01", store.get("chunk/train/1")[0])
+        store.delete("chunk/train/1")
+        ckpt = ChunkCheckpointer(store, "train")
+        assert ckpt.completed == set()
+        resumed, stored = applier.apply_with_features(candidates(), featurizer, checkpoint=ckpt)
+    assert np.array_equal(resumed.values, matrix.values)
+    for block, reference in zip(stored, blocks, strict=True):
+        assert np.array_equal(block.to_dense(), reference.to_dense())

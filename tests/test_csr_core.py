@@ -4,6 +4,9 @@
   and ``CSRFeatureMatrix`` against ``to_scipy()``'s answer, bit for bit, on
   generated matrices with empty rows and columns, zero rows, boolean masks,
   negative and repeated indices;
+* narrow stored blocks: a ``CSRFeatureMatrix`` carrying the int column ids
+  and values the block store narrows to (as a checkpointed run loads them)
+  computes, carves and stacks byte for byte like its widened twin;
 * the malformed-input table, once, for both (each subclass raises its own
   exception and names its own columns);
 * a subprocess that forbids ``import scipy`` and then drives the pipeline,
@@ -23,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.discriminative import CSRFeatureMatrix
 from repro.exceptions import ConfigurationError, LabelingError
 from repro.labeling import SparseLabelMatrix
+from repro.labeling.blockstore import _narrowed
 
 BOTH = pytest.mark.parametrize(
     "cls, error, columns",
@@ -128,6 +132,78 @@ def test_core_is_bitwise_scipys(cls, error, columns, m, d, density, seed, data):
             matrix.select_columns([d])
         with pytest.raises(LabelingError, match="boolean index mask must have length"):
             matrix.select_columns(np.ones(d + 1, dtype=bool))
+
+
+def narrow_twin(wide, dtypes=None):
+    """``wide`` as a checkpointed run holds a stored feature block: column
+    ids and values in the store's narrowed dtypes (or in ``dtypes``)."""
+    indices, data = (
+        (_narrowed(wide.indices), _narrowed(wide.data))
+        if dtypes is None
+        else (wide.indices.astype(dtypes[0]), wide.data.astype(dtypes[1]))
+    )
+    return CSRFeatureMatrix._carved(wide.indptr.copy(), indices, data, wide.shape)
+
+
+def widened(matrix):
+    return (
+        matrix.shape,
+        matrix.indptr.tobytes(),
+        matrix.indices.astype(np.int64).tobytes(),
+        matrix.data.astype(np.float64).tobytes(),
+    )
+
+
+@given(
+    m=st.integers(0, 12),
+    d=st.sampled_from([1, 5, 100, 300]),
+    density=st.sampled_from([0.0, 0.3, 0.8]),
+    scale=st.sampled_from([3, 300, 70_000]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_narrow_stored_blocks_compute_like_their_widened_twins(m, d, density, scale, seed, data):
+    """Every kernel the end-model trainer reaches gathers, multiplies or
+    assigns into float64, which holds any stored integer exactly: a block
+    over narrow arrays answers byte for byte like the wide block."""
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((m, d)) < density, rng.integers(-scale, scale + 1, (m, d)), 0)
+    wide = CSRFeatureMatrix.from_dense(dense.astype(np.float64))
+    narrow = narrow_twin(wide)
+    if wide.nnz:
+        assert narrow.indices.itemsize < 8 and narrow.data.dtype.kind == "i"
+    w, v = rng.standard_normal(d), rng.standard_normal(m)
+    assert narrow.matvec(w).tobytes() == wide.matvec(w).tobytes()
+    assert narrow.rmatvec(v).tobytes() == wide.rmatvec(v).tobytes()
+    assert narrow.to_dense().tobytes() == wide.to_dense().tobytes()
+
+    start = data.draw(st.integers(0, m))
+    stop = data.draw(st.integers(start, m))
+    assert widened(narrow.row_range(start, stop)) == widened(wide.row_range(start, stop))
+    picks = data.draw(st.lists(st.integers(-m, m - 1), max_size=12) if m else st.just([]))
+    mask = rng.random(m) < 0.5
+    for selector in (picks, mask):
+        gathered = narrow.select_rows(selector)
+        assert widened(gathered) == widened(wide.select_rows(selector))
+        assert gathered.matvec(w).tobytes() == wide.select_rows(selector).matvec(w).tobytes()
+    kept = np.flatnonzero(mask)
+    shrunk, reference = narrow_twin(wide).keep_rows(kept), wide.select_rows(kept)
+    assert widened(shrunk) == widened(reference)
+    assert shrunk.rmatvec(v[kept]).tobytes() == reference.rmatvec(v[kept]).tobytes()
+
+    # Blocks whose stored dtypes differ (and a block kept wide, as a run
+    # that lost its store mid-pass holds one) stack like their wide twins.
+    cut = data.draw(st.integers(0, m))
+    wide_parts = [wide.row_range(0, cut), wide.row_range(cut, m), wide.row_range(0, m)]
+    narrow_parts = [
+        narrow_twin(wide_parts[0], (np.int16, np.int8 if scale < 128 else np.int32)),
+        narrow_twin(wide_parts[1], (np.int32, np.int32)),
+        wide_parts[2],
+    ]
+    stacked = CSRFeatureMatrix.vstack(narrow_parts)
+    assert widened(stacked) == widened(CSRFeatureMatrix.vstack(wide_parts))
+    assert stacked.matvec(w).tobytes() == CSRFeatureMatrix.vstack(wide_parts).matvec(w).tobytes()
 
 
 @BOTH

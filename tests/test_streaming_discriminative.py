@@ -22,6 +22,8 @@ workloads.  Pinned down here:
 
 import dataclasses
 import functools
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ from repro.discriminative.softmax import NoiseAwareSoftmaxRegression
 from repro.discriminative.streaming import featurize_stream
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.labeling.applier import LFApplier
+from repro.labeling.blockstore import _narrowed
 from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
 from repro.utils.mathutils import sigmoid
 
@@ -336,7 +339,11 @@ def test_three_doors_train_bit_identically(case):
     the same blocks as a callable (re-batched every epoch) and ``fit(X[keep],
     shuffle=False)`` give the same weights, bias and loss history bit for
     bit — any chunking, kept mask and batch size, including 1, one-row blocks
-    and a batch larger than the data.  One exception, as in
+    and a batch larger than the data.  Over CSR features a fourth door is
+    the sequence over narrow blocks — column ids and values in the dtypes the
+    block store narrows them to, as a checkpointed run loads them — and it
+    equals the sequence over their widened twins bit for bit, for every
+    trainer.  One exception, as in
     ``test_logistic_fit_stream_class_balance``: ``class_balance``'s positive
     mass is summed block by block by a stream and in one pass by ``fit``, so
     there ``fit`` agrees to rounding and the two streams bit for bit."""
@@ -358,6 +365,15 @@ def test_three_doors_train_bit_identically(case):
     )
     materialized = model().fit(features[np.flatnonzero(keep)], targets[keep])
     assert fitted_state(sequence) == fitted_state(callable_source)
+    if not case["dense"]:
+        narrow = CSRFeatureMatrix._carved(
+            features.indptr, _narrowed(features.indices), _narrowed(features.data), features.shape
+        )
+        assert narrow.data.dtype == np.int8 or not narrow.nnz
+        narrow_sequence = model().fit_stream(
+            list(pipeline_carved(narrow, targets, sizes, keep, True))
+        )
+        assert fitted_state(narrow_sequence) == fitted_state(sequence)
     if case["trainer"] != "logistic balanced":
         assert fitted_state(sequence) == fitted_state(materialized)
     else:
@@ -469,34 +485,55 @@ def block_bytes(blocks):
 
 
 def test_checkpointed_pipeline_never_writes_to_its_stored_blocks(tmp_path, monkeypatch):
-    """Disk-backed train blocks are carved by copy, one block per epoch pass:
-    ``keep_rows`` never runs on them and what they serve stays byte-equal."""
-    from repro.labeling.blockstore import StoredFeatureBlocks
-    from repro.utils.csr import CSRMatrix
+    """A checkpointed run trains on its stored feature blocks read back once,
+    in their narrow stored dtypes, into arrays it owns: it shrinks them in
+    place like an in-RAM run, no block file's bytes change during the fit,
+    each train chunk's feature arrays are read once per fit whatever the
+    epoch count, and the trained model is the in-RAM run's bit for bit."""
+    from repro.discriminative.base import NoiseAwareClassifier
+    from repro.labeling.blockstore import BlockStore
 
-    served = []
-    serve = StoredFeatureBlocks.__getitem__
+    reads, unchanged = [], []
+    read, fit_stream = BlockStore._read, NoiseAwareClassifier.fit_stream
 
-    def recording_getitem(self, index):
-        block = serve(self, index)
-        served.append((block, [np.array(a, copy=True) for a in (block.indices, block.data)]))
-        return block
+    def counting_read(self, key, names, widen=True):
+        if key.startswith("chunk/train/") and (names is None or "a5" in names):
+            reads.append(key)
+        return read(self, key, names, widen)
 
-    def refusing_keep_rows(self, rows):
-        raise AssertionError("keep_rows ran in a checkpointed run")
+    def watched_fit_stream(self, blocks, checkpoint=None):
+        store = checkpoint.store
+        files = {
+            name: (pathlib.Path(store.blocks_dir) / name).read_bytes()
+            for name in os.listdir(store.blocks_dir)
+        }
+        assert any(name.startswith("chunk~train~") for name in files)
+        fitted = fit_stream(self, blocks, checkpoint)
+        unchanged.append(
+            all((pathlib.Path(store.blocks_dir) / name).read_bytes() == body
+                for name, body in files.items())
+        )
+        return fitted
 
-    monkeypatch.setattr(StoredFeatureBlocks, "__getitem__", recording_getitem)
-    monkeypatch.setattr(CSRMatrix, "keep_rows", refusing_keep_rows)
+    monkeypatch.setattr(BlockStore, "_read", counting_read)
+    monkeypatch.setattr(NoiseAwareClassifier, "fit_stream", watched_fit_stream)
     task = load_task("cdr", scale=0.05, seed=0)
-    checkpointed = SnorkelPipeline(
-        config=PipelineConfig(seed=0, chunk_size=37, checkpoint_dir=str(tmp_path))
-    ).run(task)
-    assert served
-    for block, (indices, data) in served:
-        assert block.indices.tobytes() == indices.tobytes()
-        assert block.data.tobytes() == data.tobytes()
+
+    def run(epochs, checkpoint_dir=None):
+        config = PipelineConfig(
+            seed=0, chunk_size=37, discriminative_epochs=epochs, checkpoint_dir=checkpoint_dir
+        )
+        return SnorkelPipeline(config=config).run(task)
+
+    run(1, str(tmp_path / "one"))
+    reads_at_one = len(reads)
+    reads.clear()
+    checkpointed = run(5, str(tmp_path / "five"))
+    num_chunks = -(-len(task.split_candidates("train")) // 37)
+    assert reads_at_one == len(reads) == len(set(reads)) == num_chunks
+    assert unchanged == [True, True]
     monkeypatch.undo()
-    in_ram = SnorkelPipeline(config=PipelineConfig(seed=0, chunk_size=37)).run(task)
+    in_ram = run(5)
     disk, ram = checkpointed.discriminative_model, in_ram.discriminative_model
     assert np.array_equal(disk.weights, ram.weights)
     assert disk.loss_history == ram.loss_history
