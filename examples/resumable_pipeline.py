@@ -6,8 +6,9 @@ one path — makes every unit of completed work durable the moment it
 finishes:
 
 * each labeled+featurized **chunk** lands in the store as an atomic
-  write-then-rename block (checksummed, committed by an fsynced index
-  append) before the next chunk starts;
+  write-then-rename block (checksummed by its own crc32 trailer,
+  committed by the rename and an fsync of the block directory) before the
+  next chunk starts;
 * the label-modeling outcome and every **end-model epoch** snapshot
   (weights, Adam moments, loss history) land the same way.
 

@@ -15,8 +15,8 @@ drives the full fault matrix the fault-injection layer
   chunk re-executes);
 * a store whose blocks carry the previous format's magic (it reopens
   empty, and the resumed run recomputes everything);
-* an index line naming a path outside ``blocks/`` (recovery drops the
-  record and leaves the path untouched);
+* a format-2 store whose ``index.jsonl`` names a path outside
+  ``blocks/`` (it reopens empty, and recovery leaves the path untouched);
 * a worker hung past the chunk deadline (warned, killed, resubmitted —
   EN101);
 * the disk filling mid-run (checkpointing degrades with one warning, the
@@ -40,14 +40,12 @@ any violation.
 from __future__ import annotations
 
 import glob
-import json
 import os
 import signal
 import sys
 import tempfile
 import time
 import warnings
-import zlib
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -147,20 +145,10 @@ def run_and_die(checkpoint_dir, fault_spec, backend="sequential"):
 
 
 def relabel_magic(root: str, magic: bytes) -> None:
-    """Give every block of the store at ``root`` another format's magic and
-    re-commit it with a matching index record (size and crc)."""
-    index_path = os.path.join(root, "index.jsonl")
-    with open(index_path, encoding="utf-8") as handle:
-        records = [json.loads(line) for line in handle]
-    for record in records:
-        path = os.path.join(root, "blocks", record["file"])
-        with open(path, "rb") as handle:
-            body = magic + handle.read()[len(magic):]
-        with open(path, "wb") as handle:
-            handle.write(body)
-        record.update(size=len(body), crc=zlib.crc32(body))
-    with open(index_path, "w", encoding="utf-8") as handle:
-        handle.writelines(json.dumps(record) + "\n" for record in records)
+    """Give every block of the store at ``root`` another format's magic."""
+    for path in glob.glob(os.path.join(root, "blocks", "*")):
+        with open(path, "r+b") as handle:
+            handle.write(magic)
 
 
 def assert_matches(result, reference, scenario: str) -> None:
@@ -255,32 +243,35 @@ def main() -> int:
         print("torn block: dropped on reopen, chunk re-executed, bit-identical")
 
         # --- a store written in the previous block format: every block
-        # carries the old magic under a matching index record.  It must
-        # reopen empty, and the run recomputes everything.
+        # carries the old magic.  It must reopen empty, and the run
+        # recomputes everything.
         root = os.path.join(tmp, "old-format")
         stores.append(root)
         run_pipeline(root)
-        relabel_magic(root, b"RBLK1\n")
+        relabel_magic(root, b"RBLK2\n")
         with BlockStore(root) as store:
             assert store.keys() == [], f"old-format blocks survived: {store.keys()}"
         assert_matches(run_pipeline(root), reference, "old-format resume")
         print("previous-format store: reopened empty, run recomputed bit-identically")
 
-        # --- an index line naming a file outside blocks/: recovery drops
-        # the record (the chunk re-executes) and never touches the path.
+        # --- a format-2 store whose index names a file outside blocks/:
+        # it reopens empty, recovery never touches the path, and the run
+        # recomputes everything.
         root = os.path.join(tmp, "escape", "store")
         stores.append(root)
         run_and_die(root, "die_block@2")
+        relabel_magic(root, b"RBLK2\n")
         victim = os.path.join(tmp, "victim.txt")
         with open(victim, "w") as handle:
             handle.write("keep me")
-        with open(os.path.join(root, "index.jsonl"), "a", encoding="utf-8") as handle:
-            record = {"key": "chunk/train/0", "file": "../../victim.txt", "size": 1, "crc": 0}
-            handle.write(json.dumps(record) + "\n")
-        assert_matches(run_pipeline(root), reference, "escaping index line resume")
+        with open(os.path.join(root, "index.jsonl"), "w", encoding="utf-8") as handle:
+            handle.write('{"key": "chunk/train/0", "file": "../../victim.txt"}\n')
+        with BlockStore(root) as store:
+            assert store.keys() == [], f"format-2 blocks survived: {store.keys()}"
+        assert_bitwise(run_pipeline(root), reference, "format-2 store resume")
         with open(victim) as handle:
             assert handle.read() == "keep me", "recovery wrote to a path outside blocks/"
-        print("index line naming a path outside blocks/: dropped, path untouched, bit-identical")
+        print("format-2 store naming a path outside blocks/: reopened empty, untouched, bitwise")
 
         # The engine-level faults drive LFApplier directly: a reference
         # matrix, then a hung worker, resubmitted.

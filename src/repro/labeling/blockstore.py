@@ -7,21 +7,20 @@ loses everything.  This module makes the blocks durable the moment they
 arrive at the master, with three layers:
 
 :class:`BlockStore`
-    A directory of immutable block files plus a JSON-lines index.  Each
-    ``put`` assembles the block (magic, JSON header describing the named
-    arrays, 64-byte-aligned raw payloads) in memory, writes it to a temp
-    file, fsyncs, renames into place, fsyncs the directory, and only then
-    appends a checksummed index record (fsynced) — so a record in the index
-    implies a complete, verifiable file, and a crash at any byte leaves
-    either a durable block or recoverable garbage, never a trusted torn
-    block.  Opening a store replays the index, drops the torn tail a
-    mid-append crash can leave, verifies every referenced file against its
-    recorded size and crc32 and checks its magic and header, deletes
-    corrupt/orphaned/temp files and blocks of another format, and compacts
-    the index.  Each record's file name is derived from its key, so no
-    index line can point recovery at a path outside ``blocks/``.
+    A directory of immutable block files, each of which checks itself.  A
+    block file is the magic, a JSON header (the block's key, its optional
+    epoch, its meta and the named arrays' specs), the 64-byte-aligned raw
+    payloads, and a crc32 of everything before it.  Each ``put`` assembles
+    the block in memory, writes it to a temp file, fsyncs it, renames it to
+    its key's file name and fsyncs ``blocks/`` — the rename is the commit
+    point, so a crash at any byte leaves either a durable block or garbage
+    recovery drops, never a trusted torn block.  Opening a store lists
+    ``blocks/`` once and keeps exactly the files whose trailer crc, magic
+    and header hold and whose name is their header key's file name; every
+    other file (temp residue, torn or renamed blocks, blocks of another
+    format) is unlinked.  Nothing outside ``blocks/`` is read or unlinked.
 
-    Block format 2 stores every int or float array in the narrowest signed
+    Block format 3 stores every int or float array in the narrowest signed
     int dtype that holds it bit-exactly (votes, column ids, row offsets and
     count-valued features are small integers; ``-0.0``, NaN, ∞ and
     fractions stay wide), and the header records the original dtype.  A
@@ -83,17 +82,19 @@ __all__ = [
     "BlockStore",
     "ChunkCheckpointer",
     "EpochCheckpoint",
-    "RETENTION_POLICIES",
 ]
 
 #: First bytes of every block file; bumping the trailing digit invalidates
 #: all existing stores (recovery checks it, so they recover as empty and
 #: their chunks re-execute).
-MAGIC = b"RBLK2\n"
+MAGIC = b"RBLK3\n"
 
 #: Array payloads are aligned to this many bytes within the block file so a
 #: view of any standard dtype is well-aligned.
 ALIGN = 64
+
+#: Bytes of the crc32 trailer that ends every block file.
+_TRAILER = 4
 
 #: The dtypes an array may be narrowed to, narrowest first.
 _NARROW = tuple(np.dtype(f"<i{size}") for size in (1, 2, 4, 8))
@@ -102,25 +103,13 @@ _NARROW = tuple(np.dtype(f"<i{size}") for size in (1, 2, 4, 8))
 #: filename-safe character on disk.
 _KEY_RE = re.compile(r"^[A-Za-z0-9._/-]+$")
 
-#: Space-reclamation policies for long-lived stores (see
-#: :class:`BlockStore`'s ``retention`` parameter).
-RETENTION_POLICIES = ("keep_all", "latest_epoch")
-
-#: Appended index records between inline compactions, relative to the live
-#: record count: once the index holds more than ``max(_COMPACT_SLACK,
-#: ratio * live)`` lines, it is rewritten in place.  Bounds the index growth
-#: of a long-lived open store (pre-PR-10 the index only compacted on open,
-#: so every superseding ``put`` leaked one line forever).
-_COMPACT_SLACK = 64
-_COMPACT_RATIO = 4
-
 
 def _key_family(key: str) -> str:
-    """The retention grouping of a key: everything before its last segment.
+    """The reclamation grouping of a key: everything before its last segment.
 
     ``online/state/v7`` and ``online/state/v9`` share the family
-    ``online/state``, so ``retention="latest_epoch"`` treats them as
-    snapshots of one logical object.
+    ``online/state``, so the store treats them as snapshots of one logical
+    object and keeps only the newest epoch.
     """
     return key.rsplit("/", 1)[0] if "/" in key else key
 
@@ -166,10 +155,10 @@ def _narrowed(array: np.ndarray) -> np.ndarray:
 
 
 def _layout(mapped) -> tuple[dict, int]:
-    """The header of a mapped block file and the offset its payloads are
+    """The header of a block file's bytes and the offset its payloads are
     relative to; raises ``ValueError`` (or ``KeyError`` / ``TypeError`` for a
     malformed header) unless it is a block of this format whose arrays all
-    lie inside the file."""
+    lie before its trailer."""
     if mapped[: len(MAGIC)] != MAGIC:
         raise ValueError("bad magic")
     start = len(MAGIC) + 8
@@ -180,9 +169,26 @@ def _layout(mapped) -> tuple[dict, int]:
         end = base + spec["offset"] + spec["nbytes"]
         nbytes = count * np.dtype(spec["stored"]).itemsize
         negative = min(0, spec["offset"], *spec["shape"]) < 0
-        if negative or spec["nbytes"] != nbytes or end > len(mapped):
+        if negative or spec["nbytes"] != nbytes or end > len(mapped) - _TRAILER:
             raise ValueError(f"array {spec['name']!r} overruns the file")
     return header, base
+
+
+def _checked_header(path: str) -> Optional[dict]:
+    """The header of the block file at ``path`` when its trailer crc, magic,
+    header, key and epoch are all valid, else ``None``."""
+    try:
+        with open(path, "rb") as handle:
+            body = handle.read()
+        if zlib.crc32(memoryview(body)[:-_TRAILER]) != int.from_bytes(body[-_TRAILER:], "little"):
+            return None
+        header = _layout(body)[0]
+        key, epoch = header["key"], header["epoch"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if isinstance(key, str) and _KEY_RE.match(key) and isinstance(epoch, (int, type(None))):
+        return header
+    return None
 
 
 def _decode(mapped, base: int, spec: dict, widen: bool) -> np.ndarray:
@@ -203,149 +209,50 @@ def _decode(mapped, base: int, spec: dict, widen: bool) -> np.ndarray:
 
 
 class BlockStore:
-    """Atomic, checksummed, mmap-readable storage of named-array blocks.
+    """Atomic, self-checking, mmap-readable storage of named-array blocks.
 
     Layout under ``root``::
 
-        index.jsonl          one JSON record per durable block (appended,
-                             fsynced; compacted on open)
-        blocks/<key>.blk     immutable block files (written via temp +
-                             rename; ``*.tmp`` files are crash residue and
-                             deleted on open)
+        blocks/<key>.blk     immutable block files, ``/`` in the key as
+                             ``~`` (written via temp + rename; ``*.tmp``
+                             files are crash residue and deleted on open)
 
-    An index record ``{"key", "file", "size", "crc"}`` is the commit point:
-    it is appended only after the block file is durably in place, and a
-    block file is trusted only when it is the file of the record's key, its
-    size and crc32 match the record, and its magic and header are this
-    format's.
-    Re-``put`` of an existing key atomically replaces the file and appends
-    a superseding record (last record wins on replay).  :meth:`delete`
-    reclaims a key durably: the block file is unlinked and a tombstone
-    record is appended (compacted away at the next index rewrite) — a crash
-    at any point between the two leaves either a verifiable live block or a
-    key recovery drops, never a trusted ghost.
+    A block file is the whole record of its key: the rename of its fsynced
+    temp file onto ``<key>.blk``, followed by an fsync of ``blocks/``, is
+    the commit point, and on open a file is trusted only when its trailer
+    crc32, magic and header are this format's and its name is the file
+    name of the key its header holds.  Re-``put`` of an existing key
+    atomically replaces the file.  :meth:`delete` unlinks the file and
+    fsyncs ``blocks/``; :meth:`clear` unlinks every file and fsyncs
+    ``blocks/`` once before it returns, so a block put afterwards never
+    becomes durable beside a stale one that comes back.  A put costs two
+    fsyncs; opening a clean store and reading cost none.
 
-    ``retention`` controls space reclamation for long-lived stores:
-
-    * ``"keep_all"`` (default) — nothing is deleted except by explicit
-      :meth:`delete` / :meth:`clear`.
-    * ``"latest_epoch"`` — a ``put(..., epoch=E)`` eagerly deletes every
-      other epoch-stamped key of the same *family* (the key minus its last
-      ``/`` segment) with a lower epoch, and opening a store prunes stale
-      epochs left behind by a ``keep_all`` writer.  Epoch snapshots and
-      versioned model states stop accumulating dead block files.
-
-    Independently of the policy, the live index is compacted inline once
-    its appended records outnumber the surviving keys by a fixed ratio, so
-    an unboundedly long run no longer grows ``index.jsonl`` without bound.
+    Reclamation: the store keeps only the newest epoch of each *family*
+    (a key minus its last ``/`` segment) of epoch-stamped keys.  A
+    ``put(..., epoch=E)`` deletes the superseded ones once its block is
+    durable, and opening a store drops those a killed process left behind
+    — epoch snapshots and versioned model states do not accumulate dead
+    block files.
     """
 
-    def __init__(self, root: str, retention: str = "keep_all") -> None:
-        if retention not in RETENTION_POLICIES:
-            raise LabelingError(
-                f"retention must be one of {RETENTION_POLICIES}, got {retention!r}"
-            )
+    def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
-        self.retention = retention
         self.blocks_dir = os.path.join(self.root, "blocks")
-        self.index_path = os.path.join(self.root, "index.jsonl")
         os.makedirs(self.blocks_dir, exist_ok=True)
-        self._records: dict[str, dict] = {}
+        #: Every durable key and its epoch (``None`` when unstamped).
+        self._records: dict[str, Optional[int]] = {}
         #: Ordinal of the next ``put`` in this process — the trigger index
         #: for write-path fault rules (``disk_full@N`` etc.).
         self._write_ordinal = 0
-        self._appends_since_compact = 0
-        self._recover()
-        self._index_file = open(self.index_path, "a", encoding="utf-8")
-        if self.retention == "latest_epoch":
-            self._prune_stale_epochs()
-
-    # ------------------------------------------------------------- recovery
-    def _recover(self) -> None:
-        """Replay the index, verify every block, delete what can't be trusted."""
-        records: dict[str, dict] = {}
-        if os.path.exists(self.index_path):
-            with open(self.index_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    # A crash mid-append leaves one torn trailing line; it
-                    # (and anything after a corruption) is simply not durable.
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        break
-                    if not isinstance(record, dict) or not isinstance(record.get("key"), str):
-                        break
-                    if record.get("deleted"):
-                        records.pop(record["key"], None)
-                    else:
-                        records[record["key"]] = record
-        # A record names its file only through its key: one whose key is not
-        # a valid key, or whose ``file`` is not its key's file, is dropped
-        # unread, so recovery never touches a path outside ``blocks/``.  The
-        # sweep below deletes every file no surviving record references.
-        records = {
-            key: record
-            for key, record in records.items()
-            if _KEY_RE.match(key)
-            and record.get("file") == _key_filename(key)
-            and self._verify(key, record)
-        }
-        referenced = {record["file"] for record in records.values()}
         for name in os.listdir(self.blocks_dir):
-            if name not in referenced:
-                os.unlink(os.path.join(self.blocks_dir, name))
-        self._records = records
-        self._compact()
-
-    def _verify(self, key: str, record: dict) -> bool:
-        """Whether ``key``'s block file matches its record's size and crc32
-        and is a well-formed block of this format written under ``key``."""
-        try:
-            with open(os.path.join(self.blocks_dir, record["file"]), "rb") as handle:
-                if os.fstat(handle.fileno()).st_size != record["size"]:
-                    return False
-                with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-                    if zlib.crc32(mapped) != record["crc"]:
-                        return False
-                    header, _base = _layout(mapped)
-            return header["key"] == key
-        except (OSError, ValueError, KeyError, TypeError):
-            return False
-
-    def _compact(self) -> None:
-        """Atomically rewrite the index with only the surviving records.
-
-        Run once at open: removes superseded/invalid records and — the part
-        correctness depends on — any torn trailing line, so this process's
-        appends never extend a corrupt tail.
-        """
-        tmp = self.index_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for record in self._records.values():
-                handle.write(json.dumps(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.rename(tmp, self.index_path)
-        _fsync_dir(self.root)
-        self._appends_since_compact = 0
-        # The rename replaced the index inode.  An open append handle would
-        # keep writing to the unlinked old file, silently losing every
-        # commit record appended afterwards — reattach it.
-        handle = getattr(self, "_index_file", None)
-        if handle is not None and not handle.closed:
-            handle.close()
-            self._index_file = open(self.index_path, "a", encoding="utf-8")
-
-    def _append_record(self, record: dict) -> None:
-        """Durably append one index line, compacting when the slack runs out."""
-        self._index_file.write(json.dumps(record) + "\n")
-        self._index_file.flush()
-        os.fsync(self._index_file.fileno())
-        self._appends_since_compact += 1
-        if self._appends_since_compact > max(
-            _COMPACT_SLACK, _COMPACT_RATIO * len(self._records)
-        ):
-            self._compact()
+            path = os.path.join(self.blocks_dir, name)
+            header = _checked_header(path)
+            if header is not None and name == _key_filename(header["key"]):
+                self._records[header["key"]] = header["epoch"]
+            else:
+                os.unlink(path)
+        self._drop_superseded()
 
     # --------------------------------------------------------------- writes
     def put(
@@ -357,18 +264,18 @@ class BlockStore:
     ) -> None:
         """Durably store named arrays (plus JSON-safe ``meta``) under ``key``.
 
-        ``epoch`` stamps the record with a supersession ordinal: under
-        ``retention="latest_epoch"`` this put then deletes every other
-        epoch-stamped key of the same family with a lower epoch.
+        ``epoch`` stamps the block with a supersession ordinal: once it is
+        durable, the store keeps only the newest epoch of the key's family
+        and deletes every epoch-stamped key of it with a lower one.
         """
         if not _KEY_RE.match(key):
             raise LabelingError(f"bad block key {key!r}")
         ordinal = self._write_ordinal
         self._write_ordinal += 1
         faults.maybe_disk_full(ordinal)
-        payload = self._encode(key, arrays, meta or {})
-        name = _key_filename(key)
-        path = os.path.join(self.blocks_dir, name)
+        epoch = None if epoch is None else int(epoch)
+        payload = self._encode(key, epoch, arrays, meta or {})
+        path = os.path.join(self.blocks_dir, _key_filename(key))
         tmp = path + f".{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as handle:
@@ -381,26 +288,17 @@ class BlockStore:
                 os.unlink(tmp)
             raise
         _fsync_dir(self.blocks_dir)
-        # Injected post-rename corruption: the index record below keeps the
-        # *intended* crc, so the torn block is detected (and re-executed)
-        # when the store is next opened.
+        # Injected post-rename corruption: the trailer keeps the *intended*
+        # crc, so the torn block is detected (and re-executed) when the
+        # store is next opened.
         faults.corrupt_block_file(path, ordinal)
-        record = {
-            "key": key,
-            "file": name,
-            "size": len(payload),
-            "crc": zlib.crc32(payload),
-        }
-        if epoch is not None:
-            record["epoch"] = int(epoch)
-        self._records[key] = record
-        self._append_record(record)
+        self._records[key] = epoch
         faults.maybe_die_at_block(ordinal)
-        if self.retention == "latest_epoch" and epoch is not None:
-            self._prune_family(key, int(epoch))
+        if epoch is not None:
+            self._drop_superseded()
 
     @staticmethod
-    def _encode(key: str, arrays: dict[str, np.ndarray], meta: dict) -> bytes:
+    def _encode(key: str, epoch: Optional[int], arrays: dict[str, np.ndarray], meta: dict) -> bytes:
         # Header length depends on the offsets, which depend on the header
         # length — resolve with payload offsets relative to the payload
         # section, which starts right after the header.
@@ -426,66 +324,30 @@ class BlockStore:
             )
             chunks.append(raw)
             offset += len(raw)
-        header = json.dumps({"key": key, "meta": meta, "arrays": specs}).encode()
-        return b"".join([MAGIC, len(header).to_bytes(8, "little"), header, *chunks])
+        header = json.dumps({"key": key, "epoch": epoch, "meta": meta, "arrays": specs}).encode()
+        body = b"".join([MAGIC, len(header).to_bytes(8, "little"), header, *chunks])
+        return body + zlib.crc32(body).to_bytes(_TRAILER, "little")
 
     def delete(self, key: str) -> bool:
-        """Durably remove a key: tombstone the index record, unlink the file.
-
-        Crash-safe in either half: a tombstone without the unlink leaves an
-        unreferenced file recovery sweeps; an unlink without the tombstone
-        leaves a record whose verification fails, so recovery drops it.
-        Returns whether the key existed.
-        """
-        record = self._records.pop(key, None)
-        if record is None:
+        """Durably remove a key: unlink its file, then fsync ``blocks/``.
+        Returns whether the key existed."""
+        if key not in self._records:
             return False
-        self._append_record({"key": key, "deleted": True})
-        path = os.path.join(self.blocks_dir, record["file"])
-        if os.path.exists(path):
-            os.unlink(path)
+        del self._records[key]
+        os.unlink(os.path.join(self.blocks_dir, _key_filename(key)))
+        _fsync_dir(self.blocks_dir)
         return True
 
-    def prune(self, prefix: str) -> int:
-        """Delete every key under a ``/``-separated namespace prefix."""
-        head = prefix.rstrip("/") + "/"
-        stale = [key for key in self._records if key.startswith(head) or key == prefix]
-        for key in stale:
-            self.delete(key)
-        return len(stale)
-
-    def _prune_family(self, key: str, epoch: int) -> None:
-        """Delete the other epoch-stamped keys of ``key``'s family below ``epoch``."""
-        family = _key_family(key)
-        stale = [
-            other
-            for other, record in self._records.items()
-            if other != key
-            and record.get("epoch") is not None
-            and record["epoch"] < epoch
-            and _key_family(other) == family
-        ]
-        for other in stale:
-            self.delete(other)
-
-    def _prune_stale_epochs(self) -> None:
-        """Keep only each family's newest epoch (run when opening with
-        ``retention="latest_epoch"``, so stores written under ``keep_all``
-        shrink to their live snapshots)."""
+    def _drop_superseded(self) -> None:
+        """Delete every epoch-stamped key whose family holds a newer epoch."""
         newest: dict[str, int] = {}
-        for key, record in self._records.items():
-            epoch = record.get("epoch")
+        for key, epoch in self._records.items():
             if epoch is not None:
                 family = _key_family(key)
                 newest[family] = max(newest.get(family, epoch), epoch)
-        stale = [
-            key
-            for key, record in self._records.items()
-            if record.get("epoch") is not None
-            and record["epoch"] < newest[_key_family(key)]
-        ]
-        for key in stale:
-            self.delete(key)
+        for key, epoch in list(self._records.items()):
+            if epoch is not None and epoch < newest[_key_family(key)]:
+                self.delete(key)
 
     # ---------------------------------------------------------------- reads
     def get(self, key: str) -> tuple[dict[str, np.ndarray], dict]:
@@ -500,10 +362,9 @@ class BlockStore:
         ``None``): the block file is mapped once, and each array is a view
         of the mapping or, if it was stored narrowed, its widened copy —
         or, without ``widen``, its owned copy in the stored dtype."""
-        record = self._records.get(key)
-        if record is None:
+        if key not in self._records:
             raise LabelingError(f"block {key!r} not in store {self.root}")
-        path = os.path.join(self.blocks_dir, record["file"])
+        path = os.path.join(self.blocks_dir, _key_filename(key))
         with open(path, "rb") as handle:
             try:
                 mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
@@ -524,10 +385,9 @@ class BlockStore:
         return sorted(self._records)
 
     # ------------------------------------------------------- pickle helpers
-    def put_pickle(self, key: str, obj: object, epoch: Optional[int] = None) -> None:
+    def put_pickle(self, key: str, obj: object) -> None:
         """Store an arbitrary picklable object (phase checkpoints)."""
-        blob = np.frombuffer(pickle.dumps(obj), dtype=np.uint8)
-        self.put(key, {"pickle": blob}, epoch=epoch)
+        self.put(key, {"pickle": np.frombuffer(pickle.dumps(obj), dtype=np.uint8)})
 
     def get_pickle(self, key: str) -> object:
         arrays, _ = self.get(key)
@@ -535,32 +395,30 @@ class BlockStore:
 
     # ------------------------------------------------------------- lifecycle
     def clear(self) -> None:
-        """Drop every block (used when a store's fingerprint is stale)."""
+        """Drop every block (used when a store's fingerprint is stale); the
+        unlinks are durable before it returns."""
         self._records = {}
         for name in os.listdir(self.blocks_dir):
             os.unlink(os.path.join(self.blocks_dir, name))
-        self._compact()
-
-    def close(self) -> None:
-        if not self._index_file.closed:
-            self._index_file.close()
+        _fsync_dir(self.blocks_dir)
 
     def __enter__(self) -> "BlockStore":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        pass
 
 
 class ChunkCheckpointer:
     """Durable per-chunk checkpoints of one labeling pass over one split.
 
     ``record`` persists a freshly computed :class:`ChunkResult` before the
-    accumulator transform consumes it; ``load`` reconstructs a durably
-    recorded one (triple arrays read from the mapped block) and ``replay``
-    its label half, which a resumed run feeds through the identical
-    transform chain.  ``completed`` is the set of chunk indices the store
-    holds — ``run_plan`` skips exactly these.
+    accumulator transform consumes it; ``replay`` reconstructs the label
+    half of a durably recorded one (triple arrays read from the mapped
+    block), which a resumed run feeds through the identical transform
+    chain, and :meth:`feature_blocks` its feature block once the pass is
+    over.  ``completed`` is the set of chunk indices the store holds —
+    ``run_plan`` skips exactly these.
 
     A failed write (disk full, permissions) disables the checkpointer with
     a single warning instead of aborting the labeling run: durability
@@ -592,7 +450,7 @@ class ChunkCheckpointer:
         for position, array in enumerate(arrays):
             named[f"a{position}"] = array
         try:
-            self.store.put(self._key(result.index), named, {"arrays": len(arrays)})
+            self.store.put(self._key(result.index), named)
         except OSError as exc:
             warnings.warn(
                 f"chunk checkpointing disabled after write failure on chunk "
@@ -604,16 +462,11 @@ class ChunkCheckpointer:
             return
         self.completed.add(result.index)
 
-    def load(self, index: int) -> ChunkResult:
-        arrays, meta = self.store.get(self._key(index))
-        chunk_meta = pickle.loads(arrays["meta"].tobytes())
-        ordered = [arrays[f"a{position}"] for position in range(meta["arrays"])]
-        return attach_arrays(chunk_meta, ordered)
-
     def replay(self, index: int) -> ChunkResult:
-        """:meth:`load` without the feature block, which is not decoded: the
-        accumulator transform drops a replayed chunk's features, and
-        :meth:`feature_blocks` reads them once the pass is over."""
+        """A durably recorded chunk's result without its feature block, which
+        is not decoded: the accumulator transform drops a replayed chunk's
+        features, and :meth:`feature_blocks` reads them once the pass is
+        over."""
         arrays = self.store._read(self._key(index), ("meta", "a0", "a1", "a2"))[0]
         meta = pickle.loads(arrays["meta"].tobytes())
         meta.features = None
@@ -662,8 +515,8 @@ class ChunkCheckpointer:
 
         A shorter stream under the same fingerprint (fewer candidates this
         run) leaves the earlier run's high-index chunk blocks dead on disk;
-        the pipeline calls this after a completed pass when the store's
-        retention policy reclaims space.  Returns the number deleted.
+        the pipeline calls this after every checkpointed pass.  Returns the
+        number deleted.
         """
         stale = sorted(index for index in self.completed if index >= num_chunks)
         for index in stale:

@@ -43,10 +43,10 @@ the kernel's balance update and M-step.
 
 Durability: :meth:`save` persists the full state (triples + accumulators)
 as one block in a :class:`repro.labeling.blockstore.BlockStore`, stamped
-with ``epoch=model_version_`` so a store opened with
-``retention="latest_epoch"`` keeps only the newest snapshot; :meth:`load`
-restores the newest one.  The pipeline fits in batch — its Λ is complete
-before label modeling starts, and a drained model is that fit bit for bit.
+with ``epoch=model_version_`` so the store keeps only the newest
+snapshot; :meth:`load` restores it.  The pipeline fits in batch — its Λ is
+complete before label modeling starts, and a drained model is that fit bit
+for bit.
 """
 
 from __future__ import annotations
@@ -519,10 +519,9 @@ class OnlineGenerativeModel:
     def save(self, store, prefix: str = "online") -> str:
         """Persist the full state as one durable block; returns the key.
 
-        The block is stamped with ``epoch=model_version_``, so a
-        :class:`~repro.labeling.blockstore.BlockStore` opened with
-        ``retention="latest_epoch"`` deletes superseded snapshots as new
-        ones land.
+        The block is stamped with ``epoch=model_version_``, so the
+        :class:`~repro.labeling.blockstore.BlockStore` deletes superseded
+        snapshots as new ones land.
         """
         rows, cols, vals = self._triples()
         self._require_pinned()

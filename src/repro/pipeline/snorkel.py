@@ -68,12 +68,7 @@ from repro.evaluation.scorer import (
 )
 from repro.exceptions import ConfigurationError, LabelingError, LabelModelError
 from repro.labeling.applier import PUSHDOWN_MODES, VALIDATE_MODES, LFApplier
-from repro.labeling.blockstore import (
-    RETENTION_POLICIES,
-    BlockStore,
-    ChunkCheckpointer,
-    EpochCheckpoint,
-)
+from repro.labeling.blockstore import BlockStore, ChunkCheckpointer, EpochCheckpoint
 from repro.labeling.engine import ExecutionPlan
 from repro.labeling.lf import LabelingFunction, lf_digest
 from repro.labeling.matrix import LabelMatrix
@@ -95,7 +90,6 @@ EXECUTION_ONLY_FIELDS = frozenset(
         "lf_validate",
         "checkpoint_dir",
         "resume",
-        "checkpoint_retention",
     }
 )
 
@@ -149,16 +143,11 @@ class PipelineConfig:
     #: store written under a different configuration fingerprint (other LF
     #: suite, featurizer or end-model configuration, or any result-changing
     #: field of this config) is cleared automatically — stale blocks are
-    #: never replayed.
+    #: never replayed.  Every checkpointed pass then deletes the chunk
+    #: blocks a longer earlier run left beyond its end, and the store keeps
+    #: only the newest epoch of each family of epoch-stamped snapshots (see
+    #: :class:`repro.labeling.blockstore.BlockStore`).
     resume: bool = True
-    #: Space-reclamation policy of the block store (see
-    #: :class:`repro.labeling.blockstore.BlockStore`): ``"keep_all"``
-    #: (default) keeps every durable block; ``"latest_epoch"`` deletes
-    #: superseded epoch-stamped snapshots (e.g. the online model's
-    #: versioned statistics) as new ones land and prunes chunk blocks a
-    #: shorter re-run left dead, so a long-lived checkpoint dir stops
-    #: growing without bound.
-    checkpoint_retention: str = "keep_all"
     #: Soft per-chunk deadline in seconds for the ``"processes"`` backend
     #: (see :class:`repro.labeling.engine.plan.ExecutionPlan`): a hung
     #: worker is killed and its chunk resubmitted instead of deadlocking
@@ -213,11 +202,6 @@ class PipelineConfig:
             NoiseAwareLogisticRegression(epochs=self.discriminative_epochs)
         except (LabelingError, LabelModelError) as error:
             raise ConfigurationError(f"PipelineConfig: {error}") from error
-        if self.checkpoint_retention not in RETENTION_POLICIES:
-            raise ConfigurationError(
-                f"checkpoint_retention must be one of {RETENTION_POLICIES}, "
-                f"got {self.checkpoint_retention!r}"
-            )
 
 
 @dataclass
@@ -328,53 +312,49 @@ class SnorkelPipeline:
         store, train_ckpt, test_ckpt, epoch_ckpt = self._open_checkpoints(
             lfs, task_name, end_model
         )
-        try:
-            label_matrix, train_blocks = applier.apply_with_features(
-                train_candidates,
-                self.featurizer,
-                sparse=config.sparse_labels,
-                checkpoint=train_ckpt,
-            )
-            test_matrix, test_blocks = applier.apply_with_features(
-                test_candidates,
-                self.featurizer,
-                sparse=config.sparse_labels,
-                checkpoint=test_ckpt,
-            )
-            timings["lf_application"] = time.perf_counter() - start
-            if store is not None and store.retention == "latest_epoch":
-                # Reclaim chunk blocks a longer earlier run left behind.
-                train_ckpt.prune_beyond(len(train_blocks))
-                test_ckpt.prune_beyond(len(test_blocks))
+        label_matrix, train_blocks = applier.apply_with_features(
+            train_candidates,
+            self.featurizer,
+            sparse=config.sparse_labels,
+            checkpoint=train_ckpt,
+        )
+        test_matrix, test_blocks = applier.apply_with_features(
+            test_candidates,
+            self.featurizer,
+            sparse=config.sparse_labels,
+            checkpoint=test_ckpt,
+        )
+        timings["lf_application"] = time.perf_counter() - start
+        if store is not None:
+            # Reclaim chunk blocks a longer earlier run left behind.
+            train_ckpt.prune_beyond(len(train_blocks))
+            test_ckpt.prune_beyond(len(test_blocks))
 
-            start = time.perf_counter()
-            strategy, generative_model, training_probs = self._label_modeling_checkpointed(
-                label_matrix, store
-            )
-            timings["label_modeling"] = time.perf_counter() - start
+        start = time.perf_counter()
+        strategy, generative_model, training_probs = self._label_modeling_checkpointed(
+            label_matrix, store
+        )
+        timings["label_modeling"] = time.perf_counter() - start
 
-            test_gold = np.asarray(test_gold)
-            generative_report = self._generative_report(
-                cardinality, generative_model, test_matrix, test_gold
-            )
+        test_gold = np.asarray(test_gold)
+        generative_report = self._generative_report(
+            cardinality, generative_model, test_matrix, test_gold
+        )
 
-            start = time.perf_counter()
-            self._train_end_model(
-                end_model, train_blocks, training_probs, label_matrix, epoch_ckpt
+        start = time.perf_counter()
+        self._train_end_model(
+            end_model, train_blocks, training_probs, label_matrix, epoch_ckpt
+        )
+        if test_blocks:
+            test_probs = np.concatenate(
+                [end_model.predict_proba(block) for block in test_blocks], axis=0
             )
-            if test_blocks:
-                test_probs = np.concatenate(
-                    [end_model.predict_proba(block) for block in test_blocks], axis=0
-                )
-            else:
-                test_probs = np.zeros((0, cardinality) if cardinality > 2 else 0)
-            discriminative_report = self._score_probabilities(
-                cardinality, test_gold, test_probs
-            )
-            timings["discriminative_training"] = time.perf_counter() - start
-        finally:
-            if store is not None:
-                store.close()
+        else:
+            test_probs = np.zeros((0, cardinality) if cardinality > 2 else 0)
+        discriminative_report = self._score_probabilities(
+            cardinality, test_gold, test_probs
+        )
+        timings["discriminative_training"] = time.perf_counter() - start
 
         return PipelineResult(
             task_name=task_name,
@@ -440,7 +420,7 @@ class SnorkelPipeline:
         config = self.config
         if config.checkpoint_dir is None:
             return None, None, None, None
-        store = BlockStore(config.checkpoint_dir, retention=config.checkpoint_retention)
+        store = BlockStore(config.checkpoint_dir)
         fingerprint = self._checkpoint_fingerprint(lfs, task_name, end_model)
         key = "meta/fingerprint"
         stale = True

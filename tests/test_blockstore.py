@@ -8,20 +8,25 @@ What this suite pins down:
   int or float array in the narrowest signed int dtype that keeps it
   bit-exact (a fused chunk block is at most a quarter of its arrays'
   bytes).
-* **Recovery** — opening a store drops a torn index tail, detects
-  corrupted block files by size/crc and deletes them, drops blocks of
-  another format (magic, header) and index records whose file is not
-  their key's, never touching a path outside ``blocks/``, and sweeps
-  orphaned and temp files; what survives recovery is exactly what was
-  durably committed.
-* **Reclamation** — ``delete`` tombstones durably, ``prune`` clears a
-  namespace, ``retention="latest_epoch"`` drops superseded epoch-stamped
-  blocks (at put time and at open), and the index compacts inline under
-  same-key churn instead of growing without bound.
-* **Checkpointers** — ``ChunkCheckpointer`` records and reloads
-  :class:`ChunkResult` blocks (fused feature block included) losslessly and
-  degrades with one warning on a full disk; ``EpochCheckpoint`` snapshots
-  end-model training state the same way.
+* **Recovery** — a block file checks itself (crc32 trailer, magic, header,
+  key): opening a store drops torn and corrupted block files, blocks of
+  another format and blocks whose file name is not their header key's,
+  sweeps orphaned and temp files, and never reads or touches a path
+  outside ``blocks/`` (an old store's ``index.jsonl`` included); what
+  survives recovery is exactly what was durably committed, also after a
+  generated sequence of puts and deletes whose last block is damaged.
+* **Durability cost** — a put makes exactly two fsyncs (the temp file,
+  then ``blocks/``), opening a clean store and reading make none,
+  ``clear`` makes its unlinks durable before the next put commits, and a
+  fresh checkpointed pipeline run makes 2 × puts + 1 fsyncs while its
+  replay makes none.
+* **Reclamation** — ``delete`` is durable, an epoch-stamped put drops the
+  superseded epochs of its family (so do opens, after a kill between the
+  put and the drop), and same-key churn leaves one file.
+* **Checkpointers** — ``ChunkCheckpointer`` records chunk results whose
+  label triples ``replay`` and feature blocks ``feature_blocks`` bring
+  back losslessly, and degrades with one warning on a full disk;
+  ``EpochCheckpoint`` snapshots end-model training state the same way.
 * **Stored feature blocks** — ``ChunkCheckpointer.feature_blocks``
   refuses incomplete stores, serves RAM overrides for chunks a degraded run
   never persisted, and loads each stored block in its narrow stored dtypes
@@ -30,6 +35,8 @@ What this suite pins down:
 
 import json
 import os
+import signal
+import stat
 import tempfile
 import zlib
 
@@ -236,20 +243,26 @@ def test_bad_key_rejected(tmp_path):
 
 
 # ----------------------------------------------------------------- recovery
-def test_torn_index_tail_dropped(tmp_path):
+def sealed(body: bytes) -> bytes:
+    """``body`` with the crc32 trailer that makes a block file check out."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def test_torn_block_file_dropped(tmp_path):
+    """A block cut short (a crash mid-write) fails its trailer crc on
+    reopen and is unlinked; the committed block beside it survives."""
     root = str(tmp_path / "store")
     with BlockStore(root) as store:
         store.put("good", {"a": np.arange(3)})
-        index_path = store.index_path
-    with open(index_path, "a", encoding="utf-8") as handle:
-        handle.write('{"key": "torn", "fi')  # crash mid-append
+        store.put("torn", {"a": np.arange(50)})
+        path = os.path.join(store.blocks_dir, "torn.blk")
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) // 2)
     with BlockStore(root) as store:
         assert store.keys() == ["good"]
         arrays, _ = store.get("good")
         assert np.array_equal(arrays["a"], [0, 1, 2])
-    # The compacted index parses cleanly end to end.
-    with open(index_path, encoding="utf-8") as handle:
-        assert all(line.strip().startswith("{") for line in handle)
+    assert not os.path.exists(path)
 
 
 def test_corrupt_block_file_detected_and_deleted(tmp_path):
@@ -270,35 +283,41 @@ def test_corrupt_block_file_detected_and_deleted(tmp_path):
 
 
 def test_recovery_never_touches_paths_outside_blocks(tmp_path):
-    """An index record names its file through its key only: a ``file``
-    field pointing out of ``blocks/`` (or a key that is no key) is dropped,
-    and what it pointed at is left alone."""
-    root = str(tmp_path / "store")
+    """Recovery lists ``blocks/`` only: a format-2 store's ``index.jsonl``
+    whose lines point out of ``blocks/`` and stray files beside it stay
+    byte for byte as they were, and a block copied under another key's
+    file name is dropped."""
+    root = tmp_path / "store"
     victim = tmp_path / "victim.txt"
     victim.write_text("keep me")
-    outside = tmp_path / "store" / "outside.blk"
-    with BlockStore(root) as store:
+    with BlockStore(str(root)) as store:
         store.put("good", {"a": np.arange(3)})
-        index_path = store.index_path
-    outside.write_bytes(b"x")
-    with open(index_path, "a", encoding="utf-8") as handle:
+    index = root / "index.jsonl"
+    index.write_text("".join(
+        json.dumps(record) + "\n"
         for record in (
             {"key": "chunk/train/0", "file": "../../victim.txt", "size": 1, "crc": 0},
             {"key": "chunk/train/1", "file": "../outside.blk", "size": 1, "crc": zlib.crc32(b"x")},
             {"key": "../outside", "file": "..~outside.blk", "size": 1, "crc": 0},
-        ):
-            handle.write(json.dumps(record) + "\n")
-    with BlockStore(root) as store:
+        )
+    ))
+    before = index.read_bytes()
+    (root / "outside.blk").write_bytes(b"x")
+    copy = root / "blocks" / "chunk~train~0.blk"
+    copy.write_bytes((root / "blocks" / "good.blk").read_bytes())
+    with BlockStore(str(root)) as store:
         keys = store.keys()
-    assert victim.read_text() == "keep me"
-    assert outside.read_bytes() == b"x"
     assert keys == ["good"]
+    assert not copy.exists()
+    assert victim.read_text() == "keep me"
+    assert (root / "outside.blk").read_bytes() == b"x"
+    assert index.read_bytes() == before
 
 
-@pytest.mark.parametrize("magic", [b"RBLK1\n", b"RBLK9\n"])
+@pytest.mark.parametrize("magic", [b"RBLK1\n", b"RBLK2\n", b"RBLK9\n"])
 def test_block_of_another_format_recovers_as_empty(tmp_path, magic):
     """A block whose magic is not this format's is dropped on reopen like a
-    corrupt one — even with a matching index record — so an old store
+    corrupt one — even with a matching trailer crc — so an old store
     resumes empty instead of failing at the first read."""
     assert magic != MAGIC
     root = str(tmp_path / "store")
@@ -306,14 +325,10 @@ def test_block_of_another_format_recovers_as_empty(tmp_path, magic):
         store.put("chunk/train/0", {"a": np.arange(5)})
         store.put("survivor", {"a": np.arange(2)})
         path = os.path.join(store.blocks_dir, "chunk~train~0.blk")
-        index_path = store.index_path
-    with open(path, "r+b") as handle:
-        handle.write(magic)
     with open(path, "rb") as handle:
-        body = handle.read()
-    with open(index_path, "a", encoding="utf-8") as handle:
-        record = {"key": "chunk/train/0", "file": "chunk~train~0.blk"}
-        handle.write(json.dumps({**record, "size": len(body), "crc": zlib.crc32(body)}) + "\n")
+        body = handle.read()[:-4]
+    with open(path, "wb") as handle:
+        handle.write(sealed(magic + body[len(magic):]))
     with BlockStore(root) as store:
         assert store.keys() == ["survivor"]
         assert ChunkCheckpointer(store, "train").completed == set()
@@ -321,19 +336,25 @@ def test_block_of_another_format_recovers_as_empty(tmp_path, magic):
 
 
 def test_block_with_an_unreadable_header_is_dropped(tmp_path):
+    """A sealed block whose header overruns the file, lacks its key, is no
+    object, or holds a key that is no key or an epoch that is no integer is
+    dropped on reopen."""
+    complete = (
+        b'{"epoch": null, "meta": {}, "arrays": []}',
+        b'["k"]',
+        b'{"key": "k", "epoch": "1", "meta": {}, "arrays": []}',
+        b'{"key": "k k", "epoch": null, "meta": {}, "arrays": []}',
+    )
     root = str(tmp_path / "store")
-    with BlockStore(root) as store:
-        store.put("k", {"a": np.arange(5)})
-        path = os.path.join(store.blocks_dir, "k.blk")
-        index_path = store.index_path
-    body = MAGIC + (10**6).to_bytes(8, "little") + b'{"key": "k"'
-    with open(path, "wb") as handle:
-        handle.write(body)
-    with open(index_path, "a", encoding="utf-8") as handle:
-        record = {"key": "k", "file": "k.blk", "size": len(body), "crc": zlib.crc32(body)}
-        handle.write(json.dumps(record) + "\n")
-    with BlockStore(root) as store:
-        assert store.keys() == []
+    for header, length in [(b'{"key": "k"', 10**6)] + [(h, len(h)) for h in complete]:
+        with BlockStore(root) as store:
+            store.put("k", {"a": np.arange(5)})
+            path = os.path.join(store.blocks_dir, "k.blk")
+        with open(path, "wb") as handle:
+            handle.write(sealed(MAGIC + length.to_bytes(8, "little") + header))
+        with BlockStore(root) as store:
+            assert store.keys() == [], header
+        assert not os.path.exists(path), header
 
 
 def test_orphan_and_tmp_files_swept(tmp_path):
@@ -364,9 +385,8 @@ def test_clear_empties_store(tmp_path):
 
 
 def test_put_after_clear_is_durable(tmp_path):
-    """clear() atomically rewrites the index file; appends made through the
-    store's long-lived handle afterwards must land in the *new* inode, or
-    every block written after a clear silently vanishes on reopen."""
+    """A block put after ``clear()`` survives a reopen, and the cleared ones
+    stay gone."""
     root = str(tmp_path / "store")
     with BlockStore(root) as store:
         store.put("old", {"x": np.arange(2)})
@@ -376,6 +396,188 @@ def test_put_after_clear_is_durable(tmp_path):
         assert store.keys() == ["fresh"]
         arrays, _ = store.get("fresh")
         assert np.array_equal(arrays["x"], np.arange(5))
+
+
+# ------------------------------------------------------------ fsync budget
+@pytest.fixture
+def fs_calls(monkeypatch):
+    """Every ``os.fsync`` / ``os.unlink`` / ``os.rename`` call, in order: an
+    fsync is recorded as ``("fsync", "dir")`` or ``("fsync", "file")``."""
+    calls = []
+    fsync, unlink, rename = os.fsync, os.unlink, os.rename
+
+    def record_fsync(fd):
+        calls.append(("fsync", "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
+        return fsync(fd)
+
+    def record_unlink(path, *args, **kwargs):
+        calls.append(("unlink", os.path.basename(path)))
+        return unlink(path, *args, **kwargs)
+
+    def record_rename(src, dst, *args, **kwargs):
+        calls.append(("rename", os.path.basename(dst)))
+        return rename(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "unlink", record_unlink)
+    monkeypatch.setattr(os, "rename", record_rename)
+    return calls
+
+
+def fsyncs(calls) -> int:
+    return sum(1 for op, _ in calls if op == "fsync")
+
+
+def test_put_makes_two_fsyncs_and_open_and_get_none(tmp_path, fs_calls):
+    root = str(tmp_path / "store")
+    with BlockStore(root) as store:
+        store.put("chunk/train/0", {"a": np.arange(9)})
+        assert fs_calls == [("fsync", "file"), ("rename", "chunk~train~0.blk"), ("fsync", "dir")]
+    fs_calls.clear()
+    with BlockStore(root) as store:
+        store.get("chunk/train/0")
+        assert "chunk/train/0" in store
+    assert fs_calls == []
+
+
+def test_clear_is_durable_before_the_next_put_commits(tmp_path, fs_calls):
+    with BlockStore(str(tmp_path / "store")) as store:
+        for key in ("a", "b", "c"):
+            store.put(key, {"x": np.arange(3)})
+        fs_calls.clear()
+        store.clear()
+        store.put("meta/fingerprint", {"x": np.arange(2)})
+    unlinks = [i for i, (op, _) in enumerate(fs_calls) if op == "unlink"]
+    dir_syncs = [i for i, call in enumerate(fs_calls) if call == ("fsync", "dir")]
+    commit = fs_calls.index(("rename", "meta~fingerprint.blk"))
+    assert len(unlinks) == 3
+    assert unlinks[-1] < dir_syncs[0] < commit
+    assert fsyncs(fs_calls) == 3  # clear's one, then the put's two
+
+
+def test_checkpointed_run_fsyncs_twice_per_put_and_replay_never(tmp_path, fs_calls, monkeypatch):
+    from repro.datasets.synthetic import stream_text_gold
+    from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
+
+    puts = []
+    put = BlockStore.put
+
+    def counted_put(store, key, *args, **kwargs):
+        puts.append(key)
+        return put(store, key, *args, **kwargs)
+
+    monkeypatch.setattr(BlockStore, "put", counted_put)
+    config = PipelineConfig(
+        seed=0, chunk_size=32, generative_epochs=2, discriminative_epochs=3,
+        num_features=64, checkpoint_dir=str(tmp_path / "ckpt"),
+    )
+
+    def run():
+        return SnorkelPipeline(lfs=text_vote_lfs(4), config=config).run_streams(
+            stream_text_candidates(num_points=100, num_lfs=4, seed=0),
+            stream_text_candidates(num_points=40, num_lfs=4, seed=1),
+            stream_text_gold(40, seed=1),
+        )
+
+    first = run()
+    assert len(puts) == 1 + 4 + 2 + 1 + 3  # fingerprint, chunks, label model, epochs
+    assert fsyncs(fs_calls) == 2 * len(puts) + 1  # + clear's one
+    puts.clear()
+    fs_calls.clear()
+    replayed = run()
+    assert puts == [] and fs_calls == []
+    assert replayed.training_probs.tobytes() == first.training_probs.tobytes()
+
+
+# ---------------------------------------------------------- generated crash
+KEYS = ("fam/a", "fam/b", "fam/c", "solo", "deep/x/y", "deep/x/z")
+
+
+@st.composite
+def store_histories(draw):
+    """A run of put / re-put / delete operations ending in a put, plus how
+    the last-written block file is damaged afterwards."""
+    values = st.integers(-300, 300) | st.integers(-(2**40), 2**40)
+
+    def put(min_size, epochs):
+        arrays = st.lists(values, min_size=min_size, max_size=64)
+        return st.tuples(st.just("put"), st.sampled_from(KEYS), arrays, epochs)
+
+    delete = st.tuples(st.just("delete"), st.sampled_from(KEYS))
+    ops = draw(st.lists(put(0, st.none() | st.integers(0, 4)) | delete, max_size=12))
+    # The last put carries no epoch or the highest one, so it survives to be damaged.
+    ops.append(draw(put(8, st.none() | st.just(4))))
+    damage = draw(st.sampled_from(("truncate", "flip")))
+    return ops, damage, draw(st.floats(0, 1, exclude_max=True))
+
+
+def committed_after(ops) -> dict:
+    """What the store holds after ``ops``: every key's last put, without
+    deleted keys and without epoch-stamped keys whose family holds a newer
+    epoch."""
+    held = {}
+    for op in ops:
+        if op[0] == "delete":
+            held.pop(op[1], None)
+            continue
+        _, key, values, epoch = op
+        held[key] = (values, epoch)
+        if epoch is not None:
+            newest = {}
+            for other, (_, stamp) in held.items():
+                if stamp is not None:
+                    family = other.rsplit("/", 1)[0]
+                    newest[family] = max(newest.get(family, stamp), stamp)
+            held = {
+                other: (kept, stamp)
+                for other, (kept, stamp) in held.items()
+                if stamp is None or stamp >= newest[other.rsplit("/", 1)[0]]
+            }
+    return held
+
+
+@settings(max_examples=100, deadline=None)
+@given(store_histories())
+@example(([("put", "fam/a", [1, 2], 3), ("put", "solo", [2**40] * 64, 1)], "flip", 0.8))
+@example(([("put", "solo", [7], None), ("put", "solo", [8, 9], None)], "truncate", 0.0))
+def test_reopen_holds_exactly_the_committed_blocks(history):
+    """After any history of puts, re-puts and deletes, with the last-written
+    block file truncated or byte-flipped at any offset, a reopened store
+    holds exactly the committed keys, each byte-equal to what was put — the
+    damaged key either whole or absent."""
+    ops, damage, where = history
+    expected = committed_after(ops)
+    damaged = ops[-1][1]
+    with tempfile.TemporaryDirectory() as root:
+        with BlockStore(root) as store:
+            for op in ops:
+                if op[0] == "delete":
+                    store.delete(op[1])
+                else:
+                    store.put(op[1], {"v": np.array(op[2], dtype=np.int64)}, epoch=op[3])
+            assert store.keys() == sorted(expected)
+            path = os.path.join(store.blocks_dir, damaged.replace("/", "~") + ".blk")
+        if os.path.exists(path):
+            size = os.path.getsize(path)
+            with open(path, "r+b") as handle:
+                if damage == "truncate":
+                    handle.truncate(int(where * size))
+                else:
+                    handle.seek(int(where * size))
+                    byte = handle.read(1)[0]
+                    handle.seek(int(where * size))
+                    handle.write(bytes([byte ^ 0xFF]))
+        with BlockStore(root) as store:
+            keys = store.keys()
+            if damaged not in keys:
+                expected.pop(damaged, None)
+            assert keys == sorted(expected)
+            for key, (values, _) in expected.items():
+                loaded = store.get(key)[0]["v"]
+                assert loaded.tobytes() == np.array(values, dtype=np.int64).tobytes(), key
+            assert sorted(os.listdir(store.blocks_dir)) == sorted(
+                key.replace("/", "~") + ".blk" for key in keys
+            )
 
 
 # ------------------------------------------------------ deletion & retention
@@ -389,73 +591,62 @@ def test_delete_removes_block_and_survives_reopen(tmp_path):
         assert not store.delete("dead")  # already gone
         assert not os.path.exists(path)
         assert store.keys() == ["alive"]
-    # The tombstone is durable: reopening must not resurrect the key.
+    # The unlink is durable: reopening must not resurrect the key.
     with BlockStore(root) as store:
         assert store.keys() == ["alive"]
 
 
-def test_prune_namespace(tmp_path):
-    with BlockStore(str(tmp_path / "store")) as store:
-        store.put("train/chunk/0", {"a": np.arange(2)})
-        store.put("train/chunk/1", {"a": np.arange(2)})
-        store.put("test/chunk/0", {"a": np.arange(2)})
-        assert store.prune("train/chunk") == 2
-        assert store.keys() == ["test/chunk/0"]
-        assert store.prune("train/chunk") == 0
-
-
 def test_retention_latest_epoch_deletes_superseded_blocks(tmp_path):
-    """The regression this PR fixes: a multi-epoch run's store directory must
-    not retain dead block files for superseded snapshot versions."""
+    """A multi-epoch run's store directory must not retain dead block files
+    for superseded snapshot versions."""
     root = str(tmp_path / "store")
-    with BlockStore(root, retention="latest_epoch") as store:
+    with BlockStore(root) as store:
         for version in range(5):
             store.put(f"model/state/v{version}", {"w": np.arange(version + 1)},
                       epoch=version)
         assert store.keys() == ["model/state/v4"]
-        block_files = [f for f in os.listdir(store.blocks_dir) if f.endswith(".blk")]
-        assert len(block_files) == 1
-    with BlockStore(root, retention="latest_epoch") as store:
+        assert os.listdir(store.blocks_dir) == ["model~state~v4.blk"]
+    with BlockStore(root) as store:
         arrays, _ = store.get("model/state/v4")
         assert np.array_equal(arrays["w"], np.arange(5))
 
 
 def test_retention_latest_epoch_prunes_stale_families_at_open(tmp_path):
+    """A process killed between a durable epoch-stamped put and the drop of
+    the epoch it supersedes leaves both files; the next open drops the
+    stale one."""
     root = str(tmp_path / "store")
-    with BlockStore(root) as store:  # keep_all writer leaves every version
-        store.put("fam/v1", {"a": np.arange(1)}, epoch=1)
-        store.put("fam/v2", {"a": np.arange(2)}, epoch=2)
-        store.put("other", {"a": np.arange(3)})  # no epoch: never pruned
-    with BlockStore(root, retention="latest_epoch") as store:
-        assert sorted(store.keys()) == ["fam/v2", "other"]
+    pid = os.fork()
+    if pid == 0:  # child
+        try:
+            faults.install("die_block@2")
+            with BlockStore(root) as store:
+                store.put("other", {"a": np.arange(3)})  # no epoch: never dropped
+                store.put("fam/v1", {"a": np.arange(1)}, epoch=1)
+                store.put("fam/v2", {"a": np.arange(2)}, epoch=2)
+        finally:
+            os._exit(1)  # only reached if the injected kill never fired
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL, status
+    blocks_dir = os.path.join(root, "blocks")
+    assert sorted(os.listdir(blocks_dir)) == ["fam~v1.blk", "fam~v2.blk", "other.blk"]
+    with BlockStore(root) as store:
+        assert store.keys() == ["fam/v2", "other"]
+    assert sorted(os.listdir(blocks_dir)) == ["fam~v2.blk", "other.blk"]
 
 
-def test_retention_keep_all_is_default(tmp_path):
-    with BlockStore(str(tmp_path / "store")) as store:
-        assert store.retention == "keep_all"
-        store.put("fam/v1", {"a": np.arange(1)}, epoch=1)
-        store.put("fam/v2", {"a": np.arange(2)}, epoch=2)
-        assert sorted(store.keys()) == ["fam/v1", "fam/v2"]
-
-
-def test_retention_validation(tmp_path):
-    with pytest.raises(LabelingError):
-        BlockStore(str(tmp_path / "store"), retention="bogus")
-
-
-def test_index_compacts_inline_under_churn(tmp_path):
-    """Repeated re-puts of the same key must not grow the index without
-    bound: the inline compaction keeps it proportional to the live keys."""
-    with BlockStore(str(tmp_path / "store")) as store:
+def test_reputs_under_churn_leave_one_file(tmp_path):
+    """500 re-puts of one key leave one block file, and the last one wins,
+    also across a reopen."""
+    root = str(tmp_path / "store")
+    with BlockStore(root) as store:
         for round_ in range(500):
             store.put("hot", {"a": np.array([round_])})
-        with open(store.index_path, encoding="utf-8") as handle:
-            lines = sum(1 for _ in handle)
-        assert lines < 300  # far below the 500 appends issued
-        block_files = [f for f in os.listdir(store.blocks_dir) if f.endswith(".blk")]
-        assert len(block_files) == 1
-        arrays, _ = store.get("hot")
-        assert arrays["a"][0] == 499
+        assert os.listdir(store.blocks_dir) == ["hot.blk"]
+        assert store.get("hot")[0]["a"][0] == 499
+    with BlockStore(root) as store:
+        assert store.keys() == ["hot"]
+        assert store.get("hot")[0]["a"][0] == 499
 
 
 def test_chunk_checkpointer_prune_beyond(tmp_path):
@@ -470,22 +661,31 @@ def test_chunk_checkpointer_prune_beyond(tmp_path):
 
 # ------------------------------------------------------- chunk checkpointer
 def test_chunk_checkpointer_round_trip(tmp_path):
+    """What a resumed run reads back — ``replay``'s label triples and meta,
+    ``feature_blocks``' feature block — is what was recorded, byte for
+    byte."""
+    from repro.discriminative.sparse_features import CSRFeatureMatrix
+
     with BlockStore(str(tmp_path / "store")) as store:
         ckpt = ChunkCheckpointer(store, "train")
         for index in range(3):
-            ckpt.record(make_result(index))
+            ckpt.record(row_major_result(index))
         assert ckpt.completed == {0, 1, 2}
+        blocks = ckpt.feature_blocks(3, 16, {})
         for index in range(3):
-            original = make_result(index)
-            loaded = ckpt.load(index)
-            assert loaded.index == original.index
-            assert loaded.num_candidates == original.num_candidates
-            assert loaded.errors == original.errors
-            assert np.array_equal(loaded.row_offsets, original.row_offsets)
-            assert np.array_equal(loaded.cols, original.cols)
-            assert np.array_equal(loaded.values, original.values)
-            assert np.array_equal(loaded.features.values, original.features.values)
-            assert np.array_equal(loaded.features.cols, original.features.cols)
+            original = row_major_result(index)
+            replayed = ckpt.replay(index)
+            for field in ("index", "start_row", "num_candidates", "errors", "seconds"):
+                assert getattr(replayed, field) == getattr(original, field), field
+            assert replayed.features is None
+            for field in ("row_offsets", "cols", "values"):
+                ours, theirs = getattr(replayed, field), getattr(original, field)
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), field
+            in_ram = CSRFeatureMatrix.from_chunk(original.features, 16)
+            assert blocks[index].shape == in_ram.shape
+            assert blocks[index].indptr.tobytes() == in_ram.indptr.tobytes()
+            assert blocks[index].indices.astype(np.int64).tobytes() == in_ram.indices.tobytes()
+            assert blocks[index].data.astype(np.float64).tobytes() == in_ram.data.tobytes()
         # Reopening sees the same completed set.
         fresh = ChunkCheckpointer(store, "train")
         assert fresh.completed == {0, 1, 2}

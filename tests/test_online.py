@@ -18,7 +18,7 @@ bottom re-checks it under randomized matrices and chunkings):
   the touched nodes yet reproduces the full fit's rows bitwise.
 * **Serving discipline** — ``model_version_`` is monotone, the staleness
   bound auto-drains, and ``save``/``load`` round-trips the whole state
-  (with ``retention="latest_epoch"`` keeping exactly one snapshot).
+  (the store keeping exactly one snapshot).
 """
 
 import os
@@ -339,7 +339,7 @@ def test_save_load_round_trip(tmp_path):
 def test_save_latest_epoch_keeps_one_snapshot(tmp_path):
     dense = binary_matrix(seed=14)
     online = OnlineGenerativeModel(epochs=5, seed=0)
-    with BlockStore(str(tmp_path / "store"), retention="latest_epoch") as store:
+    with BlockStore(str(tmp_path / "store")) as store:
         for start in (0, 100, 200):
             online.update(dense[start:start + 100])
             online.save(store)
@@ -376,11 +376,6 @@ def test_pipeline_online_matches_batch():
         online.update(matrix.select_rows(np.arange(start, stop)))
     assert result.generative_model is not None
     assert np.array_equal(online.drain().predict_proba(matrix), result.training_probs)
-
-
-def test_pipeline_rejects_bad_retention():
-    with pytest.raises(Exception):
-        PipelineConfig(checkpoint_retention="bogus")
 
 
 # ------------------------------------------- seeded hypothesis differential
