@@ -70,7 +70,6 @@ __all__ = [
     "analyze_suite",
     "check_engine_tasks",
     "check_task",
-    "clear_analysis_cache",
     "crosscheck",
     "extract_source",
     "lint_function",
@@ -88,11 +87,6 @@ __all__ = [
 #: the AST passes are pure functions of the LF object, so apply→apply and
 #: validate→pushdown reuse one pass instead of re-resolving source every time.
 _ANALYSIS_CACHE: "weakref.WeakKeyDictionary[Any, dict]" = weakref.WeakKeyDictionary()
-
-
-def clear_analysis_cache() -> None:
-    """Drop every memoized :func:`lint_lf` result (test isolation hook)."""
-    _ANALYSIS_CACHE.clear()
 
 
 def _lf_name_of(fn: Any) -> str:

@@ -109,7 +109,7 @@ def build_cdr_task(scale: float = 0.35, seed: int = 0) -> TaskDataset:
     a few thousand candidates) while preserving the paper's label density
     (d_Λ ≈ 1.8) and positive rate (≈ 25%).
     """
-    spec = build_spec(scale=scale / 0.35 * 0.35) if scale == 0.35 else build_spec(scale=scale)
+    spec = build_spec(scale=scale)
     data = build_relation_task(spec, seed=seed, scale=1.0)
 
     knowledge_base = build_noisy_kb(

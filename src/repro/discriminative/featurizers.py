@@ -27,8 +27,8 @@ spelled and hashed once per process — a re-run, or a new featurizer,
 re-hashes nothing it has seen — up to ``TABLE_CAP`` entries, past which the
 rest are hashed once per chunk as before.  The gain exists where chunks share keys;
 fourteen chunks with pairwise disjoint vocabularies pay for the
-merges and get nothing back (``benchmarks/bench_featurizer_throughput.py``
-records both ends).  Every consumer — the engine's ``featurize_chunk`` task
+merges and get nothing back (:data:`repro.utils.tokens.TABLE_CAP` records
+both ends).  Every consumer — the engine's ``featurize_chunk`` task
 (hence the fused label+featurize passes and ``featurize_stream``), and both
 ``transform`` output modes (dense is the kernel's ``toarray()``) — calls it.
 ``RelationFeaturizer.candidate_entries`` / ``HashingVectorizer.

@@ -14,6 +14,7 @@ minibatch is never densified) and the optional class re-balancing.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.discriminative.base import (
     weighted_log_loss,
 )
 from repro.discriminative.sparse_features import as_float_features
-from repro.exceptions import NotFittedError
+from repro.exceptions import ConfigurationError, NotFittedError
 from repro.utils.mathutils import sigmoid
 from repro.utils.rng import SeedLike
 
@@ -40,11 +41,12 @@ class NoiseAwareLogisticRegression(NoiseAwareClassifier):
         The shared trainer's hyperparameters (see
         :class:`~repro.discriminative.base.NoiseAwareClassifier`).
     class_balance:
-        Optional re-weighting: when set, positive-leaning examples are scaled
-        so the effective positive mass matches this fraction.  Useful for the
-        heavily imbalanced tasks (e.g. Chem at ~4% positive).  The positive
-        mass is a whole-dataset statistic, so :meth:`fit_stream` spends one
-        extra pass over the stream on it.
+        Optional re-weighting: when set (strictly between 0 and 1),
+        positive-leaning examples are scaled so the effective positive mass
+        matches this fraction.  Useful for the heavily imbalanced tasks (e.g.
+        Chem at ~4% positive).  The positive mass is a whole-dataset
+        statistic, so :meth:`fit_stream` spends one extra pass over the
+        stream on it.
     """
 
     def __init__(
@@ -58,6 +60,12 @@ class NoiseAwareLogisticRegression(NoiseAwareClassifier):
         seed: SeedLike = 0,
     ) -> None:
         super().__init__(epochs, batch_size, learning_rate, reg_strength, shuffle, seed)
+        if class_balance is not None and not (
+            isinstance(class_balance, Real) and 0.0 < class_balance < 1.0  # NaN fails too
+        ):
+            raise ConfigurationError(
+                f"class_balance must be a number strictly between 0 and 1, got {class_balance!r}"
+            )
         self.class_balance = class_balance
         self.weights: Optional[np.ndarray] = None
         self.bias: float = 0.0

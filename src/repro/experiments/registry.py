@@ -64,7 +64,7 @@ EXPERIMENTS: list[ExperimentSpec] = [
     ),
     ExperimentSpec(
         "userstudy", "Figures 7-8 / Table 8", "Simulated user study vs hand-label baselines",
-        "repro.userstudy.simulate.simulate_user_study", "benchmarks/bench_user_study.py",
+        "repro.userstudy.simulate.run", "benchmarks/bench_user_study.py",
     ),
 ]
 

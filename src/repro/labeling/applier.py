@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.labeling.blockstore import ChunkCheckpointer
     from repro.labeling.pushdown import PushdownPlan, PushdownSummary
 
-#: Accepted values for ``LFApplier(validate=...)`` / ``PipelineConfig.lf_validate``.
+#: Accepted values for ``LFApplier(validate=...)``.
 VALIDATE_MODES = ("off", "warn", "error")
 
 #: Accepted values for ``LFApplier(pushdown=...)`` / ``PipelineConfig.lf_pushdown``.

@@ -67,7 +67,7 @@ from repro.evaluation.scorer import (
     ScoreReport,
 )
 from repro.exceptions import ConfigurationError, LabelingError, LabelModelError
-from repro.labeling.applier import PUSHDOWN_MODES, VALIDATE_MODES, LFApplier
+from repro.labeling.applier import PUSHDOWN_MODES, LFApplier
 from repro.labeling.blockstore import BlockStore, ChunkCheckpointer, EpochCheckpoint
 from repro.labeling.engine import ExecutionPlan
 from repro.labeling.lf import LabelingFunction, lf_digest
@@ -87,7 +87,6 @@ EXECUTION_ONLY_FIELDS = frozenset(
         "applier_workers",
         "engine_chunk_timeout",
         "lf_pushdown",
-        "lf_validate",
         "checkpoint_dir",
         "resume",
     }
@@ -116,11 +115,6 @@ class PipelineConfig:
     #: Worker count for the pool backends (``None`` = one per available CPU);
     #: ignored by the sequential backend.
     applier_workers: Optional[int] = 1
-    #: Static-analysis gate over the LF suite before application (see
-    #: :mod:`repro.analysis`): ``"off"`` (default), ``"warn"`` to attach an
-    #: :class:`~repro.analysis.diagnostics.AnalysisReport` to the apply
-    #: report, or ``"error"`` to abort the run on ERROR-severity findings.
-    lf_validate: str = "off"
     #: Columnar-kernel LF execution (see :mod:`repro.labeling.pushdown`):
     #: ``"auto"`` (default) compiles the compilable subset into vectorized
     #: kernels with per-LF interpreted fallback, ``"off"`` interprets every
@@ -164,7 +158,6 @@ class PipelineConfig:
     discriminative_epochs: int = 40
     num_features: int = 1024
     class_balance: Optional[float] = None
-    keep_uncovered: bool = False
     seed: int = 0
     #: Accepted and ignored: every run is out-of-core now, and callers
     #: written against the former materialized/streaming switch keep working.
@@ -174,10 +167,6 @@ class PipelineConfig:
         if self.force_strategy not in (None, "MV", "GM"):
             raise ConfigurationError(
                 f"force_strategy must be None, 'MV' or 'GM', got {self.force_strategy!r}"
-            )
-        if self.lf_validate not in VALIDATE_MODES:
-            raise ConfigurationError(
-                f"lf_validate must be one of {VALIDATE_MODES}, got {self.lf_validate!r}"
             )
         if self.lf_pushdown not in PUSHDOWN_MODES:
             raise ConfigurationError(
@@ -199,7 +188,9 @@ class PipelineConfig:
                 step_size=self.generative_step_size,
                 gibbs_kernel=self.gibbs_kernel,
             )
-            NoiseAwareLogisticRegression(epochs=self.discriminative_epochs)
+            NoiseAwareLogisticRegression(
+                epochs=self.discriminative_epochs, class_balance=self.class_balance
+            )
         except (LabelingError, LabelModelError) as error:
             raise ConfigurationError(f"PipelineConfig: {error}") from error
 
@@ -303,7 +294,6 @@ class SnorkelPipeline:
             chunk_size=config.chunk_size,
             backend=config.applier_backend,
             num_workers=config.applier_workers,
-            validate=config.lf_validate,
             pushdown=config.lf_pushdown,
             chunk_timeout=config.engine_chunk_timeout,
         )
@@ -523,8 +513,6 @@ class SnorkelPipeline:
         self, num_candidates: int, training_probs: np.ndarray, label_matrix: LabelMatrix
     ) -> np.ndarray:
         """Training rows the end model sees (ascending global indices)."""
-        if self.config.keep_uncovered:
-            return np.arange(num_candidates)
         # Drop candidates no LF covered, plus covered rows whose
         # probability is uninformative: within np.isclose's default
         # tolerance (rtol 1e-5, atol 1e-8) of 0.5 for binary tasks, or a

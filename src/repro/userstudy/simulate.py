@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.hand_supervision import hand_supervision_baseline
-from repro.datasets.base import TaskDataset
+from repro.datasets.base import TaskDataset, load_task
 from repro.datasets.spouses import NEGATIVE_CUES, POSITIVE_CUES
 from repro.labeling.declarative import pattern_lf
 from repro.labeling.lf import LabelingFunction
@@ -237,6 +237,12 @@ def simulate_user_study(
         participant_result.lfs = lfs  # type: ignore[attr-defined]
         result.participants.append(participant_result)
     return result
+
+
+def run(seed: int = 0) -> UserStudyResult:
+    """The registry's user study: six participants on Spouses at scale 0.08."""
+    task = load_task("spouses", scale=0.08, seed=seed)
+    return simulate_user_study(task, num_participants=6, hand_label_budget=2500, seed=seed)
 
 
 def scores_by_factor(result: UserStudyResult, factor: str) -> dict[str, list[float]]:

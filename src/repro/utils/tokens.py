@@ -28,8 +28,8 @@ import numpy as np
 
 #: Entries the process's tables admit: tokens here, and, per ``ngram_range``,
 #: the featurizer's hashed codes over all n-gram sizes (16 bytes each: 512 kB
-#: of code tables at most).  Swept on the chunked corpora of
-#: ``benchmarks/bench_featurizer_throughput.py`` (kernel CPU seconds for
+#: of code tables at most).  Swept on three chunked corpora, each fourteen
+#: chunks through one fitted featurizer from empty tables (kernel CPU seconds for
 #: 14 x 1 024 candidates, best of 15 alternated in one process on a noisy
 #: 2-vCPU host) at 2**13 / 2**14 / 2**15 / 2**16 / 2**17: ``text_stream``
 #: (5 852 keys) .121 / .129 / .114 / .117 / .125, Zipf(1.3) over 50k tokens

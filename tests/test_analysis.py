@@ -55,10 +55,9 @@ from repro.datasets.synthetic import (
     synthetic_vote_lfs,
     text_vote_lfs,
 )
-from repro.exceptions import ConfigurationError, LabelingError
+from repro.exceptions import LabelingError
 from repro.labeling import LabelingFunction, LFApplier, labeling_function
 from repro.labeling.pushdown.compiler import CompileError, _Compiler
-from repro.pipeline.snorkel import PipelineConfig
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -465,11 +464,6 @@ class TestApplyWiring:
         with pytest.raises(LabelingError, match="validate"):
             LFApplier(synthetic_vote_lfs(1), validate="loud")
 
-    def test_pipeline_config_rejects_bad_mode(self):
-        with pytest.raises(ConfigurationError):
-            PipelineConfig(lf_validate="loud")
-        assert PipelineConfig(lf_validate="warn").lf_validate == "warn"
-
     def test_validate_off_attaches_nothing(self):
         applier = LFApplier(synthetic_vote_lfs(2))
         applier.apply(
@@ -488,6 +482,22 @@ class TestApplyWiring:
         assert not analysis.has_errors
         # The verdict is the plan: what validate= counts is what ran compiled.
         assert analysis.compilable_count == len(applier.last_report.pushdown.compiled)
+
+    @pytest.mark.parametrize("num_points", [64, 640])
+    def test_validate_lints_once_per_suite_not_per_chunk(self, monkeypatch, num_points):
+        import repro.analysis as analysis
+
+        calls, lint_lf = [], analysis.lint_lf
+
+        def counting_lint_lf(fn, *args, **kwargs):
+            calls.append(fn)
+            return lint_lf(fn, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "lint_lf", counting_lint_lf)
+        lfs = synthetic_vote_lfs(6)
+        candidates = stream_synthetic_candidates(num_points=num_points, num_lfs=6, seed=0)
+        LFApplier(lfs, validate="warn", chunk_size=32).apply(candidates)
+        assert calls == lfs
 
     def test_validate_warn_does_not_block_warnings(self):
         # lf_clock carries only a WARNING (LF202): warn mode annotates, error

@@ -229,7 +229,6 @@ def test_resume_with_different_featurizer_recomputes(tmp_path):
         dict(force_strategy="MV"),
         dict(use_optimizer=False),
         dict(class_balance=0.1),
-        dict(keep_uncovered=True),
         dict(end_model=NoiseAwareLogisticRegression(epochs=4, learning_rate=0.1, seed=0)),
     ],
     ids=lambda change: "-".join(change),
@@ -237,7 +236,7 @@ def test_resume_with_different_featurizer_recomputes(tmp_path):
 def test_resume_with_different_result_changing_setting_recomputes(tmp_path, change):
     """Shrunk regression: the fingerprint once listed a handful of config
     fields, so a completed store re-run under another label-model schedule,
-    strategy, class balance, keep rule or caller-supplied end model matched
+    strategy, class balance or caller-supplied end model matched
     it and returned the *old* run's memoized label-modeling outcome and
     end-model epoch state."""
     root = str(tmp_path / "ckpt")

@@ -22,6 +22,7 @@ from repro.evaluation import (
 from repro.evaluation.metrics import relative_improvement
 from repro.evaluation.splits import assign_document_splits, split_indices, split_sizes
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.pipeline.snorkel import PipelineConfig
 
 
 def make_linear_data(n=400, d=10, seed=0):
@@ -252,6 +253,18 @@ def test_trainer_hyperparameters_are_validated_at_construction(settings):
     ):
         with pytest.raises(ConfigurationError):
             model(**settings)
+
+
+@pytest.mark.parametrize("balance", [0.0, 1.0, 1.5, -0.2, float("nan"), "0.3", [0.2, 0.8]])
+def test_class_balance_outside_the_open_unit_interval_is_refused(balance):
+    # Outside (0, 1) one class's loss scale is <= 0 or NaN; the pipeline's
+    # config refuses such a balance before any labeling.
+    with pytest.raises(ConfigurationError):
+        NoiseAwareLogisticRegression(class_balance=balance)
+    with pytest.raises(ConfigurationError):
+        PipelineConfig(class_balance=balance)
+    assert NoiseAwareLogisticRegression(class_balance=0.1).class_balance == 0.1
+    assert PipelineConfig(class_balance=0.1).class_balance == 0.1
 
 
 @pytest.mark.parametrize(

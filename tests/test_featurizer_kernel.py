@@ -341,6 +341,25 @@ def _word_chunk(words, size=3):
     ]
 
 
+def test_each_key_is_spelled_and_hashed_once_per_process(monkeypatch, empty_tables):
+    hashed, stable_hashes = [], featurizers._stable_hashes
+
+    def recording(keys):
+        keys = list(keys)
+        hashed.extend(keys)
+        return stable_hashes(keys)
+
+    monkeypatch.setattr(featurizers, "_stable_hashes", recording)
+    chunks = [_word_chunk([f"w{i % 40}" for i in range(start, start + 30)]) for start in (0, 7, 21)]
+    for chunk in chunks:
+        RelationFeaturizer(32).fit().chunk_triples(chunk)
+    first = len(hashed)
+    assert first == len(set(hashed)) == run_entries(RelationFeaturizer(32).vectorizer)[1]
+    for chunk in chunks:  # a re-run, by a new featurizer, hashes nothing it has seen
+        RelationFeaturizer(32).fit().chunk_triples(chunk)
+    assert len(hashed) == first
+
+
 @pytest.mark.parametrize("cap", [0, 5, 20, 40])
 def test_tables_stop_at_the_cap(monkeypatch, empty_tables, cap):
     monkeypatch.setattr(tokens, "TABLE_CAP", cap)

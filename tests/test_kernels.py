@@ -211,7 +211,7 @@ def test_label_posteriors_bit_identical_between_kernels(backend):
             vectorized = GibbsSampler(spec, seed=0, kernel="vectorized").label_posteriors(
                 weights, storage
             )
-            assert np.abs(reference - vectorized).max() <= 1e-12
+            assert np.array_equal(reference, vectorized)
 
 
 def test_em_deterministic_outputs_bit_identical_between_kernels(backend):

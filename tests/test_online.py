@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.labelmodel.online as online_module
 from repro.datasets.synthetic import generate_label_matrix, stream_text_candidates, text_vote_lfs
 from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.blockstore import BlockStore
@@ -161,6 +162,22 @@ def test_model_version_monotone_under_interleaving():
     versions.append(online.model_version_)
     assert versions == sorted(versions)
     assert len(set(versions)) == len(versions)
+
+
+def test_update_hands_the_e_step_only_the_chunk(monkeypatch):
+    """Folding costs O(chunk): each update's E-step sees exactly the new
+    chunk's entries, however many rows were folded in before it."""
+    seen, e_step = [], online_module.e_step
+
+    def counting_e_step(entries, *args):
+        seen.append(entries.cols.size)
+        return e_step(entries, *args)
+
+    monkeypatch.setattr(online_module, "e_step", counting_e_step)
+    dense = binary_matrix(num_points=2_000, seed=8)
+    chunks = [dense[start:start + 200] for start in range(0, 2_000, 200)]
+    fold(dense, [200] * 10)
+    assert seen == [np.count_nonzero(chunk) for chunk in chunks]
 
 
 def test_all_abstain_chunk_is_noop():

@@ -28,6 +28,7 @@ import pytest
 import reference_structure as ref
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets.synthetic import generate_label_matrix
 from repro.exceptions import LabelModelError
 from repro.labeling import LabelMatrix, SparseLabelMatrix
 from repro.labelmodel import (
@@ -268,6 +269,34 @@ def test_refit_in_another_batch_is_bitwise_the_fit():
             assert seen[-1] != seen[0]
             assert np.array_equal(refit.dependency_weights_[subset], full[subset])
     assert seen[1:] == [[[[1]]], [[[5], [0]]], [[[3]], [[4]], [[2]]]]
+
+
+@pytest.mark.parametrize(
+    "num_points, propensities, all_stacked",
+    [
+        (485, [*np.linspace(10 / 485, 114 / 485, 20), *[0.01] * 12], True),
+        (1_000, [*np.linspace(0.05, 0.54, 21), 0.027], False),
+    ],
+    ids=["cdr", "edit_loop"],
+)
+def test_served_shapes_share_their_ista_loops(num_points, propensities, all_stacked):
+    matrix = generate_label_matrix(
+        num_points=num_points, num_lfs=len(propensities), propensity=propensities, seed=0
+    ).label_matrix.to_sparse()
+    seen = []
+
+    def recorded(*args):
+        seen.append(_batches(*args))
+        return seen[-1]
+
+    with mock.patch.object(structure, "_batches", recorded):
+        StructureLearner(seed=0).fit(matrix)
+    loops = seen[0]
+    groups = [group for loop in loops for group in loop]
+    if all_stacked:  # every node in one stacked group, solved in one loop
+        assert len(loops) == len(groups) == 1
+    else:  # the gemv nodes share loops
+        assert len(loops) < len(groups)
 
 
 @pytest.mark.parametrize("gemv_min_elements", [4096, 0])
