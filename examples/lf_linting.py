@@ -10,8 +10,9 @@ and deliberately broken LFs:
    range, ``LF2xx`` nondeterminism, ``LF3xx`` shared-state mutation,
    ``LF4xx`` I/O, ``LF5xx`` picklability) plus the pushdown verdict per LF:
    COMPILABLE when the LF runs in the compiled tier, else OPAQUE with the
-   reason (a hazard code, or the compiler's refusal and its line) — the
-   answer of the same decider ``LFApplier`` partitions the suite with,
+   compiler's refusal and its line — the answer of the same decider
+   ``LFApplier`` partitions the suite with, which reads no lint code: the
+   compiler's grammar alone refuses every hazard,
 2. ``LFApplier(validate="error")`` — the apply-time gate that refuses to run
    a suite with ERROR-severity findings,
 3. ``observe_lf`` + ``crosscheck`` — the dynamic differential check that
@@ -89,9 +90,9 @@ def main() -> None:
     print(f"ran compiled: {', '.join(compiled)}")
 
     # 2. The broken suite: every planted violation is caught before a single
-    # candidate is labeled, and each verdict is OPAQUE with its reason — the
-    # hazard codes, or for lf_wrong_range (an ERROR, but no hazard to replay)
-    # the compiler refusing a constant label outside the declared range.
+    # candidate is labeled, and each verdict is OPAQUE with the compiler's
+    # reason: a call, a store or a statement outside its grammar, or for
+    # lf_wrong_range a constant label outside the declared range.
     report = analyze_suite(BROKEN)
     print("\nbroken suite:")
     print(report.format(verbose=True))

@@ -12,7 +12,9 @@ labeled:
   AST lint passes (:mod:`repro.analysis.lint`), a picklability probe, and
   the pushdown verdict — whether the LF runs in the compiled tier, which is
   the answer of the decider ``build_plan`` itself partitions suites with
-  (:func:`repro.labeling.pushdown.task.decide`), not a second opinion.
+  (:func:`repro.labeling.pushdown.task.decide`), not a second opinion.  The
+  lint reports; it gates nothing there: the compiler's closed grammar
+  refuses every hazard the lint codes name.
 * :func:`analyze_suite` — a whole LF suite into one
   :class:`~repro.analysis.diagnostics.AnalysisReport`; this is what
   ``LFApplier(validate="warn"|"error")`` runs before applying.
@@ -25,14 +27,15 @@ labeled:
   CLI (:mod:`repro.analysis.cli`), which CI runs over the library's own LFs.
 
 The analysis cost is per-*LF*, not per-candidate: a suite is analyzed once
-per apply call, so validation overhead is independent of corpus size (the
-``lf_analysis`` benchmark section asserts exactly that).
+per apply call, so validation overhead is independent of corpus size
+(``tests/test_analysis.py::TestApplyWiring`` counts the lint calls).  The
+lint is not memoized, so every call reads the LF as it is now.  The compiled
+tier imports nothing from this package, so ``import repro`` does not load it.
 """
 
 from __future__ import annotations
 
 import pickle
-import weakref
 from typing import Any, Iterable, Optional
 
 from repro.analysis.contracts import check_engine_tasks, check_task
@@ -54,7 +57,9 @@ from repro.analysis.runtime import (
     observe_lf,
     observe_task_purity,
 )
-from repro.analysis.source import extract_source, resolve_function
+from repro.labeling.pushdown.program import CompiledProgram
+from repro.labeling.pushdown.task import decision
+from repro.labeling.source import extract_source, resolve_function
 
 __all__ = [
     "AnalysisReport",
@@ -81,19 +86,48 @@ __all__ = [
     "resolve_function",
 ]
 
-#: Memoized :func:`lint_lf` results keyed on the LF object itself (weakly,
-#: so cached reports never keep dead suites alive) and, per object, on the
-#: ``(cardinality, backend, probe_pickle)`` arguments.  Source resolution and
-#: the AST passes are pure functions of the LF object, so apply→apply and
-#: validate→pushdown reuse one pass instead of re-resolving source every time.
-_ANALYSIS_CACHE: "weakref.WeakKeyDictionary[Any, dict]" = weakref.WeakKeyDictionary()
-
-
 def _lf_name_of(fn: Any) -> str:
     name = getattr(fn, "name", None)
     if isinstance(name, str) and name:
         return name
     return getattr(fn, "__name__", None) or type(fn).__name__
+
+
+#: Program node tags → the predicate shape a verdict reports, dominant first.
+_SHAPES = {
+    "token_scan": ("tokscan",),
+    "regex_match": ("regex",),
+    "membership": ("tokmatch", "in", "In", "NotIn"),
+    "threshold_compare": ("lt", "le", "gt", "ge"),
+    "field_equality": ("eq", "ne", "is", "is_not"),
+    "field_projection": ("field",),
+}
+
+
+def _key_tags(key: tuple, tags: set) -> None:
+    """Collect the node tags of a structural key: a comparison's is its
+    operator, and a constant's key is not a node."""
+    tag = key[0]
+    if tag == "k":
+        return
+    tags.add(key[1] if tag == "cmp" else tag)
+    for part in key[1:]:
+        if isinstance(part, tuple) and part and isinstance(part[0], str):
+            _key_tags(part, tags)
+
+
+def verdict_of(program: Optional[CompiledProgram], reason: str) -> PushdownVerdict:
+    """The pushdown decider's answer (a compiled program, or ``None`` and the
+    reason) as the verdict :func:`analyze_lf` reports."""
+    if program is None:
+        return PushdownVerdict("OPAQUE", detail=reason)
+    tags: set = set()
+    for branch in program.branches:
+        for node in (branch.guard, branch.column):
+            if node is not None:
+                _key_tags(node.key, tags)
+    shapes = (shape for shape, nodes in _SHAPES.items() if tags.intersection(nodes))
+    return PushdownVerdict("COMPILABLE", shape=next(shapes, "constant"))
 
 
 def analyze_lf(
@@ -109,10 +143,7 @@ def analyze_lf(
     call, so it is the plan's answer as things stand now.
     """
     result = lint_lf(fn, cardinality, backend, probe_pickle)
-    # Imported here: that module imports this package.
-    from repro.labeling.pushdown.task import decision, verdict_of
-
-    entry = decision(fn, cardinality, backend)[0]
+    entry = decision(fn, cardinality)[0]
     result.pushdown = verdict_of(entry.program, entry.reason)
     return result
 
@@ -125,7 +156,8 @@ def lint_lf(
 ) -> LFAnalysisResult:
     """Lint one LF callable: everything of :func:`analyze_lf` but the verdict.
 
-    This half is what the pushdown decider itself reads (its hazard gate).
+    The pushdown decider does not read it: what compiles is the compiler's
+    answer alone.
 
     Parameters
     ----------
@@ -142,20 +174,12 @@ def lint_lf(
         Run the ``pickle.dumps`` pre-flight probe (cheap; disable for pure
         source-level linting of already-imported suites).
 
-    Results are memoized per LF *object* (see :data:`_ANALYSIS_CACHE`): the
-    second lint of the same suite under the same arguments returns the
-    cached :class:`LFAnalysisResult` without touching source or AST again.
+    Nothing is memoized: a global, closure cell or default rebound since the
+    last call is read as it is now.
     """
     if cardinality is None:
         declared = getattr(fn, "cardinality", None)
         cardinality = int(declared) if isinstance(declared, int) else 2
-    cache_key = (cardinality, backend, probe_pickle)
-    try:
-        per_fn = _ANALYSIS_CACHE.setdefault(fn, {})
-    except TypeError:  # non-weakrefable callable (builtins, some C objects)
-        per_fn = None
-    if per_fn is not None and cache_key in per_fn:
-        return per_fn[cache_key]
     lf_name = _lf_name_of(fn)
     info = extract_source(fn)
     diagnostics, inferred = lint_function(info, lf_name, cardinality=cardinality)
@@ -185,8 +209,6 @@ def lint_lf(
                     lf_name=lf_name,
                 )
             )
-    if per_fn is not None:
-        per_fn[cache_key] = result
     return result
 
 

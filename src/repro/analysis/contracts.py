@@ -28,7 +28,7 @@ from typing import Callable
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, LFAnalysisResult, make_diagnostic
 from repro.analysis.lint import MUTATING_METHODS, FunctionScope, root_name
-from repro.analysis.source import extract_source, is_unresolved
+from repro.labeling.source import extract_source, is_unresolved
 
 #: Parameter-name fragments identifying the fitted-featurizer part of a
 #: payload (writes to it get the more specific ``EN002``).

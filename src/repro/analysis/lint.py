@@ -30,7 +30,7 @@ import ast
 from typing import Iterable, Optional
 
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
-from repro.analysis.source import SourceInfo, is_unresolved
+from repro.labeling.source import SourceInfo, is_unresolved
 
 #: ``random``-module attributes that do *not* constitute an unseeded draw.
 _RANDOM_SAFE = {"seed", "getstate", "setstate", "Random", "SystemRandom"}

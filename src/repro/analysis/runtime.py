@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.analysis.diagnostics import LFAnalysisResult
-from repro.analysis.source import resolve_function
 from repro.exceptions import LabelingError
+from repro.labeling.source import resolve_function
 
 #: Diagnostic codes asserting the LF's output can vary between runs.
 NONDETERMINISM_CODES = {"LF201", "LF202", "LF203", "LF204"}
@@ -147,8 +147,8 @@ def crosscheck(static: LFAnalysisResult, observed: ObservedBehavior) -> list[str
       observed runs is legal, e.g. the random branch was never reached);
     * a complete inferred label set the LF escaped at runtime;
     * a ``COMPILABLE`` pushdown verdict for an LF that was observed to be
-      nondeterministic or to mutate reachable state (the compiler's subset
-      and the hazard gate in front of it admit only pure bodies);
+      nondeterministic or to mutate reachable state (the compiler's closed
+      subset admits only pure bodies);
     * static mutation findings vs. observed state fingerprints: if the
       analyzer found *no* mutation hazard but the fingerprint changed, the
       analyzer missed a write.

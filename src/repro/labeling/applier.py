@@ -194,8 +194,10 @@ class LFApplier:
     pushdown:
         Columnar-kernel execution of the suite (see
         :mod:`repro.labeling.pushdown`).  ``"auto"`` (default) compiles
-        every LF the compiler accepts (and the lint pass finds no hazard
-        in) into vectorized kernels — the rest run interpreted, per LF,
+        every LF the compiler accepts into vectorized kernels (its closed
+        grammar refuses every body ``validate=`` would flag as
+        nondeterministic, state-mutating or I/O-performing; no lint pass
+        runs to decide it) — the rest run interpreted, per LF,
         inside the same chunk task, so a suite nothing compiles in costs
         what ``"off"`` costs; ``"off"`` interprets every LF per candidate
         and is the reference path: labels, error counts, error breakdowns
@@ -286,7 +288,7 @@ class LFApplier:
         decision made again (a folded-in constant changed) yields a new
         payload, on which workers re-attach and compile again."""
         decisions = () if pushdown_plan is None else tuple(pushdown_plan.decisions)
-        key = (tuple(map(id, self.lfs)), self.cardinality, self.backend, decisions)
+        key = (tuple(map(id, self.lfs)), self.cardinality, decisions)
         if key != self._cached_suite:
             self._cached_suite = key
             self._spec_payloads.clear()
@@ -318,15 +320,16 @@ class LFApplier:
         per-process compile memo.
 
         ``"require"`` turns an incomplete partition into an error listing
-        every non-compiled LF with the decider's reason (a lint hazard, or
+        every non-compiled LF with the decider's reason (a duck-typed LF, or
         the compiler's refusal and its line), so the offender can be
-        rewritten or the mode relaxed to ``"auto"``.
+        rewritten or the mode relaxed to ``"auto"``.  The plan does not
+        depend on the executor backend, and deciding it lints nothing.
         """
         if self.pushdown == "off":
             return None
         from repro.labeling.pushdown import build_plan
 
-        plan = build_plan(self.lfs, cardinality=self.cardinality, backend=self.backend)
+        plan = build_plan(self.lfs, cardinality=self.cardinality)
         if self.pushdown == "require" and plan.fallback:
             reasons = "\n".join(
                 f"  - {name}: {plan.fallback_reasons[name]}"
@@ -351,7 +354,7 @@ class LFApplier:
         work for the persistent worker pool.  For pushdown runs the spec
         ships *configuration, not the plan*: a compiled
         :class:`PushdownPlan` holds kernel closures that cannot cross a
-        pipe, so workers receive ``(lfs, cardinality, backend, featurizer)``
+        pipe, so workers receive ``(lfs, cardinality, featurizer)``
         and compile their own (deterministically identical) plan once at
         attach time.  What is shipped is cached per featurizer and tier (for
         the current suite) so repeat applies hit the pool's attach dedup and
@@ -376,7 +379,7 @@ class LFApplier:
         if shipped is None:
             shipped = payload
             if builder is not None:
-                shipped = (tuple(self.lfs), self.cardinality, self.backend, featurizer)
+                shipped = (tuple(self.lfs), self.cardinality, featurizer)
             self._spec_payloads[key] = shipped
         return payload, task, TaskSpec(task=task, payload=shipped, builder=builder)
 

@@ -16,8 +16,8 @@ This package removes both costs for the declarative majority of a suite:
   paper's pattern, keyword and distant-supervision LFs, the structure
   heuristics, the synthetic vote readers): a shape no served LF uses is
   refused, not lowered;
-* :mod:`~repro.labeling.pushdown.task` decides per LF (duck-typed? lint
-  hazard? compiler refusal?), packages the compiled/fallback
+* :mod:`~repro.labeling.pushdown.task` decides per LF (duck-typed?
+  compiler refusal?), packages the compiled/fallback
   partition as a :class:`~repro.labeling.pushdown.task.PushdownPlan` and
   exposes :func:`~repro.labeling.pushdown.task.label_chunk_pushdown`, a
   drop-in engine chunk task composing with every backend and the fused
@@ -27,7 +27,11 @@ The cardinal rule: compiled output is **bit-identical** to interpreted
 output — same triples in the same order, same suppressed-error accounting,
 same exception out of a non-fault-tolerant run.  The compiler refuses
 anything it cannot reproduce exactly, and refused LFs transparently fall
-back to the interpreted loop.  This is the default path
+back to the interpreted loop.  No lint pass gates it: its grammar admits no
+call it does not know to be pure, no assignment except to a local name and
+no expression statement, so a nondeterministic, state-mutating or
+I/O-performing body never compiles, and nothing here imports
+:mod:`repro.analysis`.  This is the default path
 (``LFApplier(pushdown="auto")``); ``pushdown="off"`` is the interpreted
 reference it is tested against.
 """

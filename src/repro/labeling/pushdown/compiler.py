@@ -1,7 +1,7 @@
 """Restricted symbolic execution of LF bodies into columnar programs.
 
 :func:`compile_lf` walks the AST of a labeling function (recovered by
-:mod:`repro.analysis.source`) with an abstract environment mapping names to
+:mod:`repro.labeling.source`) with an abstract environment mapping names to
 
 * ``K(value)`` — a constant resolved from the closure/globals (labels,
   compiled patterns, keyword sets, thresholds);
@@ -91,7 +91,6 @@ import operator
 import re
 from typing import Any, Callable, Optional
 
-from repro.analysis.source import SourceInfo, extract_source, is_unresolved
 from repro.labeling.lf import canonical_label, encoding
 from repro.labeling.pushdown import program as prog
 from repro.labeling.pushdown.fields import (
@@ -122,6 +121,7 @@ from repro.labeling.pushdown.program import (
     TupleCol,
     const_key,
 )
+from repro.labeling.source import SourceInfo, extract_source, is_unresolved
 
 __all__ = ["CompileError", "compile_lf"]
 
@@ -282,8 +282,11 @@ class _Compiler:
     def _read(self, *values: Any) -> None:
         """A fold read the contents of ``values``: keep the encoding of each
         that can change (an unhashable one: a list, dict or set, or a tuple
-        holding one), everything it holds included."""
+        holding one), everything it holds included.  An iterator is
+        refused: reading it consumes it, once here instead of per call."""
         for value in values:
+            if hasattr(type(value), "__next__"):
+                raise CompileError(f"folded iterator {type(value).__name__}")
             try:
                 hash(value)
             except TypeError:  # unhashable: its contents can change

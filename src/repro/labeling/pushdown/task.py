@@ -4,9 +4,10 @@
 asked once per LF object per process (:func:`decision`, revalidated on every
 use); :func:`build_plan` partitions an LF suite with it into compiled
 programs and interpreted fallbacks, producing a :class:`PushdownPlan`, and
-``analyze_lf``'s ``COMPILABLE`` / ``OPAQUE`` verdict is the same answer
-(:func:`verdict_of`).  The plan is the
-payload of :func:`label_chunk_pushdown`, a drop-in
+``analyze_lf``'s ``COMPILABLE`` / ``OPAQUE`` verdict reads the same memo
+entry.  Nothing here lints: the compiler alone decides what compiles.
+
+The plan is the payload of :func:`label_chunk_pushdown`, a drop-in
 :data:`~repro.labeling.engine.executors.ChunkTask`: same signature, same
 :class:`~repro.labeling.engine.accumulator.ChunkResult` contract, same
 deterministic CSR triples — so it composes unchanged with the sequential /
@@ -39,15 +40,13 @@ from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis import lint_lf
-from repro.analysis.diagnostics import LFAnalysisResult, PushdownVerdict
-from repro.analysis.source import resolve_function
 from repro.exceptions import LabelingError
 from repro.labeling.engine.accumulator import ChunkResult, LFErrorDetail
 from repro.labeling.lf import LabelingFunction, code_names, encoding
 from repro.labeling.pushdown.compiler import CompileError, compile_lf
 from repro.labeling.pushdown.fields import ColumnarChunk
 from repro.labeling.pushdown.program import CompiledProgram, token_groups
+from repro.labeling.source import resolve_function
 from repro.types import ABSTAIN
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "decide",
     "decision",
     "label_chunk_pushdown",
-    "verdict_of",
 ]
 
 
@@ -145,15 +143,14 @@ class _Decision(NamedTuple):
     seconds: float
 
 
-#: The one plan cache: :func:`decide`'s answer per LF object (weakly, in the
-#: discipline of ``repro.analysis._ANALYSIS_CACHE``: an entry holds nothing
-#: that keeps its LF alive) and per ``(cardinality, backend)``.  Every
+#: The one plan cache: :func:`decide`'s answer per LF object (weakly: an
+#: entry holds nothing that keeps its LF alive) and per cardinality.  Every
 #: process keeps its own, so an LF compiles once per process until something
 #: its program folded in changes.
 _DECISIONS: "weakref.WeakKeyDictionary[Any, dict]" = weakref.WeakKeyDictionary()
 
 
-def decision(lf: Any, cardinality: Optional[int], backend: Optional[str]) -> tuple[_Decision, bool]:
+def decision(lf: Any, cardinality: Optional[int]) -> tuple[_Decision, bool]:
     """:func:`decide`'s memoized answer for ``lf``, and whether it was made just now.
 
     The entry is revalidated on every use (:meth:`_ConstantRefs.changed`)
@@ -166,13 +163,13 @@ def decision(lf: Any, cardinality: Optional[int], backend: Optional[str]) -> tup
         memo = _DECISIONS.setdefault(lf, {})
     except TypeError:  # not weakly referenceable: decided afresh every time
         memo = {}
-    entry = memo.get((cardinality, backend))
+    entry = memo.get(cardinality)
     if entry is not None and not entry.refs.changed(lf):
         return entry, False
     start = time.perf_counter()
-    program, reason = decide(lf, cardinality, lint_lf(lf, cardinality, backend))
+    program, reason = decide(lf, cardinality)
     entry = _Decision(program, reason, _ConstantRefs(lf, program), time.perf_counter() - start)
-    memo[cardinality, backend] = entry
+    memo[cardinality] = entry
     return entry, True
 
 
@@ -247,85 +244,37 @@ class PushdownSummary:
         )
 
 
-#: Lint codes that keep an LF out of the compiled tier whatever its body
-#: compiles to: a nondeterministic (``LF2xx``), state-mutating (``LF3xx``) or
-#: I/O-performing (``LF4xx``) body cannot be replayed as a columnar expression.
-_HAZARD_PREFIXES = ("LF2", "LF3", "LF4")
-
-
-def decide(
-    lf: Any, cardinality: Optional[int], lint: LFAnalysisResult
-) -> tuple[Optional[CompiledProgram], str]:
+def decide(lf: Any, cardinality: Optional[int]) -> tuple[Optional[CompiledProgram], str]:
     """Is ``lf`` compiled, and if not why: ``(program, "")`` or ``(None, reason)``.
 
-    Three refusals, in order: a duck-typed LF runs its own ``__call__``; the
-    lint pass (``lint``, :func:`repro.analysis.lint_lf`'s result for ``lf``)
-    found a hazard; the compiler refused the body.
+    Two refusals, in order: a duck-typed LF runs its own ``__call__``; the
+    compiler refused the body.  No lint pass gates the compiler, because its
+    grammar is closed: it admits no call it does not know to be pure, no
+    assignment except to a local name, and no expression statement, so a
+    nondeterministic, state-mutating or I/O-performing body (the linter's
+    ``LF2xx`` / ``LF3xx`` / ``LF4xx``) never compiles
+    (``tests/test_analysis.py::test_compiler_refuses_every_hazard`` pins it).
     """
     if type(lf).__call__ is not LabelingFunction.__call__:
         # Programs replicate LabelingFunction's canonicalization and error
         # wrapping; a duck-typed LF's own __call__ decides both.
         return None, "not a LabelingFunction: its own __call__ runs"
-    hazards = {d.code for d in lint.diagnostics if d.code.startswith(_HAZARD_PREFIXES)}
-    if hazards:
-        return None, f"hazards remain: {', '.join(sorted(hazards))}"
     try:
         return compile_lf(lf, cardinality=cardinality), ""
     except CompileError as exc:
         return None, f"compiler refused: {exc}"
 
 
-#: Program node tags → the predicate shape a verdict reports, dominant first.
-_SHAPES = {
-    "token_scan": ("tokscan",),
-    "regex_match": ("regex",),
-    "membership": ("tokmatch", "in", "In", "NotIn"),
-    "threshold_compare": ("lt", "le", "gt", "ge"),
-    "field_equality": ("eq", "ne", "is", "is_not"),
-    "field_projection": ("field",),
-}
-
-
-def _key_tags(key: tuple, tags: set) -> None:
-    """Collect the node tags of a structural key: a comparison's is its
-    operator, and a constant's key is not a node."""
-    tag = key[0]
-    if tag == "k":
-        return
-    tags.add(key[1] if tag == "cmp" else tag)
-    for part in key[1:]:
-        if isinstance(part, tuple) and part and isinstance(part[0], str):
-            _key_tags(part, tags)
-
-
-def verdict_of(program: Optional[CompiledProgram], reason: str) -> PushdownVerdict:
-    """:func:`decide`'s answer as the verdict ``analyze_lf`` reports."""
-    if program is None:
-        return PushdownVerdict("OPAQUE", detail=reason)
-    tags: set = set()
-    for branch in program.branches:
-        for node in (branch.guard, branch.column):
-            if node is not None:
-                _key_tags(node.key, tags)
-    shapes = (shape for shape, nodes in _SHAPES.items() if tags.intersection(nodes))
-    return PushdownVerdict("COMPILABLE", shape=next(shapes, "constant"))
-
-
-def build_plan(
-    lfs: Sequence,
-    cardinality: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> PushdownPlan:
+def build_plan(lfs: Sequence, cardinality: Optional[int] = None) -> PushdownPlan:
     """Compile what :func:`decide` admits; everything else falls back.
 
     Each LF's answer comes from the per-process memo (:func:`decision`), so
-    only a new LF, or one whose folded-in constants changed, is compiled
-    (and linted: the lint pass is memoized with ``validate=``'s);
+    only a new LF, or one whose folded-in constants changed, is compiled;
     ``compile_seconds`` is what those cost, 0 on a fully warm re-run.
     """
     plan = PushdownPlan(num_lfs=len(lfs), cardinality=cardinality if cardinality else 2)
     for column, lf in enumerate(lfs):
-        entry, fresh = decision(lf, cardinality, backend)
+        entry, fresh = decision(lf, cardinality)
         plan.decisions.append(entry)
         if fresh:
             plan.compile_seconds += entry.seconds
@@ -345,7 +294,7 @@ def build_worker_payload(config: tuple):
 
     A compiled :class:`PushdownPlan` holds kernel closures and cannot cross
     a pipe, so the persistent worker runtime ships the *configuration*
-    instead — ``(lfs, cardinality, backend, featurizer)`` — and each worker
+    instead — ``(lfs, cardinality, featurizer)`` — and each worker
     compiles its own plan once at attach time.  Compilation is
     deterministic, so every worker's plan (and therefore every emitted
     triple) matches the master-side plan bit for bit.  Returns the plan
@@ -353,8 +302,8 @@ def build_worker_payload(config: tuple):
     ``None``, else the fused wrapper's ``(label_chunk_pushdown, plan,
     featurizer)``.
     """
-    lfs, cardinality, backend, featurizer = config
-    plan = build_plan(list(lfs), cardinality=cardinality, backend=backend)
+    lfs, cardinality, featurizer = config
+    plan = build_plan(list(lfs), cardinality=cardinality)
     return plan if featurizer is None else (label_chunk_pushdown, plan, featurizer)
 
 

@@ -1,6 +1,7 @@
 """Source extraction and environment resolution for LF callables.
 
-The analyzer receives *callables* — plain functions, closures produced by the
+The pushdown compiler and the LF linter (:mod:`repro.analysis`) receive
+*callables* — plain functions, closures produced by the
 declarative operators, ``functools.partial`` objects, bound methods, or class
 instances with ``__call__`` (the picklable vote readers) — possibly wrapped
 in a :class:`repro.labeling.lf.LabelingFunction`.  This module normalizes all
@@ -126,8 +127,8 @@ def _find_function_node(module: ast.Module, name: str) -> Optional[ast.AST]:
     return None
 
 
-#: Memoized ``(source, tree, failure)`` per code object (weakly, in the
-#: discipline of ``repro.analysis._ANALYSIS_CACHE``): ``inspect.getsource``
+#: Memoized ``(source, tree, failure)`` per code object (weakly, so an
+#: entry never keeps dead code alive): ``inspect.getsource``
 #: re-scans the defining module and ``ast.parse`` re-parses the body on every
 #: call, and every closure a factory stamps out shares one code object.  No
 #: analysis or compiler pass mutates the tree.

@@ -47,6 +47,19 @@ class TrainingHistory:
     mean_accuracy_weights: list[float] = field(default_factory=list)
 
 
+#: Prior labeling-function accuracy: the starting point of every estimate
+#: and the center of the M-step's pseudo-count smoothing.
+ACCURACY_INIT = 0.7
+#: M-step pseudo-counts toward :data:`ACCURACY_INIT` (stabilizes LFs with
+#: very few votes).
+SMOOTHING = 2.0
+#: Weight of the previous iterate in each damped accuracy and class-balance
+#: update.
+DAMPING = 0.5
+#: Cap on every accuracy estimate.
+MAX_ACCURACY = 0.95
+
+
 @dataclass(frozen=True)
 class EMParams:
     """The validated hyper-parameters of the EM estimator.
@@ -54,33 +67,18 @@ class EMParams:
     Field names and meanings are those of the same-named
     :class:`repro.labelmodel.generative.GenerativeModel` constructor
     parameters; the batch and the online model both hand the kernel one of
-    these.
+    these.  The rest of the estimator is fixed: :data:`ACCURACY_INIT`,
+    :data:`SMOOTHING`, :data:`DAMPING`, :data:`MAX_ACCURACY`, and accuracies
+    clamped at or above chance.
     """
 
     epochs: int = 30
-    accuracy_init: float = 0.7
-    smoothing: float = 2.0
-    damping: float = 0.5
-    max_accuracy: float = 0.95
     class_balance: Optional[float | Sequence[float]] = None
-    non_adversarial: bool = True
 
     def __post_init__(self) -> None:
         epochs = self.epochs
         if isinstance(epochs, bool) or not isinstance(epochs, Integral) or epochs <= 0:
             raise LabelModelError(f"epochs must be a positive integer, got {epochs!r}")
-        if not 0.5 < self.accuracy_init < 1.0:
-            raise LabelModelError(
-                f"accuracy_init must lie in (0.5, 1.0), got {self.accuracy_init}"
-            )
-        if self.smoothing < 0:
-            raise LabelModelError(f"smoothing must be >= 0, got {self.smoothing}")
-        if not 0.0 <= self.damping < 1.0:
-            raise LabelModelError(f"damping must lie in [0, 1), got {self.damping}")
-        if not 0.5 < self.max_accuracy < 1.0:
-            raise LabelModelError(
-                f"max_accuracy must lie in (0.5, 1), got {self.max_accuracy}"
-            )
         if self.class_balance is None:
             return
         balance = np.asarray(self.class_balance, dtype=float)
@@ -266,7 +264,6 @@ def damped_balance(
     mass: float | np.ndarray,
     covered_rows: int,
     cardinality: int,
-    damping: float,
 ) -> float | np.ndarray:
     """One damped class-balance update from the covered rows' posterior mass.
 
@@ -281,7 +278,7 @@ def damped_balance(
         estimate = float(np.clip(mass / covered_rows, 1e-3, 1.0 - 1e-3)) if covered_rows else 0.5
         if previous is None:
             return estimate
-        return damping * previous + (1.0 - damping) * estimate
+        return DAMPING * previous + (1.0 - DAMPING) * estimate
     if covered_rows:
         estimate = np.clip(mass / covered_rows, 1e-3, None)
     else:
@@ -289,12 +286,11 @@ def damped_balance(
     estimate = estimate / estimate.sum()
     if previous is None:
         return estimate
-    mixed = damping * previous + (1.0 - damping) * estimate
+    mixed = DAMPING * previous + (1.0 - DAMPING) * estimate
     return mixed / mixed.sum()
 
 
 def m_step(
-    params: EMParams,
     accuracies: np.ndarray,
     expected_correct: np.ndarray,
     vote_counts: np.ndarray,
@@ -303,19 +299,20 @@ def m_step(
     """Smoothed, clipped, damped accuracy re-estimate.
 
     Damping mixes the new estimate with the old one and accuracies are
-    capped at ``max_accuracy``: regularization-by-early-stopping that keeps
-    the estimator away from the degenerate optimum in which a few broad
-    labeling functions are declared perfect.  The non-adversarial clamp
-    keeps every LF at or above chance (``1/k``).
+    capped at :data:`MAX_ACCURACY`: regularization-by-early-stopping that
+    keeps the estimator away from the degenerate optimum in which a few
+    broad labeling functions are declared perfect.  The non-adversarial
+    clamp keeps every LF at or above chance (``1/k``; the paper's standing
+    assumption ``w*_j > 0``): an LF can be learned to be useless, not
+    actively inverted.
     """
     chance = 1.0 / cardinality
-    new_accuracies = (expected_correct + params.smoothing * params.accuracy_init) / (
-        np.maximum(vote_counts, 1) + params.smoothing
+    new_accuracies = (expected_correct + SMOOTHING * ACCURACY_INIT) / (
+        np.maximum(vote_counts, 1) + SMOOTHING
     )
-    new_accuracies = np.clip(new_accuracies, min(0.05, chance), params.max_accuracy)
-    if params.non_adversarial:
-        new_accuracies = np.maximum(new_accuracies, chance)
-    return params.damping * accuracies + (1.0 - params.damping) * new_accuracies
+    new_accuracies = np.clip(new_accuracies, min(0.05, chance), MAX_ACCURACY)
+    new_accuracies = np.maximum(new_accuracies, chance)
+    return DAMPING * accuracies + (1.0 - DAMPING) * new_accuracies
 
 
 def run_em(
@@ -329,7 +326,7 @@ def run_em(
     """
     k = entries.cardinality
     history = TrainingHistory()
-    accuracies = np.full(entries.shape[1], params.accuracy_init)
+    accuracies = np.full(entries.shape[1], ACCURACY_INIT)
     prior = initial_prior(params.class_balance, k)
     estimate_balance = params.class_balance is None
     covered_rows = int(entries.covered.sum())
@@ -340,9 +337,9 @@ def run_em(
         )
         if estimate_balance:
             mass = posteriors[entries.covered].sum(axis=0)
-            balance = damped_balance(balance, mass, covered_rows, k, params.damping)
+            balance = damped_balance(balance, mass, covered_rows, k)
             prior = balance_prior(balance)
-        new_accuracies = m_step(params, accuracies, expected_correct, entries.vote_counts, k)
+        new_accuracies = m_step(accuracies, expected_correct, entries.vote_counts, k)
         delta = float(np.abs(new_accuracies - accuracies).sum())
         accuracies = new_accuracies
         history.epochs += 1

@@ -70,6 +70,7 @@ from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
 from repro.labeling.sparse import SparseLabelMatrix, lower_to_sparse
 from repro.labelmodel.em import (
+    ACCURACY_INIT,
     EMParams,
     TrainingHistory,
     accuracy_to_weights,
@@ -108,17 +109,6 @@ class GenerativeModel:
         CD ℓ2 pull toward the initial weights (ignored by EM).
     cd_sweeps:
         Gibbs sweeps per CD gradient step.
-    accuracy_init:
-        Prior labeling-function accuracy used for initialization and, in EM,
-        as the center of the Beta-like smoothing.
-    smoothing:
-        EM pseudo-count smoothing of the accuracy estimates (stabilizes LFs
-        with very few votes).
-    learn_propensity:
-        Whether to fill in the labeling-propensity weights from the empirical
-        per-LF coverage after training.  These never affect the label
-        posterior; they are recorded so the joint model is fully
-        parameterized.
     class_balance:
         Optional known positive-class fraction.  When given, the class-prior
         weight is fixed at ``0.5·logit(class_balance)`` and applied to every
@@ -134,11 +124,6 @@ class GenerativeModel:
         vector instead of a scalar; the same supplied-vs-estimated semantics
         apply, with the (damped, renormalized) estimate recorded in
         ``class_priors_``.
-    non_adversarial:
-        Clamp LF accuracies at or above chance — 50% for binary tasks,
-        ``1/k`` for categorical ones (the paper's standing assumption
-        ``w*_j > 0``).  A labeling function can be learned to be useless but
-        not actively inverted.
     cardinality:
         Number of classes.  ``None`` (default) reads it off a
         :class:`LabelMatrix` input and falls back to 2 for raw arrays; pass
@@ -163,13 +148,7 @@ class GenerativeModel:
         batch_size: int = 256,
         reg_strength: float = 0.05,
         cd_sweeps: int = 1,
-        accuracy_init: float = 0.7,
-        smoothing: float = 2.0,
-        damping: float = 0.5,
-        max_accuracy: float = 0.95,
-        learn_propensity: bool = True,
         class_balance: Optional[float | Sequence[float]] = None,
-        non_adversarial: bool = True,
         cardinality: Optional[int] = None,
         gibbs_kernel: str = "auto",
         seed: SeedLike = 0,
@@ -186,13 +165,7 @@ class GenerativeModel:
         self.batch_size = batch_size
         self.reg_strength = reg_strength
         self.cd_sweeps = cd_sweeps
-        self.accuracy_init = accuracy_init
-        self.smoothing = smoothing
-        self.damping = damping
-        self.max_accuracy = max_accuracy
-        self.learn_propensity = learn_propensity
         self.class_balance = class_balance
-        self.non_adversarial = non_adversarial
         self.cardinality = cardinality
         self.gibbs_kernel = resolve_kernel(gibbs_kernel)
         self.seed = seed
@@ -208,15 +181,7 @@ class GenerativeModel:
         self._em_params()  # validates the estimator hyper-parameters
 
     def _em_params(self) -> EMParams:
-        return EMParams(
-            epochs=self.epochs,
-            accuracy_init=self.accuracy_init,
-            smoothing=self.smoothing,
-            damping=self.damping,
-            max_accuracy=self.max_accuracy,
-            class_balance=self.class_balance,
-            non_adversarial=self.non_adversarial,
-        )
+        return EMParams(epochs=self.epochs, class_balance=self.class_balance)
 
     # ------------------------------------------------------------------ fitting
     def fit(
@@ -252,8 +217,7 @@ class GenerativeModel:
             )
         else:
             weights, class_prior = self._fit_cd(spec, storage)
-        coverage = storage.col_nnz() / shape[0] if self.learn_propensity else None
-        return self._install(spec, weights, class_prior, coverage)
+        return self._install(spec, weights, class_prior, storage.col_nnz() / shape[0])
 
     def _resolve_cardinality(self, label_matrix) -> int:
         """Explicit ``cardinality`` wins; else a ``LabelMatrix``'s; else binary."""
@@ -274,7 +238,9 @@ class GenerativeModel:
 
         ``class_prior`` is the probability vector of a categorical task, the
         half-log-odds weight of a binary one; ``coverage`` (per-LF vote
-        fraction), when given, fills in the propensity weights.
+        fraction), when given, fills in the propensity weights: they never
+        affect the label posterior and are recorded so the joint model is
+        fully parameterized.
         """
         if coverage is not None:
             coverage = np.clip(coverage, 1e-6, 1 - 1e-6)
@@ -302,7 +268,7 @@ class GenerativeModel:
         the discount correction rather than these weights; they are recorded
         so the fitted joint model is inspectable.
         """
-        weights = spec.initial_weights(accuracy_init=self.accuracy_init)
+        weights = spec.initial_weights(accuracy_init=ACCURACY_INIT)
         weights[spec.layout.accuracy_slice] = accuracy_to_weights(accuracies, spec.cardinality)
         if pair_agreement is not None:
             agreement = np.clip(pair_agreement, 1e-3, 1 - 1e-3)
@@ -333,7 +299,6 @@ class GenerativeModel:
         """
         model = cls(
             method="em",
-            learn_propensity=coverage is not None,
             cardinality=spec.cardinality,
             seed=seed,
             **asdict(params),
@@ -367,7 +332,7 @@ class GenerativeModel:
             workspace: Optional[SamplerWorkspace] = SamplerWorkspace(plan)
         else:
             plan = workspace = None
-        weights = spec.initial_weights(accuracy_init=self.accuracy_init)
+        weights = spec.initial_weights(accuracy_init=ACCURACY_INIT)
         prior_weights = weights.copy()
         num_rows = matrix.shape[0]
         batch_size = min(self.batch_size, num_rows)
@@ -394,9 +359,9 @@ class GenerativeModel:
                 # propensity weights receive no gradient signal.
                 gradient[spec.layout.propensity_slice] = 0.0
                 new_weights = optimizer.step(weights, -gradient)
-                if self.non_adversarial:
-                    accuracy_slice = spec.layout.accuracy_slice
-                    new_weights[accuracy_slice] = np.maximum(new_weights[accuracy_slice], 0.0)
+                # Non-adversarial, as EM's M-step: an LF is never learned inverted.
+                accuracy_slice = spec.layout.accuracy_slice
+                new_weights[accuracy_slice] = np.maximum(new_weights[accuracy_slice], 0.0)
                 epoch_delta += float(np.abs(new_weights - weights).sum())
                 weights = new_weights
             history.epochs += 1

@@ -59,6 +59,7 @@ from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
 from repro.labeling.sparse import SparseLabelMatrix, lower_to_sparse
 from repro.labelmodel.em import (
+    ACCURACY_INIT,
     EMParams,
     accuracy_to_weights,
     balance_prior,
@@ -118,13 +119,7 @@ class OnlineGenerativeModel:
         cardinality: Optional[int] = None,
         correlations: Iterable[tuple[int, int]] = (),
         epochs: int = 30,
-        accuracy_init: float = 0.7,
-        smoothing: float = 2.0,
-        damping: float = 0.5,
-        max_accuracy: float = 0.95,
-        learn_propensity: bool = True,
         class_balance: Optional[float | Sequence[float]] = None,
-        non_adversarial: bool = True,
         max_staleness: Optional[int] = None,
         seed: SeedLike = 0,
     ) -> None:
@@ -134,16 +129,7 @@ class OnlineGenerativeModel:
             )
         if cardinality is not None and cardinality < 2:
             raise LabelModelError(f"cardinality must be >= 2 when given, got {cardinality}")
-        self.params = EMParams(
-            epochs=epochs,
-            accuracy_init=accuracy_init,
-            smoothing=smoothing,
-            damping=damping,
-            max_accuracy=max_accuracy,
-            class_balance=class_balance,
-            non_adversarial=non_adversarial,
-        )
-        self.learn_propensity = learn_propensity
+        self.params = EMParams(epochs=epochs, class_balance=class_balance)
         self.seed = seed
         self.cardinality = cardinality
         self.class_balance = class_balance
@@ -196,7 +182,7 @@ class OnlineGenerativeModel:
         self.cardinality_ = int(cardinality)
         self.expected_correct_ = np.zeros(self.num_lfs_)
         self.vote_counts_ = np.zeros(self.num_lfs_, dtype=np.int64)
-        self.accuracies_ = np.full(self.num_lfs_, self.params.accuracy_init)
+        self.accuracies_ = np.full(self.num_lfs_, ACCURACY_INIT)
         self.posterior_mass_ = 0.0 if cardinality == 2 else np.zeros(cardinality)
 
     def _require_pinned(self) -> int:
@@ -312,10 +298,9 @@ class OnlineGenerativeModel:
                 self.posterior_mass_,
                 self.covered_rows_,
                 cardinality,
-                self.params.damping,
             )
         self.accuracies_ = m_step(
-            self.params, self.accuracies_, self.expected_correct_, self.vote_counts_, cardinality
+            self.accuracies_, self.expected_correct_, self.vote_counts_, cardinality
         )
         self._invalidate()
         return self
@@ -327,7 +312,7 @@ class OnlineGenerativeModel:
         ``votes`` is a dense length-``num_rows_`` vector in the task's
         vocabulary (``ABSTAIN`` where the LF abstains).  The new LF starts
         at the prior accuracy with init-consistent pseudo-statistics (its
-        warm M-step estimate is exactly ``accuracy_init`` before evidence
+        warm M-step estimate is exactly ``ACCURACY_INIT`` before evidence
         accumulates); :meth:`drain` re-estimates it exactly.  Returns the
         new LF's column index.
         """
@@ -342,10 +327,10 @@ class OnlineGenerativeModel:
         self.num_lfs_ = num_lfs + 1
         rows = np.flatnonzero(votes != ABSTAIN)
         self._append_triples(rows, np.full(rows.size, column, dtype=np.int64), votes[rows])
-        self.accuracies_ = np.append(self.accuracies_, self.params.accuracy_init)
+        self.accuracies_ = np.append(self.accuracies_, ACCURACY_INIT)
         self.vote_counts_ = np.append(self.vote_counts_, rows.size)
         self.expected_correct_ = np.append(
-            self.expected_correct_, self.params.accuracy_init * rows.size
+            self.expected_correct_, ACCURACY_INIT * rows.size
         )
         # Covered-row mass is unchanged only approximately (newly covered
         # rows existed before with posterior 0.5/uniform); the drain
@@ -438,7 +423,7 @@ class OnlineGenerativeModel:
             spec,
             accuracies,
             prior,
-            coverage=entries.vote_counts / self.num_rows_ if self.learn_propensity else None,
+            coverage=entries.vote_counts / self.num_rows_,
             pair_agreement=entries.pair_agreement,
             history=history,
             seed=self.seed,
@@ -478,7 +463,7 @@ class OnlineGenerativeModel:
         else:
             prior = balance_prior(self.balance_)
         coverage = None
-        if self.learn_propensity and self.num_rows_ > 0:
+        if self.num_rows_ > 0:
             coverage = self.vote_counts_ / self.num_rows_
         self._warm_model = GenerativeModel.from_em(
             self.params, self._spec(), self.accuracies_, prior, coverage=coverage, seed=self.seed

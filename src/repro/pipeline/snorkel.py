@@ -85,7 +85,6 @@ EXECUTION_ONLY_FIELDS = frozenset(
     {
         "applier_backend",
         "applier_workers",
-        "engine_chunk_timeout",
         "lf_pushdown",
         "checkpoint_dir",
         "resume",
@@ -142,11 +141,6 @@ class PipelineConfig:
     #: only the newest epoch of each family of epoch-stamped snapshots (see
     #: :class:`repro.labeling.blockstore.BlockStore`).
     resume: bool = True
-    #: Soft per-chunk deadline in seconds for the ``"processes"`` backend
-    #: (see :class:`repro.labeling.engine.plan.ExecutionPlan`): a hung
-    #: worker is killed and its chunk resubmitted instead of deadlocking
-    #: the run.  ``None`` (default) waits indefinitely.
-    engine_chunk_timeout: Optional[float] = None
     #: Sampling kernel of the generative stage's Gibbs chains (CD training):
     #: ``"auto"``/``"vectorized"`` for the plan-based fused-color updates of
     #: :mod:`repro.labelmodel.kernels`, ``"reference"`` for the exact
@@ -180,7 +174,6 @@ class PipelineConfig:
                 chunk_size=self.chunk_size,
                 backend=self.applier_backend,
                 num_workers=self.applier_workers,
-                chunk_timeout=self.engine_chunk_timeout,
             )
             ModelingStrategyOptimizer(advantage_tolerance=self.advantage_tolerance)
             GenerativeModel(
@@ -295,7 +288,6 @@ class SnorkelPipeline:
             backend=config.applier_backend,
             num_workers=config.applier_workers,
             pushdown=config.lf_pushdown,
-            chunk_timeout=config.engine_chunk_timeout,
         )
         cardinality = applier.cardinality
         end_model = self._make_end_model(cardinality)

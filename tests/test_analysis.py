@@ -16,8 +16,10 @@ Four layers are covered:
   and dynamically (:class:`PurityCheckedTask`).
 * **Fuzzing** — hypothesis-generated small LF bodies: the lint pass and the
   compiler never crash (the compiler only ever refuses with ``CompileError``),
-  planted hazards are never missed or compiled, and an accepted body labels
-  as the interpreted one does.
+  planted hazards are never missed by the lint nor compiled, and an accepted
+  body labels as the interpreted one does.  The compiler carries the hazard
+  invariant alone (no lint gates it): a matrix plants each hazard in a body
+  it otherwise accepts.
 """
 
 import ast
@@ -26,6 +28,9 @@ import linecache
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -46,7 +51,6 @@ from repro.analysis import (
     observe_task_purity,
 )
 from repro.analysis.lint import lint_function
-from repro.analysis.source import SourceInfo, extract_source
 from repro.datasets.lf_library import LINT_LFS
 from repro.datasets.synthetic import (
     stream_relation_candidates,
@@ -57,7 +61,8 @@ from repro.datasets.synthetic import (
 )
 from repro.exceptions import LabelingError
 from repro.labeling import LabelingFunction, LFApplier, labeling_function
-from repro.labeling.pushdown.compiler import CompileError, _Compiler
+from repro.labeling.pushdown.compiler import CompileError, _Compiler, compile_lf
+from repro.labeling.source import SourceInfo, extract_source
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -142,6 +147,14 @@ def lf_reads_file(x):
     with open("/dev/null") as handle:
         handle.read()
     return ABSTAIN
+
+
+_GLOBAL_LABEL = 1
+
+
+@labeling_function()
+def lf_returns_global_label(x):
+    return _GLOBAL_LABEL if x else ABSTAIN
 
 
 @labeling_function()
@@ -286,12 +299,24 @@ class TestPlantedViolations:
         assert flagged and all(d.severity == Severity.WARNING for d in flagged)
 
     def test_hazardous_lf_is_never_compilable(self):
-        # The predicate shape alone would compile, but the LF301 hazard
-        # disqualifies it: compilable implies replayable.
+        # The predicate shape alone would compile, but the LF301 store is
+        # outside the compiler's grammar: compilable implies replayable.
         result = analyze_lf(lf_shape_but_stateful)
         assert "LF301" in result.codes()
         assert not result.pushdown.compilable
-        assert "hazards remain" in result.pushdown.detail
+        assert result.pushdown.detail.startswith(
+            "compiler refused: non-name assignment target"
+        ), result.pushdown.detail
+
+    def test_lint_reads_a_rebound_global(self, monkeypatch):
+        # The lint is not memoized: the same LF object, linted again after
+        # its global label was rebound out of range, reports LF101, and
+        # validate="error" refuses it.
+        assert "LF101" not in analyze_lf(lf_returns_global_label).codes()
+        monkeypatch.setitem(globals(), "_GLOBAL_LABEL", 7)
+        assert "LF101" in analyze_lf(lf_returns_global_label).codes()
+        with pytest.raises(LabelingError, match="LF101"):
+            LFApplier([lf_returns_global_label], validate="error").apply([1, 0])
 
     def test_out_of_range_respects_declared_cardinality(self):
         @labeling_function(cardinality=8)
@@ -456,6 +481,22 @@ class TestEngineContracts:
             assert observe_task_purity(label_and_featurize_chunk, payload, chunks)
 
 
+def _count_lint_calls(monkeypatch) -> list:
+    """Record the LF name of every ``lint_function`` call from now on."""
+    import repro.analysis as analysis
+    from repro.analysis import lint
+
+    calls, lint_function = [], lint.lint_function
+
+    def counting(info, lf_name, *args, **kwargs):
+        calls.append(lf_name)
+        return lint_function(info, lf_name, *args, **kwargs)
+
+    for module in (analysis, lint):
+        monkeypatch.setattr(module, "lint_function", counting)
+    return calls
+
+
 # ==========================================================================
 # Apply-time wiring: validate=, the attached report, and error details.
 # ==========================================================================
@@ -485,19 +526,40 @@ class TestApplyWiring:
 
     @pytest.mark.parametrize("num_points", [64, 640])
     def test_validate_lints_once_per_suite_not_per_chunk(self, monkeypatch, num_points):
-        import repro.analysis as analysis
-
-        calls, lint_lf = [], analysis.lint_lf
-
-        def counting_lint_lf(fn, *args, **kwargs):
-            calls.append(fn)
-            return lint_lf(fn, *args, **kwargs)
-
-        monkeypatch.setattr(analysis, "lint_lf", counting_lint_lf)
+        calls = _count_lint_calls(monkeypatch)
         lfs = synthetic_vote_lfs(6)
-        candidates = stream_synthetic_candidates(num_points=num_points, num_lfs=6, seed=0)
-        LFApplier(lfs, validate="warn", chunk_size=32).apply(candidates)
-        assert calls == lfs
+        applier = LFApplier(lfs, validate="warn", chunk_size=32)
+        for _ in range(2):
+            applier.apply(
+                stream_synthetic_candidates(num_points=num_points, num_lfs=6, seed=0)
+            )
+        # One lint per LF per apply, whatever the corpus size.
+        assert calls == [lf.name for lf in lfs] * 2
+
+    def test_compiling_a_suite_lints_nothing(self, monkeypatch):
+        from repro.datasets import load_task
+        from repro.labeling.pushdown import build_plan
+        from repro.labeling.pushdown import task as pushdown_task
+
+        calls = _count_lint_calls(monkeypatch)
+        lfs = load_task("cdr", scale=0.05, seed=0).lfs
+        assert not any(lf in pushdown_task._DECISIONS for lf in lfs)  # decided cold
+        plan = build_plan(lfs)
+        assert len(plan.compiled) == 32
+        assert calls == []
+
+    def test_import_repro_loads_no_analysis_module(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import sys, repro\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_validate_warn_does_not_block_warnings(self):
         # lf_clock carries only a WARNING (LF202): warn mode annotates, error
@@ -625,10 +687,11 @@ class TestFuzzing:
             accepted = True
         except CompileError:
             accepted = False
-        # ... and its verdict is that answer behind the hazard gate,
+        # ... no planted hazard is ever accepted, and the verdict is that answer,
+        assert not (accepted and hazards), source
         lf = LabelingFunction("lf", info.function)
         verdict = analyze_lf(lf, probe_pickle=False).pushdown
-        assert verdict.compilable == (accepted and not hazards), source
+        assert verdict.compilable == accepted, source
         if not verdict.compilable:
             return
         # and what it accepts labels, and fails, as the function itself does.
@@ -669,6 +732,55 @@ class TestFuzzing:
         exec(compile(source, "<fuzz>", "exec"), namespace)
         result = analyze_lf(namespace["lf"], probe_pickle=False)
         assert result.codes() == {"LF001"}
+
+
+#: Every hazard the compiler must refuse on its own, each planted as a
+#: statement in a body it otherwise accepts (:data:`_HAZARD_FREE_RETURN`).
+_COMPILER_HAZARDS = {
+    **{f"fuzz-{code}": statement for code, statement in _FUZZ_HAZARDS.items()},
+    "nonlocal": "nonlocal count",
+    "global": "global _FUZZ_STATE",
+    "generator": "if False:\n    yield 99",
+    "generator-expression": "_ = any(t for t in x.words_between())",
+    "lambda": "f = lambda: 99",
+    "setdefault": "_ = _FUZZ_STATE.setdefault('calls', 1)",
+    "pop": "_ = _FUZZ_STATE.pop('calls', None)",
+    "append-on-column": "_ = x.words_between().append(1)",
+    "append-statement": "x.words_between().append(1)",
+    "setattr": "_ = setattr(x, 'seen', True)",
+    "id": "_ = id(x)",
+    "print": "_ = print(x)",
+    "print-statement": "print(x)",
+    "print-per-token": "_ = [print(t) for t in x.words_between()]",
+    "setdefault-per-token": "_ = [_FUZZ_STATE.setdefault(t, 1) for t in x.words_between()]",
+    "fold-over-iterator": "_ = any(_FUZZ_ITER)",
+}
+_HAZARD_FREE_RETURN = "return 1 if x.token_distance() > 3 else 0"
+
+
+def _compile_in_closure(statements):
+    """``compile_lf`` of an LF, defined in a factory with one closure cell,
+    whose body is ``statements`` and then :data:`_HAZARD_FREE_RETURN`."""
+    body = "".join(textwrap.indent(statement, " " * 8) + "\n" for statement in statements)
+    source = (
+        "def make():\n    count = 0\n\n    def lf(x):\n"
+        f"{body}        {_HAZARD_FREE_RETURN}\n\n    return lf\n"
+    )
+    namespace = {"random": random, "time": time, "os": os, "_FUZZ_STATE": {},
+                 "_FUZZ_ITER": iter([0, 1])}
+    filename = f"<fuzz-{next(_fuzz_serial)}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return compile_lf(LabelingFunction("lf", namespace["make"]()))
+
+
+@pytest.mark.parametrize("hazard", _COMPILER_HAZARDS.values(), ids=_COMPILER_HAZARDS.keys())
+def test_compiler_refuses_every_hazard(hazard):
+    # No lint gates the compiler: its grammar alone keeps every hazard out
+    # of a body it compiles without the hazard.
+    assert _compile_in_closure([]).branches
+    with pytest.raises(CompileError):
+        _compile_in_closure([hazard])
 
 
 class TestSourceExtraction:

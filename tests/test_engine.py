@@ -316,7 +316,7 @@ def test_pipeline_config_validates_applier_knobs():
     # The plan's rule and the models' own validators, at construction rather
     # than after the labeling pass (or never, when the optimizer picks MV).
     for settings in [dict(chunk_size=2.5), dict(applier_workers=True),
-                     dict(engine_chunk_timeout=float("nan")), dict(generative_epochs=-1),
+                     dict(generative_epochs=-1),
                      dict(generative_epochs=2.5), dict(discriminative_epochs=2.5),
                      dict(discriminative_epochs=True), dict(advantage_tolerance=float("nan"))]:
         with pytest.raises(ConfigurationError):
