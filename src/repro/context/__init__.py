@@ -12,12 +12,7 @@ from repro.context.candidates import Candidate
 from repro.context.contexts import Document, EntityMention, Sentence, Span
 from repro.context.corpus import Corpus
 from repro.context.extraction import CandidateExtractor, PairedEntityCandidateSpace
-from repro.context.preprocessing import (
-    DictionaryEntityTagger,
-    SimpleSentenceSplitter,
-    SimpleTokenizer,
-    TextPreprocessor,
-)
+from repro.context.preprocessing import DictionaryEntityTagger, TextPreprocessor
 
 __all__ = [
     "Document",
@@ -26,8 +21,6 @@ __all__ = [
     "EntityMention",
     "Candidate",
     "Corpus",
-    "SimpleTokenizer",
-    "SimpleSentenceSplitter",
     "DictionaryEntityTagger",
     "TextPreprocessor",
     "CandidateExtractor",

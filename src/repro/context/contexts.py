@@ -1,20 +1,19 @@
 """Context types: Document, Sentence, Span, and EntityMention records.
 
 Each context type is a plain flat record: its own fields, the id of its
-parent (``*_id``), and an ``id`` that :class:`repro.context.corpus.Corpus`
-assigns at insert (1-based, in insertion order per type).  Records hold no
-references to each other — the corpus owns the parent→children lists — so a
-hierarchy is acyclic and pickles as plain data.  Convenience accessors
-(``word_slice``, ``get_word_range``) reproduce the object-oriented traversal
-that labeling functions rely on (paper Example 2.3).
+parent (``*_id``), and an ``id`` — its 1-based position in its table, in
+insertion order per type.  A :class:`repro.context.corpus.Corpus` keeps the
+hierarchy as columns and builds :class:`Sentence`, :class:`Span` and
+:class:`EntityMention` records as views when a query asks for them; records
+hold no references to each other, so a hierarchy is acyclic and pickles as
+plain data.  Labeling functions traverse candidates instead
+(:mod:`repro.context.candidates`, paper Example 2.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Optional
-
-from repro.exceptions import ContextError
 
 
 @dataclass
@@ -68,15 +67,6 @@ class Sentence:
     char_offsets: list[list[int]]
     id: Optional[int] = None
 
-    def word_slice(self, start: int, end: int) -> list[str]:
-        """Return ``words[start:end]`` with bounds checking."""
-        if start < 0 or end > len(self.words) or start > end:
-            raise ContextError(
-                f"word slice [{start}:{end}] out of range for sentence of length "
-                f"{len(self.words)}"
-            )
-        return list(self.words[start:end])
-
 
 @dataclass
 class Span:
@@ -97,21 +87,6 @@ class Span:
     word_end: int
     text: str
     id: Optional[int] = None
-
-    def get_word_range(self) -> tuple[int, int]:
-        """Return the ``(word_start, word_end)`` token range of this span.
-
-        ``word_end`` is exclusive, matching Python slicing; the paper's
-        ``get_word_range`` example uses inclusive ends but every use in this
-        library is through :meth:`words_between`-style helpers so the
-        convention only needs to be internally consistent.
-        """
-        return int(self.word_start), int(self.word_end)
-
-    @property
-    def length(self) -> int:
-        """Number of tokens covered by the span."""
-        return int(self.word_end) - int(self.word_start)
 
 
 @dataclass

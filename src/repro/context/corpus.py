@@ -1,31 +1,39 @@
-"""Corpus: the context hierarchy plus candidate materialization.
+"""Corpus: the context hierarchy as columns, plus candidate materialization.
 
-A :class:`Corpus` owns the records of the hierarchy directly — one list per
-record type in insertion order (a record's ``id`` is its 1-based position)
-and, for each parent id, the list of its children — so every traversal is a
-list or dict lookup and ingest, extraction and materialization are linear in
-corpus size.  It materializes :class:`repro.context.candidates.Candidate`
-views — the denormalized objects labeling functions receive.
+A :class:`Corpus` stores the hierarchy as per-corpus columns, not records:
 
-Records are stored a document (or an extraction) at a time: every record is
-built and checked first, with its id taken from its position, and then the
-whole batch is appended, so an error on the way leaves the corpus as it was.
-Per sentence, ingest reads the preprocessed words, offsets and entities once
-and builds the sentence's spans and mentions in one comprehension each —
-no Python call per token or per record beyond the record's own constructor.
-Children lists are put in their query order at that moment (a document's
-sentences by ``position``, a sentence's spans by ``word_start``, both
-stable), so :meth:`Corpus.sentences_of` and :meth:`Corpus.entities_of` read
-them without sorting; the order, and so every candidate, is the one of
-sorting on each query.  Each entity stores one span and one mention, so a
-span and its mention share an id.  :meth:`Corpus.candidates` checks the ids
-of a batch of records once, then reads the records by index.
+* per document, its :class:`Document` record, its tokens (one list, sentence
+  after sentence), their character offsets in its text (``None`` for a
+  pre-tokenized document) and its sentences in ``position`` order;
+* per sentence, its document, position, text, token bounds into the
+  document's tokens, its character offsets when given pre-tokenized, and
+  its spans in ``word_start`` order;
+* per span (a span and its entity mention share an id), its sentence, word
+  start and end within the sentence, text, entity type and canonical id.
+
+A record's ``id`` is its 1-based position in its table; inside the corpus
+every reference is the 0-based index.  :class:`Sentence`, :class:`Span` and
+:class:`EntityMention` records are views, built only when
+:meth:`Corpus.sentences_of` or :meth:`Corpus.entities_of` asks for them;
+ingest, extraction and materialization read the columns.  The child orders
+are those of sorting on each query (a document's sentences by ``position``,
+a sentence's spans by ``word_start``, both stable), sorted once at ingest.
+
+Both ingest doors store a document through one routine, all at once: its
+columns are built and checked first and appended together, so an error on
+the way (an entity span outside its sentence) leaves the corpus as it was.
+:meth:`Corpus.add_document` makes a fixed number of Python calls per
+document, none per sentence, entity or token.  :meth:`Corpus.candidates`
+checks the ids of a batch of candidate records once and builds each
+:class:`~repro.context.candidates.Candidate` (the denormalized view labeling
+functions receive) from the columns.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import repeat
-from operator import attrgetter
+from operator import add, attrgetter, eq, sub
 from typing import Callable, Optional, Sequence, TypeVar
 
 from repro.context.candidates import Candidate, CandidateRecord, SentenceView, SpanView
@@ -34,6 +42,9 @@ from repro.context.preprocessing import TaggedEntity, TextPreprocessor
 from repro.exceptions import ContextError
 
 R = TypeVar("R")
+
+_SENTENCE_COLUMNS = ("document", "position", "text", "start", "end", "offsets", "spans")
+_SPAN_COLUMNS = ("sentence", "start", "end", "text", "type", "canonical_id")
 
 
 class Corpus:
@@ -52,22 +63,18 @@ class Corpus:
         self.name = name
         self.preprocessor = preprocessor
         self._documents: list[Document] = []
-        self._sentences: list[Sentence] = []
-        self._spans: list[Span] = []
-        self._mentions: list[EntityMention] = []  # the mention of span id i is at i - 1
+        self._words: list[list[str]] = []
+        self._offsets: list[Optional[list[tuple[int, int]]]] = []
+        self._document_sentences: list[list[int]] = []
+        # Column name -> one value per sentence / per span.
+        self._sentences: dict[str, list] = {key: [] for key in _SENTENCE_COLUMNS}
+        self._spans: dict[str, list] = {key: [] for key in _SPAN_COLUMNS}
         self._candidate_records: list[CandidateRecord] = []
-        # Parent id -> children in query order.
-        self._document_sentences: dict[int, list[Sentence]] = {}
-        self._sentence_spans: dict[int, list[Span]] = {}
         self._extracted: set[tuple[int, str]] = set()
 
     # ------------------------------------------------------------------ ingest
     def add_document(
-        self,
-        name: str,
-        text: str,
-        split: str = "train",
-        metadata: Optional[dict] = None,
+        self, name: str, text: str, split: str = "train", metadata: Optional[dict] = None
     ) -> Document:
         """Ingest a raw document: preprocess, store sentences, spans, entities."""
         if self.preprocessor is None:
@@ -75,15 +82,12 @@ class Corpus:
                 "corpus has no preprocessor; use add_processed_document for "
                 "pre-tokenized input"
             )
-        sentences = self.preprocessor.process_document(text)
-        return self.add_processed_document(name, text, sentences, split=split, metadata=metadata)
+        words, offsets, starts, ends, texts, entities = self.preprocessor.process_document(text)
+        columns = (range(len(texts)), texts, starts, ends, repeat(None, len(texts)))
+        return self._store(name, text, split, metadata, words, offsets, columns, entities)
 
     def add_processed_document(
-        self,
-        name: str,
-        text: str,
-        sentences: Sequence[dict],
-        split: str = "train",
+        self, name: str, text: str, sentences: Sequence[dict], split: str = "train",
         metadata: Optional[dict] = None,
     ) -> Document:
         """Ingest a document whose sentences are already tokenized and tagged.
@@ -93,59 +97,68 @@ class Corpus:
         :class:`TaggedEntity` or equivalent dicts).  Entity spans must lie
         inside their sentence; otherwise nothing of the document is stored.
         """
-        document = Document(name, text, split, dict(metadata or {}), len(self._documents) + 1)
-        stored: list[Sentence] = []
-        spans: list[Span] = []
-        mentions: list[EntityMention] = []
-        sentence_spans: dict[int, list[Span]] = {}
-        next_span = len(self._spans) + 1
-        for sentence_id, sentence_dict in enumerate(sentences, len(self._sentences) + 1):
-            words = list(sentence_dict["words"])
-            offsets = sentence_dict["char_offsets"] if "char_offsets" in sentence_dict else ()
-            position = sentence_dict["position"]
-            stored.append(
-                Sentence(
-                    document.id, position, sentence_dict["text"], words,
-                    list(map(list, offsets)), sentence_id,
-                )
-            )
-            entities = list(sentence_dict["entities"] if "entities" in sentence_dict else ())
-            if not entities:
-                continue
-            if any(map(isinstance, entities, repeat(dict))):
-                entities = [TaggedEntity(**e) if isinstance(e, dict) else e for e in entities]
-            num_words = len(words)
-            for entity in entities:
-                if not 0 <= entity.word_start < entity.word_end <= num_words:
+        words: list[str] = []
+        rows, entities = [], []
+        for index, sentence in enumerate(sentences):
+            start, position = len(words), sentence["position"]
+            words += sentence["words"]
+            for entity in sentence.get("entities", ()):
+                entity = TaggedEntity(**entity) if isinstance(entity, dict) else entity
+                if not 0 <= entity.word_start < entity.word_end <= len(words) - start:
                     raise ContextError(
                         f"document {name!r}, sentence {position}: entity span "
                         f"{entity.text!r} [{entity.word_start}, {entity.word_end}) lies "
-                        f"outside a sentence of {num_words} tokens"
+                        f"outside a sentence of {len(words) - start} tokens"
                     )
-            new_spans = [
-                Span(sentence_id, entity.word_start, entity.word_end, entity.text, span_id)
-                for span_id, entity in enumerate(entities, next_span)
-            ]
-            mentions += [
-                EntityMention(span_id, entity.entity_type, entity.canonical_id, span_id)
-                for span_id, entity in enumerate(entities, next_span)
-            ]
-            next_span += len(new_spans)
-            spans += new_spans
-            sentence_spans[sentence_id] = sorted(new_spans, key=_WORD_START)
+                entities.append((
+                    index, start + entity.word_start, start + entity.word_end, entity.text,
+                    entity.entity_type, entity.canonical_id,
+                ))
+            offsets = list(map(list, sentence.get("char_offsets", ())))
+            rows.append((position, sentence["text"], start, len(words), offsets))
+        columns = tuple(zip(*rows)) or ((),) * 5
+        entity_columns = tuple(zip(*entities)) or ((),) * 6
+        return self._store(name, text, split, metadata, words, None, columns, entity_columns)
+
+    def _store(self, name, text, split, metadata, words, offsets, columns, entities) -> Document:
+        """Append one checked document, its tokens and its sentence and span columns.
+
+        ``columns`` are the sentences' positions, texts, token starts and ends
+        and given char offsets; ``entities`` the columns of
+        :meth:`~repro.context.preprocessing.DictionaryEntityTagger.tag_document`,
+        sentence after sentence, with token indexes into ``words``.
+        """
+        positions, _, starts, _, _ = columns
+        first_sentence, first_span = len(self._sentences["document"]), len(self._spans["text"])
+        sentence_of, begins, ends, texts, types, ids = entities
+        # Spans in query order: by sentence, then stably by word_start.
+        keys = list(zip(sentence_of, begins))
+        by_start = sorted(range(len(keys)), key=keys.__getitem__)
+        span_ids = list(map(add, by_start, repeat(first_span)))
+        cuts = list(map(bisect_left, repeat(sentence_of), range(len(positions) + 1)))
+        bases = list(map(starts.__getitem__, sentence_of))
+        document = Document(name, text, split, dict(metadata or {}), len(self._documents) + 1)
         self._documents.append(document)
-        self._sentences += stored
-        self._spans += spans
-        self._mentions += mentions
-        self._document_sentences[document.id] = sorted(stored, key=_POSITION)
-        self._sentence_spans.update(sentence_spans)
+        self._words.append(words)
+        self._offsets.append(offsets)
+        by_position = sorted(range(len(positions)), key=positions.__getitem__)
+        self._document_sentences.append(list(map(add, by_position, repeat(first_sentence))))
+        for table, values in (
+            (self._sentences, (
+                repeat(document.id - 1, len(positions)), *columns,
+                [span_ids[a:b] for a, b in zip(cuts, cuts[1:])],
+            )),
+            (self._spans, (
+                map(add, sentence_of, repeat(first_sentence)), map(sub, begins, bases),
+                map(sub, ends, bases), texts, types, ids,
+            )),
+        ):
+            for column, new in zip(table.values(), values):
+                column += new
         return document
 
     def add_candidate_records(
-        self,
-        document: Document,
-        relation_type: str,
-        records: Sequence[CandidateRecord],
+        self, document: Document, relation_type: str, records: Sequence[CandidateRecord],
         gold_labeler: Optional[Callable[[Candidate], Optional[int]]] = None,
     ) -> None:
         """Store one extraction of ``relation_type`` from ``document``.
@@ -184,7 +197,7 @@ class Corpus:
     @property
     def num_sentences(self) -> int:
         """Number of sentences in the corpus."""
-        return len(self._sentences)
+        return len(self._sentences["document"])
 
     @property
     def num_candidates(self) -> int:
@@ -197,7 +210,7 @@ class Corpus:
 
     def sentences_of(self, document: Document) -> list[Sentence]:
         """Sentences of ``document`` ordered by position."""
-        return list(self._document_sentences.get(document.id, ()))
+        return list(map(self._sentence, self._sentence_order(document)))
 
     def entities_of(self, sentence: Sentence) -> list[tuple[Span, EntityMention]]:
         """All ``(span, entity_mention)`` pairs tagged in ``sentence``.
@@ -205,12 +218,45 @@ class Corpus:
         Ordered by ``word_start``; spans starting at the same token keep
         their insertion order.
         """
-        mentions = self._mentions
-        return [(span, mentions[span.id - 1]) for span in self._sentence_spans.get(sentence.id, ())]
+        if sentence.id not in range(1, self.num_sentences + 1):
+            return []
+        sentences, starts, ends, texts, types, ids = self._spans.values()
+        return [
+            (Span(sentences[span] + 1, starts[span], ends[span], texts[span], span + 1),
+             EntityMention(span + 1, types[span], ids[span], span + 1))
+            for span in self._sentences["spans"][sentence.id - 1]
+        ]
 
     def candidate_records(self, split: Optional[str] = None) -> list[CandidateRecord]:
         """Stored candidate records in id order, optionally filtered by split."""
         return _in_split(self._candidate_records, split)
+
+    def _sentence_order(self, document: Document) -> list[int]:
+        """Indexes of ``document``'s sentences by position (none if not stored here)."""
+        if document.id not in range(1, len(self._documents) + 1):
+            return []
+        return self._document_sentences[document.id - 1]
+
+    def _sentence(self, index: int) -> Sentence:
+        """The :class:`Sentence` view of sentence ``index``."""
+        document, position, text, start, end, offsets, _ = (
+            column[index] for column in self._sentences.values()
+        )
+        if offsets is None:  # ingested from text: the document's offsets, rebased
+            base = self._offsets[document][start][0]
+            offsets = [(a - base, b - base) for a, b in self._offsets[document][start:end]]
+        return Sentence(
+            document + 1, position, text, self._words[document][start:end],
+            list(map(list, offsets)), index + 1,
+        )
+
+    def _entity_columns(self, document: Document) -> tuple:
+        """What extraction reads of ``document``: per sentence by position,
+        ``(index, span indexes by word_start)``; and the span table's type,
+        start and end columns."""
+        order, spans = self._sentence_order(document), self._spans
+        sentence_spans = map(self._sentences["spans"].__getitem__, order)
+        return zip(order, sentence_spans), spans["type"], spans["start"], spans["end"]
 
     # ----------------------------------------------------------- materialization
     def materialize_candidate(self, record: CandidateRecord) -> Candidate:
@@ -222,53 +268,46 @@ class Corpus:
         return self._views(self.candidate_records(split))
 
     def _views(self, records: Sequence[CandidateRecord]) -> list[Candidate]:
-        """The :class:`Candidate` of each record: ids checked for the batch, then indexed."""
-        sentences, spans, mentions = self._sentences, self._spans, self._mentions
-        _check_ids(records, "sentence_id", sentences, "sentence")
-        _check_ids(records, "span1_id", spans, "span")
-        _check_ids(records, "span2_id", spans, "span")
-        views = []
-        for record in records:
-            sentence = sentences[record.sentence_id - 1]
-            document = self._documents[sentence.document_id - 1]
-            span1, mention1 = spans[record.span1_id - 1], mentions[record.span1_id - 1]
-            span2, mention2 = spans[record.span2_id - 1], mentions[record.span2_id - 1]
-            candidate = Candidate(
-                uid=record.id,
-                span1=SpanView(
-                    span1.text, span1.word_start, span1.word_end,
-                    mention1.entity_type, mention1.canonical_id,
+        """The :class:`Candidate` of each record: ids checked for the batch, then
+        every view built from the columns."""
+        rows = _indexes(records, "sentence_id", self.num_sentences, "sentence")
+        firsts = _indexes(records, "span1_id", len(self._spans["text"]), "span")
+        seconds = _indexes(records, "span2_id", len(self._spans["text"]), "span")
+        of_document, positions, sentence_texts, bounds, ends, _, _ = self._sentences.values()
+        span_sentences, starts, span_ends, texts, types, ids = self._spans.values()
+        documents = list(map(of_document.__getitem__, rows))
+        views = [
+            Candidate(
+                record.id,
+                SpanView(texts[a], starts[a], span_ends[a], types[a], ids[a]),
+                SpanView(texts[b], starts[b], span_ends[b], types[b], ids[b]),
+                SentenceView(
+                    self._words[index][bounds[row] : ends[row]], sentence_texts[row],
+                    positions[row], document.name, dict(document.metadata),
                 ),
-                span2=SpanView(
-                    span2.text, span2.word_start, span2.word_end,
-                    mention2.entity_type, mention2.canonical_id,
-                ),
-                sentence=SentenceView(
-                    words=list(sentence.words),
-                    text=sentence.text,
-                    position=sentence.position,
-                    document_name=document.name,
-                    document_metadata=dict(document.metadata),
-                ),
-                relation_type=record.relation_type,
-                split=record.split,
-                gold_label=record.gold_label,
+                record.relation_type, record.split, record.gold_label,
             )
-            candidate.validate()
-            views.append(candidate)
+            for record, row, a, b, index, document in zip(
+                records, rows, firsts, seconds, documents,
+                map(self._documents.__getitem__, documents),
+            )
+        ]
+        # Ingest checked every span against its own sentence, so a view is
+        # valid when both its spans lie in its record's sentence.
+        if not all(map(eq, map(span_sentences.__getitem__, firsts + seconds), rows + rows)):
+            for candidate in views:
+                candidate.validate()
         return views
 
 
-_POSITION = attrgetter("position")
-_WORD_START = attrgetter("word_start")
-
-
-def _check_ids(records: Sequence[CandidateRecord], field: str, table: list, kind: str) -> None:
-    """Raise unless every record's ``field`` is the id of a record in ``table``."""
+def _indexes(records: Sequence[CandidateRecord], field: str, size: int, kind: str) -> list[int]:
+    """The 0-based index of each record's ``field``; raise unless every one
+    is the id of one of the ``size`` records of ``kind``."""
     ids = list(map(attrgetter(field), records))
-    if ids and not (1 <= min(ids) and max(ids) <= len(table)):
-        bad = next(i for i in ids if not 1 <= i <= len(table))
+    if ids and not (1 <= min(ids) and max(ids) <= size):
+        bad = next(i for i in ids if not 1 <= i <= size)
         raise ContextError(f"corpus has no {kind} with id {bad!r}")
+    return list(map(sub, ids, repeat(1)))
 
 
 def _in_split(records: list[R], split: Optional[str]) -> list[R]:

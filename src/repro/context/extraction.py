@@ -5,23 +5,27 @@ The paper's running example defines candidates as all co-occurring
 :class:`PairedEntityCandidateSpace` generalizes this: given two entity types,
 every ordered pair of mentions of those types in a sentence is a candidate.
 
-Per sentence, extraction reads the sentence's entities in ``word_start``
-order and pairs them with ``itertools`` (``combinations`` for one type,
-``product`` for two), which yields the pairs in the order of the nested loops
-they replace.  Extraction is atomic per document: its records and gold labels
-are built first and stored together with the document's claim, so a gold
-labeler that raises stores nothing and leaves the document to extract again.
+Extraction reads the corpus's columns one document at a time: per sentence
+(in ``position`` order) the span indexes by ``word_start``, filtered to each
+type by ``compress`` over the span type column, and paired with
+``itertools`` (``combinations`` for one type, ``product`` for two), in the
+order of the nested loops they replace — no Python call per sentence or per
+entity, one record constructor per candidate.  Extraction is atomic per
+document: its records and gold labels are built first and stored together
+with the document's claim, so a gold labeler that raises stores nothing and
+leaves the document to extract again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
 from numbers import Integral
-from typing import Callable, Optional
+from operator import eq
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.context.candidates import Candidate, CandidateRecord
-from repro.context.contexts import Document, EntityMention, Span
+from repro.context.contexts import Document
 from repro.context.corpus import Corpus
 from repro.exceptions import ContextError
 
@@ -60,23 +64,30 @@ class PairedEntityCandidateSpace:
             )
 
     def pairs(
-        self, entities: list[tuple[Span, EntityMention]]
-    ) -> list[tuple[Span, Span]]:
-        """Enumerate candidate span pairs for one sentence's tagged entities."""
-        first = [span for span, mention in entities if mention.entity_type == self.type1]
-        if self.type1 == self.type2:
-            pairs = list(combinations(first, 2))
-        else:
-            second = [span for span, mention in entities if mention.entity_type == self.type2]
-            pairs = [pair for pair in product(first, second) if pair[0].id != pair[1].id]
-        if self.max_token_distance is None:
-            return pairs
-        kept = []
-        for span1, span2 in pairs:
-            left, right = (span2, span1) if span2.word_start < span1.word_start else (span1, span2)
-            if right.word_start - left.word_end <= self.max_token_distance:
-                kept.append((span1, span2))
-        return kept
+        self, sentences: Iterable[tuple[int, Sequence[int]]], types: Sequence[str],
+        starts: Sequence[int], ends: Sequence[int],
+    ) -> list[tuple[int, tuple[int, int]]]:
+        """Candidate span pairs of one document, read from span columns.
+
+        ``sentences`` yields each sentence's index and its span indexes by
+        ``word_start``; ``types``, ``starts`` and ``ends`` are the span
+        columns those index.  Returns ``(sentence, (span1, span2))`` per pair.
+        """
+        type1, type2 = self.type1, self.type2
+        found: list[tuple[int, tuple[int, int]]] = []
+        for sentence, spans in sentences:
+            first = compress(spans, map(eq, map(types.__getitem__, spans), repeat(type1)))
+            if type1 == type2:
+                found += zip(repeat(sentence), combinations(first, 2))
+            else:
+                second = compress(spans, map(eq, map(types.__getitem__, spans), repeat(type2)))
+                found += zip(repeat(sentence), product(first, second))
+        distance = self.max_token_distance
+        if distance is None:
+            return found
+        # Keep the pairs with at most ``distance`` tokens between the two spans.
+        return [(sentence, (a, b)) for sentence, (a, b) in found if distance >= (
+            starts[b] - ends[a] if starts[a] <= starts[b] else starts[a] - ends[b])]
 
 
 class CandidateExtractor:
@@ -95,8 +106,7 @@ class CandidateExtractor:
     """
 
     def __init__(
-        self,
-        candidate_space: PairedEntityCandidateSpace,
+        self, candidate_space: PairedEntityCandidateSpace,
         gold_labeler: Optional[Callable[[Candidate], Optional[int]]] = None,
     ) -> None:
         self.candidate_space = candidate_space
@@ -123,11 +133,11 @@ class CandidateExtractor:
         then stored with the document's claim (see
         :meth:`Corpus.add_candidate_records`).
         """
-        relation_type = self.candidate_space.relation_type
+        space = self.candidate_space
+        relation_type, split = space.relation_type, document.split
         records = [
-            CandidateRecord(sentence.id, span1.id, span2.id, relation_type, document.split)
-            for sentence in corpus.sentences_of(document)
-            for span1, span2 in self.candidate_space.pairs(corpus.entities_of(sentence))
+            CandidateRecord(sentence + 1, span1 + 1, span2 + 1, relation_type, split)
+            for sentence, (span1, span2) in space.pairs(*corpus._entity_columns(document))
         ]
         corpus.add_candidate_records(document, relation_type, records, self.gold_labeler)
         return len(records)

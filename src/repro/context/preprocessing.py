@@ -1,4 +1,4 @@
-"""Text preprocessing: tokenization, sentence splitting, and dictionary NER.
+"""Text preprocessing: one pass per document to tokens, sentences and entity tags.
 
 The paper wraps CoreNLP / SpaCy for preprocessing and named-entity
 recognition.  For the synthetic corpora used here, a regex tokenizer,
@@ -7,42 +7,27 @@ tagger exercise the same pipeline stages: documents are split into sentences,
 sentences into tokens with character offsets, and entity mentions are tagged
 as typed spans that candidate extraction consumes.
 
-Per sentence the stock components make a fixed number of Python calls, not
-one per token: the tokenizer is one ``finditer`` whose words and offsets are
-read off the matches by ``map`` in C, and the tagger lowercases the words by
-``map``, finds the positions whose token starts a dictionary entry in one
-comprehension and runs the greedy longest-first match only there.  The
-other positions cannot start an entry, so the tags are those of trying every
-entry at every position (``tests/test_context.py`` holds the tagger to that
-loop, and ``tests/reference_context.py`` the whole ingest).
+Every stage runs once per document, not once per sentence.
+:meth:`TextPreprocessor.process_document` tokenizes the whole text in one
+``finditer`` whose matches also mark the sentence ends
+(:func:`repro.utils.textutils.tokenize_document`), so sentences are token
+bounds into the document's tokens.  The tagger lowercases the document's
+tokens once, finds the positions whose token starts a dictionary entry by
+``map`` in C, and runs the greedy longest-first match only there, allowing
+no match to run past the end of its sentence.  The other positions cannot
+start an entry, so the tags are those of trying every entry at every
+position of every sentence (``tests/test_context.py`` holds the tagger to
+that loop, and ``tests/reference_context.py`` the whole ingest, stated one
+sentence at a time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Mapping, Optional, Sequence
 
-from repro.utils.textutils import split_sentences, tokenize, tokenize_with_offsets
-
-
-class SimpleTokenizer:
-    """Regex word/punctuation tokenizer that records character offsets.
-
-    ``tokenize(text)`` returns ``(words, char_offsets)``; it is the text
-    utility itself, aliased at class level so a call is one frame.
-    """
-
-    tokenize = staticmethod(tokenize_with_offsets)
-
-
-class SimpleSentenceSplitter:
-    """Sentence splitter on terminal punctuation followed by whitespace.
-
-    ``split(text)`` returns the sentence strings (aliased like
-    :meth:`SimpleTokenizer.tokenize`).
-    """
-
-    split = staticmethod(split_sentences)
+from repro.utils.textutils import tokenize, tokenize_document
 
 
 @dataclass(frozen=True)
@@ -91,59 +76,62 @@ class DictionaryEntityTagger:
         Matches are non-overlapping; when two dictionary entries could match
         at the same position the longer one wins.
         """
+        _, starts, ends, texts, types, ids = self.tag_document(words, (len(words),))
+        return list(map(TaggedEntity, starts, ends, texts, types, ids))
+
+    def tag_document(self, words: Sequence[str], sentence_ends: Sequence[int]) -> tuple:
+        """Tag a document's tokens; no match crosses a sentence end.
+
+        ``sentence_ends`` are the exclusive token ends of the document's
+        sentences, increasing, the last one ``len(words)``.  Returns the
+        parallel columns ``(sentence, start, end, text, entity_type,
+        canonical_id)`` of the matches in document order: ``sentence``
+        indexes ``sentence_ends`` and ``start``/``end`` index ``words``.
+        """
         entries = self._entries_by_first_token
-        normalized = list(map(str.lower, words))
-        tagged: list[TaggedEntity] = []
+        lowered = list(map(str.lower, words))
+        found: list[tuple] = []
         covered = 0  # positions before this lie inside an earlier match
-        for start in [i for i, token in enumerate(normalized) if token in entries]:
+        sentence, limit = -1, 0  # the sentence of ``start`` and its end
+        for start in compress(count(), map(entries.__contains__, lowered)):
             if start < covered:
                 continue
-            for tokens, length, entity_type, canonical_id in entries[normalized[start]]:
+            while start >= limit:
+                sentence += 1
+                limit = sentence_ends[sentence]
+            for tokens, length, entity_type, canonical_id in entries[lowered[start]]:
                 end = start + length
-                # A slice running past the sentence is shorter, so unequal.
-                if normalized[start:end] == tokens:
-                    text = " ".join(words[start:end])
-                    tagged.append(TaggedEntity(start, end, text, entity_type, canonical_id))
+                if end <= limit and lowered[start:end] == tokens:
+                    found += ((sentence, start, end, entity_type, canonical_id),)  # no call
                     covered = end
                     break
-        return tagged
+        sentences, starts, ends, types, ids = tuple(zip(*found)) or ((),) * 5
+        texts = tuple(map(" ".join, map(words.__getitem__, map(slice, starts, ends))))
+        return sentences, starts, ends, texts, types, ids
 
 
 class TextPreprocessor:
     """Full preprocessing pipeline: split, tokenize, and (optionally) tag.
 
-    Produces plain dictionaries describing sentences and tagged entities so
-    that :class:`repro.context.corpus.Corpus` can store them as records
-    without this module depending on the corpus.
+    Produces plain columns, so that :class:`repro.context.corpus.Corpus` can
+    store them without this module depending on the corpus.
     """
 
-    def __init__(
-        self,
-        tokenizer: Optional[SimpleTokenizer] = None,
-        sentence_splitter: Optional[SimpleSentenceSplitter] = None,
-        entity_tagger: Optional[DictionaryEntityTagger] = None,
-    ) -> None:
-        self.tokenizer = tokenizer or SimpleTokenizer()
-        self.sentence_splitter = sentence_splitter or SimpleSentenceSplitter()
+    def __init__(self, entity_tagger: Optional[DictionaryEntityTagger] = None) -> None:
         self.entity_tagger = entity_tagger
 
-    def process_document(self, text: str) -> list[dict]:
-        """Process one document's text into sentence dicts.
+    def process_document(self, text: str) -> tuple:
+        """Tokenize, split and tag one document's text in one pass.
 
-        Each returned dict has keys ``text``, ``words``, ``char_offsets``,
-        ``position``, and ``entities`` (a list of :class:`TaggedEntity`).
+        Returns ``(words, offsets, sentence_starts, sentence_ends, texts,
+        entities)``: the document's tokens and their ``(char_start,
+        char_end)`` offsets in ``text``; each sentence's token bounds and
+        text; and the columns of :meth:`DictionaryEntityTagger.tag_document`
+        (empty without a tagger).
         """
-        sentences = []
-        for position, sentence_text in enumerate(self.sentence_splitter.split(text)):
-            words, offsets = self.tokenizer.tokenize(sentence_text)
-            entities = self.entity_tagger.tag(words) if self.entity_tagger else []
-            sentences.append(
-                {
-                    "text": sentence_text,
-                    "words": words,
-                    "char_offsets": offsets,
-                    "position": position,
-                    "entities": entities,
-                }
-            )
-        return sentences
+        words, offsets, ends = tokenize_document(text)
+        starts = [0, *ends[:-1]] if ends else []
+        texts = [text[offsets[start][0] : offsets[end - 1][1]] for start, end in zip(starts, ends)]
+        tagger = self.entity_tagger
+        entities = tagger.tag_document(words, ends) if tagger else ((),) * 6
+        return words, offsets, starts, ends, texts, entities

@@ -9,7 +9,7 @@ type), and summary statistics matching the paper's Table 2 / Table 7 columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -87,18 +87,18 @@ class TaskDataset:
         except KeyError:
             raise DatasetError(f"task {self.name!r} has no split {split!r}") from None
 
-    def stream_candidates(self, split: str):
-        """Yield one split's candidates one at a time.
+    def stream_candidates(self, split: str) -> Iterator[Candidate]:
+        """One split's candidates as a one-shot iterator.
 
         The streaming entry point for the labeling execution engine: feed
-        this generator to :meth:`repro.labeling.applier.LFApplier.apply` and
+        this iterator to :meth:`repro.labeling.applier.LFApplier.apply` and
         the candidate list is consumed chunk by chunk rather than handed
         over as one materialized sequence.  (Task datasets hold their
-        candidates in memory today, but consumers written against this
-        iterator keep working when a split is backed by out-of-core
-        storage.)
+        candidates in memory today, so this is the list's own iterator, with
+        no Python frame per candidate; consumers written against an iterator
+        keep working when a split is backed by out-of-core storage.)
         """
-        yield from self.split_candidates(split)
+        return iter(self.split_candidates(split))
 
     def split_gold(self, split: str) -> np.ndarray:
         """Gold labels of one split."""

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import inspect
 import re
+import sys
 import types
 import weakref
 from itertools import repeat
@@ -103,6 +104,20 @@ class LabelingFunction:
                 f"labeling function {self.name!r} raised {type(exc).__name__}: {exc}"
             ) from exc
         return canonical_label(raw, self.name, self.cardinality)
+
+    def __reduce_ex__(self, protocol: Any) -> Any:
+        """Pickle by reference when this LF is the module attribute it names.
+
+        :func:`labeling_function` rebinds a module-level function's name to
+        its wrapper, so the inner function no longer pickles by reference;
+        the wrapper does instead, as the function would have.  Any other LF
+        pickles by value.
+        """
+        qualname = self.__dict__.get("__qualname__")
+        module = sys.modules.get(self.__dict__.get("__module__"))  # type: ignore[arg-type]
+        if qualname is not None and getattr(module, qualname, None) is self:
+            return qualname
+        return super().__reduce_ex__(protocol)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"LabelingFunction(name={self.name!r}, source_type={self.source_type!r})"

@@ -420,10 +420,11 @@ class RegexSearch(ColExpr):
             hits: Optional[list[int]] = None
             try:
                 if literal is not None:
-                    if self.ignorecase:
-                        hits = [i for i, v in enumerate(rows) if literal in v.lower()]
-                    else:
-                        hits = [i for i, v in enumerate(rows) if literal in v]
+                    probed: Any = rows
+                    if self.ignorecase:  # one lowered copy per column, shared by its regexes
+                        key = ("lower", self.child.key)
+                        probed = chunk.get(key) or chunk.put(key, list(map(str.lower, rows)))
+                    hits = [i for i, v in enumerate(probed) if literal in v]
                     matches = list(map(method, [rows[i] for i in hits]))
                 else:
                     matches = list(map(method, rows))

@@ -240,7 +240,7 @@ class SnorkelPipeline:
     def run(self, task: TaskDataset) -> PipelineResult:
         """Run the full pipeline on a task dataset (binary or categorical).
 
-        :meth:`run_streams` over ``task.stream_candidates(...)`` generators —
+        :meth:`run_streams` over ``task.stream_candidates(...)`` iterators —
         the candidate lists the task happens to hold in memory are never
         handed over as lists, so the same code path serves splits backed by
         out-of-core storage.

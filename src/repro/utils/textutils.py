@@ -10,10 +10,16 @@ n-gram features).
 from __future__ import annotations
 
 import re
+from itertools import compress, count
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 _TOKEN_PATTERN = re.compile(r"[A-Za-z0-9_']+|[^\sA-Za-z0-9_']")
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
+# The tokens of ``_TOKEN_PATTERN``, with each ``.``, ``!`` or ``?`` that
+# whitespace follows (where ``_SENTENCE_BOUNDARY`` splits) in group 1.
+_DOCUMENT_TOKEN_PATTERN = re.compile(r"[A-Za-z0-9_']+|([.!?])(?=\s)|[^\sA-Za-z0-9_']")
+_ENDS_SENTENCE = attrgetter("lastindex")
 
 
 def tokenize(text: str) -> list[str]:
@@ -21,14 +27,24 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_PATTERN.findall(text)
 
 
-def tokenize_with_offsets(text: str) -> tuple[list[str], list[tuple[int, int]]]:
-    """Tokenize ``text``: the tokens and their ``(char_start, char_end)`` offsets.
+def tokenize_document(text: str) -> tuple[list[str], list[tuple[int, int]], list[int]]:
+    """Tokenize a document: its tokens, their ``(char_start, char_end)``
+    offsets, and the exclusive token end of each sentence.
 
-    One ``finditer`` pass; the words and offsets are read off the matches by
-    ``map`` in C, with no Python frame per token.
+    The sentences are those of :func:`split_sentences`, as token bounds:
+    every non-whitespace character lies in a token, so splitting on the
+    whitespace after a ``.``, ``!`` or ``?``, stripping and dropping empty
+    parts cuts the tokens after each such terminal token, and a sentence's
+    text runs from its first token's start to its last token's end.  One
+    ``finditer`` pass; words, offsets and bounds are read off the matches by
+    ``map`` and ``compress`` in C, with no Python frame per token or sentence.
     """
-    matches = list(_TOKEN_PATTERN.finditer(text))
-    return list(map(re.Match.group, matches)), list(map(re.Match.span, matches))
+    matches = list(_DOCUMENT_TOKEN_PATTERN.finditer(text))
+    ends = list(compress(count(1), map(_ENDS_SENTENCE, matches)))
+    num_tokens = len(matches)
+    if num_tokens and (not ends or ends[-1] != num_tokens):
+        ends += (num_tokens,)  # the last sentence, unless whitespace already closed it
+    return list(map(re.Match.group, matches)), list(map(re.Match.span, matches)), ends
 
 
 def split_sentences(text: str) -> list[str]:

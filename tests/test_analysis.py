@@ -298,6 +298,20 @@ class TestPlantedViolations:
         flagged = [d for d in result.diagnostics if d.code == "LF501"]
         assert flagged and all(d.severity == Severity.WARNING for d in flagged)
 
+    def test_decorated_module_level_lf_pickles_by_reference(self):
+        import pickle
+
+        from decorated_lfs import lf_mentions_causes
+
+        assert pickle.loads(pickle.dumps(lf_mentions_causes)) is lf_mentions_causes
+        result = analyze_lf(lf_mentions_causes)
+        assert result.picklable is True and "LF501" not in result.codes()
+        # A wrapper that is not its module's attribute still pickles by value.
+        copy = LabelingFunction("lf_by_value", len)
+        copy.__dict__.update(__module__="decorated_lfs", __qualname__="lf_mentions_causes")
+        clone = pickle.loads(pickle.dumps(copy))
+        assert clone is not lf_mentions_causes and clone.function is len
+
     def test_hazardous_lf_is_never_compilable(self):
         # The predicate shape alone would compile, but the LF301 store is
         # outside the compiler's grammar: compilable implies replayable.
