@@ -6,10 +6,10 @@ token distance, an entity-type equality.  Interpreted, each one costs a
 Python frame per candidate; the pushdown layer instead **compiles** every
 such LF into a vectorized kernel over columnar chunks — candidate fields
 extracted into numpy arrays once per chunk, shared by every compiled LF —
-while anything the compiler cannot reproduce exactly (or the lint pass flags
-as nondeterministic, mutating or doing I/O) falls back, per LF, to the
-interpreted loop, with the reason and the source line recorded.  Labels are
-bit-identical either way; only the clock changes.
+while anything the compiler cannot reproduce exactly — its closed grammar
+refuses nondeterministic, mutating and I/O-doing bodies too — falls back,
+per LF, to the interpreted loop, with the reason and the source line
+recorded.  Labels are bit-identical either way; only the clock changes.
 
 The walkthrough below:
 

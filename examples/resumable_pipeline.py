@@ -1,34 +1,32 @@
 """Resumable pipeline: crash mid-run, restart, get the identical answer.
 
-Demonstrates the PR-9 crash-safe block store.  Giving the pipeline a
+Demonstrates the crash-safe block store.  Giving the pipeline a
 ``checkpoint_dir`` — for ``run(task)`` and ``run_streams`` alike, they are
 one path — makes every unit of completed work durable the moment it
 finishes:
 
-* each labeled+featurized **chunk** lands in the store as an atomic
-  write-then-rename block (checksummed by its own crc32 trailer,
-  committed by the rename and an fsync of the block directory) before the
-  next chunk starts;
+* each labeled+featurized **chunk** is appended to the store's one log
+  file as a record (checksummed by its own crc32 trailer) and the log is
+  fsynced before the next chunk starts;
 * the label-modeling outcome and every **end-model epoch** snapshot
   (weights, Adam moments, loss history) land the same way.
 
-A killed run therefore restarts from the last durable chunk/epoch: chunks
-already in the store replay as read-only ``np.memmap`` views (zero LF
-executions, zero featurizer calls), training resumes at the first
-unfinished epoch, and the final result is **bit-identical** to a run that
-was never interrupted — resumability is a durability feature, never a
-numerics change.
+A killed run therefore restarts from the last durable chunk/epoch: the
+reopen keeps the log's longest valid prefix, chunks already in it replay
+as read-only views of the mapped log (zero LF executions, zero featurizer
+calls), training resumes at the first unfinished epoch, and the final
+result is **bit-identical** to a run that was never interrupted —
+resumability is a durability feature, never a numerics change.
 
 This script proves it the hard way, using the deterministic
 fault-injection layer the test suite uses
 (:mod:`repro.labeling.engine.faults`): a forked child runs the pipeline
-with a plan that SIGKILLs the process after the 4th durable block, the
+with a plan that SIGKILLs the process after its 5th durable record, the
 parent verifies the child really died mid-run and inspects the partial
 store, then resumes — and the resumed numbers match an uninterrupted
 reference bit for bit.  A final run over the now-complete store shows the
-replay economics: everything streams back from mmap with nothing
-recomputed (see the ``block_store`` BENCH section: ~2.6x faster than
-recompute at ~4x lower peak traced memory on the 20k-candidate workload).
+replay economics: everything streams back from the mapped log with
+nothing recomputed.
 
 Run with::
 
@@ -89,7 +87,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as root:
         # --- crash: a child runs the same pipeline against the store, with
-        # an injected SIGKILL after its 4th durable block (the fault plan
+        # an injected SIGKILL after its 5th durable record (the fault plan
         # rides an environment variable, so it crosses the fork for free).
         pid = os.fork()
         if pid == 0:
@@ -111,8 +109,8 @@ def main() -> None:
         assert 0 < len(done) < total
 
         # --- resume: same config, same directory.  Durable chunks replay
-        # from mmap, the rest are computed, and the result is bit-identical
-        # to never having crashed.
+        # from the mapped log, the rest are computed, and the result is
+        # bit-identical to never having crashed.
         resumed = run_pipeline(root)
         assert np.array_equal(
             resumed.label_matrix.values, reference.label_matrix.values
@@ -125,8 +123,8 @@ def main() -> None:
         print("resumed run: labels, probs, and end-model weights bit-identical")
 
         # --- replay: with everything durable, a re-run recomputes nothing —
-        # chunks stream back as memmap views, the end model restores from
-        # its last epoch snapshot.
+        # chunks stream back as views of the log, the end model restores
+        # from its last epoch snapshot.
         start = time.perf_counter()
         replayed = run_pipeline(root)
         replay_seconds = time.perf_counter() - start

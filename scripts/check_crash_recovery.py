@@ -11,12 +11,17 @@ drives the full fault matrix the fault-injection layer
 * the same kill, resumed under an LF edited but kept under its name (the
   old body's blocks must not be replayed);
 * master SIGKILLed mid end-model training (after N epochs), then resumed;
-* a block torn *after* its durable rename (crc catches it on reopen, the
-  chunk re-executes);
-* a store whose blocks carry the previous format's magic (it reopens
-  empty, and the resumed run recomputes everything);
+* the log's last record torn, as by a crash mid-append (the reopen drops
+  it, and its chunk re-executes);
+* a byte of the log's 2nd record flipped *after* its durable append: by
+  the prefix rule the reopen keeps only the record before it, and every
+  chunk from it on re-executes;
+* a store of per-key block files in the previous format (it reopens
+  empty, the files inside ``blocks/`` are removed, and the resumed run
+  recomputes everything);
 * a format-2 store whose ``index.jsonl`` names a path outside
-  ``blocks/`` (it reopens empty, and recovery leaves the path untouched);
+  ``blocks/`` (it reopens empty, and recovery leaves the index and the
+  path byte-identical);
 * a worker hung past the chunk deadline (warned, killed, resubmitted —
   EN101);
 * the disk filling mid-run (checkpointing degrades with one warning, the
@@ -40,12 +45,14 @@ any violation.
 from __future__ import annotations
 
 import glob
+import json
 import os
 import signal
 import sys
 import tempfile
 import time
 import warnings
+import zlib
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -144,11 +151,42 @@ def run_and_die(checkpoint_dir, fault_spec, backend="sequential"):
     )
 
 
-def relabel_magic(root: str, magic: bytes) -> None:
-    """Give every block of the store at ``root`` another format's magic."""
-    for path in glob.glob(os.path.join(root, "blocks", "*")):
-        with open(path, "r+b") as handle:
-            handle.write(magic)
+def as_per_key_files(root: str, magic: bytes) -> None:
+    """Rewrite the store at ``root`` in the layout of the formats before
+    the log: one block file per key under ``blocks/``, named after the key,
+    holding ``magic``, the header's length, a JSON header, the payloads and
+    a crc32 of everything before it."""
+    import numpy as np
+
+    from repro.labeling.blockstore import BlockStore
+
+    store = BlockStore(root)
+    for key in store.keys():
+        arrays, meta = store.get(key)
+        specs, payloads, offset = [], [], 0
+        for name, array in arrays.items():
+            raw = np.ascontiguousarray(array).tobytes()
+            dtype = array.dtype.str
+            specs.append({"name": name, "dtype": dtype, "stored": dtype,
+                          "shape": list(array.shape), "offset": offset, "nbytes": len(raw)})
+            payloads.append(raw)
+            offset += len(raw)
+        header = json.dumps({"key": key, "epoch": None, "meta": meta, "arrays": specs}).encode()
+        body = magic + len(header).to_bytes(8, "little") + header + b"".join(payloads)
+        with open(os.path.join(root, "blocks", key.replace("/", "~") + ".blk"), "wb") as handle:
+            handle.write(body + zlib.crc32(body).to_bytes(4, "little"))
+    os.unlink(os.path.join(root, "blocks", "log"))
+
+
+def reopens_empty(root: str, scenario: str) -> None:
+    """Opening the store at ``root`` holds no key and leaves ``blocks/``
+    empty, whatever per-key files it held."""
+    from repro.labeling.blockstore import BlockStore
+
+    assert glob.glob(os.path.join(root, "blocks", "*.blk")), scenario
+    with BlockStore(root) as store:
+        assert store.keys() == [], f"{scenario}: blocks survived: {store.keys()}"
+    assert os.listdir(os.path.join(root, "blocks")) == [], scenario
 
 
 def assert_matches(result, reference, scenario: str) -> None:
@@ -230,47 +268,63 @@ def main() -> int:
         assert_matches(run_pipeline(root, "processes"), reference, "die_epoch resume")
         print("SIGKILL mid end-model (processes): resumed bit-identically")
 
-        # --- a block torn after its durable rename: crc catches it on
-        # reopen and its chunk re-executes.
-        root = os.path.join(tmp, "torn-block")
+        # --- the log's last record torn, as by a kill mid-append: the
+        # reopen drops it, and its chunk re-executes.
+        root = os.path.join(tmp, "torn-tail")
         stores.append(root)
-        run_and_die(root, "corrupt_block@2;die_block@4")
+        run_and_die(root, "die_block@4")  # the fingerprint, then train chunks 0-3
+        log = os.path.join(root, "blocks", "log")
+        os.truncate(log, os.path.getsize(log) - 10)
         with BlockStore(root) as store:
-            assert 1 not in ChunkCheckpointer(store, "train").completed, (
-                "torn block survived recovery"
-            )
-        assert_matches(run_pipeline(root), reference, "torn block resume")
-        print("torn block: dropped on reopen, chunk re-executed, bit-identical")
+            completed = ChunkCheckpointer(store, "train").completed
+            assert completed == {0, 1, 2}, f"torn tail record survived recovery: {completed}"
+        assert_bitwise(run_pipeline(root), reference, "torn tail resume")
+        print("torn tail record: dropped on reopen, its chunk re-executed, bitwise")
 
-        # --- a store written in the previous block format: every block
-        # carries the old magic.  It must reopen empty, and the run
-        # recomputes everything.
+        # --- a byte of record 2 (train chunk 0) flipped after its durable
+        # append: the prefix rule keeps only record 1 (the fingerprint),
+        # and every chunk from record 2 on is recomputed.
+        root = os.path.join(tmp, "corrupt-record")
+        stores.append(root)
+        run_and_die(root, "corrupt_block@1;die_block@4")
+        with BlockStore(root) as store:
+            assert store.keys() == ["meta/fingerprint"], (
+                f"records at or after the corrupt one survived: {store.keys()}"
+            )
+        assert_bitwise(run_pipeline(root), reference, "corrupt record resume")
+        print("corrupt record 2: the log ends before it, chunks from it on recomputed, bitwise")
+
+        # --- a completed store in the previous format, per-key block files:
+        # it must reopen empty, and the run recomputes everything.
         root = os.path.join(tmp, "old-format")
         stores.append(root)
         run_pipeline(root)
-        relabel_magic(root, b"RBLK2\n")
-        with BlockStore(root) as store:
-            assert store.keys() == [], f"old-format blocks survived: {store.keys()}"
-        assert_matches(run_pipeline(root), reference, "old-format resume")
-        print("previous-format store: reopened empty, run recomputed bit-identically")
+        as_per_key_files(root, b"RBLK3\n")
+        reopens_empty(root, "previous-format store")
+        assert_bitwise(run_pipeline(root), reference, "previous-format resume")
+        print("previous-format store: reopened empty, its files removed, recomputed bitwise")
 
         # --- a format-2 store whose index names a file outside blocks/:
-        # it reopens empty, recovery never touches the path, and the run
-        # recomputes everything.
+        # it reopens empty, recovery never touches the index or the path,
+        # and the run recomputes everything.
         root = os.path.join(tmp, "escape", "store")
         stores.append(root)
         run_and_die(root, "die_block@2")
-        relabel_magic(root, b"RBLK2\n")
+        as_per_key_files(root, b"RBLK2\n")
         victim = os.path.join(tmp, "victim.txt")
         with open(victim, "w") as handle:
             handle.write("keep me")
-        with open(os.path.join(root, "index.jsonl"), "w", encoding="utf-8") as handle:
-            handle.write('{"key": "chunk/train/0", "file": "../../victim.txt"}\n')
-        with BlockStore(root) as store:
-            assert store.keys() == [], f"format-2 blocks survived: {store.keys()}"
+        index, entry = os.path.join(root, "index.jsonl"), (
+            '{"key": "chunk/train/0", "file": "../../victim.txt"}\n'
+        )
+        with open(index, "w", encoding="utf-8") as handle:
+            handle.write(entry)
+        reopens_empty(root, "format-2 store")
         assert_bitwise(run_pipeline(root), reference, "format-2 store resume")
         with open(victim) as handle:
             assert handle.read() == "keep me", "recovery wrote to a path outside blocks/"
+        with open(index, encoding="utf-8") as handle:
+            assert handle.read() == entry, "recovery touched the index outside blocks/"
         print("format-2 store naming a path outside blocks/: reopened empty, untouched, bitwise")
 
         # The engine-level faults drive LFApplier directly: a reference

@@ -7,24 +7,41 @@ loses everything.  This module makes the blocks durable the moment they
 arrive at the master, with three layers:
 
 :class:`BlockStore`
-    A directory of immutable block files, each of which checks itself.  A
-    block file is the magic, a JSON header (the block's key, its optional
-    epoch, its meta and the named arrays' specs), the 64-byte-aligned raw
-    payloads, and a crc32 of everything before it.  Each ``put`` assembles
-    the block in memory, writes it to a temp file, fsyncs it, renames it to
-    its key's file name and fsyncs ``blocks/`` — the rename is the commit
-    point, so a crash at any byte leaves either a durable block or garbage
-    recovery drops, never a trusted torn block.  Opening a store lists
-    ``blocks/`` once and keeps exactly the files whose trailer crc, magic
-    and header hold and whose name is their header key's file name; every
-    other file (temp residue, torn or renamed blocks, blocks of another
-    format) is unlinked.  Nothing outside ``blocks/`` is read or unlinked.
+    One append-only log per store, ``blocks/log``, of self-checking
+    records.  A record is the magic, its own length and its header's, a
+    JSON header (the block's key, its optional epoch, its meta and the
+    named arrays' specs), the 64-byte-aligned raw payloads, and a crc32 of
+    everything before it.
 
-    Block format 3 stores every int or float array in the narrowest signed
-    int dtype that holds it bit-exactly (votes, column ids, row offsets and
+    *Durability per put.*  ``put`` appends one record and fsyncs the log —
+    the put that starts an empty log also fsyncs ``blocks/`` — so a block
+    is durable when ``put`` returns.  There is no group commit: a
+    checkpointed run's time did not go to fsyncs but to the files it
+    created, renamed and deleted, one per block.
+
+    *The prefix rule.*  Opening a store scans the log once and keeps its
+    longest valid prefix: the first record whose length, crc, magic or
+    header does not hold ends the log, and every record after it is
+    dropped with it, however whole — a torn append, or a byte flipped in
+    record 2 of 10, recomputes records 2 to 10.  Within the prefix the last
+    record of a key wins, and an epoch-stamped record supersedes the lower
+    epochs of its family (see :meth:`BlockStore.put`); there are no
+    tombstones.  Every other file in ``blocks/`` (a rewrite's temp file,
+    the per-key block files of an earlier format) is removed, and nothing
+    outside ``blocks/`` is read or removed.
+
+    *The reclamation rule.*  The log is rewritten only when its dead bytes
+    (superseded records) exceed its live bytes, on ``delete`` and
+    ``clear``, and when an open drops a torn tail: the live records are
+    copied to a new file, which is fsynced and renamed over the log.  The
+    log is never truncated or written in place, so an array served from an
+    earlier mapping keeps its bytes.
+
+    Every int or float array is stored in the narrowest signed int dtype
+    that holds it bit-exactly (votes, column ids, row offsets and
     count-valued features are small integers; ``-0.0``, NaN, ∞ and
     fractions stay wide), and the header records the original dtype.  A
-    read maps the block file once and serves each array as a read-only
+    read maps the log and serves each array as a read-only
     ``np.frombuffer`` view of the mapping, widened back to its original
     dtype where it was narrowed: replaying a block is page-cache traffic,
     not recompute.
@@ -42,22 +59,23 @@ arrive at the master, with three layers:
 
 :meth:`ChunkCheckpointer.feature_blocks`
     Reads each chunk's stored feature block once, at the end of the pass,
-    through one mapping of its file, and keeps its column ids and values in
+    through one mapping of the log, and keeps its column ids and values in
     the narrow dtypes they were stored in (int16 columns and int8 counts for
     hashed n-grams: 3 B per entry against the 16 B of int64 + float64),
     copied out of the mapping into arrays the run owns.  The end model then
     trains on them exactly as on an in-RAM run's blocks: shrunk in place to
     the kept rows and planned once per fit.  X is resident, narrow — the
-    "Λ + X CSR bytes" of the memory target — and the store's files are
-    never written through.
+    "Λ + X CSR bytes" of the memory target — and the log is never written
+    through.
 
 Fault-injection hooks (:mod:`repro.labeling.engine.faults`) are threaded
 through the write path so the crash-recovery gate can deterministically
-produce torn blocks, full disks, and mid-pass master deaths.
+produce torn records, full disks, and mid-pass master deaths.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import mmap
@@ -72,35 +90,33 @@ import numpy as np
 
 from repro.exceptions import LabelingError
 from repro.labeling.engine import faults
-from repro.labeling.engine.accumulator import (
-    ChunkResult,
-    attach_arrays,
-    detach_arrays,
-)
+from repro.labeling.engine.accumulator import ChunkResult, attach_arrays, detach_arrays
 
-__all__ = [
-    "BlockStore",
-    "ChunkCheckpointer",
-    "EpochCheckpoint",
-]
+__all__ = ["BlockStore", "ChunkCheckpointer", "EpochCheckpoint"]
 
-#: First bytes of every block file; bumping the trailing digit invalidates
-#: all existing stores (recovery checks it, so they recover as empty and
-#: their chunks re-execute).
-MAGIC = b"RBLK3\n"
+#: First bytes of every record; bumping the trailing digit invalidates all
+#: existing stores (an open stops at the first record without it, so they
+#: recover as empty and their chunks re-execute).
+MAGIC = b"RBLK4\n"
 
-#: Array payloads are aligned to this many bytes within the block file so a
-#: view of any standard dtype is well-aligned.
+#: Records start, and their payloads are aligned, at multiples of this many
+#: bytes of the log, so a view of any standard dtype is well-aligned.
 ALIGN = 64
 
-#: Bytes of the crc32 trailer that ends every block file.
+#: Bytes of the crc32 trailer that ends every record.
 _TRAILER = 4
+
+#: Bytes before a record's header: the magic, the record's length and the
+#: header's length.
+_PREFIX = len(MAGIC) + 16
+
+#: The file name of the log inside ``blocks/``.
+_LOG = "log"
 
 #: The dtypes an array may be narrowed to, narrowest first.
 _NARROW = tuple(np.dtype(f"<i{size}") for size in (1, 2, 4, 8))
 
-#: Keys are path-like identifiers; ``/`` separates namespaces and maps to a
-#: filename-safe character on disk.
+#: Keys are path-like identifiers; ``/`` separates namespaces.
 _KEY_RE = re.compile(r"^[A-Za-z0-9._/-]+$")
 
 
@@ -111,11 +127,7 @@ def _key_family(key: str) -> str:
     ``online/state``, so the store treats them as snapshots of one logical
     object and keeps only the newest epoch.
     """
-    return key.rsplit("/", 1)[0] if "/" in key else key
-
-
-def _key_filename(key: str) -> str:
-    return key.replace("/", "~") + ".blk"
+    return key.rsplit("/", 1)[0]
 
 
 def _fsync_dir(path: str) -> None:
@@ -124,6 +136,16 @@ def _fsync_dir(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _write_synced(path: str, flags: int, chunks) -> None:
+    """Write ``chunks`` to ``path``, opened (and created if need be) with
+    ``flags``, and fsync it before returning."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT | flags, 0o644), "wb") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def _narrowed(array: np.ndarray) -> np.ndarray:
@@ -154,52 +176,67 @@ def _narrowed(array: np.ndarray) -> np.ndarray:
     return narrow
 
 
-def _layout(mapped) -> tuple[dict, int]:
-    """The header of a block file's bytes and the offset its payloads are
-    relative to; raises ``ValueError`` (or ``KeyError`` / ``TypeError`` for a
-    malformed header) unless it is a block of this format whose arrays all
-    lie before its trailer."""
-    if mapped[: len(MAGIC)] != MAGIC:
-        raise ValueError("bad magic")
-    start = len(MAGIC) + 8
-    base = start + int.from_bytes(mapped[len(MAGIC) : start], "little")
-    header = json.loads(mapped[start:base])
-    for spec in header["arrays"]:
-        count = math.prod(spec["shape"])
-        end = base + spec["offset"] + spec["nbytes"]
-        nbytes = count * np.dtype(spec["stored"]).itemsize
-        negative = min(0, spec["offset"], *spec["shape"]) < 0
-        if negative or spec["nbytes"] != nbytes or end > len(mapped) - _TRAILER:
-            raise ValueError(f"array {spec['name']!r} overruns the file")
-    return header, base
+def _encode(key: str, epoch: Optional[int], arrays: dict[str, np.ndarray], meta: dict) -> bytes:
+    """One record.  Payload offsets are relative to the payload section;
+    the header is padded with spaces so that section starts at a multiple
+    of :data:`ALIGN` of the record, each payload is padded to one, and zeros
+    before the trailer make the record's length one too."""
+    specs, payloads, offset = [], [], 0
+    for name, array in arrays.items():
+        array = np.asarray(array, order="C")
+        stored = _narrowed(array)
+        raw = stored.tobytes()
+        specs.append({"name": name, "dtype": array.dtype.str, "stored": stored.dtype.str,
+                      "shape": list(array.shape), "offset": offset, "nbytes": len(raw)})
+        payloads.append(raw + bytes(-len(raw) % ALIGN))
+        offset += len(payloads[-1])
+    header = json.dumps({"key": key, "epoch": epoch, "meta": meta, "arrays": specs}).encode()
+    header += b" " * (-(_PREFIX + len(header)) % ALIGN)
+    length = _PREFIX + len(header) + offset + ALIGN
+    sizes = length.to_bytes(8, "little") + len(header).to_bytes(8, "little")
+    body = b"".join([MAGIC, sizes, header, *payloads, bytes(ALIGN - _TRAILER)])
+    return body + zlib.crc32(body).to_bytes(_TRAILER, "little")
 
 
-def _checked_header(path: str) -> Optional[dict]:
-    """The header of the block file at ``path`` when its trailer crc, magic,
-    header, key and epoch are all valid, else ``None``."""
+def _record_at(log, start: int) -> Optional[tuple[dict, int, int]]:
+    """``(header, base, end)`` of the record at ``start`` of ``log``'s bytes
+    — its header, the offset its payloads are relative to and the offset
+    after it — when its length, crc32, magic, header, key, epoch and array
+    specs all hold, else ``None``."""
+    head = start + _PREFIX
     try:
-        with open(path, "rb") as handle:
-            body = handle.read()
-        if zlib.crc32(memoryview(body)[:-_TRAILER]) != int.from_bytes(body[-_TRAILER:], "little"):
+        if log[start : start + len(MAGIC)] != MAGIC:
             return None
-        header = _layout(body)[0]
+        end = start + int.from_bytes(log[head - 16 : head - 8], "little")
+        base = head + int.from_bytes(log[head - 8 : head], "little")
+        if not base + _TRAILER <= end <= len(log):
+            return None
+        trailer = int.from_bytes(log[end - _TRAILER : end], "little")
+        if zlib.crc32(log[start : end - _TRAILER]) != trailer:
+            return None
+        header = json.loads(log[head:base])
         key, epoch = header["key"], header["epoch"]
-    except (OSError, ValueError, KeyError, TypeError):
+        for spec in header["arrays"]:
+            nbytes = math.prod(spec["shape"]) * np.dtype(spec["stored"]).itemsize
+            negative = min(0, spec["offset"], *spec["shape"]) < 0
+            beyond = base + spec["offset"] + nbytes > end - _TRAILER
+            if negative or beyond or spec["nbytes"] != nbytes:
+                return None
+    except (ValueError, KeyError, TypeError):
         return None
     if isinstance(key, str) and _KEY_RE.match(key) and isinstance(epoch, (int, type(None))):
-        return header
+        return header, base, end
     return None
 
 
 def _decode(mapped, base: int, spec: dict, widen: bool) -> np.ndarray:
-    """One array of a mapped block: a read-only view, widened back to its
+    """One array of a mapped record: a read-only view, widened back to its
     original dtype if it was stored narrowed — or, without ``widen``, an
     owned, writable copy in the dtype it was stored in."""
     stored, dtype = np.dtype(spec["stored"]), np.dtype(spec["dtype"])
     shape = tuple(spec["shape"])
-    array = np.frombuffer(
-        mapped, stored, count=math.prod(shape), offset=base + spec["offset"]
-    ).reshape(shape)
+    count, offset = math.prod(shape), base + spec["offset"]
+    array = np.frombuffer(mapped, stored, count=count, offset=offset).reshape(shape)
     if not widen:
         return array.copy()
     if stored != dtype:
@@ -213,46 +250,54 @@ class BlockStore:
 
     Layout under ``root``::
 
-        blocks/<key>.blk     immutable block files, ``/`` in the key as
-                             ``~`` (written via temp + rename; ``*.tmp``
-                             files are crash residue and deleted on open)
+        blocks/log       the append-only log: one record per put
+        blocks/log.tmp   a rewrite in progress (crash residue on open)
 
-    A block file is the whole record of its key: the rename of its fsynced
-    temp file onto ``<key>.blk``, followed by an fsync of ``blocks/``, is
-    the commit point, and on open a file is trusted only when its trailer
-    crc32, magic and header are this format's and its name is the file
-    name of the key its header holds.  Re-``put`` of an existing key
-    atomically replaces the file.  :meth:`delete` unlinks the file and
-    fsyncs ``blocks/``; :meth:`clear` unlinks every file and fsyncs
-    ``blocks/`` once before it returns, so a block put afterwards never
-    becomes durable beside a stale one that comes back.  A put costs two
-    fsyncs; opening a clean store and reading cost none.
+    ``put`` appends a record and fsyncs the log (plus ``blocks/`` when the
+    log was empty): one fsync per put, no rename, no unlink, so a
+    checkpointed run creates one file.  Opening a store keeps the log's
+    longest valid prefix, where the last record of a key wins; opening a
+    clean store and reading it make no fsync, rename or unlink.
 
     Reclamation: the store keeps only the newest epoch of each *family*
-    (a key minus its last ``/`` segment) of epoch-stamped keys.  A
-    ``put(..., epoch=E)`` deletes the superseded ones once its block is
-    durable, and opening a store drops those a killed process left behind
-    — epoch snapshots and versioned model states do not accumulate dead
-    block files.
+    (a key minus its last ``/`` segment) of epoch-stamped keys, and the
+    records of the keys it no longer holds are dead bytes.  When they
+    exceed the live bytes, and on :meth:`delete`, :meth:`clear` and an
+    open that drops a torn tail, the live records are copied to
+    ``log.tmp``, which is fsynced and renamed over the log before
+    ``blocks/`` is fsynced — so the log stays within twice its live bytes
+    plus one record, and a delete or clear is durable when it returns.
+    :meth:`clear` of an empty or absent log touches nothing.
     """
 
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
         self.blocks_dir = os.path.join(self.root, "blocks")
         os.makedirs(self.blocks_dir, exist_ok=True)
-        #: Every durable key and its epoch (``None`` when unstamped).
-        self._records: dict[str, Optional[int]] = {}
-        #: Ordinal of the next ``put`` in this process — the trigger index
-        #: for write-path fault rules (``disk_full@N`` etc.).
-        self._write_ordinal = 0
+        self._path = os.path.join(self.blocks_dir, _LOG)
+        #: Every live key's record, in log order: its epoch (``None`` when
+        #: unstamped) and its start, payload base and end offsets.
+        self._records: dict[str, tuple[Optional[int], int, int, int]] = {}
+        #: Bytes of the log held by live records, and by all valid records.
+        self._live = self._size = 0
+        #: Whether bytes of a failed append may follow the valid records.
+        self._torn = False
+        #: The latest read-only mapping of the log, or ``None``.
+        self._mapped: Optional[mmap.mmap] = None
+        #: Ordinals of the ``put`` calls in this process — the trigger
+        #: indexes of write-path fault rules (``disk_full@N`` etc.).
+        self._ordinals = itertools.count()
         for name in os.listdir(self.blocks_dir):
-            path = os.path.join(self.blocks_dir, name)
-            header = _checked_header(path)
-            if header is not None and name == _key_filename(header["key"]):
-                self._records[header["key"]] = header["epoch"]
-            else:
-                os.unlink(path)
-        self._drop_superseded()
+            if name != _LOG:
+                os.unlink(os.path.join(self.blocks_dir, name))
+        if not os.path.exists(self._path) or not os.path.getsize(self._path):
+            return
+        log = self._map(1)
+        while (record := _record_at(log, self._size)) is not None:
+            self._commit(*record, self._size)
+            self._size = record[2]
+        if self._size < len(log) or self._size > 2 * self._live:
+            self._rewrite()
 
     # --------------------------------------------------------------- writes
     def put(
@@ -264,113 +309,106 @@ class BlockStore:
     ) -> None:
         """Durably store named arrays (plus JSON-safe ``meta``) under ``key``.
 
-        ``epoch`` stamps the block with a supersession ordinal: once it is
-        durable, the store keeps only the newest epoch of the key's family
-        and deletes every epoch-stamped key of it with a lower one.
+        ``epoch`` stamps the block with a supersession ordinal: the store
+        keeps only the newest epoch of the key's family, and drops every
+        epoch-stamped key of it with a lower one.
         """
         if not _KEY_RE.match(key):
             raise LabelingError(f"bad block key {key!r}")
-        ordinal = self._write_ordinal
-        self._write_ordinal += 1
+        ordinal = next(self._ordinals)
         faults.maybe_disk_full(ordinal)
-        epoch = None if epoch is None else int(epoch)
-        payload = self._encode(key, epoch, arrays, meta or {})
-        path = os.path.join(self.blocks_dir, _key_filename(key))
-        tmp = path + f".{os.getpid()}.tmp"
+        record = _encode(key, None if epoch is None else int(epoch), arrays, meta or {})
+        if self._torn:
+            self._rewrite()
+        start = self._size
         try:
-            with open(tmp, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.rename(tmp, path)
+            _write_synced(self._path, os.O_APPEND, [record])
         except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            self._torn = True  # what reached the log must not precede the next record
             raise
-        _fsync_dir(self.blocks_dir)
-        # Injected post-rename corruption: the trailer keeps the *intended*
-        # crc, so the torn block is detected (and re-executed) when the
-        # store is next opened.
-        faults.corrupt_block_file(path, ordinal)
-        self._records[key] = epoch
+        if not start:
+            _fsync_dir(self.blocks_dir)
+        # Injected corruption of the durable record: its trailer keeps the
+        # *intended* crc, so the next open ends the log before it (and its
+        # chunk, like every later one, is re-executed).
+        faults.corrupt_block_file(self._path, ordinal, start)
+        header, base, end = _record_at(record, 0)
+        self._size += end
+        self._commit(header, base + start, end + start, start)
         faults.maybe_die_at_block(ordinal)
-        if epoch is not None:
-            self._drop_superseded()
+        if self._size > 2 * self._live:
+            self._rewrite()
 
-    @staticmethod
-    def _encode(key: str, epoch: Optional[int], arrays: dict[str, np.ndarray], meta: dict) -> bytes:
-        # Header length depends on the offsets, which depend on the header
-        # length — resolve with payload offsets relative to the payload
-        # section, which starts right after the header.
-        specs = []
-        offset = 0
-        chunks: list[bytes] = []
-        for name, array in arrays.items():
-            array = np.asarray(array, order="C")
-            stored = _narrowed(array)
-            pad = (-offset) % ALIGN
-            chunks.append(b"\x00" * pad)
-            offset += pad
-            raw = stored.tobytes()
-            specs.append(
-                {
-                    "name": name,
-                    "dtype": array.dtype.str,
-                    "stored": stored.dtype.str,
-                    "shape": list(array.shape),
-                    "offset": offset,
-                    "nbytes": len(raw),
-                }
-            )
-            chunks.append(raw)
-            offset += len(raw)
-        header = json.dumps({"key": key, "epoch": epoch, "meta": meta, "arrays": specs}).encode()
-        body = b"".join([MAGIC, len(header).to_bytes(8, "little"), header, *chunks])
-        return body + zlib.crc32(body).to_bytes(_TRAILER, "little")
+    def _commit(self, header: dict, base: int, end: int, start: int) -> None:
+        """Make a valid record at ``start`` its key's, and drop the
+        epoch-stamped keys of its family it leaves below the newest epoch."""
+        key, epoch = header["key"], header["epoch"]
+        if key in self._records:
+            self._forget(key)
+        self._records[key] = (epoch, start, base, end)
+        self._live += end - start
+        if epoch is not None:
+            family = {
+                other: record[0] for other, record in self._records.items()
+                if record[0] is not None and _key_family(other) == _key_family(key)
+            }
+            for other, stamp in family.items():
+                if stamp < max(family.values()):
+                    self._forget(other)
+
+    def _forget(self, key: str) -> None:
+        _epoch, start, _base, end = self._records.pop(key)
+        self._live -= end - start
+
+    def _rewrite(self) -> None:
+        """Reclamation: copy the live records, in log order, to a new file,
+        fsync it, rename it over the log and fsync ``blocks/``."""
+        log = self._map(self._size) if self._records else b""
+        records, spans, size = {}, [], 0
+        for key, (epoch, start, base, end) in self._records.items():
+            records[key] = (epoch, size, base - start + size, end - start + size)
+            spans.append((start, end))
+            size += end - start
+        tmp = self._path + ".tmp"
+        _write_synced(tmp, os.O_TRUNC, (log[start:end] for start, end in spans))
+        os.rename(tmp, self._path)
+        _fsync_dir(self.blocks_dir)
+        self._records, self._live, self._size = records, size, size
+        self._torn, self._mapped = False, None
 
     def delete(self, key: str) -> bool:
-        """Durably remove a key: unlink its file, then fsync ``blocks/``.
+        """Durably remove a key: the log is rewritten without its record.
         Returns whether the key existed."""
         if key not in self._records:
             return False
-        del self._records[key]
-        os.unlink(os.path.join(self.blocks_dir, _key_filename(key)))
-        _fsync_dir(self.blocks_dir)
+        self._forget(key)
+        self._rewrite()
         return True
 
-    def _drop_superseded(self) -> None:
-        """Delete every epoch-stamped key whose family holds a newer epoch."""
-        newest: dict[str, int] = {}
-        for key, epoch in self._records.items():
-            if epoch is not None:
-                family = _key_family(key)
-                newest[family] = max(newest.get(family, epoch), epoch)
-        for key, epoch in list(self._records.items()):
-            if epoch is not None and epoch < newest[_key_family(key)]:
-                self.delete(key)
-
     # ---------------------------------------------------------------- reads
+    def _map(self, end: int) -> mmap.mmap:
+        """A read-only mapping of the log reaching at least ``end``; an
+        earlier one stays alive as long as an array viewing it."""
+        if self._mapped is None or len(self._mapped) < end:
+            with open(self._path, "rb") as handle:
+                self._mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        return self._mapped
+
     def get(self, key: str) -> tuple[dict[str, np.ndarray], dict]:
         """Load ``key``'s arrays, read-only and in their original dtypes,
         plus meta."""
         return self._read(key, None)
 
-    def _read(
-        self, key: str, names: Optional[tuple[str, ...]], widen: bool = True
-    ) -> tuple[dict[str, np.ndarray], dict]:
+    def _read(self, key: str, names: Optional[tuple], widen: bool = True) -> tuple[dict, dict]:
         """:meth:`get`, decoding only the arrays in ``names`` (all for
-        ``None``): the block file is mapped once, and each array is a view
-        of the mapping or, if it was stored narrowed, its widened copy —
-        or, without ``widen``, its owned copy in the stored dtype."""
+        ``None``): each array is a view of the log's mapping or, if it was
+        stored narrowed, its widened copy — or, without ``widen``, its owned
+        copy in the stored dtype."""
         if key not in self._records:
             raise LabelingError(f"block {key!r} not in store {self.root}")
-        path = os.path.join(self.blocks_dir, _key_filename(key))
-        with open(path, "rb") as handle:
-            try:
-                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                header, base = _layout(mapped)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise LabelingError(f"block file {path} is not a readable block ({exc})") from exc
+        _epoch, start, base, end = self._records[key]
+        mapped = self._map(end)
+        header = json.loads(mapped[start + _PREFIX : base])
         arrays = {
             spec["name"]: _decode(mapped, base, spec, widen)
             for spec in header["arrays"]
@@ -395,12 +433,12 @@ class BlockStore:
 
     # ------------------------------------------------------------- lifecycle
     def clear(self) -> None:
-        """Drop every block (used when a store's fingerprint is stale); the
-        unlinks are durable before it returns."""
-        self._records = {}
-        for name in os.listdir(self.blocks_dir):
-            os.unlink(os.path.join(self.blocks_dir, name))
-        _fsync_dir(self.blocks_dir)
+        """Drop every block (used when a store's fingerprint is stale): the
+        log is rewritten empty, durably before it returns.  An empty or
+        absent log is left untouched."""
+        self._records, self._live = {}, 0
+        if self._size or self._torn:
+            self._rewrite()
 
     def __enter__(self) -> "BlockStore":
         return self
@@ -409,13 +447,20 @@ class BlockStore:
         pass
 
 
+def _disable(checkpointer, failure: str) -> None:
+    """Degrade a checkpointer after its first failed write: one warning,
+    attributed to its caller's caller, and no further writes."""
+    warnings.warn(f"{failure}; the run continues without durability", RuntimeWarning, 3)
+    checkpointer.disabled = True
+
+
 class ChunkCheckpointer:
     """Durable per-chunk checkpoints of one labeling pass over one split.
 
     ``record`` persists a freshly computed :class:`ChunkResult` before the
     accumulator transform consumes it; ``replay`` reconstructs the label
     half of a durably recorded one (triple arrays read from the mapped
-    block), which a resumed run feeds through the identical transform
+    log), which a resumed run feeds through the identical transform
     chain, and :meth:`feature_blocks` its feature block once the pass is
     over.  ``completed`` is the set of chunk indices the store holds —
     ``run_plan`` skips exactly these.
@@ -452,13 +497,8 @@ class ChunkCheckpointer:
         try:
             self.store.put(self._key(result.index), named)
         except OSError as exc:
-            warnings.warn(
-                f"chunk checkpointing disabled after write failure on chunk "
-                f"{result.index} ({exc}); the run continues without durability",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.disabled = True
+            _disable(self, f"chunk checkpointing disabled after write failure on chunk "
+                           f"{result.index} ({exc})")
             return
         self.completed.add(result.index)
 
@@ -475,7 +515,7 @@ class ChunkCheckpointer:
     def feature_blocks(self, num_blocks: int, output_dim: int, overrides: dict) -> list:
         """Every chunk's feature block of a finished pass, in chunk order.
 
-        A stored block is read once, through one mapping of its file: its
+        A stored block is read once, through one mapping of the log: its
         column ids and values stay in the dtypes they were stored in, copied
         out of the mapping into arrays the caller owns (so it may shrink
         them in place), and its ``indptr`` is built from its row ids.  The
@@ -488,10 +528,8 @@ class ChunkCheckpointer:
 
         missing = sorted(set(range(num_blocks)) - self.completed - set(overrides))
         if missing:
-            raise LabelingError(
-                f"stored feature blocks incomplete: missing chunks {missing[:5]}"
-                f"{'...' if len(missing) > 5 else ''}"
-            )
+            raise LabelingError(f"stored feature blocks incomplete: missing chunks {missing[:5]}"
+                                f"{'...' if len(missing) > 5 else ''}")
         blocks = []
         for index in range(num_blocks):
             if index in overrides:
@@ -564,14 +602,8 @@ class EpochCheckpoint:
         try:
             self.store.put_pickle(self.key, state)
         except OSError as exc:
-            warnings.warn(
-                f"epoch checkpointing disabled after write failure at epoch "
-                f"{state.get('epoch')} ({exc}); training continues without "
-                f"durability",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.disabled = True
+            _disable(self, f"epoch checkpointing disabled after write failure at epoch "
+                           f"{state.get('epoch')} ({exc})")
             return
         # Crash *after* the durable save: the resumed run starts from this
         # epoch.  The hook ordinal is the 0-based index of the epoch that

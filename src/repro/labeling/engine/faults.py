@@ -15,9 +15,9 @@ optional ``:key=value`` options::
 
     kill@3                    SIGKILL the worker handed chunk 3
     hang@5:seconds=600        sleep inside chunk 5 (EN101 timeout fodder)
-    disk_full@4               the 5th block-store write raises ENOSPC
-    corrupt_block@1           flip a byte of the 2nd durably written block
-    die_block@6               SIGKILL the *master* after 7 durable blocks
+    disk_full@4               the 5th block-store put raises ENOSPC
+    corrupt_block@1           flip a byte of the 2nd durably appended record
+    die_block@6               SIGKILL the *master* after 7 durable records
     die_epoch@1               SIGKILL the master after 2 end-model epochs
 
 Ordinals are integers ``>= 0``; ``seconds`` (``hang`` only) is a finite
@@ -34,7 +34,7 @@ The hooks are deliberately dumb: they decide *whether* to fire from the
 plan and leave *what firing means* to one obvious line (``os.kill``,
 ``time.sleep``, a byte flip, ``OSError(ENOSPC)``) at the call site or here.
 Determinism comes from triggering on the engine's own ordinals (chunk
-index, block ordinal, epoch number), never on wall clock or randomness.
+index, put ordinal, epoch number), never on wall clock or randomness.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ ACTIONS = (
     "kill",  # maybe_fail_chunk (worker side)
     "hang",  # maybe_fail_chunk (worker side)
     "disk_full",  # maybe_disk_full (block-store writes)
-    "corrupt_block",  # corrupt_block_file (block-store durable files)
-    "die_block",  # maybe_die_at_block (master SIGKILL after N durable blocks)
+    "corrupt_block",  # corrupt_block_file (block-store durable records)
+    "die_block",  # maybe_die_at_block (master SIGKILL after N durable records)
     "die_epoch",  # maybe_die_at_epoch (master SIGKILL after N epochs)
 )
 
@@ -229,25 +229,25 @@ def maybe_disk_full(ordinal: int) -> None:
         raise OSError(errno.ENOSPC, "injected disk-full fault")
 
 
-def corrupt_block_file(path: str, ordinal: int) -> bool:
-    """Flip one payload byte of a durably written block file (torn write)."""
+def corrupt_block_file(path: str, ordinal: int, start: int) -> bool:
+    """Flip the middle byte of the durably appended record that starts at
+    ``start`` of the log at ``path`` and runs to its end (a torn write)."""
     plan = active_plan()
     if plan is None:
         return False
     if plan.matching("corrupt_block", ordinal) is None:
         return False
     with open(path, "r+b") as handle:
-        handle.seek(0, os.SEEK_END)
-        size = handle.tell()
-        handle.seek(size // 2)
+        middle = (start + handle.seek(0, os.SEEK_END)) // 2
+        handle.seek(middle)
         byte = handle.read(1)
-        handle.seek(size // 2)
+        handle.seek(middle)
         handle.write(bytes([byte[0] ^ 0xFF]))
     return True
 
 
 def maybe_die_at_block(ordinal: int) -> None:
-    """Master-side hook: SIGKILL this process after a matching durable block."""
+    """Master-side hook: SIGKILL this process after a matching durable record."""
     plan = active_plan()
     if plan is None:
         return

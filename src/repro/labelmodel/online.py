@@ -42,8 +42,8 @@ one EM kernel in :mod:`repro.labelmodel.em`: :meth:`update` is a single
 the kernel's balance update and M-step.
 
 Durability: :meth:`save` persists the full state (triples + accumulators)
-as one block in a :class:`repro.labeling.blockstore.BlockStore`, stamped
-with ``epoch=model_version_`` so the store keeps only the newest
+as one record in a :class:`repro.labeling.blockstore.BlockStore`'s log,
+stamped with ``epoch=model_version_`` so the store keeps only the newest
 snapshot; :meth:`load` restores it.  The pipeline fits in batch — its Λ is
 complete before label modeling starts, and a drained model is that fit bit
 for bit.
@@ -504,9 +504,11 @@ class OnlineGenerativeModel:
     def save(self, store, prefix: str = "online") -> str:
         """Persist the full state as one durable block; returns the key.
 
-        The block is stamped with ``epoch=model_version_``, so the
-        :class:`~repro.labeling.blockstore.BlockStore` deletes superseded
-        snapshots as new ones land.
+        The block is one record appended to the store's log and stamped
+        with ``epoch=model_version_``: the
+        :class:`~repro.labeling.blockstore.BlockStore` holds only the newest
+        snapshot, and a superseded one is a dead record that the log's
+        reclamation drops once dead bytes exceed live ones.
         """
         rows, cols, vals = self._triples()
         self._require_pinned()

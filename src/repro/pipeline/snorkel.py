@@ -127,9 +127,11 @@ class PipelineConfig:
     #: Root directory of the crash-safe block store
     #: (:mod:`repro.labeling.blockstore`).  When set, every fused chunk
     #: result, the label-modeling output, and the end model's per-epoch
-    #: training state are persisted durably as the run progresses, and a
-    #: restarted run resumes from the last durable point with bit-identical
-    #: results.  ``None`` (default) keeps everything in RAM.
+    #: training state are persisted durably as the run progresses — each a
+    #: record appended to the one log file ``blocks/log`` and fsynced before
+    #: the run goes on — and a restarted run resumes from the last durable
+    #: point with bit-identical results.  ``None`` (default) keeps
+    #: everything in RAM.
     checkpoint_dir: Optional[str] = None
     #: With ``checkpoint_dir`` set: resume from compatible existing
     #: checkpoints (the default), or clear the store and start fresh.  A
@@ -138,8 +140,9 @@ class PipelineConfig:
     #: field of this config) is cleared automatically — stale blocks are
     #: never replayed.  Every checkpointed pass then deletes the chunk
     #: blocks a longer earlier run left beyond its end, and the store keeps
-    #: only the newest epoch of each family of epoch-stamped snapshots (see
-    #: :class:`repro.labeling.blockstore.BlockStore`).
+    #: only the newest epoch of each family of epoch-stamped snapshots; the
+    #: log is rewritten without the dropped records once they outweigh the
+    #: live ones (see :class:`repro.labeling.blockstore.BlockStore`).
     resume: bool = True
     #: Sampling kernel of the generative stage's Gibbs chains (CD training):
     #: ``"auto"``/``"vectorized"`` for the plan-based fused-color updates of

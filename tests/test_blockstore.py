@@ -8,21 +8,27 @@ What this suite pins down:
   int or float array in the narrowest signed int dtype that keeps it
   bit-exact (a fused chunk block is at most a quarter of its arrays'
   bytes).
-* **Recovery** — a block file checks itself (crc32 trailer, magic, header,
-  key): opening a store drops torn and corrupted block files, blocks of
-  another format and blocks whose file name is not their header key's,
-  sweeps orphaned and temp files, and never reads or touches a path
-  outside ``blocks/`` (an old store's ``index.jsonl`` included); what
-  survives recovery is exactly what was durably committed, also after a
-  generated sequence of puts and deletes whose last block is damaged.
-* **Durability cost** — a put makes exactly two fsyncs (the temp file,
-  then ``blocks/``), opening a clean store and reading make none,
-  ``clear`` makes its unlinks durable before the next put commits, and a
-  fresh checkpointed pipeline run makes 2 × puts + 1 fsyncs while its
-  replay makes none.
+* **Recovery** — the store is one append-only log of records that check
+  themselves (length, crc32 trailer, magic, header, key): opening a store
+  keeps the log's longest valid prefix, so a torn or corrupted record and
+  every record after it are dropped, as is a record of another format;
+  every other file in ``blocks/`` (a rewrite's temp file, an earlier
+  format's per-key block files) is removed, and no path outside
+  ``blocks/`` is read or touched (an old store's ``index.jsonl``
+  included); what survives recovery is exactly what was durably
+  committed, also after a generated sequence of puts and deletes whose
+  last record is damaged.
+* **Durability cost** — a put is one fsync of the log (the store's first
+  put adds one of ``blocks/``), opening a clean store and reading make no
+  fsync, rename or unlink, ``clear`` rewrites a non-empty log durably and
+  leaves an empty or absent one untouched, a fresh checkpointed pipeline
+  run makes puts + 1 fsyncs and no rename or unlink while its replay makes
+  none, and a crashed then resumed run creates one file.
 * **Reclamation** — ``delete`` is durable, an epoch-stamped put drops the
   superseded epochs of its family (so do opens, after a kill between the
-  put and the drop), and same-key churn leaves one file.
+  put and the drop), same-key churn keeps the log within twice its live
+  bytes plus one record, and views served before a rewrite keep their
+  bytes.
 * **Checkpointers** — ``ChunkCheckpointer`` records chunk results whose
   label triples ``replay`` and feature blocks ``feature_blocks`` bring
   back losslessly, and degrades with one warning on a full disk;
@@ -33,6 +39,9 @@ What this suite pins down:
   as arrays the caller owns; ``completed`` trusts only canonical keys.
 """
 
+import builtins
+import errno
+import itertools
 import json
 import os
 import signal
@@ -57,6 +66,27 @@ from repro.labeling.blockstore import (
     EpochCheckpoint,
     _narrowed,
 )
+
+#: The log's file name inside ``blocks/``.
+LOG = "log"
+
+
+def log_path(store) -> str:
+    return os.path.join(store.blocks_dir, LOG)
+
+
+def record_span(store, key) -> tuple[int, int]:
+    """Where ``key``'s live record lies in the log: its start and end."""
+    _epoch, start, _base, end = store._records[key]
+    return start, end
+
+
+def flip_byte(path, offset) -> None:
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0xFF]))
 from repro.labeling.engine import faults
 from repro.labeling.engine.accumulator import ChunkResult
 
@@ -148,26 +178,34 @@ def stored_arrays(draw):
     return array
 
 
+@pytest.fixture(scope="module")
+def shared_store(tmp_path_factory):
+    """One store for every example of a property test, each under its own
+    key: the examples append to one log instead of each making a store."""
+    return BlockStore(str(tmp_path_factory.mktemp("shared"))), itertools.count()
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(stored_arrays(), min_size=1, max_size=4))
+@given(arrays=st.lists(stored_arrays(), min_size=1, max_size=4))
 @example([np.array([-128, 127, 0]), np.array([128, -129]), np.array([2**53 + 1, -(2**31)])])
 @example([np.array([-0.0, 1.0]), np.array([0.5, 2.0]), np.array([1e300, 3.0])])
 @example([nan_with_payload("f8", 0x7FF8_0000_0000_0123), nan_with_payload("f4", 0x7FC0_0042)])
 @example([np.array([2**63, 1], dtype=np.uint64), np.array([-np.inf, 4.0], dtype=">f8")])
 @example([np.array(3.0), np.array(7, dtype=np.int64), np.empty((0, 3)), np.empty(0, "u8")])
 @example([np.arange(12, dtype=">i8").reshape(3, 4).T, np.arange(10.0)[::3]])
-def test_narrow_encoding_round_trips_bytes(arrays):
+def test_narrow_encoding_round_trips_bytes(shared_store, arrays):
     """Whatever a block holds narrowed, ``get`` returns each array in its
     original dtype and shape, byte for byte, read-only."""
-    with tempfile.TemporaryDirectory() as root, BlockStore(root) as store:
-        named = {f"x{position}": array for position, array in enumerate(arrays)}
-        store.put("block", named)
-        loaded, _ = store.get("block")
-        for name, array in named.items():
-            assert loaded[name].dtype == array.dtype, name
-            assert loaded[name].shape == array.shape, name
-            assert loaded[name].tobytes() == array.tobytes(), name
-            assert not loaded[name].flags.writeable, name
+    store, keys = shared_store
+    key = f"block/{next(keys)}"
+    named = {f"x{position}": array for position, array in enumerate(arrays)}
+    store.put(key, named)
+    loaded, _ = store.get(key)
+    for name, array in named.items():
+        assert loaded[name].dtype == array.dtype, name
+        assert loaded[name].shape == array.shape, name
+        assert loaded[name].tobytes() == array.tobytes(), name
+        assert not loaded[name].flags.writeable, name
 
 
 @pytest.mark.parametrize(
@@ -212,8 +250,8 @@ def test_fused_chunk_block_is_at_most_a_quarter_of_its_bytes(tmp_path):
         for index in sorted(checkpoint.completed):
             arrays, _ = store.get(f"chunk/train/{index}")
             logical = sum(array.nbytes for array in arrays.values())
-            on_disk = os.path.getsize(os.path.join(store.blocks_dir, f"chunk~train~{index}.blk"))
-            assert on_disk <= logical / 4, (index, on_disk, logical)
+            start, end = record_span(store, f"chunk/train/{index}")
+            assert end - start <= logical / 4, (index, end - start, logical)
 
 
 def test_reput_last_wins_across_reopen(tmp_path):
@@ -243,50 +281,54 @@ def test_bad_key_rejected(tmp_path):
 
 
 # ----------------------------------------------------------------- recovery
-def sealed(body: bytes) -> bytes:
-    """``body`` with the crc32 trailer that makes a block file check out."""
+def sealed_record(header: bytes, header_length=None) -> bytes:
+    """A record of this format around ``header`` (no payloads), sealed with
+    the crc32 trailer that makes it check out."""
+    header_length = len(header) if header_length is None else header_length
+    length = len(MAGIC) + 16 + len(header) + 4
+    body = MAGIC + length.to_bytes(8, "little") + header_length.to_bytes(8, "little") + header
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def test_torn_block_file_dropped(tmp_path):
-    """A block cut short (a crash mid-write) fails its trailer crc on
-    reopen and is unlinked; the committed block beside it survives."""
+    """A record cut short (a crash mid-append) fails its length or crc on
+    reopen and is dropped; the committed record before it survives, and the
+    reopen rewrites the log without the torn tail."""
     root = str(tmp_path / "store")
     with BlockStore(root) as store:
         store.put("good", {"a": np.arange(3)})
         store.put("torn", {"a": np.arange(50)})
-        path = os.path.join(store.blocks_dir, "torn.blk")
-    with open(path, "r+b") as handle:
-        handle.truncate(os.path.getsize(path) // 2)
+        good, torn = record_span(store, "good"), record_span(store, "torn")
+        path = log_path(store)
+    os.truncate(path, (torn[0] + torn[1]) // 2)
     with BlockStore(root) as store:
         assert store.keys() == ["good"]
         arrays, _ = store.get("good")
         assert np.array_equal(arrays["a"], [0, 1, 2])
-    assert not os.path.exists(path)
+    assert os.path.getsize(path) == good[1] - good[0]
 
 
 def test_corrupt_block_file_detected_and_deleted(tmp_path):
+    """The prefix rule: a byte flipped in a record ends the log there, so
+    that record and every record after it are dropped on reopen, however
+    whole; the ones before it survive."""
     root = str(tmp_path / "store")
     with BlockStore(root) as store:
+        store.put("before", {"a": np.arange(5)})
         store.put("victim", {"a": np.arange(100)})
-        store.put("survivor", {"a": np.arange(5)})
-        path = os.path.join(store.blocks_dir, "victim.blk")
-    size = os.path.getsize(path)
-    with open(path, "r+b") as handle:
-        handle.seek(size // 2)
-        byte = handle.read(1)
-        handle.seek(size // 2)
-        handle.write(bytes([byte[0] ^ 0xFF]))
+        store.put("after", {"a": np.arange(7)})
+        start, end = record_span(store, "victim")
+    flip_byte(log_path(store), (start + end) // 2)
     with BlockStore(root) as store:
-        assert store.keys() == ["survivor"]
-        assert not os.path.exists(path)
+        assert store.keys() == ["before"]
+        assert np.array_equal(store.get("before")[0]["a"], np.arange(5))
 
 
 def test_recovery_never_touches_paths_outside_blocks(tmp_path):
     """Recovery lists ``blocks/`` only: a format-2 store's ``index.jsonl``
     whose lines point out of ``blocks/`` and stray files beside it stay
-    byte for byte as they were, and a block copied under another key's
-    file name is dropped."""
+    byte for byte as they were, and a copy of the log under another name
+    is removed."""
     root = tmp_path / "store"
     victim = tmp_path / "victim.txt"
     victim.write_text("keep me")
@@ -304,7 +346,7 @@ def test_recovery_never_touches_paths_outside_blocks(tmp_path):
     before = index.read_bytes()
     (root / "outside.blk").write_bytes(b"x")
     copy = root / "blocks" / "chunk~train~0.blk"
-    copy.write_bytes((root / "blocks" / "good.blk").read_bytes())
+    copy.write_bytes((root / "blocks" / LOG).read_bytes())
     with BlockStore(str(root)) as store:
         keys = store.keys()
     assert keys == ["good"]
@@ -314,47 +356,72 @@ def test_recovery_never_touches_paths_outside_blocks(tmp_path):
     assert index.read_bytes() == before
 
 
-@pytest.mark.parametrize("magic", [b"RBLK1\n", b"RBLK2\n", b"RBLK9\n"])
+@pytest.mark.parametrize("magic", [b"RBLK1\n", b"RBLK2\n", b"RBLK3\n", b"RBLK9\n"])
 def test_block_of_another_format_recovers_as_empty(tmp_path, magic):
-    """A block whose magic is not this format's is dropped on reopen like a
-    corrupt one — even with a matching trailer crc — so an old store
+    """A record whose magic is not this format's ends the log on reopen like
+    a corrupt one — even with a matching trailer crc — so an old store
     resumes empty instead of failing at the first read."""
     assert magic != MAGIC
     root = str(tmp_path / "store")
     with BlockStore(root) as store:
-        store.put("chunk/train/0", {"a": np.arange(5)})
         store.put("survivor", {"a": np.arange(2)})
-        path = os.path.join(store.blocks_dir, "chunk~train~0.blk")
+        store.put("chunk/train/0", {"a": np.arange(5)})
+        start, end = record_span(store, "chunk/train/0")
+        path = log_path(store)
     with open(path, "rb") as handle:
-        body = handle.read()[:-4]
+        log = handle.read()
+    body = magic + log[start + len(magic) : end - 4]
     with open(path, "wb") as handle:
-        handle.write(sealed(magic + body[len(magic):]))
+        handle.write(log[:start] + body + zlib.crc32(body).to_bytes(4, "little"))
     with BlockStore(root) as store:
         assert store.keys() == ["survivor"]
         assert ChunkCheckpointer(store, "train").completed == set()
-    assert not os.path.exists(path)
+
+
+def test_per_key_block_files_of_the_previous_format_recover_as_empty(tmp_path):
+    """A store of per-key ``RBLK3`` block files — sealed and named after
+    their keys, as the previous format wrote them — reopens empty: every
+    file in ``blocks/`` is removed unread, and nothing beside it."""
+    root = tmp_path / "store"
+    (root / "blocks").mkdir(parents=True)
+    header = json.dumps({"key": "chunk/train/0", "epoch": None, "meta": {}, "arrays": []}).encode()
+    body = b"RBLK3\n" + len(header).to_bytes(8, "little") + header
+    sealed = body + zlib.crc32(body).to_bytes(4, "little")
+    (root / "blocks" / "chunk~train~0.blk").write_bytes(sealed)
+    (root / "blocks" / "chunk~train~1.blk.123.tmp").write_bytes(b"torn")
+    (root / "index.jsonl").write_text('{"key": "chunk/train/0", "file": "../../victim.txt"}\n')
+    with BlockStore(str(root)) as store:
+        assert store.keys() == []
+        assert ChunkCheckpointer(store, "train").completed == set()
+    assert os.listdir(root / "blocks") == []
+    assert sorted(os.listdir(root)) == ["blocks", "index.jsonl"]
 
 
 def test_block_with_an_unreadable_header_is_dropped(tmp_path):
-    """A sealed block whose header overruns the file, lacks its key, is no
-    object, or holds a key that is no key or an epoch that is no integer is
-    dropped on reopen."""
+    """A sealed record whose header overruns it, lacks its key, is no
+    object, holds a key that is no key or an epoch that is no integer, or
+    specs an array beyond the record ends the log on reopen: the record
+    before it survives, and the log is rewritten without it."""
     complete = (
         b'{"epoch": null, "meta": {}, "arrays": []}',
         b'["k"]',
         b'{"key": "k", "epoch": "1", "meta": {}, "arrays": []}',
         b'{"key": "k k", "epoch": null, "meta": {}, "arrays": []}',
+        b'{"key": "k", "epoch": null, "meta": {}, "arrays": [{"name": "a", "dtype": "<i8",'
+        b' "stored": "<i8", "shape": [100], "offset": 0, "nbytes": 800}]}',
     )
     root = str(tmp_path / "store")
-    for header, length in [(b'{"key": "k"', 10**6)] + [(h, len(h)) for h in complete]:
+    for record in [sealed_record(b'{"key": "k"', 10**6)] + [sealed_record(h) for h in complete]:
         with BlockStore(root) as store:
-            store.put("k", {"a": np.arange(5)})
-            path = os.path.join(store.blocks_dir, "k.blk")
-        with open(path, "wb") as handle:
-            handle.write(sealed(MAGIC + length.to_bytes(8, "little") + header))
+            store.clear()
+            store.put("good", {"a": np.arange(5)})
+            path = log_path(store)
+        good = os.path.getsize(path)
+        with open(path, "ab") as handle:
+            handle.write(record)
         with BlockStore(root) as store:
-            assert store.keys() == [], header
-        assert not os.path.exists(path), header
+            assert store.keys() == ["good"], record
+        assert os.path.getsize(path) == good, record
 
 
 def test_orphan_and_tmp_files_swept(tmp_path):
@@ -363,13 +430,39 @@ def test_orphan_and_tmp_files_swept(tmp_path):
         store.put("real", {"a": np.arange(3)})
         blocks_dir = store.blocks_dir
     orphan = os.path.join(blocks_dir, "orphan.blk")
-    leftover = os.path.join(blocks_dir, "real.blk.12345.tmp")
+    leftover = os.path.join(blocks_dir, LOG + ".tmp")
     open(orphan, "wb").close()
     open(leftover, "wb").close()
     with BlockStore(root) as store:
         assert store.keys() == ["real"]
-    assert not os.path.exists(orphan)
-    assert not os.path.exists(leftover)
+    assert os.listdir(blocks_dir) == [LOG]
+
+
+def test_a_failed_append_never_precedes_the_next_record(tmp_path, monkeypatch):
+    """A put whose append fails part-way (a full disk) raises, and the bytes
+    it left are rewritten away before the next put appends, so the records
+    put before and after it both survive a reopen."""
+    from repro.labeling import blockstore
+
+    write = blockstore._write_synced
+
+    def write_half(path, flags, chunks):
+        record = b"".join(chunks)
+        write(path, flags, [record[: len(record) // 2]])
+        raise OSError(errno.ENOSPC, "disk full half-way")
+
+    root = str(tmp_path / "store")
+    with BlockStore(root) as store:
+        store.put("before", {"a": np.arange(3)})
+        monkeypatch.setattr(blockstore, "_write_synced", write_half)
+        with pytest.raises(OSError):
+            store.put("lost", {"a": np.arange(300)})
+        monkeypatch.undo()
+        assert store.keys() == ["before"]
+        store.put("after", {"a": np.arange(4)})
+    with BlockStore(root) as store:
+        assert store.keys() == ["after", "before"]
+        assert np.array_equal(store.get("after")[0]["a"], np.arange(4))
 
 
 def test_clear_empties_store(tmp_path):
@@ -379,7 +472,8 @@ def test_clear_empties_store(tmp_path):
         store.put("b", {"x": np.arange(4)})
         store.clear()
         assert store.keys() == []
-        assert os.listdir(store.blocks_dir) == []
+        assert os.listdir(store.blocks_dir) == [LOG]
+        assert os.path.getsize(log_path(store)) == 0
     with BlockStore(root) as store:
         assert store.keys() == []
 
@@ -401,10 +495,12 @@ def test_put_after_clear_is_durable(tmp_path):
 # ------------------------------------------------------------ fsync budget
 @pytest.fixture
 def fs_calls(monkeypatch):
-    """Every ``os.fsync`` / ``os.unlink`` / ``os.rename`` call, in order: an
-    fsync is recorded as ``("fsync", "dir")`` or ``("fsync", "file")``."""
+    """Every ``os.fsync`` / ``os.unlink`` / ``os.rename`` call and every file
+    ``os.open`` or ``open`` creates, in order: an fsync is recorded as
+    ``("fsync", "dir")`` or ``("fsync", "file")``, the others by the file's
+    name."""
     calls = []
-    fsync, unlink, rename = os.fsync, os.unlink, os.rename
+    fsync, unlink, rename, open_ = os.fsync, os.unlink, os.rename, os.open
 
     def record_fsync(fd):
         calls.append(("fsync", "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
@@ -418,9 +514,23 @@ def fs_calls(monkeypatch):
         calls.append(("rename", os.path.basename(dst)))
         return rename(src, dst, *args, **kwargs)
 
+    def record_open(path, flags, *args, **kwargs):
+        if flags & os.O_CREAT and not os.path.exists(path):
+            calls.append(("create", os.path.basename(path)))
+        return open_(path, flags, *args, **kwargs)
+
+    def record_file_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and set(mode) & set("wax"):
+            if not os.path.exists(file):
+                calls.append(("create", os.path.basename(file)))
+        return file_open(file, mode, *args, **kwargs)
+
+    file_open = builtins.open
     monkeypatch.setattr(os, "fsync", record_fsync)
     monkeypatch.setattr(os, "unlink", record_unlink)
     monkeypatch.setattr(os, "rename", record_rename)
+    monkeypatch.setattr(os, "open", record_open)
+    monkeypatch.setattr(builtins, "open", record_file_open)
     return calls
 
 
@@ -428,37 +538,48 @@ def fsyncs(calls) -> int:
     return sum(1 for op, _ in calls if op == "fsync")
 
 
-def test_put_makes_two_fsyncs_and_open_and_get_none(tmp_path, fs_calls):
+def test_put_is_one_fsync_and_open_and_get_make_none(tmp_path, fs_calls):
+    """A put appends to the log and fsyncs it; the put that creates the log
+    also fsyncs ``blocks/``.  Reopening and reading fsync, rename and
+    unlink nothing."""
     root = str(tmp_path / "store")
     with BlockStore(root) as store:
         store.put("chunk/train/0", {"a": np.arange(9)})
-        assert fs_calls == [("fsync", "file"), ("rename", "chunk~train~0.blk"), ("fsync", "dir")]
+        assert fs_calls == [("create", LOG), ("fsync", "file"), ("fsync", "dir")]
+        fs_calls.clear()
+        store.put("chunk/train/1", {"a": np.arange(4)})
+        assert fs_calls == [("fsync", "file")]
     fs_calls.clear()
     with BlockStore(root) as store:
         store.get("chunk/train/0")
-        assert "chunk/train/0" in store
+        assert "chunk/train/1" in store
     assert fs_calls == []
 
 
-def test_clear_is_durable_before_the_next_put_commits(tmp_path, fs_calls):
-    with BlockStore(str(tmp_path / "store")) as store:
+def test_clear_rewrites_a_log_once_and_leaves_an_empty_one_untouched(tmp_path, fs_calls):
+    """``clear`` of a non-empty log is one durable rewrite — an empty file
+    fsynced, renamed over the log, then ``blocks/`` fsynced — before the
+    next put appends; ``clear`` of an absent or empty log touches nothing."""
+    root = str(tmp_path / "store")
+    with BlockStore(root) as store:
+        store.clear()
+        assert fs_calls == []
         for key in ("a", "b", "c"):
             store.put(key, {"x": np.arange(3)})
         fs_calls.clear()
         store.clear()
+        rewrite = [("create", LOG + ".tmp"), ("fsync", "file"), ("rename", LOG), ("fsync", "dir")]
+        assert fs_calls == rewrite
+        fs_calls.clear()
+        store.clear()
+        assert fs_calls == []
         store.put("meta/fingerprint", {"x": np.arange(2)})
-    unlinks = [i for i, (op, _) in enumerate(fs_calls) if op == "unlink"]
-    dir_syncs = [i for i, call in enumerate(fs_calls) if call == ("fsync", "dir")]
-    commit = fs_calls.index(("rename", "meta~fingerprint.blk"))
-    assert len(unlinks) == 3
-    assert unlinks[-1] < dir_syncs[0] < commit
-    assert fsyncs(fs_calls) == 3  # clear's one, then the put's two
+    with BlockStore(root) as store:
+        assert store.keys() == ["meta/fingerprint"]
 
 
-def test_checkpointed_run_fsyncs_twice_per_put_and_replay_never(tmp_path, fs_calls, monkeypatch):
-    from repro.datasets.synthetic import stream_text_gold
-    from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
-
+def counted_puts(monkeypatch) -> list:
+    """The keys of every ``BlockStore.put`` from here on."""
     puts = []
     put = BlockStore.put
 
@@ -467,6 +588,14 @@ def test_checkpointed_run_fsyncs_twice_per_put_and_replay_never(tmp_path, fs_cal
         return put(store, key, *args, **kwargs)
 
     monkeypatch.setattr(BlockStore, "put", counted_put)
+    return puts
+
+
+def test_checkpointed_run_fsyncs_once_per_put_and_replay_never(tmp_path, fs_calls, monkeypatch):
+    from repro.datasets.synthetic import stream_text_gold
+    from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
+
+    puts = counted_puts(monkeypatch)
     config = PipelineConfig(
         seed=0, chunk_size=32, generative_epochs=2, discriminative_epochs=3,
         num_features=64, checkpoint_dir=str(tmp_path / "ckpt"),
@@ -481,12 +610,65 @@ def test_checkpointed_run_fsyncs_twice_per_put_and_replay_never(tmp_path, fs_cal
 
     first = run()
     assert len(puts) == 1 + 4 + 2 + 1 + 3  # fingerprint, chunks, label model, epochs
-    assert fsyncs(fs_calls) == 2 * len(puts) + 1  # + clear's one
+    assert fsyncs(fs_calls) == len(puts) + 1  # + the blocks/ fsync of the log's creation
+    assert [op for op, _ in fs_calls if op in ("rename", "unlink")] == []
     puts.clear()
     fs_calls.clear()
     replayed = run()
     assert puts == [] and fs_calls == []
     assert replayed.training_probs.tobytes() == first.training_probs.tobytes()
+
+
+class _PlannedCrash(Exception):
+    """Raised by a train stream mid-pass."""
+
+
+def test_crashed_then_resumed_run_creates_one_file(tmp_path, fs_calls, monkeypatch):
+    """Shaped like the ``kary_crash_resume`` benchmark: a cardinality-4
+    checkpointed run whose train stream raises half-way, then the run
+    resumed over the same store.  The log is the one file either run
+    creates, neither renames or unlinks, and the resumed run equals an
+    uncheckpointed one."""
+    from repro.datasets.synthetic import stream_text_gold
+    from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
+
+    make = dict(num_lfs=6, cardinality=4)
+    train = list(stream_text_candidates(300, seed=0, **make))
+    test = list(stream_text_candidates(60, seed=1, **make))
+    gold = stream_text_gold(60, cardinality=4, seed=1)
+
+    def run(stream, checkpoint_dir=None):
+        config = PipelineConfig(
+            seed=0, chunk_size=64, use_optimizer=False, generative_epochs=3,
+            discriminative_epochs=4, num_features=128, sparse_labels=True,
+            checkpoint_dir=checkpoint_dir,
+        )
+        pipeline = SnorkelPipeline(lfs=text_vote_lfs(**make), config=config)
+        return pipeline.run_streams(stream, iter(test), gold)
+
+    def crashing():
+        for index, candidate in enumerate(train):
+            if index == len(train) // 2:
+                raise _PlannedCrash
+            yield candidate
+
+    root = str(tmp_path / "ckpt")
+    puts = counted_puts(monkeypatch)
+    with pytest.raises(_PlannedCrash):
+        run(crashing(), root)
+    assert 0 < puts.count("meta/fingerprint") == 1 < len(puts)
+    resumed = run(iter(train), root)
+    assert [call for call in fs_calls if call[0] in ("create", "rename", "unlink")] == [
+        ("create", LOG)
+    ]
+    assert fsyncs(fs_calls) == len(puts) + 1
+    assert os.listdir(os.path.join(root, "blocks")) == [LOG]
+    monkeypatch.undo()
+    plain = run(iter(train))
+    assert resumed.training_probs.tobytes() == plain.training_probs.tobytes()
+    assert resumed.discriminative_model.weights.tobytes() == (
+        plain.discriminative_model.weights.tobytes()
+    )
 
 
 # ---------------------------------------------------------- generated crash
@@ -496,7 +678,7 @@ KEYS = ("fam/a", "fam/b", "fam/c", "solo", "deep/x/y", "deep/x/z")
 @st.composite
 def store_histories(draw):
     """A run of put / re-put / delete operations ending in a put, plus how
-    the last-written block file is damaged afterwards."""
+    the last record of the log is damaged afterwards."""
     values = st.integers(-300, 300) | st.integers(-(2**40), 2**40)
 
     def put(min_size, epochs):
@@ -540,13 +722,15 @@ def committed_after(ops) -> dict:
 @given(store_histories())
 @example(([("put", "fam/a", [1, 2], 3), ("put", "solo", [2**40] * 64, 1)], "flip", 0.8))
 @example(([("put", "solo", [7], None), ("put", "solo", [8, 9], None)], "truncate", 0.0))
+@example(([("put", "solo", [7], None)] * 2 + [("put", "solo", [8] * 9, None)], "flip", 0.5))
 def test_reopen_holds_exactly_the_committed_blocks(history):
-    """After any history of puts, re-puts and deletes, with the last-written
-    block file truncated or byte-flipped at any offset, a reopened store
-    holds exactly the committed keys, each byte-equal to what was put — the
-    damaged key either whole or absent."""
+    """After any history of puts, re-puts and deletes, with the log's last
+    record — the last put's — truncated or byte-flipped at any offset, a
+    reopened store holds exactly what the log's valid prefix commits, each
+    key byte-equal to what was put: what the store held before that put,
+    or, when the put's reclamation left no superseded record to fall back
+    on, what it held after it less the damaged key."""
     ops, damage, where = history
-    expected = committed_after(ops)
     damaged = ops[-1][1]
     with tempfile.TemporaryDirectory() as root:
         with BlockStore(root) as store:
@@ -555,29 +739,26 @@ def test_reopen_holds_exactly_the_committed_blocks(history):
                     store.delete(op[1])
                 else:
                     store.put(op[1], {"v": np.array(op[2], dtype=np.int64)}, epoch=op[3])
-            assert store.keys() == sorted(expected)
-            path = os.path.join(store.blocks_dir, damaged.replace("/", "~") + ".blk")
-        if os.path.exists(path):
-            size = os.path.getsize(path)
-            with open(path, "r+b") as handle:
-                if damage == "truncate":
-                    handle.truncate(int(where * size))
-                else:
-                    handle.seek(int(where * size))
-                    byte = handle.read(1)[0]
-                    handle.seek(int(where * size))
-                    handle.write(bytes([byte ^ 0xFF]))
+            assert store.keys() == sorted(committed_after(ops))
+            start, end = record_span(store, damaged)
+            path = log_path(store)
+            assert end == store._size == os.path.getsize(path)
+            dead = store._size > store._live
+        expected = committed_after(ops[:-1] if dead else ops)
+        if not dead:
+            expected.pop(damaged)
+        offset = start + int(where * (end - start))
+        if damage == "truncate":
+            os.truncate(path, offset)
+        else:
+            flip_byte(path, offset)
         with BlockStore(root) as store:
-            keys = store.keys()
-            if damaged not in keys:
-                expected.pop(damaged, None)
-            assert keys == sorted(expected)
+            assert store.keys() == sorted(expected)
             for key, (values, _) in expected.items():
                 loaded = store.get(key)[0]["v"]
                 assert loaded.tobytes() == np.array(values, dtype=np.int64).tobytes(), key
-            assert sorted(os.listdir(store.blocks_dir)) == sorted(
-                key.replace("/", "~") + ".blk" for key in keys
-            )
+            assert os.listdir(store.blocks_dir) == [LOG]
+            assert os.path.getsize(path) == store._size
 
 
 # ------------------------------------------------------ deletion & retention
@@ -586,35 +767,37 @@ def test_delete_removes_block_and_survives_reopen(tmp_path):
     with BlockStore(root) as store:
         store.put("dead", {"a": np.arange(3)})
         store.put("alive", {"a": np.arange(4)})
-        path = os.path.join(store.blocks_dir, "dead.blk")
+        alive = record_span(store, "alive")
         assert store.delete("dead")
         assert not store.delete("dead")  # already gone
-        assert not os.path.exists(path)
         assert store.keys() == ["alive"]
-    # The unlink is durable: reopening must not resurrect the key.
+        assert os.path.getsize(log_path(store)) == alive[1] - alive[0]
+    # The rewrite is durable: reopening must not resurrect the key.
     with BlockStore(root) as store:
         assert store.keys() == ["alive"]
 
 
 def test_retention_latest_epoch_deletes_superseded_blocks(tmp_path):
-    """A multi-epoch run's store directory must not retain dead block files
-    for superseded snapshot versions."""
+    """A multi-epoch run's store must not keep superseded snapshot versions,
+    in memory or, past twice the live bytes, in the log."""
     root = str(tmp_path / "store")
     with BlockStore(root) as store:
         for version in range(5):
             store.put(f"model/state/v{version}", {"w": np.arange(version + 1)},
                       epoch=version)
         assert store.keys() == ["model/state/v4"]
-        assert os.listdir(store.blocks_dir) == ["model~state~v4.blk"]
+        assert os.listdir(store.blocks_dir) == [LOG]
+        assert os.path.getsize(log_path(store)) <= 2 * store._live
     with BlockStore(root) as store:
+        assert store.keys() == ["model/state/v4"]
         arrays, _ = store.get("model/state/v4")
         assert np.array_equal(arrays["w"], np.arange(5))
 
 
 def test_retention_latest_epoch_prunes_stale_families_at_open(tmp_path):
-    """A process killed between a durable epoch-stamped put and the drop of
-    the epoch it supersedes leaves both files; the next open drops the
-    stale one."""
+    """A process killed right after a durable epoch-stamped put leaves the
+    epoch it supersedes in the log; the next open drops it, since the
+    newest epoch of a family wins at scan time."""
     root = str(tmp_path / "store")
     pid = os.fork()
     if pid == 0:  # child
@@ -629,24 +812,67 @@ def test_retention_latest_epoch_prunes_stale_families_at_open(tmp_path):
     _, status = os.waitpid(pid, 0)
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL, status
     blocks_dir = os.path.join(root, "blocks")
-    assert sorted(os.listdir(blocks_dir)) == ["fam~v1.blk", "fam~v2.blk", "other.blk"]
-    with BlockStore(root) as store:
-        assert store.keys() == ["fam/v2", "other"]
-    assert sorted(os.listdir(blocks_dir)) == ["fam~v2.blk", "other.blk"]
+    assert os.listdir(blocks_dir) == [LOG]
+    with open(os.path.join(blocks_dir, LOG), "rb") as handle:
+        assert handle.read().count(MAGIC) == 3  # fam/v1's record is still there
+    for _reopen in range(2):
+        with BlockStore(root) as store:
+            assert store.keys() == ["fam/v2", "other"]
+            assert np.array_equal(store.get("fam/v2")[0]["a"], np.arange(2))
 
 
 def test_reputs_under_churn_leave_one_file(tmp_path):
-    """500 re-puts of one key leave one block file, and the last one wins,
-    also across a reopen."""
+    """500 re-puts of one key leave one file, the log, which never exceeds
+    twice its live bytes plus one record, and the last put wins, also
+    across a reopen."""
     root = str(tmp_path / "store")
     with BlockStore(root) as store:
+        path = log_path(store)
         for round_ in range(500):
             store.put("hot", {"a": np.array([round_])})
-        assert os.listdir(store.blocks_dir) == ["hot.blk"]
+            start, end = record_span(store, "hot")
+            assert os.path.getsize(path) <= 2 * store._live + (end - start), round_
+        assert os.listdir(store.blocks_dir) == [LOG]
         assert store.get("hot")[0]["a"][0] == 499
     with BlockStore(root) as store:
         assert store.keys() == ["hot"]
         assert store.get("hot")[0]["a"][0] == 499
+
+
+def test_served_arrays_keep_their_bytes_through_every_rewrite(tmp_path):
+    """The log is never truncated or written in place: a ``get()`` view of
+    the mapped log and the arrays ``feature_blocks`` returned read the same
+    bytes after ``clear()``, ``delete()``, a compaction and a reopen that
+    drops a torn tail — each of which renames a new log into place."""
+    root = str(tmp_path / "store")
+    with BlockStore(root) as store:
+        checkpoint = ChunkCheckpointer(store, "train")
+        for index in range(3):
+            checkpoint.record(row_major_result(index))
+        store.put("wide", {"x": np.linspace(0.0, 1.0, 50)})
+        view = store.get("wide")[0]["x"]
+        assert view.base is not None and not view.flags.owndata  # a view of the mapping
+        blocks = checkpoint.feature_blocks(3, 16, {})
+
+        def served():
+            return [view.tobytes()] + [b.indices.tobytes() + b.data.tobytes() for b in blocks]
+
+        expected = served()
+
+        def churn():
+            for _round in range(8):
+                store.put("hot", {"a": np.arange(4096.0)})
+
+        def torn_reopen():
+            with open(log_path(store), "ab") as handle:
+                handle.write(MAGIC + bytes(40))
+            assert BlockStore(root).keys() == sorted(store.keys())
+
+        for rewrite in (lambda: store.delete("chunk/train/2"), churn, torn_reopen, store.clear):
+            inode = os.stat(log_path(store)).st_ino
+            rewrite()
+            assert os.stat(log_path(store)).st_ino != inode
+            assert served() == expected
 
 
 def test_chunk_checkpointer_prune_beyond(tmp_path):

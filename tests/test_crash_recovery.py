@@ -192,13 +192,14 @@ def test_resume_skips_completed_work(tmp_path, reference):
 
 
 def test_torn_block_reexecuted_on_resume(tmp_path, reference):
-    """A block corrupted after its durable rename (torn write) is detected
-    by checksum at open and its chunk re-executes — never replayed wrong."""
+    """A record corrupted after its durable append (torn write) is detected
+    by checksum at open and ends the log there: its chunk and every later
+    one re-execute — never replayed wrong."""
     root = str(tmp_path / "ckpt")
     run_and_die(root, "corrupt_block@2;die_block@4", "sequential")
     with BlockStore(root) as store:
         completed = ChunkCheckpointer(store, "train").completed
-        assert 1 not in completed  # ordinal 2 = second chunk put (after fingerprint)
+        assert completed == {0}  # ordinal 2 = second chunk put (after fingerprint)
     resumed = run_pipeline(root)
     assert_matches_reference(resumed, reference)
 

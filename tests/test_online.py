@@ -21,7 +21,6 @@ bottom re-checks it under randomized matrices and chunkings):
   (the store keeping exactly one snapshot).
 """
 
-import os
 
 import numpy as np
 import pytest
@@ -360,9 +359,7 @@ def test_save_latest_epoch_keeps_one_snapshot(tmp_path):
         for start in (0, 100, 200):
             online.update(dense[start:start + 100])
             online.save(store)
-        blocks = os.listdir(store.blocks_dir)
-        state_blocks = [name for name in blocks if name.startswith("online")]
-        assert len(state_blocks) == 1
+        assert [key for key in store.keys() if key.startswith("online")] == ["online/state/v3"]
         restored = OnlineGenerativeModel.load(store, epochs=5, seed=0)
     assert restored.num_rows_ == 300
     with pytest.raises(LabelModelError):

@@ -487,9 +487,11 @@ def block_bytes(blocks):
 def test_checkpointed_pipeline_never_writes_to_its_stored_blocks(tmp_path, monkeypatch):
     """A checkpointed run trains on its stored feature blocks read back once,
     in their narrow stored dtypes, into arrays it owns: it shrinks them in
-    place like an in-RAM run, no block file's bytes change during the fit,
-    each train chunk's feature arrays are read once per fit whatever the
-    epoch count, and the trained model is the in-RAM run's bit for bit."""
+    place like an in-RAM run, the log's bytes before the fit are a
+    byte-identical prefix of its bytes after it (the fit only appends its
+    epoch snapshots), each train chunk's feature arrays are read once per
+    fit whatever the epoch count, and the trained model is the in-RAM run's
+    bit for bit."""
     from repro.discriminative.base import NoiseAwareClassifier
     from repro.labeling.blockstore import BlockStore
 
@@ -503,16 +505,13 @@ def test_checkpointed_pipeline_never_writes_to_its_stored_blocks(tmp_path, monke
 
     def watched_fit_stream(self, blocks, checkpoint=None):
         store = checkpoint.store
-        files = {
-            name: (pathlib.Path(store.blocks_dir) / name).read_bytes()
-            for name in os.listdir(store.blocks_dir)
-        }
-        assert any(name.startswith("chunk~train~") for name in files)
+        assert os.listdir(store.blocks_dir) == ["log"]
+        log = pathlib.Path(store.blocks_dir) / "log"
+        before = log.read_bytes()
+        assert any(key.startswith("chunk/train/") for key in store.keys())
         fitted = fit_stream(self, blocks, checkpoint)
-        unchanged.append(
-            all((pathlib.Path(store.blocks_dir) / name).read_bytes() == body
-                for name, body in files.items())
-        )
+        after = log.read_bytes()
+        unchanged.append(len(after) > len(before) and after[: len(before)] == before)
         return fitted
 
     monkeypatch.setattr(BlockStore, "_read", counting_read)
