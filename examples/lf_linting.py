@@ -1,22 +1,20 @@
-"""Static analysis of labeling functions: lints, contracts, and pushdown.
+"""Linting labeling functions: what the pipeline would get silently wrong.
 
-Labeling functions are arbitrary user Python, but the system's guarantees
-(deterministic label matrices, backend-identical results, labels inside the
-declared cardinality) assume properties nobody checks.  This example walks
-the :mod:`repro.analysis` subsystem over a small suite containing both clean
-and deliberately broken LFs:
+Labeling functions are arbitrary user Python, and the label model can
+denoise only a label matrix that is a function of its inputs.  The linter
+(:mod:`repro.analysis`) flags the LFs that would break that without raising;
+everything else a broken LF can do already fails loudly.  This example walks
+a small suite containing both clean and deliberately broken LFs:
 
-1. ``analyze_lf`` / ``analyze_suite`` — coded diagnostics (``LF1xx`` label
-   range, ``LF2xx`` nondeterminism, ``LF3xx`` shared-state mutation,
-   ``LF4xx`` I/O, ``LF5xx`` picklability) plus the pushdown verdict per LF:
-   COMPILABLE when the LF runs in the compiled tier, else OPAQUE with the
-   compiler's refusal and its line — the answer of the same decider
-   ``LFApplier`` partitions the suite with, which reads no lint code: the
-   compiler's grammar alone refuses every hazard,
-2. ``LFApplier(validate="error")`` — the apply-time gate that refuses to run
+1. ``analyze_suite`` — the clean suite draws no diagnostic, and every LF's
+   pushdown verdict is COMPILABLE: the answer of the same decider
+   ``LFApplier`` partitions the suite with,
+2. the broken suite — ``LF201`` (unseeded randomness) and ``LF301`` (global
+   mutation), each verdict OPAQUE with the compiler's refusal and its line,
+3. ``LFApplier(validate="error")`` — the apply-time gate that refuses to run
    a suite with ERROR-severity findings,
-3. ``observe_lf`` + ``crosscheck`` — the dynamic differential check that
-   confirms the static verdicts against actual behavior.
+4. a label outside the declared cardinality — no lint code: applying the LF
+   raises, compiled or not (``repro.labeling.lf.canonical_label``).
 
 Run with ``python examples/lf_linting.py``; the same checks run from the
 command line as ``python -m repro.analysis examples/lf_linting.py``.
@@ -24,7 +22,7 @@ command line as ``python -m repro.analysis examples/lf_linting.py``.
 
 import random
 
-from repro.analysis import analyze_suite, crosscheck, observe_lf
+from repro.analysis import analyze_suite
 from repro.datasets.synthetic import stream_relation_candidates
 from repro.exceptions import LabelingError
 from repro.labeling import LFApplier, labeling_function
@@ -60,13 +58,14 @@ def lf_coin_flip(x):
     return POSITIVE if random.random() > 0.5 else ABSTAIN
 
 
+# --- broken, and loudly so: no lint code needed ----------------------------
 @labeling_function()
 def lf_wrong_range(x):
-    """LF101: returns 7, outside the binary label set {-1, 0, +1}."""
+    """Returns 7, outside the binary label set {-1, 0, +1}."""
     return 7
 
 
-BROKEN = [lf_counts_globally, lf_coin_flip, lf_wrong_range]
+BROKEN = [lf_counts_globally, lf_coin_flip]
 CLEAN = [lf_causes, lf_drugs, lf_far_apart]
 
 #: Only the clean suite is exported for CI self-linting — the broken LFs
@@ -75,10 +74,10 @@ LINT_LFS = list(CLEAN)
 
 
 def main() -> None:
-    # 1. Static analysis: the clean suite draws nothing worse than the LF501
-    # picklability warning, and every LF's verdict is COMPILABLE.  The verdict
-    # is what the applier does, not a forecast of it: over real candidates,
-    # the LFs it counts are the ones the run reports in the compiled tier.
+    # 1. The clean suite draws no diagnostic, and every LF's verdict is
+    # COMPILABLE.  The verdict is what the applier does, not a forecast of
+    # it: over real candidates, the LFs it counts are the ones the run
+    # reports in the compiled tier.
     candidates = list(stream_relation_candidates(num_points=200, seed=0))
     applier = LFApplier(CLEAN, validate="warn")
     applier.apply(candidates)
@@ -86,37 +85,32 @@ def main() -> None:
     print("clean suite:")
     print(report.format(verbose=True))
     compiled = applier.last_report.pushdown.compiled
+    assert not report.diagnostics
     assert report.compilable_count == len(compiled) == len(CLEAN)
     print(f"ran compiled: {', '.join(compiled)}")
 
-    # 2. The broken suite: every planted violation is caught before a single
+    # 2. The broken suite: each planted hazard is caught before a single
     # candidate is labeled, and each verdict is OPAQUE with the compiler's
-    # reason: a call, a store or a statement outside its grammar, or for
-    # lf_wrong_range a constant label outside the declared range.
+    # reason: a call or a store outside its grammar.
     report = analyze_suite(BROKEN)
     print("\nbroken suite:")
     print(report.format(verbose=True))
+    assert {d.code for d in report.diagnostics} == {"LF201", "LF301"}
 
     # 3. The apply-time gate refuses to run the broken suite.
-    applier = LFApplier(BROKEN, validate="error")
     try:
-        applier.apply([])
+        LFApplier(BROKEN, validate="error").apply([])
     except LabelingError as exc:
         first_line = str(exc).splitlines()[0]
         print(f"\nvalidate='error' refused the broken suite: {first_line}")
 
-    # 4. Dynamic cross-check: observed behavior agrees with the static
-    # verdicts (the coin-flip LF really is nondeterministic; the clean LFs
-    # really are pure).
-    for lf in (lf_coin_flip, lf_causes):
-        observed = observe_lf(lf, candidates)
-        static = analyze_suite([lf]).results[0]
-        disagreements = crosscheck(static, observed)
-        print(
-            f"\n{lf.name}: deterministic={observed.deterministic} "
-            f"static codes={sorted(static.codes())} "
-            f"crosscheck disagreements={disagreements or 'none'}"
-        )
+    # 4. An out-of-range label needs no lint: applying the LF raises, under
+    # the compiled tier and the interpreted one alike.
+    for pushdown in ("auto", "off"):
+        try:
+            LFApplier([lf_wrong_range], pushdown=pushdown).apply(candidates[:5])
+        except LabelingError as exc:
+            print(f"\npushdown={pushdown!r} refused lf_wrong_range at apply: {exc}")
 
 
 if __name__ == "__main__":

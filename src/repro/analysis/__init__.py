@@ -1,44 +1,40 @@
-"""Static analysis of labeling functions and engine chunk tasks.
+"""The LF linter: what an interpreted labeling function would get silently wrong.
 
-Labeling functions are arbitrary user Python, yet the system's guarantees —
-deterministic label matrices, bit-identical results across executor
-backends, labels inside the declared cardinality — all assume properties no
-one checks.  This package checks them *before* the first candidate is
-labeled:
+Labeling functions are arbitrary user Python, and the label model can
+denoise only a label matrix that is a function of its inputs.  This package
+flags, before the first candidate is labeled, the LFs that would break that
+without raising — the same candidates labeled differently across runs,
+resumes or executor backends:
 
 * :func:`analyze_lf` — one LF in, an
   :class:`~repro.analysis.diagnostics.LFAnalysisResult` out: coded
-  diagnostics (``LF001``+, see :mod:`repro.analysis.diagnostics`) from the
-  AST lint passes (:mod:`repro.analysis.lint`), a picklability probe, and
-  the pushdown verdict — whether the LF runs in the compiled tier, which is
-  the answer of the decider ``build_plan`` itself partitions suites with
+  diagnostics (``LF2xx`` nondeterminism, ``LF3xx`` shared-state mutation;
+  see :mod:`repro.analysis.diagnostics`) from the AST lint passes
+  (:mod:`repro.analysis.lint`), and the pushdown verdict — whether the LF
+  runs in the compiled tier, which is the answer of the decider
+  ``build_plan`` itself partitions suites with
   (:func:`repro.labeling.pushdown.task.decide`), not a second opinion.  The
-  lint reports; it gates nothing there: the compiler's closed grammar
-  refuses every hazard the lint codes name.
+  lint gates nothing there: the compiler's closed grammar refuses every
+  hazard the lint codes name.
 * :func:`analyze_suite` — a whole LF suite into one
   :class:`~repro.analysis.diagnostics.AnalysisReport`; this is what
   ``LFApplier(validate="warn"|"error")`` runs before applying.
-* :func:`repro.analysis.contracts.check_task` /
-  :func:`~repro.analysis.contracts.check_engine_tasks` — purity contracts
-  over engine chunk tasks.
-* :mod:`repro.analysis.runtime` — dynamic cross-checks (differential
-  static-vs-observed verification) and the debug-mode purity shim.
 * ``python -m repro.analysis <module_or_path> ...`` — the standalone linter
   CLI (:mod:`repro.analysis.cli`), which CI runs over the library's own LFs.
 
 The analysis cost is per-*LF*, not per-candidate: a suite is analyzed once
 per apply call, so validation overhead is independent of corpus size
 (``tests/test_analysis.py::TestApplyWiring`` counts the lint calls).  The
-lint is not memoized, so every call reads the LF as it is now.  The compiled
-tier imports nothing from this package, so ``import repro`` does not load it.
+lint is not memoized, so every call reads the LF's globals and closure as
+they are now; its source is read only when it still compiles to the running
+code (:func:`repro.labeling.source.extract_source`).  The compiled tier
+imports nothing from this package, so ``import repro`` does not load it.
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Iterable, Optional
 
-from repro.analysis.contracts import check_engine_tasks, check_task
 from repro.analysis.diagnostics import (
     CODES,
     AnalysisReport,
@@ -46,45 +42,24 @@ from repro.analysis.diagnostics import (
     LFAnalysisResult,
     PushdownVerdict,
     Severity,
-    make_diagnostic,
-    merge_reports,
 )
-from repro.analysis.lint import FunctionScope, lint_function
-from repro.analysis.runtime import (
-    ObservedBehavior,
-    PurityCheckedTask,
-    crosscheck,
-    observe_lf,
-    observe_task_purity,
-)
+from repro.analysis.lint import lint_function
 from repro.labeling.pushdown.program import CompiledProgram
 from repro.labeling.pushdown.task import decision
-from repro.labeling.source import extract_source, resolve_function
+from repro.labeling.source import extract_source
 
 __all__ = [
     "AnalysisReport",
     "CODES",
     "Diagnostic",
-    "FunctionScope",
     "LFAnalysisResult",
-    "ObservedBehavior",
-    "PurityCheckedTask",
     "PushdownVerdict",
     "Severity",
     "analyze_lf",
     "analyze_suite",
-    "check_engine_tasks",
-    "check_task",
-    "crosscheck",
-    "extract_source",
     "lint_function",
-    "lint_lf",
-    "make_diagnostic",
-    "merge_reports",
-    "observe_lf",
-    "observe_task_purity",
-    "resolve_function",
 ]
+
 
 def _lf_name_of(fn: Any) -> str:
     name = getattr(fn, "name", None)
@@ -130,103 +105,30 @@ def verdict_of(program: Optional[CompiledProgram], reason: str) -> PushdownVerdi
     return PushdownVerdict("COMPILABLE", shape=next(shapes, "constant"))
 
 
-def analyze_lf(
-    fn: Any,
-    cardinality: Optional[int] = None,
-    backend: Optional[str] = None,
-    probe_pickle: bool = True,
-) -> LFAnalysisResult:
-    """:func:`lint_lf` plus the pushdown verdict: every static check of one LF.
+def analyze_lf(fn: Any, cardinality: Optional[int] = None) -> LFAnalysisResult:
+    """Lint one LF callable and read its pushdown verdict.
 
-    The verdict is read off the memo entry ``build_plan`` partitions suites
-    with (``repro.labeling.pushdown.task.decision``), revalidated on every
-    call, so it is the plan's answer as things stand now.
+    ``fn`` is a :class:`~repro.labeling.lf.LabelingFunction`, a plain
+    function, a closure, or a callable instance.  The verdict is read off
+    the memo entry ``build_plan`` partitions suites with
+    (``repro.labeling.pushdown.task.decision``) for ``cardinality``
+    (default: the wrapper's, else 2), revalidated on every call, so it is
+    the plan's answer as things stand now.  The lint is not memoized: a
+    global, closure cell or default rebound since the last call is read as
+    it is now.
     """
-    result = lint_lf(fn, cardinality, backend, probe_pickle)
-    entry = decision(fn, cardinality)[0]
-    result.pushdown = verdict_of(entry.program, entry.reason)
-    return result
-
-
-def lint_lf(
-    fn: Any,
-    cardinality: Optional[int] = None,
-    backend: Optional[str] = None,
-    probe_pickle: bool = True,
-) -> LFAnalysisResult:
-    """Lint one LF callable: everything of :func:`analyze_lf` but the verdict.
-
-    The pushdown decider does not read it: what compiles is the compiler's
-    answer alone.
-
-    Parameters
-    ----------
-    fn:
-        The LF — a :class:`~repro.labeling.lf.LabelingFunction`, a plain
-        function, a closure, or a callable instance.
-    cardinality:
-        Declared task cardinality for the label-range checks; defaults to
-        the wrapper's ``cardinality`` attribute, else 2.
-    backend:
-        The executor backend the LF is about to run under, if known; only
-        sharpens the picklability message (``"processes"``).
-    probe_pickle:
-        Run the ``pickle.dumps`` pre-flight probe (cheap; disable for pure
-        source-level linting of already-imported suites).
-
-    Nothing is memoized: a global, closure cell or default rebound since the
-    last call is read as it is now.
-    """
-    if cardinality is None:
-        declared = getattr(fn, "cardinality", None)
-        cardinality = int(declared) if isinstance(declared, int) else 2
     lf_name = _lf_name_of(fn)
     info = extract_source(fn)
-    diagnostics, inferred = lint_function(info, lf_name, cardinality=cardinality)
-    result = LFAnalysisResult(
+    diagnostics = lint_function(info, lf_name)
+    entry = decision(fn, cardinality)[0]
+    return LFAnalysisResult(
         lf_name=lf_name,
+        pushdown=verdict_of(entry.program, entry.reason),
         diagnostics=diagnostics,
-        inferred_labels=inferred,
         source_available=info.tree is not None,
     )
-    if probe_pickle:
-        try:
-            pickle.dumps(fn)
-            result.picklable = True
-        except Exception as exc:
-            result.picklable = False
-            hint = (
-                "the processes backend relies on fork-side memory inheritance "
-                "for this LF; spawn platforms will fail at pool startup"
-                if backend == "processes"
-                else "the processes backend under spawn (macOS/Windows) will "
-                "fail at pool startup"
-            )
-            result.diagnostics.append(
-                make_diagnostic(
-                    "LF501",
-                    f"pickling failed with {type(exc).__name__}: {exc}; {hint}",
-                    lf_name=lf_name,
-                )
-            )
-    return result
 
 
-def analyze_suite(
-    lfs: Iterable[Any],
-    cardinality: Optional[int] = None,
-    backend: Optional[str] = None,
-    probe_pickle: bool = True,
-) -> AnalysisReport:
+def analyze_suite(lfs: Iterable[Any], cardinality: Optional[int] = None) -> AnalysisReport:
     """Analyze a whole LF suite into one :class:`AnalysisReport`."""
-    report = AnalysisReport()
-    for fn in lfs:
-        report.results.append(
-            analyze_lf(
-                fn,
-                cardinality=cardinality,
-                backend=backend,
-                probe_pickle=probe_pickle,
-            )
-        )
-    return report
+    return AnalysisReport([analyze_lf(fn, cardinality=cardinality) for fn in lfs])

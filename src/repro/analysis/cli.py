@@ -14,9 +14,8 @@ Each target is either an importable module name
   instances are NOT collected in addition, so a module can keep
   deliberately broken demonstration LFs out of its linted suite.
 
-Exit status is 1 when any ERROR-severity diagnostic is found (or any
-WARNING too, under ``--strict``), so the CI self-lint job fails the build
-on a regression in our own LFs.
+Exit status is 1 when any ERROR-severity diagnostic is found, so the CI
+self-lint job fails the build on a regression in our own LFs.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, List, Sequence
 
-from repro.analysis import analyze_suite, check_engine_tasks
-from repro.analysis.diagnostics import AnalysisReport, merge_reports
+from repro.analysis import AnalysisReport, analyze_suite
 from repro.labeling.lf import LabelingFunction
 
 
@@ -75,24 +73,16 @@ def collect_lfs(module) -> List[LabelingFunction]:
     return collected
 
 
-def lint_targets(
-    targets: Sequence[str],
-    cardinality: int | None = None,
-    engine_tasks: bool = False,
-) -> tuple[AnalysisReport, list[str]]:
-    """Analyze every target; returns (merged report, per-target summaries)."""
-    reports = []
+def lint_targets(targets: Sequence[str]) -> tuple[AnalysisReport, list[str]]:
+    """Analyze every target; returns (one report over all, per-target summaries)."""
+    merged = AnalysisReport()
     summaries = []
     for target in targets:
-        module = load_target(target)
-        lfs = collect_lfs(module)
-        report = analyze_suite(lfs, cardinality=cardinality)
-        reports.append(report)
+        lfs = collect_lfs(load_target(target))
+        report = analyze_suite(lfs)
+        merged.results.extend(report.results)
         summaries.append(f"{target}: {len(lfs)} LF(s), {report.compilable_count} compilable")
-    if engine_tasks:
-        reports.append(check_engine_tasks())
-        summaries.append("engine chunk tasks: purity contract checked")
-    return merge_reports(reports), summaries
+    return merged, summaries
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -106,41 +96,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="module names (repro.datasets.lf_library) or .py file paths",
     )
     parser.add_argument(
-        "--cardinality",
-        type=int,
-        default=None,
-        help="override the declared cardinality for label-range checks",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on WARNING-severity diagnostics too, not just errors",
-    )
-    parser.add_argument(
-        "--engine-tasks",
-        action="store_true",
-        help="also check the built-in engine chunk tasks' purity contracts",
-    )
-    parser.add_argument(
         "--verbose",
         action="store_true",
         help="print every LF's pushdown verdict, not only the diagnosed ones",
     )
     args = parser.parse_args(argv)
 
-    report, summaries = lint_targets(
-        args.targets, cardinality=args.cardinality, engine_tasks=args.engine_tasks
-    )
+    report, summaries = lint_targets(args.targets)
     for summary in summaries:
         print(summary)
     print()
     print(report.format(verbose=args.verbose))
-    failing = report.errors
-    if args.strict:
-        failing = failing + report.warnings
-    if failing:
-        threshold = "warning" if args.strict else "error"
-        print(f"\nFAILED: {len(failing)} diagnostic(s) at or above {threshold} severity")
+    if report.errors:
+        print(f"\nFAILED: {len(report.errors)} diagnostic(s) at error severity")
         return 1
     return 0
 

@@ -1,33 +1,37 @@
-"""Diagnostic codes, severities, and reports for the LF static analyzer.
+"""Diagnostic codes, severities, and reports for the LF linter.
 
-Every finding the analyzer emits is a :class:`Diagnostic` carrying a stable
-``LF###`` / ``EN###`` code (so tests and CI gates can match on classes of
-problems rather than message text), a :class:`Severity`, a human-readable
-message, and — when known — the LF name and source line it anchors to.
+Every finding the linter emits is a :class:`Diagnostic` carrying a stable
+``LF###`` code (so tests and CI gates can match on classes of problems
+rather than message text), a :class:`Severity`, a human-readable message,
+and the LF name and source line it anchors to.
 
-The code space is partitioned by hundreds:
+A code flags an interpreted LF that would break a contract *without
+raising* — the same candidates labeled differently across runs, resumes or
+executor backends:
 
-* ``LF0xx`` — analysis limitations (source unavailable / unparsable);
-* ``LF1xx`` — label-range and abstention-convention findings;
-* ``LF2xx`` — nondeterminism (unseeded randomness, clocks, entropy);
+* ``LF2xx`` — nondeterminism (unseeded randomness, clocks, entropy,
+  ``hash()``/``id()``);
 * ``LF3xx`` — shared-state hazards (global/closure mutation, candidate or
-  LF-instance mutation — thread hazards under the pool executors);
-* ``LF4xx`` — I/O in the per-candidate hot path;
-* ``LF5xx`` — serialization hazards for the processes backend;
-* ``EN0xx`` — engine chunk-task purity-contract violations.
+  LF-instance mutation — thread hazards under the pool executors).
+
+What another path already catches has no code: a label outside the declared
+cardinality raises at apply (:func:`repro.labeling.lf.canonical_label`), an
+LF that never abstains or never votes reads coverage 1.0 / 0.0 in the LF
+summary, the compiler refuses I/O, and an unpicklable LF fails at pool
+start.  An LF whose source is unavailable, or no longer matches its running
+code, is not linted; its pushdown verdict says why.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 class Severity(enum.IntEnum):
-    """Severity ladder; ordering is meaningful (ERROR > WARNING > INFO)."""
+    """Severity ladder; ordering is meaningful (ERROR > WARNING)."""
 
-    INFO = 0
     WARNING = 1
     ERROR = 2
 
@@ -35,15 +39,9 @@ class Severity(enum.IntEnum):
         return self.name.lower()
 
 
-#: Registry of every code the analyzer can emit: ``code -> (default
-#: severity, short title)``.  :func:`make_diagnostic` looks defaults up here
-#: so emit sites stay terse and severities stay consistent.
+#: Registry of every code the linter can emit: ``code -> (severity, short
+#: title)``.
 CODES: dict[str, tuple[Severity, str]] = {
-    "LF001": (Severity.INFO, "source unavailable; static analysis skipped"),
-    "LF002": (Severity.INFO, "source could not be parsed; static analysis skipped"),
-    "LF101": (Severity.ERROR, "label constant outside the declared cardinality range"),
-    "LF102": (Severity.WARNING, "LF has no abstention path (labels every candidate)"),
-    "LF103": (Severity.WARNING, "LF never emits a label (always abstains)"),
     "LF201": (Severity.ERROR, "unseeded random source"),
     "LF202": (Severity.WARNING, "clock/time dependence"),
     "LF203": (Severity.ERROR, "entropy source (os.urandom/uuid/secrets)"),
@@ -52,17 +50,12 @@ CODES: dict[str, tuple[Severity, str]] = {
     "LF302": (Severity.WARNING, "mutates closure/nonlocal state"),
     "LF303": (Severity.WARNING, "mutates its candidate argument"),
     "LF304": (Severity.WARNING, "mutates LF instance state (self)"),
-    "LF401": (Severity.WARNING, "I/O call in the per-candidate hot path"),
-    "LF501": (Severity.WARNING, "LF is not picklable"),
-    "EN001": (Severity.ERROR, "chunk task mutates its payload"),
-    "EN002": (Severity.ERROR, "chunk task writes to fitted featurizer state"),
-    "EN003": (Severity.ERROR, "chunk task mutates global state"),
 }
 
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One analyzer finding."""
+    """One linter finding."""
 
     code: str
     severity: Severity
@@ -78,26 +71,6 @@ class Diagnostic:
         return f"{location}: {self.code} {self.severity}: {self.message}"
 
 
-def make_diagnostic(
-    code: str,
-    message: str,
-    lf_name: Optional[str] = None,
-    lineno: Optional[int] = None,
-    severity: Optional[Severity] = None,
-) -> Diagnostic:
-    """Build a :class:`Diagnostic`, defaulting the severity from :data:`CODES`."""
-    if code not in CODES:
-        raise KeyError(f"unknown diagnostic code {code!r}")
-    default_severity, _title = CODES[code]
-    return Diagnostic(
-        code=code,
-        severity=default_severity if severity is None else severity,
-        message=message,
-        lf_name=lf_name,
-        lineno=lineno,
-    )
-
-
 @dataclass(frozen=True)
 class PushdownVerdict:
     """Whether one LF runs in the compiled tier, and why not if it does not.
@@ -109,9 +82,9 @@ class PushdownVerdict:
     predicate of its program (``"token_scan"``, ``"regex_match"``,
     ``"membership"``, ``"threshold_compare"``, ``"field_equality"``,
     ``"field_projection"`` or ``"constant"``); otherwise ``status`` is
-    ``"OPAQUE"`` and ``detail`` is the reason: the LF is duck-typed, the
-    lint pass found a nondeterminism / mutation / I/O hazard, or the
-    compiler refused the body (with the source line).
+    ``"OPAQUE"`` and ``detail`` is the reason: the LF is duck-typed, its
+    source is unavailable or stale, or the compiler refused the body (with
+    the source line).
     """
 
     status: str
@@ -123,26 +96,15 @@ class PushdownVerdict:
         return self.status == "COMPILABLE"
 
 
-#: ``LFAnalysisResult.pushdown`` until the decider has been asked (it never is
-#: about an engine chunk task).
-UNDECIDED = PushdownVerdict("OPAQUE", detail="not a pushdown candidate, or not asked yet")
-
-
 @dataclass
 class LFAnalysisResult:
     """Everything the analyzer concluded about one LF."""
 
     lf_name: str
+    pushdown: PushdownVerdict
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    pushdown: PushdownVerdict = UNDECIDED
-    #: Labels provably emittable by the LF, when return-value constant
-    #: propagation covered *every* return path; ``None`` when at least one
-    #: return expression could not be resolved statically (range checks are
-    #: then limited to the constants that were resolved).
-    inferred_labels: Optional[frozenset[int]] = None
+    #: Whether the LF's source was read and linted.
     source_available: bool = False
-    #: ``pickle.dumps`` probe outcome; ``None`` when the probe was skipped.
-    picklable: Optional[bool] = None
 
     def codes(self) -> set[str]:
         return {diagnostic.code for diagnostic in self.diagnostics}
@@ -208,11 +170,3 @@ class AnalysisReport:
             f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)"
         )
         return "\n".join(lines)
-
-
-def merge_reports(reports: Iterable[AnalysisReport]) -> AnalysisReport:
-    """Concatenate several per-suite reports into one."""
-    merged = AnalysisReport()
-    for report in reports:
-        merged.results.extend(report.results)
-    return merged

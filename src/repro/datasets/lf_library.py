@@ -133,8 +133,8 @@ def LINT_LFS() -> list[LabelingFunction]:
     The library's LFs are built by parameterized factories, so there is
     nothing at module level for the linter to collect; this hook instantiates
     one of each factory family with sample vocabulary.  CI self-lints this
-    suite, so a factory change that introduces an out-of-range label, hidden
-    randomness, or shared-state mutation fails the build.
+    suite, so a factory change that introduces hidden randomness or
+    shared-state mutation fails the build.
     """
     kb = KnowledgeBase(
         name="lint_kb",

@@ -190,14 +190,14 @@ class LFApplier:
         it; ``"warn"`` attaches the :class:`AnalysisReport` to the
         :class:`ApplyReport` and prints nothing; ``"error"`` additionally
         raises :class:`LabelingError` when any ERROR-severity diagnostic is
-        found (out-of-range labels, unseeded randomness, global mutation).
+        found (unseeded randomness, entropy reads, global mutation).
     pushdown:
         Columnar-kernel execution of the suite (see
         :mod:`repro.labeling.pushdown`).  ``"auto"`` (default) compiles
         every LF the compiler accepts into vectorized kernels (its closed
-        grammar refuses every body ``validate=`` would flag as
-        nondeterministic, state-mutating or I/O-performing; no lint pass
-        runs to decide it) — the rest run interpreted, per LF,
+        grammar refuses every nondeterministic, state-mutating or
+        I/O-performing body, all that ``validate=`` flags included; no lint
+        pass runs to decide it) — the rest run interpreted, per LF,
         inside the same chunk task, so a suite nothing compiles in costs
         what ``"off"`` costs; ``"off"`` interprets every LF per candidate
         and is the reference path: labels, error counts, error breakdowns
@@ -305,9 +305,7 @@ class LFApplier:
             return None
         from repro.analysis import analyze_suite
 
-        report = analyze_suite(
-            self.lfs, cardinality=self.cardinality, backend=self.backend
-        )
+        report = analyze_suite(self.lfs, cardinality=self.cardinality)
         if self.validate == "error" and report.has_errors:
             raise LabelingError(
                 "labeling-function validation failed "

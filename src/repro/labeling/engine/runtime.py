@@ -173,9 +173,10 @@ def run_attached_chunk(
 ) -> ChunkResult:
     """Run one chunk against an attached spec (the pool's worker kernel).
 
-    A pure dispatch with the standard chunk-task signature, so the EN
-    purity contracts (:mod:`repro.analysis.contracts`) apply to the pool's
-    hot path exactly as they do to the tasks it dispatches to.
+    A pure dispatch with the standard chunk-task signature: it reads the
+    attached spec and writes nothing, so the pool's hot path is as pure as
+    the tasks it dispatches to (the ``processes == threads == sequential``
+    contract row holds it to their outputs).
     """
     return attached.task(attached.payload, fault_tolerant, index, start_row, candidates)
 

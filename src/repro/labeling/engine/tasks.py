@@ -34,8 +34,9 @@ the worker's pipe.  Tasks notice none of this — the dispatch kernel hands
 them the same ``(payload, fault_tolerant, index, start_row, candidates)``
 call in process or in a worker — but it is why a task must be a
 module-level callable and must treat the payload as read-only (worker-side
-payload mutations would persist across chunks *and* runs; see
-:mod:`repro.analysis.contracts`).
+payload mutations would persist across chunks *and* runs; the payload
+fingerprint shim of ``tests/reference_purity.py`` holds every built-in task
+to it).
 
 "Read-only" means: no write that can change an output or travel to another
 process.  The featurizer's kernel writes only the process's hash tables

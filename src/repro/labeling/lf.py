@@ -170,7 +170,7 @@ _NAMED = (type, types.BuiltinFunctionType, types.MethodDescriptorType, types.Wra
 #: ``type.__flags__`` bit of a class created at run time (``Py_TPFLAGS_HEAPTYPE``).
 _HEAPTYPE = 1 << 9
 
-#: Encoded code objects (immutable, so encoded once; weakly, like ``_PARSED``).
+#: Encoded code objects (immutable, so encoded once; weakly, so an entry goes with its code).
 _CODES: "weakref.WeakKeyDictionary[types.CodeType, tuple]" = weakref.WeakKeyDictionary()
 
 

@@ -231,7 +231,8 @@ def compile_lf(lf: Any, cardinality: Optional[int] = None) -> CompiledProgram:
     inner = getattr(lf, "function", lf)
     info = extract_source(lf)
     if info.tree is None:
-        raise CompileError(f"source {info.failure or 'unavailable'}")
+        edited = " (its file was edited since it was loaded)" if info.failure == "stale" else ""
+        raise CompileError(f"source {info.failure or 'unavailable'}{edited}")
     compiler = _Compiler(info, name, cardinality, instance=inner)
     try:
         return compiler.compile()

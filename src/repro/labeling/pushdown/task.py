@@ -251,8 +251,8 @@ def decide(lf: Any, cardinality: Optional[int]) -> tuple[Optional[CompiledProgra
     compiler refused the body.  No lint pass gates the compiler, because its
     grammar is closed: it admits no call it does not know to be pure, no
     assignment except to a local name, and no expression statement, so a
-    nondeterministic, state-mutating or I/O-performing body (the linter's
-    ``LF2xx`` / ``LF3xx`` / ``LF4xx``) never compiles
+    nondeterministic, state-mutating (the linter's ``LF2xx`` / ``LF3xx``) or
+    I/O-performing body never compiles
     (``tests/test_analysis.py::test_compiler_refuses_every_hazard`` pins it).
     """
     if type(lf).__call__ is not LabelingFunction.__call__:

@@ -6,19 +6,26 @@ declarative operators, ``functools.partial`` objects, bound methods, or class
 instances with ``__call__`` (the picklable vote readers) — possibly wrapped
 in a :class:`repro.labeling.lf.LabelingFunction`.  This module normalizes all
 of those into the underlying function object, recovers its source with
-``inspect``/``ast``, and exposes the two environments static evaluation can
-draw constants from: the closure cells and the defining module's globals.
+``inspect``/``ast`` — only when that source still compiles to the code
+that runs — and exposes the two environments static evaluation can draw
+constants from: the closure cells and the defining module's globals.
 """
 
-from __future__ import annotations
+import __future__
 
 import ast
+import copy
 import functools
 import inspect
+import linecache
+import operator
 import textwrap
+import types
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
+
+from repro.labeling.lf import encoding
 
 _UNRESOLVED = object()
 
@@ -62,8 +69,9 @@ class SourceInfo:
     #: when source was unavailable or unparsable.
     tree: Optional[ast.AST] = None
     source: Optional[str] = None
-    #: Why ``tree`` is ``None``: ``"unavailable"``, ``"unparsable"`` or
-    #: ``"ambiguous"`` (the fragment is not provably this function's body).
+    #: Why ``tree`` is ``None``: ``"unavailable"``, ``"unparsable"``,
+    #: ``"ambiguous"`` (the fragment is not provably this function's body) or
+    #: ``"stale"`` (the file no longer holds the running code).
     failure: Optional[str] = None
     #: Closure environment: free-variable name -> cell contents.
     closure: dict[str, Any] = field(default_factory=dict)
@@ -127,19 +135,113 @@ def _find_function_node(module: ast.Module, name: str) -> Optional[ast.AST]:
     return None
 
 
-#: Memoized ``(source, tree, failure)`` per code object (weakly, so an
-#: entry never keeps dead code alive): ``inspect.getsource``
-#: re-scans the defining module and ``ast.parse`` re-parses the body on every
-#: call, and every closure a factory stamps out shares one code object.  No
-#: analysis or compiler pass mutates the tree.
-_PARSED: "weakref.WeakKeyDictionary[Any, tuple]" = weakref.WeakKeyDictionary()
+#: Memoized ``(code ref, (source, tree, failure))`` per code object: reading,
+#: parsing and compiling the body again on every call would cost more than
+#: the decision it feeds, and every closure a factory stamps out shares one
+#: code object.  A code object is immutable, so whether its source compiles
+#: to it never changes.  Keyed by identity, not by code equality, which
+#: ignores the file (an exec'd copy of a function has no source of its own),
+#: and weakly: an entry goes with its code.  No analysis or compiler pass
+#: mutates the tree.
+_PARSED: dict[int, tuple] = {}
 
 
-def _parse(function: Callable) -> tuple:
+def _forget(key: int, _ref: Any) -> None:
+    _PARSED.pop(key, None)
+
+
+#: Every ``__future__`` compiler flag a code object's ``co_flags`` can carry.
+_FUTURE_FLAGS = functools.reduce(
+    operator.or_, (getattr(__future__, name).compiler_flag for name in __future__.all_feature_names)
+)
+
+
+@functools.lru_cache(maxsize=64)
+def _imported_names(module_source: str) -> frozenset:
+    """The names a module's own scope binds by ``import``."""
+    names, stack = set(), [ast.parse(module_source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return frozenset(names)
+
+
+def _compiled_encoding(module: ast.Module, path: list, flags: int) -> Optional[tuple]:
+    """:func:`~repro.labeling.lf.encoding` of the code object at ``path``
+    (nested code names) in the compiled ``module``."""
     try:
-        source = textwrap.dedent(inspect.getsource(function))
-    except (OSError, TypeError):
-        return None, None, "unavailable"
+        compiled = compile(module, "<source>", "exec", flags=flags, dont_inherit=True)
+    except (SyntaxError, ValueError):
+        return None
+    for name in path:
+        compiled = next(
+            (const for const in compiled.co_consts
+             if isinstance(const, types.CodeType) and const.co_name == name),
+            None,
+        )
+        if compiled is None:
+            return None
+    return encoding(compiled)
+
+
+def _compiles_to(tree: ast.AST, function: Callable) -> bool:
+    """Does the extracted ``tree`` compile to ``function``'s code, line
+    tables aside?
+
+    ``inspect.getsource`` reads the defining file as it is now, and an edit
+    since import changed it, not the code that runs.  The node is compiled
+    without its decorators, with the code's ``__future__`` flags, inside a
+    synthetic function that binds the code's free variables (so closure
+    reads stay closure reads) and, for a method, a class of its owner's name
+    (so private names mangle alike); the two are compared by the code part
+    of :func:`repro.labeling.lf.encoding` — bytecode, names, constants and
+    nested code, no line numbers.
+    """
+    code, at = function.__code__, {"lineno": 1, "col_offset": 0}
+    expected = encoding(code)
+    if expected is None:
+        return False
+    node = copy.copy(tree)
+    if isinstance(node, ast.Lambda):
+        node = ast.Expr(node, **at)
+    else:
+        node.decorator_list = []
+    path, body = ["_synthetic", code.co_name], [node]
+    owner = function.__qualname__.split(".")[-2:-1]
+    if owner and owner[0].isidentifier():
+        path.insert(1, owner[0])
+        body = [ast.ClassDef(owner[0], [], [], body, [], **at)]
+    free = [name for name in code.co_freevars if not (len(path) > 2 and name == "__class__")]
+    if free:
+        targets = [ast.Name(name, ast.Store(), **at) for name in free]
+        body.insert(0, ast.Assign(targets, ast.Constant(None, **at), **at))
+    arguments = ast.arguments([], [], None, [], [], None, [])
+    module = ast.Module([ast.FunctionDef("_synthetic", arguments, body, [], **at)], [])
+    flags = code.co_flags & _FUTURE_FLAGS
+    if _compiled_encoding(module, path, flags) == expected:
+        return True
+    # CPython 3.11+ compiles a call ``name.attr()`` differently when the
+    # defining module imports ``name``: import those, and compile again.
+    receivers = {
+        call.func.value.id for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name) and call.func.value.id in function.__globals__
+    }
+    if not receivers:
+        return False
+    try:
+        imported = receivers & _imported_names("".join(linecache.getlines(code.co_filename)))
+    except (SyntaxError, ValueError):
+        return False
+    module.body[:0] = [ast.Import([ast.alias(name, **at)], **at) for name in sorted(imported)]
+    return bool(imported) and _compiled_encoding(module, path, flags) == expected
+
+
+def _parse_block(source: str, function: Callable) -> tuple:
+    """``(source, tree, failure)`` of one candidate source text."""
     try:
         module = ast.parse(source)
     except SyntaxError:
@@ -147,7 +249,51 @@ def _parse(function: Callable) -> tuple:
         # not dedent into valid standalone source.
         return source, None, "unparsable"
     tree = _find_function_node(module, function.__code__.co_name)
-    return source, tree, None if tree is not None else "ambiguous"
+    if tree is None:
+        return source, None, "ambiguous"
+    if not _compiles_to(tree, function):
+        return source, None, "stale"
+    return source, tree, None
+
+
+def _blocks(code: types.CodeType, lines: list) -> Iterator[str]:
+    """Where the definition of ``code`` may lie in its file's ``lines``.
+
+    ``inspect.getsource`` without its module search: the code names its
+    first line (a decorator's, a ``def``'s or a lambda's).  A ``def`` ends,
+    as a rule, where its last instruction's statement does, which needs no
+    tokenizing; ``inspect.getblock``'s end, which does, is tried next.
+    """
+    first = code.co_firstlineno - 1
+    if code.co_name != "<lambda>" and hasattr(code, "co_positions"):  # 3.11+
+        ends = [end for _, end, _, _ in code.co_positions() if end]
+        if ends:
+            yield "".join(lines[first:max(ends)])
+    yield "".join(inspect.getblock(lines[first:]))
+
+
+def _parse(function: Callable) -> tuple:
+    # As ``inspect.getsource``, the source of a ``functools.wraps`` wrapper
+    # is the wrapped definition's: no body of the wrapper's name is in it.
+    origin = inspect.unwrap(function)
+    code = getattr(origin, "__code__", None)
+    if code is None:
+        return None, None, "unavailable"
+    linecache.checkcache(code.co_filename)
+    lines = linecache.getlines(code.co_filename, origin.__globals__)
+    if not lines:
+        return None, None, "unavailable"
+    for block in _blocks(code, lines):
+        parsed = _parse_block(textwrap.dedent(block), function)
+        if parsed[1] is None and block[:1].isspace():
+            # Dedenting rewrites the multi-line strings of an indented
+            # body; under an ``if`` the block keeps them.
+            retry = _parse_block(f"if 1:\n{block}", function)
+            if retry[1] is not None:
+                parsed = (parsed[0], ast.increment_lineno(retry[1], -1), None)
+        if parsed[1] is not None:
+            return parsed
+    return parsed
 
 
 def extract_source(fn: Any) -> SourceInfo:
@@ -165,8 +311,9 @@ def extract_source(fn: Any) -> SourceInfo:
         info.failure = "unavailable"
         return info
     code = function.__code__
-    parsed = _PARSED.get(code)
-    if parsed is None:
-        parsed = _PARSED[code] = _parse(function)
-    info.source, info.tree, info.failure = parsed
+    entry = _PARSED.get(id(code))
+    if entry is None or entry[0]() is not code:
+        forget = functools.partial(_forget, id(code))
+        entry = _PARSED[id(code)] = (weakref.ref(code, forget), _parse(function))
+    info.source, info.tree, info.failure = entry[1]
     return info

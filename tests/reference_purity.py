@@ -1,27 +1,27 @@
-"""Dynamic cross-checks of the static analyzer's verdicts.
+"""Dynamic oracles for the LF linter and the engine's chunk tasks.
 
-The static passes are heuristics over source; this module is their ground
+The lint's passes are heuristics over source; this module is their ground
 truth.  :func:`observe_lf` runs an LF repeatedly over synthetic candidates
-and reports what actually happened — the labels it emitted, whether repeated
-runs agree (determinism), and whether the call mutated the LF's reachable
+and reports what actually happened — whether repeated runs agree
+(determinism), and whether the call mutated the LF's reachable
 state (closure cells, instance attributes, referenced globals).
 :func:`crosscheck` then compares observation against a static
 :class:`~repro.analysis.diagnostics.LFAnalysisResult`: a disagreement in
-either direction (static said deterministic but runs diverged, static
-inferred a label set the LF escaped, a COMPILABLE LF that turned out impure)
-is returned as a message — the differential tests assert the list is empty
-for every library LF and non-empty for the planted violations.
+either direction (static said deterministic but runs diverged, a COMPILABLE
+LF that turned out impure) is returned as a message — the differential tests
+assert the list is empty for every library LF and non-empty for the planted
+violations.
 
 :class:`PurityCheckedTask` is the engine-side shim: it wraps a chunk task
 and fingerprints the payload before and after every chunk, raising
 :class:`~repro.exceptions.LabelingError` on the first observed payload write
-— the debug-mode runtime twin of :func:`repro.analysis.contracts.check_task`.
+— the check that every built-in chunk task reads its payload only.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.analysis.diagnostics import LFAnalysisResult
@@ -103,11 +103,8 @@ def _lf_state(lf: Any) -> str:
 class ObservedBehavior:
     """What actually happened when the LF ran on synthetic candidates."""
 
-    labels: list[int] = field(default_factory=list)
-    emitted: set[int] = field(default_factory=set)
     deterministic: bool = True
     mutated_state: bool = False
-    raised: Optional[str] = None
 
 
 def observe_lf(lf: Callable, candidates: Sequence, repeats: int = 3) -> ObservedBehavior:
@@ -127,13 +124,10 @@ def observe_lf(lf: Callable, candidates: Sequence, repeats: int = 3) -> Observed
             try:
                 outputs.append(lf(candidate))
             except Exception as exc:
-                observed.raised = type(exc).__name__
                 outputs.append(f"<raised {type(exc).__name__}>")
         runs.append(outputs)
     observed.mutated_state = _lf_state(lf) != before
     observed.deterministic = all(run == runs[0] for run in runs[1:])
-    observed.labels = [value for value in runs[0] if isinstance(value, int)]
-    observed.emitted = set(observed.labels)
     return observed
 
 
@@ -145,7 +139,6 @@ def crosscheck(static: LFAnalysisResult, observed: ObservedBehavior) -> list[str
     * static silence on nondeterminism vs. runs that diverged (and the
       converse is *not* checked — a static nondeterminism flag with stable
       observed runs is legal, e.g. the random branch was never reached);
-    * a complete inferred label set the LF escaped at runtime;
     * a ``COMPILABLE`` pushdown verdict for an LF that was observed to be
       nondeterministic or to mutate reachable state (the compiler's closed
       subset admits only pure bodies);
@@ -167,13 +160,6 @@ def crosscheck(static: LFAnalysisResult, observed: ObservedBehavior) -> list[str
             f"{static.lf_name}: observed state mutation but no LF3xx "
             "diagnostic was emitted"
         )
-    if static.inferred_labels is not None and observed.raised is None:
-        escaped = observed.emitted - set(static.inferred_labels)
-        if escaped:
-            disagreements.append(
-                f"{static.lf_name}: emitted {sorted(escaped)} outside the "
-                f"inferred label set {sorted(static.inferred_labels)}"
-            )
     if static.pushdown.compilable and (not observed.deterministic or observed.mutated_state):
         disagreements.append(
             f"{static.lf_name}: verdict COMPILABLE but observed "

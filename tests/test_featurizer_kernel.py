@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_purity import observe_task_purity
 
-from repro.analysis import observe_task_purity
 from repro.context.candidates import Candidate, SentenceView, SpanView
 from repro.datasets.synthetic import stream_text_candidates
 from repro.discriminative import HashingVectorizer, RelationFeaturizer, featurizers
