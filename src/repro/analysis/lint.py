@@ -10,17 +10,23 @@ which would label the same candidates differently without raising:
   possible, with a textual fallback for unresolvable roots so aliased
   imports still match.
 * **Shared-state hazards** — ``global``-declared stores and mutation of
-  module-level objects (``LF301``), ``nonlocal`` stores and mutation of
-  closure cells (``LF302``), candidate-argument mutation (``LF303``), and
-  LF-instance (``self``) mutation (``LF304``) — the hazards that make an LF
-  unsafe under the threads executor and divergent under the processes one.
+  module-level objects (``LF301``; a method call on a module-level
+  ``random.Random`` / ``numpy.random`` generator counts, seeded or not, since
+  every draw advances the state all candidates share), ``nonlocal`` stores
+  and mutation of closure cells (``LF302``), candidate-argument mutation
+  (``LF303``), and LF-instance (``self``) mutation (``LF304``) — the hazards
+  that make an LF unsafe under the threads executor and divergent under the
+  processes one.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import random
 from typing import Optional
+
+import numpy as np
 
 from repro.analysis.diagnostics import CODES, Diagnostic
 from repro.labeling.source import SourceInfo, is_unresolved
@@ -31,6 +37,9 @@ _RANDOM_SAFE = {"seed", "getstate", "setstate", "Random", "SystemRandom"}
 #: ``numpy.random`` attributes that are constructors, not draws; calling one
 #: *without arguments* is still an unseeded source.
 _NUMPY_RANDOM_CONSTRUCTORS = {"default_rng", "RandomState", "Generator", "SeedSequence"}
+
+#: Generator objects whose methods advance (or reset) the state they hold.
+_GENERATOR_TYPES = (random.Random, np.random.Generator, np.random.RandomState)
 
 _CLOCK_CALLS = {
     ("time", "time"),
@@ -197,6 +206,17 @@ class _LintVisitor(ast.NodeVisitor):
             return
         if self.scope.is_local(root):
             return  # method call on a parameter or local: candidate access
+        if isinstance(self.info.resolve_name(root), _GENERATOR_TYPES):
+            target = self._mutation_code(root)
+            if target is not None:
+                code, what = target
+                self._emit(
+                    code,
+                    f"{'.'.join(chain)}() advances the generator held by {what}; "
+                    "each label depends on how many draws ran before it",
+                    node,
+                )
+            return
         module = self._resolve_module_of(root)
         # Resolve one attribute deeper when the root is a package whose
         # submodule carries the draw (numpy.random, ...).

@@ -16,8 +16,8 @@ the CSC view and column selection.  Nothing here imports scipy:
 ``to_scipy`` / ``from_scipy`` convert for callers who hold scipy matrices.
 
 This is the one form Λ is computed on.  :func:`lower_to_sparse` is the
-boundary: every statistic, voter, bound, structure fit, LF summary, EM fit,
-Gibbs chain and Dawid–Skene fit takes whatever the caller holds — dense
+boundary: every statistic, voter, bound, structure fit, LF summary, EM fit
+and Dawid–Skene fit takes whatever the caller holds — dense
 array, ``LabelMatrix`` of either backing, scipy matrix — through it and
 reads the entries.
 """
@@ -38,9 +38,8 @@ def ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     The workhorse behind CSC slice gathers: with ``starts = col_indptr[cols]``
     and ``counts = col_indptr[cols + 1] - starts`` it yields the absolute CSC
-    positions of every entry of the given columns, in column order — e.g. one
-    color class of the sampler-plan graph coloring
-    (:mod:`repro.labelmodel.kernels`) in a single call.
+    positions of every entry of the given columns, in column order, in a
+    single call.
     """
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -58,10 +57,9 @@ def intersect_sorted(values_a: np.ndarray, values_b: np.ndarray) -> tuple[np.nda
     same contract as ``np.intersect1d(..., assume_unique=True,
     return_indices=True)`` minus the values themselves, but via a single
     ``searchsorted`` instead of a concatenated sort.  This is the alignment
-    primitive shared by the sampler-plan compiler, the correlation-discount
-    computation, and the structure learner's node-wise design assembly: all
-    of them intersect per-column CSC row slices, which are sorted and unique
-    by construction.
+    primitive shared by the correlation-discount computation and the
+    structure learner's node-wise design assembly: both intersect per-column
+    CSC row slices, which are sorted and unique by construction.
     """
     values_a = np.asarray(values_a)
     values_b = np.asarray(values_b)
@@ -92,10 +90,9 @@ class SparseLabelMatrix(CSRMatrix):
     _matrix_noun = "label matrix"
     _column_noun = "labeling functions"
 
-    #: The cached column-major view and its per-entry column ids; class-level
-    #: defaults so results carved by the shared core start without one.
+    #: The cached column-major view; a class-level default so results carved
+    #: by the shared core start without one.
     _csc_cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
-    _entry_cols_csc: Optional[np.ndarray] = None
 
     def __init__(self, indptr, indices, data, shape: tuple[int, int]) -> None:
         CSRMatrix.__init__(self, indptr, indices, data, shape)
@@ -201,49 +198,11 @@ class SparseLabelMatrix(CSRMatrix):
         """
         return self._csc_full()[3]
 
-    def entry_cols(self) -> np.ndarray:
-        """Column id of every stored entry, in CSC order (cached).
-
-        The companion of :meth:`entry_rows` for the column-major view: with
-        ``(col_indptr, rows, values) = csc()``, ``entry_cols()[p]`` is the
-        column that owns CSC position ``p``.  Shared by the EM estimators,
-        the Gibbs sampler, and the sampler-plan compiler, which all need
-        per-entry column lookups (weight gathers, per-column reductions).
-        """
-        if self._entry_cols_csc is None:
-            col_indptr, _, _ = self.csc()
-            self._entry_cols_csc = np.repeat(
-                np.arange(self.shape[1], dtype=np.int64), np.diff(col_indptr)
-            )
-        return self._entry_cols_csc
-
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Non-abstain entries of column ``j`` as ``(row_ids, values)``."""
         col_indptr, rows, values = self.csc()
         window = slice(int(col_indptr[j]), int(col_indptr[j + 1]))
         return rows[window], values[window]
-
-    def with_csc_data(self, new_values: np.ndarray) -> "SparseLabelMatrix":
-        """Same sparsity pattern with new entry values given in CSC order."""
-        col_indptr, rows, _, order = self._csc_full()
-        new_values = np.asarray(new_values, dtype=np.int64)
-        if new_values.shape != (self.nnz,):
-            raise LabelingError(
-                f"expected {self.nnz} values, got shape {new_values.shape}"
-            )
-        if np.any(new_values == ABSTAIN):
-            raise LabelingError("sparse label storage must not contain abstain entries")
-        csr_data = np.empty_like(new_values)
-        csr_data[order] = new_values
-        # The pattern arrays are this matrix's own (already validated), and
-        # the values were just checked, so skip the full constructor scan —
-        # the samplers call this once per chain.
-        result = self._carved(self.indptr, self.indices, csr_data, self.shape, self._entry_rows)
-        # The pattern is unchanged, so the CSC view carries over — pre-seed
-        # the cache to spare the next consumer the O(nnz log nnz) argsort.
-        result._csc_cache = (col_indptr, rows, new_values, order)
-        result._entry_cols_csc = self._entry_cols_csc
-        return result
 
     # ------------------------------------------------------------- linear algebra
     def row_sums(self) -> np.ndarray:

@@ -5,17 +5,12 @@ This package is the reproduction of the paper's core technical contribution
 
 * :mod:`repro.labelmodel.majority` — unweighted and weighted majority vote,
 * :mod:`repro.labelmodel.factor_graph` — the factor definitions (labeling
-  propensity, accuracy, pairwise correlation),
-* :mod:`repro.labelmodel.gibbs` — the Gibbs sampler used during training,
-* :mod:`repro.labelmodel.kernels` — the vectorized sampling kernel layer:
-  graph-colored :class:`SamplerPlan` compilation (one plan per abstention
-  pattern and spec) and :class:`SamplerWorkspace` scratch reuse, which turn
-  a sweep's O(n)-column Python loop into O(#colors) fused numpy updates,
+  propensity, accuracy, pairwise correlation) and the weight layout,
 * :mod:`repro.labelmodel.em` — the one EM kernel (entries of Λ, E-step,
-  damped balance update, M-step) every EM consumer drives,
-* :mod:`repro.labelmodel.generative` — the generative model: EM over that
-  kernel, or SGD interleaved with Gibbs sampling (contrastive-divergence
-  style),
+  damped balance update, M-step) every label-model fit drives,
+* :mod:`repro.labelmodel.generative` — the generative model, fit by EM over
+  that kernel (the exact E-step stands in for the paper's Gibbs sampling, so
+  nothing in this package samples),
 * :mod:`repro.labelmodel.online` — the online incremental estimator:
   :class:`OnlineGenerativeModel` folds chunks into EM sufficient statistics
   at O(chunk) cost, supports LF add/remove without a full refit, serves
@@ -37,18 +32,16 @@ This package is the reproduction of the paper's core technical contribution
 Every estimator here accepts dense label matrices, CSR storage
 (:class:`repro.labeling.sparse.SparseLabelMatrix`), a
 :class:`repro.labeling.LabelMatrix` of either backing and scipy sparse
-matrices.  All of them — EM, the Gibbs sampler stack and CD, Dawid–Skene,
-the voters, the advantage bound, the optimizer and the structure learner —
-lower their input to CSR at the boundary
-(:func:`repro.labeling.sparse.lower_to_sparse`) and have one implementation
-over the non-abstain entries, so results do not depend on the backing and
-cost scales with the number of emitted labels.  The samplers alone look at
-what the caller held once more, to hand a dense caller a dense sample back.
+matrices.  All of them — EM, Dawid–Skene, the voters, the advantage bound,
+the optimizer and the structure learner — lower their input to CSR at the
+boundary (:func:`repro.labeling.sparse.lower_to_sparse`) and have one
+implementation over the non-abstain entries, so results do not depend on
+the backing and cost scales with the number of emitted labels.
 
 Two label vocabularies are supported throughout: the paper's signed binary
 encoding (``{-1, 0, +1}``) and categorical labels (``0`` = abstain, classes
-``1..k``).  :class:`GenerativeModel`, :class:`GibbsSampler`, the factor
-graph, and the structure learner take the task's cardinality as a parameter
+``1..k``).  :class:`GenerativeModel`, the factor graph, and the structure
+learner take the task's cardinality as a parameter
 — the binary model is the ``k = 2`` case with its signed arithmetic kept
 bit-compatible, categorical inputs run the k-ary form (symmetric per-LF
 accuracy against ``k - 1`` uniform wrong classes, softmax posteriors, a
@@ -66,8 +59,6 @@ from repro.labelmodel.dawid_skene import DawidSkeneModel
 from repro.labelmodel.elbow import select_elbow_point
 from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.labelmodel.generative import GenerativeModel
-from repro.labelmodel.gibbs import GibbsSampler
-from repro.labelmodel.kernels import KERNELS, SamplerPlan, SamplerWorkspace, color_columns
 from repro.labelmodel.majority import (
     MajorityVoter,
     MultiClassMajorityVoter,
@@ -79,11 +70,6 @@ from repro.labelmodel.structure import StructureLearner, learn_structure
 from repro.labelmodel.theory import high_density_upper_bound, low_density_upper_bound
 
 __all__ = [
-    "GibbsSampler",
-    "KERNELS",
-    "SamplerPlan",
-    "SamplerWorkspace",
-    "color_columns",
     "MajorityVoter",
     "MultiClassMajorityVoter",
     "WeightedMajorityVoter",

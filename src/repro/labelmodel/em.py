@@ -1,12 +1,12 @@
-"""The EM kernel of the generative label model — the only implementation.
+"""The EM kernel of the generative label model — its one estimator.
 
-Every EM consumer in the library drives the functions in this module:
-``GenerativeModel.fit(method="em")`` and ``predict_proba``, and the online
-model's ``update`` / ``drain``.  The kernel sees a label matrix only as its
-non-abstain ``(row, col, value)`` triples in canonical CSR order
-(:class:`Entries`, built once per matrix by :func:`build_entries`); any
-other input — dense array, dense-backed ``LabelMatrix``, scipy matrix — is
-lowered to CSR storage at the boundary
+Every label-model fit in the library drives the functions in this module:
+``GenerativeModel.fit`` and ``predict_proba``, and the online model's
+``update`` / ``drain``.  The E-step is exact, so no fit samples.  The kernel
+sees a label matrix only as its non-abstain ``(row, col, value)`` triples in
+canonical CSR order (:class:`Entries`, built once per matrix by
+:func:`build_entries`); any other input — dense array, dense-backed
+``LabelMatrix``, scipy matrix — is lowered to CSR storage at the boundary
 (:func:`repro.labeling.sparse.lower_to_sparse`), so work per epoch is
 O(nnz) plus O(m·k) for the row posteriors.
 

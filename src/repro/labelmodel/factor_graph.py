@@ -15,13 +15,12 @@ covers both label vocabularies: the paper's signed binary encoding
 (``Λ_{i,j}, y_i ∈ {-1, +1}`` with ``0`` = abstain) and the categorical
 encoding of multi-class tasks (``Λ_{i,j}, y_i ∈ {1..k}`` with ``0`` =
 abstain).  ``cardinality`` records which vocabulary the graph is defined
-over; it changes no factor definition, only the label domain the samplers
-and estimators range over and the chance level implied by a zero accuracy
-weight (``1/k`` rather than ``1/2``).
+over; it changes no factor definition, only the label domain the estimator
+ranges over and the chance level implied by a zero accuracy weight (``1/k``
+rather than ``1/2``).
 
 :class:`FactorGraphSpec` owns the bookkeeping: which correlation pairs are
-modeled, how the weight vector is laid out, and how to evaluate the factor
-vectors of observed or sampled assignments.
+modeled and how the weight vector is laid out.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.exceptions import LabelModelError
-from repro.types import ABSTAIN
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,6 @@ class FactorGraphSpec:
                 canonical.append(pair)
         self.correlations: list[tuple[int, int]] = canonical
         self.layout = WeightLayout(num_lfs=num_lfs, num_correlations=len(canonical))
-        self._neighbor_cache: list[list[tuple[int, int]]] | None = None
 
     # ------------------------------------------------------------------ weights
     def initial_weights(
@@ -130,58 +127,6 @@ class FactorGraphSpec:
         )
         weights[self.layout.accuracy_slice] = accuracy_weight
         return weights
-
-    def split_weights(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split a flat weight vector into (propensity, accuracy, correlation)."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (self.layout.size,):
-            raise LabelModelError(
-                f"expected weight vector of length {self.layout.size}, got shape {weights.shape}"
-            )
-        return (
-            weights[self.layout.propensity_slice],
-            weights[self.layout.accuracy_slice],
-            weights[self.layout.correlation_slice],
-        )
-
-    # ------------------------------------------------------------------ factors
-    def factor_matrix(self, label_matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Evaluate factor vectors for every row; returns shape ``(m, 2n+|C|)``."""
-        label_matrix = np.asarray(label_matrix)
-        y = np.asarray(y)
-        m = label_matrix.shape[0]
-        phi = np.zeros((m, self.layout.size))
-        phi[:, self.layout.propensity_slice] = (label_matrix != ABSTAIN).astype(float)
-        phi[:, self.layout.accuracy_slice] = (label_matrix == y[:, None]).astype(float)
-        for index, (j, k) in enumerate(self.correlations):
-            phi[:, 2 * self.num_lfs + index] = (
-                label_matrix[:, j] == label_matrix[:, k]
-            ).astype(float)
-        return phi
-
-    # ----------------------------------------------------------------- topology
-    def neighbors(self, j: int) -> list[tuple[int, int]]:
-        """Correlation partners of LF ``j`` as ``(partner_index, weight_index)``.
-
-        The adjacency is built once and cached — the samplers query it per
-        column per sweep, and an O(|C|) rescan per call turns quadratic on
-        wide suites.
-        """
-        if self._neighbor_cache is None:
-            adjacency: list[list[tuple[int, int]]] = [[] for _ in range(self.num_lfs)]
-            for offset, (a, b) in enumerate(self.correlations):
-                weight_index = 2 * self.num_lfs + offset
-                adjacency[a].append((b, weight_index))
-                adjacency[b].append((a, weight_index))
-            self._neighbor_cache = adjacency
-        return self._neighbor_cache[j]
-
-    def neighbor_sets(self) -> list[set[int]]:
-        """Correlation partners of every LF as index sets (no weight indices).
-
-        The adjacency view the sampler-plan graph coloring runs over.
-        """
-        return [{partner for partner, _ in self.neighbors(j)} for j in range(self.num_lfs)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

@@ -3,26 +3,20 @@
 ``GenerativeModel`` implements the paper's Section 2.2 model: the joint
 ``p_w(Λ, Y) = Z_w^{-1} exp(Σ_i wᵀ φ_i(Λ_i, y_i))`` over labeling-function
 outputs and latent labels, with labeling-propensity, accuracy, and pairwise
-correlation factors.  Two estimators are provided:
-
-* ``method="em"`` (default) — expectation–maximization on the marginal
-  likelihood of the observed votes.  The E-step computes the exact label
-  posterior ``P(y_i | Λ_i, w)`` (closed form, because the propensity and
-  correlation factors do not involve ``y``); the M-step re-estimates each
-  labeling function's accuracy from its expected agreement with the latent
-  label.  Modeled correlations are handled with an explicit double-counting
-  correction: when computing the posterior, each LF's weight is divided by
-  one plus the number of its modeled correlation partners that cast the same
-  vote on that data point, so a family of near-duplicate LFs counts roughly
-  once (this resolves the paper's Example 3.1 pathology).  EM is
-  deterministic, fast, and robust on the sparse low-coverage matrices real
-  LF suites produce.
-
-* ``method="cd"`` — the paper's original optimization strategy: stochastic
-  gradient steps on the marginal likelihood interleaved with Gibbs sampling
-  (contrastive divergence), conditioning on the abstention pattern.  Retained
-  for fidelity and for denser matrices; it is noisier on very low-coverage
-  LFs.
+correlation factors.  It is fit by expectation–maximization on the
+marginal likelihood of the observed votes.  The E-step computes the exact
+label posterior ``P(y_i | Λ_i, w)`` (closed form, because the propensity and
+correlation factors do not involve ``y``); the M-step re-estimates each
+labeling function's accuracy from its expected agreement with the latent
+label.  Modeled correlations are handled with an explicit double-counting
+correction: when computing the posterior, each LF's weight is divided by one
+plus the number of its modeled correlation partners that cast the same vote
+on that data point, so a family of near-duplicate LFs counts roughly once
+(this resolves the paper's Example 3.1 pathology).  The paper trains by
+stochastic gradient steps interleaved with Gibbs sampling; here the exact
+E-step stands in for the sampled one (as in the original implementation's
+``gen_learning.py``, whose ``sample`` flag defaults to ``False``), so a fit
+draws nothing and is deterministic.
 
 After training, the probabilistic labels are ``Ỹ_i = p_ŵ(y_i = +1 | Λ_i)``.
 
@@ -44,7 +38,7 @@ task's ``cardinality``:
   ``k = 2`` case, and the per-iteration class-balance re-estimation is a
   damped scalar update there and a damped k-vector update otherwise.
 
-**Storage.**  Both estimators and ``predict_proba`` run on the non-abstain
+**Storage.**  ``fit`` and ``predict_proba`` run on the non-abstain
 ``(row, column, value)`` triples of Λ only: every accepted input — dense
 array, dense- or sparse-backed :class:`repro.labeling.LabelMatrix`, raw
 :class:`repro.labeling.sparse.SparseLabelMatrix`, scipy sparse matrix — is
@@ -53,9 +47,7 @@ lowered to CSR storage at the boundary and handed to the kernel in
 with), so a dense input and its ``to_sparse()`` twin produce bit-identical
 fits at O(nnz) work per epoch.  Lowering costs one pass over a dense input;
 only a (near-)fully-voted matrix, where nnz ≈ m·n, would be scanned faster
-densely.  The CD estimator lowers its input the same way: its minibatches
-are CSR row gathers and its Gibbs chains run on their entries, so CD fits
-do not depend on the input's form either.
+densely.
 """
 
 from __future__ import annotations
@@ -65,10 +57,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.discriminative.adam import AdamOptimizer
 from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
-from repro.labeling.sparse import SparseLabelMatrix, lower_to_sparse
+from repro.labeling.sparse import lower_to_sparse
 from repro.labelmodel.em import (
     ACCURACY_INIT,
     EMParams,
@@ -76,39 +67,21 @@ from repro.labelmodel.em import (
     accuracy_to_weights,
     build_entries,
     e_step,
-    initial_prior,
     run_em,
     validate_label_values,
 )
 from repro.labelmodel.factor_graph import FactorGraphSpec
-from repro.labelmodel.gibbs import GibbsSampler
-from repro.labelmodel.kernels import (
-    SamplerPlan,
-    SamplerWorkspace,
-    resolve_kernel,
-    run_joint_chain,
-)
-from repro.types import NEGATIVE, POSITIVE, probs_to_labels
+from repro.types import NEGATIVE, probs_to_labels
 from repro.utils.mathutils import log_odds_to_accuracy, sigmoid
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
 
 class GenerativeModel:
     """Generative model over labeling functions (accuracies + correlations).
 
     Parameters
     ----------
-    method:
-        ``"em"`` (default) or ``"cd"``; see the module docstring.
     epochs:
-        EM iterations, or passes over the label matrix for CD.
-    step_size:
-        CD learning rate (ignored by EM).
-    batch_size:
-        CD minibatch size (ignored by EM).
-    reg_strength:
-        CD ℓ2 pull toward the initial weights (ignored by EM).
-    cd_sweeps:
-        Gibbs sweeps per CD gradient step.
+        EM iterations.
     class_balance:
         Optional known positive-class fraction.  When given, the class-prior
         weight is fixed at ``0.5·logit(class_balance)`` and applied to every
@@ -119,55 +92,38 @@ class GenerativeModel:
         scores already reflect the empirical balance, and shifting them by an
         explicit prior double-counts it (estimating from prior-shifted
         posteriors even runs away to a degenerate all-one-class solution on
-        imbalanced tasks).  For CD the prior stays 0 unless a balance is
-        supplied.  On categorical tasks pass a length-``k`` probability
-        vector instead of a scalar; the same supplied-vs-estimated semantics
-        apply, with the (damped, renormalized) estimate recorded in
+        imbalanced tasks).  On categorical tasks pass a length-``k``
+        probability vector instead of a scalar; the same supplied-vs-estimated
+        semantics apply, with the (damped, renormalized) estimate recorded in
         ``class_priors_``.
     cardinality:
         Number of classes.  ``None`` (default) reads it off a
         :class:`LabelMatrix` input and falls back to 2 for raw arrays; pass
         it explicitly when fitting raw categorical arrays.
-    gibbs_kernel:
-        Sampling kernel for the CD estimator's Gibbs chains (ignored by EM,
-        which samples nothing): ``"auto"`` (the vectorized plan-based kernel
-        of :mod:`repro.labelmodel.kernels`; the default), ``"vectorized"``,
-        or ``"reference"`` (the exact per-column loop).  With the vectorized
-        kernel the sampler plan is compiled once per fit and each minibatch
-        derives its row view from it; the scratch workspace is likewise
-        allocated once and reused across every epoch.
     seed:
-        RNG seed (or generator) for reproducible Gibbs chains.
+        Accepted and ignored: EM draws nothing.  Kept because callers
+        (the end-to-end benchmark, :class:`repro.labelmodel.online.OnlineGenerativeModel`
+        and five modules of :mod:`repro.experiments`) pass it.
+    step_size, gibbs_kernel:
+        Accepted and ignored, with no effect on the fit: EM takes no
+        gradient step and runs no sampler.  Kept only because the end-to-end
+        benchmark's traced pipeline passes both.
     """
 
     def __init__(
         self,
-        method: str = "em",
         epochs: int = 30,
-        step_size: float = 0.05,
-        batch_size: int = 256,
-        reg_strength: float = 0.05,
-        cd_sweeps: int = 1,
         class_balance: Optional[float | Sequence[float]] = None,
         cardinality: Optional[int] = None,
-        gibbs_kernel: str = "auto",
         seed: SeedLike = 0,
+        step_size: float = 0.05,
+        gibbs_kernel: str = "auto",
     ) -> None:
-        if method not in ("em", "cd"):
-            raise LabelModelError(f"method must be 'em' or 'cd', got {method!r}")
-        if step_size <= 0:
-            raise LabelModelError(f"step_size must be positive, got {step_size}")
         if cardinality is not None and cardinality < 2:
             raise LabelModelError(f"cardinality must be >= 2 when given, got {cardinality}")
-        self.method = method
         self.epochs = epochs
-        self.step_size = step_size
-        self.batch_size = batch_size
-        self.reg_strength = reg_strength
-        self.cd_sweeps = cd_sweeps
         self.class_balance = class_balance
         self.cardinality = cardinality
-        self.gibbs_kernel = resolve_kernel(gibbs_kernel)
         self.seed = seed
 
         self.spec: Optional[FactorGraphSpec] = None
@@ -193,8 +149,8 @@ class GenerativeModel:
 
         Accepts dense arrays, dense- or sparse-backed :class:`LabelMatrix`
         wrappers, raw :class:`SparseLabelMatrix` storage, and scipy sparse
-        matrices.  Both estimators train on the non-abstain entries only,
-        whatever the input storage (see the module docstring).
+        matrices.  The fit reads the non-abstain entries only, whatever the
+        input storage (see the module docstring).
 
         The label vocabulary follows the resolved cardinality (see the
         ``cardinality`` parameter): signed ``{-1, 0, +1}`` for binary tasks,
@@ -209,14 +165,9 @@ class GenerativeModel:
         spec = FactorGraphSpec(
             num_lfs=shape[1], correlations=correlations, cardinality=cardinality
         )
-        if self.method == "em":
-            entries = build_entries(storage, spec.correlations, cardinality)
-            accuracies, prior, self.history = run_em(entries, self._em_params())
-            weights, class_prior = self._em_weights(
-                spec, accuracies, prior, entries.pair_agreement
-            )
-        else:
-            weights, class_prior = self._fit_cd(spec, storage)
+        entries = build_entries(storage, spec.correlations, cardinality)
+        accuracies, prior, self.history = run_em(entries, self._em_params())
+        weights, class_prior = self._em_weights(spec, accuracies, prior, entries.pair_agreement)
         return self._install(spec, weights, class_prior, storage.col_nnz() / shape[0])
 
     def _resolve_cardinality(self, label_matrix) -> int:
@@ -234,7 +185,7 @@ class GenerativeModel:
         class_prior: float | np.ndarray,
         coverage: Optional[np.ndarray],
     ) -> "GenerativeModel":
-        """Publish a fitted state (the shared tail of every estimator).
+        """Publish a fitted state (the shared tail of ``fit`` and ``from_em``).
 
         ``class_prior`` is the probability vector of a categorical task, the
         half-log-odds weight of a binary one; ``coverage`` (per-LF vote
@@ -298,7 +249,6 @@ class GenerativeModel:
         unlearned.
         """
         model = cls(
-            method="em",
             cardinality=spec.cardinality,
             seed=seed,
             **asdict(params),
@@ -307,128 +257,6 @@ class GenerativeModel:
             model.history = history
         weights, class_prior = model._em_weights(spec, accuracies, prior, pair_agreement)
         return model._install(spec, weights, class_prior, coverage)
-
-    # --------------------------------------------------------------------- CD
-    def _fit_cd(
-        self, spec: FactorGraphSpec, matrix: SparseLabelMatrix
-    ) -> tuple[np.ndarray, float]:
-        """The paper's SGD + Gibbs (contrastive divergence) estimator.
-
-        Each minibatch is a CSR row gather, and the Gibbs sampler operates
-        on its non-abstain entries only.  Categorical
-        specs run the same ascent with the k-ary sampler and return the class
-        prior as a probability vector instead of a half-log-odds scalar.
-
-        Under the vectorized kernel the sampler plan (CSC layout, graph
-        coloring, correlation alignments) is compiled once for the full
-        matrix here — not per epoch, not per minibatch — and every batch's
-        negative-phase chain runs on a row view derived from it
-        (:meth:`SamplerPlan.select_rows`), against one shared workspace.
-        """
-        rng = ensure_rng(self.seed)
-        sampler = GibbsSampler(spec, seed=rng, kernel=self.gibbs_kernel)
-        if sampler.kernel == "vectorized":
-            plan: Optional[SamplerPlan] = SamplerPlan.compile(spec, matrix)
-            workspace: Optional[SamplerWorkspace] = SamplerWorkspace(plan)
-        else:
-            plan = workspace = None
-        weights = spec.initial_weights(accuracy_init=ACCURACY_INIT)
-        prior_weights = weights.copy()
-        num_rows = matrix.shape[0]
-        batch_size = min(self.batch_size, num_rows)
-        history = TrainingHistory()
-        class_prior = initial_prior(self.class_balance, spec.cardinality)
-        if spec.cardinality > 2:
-            # Half-log prior per class: the sampler exponentiates 2x, so this
-            # reproduces the supplied balance (or stays uniform when unknown).
-            class_prior = 0.5 * class_prior
-        optimizer = AdamOptimizer(learning_rate=self.step_size)
-
-        for _ in range(self.epochs):
-            permutation = rng.permutation(num_rows)
-            epoch_delta = 0.0
-            for start in range(0, num_rows, batch_size):
-                batch_rows = permutation[start : start + batch_size]
-                batch = matrix.select_rows(batch_rows)
-                batch_plan = plan.select_rows(batch_rows) if plan is not None else None
-                gradient = self._cd_batch_gradient(
-                    spec, sampler, weights, batch, class_prior, batch_plan, workspace
-                )
-                gradient -= self.reg_strength * (weights - prior_weights)
-                # The estimator conditions on the abstention pattern, so the
-                # propensity weights receive no gradient signal.
-                gradient[spec.layout.propensity_slice] = 0.0
-                new_weights = optimizer.step(weights, -gradient)
-                # Non-adversarial, as EM's M-step: an LF is never learned inverted.
-                accuracy_slice = spec.layout.accuracy_slice
-                new_weights[accuracy_slice] = np.maximum(new_weights[accuracy_slice], 0.0)
-                epoch_delta += float(np.abs(new_weights - weights).sum())
-                weights = new_weights
-            history.epochs += 1
-            history.weight_deltas.append(epoch_delta)
-            history.mean_accuracy_weights.append(
-                float(weights[spec.layout.accuracy_slice].mean())
-            )
-        self.history = history
-        if spec.cardinality > 2:
-            priors = np.exp(2.0 * np.asarray(class_prior, dtype=float))
-            return weights, priors / priors.sum()
-        return weights, class_prior
-
-    def _cd_batch_gradient(
-        self,
-        spec: FactorGraphSpec,
-        sampler: GibbsSampler,
-        weights: np.ndarray,
-        batch: SparseLabelMatrix,
-        class_prior: float | np.ndarray,
-        batch_plan: Optional[SamplerPlan] = None,
-        workspace: Optional[SamplerWorkspace] = None,
-    ) -> np.ndarray:
-        """Ascent direction ``E_data[φ] - E_model[φ]`` for one minibatch.
-
-        With a ``batch_plan`` (a row view of the fit-level plan) the
-        negative-phase chain runs through the vectorized kernels against the
-        shared ``workspace``; otherwise it goes through the sampler's
-        per-call path.
-        """
-        posteriors = sampler.label_posteriors(weights, batch, class_prior)
-        # Factor vectors are inherently dense in the batch dimension; a
-        # minibatch-sized densification is bounded by the batch size.
-        batch_dense = batch.to_dense()
-        if posteriors.ndim == 2:
-            data_phase = np.zeros(spec.layout.size)
-            for klass in range(1, spec.cardinality + 1):
-                phi_klass = spec.factor_matrix(batch_dense, np.full(batch.shape[0], klass))
-                data_phase += (posteriors[:, klass - 1, None] * phi_klass).sum(axis=0)
-            data_phase /= batch.shape[0]
-        else:
-            phi_positive = spec.factor_matrix(batch_dense, np.full(batch.shape[0], POSITIVE))
-            phi_negative = spec.factor_matrix(batch_dense, np.full(batch.shape[0], NEGATIVE))
-            data_phase = (
-                posteriors[:, None] * phi_positive
-                + (1.0 - posteriors)[:, None] * phi_negative
-            ).mean(axis=0)
-        if batch_plan is not None:
-            sampled_values, sampled_y = run_joint_chain(
-                batch_plan,
-                workspace,
-                sampler.rng,
-                weights,
-                sweeps=self.cd_sweeps,
-                class_prior_weight=class_prior,
-            )
-            # In the plan's own entry order: a derived plan keeps the fit-level
-            # CSC order, not the (permuted) batch's.
-            sampled_matrix = np.zeros(batch.shape, dtype=np.int64)
-            sampled_matrix[batch_plan.entry_rows, batch_plan.entry_cols] = sampled_values
-        else:
-            sampled, sampled_y = sampler.sample_joint(
-                weights, batch, sweeps=self.cd_sweeps, class_prior_weight=class_prior
-            )
-            sampled_matrix = sampled.to_dense()
-        model_phase = spec.factor_matrix(sampled_matrix, sampled_y).mean(axis=0)
-        return data_phase - model_phase
 
     # ---------------------------------------------------------------- inference
     def _require_fitted(self) -> tuple[FactorGraphSpec, np.ndarray]:
@@ -460,7 +288,7 @@ class GenerativeModel:
         Binary models return ``Ỹ_i = p_ŵ(y_i = +1 | Λ_i)``, shape ``(m,)``;
         categorical models return the posterior distribution over classes,
         shape ``(m, k)``.  Any input storage is scored over its non-abstain
-        entries (EM models fold their correlation discounts in).  The class
+        entries, with the correlation discounts folded in.  The class
         prior is applied per its provenance: a supplied balance is part of
         the model and shifts every row's posterior; an estimated balance
         only fills in the rows with no votes, whose posterior would
@@ -473,9 +301,7 @@ class GenerativeModel:
             raise LabelModelError(
                 f"label matrix has {storage.shape[1]} LFs, model was fit with {spec.num_lfs}"
             )
-        entries = build_entries(
-            storage, spec.correlations if self.method == "em" else (), spec.cardinality
-        )
+        entries = build_entries(storage, spec.correlations, spec.cardinality)
         lf_weights = weights[spec.layout.accuracy_slice]
         if spec.cardinality == 2:
             prior: float | np.ndarray = self.class_prior_weight_

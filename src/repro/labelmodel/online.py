@@ -96,9 +96,8 @@ class ServedPosteriors(NamedTuple):
 class OnlineGenerativeModel:
     """EM over accumulated sufficient statistics, with an exact drain tier.
 
-    Parameters mirror the EM estimator of :class:`GenerativeModel` (the
-    online model is EM-only; the CD estimator's Gibbs chains have no
-    sufficient-statistic form).  Additional parameters:
+    Parameters mirror :class:`GenerativeModel` (``seed`` is likewise
+    accepted and ignored).  Additional parameters:
 
     Parameters
     ----------

@@ -144,14 +144,8 @@ class PipelineConfig:
     #: log is rewritten without the dropped records once they outweigh the
     #: live ones (see :class:`repro.labeling.blockstore.BlockStore`).
     resume: bool = True
-    #: Sampling kernel of the generative stage's Gibbs chains (CD training):
-    #: ``"auto"``/``"vectorized"`` for the plan-based fused-color updates of
-    #: :mod:`repro.labelmodel.kernels`, ``"reference"`` for the exact
-    #: per-column loop.  The deterministic EM paths are kernel-independent.
-    gibbs_kernel: str = "auto"
     advantage_tolerance: float = 0.01
     generative_epochs: int = 20
-    generative_step_size: float = 0.05
     discriminative_epochs: int = 40
     num_features: int = 1024
     class_balance: Optional[float] = None
@@ -159,8 +153,15 @@ class PipelineConfig:
     #: Accepted and ignored: every run is out-of-core now, and callers
     #: written against the former materialized/streaming switch keep working.
     streaming: InitVar[Optional[bool]] = None
+    #: Accepted and ignored, with no effect on any run: the generative stage
+    #: is fit by EM, which samples nothing and takes no step size.  Kept only
+    #: because the end-to-end benchmark's traced pipeline reads both.
+    gibbs_kernel: InitVar[str] = "auto"
+    generative_step_size: InitVar[float] = 0.05
 
-    def __post_init__(self, streaming: Optional[bool]) -> None:
+    def __post_init__(
+        self, streaming: Optional[bool], gibbs_kernel: str, generative_step_size: float
+    ) -> None:
         if self.force_strategy not in (None, "MV", "GM"):
             raise ConfigurationError(
                 f"force_strategy must be None, 'MV' or 'GM', got {self.force_strategy!r}"
@@ -179,11 +180,7 @@ class PipelineConfig:
                 num_workers=self.applier_workers,
             )
             ModelingStrategyOptimizer(advantage_tolerance=self.advantage_tolerance)
-            GenerativeModel(
-                epochs=self.generative_epochs,
-                step_size=self.generative_step_size,
-                gibbs_kernel=self.gibbs_kernel,
-            )
+            GenerativeModel(epochs=self.generative_epochs)
             NoiseAwareLogisticRegression(
                 epochs=self.discriminative_epochs, class_balance=self.class_balance
             )
@@ -480,13 +477,7 @@ class SnorkelPipeline:
         if not use_generative:
             return strategy, None, majority_vote_proba(label_matrix)
 
-        model = GenerativeModel(
-            epochs=config.generative_epochs,
-            step_size=config.generative_step_size,
-            cardinality=cardinality,
-            gibbs_kernel=config.gibbs_kernel,
-            seed=config.seed,
-        )
+        model = GenerativeModel(epochs=config.generative_epochs, cardinality=cardinality)
         model.fit(label_matrix, correlations=correlations)
         return strategy, model, model.predict_proba(label_matrix)
 

@@ -32,9 +32,9 @@ The rows, their relation inside one tree, and why:
   hashed for earlier chunks never shows in a block — the warm side runs
   after another corpus and after chunks that fill the process's token table
   past its cap, the cold side in a fresh process.
-- ``label matrix readers dense == csr`` (bitwise): EM, CD under both Gibbs kernels,
-  Dawid–Skene, every statistic, voter and bound and the optimizer compute
-  on the CSR entries, so a dense-held Λ and its ``to_sparse()`` agree.
+- ``label matrix readers dense == csr`` (bitwise): EM, Dawid–Skene, every
+  statistic, voter and bound and the optimizer compute on the CSR entries,
+  so a dense-held Λ and its ``to_sparse()`` agree.
 - ``structure weights dense == csr`` (bitwise; across checkouts ≤ 1e-12,
   since the solver's summation order may move the last digits), its
   ``gemv-only`` case (bitwise across too: no node is stacked, so every
@@ -327,14 +327,14 @@ def em_fits(cases: dict):
 
 
 def plain(cases: dict, *more):
-    """The plain cases (× ``more``), which CD, Dawid–Skene and the online
-    model fit."""
+    """The plain cases (× ``more``), which Dawid–Skene and the online model
+    fit."""
     return itertools.product([(n, c) for n, c in cases.items() if n.endswith("plain")], *more)
 
 
 def label_models(storage: str) -> Callable:
-    """EM fits of every case; CD (both Gibbs kernels) and Dawid–Skene fits
-    of the first 200 rows of each plain one."""
+    """EM fits of every case; Dawid–Skene fits of the first 200 rows of each
+    plain one."""
 
     def side(cases: dict) -> dict:
         out = {}
@@ -343,14 +343,6 @@ def label_models(storage: str) -> Callable:
             inputs = {"train": matrix, **({} if "edge" in tag else tests_of(case))}
             model = GenerativeModel(epochs=epochs, class_balance=balance, seed=0)
             out.update(label_model_records(tag, model.fit(matrix, case.correlations), inputs))
-        for (name, case), (tag, settings, pairs) in plain(cases, [
-            ("0 pairs", {}, ()),
-            ("1 pairs", {}, [(0, 1)]),
-            ("reference kernel", dict(epochs=2, gibbs_kernel="reference"), [(0, 1)]),
-        ]):
-            model = GenerativeModel(**{"method": "cd", "epochs": 3, "seed": 0, **settings})
-            model.fit(held(case.values[:200], case.k, storage), correlations=pairs)
-            out.update(label_model_records(f"cd {name} {tag}", model, tests_of(case)))
         for (name, case), symmetric in plain(cases, (False, True)):
             matrix = held(case.values[:200], case.k, storage)
             model = DawidSkeneModel(case.k, max_iter=25, symmetric=symmetric).fit(matrix)
@@ -790,7 +782,6 @@ def staged_reference(task, config):
         correlations = strategy.correlations
     label_model = GenerativeModel(
         epochs=config.generative_epochs,
-        step_size=config.generative_step_size,
         cardinality=task.cardinality,
         seed=config.seed,
     ).fit(label_matrix, correlations=correlations)
@@ -1319,7 +1310,7 @@ CONTRACTS = (
     ),
     Contract(
         "label matrix readers dense == csr", label_matrices, {s: read_off(s) for s in STORAGES},
-        profiles=("k2", "k3", "k4", "edge", "correlated", "reference kernel", "symmetric", "WMV"),
+        profiles=("k2", "k3", "k4", "edge", "correlated", "symmetric", "WMV"),
     ),
     Contract(
         "structure weights dense == csr", sized, {s: structure(s, is_weights) for s in STORAGES},

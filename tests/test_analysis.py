@@ -63,6 +63,28 @@ from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
+#: Every ``repro`` module a bare ``import repro`` loads (the import budget).
+IMPORT_REPRO_LOADS = """
+repro
+repro.context repro.context.candidates repro.context.contexts repro.context.corpus
+repro.context.extraction repro.context.preprocessing
+repro.exceptions
+repro.labeling repro.labeling.analysis repro.labeling.applier repro.labeling.declarative
+repro.labeling.engine repro.labeling.engine.accumulator repro.labeling.engine.executors
+repro.labeling.engine.faults repro.labeling.engine.plan repro.labeling.engine.runtime
+repro.labeling.engine.tasks repro.labeling.generators repro.labeling.lf repro.labeling.matrix
+repro.labeling.pushdown repro.labeling.pushdown.compiler repro.labeling.pushdown.fields
+repro.labeling.pushdown.program repro.labeling.pushdown.task repro.labeling.source
+repro.labeling.sparse
+repro.labelmodel repro.labelmodel.advantage repro.labelmodel.dawid_skene repro.labelmodel.elbow
+repro.labelmodel.em repro.labelmodel.factor_graph repro.labelmodel.generative
+repro.labelmodel.majority repro.labelmodel.online repro.labelmodel.optimizer
+repro.labelmodel.structure repro.labelmodel.theory
+repro.types
+repro.utils repro.utils.csr repro.utils.mathutils repro.utils.rng repro.utils.textutils
+repro.utils.tokens repro.utils.validation
+""".split()
+
 
 # --------------------------------------------------------------------------
 # Planted-violation LFs (module level so inspect.getsource works).
@@ -158,6 +180,26 @@ _DRAW = _FixedDraw()
 @labeling_function()
 def lf_draws_from_a_global(x):
     return POSITIVE if _DRAW.random() > 0.5 else ABSTAIN
+
+
+_SEEDED_RANDOM = random.Random(0)
+_SEEDED_GENERATOR = np.random.default_rng(0)
+_SEEDED_STATE = np.random.RandomState(0)
+
+
+@labeling_function()
+def lf_draws_from_seeded_random(x):
+    return POSITIVE if _SEEDED_RANDOM.random() > 0.5 else ABSTAIN
+
+
+@labeling_function()
+def lf_draws_from_seeded_generator(x):
+    return POSITIVE if _SEEDED_GENERATOR.random() > 0.5 else ABSTAIN
+
+
+@labeling_function()
+def lf_draws_from_seeded_state(x):
+    return POSITIVE if _SEEDED_STATE.rand() > 0.5 else ABSTAIN
 
 
 @labeling_function()
@@ -321,6 +363,22 @@ class TestPlantedViolations:
         assert result.pushdown.detail.startswith(
             "compiler refused: non-name assignment target"
         ), result.pushdown.detail
+
+    @pytest.mark.parametrize(
+        "lf",
+        [lf_draws_from_seeded_random, lf_draws_from_seeded_generator, lf_draws_from_seeded_state],
+        ids=["random.Random", "Generator", "RandomState"],
+    )
+    def test_a_seeded_generator_shared_at_module_level_is_caught(self, lf):
+        # Seeding fixes the stream, not the label: every call advances the
+        # module's one generator, so a candidate's label depends on how many
+        # ran before it (an apply, a resume and a worker each see another).
+        candidates = list(range(64))
+        first = LFApplier([lf], pushdown="off").apply(candidates).values.copy()
+        assert not np.array_equal(first, LFApplier([lf], pushdown="off").apply(candidates).values)
+        assert "LF301" in analyze_lf(lf).codes()
+        with pytest.raises(LabelingError, match="LF301"):
+            LFApplier([lf], validate="error").apply(candidates)
 
     def test_lint_reads_a_rebound_global(self, monkeypatch):
         # The lint is not memoized: the same LF object, linted again after
@@ -561,17 +619,19 @@ class TestApplyWiring:
         assert calls == []
 
     def test_import_repro_loads_no_analysis_module(self):
+        # The import budget: a bare ``import repro`` loads exactly these
+        # modules (no ``repro.analysis*``), so a new eager import shows here.
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         script = (
             "import sys, repro\n"
-            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))\n"
+            "print('\\n'.join(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.split() == sorted(IMPORT_REPRO_LOADS)
 
     def test_validate_warn_does_not_block_warnings(self):
         # lf_clock carries only a WARNING (LF202): warn mode annotates, error

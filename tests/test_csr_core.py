@@ -290,11 +290,8 @@ online.drain().predict_proba(binary.values[:, [0, 2, 3, 4, 5, 0]])
 
 StructureLearner(seed=0).fit(binary)
 ModelingStrategyOptimizer().choose(binary.to_sparse())
-for kernel in ("vectorized", "reference"):
-    for matrix in (binary, ternary.to_sparse()):
-        GenerativeModel(method="cd", epochs=1, seed=0, gibbs_kernel=kernel).fit(
-            matrix, correlations=[(0, 1)]
-        ).predict_proba(matrix)
+for matrix in (binary, ternary.to_sparse()):
+    GenerativeModel(epochs=1).fit(matrix, correlations=[(0, 1)]).predict_proba(matrix)
 DawidSkeneModel(3).fit(ternary).predict_proba(ternary.to_sparse())
 DawidSkeneModel(2).fit(binary.values).predict()
 

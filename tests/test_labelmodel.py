@@ -9,6 +9,7 @@ from repro.datasets.synthetic import (
     generate_misspecification_example,
     generate_multiclass_label_matrix,
 )
+from repro.evaluation.metrics import f1_score
 from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling import LabelMatrix, SparseLabelMatrix
 from repro.labelmodel import (
@@ -24,6 +25,7 @@ from repro.labelmodel import (
 )
 from repro.labelmodel.dawid_skene import DawidSkeneModel
 from repro.labelmodel.majority import MultiClassMajorityVoter, majority_vote_proba
+from repro.types import probs_to_labels
 
 
 def test_majority_voter_basic():
@@ -138,12 +140,72 @@ def test_generative_model_correlations_fix_example_3_1():
     assert accuracies[5:].mean() > accuracies[:5].mean()
 
 
-def test_generative_model_cd_method_runs():
-    data = generate_label_matrix(num_points=300, num_lfs=5, propensity=0.5, seed=0)
-    model = GenerativeModel(method="cd", epochs=5, seed=0).fit(data.label_matrix)
-    probs = model.predict_proba(data.label_matrix)
-    assert probs.shape == (300,)
-    assert np.all((probs >= 0) & (probs <= 1))
+def planted_unipolar_matrix(
+    num_points=6000,
+    balance=0.08,
+    positive_precisions=np.linspace(0.82, 0.92, 6),
+    positive_rate=0.35,
+    negative_precisions=np.linspace(0.94, 0.96, 6),
+    negative_rate=0.30,
+    seed=0,
+):
+    """A binary Λ with planted truth in the regime Snorkel LFs are written in.
+
+    Each LF has one polarity and fires at a class-conditional rate: a
+    positive-only LF fires on ``positive_rate`` of the positives and on as
+    many negatives as give it the planted precision (its accuracy when it
+    votes), a negative-only LF the mirror image.  Returns ``(Λ, gold,
+    planted accuracies)``.
+    """
+    rng = np.random.default_rng(seed)
+    gold = np.where(rng.random(num_points) < balance, 1, -1)
+    base = {1: balance, -1: 1.0 - balance}
+    columns, accuracies = [], []
+    for polarity, precisions, rate in (
+        (1, positive_precisions, positive_rate),
+        (-1, negative_precisions, negative_rate),
+    ):
+        for precision in precisions:
+            # P(fire | wrong class) that makes P(y = polarity | fire) = precision.
+            off_rate = base[polarity] * rate * (1 - precision) / (base[-polarity] * precision)
+            fires = rng.random(num_points) < np.where(gold == polarity, rate, off_rate)
+            columns.append(np.where(fires, polarity, 0))
+            accuracies.append(precision)
+    return np.stack(columns, axis=1), gold, np.array(accuracies)
+
+
+def test_planted_unipolar_matrix_has_the_planted_regime():
+    """The oracle below is only as good as its generator: the drawn matrix
+    shows the planted balance, firing rates and precisions, and the
+    unweighted vote already labels it well."""
+    matrix, gold, planted = planted_unipolar_matrix()
+    assert abs((gold == 1).mean() - 0.08) < 0.01
+    for j, accuracy in enumerate(planted):
+        polarity = 1 if j < 6 else -1
+        fires = matrix[:, j] != 0
+        assert set(np.unique(matrix[:, j])) == {0, polarity}
+        assert abs(fires[gold == polarity].mean() - (0.35 if j < 6 else 0.30)) < 0.05
+        assert abs((gold[fires] == polarity).mean() - accuracy) < 0.05
+    majority_f1 = f1_score(gold, probs_to_labels(MajorityVoter().predict_proba(matrix)))
+    assert majority_f1 > 0.7
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP label-model item (b): EM's fixed point pins every positive-only "
+    "LF at chance (0.50) on unipolar, imbalanced suites, and its F1 falls below MV's",
+)
+@pytest.mark.parametrize("epochs", [10, 30, 100])
+def test_em_recovers_planted_unipolar_accuracies(epochs):
+    """Truth oracle: whatever the epoch budget, the learned accuracies lie
+    within a margin of the planted ones and the labels are no worse than the
+    unweighted vote's."""
+    matrix, gold, planted = planted_unipolar_matrix()
+    model = GenerativeModel(epochs=epochs).fit(matrix)
+    np.testing.assert_allclose(model.learned_accuracies(), planted, atol=0.1)
+    majority_f1 = f1_score(gold, probs_to_labels(MajorityVoter().predict_proba(matrix)))
+    model_f1 = f1_score(gold, probs_to_labels(model.predict_proba(matrix)))
+    assert model_f1 >= majority_f1 - 0.05
 
 
 def test_generative_model_validation_errors():
@@ -154,8 +216,6 @@ def test_generative_model_validation_errors():
             GenerativeModel(epochs=epochs)
         with pytest.raises(LabelModelError, match="epochs"):
             OnlineGenerativeModel(epochs=epochs)
-    with pytest.raises(LabelModelError):
-        GenerativeModel(method="bogus")
     with pytest.raises(NotFittedError):
         GenerativeModel().predict_proba(np.zeros((2, 2), dtype=int))
 
@@ -167,7 +227,7 @@ def test_class_balance_shifts_predictions():
     assert high.predict_proba(matrix).mean() > low.predict_proba(matrix).mean()
 
 
-@pytest.mark.parametrize("method", ["em", "cd"])
+@pytest.mark.parametrize("method", ["em"])  # the id keeps its estimator's name
 @pytest.mark.parametrize("cardinality", [2, 3])
 @pytest.mark.parametrize("sparse", [False, True])
 def test_fit_twice_equals_fresh_instance(method, cardinality, sparse):
@@ -175,8 +235,8 @@ def test_fit_twice_equals_fresh_instance(method, cardinality, sparse):
 
     Fitting the same instance twice — including an interleaved fit on a
     *different* matrix — must reproduce a fresh instance's fit bitwise, for
-    both estimators, both vocabularies, and both storages."""
-    rng = np.random.default_rng(cardinality * 10 + (method == "cd"))
+    both vocabularies and both storages."""
+    rng = np.random.default_rng(cardinality * 10)
     if cardinality == 2:
         matrix = rng.choice([-1, 0, 1], size=(120, 5), p=[0.3, 0.4, 0.3])
         other = rng.choice([-1, 0, 1], size=(80, 5), p=[0.2, 0.5, 0.3])
@@ -190,9 +250,7 @@ def test_fit_twice_equals_fresh_instance(method, cardinality, sparse):
         other = SparseLabelMatrix.from_dense(other)
 
     def make():
-        return GenerativeModel(
-            method=method, epochs=4, cardinality=cardinality, seed=7
-        )
+        return GenerativeModel(epochs=4, cardinality=cardinality, seed=7)
 
     fresh = make().fit(matrix, correlations=((0, 1),))
     reused = make()

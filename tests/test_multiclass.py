@@ -28,7 +28,6 @@ from repro.labelmodel import (
     MultiClassMajorityVoter,
     StructureLearner,
 )
-from repro.labelmodel.gibbs import GibbsSampler
 from repro.pipeline import PipelineConfig, SnorkelPipeline
 
 
@@ -164,48 +163,6 @@ def test_multiclass_supplied_class_balance_shifts_posteriors():
 def test_binary_path_rejects_categorical_values():
     with pytest.raises(LabelModelError):
         GenerativeModel(epochs=3).fit(np.array([[1, 3], [2, 0]]))
-
-
-# --------------------------------------------------------------- CD + Gibbs
-def test_cd_method_multiclass_runs(backend):
-    data = generate_multiclass_label_matrix(
-        num_points=200, num_lfs=5, cardinality=3, propensity=0.5, seed=6
-    )
-    dense = data.label_matrix
-    model = GenerativeModel(method="cd", epochs=3, seed=0).fit(dense)
-    probs = model.predict_proba(dense)
-    assert probs.shape == (200, 3)
-    assert np.allclose(probs.sum(axis=1), 1.0)
-    assert model.score(dense, data.gold_labels) > 1.0 / 3
-    sparse_model = GenerativeModel(method="cd", epochs=3, seed=0).fit(dense.to_sparse())
-    assert sparse_model.predict_proba(dense.to_sparse()).shape == (200, 3)
-
-
-def test_gibbs_sampler_multiclass_label_and_joint(backend):
-    data = generate_multiclass_label_matrix(
-        num_points=150, num_lfs=5, cardinality=4, propensity=0.5, seed=7
-    )
-    dense = data.label_matrix
-    sparse = dense.to_sparse()
-    model = GenerativeModel(epochs=5, seed=0).fit(dense)
-    sampler = GibbsSampler(model.spec, seed=0)
-    posteriors = sampler.label_posteriors(model.weights, dense.values)
-    assert posteriors.shape == (150, 4)
-    assert np.allclose(posteriors.sum(axis=1), 1.0)
-    assert np.allclose(posteriors, sampler.label_posteriors(model.weights, sparse.storage))
-    labels = sampler.sample_labels(model.weights, dense.values)
-    assert set(np.unique(labels)) <= {1, 2, 3, 4}
-    sampled, y = GibbsSampler(model.spec, seed=0).sample_joint(
-        model.weights, dense.values, sweeps=2
-    )
-    # The abstention pattern is held fixed; values stay in 1..k.
-    assert np.array_equal(sampled != 0, dense.values != 0)
-    assert sampled[sampled != 0].min() >= 1 and sampled.max() <= 4
-    sampled_sparse, y_sparse = GibbsSampler(model.spec, seed=0).sample_joint(
-        model.weights, sparse.storage, sweeps=2
-    )
-    assert np.array_equal(sampled_sparse.to_dense() != 0, dense.values != 0)
-    assert set(np.unique(y_sparse)) <= {1, 2, 3, 4}
 
 
 # -------------------------------------------------------- structure learning

@@ -29,8 +29,6 @@ from repro.labelmodel import (
     estimate_advantage_bound,
     modeling_advantage,
 )
-from repro.labelmodel.factor_graph import FactorGraphSpec
-from repro.labelmodel.gibbs import GibbsSampler
 from repro.labelmodel.majority import MultiClassMajorityVoter
 from repro.labelmodel.structure import _group_products, _spectral_norms_squared
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
@@ -109,13 +107,6 @@ def test_matvec_row_sums_and_csc(backend):
         expected = np.flatnonzero(EDGE[:, j] != ABSTAIN)
         assert rows.tolist() == expected.tolist()
         assert vals.tolist() == EDGE[expected, j].tolist()
-
-
-def test_with_csc_data_preserves_pattern(backend):
-    storage = SparseLabelMatrix.from_dense(EDGE)
-    _, _, vals = storage.csc()
-    flipped = storage.with_csc_data(-vals)
-    assert np.array_equal(flipped.to_dense(), -EDGE)
 
 
 def test_select_rows_and_columns(backend):
@@ -300,39 +291,6 @@ def test_em_equivalence_with_edge_rows_and_columns(backend):
     )
     assert np.array_equal(dense_model.weights, sparse_model.weights)
     assert_matches_reference(sparse_model, EDGE, 2, epochs=10)
-
-
-def test_cd_method_accepts_sparse(backend):
-    data = generate_label_matrix(num_points=200, num_lfs=5, propensity=0.3, seed=0)
-    model = GenerativeModel(method="cd", epochs=3, seed=0).fit(data.label_matrix.to_sparse())
-    probs = model.predict_proba(data.label_matrix.to_sparse())
-    assert probs.shape == (200,)
-    assert np.all((probs >= 0) & (probs <= 1))
-
-
-def test_gibbs_dense_sparse_equivalence(backend, correlated_data):
-    dense = correlated_data.label_matrix
-    sparse = dense.to_sparse()
-    spec = FactorGraphSpec(dense.num_lfs, correlated_data.correlated_pairs)
-    weights = spec.initial_weights()
-    weights[spec.layout.correlation_slice] = 0.8
-    dense_sampler = GibbsSampler(spec, seed=11)
-    sparse_sampler = GibbsSampler(spec, seed=11)
-    assert np.allclose(
-        dense_sampler.label_posteriors(weights, dense.values),
-        sparse_sampler.label_posteriors(weights, sparse),
-        atol=1e-12,
-    )
-    y = np.where(np.random.default_rng(5).random(dense.num_candidates) < 0.5, 1, -1)
-    dense_sample = dense_sampler.sample_lf_outputs(weights, dense.values, y, sweeps=2)
-    sparse_sample = sparse_sampler.sample_lf_outputs(weights, sparse, y, sweeps=2)
-    assert isinstance(sparse_sample, SparseLabelMatrix)
-    assert np.array_equal(dense_sample, sparse_sample.to_dense())
-    # The abstention pattern is held fixed.
-    assert np.array_equal(sparse_sample.indices, sparse.storage.indices)
-    sampled_matrix, sampled_y = sparse_sampler.sample_joint(weights, sparse, sweeps=1)
-    assert isinstance(sampled_matrix, SparseLabelMatrix)
-    assert sampled_y.shape == (dense.num_candidates,)
 
 
 def test_structure_dense_sparse_equivalence(backend, correlated_data):

@@ -599,11 +599,16 @@ def test_pipeline_equals_staged_reference(pipeline_case, backend, workers):
 
 
 def test_config_accepts_and_ignores_streaming_keyword():
-    """``streaming=`` is no longer a mode: accepted, not stored."""
+    """``streaming=`` is no longer a mode, and ``gibbs_kernel=`` /
+    ``generative_step_size=`` tune no estimator: accepted, not stored."""
     config = PipelineConfig(streaming=True, sparse_labels=True)
     names = {spec.name for spec in dataclasses.fields(config)}
-    assert "streaming" not in names and len(names) == 18
+    inert = {"streaming", "gibbs_kernel", "generative_step_size"}
+    assert not inert & names and len(names) == 16
     assert config == PipelineConfig(streaming=False, sparse_labels=True)
+    assert config == PipelineConfig(
+        sparse_labels=True, gibbs_kernel="reference", generative_step_size=0.2
+    )
 
 
 def test_run_streams_requires_lfs():
