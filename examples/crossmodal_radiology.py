@@ -27,7 +27,7 @@ def main() -> None:
     print(f"{len(train)} training reports, {len(test)} test reports, {len(task.lfs)} report LFs")
 
     label_matrix = LFApplier(task.lfs).apply(train)
-    label_model = GenerativeModel(epochs=10, seed=0).fit(label_matrix)
+    label_model = GenerativeModel(epochs=10).fit(label_matrix)
     soft_labels = label_model.predict_proba(label_matrix)
 
     image_model = ImageFeatureClassifier(epochs=60, seed=0)

@@ -32,9 +32,7 @@ def main() -> None:
     # The task publishes its latent sentiment skew; supplying it as the
     # class balance exercises the known-prior path (omit it and the k-ary EM
     # re-estimates a damped prior vector instead).
-    label_model = GenerativeModel(
-        epochs=20, class_balance=task.metadata["class_prior"], seed=0
-    ).fit(matrix)
+    label_model = GenerativeModel(epochs=20, class_balance=task.metadata["class_prior"]).fit(matrix)
     posteriors = label_model.predict_proba(matrix)  # (m, 5) class distributions
 
     gold_train = task.split_gold("train")

@@ -74,7 +74,7 @@ def main() -> None:
     # --- the exactness claim: draining the stream reproduces the batch fit
     # on the full matrix bit for bit.
     drained = online.drain()
-    batch = GenerativeModel(epochs=20, seed=0).fit(data.label_matrix.to_sparse())
+    batch = GenerativeModel(epochs=20).fit(data.label_matrix.to_sparse())
     assert np.array_equal(drained.weights, batch.weights)
     served_probs = np.concatenate([result.probs for result in served])
     assert np.array_equal(served_probs, batch.predict_proba(dense))
@@ -101,7 +101,7 @@ def main() -> None:
     # matrix from scratch.
     grown = np.column_stack([dense, votes])
     [fresh] = list(online.serve_posteriors([grown[:CHUNK_SIZE]]))
-    refit = GenerativeModel(epochs=20, seed=0).fit(SparseLabelMatrix.from_dense(grown))
+    refit = GenerativeModel(epochs=20).fit(SparseLabelMatrix.from_dense(grown))
     assert np.array_equal(online.drain().weights, refit.weights)
     learned = online.drain().learned_accuracies()
     print(f"post-edit serve at version {fresh.model_version}; "
@@ -115,7 +115,7 @@ def main() -> None:
     reduced = np.delete(grown, worst, axis=1)
     assert np.array_equal(
         online.drain().weights,
-        GenerativeModel(epochs=20, seed=0).fit(SparseLabelMatrix.from_dense(reduced)).weights,
+        GenerativeModel(epochs=20).fit(SparseLabelMatrix.from_dense(reduced)).weights,
     )
     print(f"removed LF {worst}: drain ≡ refit on the reduced matrix (bitwise)")
 

@@ -56,7 +56,7 @@ def main() -> None:
     print(f"\nlabel density d_Lambda = {label_matrix.label_density():.2f}")
 
     # 4. Fit the generative label model (no ground truth used).
-    label_model = GenerativeModel(epochs=10, seed=0).fit(label_matrix)
+    label_model = GenerativeModel(epochs=10).fit(label_matrix)
     probabilistic_labels = label_model.predict_proba(label_matrix)
 
     # 5. Train a noise-aware discriminative model on candidate features.

@@ -16,7 +16,10 @@ drives the full fault matrix the fault-injection layer
 * a byte of the log's 2nd record flipped *after* its durable append: by
   the prefix rule the reopen keeps only the record before it, and every
   chunk from it on re-executes;
-* a store of per-key block files in the previous format (it reopens
+* a completed log of the previous record format, ``RBLK4``, which stored
+  row ids and training posteriors (it reopens empty, and the resumed run
+  recomputes everything);
+* a store of per-key block files in the format before the log (it reopens
   empty, the files inside ``blocks/`` are removed, and the resumed run
   recomputes everything);
 * a format-2 store whose ``index.jsonl`` names a path outside
@@ -178,6 +181,22 @@ def as_per_key_files(root: str, magic: bytes) -> None:
     os.unlink(os.path.join(root, "blocks", "log"))
 
 
+def as_log_of(root: str, magic: bytes) -> None:
+    """Re-stamp every record of the log at ``root`` with ``magic`` (and the
+    crc32 that matches it), as a log of that record format holds them."""
+    path = os.path.join(root, "blocks", "log")
+    with open(path, "rb") as handle:
+        log = handle.read()
+    records, start = [], 0
+    while start < len(log):
+        end = start + int.from_bytes(log[start + len(magic) : start + len(magic) + 8], "little")
+        body = magic + log[start + len(magic) : end - 4]
+        records.append(body + zlib.crc32(body).to_bytes(4, "little"))
+        start = end
+    with open(path, "wb") as handle:
+        handle.write(b"".join(records))
+
+
 def reopens_empty(root: str, scenario: str) -> None:
     """Opening the store at ``root`` holds no key and leaves ``blocks/``
     empty, whatever per-key files it held."""
@@ -294,15 +313,27 @@ def main() -> int:
         assert_bitwise(run_pipeline(root), reference, "corrupt record resume")
         print("corrupt record 2: the log ends before it, chunks from it on recomputed, bitwise")
 
-        # --- a completed store in the previous format, per-key block files:
-        # it must reopen empty, and the run recomputes everything.
+        # --- a completed log of the previous record format: it must reopen
+        # empty, and the run recomputes everything.
+        root = os.path.join(tmp, "rblk4-log")
+        stores.append(root)
+        run_pipeline(root)
+        as_log_of(root, b"RBLK4\n")
+        with BlockStore(root) as store:
+            assert store.keys() == [], f"RBLK4 log: records survived: {store.keys()}"
+        assert os.path.getsize(os.path.join(root, "blocks", "log")) == 0, "RBLK4 log kept"
+        assert_bitwise(run_pipeline(root), reference, "RBLK4 log resume")
+        print("RBLK4 log: reopened empty, recomputed bitwise")
+
+        # --- a completed store in the format before the log, per-key block
+        # files: it must reopen empty, and the run recomputes everything.
         root = os.path.join(tmp, "old-format")
         stores.append(root)
         run_pipeline(root)
         as_per_key_files(root, b"RBLK3\n")
-        reopens_empty(root, "previous-format store")
-        assert_bitwise(run_pipeline(root), reference, "previous-format resume")
-        print("previous-format store: reopened empty, its files removed, recomputed bitwise")
+        reopens_empty(root, "per-key-file store")
+        assert_bitwise(run_pipeline(root), reference, "per-key-file store resume")
+        print("per-key-file store: reopened empty, its files removed, recomputed bitwise")
 
         # --- a format-2 store whose index names a file outside blocks/:
         # it reopens empty, recovery never touches the index or the path,

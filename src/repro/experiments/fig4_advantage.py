@@ -106,7 +106,7 @@ def run(
             label_matrix = data.label_matrix
             gold_labels = data.gold_labels
             lf_accuracies = data.lf_accuracies
-        model = GenerativeModel(epochs=epochs, seed=seed).fit(label_matrix)
+        model = GenerativeModel(epochs=epochs).fit(label_matrix)
         learned = modeling_advantage(label_matrix, gold_labels, model.accuracy_weights)
         optimal = optimal_advantage(label_matrix, gold_labels, lf_accuracies)
         bound = estimate_advantage_bound(label_matrix)

@@ -39,7 +39,6 @@ def _sweep(
     gold: np.ndarray,
     thresholds: list[float],
     epochs: int,
-    seed: int,
 ) -> StructureSweepResult:
     learner = StructureLearner().fit(label_matrix)
     counts = []
@@ -47,9 +46,7 @@ def _sweep(
     for threshold in thresholds:
         correlations = learner.select(threshold)
         counts.append(len(correlations))
-        model = GenerativeModel(epochs=epochs, seed=seed).fit(
-            label_matrix, correlations=correlations
-        )
+        model = GenerativeModel(epochs=epochs).fit(label_matrix, correlations=correlations)
         scores.append(f1_score(gold, model.predict(label_matrix)))
     elbow = select_elbow_point(thresholds, counts)
     return StructureSweepResult(
@@ -69,7 +66,7 @@ def run_simulation_panel(
     data = generate_correlated_label_matrix(
         num_points=800, num_independent=8, num_groups=6, group_size=3, seed=seed
     )
-    return _sweep("simulation", data.label_matrix, data.gold_labels, thresholds, epochs, seed)
+    return _sweep("simulation", data.label_matrix, data.gold_labels, thresholds, epochs)
 
 
 def run_task_panel(
@@ -84,7 +81,7 @@ def run_task_panel(
     task = load_task(task_name, scale=scale, seed=seed)
     matrix = LFApplier(task.lfs).apply(task.split_candidates("train"))
     gold = task.split_gold("train")
-    return _sweep(task_name, matrix, gold, thresholds, epochs, seed)
+    return _sweep(task_name, matrix, gold, thresholds, epochs)
 
 
 def format_table(result: StructureSweepResult) -> str:

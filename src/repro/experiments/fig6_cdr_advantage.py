@@ -47,7 +47,7 @@ def run(
         for _ in range(repeats):
             columns = rng.choice(full_matrix.num_lfs, size=size, replace=False)
             subset = full_matrix.select_lfs(sorted(int(c) for c in columns))
-            model = GenerativeModel(epochs=epochs, seed=seed).fit(subset)
+            model = GenerativeModel(epochs=epochs).fit(subset)
             advantages.append(modeling_advantage(subset, gold, model.accuracy_weights))
             bounds.append(estimate_advantage_bound(subset))
         points.append(

@@ -50,7 +50,7 @@ def run(
         task = load_task(task_name, scale=scale, seed=seed)
         matrix = LFApplier(task.lfs).apply(task.split_candidates("train"))
         gold = task.split_gold("train")
-        model = GenerativeModel(epochs=epochs, seed=seed).fit(matrix)
+        model = GenerativeModel(epochs=epochs).fit(matrix)
         advantage = modeling_advantage(matrix, gold, model.accuracy_weights)
         bound = estimate_advantage_bound(matrix)
         optimizer = ModelingStrategyOptimizer(

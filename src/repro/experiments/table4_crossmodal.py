@@ -70,7 +70,7 @@ def _radiology(scale: float, seed: int, epochs: int) -> tuple[float, float]:
     train = task.split_candidates("train")
     test = task.split_candidates("test")
     matrix = LFApplier(task.lfs).apply(train)
-    label_model = GenerativeModel(epochs=10, seed=seed).fit(matrix)
+    label_model = GenerativeModel(epochs=10).fit(matrix)
     soft_labels = label_model.predict_proba(matrix)
 
     train_features = extract_image_features(train)

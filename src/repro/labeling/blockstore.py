@@ -17,7 +17,9 @@ arrive at the master, with three layers:
     the put that starts an empty log also fsyncs ``blocks/`` — so a block
     is durable when ``put`` returns.  There is no group commit: a
     checkpointed run's time did not go to fsyncs but to the files it
-    created, renamed and deleted, one per block.
+    created, renamed and deleted, one per block.  The log keeps disk
+    reserved ahead of its end (:data:`RESERVE`), so its appends fill one
+    extent and deleting it frees one.
 
     *The prefix rule.*  Opening a store scans the log once and keeps its
     longest valid prefix: the first record whose length, crc, magic or
@@ -53,20 +55,25 @@ arrive at the master, with three layers:
     durably complete, and reloads them as results indistinguishable from
     freshly computed ones — the replayed result flows through the same
     accumulator transform chain, which is what makes a resumed run
-    bit-identical to an uninterrupted one.  A full disk degrades rather
-    than kills: the first failed write warns and disables further
-    checkpointing, and the labeling run continues in RAM.
+    bit-identical to an uninterrupted one.  A record holds only what a
+    resume cannot derive: a block's row ids that do not decrease (every
+    producer's order) are stored as one count per row, from which
+    ``np.repeat`` rebuilds them bit for bit, and any other row ids as
+    given.  A full disk degrades rather than kills: the first failed write
+    warns and disables further checkpointing, and the labeling run
+    continues in RAM.
 
 :meth:`ChunkCheckpointer.feature_blocks`
     Reads each chunk's stored feature block once, at the end of the pass,
     through one mapping of the log, and keeps its column ids and values in
     the narrow dtypes they were stored in (int16 columns and int8 counts for
     hashed n-grams: 3 B per entry against the 16 B of int64 + float64),
-    copied out of the mapping into arrays the run owns.  The end model then
-    trains on them exactly as on an in-RAM run's blocks: shrunk in place to
-    the kept rows and planned once per fit.  X is resident, narrow — the
-    "Λ + X CSR bytes" of the memory target — and the log is never written
-    through.
+    copied out of the mapping into arrays the run owns, and takes its
+    ``indptr`` from the cumulative sum of its stored row counts.  The end
+    model then trains on them exactly as on an in-RAM run's blocks: shrunk
+    in place to the kept rows and planned once per fit.  X is resident,
+    narrow — the "Λ + X CSR bytes" of the memory target — and the log is
+    never written through.
 
 Fault-injection hooks (:mod:`repro.labeling.engine.faults`) are threaded
 through the write path so the crash-recovery gate can deterministically
@@ -75,6 +82,7 @@ produce torn records, full disks, and mid-pass master deaths.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
 import math
@@ -97,7 +105,7 @@ __all__ = ["BlockStore", "ChunkCheckpointer", "EpochCheckpoint"]
 #: First bytes of every record; bumping the trailing digit invalidates all
 #: existing stores (an open stops at the first record without it, so they
 #: recover as empty and their chunks re-execute).
-MAGIC = b"RBLK4\n"
+MAGIC = b"RBLK5\n"
 
 #: Records start, and their payloads are aligned, at multiples of this many
 #: bytes of the log, so a view of any standard dtype is well-aligned.
@@ -119,6 +127,22 @@ _NARROW = tuple(np.dtype(f"<i{size}") for size in (1, 2, 4, 8))
 #: Keys are path-like identifiers; ``/`` separates namespaces.
 _KEY_RE = re.compile(r"^[A-Za-z0-9._/-]+$")
 
+#: The log keeps disk allocated ahead of its end, in power-of-two multiples
+#: of this many bytes (see :func:`_write_synced`), so its fsynced appends
+#: fill one reserved extent instead of each asking the allocator for blocks,
+#: which can scatter a 1.8 MB log over five extents.  Deleting a file costs
+#: per extent where freed blocks are discarded (≈ 0.06 s an extent, whatever
+#: its length, on ext4 mounted ``discard`` over a virtio disk), so a
+#: reserved log is cheaper to delete, at the price of up to twice its bytes,
+#: at least 4 MiB, of disk until it is deleted.
+RESERVE = 4 << 20
+
+try:  # Linux's fallocate(2); elsewhere the log allocates as it grows
+    _fallocate = ctypes.CDLL(None).fallocate
+    _fallocate.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_int64)
+except (AttributeError, OSError, TypeError):
+    _fallocate = None
+
 
 def _key_family(key: str) -> str:
     """The reclamation grouping of a key: everything before its last segment.
@@ -138,10 +162,18 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _write_synced(path: str, flags: int, chunks) -> None:
+def _write_synced(path: str, flags: int, chunks, end: int = 0) -> None:
     """Write ``chunks`` to ``path``, opened (and created if need be) with
-    ``flags``, and fsync it before returning."""
+    ``flags``, and fsync it before returning.
+
+    With ``end`` (the file's size after the write), first ask the file
+    system to keep the file allocated up to the smallest power-of-two
+    multiple of :data:`RESERVE` that holds ``end``, without changing its
+    size — a hint: where it is refused or unsupported, the write allocates
+    as it goes."""
     with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT | flags, 0o644), "wb") as handle:
+        if end and _fallocate is not None:  # mode 1 is FALLOC_FL_KEEP_SIZE
+            _fallocate(handle.fileno(), 1, 0, RESERVE << ((end - 1) // RESERVE).bit_length())
         for chunk in chunks:
             handle.write(chunk)
         handle.flush()
@@ -174,6 +206,17 @@ def _narrowed(array: np.ndarray) -> np.ndarray:
         if not np.array_equal(back.reshape(-1).view(bits), array.reshape(-1).view(bits)):
             return array
     return narrow
+
+
+def _row_counts(ids: np.ndarray, rows: int) -> Optional[np.ndarray]:
+    """How many of ``ids`` name each of ``rows`` rows, when they are row ids
+    in ``[0, rows)`` that do not decrease — the order every producer emits,
+    which ``np.repeat`` rebuilds from the counts — else ``None``."""
+    if ids.dtype.kind not in "iu" or ids.ndim != 1 or ids.size and (
+        ids[0] < 0 or ids[-1] >= rows or (ids[1:] < ids[:-1]).any()
+    ):
+        return None
+    return np.bincount(ids.astype(np.intp, copy=False), minlength=rows)
 
 
 def _encode(key: str, epoch: Optional[int], arrays: dict[str, np.ndarray], meta: dict) -> bytes:
@@ -322,7 +365,7 @@ class BlockStore:
             self._rewrite()
         start = self._size
         try:
-            _write_synced(self._path, os.O_APPEND, [record])
+            _write_synced(self._path, os.O_APPEND, [record], start + len(record))
         except OSError:
             self._torn = True  # what reached the log must not precede the next record
             raise
@@ -376,14 +419,15 @@ class BlockStore:
         self._records, self._live, self._size = records, size, size
         self._torn, self._mapped = False, None
 
-    def delete(self, key: str) -> bool:
-        """Durably remove a key: the log is rewritten without its record.
-        Returns whether the key existed."""
-        if key not in self._records:
-            return False
-        self._forget(key)
-        self._rewrite()
-        return True
+    def delete(self, *keys: str) -> int:
+        """Durably remove keys: the log is rewritten once without their
+        records.  Returns how many of them the store held."""
+        held = self._records.keys() & keys
+        for key in held:
+            self._forget(key)
+        if held:
+            self._rewrite()
+        return len(held)
 
     # ---------------------------------------------------------------- reads
     def _map(self, end: int) -> mmap.mmap:
@@ -460,7 +504,8 @@ class ChunkCheckpointer:
     ``record`` persists a freshly computed :class:`ChunkResult` before the
     accumulator transform consumes it; ``replay`` reconstructs the label
     half of a durably recorded one (triple arrays read from the mapped
-    log), which a resumed run feeds through the identical transform
+    log, row ids rebuilt from their counts), which a resumed run feeds
+    through the identical transform
     chain, and :meth:`feature_blocks` its feature block once the pass is
     over.  ``completed`` is the set of chunk indices the store holds —
     ``run_plan`` skips exactly these.
@@ -488,14 +533,22 @@ class ChunkCheckpointer:
         return f"chunk/{self.split}/{index}"
 
     def record(self, result: ChunkResult) -> None:
+        """Durably store a freshly computed result: its metadata pickled, its
+        arrays as ``a0``..``a5`` in :func:`detach_arrays`' order — except
+        that a block's row ids (``a0``, ``a3``) that do not decrease are
+        stored as per-row counts, and the record's ``meta["counts"]`` maps
+        their names to the ids' dtype."""
         if self.disabled or result.index in self.completed:
             return
         meta, arrays = detach_arrays(result)
-        named = {"meta": np.frombuffer(pickle.dumps(meta), dtype=np.uint8)}
-        for position, array in enumerate(arrays):
+        named, counted = {"meta": np.frombuffer(pickle.dumps(meta), dtype=np.uint8)}, {}
+        for position, array in enumerate(map(np.asarray, arrays)):
+            rows = (result, result.features)[position // 3].num_candidates
+            if not position % 3 and (counts := _row_counts(array, rows)) is not None:
+                counted[f"a{position}"], array = array.dtype.str, counts
             named[f"a{position}"] = array
         try:
-            self.store.put(self._key(result.index), named)
+            self.store.put(self._key(result.index), named, {"counts": counted})
         except OSError as exc:
             _disable(self, f"chunk checkpointing disabled after write failure on chunk "
                            f"{result.index} ({exc})")
@@ -506,10 +559,14 @@ class ChunkCheckpointer:
         """A durably recorded chunk's result without its feature block, which
         is not decoded: the accumulator transform drops a replayed chunk's
         features, and :meth:`feature_blocks` reads them once the pass is
-        over."""
-        arrays = self.store._read(self._key(index), ("meta", "a0", "a1", "a2"))[0]
+        over.  Row ids stored as counts are rebuilt in their own dtype by
+        ``np.repeat``; the result equals the recorded one bit for bit."""
+        arrays, stored = self.store._read(self._key(index), ("meta", "a0", "a1", "a2"))
         meta = pickle.loads(arrays["meta"].tobytes())
         meta.features = None
+        dtype = stored["counts"].get("a0")
+        if dtype is not None:
+            arrays["a0"] = np.repeat(np.arange(arrays["a0"].size, dtype=dtype), arrays["a0"])
         return attach_arrays(meta, [arrays["a0"], arrays["a1"], arrays["a2"]])
 
     def feature_blocks(self, num_blocks: int, output_dim: int, overrides: dict) -> list:
@@ -518,7 +575,9 @@ class ChunkCheckpointer:
         A stored block is read once, through one mapping of the log: its
         column ids and values stay in the dtypes they were stored in, copied
         out of the mapping into arrays the caller owns (so it may shrink
-        them in place), and its ``indptr`` is built from its row ids.  The
+        them in place), and its ``indptr`` is the cumulative sum of its
+        stored row counts (a block whose row ids are not row-major has
+        none, and raises, as ``CSRFeatureMatrix.from_triples`` does).  The
         CSR container carries narrow arrays as they are, since every product
         and carve of it gathers, multiplies or assigns into float64, which
         holds any stored integer exactly.  ``overrides`` are the blocks a
@@ -535,16 +594,14 @@ class ChunkCheckpointer:
             if index in overrides:
                 blocks.append(overrides[index])
                 continue
-            arrays, _ = self.store._read(self._key(index), ("meta", "a3", "a4", "a5"), False)
-            features = pickle.loads(arrays["meta"].tobytes()).features
-            if features is None:
-                raise LabelingError(
-                    f"stored chunk {index} has no feature block (was the pass fused?)"
-                )
-            rows = features.num_candidates
-            indptr = np.zeros(rows + 1, dtype=np.int64)
-            np.cumsum(np.bincount(arrays["a3"], minlength=rows), out=indptr[1:])
-            shape = (rows, output_dim)
+            arrays, stored = self.store._read(self._key(index), ("a3", "a4", "a5"), False)
+            if "a3" not in stored["counts"]:
+                raise LabelingError(f"stored chunk {index} has no row-major feature block "
+                                    f"(was the pass fused?)")
+            counts = arrays["a3"]
+            indptr = np.zeros(counts.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            shape = (counts.size, output_dim)
             blocks.append(CSRFeatureMatrix._carved(indptr, arrays["a4"], arrays["a5"], shape))
         return blocks
 
@@ -556,11 +613,9 @@ class ChunkCheckpointer:
         the pipeline calls this after every checkpointed pass.  Returns the
         number deleted.
         """
-        stale = sorted(index for index in self.completed if index >= num_chunks)
-        for index in stale:
-            self.store.delete(self._key(index))
-            self.completed.discard(index)
-        return len(stale)
+        stale = {index for index in self.completed if index >= num_chunks}
+        self.completed -= stale
+        return self.store.delete(*map(self._key, stale))
 
 
 class EpochCheckpoint:

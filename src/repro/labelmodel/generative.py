@@ -101,9 +101,8 @@ class GenerativeModel:
         :class:`LabelMatrix` input and falls back to 2 for raw arrays; pass
         it explicitly when fitting raw categorical arrays.
     seed:
-        Accepted and ignored: EM draws nothing.  Kept because callers
-        (the end-to-end benchmark, :class:`repro.labelmodel.online.OnlineGenerativeModel`
-        and five modules of :mod:`repro.experiments`) pass it.
+        Accepted and ignored: EM draws nothing.  Kept only because the
+        end-to-end benchmark passes it.
     step_size, gibbs_kernel:
         Accepted and ignored, with no effect on the fit: EM takes no
         gradient step and runs no sampler.  Kept only because the end-to-end
@@ -124,7 +123,6 @@ class GenerativeModel:
         self.epochs = epochs
         self.class_balance = class_balance
         self.cardinality = cardinality
-        self.seed = seed
 
         self.spec: Optional[FactorGraphSpec] = None
         self.weights: Optional[np.ndarray] = None
@@ -239,7 +237,6 @@ class GenerativeModel:
         coverage: Optional[np.ndarray] = None,
         pair_agreement: Optional[np.ndarray] = None,
         history: Optional[TrainingHistory] = None,
-        seed: SeedLike = 0,
     ) -> "GenerativeModel":
         """A fitted EM model assembled from kernel outputs (no training).
 
@@ -248,11 +245,7 @@ class GenerativeModel:
         and its results.  ``coverage=None`` leaves the propensity weights
         unlearned.
         """
-        model = cls(
-            cardinality=spec.cardinality,
-            seed=seed,
-            **asdict(params),
-        )
+        model = cls(cardinality=spec.cardinality, **asdict(params))
         if history is not None:
             model.history = history
         weights, class_prior = model._em_weights(spec, accuracies, prior, pair_agreement)

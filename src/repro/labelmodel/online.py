@@ -129,7 +129,6 @@ class OnlineGenerativeModel:
         if cardinality is not None and cardinality < 2:
             raise LabelModelError(f"cardinality must be >= 2 when given, got {cardinality}")
         self.params = EMParams(epochs=epochs, class_balance=class_balance)
-        self.seed = seed
         self.cardinality = cardinality
         self.class_balance = class_balance
         self.max_staleness = max_staleness
@@ -425,7 +424,6 @@ class OnlineGenerativeModel:
             coverage=entries.vote_counts / self.num_rows_,
             pair_agreement=entries.pair_agreement,
             history=history,
-            seed=self.seed,
         )
         # Re-anchor the warm state at the converged solution.
         self.accuracies_ = model.learned_accuracies()
@@ -465,7 +463,7 @@ class OnlineGenerativeModel:
         if self.num_rows_ > 0:
             coverage = self.vote_counts_ / self.num_rows_
         self._warm_model = GenerativeModel.from_em(
-            self.params, self._spec(), self.accuracies_, prior, coverage=coverage, seed=self.seed
+            self.params, self._spec(), self.accuracies_, prior, coverage=coverage
         )
         self._warm_version = self.model_version_
         return self._warm_model

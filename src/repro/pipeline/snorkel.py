@@ -36,8 +36,11 @@ the end model trains from the block stream via ``fit_stream`` on the
 deterministic stream-order minibatch schedule — neither a candidate list nor
 a dense ``(m, d)`` feature matrix is ever built by the pipeline.  With
 ``PipelineConfig.checkpoint_dir`` set, the same run persists its chunk
-results, label-modeling outcome and per-epoch end-model state, and a
-restarted run resumes bit-identically.
+results, the fitted label model and per-epoch end-model state, and a
+restarted run resumes bit-identically.  The checkpoints hold only what a
+resume cannot re-derive: a chunk's row ids are stored as per-row counts,
+and the training posteriors are recomputed from the stored model by the
+same call that computed them on the uninterrupted run.
 
 The pipeline never touches training-split gold labels; they exist in the
 task datasets purely so the benchmark harness can report oracle statistics.
@@ -92,6 +95,14 @@ EXECUTION_ONLY_FIELDS = frozenset(
 )
 
 
+def _posteriors(model: Optional[GenerativeModel], label_matrix: LabelMatrix) -> np.ndarray:
+    """The label-model stage's probabilistic labels of ``label_matrix``: the
+    generative model's posteriors, or the majority vote's without one."""
+    if model is None:
+        return majority_vote_proba(label_matrix)
+    return model.predict_proba(label_matrix)
+
+
 @dataclass
 class PipelineConfig:
     """Configuration of one pipeline execution."""
@@ -126,12 +137,13 @@ class PipelineConfig:
     chunk_size: int = 1024
     #: Root directory of the crash-safe block store
     #: (:mod:`repro.labeling.blockstore`).  When set, every fused chunk
-    #: result, the label-modeling output, and the end model's per-epoch
-    #: training state are persisted durably as the run progresses — each a
-    #: record appended to the one log file ``blocks/log`` and fsynced before
-    #: the run goes on — and a restarted run resumes from the last durable
-    #: point with bit-identical results.  ``None`` (default) keeps
-    #: everything in RAM.
+    #: result (its row ids as per-row counts), the label-modeling strategy
+    #: and fitted model (not the posteriors, which a resume recomputes), and
+    #: the end model's per-epoch training state are persisted durably as the
+    #: run progresses — each a record appended to the one log file
+    #: ``blocks/log`` and fsynced before the run goes on — and a restarted
+    #: run resumes from the last durable point with bit-identical results.
+    #: ``None`` (default) keeps everything in RAM.
     checkpoint_dir: Optional[str] = None
     #: With ``checkpoint_dir`` set: resume from compatible existing
     #: checkpoints (the default), or clear the store and start fresh.  A
@@ -319,8 +331,8 @@ class SnorkelPipeline:
         timings["label_modeling"] = time.perf_counter() - start
 
         test_gold = np.asarray(test_gold)
-        generative_report = self._generative_report(
-            cardinality, generative_model, test_matrix, test_gold
+        generative_report = self._score_probabilities(
+            cardinality, test_gold, _posteriors(generative_model, test_matrix)
         )
 
         start = time.perf_counter()
@@ -426,30 +438,35 @@ class SnorkelPipeline:
 
         The stage is deterministic given Λ and the config, so a resumed run
         recomputing it would produce the identical result — the checkpoint
-        only buys back its wall-clock.  A full disk degrades with a warning,
-        exactly like the chunk checkpointer.
+        only buys back the fit's wall-clock.  It stores the strategy and the
+        fitted model (≈ 1 KB), not the ``(m,)`` or ``(m, k)`` posteriors:
+        :func:`_posteriors` computes those from the model on the fresh and
+        the resumed run alike, so both return the same bits.  A full disk
+        degrades with a warning, exactly like the chunk checkpointer.
         """
         key = "phase/label_modeling"
         if store is not None and key in store:
-            return store.get_pickle(key)
-        outcome = self._label_modeling(label_matrix)
-        if store is not None:
-            try:
-                store.put_pickle(key, outcome)
-            except OSError as exc:
-                warnings.warn(
-                    f"label-modeling checkpoint skipped after write failure "
-                    f"({exc}); the run continues without it",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        return outcome
+            strategy, model = store.get_pickle(key)
+        else:
+            strategy, model = self._label_modeling(label_matrix)
+            if store is not None:
+                try:
+                    store.put_pickle(key, (strategy, model))
+                except OSError as exc:
+                    warnings.warn(
+                        f"label-modeling checkpoint skipped after write failure "
+                        f"({exc}); the run continues without it",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+        return strategy, model, _posteriors(model, label_matrix)
 
     # ----------------------------------------------------------------- stages
     def _label_modeling(
         self, label_matrix: LabelMatrix
-    ) -> tuple[Optional[ModelingStrategy], Optional[GenerativeModel], np.ndarray]:
-        """Choose a strategy and produce probabilistic training labels.
+    ) -> tuple[Optional[ModelingStrategy], Optional[GenerativeModel]]:
+        """Choose a strategy and fit its label model (``None`` for majority
+        vote); :func:`_posteriors` turns them into probabilistic labels.
 
         Categorical matrices flow through the same stages: the optimizer
         always selects the generative model for them (the MV-vs-GM advantage
@@ -475,25 +492,10 @@ class SnorkelPipeline:
             correlations = []
 
         if not use_generative:
-            return strategy, None, majority_vote_proba(label_matrix)
+            return strategy, None
 
         model = GenerativeModel(epochs=config.generative_epochs, cardinality=cardinality)
-        model.fit(label_matrix, correlations=correlations)
-        return strategy, model, model.predict_proba(label_matrix)
-
-    def _generative_report(
-        self,
-        cardinality: int,
-        generative_model: Optional[GenerativeModel],
-        test_matrix: LabelMatrix,
-        test_gold: np.ndarray,
-    ) -> AnyScoreReport:
-        """Evaluate the label-model stage on the test split."""
-        if generative_model is not None:
-            test_probs = generative_model.predict_proba(test_matrix)
-        else:
-            test_probs = majority_vote_proba(test_matrix)
-        return self._score_probabilities(cardinality, test_gold, test_probs)
+        return strategy, model.fit(label_matrix, correlations=correlations)
 
     def _keep_rows(
         self, num_candidates: int, training_probs: np.ndarray, label_matrix: LabelMatrix

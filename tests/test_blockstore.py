@@ -19,7 +19,8 @@ What this suite pins down:
   committed, also after a generated sequence of puts and deletes whose
   last record is damaged.
 * **Durability cost** — a put is one fsync of the log (the store's first
-  put adds one of ``blocks/``), opening a clean store and reading make no
+  put adds one of ``blocks/``), the log keeps disk reserved ahead of its
+  end without growing, opening a clean store and reading make no
   fsync, rename or unlink, ``clear`` rewrites a non-empty log durably and
   leaves an empty or absent one untouched, a fresh checkpointed pipeline
   run makes puts + 1 fsyncs and no rename or unlink while its replay makes
@@ -58,9 +59,10 @@ from hypothesis.extra import numpy as hnp
 from repro.datasets.synthetic import stream_text_candidates, text_vote_lfs
 from repro.discriminative import RelationFeaturizer
 from repro.exceptions import LabelingError
-from repro.labeling import LFApplier
+from repro.labeling import LFApplier, blockstore
 from repro.labeling.blockstore import (
     MAGIC,
+    RESERVE,
     BlockStore,
     ChunkCheckpointer,
     EpochCheckpoint,
@@ -88,7 +90,7 @@ def flip_byte(path, offset) -> None:
         handle.seek(offset)
         handle.write(bytes([byte ^ 0xFF]))
 from repro.labeling.engine import faults
-from repro.labeling.engine.accumulator import ChunkResult
+from repro.labeling.engine.accumulator import ChunkResult, detach_arrays
 
 
 def make_result(index, num_candidates=10, with_features=True):
@@ -236,22 +238,112 @@ def test_narrowed_picks_the_narrowest_exact_signed_dtype(values, dtype, stored):
     assert _narrowed(np.array(values, dtype=dtype)).dtype == np.dtype(stored)
 
 
-def test_fused_chunk_block_is_at_most_a_quarter_of_its_bytes(tmp_path):
-    """Votes, LF ids, row offsets, feature buckets and count features are
-    small integers: a chunk block of the fused pass stores each narrowed."""
+def recorded_fused_pass(store, candidates=600, chunk_size=256) -> list:
+    """Record a fused cardinality-4 pass over ``candidates`` rows into
+    ``store``, and return each recorded chunk result with the arrays
+    :func:`detach_arrays` split off it then (the pass goes on to drop
+    them)."""
     lfs = text_vote_lfs(10, cardinality=4)
-    candidates = stream_text_candidates(600, num_lfs=10, cardinality=4, seed=0)
+    checkpoint = ChunkCheckpointer(store, "train")
+    recorded, record = [], checkpoint.record
+
+    def recording(result):
+        recorded.append((result, detach_arrays(result)[1]))
+        record(result)
+
+    checkpoint.record = recording
+    LFApplier(lfs, chunk_size=chunk_size).apply_with_features(
+        stream_text_candidates(candidates, num_lfs=10, cardinality=4, seed=0),
+        RelationFeaturizer(num_features=512).fit(),
+        checkpoint=checkpoint,
+    )
+    assert checkpoint.completed == {result.index for result, _ in recorded}
+    return recorded
+
+
+def test_fused_chunk_block_is_at_most_a_sixth_of_its_bytes(tmp_path):
+    """Votes, LF ids, feature buckets and count features are small
+    integers, and row ids that do not decrease are their rows' counts: a
+    chunk block of the fused pass holds at most a sixth of the bytes of the
+    arrays the engine merges."""
     with BlockStore(str(tmp_path / "store")) as store:
-        checkpoint = ChunkCheckpointer(store, "train")
-        LFApplier(lfs, chunk_size=256).apply_with_features(
-            candidates, RelationFeaturizer(num_features=512).fit(), checkpoint=checkpoint
+        recorded = recorded_fused_pass(store)
+        assert len(recorded) == 3
+        for result, arrays in recorded:
+            logical = sum(array.nbytes for array in arrays)
+            start, end = record_span(store, f"chunk/train/{result.index}")
+            assert end - start <= logical / 6, (result.index, end - start, logical)
+
+
+def test_sorted_chunk_block_holds_no_row_id_per_entry(tmp_path):
+    """Of a fused chunk's arrays, only the label and feature columns and
+    values have one entry per Λ or feature entry: both blocks' row ids are
+    stored as one count per row."""
+    with BlockStore(str(tmp_path / "store")) as store:
+        for result, (_, cols, _, _, feature_cols, _) in recorded_fused_pass(store):
+            arrays, meta = store.get(f"chunk/train/{result.index}")
+            assert meta["counts"] == {"a0": "<i8", "a3": "<i8"}
+            rows, nnz = result.num_candidates, (cols.size, feature_cols.size)
+            assert rows not in nnz
+            assert arrays["a0"].shape == arrays["a3"].shape == (rows,)
+            per_entry = {name for name, array in arrays.items() if array.size in nnz}
+            assert per_entry - {"meta"} == {"a1", "a2", "a4", "a5"}
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        np.array([3, 1, 1, 4], dtype=np.int64),  # decreasing
+        np.array([0, 2, 2, 9], dtype=np.int32),  # sorted, narrow dtype
+        np.array([0, 2, 10], dtype=np.int64),  # past the chunk's rows
+        np.array([-1, 0, 0], dtype=np.int64),  # negative
+        np.array([], dtype=np.int16),
+        np.array([1, 1, 5], dtype=">i8"),  # sorted, big-endian
+    ],
+)
+def test_any_chunk_block_replays_bitwise(tmp_path, ids):
+    """Row ids in any order, range or dtype come back bitwise: those that
+    do not decrease from their counts, every other block as given."""
+    result = make_result(0, num_candidates=10, with_features=False)
+    result.row_offsets = ids
+    result.cols, result.values = np.arange(ids.size), np.arange(ids.size) - 1
+    with BlockStore(str(tmp_path / "store")) as store:
+        ChunkCheckpointer(store, "train").record(result)
+        replayed = ChunkCheckpointer(store, "train").replay(0)
+    for field in ("row_offsets", "cols", "values"):
+        ours, theirs = getattr(replayed, field), getattr(result, field)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), field
+
+
+def test_label_modeling_record_holds_the_model_not_its_posteriors(tmp_path):
+    """The label-modeling checkpoint is the strategy and the fitted model,
+    whose posteriors a resume recomputes: the model is within 1 KB, and the
+    record is as long at 6 000 rows as at 600."""
+    from repro.datasets.synthetic import stream_text_gold
+    from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
+
+    make = dict(num_lfs=6, cardinality=4)
+    lengths = []
+    for rows in (600, 6_000):
+        root = str(tmp_path / str(rows))
+        config = PipelineConfig(
+            seed=0, use_optimizer=False, generative_epochs=5, discriminative_epochs=1,
+            num_features=64, sparse_labels=True, checkpoint_dir=root,
         )
-        assert checkpoint.completed == {0, 1, 2}
-        for index in sorted(checkpoint.completed):
-            arrays, _ = store.get(f"chunk/train/{index}")
-            logical = sum(array.nbytes for array in arrays.values())
-            start, end = record_span(store, f"chunk/train/{index}")
-            assert end - start <= logical / 4, (index, end - start, logical)
+        pipeline = SnorkelPipeline(lfs=text_vote_lfs(**make), config=config)
+        first = pipeline.run_streams(
+            stream_text_candidates(rows, seed=0, **make),
+            stream_text_candidates(60, seed=1, **make),
+            stream_text_gold(60, cardinality=4, seed=1),
+        )
+        with BlockStore(root) as store:
+            start, end = record_span(store, "phase/label_modeling")
+            lengths.append(end - start)
+            assert store.get("phase/label_modeling")[0]["pickle"].size <= 1024, rows
+            strategy, model = store.get_pickle("phase/label_modeling")
+        assert strategy is None
+        assert model.predict_proba(first.label_matrix).tobytes() == first.training_probs.tobytes()
+    assert lengths[0] == lengths[1], lengths
 
 
 def test_reput_last_wins_across_reopen(tmp_path):
@@ -356,7 +448,9 @@ def test_recovery_never_touches_paths_outside_blocks(tmp_path):
     assert index.read_bytes() == before
 
 
-@pytest.mark.parametrize("magic", [b"RBLK1\n", b"RBLK2\n", b"RBLK3\n", b"RBLK9\n"])
+@pytest.mark.parametrize(
+    "magic", [b"RBLK1\n", b"RBLK2\n", b"RBLK3\n", b"RBLK4\n", b"RBLK9\n"]
+)
 def test_block_of_another_format_recovers_as_empty(tmp_path, magic):
     """A record whose magic is not this format's ends the log on reopen like
     a corrupt one — even with a matching trailer crc — so an old store
@@ -446,9 +540,9 @@ def test_a_failed_append_never_precedes_the_next_record(tmp_path, monkeypatch):
 
     write = blockstore._write_synced
 
-    def write_half(path, flags, chunks):
+    def write_half(path, flags, chunks, *end):
         record = b"".join(chunks)
-        write(path, flags, [record[: len(record) // 2]])
+        write(path, flags, [record[: len(record) // 2]], *end)
         raise OSError(errno.ENOSPC, "disk full half-way")
 
     root = str(tmp_path / "store")
@@ -554,6 +648,23 @@ def test_put_is_one_fsync_and_open_and_get_make_none(tmp_path, fs_calls):
         store.get("chunk/train/0")
         assert "chunk/train/1" in store
     assert fs_calls == []
+
+
+@pytest.mark.skipif(blockstore._fallocate is None, reason="no fallocate(2) on this platform")
+def test_the_log_keeps_disk_reserved_ahead_of_its_end(tmp_path):
+    """The log keeps at least ``RESERVE`` bytes of disk allocated, then the
+    next power-of-two multiple of it that holds its records, while its size
+    stays the bytes of its records."""
+    with BlockStore(str(tmp_path / "store")) as store:
+        store.put("small", {"a": np.arange(3)})
+        path = log_path(store)
+        assert os.path.getsize(path) == store._size < RESERVE
+        assert os.stat(path).st_blocks * 512 >= RESERVE
+        store.put("big", {"a": np.arange(RESERVE // 8) + 0.5})  # fractions stay float64
+        assert RESERVE < os.path.getsize(path) == store._size < 2 * RESERVE
+        assert os.stat(path).st_blocks * 512 >= 2 * RESERVE
+    with BlockStore(str(tmp_path / "store")) as store:
+        assert store.keys() == ["big", "small"]
 
 
 def test_clear_rewrites_a_log_once_and_leaves_an_empty_one_untouched(tmp_path, fs_calls):
@@ -885,6 +996,25 @@ def test_chunk_checkpointer_prune_beyond(tmp_path):
         assert ckpt.prune_beyond(4) == 0
 
 
+def test_pruning_many_chunks_rewrites_the_log_once(tmp_path, fs_calls):
+    """``prune_beyond`` forgets every stale chunk and rewrites the log once;
+    pruning nothing touches nothing."""
+    root = str(tmp_path / "store")
+    with BlockStore(root) as store:
+        ckpt = ChunkCheckpointer(store, "train")
+        for index in range(5):
+            ckpt.record(make_result(index, with_features=False))
+        fs_calls.clear()
+        assert ckpt.prune_beyond(2) == 3
+        rewrite = [("create", LOG + ".tmp"), ("fsync", "file"), ("rename", LOG), ("fsync", "dir")]
+        assert fs_calls == rewrite
+        fs_calls.clear()
+        assert ckpt.prune_beyond(2) == 0
+        assert fs_calls == []
+    with BlockStore(root) as store:
+        assert store.keys() == ["chunk/train/0", "chunk/train/1"]
+
+
 # ------------------------------------------------------- chunk checkpointer
 def test_chunk_checkpointer_round_trip(tmp_path):
     """What a resumed run reads back — ``replay``'s label triples and meta,
@@ -971,6 +1101,19 @@ def test_stored_feature_blocks_require_completeness(tmp_path):
         ckpt.record(make_result(0))
         with pytest.raises(LabelingError, match="missing chunks"):
             ckpt.feature_blocks(3, 16, {})
+
+
+def test_stored_feature_blocks_must_be_row_major(tmp_path):
+    """A feature block whose row ids decrease is stored as given and has no
+    CSR form: reading it raises, as building it in RAM does."""
+    with BlockStore(str(tmp_path / "store")) as store:
+        ckpt = ChunkCheckpointer(store, "train")
+        result = make_result(0)
+        result.features.row_offsets = np.array([5, 2])
+        ckpt.record(result)
+        assert store.get("chunk/train/0")[1]["counts"] == {"a0": "<i8"}
+        with pytest.raises(LabelingError, match="no row-major feature block"):
+            ckpt.feature_blocks(1, 16, {})
 
 
 def row_major_result(index, num_candidates=10):
