@@ -6,8 +6,9 @@ one path — makes every unit of completed work durable the moment it
 finishes:
 
 * each labeled+featurized **chunk** is appended to the store's one log
-  file as a record (checksummed by its own crc32 trailer) and the log is
-  fsynced before the next chunk starts;
+  file, ``blockstore.log`` in ``checkpoint_dir``, as a record (checksummed
+  by its own crc32 trailer) and the log is fsynced before the next chunk
+  starts;
 * the label-modeling outcome and every **end-model epoch** snapshot
   (weights, Adam moments, loss history) land the same way.
 

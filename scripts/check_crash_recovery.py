@@ -19,12 +19,11 @@ drives the full fault matrix the fault-injection layer
 * a completed log of the previous record format, ``RBLK4``, which stored
   row ids and training posteriors (it reopens empty, and the resumed run
   recomputes everything);
-* a store of per-key block files in the format before the log (it reopens
-  empty, the files inside ``blocks/`` are removed, and the resumed run
-  recomputes everything);
-* a format-2 store whose ``index.jsonl`` names a path outside
-  ``blocks/`` (it reopens empty, and recovery leaves the index and the
-  path byte-identical);
+* a completed store in the previous layout: its ``RBLK5`` log as
+  ``blocks/log`` beside per-key ``RBLK3`` block files of the format before
+  the log, and a format-2 ``index.jsonl`` naming a path outside the store
+  (it reopens empty, the resumed run recomputes everything, and recovery
+  leaves every file of it and the path byte-identical);
 * a worker hung past the chunk deadline (warned, killed, resubmitted —
   EN101);
 * the disk filling mid-run (checkpointing degrades with one warning, the
@@ -38,7 +37,7 @@ Every resumed or degraded run must match an uninterrupted reference run
 bit-for-bit (labels) and to 1e-12 (probabilities, weights).  After all of
 it, the operating system must be back where it started: zero surviving
 worker processes (including workers orphaned by the SIGKILLed masters),
-zero ``*.tmp`` residue in any block store, and zero ``repro-eng-*``
+zero ``*.tmp`` residue in any block store's directory, and zero ``repro-eng-*``
 segments in ``/dev/shm`` (nothing should create one).  Exit status 1 on
 any violation.
 
@@ -66,6 +65,8 @@ if str(SRC) not in sys.path:
 NUM_LFS = 5
 TRAIN_POINTS = 200
 TEST_POINTS = 60
+#: The store's log, in its root.
+LOG = "blockstore.log"
 
 
 def _segments() -> list[str]:
@@ -154,15 +155,19 @@ def run_and_die(checkpoint_dir, fault_spec, backend="sequential"):
     )
 
 
-def as_per_key_files(root: str, magic: bytes) -> None:
-    """Rewrite the store at ``root`` in the layout of the formats before
-    the log: one block file per key under ``blocks/``, named after the key,
-    holding ``magic``, the header's length, a JSON header, the payloads and
-    a crc32 of everything before it."""
+def as_previous_layout(root: str, victim: str) -> dict[str, bytes]:
+    """Move the store at ``root`` into the layout before this one: its log
+    as ``blocks/log``, beside one ``RBLK3`` block file per key (the format
+    before the log: named after the key, holding the magic, the header's
+    length, a JSON header, the payloads and a crc32 of everything before
+    it), and a format-2 ``index.jsonl`` naming ``victim``.  Returns every
+    file under ``root`` with its bytes."""
     import numpy as np
 
     from repro.labeling.blockstore import BlockStore
 
+    blocks = os.path.join(root, "blocks")
+    os.mkdir(blocks)
     store = BlockStore(root)
     for key in store.keys():
         arrays, meta = store.get(key)
@@ -175,16 +180,31 @@ def as_per_key_files(root: str, magic: bytes) -> None:
             payloads.append(raw)
             offset += len(raw)
         header = json.dumps({"key": key, "epoch": None, "meta": meta, "arrays": specs}).encode()
-        body = magic + len(header).to_bytes(8, "little") + header + b"".join(payloads)
-        with open(os.path.join(root, "blocks", key.replace("/", "~") + ".blk"), "wb") as handle:
+        body = b"RBLK3\n" + len(header).to_bytes(8, "little") + header + b"".join(payloads)
+        with open(os.path.join(blocks, key.replace("/", "~") + ".blk"), "wb") as handle:
             handle.write(body + zlib.crc32(body).to_bytes(4, "little"))
-    os.unlink(os.path.join(root, "blocks", "log"))
+    os.rename(store.path, os.path.join(blocks, "log"))
+    with open(os.path.join(root, "index.jsonl"), "w", encoding="utf-8") as handle:
+        handle.write(json.dumps({"key": "chunk/train/0", "file": os.path.relpath(victim, root)}))
+    return files_beside_the_log(root)
+
+
+def files_beside_the_log(root: str) -> dict[str, bytes]:
+    """Every file under ``root`` but the store's log, with its bytes."""
+    found = {}
+    for directory, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            if path != os.path.join(root, LOG):
+                with open(path, "rb") as handle:
+                    found[os.path.relpath(path, root)] = handle.read()
+    return found
 
 
 def as_log_of(root: str, magic: bytes) -> None:
     """Re-stamp every record of the log at ``root`` with ``magic`` (and the
     crc32 that matches it), as a log of that record format holds them."""
-    path = os.path.join(root, "blocks", "log")
+    path = os.path.join(root, LOG)
     with open(path, "rb") as handle:
         log = handle.read()
     records, start = [], 0
@@ -195,17 +215,6 @@ def as_log_of(root: str, magic: bytes) -> None:
         start = end
     with open(path, "wb") as handle:
         handle.write(b"".join(records))
-
-
-def reopens_empty(root: str, scenario: str) -> None:
-    """Opening the store at ``root`` holds no key and leaves ``blocks/``
-    empty, whatever per-key files it held."""
-    from repro.labeling.blockstore import BlockStore
-
-    assert glob.glob(os.path.join(root, "blocks", "*.blk")), scenario
-    with BlockStore(root) as store:
-        assert store.keys() == [], f"{scenario}: blocks survived: {store.keys()}"
-    assert os.listdir(os.path.join(root, "blocks")) == [], scenario
 
 
 def assert_matches(result, reference, scenario: str) -> None:
@@ -292,7 +301,7 @@ def main() -> int:
         root = os.path.join(tmp, "torn-tail")
         stores.append(root)
         run_and_die(root, "die_block@4")  # the fingerprint, then train chunks 0-3
-        log = os.path.join(root, "blocks", "log")
+        log = os.path.join(root, LOG)
         os.truncate(log, os.path.getsize(log) - 10)
         with BlockStore(root) as store:
             completed = ChunkCheckpointer(store, "train").completed
@@ -321,42 +330,30 @@ def main() -> int:
         as_log_of(root, b"RBLK4\n")
         with BlockStore(root) as store:
             assert store.keys() == [], f"RBLK4 log: records survived: {store.keys()}"
-        assert os.path.getsize(os.path.join(root, "blocks", "log")) == 0, "RBLK4 log kept"
+        assert os.path.getsize(os.path.join(root, LOG)) == 0, "RBLK4 log kept"
         assert_bitwise(run_pipeline(root), reference, "RBLK4 log resume")
         print("RBLK4 log: reopened empty, recomputed bitwise")
 
-        # --- a completed store in the format before the log, per-key block
-        # files: it must reopen empty, and the run recomputes everything.
-        root = os.path.join(tmp, "old-format")
+        # --- a completed store in the previous layout (blocks/log, per-key
+        # RBLK3 files and a format-2 index naming a path outside it): it
+        # reopens empty, the run recomputes everything, and recovery leaves
+        # every file of it, and the path, byte-identical.
+        root = os.path.join(tmp, "previous-layout", "store")
         stores.append(root)
         run_pipeline(root)
-        as_per_key_files(root, b"RBLK3\n")
-        reopens_empty(root, "per-key-file store")
-        assert_bitwise(run_pipeline(root), reference, "per-key-file store resume")
-        print("per-key-file store: reopened empty, its files removed, recomputed bitwise")
-
-        # --- a format-2 store whose index names a file outside blocks/:
-        # it reopens empty, recovery never touches the index or the path,
-        # and the run recomputes everything.
-        root = os.path.join(tmp, "escape", "store")
-        stores.append(root)
-        run_and_die(root, "die_block@2")
-        as_per_key_files(root, b"RBLK2\n")
         victim = os.path.join(tmp, "victim.txt")
         with open(victim, "w") as handle:
             handle.write("keep me")
-        index, entry = os.path.join(root, "index.jsonl"), (
-            '{"key": "chunk/train/0", "file": "../../victim.txt"}\n'
-        )
-        with open(index, "w", encoding="utf-8") as handle:
-            handle.write(entry)
-        reopens_empty(root, "format-2 store")
-        assert_bitwise(run_pipeline(root), reference, "format-2 store resume")
+        before = as_previous_layout(root, victim)
+        assert sorted(os.listdir(root)) == ["blocks", "index.jsonl"], os.listdir(root)
+        with BlockStore(root) as store:
+            assert store.keys() == [], f"previous layout: records survived: {store.keys()}"
+        assert_bitwise(run_pipeline(root), reference, "previous layout resume")
+        assert files_beside_the_log(root) == before, "recovery touched the previous layout"
         with open(victim) as handle:
-            assert handle.read() == "keep me", "recovery wrote to a path outside blocks/"
-        with open(index, encoding="utf-8") as handle:
-            assert handle.read() == entry, "recovery touched the index outside blocks/"
-        print("format-2 store naming a path outside blocks/: reopened empty, untouched, bitwise")
+            assert handle.read() == "keep me", "recovery wrote to a path outside the store"
+        print("previous layout (blocks/log, per-key files, format-2 index): reopened empty, "
+              "left byte-identical, recomputed bitwise")
 
         # The engine-level faults drive LFApplier directly: a reference
         # matrix, then a hung worker, resubmitted.
@@ -434,7 +431,7 @@ def main() -> int:
         residue = [
             path
             for root in stores
-            for path in glob.glob(os.path.join(root, "blocks", "*.tmp"))
+            for path in glob.glob(os.path.join(root, "*.tmp"))
         ]
 
         shutdown_pools()

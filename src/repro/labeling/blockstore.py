@@ -7,19 +7,20 @@ loses everything.  This module makes the blocks durable the moment they
 arrive at the master, with three layers:
 
 :class:`BlockStore`
-    One append-only log per store, ``blocks/log``, of self-checking
-    records.  A record is the magic, its own length and its header's, a
-    JSON header (the block's key, its optional epoch, its meta and the
-    named arrays' specs), the 64-byte-aligned raw payloads, and a crc32 of
-    everything before it.
+    One append-only log per store, ``blockstore.log`` in the store's root
+    directory, of self-checking records.  A record is the magic, its own
+    length and its header's, a JSON header (the block's key, its optional
+    epoch, its meta and the named arrays' specs), the 64-byte-aligned raw
+    payloads, and a crc32 of everything before it.
 
     *Durability per put.*  ``put`` appends one record and fsyncs the log —
-    the put that starts an empty log also fsyncs ``blocks/`` — so a block
-    is durable when ``put`` returns.  There is no group commit: a
-    checkpointed run's time did not go to fsyncs but to the files it
-    created, renamed and deleted, one per block.  The log keeps disk
-    reserved ahead of its end (:data:`RESERVE`), so its appends fill one
-    extent and deleting it frees one.
+    the put that starts an empty log also fsyncs the root — so a block is
+    durable when ``put`` returns.  There is no group commit: a
+    checkpointed run's time did not go to fsyncs but to the files and
+    directories it created, renamed and deleted.  The store makes no
+    directory of its own (only a missing root is created), and the log
+    keeps disk reserved ahead of its end (:data:`RESERVE`), so its appends
+    fill one extent and deleting the store frees one extent and the root.
 
     *The prefix rule.*  Opening a store scans the log once and keeps its
     longest valid prefix: the first record whose length, crc, magic or
@@ -28,9 +29,12 @@ arrive at the master, with three layers:
     record 2 of 10, recomputes records 2 to 10.  Within the prefix the last
     record of a key wins, and an epoch-stamped record supersedes the lower
     epochs of its family (see :meth:`BlockStore.put`); there are no
-    tombstones.  Every other file in ``blocks/`` (a rewrite's temp file,
-    the per-key block files of an earlier format) is removed, and nothing
-    outside ``blocks/`` is read or removed.
+    tombstones.  The root is shared with the caller's own files, so an
+    open reads the log and removes a rewrite's temp file,
+    ``blockstore.log.tmp``, and touches no other name.  The layout before
+    this one, a ``blocks/`` directory holding ``blocks/log`` (or per-key
+    ``*.blk`` files), is neither read nor removed: such a store reopens
+    empty and its chunks are recomputed, as after a format change.
 
     *The reclamation rule.*  The log is rewritten only when its dead bytes
     (superseded records) exceed its live bytes, on ``delete`` and
@@ -118,8 +122,10 @@ _TRAILER = 4
 #: header's length.
 _PREFIX = len(MAGIC) + 16
 
-#: The file name of the log inside ``blocks/``.
-_LOG = "log"
+#: The file name of the log inside the store's root.  It names the store,
+#: since the root also holds the caller's files: an open that found no valid
+#: record in a file of this name would rewrite it empty.
+_LOG = "blockstore.log"
 
 #: The dtypes an array may be narrowed to, narrowest first.
 _NARROW = tuple(np.dtype(f"<i{size}") for size in (1, 2, 4, 8))
@@ -132,9 +138,13 @@ _KEY_RE = re.compile(r"^[A-Za-z0-9._/-]+$")
 #: fill one reserved extent instead of each asking the allocator for blocks,
 #: which can scatter a 1.8 MB log over five extents.  Deleting a file costs
 #: per extent where freed blocks are discarded (≈ 0.06 s an extent, whatever
-#: its length, on ext4 mounted ``discard`` over a virtio disk), so a
-#: reserved log is cheaper to delete, at the price of up to twice its bytes,
-#: at least 4 MiB, of disk until it is deleted.
+#: its length, on ext4 mounted ``discard`` over a virtio disk), and removing
+#: a directory frees its block at the same price (≈ 0.05 s), which is why the
+#: log sits in the root and not in a directory of its own.  A reserved log
+#: is cheaper to delete, at the price of up to twice its bytes, at least
+#: 4 MiB, of disk until it is deleted.  Trimming the reservation when a run
+#: ends would free the reserved blocks as an extent of their own: one more
+#: discard per run.
 RESERVE = 4 << 20
 
 try:  # Linux's fallocate(2); elsewhere the log allocates as it grows
@@ -291,33 +301,39 @@ def _decode(mapped, base: int, spec: dict, widen: bool) -> np.ndarray:
 class BlockStore:
     """Atomic, self-checking, mmap-readable storage of named-array blocks.
 
-    Layout under ``root``::
+    Layout under ``root``, which the store shares with the caller's files::
 
-        blocks/log       the append-only log: one record per put
-        blocks/log.tmp   a rewrite in progress (crash residue on open)
+        blockstore.log       the append-only log: one record per put
+        blockstore.log.tmp   a rewrite in progress (crash residue on open)
 
-    ``put`` appends a record and fsyncs the log (plus ``blocks/`` when the
-    log was empty): one fsync per put, no rename, no unlink, so a
-    checkpointed run creates one file.  Opening a store keeps the log's
-    longest valid prefix, where the last record of a key wins; opening a
-    clean store and reading it make no fsync, rename or unlink.
+    The store creates ``root`` if it is missing and no directory otherwise.
+    ``put`` appends a record and fsyncs the log (plus ``root`` when the log
+    was empty): one fsync per put, no rename, no unlink, so a checkpointed
+    run into an existing directory creates one file and no directory.
+    Opening a store removes ``blockstore.log.tmp`` if it is there and keeps
+    the log's longest valid prefix, where the last record of a key wins; it
+    touches no other name in ``root``.  A ``blocks/`` directory of the
+    previous layout is left as it is and not read, so such a store opens
+    empty.  Opening a clean store and reading it make no fsync, rename or
+    unlink.
 
     Reclamation: the store keeps only the newest epoch of each *family*
     (a key minus its last ``/`` segment) of epoch-stamped keys, and the
     records of the keys it no longer holds are dead bytes.  When they
     exceed the live bytes, and on :meth:`delete`, :meth:`clear` and an
     open that drops a torn tail, the live records are copied to
-    ``log.tmp``, which is fsynced and renamed over the log before
-    ``blocks/`` is fsynced — so the log stays within twice its live bytes
-    plus one record, and a delete or clear is durable when it returns.
+    ``blockstore.log.tmp``, which is fsynced and renamed over the log
+    before ``root`` is fsynced — so the log stays within twice its live
+    bytes plus one record, and a delete or clear is durable when it returns.
     :meth:`clear` of an empty or absent log touches nothing.
     """
 
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
-        self.blocks_dir = os.path.join(self.root, "blocks")
-        os.makedirs(self.blocks_dir, exist_ok=True)
-        self._path = os.path.join(self.blocks_dir, _LOG)
+        if not os.path.isdir(self.root):
+            os.makedirs(self.root, exist_ok=True)
+        #: The log's path: ``blockstore.log`` in ``root``.
+        self.path = os.path.join(self.root, _LOG)
         #: Every live key's record, in log order: its epoch (``None`` when
         #: unstamped) and its start, payload base and end offsets.
         self._records: dict[str, tuple[Optional[int], int, int, int]] = {}
@@ -330,10 +346,9 @@ class BlockStore:
         #: Ordinals of the ``put`` calls in this process — the trigger
         #: indexes of write-path fault rules (``disk_full@N`` etc.).
         self._ordinals = itertools.count()
-        for name in os.listdir(self.blocks_dir):
-            if name != _LOG:
-                os.unlink(os.path.join(self.blocks_dir, name))
-        if not os.path.exists(self._path) or not os.path.getsize(self._path):
+        if os.path.exists(self.path + ".tmp"):
+            os.unlink(self.path + ".tmp")
+        if not os.path.exists(self.path) or not os.path.getsize(self.path):
             return
         log = self._map(1)
         while (record := _record_at(log, self._size)) is not None:
@@ -365,16 +380,16 @@ class BlockStore:
             self._rewrite()
         start = self._size
         try:
-            _write_synced(self._path, os.O_APPEND, [record], start + len(record))
+            _write_synced(self.path, os.O_APPEND, [record], start + len(record))
         except OSError:
             self._torn = True  # what reached the log must not precede the next record
             raise
         if not start:
-            _fsync_dir(self.blocks_dir)
+            _fsync_dir(self.root)
         # Injected corruption of the durable record: its trailer keeps the
         # *intended* crc, so the next open ends the log before it (and its
         # chunk, like every later one, is re-executed).
-        faults.corrupt_block_file(self._path, ordinal, start)
+        faults.corrupt_block_file(self.path, ordinal, start)
         header, base, end = _record_at(record, 0)
         self._size += end
         self._commit(header, base + start, end + start, start)
@@ -405,17 +420,17 @@ class BlockStore:
 
     def _rewrite(self) -> None:
         """Reclamation: copy the live records, in log order, to a new file,
-        fsync it, rename it over the log and fsync ``blocks/``."""
+        fsync it, rename it over the log and fsync the root."""
         log = self._map(self._size) if self._records else b""
         records, spans, size = {}, [], 0
         for key, (epoch, start, base, end) in self._records.items():
             records[key] = (epoch, size, base - start + size, end - start + size)
             spans.append((start, end))
             size += end - start
-        tmp = self._path + ".tmp"
+        tmp = self.path + ".tmp"
         _write_synced(tmp, os.O_TRUNC, (log[start:end] for start, end in spans))
-        os.rename(tmp, self._path)
-        _fsync_dir(self.blocks_dir)
+        os.rename(tmp, self.path)
+        _fsync_dir(self.root)
         self._records, self._live, self._size = records, size, size
         self._torn, self._mapped = False, None
 
@@ -434,7 +449,7 @@ class BlockStore:
         """A read-only mapping of the log reaching at least ``end``; an
         earlier one stays alive as long as an array viewing it."""
         if self._mapped is None or len(self._mapped) < end:
-            with open(self._path, "rb") as handle:
+            with open(self.path, "rb") as handle:
                 self._mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         return self._mapped
 

@@ -141,8 +141,10 @@ class PipelineConfig:
     #: and fitted model (not the posteriors, which a resume recomputes), and
     #: the end model's per-epoch training state are persisted durably as the
     #: run progresses — each a record appended to the one log file
-    #: ``blocks/log`` and fsynced before the run goes on — and a restarted
-    #: run resumes from the last durable point with bit-identical results.
+    #: ``blockstore.log`` in this directory and fsynced before the run goes
+    #: on — and a restarted run resumes from the last durable point with
+    #: bit-identical results.  The store creates the directory if it is
+    #: missing, makes no directory in it, and touches no other file there.
     #: ``None`` (default) keeps everything in RAM.
     checkpoint_dir: Optional[str] = None
     #: With ``checkpoint_dir`` set: resume from compatible existing

@@ -25,7 +25,9 @@ The rows, their relation inside one tree, and why:
   also over chunks mixing stock and subclassed candidates, and for a suite
   of token kernels (scans, phrase, vocabulary and non-emptiness tests over
   two token columns, a predicate that raises, a ``numpy.str_`` vocabulary)
-  also over a row holding a non-``str`` token.
+  also over a row holding a non-``str`` token, and for an LF whose module
+  file was rewritten after its import (the compiled tier must run the code
+  that was imported, as the interpreter does, not the file as it is now).
 - ``processes == threads == sequential`` (bitwise): the sequential, threads
   and processes backends are one result.
 - ``warm == cold featurizer`` (bitwise): what a featurizer interned and
@@ -79,6 +81,7 @@ checkout as well.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import os
 import pickle
@@ -1054,12 +1057,39 @@ def with_a_non_str_token(candidate: Candidate) -> Candidate:
     return replace(candidate, sentence=replace(candidate.sentence, words=words))
 
 
+#: The module of :func:`edited_after_import`'s LF, as imported; the file is
+#: then rewritten to vote the other way.
+EDITED_MODULE = (
+    "from repro.labeling import labeling_function\n"
+    "from repro.types import ABSTAIN, POSITIVE\n\n\n"
+    "@labeling_function()\n"
+    "def lf_far(x):\n"
+    "    return POSITIVE if x.token_distance() > 3 else ABSTAIN\n"
+)
+
+
+def edited_after_import(directory: str) -> list:
+    """The LF of :data:`EDITED_MODULE`, written to ``directory`` and
+    imported, after which its file is rewritten to vote ``-POSITIVE``: the
+    code that runs is no longer the file on disk."""
+    path = os.path.join(directory, "lf_edited_after_import.py")
+    with open(path, "w") as handle:
+        handle.write(EDITED_MODULE)
+    spec = importlib.util.spec_from_file_location("lf_edited_after_import", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with open(path, "w") as handle:
+        handle.write(EDITED_MODULE.replace("return POSITIVE", "return -POSITIVE"))
+    return [module.lf_far]
+
+
 @functools.lru_cache(maxsize=None)
 def mixed_labeling_inputs(full: bool) -> dict:
-    """:func:`labeling_inputs` plus the ``token kernels`` suite and two
-    sources: ``mixed``, every third candidate :class:`Subclassed`, and
-    ``non-str token``, one row holding a ``numpy.str_`` token (not exactly a
-    ``str``: every token kernel takes that row's per-row path)."""
+    """:func:`labeling_inputs` plus two suites, ``token kernels`` and
+    ``edited after import`` (its module file lives as long as the inputs),
+    and two sources: ``mixed``, every third candidate :class:`Subclassed`,
+    and ``non-str token``, one row holding a ``numpy.str_`` token (not
+    exactly a ``str``: every token kernel takes that row's per-row path)."""
     inputs = labeling_inputs(full)
     candidates = inputs["candidates"]
     mixed = tuple(
@@ -1072,7 +1102,12 @@ def mixed_labeling_inputs(full: bool) -> dict:
         **inputs["sources"], "mixed": lambda: list(mixed), "non-str token": lambda: list(odd),
     }
     kernels = [LabelingFunction(body.__name__, body) for body in TOKEN_KERNEL_LFS]
-    return {**inputs, "sources": sources, "suites": {**inputs["suites"], "token kernels": kernels}}
+    directory = tempfile.TemporaryDirectory()
+    suites = {
+        **inputs["suites"], "token kernels": kernels,
+        "edited after import": edited_after_import(directory.name),
+    }
+    return {**inputs, "sources": sources, "suites": suites, "module directory": directory}
 
 
 @functools.lru_cache(maxsize=None)
@@ -1289,10 +1324,13 @@ FAULTY = ("faulty",)
 CONTRACTS = (
     Contract(
         "compiled == interpreted", mixed_labeling_inputs,
-        {tier: labeling(("clean", "faulty", "token kernels"), (tier,)) for tier in ("off", "auto")},
+        {
+            tier: labeling(("clean", "faulty", "token kernels", "edited after import"), (tier,))
+            for tier in ("off", "auto")
+        },
         profiles=(
-            "faulty", "token kernels", "sparse=False", "generator", "empty", "mixed",
-            "non-str token", "apply_with_features",
+            "faulty", "token kernels", "edited after import", "sparse=False", "generator",
+            "empty", "mixed", "non-str token", "apply_with_features",
         ),
     ),
     Contract(

@@ -12,19 +12,23 @@ What this suite pins down:
   themselves (length, crc32 trailer, magic, header, key): opening a store
   keeps the log's longest valid prefix, so a torn or corrupted record and
   every record after it are dropped, as is a record of another format;
-  every other file in ``blocks/`` (a rewrite's temp file, an earlier
-  format's per-key block files) is removed, and no path outside
-  ``blocks/`` is read or touched (an old store's ``index.jsonl``
-  included); what survives recovery is exactly what was durably
+  the log, ``blockstore.log``, shares its directory with the caller's
+  files, so an open removes only a rewrite's temp file and no other file
+  beside the log is read or touched, through any put, delete, clear or
+  rewrite (a file named ``log``, an old store's ``index.jsonl`` and the
+  previous layout's ``blocks/`` directory included, which reopens
+  empty); what survives recovery is exactly what was durably
   committed, also after a generated sequence of puts and deletes whose
   last record is damaged.
-* **Durability cost** — a put is one fsync of the log (the store's first
-  put adds one of ``blocks/``), the log keeps disk reserved ahead of its
+* **Durability cost** — a store in an existing directory creates no
+  directory, a put is one fsync of the log (the store's first put adds
+  one of the directory), the log keeps disk reserved ahead of its
   end without growing, opening a clean store and reading make no
   fsync, rename or unlink, ``clear`` rewrites a non-empty log durably and
   leaves an empty or absent one untouched, a fresh checkpointed pipeline
   run makes puts + 1 fsyncs and no rename or unlink while its replay makes
-  none, and a crashed then resumed run creates one file.
+  none, and a crashed then resumed run creates one file and no
+  directory.
 * **Reclamation** — ``delete`` is durable, an epoch-stamped put drops the
   superseded epochs of its family (so do opens, after a kill between the
   put and the drop), same-key churn keeps the log within twice its live
@@ -69,12 +73,8 @@ from repro.labeling.blockstore import (
     _narrowed,
 )
 
-#: The log's file name inside ``blocks/``.
-LOG = "log"
-
-
-def log_path(store) -> str:
-    return os.path.join(store.blocks_dir, LOG)
+#: The log's file name inside the store's root.
+LOG = "blockstore.log"
 
 
 def record_span(store, key) -> tuple[int, int]:
@@ -391,7 +391,7 @@ def test_torn_block_file_dropped(tmp_path):
         store.put("good", {"a": np.arange(3)})
         store.put("torn", {"a": np.arange(50)})
         good, torn = record_span(store, "good"), record_span(store, "torn")
-        path = log_path(store)
+        path = store.path
     os.truncate(path, (torn[0] + torn[1]) // 2)
     with BlockStore(root) as store:
         assert store.keys() == ["good"]
@@ -410,24 +410,37 @@ def test_corrupt_block_file_detected_and_deleted(tmp_path):
         store.put("victim", {"a": np.arange(100)})
         store.put("after", {"a": np.arange(7)})
         start, end = record_span(store, "victim")
-    flip_byte(log_path(store), (start + end) // 2)
+    flip_byte(store.path, (start + end) // 2)
     with BlockStore(root) as store:
         assert store.keys() == ["before"]
         assert np.array_equal(store.get("before")[0]["a"], np.arange(5))
 
 
-def test_recovery_never_touches_paths_outside_blocks(tmp_path):
-    """Recovery lists ``blocks/`` only: a format-2 store's ``index.jsonl``
-    whose lines point out of ``blocks/`` and stray files beside it stay
-    byte for byte as they were, and a copy of the log under another name
-    is removed."""
+def files_beside_the_log(root) -> dict:
+    """Every file under ``root`` but the store's own two names, by path
+    relative to ``root``, with its bytes."""
+    found = {}
+    for directory, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            relative = os.path.relpath(path, root)
+            if relative not in (LOG, LOG + ".tmp"):
+                with open(path, "rb") as handle:
+                    found[relative] = handle.read()
+    return found
+
+
+def test_recovery_touches_no_name_but_the_store_s_own(tmp_path):
+    """Recovery reads the log and removes its temp file, and nothing else:
+    a format-2 store's ``index.jsonl`` whose lines point out of the root, a
+    stray file beside it and a copy of the log under another name stay
+    byte for byte as they were, and the copy is not read."""
     root = tmp_path / "store"
     victim = tmp_path / "victim.txt"
     victim.write_text("keep me")
     with BlockStore(str(root)) as store:
         store.put("good", {"a": np.arange(3)})
-    index = root / "index.jsonl"
-    index.write_text("".join(
+    (root / "index.jsonl").write_text("".join(
         json.dumps(record) + "\n"
         for record in (
             {"key": "chunk/train/0", "file": "../../victim.txt", "size": 1, "crc": 0},
@@ -435,17 +448,15 @@ def test_recovery_never_touches_paths_outside_blocks(tmp_path):
             {"key": "../outside", "file": "..~outside.blk", "size": 1, "crc": 0},
         )
     ))
-    before = index.read_bytes()
     (root / "outside.blk").write_bytes(b"x")
-    copy = root / "blocks" / "chunk~train~0.blk"
-    copy.write_bytes((root / "blocks" / LOG).read_bytes())
+    with BlockStore(str(tmp_path / "other")) as other:
+        other.put("theirs", {"a": np.arange(4)})
+    (root / "chunk~train~0.blk").write_bytes((tmp_path / "other" / LOG).read_bytes())
+    before = files_beside_the_log(root)
     with BlockStore(str(root)) as store:
-        keys = store.keys()
-    assert keys == ["good"]
-    assert not copy.exists()
+        assert store.keys() == ["good"]
     assert victim.read_text() == "keep me"
-    assert (root / "outside.blk").read_bytes() == b"x"
-    assert index.read_bytes() == before
+    assert files_beside_the_log(root) == before
 
 
 @pytest.mark.parametrize(
@@ -461,7 +472,7 @@ def test_block_of_another_format_recovers_as_empty(tmp_path, magic):
         store.put("survivor", {"a": np.arange(2)})
         store.put("chunk/train/0", {"a": np.arange(5)})
         start, end = record_span(store, "chunk/train/0")
-        path = log_path(store)
+        path = store.path
     with open(path, "rb") as handle:
         log = handle.read()
     body = magic + log[start + len(magic) : end - 4]
@@ -472,23 +483,33 @@ def test_block_of_another_format_recovers_as_empty(tmp_path, magic):
         assert ChunkCheckpointer(store, "train").completed == set()
 
 
-def test_per_key_block_files_of_the_previous_format_recover_as_empty(tmp_path):
-    """A store of per-key ``RBLK3`` block files — sealed and named after
-    their keys, as the previous format wrote them — reopens empty: every
-    file in ``blocks/`` is removed unread, and nothing beside it."""
+def test_the_previous_layout_is_left_unread_and_reopens_empty(tmp_path):
+    """A store in the previous layout — a ``blocks/`` directory holding a
+    valid ``blocks/log``, per-key ``RBLK3`` block files and a temp file,
+    beside a format-2 ``index.jsonl`` — reopens empty, and its files stay
+    byte for byte as they were: an open neither reads nor removes them, and
+    the first put starts the log beside them."""
+    with BlockStore(str(tmp_path / "current")) as store:
+        store.put("chunk/train/0", {"a": np.arange(5)})
     root = tmp_path / "store"
     (root / "blocks").mkdir(parents=True)
-    header = json.dumps({"key": "chunk/train/0", "epoch": None, "meta": {}, "arrays": []}).encode()
+    (root / "blocks" / "log").write_bytes((tmp_path / "current" / LOG).read_bytes())
+    header = json.dumps({"key": "chunk/train/1", "epoch": None, "meta": {}, "arrays": []}).encode()
     body = b"RBLK3\n" + len(header).to_bytes(8, "little") + header
     sealed = body + zlib.crc32(body).to_bytes(4, "little")
-    (root / "blocks" / "chunk~train~0.blk").write_bytes(sealed)
-    (root / "blocks" / "chunk~train~1.blk.123.tmp").write_bytes(b"torn")
-    (root / "index.jsonl").write_text('{"key": "chunk/train/0", "file": "../../victim.txt"}\n')
+    (root / "blocks" / "chunk~train~1.blk").write_bytes(sealed)
+    (root / "blocks" / "chunk~train~2.blk.123.tmp").write_bytes(b"torn")
+    (root / "index.jsonl").write_text('{"key": "chunk/train/1", "file": "../../victim.txt"}\n')
+    before = files_beside_the_log(root)
     with BlockStore(str(root)) as store:
         assert store.keys() == []
         assert ChunkCheckpointer(store, "train").completed == set()
-    assert os.listdir(root / "blocks") == []
-    assert sorted(os.listdir(root)) == ["blocks", "index.jsonl"]
+        assert sorted(os.listdir(root)) == ["blocks", "index.jsonl"]
+        store.put("chunk/train/0", {"a": np.arange(5)})
+    with BlockStore(str(root)) as store:
+        assert store.keys() == ["chunk/train/0"]
+    assert sorted(os.listdir(root)) == sorted(["blocks", "index.jsonl", LOG])
+    assert files_beside_the_log(root) == before
 
 
 def test_block_with_an_unreadable_header_is_dropped(tmp_path):
@@ -509,7 +530,7 @@ def test_block_with_an_unreadable_header_is_dropped(tmp_path):
         with BlockStore(root) as store:
             store.clear()
             store.put("good", {"a": np.arange(5)})
-            path = log_path(store)
+            path = store.path
         good = os.path.getsize(path)
         with open(path, "ab") as handle:
             handle.write(record)
@@ -518,18 +539,56 @@ def test_block_with_an_unreadable_header_is_dropped(tmp_path):
         assert os.path.getsize(path) == good, record
 
 
-def test_orphan_and_tmp_files_swept(tmp_path):
+def test_open_removes_its_temp_file_and_nothing_beside_it(tmp_path):
+    """An open removes a rewrite's leftover ``blockstore.log.tmp``; an
+    orphan block file, a file named ``log`` and its ``log.tmp`` stay."""
     root = str(tmp_path / "store")
     with BlockStore(root) as store:
         store.put("real", {"a": np.arange(3)})
-        blocks_dir = store.blocks_dir
-    orphan = os.path.join(blocks_dir, "orphan.blk")
-    leftover = os.path.join(blocks_dir, LOG + ".tmp")
-    open(orphan, "wb").close()
-    open(leftover, "wb").close()
+    for name in ("orphan.blk", "log", "log.tmp", LOG + ".tmp"):
+        open(os.path.join(root, name), "wb").close()
     with BlockStore(root) as store:
         assert store.keys() == ["real"]
-    assert os.listdir(blocks_dir) == [LOG]
+    assert sorted(os.listdir(root)) == sorted([LOG, "orphan.blk", "log", "log.tmp"])
+
+
+def test_files_beside_the_log_are_never_touched(tmp_path):
+    """The root is the caller's directory: a file named ``log`` holding a
+    valid log of this format, a ``log.tmp``, any other file and a
+    subdirectory's files stay byte-identical through open, put,
+    ``delete``, a compaction, ``clear`` and a reopen that rewrites a torn
+    tail away, and the store never reads them."""
+    with BlockStore(str(tmp_path / "other")) as other:
+        other.put("theirs", {"a": np.arange(4)})
+    root = tmp_path / "ckpt"
+    (root / "sub").mkdir(parents=True)
+    (root / "log").write_bytes((tmp_path / "other" / LOG).read_bytes())
+    (root / "log.tmp").write_bytes(b"user data")
+    (root / "notes.txt").write_text("keep me")
+    (root / "sub" / "log").write_bytes(b"nested")
+    before = files_beside_the_log(root)
+    with BlockStore(str(root)) as store:
+        assert store.keys() == []
+        store.put("a", {"x": np.arange(3)})
+        store.put("b", {"x": np.arange(4)})
+        assert files_beside_the_log(root) == before
+        store.delete("a")
+        assert files_beside_the_log(root) == before
+        inode = os.stat(store.path).st_ino
+        for _round in range(4):
+            store.put("hot", {"x": np.arange(64)})
+        assert os.stat(store.path).st_ino != inode  # the re-puts compacted the log
+        assert files_beside_the_log(root) == before
+        store.clear()
+        assert files_beside_the_log(root) == before
+        store.put("c", {"x": np.arange(5)})
+    with open(root / LOG, "ab") as handle:
+        handle.write(MAGIC + bytes(40))
+    with BlockStore(str(root)) as store:
+        assert store.keys() == ["c"]
+        assert os.path.getsize(store.path) == store._size
+    assert files_beside_the_log(root) == before
+    assert sorted(os.listdir(root)) == sorted(["log", "log.tmp", "notes.txt", "sub", LOG])
 
 
 def test_a_failed_append_never_precedes_the_next_record(tmp_path, monkeypatch):
@@ -566,8 +625,8 @@ def test_clear_empties_store(tmp_path):
         store.put("b", {"x": np.arange(4)})
         store.clear()
         assert store.keys() == []
-        assert os.listdir(store.blocks_dir) == [LOG]
-        assert os.path.getsize(log_path(store)) == 0
+        assert os.listdir(store.root) == [LOG]
+        assert os.path.getsize(store.path) == 0
     with BlockStore(root) as store:
         assert store.keys() == []
 
@@ -589,12 +648,14 @@ def test_put_after_clear_is_durable(tmp_path):
 # ------------------------------------------------------------ fsync budget
 @pytest.fixture
 def fs_calls(monkeypatch):
-    """Every ``os.fsync`` / ``os.unlink`` / ``os.rename`` call and every file
-    ``os.open`` or ``open`` creates, in order: an fsync is recorded as
-    ``("fsync", "dir")`` or ``("fsync", "file")``, the others by the file's
-    name."""
+    """Every ``os.fsync`` / ``os.unlink`` / ``os.rename`` / ``os.mkdir`` /
+    ``os.makedirs`` call and every file ``os.open`` or ``open`` creates, in
+    order: an fsync is recorded as ``("fsync", "dir")`` or ``("fsync",
+    "file")``, the others by the file's name (a ``makedirs`` that creates
+    a directory also records the ``mkdir`` it calls)."""
     calls = []
     fsync, unlink, rename, open_ = os.fsync, os.unlink, os.rename, os.open
+    mkdir, makedirs = os.mkdir, os.makedirs
 
     def record_fsync(fd):
         calls.append(("fsync", "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
@@ -607,6 +668,14 @@ def fs_calls(monkeypatch):
     def record_rename(src, dst, *args, **kwargs):
         calls.append(("rename", os.path.basename(dst)))
         return rename(src, dst, *args, **kwargs)
+
+    def record_mkdir(path, *args, **kwargs):
+        calls.append(("mkdir", os.path.basename(path)))
+        return mkdir(path, *args, **kwargs)
+
+    def record_makedirs(path, *args, **kwargs):
+        calls.append(("makedirs", os.path.basename(path)))
+        return makedirs(path, *args, **kwargs)
 
     def record_open(path, flags, *args, **kwargs):
         if flags & os.O_CREAT and not os.path.exists(path):
@@ -623,6 +692,8 @@ def fs_calls(monkeypatch):
     monkeypatch.setattr(os, "fsync", record_fsync)
     monkeypatch.setattr(os, "unlink", record_unlink)
     monkeypatch.setattr(os, "rename", record_rename)
+    monkeypatch.setattr(os, "mkdir", record_mkdir)
+    monkeypatch.setattr(os, "makedirs", record_makedirs)
     monkeypatch.setattr(os, "open", record_open)
     monkeypatch.setattr(builtins, "open", record_file_open)
     return calls
@@ -633,10 +704,10 @@ def fsyncs(calls) -> int:
 
 
 def test_put_is_one_fsync_and_open_and_get_make_none(tmp_path, fs_calls):
-    """A put appends to the log and fsyncs it; the put that creates the log
-    also fsyncs ``blocks/``.  Reopening and reading fsync, rename and
-    unlink nothing."""
-    root = str(tmp_path / "store")
+    """A store in an existing directory makes no directory; a put appends
+    to the log and fsyncs it, and the put that creates the log also fsyncs
+    the root.  Reopening and reading fsync, rename and unlink nothing."""
+    root = str(tmp_path)
     with BlockStore(root) as store:
         store.put("chunk/train/0", {"a": np.arange(9)})
         assert fs_calls == [("create", LOG), ("fsync", "file"), ("fsync", "dir")]
@@ -657,7 +728,7 @@ def test_the_log_keeps_disk_reserved_ahead_of_its_end(tmp_path):
     stays the bytes of its records."""
     with BlockStore(str(tmp_path / "store")) as store:
         store.put("small", {"a": np.arange(3)})
-        path = log_path(store)
+        path = store.path
         assert os.path.getsize(path) == store._size < RESERVE
         assert os.stat(path).st_blocks * 512 >= RESERVE
         store.put("big", {"a": np.arange(RESERVE // 8) + 0.5})  # fractions stay float64
@@ -669,9 +740,9 @@ def test_the_log_keeps_disk_reserved_ahead_of_its_end(tmp_path):
 
 def test_clear_rewrites_a_log_once_and_leaves_an_empty_one_untouched(tmp_path, fs_calls):
     """``clear`` of a non-empty log is one durable rewrite — an empty file
-    fsynced, renamed over the log, then ``blocks/`` fsynced — before the
+    fsynced, renamed over the log, then the root fsynced — before the
     next put appends; ``clear`` of an absent or empty log touches nothing."""
-    root = str(tmp_path / "store")
+    root = str(tmp_path)
     with BlockStore(root) as store:
         store.clear()
         assert fs_calls == []
@@ -703,6 +774,9 @@ def counted_puts(monkeypatch) -> list:
 
 
 def test_checkpointed_run_fsyncs_once_per_put_and_replay_never(tmp_path, fs_calls, monkeypatch):
+    """A fresh run into a missing ``checkpoint_dir`` creates it with one
+    ``makedirs`` and makes puts + 1 fsyncs and no rename or unlink; its
+    replay makes no call at all."""
     from repro.datasets.synthetic import stream_text_gold
     from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
 
@@ -721,8 +795,9 @@ def test_checkpointed_run_fsyncs_once_per_put_and_replay_never(tmp_path, fs_call
 
     first = run()
     assert len(puts) == 1 + 4 + 2 + 1 + 3  # fingerprint, chunks, label model, epochs
-    assert fsyncs(fs_calls) == len(puts) + 1  # + the blocks/ fsync of the log's creation
+    assert fsyncs(fs_calls) == len(puts) + 1  # + the root's fsync at the log's creation
     assert [op for op, _ in fs_calls if op in ("rename", "unlink")] == []
+    assert [name for op, name in fs_calls if op == "makedirs"] == ["ckpt"]
     puts.clear()
     fs_calls.clear()
     replayed = run()
@@ -734,11 +809,14 @@ class _PlannedCrash(Exception):
     """Raised by a train stream mid-pass."""
 
 
-def test_crashed_then_resumed_run_creates_one_file(tmp_path, fs_calls, monkeypatch):
+def test_crashed_then_resumed_run_creates_one_file_and_no_directory(
+    tmp_path, fs_calls, monkeypatch
+):
     """Shaped like the ``kary_crash_resume`` benchmark: a cardinality-4
-    checkpointed run whose train stream raises half-way, then the run
-    resumed over the same store.  The log is the one file either run
-    creates, neither renames or unlinks, and the resumed run equals an
+    checkpointed run into an existing empty directory whose train stream
+    raises half-way, then the run resumed over the same store.  The log is
+    the one file either run creates, neither creates a directory, renames
+    or unlinks, their fsyncs are puts + 1, and the resumed run equals an
     uncheckpointed one."""
     from repro.datasets.synthetic import stream_text_gold
     from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
@@ -764,16 +842,17 @@ def test_crashed_then_resumed_run_creates_one_file(tmp_path, fs_calls, monkeypat
             yield candidate
 
     root = str(tmp_path / "ckpt")
+    os.mkdir(root)
+    fs_calls.clear()
     puts = counted_puts(monkeypatch)
     with pytest.raises(_PlannedCrash):
         run(crashing(), root)
     assert 0 < puts.count("meta/fingerprint") == 1 < len(puts)
     resumed = run(iter(train), root)
-    assert [call for call in fs_calls if call[0] in ("create", "rename", "unlink")] == [
-        ("create", LOG)
-    ]
+    kinds = ("create", "mkdir", "makedirs", "rename", "unlink")
+    assert [call for call in fs_calls if call[0] in kinds] == [("create", LOG)]
     assert fsyncs(fs_calls) == len(puts) + 1
-    assert os.listdir(os.path.join(root, "blocks")) == [LOG]
+    assert os.listdir(root) == [LOG]
     monkeypatch.undo()
     plain = run(iter(train))
     assert resumed.training_probs.tobytes() == plain.training_probs.tobytes()
@@ -852,7 +931,7 @@ def test_reopen_holds_exactly_the_committed_blocks(history):
                     store.put(op[1], {"v": np.array(op[2], dtype=np.int64)}, epoch=op[3])
             assert store.keys() == sorted(committed_after(ops))
             start, end = record_span(store, damaged)
-            path = log_path(store)
+            path = store.path
             assert end == store._size == os.path.getsize(path)
             dead = store._size > store._live
         expected = committed_after(ops[:-1] if dead else ops)
@@ -868,7 +947,7 @@ def test_reopen_holds_exactly_the_committed_blocks(history):
             for key, (values, _) in expected.items():
                 loaded = store.get(key)[0]["v"]
                 assert loaded.tobytes() == np.array(values, dtype=np.int64).tobytes(), key
-            assert os.listdir(store.blocks_dir) == [LOG]
+            assert os.listdir(store.root) == [LOG]
             assert os.path.getsize(path) == store._size
 
 
@@ -882,7 +961,7 @@ def test_delete_removes_block_and_survives_reopen(tmp_path):
         assert store.delete("dead")
         assert not store.delete("dead")  # already gone
         assert store.keys() == ["alive"]
-        assert os.path.getsize(log_path(store)) == alive[1] - alive[0]
+        assert os.path.getsize(store.path) == alive[1] - alive[0]
     # The rewrite is durable: reopening must not resurrect the key.
     with BlockStore(root) as store:
         assert store.keys() == ["alive"]
@@ -897,8 +976,8 @@ def test_retention_latest_epoch_deletes_superseded_blocks(tmp_path):
             store.put(f"model/state/v{version}", {"w": np.arange(version + 1)},
                       epoch=version)
         assert store.keys() == ["model/state/v4"]
-        assert os.listdir(store.blocks_dir) == [LOG]
-        assert os.path.getsize(log_path(store)) <= 2 * store._live
+        assert os.listdir(store.root) == [LOG]
+        assert os.path.getsize(store.path) <= 2 * store._live
     with BlockStore(root) as store:
         assert store.keys() == ["model/state/v4"]
         arrays, _ = store.get("model/state/v4")
@@ -922,9 +1001,8 @@ def test_retention_latest_epoch_prunes_stale_families_at_open(tmp_path):
             os._exit(1)  # only reached if the injected kill never fired
     _, status = os.waitpid(pid, 0)
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL, status
-    blocks_dir = os.path.join(root, "blocks")
-    assert os.listdir(blocks_dir) == [LOG]
-    with open(os.path.join(blocks_dir, LOG), "rb") as handle:
+    assert os.listdir(root) == [LOG]
+    with open(os.path.join(root, LOG), "rb") as handle:
         assert handle.read().count(MAGIC) == 3  # fam/v1's record is still there
     for _reopen in range(2):
         with BlockStore(root) as store:
@@ -938,12 +1016,12 @@ def test_reputs_under_churn_leave_one_file(tmp_path):
     across a reopen."""
     root = str(tmp_path / "store")
     with BlockStore(root) as store:
-        path = log_path(store)
+        path = store.path
         for round_ in range(500):
             store.put("hot", {"a": np.array([round_])})
             start, end = record_span(store, "hot")
             assert os.path.getsize(path) <= 2 * store._live + (end - start), round_
-        assert os.listdir(store.blocks_dir) == [LOG]
+        assert os.listdir(store.root) == [LOG]
         assert store.get("hot")[0]["a"][0] == 499
     with BlockStore(root) as store:
         assert store.keys() == ["hot"]
@@ -975,14 +1053,14 @@ def test_served_arrays_keep_their_bytes_through_every_rewrite(tmp_path):
                 store.put("hot", {"a": np.arange(4096.0)})
 
         def torn_reopen():
-            with open(log_path(store), "ab") as handle:
+            with open(store.path, "ab") as handle:
                 handle.write(MAGIC + bytes(40))
             assert BlockStore(root).keys() == sorted(store.keys())
 
         for rewrite in (lambda: store.delete("chunk/train/2"), churn, torn_reopen, store.clear):
-            inode = os.stat(log_path(store)).st_ino
+            inode = os.stat(store.path).st_ino
             rewrite()
-            assert os.stat(log_path(store)).st_ino != inode
+            assert os.stat(store.path).st_ino != inode
             assert served() == expected
 
 

@@ -505,8 +505,8 @@ def test_checkpointed_pipeline_never_writes_to_its_stored_blocks(tmp_path, monke
 
     def watched_fit_stream(self, blocks, checkpoint=None):
         store = checkpoint.store
-        assert os.listdir(store.blocks_dir) == ["log"]
-        log = pathlib.Path(store.blocks_dir) / "log"
+        log = pathlib.Path(store.path)
+        assert os.listdir(store.root) == [log.name]
         before = log.read_bytes()
         assert any(key.startswith("chunk/train/") for key in store.keys())
         fitted = fit_stream(self, blocks, checkpoint)
