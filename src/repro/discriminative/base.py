@@ -39,13 +39,15 @@ minibatch spans two blocks, targets canonicalized once, the complement
 source promises a fresh pass every epoch, so it re-batches per epoch;
 ``fit`` does too, shuffled (a new permutation each epoch) or not.  The
 pipeline hands its blocks over as a sequence in both of its runs: built in
-RAM, or read back once from a checkpointed run's store
-(:meth:`~repro.labeling.blockstore.ChunkCheckpointer.feature_blocks`) with
-their column ids and values in the narrow dtypes they were stored in.  The
+RAM (:meth:`~repro.discriminative.sparse_features.CSRFeatureMatrix.from_chunk`)
+or read back once from a checkpointed run's store
+(:meth:`~repro.labeling.blockstore.ChunkCheckpointer.feature_blocks`), with
+their column ids and values in the same narrow dtypes either way (int16 and
+int8 for hashed n-gram counts, :func:`repro.utils.csr.narrowed`).  The
 trainer carries those as they are — every product and carve of a CSR block
 gathers, multiplies or assigns into float64, which holds any stored integer
-exactly — so a checkpointed fit is bit-identical to an in-RAM one and holds
-X at about 3 B per entry.  Neither door writes to the blocks it is handed.
+exactly — so both runs train on the same bits and hold X at about 3 B per
+entry.  Neither door writes to the blocks it is handed.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.csr import CSRMatrix
+from repro.utils.csr import CSRMatrix, narrowed
 
 
 class CSRFeatureMatrix(CSRMatrix):
@@ -71,17 +71,18 @@ class CSRFeatureMatrix(CSRMatrix):
             raise ConfigurationError(f"triple rows out of range for {shape[0]} rows")
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        return cls(
-            indptr, np.asarray(cols, dtype=np.int64), np.asarray(values, dtype=np.float64), shape
-        )
+        return cls(indptr, cols, values, shape)  # the constructor types cols and values
 
     @classmethod
     def from_chunk(cls, block, num_features: int) -> "CSRFeatureMatrix":
-        """One chunk's feature triples (a ``featurize_chunk`` result, fresh
-        or loaded back from the block store) as that chunk's CSR block."""
-        return cls.from_triples(
-            block.row_offsets, block.cols, block.values, (block.num_candidates, num_features)
-        )
+        """One chunk's feature triples (a ``featurize_chunk`` result) as that
+        chunk's CSR block, its column ids and values held narrow
+        (:func:`repro.utils.csr.narrowed`, the block store's rule): the
+        dtypes and bytes a checkpointed run reads the block back in."""
+        shape = (block.num_candidates, num_features)
+        matrix = cls.from_triples(block.row_offsets, block.cols, block.values, shape)
+        matrix.indices, matrix.data = narrowed(matrix.indices), narrowed(matrix.data)
+        return matrix
 
     @property
     def T(self) -> "_TransposedFeatureMatrix":

@@ -441,9 +441,9 @@ class LFApplier:
             # checkpointer (if any) made the chunk durable.
             def transform(result):
                 # Chunks the checkpointer holds durably are read back from
-                # disk once the pass is over, in their narrow stored dtypes.
+                # disk once the pass is over, in their stored dtypes.
                 # Everything else (no checkpointer, or a write that failed
-                # and disabled it) stays in RAM.
+                # and disabled it) stays in RAM, narrowed the same way.
                 if checkpoint is None or result.index not in checkpoint.completed:
                     feature_blocks[result.index] = CSRFeatureMatrix.from_chunk(
                         result.features, output_dim
@@ -503,11 +503,15 @@ class LFApplier:
         ``featurizer`` over each chunk; the label triples merge into Λ
         exactly as in :meth:`apply`, while each chunk's feature triples are
         claimed on arrival (master-side, via the accumulator ``transform``)
-        as a chunk-ordered :class:`CSRFeatureMatrix` block.  Neither the
+        as a chunk-ordered :class:`CSRFeatureMatrix` block
+        (:meth:`~CSRFeatureMatrix.from_chunk`), whose column ids and values
+        are held in the narrowest dtypes that keep them bit-exactly — int16
+        and int8 for hashed n-gram counts, about 3 B per entry.  Neither the
         candidate list nor any dense ``(m, d)`` feature matrix is ever
         materialized — this is the streaming pipeline's single pass over a
         candidate generator.  Labels, feature values, and block order are
-        identical for every backend and chunk size.
+        identical for every backend and chunk size, and so are the blocks'
+        dtypes and bytes, with or without ``checkpoint``.
 
         With ``checkpoint`` (a :class:`repro.labeling.blockstore.
         ChunkCheckpointer`), every chunk's result is made durable before
@@ -516,8 +520,8 @@ class LFApplier:
         decoded), and the returned blocks are read back from the store once
         the pass is over (:meth:`~repro.labeling.blockstore.ChunkCheckpointer.
         feature_blocks`): each through one mapping of its file, its column
-        ids and values kept in their narrow stored dtypes, so the feature set
-        is resident at about 3 B per entry instead of 16.
+        ids and values kept in their stored dtypes — the store narrows by
+        the same rule, so they are the blocks an in-RAM run returns.
         """
         featurizer.require_fitted()
         return self._run(candidates, featurizer, sparse, checkpoint)

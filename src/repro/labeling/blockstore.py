@@ -44,9 +44,10 @@ arrive at the master, with three layers:
     earlier mapping keeps its bytes.
 
     Every int or float array is stored in the narrowest signed int dtype
-    that holds it bit-exactly (votes, column ids, row offsets and
-    count-valued features are small integers; ``-0.0``, NaN, ∞ and
-    fractions stay wide), and the header records the original dtype.  A
+    that holds it bit-exactly (:func:`repro.utils.csr.narrowed`: votes,
+    column ids, row offsets and count-valued features are small integers;
+    ``-0.0``, NaN, ∞ and fractions stay wide), and the header records the
+    original dtype.  A
     read maps the log and serves each array as a read-only
     ``np.frombuffer`` view of the mapping, widened back to its original
     dtype where it was narrowed: replaying a block is page-cache traffic,
@@ -71,13 +72,14 @@ arrive at the master, with three layers:
     Reads each chunk's stored feature block once, at the end of the pass,
     through one mapping of the log, and keeps its column ids and values in
     the narrow dtypes they were stored in (int16 columns and int8 counts for
-    hashed n-grams: 3 B per entry against the 16 B of int64 + float64),
-    copied out of the mapping into arrays the run owns, and takes its
-    ``indptr`` from the cumulative sum of its stored row counts.  The end
-    model then trains on them exactly as on an in-RAM run's blocks: shrunk
-    in place to the kept rows and planned once per fit.  X is resident,
-    narrow — the "Λ + X CSR bytes" of the memory target — and the log is
-    never written through.
+    hashed n-grams: 3 B per entry), copied out of the mapping into arrays
+    the run owns, and takes its ``indptr`` from the cumulative sum of its
+    stored row counts.  Those are the dtypes and bytes an in-RAM run's
+    block has from birth (``CSRFeatureMatrix.from_chunk`` narrows by the
+    same rule), so the end model trains on the same bits either way: each
+    block shrunk in place to the kept rows and planned once per fit.  X is
+    resident, narrow — the "Λ + X CSR bytes" of the memory target — and the
+    log is never written through.
 
 Fault-injection hooks (:mod:`repro.labeling.engine.faults`) are threaded
 through the write path so the crash-recovery gate can deterministically
@@ -103,6 +105,7 @@ import numpy as np
 from repro.exceptions import LabelingError
 from repro.labeling.engine import faults
 from repro.labeling.engine.accumulator import ChunkResult, attach_arrays, detach_arrays
+from repro.utils.csr import narrowed
 
 __all__ = ["BlockStore", "ChunkCheckpointer", "EpochCheckpoint"]
 
@@ -126,9 +129,6 @@ _PREFIX = len(MAGIC) + 16
 #: since the root also holds the caller's files: an open that found no valid
 #: record in a file of this name would rewrite it empty.
 _LOG = "blockstore.log"
-
-#: The dtypes an array may be narrowed to, narrowest first.
-_NARROW = tuple(np.dtype(f"<i{size}") for size in (1, 2, 4, 8))
 
 #: Keys are path-like identifiers; ``/`` separates namespaces.
 _KEY_RE = re.compile(r"^[A-Za-z0-9._/-]+$")
@@ -190,34 +190,6 @@ def _write_synced(path: str, flags: int, chunks, end: int = 0) -> None:
         os.fsync(handle.fileno())
 
 
-def _narrowed(array: np.ndarray) -> np.ndarray:
-    """``array`` in the narrowest signed int dtype that holds it bit-exactly,
-    or ``array`` itself when no narrower dtype does.
-
-    Ints need only their range.  Floats must also come back bit-equal from
-    the round trip, which keeps ``-0.0``, NaN, ∞ and fractions wide.
-    """
-    kind, itemsize = array.dtype.kind, array.dtype.itemsize
-    if kind not in "iuf" or itemsize == 1 or not array.size:
-        return array
-    low, high = array.min().item(), array.max().item()  # exact Python numbers
-    if kind == "f" and not (-(2.0**63) <= low and high < 2.0**63):
-        return array  # NaN, ±∞ or beyond int64
-    for dtype in _NARROW:
-        if dtype.itemsize >= itemsize:
-            return array
-        info = np.iinfo(dtype)
-        if info.min <= low and high <= info.max:
-            break
-    narrow = array.astype(dtype)
-    if kind == "f":
-        back = narrow.astype(array.dtype)
-        bits = np.dtype(f"u{itemsize}")
-        if not np.array_equal(back.reshape(-1).view(bits), array.reshape(-1).view(bits)):
-            return array
-    return narrow
-
-
 def _row_counts(ids: np.ndarray, rows: int) -> Optional[np.ndarray]:
     """How many of ``ids`` name each of ``rows`` rows, when they are row ids
     in ``[0, rows)`` that do not decrease — the order every producer emits,
@@ -237,7 +209,7 @@ def _encode(key: str, epoch: Optional[int], arrays: dict[str, np.ndarray], meta:
     specs, payloads, offset = [], [], 0
     for name, array in arrays.items():
         array = np.asarray(array, order="C")
-        stored = _narrowed(array)
+        stored = narrowed(array)
         raw = stored.tobytes()
         specs.append({"name": name, "dtype": array.dtype.str, "stored": stored.dtype.str,
                       "shape": list(array.shape), "offset": offset, "nbytes": len(raw)})

@@ -578,10 +578,10 @@ class SnorkelPipeline:
         exactly those of ``fit(X[keep], Ỹ[keep])``.
 
         The blocks belong to this run — built in RAM, or, in a checkpointed
-        run, read back from the store once in their narrow stored dtypes
-        (:meth:`ChunkCheckpointer.feature_blocks
-        <repro.labeling.blockstore.ChunkCheckpointer.feature_blocks>`) — so
-        each is shrunk to its kept rows once, in its own arrays
+        run, read back from the store once (:meth:`ChunkCheckpointer.feature_blocks
+        <repro.labeling.blockstore.ChunkCheckpointer.feature_blocks>`), the
+        same narrow column ids and values either way, about 3 B per entry —
+        so each is shrunk to its kept rows once, in its own arrays
         (:meth:`CSRMatrix.keep_rows <repro.utils.csr.CSRMatrix.keep_rows>`),
         and handed over as a sequence: the model plans its minibatches once
         per fit and X is never copied.  With ``epoch_checkpoint`` the fit

@@ -21,9 +21,13 @@ them per minibatch by inheritance, with no helper frame in between.
 ``keep_rows`` is ``select_rows`` done inside the matrix's own arrays, for an
 owner that is done with the other rows (the pipeline's train blocks, built in
 RAM or read back from a checkpointed run's store).  The arrays need not be
-int64 / float64: a stored block's narrow column ids and values are carried
-as they are — carves gather them unchanged, and products and ``to_dense``
-widen them into float64, which holds any stored integer exactly.
+int64 / float64: a feature block's column ids and values are held in the
+narrowest dtypes that keep them bit-exactly (:func:`narrowed`; int16 and int8
+for hashed n-gram counts, whether the block was built in RAM or read back
+from a checkpointed run's store) and carried as they are — carves gather
+them unchanged, and products, ``to_dense`` and ``to_scipy`` widen them into
+the class dtype, which holds any stored integer exactly.  A block's dtypes
+are storage, not values.
 """
 
 from __future__ import annotations
@@ -31,6 +35,39 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
+
+#: The dtypes an array may be narrowed to, narrowest first.
+_NARROW = tuple(np.dtype(f"<i{size}") for size in (1, 2, 4, 8))
+
+
+def narrowed(array: np.ndarray) -> np.ndarray:
+    """``array`` in the narrowest signed int dtype that holds it bit-exactly,
+    or ``array`` itself when no narrower dtype does.
+
+    Ints need only their range.  Floats must also come back bit-equal from
+    the round trip, which keeps ``-0.0``, NaN, ∞ and fractions wide.  The
+    one narrowing rule: the block store stores arrays by it and
+    ``CSRFeatureMatrix.from_chunk`` holds a chunk's features by it, so a
+    block has the same dtypes and bytes in RAM and read back from a store.
+    """
+    kind, itemsize = array.dtype.kind, array.dtype.itemsize
+    if kind not in "iuf" or itemsize == 1 or not array.size:
+        return array
+    low, high = array.min().item(), array.max().item()  # exact Python numbers
+    if kind == "f" and not (-(2.0**63) <= low and high < 2.0**63):
+        return array  # NaN, ±∞ or beyond int64
+    for dtype in _NARROW:
+        if dtype.itemsize >= itemsize:
+            return array
+        bound = 1 << 8 * dtype.itemsize - 1  # the dtype holds [-bound, bound)
+        if -bound <= low and high < bound:
+            break
+    narrow = array.astype(dtype)
+    if kind == "f":
+        bits = np.dtype(f"u{itemsize}")
+        if (narrow.astype(array.dtype).view(bits) != array.view(bits)).any():
+            return array
+    return narrow
 
 
 class CSRMatrix:
@@ -138,10 +175,13 @@ class CSRMatrix:
         )
 
     def to_scipy(self):
-        """View as a ``scipy.sparse.csr_matrix`` (shares the underlying arrays)."""
+        """As a ``scipy.sparse.csr_matrix`` of the class dtype: shares the
+        underlying arrays when ``data`` is already of it, and widens narrow
+        ``data`` (scipy keeps an int8 dtype through products, and wraps)."""
         from scipy.sparse import csr_matrix  # the only scipy import in the package
 
-        return csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        data = np.asarray(self.data, dtype=self._dtype)
+        return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the dense ``(m, n)`` matrix (zero where nothing is stored)."""

@@ -1124,9 +1124,9 @@ def text(value) -> np.ndarray:
 
 
 def labeling_records(tag: str, applier: LFApplier, matrix, blocks) -> dict:
-    """Λ as held, the chunk-ordered feature blocks and the deterministic
-    report fields; the pushdown summary and the transport under names that
-    carry the setting they depend on."""
+    """Λ as held, the chunk-ordered feature blocks (widened to int64 and
+    float64) and the deterministic report fields; the pushdown summary and
+    the transport under names that carry the setting they depend on."""
     parts = ("indptr", "indices", "data")
     out = {f"{tag} held": np.array([matrix.is_sparse, *matrix.shape])}
     if matrix.is_sparse:
@@ -1134,8 +1134,15 @@ def labeling_records(tag: str, applier: LFApplier, matrix, blocks) -> dict:
     else:
         out[f"{tag} Λ dense"] = matrix.values
     out[f"{tag} blocks"] = np.array([block.shape for block in blocks]).reshape(-1, 2)
+    # Blocks are recorded widened: their dtypes are storage, not values, and
+    # widening is exact, so values still compare bitwise with a checkout
+    # that holds its blocks in other dtypes.
+    widths = dict(zip(parts, (np.int64, np.int64, np.float64)))
     for index, block in enumerate(blocks):
-        out.update({f"{tag} block {index} {part}": getattr(block, part) for part in parts})
+        out.update({
+            f"{tag} block {index} {part}": getattr(block, part).astype(width)
+            for part, width in widths.items()
+        })
     report, pushdown = applier.last_report, applier.last_report.pushdown
     errors = {name: detail.type_counts for name, detail in report.error_details.items()}
     out[f"{tag} report"] = text(

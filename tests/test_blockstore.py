@@ -41,7 +41,8 @@ What this suite pins down:
 * **Stored feature blocks** — ``ChunkCheckpointer.feature_blocks``
   refuses incomplete stores, serves RAM overrides for chunks a degraded run
   never persisted, and loads each stored block in its narrow stored dtypes
-  as arrays the caller owns; ``completed`` trusts only canonical keys.
+  as arrays the caller owns — the dtypes and bytes an in-RAM run's block
+  has, on every backend; ``completed`` trusts only canonical keys.
 """
 
 import builtins
@@ -70,8 +71,8 @@ from repro.labeling.blockstore import (
     BlockStore,
     ChunkCheckpointer,
     EpochCheckpoint,
-    _narrowed,
 )
+from repro.utils.csr import narrowed
 
 #: The log's file name inside the store's root.
 LOG = "blockstore.log"
@@ -235,7 +236,7 @@ def test_narrow_encoding_round_trips_bytes(shared_store, arrays):
     ],
 )
 def test_narrowed_picks_the_narrowest_exact_signed_dtype(values, dtype, stored):
-    assert _narrowed(np.array(values, dtype=dtype)).dtype == np.dtype(stored)
+    assert narrowed(np.array(values, dtype=dtype)).dtype == np.dtype(stored)
 
 
 def recorded_fused_pass(store, candidates=600, chunk_size=256) -> list:
@@ -1117,9 +1118,7 @@ def test_chunk_checkpointer_round_trip(tmp_path):
                 assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), field
             in_ram = CSRFeatureMatrix.from_chunk(original.features, 16)
             assert blocks[index].shape == in_ram.shape
-            assert blocks[index].indptr.tobytes() == in_ram.indptr.tobytes()
-            assert blocks[index].indices.astype(np.int64).tobytes() == in_ram.indices.tobytes()
-            assert blocks[index].data.astype(np.float64).tobytes() == in_ram.data.tobytes()
+            assert same_arrays(blocks[index], in_ram)
         # Reopening sees the same completed set.
         fresh = ChunkCheckpointer(store, "train")
         assert fresh.completed == {0, 1, 2}
@@ -1204,10 +1203,19 @@ def row_major_result(index, num_candidates=10):
     return result
 
 
+def same_arrays(block, other) -> bool:
+    """Whether two CSR blocks hold the same dtypes and bytes."""
+    return all(
+        getattr(block, part).dtype == getattr(other, part).dtype
+        and getattr(block, part).tobytes() == getattr(other, part).tobytes()
+        for part in ("indptr", "indices", "data")
+    )
+
+
 def test_stored_feature_blocks_serve_overrides(tmp_path):
     """Stored blocks come back once, in their narrow stored dtypes, as owned
-    writable copies equal to the in-RAM build after widening; overrides are
-    served as given."""
+    writable copies with the dtypes and bytes of the in-RAM build; overrides
+    are served as given."""
     from repro.discriminative.sparse_features import CSRFeatureMatrix
 
     with BlockStore(str(tmp_path / "store")) as store:
@@ -1222,10 +1230,29 @@ def test_stored_feature_blocks_serve_overrides(tmp_path):
         assert (built.indices.dtype, built.data.dtype) == (np.int8, np.int8)
         for array in (built.indices, built.data):
             assert array.flags.writeable and array.flags.owndata
-        in_ram = CSRFeatureMatrix.from_chunk(row_major_result(0).features, 16)
-        assert np.array_equal(built.indptr, in_ram.indptr)
-        assert built.indices.astype(np.int64).tobytes() == in_ram.indices.tobytes()
-        assert built.data.astype(np.float64).tobytes() == in_ram.data.tobytes()
+        assert same_arrays(built, CSRFeatureMatrix.from_chunk(row_major_result(0).features, 16))
+
+
+@pytest.mark.parametrize("backend", ["sequential", "threads", "processes"])
+def test_fresh_checkpoint_and_in_ram_blocks_are_the_same_bytes(tmp_path, backend):
+    """``apply_with_features`` returns the same feature blocks into a fresh
+    checkpoint as in RAM, dtypes and bytes, on every backend: the store and
+    ``from_chunk`` narrow by one rule.  A 512-feature text stream's blocks
+    hold int16 column ids and int8 counts, 3 B per entry either way."""
+    featurizer = RelationFeaturizer(num_features=512).fit()
+    applier = LFApplier(text_vote_lfs(4), chunk_size=64, backend=backend, num_workers=2)
+
+    def candidates():
+        return stream_text_candidates(num_points=300, num_lfs=4, seed=3)
+
+    _, in_ram = applier.apply_with_features(candidates(), featurizer)
+    with BlockStore(str(tmp_path / "store")) as store:
+        checkpoint = ChunkCheckpointer(store, "train")
+        _, stored = applier.apply_with_features(candidates(), featurizer, checkpoint=checkpoint)
+    assert checkpoint.completed == set(range(5)) and len(in_ram) == 5
+    for block, reference in zip(stored, in_ram, strict=True):
+        assert same_arrays(block, reference)
+        assert block.nnz and block.indices.nbytes + block.data.nbytes == 3 * block.nnz
 
 
 def test_completed_trusts_only_canonical_keys(tmp_path):

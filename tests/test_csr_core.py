@@ -4,9 +4,10 @@
   and ``CSRFeatureMatrix`` against ``to_scipy()``'s answer, bit for bit, on
   generated matrices with empty rows and columns, zero rows, boolean masks,
   negative and repeated indices;
-* narrow stored blocks: a ``CSRFeatureMatrix`` carrying the int column ids
-  and values the block store narrows to (as a checkpointed run loads them)
-  computes, carves and stacks byte for byte like its widened twin;
+* narrow blocks: a ``CSRFeatureMatrix`` carrying the int column ids and
+  values ``narrowed`` gives (as ``from_chunk`` builds them and a
+  checkpointed run loads them) computes, carves and stacks byte for byte
+  like its widened twin, and reaches scipy widened;
 * the malformed-input table, once, for both (each subclass raises its own
   exception and names its own columns);
 * a subprocess that forbids ``import scipy`` and then drives the pipeline,
@@ -26,7 +27,9 @@ from hypothesis import given, settings, strategies as st
 from repro.discriminative import CSRFeatureMatrix
 from repro.exceptions import ConfigurationError, LabelingError
 from repro.labeling import SparseLabelMatrix
-from repro.labeling.blockstore import _narrowed
+from repro.labeling.blockstore import BlockStore, ChunkCheckpointer
+from repro.labeling.engine.accumulator import ChunkResult
+from repro.utils.csr import narrowed
 
 BOTH = pytest.mark.parametrize(
     "cls, error, columns",
@@ -138,7 +141,7 @@ def narrow_twin(wide, dtypes=None):
     """``wide`` as a checkpointed run holds a stored feature block: column
     ids and values in the store's narrowed dtypes (or in ``dtypes``)."""
     indices, data = (
-        (_narrowed(wide.indices), _narrowed(wide.data))
+        (narrowed(wide.indices), narrowed(wide.data))
         if dtypes is None
         else (wide.indices.astype(dtypes[0]), wide.data.astype(dtypes[1]))
     )
@@ -215,6 +218,22 @@ def test_dense_round_trip_and_scipy_view_share_memory(cls, error, columns):
     assert np.shares_memory(matrix.to_scipy().data, matrix.data)
     with pytest.raises(error, match="must be 2-D"):
         cls.from_dense(np.arange(3))
+
+
+def test_scipy_view_of_a_stored_block_widens_its_narrow_values(tmp_path):
+    """scipy keeps int8 data int8 through its products, so a block read back
+    narrow from a store reaches scipy in float64: the Gram entry of a row
+    ``[100, 100]`` is 20000, not the 32 int8 wraps it to."""
+    pytest.importorskip("scipy.sparse")
+    features = ChunkResult(0, 0, 1, np.zeros(2, np.int64), np.array([3, 7]), np.full(2, 100.0))
+    with BlockStore(str(tmp_path / "store")) as store:
+        checkpoint = ChunkCheckpointer(store, "train")
+        checkpoint.record(ChunkResult(0, 0, 1, *[np.zeros(0, np.int64)] * 3, features=features))
+        [block] = checkpoint.feature_blocks(1, 16, {})
+    assert block.data.dtype == np.int8
+    view = block.to_scipy()
+    assert view.dtype == np.float64
+    assert (view @ view.T).toarray().tolist() == [[20000.0]]
 
 
 MALFORMED = [

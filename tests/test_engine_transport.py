@@ -131,6 +131,7 @@ _WIDE_CHUNKS = textwrap.dedent(
     from repro.datasets.synthetic import stream_text_candidates, text_vote_lfs
     from repro.discriminative.featurizers import RelationFeaturizer
     from repro.labeling import LFApplier
+    from repro.labeling.engine.tasks import featurize_chunk
 
     candidates = list(stream_text_candidates(num_points=4 * 2048, num_lfs=5, seed=3))
     featurizer = RelationFeaturizer(num_features=1 << 16).fit()
@@ -150,7 +151,9 @@ _WIDE_CHUNKS = textwrap.dedent(
     held = a.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
     held += b.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
     chunk_bytes = len(pickle.dumps(candidates[:2048], pickle.HIGHEST_PROTOCOL))
-    result_bytes = blocks[0].indices.nbytes + blocks[0].data.nbytes
+    # What a worker sends back for a chunk holds at least its feature triples.
+    sent = featurize_chunk(featurizer, False, 0, 0, candidates[:2048])
+    result_bytes = sum(array.nbytes for array in (sent.row_offsets, sent.cols, sent.values))
     assert min(chunk_bytes, result_bytes) > held, (chunk_bytes, result_bytes, held)
     print("ok", len(blocks))
     """

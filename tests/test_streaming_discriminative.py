@@ -48,8 +48,8 @@ from repro.discriminative.softmax import NoiseAwareSoftmaxRegression
 from repro.discriminative.streaming import featurize_stream
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.labeling.applier import LFApplier
-from repro.labeling.blockstore import _narrowed
 from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
+from repro.utils.csr import narrowed
 from repro.utils.mathutils import sigmoid
 
 BACKENDS = [("sequential", 1), ("threads", 2), ("processes", 2)]
@@ -367,7 +367,7 @@ def test_three_doors_train_bit_identically(case):
     assert fitted_state(sequence) == fitted_state(callable_source)
     if not case["dense"]:
         narrow = CSRFeatureMatrix._carved(
-            features.indptr, _narrowed(features.indices), _narrowed(features.data), features.shape
+            features.indptr, narrowed(features.indices), narrowed(features.data), features.shape
         )
         assert narrow.data.dtype == np.int8 or not narrow.nnz
         narrow_sequence = model().fit_stream(
