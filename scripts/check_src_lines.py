@@ -20,7 +20,7 @@ import sys
 import tokenize
 
 #: Code lines of ``src/repro`` at the last change; lower it, never raise it.
-CEILING = 12_041
+CEILING = 11_946
 
 _SKIPPED = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,

@@ -15,6 +15,8 @@ a task by name.
 
 from repro.datasets.base import TaskDataset, TaskSummary, load_task, registered_tasks
 from repro.datasets.synthetic import (
+    PlantedLF,
+    PlantedSuite,
     SyntheticMatrixResult,
     generate_correlated_label_matrix,
     generate_label_matrix,
@@ -25,6 +27,8 @@ __all__ = [
     "TaskSummary",
     "load_task",
     "registered_tasks",
+    "PlantedLF",
+    "PlantedSuite",
     "SyntheticMatrixResult",
     "generate_label_matrix",
     "generate_correlated_label_matrix",

@@ -1,32 +1,48 @@
-"""Pure-synthetic label matrix generators.
+"""Planted-truth synthetic data: one spec, two emitters, the paper's presets.
 
-These generators produce label matrices directly (no text), matching the
-synthetic settings of the paper's Figure 4 (independent labeling functions
-with fixed accuracy and propensity) and Figure 5-left (labeling functions
-with planted correlated families), plus a mis-specification scenario
-reproducing Example 3.1 (a block of perfectly correlated LFs next to
-independent ones).
+A :class:`PlantedSuite` plants the truth a label model should recover: the
+class balance (whose length is the cardinality) and, per labeling function,
+a :class:`PlantedLF` -- its accuracy, its firing rate on each class, an
+optional single polarity, and an optional ``copy_of`` source whose vote it
+repeats with a copy probability.  The spec has exactly two emitters:
 
-Beyond the binary settings there is a categorical generator
-(:func:`generate_multiclass_label_matrix`: labels ``1..k``, ``0`` = abstain,
-symmetric Dawid–Skene-style workers) and :func:`build_multiclass_task`,
-which wraps its votes into a full :class:`repro.datasets.base.TaskDataset`
-(one LF per simulated worker, class-indicative tweet-like text) so the
-multi-class pipeline path can be exercised end-to-end without the full
-crowd task.
+* :meth:`PlantedSuite.label_matrix` draws Λ column by column into a
+  :class:`SyntheticMatrixResult`.  The votes are accumulated as per-column
+  triples into CSR, so the dense ``(m, n)`` array exists only when dense
+  storage is asked for;
+* :meth:`PlantedSuite.draw_votes` draws one candidate's gold label and vote
+  row.  The streams hand it each candidate's own ``(seed, uid)`` generator,
+  so a stream is reproducible, independent of consumption order and O(1) in
+  memory.
 
-For the labeling execution engine there is also a *streaming* front-end:
-:func:`stream_synthetic_candidates` yields lightweight picklable candidates
-one at a time (each carrying its precomputed vote row, drawn from a
-per-candidate RNG so the stream is deterministic and order-independent), and
-:func:`synthetic_vote_lfs` builds the matching LF suite.  Feeding the stream
-to :class:`repro.labeling.applier.LFApplier` reproduces the same votes under
-every executor backend without ever materializing the candidate list.
+Every generator here is a short preset over the spec:
+
+* :func:`generate_label_matrix` -- independent LFs at one accuracy and
+  propensity, the paper's Figure 4 setting;
+* :func:`generate_multiclass_label_matrix` -- the categorical version
+  (labels ``1..k``, ``0`` = abstain, errors uniform over the wrong classes),
+  which :func:`build_multiclass_task` wraps into a full
+  :class:`repro.datasets.base.TaskDataset`;
+* :func:`generate_correlated_label_matrix` -- planted correlated families,
+  Figure 5-left;
+* :func:`generate_misspecification_example` -- Example 3.1's block of
+  duplicate LFs next to independent ones;
+* :func:`stream_synthetic_candidates` and :func:`stream_text_candidates` --
+  the drawer's votes as :class:`SyntheticCandidate` rows or as planted text
+  tokens, for the labeling engine and the end-to-end pipeline, with the
+  matching LF suites :func:`synthetic_vote_lfs` and :func:`text_vote_lfs`.
+
+The draw order is part of the contract (every preset is seed-stable): per
+LF, a firing mask unless the LF always fires, a correctness mask unless it
+is unipolar, for ``k > 2`` a wrong-class shift (for every row in Λ, on a
+wrong vote in the drawer), then a copy mask unless it copies with
+probability 1, in which case it draws nothing at all.
+:func:`stream_relation_candidates` plants no truth and stands apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -48,6 +64,181 @@ class SyntheticMatrixResult:
     lf_accuracies: np.ndarray
     lf_propensities: np.ndarray
     correlated_pairs: list[tuple[int, int]] = field(default_factory=list)
+
+
+def _checked_prior(prior: tuple[float, ...]) -> tuple[float, ...]:
+    if len(prior) < 2 or not all(0.0 < p < 1.0 for p in prior) or abs(sum(prior) - 1.0) > 1e-9:
+        raise DatasetError(f"class_balance must be >= 2 priors in (0, 1) summing to 1, got {prior}")
+    return prior
+
+
+def _draw_gold(rng: np.random.Generator, prior: tuple[float, ...], size: Optional[int] = None):
+    """``size`` gold labels as an int64 array, or one as a Python int."""
+    if len(prior) == 2:
+        gold = np.where(rng.random(size) < prior[0], POSITIVE, NEGATIVE)
+    else:
+        gold = rng.choice(np.arange(1, len(prior) + 1), size=size, p=prior)
+    return int(gold) if size is None else gold.astype(np.int64)
+
+
+@dataclass(frozen=True)
+class PlantedLF:
+    """One labeling function's planted behaviour.
+
+    ``rates[c]`` is the probability that the LF fires on a point of class
+    ``c + 1`` (binary: ``rates[0]`` on positives, ``rates[1]`` on
+    negatives); ``rates=None`` fires on every point.  When it fires it votes
+    the gold class with probability ``accuracy`` and otherwise a wrong class
+    drawn uniformly -- unless ``polarity`` is set: then it always votes
+    ``polarity`` and ``accuracy`` records the precision its rates imply.
+    With ``copy_of`` (an earlier LF) it repeats that LF's vote with
+    probability ``copy_probability`` and otherwise behaves as above.
+    """
+
+    accuracy: float
+    rates: Optional[tuple[float, ...]]
+    polarity: Optional[int] = None
+    copy_of: Optional[int] = None
+    copy_probability: float = 1.0
+
+
+@dataclass(frozen=True)
+class PlantedSuite:
+    """The planted truth of a labeling-function suite (see the module docs).
+
+    ``class_balance[c]`` is the prior of class ``c + 1`` (binary: of
+    :data:`POSITIVE`, then :data:`NEGATIVE`); its length is the cardinality.
+    """
+
+    class_balance: tuple[float, ...]
+    lfs: tuple[PlantedLF, ...]
+
+    def __post_init__(self) -> None:
+        k = len(_checked_prior(self.class_balance))
+        if not self.lfs:
+            raise DatasetError("a planted suite needs at least one LF")
+        labels = (None, POSITIVE, NEGATIVE) if k == 2 else (None, *range(1, k + 1))
+        for j, lf in enumerate(self.lfs):
+            rates = (1.0,) * k if lf.rates is None else lf.rates
+            copy = lf.copy_of is None or 0 <= lf.copy_of < j and 0 <= lf.copy_probability <= 1
+            if not (
+                0.0 <= lf.accuracy <= 1.0
+                and len(rates) == k
+                and all(0.0 <= rate <= 1.0 for rate in rates)
+                and lf.polarity in labels
+                and copy
+            ):
+                raise DatasetError(
+                    f"LF {j} is not a {k}-class planted LF (probabilities in [0, 1], a class "
+                    f"label as polarity, an earlier LF as copy_of): {lf}"
+                )
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.class_balance)
+
+    def _column(self, lf: PlantedLF, rng, gold, classes, columns: dict) -> np.ndarray:
+        """LF ``lf``'s votes on every row (``classes``: each row's class index)."""
+        if lf.copy_of is not None and lf.copy_probability == 1.0:
+            return columns[lf.copy_of]
+        m, k = gold.size, self.cardinality
+        fires = True if lf.rates is None else rng.random(m) < np.asarray(lf.rates)[classes]
+        if lf.polarity is not None:
+            votes = np.full(m, lf.polarity, dtype=np.int64)
+        else:
+            correct = rng.random(m) < lf.accuracy
+            wrong = -gold if k == 2 else (gold - 1 + rng.integers(1, k, size=m)) % k + 1
+            votes = np.where(correct, gold, wrong)
+        column = np.where(fires, votes, ABSTAIN)
+        if lf.copy_of is not None:
+            column = np.where(rng.random(m) < lf.copy_probability, columns[lf.copy_of], column)
+        return column
+
+    def label_matrix(
+        self, num_points: int, seed: SeedLike = 0, sparse: bool = False
+    ) -> SyntheticMatrixResult:
+        """Emit Λ column by column, with its gold labels and planted values."""
+        if num_points <= 0:
+            raise DatasetError(f"num_points must be positive, got {num_points}")
+        rng = ensure_rng(seed)
+        gold = _draw_gold(rng, self.class_balance, num_points)
+        classes = (gold == NEGATIVE).astype(np.intp) if self.cardinality == 2 else gold - 1
+        # Only copy sources stay dense: Λ itself is accumulated as triples.
+        sources = {lf.copy_of for lf in self.lfs}
+        columns: dict[int, np.ndarray] = {}
+        triples: list[tuple[np.ndarray, ...]] = []
+        for j, lf in enumerate(self.lfs):
+            column = self._column(lf, rng, gold, classes, columns)
+            if j in sources:
+                columns[j] = column
+            rows = np.flatnonzero(column)
+            triples.append((rows, np.full(rows.size, j, dtype=np.int64), column[rows]))
+        shape = (num_points, len(self.lfs))
+        storage = SparseLabelMatrix.from_triples(*map(np.concatenate, zip(*triples)), shape)
+        matrix = LabelMatrix(storage, cardinality=self.cardinality)
+        return SyntheticMatrixResult(
+            label_matrix=matrix if sparse else matrix.to_dense(),
+            gold_labels=gold,
+            lf_accuracies=np.array([lf.accuracy for lf in self.lfs]),
+            lf_propensities=np.array([self._propensity(lf) for lf in self.lfs]),
+            correlated_pairs=[
+                (lf.copy_of, j) for j, lf in enumerate(self.lfs) if lf.copy_of is not None
+            ],
+        )
+
+    def _propensity(self, lf: PlantedLF) -> float:
+        """The LF's marginal firing rate (its own draws, before any copying)."""
+        if lf.rates is None:
+            return 1.0
+        if len(set(lf.rates)) == 1:
+            return lf.rates[0]
+        return float(np.dot(self.class_balance, lf.rates))
+
+    def draw_votes(self, rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
+        """One candidate's gold label and vote row (``ABSTAIN`` where silent)."""
+        gold, k = _draw_gold(rng, self.class_balance), self.cardinality
+        klass = int(gold == NEGATIVE) if k == 2 else gold - 1
+        votes: list[int] = []
+        for lf in self.lfs:
+            if lf.copy_of is not None and lf.copy_probability == 1.0:
+                votes.append(votes[lf.copy_of])
+                continue
+            vote = ABSTAIN
+            if lf.rates is None or rng.random() < lf.rates[klass]:
+                if lf.polarity is not None:
+                    vote = lf.polarity
+                elif rng.random() < lf.accuracy:
+                    vote = gold
+                else:
+                    vote = -gold if k == 2 else (gold - 1 + int(rng.integers(1, k))) % k + 1
+            if lf.copy_of is not None and rng.random() < lf.copy_probability:
+                vote = votes[lf.copy_of]
+            votes.append(vote)
+        return gold, tuple(votes)
+
+
+# ------------------------------------------------------------------- presets
+def _class_prior(cardinality: int, class_balance) -> tuple[float, ...]:
+    """A preset's class-balance argument as the spec's prior: ``None`` is
+    uniform, a scalar is the binary positive fraction, a length-``k`` vector
+    of positive weights is normalized."""
+    if cardinality < 2:
+        raise DatasetError(f"cardinality must be >= 2, got {cardinality}")
+    if class_balance is None:
+        return _checked_prior((1.0 / cardinality,) * cardinality)
+    if cardinality == 2 and np.ndim(class_balance) == 0:
+        return _checked_prior((float(class_balance), 1.0 - float(class_balance)))
+    prior = np.asarray(class_balance, dtype=float)
+    if prior.shape != (cardinality,) or np.any(prior <= 0):
+        raise DatasetError(f"class_balance must be a length-{cardinality} positive vector")
+    return _checked_prior(tuple(prior / prior.sum()))
+
+
+def _symmetric_suite(num_lfs: int, accuracy, propensity, prior) -> PlantedSuite:
+    """Independent LFs firing at ``propensity`` on every class."""
+    accuracies = _broadcast("accuracy", accuracy, num_lfs)
+    rates = [(float(p),) * len(prior) for p in _broadcast("propensity", propensity, num_lfs)]
+    return PlantedSuite(prior, tuple(PlantedLF(float(a), r) for a, r in zip(accuracies, rates)))
 
 
 def generate_label_matrix(
@@ -80,45 +271,8 @@ def generate_label_matrix(
         never allocated, so very large low-coverage matrices fit in memory.
         The same seed emits the same votes in both modes.
     """
-    if num_points <= 0 or num_lfs <= 0:
-        raise DatasetError(f"num_points and num_lfs must be positive, got {num_points}, {num_lfs}")
-    if not 0.0 < class_balance < 1.0:
-        raise DatasetError(f"class_balance must lie in (0, 1), got {class_balance}")
-    rng = ensure_rng(seed)
-    accuracies = _broadcast("accuracy", accuracy, num_lfs)
-    propensities = _broadcast("propensity", propensity, num_lfs)
-    gold = np.where(rng.random(num_points) < class_balance, POSITIVE, NEGATIVE).astype(np.int64)
-    if sparse:
-        row_chunks: list[np.ndarray] = []
-        col_chunks: list[np.ndarray] = []
-        val_chunks: list[np.ndarray] = []
-        for j in range(num_lfs):
-            votes = rng.random(num_points) < propensities[j]
-            correct = rng.random(num_points) < accuracies[j]
-            rows = np.flatnonzero(votes)
-            row_chunks.append(rows)
-            col_chunks.append(np.full(rows.size, j, dtype=np.int64))
-            val_chunks.append(np.where(correct[rows], gold[rows], -gold[rows]))
-        storage = SparseLabelMatrix.from_triples(
-            np.concatenate(row_chunks) if row_chunks else [],
-            np.concatenate(col_chunks) if col_chunks else [],
-            np.concatenate(val_chunks) if val_chunks else [],
-            (num_points, num_lfs),
-        )
-        label_matrix = LabelMatrix(storage)
-    else:
-        matrix = np.zeros((num_points, num_lfs), dtype=np.int64)
-        for j in range(num_lfs):
-            votes = rng.random(num_points) < propensities[j]
-            correct = rng.random(num_points) < accuracies[j]
-            matrix[votes, j] = np.where(correct[votes], gold[votes], -gold[votes])
-        label_matrix = LabelMatrix(matrix)
-    return SyntheticMatrixResult(
-        label_matrix=label_matrix,
-        gold_labels=gold,
-        lf_accuracies=accuracies,
-        lf_propensities=propensities,
-    )
+    suite = _symmetric_suite(num_lfs, accuracy, propensity, _class_prior(2, class_balance))
+    return suite.label_matrix(num_points, seed, sparse)
 
 
 def generate_multiclass_label_matrix(
@@ -137,64 +291,36 @@ def generate_multiclass_label_matrix(
     votes with probability ``propensity``, votes the gold class with
     probability ``accuracy``, and otherwise votes uniformly among the
     ``k - 1`` wrong classes.  Abstentions are ``0``.  ``class_balance`` is an
-    optional length-``k`` prior over gold classes (uniform by default).  With
-    ``sparse=True`` the votes are accumulated as triples into CSR storage;
-    the same seed emits the same votes in both modes.
+    optional length-``k`` prior over gold classes (uniform by default).  At
+    ``k = 2`` the votes are the binary ``±1`` of :func:`generate_label_matrix`
+    (class 1 is positive).  With ``sparse=True`` the votes are accumulated as
+    triples into CSR storage; the same seed emits the same votes in both
+    modes.
     """
-    if num_points <= 0 or num_lfs <= 0:
-        raise DatasetError(f"num_points and num_lfs must be positive, got {num_points}, {num_lfs}")
-    if cardinality < 2:
-        raise DatasetError(f"cardinality must be >= 2, got {cardinality}")
-    if class_balance is None:
-        prior = np.full(cardinality, 1.0 / cardinality)
-    else:
-        prior = np.asarray(class_balance, dtype=float)
-        if prior.shape != (cardinality,) or np.any(prior <= 0):
-            raise DatasetError(
-                f"class_balance must be a length-{cardinality} positive vector"
-            )
-        prior = prior / prior.sum()
-    rng = ensure_rng(seed)
-    accuracies = _broadcast("accuracy", accuracy, num_lfs)
-    propensities = _broadcast("propensity", propensity, num_lfs)
-    gold = rng.choice(np.arange(1, cardinality + 1), size=num_points, p=prior).astype(np.int64)
+    prior = _class_prior(cardinality, class_balance)
+    suite = _symmetric_suite(num_lfs, accuracy, propensity, prior)
+    return suite.label_matrix(num_points, seed, sparse)
 
-    def column_votes(j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Voting rows of LF ``j`` and the classes it emits there."""
-        votes = rng.random(num_points) < propensities[j]
-        correct = rng.random(num_points) < accuracies[j]
-        # A wrong vote shifts the gold class by 1..k-1 (mod k), i.e. uniform
-        # over the wrong classes.
-        shifts = rng.integers(1, cardinality, size=num_points)
-        wrong = ((gold - 1 + shifts) % cardinality) + 1
-        rows = np.flatnonzero(votes)
-        return rows, np.where(correct[rows], gold[rows], wrong[rows])
 
-    if sparse:
-        row_chunks, col_chunks, val_chunks = [], [], []
-        for j in range(num_lfs):
-            rows, values = column_votes(j)
-            row_chunks.append(rows)
-            col_chunks.append(np.full(rows.size, j, dtype=np.int64))
-            val_chunks.append(values)
-        storage = SparseLabelMatrix.from_triples(
-            np.concatenate(row_chunks),
-            np.concatenate(col_chunks),
-            np.concatenate(val_chunks),
-            (num_points, num_lfs),
-        )
-        label_matrix = LabelMatrix(storage, cardinality=cardinality)
-    else:
-        matrix = np.zeros((num_points, num_lfs), dtype=np.int64)
-        for j in range(num_lfs):
-            rows, values = column_votes(j)
-            matrix[rows, j] = values
-        label_matrix = LabelMatrix(matrix, cardinality=cardinality)
-    return SyntheticMatrixResult(
-        label_matrix=label_matrix,
-        gold_labels=gold,
-        lf_accuracies=accuracies,
-        lf_propensities=propensities,
+_FILLER = tuple(f"filler{i}" for i in range(8))
+
+
+def _text_candidate(uid, rng, klass, words, document, relation, split, gold):
+    """A one-sentence candidate: ``words`` plus class-``klass`` tokens and
+    filler, shuffled, with its first and last word as the two spans."""
+    from repro.context.candidates import Candidate, SentenceView, SpanView
+
+    words += [f"class{klass}tok{int(rng.integers(3))}" for _ in range(int(rng.integers(1, 4)))]
+    words += [_FILLER[int(rng.integers(len(_FILLER)))] for _ in range(int(rng.integers(3, 7)))]
+    rng.shuffle(words)
+    return Candidate(
+        uid=uid,
+        span1=SpanView(text=words[0], word_start=0, word_end=1),
+        span2=SpanView(text=words[-1], word_start=len(words) - 1, word_end=len(words)),
+        sentence=SentenceView(words=words, text=" ".join(words), document_name=document),
+        relation_type=relation,
+        split=split,
+        gold_label=gold,
     )
 
 
@@ -215,7 +341,6 @@ def build_multiclass_task(
     gold class, so the discriminative stage has real features to learn from.
     The task exercises the complete multi-class pipeline path at test sizes.
     """
-    from repro.context.candidates import Candidate, SentenceView, SpanView
     from repro.datasets.base import TaskDataset
     from repro.evaluation.splits import assign_document_splits
     from repro.labeling.generators import CrowdWorkerLFGenerator
@@ -232,40 +357,24 @@ def build_multiclass_task(
     rng = ensure_rng((seed, 1))
     splits = assign_document_splits(num_points, 0.125, 0.125, seed=rng)
 
-    filler = [f"filler{i}" for i in range(8)]
     candidates: dict[str, list] = {"train": [], "dev": [], "test": []}
-    gold: dict[str, list[int]] = {"train": [], "dev": [], "test": []}
-    for uid in range(num_points):
-        klass = int(data.gold_labels[uid])
-        words = [f"class{klass}tok{int(rng.integers(3))}" for _ in range(int(rng.integers(1, 4)))]
-        words += [filler[int(rng.integers(len(filler)))] for _ in range(int(rng.integers(3, 7)))]
-        rng.shuffle(words)
-        candidate = Candidate(
-            uid=uid,
-            span1=SpanView(text=words[0], word_start=0, word_end=1),
-            span2=SpanView(text=words[-1], word_start=len(words) - 1, word_end=len(words)),
-            sentence=SentenceView(
-                words=words, text=" ".join(words), document_name=f"synth-{uid:05d}"
-            ),
-            relation_type="synthetic_multiclass",
-            split=splits[uid],
-            gold_label=klass,
+    for uid, klass in enumerate(data.gold_labels.tolist()):
+        document, split = f"synth-{uid:05d}", splits[uid]
+        candidates[split].append(
+            _text_candidate(uid, rng, klass, [], document, "synthetic_multiclass", split, klass)
         )
-        candidates[splits[uid]].append(candidate)
-        gold[splits[uid]].append(klass)
-
     annotations = {
-        f"{j:03d}": {
-            int(uid): int(matrix[uid, j])
-            for uid in np.flatnonzero(matrix[:, j] != ABSTAIN)
-        }
+        f"{j:03d}": {int(uid): int(matrix[uid, j]) for uid in np.flatnonzero(matrix[:, j])}
         for j in range(num_lfs)
     }
     generator = CrowdWorkerLFGenerator(annotations, cardinality=cardinality)
     return TaskDataset(
         name=name,
         candidates=candidates,
-        gold={split: np.array(values, dtype=np.int64) for split, values in gold.items()},
+        gold={
+            split: np.array([c.gold_label for c in split_candidates], dtype=np.int64)
+            for split, split_candidates in candidates.items()
+        },
         lfs=generator.generate(),
         cardinality=cardinality,
         num_documents=num_points,
@@ -296,44 +405,15 @@ def generate_correlated_label_matrix(
     """
     if group_size < 2:
         raise DatasetError(f"group_size must be >= 2, got {group_size}")
-    rng = ensure_rng(seed)
-    gold = np.where(rng.random(num_points) < class_balance, POSITIVE, NEGATIVE).astype(np.int64)
-
-    def sample_independent_column() -> np.ndarray:
-        column = np.zeros(num_points, dtype=np.int64)
-        votes = rng.random(num_points) < propensity
-        correct = rng.random(num_points) < accuracy
-        column[votes] = np.where(correct[votes], gold[votes], -gold[votes])
-        return column
-
-    columns: list[np.ndarray] = []
-    correlated_pairs: list[tuple[int, int]] = []
+    rates = (propensity, propensity)
+    lfs = []
     for _ in range(num_groups):
-        source_index = len(columns)
-        source = sample_independent_column()
-        columns.append(source)
-        for _ in range(group_size - 1):
-            copy_index = len(columns)
-            independent_behaviour = sample_independent_column()
-            copies = rng.random(num_points) < copy_probability
-            column = np.where(copies, source, independent_behaviour)
-            columns.append(column)
-            correlated_pairs.append((source_index, copy_index))
-    for _ in range(num_independent):
-        columns.append(sample_independent_column())
-
-    matrix = np.column_stack(columns) if columns else np.zeros((num_points, 0), dtype=np.int64)
-    num_lfs = matrix.shape[1]
-    label_matrix = LabelMatrix(matrix)
-    if sparse:
-        label_matrix = label_matrix.to_sparse()
-    return SyntheticMatrixResult(
-        label_matrix=label_matrix,
-        gold_labels=gold,
-        lf_accuracies=np.full(num_lfs, accuracy),
-        lf_propensities=np.full(num_lfs, propensity),
-        correlated_pairs=correlated_pairs,
-    )
+        source = len(lfs)
+        lfs.append(PlantedLF(accuracy, rates))
+        lfs += [PlantedLF(accuracy, rates, None, source, copy_probability)] * (group_size - 1)
+    lfs += [PlantedLF(accuracy, rates)] * num_independent
+    suite = PlantedSuite(_class_prior(2, class_balance), tuple(lfs))
+    return suite.label_matrix(num_points, seed, sparse)
 
 
 def generate_misspecification_example(
@@ -353,31 +433,13 @@ def generate_misspecification_example(
     An independence-assuming model badly mis-estimates the accuracies here,
     while a correlation-aware model does not.
     """
-    rng = ensure_rng(seed)
-    gold = np.where(rng.random(num_points) < 0.5, POSITIVE, NEGATIVE).astype(np.int64)
-    correct_shared = rng.random(num_points) < correlated_accuracy
-    shared_votes = np.where(correct_shared, gold, -gold)
-    columns = [shared_votes.copy() for _ in range(num_correlated)]
-    for _ in range(num_independent):
-        correct = rng.random(num_points) < independent_accuracy
-        columns.append(np.where(correct, gold, -gold))
-    matrix = np.column_stack(columns)
-    correlated_pairs = [
-        (j, k) for j in range(num_correlated) for k in range(j + 1, num_correlated)
-    ]
-    accuracies = np.array(
-        [correlated_accuracy] * num_correlated + [independent_accuracy] * num_independent
-    )
-    label_matrix = LabelMatrix(matrix)
-    if sparse:
-        label_matrix = label_matrix.to_sparse()
-    return SyntheticMatrixResult(
-        label_matrix=label_matrix,
-        gold_labels=gold,
-        lf_accuracies=accuracies,
-        lf_propensities=np.ones(num_correlated + num_independent),
-        correlated_pairs=correlated_pairs,
-    )
+    # The block's first LF draws its votes; the others repeat them outright.
+    block = [PlantedLF(correlated_accuracy, None)]
+    block += [PlantedLF(correlated_accuracy, None, copy_of=0)] * (num_correlated - 1)
+    lfs = block[:num_correlated] + [PlantedLF(independent_accuracy, None)] * num_independent
+    result = PlantedSuite((0.5, 0.5), tuple(lfs)).label_matrix(num_points, seed, sparse)
+    pairs = [(j, k) for j in range(num_correlated) for k in range(j + 1, num_correlated)]
+    return replace(result, correlated_pairs=pairs)
 
 
 # ------------------------------------------------------------------ streaming
@@ -418,6 +480,13 @@ def _candidate_rng(seed: int, uid: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(uid)))
 
 
+def _stream(num_points: int, seed: int, make) -> Iterator:
+    """``make(uid, rng)`` for every uid, each with its own generator."""
+    if num_points < 0:
+        raise DatasetError(f"num_points must be non-negative, got {num_points}")
+    return (make(uid, _candidate_rng(seed, uid)) for uid in range(num_points))
+
+
 def stream_synthetic_candidates(
     num_points: int = 1000,
     num_lfs: int = 10,
@@ -432,25 +501,12 @@ def stream_synthetic_candidates(
     the stream is reproducible, independent of consumption order, and uses
     O(1) memory — votes are not drawn column-major as in
     :func:`generate_label_matrix`, so the two front-ends emit different (but
-    identically distributed) vote sets for the same seed.
+    identically distributed) vote sets for the same seed.  The votes and
+    gold are those of ``stream_text_candidates(cardinality=2)``.
     """
-    if num_points < 0:
-        raise DatasetError(f"num_points must be non-negative, got {num_points}")
-    if not 0.0 < class_balance < 1.0:
-        raise DatasetError(f"class_balance must lie in (0, 1), got {class_balance}")
-    accuracies = _broadcast("accuracy", accuracy, num_lfs)
-    propensities = _broadcast("propensity", propensity, num_lfs)
-    for uid in range(num_points):
-        rng = _candidate_rng(seed, uid)
-        gold = POSITIVE if rng.random() < class_balance else NEGATIVE
-        votes = []
-        for j in range(num_lfs):
-            if rng.random() < propensities[j]:
-                correct = rng.random() < accuracies[j]
-                votes.append(gold if correct else -gold)
-            else:
-                votes.append(ABSTAIN)
-        yield SyntheticCandidate(uid=uid, gold=gold, votes=tuple(votes))
+    suite = _symmetric_suite(num_lfs, accuracy, propensity, _class_prior(2, class_balance))
+    draw = suite.draw_votes
+    return _stream(num_points, seed, lambda uid, rng: SyntheticCandidate(uid, *draw(rng)))
 
 
 def synthetic_stream_gold(
@@ -464,11 +520,7 @@ def synthetic_stream_gold(
     candidates, so a streaming engine run can be evaluated against gold
     after the stream has been consumed.
     """
-    gold = np.empty(num_points, dtype=np.int64)
-    for uid in range(num_points):
-        rng = _candidate_rng(seed, uid)
-        gold[uid] = POSITIVE if rng.random() < class_balance else NEGATIVE
-    return gold
+    return stream_text_gold(num_points, 2, class_balance, seed)
 
 
 # ----------------------------------------------------- streaming text candidates
@@ -512,26 +564,6 @@ def text_vote_lfs(num_lfs: int, cardinality: int = 2) -> list[LabelingFunction]:
     ]
 
 
-def _draw_text_gold(rng: np.random.Generator, cardinality: int, prior: np.ndarray) -> int:
-    if cardinality == 2:
-        return POSITIVE if rng.random() < prior[0] else NEGATIVE
-    return int(rng.choice(np.arange(1, cardinality + 1), p=prior))
-
-
-def _text_class_prior(cardinality: int, class_balance) -> np.ndarray:
-    if cardinality == 2:
-        balance = 0.5 if class_balance is None else float(class_balance)
-        if not 0.0 < balance < 1.0:
-            raise DatasetError(f"class_balance must lie in (0, 1), got {balance}")
-        return np.array([balance])
-    if class_balance is None:
-        return np.full(cardinality, 1.0 / cardinality)
-    prior = np.asarray(class_balance, dtype=float)
-    if prior.shape != (cardinality,) or np.any(prior <= 0):
-        raise DatasetError(f"class_balance must be a length-{cardinality} positive vector")
-    return prior / prior.sum()
-
-
 def stream_text_candidates(
     num_points: int = 1000,
     num_lfs: int = 10,
@@ -540,7 +572,7 @@ def stream_text_candidates(
     propensity: float | Sequence[float] = 0.3,
     class_balance=None,
     seed: int = 0,
-) -> "Iterator[Candidate]":
+) -> "Iterator[Candidate]":  # noqa: F821 - runtime type
     """Lazily generate full *text* candidates for end-to-end streaming runs.
 
     The discriminative-stage companion of
@@ -554,52 +586,23 @@ def stream_text_candidates(
     ``accuracy``, wrong votes uniform among the other classes).  Every
     candidate's draws come from its own ``(seed, uid)``-keyed RNG, so the
     stream is reproducible, order-independent, O(1)-memory, and picklable
-    chunk by chunk — the 50k-candidate out-of-core benchmark and the
-    streaming differential tests both ride on it.
+    chunk by chunk; the streaming pipeline, the e2e benchmark's
+    ``text_stream`` and ``kary_crash_resume`` workloads and the streaming
+    differential tests all draw from it.
     """
-    from repro.context.candidates import Candidate, SentenceView, SpanView
+    prior = _class_prior(cardinality, class_balance)
+    suite = _symmetric_suite(num_lfs, accuracy, propensity, prior)
 
-    if num_points < 0:
-        raise DatasetError(f"num_points must be non-negative, got {num_points}")
-    if cardinality < 2:
-        raise DatasetError(f"cardinality must be >= 2, got {cardinality}")
-    accuracies = _broadcast("accuracy", accuracy, num_lfs)
-    propensities = _broadcast("propensity", propensity, num_lfs)
-    prior = _text_class_prior(cardinality, class_balance)
-    filler = [f"filler{i}" for i in range(8)]
-    for uid in range(num_points):
-        rng = _candidate_rng(seed, uid)
-        gold = _draw_text_gold(rng, cardinality, prior)
-        words: list[str] = []
-        for j in range(num_lfs):
-            if rng.random() >= propensities[j]:
-                continue
-            correct = rng.random() < accuracies[j]
-            if cardinality == 2:
-                vote = gold if correct else -gold
-                words.append(f"lf{j}v{'p' if vote == POSITIVE else 'n'}")
-            else:
-                if correct:
-                    vote = gold
-                else:
-                    shift = int(rng.integers(1, cardinality))
-                    vote = ((gold - 1 + shift) % cardinality) + 1
-                words.append(f"lf{j}v{vote}")
+    codes = {POSITIVE: "p", NEGATIVE: "n"} if cardinality == 2 else {}
+
+    def candidate(uid: int, rng: np.random.Generator):
+        gold, votes = suite.draw_votes(rng)
+        words = [f"lf{j}v{codes.get(vote, vote)}" for j, vote in enumerate(votes) if vote]
         klass = gold if cardinality > 2 else (1 if gold == POSITIVE else 2)
-        words += [f"class{klass}tok{int(rng.integers(3))}" for _ in range(int(rng.integers(1, 4)))]
-        words += [filler[int(rng.integers(len(filler)))] for _ in range(int(rng.integers(3, 7)))]
-        rng.shuffle(words)
-        yield Candidate(
-            uid=uid,
-            span1=SpanView(text=words[0], word_start=0, word_end=1),
-            span2=SpanView(text=words[-1], word_start=len(words) - 1, word_end=len(words)),
-            sentence=SentenceView(
-                words=words, text=" ".join(words), document_name=f"stream-{uid:06d}"
-            ),
-            relation_type="synthetic_stream",
-            split="train",
-            gold_label=gold,
-        )
+        document = f"stream-{uid:06d}"
+        return _text_candidate(uid, rng, klass, words, document, "synthetic_stream", "train", gold)
+
+    return _stream(num_points, seed, candidate)
 
 
 def stream_text_gold(
@@ -614,12 +617,8 @@ def stream_text_gold(
     per-uid RNG), so a streamed split can be scored after the generator has
     been consumed — O(m) ints, no candidates.
     """
-    prior = _text_class_prior(cardinality, class_balance)
-    gold = np.empty(num_points, dtype=np.int64)
-    for uid in range(num_points):
-        rng = _candidate_rng(seed, uid)
-        gold[uid] = _draw_text_gold(rng, cardinality, prior)
-    return gold
+    prior = _class_prior(cardinality, class_balance)
+    return np.fromiter(_stream(num_points, seed, lambda _, rng: _draw_gold(rng, prior)), np.int64)
 
 
 # ------------------------------------------------- streaming relation candidates
@@ -722,11 +721,11 @@ def stream_relation_candidates(
 
 
 def _broadcast(name: str, value: float | Sequence[float], length: int) -> np.ndarray:
+    if length <= 0:
+        raise DatasetError(f"num_lfs must be positive, got {length}")
     array = np.asarray(value, dtype=float)
     if array.ndim == 0:
         array = np.full(length, float(array))
     if array.shape != (length,):
         raise DatasetError(f"{name} must be a scalar or length-{length} sequence")
-    if np.any(array < 0.0) or np.any(array > 1.0):
-        raise DatasetError(f"{name} values must lie in [0, 1]")
     return array

@@ -18,17 +18,8 @@ reported for completeness and bounded, not used for the shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from repro.datasets.synthetic import (
-    generate_label_matrix,
-    stream_synthetic_candidates,
-    synthetic_stream_gold,
-    synthetic_vote_lfs,
-)
-from repro.labeling.applier import LFApplier
+from repro.datasets.synthetic import generate_label_matrix
 from repro.labelmodel.advantage import (
     estimate_advantage_bound,
     modeling_advantage,
@@ -58,57 +49,27 @@ def run(
     epochs: int = 10,
     seed: int = 0,
     sparse: bool = False,
-    applier_backend: Optional[str] = None,
-    applier_workers: Optional[int] = None,
 ) -> list[AdvantagePoint]:
     """Run the sweep and return one :class:`AdvantagePoint` per LF count.
 
     With ``sparse=True`` the synthetic matrices are generated and modeled in
     CSR storage end to end (same votes, same numbers — the Figure-4 setting
     is 10% propensity, exactly the regime sparse storage is for).
-
-    With ``applier_backend`` set (``"sequential"`` / ``"threads"`` /
-    ``"processes"``), each matrix is instead produced by streaming synthetic
-    candidates through the :mod:`repro.labeling.engine` execution engine —
-    the candidate list is never materialized, and the votes are identical
-    for every backend (they differ from the default column-major generator,
-    which draws from a different RNG stream).
     """
     points = []
     for index, num_lfs in enumerate(lf_counts):
-        if applier_backend is not None:
-            applier = LFApplier(
-                synthetic_vote_lfs(num_lfs),
-                backend=applier_backend,
-                num_workers=applier_workers,
-            )
-            label_matrix = applier.apply(
-                stream_synthetic_candidates(
-                    num_points=num_points,
-                    num_lfs=num_lfs,
-                    accuracy=accuracy,
-                    propensity=propensity,
-                    seed=seed + index,
-                ),
-                sparse=sparse,
-            )
-            gold_labels = synthetic_stream_gold(num_points, seed=seed + index)
-            lf_accuracies = np.full(num_lfs, accuracy)
-        else:
-            data = generate_label_matrix(
-                num_points=num_points,
-                num_lfs=num_lfs,
-                accuracy=accuracy,
-                propensity=propensity,
-                seed=seed + index,
-                sparse=sparse,
-            )
-            label_matrix = data.label_matrix
-            gold_labels = data.gold_labels
-            lf_accuracies = data.lf_accuracies
+        data = generate_label_matrix(
+            num_points=num_points,
+            num_lfs=num_lfs,
+            accuracy=accuracy,
+            propensity=propensity,
+            seed=seed + index,
+            sparse=sparse,
+        )
+        label_matrix, gold_labels = data.label_matrix, data.gold_labels
         model = GenerativeModel(epochs=epochs).fit(label_matrix)
         learned = modeling_advantage(label_matrix, gold_labels, model.accuracy_weights)
-        optimal = optimal_advantage(label_matrix, gold_labels, lf_accuracies)
+        optimal = optimal_advantage(label_matrix, gold_labels, data.lf_accuracies)
         bound = estimate_advantage_bound(label_matrix)
         density = label_matrix.label_density()
         points.append(

@@ -2,16 +2,27 @@
 
 import hashlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.datasets import load_task, registered_tasks, synthetic
 from repro.datasets.kb import build_noisy_kb
-from repro.datasets.synthetic import generate_correlated_label_matrix, generate_label_matrix
+from repro.datasets.synthetic import (
+    PlantedLF,
+    PlantedSuite,
+    generate_correlated_label_matrix,
+    generate_label_matrix,
+    generate_misspecification_example,
+    generate_multiclass_label_matrix,
+    stream_synthetic_candidates,
+    stream_text_candidates,
+    text_vote_lfs,
+)
 from repro.exceptions import DatasetError
 from repro.labeling import LFApplier
-from repro.types import POSITIVE
+from repro.types import NEGATIVE, POSITIVE
 
 
 def test_registry_lists_all_six_tasks():
@@ -98,6 +109,179 @@ def test_task_determinism():
     second = load_task("spouses", scale=0.05, seed=7)
     assert first.summary() == second.summary()
     assert np.array_equal(first.split_gold("train"), second.split_gold("train"))
+
+
+
+# ------------------------------------------------------ planted-truth spec
+def assert_shows_planted_truth(values, gold, prior, planted, tolerance=0.03):
+    """Λ shows the planted class balance, and each LF its planted firing
+    rate on every class and its planted precision (accuracy when it votes)."""
+    labels = (POSITIVE, NEGATIVE) if len(prior) == 2 else tuple(range(1, len(prior) + 1))
+    for label, share in zip(labels, prior):
+        assert abs((gold == label).mean() - share) < tolerance
+    assert values.shape[1] == len(planted)
+    for j, (rates, precision) in enumerate(planted):
+        fires = values[:, j] != 0
+        for label, rate in zip(labels, rates):
+            assert abs(fires[gold == label].mean() - rate) < tolerance, (j, label)
+        assert abs((values[fires, j] == gold[fires]).mean() - precision) < tolerance, j
+
+
+def _reported(data, prior):
+    """What a symmetric preset reports it planted: one rate on every class."""
+    planted = [
+        ((rate,) * len(prior), accuracy)
+        for rate, accuracy in zip(data.lf_propensities, data.lf_accuracies)
+    ]
+    return data.label_matrix.values, data.gold_labels, prior, planted
+
+
+def _streamed(candidates, lfs, gold, prior, accuracies, propensities):
+    values = LFApplier(lfs, pushdown="off").apply(candidates).values
+    planted = [((p,) * len(prior), a) for a, p in zip(accuracies, propensities)]
+    return values, gold, prior, planted
+
+
+def _emitted(suite, num_points):
+    data = suite.label_matrix(num_points, seed=9)
+    return data.label_matrix.values, data.gold_labels
+
+
+def _drawn(suite, num_points):
+    """The per-candidate drawer's votes stacked into a Λ."""
+    draws = [suite.draw_votes(np.random.default_rng((3, uid))) for uid in range(num_points)]
+    return np.array([votes for _, votes in draws]), np.array([gold for gold, _ in draws])
+
+
+#: A binary, imbalanced suite using every spec field: a unipolar LF of each
+#: polarity, an always-firing LF, an exact and a partial copy.
+MIXED = PlantedSuite(
+    (0.2, 0.8),
+    (
+        PlantedLF(0.8, (0.3, 0.3)),
+        PlantedLF(0.8, (0.3, 0.3), copy_of=0, copy_probability=0.6),
+        PlantedLF(0.8, (0.3, 0.3), copy_of=0),
+        PlantedLF(0.5, (0.4, 0.1), polarity=POSITIVE),
+        PlantedLF(0.96, (0.05, 0.3), polarity=NEGATIVE),
+        PlantedLF(0.7, None),
+    ),
+)
+MIXED_PLANTED = [((0.3, 0.3), 0.8)] * 3 + [((0.4, 0.1), 0.5), ((0.05, 0.3), 0.96)]
+MIXED_PLANTED += [((1.0, 1.0), 0.7)]
+
+PRESETS = {
+    "independent": lambda: _reported(
+        generate_label_matrix(
+            num_points=20_000, num_lfs=4, accuracy=[0.9, 0.8, 0.7, 0.6],
+            propensity=[0.1, 0.2, 0.3, 0.5], class_balance=0.3, seed=1,
+        ),
+        (0.3, 0.7),
+    ),
+    "independent sparse": lambda: _reported(
+        generate_label_matrix(num_points=20_000, num_lfs=3, propensity=0.2, seed=2, sparse=True),
+        (0.5, 0.5),
+    ),
+    "multiclass": lambda: _reported(
+        generate_multiclass_label_matrix(
+            num_points=20_000, num_lfs=3, cardinality=4, accuracy=[0.9, 0.7, 0.5],
+            propensity=[0.2, 0.4, 0.6], class_balance=[1, 2, 3, 4], seed=3,
+        ),
+        (0.1, 0.2, 0.3, 0.4),
+    ),
+    "correlated": lambda: _reported(
+        generate_correlated_label_matrix(
+            num_points=20_000, num_independent=2, num_groups=2, group_size=3, seed=4
+        ),
+        (0.5, 0.5),
+    ),
+    "misspecification": lambda: _reported(
+        generate_misspecification_example(num_points=20_000, seed=5), (0.5, 0.5)
+    ),
+    "synthetic stream": lambda: _streamed(
+        list(stream_synthetic_candidates(8_000, num_lfs=3, propensity=0.4, seed=6)),
+        synthetic.synthetic_vote_lfs(3), synthetic.synthetic_stream_gold(8_000, seed=6),
+        (0.5, 0.5), (0.75,) * 3, (0.4,) * 3,
+    ),
+    "text stream k=2": lambda: _streamed(
+        list(stream_text_candidates(8_000, num_lfs=3, class_balance=0.25, seed=7)),
+        text_vote_lfs(3), synthetic.stream_text_gold(8_000, class_balance=0.25, seed=7),
+        (0.25, 0.75), (0.75,) * 3, (0.3,) * 3,
+    ),
+    "text stream k=4": lambda: _streamed(
+        list(stream_text_candidates(8_000, num_lfs=3, cardinality=4, accuracy=0.6, seed=8)),
+        text_vote_lfs(3, cardinality=4), synthetic.stream_text_gold(8_000, 4, seed=8),
+        (0.25,) * 4, (0.6,) * 3, (0.3,) * 3,
+    ),
+    "mixed spec, Λ emitter": lambda: (*_emitted(MIXED, 20_000), MIXED.class_balance, MIXED_PLANTED),
+    "mixed spec, vote drawer": lambda: (*_drawn(MIXED, 20_000), MIXED.class_balance, MIXED_PLANTED),
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_every_preset_shows_its_planted_truth(preset):
+    assert_shows_planted_truth(*PRESETS[preset]())
+
+
+def test_exact_copies_repeat_their_source_in_both_emitters():
+    for matrix in (_emitted(MIXED, 2_000)[0], _drawn(MIXED, 2_000)[0]):
+        assert np.array_equal(matrix[:, 2], matrix[:, 0])
+        assert set(np.unique(matrix[:, 3])) == {0, POSITIVE}
+        assert set(np.unique(matrix[:, 4])) == {0, NEGATIVE}
+        assert np.all(matrix[:, 5] != 0)
+
+
+INVALID = {
+    "correlated accuracy 1.5": lambda: generate_correlated_label_matrix(accuracy=1.5),
+    "correlated propensity -1": lambda: generate_correlated_label_matrix(propensity=-1),
+    "correlated copy probability 2": lambda: generate_correlated_label_matrix(copy_probability=2),
+    "correlated balance 1.0": lambda: generate_correlated_label_matrix(class_balance=1.0),
+    "correlated zero points": lambda: generate_correlated_label_matrix(num_points=0),
+    "misspecification accuracy 2": lambda: generate_misspecification_example(correlated_accuracy=2),
+    "misspecification zero points": lambda: generate_misspecification_example(num_points=0),
+    "misspecification zero LFs": lambda: generate_misspecification_example(
+        num_correlated=0, num_independent=0
+    ),
+    "text stream zero LFs": lambda: list(stream_text_candidates(num_lfs=0)),
+    "synthetic stream zero LFs": lambda: list(stream_synthetic_candidates(num_lfs=0)),
+    "multiclass negative LFs": lambda: generate_multiclass_label_matrix(num_lfs=-2),
+    "multiclass one class": lambda: generate_multiclass_label_matrix(cardinality=1),
+    "multiclass zero classes": lambda: generate_multiclass_label_matrix(cardinality=0),
+    "text stream zero classes": lambda: list(stream_text_candidates(cardinality=0)),
+    "spec without LFs": lambda: PlantedSuite((0.5, 0.5), ()),
+    "spec balance off 1": lambda: PlantedSuite((0.5, 0.6), (PlantedLF(0.7, None),)),
+    "spec rates per class": lambda: PlantedSuite((0.5, 0.5), (PlantedLF(0.7, (0.1,)),)),
+    "spec polarity": lambda: PlantedSuite((0.5, 0.5), (PlantedLF(0.7, None, polarity=2),)),
+    "spec copy of a later LF": lambda: PlantedSuite(
+        (0.5, 0.5), (PlantedLF(0.7, None, copy_of=1), PlantedLF(0.7, None))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INVALID)
+def test_every_spec_field_is_validated_with_a_dataset_error(case):
+    with pytest.raises(DatasetError):
+        INVALID[case]()
+
+
+def test_multiclass_generator_at_two_classes_emits_the_binary_vocabulary():
+    data = generate_multiclass_label_matrix(num_points=200, num_lfs=4, cardinality=2, seed=0)
+    assert data.label_matrix.cardinality == 2
+    assert set(np.unique(data.label_matrix.values)) <= {NEGATIVE, 0, POSITIVE}
+    assert set(np.unique(data.gold_labels)) == {NEGATIVE, POSITIVE}
+
+
+def test_a_sparse_request_never_allocates_the_dense_matrix():
+    num_points, num_lfs = 100_000, 100
+    tracemalloc.start()
+    try:
+        data = generate_label_matrix(
+            num_points=num_points, num_lfs=num_lfs, propensity=0.01, seed=0, sparse=True
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.label_matrix.is_sparse
+    assert peak < num_points * num_lfs * 8 / 4
 
 
 # ------------------------------------------------------ seed-stability pin table

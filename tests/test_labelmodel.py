@@ -5,6 +5,8 @@ import pytest
 import reference_dawid_skene
 
 from repro.datasets.synthetic import (
+    PlantedLF,
+    PlantedSuite,
     generate_label_matrix,
     generate_misspecification_example,
     generate_multiclass_label_matrix,
@@ -157,10 +159,8 @@ def planted_unipolar_matrix(
     votes), a negative-only LF the mirror image.  Returns ``(Λ, gold,
     planted accuracies)``.
     """
-    rng = np.random.default_rng(seed)
-    gold = np.where(rng.random(num_points) < balance, 1, -1)
     base = {1: balance, -1: 1.0 - balance}
-    columns, accuracies = [], []
+    lfs = []
     for polarity, precisions, rate in (
         (1, positive_precisions, positive_rate),
         (-1, negative_precisions, negative_rate),
@@ -168,10 +168,10 @@ def planted_unipolar_matrix(
         for precision in precisions:
             # P(fire | wrong class) that makes P(y = polarity | fire) = precision.
             off_rate = base[polarity] * rate * (1 - precision) / (base[-polarity] * precision)
-            fires = rng.random(num_points) < np.where(gold == polarity, rate, off_rate)
-            columns.append(np.where(fires, polarity, 0))
-            accuracies.append(precision)
-    return np.stack(columns, axis=1), gold, np.array(accuracies)
+            rates = (rate, off_rate) if polarity == 1 else (off_rate, rate)
+            lfs.append(PlantedLF(precision, rates, polarity=polarity))
+    data = PlantedSuite((base[1], base[-1]), tuple(lfs)).label_matrix(num_points, seed)
+    return data.label_matrix.values, data.gold_labels, data.lf_accuracies
 
 
 def test_planted_unipolar_matrix_has_the_planted_regime():
