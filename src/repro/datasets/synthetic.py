@@ -572,7 +572,7 @@ def stream_text_candidates(
     propensity: float | Sequence[float] = 0.3,
     class_balance=None,
     seed: int = 0,
-) -> "Iterator[Candidate]":  # noqa: F821 - runtime type
+) -> "Iterator[Candidate]":
     """Lazily generate full *text* candidates for end-to-end streaming runs.
 
     The discriminative-stage companion of
