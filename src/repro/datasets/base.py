@@ -109,11 +109,6 @@ class TaskDataset:
                 f"task {self.name!r} has no gold labels for split {split!r}"
             ) from None
 
-    @property
-    def num_candidates(self) -> int:
-        """Total number of candidates across splits."""
-        return sum(len(candidates) for candidates in self.candidates.values())
-
     def lfs_by_type(self) -> dict[str, list[LabelingFunction]]:
         """Group the LF suite by source type (for the Table 6 ablation)."""
         groups: dict[str, list[LabelingFunction]] = {}

@@ -400,8 +400,9 @@ def generate_correlated_label_matrix(
     ``group_size - 1`` near-copies that repeat the source's vote with
     probability ``copy_probability`` (and otherwise behave independently).
     ``num_independent`` genuinely independent LFs are appended.  The returned
-    ``correlated_pairs`` lists every within-family pair — the ground-truth
-    structure a structure learner should recover.
+    ``correlated_pairs`` lists the (source, copy) pairs only: the planted
+    dependency edges.  Two copies of one source correlate through it as
+    well, but are not listed.
     """
     if group_size < 2:
         raise DatasetError(f"group_size must be >= 2, got {group_size}")

@@ -47,12 +47,6 @@ class AdamOptimizer:
         self._second_moment: Optional[np.ndarray] = None
         self._step_count = 0
 
-    def reset(self) -> None:
-        """Clear the optimizer state (moments and step count)."""
-        self._first_moment = None
-        self._second_moment = None
-        self._step_count = 0
-
     def get_state(self) -> dict:
         """Snapshot the optimizer state (moments + step count).
 

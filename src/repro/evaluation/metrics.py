@@ -169,11 +169,6 @@ def macro_precision_recall_f1(
     return float(precision.mean()), float(recall.mean()), float(f1.mean())
 
 
-def lift(new_value: float, baseline_value: float) -> float:
-    """Absolute improvement ``new - baseline`` (the paper's "Lift" columns)."""
-    return float(new_value - baseline_value)
-
-
 def relative_improvement(new_value: float, baseline_value: float) -> float:
     """Relative improvement in percent, e.g. the paper's "132% over DS" claims."""
     if baseline_value == 0.0:

@@ -46,18 +46,6 @@ class ScoreReport:
     true_negative_indices: list[int] = field(default_factory=list)
     false_negative_indices: list[int] = field(default_factory=list)
 
-    def as_dict(self) -> dict[str, float]:
-        """Headline metrics as a flat dict (handy for table building)."""
-        result = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-        }
-        if self.auc is not None:
-            result["auc"] = self.auc
-        return result
-
 
 class BinaryScorer:
     """Compute a :class:`ScoreReport` for binary predictions."""
@@ -154,15 +142,6 @@ class MultiClassScoreReport:
     confusion: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int64))
     correct_indices: list[int] = field(default_factory=list)
     incorrect_indices: list[int] = field(default_factory=list)
-
-    def as_dict(self) -> dict[str, float]:
-        """Headline metrics as a flat dict (handy for table building)."""
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
 
 
 class MultiClassScorer:

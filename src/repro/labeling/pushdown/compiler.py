@@ -89,36 +89,34 @@ import ast
 import inspect
 import operator
 import re
+from functools import partial
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from repro.labeling.lf import canonical_label, encoding
-from repro.labeling.pushdown import program as prog
 from repro.labeling.pushdown.fields import (
     CANDIDATE_ATTRS,
     CANDIDATE_METHODS,
     SENTENCE_ATTRS,
     SPAN_ATTRS,
+    bool_column,
+    make_column,
+    object_column,
 )
 from repro.labeling.pushdown.program import (
     K,
-    BoolAnd,
-    BoolOr,
     Branch,
     ColExpr,
-    Compare,
     CompiledProgram,
-    Contains,
+    Elementwise,
     FieldCol,
     IfExpCol,
     MapElems,
-    MapRow,
-    NotCol,
     RegexSearch,
-    StrLower,
+    ShortCircuit,
     TokenMatch,
     TokenScan,
-    Truthy,
-    TupleCol,
     const_key,
 )
 from repro.labeling.source import SourceInfo, extract_source, is_unresolved
@@ -194,6 +192,13 @@ _CMP_AST = {
     ast.Lt: "lt", ast.LtE: "le", ast.Gt: "gt", ast.GtE: "ge",
     ast.Eq: "eq", ast.NotEq: "ne", ast.Is: "is", ast.IsNot: "is_not",
 }
+_CMP_OPS = {
+    "lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+    "eq": operator.eq, "ne": operator.ne, "is": operator.is_, "is_not": operator.is_not,
+}
+#: Comparisons whose numpy result on int/bool arrays is Python's per row.
+_VECTOR_CMP = {"lt", "le", "gt", "ge", "eq", "ne"}
+_DISPLAYS = {ast.Tuple: tuple, ast.List: list, ast.Set: set}
 #: Operators folded over two constants.
 _BIN_OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -610,7 +615,9 @@ class _Compiler:
             build = MapElems._BUILDERS[kind]
             fallback = lambda row, f=elem_fn, b=build: bool(b(map(f, row)))  # noqa: E731
             return TokenMatch(child, "nonempty", None, lower, fallback)
-        return Truthy(sym)
+        return Elementwise(
+            ("truthy", sym.key), bool, (sym,), vector=partial(np.not_equal, 0), cond_only=True
+        )
 
     def _vocab_overlap(self, op: ast.operator, left: Any, right: Any) -> Optional[ColExpr]:
         """``{f(t) for t in <column>} & VOCAB`` in condition position →
@@ -634,10 +641,10 @@ class _Compiler:
 
     # ------------------------------------------------------------ conditions
     def _and(self, path: Optional[ColExpr], cond: ColExpr) -> ColExpr:
-        return cond if path is None else BoolAnd(path, cond)
+        return cond if path is None else ShortCircuit(True, path, cond)
 
     def _negate(self, cond: ColExpr) -> ColExpr:
-        return NotCol(cond)
+        return Elementwise(("not", cond.key), operator.not_, (cond,), vector=np.logical_not)
 
     def _condition(self, node: ast.AST, env: dict):
         """Compile in condition position → ``K`` (folded) or a bool ColExpr."""
@@ -653,17 +660,13 @@ class _Compiler:
                     if chain is None:
                         return K(bool(sym.value))
                     raise CompileError("constant operand absorbing a column condition")
-                chain = (
-                    sym
-                    if chain is None
-                    else (BoolAnd(chain, sym) if is_and else BoolOr(chain, sym))
-                )
+                chain = sym if chain is None else ShortCircuit(is_and, chain, sym)
             return chain if chain is not None else K(is_and)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             sym = self._condition(node.operand, env)
             if isinstance(sym, K):
                 return K(not sym.value)
-            return NotCol(sym)
+            return self._negate(sym)
         if isinstance(node, ast.BinOp):
             left, right = self._operand(node.left, env), self._operand(node.right, env)
             overlap = self._vocab_overlap(node.op, left, right)
@@ -714,13 +717,13 @@ class _Compiler:
             then_sym = self._operand(node.body, env)
             else_sym = self._operand(node.orelse, env)
             return IfExpCol(cond, then_sym, else_sym)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            kind = {ast.Tuple: "tuple", ast.List: "list", ast.Set: "set"}[type(node)]
+        if type(node) in _DISPLAYS:
+            build = _DISPLAYS[type(node)]
             items = [self._operand(item, env) for item in node.elts]
             if all(isinstance(item, K) for item in items):
-                builder = {"tuple": tuple, "list": list, "set": set}[kind]
-                return K(builder(item.value for item in items))
-            return TupleCol(items, kind)
+                return K(build(item.value for item in items))
+            key = ("container", build.__name__) + tuple(item.key for item in items)
+            return Elementwise(key, build, items, object_column, packed=True)
         if isinstance(node, (ast.ListComp, ast.SetComp)):
             return self._comprehension(node, env)
         raise CompileError(f"unsupported expression {type(node).__name__}")
@@ -774,7 +777,13 @@ class _Compiler:
                 except Exception as exc:
                     raise CompileError(f"constant membership failed: {exc}") from exc
                 return K(result != negate)
-            return Contains(left, right, negate=negate)
+            key = ("in", negate, left.key, right.key)
+            contains = getattr(right.value, "__contains__", None) if isinstance(right, K) else None
+            if contains is not None and not negate:
+                # The bound C method maps with no Python frame per row.
+                return Elementwise(key, contains, (left,))
+            fn = (lambda a, b: a not in b) if negate else (lambda a, b: a in b)
+            return Elementwise(key, fn, (left, right))
         if type(op) not in _CMP_AST:
             raise CompileError(f"comparison {type(op).__name__}")
         op_name = _CMP_AST[type(op)]
@@ -782,11 +791,13 @@ class _Compiler:
             if op_name not in ("is", "is_not"):
                 self._read(left.value, right.value)
             try:
-                result = prog._CMP_OPS[op_name](left.value, right.value)
+                result = _CMP_OPS[op_name](left.value, right.value)
             except Exception as exc:
                 raise CompileError(f"constant comparison failed: {exc}") from exc
             return K(result)
-        return Compare(op_name, left, right)
+        fn = _CMP_OPS[op_name]
+        vector = fn if op_name in _VECTOR_CMP else None
+        return Elementwise(("cmp", op_name, left.key, right.key), fn, (left, right), vector=vector)
 
     def _value_boolop(self, node: ast.BoolOp, env: dict):
         # ``a and b`` in value position returns an *operand*, not a bool;
@@ -806,7 +817,7 @@ class _Compiler:
             sym = self._condition(node.operand, env)
             if isinstance(sym, K):
                 return K(not sym.value)
-            return NotCol(sym)
+            return self._negate(sym)
         operand = self._operand(node.operand, env)
         if not isinstance(operand, K):
             raise CompileError(f"unary {type(node.op).__name__} on a column")
@@ -873,13 +884,15 @@ class _Compiler:
             argument = self._operand(args[0], env)
             if isinstance(argument, K):
                 return self._eager_call(fn, [argument.value])
-            return StrLower(argument, fn)
+            key = ("strlower", argument.key)
+            return Elementwise(key, fn, (argument,), make_column, strfn=str.lower)
         if fqn[0] == "builtins" and fqn[1] in _FOLDED_BUILTINS:
             syms = [self._operand(arg, env) for arg in args]
             if all(isinstance(sym, K) for sym in syms):
                 return self._eager_call(fn, [sym.value for sym in syms])
             if len(syms) == 1 and fqn[1] in _ROW_BUILTINS:
-                return MapRow(syms[0], fn, ("builtin", fqn[1]), is_bool=fqn[1] in _BOOL_BUILTINS)
+                build = bool_column if fqn[1] in _BOOL_BUILTINS else make_column
+                return Elementwise(("map", ("builtin", fqn[1]), syms[0].key), fn, syms, build)
             raise CompileError(f"{fqn[1]}() over a column")
         raise CompileError(f"call to {fqn[1] or fn!r}")
 
@@ -957,7 +970,7 @@ class _Compiler:
                 return fn, ("cmp", type(op).__name__, left_key, right_key)
             if type(op) not in _CMP_AST:
                 raise CompileError(f"scalar comparison {type(op).__name__}")
-            op_fn = prog._CMP_OPS[_CMP_AST[type(op)]]
+            op_fn = _CMP_OPS[_CMP_AST[type(op)]]
             fn = lambda t, lf=left_fn, rf=right_fn, o=op_fn: o(lf(t), rf(t))  # noqa: E731
             return fn, ("cmp", _CMP_AST[type(op)], left_key, right_key)
         if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:

@@ -105,6 +105,14 @@ def make_column(values: list, errors: Optional[dict[int, BaseException]]) -> Col
     return object_column(values, errors)
 
 
+def bool_column(values: list, errors: Optional[dict]) -> Column:
+    """Bool array from per-row real booleans (error rows filled ``False``)."""
+    if errors:
+        filled = [False if i in errors else bool(v) for i, v in enumerate(values)]
+        return Column(np.asarray(filled, dtype=bool), errors)
+    return Column(np.asarray(values, dtype=bool), errors)
+
+
 def object_column(values: list, errors: Optional[dict] = None) -> Column:
     """An ``object`` column holding each value as one row."""
     # np.asarray would try to broadcast list-valued rows into a 2-D array;

@@ -13,17 +13,33 @@ Expression nodes (:class:`ColExpr` subclasses) evaluate to
 :class:`~repro.labeling.pushdown.fields.ColumnarChunk` under *structural*
 keys, so identical subexpressions across LFs (the shared
 ``words_between()`` normalization, a common regex) are computed once per
-chunk.
+chunk.  There are nine kinds:
+
+* :class:`FieldCol` — a candidate field, read once per chunk;
+* :class:`Elementwise` — one row function over column and constant
+  operands: comparisons, membership, truthiness, ``not``, ``normalize``,
+  the one-argument builtins and tuple/list/set displays, with a numpy and
+  a ``str`` fast path as data on the node;
+* :class:`ShortCircuit` — ``and`` / ``or``;
+* :class:`IfExpCol` — a conditional expression;
+* :class:`MapElems` — a comprehension over a sequence column;
+* :class:`RegexSearch` — a compiled pattern's ``search`` / ``match`` /
+  ``fullmatch``;
+* the token kernels :class:`TokenScan` (a first-match loop) and
+  :class:`TokenMatch` (keyword membership, phrase, non-emptiness), with
+  :class:`_ScanLabels`, the labels a scan's match arm returned.
 
 Two disciplines keep compiled output bit-identical to the interpreted path:
 
 * **Error masking.** Any per-row evaluation may raise (``normalize(None)``,
   regex on a non-string); exceptions are carried per row in
   ``Column.errors`` and masked by the short-circuit structure —
-  :class:`BoolAnd` keeps a right-operand error only where the left operand
-  was truthy, :class:`IfExpCol` keeps a branch error only where the
-  condition selected that branch — so a compiled LF errors on exactly the
-  rows where the interpreted LF would have raised, with the same exception.
+  :class:`ShortCircuit` keeps a right-operand error only where the left
+  operand did not decide the row, :class:`IfExpCol` keeps a branch error
+  only where the condition selected that branch, and an
+  :class:`Elementwise` row keeps its leftmost operand's error — so a
+  compiled LF errors on exactly the rows where the interpreted LF would
+  have raised, with the same exception.
 * **Canonicalization fidelity.** Leaf values replicate
   :func:`repro.labeling.lf.canonical_label` exactly, including its strict
   ``isinstance(raw, int)`` / ``raw is True`` semantics: int64/bool-typed
@@ -69,7 +85,13 @@ else:  # pragma: no cover - table moved/renamed: disable ignore-case prefilter
 
 from repro.exceptions import LabelingError
 from repro.labeling.lf import canonical_label
-from repro.labeling.pushdown.fields import Column, ColumnarChunk, make_column, object_column
+from repro.labeling.pushdown.fields import (
+    Column,
+    ColumnarChunk,
+    bool_column,
+    make_column,
+    object_column,
+)
 from repro.utils import tokens as token_table
 from repro.types import NEGATIVE, POSITIVE
 
@@ -96,89 +118,41 @@ class K:
 Operand = Union["ColExpr", K]
 
 
-class _Repeat:
-    """A constant pretending to be a row list (indexable, iterable)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __getitem__(self, index: int) -> Any:
-        return self.value
-
-
 def _rowlist(operand: Operand, chunk: ColumnarChunk):
     """Python-object row values for an operand: ``(rows, errors)``.
 
     Numeric columns go through ``tolist`` so per-row evaluation sees exact
     Python ints/bools (numpy scalars have different ``/`` and ``isinstance``
-    semantics than the interpreted path).
+    semantics than the interpreted path); a constant repeats once per row.
     """
     if isinstance(operand, K):
-        return _Repeat(operand.value), None
+        return [operand.value] * chunk.num_rows, None
     column = operand.eval(chunk)
     return column.values.tolist(), column.errors
 
 
-def _merge_errors(*error_dicts: Optional[dict]) -> dict[int, BaseException]:
-    """Union per-row errors; the leftmost operand's exception wins per row."""
-    merged: dict[int, BaseException] = {}
-    for errors in error_dicts:
-        if errors:
-            for row, exc in errors.items():
-                merged.setdefault(row, exc)
-    return merged
+def _map(fn: Callable, rows: list, errors: Optional[dict]):
+    """``fn(*args)`` per row of the operand row lists ``rows``: ``(values, errors)``.
 
-
-def _map1(n: int, rows, errors: Optional[dict], fn: Callable):
-    """Apply ``fn`` per row, inheriting and collecting per-row errors."""
+    A row in ``errors`` (its operands' errors, merged leftmost first: the
+    one the interpreted expression raises) is skipped; a row on which
+    ``fn`` raises records that exception.
+    """
     if not errors:
         # map() iterates at C speed; it raises at the same row a manual loop
         # would, at which point the slow path takes over from scratch.
         try:
-            return list(map(fn, rows)), None
+            return list(map(fn, *rows)), None
         except Exception:
             pass
-    out = [None] * n
-    collected = dict(errors) if errors else {}
-    for i in range(n):
-        if i in collected:
-            continue
-        try:
-            out[i] = fn(rows[i])
-        except Exception as exc:  # noqa: BLE001 - faithful per-row capture
-            collected[i] = exc
-    return out, collected or None
-
-
-def _map2(n: int, a_rows, a_errors, b_rows, b_errors, fn: Callable):
-    base = _merge_errors(a_errors, b_errors)
-    if not base:
-        # _Repeat supports the sequence protocol, so map() zips it against
-        # the finite operand (at least one operand is always a real column).
-        try:
-            return list(map(fn, a_rows, b_rows)), None
-        except Exception:
-            pass
-    out = [None] * n
-    collected = dict(base)
-    for i in range(n):
-        if i in collected:
-            continue
-        try:
-            out[i] = fn(a_rows[i], b_rows[i])
-        except Exception as exc:  # noqa: BLE001
-            collected[i] = exc
-    return out, collected or None
-
-
-def _bool_column(values: list, errors: Optional[dict]) -> Column:
-    """Bool array from per-row real booleans (error rows filled ``False``)."""
-    if errors:
-        filled = [False if i in errors else bool(v) for i, v in enumerate(values)]
-        return Column(np.asarray(filled, dtype=bool), errors)
-    return Column(np.asarray(values, dtype=bool), errors)
+    out, errors = [None] * len(rows[0]), dict(errors or ())
+    for i, args in enumerate(zip(*rows)):
+        if i not in errors:
+            try:
+                out[i] = fn(*args)
+            except Exception as exc:  # noqa: BLE001 - faithful per-row capture
+                errors[i] = exc
+    return out, errors or None
 
 
 def as_bool_mask(column: Column, n: int) -> np.ndarray:
@@ -195,16 +169,6 @@ def as_bool_mask(column: Column, n: int) -> np.ndarray:
         count=n,
         dtype=bool,
     )
-
-
-def _is_int_operand(operand: Operand, column: Optional[Column]) -> bool:
-    if isinstance(operand, K):
-        return type(operand.value) is int
-    return isinstance(column.values, np.ndarray) and column.values.dtype == np.int64
-
-
-def _numeric_value(operand: Operand, column: Optional[Column]):
-    return operand.value if isinstance(operand, K) else column.values
 
 
 class ColExpr:
@@ -240,52 +204,75 @@ class FieldCol(ColExpr):
         return chunk.field(self.field_key)
 
 
-class MapRow(ColExpr):
-    """Per-row scalar transform ``fn(value)`` (normalize, str methods, casts)."""
+class Elementwise(ColExpr):
+    """One row function over column and constant operands.
 
-    __slots__ = ("child", "fn", "real_bool")
+    ``fn(*values)`` runs per row, mapped over the operands' row lists at C
+    speed (:func:`_map`); a row keeps the error of its leftmost operand that
+    raised, or the one ``fn`` raised.  ``build`` makes the column of the
+    results (:func:`bool_column`, ``make_column`` or ``object_column``); a
+    ``packed`` node hands ``fn`` the row's operand values as one tuple (a
+    tuple, list or set display).  Two fast paths are data on the node:
 
-    def __init__(self, child: ColExpr, fn: Callable, fn_key: tuple, is_bool: bool = False):
-        self.child = child
-        self.fn = fn
-        self.real_bool = is_bool
-        self.key = ("map", fn_key, child.key)
+    * ``vector``, a numpy function returning a new bool array, runs on the
+      operands instead when every one is an exact-int/bool array or an
+      ``int`` constant within int64 (comparisons, truthiness, negation);
+    * ``strfn``, a C row function, runs instead when every row of the one
+      operand is a ``str`` (``normalize``'s ``str.lower``).
 
-    @property
-    def is_bool(self) -> bool:  # type: ignore[override]
-        return self.real_bool
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        column = self.child.eval(chunk)
-        rows = column.values.tolist()
-        values, errors = _map1(chunk.num_rows, rows, column.errors, self.fn)
-        if self.real_bool:
-            return _bool_column(values, errors)
-        return make_column(values, errors)
-
-
-class StrLower(ColExpr):
-    """``normalize(value)`` (i.e. ``str.lower``) over a scalar string column.
-
-    An all-``str`` column lowers in one C-level ``map(str.lower)``; anything
-    else runs the per-row helper, raising exactly where the interpreted call
-    would.
+    The compiler gives every node the structural key of the expression it
+    stands for.
     """
 
-    __slots__ = ("child", "fn")
+    __slots__ = ("operands", "fn", "build", "packed", "vector", "strfn", "is_bool", "cond_only")
 
-    def __init__(self, child: ColExpr, fn: Callable) -> None:
-        self.child = child
+    def __init__(
+        self,
+        key: tuple,
+        fn: Callable,
+        operands: Sequence[Operand],
+        build: Callable = bool_column,
+        packed: bool = False,
+        vector: Optional[Callable] = None,
+        strfn: Optional[Callable] = None,
+        cond_only: bool = False,
+    ) -> None:
+        self.key = key
         self.fn = fn
-        self.key = ("strlower", child.key)
+        self.operands = tuple(operands)
+        self.build = build
+        self.packed = packed
+        self.vector = vector
+        self.strfn = strfn
+        self.is_bool = build is bool_column
+        self.cond_only = cond_only
 
     def _compute(self, chunk: ColumnarChunk) -> Column:
-        column = self.child.eval(chunk)
-        rows = column.values.tolist()
-        if column.errors is None and not set(map(type, rows)) - {str}:
-            return object_column(list(map(str.lower, rows)), None)
-        out, map_errors = _map1(chunk.num_rows, rows, column.errors, self.fn)
-        return make_column(out, map_errors)
+        vector, values, errors = self.vector, [], {}
+        for operand in self.operands:
+            if type(operand) is K:
+                value = operand.value
+                # numpy refuses an int beyond int64 against a bool array.
+                vector = vector if type(value) is int and -(2**63) <= value < 2**63 else None
+            else:
+                column = operand.eval(chunk)
+                value = column.values
+                vector = vector if value.dtype != object else None
+                if column.errors:
+                    errors = {**column.errors, **errors}  # the leftmost operand's wins
+            values += (value,)
+        if vector is not None:
+            out = vector(*values)
+            if errors:
+                out[list(errors)] = False
+            return Column(out, errors)
+        n = chunk.num_rows
+        rows = [v.tolist() if type(o) is not K else [v] * n for o, v in zip(self.operands, values)]
+        if self.packed:
+            rows = [list(zip(*rows))]
+        elif self.strfn is not None and not errors and not set(map(type, rows[0])) - {str}:
+            return object_column(list(map(self.strfn, rows[0])))
+        return self.build(*_map(self.fn, rows, errors))
 
 
 class MapElems(ColExpr):
@@ -320,8 +307,7 @@ class MapElems(ColExpr):
         else:
             row_fn = lambda row: build(elem_fn(t) for t in row if filter_fn(t))  # noqa: E731
         column = self.child.eval(chunk)
-        values, errors = _map1(chunk.num_rows, column.values.tolist(), column.errors, row_fn)
-        return object_column(values, errors)
+        return object_column(*_map(row_fn, [column.values.tolist()], column.errors))
 
 
 def _mandatory_literal(pattern) -> Optional[str]:
@@ -442,10 +428,7 @@ class RegexSearch(ColExpr):
                             (m is not None for m in matches), dtype=bool, count=len(hits)
                         )
                 return Column(values, None)
-        values, errors = _map1(
-            chunk.num_rows, rows, column.errors, lambda v: method(v) is not None
-        )
-        return _bool_column(values, errors)
+        return bool_column(*_map(lambda v: method(v) is not None, [rows], column.errors))
 
 
 class _TokenIndex:
@@ -717,185 +700,37 @@ class _ScanLabels(ColExpr):
         return chunk.get(self.key)  # type: ignore[return-value]
 
 
-class Contains(ColExpr):
-    """Membership ``item in container`` (either side a column or constant)."""
+class ShortCircuit(ColExpr):
+    """Short-circuit ``and`` / ``or`` of two boolean columns with error masking.
 
-    __slots__ = ("item", "container", "negate")
+    The right operand runs, and can raise, only on the rows the left one
+    does not decide: where it is truthy for ``and``, falsy for ``or``.
+    """
+
+    __slots__ = ("left", "right", "is_and")
     is_bool = True
 
-    def __init__(self, item: Operand, container: Operand, negate: bool = False) -> None:
-        self.item = item
-        self.container = container
-        self.negate = negate
-        self.key = ("in", negate, item.key, container.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        if isinstance(self.container, K) and not self.negate:
-            # `x in s` dispatches to s.__contains__ — mapping the bound C
-            # method over the rows skips a Python lambda frame per row.
-            contains = getattr(self.container.value, "__contains__", None)
-            if contains is not None:
-                a_rows, a_errors = _rowlist(self.item, chunk)
-                values, errors = _map1(chunk.num_rows, a_rows, a_errors, contains)
-                return _bool_column(values, errors)
-        a_rows, a_errors = _rowlist(self.item, chunk)
-        b_rows, b_errors = _rowlist(self.container, chunk)
-        fn = (lambda a, b: a not in b) if self.negate else (lambda a, b: a in b)
-        values, errors = _map2(chunk.num_rows, a_rows, a_errors, b_rows, b_errors, fn)
-        return _bool_column(values, errors)
-
-
-_CMP_OPS = {
-    "lt": operator.lt,
-    "le": operator.le,
-    "gt": operator.gt,
-    "ge": operator.ge,
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "is": operator.is_,
-    "is_not": operator.is_not,
-}
-
-#: Comparison ops safe to vectorize on numeric arrays (numpy semantics match
-#: Python's for int/bool operands).
-_VECTOR_CMP = {"lt", "le", "gt", "ge", "eq", "ne"}
-
-
-class Compare(ColExpr):
-    """One binary comparison; numeric operands vectorize, the rest go per row."""
-
-    __slots__ = ("op", "left", "right")
-    is_bool = True
-
-    def __init__(self, op: str, left: Operand, right: Operand) -> None:
-        self.op = op
+    def __init__(self, is_and: bool, left: ColExpr, right: ColExpr) -> None:
         self.left = left
         self.right = right
-        self.key = ("cmp", op, left.key, right.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        left_col = self.left.eval(chunk) if isinstance(self.left, ColExpr) else None
-        right_col = self.right.eval(chunk) if isinstance(self.right, ColExpr) else None
-        if (
-            self.op in _VECTOR_CMP
-            and _is_int_operand(self.left, left_col)
-            and _is_int_operand(self.right, right_col)
-        ):
-            values = _CMP_OPS[self.op](
-                _numeric_value(self.left, left_col), _numeric_value(self.right, right_col)
-            )
-            errors = _merge_errors(
-                left_col.errors if left_col is not None else None,
-                right_col.errors if right_col is not None else None,
-            )
-            if errors:
-                values = values.copy()
-                values[np.fromiter(errors, dtype=np.int64)] = False
-            return Column(values, errors or None)
-        a_rows, a_errors = _rowlist(self.left, chunk)
-        b_rows, b_errors = _rowlist(self.right, chunk)
-        values, errors = _map2(
-            chunk.num_rows, a_rows, a_errors, b_rows, b_errors, _CMP_OPS[self.op]
-        )
-        return _bool_column(values, errors)
-
-
-class BoolAnd(ColExpr):
-    """Short-circuit ``and`` of two boolean columns with error masking."""
-
-    __slots__ = ("left", "right")
-    is_bool = True
-
-    def __init__(self, left: ColExpr, right: ColExpr) -> None:
-        self.left = left
-        self.right = right
-        self.key = ("and", left.key, right.key)
+        self.is_and = is_and
+        self.key = ("and" if is_and else "or", left.key, right.key)
 
     def _compute(self, chunk: ColumnarChunk) -> Column:
         n = chunk.num_rows
         left = self.left.eval(chunk)
         right = self.right.eval(chunk)
         left_mask = as_bool_mask(left, n)
-        values = left_mask & as_bool_mask(right, n)
-        errors = dict(left.errors) if left.errors else {}
-        if right.errors:
-            # Short-circuit fidelity: the right operand only runs (and can
-            # only raise) where the left operand was truthy.
-            for row, exc in right.errors.items():
-                if row not in errors and left_mask[row]:
-                    errors[row] = exc
-        if errors:
-            values = values.copy() if values is left_mask else values
-            values[np.fromiter(errors, dtype=np.int64)] = False
-        return Column(values, errors or None)
-
-
-class BoolOr(ColExpr):
-    """Short-circuit ``or`` of two boolean columns with error masking."""
-
-    __slots__ = ("left", "right")
-    is_bool = True
-
-    def __init__(self, left: ColExpr, right: ColExpr) -> None:
-        self.left = left
-        self.right = right
-        self.key = ("or", left.key, right.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        n = chunk.num_rows
-        left = self.left.eval(chunk)
-        right = self.right.eval(chunk)
-        left_mask = as_bool_mask(left, n)
-        values = left_mask | as_bool_mask(right, n)
+        right_mask = as_bool_mask(right, n)
+        values = left_mask & right_mask if self.is_and else left_mask | right_mask
         errors = dict(left.errors) if left.errors else {}
         if right.errors:
             for row, exc in right.errors.items():
-                if row not in errors and not left_mask[row]:
+                if row not in errors and left_mask[row] == self.is_and:
                     errors[row] = exc
         if errors:
-            values = values.copy() if values is left_mask else values
             values[np.fromiter(errors, dtype=np.int64)] = False
         return Column(values, errors or None)
-
-
-class NotCol(ColExpr):
-    """Boolean negation."""
-
-    __slots__ = ("child",)
-    is_bool = True
-
-    def __init__(self, child: ColExpr) -> None:
-        self.child = child
-        self.key = ("not", child.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        column = self.child.eval(chunk)
-        values = ~as_bool_mask(column, chunk.num_rows)
-        if column.errors:
-            values[np.fromiter(column.errors, dtype=np.int64)] = False
-        return Column(values, column.errors)
-
-
-class Truthy(ColExpr):
-    """``bool(value)`` per row — a condition-position truthiness proxy."""
-
-    __slots__ = ("child",)
-    is_bool = True
-    cond_only = True
-
-    def __init__(self, child: ColExpr) -> None:
-        self.child = child
-        self.key = ("truthy", child.key)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        column = self.child.eval(chunk)
-        values = column.values
-        if isinstance(values, np.ndarray) and values.dtype == np.bool_:
-            return column
-        if isinstance(values, np.ndarray) and values.dtype != object:
-            return Column(values != 0, column.errors)
-        rows, errors = _map1(chunk.num_rows, values.tolist(), column.errors, bool)
-        return _bool_column(rows, errors)
 
 
 class IfExpCol(ColExpr):
@@ -928,36 +763,6 @@ class IfExpCol(ColExpr):
             t if m else o for m, t, o in zip(mask.tolist(), then_rows, other_rows)
         ]
         return make_column(values, errors or None)
-
-
-class TupleCol(ColExpr):
-    """Per-row container literal (tuple / list / set of item expressions)."""
-
-    __slots__ = ("items", "kind")
-
-    _BUILDERS = {"tuple": tuple, "list": list, "set": set}
-
-    def __init__(self, items: Sequence[Operand], kind: str = "tuple") -> None:
-        self.items = tuple(items)
-        self.kind = kind
-        self.key = ("container", kind) + tuple(item.key for item in self.items)
-
-    def _compute(self, chunk: ColumnarChunk) -> Column:
-        build = self._BUILDERS[self.kind]
-        rows_per_item = []
-        error_dicts = []
-        for item in self.items:
-            rows, errors = _rowlist(item, chunk)
-            rows_per_item.append(rows)
-            error_dicts.append(errors)
-        errors = _merge_errors(*error_dicts)
-        # zip() stops at the finite column operands (at least one exists;
-        # all-constant containers are folded by the compiler).
-        if self.kind == "tuple":
-            values = list(zip(*rows_per_item))
-        else:
-            values = [build(t) for t in zip(*rows_per_item)]
-        return object_column(values, errors or None)
 
 
 class Branch:

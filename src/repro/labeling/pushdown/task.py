@@ -86,7 +86,7 @@ class _ConstantRefs:
     — is re-encoded, everything it holds included
     (:func:`repro.labeling.lf.encoding`), and compared with its encoding
     then (``CompiledProgram.reads``).  A constant the kernels read only when
-    they evaluate (``TokenMatch``'s vocabulary, ``Contains``' container)
+    they evaluate (``TokenMatch``'s vocabulary, a membership test's container)
     needs no encoding.  Nothing here refers to the LF itself — the
     memo holding it is keyed weakly on the LF — so :meth:`changed` is
     handed the LF.

@@ -121,10 +121,9 @@ def _find_function_node(module: ast.Module, name: str) -> Optional[ast.AST]:
     ``inspect.getsource`` of a decorated function returns the decorated
     definition; of a lambda, the whole statement.  Either way the target is
     the first ``FunctionDef``/``AsyncFunctionDef``/``Lambda`` in the fragment
-    — if it is the function asked about: ``getsource`` of a
-    ``functools.wraps`` wrapper is the *wrapped* definition, and of one of
-    several lambdas on a line is all of them.  The compiler replays this
-    tree in place of the function, so what is not provably its body is none.
+    — if it is the function asked about: the source of one of several
+    lambdas on a line is all of them.  The compiler replays this tree in
+    place of the function, so what is not provably its body is none.
     """
     for node in ast.walk(module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -273,14 +272,12 @@ def _blocks(code: types.CodeType, lines: list) -> Iterator[str]:
 
 
 def _parse(function: Callable) -> tuple:
-    # As ``inspect.getsource``, the source of a ``functools.wraps`` wrapper
-    # is the wrapped definition's: no body of the wrapper's name is in it.
-    origin = inspect.unwrap(function)
-    code = getattr(origin, "__code__", None)
-    if code is None:
-        return None, None, "unavailable"
+    # The code that runs names its own lines: a ``functools.wraps`` wrapper
+    # is read as the wrapper, not (as ``inspect.getsource`` would) as the
+    # definition its ``__wrapped__`` points at.
+    code = function.__code__
     linecache.checkcache(code.co_filename)
-    lines = linecache.getlines(code.co_filename, origin.__globals__)
+    lines = linecache.getlines(code.co_filename, function.__globals__)
     if not lines:
         return None, None, "unavailable"
     for block in _blocks(code, lines):

@@ -3,7 +3,6 @@
 from repro.utils.mathutils import (
     accuracy_to_log_odds,
     log_odds_to_accuracy,
-    logit,
     sigmoid,
     softmax,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "sigmoid",
-    "logit",
     "softmax",
     "log_odds_to_accuracy",
     "accuracy_to_log_odds",

@@ -21,15 +21,6 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     return out
 
 
-def logit(p: np.ndarray | float, eps: float = 1e-12) -> np.ndarray | float:
-    """Inverse sigmoid with clipping to avoid infinities at 0 and 1."""
-    p = np.clip(np.asarray(p, dtype=float), eps, 1.0 - eps)
-    out = np.log(p / (1.0 - p))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax along ``axis``."""
     x = np.asarray(x, dtype=float)

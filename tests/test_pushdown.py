@@ -40,7 +40,7 @@ from repro.labeling.lf import LabelingFunction
 from repro.labeling.pushdown import CompileError, compile_lf, label_chunk_pushdown
 from repro.labeling.pushdown import task as pushdown_task
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
-from repro.utils.textutils import contains_any
+from repro.utils.textutils import contains_any, normalize
 
 # ---------------------------------------------------------------------------
 # Planted LFs covering the shapes the library suite misses.
@@ -72,6 +72,15 @@ def _chained_body(candidate):
     return POSITIVE if candidate.sentence.text.lower().split()[0] in _FIRST_WORDS else ABSTAIN
 
 
+def _value_and_body(candidate):
+    # Value-position ``and`` of two comparisons returns a real bool.
+    return candidate.token_distance() < 4 and candidate.token_distance() > 1
+
+
+def _value_or_body(candidate):
+    return candidate.token_distance() < 4 or candidate.token_distance() > 1
+
+
 class _VocabReader:
     """A callable-instance body: its constants are attributes of ``self``."""
 
@@ -91,6 +100,8 @@ def planted_lfs():
         LabelingFunction(
             "lf_planted_lambda", lambda c: POSITIVE if c.token_distance() > 15 else ABSTAIN
         ),
+        LabelingFunction("lf_planted_value_and", _value_and_body),
+        LabelingFunction("lf_planted_value_or", _value_or_body),
     ]
 
 
@@ -557,6 +568,17 @@ def test_compilable_verdict_implies_compiled():
             assert len(plan.compiled) == num_compiled, (suite, plan.fallback_reasons)
 
 
+@pytest.mark.parametrize("name", ["cdr", "chem", "ehr", "spouses", "radiology", "crowd"])
+def test_task_suite_matches_interpreted(name):
+    """Every registered task's own suite, applied: compiled == interpreted
+    over its train candidates, fallbacks included (radiology's report LFs,
+    crowd's fully interpreted workers)."""
+    from repro.datasets import load_task
+
+    task = load_task(name, scale=0.05, seed=0)
+    assert_identical_runs(task.lfs, task.split_candidates("train"))
+
+
 def _census():
     """``(name, lfs, number compiled)`` for every suite the library serves, at seed 0."""
     from repro.datasets import load_task
@@ -676,7 +698,7 @@ def _dead_import_body(candidate):
 def _flaky(function):
     @functools.wraps(function)
     def wrapper(candidate):
-        return NEGATIVE  # getsource(wrapper) is the wrapped definition, not this
+        return NEGATIVE  # getsource(wrapper) is the wrapped definition; this runs
 
     return wrapper
 
@@ -699,9 +721,6 @@ class TestCompilerIsSoundAlone:
         [
             (_dead_del_body, "unassigned local 'THRESH'"),
             (_dead_import_body, "unassigned local 'THRESH'"),
-            # Regression: compiled to POSITIVE (the wrapped definition's body)
-            # with the classifier's blessing, while the wrapper returns NEGATIVE.
-            (_wrapped_body, "source ambiguous"),
         ],
         ids=lambda value: getattr(value, "__name__", None),
     )
@@ -709,13 +728,23 @@ class TestCompilerIsSoundAlone:
         with pytest.raises(CompileError, match=why):
             compile_lf(LabelingFunction(body.__name__, body))
 
+    def test_a_wrapper_compiles_to_its_own_body(self):
+        # Regression: compiled to POSITIVE (the wrapped definition's body)
+        # while the wrapper returns NEGATIVE; then, reading the wrapped
+        # definition for the wrapper's code, never compiled ("source ambiguous").
+        lf = LabelingFunction(_wrapped_body.__name__, _wrapped_body)
+        branches = compile_lf(lf).branches
+        assert [(b.guard, b.value, b.column) for b in branches] == [(None, NEGATIVE, None)]
+        report = assert_identical_runs([lf], corpus(50, seed=19))
+        assert report.pushdown.compiled == [lf.name]
+
     @pytest.mark.filterwarnings("ignore:coroutine .* was never awaited")
     def test_refused_bodies_match_interpreted(self):
-        bodies = _NOT_PLAIN_CALLS + [_dead_del_body, _dead_import_body, _wrapped_body]
+        bodies = _NOT_PLAIN_CALLS + [_dead_del_body, _dead_import_body]
         lfs = [LabelingFunction(body.__name__, body) for body in bodies]
         report = assert_identical_runs(lfs, corpus(50, seed=19))
         assert not report.pushdown.compiled
-        for body in _NOT_PLAIN_CALLS + [_dead_del_body, _dead_import_body]:
+        for body in bodies:
             assert report.errors[body.__name__] == 50
         gc.collect()  # the unawaited coroutines warn when freed: here, not later
 
@@ -930,6 +959,10 @@ def _scalar_tuple(candidate):
     return ABSTAIN
 
 
+def _value_and_non_bool(candidate):
+    return candidate.token_distance() < 4 and 1
+
+
 def _scalar_two_argument_call(candidate):
     for w in candidate.words_between():
         if int(w, 36) > 0:
@@ -970,6 +1003,7 @@ _REMOVED_SHAPES = {
     "scalar-tuple": _scalar_tuple,
     "scalar-multi-argument-call": _scalar_two_argument_call,
     "scalar-method-reading-the-element": _scalar_element_argument,
+    "value-position-and-or-non-boolean": _value_and_non_bool,
 }
 
 
@@ -977,13 +1011,63 @@ _REMOVED_SHAPES = {
 def test_removed_shapes_refuse_and_match_interpreted(body):
     """One case per lowering deleted with the node kinds no served suite
     built (``Map2``, ``ContainsPhrase``, ``AnyElem``, ``ConstBool``,
-    ``NegCol``, ``LenCol``, ``BinCol``): each body is refused, and runs
-    interpreted with the labels and errors it always had."""
+    ``NegCol``, ``LenCol``, ``BinCol``), plus the refused edge of a kept one
+    (a value-position ``and`` with a non-boolean operand): each body is
+    refused, and runs interpreted with the labels and errors it always had."""
     lf = LabelingFunction("lf_removed", body)
     with pytest.raises(CompileError):
         compile_lf(lf)
     report = assert_identical_runs([lf], corpus(200, seed=24, error_rate=0.3), chunk_size=64)
     assert report.pushdown.compiled == [] and report.pushdown.fallback
+
+
+def _or_masks_right_errors(candidate):
+    # ``text_between()`` raises (TypeError) on a planted non-string token;
+    # ``or`` runs it only where the distance test is false.
+    near = candidate.token_distance() < 5
+    return POSITIVE if near or "causes" in candidate.text_between() else ABSTAIN
+
+
+def _leftmost_error_wins(candidate):
+    # Both operands raise on a planted row: AttributeError on the left,
+    # TypeError on the right; the interpreted run raises the left one.
+    tokens = [normalize(w) for w in candidate.words_between()]
+    return POSITIVE if tokens == candidate.text_between() else ABSTAIN
+
+
+def _unhashable_set_display(candidate):
+    # Regression: building the set raised out of the compiled chunk, not per row.
+    tokens = {candidate.words_between(), candidate.token_distance()}
+    return POSITIVE if tokens else ABSTAIN
+
+
+@pytest.mark.parametrize(
+    "body", [_or_masks_right_errors, _leftmost_error_wins, _unhashable_set_display]
+)
+def test_errors_follow_the_interpreted_evaluation_order(body):
+    lf = LabelingFunction(body.__name__, body)
+    report = assert_identical_runs([lf], corpus(200, seed=28, error_rate=0.3), chunk_size=64)
+    assert report.pushdown.compiled == [lf.name] and report.errors[lf.name]
+
+
+@pytest.mark.parametrize("constant", [10**30, -(2**63) - 1, 2**63, 2**63 - 1, -1])
+def test_vector_comparisons_match_interpreted_at_int64_edges(constant):
+    """A comparison of an exact-int or bool column with an int constant runs
+    in numpy; numpy refuses an int beyond int64 against a bool array, so
+    such a constant takes the per-row path."""
+    lfs = [
+        LabelingFunction(
+            "lf_bool_lt", lambda c: POSITIVE if c.span1_precedes_span2() < constant else ABSTAIN
+        ),
+        LabelingFunction(
+            "lf_bool_eq", lambda c: POSITIVE if constant == c.span1_precedes_span2() else ABSTAIN
+        ),
+        LabelingFunction(
+            "lf_int_ge", lambda c: POSITIVE if c.token_distance() >= constant else ABSTAIN
+        ),
+    ]
+    report = assert_identical_runs(lfs, corpus(200, seed=27, error_rate=0.3), chunk_size=64)
+    assert report.pushdown.compiled == [lf.name for lf in lfs]
 
 
 def test_constant_loop_with_a_predicate_lowers_to_token_scan():
