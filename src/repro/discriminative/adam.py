@@ -72,17 +72,28 @@ class AdamOptimizer:
     def step(self, parameters: np.ndarray, gradient: np.ndarray) -> np.ndarray:
         """Return updated parameters after one Adam step along ``-gradient``.
 
-        The moments are updated in place and the temporaries reused; every
-        element still sees the textbook operations in the textbook order, so
-        the result is bitwise that of the allocating formulation.
+        Validates the pair, copies ``parameters`` and runs :meth:`step_in_place`
+        on the copy, so the caller's array is left as it was.
         """
-        parameters = np.asarray(parameters, dtype=float)
+        parameters = np.array(parameters, dtype=float)
         gradient = np.asarray(gradient, dtype=float)
         if parameters.shape != gradient.shape:
             raise ConfigurationError(
                 f"parameter shape {parameters.shape} does not match gradient shape "
                 f"{gradient.shape}"
             )
+        self.step_in_place(parameters, gradient)
+        return parameters
+
+    def step_in_place(self, parameters: np.ndarray, gradient: np.ndarray) -> None:
+        """One Adam step along ``-gradient``, written into ``parameters``.
+
+        The trainer's kernel: both arguments must be float64 arrays of one
+        shape, and nothing is checked.  The moments are updated in place and
+        the temporaries reused; every element still sees the textbook
+        operations in the textbook order, so the result is bitwise that of
+        the allocating formulation.
+        """
         first, second = self._first_moment, self._second_moment
         if first is None or first.shape != parameters.shape:
             first = self._first_moment = np.zeros_like(parameters)
@@ -99,4 +110,4 @@ class AdamOptimizer:
         np.sqrt(scale, out=scale)
         scale += self.epsilon
         step /= scale
-        return parameters - step
+        parameters -= step

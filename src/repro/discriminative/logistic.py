@@ -107,14 +107,18 @@ class NoiseAwareLogisticRegression(NoiseAwareClassifier):
             positive_scale, negative_scale = self._balance_scales
             scales = soft * positive_scale + complement * negative_scale
             weights = scales if weights is None else weights * scales
+        # A CSR block's ``@`` is its ``matvec``; ``X.T @ v`` is its ``rmatvec``.
         probs = sigmoid(features @ coefficients + packed[-1])
         errors = probs - soft
         if weights is not None:
             errors *= weights
         grad_coefficients = gradient[:-1]
-        np.divide(features.T @ errors, rows, out=grad_coefficients)
+        if isinstance(features, np.ndarray):
+            np.divide(features.T @ errors, rows, out=grad_coefficients)
+        else:
+            np.divide(features.rmatvec(errors), rows, out=grad_coefficients)
         grad_coefficients += self.reg_strength * coefficients
-        gradient[-1] = errors.sum() / rows
+        gradient[-1] = np.add.reduce(errors) / rows
         return weighted_log_loss(probs, soft, complement, weights)
 
     def _publish(self, packed: np.ndarray, num_features: int) -> None:

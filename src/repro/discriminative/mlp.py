@@ -119,7 +119,7 @@ class NoiseAwareMLP(NoiseAwareClassifier):
             weight, _ = layers[index]
             grad_weight, grad_bias = gradients[index]
             np.add(activations[index].T @ delta, self.reg_strength * weight, out=grad_weight)
-            delta.sum(axis=0, out=grad_bias)
+            np.add.reduce(delta, 0, out=grad_bias)
             if index > 0:
                 delta = (delta @ weight.T) * (pre_activations[index - 1] > 0.0)
         return weighted_log_loss(probs, soft, complement, weights)

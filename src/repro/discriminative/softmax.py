@@ -1,16 +1,20 @@
 """Noise-aware multi-class softmax regression.
 
-Used by the Crowd sentiment task (five classes): the generative label model
-produces a full posterior over classes per tweet, and this model minimizes
-the expected cross-entropy against that posterior — the multi-class analogue
-of the binary noise-aware loss.
+The end model of every task with more than two classes: the pipeline builds
+it for any cardinality above 2 (the Crowd sentiment task's five classes, the
+k-ary streams), and minimizes the expected cross-entropy against the label
+model's posterior over classes — the multi-class analogue of the binary
+noise-aware loss.
 
 Training — ``fit``, ``fit_stream``, epoch checkpointing — is the shared
 trainer of :class:`repro.discriminative.base.NoiseAwareClassifier`; this
-module supplies the ``(d, k)`` weight matrix, its minibatch gradient and the
-distribution-valued targets.  The gradient densifies the one minibatch it is
-handed, so CSR inputs and block streams train without a dense ``(m, d)``
-matrix existing at any point.
+module supplies the ``(d, k)`` weight matrix and bias packed as one vector,
+the distribution-valued targets and the minibatch gradient.  The gradient
+densifies the one minibatch it is handed (a CSR row range becomes a
+``(rows, d)`` array), so CSR inputs and block streams train without a dense
+``(m, d)`` matrix existing at any point; it views the weights and bias as
+slices of the packed vector, as :meth:`NoiseAwareSoftmaxRegression._publish`
+does.
 """
 
 from __future__ import annotations
@@ -99,17 +103,19 @@ class NoiseAwareSoftmaxRegression(NoiseAwareClassifier):
     ) -> float:
         features, targets, _, weights, rows = batch
         dense = as_dense_features(features)
-        coefficients, bias = self._unpack(packed, dense.shape[1])
-        grad_coefficients, grad_bias = self._unpack(gradient, dense.shape[1])
+        shape = dense.shape[1], self.num_classes
+        split = shape[0] * shape[1]  # the packed layout of ``_unpack``, taken inline
+        coefficients, bias = packed[:split].reshape(shape), packed[split:]
+        grad_coefficients, grad_bias = gradient[:split].reshape(shape), gradient[split:]
         probs = softmax(dense @ coefficients + bias, axis=1)
         errors = probs - targets
         if weights is not None:
             errors *= weights[:, None]
         errors /= rows
         np.add(dense.T @ errors, self.reg_strength * coefficients, out=grad_coefficients)
-        errors.sum(axis=0, out=grad_bias)
-        losses = -(targets * np.log(np.maximum(probs, 1e-9))).sum(axis=1)
-        return float(losses.sum() if weights is None else (losses * weights).sum())
+        np.add.reduce(errors, 0, out=grad_bias)
+        losses = -np.add.reduce(targets * np.log(np.maximum(probs, 1e-9)), 1)
+        return float(np.add.reduce(losses if weights is None else losses * weights))
 
     def _publish(self, packed: np.ndarray, num_features: int) -> None:
         self.weights, self.bias = self._unpack(packed, num_features)

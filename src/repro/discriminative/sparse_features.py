@@ -10,13 +10,14 @@ constructor, the conversions and the stored-array kernels.
 
 The class offers exactly the operations the noise-aware end models use —
 row selection (``X[rows]``), matrix-vector products (``X @ w``), and
-transposed products (``X.T @ v``) — so
-:class:`repro.discriminative.logistic.NoiseAwareLogisticRegression` trains on
-sparse features without densifying anything beyond one minibatch's scores.
-All three are the inherited ``select_rows`` / ``matvec`` / ``rmatvec`` under
-their operator names (a minibatch is ~64 rows, so an operator costs one
-frame and never builds a wrapper object); they are bitwise scipy's, with
-``to_scipy`` as the tests' oracle.
+transposed products (``X.rmatvec(v)``, what ``X.T @ v`` is for a dense
+array) — so :class:`repro.discriminative.logistic.NoiseAwareLogisticRegression`
+trains on sparse features without densifying anything beyond one
+minibatch's scores.  All three are the inherited ``select_rows`` /
+``matvec`` / ``rmatvec``, the first two also under their operator names (a
+minibatch is ~64 rows, so a product costs one frame and never builds a
+wrapper object); they are bitwise scipy's, with ``to_scipy`` as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -84,25 +85,6 @@ class CSRFeatureMatrix(CSRMatrix):
         matrix.indices, matrix.data = narrowed(matrix.indices), narrowed(matrix.data)
         return matrix
 
-    @property
-    def T(self) -> "_TransposedFeatureMatrix":
-        """Transposed view supporting ``X.T @ v`` (no data movement)."""
-        return _TransposedFeatureMatrix(self)
-
-
-class _TransposedFeatureMatrix:
-    """Lightweight ``X.T`` wrapper: only ``@ vector`` is supported."""
-
-    def __init__(self, base: CSRFeatureMatrix) -> None:
-        self._base = base
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self._base.shape[1], self._base.shape[0])
-
-    def __matmul__(self, values: np.ndarray) -> np.ndarray:
-        return self._base.rmatvec(values)
-
 
 FeatureMatrixLike = Union[np.ndarray, CSRFeatureMatrix]
 
@@ -113,7 +95,7 @@ def as_float_features(features) -> FeatureMatrixLike:
     Dense inputs become float ndarrays (the historical behavior); a
     :class:`CSRFeatureMatrix` or a foreign sparse matrix (anything with
     ``tocsr``, i.e. scipy's) passes through in CSR form, so the minibatch
-    loop's ``X[rows]`` / ``X @ w`` / ``X.T @ v`` operations run sparsely.
+    loop's ``X[rows]`` / ``X @ w`` / ``X.rmatvec(v)`` operations run sparsely.
     """
     if isinstance(features, CSRFeatureMatrix):
         return features

@@ -521,7 +521,11 @@ class TokenScan(ColExpr):
     def _sweep(self, tokens: list) -> list:
         """Each token's outcome: ``_NO_MATCH``, ``_RAISED``, or
         ``label << 2 | _MATCH`` for a match whose arm returned ``label``."""
-        pred, arm, outcomes = self.pred, self.arm, []
+        pred, arm = self.pred, self.arm
+        try:
+            return [arm(token) << 2 | _MATCH if pred(token) else _NO_MATCH for token in tokens]
+        except Exception:  # noqa: BLE001 - find the tokens whose pred or arm raised
+            outcomes = []
         for token in tokens:
             try:
                 outcomes.append(arm(token) << 2 | _MATCH if pred(token) else _NO_MATCH)

@@ -22,11 +22,16 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax along ``axis``."""
+    """Stable softmax along ``axis``.
+
+    The reductions are the ufuncs' own ``reduce`` (what ``np.max`` /
+    ``np.sum`` run beneath their Python wrappers): the end models' softmax
+    step calls this once per minibatch.
+    """
     x = np.asarray(x, dtype=float)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return exp / np.add.reduce(exp, axis=axis, keepdims=True)
 
 
 def log_odds_to_accuracy(w: np.ndarray | float) -> np.ndarray | float:

@@ -209,6 +209,24 @@ def lf_shape_but_stateful(x):
     return POSITIVE if x.field > 3 else ABSTAIN
 
 
+_ANNOTATED_STATE = {"last": None}
+_DELETED_STATE = {"seen": True}
+
+
+@labeling_function()
+def lf_annotated_store(x):
+    """LF301 through an annotated assignment (``visit_AnnAssign``)."""
+    _ANNOTATED_STATE["last"]: object = x
+    return ABSTAIN
+
+
+@labeling_function()
+def lf_deletes_shared_state(x):
+    """LF301 through a ``del`` of module state (``visit_Delete``)."""
+    del _DELETED_STATE["seen"]
+    return ABSTAIN
+
+
 EXPECTED_VIOLATIONS = [
     (lf_out_of_range, "LF101"),
     (lf_never_abstains, "LF102"),
@@ -336,6 +354,13 @@ class TestPlantedViolations:
     def test_closure_mutation_caught(self):
         result = analyze_lf(_make_closure_mutator())
         assert "LF302" in result.codes()
+
+    @pytest.mark.parametrize(
+        "lf", [lf_annotated_store, lf_deletes_shared_state], ids=["annotated", "del"]
+    )
+    def test_shared_state_store_caught_in_every_statement_form(self, lf):
+        result = analyze_lf(lf)
+        assert [d.code for d in result.diagnostics] == ["LF301"], result.diagnostics
 
     def test_instance_state_mutation_caught(self):
         lf = LabelingFunction("lf_instance_state", _StatefulVoter())

@@ -172,6 +172,48 @@ class TestShapeCoverage:
 
 
 # ---------------------------------------------------------------------------
+# The candidate's alias properties, which the compiler resolves by name
+# ---------------------------------------------------------------------------
+
+
+def _parent_body(candidate):
+    return POSITIVE if candidate.parent.text == candidate.sentence.text else NEGATIVE
+
+
+def _chemical_body(candidate):
+    return POSITIVE if candidate.chemical.word_start < candidate.span2.word_start else NEGATIVE
+
+
+def _disease_body(candidate):
+    return POSITIVE if candidate.span1.word_start < candidate.disease.word_start else NEGATIVE
+
+
+def _person1_body(candidate):
+    return POSITIVE if candidate.person1.word_start < candidate.span2.word_start else NEGATIVE
+
+
+def _person2_body(candidate):
+    return POSITIVE if candidate.span1.word_start < candidate.person2.word_start else NEGATIVE
+
+
+@pytest.mark.parametrize(
+    "body", [_parent_body, _chemical_body, _disease_body, _person1_body, _person2_body],
+    ids=["parent", "chemical", "disease", "person1", "person2"],
+)  # fmt: skip
+def test_alias_reads_compile_to_the_property_they_name(body):
+    """``compiler.py::_SPAN_ALIASES`` / ``_SENTENCE_ALIASES`` against the
+    ``Candidate`` properties: each body compares the alias with the field it
+    names, so an alias compiled to the other span reads ``x < x`` and labels
+    every row NEGATIVE, where the interpreted property labels some POSITIVE."""
+    lf = LabelingFunction(body.__name__, body)
+    assert not build_plan([lf]).fallback
+    candidates = corpus(200, seed=3)
+    base = LFApplier([lf], pushdown="off").apply(candidates)
+    assert (base.values == POSITIVE).any()
+    assert_identical_runs([lf], candidates)
+
+
+# ---------------------------------------------------------------------------
 # Executors × chunk sizes, mixed suites, fused path
 # ---------------------------------------------------------------------------
 

@@ -84,8 +84,7 @@ def test_matvec_and_rmatvec(backend):
     w = rng.normal(size=dense.shape[1])
     v = rng.normal(size=dense.shape[0])
     assert np.allclose(sparse @ w, dense @ w)
-    assert np.allclose(sparse.T @ v, dense.T @ v)
-    assert sparse.T.shape == (dense.shape[1], dense.shape[0])
+    assert np.allclose(sparse.rmatvec(v), dense.T @ v)
 
 
 def test_row_selection(backend):
@@ -98,12 +97,12 @@ def test_row_selection(backend):
 
 def test_shape_validation():
     # The malformed-CSR table both containers share is tests/test_csr_core.py;
-    # here, that the operator spellings raise this class's error too.
+    # here, that its product spellings raise this class's error too.
     dense, sparse = reference_matrix()
     with pytest.raises(ConfigurationError):
         sparse @ np.zeros(3)
     with pytest.raises(ConfigurationError):
-        sparse.T @ np.zeros(3)
+        sparse.rmatvec(np.zeros(3))
 
 
 def test_constructor_rejects_malformed_csr():
@@ -126,7 +125,7 @@ def test_kernels_are_bitwise_scipys():
     w, v = rng.standard_normal(dense.shape[1]), rng.standard_normal(dense.shape[0])
     assert sparse.ndim == 2
     assert np.array_equal(sparse @ w, oracle @ w)
-    assert np.array_equal(sparse.T @ v, oracle.T @ v)
+    assert np.array_equal(sparse.rmatvec(v), oracle.T @ v)
     assert np.array_equal(sparse.toarray(), oracle.toarray())
     picked = sparse[[2, 0, -1, 2]]
     assert isinstance(picked, CSRFeatureMatrix)

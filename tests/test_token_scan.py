@@ -304,3 +304,24 @@ def test_loops_outside_the_shape_are_refused_not_miscompiled():
         base = LFApplier([lf], pushdown="off", fault_tolerant=True).apply(candidates)
         auto = LFApplier([lf], pushdown="auto", fault_tolerant=True).apply(candidates)
         assert np.array_equal(base.values, auto.values)
+
+
+def test_a_raise_mid_sweep_leaves_every_other_token_its_outcome():
+    """``TokenScan._sweep`` classifies the distinct tokens in one pass; when
+    ``pred`` or ``arm`` raises part way through the list, it sweeps them
+    again one at a time, so only the raising tokens read ``_RAISED`` and the
+    tokens after them keep their outcomes."""
+    from repro.labeling.pushdown.program import _MATCH, _NO_MATCH, _RAISED
+
+    lf = _make_lf(4, "function", "prefix", "int", "0")
+    (kernel,) = next(iter(build_plan([lf]).token_groups.values()))
+
+    def match(label):
+        return label << 2 | _MATCH
+
+    assert kernel._sweep(["q1", "w", "q3"]) == [match(1), _NO_MATCH, match(3)]
+    # "qx" fails ``int("x")`` and "q9" is no class of 4: both raise in the arm.
+    tokens = ["q1", "qx", "q2", "w", "q9", "q4"]
+    expected = [match(1), _RAISED, match(2), _NO_MATCH, _RAISED, match(4)]
+    assert kernel._sweep(tokens) == expected
+    assert_tiers_agree(lf, [tokens, ["qx", "q2"], ["w", "q4"]])
