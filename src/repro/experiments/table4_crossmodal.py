@@ -111,7 +111,7 @@ def _crowd(scale: float, seed: int, epochs: int) -> tuple[float, float, float]:
     snorkel_accuracy = result.discriminative_test_report.accuracy
 
     # Cross-check: the standalone Dawid-Skene estimator on the same label
-    # matrix should largely agree with the factor-graph model's hard labels.
+    # matrix should largely agree with the generative model's hard labels.
     dawid_skene = DawidSkeneModel(cardinality=task.cardinality, seed=seed)
     dawid_skene.fit(result.label_matrix)
     generative_labels = result.generative_model.predict(result.label_matrix)

@@ -4,13 +4,13 @@ This package is the reproduction of the paper's core technical contribution
 (Sections 2.2 and 3):
 
 * :mod:`repro.labelmodel.majority` — unweighted and weighted majority vote,
-* :mod:`repro.labelmodel.factor_graph` — the factor definitions (labeling
-  propensity, accuracy, pairwise correlation) and the weight layout,
-* :mod:`repro.labelmodel.em` — the one EM kernel (entries of Λ, E-step,
-  damped balance update, M-step) every label-model fit drives,
+* :mod:`repro.labelmodel.em` — the one EM kernel (canonical correlation
+  pairs, entries of Λ, E-step, damped balance update, M-step) every
+  label-model fit drives,
 * :mod:`repro.labelmodel.generative` — the generative model, fit by EM over
-  that kernel (the exact E-step stands in for the paper's Gibbs sampling, so
-  nothing in this package samples),
+  that kernel: one accuracy weight per LF, with modeled correlations acting
+  as a per-vote discount (the exact E-step stands in for the paper's Gibbs
+  sampling, so nothing in this package samples),
 * :mod:`repro.labelmodel.online` — the online incremental estimator:
   :class:`OnlineGenerativeModel` folds chunks into EM sufficient statistics
   at O(chunk) cost, supports LF add/remove without a full refit, serves
@@ -40,13 +40,13 @@ the backing and cost scales with the number of emitted labels.
 
 Two label vocabularies are supported throughout: the paper's signed binary
 encoding (``{-1, 0, +1}``) and categorical labels (``0`` = abstain, classes
-``1..k``).  :class:`GenerativeModel`, the factor graph, and the structure
+``1..k``).  :class:`GenerativeModel`, the EM kernel, and the structure
 learner take the task's cardinality as a parameter
 — the binary model is the ``k = 2`` case with its signed arithmetic kept
 bit-compatible, categorical inputs run the k-ary form (symmetric per-LF
 accuracy against ``k - 1`` uniform wrong classes, softmax posteriors, a
 damped k-vector class-balance re-estimate) — so multi-class tasks such as the
-crowdsourcing experiment train through the main factor-graph model, with
+crowdsourcing experiment train through the generative model, with
 :class:`DawidSkeneModel` retained as a cross-check baseline.
 """
 
@@ -57,7 +57,6 @@ from repro.labelmodel.advantage import (
 )
 from repro.labelmodel.dawid_skene import DawidSkeneModel
 from repro.labelmodel.elbow import select_elbow_point
-from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.labelmodel.generative import GenerativeModel
 from repro.labelmodel.majority import (
     MajorityVoter,
@@ -66,14 +65,13 @@ from repro.labelmodel.majority import (
 )
 from repro.labelmodel.online import OnlineGenerativeModel, ServedPosteriors
 from repro.labelmodel.optimizer import ModelingStrategy, ModelingStrategyOptimizer
-from repro.labelmodel.structure import StructureLearner, learn_structure
+from repro.labelmodel.structure import StructureLearner
 from repro.labelmodel.theory import high_density_upper_bound, low_density_upper_bound
 
 __all__ = [
     "MajorityVoter",
     "MultiClassMajorityVoter",
     "WeightedMajorityVoter",
-    "FactorGraphSpec",
     "GenerativeModel",
     "OnlineGenerativeModel",
     "ServedPosteriors",
@@ -82,7 +80,6 @@ __all__ = [
     "optimal_advantage",
     "estimate_advantage_bound",
     "StructureLearner",
-    "learn_structure",
     "select_elbow_point",
     "ModelingStrategy",
     "ModelingStrategyOptimizer",

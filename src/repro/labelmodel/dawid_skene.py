@@ -7,7 +7,7 @@ estimator for multi-class tasks with abstentions, with an optional symmetric
 (single accuracy per worker) parameterization.  It serves two roles:
 
 * the label model for the multi-class crowdsourcing task (Section 4.1.2),
-* a related-work baseline for comparing against the factor-graph model.
+* a related-work baseline for comparing against the generative model.
 
 Like every other label model it lowers its input through
 :func:`repro.labeling.sparse.lower_to_sparse` and reads each worker's

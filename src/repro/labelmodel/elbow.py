@@ -3,8 +3,7 @@
 Structure learning depends on a threshold ε: lower thresholds admit more
 correlations, and beyond an "elbow" the count explodes (paper Section 3.2.2).
 The paper selects the ε at the point of greatest absolute difference from its
-neighbors in the (ε, #correlations) curve; this module implements that rule
-plus a kneedle-style alternative for robustness checks.
+neighbors in the (ε, #correlations) curve; this module implements that rule.
 """
 
 from __future__ import annotations
@@ -51,30 +50,3 @@ def select_elbow_point(
             best_index = i
     return ordered_thresholds[best_index]
 
-
-def select_elbow_point_kneedle(
-    thresholds: Sequence[float], correlation_counts: Sequence[int]
-) -> float:
-    """Kneedle-style elbow detection (Satopää et al.), used as a cross-check.
-
-    Normalizes both axes to [0, 1] and picks the point of maximum vertical
-    distance from the chord connecting the endpoints of the curve.
-    """
-    thresholds_arr = np.asarray(thresholds, dtype=float)
-    counts_arr = np.asarray(correlation_counts, dtype=float)
-    if thresholds_arr.shape != counts_arr.shape:
-        raise ConfigurationError("thresholds and correlation_counts must have the same shape")
-    if thresholds_arr.size == 0:
-        raise ConfigurationError("cannot select an elbow point from an empty sweep")
-    if thresholds_arr.size < 3:
-        return float(thresholds_arr.max())
-    order = np.argsort(thresholds_arr)[::-1]
-    x = thresholds_arr[order]
-    y = counts_arr[order]
-    x_span = x[0] - x[-1] or 1.0
-    y_span = (y.max() - y.min()) or 1.0
-    x_norm = (x[0] - x) / x_span
-    y_norm = (y - y.min()) / y_span
-    chord = x_norm * (y_norm[-1] - y_norm[0]) + y_norm[0]
-    distances = np.abs(y_norm - chord)
-    return float(x[int(np.argmax(distances))])

@@ -10,11 +10,17 @@ canonical CSR order (:class:`Entries`, built once per matrix by
 (:func:`repro.labeling.sparse.lower_to_sparse`), so work per epoch is
 O(nnz) plus O(m·k) for the row posteriors.
 
-Cardinality is a parameter.  Each labeling function has one accuracy
-``a_j`` with errors uniform over the ``k - 1`` wrong classes, i.e. accuracy
-weight ``w_j = 0.5·log(a_j (k-1)/(1-a_j))`` and posterior
-``P(y_i = c | Λ_i) ∝ π_c · exp(2 Σ_{j: Λ_{i,j}=c} w_j / d_{i,j})`` with
-``d_{i,j}`` the correlation discount.  For ``k = 2`` this is exactly the
+What is fit.  Of the paper's three factor types (Section 2.2) only the
+accuracy factor involves the latent label, so it is the only one the kernel
+fits: one accuracy ``a_j`` per labeling function, with errors uniform over
+the ``k - 1`` wrong classes, i.e. accuracy weight
+``w_j = 0.5·log(a_j (k-1)/(1-a_j))`` and posterior
+``P(y_i = c | Λ_i) ∝ π_c · exp(2 Σ_{j: Λ_{i,j}=c} w_j / d_{i,j})``.  The
+labeling-propensity factor cancels out of every posterior and is not fit.
+A modeled correlation pair carries no weight either: it acts through
+``d_{i,j}``, one plus the number of LF ``j``'s modeled partners casting the
+same vote on row ``i`` (:func:`build_entries`), so a clique of
+near-duplicates counts roughly once.  For ``k = 2`` this is exactly the
 signed binary model ``σ(2 Σ_j Λ_{i,j} w_j / d_{i,j})``, which keeps its own
 arithmetic (and its ``(m,)`` positive-class output) behind the one
 ``k == 2`` branch of :func:`e_step`.
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -121,9 +127,6 @@ class Entries(NamedTuple):
     #: Per-LF number of votes, and the mask of rows with at least one vote.
     vote_counts: np.ndarray
     covered: np.ndarray
-    #: Empirical agreement rate of each modeled pair on the rows where both
-    #: vote (0.5 where they never do), aligned with the correlation list.
-    pair_agreement: np.ndarray
 
 
 def validate_label_values(values: np.ndarray, cardinality: int) -> None:
@@ -146,6 +149,26 @@ def validate_label_values(values: np.ndarray, cardinality: int) -> None:
         )
 
 
+def canonical_pairs(
+    correlations: Iterable[tuple[int, int]], num_lfs: int
+) -> list[tuple[int, int]]:
+    """The modeled correlation pairs ``C`` of ``num_lfs`` labeling functions.
+
+    Each pair is ordered ``j < k`` and only its first occurrence is kept; a
+    self-pair or an index outside ``[0, num_lfs)`` raises.
+    """
+    pairs = []
+    for j, k in correlations:
+        if j == k:
+            raise LabelModelError(f"correlation pair ({j}, {k}) is a self-pair")
+        if not (0 <= j < num_lfs and 0 <= k < num_lfs):
+            raise LabelModelError(
+                f"correlation pair ({j}, {k}) out of range for {num_lfs} labeling functions"
+            )
+        pairs.append((j, k) if j < k else (k, j))
+    return list(dict.fromkeys(pairs))
+
+
 def build_entries(
     sparse: SparseLabelMatrix,
     correlations: Sequence[tuple[int, int]],
@@ -153,25 +176,22 @@ def build_entries(
 ) -> Entries:
     """Everything the kernel needs from one matrix, computed once.
 
-    ``correlations`` are canonical pairs (``FactorGraphSpec.correlations``);
-    one sorted-column intersection per pair yields both the per-entry
-    discounts and the pair's agreement rate.  Without modeled correlations
-    the column-major view of the storage is never built.
+    ``correlations`` are canonical pairs (:func:`canonical_pairs`); one
+    sorted-column intersection per pair yields the per-entry discounts.
+    Without modeled correlations the column-major view of the storage is
+    never built.
     """
     discounts = np.ones(sparse.nnz)
-    pair_agreement = np.full(len(correlations), 0.5)
     if correlations:
         col_indptr = sparse.csc()[0]
         csr_position = sparse.csc_order()
-        for index, (j, k) in enumerate(correlations):
+        for j, k in correlations:
             rows_j, vals_j = sparse.column(j)
             rows_k, vals_k = sparse.column(k)
             in_j, in_k = intersect_sorted(rows_j, rows_k)
             same = vals_j[in_j] == vals_k[in_k]
             discounts[csr_position[int(col_indptr[j]) + in_j[same]]] += 1.0
             discounts[csr_position[int(col_indptr[k]) + in_k[same]]] += 1.0
-            if same.size:
-                pair_agreement[index] = same.mean()
     evidence = 1.0 / discounts
     if cardinality == 2:
         bins, evidence = sparse.entry_rows(), sparse.data * evidence
@@ -185,7 +205,6 @@ def build_entries(
         evidence=evidence,
         vote_counts=sparse.col_nnz(),
         covered=sparse.row_nnz() > 0,
-        pair_agreement=pair_agreement,
     )
 
 

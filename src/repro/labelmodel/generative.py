@@ -4,19 +4,26 @@
 ``p_w(Λ, Y) = Z_w^{-1} exp(Σ_i wᵀ φ_i(Λ_i, y_i))`` over labeling-function
 outputs and latent labels, with labeling-propensity, accuracy, and pairwise
 correlation factors.  It is fit by expectation–maximization on the
-marginal likelihood of the observed votes.  The E-step computes the exact
-label posterior ``P(y_i | Λ_i, w)`` (closed form, because the propensity and
-correlation factors do not involve ``y``); the M-step re-estimates each
-labeling function's accuracy from its expected agreement with the latent
-label.  Modeled correlations are handled with an explicit double-counting
+marginal likelihood of the observed votes.  Only the accuracy factor
+involves ``y``, so the label posterior ``P(y_i | Λ_i, w)`` is closed form
+and the fit is one accuracy weight per labeling function: the E-step
+computes the exact posterior, the M-step re-estimates each labeling
+function's accuracy from its expected agreement with the latent label.  The
+propensity factor cancels out of every posterior and is not fit.  Modeled
+correlations carry no weight; they act as an explicit double-counting
 correction: when computing the posterior, each LF's weight is divided by one
 plus the number of its modeled correlation partners that cast the same vote
 on that data point, so a family of near-duplicate LFs counts roughly once
-(this resolves the paper's Example 3.1 pathology).  The paper trains by
+(this resolves the paper's Example 3.1 pathology).  The source system's
+``gen_learning.py`` likewise keeps one weight per LF.  The paper trains by
 stochastic gradient steps interleaved with Gibbs sampling; here the exact
-E-step stands in for the sampled one (as in the original implementation's
-``gen_learning.py``, whose ``sample`` flag defaults to ``False``), so a fit
-draws nothing and is deterministic.
+E-step stands in for the sampled one (as in ``gen_learning.py``, whose
+``sample`` flag defaults to ``False``), so a fit draws nothing and is
+deterministic.
+
+A fitted model is its canonical correlation pairs (``correlations_``), its
+cardinality (``cardinality_``), its class prior and its ``(n,)``
+accuracy-factor weights (``weights``).
 
 After training, the probabilistic labels are ``Ỹ_i = p_ŵ(y_i = +1 | Λ_i)``.
 
@@ -61,16 +68,15 @@ from repro.exceptions import LabelModelError, NotFittedError
 from repro.labeling.matrix import LabelMatrix
 from repro.labeling.sparse import lower_to_sparse
 from repro.labelmodel.em import (
-    ACCURACY_INIT,
     EMParams,
     TrainingHistory,
     accuracy_to_weights,
     build_entries,
+    canonical_pairs,
     e_step,
     run_em,
     validate_label_values,
 )
-from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.types import NEGATIVE, probs_to_labels
 from repro.utils.mathutils import log_odds_to_accuracy, sigmoid
 from repro.utils.rng import SeedLike
@@ -124,7 +130,10 @@ class GenerativeModel:
         self.class_balance = class_balance
         self.cardinality = cardinality
 
-        self.spec: Optional[FactorGraphSpec] = None
+        #: The modeled correlation pairs, canonical (see ``canonical_pairs``).
+        self.correlations_: list[tuple[int, int]] = []
+        self.cardinality_: Optional[int] = None
+        #: The ``(n,)`` accuracy-factor weights ``w_acc``.
         self.weights: Optional[np.ndarray] = None
         self.class_prior_weight_: float = 0.0
         #: Fitted class prior of a categorical task: a length-``k``
@@ -160,13 +169,10 @@ class GenerativeModel:
         if shape[0] == 0 or shape[1] == 0:
             raise LabelModelError(f"label matrix must be non-empty 2-D, got shape {shape}")
         validate_label_values(storage.data, cardinality)
-        spec = FactorGraphSpec(
-            num_lfs=shape[1], correlations=correlations, cardinality=cardinality
-        )
-        entries = build_entries(storage, spec.correlations, cardinality)
+        pairs = canonical_pairs(correlations, shape[1])
+        entries = build_entries(storage, pairs, cardinality)
         accuracies, prior, self.history = run_em(entries, self._em_params())
-        weights, class_prior = self._em_weights(spec, accuracies, prior, entries.pair_agreement)
-        return self._install(spec, weights, class_prior, storage.col_nnz() / shape[0])
+        return self._install(pairs, cardinality, accuracies, prior)
 
     def _resolve_cardinality(self, label_matrix) -> int:
         """Explicit ``cardinality`` wins; else a ``LabelMatrix``'s; else binary."""
@@ -178,90 +184,59 @@ class GenerativeModel:
 
     def _install(
         self,
-        spec: FactorGraphSpec,
-        weights: np.ndarray,
-        class_prior: float | np.ndarray,
-        coverage: Optional[np.ndarray],
+        correlations: list[tuple[int, int]],
+        cardinality: int,
+        accuracies: np.ndarray,
+        prior: float | np.ndarray,
     ) -> "GenerativeModel":
         """Publish a fitted state (the shared tail of ``fit`` and ``from_em``).
 
-        ``class_prior`` is the probability vector of a categorical task, the
-        half-log-odds weight of a binary one; ``coverage`` (per-LF vote
-        fraction), when given, fills in the propensity weights: they never
-        affect the label posterior and are recorded so the joint model is
-        fully parameterized.
-        """
-        if coverage is not None:
-            coverage = np.clip(coverage, 1e-6, 1 - 1e-6)
-            weights[spec.layout.propensity_slice] = 0.5 * np.log(coverage / (1.0 - coverage))
-        categorical = spec.cardinality > 2
-        self.spec = spec
-        self.weights = weights
-        self.class_prior_weight_ = 0.0 if categorical else float(class_prior)
-        self.class_priors_ = np.asarray(class_prior, dtype=float) if categorical else None
-        return self
-
-    # --------------------------------------------------------------------- EM
-    def _em_weights(
-        self,
-        spec: FactorGraphSpec,
-        accuracies: np.ndarray,
-        prior: float | np.ndarray,
-        pair_agreement: Optional[np.ndarray],
-    ) -> tuple[np.ndarray, float | np.ndarray]:
-        """The weight vector and class prior of the given EM parameters.
-
         ``prior`` arrives in the kernel's encoding
-        (:func:`repro.labelmodel.em.balance_prior`).  The correlation slots
-        record each modeled pair's empirical agreement log-odds — EM uses
-        the discount correction rather than these weights; they are recorded
-        so the fitted joint model is inspectable.
+        (:func:`repro.labelmodel.em.balance_prior`); a categorical task
+        publishes it as a probability vector, a binary one as the
+        half-log-odds weight.
         """
-        weights = spec.initial_weights(accuracy_init=ACCURACY_INIT)
-        weights[spec.layout.accuracy_slice] = accuracy_to_weights(accuracies, spec.cardinality)
-        if pair_agreement is not None:
-            agreement = np.clip(pair_agreement, 1e-3, 1 - 1e-3)
-            weights[spec.layout.correlation_slice] = 0.5 * np.log(agreement / (1.0 - agreement))
-        if spec.cardinality > 2:
+        self.correlations_ = correlations
+        self.cardinality_ = cardinality
+        self.weights = accuracy_to_weights(accuracies, cardinality)
+        if cardinality > 2:
             priors = np.exp(prior)
-            prior = priors / priors.sum()
-        return weights, prior
+            self.class_prior_weight_, self.class_priors_ = 0.0, priors / priors.sum()
+        else:
+            self.class_prior_weight_, self.class_priors_ = float(prior), None
+        return self
 
     @classmethod
     def from_em(
         cls,
         params: EMParams,
-        spec: FactorGraphSpec,
+        correlations: list[tuple[int, int]],
+        cardinality: int,
         accuracies: np.ndarray,
         prior: float | np.ndarray,
-        coverage: Optional[np.ndarray] = None,
-        pair_agreement: Optional[np.ndarray] = None,
         history: Optional[TrainingHistory] = None,
     ) -> "GenerativeModel":
         """A fitted EM model assembled from kernel outputs (no training).
 
         How the online model materializes its drained and warm serving
-        models; the arguments are those of :func:`repro.labelmodel.em.run_em`
-        and its results.  ``coverage=None`` leaves the propensity weights
-        unlearned.
+        models; ``correlations`` are canonical pairs and the rest are the
+        arguments of :func:`repro.labelmodel.em.run_em` and its results.
         """
-        model = cls(cardinality=spec.cardinality, **asdict(params))
+        model = cls(cardinality=cardinality, **asdict(params))
         if history is not None:
             model.history = history
-        weights, class_prior = model._em_weights(spec, accuracies, prior, pair_agreement)
-        return model._install(spec, weights, class_prior, coverage)
+        return model._install(correlations, cardinality, accuracies, prior)
 
     # ---------------------------------------------------------------- inference
-    def _require_fitted(self) -> tuple[FactorGraphSpec, np.ndarray]:
-        if self.spec is None or self.weights is None:
+    def _require_fitted(self) -> np.ndarray:
+        if self.weights is None:
             raise NotFittedError("GenerativeModel must be fit before inference")
-        return self.spec, self.weights
+        return self.weights
 
     @property
     def accuracy_weights(self) -> np.ndarray:
         """Learned accuracy weights (the log-odds weights ``w_acc``)."""
-        spec, weights = self._require_fitted()
-        return weights[spec.layout.accuracy_slice].copy()
+        return self._require_fitted().copy()
 
     def learned_accuracies(self) -> np.ndarray:
         """Implied labeling-function accuracies.
@@ -269,11 +244,10 @@ class GenerativeModel:
         Binary models: ``σ(2 w_acc_j)``.  Categorical models invert the
         symmetric parameterization: ``a_j = σ(2 w_acc_j - log(k - 1))``.
         """
-        spec, _ = self._require_fitted()
-        accuracy_weights = self.accuracy_weights
-        if spec.cardinality == 2:
-            return np.asarray(log_odds_to_accuracy(accuracy_weights))
-        return 1.0 / (1.0 + (spec.cardinality - 1) * np.exp(-2.0 * accuracy_weights))
+        weights = self._require_fitted()
+        if self.cardinality_ == 2:
+            return np.asarray(log_odds_to_accuracy(weights))
+        return 1.0 / (1.0 + (self.cardinality_ - 1) * np.exp(-2.0 * weights))
 
     def predict_proba(self, label_matrix: LabelMatrix | np.ndarray) -> np.ndarray:
         """Probabilistic training labels.
@@ -288,23 +262,22 @@ class GenerativeModel:
         otherwise be uninformative (see the ``class_balance`` parameter
         documentation).
         """
-        spec, weights = self._require_fitted()
+        weights = self._require_fitted()
         storage = lower_to_sparse(label_matrix)
-        if storage.shape[1] != spec.num_lfs:
+        if storage.shape[1] != weights.size:
             raise LabelModelError(
-                f"label matrix has {storage.shape[1]} LFs, model was fit with {spec.num_lfs}"
+                f"label matrix has {storage.shape[1]} LFs, model was fit with {weights.size}"
             )
-        entries = build_entries(storage, spec.correlations, spec.cardinality)
-        lf_weights = weights[spec.layout.accuracy_slice]
-        if spec.cardinality == 2:
+        entries = build_entries(storage, self.correlations_, self.cardinality_)
+        if self.cardinality_ == 2:
             prior: float | np.ndarray = self.class_prior_weight_
             uncovered = sigmoid(2.0 * prior)
         else:
             uncovered = self.class_priors_
             prior = np.log(uncovered)
         if self.class_balance is not None:
-            return e_step(entries, lf_weights, prior)[0]
-        probabilities = e_step(entries, lf_weights)[0]
+            return e_step(entries, weights, prior)[0]
+        probabilities = e_step(entries, weights)[0]
         probabilities[~entries.covered] = uncovered
         return probabilities
 

@@ -64,6 +64,7 @@ from repro.labelmodel.em import (
     accuracy_to_weights,
     balance_prior,
     build_entries,
+    canonical_pairs,
     damped_balance,
     e_step,
     initial_prior,
@@ -71,7 +72,6 @@ from repro.labelmodel.em import (
     run_em,
     validate_label_values,
 )
-from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.labelmodel.generative import GenerativeModel
 from repro.labelmodel.structure import StructureLearner
 from repro.types import ABSTAIN
@@ -167,7 +167,6 @@ class OnlineGenerativeModel:
         #: Statistics-changing updates folded since the last exact fit.
         self.updates_since_drain_ = 0
 
-        self._spec_cache: Optional[FactorGraphSpec] = None
         self._drained: Optional[GenerativeModel] = None
         self._drained_version = -1
         self._warm_model: Optional[GenerativeModel] = None
@@ -188,22 +187,11 @@ class OnlineGenerativeModel:
             raise NotFittedError("OnlineGenerativeModel has not seen any chunk yet")
         return self.num_lfs_
 
-    def _spec(self) -> FactorGraphSpec:
-        if self._spec_cache is None:
-            self._spec_cache = FactorGraphSpec(
-                num_lfs=self._require_pinned(),
-                correlations=self.correlations_,
-                cardinality=self.cardinality_,
-            )
-        return self._spec_cache
-
-    def _invalidate(self, structure: bool = False) -> None:
+    def _invalidate(self) -> None:
         """A statistics-changing mutation: bump the version, drop caches."""
         self.model_version_ += 1
         self.updates_since_drain_ += 1
         self._warm_model = None
-        if structure:
-            self._spec_cache = None
 
     def _triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The accumulated ``(rows, cols, vals)`` in canonical CSR order."""
@@ -264,7 +252,8 @@ class OnlineGenerativeModel:
         parameters plus one O(n) M-step.  An all-abstain chunk only extends
         the row count — the statistics, parameters, and ``model_version_``
         are untouched.  A rejected chunk (wrong width, out-of-vocabulary
-        votes) leaves the model exactly as it was.
+        votes, an invalid correlation pair) leaves the model exactly as it
+        was.
         """
         storage = lower_to_sparse(chunk)
         if self.num_lfs_ is None:
@@ -277,13 +266,14 @@ class OnlineGenerativeModel:
         else:
             cardinality = self.cardinality_
         validate_label_values(storage.data, cardinality)
+        pairs = canonical_pairs(self.correlations_, storage.shape[1])
         if self.num_lfs_ is None:
             self._pin(storage.shape[1], cardinality)
         first_row = self.num_rows_
         self.num_rows_ += storage.shape[0]
         if storage.nnz == 0:
             return self
-        entries = build_entries(storage, self._spec().correlations, cardinality)
+        entries = build_entries(storage, pairs, cardinality)
         self._append_triples(storage.entry_rows() + first_row, storage.indices, storage.data)
         expected_correct, mass = self._e_pass(entries)
         self.expected_correct_ = self.expected_correct_ + expected_correct
@@ -333,7 +323,7 @@ class OnlineGenerativeModel:
         # Covered-row mass is unchanged only approximately (newly covered
         # rows existed before with posterior 0.5/uniform); the drain
         # recomputes it exactly.
-        self._invalidate(structure=True)
+        self._invalidate()
         return column
 
     def remove_lf(self, index: int) -> "OnlineGenerativeModel":
@@ -362,7 +352,7 @@ class OnlineGenerativeModel:
             for j, k in self.correlations_
             if index not in (j, k)
         ]
-        self._invalidate(structure=True)
+        self._invalidate()
         return self
 
     def set_correlations(
@@ -370,7 +360,7 @@ class OnlineGenerativeModel:
     ) -> "OnlineGenerativeModel":
         """Replace the modeled correlation structure (no refit)."""
         self.correlations_ = [(int(j), int(k)) for j, k in correlations]
-        self._invalidate(structure=True)
+        self._invalidate()
         return self
 
     def relearn_structure(
@@ -413,22 +403,16 @@ class OnlineGenerativeModel:
             raise NotFittedError(
                 "cannot drain an OnlineGenerativeModel with no votes accumulated"
             )
-        spec = self._spec()
-        entries = build_entries(matrix, spec.correlations, spec.cardinality)
+        pairs = canonical_pairs(self.correlations_, self.num_lfs_)
+        entries = build_entries(matrix, pairs, self.cardinality_)
         accuracies, prior, history = run_em(entries, self.params)
         model = GenerativeModel.from_em(
-            self.params,
-            spec,
-            accuracies,
-            prior,
-            coverage=entries.vote_counts / self.num_rows_,
-            pair_agreement=entries.pair_agreement,
-            history=history,
+            self.params, pairs, self.cardinality_, accuracies, prior, history
         )
         # Re-anchor the warm state at the converged solution.
         self.accuracies_ = model.learned_accuracies()
         if self.class_balance is None:
-            if spec.cardinality > 2:
+            if self.cardinality_ > 2:
                 self.balance_ = model.class_priors_.copy()
             else:
                 self.balance_ = float(sigmoid(2.0 * model.class_prior_weight_))
@@ -454,16 +438,13 @@ class OnlineGenerativeModel:
             return self._drained
         if self._warm_model is not None and self._warm_version == self.model_version_:
             return self._warm_model
-        self._require_pinned()
+        pairs = canonical_pairs(self.correlations_, self._require_pinned())
         if self.class_balance is not None or self.balance_ is None:
             prior = initial_prior(self.class_balance, self.cardinality_)
         else:
             prior = balance_prior(self.balance_)
-        coverage = None
-        if self.num_rows_ > 0:
-            coverage = self.vote_counts_ / self.num_rows_
         self._warm_model = GenerativeModel.from_em(
-            self.params, self._spec(), self.accuracies_, prior, coverage=coverage
+            self.params, pairs, self.cardinality_, self.accuracies_, prior
         )
         self._warm_version = self.model_version_
         return self._warm_model

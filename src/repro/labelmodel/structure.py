@@ -595,15 +595,3 @@ class StructureLearner:
             for t in thresholds
         ]
 
-
-def learn_structure(
-    label_matrix: LabelMatrix | np.ndarray,
-    threshold: float,
-    l1_strength: float = 0.01,
-    max_iter: int = 250,
-    seed: SeedLike = 0,
-) -> list[tuple[int, int]]:
-    """One-shot convenience wrapper: fit a :class:`StructureLearner` and select pairs."""
-    learner = StructureLearner(l1_strength=l1_strength, max_iter=max_iter, seed=seed)
-    learner.fit(label_matrix)
-    return learner.select(threshold)

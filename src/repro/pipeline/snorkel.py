@@ -381,7 +381,7 @@ class SnorkelPipeline:
         of them except :data:`EXECUTION_ONLY_FIELDS`."""
         constructor = inspect.signature(type(end_model).__init__).parameters
         return {
-            "format": 3,
+            "format": 4,
             "task": task_name,
             "lfs": [(lf.name, lf_digest(lf)) for lf in lfs],
             "config": {

@@ -307,7 +307,6 @@ def tests_of(case: Case) -> dict:
 def label_model_records(tag: str, model, inputs: dict) -> dict:
     history = model.history
     out = {
-        f"{tag}/weights": model.weights.copy(),
         f"{tag}/accuracy weights": model.accuracy_weights,
         f"{tag}/prior_weight": np.float64(model.class_prior_weight_),
         f"{tag}/priors": model.class_priors_,

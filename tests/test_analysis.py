@@ -77,7 +77,7 @@ repro.labeling.pushdown repro.labeling.pushdown.compiler repro.labeling.pushdown
 repro.labeling.pushdown.program repro.labeling.pushdown.task repro.labeling.source
 repro.labeling.sparse
 repro.labelmodel repro.labelmodel.advantage repro.labelmodel.dawid_skene repro.labelmodel.elbow
-repro.labelmodel.em repro.labelmodel.factor_graph repro.labelmodel.generative
+repro.labelmodel.em repro.labelmodel.generative
 repro.labelmodel.majority repro.labelmodel.online repro.labelmodel.optimizer
 repro.labelmodel.structure repro.labelmodel.theory
 repro.types

@@ -347,6 +347,53 @@ def test_label_modeling_record_holds_the_model_not_its_posteriors(tmp_path):
     assert lengths[0] == lengths[1], lengths
 
 
+def test_store_of_an_earlier_checkpoint_format_is_cleared(tmp_path, monkeypatch):
+    """A store fingerprinted under checkpoint format 3, whose label-modeling
+    record pickles the factor-graph weight layout that format 4 removed
+    (``repro.labelmodel.factor_graph``), is cleared rather than replayed:
+    the run equals an uncheckpointed one bitwise and rewrites the record."""
+    import pickle
+    import sys
+    import types
+
+    from repro.datasets.synthetic import stream_text_gold
+    from repro.pipeline.snorkel import PipelineConfig, SnorkelPipeline
+
+    make = dict(num_lfs=6, cardinality=4)
+
+    def run(checkpoint_dir=None):
+        config = PipelineConfig(
+            seed=0, use_optimizer=False, generative_epochs=3, discriminative_epochs=2,
+            num_features=64, sparse_labels=True, checkpoint_dir=checkpoint_dir,
+        )
+        return SnorkelPipeline(lfs=text_vote_lfs(**make), config=config).run_streams(
+            stream_text_candidates(300, seed=0, **make),
+            stream_text_candidates(60, seed=1, **make),
+            stream_text_gold(60, cardinality=4, seed=1),
+        )
+
+    root = str(tmp_path / "ckpt")
+    run(root)
+    legacy = types.ModuleType("repro.labelmodel.factor_graph")
+    legacy.FactorGraphSpec = type("FactorGraphSpec", (), {"__module__": legacy.__name__})
+    with BlockStore(root) as store:
+        fingerprint = store.get_pickle("meta/fingerprint")
+        strategy, model = store.get_pickle("phase/label_modeling")
+        model.spec = legacy.FactorGraphSpec()
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, legacy.__name__, legacy)
+            store.put_pickle("phase/label_modeling", (strategy, model))
+        store.put_pickle("meta/fingerprint", {**fingerprint, "format": 3})
+    resumed, plain = run(root), run()
+    assert resumed.training_probs.tobytes() == plain.training_probs.tobytes()
+    assert resumed.discriminative_model.weights.tobytes() == (
+        plain.discriminative_model.weights.tobytes()
+    )
+    with BlockStore(root) as store:
+        _, model = store.get_pickle("phase/label_modeling")
+    assert pickle.dumps(model) == pickle.dumps(plain.generative_model)
+
+
 def test_reput_last_wins_across_reopen(tmp_path):
     root = str(tmp_path / "store")
     with BlockStore(root) as store:

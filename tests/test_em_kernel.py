@@ -1,10 +1,11 @@
 """Unit tests of the EM kernel's steps, each against an independent reference.
 
 ``reference_em.py`` checks whole fits; these pin the pieces a fit is made
-of — the entry build (correlation discounts, pair agreement), the exact
-E-step for arbitrary weights and priors, the M-step's clamps, the damped
-class-balance update, the prior encodings, the hyper-parameter validation
-and the weight layout — so a regression names the step that broke.
+of — the correlation pairs, the entry build (correlation discounts), the
+exact E-step for arbitrary weights and priors, the M-step's clamps, the
+damped class-balance update, the prior encodings, the hyper-parameter
+validation and the fitted state — so a regression names the step that
+broke.
 References are per-row / per-pair Python loops over the dense votes.
 """
 
@@ -25,9 +26,10 @@ from repro.labelmodel.em import (
     e_step,
     initial_prior,
     m_step,
+    run_em,
 )
-from repro.labelmodel.factor_graph import FactorGraphSpec
 from repro.labelmodel.generative import GenerativeModel
+from repro.labelmodel.online import OnlineGenerativeModel
 
 STRUCTURES = {
     "independent": [],
@@ -127,30 +129,23 @@ def test_build_entries_matches_brute_force_counts(k, structure):
         np.testing.assert_allclose(entries.evidence, 1.0 / discount, atol=1e-15)
     assert np.array_equal(entries.vote_counts, (votes != 0).sum(axis=0))
     assert np.array_equal(entries.covered, (votes != 0).any(axis=1))
-    for index, (a, b) in enumerate(correlations):
-        both = (votes[:, a] != 0) & (votes[:, b] != 0)
-        assert entries.pair_agreement[index] == pytest.approx(
-            (votes[both, a] == votes[both, b]).mean()
-        )
     # The same triples in any order build the same entries.
     order = np.random.default_rng(2).permutation(rows.size)
     shuffled = SparseLabelMatrix.from_triples(
         rows[order], cols[order], votes[rows, cols][order], votes.shape
     )
     again = build_entries(shuffled, correlations, k)
-    for field in ("cols", "bins", "evidence", "vote_counts", "covered", "pair_agreement"):
+    for field in ("cols", "bins", "evidence", "vote_counts", "covered"):
         assert np.array_equal(getattr(again, field), getattr(entries, field))
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_pair_that_never_co_votes_has_agreement_one_half_and_no_discount(k):
+def test_pair_that_never_co_votes_adds_no_discount(k):
     votes = np.zeros((6, 3), dtype=np.int64)
     votes[:3, 0] = 1
     votes[3:, 1] = 1
     votes[:, 2] = [1, 1, 1, 1, 1, 1] if k > 2 else [1, -1, 1, -1, 1, -1]
     entries = _entries(votes, k, [(0, 1), (0, 2)])
-    assert entries.pair_agreement[0] == 0.5
-    assert entries.pair_agreement[1] == (1.0 if k > 2 else 2 / 3)
     plain = _entries(votes, k, [(0, 2)])
     assert np.array_equal(entries.evidence, plain.evidence)
 
@@ -283,40 +278,84 @@ def test_em_params_accepts(settings):
 def test_accuracy_weights_round_trip_through_learned_accuracies(k):
     assert accuracy_to_weights(np.array([1.0 / k]), k)[0] == pytest.approx(0.0, abs=1e-15)
     accuracies = np.linspace(1.0 / k, MAX_ACCURACY, 6)
-    spec = FactorGraphSpec(num_lfs=accuracies.size, cardinality=k)
-    model = GenerativeModel.from_em(EMParams(), spec, accuracies, initial_prior(None, k))
+    model = GenerativeModel.from_em(EMParams(), [], k, accuracies, initial_prior(None, k))
     np.testing.assert_allclose(model.learned_accuracies(), accuracies, rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         model.accuracy_weights, accuracy_to_weights(accuracies, k), rtol=0, atol=0
     )
 
 
+@pytest.mark.parametrize("structure", ["independent", "chain"])
+@pytest.mark.parametrize("k", [2, 4])
+def test_fitted_state_is_the_kernels_accuracy_weights(k, structure):
+    """A batch fit and a drained online model hold the canonical pairs, the
+    cardinality and exactly the ``(n,)`` accuracy weights of the kernel's
+    accuracies: no other factor is fit."""
+    correlations = STRUCTURES[structure]
+    votes = _votes(k)
+    accuracies = run_em(_entries(votes, k, correlations), EMParams(epochs=7))[0]
+    expected = accuracy_to_weights(accuracies, k)
+    online = OnlineGenerativeModel(cardinality=k, correlations=correlations, epochs=7)
+    for chunk in np.array_split(votes, 3):
+        online.update(chunk)
+    batch = GenerativeModel(epochs=7, cardinality=k).fit(votes, correlations)
+    for model in (batch, online.drain()):
+        assert model.weights.shape == (votes.shape[1],)
+        assert model.weights.tobytes() == expected.tobytes()
+        assert model.correlations_ == correlations
+        assert model.cardinality_ == k
+
+
 def test_factor_graph_spec_canonicalizes_and_dedups_pairs():
-    spec = FactorGraphSpec(num_lfs=5, correlations=[(3, 1), (1, 3), (0, 4), (4, 0), (2, 3)])
-    assert spec.correlations == [(1, 3), (0, 4), (2, 3)]
-    layout = spec.layout
-    assert layout.size == 2 * 5 + 3
-    covered = np.zeros(layout.size, dtype=int)
-    for part in (layout.propensity_slice, layout.accuracy_slice, layout.correlation_slice):
-        covered[part] += 1
-    assert np.all(covered == 1)  # the three slices partition the weight vector
-    weights = spec.initial_weights(accuracy_init=0.8, propensity_init=-0.5)
-    assert np.all(weights[layout.propensity_slice] == -0.5)
-    np.testing.assert_allclose(weights[layout.accuracy_slice], 0.5 * np.log(4.0))
-    assert np.all(weights[layout.correlation_slice] == 0.0)
+    """The modeled pairs ``C`` are ordered ``j < k`` and a repeat, in either
+    order, is modeled once: the fit equals the fit on the canonical list."""
+    pairs = [(3, 1), (1, 3), (0, 4), (4, 0), (2, 3)]
+    canonical = [(1, 3), (0, 4), (2, 3)]
+    votes = _votes(2)
+    model = GenerativeModel(epochs=5).fit(votes, pairs)
+    assert model.correlations_ == canonical
+    once = GenerativeModel(epochs=5).fit(votes, canonical)
+    assert model.weights.tobytes() == once.weights.tobytes()
+    online = OnlineGenerativeModel(correlations=pairs, epochs=5).update(votes)
+    assert online.drain().correlations_ == canonical
+
+
+VOTES = np.array([[1, -1, 0], [0, 1, 1], [-1, 0, 1]])
+
+
+def _online_update(correlations):
+    online = OnlineGenerativeModel().set_correlations(correlations)
+    try:
+        online.update(VOTES)
+    finally:  # a rejected chunk leaves the model as it was
+        assert online.num_rows_ == 0 and online.num_lfs_ is None
+
+
+def _pair_entries(pair):
+    return (
+        lambda: GenerativeModel().fit(VOTES, [pair]),
+        lambda: _online_update([pair]),
+    )
 
 
 @pytest.mark.parametrize(
-    "arguments, message",
+    "entries, message",
     [
-        (dict(num_lfs=3, correlations=[(1, 1)]), "self-pair"),
-        (dict(num_lfs=3, correlations=[(0, 3)]), "out of range"),
-        (dict(num_lfs=3, correlations=[(-1, 2)]), "out of range"),
-        (dict(num_lfs=0), "num_lfs"),
-        (dict(num_lfs=3, cardinality=1), "cardinality"),
+        (_pair_entries((1, 1)), "self-pair"),
+        (_pair_entries((0, 3)), "out of range"),
+        (_pair_entries((-1, 2)), "out of range"),
+        ((lambda: GenerativeModel().fit(VOTES[:, :0]),), "non-empty"),
+        (
+            (lambda: GenerativeModel(cardinality=1), lambda: OnlineGenerativeModel(cardinality=1)),
+            "cardinality",
+        ),
     ],
     ids=["self-pair", "index-past-end", "negative-index", "no-lfs", "one-class"],
 )
-def test_factor_graph_spec_rejects(arguments, message):
-    with pytest.raises(LabelModelError, match=message):
-        FactorGraphSpec(**arguments)
+def test_factor_graph_spec_rejects(entries, message):
+    """The model's factor graph (``n`` LFs, the pairs ``C``, ``k`` classes)
+    is refused where a model takes it: the constructors, ``fit``, and an
+    online ``update`` under the pairs ``set_correlations`` gave it."""
+    for entry in entries:
+        with pytest.raises(LabelModelError, match=message):
+            entry()

@@ -294,7 +294,7 @@ def test_pipeline_crowd_end_to_end_no_fallback():
     )
     result = SnorkelPipeline(config=config).run(task)
     assert result.generative_model is not None
-    assert result.generative_model.spec.cardinality == 5
+    assert result.generative_model.cardinality_ == 5
     assert result.training_probs.shape[1] == 5
     assert result.generative_test_report.accuracy > 0.5
     assert result.discriminative_test_report.accuracy > 1.0 / 5

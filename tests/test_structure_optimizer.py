@@ -8,10 +8,8 @@ from repro.exceptions import ConfigurationError
 from repro.labelmodel import (
     ModelingStrategyOptimizer,
     StructureLearner,
-    learn_structure,
     select_elbow_point,
 )
-from repro.labelmodel.elbow import select_elbow_point_kneedle
 from repro.labelmodel.theory import (
     combined_upper_bound,
     high_density_upper_bound,
@@ -44,7 +42,7 @@ def test_structure_threshold_monotone():
 
 def test_learn_structure_one_shot():
     data = generate_correlated_label_matrix(num_points=300, seed=2)
-    pairs = learn_structure(data.label_matrix, threshold=0.05)
+    pairs = StructureLearner().fit(data.label_matrix).select(0.05)
     assert all(j < k for j, k in pairs)
 
 
@@ -53,8 +51,6 @@ def test_elbow_point_selection():
     counts = [0, 1, 2, 20, 200]
     elbow = select_elbow_point(thresholds, counts)
     assert elbow in (0.2, 0.1)
-    kneedle = select_elbow_point_kneedle(thresholds, counts)
-    assert min(thresholds) <= kneedle <= max(thresholds)
 
 
 def test_elbow_point_errors():

@@ -34,7 +34,6 @@ from repro.labeling import LabelMatrix, SparseLabelMatrix
 from repro.labelmodel import (
     ModelingStrategyOptimizer,
     StructureLearner,
-    learn_structure,
     structure,
 )
 from repro.labelmodel.structure import (
@@ -386,8 +385,8 @@ REFUSED = {
     "min_votes=2.5": lambda: StructureLearner(min_votes=2.5),
     "select(nan)": lambda: weighted_learner().select(math.nan),
     "sweep([0.1, nan])": lambda: weighted_learner().sweep([0.1, math.nan]),
-    "learn_structure max_iter=-5": lambda: learn_structure(ALL_ONES, 0.1, max_iter=-5),
-    "learn_structure threshold=nan": lambda: learn_structure(ALL_ONES, math.nan),
+    "fit-select:max_iter=-5": lambda: StructureLearner(max_iter=-5).fit(ALL_ONES).select(0.1),
+    "fit-select:threshold=nan": lambda: StructureLearner().fit(ALL_ONES).select(math.nan),
 }
 
 
